@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .spaces import DomainError, GeodesicPath, GeometryError, SampledPath, from_
 from .rolling import RollingPair, roll_along
 from .curvature import rolling_curvature_operator, rolling_curvature_invertible
 from .brackets import curvature_mismatch, flag_ranks
-from .nilpotent import basis, flatness_obstruction, nil_bracket, verify_structure
+from .nilpotent import flatness_obstruction, structure_tensor, verify_structure
 from .symmetry import (
     KillingField,
     killing_catalog,
@@ -40,6 +41,7 @@ EXIT_RANK_GAP = 4
 EXIT_MISMATCH = 5
 
 GAP_REQUIREMENT = 1e4
+NILPOTENT_MAX_N = 12  # the structure tensor has (2n + n(n-1)/2)^3 entries
 
 
 def _dump(obj, out_path):
@@ -282,26 +284,20 @@ def cmd_rol(args):
 def cmd_nilpotent(args):
     run = Run(args, need_pair=False)
     n = args.n
-    report = verify_structure(n)
-    bas = basis(n)
+    if not 2 <= n <= NILPOTENT_MAX_N:
+        raise GeometryError(f"--n must lie in [2, {NILPOTENT_MAX_N}]")
+    c = structure_tensor(n)
+    report = verify_structure(n, c)
     names = (
         [f"N{i}" for i in range(n)]
         + [f"B{i}{j}" for i in range(n) for j in range(i + 1, n)]
         + [f"Z{i}" for i in range(n)]
     )
     table = []
-    for i, x in enumerate(bas):
-        for j, y in enumerate(bas):
-            if i >= j:
-                continue
-            br = nil_bracket(x, y)
-            if not br.is_zero():
-                coeffs = {}
-                for k, z in enumerate(bas):
-                    c = _coefficient(br, z)
-                    if c != 0:
-                        coeffs[names[k]] = float(c)
-                table.append({"x": names[i], "y": names[j], "bracket": coeffs})
+    for i, j in zip(*np.triu_indices(len(names), 1)):
+        coeffs = {names[k]: float(c[i, j, k]) for k in np.flatnonzero(c[i, j])}
+        if coeffs:
+            table.append({"x": names[i], "y": names[j], "bracket": coeffs})
     out = run.report_header()
     out["verification"] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in report.items()}
     out["structure_constants"] = table
@@ -309,31 +305,22 @@ def cmd_nilpotent(args):
     return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
-def _coefficient(vec, basis_elem):
-    for part, bpart in ((vec.a, basis_elem.a), (vec.b, basis_elem.b), (vec.c, basis_elem.c)):
-        for v, b in zip(part, bpart):
-            if b != 0:
-                return v / b if b != 1 else v
-    return 0
-
-
 def cmd_flatness(args):
     run = Run(args, need_pair=False)
-    report = flatness_obstruction(_maybe_rational(args.K), _maybe_rational(args.K_hat),
-                                  _maybe_rational(args.beta), n=args.n)
+    report = flatness_obstruction(_rational(args.K), _rational(args.K_hat),
+                                  _rational(args.beta), n=args.n)
     out = run.report_header()
     out["obstruction"] = report.to_json()
     _dump(out, run.out)
     return EXIT_OK
 
 
-def _maybe_rational(text):
-    from fractions import Fraction
-
+def _rational(text):
+    """K, K_hat or beta as an exact rational; nan, inf or other text is an input error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return float(text)
+        raise GeometryError(f"not a finite rational number: {text!r}") from None
 
 
 def _add_global_flags(parser, suppress=False):
@@ -383,7 +370,8 @@ def build_parser():
 
     p = sub.add_parser("nilpotent", help="verify the graded algebra, emit structure constants")
     _add_global_flags(p, suppress=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=3,
+                   help=f"algebra dimension, 2 <= n <= {NILPOTENT_MAX_N}")
     p.set_defaults(func=cmd_nilpotent)
 
     p = sub.add_parser("flatness", help="non-flatness obstruction arithmetic")

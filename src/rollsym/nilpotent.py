@@ -29,6 +29,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .curvature import so_pairs, so_dim
 from .spaces import GeometryError
 
@@ -64,10 +66,6 @@ class GradedVector:
     def from_layers(cls, a, b, c):
         return cls(tuple(_exact(x) for x in a), tuple(_exact(x) for x in b),
                    tuple(_exact(x) for x in c))
-
-    @classmethod
-    def zero(cls, n):
-        return cls((0,) * n, (0,) * so_dim(n), (0,) * n)
 
     @classmethod
     def layer1(cls, n, i):
@@ -156,72 +154,81 @@ def growth_vector(n):
     return (d1, d1 + d2, d1 + d2 + d3)
 
 
-def verify_structure(n) -> dict:
+def structure_tensor(n):
+    """Structure constants of the graded basis: c[i, j, k] is the coefficient
+    of basis element k in nil_bracket(basis i, basis j), one call per pair,
+    so checks on c certify nil_bracket itself.  Raises unless every
+    coefficient is an integer with d^2 |c|^3 < 2^53: verify_structure's
+    partial sums (at most d^2 products of three) then stay exact in float64."""
+    bas = basis(n)
+    d = len(bas)
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i, x in enumerate(bas):
+        for j, y in enumerate(bas):
+            br = nil_bracket(x, y)
+            coeffs = list(br.a + br.b + br.c)
+            ints = [int(v) for v in coeffs]
+            if ints != coeffs:
+                raise GeometryError("structure constants must be integers")
+            if d * d * max(map(abs, ints)) ** 3 >= 2**53:
+                raise GeometryError("structure constants too large for exact contraction")
+            c[i, j] = ints
+    return c
+
+
+def verify_structure(n, c=None) -> dict:
     """Exhaustive exact verification of the graded algebra for a given n:
     the triple-bracket identity on generators, the Jacobi identity over all
     basis triples, vanishing of all four-fold brackets (step-3 nilpotency),
-    and the layer dimensions.  All comparisons are exact."""
+    the grading of the bracket, and the layer dimensions.
+
+    All checks contract the structure tensor c (structure_tensor(n) unless
+    given), one basis element x at a time so that no temporary exceeds d^3
+    entries.  They run in float64, exact because every partial sum is an
+    integer below 2^53."""
     if n < 2:
         raise GeometryError("structure verification needs n >= 2")
-    bas = basis(n)
-    gens = [GradedVector.layer1(n, i) for i in range(n)]
-    tails = [GradedVector.layer3(n, i) for i in range(n)]
-
-    # [N_i, [N_j, N_k]] = -delta_ik Z_j + delta_ij Z_k
-    triple_failures = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                got = nil_bracket(gens[i], nil_bracket(gens[j], gens[k]))
-                want = GradedVector.zero(n)
-                if i == k:
-                    want = want - tails[j]
-                if i == j:
-                    want = want + tails[k]
-                if not (got - want).is_zero():
-                    triple_failures += 1
+    if c is None:
+        c = structure_tensor(n)
+    d = c.shape[0]
+    m = so_dim(n)
+    deg = np.repeat([1, 2, 3], [n, m, n])
+    grading_ok = not c[deg[:, None, None] + deg[None, :, None] != deg[None, None, :]].any()
 
     jacobi_failures = 0
-    for x in bas:
-        for y in bas:
-            for z in bas:
-                s = (
-                    nil_bracket(x, nil_bracket(y, z))
-                    + nil_bracket(y, nil_bracket(z, x))
-                    + nil_bracket(z, nil_bracket(x, y))
-                )
-                if not s.is_zero():
-                    jacobi_failures += 1
+    gens = np.empty((n, n, n, d))  # gens[i, j, k] = [N_i, [N_j, N_k]]
+    triples = set()
+    cf = c.astype(np.float64)
+    pairs = cf.reshape(d * d, d)  # pairs[(y, z), l] = c[y, z, l]
+    inner = cf.transpose(1, 0, 2).reshape(d, d * d)  # inner[l, (w, m)] = c[w, l, m]
+    xyz, tmp = np.empty((d * d, d)), np.empty((d, d * d))
+    for x in range(d):
+        # [x,[y,z]], then [y,[z,x]] and [z,[x,y]] added, all indexed [y, z, :]
+        np.matmul(pairs, cf[x], out=xyz)
+        triples.update(map(tuple, xyz[xyz.any(axis=1)].tolist()))
+        jac = xyz.reshape(d, d, d)
+        if x < n:
+            gens[x] = jac[:n, :n]
+        jac += np.matmul(cf[:, x], inner, out=tmp).reshape(d, d, d).transpose(1, 0, 2)
+        jac += np.matmul(cf[x], inner, out=tmp).reshape(d, d, d)
+        jacobi_failures += int(jac.any(axis=2).sum())
 
-    # step-3 nilpotency: every 4-fold bracket over the basis vanishes;
-    # inner triples are computed once, zero triples short-circuit exactly
-    step3_failures = 0
-    nonzero_triples = []
-    for y in bas:
-        for z in bas:
-            for w in bas:
-                t = nil_bracket(y, nil_bracket(z, w))
-                if not t.is_zero():
-                    nonzero_triples.append(t)
-    for x in bas:
-        for t in nonzero_triples:
-            if not nil_bracket(x, t).is_zero():
-                step3_failures += 1
+    # [N_i, [N_j, N_k]] = -delta_ik Z_j + delta_ij Z_k
+    i, j = np.ogrid[:n, :n]
+    want = np.zeros_like(gens)
+    want[i, j, i, n + m + j] -= 1
+    want[i, i, j, n + m + j] += 1
+    triple_failures = int((gens != want).any(axis=3).sum())
+
+    # step-3 nilpotency: [x, t] = 0 for every distinct nonzero triple bracket t
+    triples = np.array(list(triples)).reshape(-1, d)
+    step3_failures = sum(int((triples @ cf[x]).any(axis=1).sum()) for x in range(d))
 
     # layer dimensions as generated, not as declared: the spans of the
     # first brackets and of the triple brackets must have the full ranks
-    layer2_rank = _exact_rank(
-        [list(nil_bracket(gens[i], gens[j]).b) for i in range(n) for j in range(n)]
-    )
-    layer3_rank = _exact_rank(
-        [
-            list(nil_bracket(gens[i], nil_bracket(gens[j], gens[k])).c)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ]
-    )
-    dims_ok = (layer2_rank, layer3_rank) == (so_dim(n), n)
+    layer2_rank = _exact_rank(c[:n, :n, n:n + m].reshape(n * n, m).tolist())
+    layer3_rank = _exact_rank(gens[..., n + m:].reshape(n**3, n).astype(np.int64).tolist())
+    dims_ok = (layer2_rank, layer3_rank) == (m, n)
     return {
         "n": n,
         "dims": (n, layer2_rank, layer3_rank),
@@ -233,7 +240,8 @@ def verify_structure(n) -> dict:
         "ok": triple_failures == 0
         and jacobi_failures == 0
         and step3_failures == 0
-        and dims_ok,
+        and dims_ok
+        and grading_ok,
     }
 
 

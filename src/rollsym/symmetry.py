@@ -281,6 +281,8 @@ def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
     else:
         d_z = rolling_derivative(lambda s: cand.Z(s), q, X, "vector", h=h)
         r1_vec = u_x + q.apply(d_z) - d_zhat
+    # off-tangent round-off can make a Minkowski norm negative
+    r1_vec = pair.space_hat.project(q.x_hat, r1_vec)
     r1 = math.sqrt(pair.space_hat.inner_at(q.x_hat, r1_vec, r1_vec))
 
     d_u = rolling_derivative(lambda s: cand.U_bar(s), q, X, "map", h=h)
@@ -337,7 +339,7 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q: RollingState, X,
         return 0.0
     d_z = vertical_derivative(lambda s: cand.Z(s), q, c, "vector", h=h)
     d_zhat = vertical_derivative(lambda s: cand.Z_hat(s), q, c, "vector_hat", h=h)
-    diff = q.apply(d_z) - d_zhat
+    diff = pair.space_hat.project(q.x_hat, q.apply(d_z) - d_zhat)
     return math.sqrt(pair.space_hat.inner_at(q.x_hat, diff, diff))
 
 

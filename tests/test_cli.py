@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -207,6 +208,24 @@ def test_audit_catalog_and_perturbation(tmp_path):
     assert code == 1
 
 
+def test_audit_sphere_on_hyperbolic_plane_seed_62(tmp_path):
+    # round-off left the drift residual slightly off the hyperboloid's tangent
+    # space, its Minkowski norm negative and math.sqrt raising
+    cfg = write_config(tmp_path, {
+        "manifold_pair": [
+            {"kind": "sphere", "dim": 2, "radius": 2.0},
+            {"kind": "hyperbolic", "dim": 2, "radius": 1.0},
+        ],
+    })
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+        "--samples", "20", "--seed", "62", "--out", str(out),
+    ]) == 0
+    data = json.loads(out.read_text())
+    assert all(block["max"] < 1e-6 for block in data["residuals"].values())
+
+
 def test_audit_mismatched_generator_exit(tmp_path):
     cfg = write_config(tmp_path, SPHERE_PLANE)
     code = main([
@@ -243,6 +262,45 @@ def test_nilpotent_report(tmp_path):
     assert data["verification"]["ok"] is True
     names = {entry["x"] for entry in data["structure_constants"]}
     assert "N0" in names
+
+
+# sha256 of `nilpotent --n k` reports written by the Fraction-based
+# verification that the structure-tensor version replaced
+NILPOTENT_REPORT_SHA256 = {
+    2: "58f3a1e579c81ed2379d2f344dd5aabf5a55a2a4168806d25ed6a4f3143348ec",
+    3: "e29fcf375f09afa32dfd41ad53945941db63cd996cf1d2694de5433b170cc260",
+    4: "aadfe56f51e4c72e9324437eface7ee9b112da5f84227778caae1a4ff5312a85",
+    5: "fd236633776e4b2bec3740779d2bfd4f07acc7dfbafac69fd248b40ae943124d",
+    6: "b385df49cef9ec0b4df44a86b11d56df6bb2ddcef5ec4296e65a1aa4112a7d72",
+    7: "2013108590d77c7dfd53b6e8eb1267ce452a9661d5084d4df0f622cdda566d66",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NILPOTENT_REPORT_SHA256))
+def test_nilpotent_report_bytes_are_pinned(tmp_path, n):
+    out = tmp_path / "nil.json"
+    assert main(["nilpotent", "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NILPOTENT_REPORT_SHA256[n]
+
+
+@pytest.mark.parametrize("n", ["1", "13"])
+def test_nilpotent_rejects_n_out_of_range(tmp_path, capsys, n):
+    out = tmp_path / "nil.json"
+    assert main(["nilpotent", "--n", n, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n must lie in [2, 12]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--K", "--K-hat", "--beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+def test_flatness_rejects_non_finite_or_unparsable_numbers(tmp_path, capsys, flag, value):
+    args = {"--K": "1", "--K-hat": "1/9", "--beta": "1", flag: value}
+    out = tmp_path / "flat.json"
+    assert main(["flatness", *[a for kv in args.items() for a in kv], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not a finite rational number" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_flatness_report_and_rational_inputs(tmp_path):

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rollsym import GeometryError, Sphere, Euclidean
+from rollsym import GeometryError, Sphere, Euclidean, nilpotent
+from rollsym.curvature import so_dim
 from rollsym.nilpotent import (
     GradedVector,
     basis,
@@ -11,6 +13,7 @@ from rollsym.nilpotent import (
     graded_dims,
     growth_vector,
     nil_bracket,
+    structure_tensor,
     verify_structure,
     vertical_action_consistency,
 )
@@ -104,12 +107,90 @@ def test_dimension_mismatch_raises():
 
 
 def test_verify_structure_all_sizes():
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6, 7):
         report = verify_structure(n)
         assert report["ok"]
         assert report["triple_identity_failures"] == 0
         assert report["jacobi_failures"] == 0
         assert report["step3_failures"] == 0
+
+
+def test_verify_structure_rejects_one_flipped_coefficient(monkeypatch):
+    n = 3
+    n0, n1 = GradedVector.layer1(n, 0), GradedVector.layer1(n, 1)
+
+    def flipped(u, v):
+        br = nil_bracket(u, v)
+        if (u, v) == (n0, n1):  # [N0, N1] = -B01 instead of B01
+            return br.scale(-1)
+        return br
+
+    monkeypatch.setattr(nilpotent, "nil_bracket", flipped)
+    report = verify_structure(n)
+    assert report["ok"] is False
+    failures = (report["triple_identity_failures"] + report["jacobi_failures"]
+                + report["step3_failures"])
+    assert failures > 0
+
+
+N3 = [GradedVector.layer1(3, i) for i in range(3)]
+Z3 = [GradedVector.layer3(3, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("u0, v0, extra, failing", [
+    # [N0, N1] = B01 + Z2 still satisfies Jacobi and step-3 nilpotency;
+    # only the grading certificate (degree 1 + 1 -> 3) fails
+    (N3[0], N3[1], Z3[2], None),
+    # [N0, Z0] = B01 leaves four-fold brackets that do not vanish
+    (N3[0], Z3[0], GradedVector.layer2(3, 0, 1), "step3_failures"),
+])
+def test_verify_structure_rejects_an_ungraded_bracket(monkeypatch, u0, v0, extra, failing):
+    def mutant(u, v):
+        br = nil_bracket(u, v)
+        if (u, v) == (u0, v0):
+            return br + extra
+        if (u, v) == (v0, u0):
+            return br - extra
+        return br
+
+    monkeypatch.setattr(nilpotent, "nil_bracket", mutant)
+    report = verify_structure(3)
+    assert report["ok"] is False
+    if failing:
+        assert report[failing] > 0
+    else:
+        assert report["jacobi_failures"] == 0 and report["step3_failures"] == 0
+
+
+def test_structure_tensor_rejects_non_integer_constants(monkeypatch):
+    monkeypatch.setattr(nilpotent, "nil_bracket", lambda u, v: nil_bracket(u, v).scale(Fraction(1, 2)))
+    with pytest.raises(GeometryError, match="integers"):
+        structure_tensor(3)
+
+
+def test_structure_tensor_is_antisymmetric_with_unit_entries():
+    n = 4
+    c = structure_tensor(n)
+    d = 2 * n + so_dim(n)
+    assert c.shape == (d, d, d) and c.dtype == np.int64
+    assert set(np.unique(c)) == {-1, 0, 1}
+    assert (c == -c.transpose(1, 0, 2)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_structure_tensor_contraction_equals_nil_bracket(data):
+    n = data.draw(st.integers(2, 5))
+    m = so_dim(n)
+    coords = st.lists(st.integers(-50, 50), min_size=2 * n + m, max_size=2 * n + m)
+    u, v = data.draw(coords), data.draw(coords)
+
+    def vec(x):
+        return GradedVector.from_layers(x[:n], x[n:n + m], x[n + m:])
+
+    br = nil_bracket(vec(u), vec(v))
+    got = np.einsum("i,j,ijk->k", u, v, structure_tensor(n))
+    assert got.tolist() == list(br.a + br.b + br.c)
 
 
 def test_graded_dims_and_growth():
