@@ -13,11 +13,10 @@ from .spaces import (
     GeodesicPath,
     GeometryError,
     Hyperbolic,
-    Point,
+    MismatchError,
     SampledPath,
     SpaceForm,
     Sphere,
-    TangentVector,
     WarpFunction,
     Warped,
     from_spec,
@@ -31,12 +30,11 @@ __all__ = [
     "Warped",
     "WarpFunction",
     "SpaceForm",
-    "Point",
-    "TangentVector",
     "GeodesicPath",
     "SampledPath",
     "GeometryError",
     "DomainError",
+    "MismatchError",
     "from_spec",
     "RollingPair",
     "RollingState",

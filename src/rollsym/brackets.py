@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import skew_part, wedge_matrix
+from .numerics import central_diff, numerical_rank
 from .spaces import GeometryError
 from .rolling import (
     Chart,
@@ -34,6 +35,7 @@ from .rolling import (
     rolling_lift,
     tangent_curve,
     _pull_back,
+    _stencil,
 )
 
 FIELD_FD_STEP = 1e-3
@@ -94,13 +96,7 @@ def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -
             _pull_back(q, xi, t, u, "map"),
         )
 
-    if order == 4:
-        s = [sample(t) for t in (2 * h, h, -h, -2 * h)]
-        out = [(-s[0][k] + 8 * s[1][k] - 8 * s[2][k] + s[3][k]) / (12 * h) for k in range(3)]
-    else:
-        s = [sample(t) for t in (h, -h)]
-        out = [(s[0][k] - s[1][k]) / (2 * h) for k in range(3)]
-    return FieldData(*out)
+    return FieldData(*central_diff(sample, h, order))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState,
@@ -162,8 +158,8 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
         e = np.zeros(dim)
         e[j] = h
         samples = [components(t * e) for t in (2.0, 1.0, -1.0, -2.0)]
-        dx = (-samples[0][0] + 8 * samples[1][0] - 8 * samples[2][0] + samples[3][0]) / (12 * h)
-        dy = (-samples[0][1] + 8 * samples[1][1] - 8 * samples[2][1] + samples[3][1]) / (12 * h)
+        dx = _stencil([s[0] for s in samples], h, 4)
+        dy = _stencil([s[1] for s in samples], h, 4)
         out += x0[j] * dy - y0[j] * dx
     return TangentOfQ.from_coords(q, out)
 
@@ -180,9 +176,7 @@ def frame_field_derivative(m, x, v, h=1e-3, order=4):
         frt = m.frame(xt)
         return np.array([m.transport_along_geodesic(xt, vt, -t, frt[i]) for i in range(m.dim)])
 
-    if order == 4:
-        return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
-    return (sample(h) - sample(-h)) / (2 * h)
+    return central_diff(sample, h, order)
 
 
 def rolling_generators(pair, rotation=None, fd_h=1e-3):
@@ -226,10 +220,6 @@ class FlagReport:
     tol: float
     gaps: tuple
 
-    @property
-    def growth_vector(self):
-        return self.ranks
-
     def to_json(self):
         return {
             "ranks": list(self.ranks),
@@ -239,18 +229,6 @@ class FlagReport:
             "state": self.state.to_json(),
             "dim_state_space": q_dim(self.state.pair.dim),
         }
-
-
-def _rank_of(vectors, tol):
-    mat = np.array(vectors)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0, sv, math.inf
-    rank = int(np.sum(sv > tol * sv[0]))
-    gap = math.inf
-    if rank < len(sv) and sv[rank] > 0:
-        gap = sv[rank - 1] / sv[rank]
-    return rank, sv, gap
 
 
 def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
@@ -271,7 +249,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
     ranks = []
     svs = []
     gaps = []
-    rank, sv, gap = _rank_of(vectors, tol)
+    rank, sv, gap = numerical_rank(vectors, tol)
     ranks.append(rank)
     svs.append(sv)
     gaps.append(gap)
@@ -289,7 +267,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
             for g in gens:
                 new_fields.append(bracket_field(f, g, h=h, order=order, nested_h=nested_h))
         vectors.extend(bf.value(q).coords() for bf in new_fields)
-        rank, sv, gap = _rank_of(vectors, tol)
+        rank, sv, gap = numerical_rank(vectors, tol)
         ranks.append(rank)
         svs.append(sv)
         gaps.append(gap)

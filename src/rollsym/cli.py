@@ -6,21 +6,26 @@ randomness from one recorded seed, honors a global tolerance override, and
 writes deterministic reports: identical config and seed give byte-identical
 output.  Exit codes partition the failure classes: 2 config or input
 parsing, 3 integration left the coordinate domain, 4 ambiguous rank gap,
-5 candidate/manifold mismatch, 1 residual or verdict failure.
+5 candidate/manifold mismatch, 1 residual or verdict failure.  Input is
+validated where it is read: a malformed config, flag or JSON argument exits
+2 with a message, never with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .spaces import DomainError, GeodesicPath, GeometryError, SampledPath, from_spec
+from .spaces import (DomainError, GeodesicPath, GeometryError, MismatchError, SampledPath,
+                     from_spec)
 from .rolling import RollingPair, roll_along
-from .curvature import rolling_curvature_operator, rolling_curvature_invertible
+from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
 from .nilpotent import flatness_obstruction, structure_tensor, verify_structure
 from .symmetry import (
@@ -42,6 +47,7 @@ EXIT_MISMATCH = 5
 
 GAP_REQUIREMENT = 1e4
 NILPOTENT_MAX_N = 12  # the structure tensor has (2n + n(n-1)/2)^3 entries
+TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": 1e-3, "isometry": 1e-7}
 
 
 def _dump(obj, out_path):
@@ -53,41 +59,63 @@ def _dump(obj, out_path):
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _reading(what):
+    """Turn the errors of reading user input into input errors (exit 2)."""
+    try:
+        yield
+    except GeometryError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError) as exc:
+        raise GeometryError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def _positive(value, what):
+    if not 0 < value < math.inf:
+        raise GeometryError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
 class Run:
     """Config, seed and tolerances shared by the subcommands."""
 
     def __init__(self, args, need_pair=True):
         self.config = {}
-        if args.config:
-            with open(args.config) as fh:
-                self.config = json.load(fh)
-        self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
-        tol_block = dict(self.config.get("tolerances", {}))
-        if args.tol is not None:
-            tol_block["residual"] = args.tol
-        self.tolerances = {
-            "residual": float(tol_block.get("residual", 1e-6)),
-            "rank": float(tol_block.get("rank", 1e-8)),
-            "step": float(tol_block.get("step", 1e-3)),
-            "isometry": float(tol_block.get("isometry", 1e-7)),
-        }
-        self.out = args.out or self.config.get("output", {}).get("path")
-        self.format = args.format or self.config.get("output", {}).get("format")
-        self.pair = None
-        if need_pair:
-            pair_spec = self.config.get("manifold_pair")
-            if not pair_spec or len(pair_spec) != 2:
-                raise GeometryError("config must hold a two-element manifold_pair")
-            m = from_spec(pair_spec[0])
-            mh = from_spec(pair_spec[1])
-            self.pair = RollingPair(m, mh)
+        with _reading("config"):
+            if args.config:
+                with open(args.config) as fh:
+                    self.config = json.load(fh)
+            if not isinstance(self.config, dict):
+                raise GeometryError("config must be a JSON object")
+            self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
+            tol_block = dict(self.config.get("tolerances", {}))
+            if args.tol is not None:
+                tol_block["residual"] = args.tol
+            self.tolerances = {k: _positive(float(tol_block.get(k, d)), f"tolerance {k}")
+                               for k, d in TOLERANCE_DEFAULTS.items()}
+            output = self.config.get("output", {})
+            if not (isinstance(output, dict) and isinstance(output.get("path") or "", str)
+                    and output.get("format") in (None, "json", "csv")):
+                raise GeometryError("output must be an object with a path string and a "
+                                    "format json or csv")
+            self.out = args.out or output.get("path")
+            self.format = args.format or output.get("format")
+            self.pair = None
+            if need_pair:
+                pair_spec = self.config.get("manifold_pair")
+                if not pair_spec or len(pair_spec) != 2:
+                    raise GeometryError("config must hold a two-element manifold_pair")
+                self.pair = RollingPair(from_spec(pair_spec[0]), from_spec(pair_spec[1]))
+        if self.seed < 0:
+            raise GeometryError(f"seed must be a non-negative integer, got {self.seed}")
 
     def rng(self):
         return np.random.default_rng(self.seed)
 
     def initial_state(self, rng):
         if self.config.get("initial_state"):
-            return self.pair.state_from_json(self.config["initial_state"])
+            with _reading("initial_state"):
+                return self.pair.state_from_json(self.config["initial_state"])
         return self.pair.random_state(rng)
 
     def report_header(self):
@@ -97,8 +125,12 @@ class Run:
 def _parse_path(pair, q0, spec):
     if spec.get("type") == "geodesic":
         direction = np.asarray(spec["direction"], float)
+        if direction.shape != q0.x.shape or not np.isfinite(direction).all():
+            raise GeometryError(f"path direction must hold {q0.x.size} finite numbers")
         direction = pair.space.project(q0.x, direction)
         length = float(spec.get("length", 1.0))
+        if not math.isfinite(length):
+            raise GeometryError(f"path length must be finite, got {length!r}")
         nrm = np.sqrt(pair.space.inner_at(q0.x, direction, direction))
         if length == 0.0 or nrm == 0.0:
             return None
@@ -113,9 +145,9 @@ def cmd_simulate(args):
     run = Run(args)
     rng = run.rng()
     q0 = run.initial_state(rng)
-    spec = json.loads(args.path_spec)
-    step = args.step if args.step is not None else run.tolerances["step"]
-    path = _parse_path(run.pair, q0, spec)
+    step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
+    with _reading("--path-spec"):
+        path = _parse_path(run.pair, q0, json.loads(args.path_spec))
     if path is None:
         curve_times, states = np.array([0.0]), [q0]
         residual = q0.isometry_residual()
@@ -200,25 +232,29 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
     for field in catalog:
         if field.name == name:
             return field
-    raise GeometryError(f"generator {name} does not exist on {manifold.kind}{manifold.dim}")
+    raise MismatchError(f"generator {name} does not exist on {manifold.kind}{manifold.dim}")
 
 
 def cmd_audit(args):
     run = Run(args)
     rng = run.rng()
-    cand_spec = json.loads(args.candidate)
     pair = run.pair
     tol = run.tolerances["residual"]
-    if cand_spec.get("kind") == "catalog":
-        fields = killing_catalog(pair.space_hat)
-        cands = [killing_to_symmetry(pair, f) for f in fields]
-    elif cand_spec.get("kind") == "killing":
-        field = _field_from_spec(pair.space_hat, cand_spec.get("generator", {}))
-        cands = [killing_to_symmetry(pair, field)]
-    else:
-        raise GeometryError(f"unknown candidate kind {cand_spec.get('kind')!r}")
-    if cand_spec.get("perturb"):
-        cands = [perturb_candidate(c, float(cand_spec["perturb"]), rng) for c in cands]
+    with _reading("--candidate"):
+        cand_spec = json.loads(args.candidate)
+        kind = cand_spec.get("kind")
+        if kind == "catalog":
+            fields = killing_catalog(pair.space_hat)
+        elif kind == "killing":
+            fields = [_field_from_spec(pair.space_hat, cand_spec.get("generator", {}))]
+        else:
+            raise GeometryError(f"unknown candidate kind {kind!r}")
+        eps = float(cand_spec.get("perturb") or 0.0)
+    if not math.isfinite(eps):
+        raise GeometryError(f"perturb must be finite, got {eps!r}")
+    cands = [killing_to_symmetry(pair, f) for f in fields]
+    if eps:
+        cands = [perturb_candidate(c, eps, rng) for c in cands]
 
     samples = max(1, args.samples)
     stats = {"eq_drift": [], "eq_curvature": [], "vertical": []}
@@ -269,8 +305,7 @@ def cmd_rol(args):
     rng = run.rng()
     q0 = run.initial_state(rng)
     op = rolling_curvature_operator(q0)
-    sv = np.linalg.svd(op, compute_uv=False)
-    verdict, cond = rolling_curvature_invertible(q0, tol=run.tolerances["rank"])
+    verdict, cond, sv = operator_invertible(op, tol=run.tolerances["rank"])
     out = run.report_header()
     out["state"] = q0.to_json()
     out["operator"] = op.tolist()
@@ -393,17 +428,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (GeometryError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        message = str(exc)
-        code = EXIT_MISMATCH if _is_mismatch(message) else EXIT_CONFIG
-        print(f"error: {message}", file=sys.stderr)
-        return code
-
-
-def _is_mismatch(message):
-    needles = ("does not exist on", "must live on the second factor", "generator",
-               "covers constant-curvature manifolds only")
-    return any(n in message for n in needles)
+    except (GeometryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH if isinstance(exc, MismatchError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,18 +14,20 @@ contact isometry and vanishes identically when both curvatures agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .spaces import GeometryError, Point, TangentVector
+from .numerics import numerical_rank
+from .spaces import GeometryError
 
 SKEW_TOL = 1e-9
 
 
+@cache
 def so_pairs(n):
     """Index pairs (i, j), i < j, in the global lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def so_dim(n):
@@ -61,137 +63,74 @@ def wedge_matrix(a, b):
     return np.outer(a, b) - np.outer(b, a)
 
 
-@dataclass
-class Bivector:
-    """Element of Lambda^2 of a tangent space, stored as strictly upper
-    triangular coefficients in the deterministic frame of the base point."""
-
-    base: Point
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.base.manifold.dim
-        if self.upper.shape != (so_dim(n),):
-            raise GeometryError(f"expected {so_dim(n)} bivector coefficients")
-
-    @classmethod
-    def from_matrix(cls, base: Point, mat):
-        check_skew(np.asarray(mat, dtype=float), what="bivector matrix")
-        return cls(base, skew_to_vector(np.asarray(mat, dtype=float)))
-
-    @classmethod
-    def from_vectors(cls, X: TangentVector, Y: TangentVector):
-        m = X.manifold
-        if not np.allclose(X.base.coords, Y.base.coords, atol=1e-10, rtol=0.0):
-            raise GeometryError("wedge factors have different base points")
-        fr = m.frame(X.base.coords)
-        a = m.frame_coords(X.base.coords, fr, X.components)
-        b = m.frame_coords(X.base.coords, fr, Y.components)
-        return cls(X.base, skew_to_vector(wedge_matrix(a, b)))
-
-    @property
-    def matrix(self):
-        return vector_to_skew(self.upper, self.base.manifold.dim)
-
-
-def wedge_action(X: TangentVector, Y: TangentVector, Z: TangentVector) -> TangentVector:
-    """(X ^ Y)Z = g(Z, Y)X - g(Z, X)Y, all based at the same point."""
-    m = X.manifold
-    for other in (Y, Z):
-        if other.manifold is not m or not np.allclose(
-            other.base.coords, X.base.coords, atol=1e-10, rtol=0.0
-        ):
-            raise GeometryError("wedge action requires a common base point")
-    x = X.base.coords
-    out = m.inner_at(x, Z.components, Y.components) * X.components - m.inner_at(
-        x, Z.components, X.components
-    ) * Y.components
-    return TangentVector(X.base, out)
-
-
-def curvature_op(xi: Bivector) -> Bivector:
-    """Apply the curvature operator of the base manifold to a bivector."""
-    m = xi.base.manifold
-    out = m.curvature_matrix_apply(xi.base.coords, xi.matrix)
-    return Bivector.from_matrix(xi.base, out)
-
-
 # -- rolling curvature --------------------------------------------------------
 #
 # These take a rolling state q (see rolling.RollingState) and work on the
 # deterministic-frame matrix representations.
 
 
-def _as_skew_matrix(q, xi):
-    if isinstance(xi, Bivector):
-        return xi.matrix
-    return check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
-
-
 def rolling_curvature(q, xi):
     """Matrix (in the deterministic frames) of the map T_x M -> T_xhat Mhat
-    given by A R(xi) - R_hat(A xi) A for a bivector xi at x."""
-    xi_mat = _as_skew_matrix(q, xi)
+    given by A R(xi) - R_hat(A xi) A for a bivector xi at x, given as a
+    skew matrix."""
+    xi_mat = check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
     A = q.isometry
     r = q.pair.space.curvature_matrix_apply(q.x, xi_mat)
     r_hat = q.pair.space_hat.curvature_matrix_apply(q.x_hat, A @ xi_mat @ A.T)
     return A @ r - r_hat @ A
 
 
-def rolling_curvature_so(q, xi):
-    """The so(T_x M)-valued form: R(xi) - A^{-1} R_hat(A xi) A."""
-    xi_mat = _as_skew_matrix(q, xi)
-    A = q.isometry
-    r = q.pair.space.curvature_matrix_apply(q.x, xi_mat)
-    r_hat = q.pair.space_hat.curvature_matrix_apply(q.x_hat, A @ xi_mat @ A.T)
-    return r - A.T @ r_hat @ A
-
-
-def rolling_curvature_operator(q):
-    """Matrix of the so-valued rolling curvature on Lambda^2, in the
-    lexicographic basis; size n(n-1)/2."""
-    n = q.pair.space.dim
+def _bivector_operator(n, apply):
+    """Matrix, in the lexicographic basis of bivectors, of a map taking
+    skew n x n matrices to skew matrices."""
     cols = []
     for i, j in so_pairs(n):
         e = np.zeros((n, n))
         e[i, j] = 1.0
         e[j, i] = -1.0
-        cols.append(skew_to_vector(rolling_curvature_so(q, e)))
+        cols.append(skew_to_vector(apply(e)))
     return np.array(cols).T
+
+
+def rolling_curvature_operator(q):
+    """Matrix of the so-valued rolling curvature xi -> R(xi) - A^{-1}
+    R_hat(A xi) A on Lambda^2, in the lexicographic basis; size n(n-1)/2."""
+    m, mh, A = q.pair.space, q.pair.space_hat, q.isometry
+
+    def so_form(xi):
+        return m.curvature_matrix_apply(q.x, xi) - A.T @ mh.curvature_matrix_apply(
+            q.x_hat, A @ xi @ A.T) @ A
+
+    return _bivector_operator(q.pair.dim, so_form)
+
+
+def operator_invertible(op, tol=1e-8, floor=1e-12):
+    """Invertibility of an operator on bivectors from one SVD.
+
+    Returns (verdict, condition_number, singular_values); the verdict is
+    true when the smallest singular value exceeds tol times the largest.
+    Operators whose largest singular value sits below the absolute floor
+    count as zero maps (matched curvatures produce exactly those, up to
+    round-off).
+    """
+    rank, sv, _ = numerical_rank(op, tol)
+    if sv[0] <= floor:
+        return False, math.inf, sv
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+    return rank == len(sv), cond, sv
 
 
 def space_curvature_invertible(m, x, tol=1e-8, floor=1e-12):
     """Invertibility of the curvature operator of a single manifold on its
     bivector space at x; together with the rolling-curvature verdict this
     covers the hypotheses of the symmetry classification machinery."""
-    n = m.dim
-    cols = []
-    for i, j in so_pairs(n):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0
-        e[j, i] = -1.0
-        cols.append(skew_to_vector(m.curvature_matrix_apply(x, e)))
-    sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
-    if sv[0] <= floor:
-        return False, math.inf
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    return bool(sv[-1] > tol * sv[0]), cond
+    op = _bivector_operator(m.dim, lambda xi: m.curvature_matrix_apply(x, xi))
+    return operator_invertible(op, tol, floor)[:2]
 
 
 def rolling_curvature_invertible(q, tol=1e-8, floor=1e-12):
-    """Invertibility verdict for the so-valued rolling curvature.
-
-    Returns (verdict, condition_number); the verdict is true when the
-    smallest singular value exceeds tol times the largest.  Operators whose
-    largest singular value sits below the absolute floor count as zero maps
-    (matched curvatures produce exactly those, up to round-off).
-    """
+    """Invertibility verdict (verdict, condition_number) for the so-valued
+    rolling curvature; see `operator_invertible`."""
     if tol <= 0:
         raise GeometryError("tolerance must be positive")
-    op = rolling_curvature_operator(q)
-    sv = np.linalg.svd(op, compute_uv=False)
-    if sv[0] <= floor:
-        return False, math.inf
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    return bool(sv[-1] > tol * sv[0]), cond
+    return operator_invertible(rolling_curvature_operator(q), tol, floor)[:2]

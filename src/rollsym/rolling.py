@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
+from .numerics import central_diff
 from .spaces import (
     DEFAULT_STEP,
     GeometryError,
@@ -55,10 +56,6 @@ class RollingPair:
         x_hat = self.space_hat.random_point(rng)
         return self.state(x, x_hat, random_rotation(rng, self.dim))
 
-    def aligned_state(self, x, x_hat) -> "RollingState":
-        """State whose isometry matches the deterministic frames."""
-        return self.state(x, x_hat, np.eye(self.dim))
-
     def state_from_json(self, data: dict) -> "RollingState":
         return self.state(data["x"], data["x_hat"], data["A"])
 
@@ -82,8 +79,11 @@ class RollingState:
     def __post_init__(self):
         self.pair.space.point(self.x)
         self.pair.space_hat.point(self.x_hat)
+        n = self.pair.dim
+        if self.isometry.shape != (n, n):
+            raise GeometryError(f"contact map must be a {n} x {n} matrix")
         res = self.isometry_residual()
-        if res > ISOMETRY_TOL:
+        if not res <= ISOMETRY_TOL:
             raise GeometryError(f"contact map is not an isometry (residual {res:.3e})")
         if np.linalg.det(self.isometry) <= 0:
             raise GeometryError("contact map must preserve orientation")
@@ -164,12 +164,6 @@ class TangentOfQ:
             vector_to_skew(vec[2 * n :], n),
         )
 
-    @classmethod
-    def zero(cls, state: RollingState):
-        n = state.pair.dim
-        amb, amb_hat = state.pair.space.amb_dim, state.pair.space_hat.amb_dim
-        return cls(state, np.zeros(amb), np.zeros(amb_hat), np.zeros((n, n)))
-
 
 def q_dim(n):
     return 2 * n + so_dim(n)
@@ -228,6 +222,7 @@ def _nearest_rotation(a):
 
 
 def _stencil(samples, dt, order):
+    """The FD bracket oracle's own stencil, kept apart from numerics.central_diff."""
     if order == 4:
         return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
     return (samples[0] - samples[1]) / (2 * dt)
@@ -247,13 +242,6 @@ def curve_velocity(q: RollingState, state_at, dt, order=2) -> TangentOfQ:
     a_dot_ns = _stencil([tangent_curve(q, ns, t).isometry for t in ts], dt, order)
     c = skew_part(q.isometry.T @ (a_dot - a_dot_ns))
     return TangentOfQ(q, X, X_hat, c)
-
-
-def velocity_from_states(q: RollingState, q_plus: RollingState, q_minus: RollingState,
-                         dt) -> TangentOfQ:
-    """Second-order decomposition from one symmetric pair of states."""
-    lookup = {dt: q_plus, -dt: q_minus}
-    return curve_velocity(q, lambda t: lookup[t], dt, order=2)
 
 
 # -- rolling curves -------------------------------------------------------------
@@ -428,30 +416,13 @@ def directional_derivative(func, q: RollingState, xi: TangentOfQ, kind,
     def sample(t):
         return _pull_back(q, xi, t, func(tangent_curve(q, xi, t)), kind)
 
-    if kind == "pair":
-        f_p = [sample(t) for t in (h, -h, 2 * h, -2 * h)][: 4 if order == 4 else 2]
-        if order == 4:
-            u = (-f_p[2][0] + 8 * f_p[0][0] - 8 * f_p[1][0] + f_p[3][0]) / (12 * h)
-            v = (-f_p[2][1] + 8 * f_p[0][1] - 8 * f_p[1][1] + f_p[3][1]) / (12 * h)
-        else:
-            u = (f_p[0][0] - f_p[1][0]) / (2 * h)
-            v = (f_p[0][1] - f_p[1][1]) / (2 * h)
-        return u, v
-    if order == 4:
-        return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
-    return (sample(h) - sample(-h)) / (2 * h)
+    return central_diff(sample, h, order)
 
 
 def rolling_derivative(func, q: RollingState, X, kind, h=FD_STEP, order=2):
     """Derivative along the rolling curve with initial velocity the rolling
     lift of X, with values pulled back to the contact points."""
     return directional_derivative(func, q, rolling_lift(q, X), kind, h=h, order=order)
-
-
-def no_spin_derivative(func, q: RollingState, X, X_hat, kind, h=FD_STEP, order=2):
-    n = q.pair.dim
-    xi = TangentOfQ(q, X, X_hat, np.zeros((n, n)))
-    return directional_derivative(func, q, xi, kind, h=h, order=order)
 
 
 def vertical_derivative(func, q: RollingState, C, kind, h=FD_STEP_FIBER, order=2):

@@ -29,30 +29,8 @@ class DomainError(GeometryError):
     """A curve or geodesic left the manifold's coordinate domain."""
 
 
-@dataclass
-class Point:
-    manifold: "SpaceForm"
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-
-
-@dataclass
-class TangentVector:
-    base: Point
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-
-    @property
-    def manifold(self):
-        return self.base.manifold
-
-    def norm(self):
-        m = self.manifold
-        return math.sqrt(max(m.inner_at(self.base.coords, self.components, self.components), 0.0))
+class MismatchError(GeometryError):
+    """A candidate or generator does not fit the manifold it is applied to."""
 
 
 def _rk4(rhs, y0, t0, t1, steps):
@@ -88,21 +66,15 @@ class SpaceForm:
 
     # -- point / tangent construction and validation ----------------------
 
-    def point(self, coords) -> Point:
+    def point(self, coords):
+        """Validated ambient coordinates of a point on the manifold."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.amb_dim,):
             raise GeometryError(f"expected {self.amb_dim} ambient coordinates, got {coords.shape}")
-        err = self.constraint_residual(coords)
+        err = self.constraint_residual(coords) if np.isfinite(coords).all() else math.inf
         if err > POINT_TOL:
             raise GeometryError(f"point violates the {self.kind} constraint by {err:.3e}")
-        return Point(self, coords)
-
-    def tangent(self, base: Point, components) -> TangentVector:
-        components = np.asarray(components, dtype=float)
-        err = self.tangency_residual(base.coords, components)
-        if err > POINT_TOL * max(1.0, float(np.linalg.norm(components))):
-            raise GeometryError(f"vector violates the tangency constraint by {err:.3e}")
-        return TangentVector(base, components)
+        return coords
 
     def constraint_residual(self, x) -> float:
         raise NotImplementedError
@@ -119,13 +91,6 @@ class SpaceForm:
     def inner_at(self, x, u, v) -> float:
         raise NotImplementedError
 
-    def metric(self, u: TangentVector, v: TangentVector) -> float:
-        if u.base.manifold is not self or v.base.manifold is not self:
-            raise GeometryError("tangent vectors do not live on this manifold")
-        if not np.allclose(u.base.coords, v.base.coords, atol=POINT_TOL, rtol=0.0):
-            raise GeometryError("base points differ")
-        return self.inner_at(u.base.coords, u.components, v.components)
-
     def project(self, x, w):
         """Orthogonal projection of an ambient vector onto the tangent space."""
         raise NotImplementedError
@@ -139,10 +104,6 @@ class SpaceForm:
     def geodesic_arr(self, x, v, t):
         return self.geodesic_flow(x, v, t)[0]
 
-    def geodesic(self, x: Point, v: TangentVector, t: float) -> Point:
-        xt = self.geodesic_arr(x.coords, v.components, t)
-        return Point(self, xt)
-
     def transport_rhs(self, x, xdot, v):
         """Ambient derivative of a parallel vector v along a curve with velocity xdot."""
         raise NotImplementedError
@@ -155,34 +116,26 @@ class SpaceForm:
         """Inverse of the exponential map, when a closed form exists."""
         raise NotImplementedError
 
-    def parallel_transport(self, path, v0: TangentVector, step=DEFAULT_STEP, project=False):
-        """Transport v0 along a path; returns (times, list of TangentVector).
+    def parallel_transport(self, path, v0, step=DEFAULT_STEP):
+        """Transport the tangent vector v0 at the start of a path; returns
+        (times, array of transported vectors), one row per sample time.
 
-        RK4 on the transport ODE at the given step.  Constraint drift is
-        left visible unless `project` is set, in which case each output is
-        re-projected onto the tangent space of the sampled point.
+        RK4 on the transport ODE at the given step; constraint drift is left
+        visible.
         """
         times = path.sample_times(step)
-        x0 = path.point(times[0])
-        if not np.allclose(x0, v0.base.coords, atol=1e-8):
-            raise GeometryError("transported vector is not based at the start of the path")
-        vecs = [v0]
-        v = np.array(v0.components)
+        v = np.array(v0, dtype=float)
+        vecs = [v]
         for a, b in zip(times[:-1], times[1:]):
             if b == a:
                 raise GeometryError("zero-length step in path time grid")
-            n_sub = _steps_for(b - a, step)
 
             def rhs(t, y):
-                xt = path.point(t)
-                return self.transport_rhs(xt, path.velocity(t), y)
+                return self.transport_rhs(path.point(t), path.velocity(t), y)
 
-            v = _rk4(rhs, v, a, b, n_sub)
-            xb = path.point(b)
-            if project:
-                v = self.project(xb, v)
-            vecs.append(TangentVector(Point(self, xb), v))
-        return times, vecs
+            v = _rk4(rhs, v, a, b, _steps_for(b - a, step))
+            vecs.append(v)
+        return times, np.array(vecs)
 
     # -- curvature -----------------------------------------------------------
 
@@ -320,8 +273,8 @@ class Sphere(SpaceForm):
     def __init__(self, dim, radius=1.0):
         if dim < 1:
             raise GeometryError("dimension must be at least 1")
-        if radius <= 0:
-            raise GeometryError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise GeometryError("radius must be positive and finite")
         self.dim = dim
         self.amb_dim = dim + 1
         self.radius = float(radius)
@@ -402,8 +355,8 @@ class Hyperbolic(SpaceForm):
     def __init__(self, dim, radius=1.0):
         if dim < 1:
             raise GeometryError("dimension must be at least 1")
-        if radius <= 0:
-            raise GeometryError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise GeometryError("radius must be positive and finite")
         self.dim = dim
         self.amb_dim = dim + 1
         self.radius = float(radius)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
+from .numerics import central_diff, numerical_rank
 from .spaces import _rk4
 from .rolling import (
     RollingPair,
@@ -39,7 +40,7 @@ from .rolling import (
     vertical_derivative,
 )
 from .curvature import rolling_curvature
-from .spaces import Euclidean, GeometryError, Hyperbolic, SpaceForm, Sphere
+from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
 KIND_TAGS = ("general", "sym0", "inner", "killing-induced")
 
@@ -87,52 +88,28 @@ class KillingField:
                 out[a, b] = m.inner_at(x, col, fr[a])
         return out
 
-    def derivative_along(self, x, v):
-        """Covariant derivative of the field along v at x, in closed form."""
-        m = self.manifold
-        if self.generator is None:
-            return np.zeros(m.amb_dim)
-        return m.project(x, self.generator @ v)
-
 
 def killing_catalog(manifold: SpaceForm):
     """The full Killing algebra of a constant-curvature catalog manifold:
     exactly n(n+1)/2 fields."""
-    n = manifold.dim
-    fields = []
-    if isinstance(manifold, Euclidean):
-        for k in range(n):
-            t = np.zeros(n)
-            t[k] = 1.0
-            fields.append(KillingField(manifold, None, t, name=f"translation-{k}"))
-        for i, j in so_pairs(n):
-            gen = np.zeros((n, n))
-            gen[i, j] = -1.0
-            gen[j, i] = 1.0
-            fields.append(KillingField(manifold, gen, name=f"rotation-{i}{j}"))
-    elif isinstance(manifold, Sphere):
-        for i, j in so_pairs(n + 1):
-            gen = np.zeros((n + 1, n + 1))
-            gen[i, j] = -1.0
-            gen[j, i] = 1.0
-            fields.append(KillingField(manifold, gen, name=f"rotation-{i}{j}"))
-    elif isinstance(manifold, Hyperbolic):
-        for i, j in so_pairs(n + 1):
-            gen = np.zeros((n + 1, n + 1))
-            if i == 0:
-                gen[0, j] = 1.0
-                gen[j, 0] = 1.0
-                name = f"boost-{j}"
-            else:
-                gen[i, j] = -1.0
-                gen[j, i] = 1.0
-                name = f"rotation-{i}{j}"
-            fields.append(KillingField(manifold, gen, name=name))
-    else:
-        raise GeometryError(
+    if not isinstance(manifold, (Euclidean, Sphere, Hyperbolic)):
+        raise MismatchError(
             "the Killing catalog covers constant-curvature manifolds only; "
             f"got kind {manifold.kind!r}"
         )
+    n, amb = manifold.dim, manifold.amb_dim
+    fields = []
+    if isinstance(manifold, Euclidean):
+        fields = [KillingField(manifold, None, np.eye(n)[k], name=f"translation-{k}")
+                  for k in range(n)]
+    # ambient rotations, and on the hyperboloid boosts in the planes (0, j)
+    for i, j in so_pairs(amb):
+        boost = isinstance(manifold, Hyperbolic) and i == 0
+        gen = np.zeros((amb, amb))
+        gen[i, j] = 1.0 if boost else -1.0
+        gen[j, i] = 1.0
+        name = f"boost-{j}" if boost else f"rotation-{i}{j}"
+        fields.append(KillingField(manifold, gen, name=name))
     return fields
 
 
@@ -168,10 +145,7 @@ def killing_ode_residual(field: KillingField, x, v, h=1e-4, order=4):
         p = det_transport_matrix(m, x, v, t)
         return p.T @ mat @ p
 
-    if order == 4:
-        d = (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
-    else:
-        d = (sample(h) - sample(-h)) / (2 * h)
+    d = central_diff(sample, h, order)
     fr = m.frame(x)
     a = m.frame_coords(x, fr, v)
     b = m.frame_coords(x, fr, field.value(x))
@@ -239,7 +213,7 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
     second factor: Z_hat is the field at the contact point and U_bar its
     covariant differential composed with the contact map."""
     if field.manifold is not pair.space_hat:
-        raise GeometryError("Killing field must live on the second factor of the pair")
+        raise MismatchError("Killing field must live on the second factor of the pair")
     return SymmetryCandidate(
         pair,
         "killing-induced",
@@ -478,12 +452,4 @@ def sym0_dimension_probe(q0: RollingState, candidates, tol=1e-8) -> DimensionRep
         zh = q0.coords_hat(cand.Z_hat(q0))
         u = skew_part(q0.isometry.T @ cand.U_bar(q0))
         rows.append(np.concatenate((zh, skew_to_vector(u))))
-    mat = np.array(rows)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
-        return DimensionReport(0, sv, math.inf, tol)
-    rank = int(np.sum(sv > tol * sv[0]))
-    gap = math.inf
-    if rank < len(sv) and sv[rank] > 0:
-        gap = sv[rank - 1] / sv[rank]
-    return DimensionReport(rank, sv, gap, tol)
+    return DimensionReport(*numerical_rank(np.array(rows), tol), tol)

@@ -55,6 +55,32 @@ def test_generator_bracket_identity_structured_and_fd(name):
     assert np.abs(got_fd - got).max() < 1e-5
 
 
+def test_bracket_oracles_share_no_stencil_code(monkeypatch):
+    # the FD oracle differentiates through its own stencil, the structured
+    # formula through central_diff; neither may reach the other's kernel
+    import rollsym.brackets as brackets_mod
+    import rollsym.rolling as rolling_mod
+    import rollsym.symmetry as symmetry_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the two bracket oracles share a stencil")
+
+    pair = PAIRS["sphere_plane"]()
+    q = pair.random_state(RNG)
+    gens = rolling_generators(pair)
+    with monkeypatch.context() as mp:
+        for mod in (rolling_mod, brackets_mod):
+            mp.setattr(mod, "_stencil", forbidden)
+        structured = bracket_structured(gens[0], gens[1], q).coords()
+        nested = bracket_structured(gens[0], bracket_field(gens[0], gens[1]), q)
+    with monkeypatch.context() as mp:
+        for mod in (rolling_mod, brackets_mod, symmetry_mod):
+            mp.setattr(mod, "central_diff", forbidden)
+        fd = bracket_fd(gens[0], gens[1], q).coords()
+    assert np.abs(fd - structured).max() < 1e-5
+    assert np.all(np.isfinite(nested.coords()))
+
+
 def test_bracket_antisymmetry_and_self_bracket():
     pair = PAIRS["spheres_1_3"]()
     q = pair.random_state(RNG)

@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rollsym.cli import main
 
@@ -139,12 +141,43 @@ def test_simulate_domain_exit_code(tmp_path):
     assert code == 3
 
 
-def test_config_parse_failure_exit_code(tmp_path):
+def test_config_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad), "growth"]) == 2
     missing_pair = write_config(tmp_path, {"seed": 0}, "nopair.json")
     assert main(["--config", missing_pair, "growth"]) == 2
+    sphere, plane = SPHERE_PLANE["manifold_pair"]
+    malformed = [
+        [sphere, plane],  # not a JSON object
+        {"manifold_pair": [{**sphere, "dim": "two"}, plane]},
+        {"manifold_pair": [{**sphere, "radius": "abc"}, plane]},
+        {**SPHERE_PLANE, "tolerances": {"rank": "abc"}},
+        # the plane has no constraint that a non-finite coordinate would violate
+        {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [float("nan"), 0.0],
+                                           "A": [[1.0, 0.0], [0.0, 1.0]]}},
+        {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0],
+                                           "A": np.eye(3).tolist()}},
+        {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0],
+                                           "A": [[float("nan"), 0.0], [0.0, 1.0]]}},
+    ]
+    for k, payload in enumerate(malformed):
+        capsys.readouterr()
+        out = tmp_path / "growth.json"
+        assert main(["--config", write_config(tmp_path, payload, f"m{k}.json"), "growth",
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+    # an output path that is not a string is rejected before anything is opened
+    bad_out = write_config(tmp_path, {**SPHERE_PLANE, "output": {"path": ["a"]}}, "out.json")
+    assert main(["--config", bad_out, "growth"]) == 2
+    # killing builds no point, so a non-finite radius must be caught where it is read
+    for radius in ("nan", "inf"):
+        nan_sphere = {"manifold_pair": [plane, {**sphere, "radius": radius}]}
+        out = tmp_path / "killing.json"
+        assert main(["--config", write_config(tmp_path, nan_sphere, "r.json"), "killing",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_growth_report_and_exit(tmp_path):
@@ -207,6 +240,15 @@ def test_audit_catalog_and_perturbation(tmp_path):
     ])
     assert code == 1
 
+    # a non-finite perturbation used to write NaN residuals and pass
+    for eps in (float("nan"), float("inf")):
+        out3 = tmp_path / "aud3.json"
+        assert main([
+            "--config", cfg, "audit", "--candidate", json.dumps({"kind": "catalog", "perturb": eps}),
+            "--samples", "2", "--out", str(out3),
+        ]) == 2
+        assert not out3.exists()
+
 
 def test_audit_sphere_on_hyperbolic_plane_seed_62(tmp_path):
     # round-off left the drift residual slightly off the hyperboloid's tangent
@@ -235,6 +277,19 @@ def test_audit_mismatched_generator_exit(tmp_path):
         "--samples", "1",
     ])
     assert code == 5
+    # an unknown generator type is a parse error, not a mismatch
+    code = main([
+        "--config", cfg, "symmetry-check",
+        "--candidate", json.dumps({"kind": "killing", "generator": {"type": "spin"}}),
+        "--samples", "1",
+    ])
+    assert code == 2
+    # the Killing catalog of a non-constant-curvature second factor is a mismatch
+    warped = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
+              "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": "euclidean", "dim": 2}, warped]},
+                       "warped.json")
+    assert main(["--config", cfg, "killing"]) == 5
 
 
 def test_killing_listing(tmp_path):
@@ -330,8 +385,186 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_simulate_rejects_a_step_that_is_not_finite_and_positive(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, SPHERE_PLANE)
+    out = tmp_path / "traj.csv"
+    assert main([
+        "--config", cfg, "simulate",
+        "--path-spec", json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                   "length": 0.5}),
+        f"--step={step}", "--out", str(out),
+    ]) == 2
+    assert "--step must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", [
+    {"direction": [1.0, 0.0, 0.0]},  # one entry too many for the plane
+    {"direction": [float("nan"), 1.0]},
+    {"direction": [1.0, 0.0], "length": float("nan")},
+    {"direction": [1.0, 0.0], "length": float("inf")},
+], ids=["wrong-length", "nan-direction", "nan-length", "inf-length"])
+def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
+    plane_first = {"manifold_pair": [{"kind": "euclidean", "dim": 2},
+                                     {"kind": "sphere", "dim": 2, "radius": 1.0}]}
+    cfg = write_config(tmp_path, plane_first)
+    out = tmp_path / "traj.csv"
+    assert main(["--config", cfg, "simulate", "--path-spec",
+                 json.dumps({"type": "geodesic", "length": 0.5, **path}), "--out", str(out)]) == 2
+    assert "path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+def test_perturbed_audit_with_a_degenerate_tolerance_exits_2(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check",
+        "--candidate", json.dumps({"kind": "catalog", "perturb": 1e-3}),
+        "--samples", "2", f"--tol={tol}", "--out", str(out),
+    ]) == 2
+    assert "tolerance residual must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+    config_tol = write_config(tmp_path, {**SPHERES_1_3, "tolerances": {"isometry": float(tol)}},
+                              "tol.json")
+    assert main(["--config", config_tol, "rol", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_tolerance_override_recorded(tmp_path):
     cfg = write_config(tmp_path, SPHERES_1_3)
     out = tmp_path / "g.json"
     assert main(["--config", cfg, "--tol", "1e-5", "growth", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["tolerances"]["residual"] == 1e-5
+
+
+# -- fuzzing malformed input ------------------------------------------------------------
+#
+# Every corruption below makes the input malformed on its own, so any mix of
+# them must exit with an error code and write no report.
+
+FUZZ_PATH = {"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": 0.05}
+NAN, INF = float("nan"), float("inf")
+NOT_A_COUNT = [0, -1, -3, "two", "", "nan", None, [], {}, NAN, INF]
+NOT_POSITIVE = [0.0, -1.0, -1e-3, NAN, INF, -INF, "nan", "-inf", "abc", None, [], {}]
+JUNK = ["abc", "", 5, None, [], [1, 2], {}]
+GOOD_STATE = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0, 3.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
+BAD_STATES = [
+    "abc", [1, 2], {"x": [0.0, 0.0, 1.0]},
+    {**GOOD_STATE, "x": [0.0, 0.0, 2.0]},
+    {**GOOD_STATE, "x": [0.0, 1.0]},
+    {**GOOD_STATE, "x": [NAN, 0.0, 1.0]},
+    {**GOOD_STATE, "x_hat": ["a", 0.0, 3.0]},
+    {**GOOD_STATE, "A": "abc"},
+    {**GOOD_STATE, "A": [[1.0, 0.0], [0.0, 2.0]]},
+    {**GOOD_STATE, "A": [[0.0, 1.0], [1.0, 0.0]]},
+    {**GOOD_STATE, "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    {**GOOD_STATE, "A": [[NAN, 0.0], [0.0, 1.0]]},
+]
+BAD_PATHS = [
+    "{not json", "[]", "5", '"x"',
+    json.dumps({"type": "geodesic"}),
+    json.dumps({"type": "spiral", "direction": [1.0, 0.0, 0.0]}),
+    json.dumps({**FUZZ_PATH, "direction": [1.0, 0.0]}),
+    json.dumps({**FUZZ_PATH, "direction": "abc"}),
+    json.dumps({**FUZZ_PATH, "direction": [1.0, "a", 0.0]}),
+    json.dumps({**FUZZ_PATH, "direction": [NAN, 0.0, 0.0]}),
+    json.dumps({**FUZZ_PATH, "length": "abc"}),
+    json.dumps({**FUZZ_PATH, "length": NAN}),
+    json.dumps({**FUZZ_PATH, "length": INF}),
+    json.dumps({**FUZZ_PATH, "length": -0.05}),
+    json.dumps({"type": "samples"}),
+    json.dumps({"type": "samples", "file": "missing.csv"}),
+    json.dumps({"type": "samples", "file": "garbage.csv"}),
+    json.dumps({"type": "samples", "file": "one_row.csv"}),
+]
+VALID_KINDS = ("euclidean", "sphere", "hyperbolic", "warped")
+
+
+def _corrupt_manifold(draw, config):
+    pair = config["manifold_pair"]
+    k = draw(st.integers(0, 1))
+    how = draw(st.sampled_from(["pair", "factor", "dim", "radius", "kind"]))
+    if how == "pair":
+        config["manifold_pair"] = draw(st.sampled_from([None, [], 5, [pair[0]], pair * 2]))
+    elif how == "factor":
+        pair[k] = draw(st.sampled_from(JUNK))
+    elif how == "dim":
+        pair[k]["dim"] = draw(st.sampled_from(NOT_A_COUNT))
+    elif how == "radius":
+        pair[k]["radius"] = draw(st.sampled_from(NOT_POSITIVE))
+    else:
+        pair[k]["kind"] = draw(st.text(max_size=8).filter(lambda t: t not in VALID_KINDS))
+
+
+@st.composite
+def malformed_invocations(draw):
+    """(subcommand, config, global flags, subcommand flags), malformed at least once."""
+    command = draw(st.sampled_from(["killing", "rol", "simulate"]))
+    choices = ["not_object", "manifold", "tolerances", "seed", "output", "--seed", "--tol"]
+    if command != "killing":
+        choices += ["initial_state"]
+    if command == "simulate":
+        choices += ["--step", "--path-spec"]
+    picked = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=2, unique=True))
+    config = copy.deepcopy(SPHERES_1_3)
+    global_flags, sub_flags = [], []
+    path_spec = json.dumps(FUZZ_PATH)
+    for what in picked:
+        if what == "manifold":
+            _corrupt_manifold(draw, config)
+        elif what == "tolerances":
+            key = draw(st.sampled_from(["residual", "rank", "step", "isometry"]))
+            config["tolerances"] = {key: draw(st.sampled_from(NOT_POSITIVE))}
+        elif what == "seed":
+            config["seed"] = draw(st.sampled_from(["abc", -1, -7, None, [], "1.5", NAN]))
+        elif what == "output":
+            config["output"] = draw(st.sampled_from(["x", 5, [], {"format": "xml"},
+                                                     {"format": 5}]))
+        elif what == "initial_state":
+            config["initial_state"] = draw(st.sampled_from(BAD_STATES))
+        elif what == "--seed":
+            global_flags.append(f"--seed=-{draw(st.integers(1, 1000))}")
+        elif what == "--tol":
+            tol = draw(st.sampled_from(["nan", "inf", "-inf", "0", "-1e-6", "abc"]))
+            global_flags.append(f"--tol={tol}")
+        elif what == "--step":
+            step = draw(st.sampled_from(["0", "-0.01", "nan", "inf", "-inf", "abc"]))
+            sub_flags.append(f"--step={step}")
+        elif what == "--path-spec":
+            path_spec = draw(st.sampled_from(BAD_PATHS))
+    if "not_object" in picked:
+        config = draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(),
+                                st.text(max_size=5), st.none(), st.booleans()))
+    if command == "simulate":
+        sub_flags += ["--path-spec", path_spec, "--format", "csv"]
+    return command, config, global_flags, sub_flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "garbage.csv").write_text("a,b\nc,d\n")
+    (base / "one_row.csv").write_text("0.0,0.0,0.0,1.0\n")
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_invocations())
+def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, invocation):
+    command, config, global_flags, sub_flags = invocation
+    cfg = fuzz_dir / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = fuzz_dir / "report.out"
+    out.unlink(missing_ok=True)
+    argv = ["--config", str(cfg), *global_flags, command, *sub_flags, "--out", str(out)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(fuzz_dir)  # sample files in path specs are relative
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag text itself
+            code = exc.code
+    assert code in (2, 3, 4, 5)
+    assert not out.exists()

@@ -3,17 +3,14 @@ import pytest
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
 from rollsym.curvature import (
-    Bivector,
-    curvature_op,
+    operator_invertible,
     rolling_curvature,
     rolling_curvature_invertible,
     rolling_curvature_operator,
-    rolling_curvature_so,
     space_curvature_invertible,
     skew_to_vector,
     so_pairs,
     vector_to_skew,
-    wedge_action,
     wedge_matrix,
 )
 from rollsym.rolling import RollingPair
@@ -29,39 +26,32 @@ def test_so_vector_round_trip():
     assert np.allclose(skew_to_vector(mat), vec)
 
 
+def test_so_pairs_is_built_once_per_n():
+    assert so_pairs(5) is so_pairs(5)
+    assert so_pairs(3) == ((0, 1), (0, 2), (1, 2))
+
+
 def test_wedge_action_definition():
-    m = Euclidean(3)
-    x = m.point([0.0, 0.0, 0.0])
-    e1 = m.tangent(x, [1.0, 0.0, 0.0])
-    e2 = m.tangent(x, [0.0, 1.0, 0.0])
-    e3 = m.tangent(x, [0.0, 0.0, 1.0])
-    assert np.allclose(wedge_action(e1, e2, e2).components, e1.components)
-    assert np.allclose(wedge_action(e1, e2, e3).components, 0.0)
-    assert np.allclose(wedge_action(e1, e1, e2).components, 0.0)
-
-
-def test_wedge_action_base_mismatch():
-    m = Euclidean(2)
-    x = m.point([0.0, 0.0])
-    y = m.point([1.0, 0.0])
-    with pytest.raises(GeometryError):
-        wedge_action(m.tangent(x, [1, 0]), m.tangent(y, [0, 1]), m.tangent(x, [1, 1]))
+    # (X ^ Y)Z = g(Z, Y)X - g(Z, X)Y: the frame matrix of X ^ Y applied to Z
+    e1, e2, e3 = np.eye(3)
+    assert np.allclose(wedge_matrix(e1, e2) @ e2, e1)
+    assert np.allclose(wedge_matrix(e1, e2) @ e3, 0.0)
+    assert np.allclose(wedge_matrix(e1, e1) @ e2, 0.0)
 
 
 def test_bivector_requires_skew():
-    m = Sphere(2, 1.0)
-    x = m.point([0.0, 0.0, 1.0])
+    pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
+    q = pair.state([0.0, 0.0, 1.0], [0.0, 0.0], np.eye(2))
     with pytest.raises(GeometryError):
-        Bivector.from_matrix(x, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rolling_curvature(q, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_curvature_op_on_bivectors():
     m = Sphere(3, 1.0)
     x = m.point(m.random_point(RNG))
     vec = RNG.standard_normal(3)
-    xi = Bivector(x, vec)
-    out = curvature_op(xi)
-    assert np.allclose(out.upper, vec)  # unit sphere: identity on bivectors
+    out = m.curvature_matrix_apply(x, vector_to_skew(vec, 3))
+    assert np.allclose(skew_to_vector(out), vec)  # unit sphere: identity on bivectors
 
 
 def test_first_bianchi_cyclic_sum():
@@ -105,10 +95,11 @@ def test_rolling_curvature_so_is_skew():
     pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 1.0))
     q = pair.random_state(RNG)
     xi = wedge_matrix(RNG.standard_normal(2), RNG.standard_normal(2))
-    so_form = rolling_curvature_so(q, xi)
+    so_form = q.isometry.T @ rolling_curvature(q, xi)
     assert np.abs(so_form + so_form.T).max() < 1e-9
-    # consistency: the full map is the isometry composed with the so form
-    assert np.allclose(rolling_curvature(q, xi), q.isometry @ so_form, atol=1e-12)
+    # consistency: the operator on bivectors is the so form in the lexicographic basis
+    op_form = vector_to_skew(rolling_curvature_operator(q) @ skew_to_vector(xi), 2)
+    assert np.allclose(rolling_curvature(q, xi), q.isometry @ op_form, atol=1e-12)
 
 
 def brute_operator(q):
@@ -157,6 +148,10 @@ def test_invertibility_constant_curvature():
     with pytest.raises(GeometryError):
         rolling_curvature_invertible(q, tol=0.0)
 
+    # a nonzero operator with a singular value below tol times the largest
+    verdict_s, cond_s, sv_s = operator_invertible(np.diag([1.0, 1e-12]))
+    assert not verdict_s and cond_s == pytest.approx(1e12) and list(sv_s) == [1.0, 1e-12]
+
 
 def test_space_curvature_invertibility():
     # the classification hypotheses need the base curvature operator
@@ -191,14 +186,6 @@ def test_invertibility_warped_against_flat():
     verdict3, _ = rolling_curvature_invertible(q3)
     sv = np.linalg.svd(rolling_curvature_operator(q3), compute_uv=False)
     assert verdict3 and sv[-1] > 1e-8 * sv[0]
-
-
-def test_rolling_curvature_accepts_bivector_objects():
-    pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
-    q = pair.random_state(RNG)
-    xi = Bivector(pair.space.point(q.x), np.array([1.0]))
-    out = rolling_curvature(q, xi)
-    assert np.allclose(out, q.isometry @ xi.matrix, atol=1e-12)
 
 
 def test_rolling_curvature_dimension_mismatch():

@@ -1,0 +1,74 @@
+import math
+
+import numpy as np
+import pytest
+
+from rollsym import GeometryError
+from rollsym.numerics import central_diff, numerical_rank
+
+# h = 1/2 and integer coefficients keep every sample and every partial sum
+# exact in binary, so exactness is checked with ==
+H = 0.5
+QUADRATIC = (3.0, -2.0, 5.0)
+QUARTIC = (1.0, 7.0, -4.0, 2.0, 9.0)
+
+
+def poly(coeffs, t):
+    return sum(c * t**k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("order, coeffs", [(2, QUADRATIC), (4, QUARTIC)])
+def test_central_diff_is_exact_on_polynomials_of_its_order(order, coeffs):
+    other = tuple(-c for c in coeffs)
+
+    def array_sample(t):
+        return np.array([poly(coeffs, t), poly(other, t)])
+
+    assert central_diff(lambda t: poly(coeffs, t), H, order) == coeffs[1]
+    assert np.array_equal(central_diff(array_sample, H, order), [coeffs[1], other[1]])
+
+    out = central_diff(lambda t: (array_sample(t), poly(other, t)), H, order)
+    assert isinstance(out, tuple) and len(out) == 2
+    assert np.array_equal(out[0], [coeffs[1], other[1]])
+    assert out[1] == other[1]
+
+
+def test_central_diff_error_term_pins_the_weights():
+    # the leading errors are h^2 f'''/6 at order 2 and -h^4 f^(5)/30 at order 4
+    assert central_diff(lambda t: t**3, H, 2) == H**2
+    assert central_diff(lambda t: t**5, H, 4) == -4 * H**4
+
+
+def test_central_diff_samples_symmetric_points_only():
+    seen = []
+    central_diff(lambda t: seen.append(t) or 0.0, H, 4)
+    assert seen == [2 * H, H, -H, -2 * H]
+    seen.clear()
+    central_diff(lambda t: seen.append(t) or 0.0, H, 2)
+    assert seen == [H, -H]
+
+
+def test_central_diff_rejects_other_orders():
+    with pytest.raises(GeometryError):
+        central_diff(lambda t: t, H, 3)
+
+
+def test_numerical_rank_and_gap():
+    mat = np.diag([3.0, 2.0, 1e-12])
+    rank, sv, gap = numerical_rank(mat, 1e-8)
+    assert rank == 2
+    assert np.allclose(sv, [3.0, 2.0, 1e-12], rtol=1e-12, atol=0.0)
+    assert gap == pytest.approx(2e12)
+
+    rank_full, _, gap_full = numerical_rank(np.diag([3.0, 2.0, 1.0]), 1e-8)
+    assert rank_full == 3 and gap_full == math.inf
+
+    # a list of row vectors, as the flag accumulates them
+    rows = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    rank_rows, sv_rows, gap_rows = numerical_rank(rows, 1e-8)
+    assert rank_rows == 2 and len(sv_rows) == 3 and gap_rows == math.inf
+
+
+def test_numerical_rank_of_the_zero_matrix():
+    rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8)
+    assert rank == 0 and np.all(sv == 0.0) and gap == math.inf

@@ -10,12 +10,12 @@ from rollsym.rolling import (
     Chart,
     RollingPair,
     TangentOfQ,
+    curve_velocity,
     q_dim,
     roll_along,
     roll_geodesic,
     rolling_derivative,
     rolling_lift,
-    velocity_from_states,
     vertical_derivative,
 )
 
@@ -87,7 +87,7 @@ def test_state_json_round_trip():
 
 def test_rolling_lift_zero_and_identity():
     pair = RollingPair(Euclidean(2), Euclidean(2))
-    q = pair.aligned_state(np.zeros(2), np.ones(2))
+    q = pair.state(np.zeros(2), np.ones(2), np.eye(2))
     xi = rolling_lift(q, np.zeros(2))
     assert np.all(xi.coords() == 0.0)
     e1 = np.array([1.0, 0.0])
@@ -183,7 +183,7 @@ def test_constant_path_keeps_state():
 def test_matched_spheres_preserve_the_diagonal():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 1.0))
     x = pair.space.random_point(RNG)
-    q0 = pair.aligned_state(x, x)
+    q0 = pair.state(x, x, np.eye(2))
     v = pair.space.random_tangent(RNG, x, unit=True)
     path = GeodesicPath(pair.space, x, v, 2.0)
     coarse = roll_along(q0, path, step=1e-3).final_state()
@@ -240,7 +240,7 @@ def test_velocity_round_trip_on_rolling_curves():
     dt = 1e-5
     qp = roll_geodesic(q0, v, dt)
     qm = roll_geodesic(q0, v, -dt)
-    xi = velocity_from_states(q0, qp, qm, dt)
+    xi = curve_velocity(q0, {dt: qp, -dt: qm}.get, dt, order=2)
     assert np.linalg.norm(xi.X - v) < 1e-6
     assert np.linalg.norm(xi.X_hat - q0.apply(v)) < 1e-6
     assert np.abs(xi.C).max() < 1e-6
