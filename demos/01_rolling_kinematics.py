@@ -32,11 +32,11 @@ print("\nafter rolling through length pi:")
 print("  plane contact:        ", np.round(q_end.x_hat, 6))
 print("  straight-line target: ", np.round(expected, 6))
 print("  development error:    %.2e" % np.linalg.norm(q_end.x_hat - expected))
-print("  isometry drift:       %.2e" % curve.isometry_residuals().max())
+print("  isometry drift:       %.2e" % curve.residuals.max())
 
 # The same motion in closed form (transport conjugation of the isometry).
 q_closed = roll_geodesic(q0, direction, np.pi)
-print("  closed form vs RK4:   %.2e" % np.abs(q_closed.isometry - q_end.isometry).max())
+print("  closed form vs Magnus: %.2e" % np.abs(q_closed.isometry - q_end.isometry).max())
 
 # Rolling back along the reversed path undoes the motion exactly: the
 # no-slip constraint is reversible.

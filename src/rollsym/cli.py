@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .spaces import (DomainError, GeodesicPath, GeometryError, MismatchError, SampledPath,
-                     from_spec)
-from .rolling import RollingPair, roll_along
+                     from_spec, integral)
+from .rolling import RollingCurve, RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
 from .nilpotent import flatness_obstruction, structure_tensor, verify_structure
@@ -87,7 +87,8 @@ class Run:
                     self.config = json.load(fh)
             if not isinstance(self.config, dict):
                 raise GeometryError("config must be a JSON object")
-            self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
+            self.seed = (args.seed if args.seed is not None
+                         else integral(self.config.get("seed", 0), "seed"))
             tol_block = dict(self.config.get("tolerances", {}))
             if args.tol is not None:
                 tol_block["residual"] = args.tol
@@ -149,22 +150,19 @@ def cmd_simulate(args):
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
     if path is None:
-        curve_times, states = np.array([0.0]), [q0]
-        residual = q0.isometry_residual()
+        curve = RollingCurve(run.pair, np.zeros(1), q0.x[None], q0.x_hat[None], q0.isometry[None])
     else:
         curve = roll_along(q0, path, step=step)
-        curve_times, states = curve.times, curve.states
-        residual = float(curve.isometry_residuals().max())
-    out_path = run.out or "trajectory.csv"
+    residual = float(curve.residuals.max())
     if run.format != "json":  # the trajectory CSV schema is the default
-        from .rolling import RollingCurve
-
-        RollingCurve(run.pair, curve_times, states, None).write_csv(out_path)
+        curve.write_csv(run.out or "trajectory.csv")
     else:
         report = run.report_header()
         report["trajectory"] = [
-            {"t": float(t), **s.to_json(), "isometry_residual": s.isometry_residual()}
-            for t, s in zip(curve_times, states)
+            {"t": t, "x": x, "x_hat": x_hat, "A": a, "isometry_residual": res}
+            for t, x, x_hat, a, res in zip(curve.times.tolist(), curve.x.tolist(),
+                                           curve.x_hat.tolist(), curve.A.tolist(),
+                                           curve.residuals.tolist())
         ]
         report["max_isometry_residual"] = residual
         _dump(report, run.out)
@@ -221,12 +219,12 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
     kind = gen_spec.get("type")
     catalog = killing_catalog(manifold)
     if kind == "translation":
-        name = f"translation-{int(gen_spec['axis'])}"
+        name = f"translation-{integral(gen_spec['axis'], 'generator axis')}"
     elif kind == "rotation":
-        i, j = sorted(int(k) for k in gen_spec["plane"])
+        i, j = sorted(integral(k, "generator plane index") for k in gen_spec["plane"])
         name = f"rotation-{i}{j}"
     elif kind == "boost":
-        name = f"boost-{int(gen_spec['axis'])}"
+        name = f"boost-{integral(gen_spec['axis'], 'generator axis')}"
     else:
         raise GeometryError(f"unknown generator type {kind!r}")
     for field in catalog:

@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
-from .numerics import central_diff
+from .numerics import central_diff, expm1_stack, running_products
 from .spaces import (
     DEFAULT_STEP,
+    POINT_TOL,
+    ConstantCurvature,
     GeometryError,
     SpaceForm,
     _rk4,
-    _steps_for,
+    _substeps,
 )
 
 ISOMETRY_TOL = 1e-9
@@ -246,19 +248,45 @@ def curve_velocity(q: RollingState, state_at, dt, order=2) -> TangentOfQ:
 
 # -- rolling curves -------------------------------------------------------------
 
+GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+BLOCK = 256  # grid intervals (or CSV rows) per batch of the array kernels
+
 
 @dataclass
 class RollingCurve:
+    """A rolling motion sampled on a time grid, one row per sample time: the
+    contact points, the contact map A in the deterministic frames and its
+    isometry residual.  Construction applies every check of RollingState to
+    every row."""
+
     pair: RollingPair
     times: np.ndarray
-    states: list
-    base_path: object
+    x: np.ndarray
+    x_hat: np.ndarray
+    A: np.ndarray
+    residuals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pair, n = self.pair, self.pair.dim
+        for m, pts in ((pair.space, self.x), (pair.space_hat, self.x_hat)):
+            if pts.shape != (len(self.times), m.amb_dim):
+                raise GeometryError(f"expected {m.amb_dim} ambient coordinates per row")
+            err = np.where(np.isfinite(pts).all(axis=1), m.constraint_residuals(pts), math.inf)
+            if not err.max() <= POINT_TOL:
+                raise GeometryError(f"point violates the {m.kind} constraint by {err.max():.3e}")
+        if self.A.shape != (len(self.times), n, n):
+            raise GeometryError(f"contact map must be a {n} x {n} matrix")
+        gram = np.swapaxes(self.A, 1, 2) @ self.A - np.eye(n)
+        self.residuals = np.linalg.norm(gram, axis=(1, 2))
+        if not self.residuals.max() <= ISOMETRY_TOL:
+            raise GeometryError(
+                f"contact map is not an isometry (residual {self.residuals.max():.3e})")
+        if np.any(np.linalg.det(self.A) <= 0):
+            raise GeometryError("contact map must preserve orientation")
 
     def final_state(self) -> RollingState:
-        return self.states[-1]
-
-    def isometry_residuals(self):
-        return np.array([s.isometry_residual() for s in self.states])
+        return self.pair.state(self.x[-1], self.x_hat[-1], self.A[-1])
 
     def write_csv(self, path):
         n = self.pair.dim
@@ -271,93 +299,140 @@ class RollingCurve:
             + ["isometry_residual"]
         )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, s in zip(self.times, self.states):
-                row = (
-                    [repr(float(t))]
-                    + [repr(float(c)) for c in s.x]
-                    + [repr(float(c)) for c in s.x_hat]
-                    + [repr(float(c)) for c in s.isometry.ravel()]
-                    + [repr(float(s.isometry_residual()))]
-                )
-                writer.writerow(row)
+            csv.writer(fh).writerow(header)
+            for lo in range(0, len(self.times), BLOCK):
+                rows = slice(lo, lo + BLOCK)
+                table = np.column_stack((self.times[rows], self.x[rows], self.x_hat[rows],
+                                         self.A[rows].reshape(-1, n * n), self.residuals[rows]))
+                # the repr of a list of rows writes every float by repr in one call;
+                # reshaped, it is what csv.writer writes for rows of repr strings
+                text = repr(table.tolist())[2:-2].replace("], [", "\r\n").replace(", ", ",")
+                fh.write(text + "\r\n")
 
 
-def roll_along(q0: RollingState, path, step=DEFAULT_STEP, project=False) -> RollingCurve:
+def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     """Integrate the rolling constraints along a driving path in the first
     factor.  The isometry is kept constant in co-transported parallel frames
-    and re-expressed in the deterministic frames at each sample time."""
+    and re-expressed in the deterministic frames at each sample time.
+
+    On a pair of space forms each factor's point and parallel frame form one
+    group element, advanced by 4th-order Magnus steps (two Gauss nodes), so
+    the constraints hold to round-off at any step; warped factors fall back
+    to RK4 on the frames."""
+    pair = q0.pair
+    times = np.asarray(path.sample_times(step), dtype=float)
+    if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
+        raise GeometryError("driving path does not start at the contact point")
+    if np.any(np.diff(times) <= 0):
+        raise GeometryError("driving path time grid must be increasing")
+    if isinstance(pair.space, ConstantCurvature) and isinstance(pair.space_hat, ConstantCurvature):
+        x, x_hat, a = _roll_magnus(q0, path, times, step)
+    else:
+        x, x_hat, a = _roll_rk4(q0, path, times, step)
+    x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
+    return RollingCurve(pair, times, x, x_hat, a)
+
+
+def _roll_magnus(q0, path, times, step):
+    """Rows of (x, x_hat, A) at the sample times, grid block by grid block.
+
+    The first factor's group element G (rows: the parallel frame, the point)
+    follows G' = G Z(x, v) with generators read off the path; the second
+    factor's H (columns: the images of that frame, the point) follows
+    H' = H X(c), c the coordinates of the path velocity in the parallel
+    frame.  c is needed at the Gauss nodes of each step, so G is also carried
+    from the start of the step to each node by a Magnus step of its own."""
+    m, mh, n = q0.pair.space, q0.pair.space_hat, q0.pair.dim
+    counts = _substeps(np.diff(times), step)
+    first = np.cumsum(counts) - counts
+    which = np.repeat(np.arange(len(counts)), counts)
+    frac = (np.arange(counts.sum()) - first[which]) / counts[which]
+    grid = np.append(times[which] + frac * np.diff(times)[which], times[-1])
+    out = np.append(first, counts.sum())  # the sample times within the grid
+    w = m.metric_weights(q0.x)
+    size = n + 1
+
+    x = path.point(times)
+    x_hat = np.empty((len(times), mh.amb_dim))
+    a = np.empty((len(times), n, n))
+    g = m.group_element(q0.x, q0.frame)
+    hh = mh.group_element(q0.x_hat, q0.isometry.T @ q0.frame_hat).T
+    for lo in range(0, len(grid) - 1, BLOCK):
+        hi = min(lo + BLOCK, len(grid) - 1)
+        h = np.diff(grid[lo : hi + 1])
+        # three Magnus steps from each grid point: the step itself and the
+        # partial steps to its two Gauss nodes, each with its own two nodes
+        span = h[:, None] * np.concatenate(([1.0], GAUSS_NODES))
+        at = (grid[lo:hi, None, None] + span[:, :, None] * GAUSS_NODES).ravel()
+        pts, vel = path.point(at), path.velocity(at)
+        z = m.transport_generators(pts, vel).reshape(-1, 2, size, size)
+        d = expm1_stack(_magnus(z, span.ravel())).reshape(hi - lo, 3, size, size)
+        step_d = running_products(d[:, 0])
+        g_start = np.concatenate((g[None], g + g @ step_d[:-1]))[:, None]
+        g_node = g_start + g_start @ d[:, 1:]
+        c = np.einsum("bgka,bga->bgk", g_node[:, :, :n, : m.amb_dim] * w,
+                      vel.reshape(hi - lo, 3, 2, -1)[:, 0])
+        xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, size, size)
+        gs, hs = g + g @ step_d, hh + hh @ running_products(expm1_stack(_magnus(xi, h)))
+        g, hh = gs[-1], hs[-1]
+        keep = np.flatnonzero((out > lo) & (out <= hi))
+        at_row = out[keep] - lo - 1
+        x_hat[keep] = hs[at_row, : mh.amb_dim, n]
+        a[keep] = _redress(q0.pair, x[keep], x_hat[keep], gs[at_row, :n, : m.amb_dim],
+                           hs[at_row, : mh.amb_dim, :n])
+    return x, x_hat, a
+
+
+def _magnus(gens, h):
+    """4th-order Magnus exponent of Y' = Y M(t) over steps of lengths h,
+    from M at the two Gauss nodes of each step (gens[:, 0] and gens[:, 1])."""
+    a, b = gens[:, 0], gens[:, 1]
+    h = h[:, None, None]
+    return h / 2 * (a + b) + MAGNUS_COMMUTATOR * h * h * (a @ b - b @ a)
+
+
+def _roll_rk4(q0, path, times, step):
+    """The same rows as _roll_magnus, by RK4 on the second factor's point and
+    both parallel frames (for warped factors)."""
     pair = q0.pair
     m, mh = pair.space, pair.space_hat
-    n = pair.dim
-    t_start = float(path.sample_times(step)[0])
-    if not np.allclose(path.point(t_start), q0.x, atol=1e-8):
-        raise GeometryError("driving path does not start at the contact point")
-
-    amb, amb_hat = m.amb_dim, mh.amb_dim
-    a_par = np.array(q0.isometry)  # constant matrix in the parallel frames
+    n, amb, amb_hat = pair.dim, m.amb_dim, mh.amb_dim
+    a_par = q0.isometry  # constant matrix in the parallel frames
 
     def pack(x_hat, frame, frame_hat):
         return np.concatenate((x_hat, frame.ravel(), frame_hat.ravel()))
 
-    def unpack(y):
-        x_hat = y[:amb_hat]
-        frame = y[amb_hat : amb_hat + n * amb].reshape(n, amb)
-        frame_hat = y[amb_hat + n * amb :].reshape(n, amb_hat)
-        return x_hat, frame, frame_hat
-
     def rhs(t, y):
         x = path.point(t)
         v = path.velocity(t)
-        x_hat, frame, frame_hat = unpack(y)
+        x_hat = y[:amb_hat]
+        frame = y[amb_hat : amb_hat + n * amb].reshape(n, amb)
+        frame_hat = y[amb_hat + n * amb :].reshape(n, amb_hat)
         coeff = np.array([m.inner_at(x, v, frame[k]) for k in range(n)])
         v_hat = frame_hat.T @ (a_par @ coeff)
         d_frame = np.array([m.transport_rhs(x, v, frame[k]) for k in range(n)])
         d_frame_hat = np.array([mh.transport_rhs(x_hat, v_hat, frame_hat[k]) for k in range(n)])
         return pack(v_hat, d_frame, d_frame_hat)
 
-    times = path.sample_times(step)
-    y = pack(q0.x_hat, np.array(q0.frame), np.array(q0.frame_hat))
-    states = [q0]
+    ys = [pack(q0.x_hat, q0.frame, q0.frame_hat)]
     for a, b in zip(times[:-1], times[1:]):
-        if b <= a:
-            raise GeometryError("driving path time grid must be increasing")
-        y = _rk4(rhs, y, a, b, _steps_for(b - a, step))
-        x_hat, frame, frame_hat = unpack(y)
-        if project:
-            x_hat = mh.closest_point(x_hat)
-            frame = _gram_schmidt(m, path.point(b), frame)
-            frame_hat = _gram_schmidt(mh, x_hat, frame_hat)
-            y = pack(x_hat, frame, frame_hat)
-        x = path.point(b)
-        a_det = _redress(pair, x, x_hat, frame, frame_hat, a_par)
-        states.append(RollingState(pair, x, mh.closest_point(x_hat) if project else x_hat, a_det))
-    return RollingCurve(pair, times, states, path)
+        ys.append(_rk4(rhs, ys[-1], a, b, _substeps(b - a, step)))
+    ys = np.array(ys)
+    frame = ys[:, amb_hat : amb_hat + n * amb].reshape(-1, n, amb)
+    frame_hat = ys[:, amb_hat + n * amb :].reshape(-1, n, amb_hat)
+    x, x_hat = np.array([path.point(t) for t in times]), ys[:, :amb_hat]
+    return x, x_hat, _redress(pair, x, x_hat, frame, np.swapaxes(frame_hat, 1, 2) @ a_par)
 
 
-def _gram_schmidt(m, x, rows):
-    out = []
-    for v in rows:
-        v = m.project(x, v)
-        for r in out:
-            v = v - m.inner_at(x, v, r) * r
-        out.append(v / math.sqrt(m.inner_at(x, v, v)))
-    return np.array(out)
-
-
-def _redress(pair, x, x_hat, frame_par, frame_hat_par, a_par):
-    """Re-express the parallel-frame matrix of the isometry in the
-    deterministic frames at the current contact points."""
+def _redress(pair, x, x_hat, frame, image):
+    """The contact map in the deterministic frames at every row, from the
+    parallel frame at x (rows) and its images at x_hat (columns): A[j, i] is
+    the inner product of deterministic frame vector j at x_hat with the image
+    of deterministic frame vector i at x, expanded in the parallel frame."""
     m, mh = pair.space, pair.space_hat
-    n = pair.dim
-    det_fr = m.frame(x)
-    det_fr_hat = mh.frame(x_hat)
-    s = np.array([[m.inner_at(x, det_fr[i], frame_par[k]) for i in range(n)] for k in range(n)])
-    s_hat = np.array(
-        [[mh.inner_at(x_hat, det_fr_hat[j], frame_hat_par[k]) for j in range(n)] for k in range(n)]
-    )
-    return s_hat.T @ a_par @ s
+    det_fr, det_fr_hat = m.frames(x), mh.frames(x_hat)
+    s = (frame * m.metric_weights(x)[..., None, :]) @ np.swapaxes(det_fr, 1, 2)
+    return (det_fr_hat * mh.metric_weights(x_hat)[..., None, :]) @ image @ s
 
 
 def roll_geodesic(q0: RollingState, direction, t) -> RollingState:

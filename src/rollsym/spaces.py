@@ -19,6 +19,9 @@ import numpy as np
 POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
 DEFAULT_STEP = 1e-3
+# a span that exceeds a whole number of steps by no more than this relative
+# amount is round-off (b - a of two grid times), not a reason for another substep
+SUBSTEP_SLACK = 1e-9
 
 
 class GeometryError(ValueError):
@@ -52,6 +55,20 @@ def _steps_for(span, step):
     return max(1, int(math.ceil(abs(span) / step)))
 
 
+def _substeps(spans, step):
+    """Number of integration substeps of length at most `step` for each span;
+    a span within round-off of k steps takes k of them."""
+    return np.maximum(1, np.ceil(np.abs(spans) / step * (1 - SUBSTEP_SLACK))).astype(int)
+
+
+def integral(value, what):
+    """A count read from input: 2 and 2.0 give 2, a non-integral number is
+    an input error rather than being truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise GeometryError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class SpaceForm:
     """Base class for the catalog manifolds.
 
@@ -77,6 +94,10 @@ class SpaceForm:
         return coords
 
     def constraint_residual(self, x) -> float:
+        raise NotImplementedError
+
+    def constraint_residuals(self, xs):
+        """constraint_residual of every row of xs."""
         raise NotImplementedError
 
     def tangency_residual(self, x, v) -> float:
@@ -133,7 +154,7 @@ class SpaceForm:
             def rhs(t, y):
                 return self.transport_rhs(path.point(t), path.velocity(t), y)
 
-            v = _rk4(rhs, v, a, b, _steps_for(b - a, step))
+            v = _rk4(rhs, v, a, b, _substeps(b - a, step))
             vecs.append(v)
         return times, np.array(vecs)
 
@@ -194,7 +215,24 @@ class SpaceForm:
         return rows
 
     def _orientation_sign(self, x, rows):
-        return 1.0
+        """Sign of the frame against the ambient orientation, completed by the
+        unit normal when the manifold is a hypersurface of its coordinates."""
+        if self.amb_dim == self.dim:
+            return np.sign(np.linalg.det(rows))
+        return np.sign(np.linalg.det(np.vstack([rows, self._normal(x)])))
+
+    def _normal(self, x):
+        """Unit normal of the constraint hypersurface at x (ambient coordinates)."""
+        raise NotImplementedError
+
+    def frames(self, xs):
+        """The deterministic frame at every row of xs, as an (N, n, amb_dim) array."""
+        return np.array([self.frame(x) for x in xs])
+
+    def metric_weights(self, xs):
+        """Diagonal of the metric in ambient coordinates at every row of xs
+        (inner_at(x, u, v) = sum(w * u * v)); broadcasts against the rows."""
+        raise NotImplementedError
 
     def frame_coords(self, x, fr, v):
         """Coefficients of an ambient tangent vector in the frame rows."""
@@ -217,7 +255,117 @@ class SpaceForm:
         raise NotImplementedError
 
 
-class Euclidean(SpaceForm):
+class ConstantCurvature(SpaceForm):
+    """Euclidean space, spheres and hyperbolic spaces: the space forms.
+
+    Their metric is the constant diagonal `signature` of the ambient
+    coordinates, and a point together with an orthonormal frame is one
+    element of SO(n+1), SO+(1,n) or SE(n): the (n+1) x (n+1) matrix whose rows
+    are the frame vectors and the point, with a homogeneous coordinate
+    appended on R^n (0 for vectors, 1 for the point).  Parallel transport
+    and rolling move that element by exponentials of the generators below.
+    The methods here act on stacks of points, one per row.
+    """
+
+    signature: np.ndarray
+    curvature_constant: float
+
+    def metric_weights(self, xs):
+        return self.signature
+
+    def project_rows(self, xs, ws):
+        """Tangential part of each row of ws at the matching row of xs."""
+        return ws - (self.curvature_constant * self._inner_rows(xs, ws))[..., None] * xs
+
+    def frames(self, xs):
+        """SpaceForm.frame at every row of xs, by the same Gram-Schmidt (coordinate
+        order, skip threshold, orientation rule) run on all rows at once.
+
+        Where a projected coordinate vector is nearly spanned by the rows before
+        it, the subtraction cancels most of it and leaves a row that is
+        orthonormal only to u / (its length before normalizing), u the unit
+        round-off.  Each kept vector is therefore projected and orthogonalized
+        a second time ("twice is enough"): the rows are the same frame,
+        orthonormal to round-off."""
+        xs = np.asarray(xs, dtype=float)
+        n = self.dim
+        rows = np.zeros((len(xs), n, self.amb_dim))
+        filled = np.zeros(len(xs), dtype=int)
+        for k in range(self.amb_dim):
+            if np.all(filled == n):
+                break
+            e = np.zeros(self.amb_dim)
+            e[k] = 1.0
+            v = self._orthogonalize(xs, self.project_rows(xs, e), rows[:, :k])
+            nrm = self._inner_rows(v, v)
+            take = np.flatnonzero((nrm > FRAME_SKIP_TOL**2) & (filled < n))
+            v = self._orthogonalize(xs[take], self.project_rows(xs[take], v[take]), rows[take, :k])
+            rows[take, filled[take]] = v / np.sqrt(self._inner_rows(v, v))[:, None]
+            filled[take] += 1
+        if np.any(filled < n):
+            raise GeometryError("could not complete an orthonormal frame at this point")
+        if self.amb_dim == self.dim:
+            sign = np.linalg.det(rows)
+        else:
+            sign = np.linalg.det(np.concatenate([rows, self._normal(xs)[:, None]], axis=1))
+        rows[sign < 0, -1] *= -1.0
+        return rows
+
+    def _inner_rows(self, us, vs):
+        return np.einsum("...a,...a->...", us * self.signature, vs)
+
+    def _orthogonalize(self, xs, vs, rows):
+        """vs minus its components along rows (rows not yet filled are zero)."""
+        for j in range(rows.shape[1]):
+            vs = vs - self._inner_rows(vs, rows[:, j])[:, None] * rows[:, j]
+        return vs
+
+    def geodesic_rows(self, x, v, ts):
+        """(points, velocities) of the geodesic with initial data (x, v) at every
+        time in ts, one row each: the closed forms of geodesic_flow."""
+        ts = np.asarray(ts, dtype=float)[:, None]
+        k = self.curvature_constant
+        omega = math.sqrt(abs(k) * max(float(np.sum(self.signature * v * v)), 0.0))
+        if omega == 0.0:
+            return x + ts * v, np.tile(v, (len(ts), 1))
+        c, s = (np.cos(omega * ts), np.sin(omega * ts)) if k > 0 else (
+            np.cosh(omega * ts), np.sinh(omega * ts))
+        return c * x + (s / omega) * v, -math.copysign(omega, k) * s * x + c * v
+
+    def _homogeneous(self, rows, last):
+        if self.amb_dim > self.dim:
+            return rows
+        pad = np.full(rows.shape[:-1] + (1,), last)
+        return np.concatenate([rows, pad], axis=-1)
+
+    def group_element(self, x, frame):
+        """The (n+1) x (n+1) matrix with the frame rows and the point as rows."""
+        return np.vstack([self._homogeneous(np.asarray(frame, dtype=float), 0.0),
+                          self._homogeneous(np.asarray(x, dtype=float), 1.0)])
+
+    def transport_generators(self, xs, vs):
+        """Z with G' = G Z for the group element G of a parallel frame along a
+        curve through the rows of xs with velocities vs: Z = K (Jx v^T - Jv x^T)
+        on curved forms, e_n (v, 0)^T on R^n."""
+        if self.amb_dim == self.dim:
+            z = np.zeros((len(xs), self.dim + 1, self.dim + 1))
+            z[:, -1, :-1] = vs
+            return z
+        k, w = self.curvature_constant, self.signature
+        return k * ((w * xs)[:, :, None] * vs[:, None, :] - (w * vs)[:, :, None] * xs[:, None, :])
+
+    def development_generators(self, cs):
+        """X with H' = H X for the transposed group element H (columns: frame
+        vectors, then the point) of a point moving with frame coordinates cs of
+        its velocity while the frame stays parallel: X = [[0, c], [-K c^T, 0]]."""
+        n = self.dim
+        x = np.zeros((len(cs), n + 1, n + 1))
+        x[:, :n, n] = cs
+        x[:, n, :n] = -self.curvature_constant * cs
+        return x
+
+
+class Euclidean(ConstantCurvature):
     kind = "euclidean"
 
     def __init__(self, dim):
@@ -226,9 +374,13 @@ class Euclidean(SpaceForm):
         self.dim = dim
         self.amb_dim = dim
         self.curvature_constant = 0.0
+        self.signature = np.ones(dim)
 
     def constraint_residual(self, x):
         return 0.0
+
+    def constraint_residuals(self, xs):
+        return np.zeros(len(xs))
 
     def tangency_residual(self, x, v):
         return 0.0
@@ -257,9 +409,6 @@ class Euclidean(SpaceForm):
     def curvature_matrix_apply(self, x, xi):
         return np.zeros_like(xi)
 
-    def _orientation_sign(self, x, rows):
-        return np.sign(np.linalg.det(rows))
-
     def random_point(self, rng):
         return rng.standard_normal(self.amb_dim)
 
@@ -267,7 +416,7 @@ class Euclidean(SpaceForm):
         return {"kind": "euclidean", "dim": self.dim}
 
 
-class Sphere(SpaceForm):
+class Sphere(ConstantCurvature):
     kind = "sphere"
 
     def __init__(self, dim, radius=1.0):
@@ -279,15 +428,19 @@ class Sphere(SpaceForm):
         self.amb_dim = dim + 1
         self.radius = float(radius)
         self.curvature_constant = 1.0 / radius**2
+        self.signature = np.ones(self.amb_dim)
 
     def constraint_residual(self, x):
         return abs(np.linalg.norm(x) - self.radius)
+
+    def constraint_residuals(self, xs):
+        return np.abs(np.linalg.norm(xs, axis=-1) - self.radius)
 
     def tangency_residual(self, x, v):
         return abs(np.dot(x, v)) / self.radius
 
     def closest_point(self, x):
-        return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x)
+        return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
 
     def inner_at(self, x, u, v):
         return float(np.dot(u, v))
@@ -336,8 +489,8 @@ class Sphere(SpaceForm):
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * xi
 
-    def _orientation_sign(self, x, rows):
-        return np.sign(np.linalg.det(np.vstack([rows, x / self.radius])))
+    def _normal(self, x):
+        return x / self.radius
 
     def random_point(self, rng):
         v = rng.standard_normal(self.amb_dim)
@@ -347,7 +500,7 @@ class Sphere(SpaceForm):
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
 
 
-class Hyperbolic(SpaceForm):
+class Hyperbolic(ConstantCurvature):
     """Hyperboloid model in Minkowski space; coordinate 0 is the time axis."""
 
     kind = "hyperbolic"
@@ -361,6 +514,8 @@ class Hyperbolic(SpaceForm):
         self.amb_dim = dim + 1
         self.radius = float(radius)
         self.curvature_constant = -1.0 / radius**2
+        self.signature = np.ones(self.amb_dim)
+        self.signature[0] = -1.0
 
     @staticmethod
     def minkowski(u, v):
@@ -372,13 +527,16 @@ class Hyperbolic(SpaceForm):
             return math.inf
         return res
 
+    def constraint_residuals(self, xs):
+        res = np.abs(np.sum(self.signature * xs * xs, axis=-1) + self.radius**2)
+        return np.where(xs[:, 0] > 0, res, math.inf)
+
     def tangency_residual(self, x, v):
         return abs(self.minkowski(x, v)) / self.radius
 
     def closest_point(self, x):
         x = np.array(x, dtype=float)
-        spatial = x[1:]
-        x[0] = math.sqrt(self.radius**2 + float(np.dot(spatial, spatial)))
+        x[..., 0] = np.sqrt(self.radius**2 + np.sum(x[..., 1:] ** 2, axis=-1))
         return x
 
     def inner_at(self, x, u, v):
@@ -426,8 +584,8 @@ class Hyperbolic(SpaceForm):
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * xi
 
-    def _orientation_sign(self, x, rows):
-        return np.sign(np.linalg.det(np.vstack([rows, x / self.radius])))
+    def _normal(self, x):
+        return x / self.radius
 
     def random_point(self, rng):
         spatial = rng.standard_normal(self.dim)
@@ -527,6 +685,11 @@ class Warped(SpaceForm):
             return math.inf
         return self.fiber.constraint_residual(y)
 
+    def constraint_residuals(self, xs):
+        s = xs[:, 0]
+        inside = (self.interval[0] <= s) & (s <= self.interval[1])
+        return np.where(inside, self.fiber.constraint_residuals(xs[:, 1:]), math.inf)
+
     def tangency_residual(self, x, v):
         _, y = self.split(x)
         return self.fiber.tangency_residual(y, np.asarray(v[1:], dtype=float))
@@ -544,6 +707,13 @@ class Warped(SpaceForm):
         s, y = self.split(x)
         f = self.warp.value(s)
         return float(u[0] * v[0]) + f * f * self.fiber.inner_at(y, u[1:], v[1:])
+
+    def metric_weights(self, xs):
+        f2 = np.array([self.warp.value(s) ** 2 for s in xs[:, 0]])[:, None]
+        return np.hstack([np.ones_like(f2), f2 * self.fiber.metric_weights(xs[:, 1:])])
+
+    def _normal(self, x):
+        return np.concatenate(([0.0], self.fiber._normal(x[1:])))
 
     def project(self, x, w):
         _, y = self.split(x)
@@ -623,11 +793,11 @@ def from_spec(spec: dict) -> SpaceForm:
     """Build a catalog manifold from its JSON description."""
     kind = spec.get("kind")
     if kind == "euclidean":
-        return Euclidean(int(spec["dim"]))
+        return Euclidean(integral(spec["dim"], "dim"))
     if kind == "sphere":
-        return Sphere(int(spec["dim"]), float(spec.get("radius", 1.0)))
+        return Sphere(integral(spec["dim"], "dim"), float(spec.get("radius", 1.0)))
     if kind == "hyperbolic":
-        return Hyperbolic(int(spec["dim"]), float(spec.get("radius", 1.0)))
+        return Hyperbolic(integral(spec["dim"], "dim"), float(spec.get("radius", 1.0)))
     if kind == "warped":
         w = spec["warp"]
         warp = WarpFunction(
@@ -640,9 +810,9 @@ def from_spec(spec: dict) -> SpaceForm:
 class GeodesicPath:
     """Driving path given as a geodesic spec (point, direction, duration).
 
-    Constant-curvature manifolds evaluate through their closed forms; warped
-    products integrate the geodesic once and interpolate, so repeated point
-    queries stay cheap.
+    Constant-curvature manifolds evaluate through their closed forms, at one
+    time or (one row each) at an array of times; warped products integrate
+    the geodesic once and interpolate, so repeated point queries stay cheap.
     """
 
     def __init__(self, manifold: SpaceForm, x0, v0, t_max):
@@ -653,7 +823,7 @@ class GeodesicPath:
         self._cache = None
 
     def _closed_form(self):
-        return not isinstance(self.manifold, Warped)
+        return isinstance(self.manifold, ConstantCurvature)
 
     def _ensure_cache(self):
         if self._cache is None:
@@ -668,15 +838,20 @@ class GeodesicPath:
             self._cache = (CubicSpline(ts, np.array(xs), axis=0),
                            CubicSpline(ts, np.array(vs), axis=0))
 
+    def _flow(self, t):
+        if np.ndim(t):
+            return self.manifold.geodesic_rows(self.x0, self.v0, t)
+        return self.manifold.geodesic_flow(self.x0, self.v0, t)
+
     def point(self, t):
         if self._closed_form():
-            return self.manifold.geodesic_flow(self.x0, self.v0, t)[0]
+            return self._flow(t)[0]
         self._ensure_cache()
         return self.manifold.closest_point(self._cache[0](t))
 
     def velocity(self, t):
         if self._closed_form():
-            return self.manifold.geodesic_flow(self.x0, self.v0, t)[1]
+            return self._flow(t)[1]
         self._ensure_cache()
         return self.manifold.project(self.point(t), self._cache[1](t))
 
@@ -690,7 +865,9 @@ class GeodesicPath:
 
 class SampledPath:
     """Driving path given by dense samples; velocities come from a cubic
-    spline through the ambient coordinates, projected to the tangent space."""
+    spline through the ambient coordinates, projected to the tangent space.
+    On a constant-curvature manifold, point and velocity also take an array
+    of times and return one row per time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
         from scipy.interpolate import CubicSpline
@@ -715,6 +892,8 @@ class SampledPath:
 
     def velocity(self, t):
         x = self.point(t)
+        if np.ndim(t):
+            return self.manifold.project_rows(x, self._deriv(t))
         return self.manifold.project(x, self._deriv(t))
 
     def sample_times(self, step):

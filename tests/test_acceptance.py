@@ -111,8 +111,8 @@ def test_criterion_03_rolling_integrity():
         q0 = pair.random_state(rng)
         v = pair.space.random_tangent(rng, q0.x, unit=True)
         curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=1e-3)
-        worst_res = max(worst_res, float(curve.isometry_residuals().max()))
-        assert all(np.linalg.det(s.isometry) > 0 for s in curve.states)
+        worst_res = max(worst_res, float(curve.residuals.max()))
+        assert np.all(np.linalg.det(curve.A) > 0)
     assert worst_res < 1e-7
 
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))

@@ -110,6 +110,31 @@ def test_simulate_json_format(tmp_path):
     data = json.loads(out.read_text())
     assert data["max_isometry_residual"] < 1e-7
     assert "A" in data["trajectory"][0]
+    rows = data["trajectory"]
+    assert len(rows) == 501
+    assert sorted(rows[0]) == ["A", "isometry_residual", "t", "x", "x_hat"]
+    assert rows[-1]["t"] == 0.5
+    assert max(r["isometry_residual"] for r in rows) == data["max_isometry_residual"]
+
+
+@pytest.mark.parametrize("config, hat_check", [(SPHERE_PLANE, "plane"), (SPHERES_1_3, "sphere")])
+def test_coarse_long_simulation_stays_within_tolerance(tmp_path, capsys, config, hat_check):
+    # integrating the frames by RK4 at step 0.05 over length 20 used to drift
+    # out of the state checks and exit 2: "contact map is not an isometry
+    # (residual 1.388e-09)" on the plane, "point violates the sphere
+    # constraint by 1.080e-10" on S^2(3)
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "traj.csv"
+    code = main([
+        "--config", cfg, "simulate", "--step", "0.05",
+        "--path-spec", json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                   "length": 20.0}),
+        "--out", str(out), "--format", "csv",
+    ])
+    assert code == 0, capsys.readouterr().err
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(data) == 401
+    assert data[:, -1].max() < 1e-12
 
 
 def test_simulate_domain_exit_code(tmp_path):
@@ -152,6 +177,9 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
         [sphere, plane],  # not a JSON object
         {"manifold_pair": [{**sphere, "dim": "two"}, plane]},
         {"manifold_pair": [{**sphere, "radius": "abc"}, plane]},
+        # counts are not truncated
+        {"manifold_pair": [{**sphere, "dim": 2.9}, plane]},
+        {**SPHERE_PLANE, "seed": 2.7},
         {**SPHERE_PLANE, "tolerances": {"rank": "abc"}},
         # the plane has no constraint that a non-finite coordinate would violate
         {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [float("nan"), 0.0],
@@ -171,6 +199,10 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
     # an output path that is not a string is rejected before anything is opened
     bad_out = write_config(tmp_path, {**SPHERE_PLANE, "output": {"path": ["a"]}}, "out.json")
     assert main(["--config", bad_out, "growth"]) == 2
+    # integral counts written as floats are counts
+    whole = {"manifold_pair": [{**sphere, "dim": 2.0}, {**plane, "dim": 2.0}], "seed": 7.0}
+    assert main(["--config", write_config(tmp_path, whole, "w.json"), "growth",
+                 "--out", str(tmp_path / "w.out")]) == 0
     # killing builds no point, so a non-finite radius must be caught where it is read
     for radius in ("nan", "inf"):
         nan_sphere = {"manifold_pair": [plane, {**sphere, "radius": radius}]}
@@ -277,13 +309,23 @@ def test_audit_mismatched_generator_exit(tmp_path):
         "--samples", "1",
     ])
     assert code == 5
-    # an unknown generator type is a parse error, not a mismatch
+    # an unknown generator type, or a generator index that is not a whole
+    # number, is a parse error, not a mismatch
+    for generator in ({"type": "spin"}, {"type": "translation", "axis": 0.5},
+                      {"type": "rotation", "plane": [0, 1.5]}):
+        code = main([
+            "--config", cfg, "symmetry-check",
+            "--candidate", json.dumps({"kind": "killing", "generator": generator}),
+            "--samples", "1",
+        ])
+        assert code == 2
     code = main([
         "--config", cfg, "symmetry-check",
-        "--candidate", json.dumps({"kind": "killing", "generator": {"type": "spin"}}),
-        "--samples", "1",
+        "--candidate", json.dumps({"kind": "killing",
+                                   "generator": {"type": "translation", "axis": 1.0}}),
+        "--samples", "1", "--out", str(tmp_path / "axis.json"),
     ])
-    assert code == 2
+    assert code == 0
     # the Killing catalog of a non-constant-curvature second factor is a mismatch
     warped = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
               "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
@@ -447,7 +489,7 @@ def test_tolerance_override_recorded(tmp_path):
 
 FUZZ_PATH = {"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": 0.05}
 NAN, INF = float("nan"), float("inf")
-NOT_A_COUNT = [0, -1, -3, "two", "", "nan", None, [], {}, NAN, INF]
+NOT_A_COUNT = [0, -1, -3, 2.9, 1.5, "two", "", "nan", None, [], {}, NAN, INF]
 NOT_POSITIVE = [0.0, -1.0, -1e-3, NAN, INF, -INF, "nan", "-inf", "abc", None, [], {}]
 JUNK = ["abc", "", 5, None, [], [1, 2], {}]
 GOOD_STATE = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0, 3.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
@@ -519,7 +561,7 @@ def malformed_invocations(draw):
             key = draw(st.sampled_from(["residual", "rank", "step", "isometry"]))
             config["tolerances"] = {key: draw(st.sampled_from(NOT_POSITIVE))}
         elif what == "seed":
-            config["seed"] = draw(st.sampled_from(["abc", -1, -7, None, [], "1.5", NAN]))
+            config["seed"] = draw(st.sampled_from(["abc", -1, -7, 2.7, None, [], "1.5", NAN]))
         elif what == "output":
             config["output"] = draw(st.sampled_from(["x", 5, [], {"format": "xml"},
                                                      {"format": 5}]))

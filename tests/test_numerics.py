@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rollsym import GeometryError
-from rollsym.numerics import central_diff, numerical_rank
+from scipy.linalg import expm
+
+from rollsym.numerics import central_diff, expm1_stack, numerical_rank, running_products
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -72,3 +74,56 @@ def test_numerical_rank_and_gap():
 def test_numerical_rank_of_the_zero_matrix():
     rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8)
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
+
+
+# -- matrix exponentials and running products ------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0])
+def test_expm1_stack_matches_scipy_on_every_matrix(scale):
+    rng = np.random.default_rng(5)
+    stack = scale * rng.standard_normal((40, 4, 4))
+    ref = np.array([expm(a) for a in stack])
+    got = np.eye(4) + expm1_stack(stack)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # any leading shape, and a single matrix
+    assert np.allclose(expm1_stack(stack.reshape(4, 10, 4, 4)).reshape(40, 4, 4), got - np.eye(4),
+                       rtol=0, atol=1e-15)
+    assert np.allclose(expm1_stack(stack[0]), got[0] - np.eye(4), rtol=0, atol=1e-15)
+
+
+def test_expm1_stack_of_rotation_generators_is_the_rotation():
+    # large angles take the squaring phase; the result stays a rotation
+    angles = np.array([1e-4, 0.3, 2.0, 7.5, 40.0])
+    gens = np.zeros((len(angles), 3, 3))
+    gens[:, 0, 1], gens[:, 1, 0] = -angles, angles
+    rot = np.eye(3) + expm1_stack(gens)
+    c, s = np.cos(angles), np.sin(angles)
+    assert np.allclose(rot[:, 0, 0], c, rtol=0, atol=1e-13)
+    assert np.allclose(rot[:, 1, 0], s, rtol=0, atol=1e-13)
+    assert np.abs(np.swapaxes(rot, 1, 2) @ rot - np.eye(3)).max() < 1e-13
+
+
+def test_expm1_stack_keeps_the_digits_of_small_generators():
+    # exp(a) - I of a tiny generator is a + a^2/2 to within round-off of a itself;
+    # forming exp(a) first would leave only the digits of a above 1e-16
+    a = 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    out = expm1_stack(a[None])[0]
+    assert np.abs(out - (a + a @ a / 2)).max() <= 1e-16 * np.abs(a).max()
+    assert np.array_equal(expm1_stack(np.zeros((3, 2, 2))), np.zeros((3, 2, 2)))
+
+
+def test_expm1_stack_rejects_non_finite_matrices():
+    with pytest.raises(GeometryError):
+        expm1_stack(np.array([[[0.0, math.nan], [0.0, 0.0]]]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 37])
+def test_running_products_match_the_sequential_product(count):
+    rng = np.random.default_rng(count)
+    d = 0.3 * rng.standard_normal((count, 3, 3))
+    out = running_products(d)
+    prod = np.eye(3)
+    for i in range(count):
+        prod = prod @ (np.eye(3) + d[i])
+        assert np.allclose(np.eye(3) + out[i], prod, rtol=0, atol=1e-13)

@@ -1,23 +1,30 @@
 import json
 import math
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rollsym import Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere
+from rollsym import (Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere,
+                     WarpFunction, Warped)
 from rollsym.curvature import wedge_matrix
 from rollsym.rolling import (
     Chart,
+    RollingCurve,
     RollingPair,
     TangentOfQ,
     curve_velocity,
     q_dim,
+    random_rotation,
     roll_along,
     roll_geodesic,
     rolling_derivative,
     rolling_lift,
     vertical_derivative,
 )
+from rollsym.spaces import POINT_TOL
 
 RNG = np.random.default_rng(123)
 
@@ -45,7 +52,7 @@ def test_rolling_on_warped_pair():
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 0.6)
     curve = roll_along(q0, path, step=1e-3)
-    assert curve.isometry_residuals().max() < 1e-7
+    assert curve.residuals.max() < 1e-7
     back = roll_along(curve.final_state(), path.reversed(), step=1e-3).final_state()
     assert np.linalg.norm(back.x - q0.x) < 1e-6
     assert np.abs(back.isometry - q0.isometry).max() < 1e-6
@@ -175,9 +182,9 @@ def test_constant_path_keeps_state():
     pts = np.tile(q0.x, (33, 1))
     path = SampledPath(pair.space, ts, pts)
     curve = roll_along(q0, path, step=1e-2)
-    for s in curve.states:
-        assert np.allclose(s.x_hat, q0.x_hat, atol=1e-12)
-        assert np.allclose(s.isometry, q0.isometry, atol=1e-10)
+    for x_hat, a in zip(curve.x_hat, curve.A):
+        assert np.allclose(x_hat, q0.x_hat, atol=1e-12)
+        assert np.allclose(a, q0.isometry, atol=1e-10)
 
 
 def test_matched_spheres_preserve_the_diagonal():
@@ -210,19 +217,130 @@ def test_isometry_residual_and_orientation_along_curves():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=1e-3)
-    assert curve.isometry_residuals().max() < 1e-7
-    assert all(np.linalg.det(s.isometry) > 0 for s in curve.states)
+    assert curve.residuals.max() < 1e-7
+    assert np.all(np.linalg.det(curve.A) > 0)
 
 
-def test_roll_with_projection_flag_stays_close():
+def test_coarse_roll_stays_on_the_constraints():
+    # the group-valued kernel needs no projection: at a coarse step every row
+    # is an isometry to round-off and the end point is the closed form's
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.0)
-    loose = roll_along(q0, path, step=1e-2).final_state()
-    snapped = roll_along(q0, path, step=1e-2, project=True).final_state()
-    assert np.linalg.norm(loose.x_hat - snapped.x_hat) < 1e-7
-    assert snapped.isometry_residual() < 1e-12
+    curve = roll_along(q0, path, step=1e-2)
+    exact = roll_geodesic(q0, v, 1.0)
+    assert np.linalg.norm(curve.final_state().x_hat - exact.x_hat) < 1e-7
+    assert curve.residuals.max() < 1e-12
+
+
+# a space form of each kind; hyperbolic radii stay >= 1 so that unit-speed
+# paths of length <= pi keep their points where POINT_TOL is absolute round-off
+SPACE_FORMS = st.one_of(
+    st.builds(Sphere, st.sampled_from([2, 3]), st.floats(0.5, 3.0)),
+    st.builds(Hyperbolic, st.sampled_from([2, 3]), st.floats(1.0, 3.0)),
+    st.builds(Euclidean, st.sampled_from([2, 3])),
+)
+
+
+@st.composite
+def space_form_rolls(draw):
+    first, second = draw(SPACE_FORMS), draw(SPACE_FORMS)
+    second = type(second)(first.dim, *([second.radius] if hasattr(second, "radius") else []))
+    return (RollingPair(first, second), draw(st.integers(0, 2**32 - 1)),
+            draw(st.floats(1e-3, math.pi)), draw(st.floats(1e-3, 0.1)))
+
+
+def _scale(x):
+    return max(1.0, float(np.abs(x).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(space_form_rolls())
+def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
+    pair, seed, length, step = roll
+    rng = np.random.default_rng(seed)
+    q0 = pair.random_state(rng)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    path = GeodesicPath(pair.space, q0.x, v, length)
+    curve = roll_along(q0, path, step=step)
+    for m, pts in ((pair.space, curve.x), (pair.space_hat, curve.x_hat)):
+        assert m.constraint_residuals(pts).max() <= POINT_TOL
+    assert curve.residuals.max() < 1e-11
+    assert np.all(np.linalg.det(curve.A) > 0)
+    end, exact = curve.final_state(), roll_geodesic(q0, v, length)
+    assert np.abs(end.x_hat - exact.x_hat).max() < 1e-9 * _scale(exact.x_hat)
+    assert np.abs(end.isometry - exact.isometry).max() < 1e-9 * _scale(exact.x_hat)
+    back = roll_along(end, path.reversed(), step=step).final_state()
+    assert np.abs(back.x - q0.x).max() < 1e-9 * _scale(end.x)
+    assert np.abs(back.x_hat - q0.x_hat).max() < 1e-9 * _scale(end.x_hat)
+    assert np.abs(back.isometry - q0.isometry).max() < 1e-9 * _scale(end.x_hat)
+
+
+@pytest.mark.parametrize("hat", [Euclidean(2), Sphere(2, 3.0)], ids=repr)
+def test_full_turn_matches_the_closed_form(hat):
+    pair = RollingPair(Sphere(2, 1.0), hat)
+    rng = np.random.default_rng(8)
+    q0 = pair.random_state(rng)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    exact = roll_geodesic(q0, v, 2 * math.pi)
+    for step in (1e-3, 0.05):
+        curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
+        end = curve.final_state()
+        assert np.abs(end.x_hat - exact.x_hat).max() < 1e-10
+        assert np.abs(end.isometry - exact.isometry).max() < 1e-10
+        assert curve.residuals.max() <= 1e-12
+
+
+def test_rolling_along_a_curved_path_converges_at_fourth_order():
+    # a latitude circle is no geodesic, so the Magnus commutator and the
+    # transport of the frame to the Gauss nodes both enter; halving the step
+    # divides the error by 2^4
+    pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
+    ts = np.linspace(0.0, 2.0, 21)
+    lat = 0.7
+    pts = np.column_stack((math.sin(lat) * np.cos(ts), math.sin(lat) * np.sin(ts),
+                           np.full_like(ts, math.cos(lat))))
+    path = SampledPath(pair.space, ts, pts)
+    rng = np.random.default_rng(1)
+    q0 = pair.state(path.point(0.0), pair.space_hat.random_point(rng), random_rotation(rng, 2))
+    ref = roll_along(q0, path, step=0.1 / 64).final_state()
+    errors = []
+    for step in (0.1, 0.05, 0.025):
+        end = roll_along(q0, path, step=step).final_state()
+        errors.append(max(np.abs(end.x_hat - ref.x_hat).max(),
+                          np.abs(end.isometry - ref.isometry).max()))
+    assert errors[0] > 1e-9
+    assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
+def test_warped_rolls_keep_orientation(fiber):
+    # a warped frame whose last row flipped between neighbouring points made
+    # the contact map look orientation-reversing ("contact map must preserve
+    # orientation"), e.g. on I x_cos S^1 with seed 3
+    pair = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), fiber), Sphere(fiber.dim + 1, 1.0))
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        q0 = pair.random_state(rng)
+        v = pair.space.random_tangent(rng, q0.x, unit=True)
+        length, step = (1.0, 1e-3) if seed == 3 else (0.3, 1e-2)
+        curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, length), step=step)
+        assert np.all(np.linalg.det(curve.A) > 0)
+
+
+def test_rk4_fallback_takes_one_substep_per_grid_interval():
+    # the 250 grid intervals of a 0.25-long path exceed 1e-3 by round-off
+    pair = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 1.0))
+    rng = np.random.default_rng(0)
+    q0 = pair.random_state(rng)
+    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.25)
+    calls = []
+    velocity = path.velocity
+    path.velocity = lambda t: calls.append(t) or velocity(t)
+    curve = roll_along(q0, path, step=1e-3)
+    assert len(curve.times) == 251
+    assert len(calls) == 4 * 250  # one right-hand side per RK4 stage
 
 
 def test_roll_along_rejects_bad_paths():
@@ -260,6 +378,38 @@ def test_trajectory_csv_schema(tmp_path):
     ]
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == len(curve.times)
+    # every float written by repr, as csv.writer writes rows of repr strings
+    n_rows = len(curve.times)
+    table = np.column_stack((curve.times, curve.x, curve.x_hat, curve.A.reshape(n_rows, -1),
+                             curve.residuals))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in table)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_rolling_curve_checks_every_row():
+    pair = sphere_on_plane()
+    q0 = pair.random_state(RNG)
+    v = pair.space.random_tangent(RNG, q0.x, unit=True)
+    curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, 0.2), step=1e-2)
+    rows = (curve.times, curve.x, curve.x_hat, curve.A)
+    flip = np.diag([1.0, -1.0])
+    bad = [
+        (curve.x + np.where(np.arange(len(curve.times)) == 7, 1e-6, 0.0)[:, None], 1),
+        (np.where(np.arange(len(curve.times))[:, None] == 9, np.nan, curve.x_hat), 2),
+        (curve.A[:, :1], 3),
+        (curve.A * 1.001, 3),
+        (curve.A @ flip, 3),
+    ]
+    for value, slot in bad:
+        args = list(rows)
+        args[slot] = value
+        with pytest.raises(GeometryError):
+            RollingCurve(pair, *args)
+    assert np.allclose(RollingCurve(pair, *rows).residuals, curve.residuals)
 
 
 # -- derivatives ----------------------------------------------------------------------

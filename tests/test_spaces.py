@@ -316,6 +316,77 @@ def test_frames_are_orthonormal_and_deterministic():
         assert np.allclose(fr, m.frame(x))
 
 
+def _skip_points(m):
+    """Points where a projected coordinate vector vanishes, or is shorter than
+    the skip threshold, so Gram-Schmidt skips it: x = r e_k on spheres, the
+    origin of the hyperboloid, and points 1e-10 away from them."""
+    e = np.eye(m.amb_dim)
+    if isinstance(m, Hyperbolic):
+        near = m.radius * e[0] + 1e-10 * e[1]
+        near[0] = math.sqrt(m.radius**2 + 1e-20)
+        return [m.radius * e[0], near]
+    if isinstance(m, Sphere):
+        tilt = [math.cos(1e-10), math.sin(1e-10)]
+        return [s * m.radius * e[k] for k in range(m.amb_dim) for s in (1, -1)] + [
+            m.radius * (tilt[0] * e[k] + tilt[1] * e[(k + 1) % m.amb_dim])
+            for k in range(m.amb_dim)]
+    return [np.zeros(m.amb_dim)]
+
+
+@pytest.mark.parametrize("m", [Sphere(2, 1.0), Sphere(2, 3.0), Sphere(3, 0.5),
+                               Hyperbolic(2, 1.0), Hyperbolic(3, 2.0), Euclidean(2),
+                               Euclidean(3)], ids=repr)
+def test_array_frames_equal_the_pointwise_frames(m):
+    rng = np.random.default_rng(17)
+    xs = np.array([m.random_point(rng) for _ in range(50)] + _skip_points(m))
+    got = m.frames(xs)
+    assert got.shape == (len(xs), m.dim, m.amb_dim)
+    for x, fr in zip(xs, got):
+        assert np.abs(fr - m.frame(x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
+def test_warped_frames_are_coherently_oriented(fiber):
+    # along a fine sample of a geodesic, consecutive frames differ by a small
+    # rotation: the orientation rule never flips a row between neighbours
+    m = Warped((-1.2, 1.2), WarpFunction("cos"), fiber)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = m.random_point(rng)
+        path = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 0.3)
+        frames = m.frames([path.point(t) for t in np.linspace(0.0, 0.3, 61)])
+        change = np.einsum("tia,tja->tij", frames[:-1], frames[1:])
+        assert np.all(np.linalg.det(change) > 0)
+
+
+@pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2)], ids=repr)
+def test_paths_evaluate_arrays_of_times_like_single_times(m):
+    rng = np.random.default_rng(4)
+    x = m.random_point(rng)
+    ts = np.linspace(0.0, 1.7, 9)
+    geodesic = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 1.7)
+    sampled = SampledPath(m, ts, np.array([geodesic.point(t) for t in ts]))
+    for path in (geodesic, sampled):
+        times = np.array([0.0, 0.35, 1.1, 1.7])
+        for got, one in ((path.point(times), path.point), (path.velocity(times), path.velocity)):
+            assert got.shape == (len(times), m.amb_dim)
+            assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
+
+
+def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):
+    # 0.25 / 1e-3 grid intervals exceed 1e-3 by round-off; each takes one
+    # RK4 substep (four right-hand sides), not two
+    m = Sphere(2, 1.0)
+    x = m.random_point(RNG)
+    path = GeodesicPath(m, x, m.random_tangent(RNG, x, unit=True), 0.25)
+    calls = []
+    rhs = Sphere.transport_rhs
+    monkeypatch.setattr(Sphere, "transport_rhs", lambda *a: calls.append(1) or rhs(*a))
+    times, _ = m.parallel_transport(path, m.random_tangent(RNG, x), step=1e-3)
+    assert len(times) == 251
+    assert len(calls) == 4 * 250
+
+
 def test_spec_round_trip():
     specs = [
         {"kind": "sphere", "dim": 2, "radius": 3.0},
@@ -335,6 +406,11 @@ def test_spec_round_trip():
         assert again.to_spec() == m.to_spec()
     with pytest.raises(GeometryError):
         from_spec({"kind": "torus", "dim": 2})
+    # a count is not truncated: 2.0 reads as 2, 2.9 is an error
+    assert from_spec({"kind": "sphere", "dim": 2.0}).dim == 2
+    for dim in (2.9, 1.5, float("nan")):
+        with pytest.raises(GeometryError):
+            from_spec({"kind": "euclidean", "dim": dim})
 
 
 def test_curvature_operator_agrees_with_sectional():
