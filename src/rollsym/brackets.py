@@ -173,8 +173,7 @@ def frame_field_derivative(m, x, v, h=1e-3, order=4):
 
     def sample(t):
         xt, vt = m.geodesic_flow(x, v, t)
-        frt = m.frame(xt)
-        return np.array([m.transport_along_geodesic(xt, vt, -t, frt[i]) for i in range(m.dim)])
+        return m.transport_along_geodesic(xt, vt, -t, m.frame(xt))
 
     return central_diff(sample, h, order)
 
@@ -193,14 +192,9 @@ def rolling_generators(pair, rotation=None, fd_h=1e-3):
             return rolling_lift(q, v)
 
         def derivative(q, xi):
-            m = pair.space
-            d_frames = frame_field_derivative(m, q.x, xi.X, h=fd_h)
-            dv = d_frames.T @ rot[:, i]
-            coeff = rot[:, i]
-            d_t = dv
-            d_t_hat = q.apply(q.from_coords(xi.C @ coeff)) + q.apply(dv)
-            d_u = np.zeros((n, n))
-            return FieldData(d_t, d_t_hat, d_u)
+            dv = frame_field_derivative(pair.space, q.x, xi.X, h=fd_h).T @ rot[:, i]
+            d_t_hat = q.apply(q.from_coords(xi.C @ rot[:, i])) + q.apply(dv)
+            return FieldData(dv, d_t_hat, np.zeros((n, n)))
 
         return StructuredField(pair, value, derivative, name=f"L_R(E{i})")
 
@@ -246,33 +240,21 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
         raise GeometryError("flag depth above 6 is not supported")
     gens = rolling_generators(q.pair, rotation=rotation, fd_h=h)
     vectors = [g.value(q).coords() for g in gens]
-    ranks = []
-    svs = []
-    gaps = []
-    rank, sv, gap = numerical_rank(vectors, tol)
-    ranks.append(rank)
-    svs.append(sv)
-    gaps.append(gap)
+    steps = [numerical_rank(vectors, tol)]  # (rank, singular values, gap) per flag step
     current = list(gens)
     full = q_dim(q.pair.dim)
     for _ in range(1, depth):
-        if ranks[-1] == full or (len(ranks) > 1 and ranks[-1] == ranks[-2]):
+        rank = steps[-1][0]
+        if rank == full or (len(steps) > 1 and rank == steps[-2][0]):
             # a stationary flag stays stationary: pad to the requested depth
-            ranks.append(ranks[-1])
-            svs.append(svs[-1])
-            gaps.append(gaps[-1])
+            steps.append(steps[-1])
             continue
-        new_fields = []
-        for f in current:
-            for g in gens:
-                new_fields.append(bracket_field(f, g, h=h, order=order, nested_h=nested_h))
-        vectors.extend(bf.value(q).coords() for bf in new_fields)
-        rank, sv, gap = numerical_rank(vectors, tol)
-        ranks.append(rank)
-        svs.append(sv)
-        gaps.append(gap)
-        current = new_fields
-    return FlagReport(q, tuple(ranks), svs, tol, tuple(gaps))
+        current = [bracket_field(f, g, h=h, order=order, nested_h=nested_h)
+                   for f in current for g in gens]
+        vectors.extend(bf.value(q).coords() for bf in current)
+        steps.append(numerical_rank(vectors, tol))
+    ranks, svs, gaps = zip(*steps)
+    return FlagReport(q, ranks, list(svs), tol, gaps)
 
 
 def controllability_verdict(q: RollingState, tol=1e-8) -> bool:

@@ -47,6 +47,8 @@ EXIT_MISMATCH = 5
 
 GAP_REQUIREMENT = 1e4
 NILPOTENT_MAX_N = 12  # the structure tensor has (2n + n(n-1)/2)^3 entries
+# a simulated grid holds every row in memory; 2 pi at the default step is 6,284 intervals
+MAX_GRID_INTERVALS = 10**6
 TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": 1e-3, "isometry": 1e-7}
 
 
@@ -149,6 +151,9 @@ def cmd_simulate(args):
     step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
+    if path is not None and path.t_max / step > MAX_GRID_INTERVALS:
+        raise GeometryError(f"--step {step:g} over a path of length {path.t_max:g} would take more "
+                            f"than {MAX_GRID_INTERVALS} grid intervals")
     if path is None:
         curve = RollingCurve(run.pair, np.zeros(1), q0.x[None], q0.x_hat[None], q0.isometry[None])
     else:
@@ -235,6 +240,8 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
 
 def cmd_audit(args):
     run = Run(args)
+    if args.samples < 1:
+        raise GeometryError(f"--samples must be at least 1, got {args.samples}")
     rng = run.rng()
     pair = run.pair
     tol = run.tolerances["residual"]
@@ -254,9 +261,8 @@ def cmd_audit(args):
     if eps:
         cands = [perturb_candidate(c, eps, rng) for c in cands]
 
-    samples = max(1, args.samples)
     stats = {"eq_drift": [], "eq_curvature": [], "vertical": []}
-    for _ in range(samples):
+    for _ in range(args.samples):
         q = pair.random_state(rng)
         for cand in cands:
             cand.validate(q)
@@ -269,7 +275,7 @@ def cmd_audit(args):
             stats["eq_curvature"].append(r2)
             stats["vertical"].append(r3)
     out = run.report_header()
-    out["samples"] = samples
+    out["samples"] = args.samples
     out["candidates"] = [c.name for c in cands]
     out["residuals"] = {
         key: {"max": float(np.max(vals)), "mean": float(np.mean(vals))}

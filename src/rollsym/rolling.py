@@ -188,14 +188,15 @@ def rolling_lift(q: RollingState, X) -> TangentOfQ:
 def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
-    fr0 = m.frame(x)
+    return _transport_in_frames(m, x, m.frame(x), v, t)[1]
+
+
+def _transport_in_frames(m, x, fr, v, t):
+    """(geodesic point at t, det_transport_matrix(m, x, v, t), deterministic
+    frame there), given the deterministic frame fr at x."""
     xt = m.geodesic_arr(x, v, t)
     frt = m.frame(xt)
-    cols = []
-    for i in range(m.dim):
-        w = m.transport_along_geodesic(x, v, t, fr0[i])
-        cols.append(m.frame_coords(xt, frt, w))
-    return np.array(cols).T
+    return xt, m.inner_at(xt, frt[:, None], m.transport_along_geodesic(x, v, t, fr)), frt
 
 
 def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
@@ -203,19 +204,18 @@ def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
     points run along geodesics, A is transported in parallel frames and
     composed with expm(tC) on the fiber."""
     pair = q.pair
-    m, mh = pair.space, pair.space_hat
-    xt = m.geodesic_arr(q.x, xi.X, t)
-    xht = mh.geodesic_arr(q.x_hat, xi.X_hat, t)
-    fwd = det_transport_matrix(m, q.x, xi.X, t)
-    fwd_hat = det_transport_matrix(mh, q.x_hat, xi.X_hat, t)
+    xt, fwd, frame = _transport_in_frames(pair.space, q.x, q.frame, xi.X, t)
+    xht, fwd_hat, frame_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.frame_hat,
+                                                   xi.X_hat, t)
     a_new = fwd_hat @ q.isometry @ expm(t * xi.C) @ fwd.T
     # strip accumulated round-off before the isometry check; anything beyond
     # round-off scale indicates a genuine defect and must surface
     drift = np.linalg.norm(a_new.T @ a_new - np.eye(a_new.shape[0]))
     if drift > 1e-6:
         raise GeometryError(f"canonical curve left the isometry bundle by {drift:.3e}")
-    a_new = _nearest_rotation(a_new)
-    return pair.state(xt, xht, a_new)
+    qt = pair.state(xt, xht, _nearest_rotation(a_new))
+    qt._frame, qt._frame_hat = frame, frame_hat  # built above, the same frames
+    return qt
 
 
 def _nearest_rotation(a):
@@ -272,7 +272,7 @@ class RollingCurve:
         for m, pts in ((pair.space, self.x), (pair.space_hat, self.x_hat)):
             if pts.shape != (len(self.times), m.amb_dim):
                 raise GeometryError(f"expected {m.amb_dim} ambient coordinates per row")
-            err = np.where(np.isfinite(pts).all(axis=1), m.constraint_residuals(pts), math.inf)
+            err = np.where(np.isfinite(pts).all(axis=1), m.constraint_residual(pts), math.inf)
             if not err.max() <= POINT_TOL:
                 raise GeometryError(f"point violates the {m.kind} constraint by {err.max():.3e}")
         if self.A.shape != (len(self.times), n, n):
@@ -408,11 +408,8 @@ def _roll_rk4(q0, path, times, step):
         x_hat = y[:amb_hat]
         frame = y[amb_hat : amb_hat + n * amb].reshape(n, amb)
         frame_hat = y[amb_hat + n * amb :].reshape(n, amb_hat)
-        coeff = np.array([m.inner_at(x, v, frame[k]) for k in range(n)])
-        v_hat = frame_hat.T @ (a_par @ coeff)
-        d_frame = np.array([m.transport_rhs(x, v, frame[k]) for k in range(n)])
-        d_frame_hat = np.array([mh.transport_rhs(x_hat, v_hat, frame_hat[k]) for k in range(n)])
-        return pack(v_hat, d_frame, d_frame_hat)
+        v_hat = frame_hat.T @ (a_par @ m.inner_at(x, v, frame))
+        return pack(v_hat, m.transport_rhs(x, v, frame), mh.transport_rhs(x_hat, v_hat, frame_hat))
 
     ys = [pack(q0.x_hat, q0.frame, q0.frame_hat)]
     for a, b in zip(times[:-1], times[1:]):
@@ -420,7 +417,7 @@ def _roll_rk4(q0, path, times, step):
     ys = np.array(ys)
     frame = ys[:, amb_hat : amb_hat + n * amb].reshape(-1, n, amb)
     frame_hat = ys[:, amb_hat + n * amb :].reshape(-1, n, amb_hat)
-    x, x_hat = np.array([path.point(t) for t in times]), ys[:, :amb_hat]
+    x, x_hat = path.point(times), ys[:, :amb_hat]
     return x, x_hat, _redress(pair, x, x_hat, frame, np.swapaxes(frame_hat, 1, 2) @ a_par)
 
 
@@ -464,8 +461,8 @@ def _pull_back(q0: RollingState, xi: TangentOfQ, t, value, kind):
             _pull_back(q0, xi, t, value[0], "vector"),
             _pull_back(q0, xi, t, value[1], "vector_hat"),
         )
-    fwd = det_transport_matrix(m, q0.x, xi.X, t)
-    fwd_hat = det_transport_matrix(mh, q0.x_hat, xi.X_hat, t)
+    fwd = _transport_in_frames(m, q0.x, q0.frame, xi.X, t)[1]
+    fwd_hat = _transport_in_frames(mh, q0.x_hat, q0.frame_hat, xi.X_hat, t)[1]
     if kind == "map":
         return fwd_hat.T @ value @ fwd
     if kind == "endo":

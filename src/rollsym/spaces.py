@@ -7,6 +7,11 @@ spaces are represented extrinsically (ambient constraint plus projection),
 which gives closed forms for geodesics and parallel transport.  Warped
 products are intrinsic pairs (s, fiber point) and fall back to RK4 on the
 relevant ODEs.
+
+Every geometry method broadcasts over leading axes: points and vectors have
+shape (..., amb_dim), a frame (..., n, amb_dim), and the leading axes of all
+arguments broadcast against each other (a single point against a stack of
+vectors, say).  Per-point scalars come back with the leading shape.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 
 POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
+# a kept Gram-Schmidt vector cut below this share of its squared length is
+# orthogonalized once more (see SpaceForm.frame)
+FRAME_REORTH_SHARE = 1e-2
 DEFAULT_STEP = 1e-3
 # a span that exceeds a whole number of steps by no more than this relative
 # amount is round-off (b - a of two grid times), not a reason for another substep
@@ -37,7 +45,7 @@ class MismatchError(GeometryError):
 
 
 def _rk4(rhs, y0, t0, t1, steps):
-    """Classical fixed-step RK4 from t0 to t1 on a flat state vector."""
+    """Classical fixed-step RK4 from t0 to t1 on a state array."""
     y = np.array(y0, dtype=float)
     h = (t1 - t0) / steps
     t = t0
@@ -61,6 +69,27 @@ def _substeps(spans, step):
     return np.maximum(1, np.ceil(np.abs(spans) / step * (1 - SUBSTEP_SLACK))).astype(int)
 
 
+def _lib(a):
+    """math for a single number, NumPy for an array: Python's scalar
+    functions cost a fraction of NumPy's on one number."""
+    return np if np.ndim(a) else math
+
+
+def _col(a):
+    """Per-point numbers as a column against the ambient axis."""
+    return np.asarray(a)[..., None]
+
+
+def _stack(first, rest):
+    """Vectors (first, *rest) from per-point numbers and vectors, the leading
+    axes broadcast."""
+    rest = np.asarray(rest)
+    out = np.empty(np.broadcast(first, rest[..., 0]).shape + (rest.shape[-1] + 1,))
+    out[..., 0] = first
+    out[..., 1:] = rest
+    return out
+
+
 def integral(value, what):
     """A count read from input: 2 and 2.0 give 2, a non-integral number is
     an input error rather than being truncated."""
@@ -72,9 +101,11 @@ def integral(value, what):
 class SpaceForm:
     """Base class for the catalog manifolds.
 
-    Subclasses provide the ambient representation: inner products,
-    tangent projections, geodesics, parallel transport and the curvature
-    operator expressed in the deterministic orthonormal frame.
+    Every catalog metric is diagonal in the ambient coordinates, so the inner
+    product, the frames and the frame coordinates are written here once, in
+    terms of `metric_weights`.  Subclasses provide the constraint and
+    tangency residuals, tangent projection, geodesics, parallel transport, the
+    curvature operator in the deterministic frame, random_point and to_spec.
     """
 
     kind = "abstract"
@@ -93,14 +124,8 @@ class SpaceForm:
             raise GeometryError(f"point violates the {self.kind} constraint by {err:.3e}")
         return coords
 
-    def constraint_residual(self, x) -> float:
-        raise NotImplementedError
-
-    def constraint_residuals(self, xs):
-        """constraint_residual of every row of xs."""
-        raise NotImplementedError
-
-    def tangency_residual(self, x, v) -> float:
+    def constraint_residual(self, x):
+        """Violation of the manifold's constraint at each point (inf off its domain)."""
         raise NotImplementedError
 
     def closest_point(self, x):
@@ -109,8 +134,13 @@ class SpaceForm:
 
     # -- metric ------------------------------------------------------------
 
-    def inner_at(self, x, u, v) -> float:
+    def metric_weights(self, x):
+        """Diagonal of the metric in ambient coordinates at x:
+        inner_at(x, u, v) = sum(w * u * v) over the last axis."""
         raise NotImplementedError
+
+    def inner_at(self, x, u, v):
+        return np.vecdot(u * self.metric_weights(x), v)
 
     def project(self, x, w):
         """Orthogonal projection of an ambient vector onto the tangent space."""
@@ -168,9 +198,7 @@ class SpaceForm:
     def curvature_vector_apply(self, x, X, Y, Z):
         """R(X wedge Y)Z on ambient tangent vectors."""
         fr = self.frame(x)
-        a = self.frame_coords(x, fr, X)
-        b = self.frame_coords(x, fr, Y)
-        c = self.frame_coords(x, fr, Z)
+        a, b, c = self.frame_coords(x, fr, np.array([X, Y, Z], dtype=float))
         xi = np.outer(a, b) - np.outer(b, a)
         out = self.curvature_matrix_apply(x, xi) @ c
         return fr.T @ out
@@ -189,59 +217,87 @@ class SpaceForm:
 
     def frame(self, x):
         """Deterministic orthonormal frame at x: Gram-Schmidt on the projected
-        ambient coordinate basis, in coordinate order, skipping near-degenerate
-        vectors.  The result is orientation-normalized (last vector flipped if
-        necessary) so the frame field is coherently oriented across the
+        ambient coordinate basis, in coordinate order, skipping vectors whose
+        squared length after orthogonalization is at most FRAME_SKIP_TOL**2.
+        A kept vector that the subtraction cut below FRAME_REORTH_SHARE of its
+        squared length is projected and orthogonalized a second time, as in
+        `frames`: the cancellation left it tangent and orthogonal only to
+        round-off over its remaining length.  The result is
+        orientation-normalized (last vector flipped if necessary, see
+        _orientation_sign) so the frame field is coherently oriented across the
         manifold; otherwise the frame matrix of an orientation-preserving
         contact map could pick up a spurious sign between frame patches.
         Returns an (n, amb_dim) array of row vectors."""
-        rows = []
-        for k in range(self.amb_dim):
-            e = np.zeros(self.amb_dim)
-            e[k] = 1.0
-            v = self.project(x, e)
-            for r in rows:
-                v = v - self.inner_at(x, v, r) * r
-            nrm = self.inner_at(x, v, v)
+        w = self.metric_weights(x)  # one point, a hot path: p @ (w * q), not inner_at
+        rows = np.empty((self.dim, self.amb_dim))
+        k = 0
+        for p in self.project(x, np.eye(self.amb_dim)):
+            wp = w * p
+            v = p - (rows[:k] @ wp) @ rows[:k]
+            nrm = v @ (w * v)
             if nrm > FRAME_SKIP_TOL**2:
-                rows.append(v / math.sqrt(nrm))
-            if len(rows) == self.dim:
-                break
-        if len(rows) < self.dim:
+                if nrm < FRAME_REORTH_SHARE * (p @ wp):
+                    v = self.project(x, v)
+                    v = v - (rows[:k] @ (w * v)) @ rows[:k]
+                    nrm = v @ (w * v)
+                rows[k] = v / math.sqrt(nrm)
+                k += 1
+                if k == self.dim:
+                    break
+        if k < self.dim:
             raise GeometryError("could not complete an orthonormal frame at this point")
-        rows = np.array(rows)
         if self._orientation_sign(x, rows) < 0:
             rows[-1] = -rows[-1]
         return rows
 
+    def frames(self, xs):
+        """SpaceForm.frame at every row of xs, as an (N, n, amb_dim) array, by
+        the same Gram-Schmidt (coordinate order, skip threshold, orientation
+        rule) run on all rows at once.  Every kept vector is projected and
+        orthogonalized a second time ("twice is enough"), so the rows are the
+        same frames, orthonormal to round-off."""
+        xs = np.asarray(xs, dtype=float)
+        n = self.dim
+        rows = np.zeros((len(xs), n, self.amb_dim))
+        filled = np.zeros(len(xs), dtype=int)
+        basis = self.project(xs[:, None], np.eye(self.amb_dim))
+        for k in range(self.amb_dim):
+            if np.all(filled == n):
+                break
+            v = self._orthogonalize(xs, basis[:, k], rows[:, :k])
+            take = np.flatnonzero((self.inner_at(xs, v, v) > FRAME_SKIP_TOL**2) & (filled < n))
+            at = xs[take]
+            v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
+            rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
+            filled[take] += 1
+        if np.any(filled < n):
+            raise GeometryError("could not complete an orthonormal frame at this point")
+        rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
+        return rows
+
+    def _orthogonalize(self, xs, vs, rows):
+        """vs minus its components along rows (rows not yet filled are zero)."""
+        coeffs = self.inner_at(xs[:, None], vs[:, None], rows)
+        return vs - np.einsum("nk,nka->na", coeffs, rows)
+
     def _orientation_sign(self, x, rows):
-        """Sign of the frame against the ambient orientation, completed by the
-        unit normal when the manifold is a hypersurface of its coordinates."""
-        if self.amb_dim == self.dim:
-            return np.sign(np.linalg.det(rows))
-        return np.sign(np.linalg.det(np.vstack([rows, self._normal(x)])))
+        """Determinant of the frame rows against the ambient orientation,
+        completed by the normal when the manifold is a hypersurface of its
+        coordinates; only its sign is read."""
+        if self.amb_dim > self.dim:
+            rows = np.concatenate([rows, self._normal(x)[..., None, :]], axis=-2)
+        return np.linalg.det(rows)
 
     def _normal(self, x):
-        """Unit normal of the constraint hypersurface at x (ambient coordinates)."""
-        raise NotImplementedError
-
-    def frames(self, xs):
-        """The deterministic frame at every row of xs, as an (N, n, amb_dim) array."""
-        return np.array([self.frame(x) for x in xs])
-
-    def metric_weights(self, xs):
-        """Diagonal of the metric in ambient coordinates at every row of xs
-        (inner_at(x, u, v) = sum(w * u * v)); broadcasts against the rows."""
+        """Normal of the constraint hypersurface at x (ambient coordinates), up
+        to a positive factor."""
         raise NotImplementedError
 
     def frame_coords(self, x, fr, v):
-        """Coefficients of an ambient tangent vector in the frame rows."""
-        return np.array([self.inner_at(x, v, fr[i]) for i in range(self.dim)])
+        """Coefficients of ambient tangent vectors v in the frame rows fr."""
+        return self.inner_at(np.asarray(x)[..., None, :], np.asarray(v)[..., None, :], fr)
 
     # -- sampling ---------------------------------------------------------------
-
-    def random_point(self, rng) -> np.ndarray:
-        raise NotImplementedError
 
     def random_tangent(self, rng, x, unit=False):
         v = self.project(x, rng.standard_normal(self.amb_dim))
@@ -249,88 +305,84 @@ class SpaceForm:
             v = v / math.sqrt(self.inner_at(x, v, v))
         return v
 
-    # -- serialization ------------------------------------------------------------
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class ConstantCurvature(SpaceForm):
     """Euclidean space, spheres and hyperbolic spaces: the space forms.
 
     Their metric is the constant diagonal `signature` of the ambient
-    coordinates, and a point together with an orthonormal frame is one
-    element of SO(n+1), SO+(1,n) or SE(n): the (n+1) x (n+1) matrix whose rows
-    are the frame vectors and the point, with a homogeneous coordinate
-    appended on R^n (0 for vectors, 1 for the point).  Parallel transport
-    and rolling move that element by exponentials of the generators below.
-    The methods here act on stacks of points, one per row.
+    coordinates, and a point x of a curved form satisfies <x, x> = 1/K for its
+    curvature K; every closed form below follows from these two facts.  A
+    point together with an orthonormal frame is one element of SO(n+1),
+    SO+(1,n) or SE(n): the (n+1) x (n+1) matrix whose rows are the frame
+    vectors and the point, with a homogeneous coordinate appended on R^n (0
+    for vectors, 1 for the point).  Parallel transport and rolling move that
+    element by exponentials of the generators below.
     """
 
     signature: np.ndarray
     curvature_constant: float
 
-    def metric_weights(self, xs):
+    def metric_weights(self, x):
         return self.signature
 
-    def project_rows(self, xs, ws):
-        """Tangential part of each row of ws at the matching row of xs."""
-        return ws - (self.curvature_constant * self._inner_rows(xs, ws))[..., None] * xs
+    def tangency_residual(self, x, v):
+        return np.abs(self.inner_at(x, x, v)) * math.sqrt(abs(self.curvature_constant))
 
-    def frames(self, xs):
-        """SpaceForm.frame at every row of xs, by the same Gram-Schmidt (coordinate
-        order, skip threshold, orientation rule) run on all rows at once.
+    def project(self, x, w):
+        return w - _col(self.curvature_constant * self.inner_at(x, x, w)) * x
 
-        Where a projected coordinate vector is nearly spanned by the rows before
-        it, the subtraction cancels most of it and leaves a row that is
-        orthonormal only to u / (its length before normalizing), u the unit
-        round-off.  Each kept vector is therefore projected and orthogonalized
-        a second time ("twice is enough"): the rows are the same frame,
-        orthonormal to round-off."""
-        xs = np.asarray(xs, dtype=float)
-        n = self.dim
-        rows = np.zeros((len(xs), n, self.amb_dim))
-        filled = np.zeros(len(xs), dtype=int)
-        for k in range(self.amb_dim):
-            if np.all(filled == n):
-                break
-            e = np.zeros(self.amb_dim)
-            e[k] = 1.0
-            v = self._orthogonalize(xs, self.project_rows(xs, e), rows[:, :k])
-            nrm = self._inner_rows(v, v)
-            take = np.flatnonzero((nrm > FRAME_SKIP_TOL**2) & (filled < n))
-            v = self._orthogonalize(xs[take], self.project_rows(xs[take], v[take]), rows[take, :k])
-            rows[take, filled[take]] = v / np.sqrt(self._inner_rows(v, v))[:, None]
-            filled[take] += 1
-        if np.any(filled < n):
-            raise GeometryError("could not complete an orthonormal frame at this point")
-        if self.amb_dim == self.dim:
-            sign = np.linalg.det(rows)
-        else:
-            sign = np.linalg.det(np.concatenate([rows, self._normal(xs)[:, None]], axis=1))
-        rows[sign < 0, -1] *= -1.0
-        return rows
+    def transport_rhs(self, x, xdot, v):
+        return _col(-self.curvature_constant * self.inner_at(x, v, xdot)) * x
 
-    def _inner_rows(self, us, vs):
-        return np.einsum("...a,...a->...", us * self.signature, vs)
+    def _normal(self, x):
+        return x
 
-    def _orthogonalize(self, xs, vs, rows):
-        """vs minus its components along rows (rows not yet filled are zero)."""
-        for j in range(rows.shape[1]):
-            vs = vs - self._inner_rows(vs, rows[:, j])[:, None] * rows[:, j]
-        return vs
+    def geodesic_flow(self, x, v, t):
+        """x cos(wt) + v sin(wt)/w and its velocity, w = |v| sqrt|K| (cosh and
+        sinh where K < 0; x + t v where w = 0).  t may be an array of times,
+        which broadcasts against the leading axes of x and v."""
+        _, c, s_over, s_times = self._geodesic_factors(x, v, t)
+        return c * x + s_over * v, s_times * x + c * v
 
-    def geodesic_rows(self, x, v, ts):
-        """(points, velocities) of the geodesic with initial data (x, v) at every
-        time in ts, one row each: the closed forms of geodesic_flow."""
-        ts = np.asarray(ts, dtype=float)[:, None]
+    def _geodesic_factors(self, x, v, t):
+        """<v, v> and the factors cos(wt), sin(wt)/w, -sign(K) w sin(wt) of the
+        geodesic flow, the last three as columns for arrays."""
         k = self.curvature_constant
-        omega = math.sqrt(abs(k) * max(float(np.sum(self.signature * v * v)), 0.0))
-        if omega == 0.0:
-            return x + ts * v, np.tile(v, (len(ts), 1))
-        c, s = (np.cos(omega * ts), np.sin(omega * ts)) if k > 0 else (
-            np.cosh(omega * ts), np.sinh(omega * ts))
-        return c * x + (s / omega) * v, -math.copysign(omega, k) * s * x + c * v
+        vv = self.inner_at(x, v, v)
+        omega = np.sqrt(abs(k) * np.maximum(vv, 0.0))
+        theta = omega * t
+        lib = _lib(theta)
+        c, s = (lib.cos(theta), lib.sin(theta)) if k > 0 else (lib.cosh(theta), lib.sinh(theta))
+        s_times = -math.copysign(1.0, k) * (omega * s)
+        if lib is math:
+            return vv, c, (s / omega if omega else t), s_times
+        moving = omega > 0
+        s_over = np.where(moving, s, t) / np.where(moving, omega, 1.0)
+        return vv, _col(c), _col(s_over), _col(s_times)
+
+    def transport_along_geodesic(self, x, v, t, w):
+        """The component of w along v turns with the velocity, the rest stays."""
+        vv, c, _, s_times = self._geodesic_factors(x, v, t)
+        # <w, v> = 0 where v = 0, so the floor only keeps 0/0 out
+        along = self.inner_at(x, w, v) / np.maximum(vv, 1e-300)
+        return w + _col(along) * (s_times * x + (c - 1.0) * v)
+
+    def log_arr(self, x, y):
+        """Initial velocity of the geodesic from x reaching y at time 1."""
+        k = self.curvature_constant
+        if k == 0:
+            return y - x
+        c = k * self.inner_at(x, x, y)  # cos (cosh) of the distance times sqrt|K|
+        angle = np.arccos(np.clip(c, -1.0, 1.0)) if k > 0 else np.arccosh(np.maximum(c, 1.0))
+        u = y - _col(c) * x
+        nu = np.sqrt(np.maximum(self.inner_at(x, u, u), 0.0))
+        if np.any((nu < 1e-14) & (angle > 1.0)):
+            raise GeometryError("log map is singular at antipodal points")
+        scale = np.where(nu < 1e-14, 0.0, angle / math.sqrt(abs(k)) / np.maximum(nu, 1e-300))
+        return _col(scale) * u
+
+    def curvature_matrix_apply(self, x, xi):
+        return self.curvature_constant * np.asarray(xi)
 
     def _homogeneous(self, rows, last):
         if self.amb_dim > self.dim:
@@ -377,37 +429,10 @@ class Euclidean(ConstantCurvature):
         self.signature = np.ones(dim)
 
     def constraint_residual(self, x):
-        return 0.0
-
-    def constraint_residuals(self, xs):
-        return np.zeros(len(xs))
-
-    def tangency_residual(self, x, v):
-        return 0.0
+        return np.zeros(np.shape(x)[:-1])[()]
 
     def closest_point(self, x):
         return np.array(x, dtype=float)
-
-    def inner_at(self, x, u, v):
-        return float(np.dot(u, v))
-
-    def project(self, x, w):
-        return np.array(w, dtype=float)
-
-    def geodesic_flow(self, x, v, t):
-        return x + t * v, np.array(v, dtype=float)
-
-    def transport_rhs(self, x, xdot, v):
-        return np.zeros_like(v)
-
-    def transport_along_geodesic(self, x, v, t, w):
-        return np.array(w, dtype=float)
-
-    def log_arr(self, x, y):
-        return y - x
-
-    def curvature_matrix_apply(self, x, xi):
-        return np.zeros_like(xi)
 
     def random_point(self, rng):
         return rng.standard_normal(self.amb_dim)
@@ -431,66 +456,10 @@ class Sphere(ConstantCurvature):
         self.signature = np.ones(self.amb_dim)
 
     def constraint_residual(self, x):
-        return abs(np.linalg.norm(x) - self.radius)
-
-    def constraint_residuals(self, xs):
-        return np.abs(np.linalg.norm(xs, axis=-1) - self.radius)
-
-    def tangency_residual(self, x, v):
-        return abs(np.dot(x, v)) / self.radius
+        return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
 
     def closest_point(self, x):
         return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
-
-    def inner_at(self, x, u, v):
-        return float(np.dot(u, v))
-
-    def project(self, x, w):
-        return w - (np.dot(x, w) / self.radius**2) * x
-
-    def geodesic_flow(self, x, v, t):
-        r = self.radius
-        speed = np.linalg.norm(v)
-        if speed * abs(t) < 1e-300:
-            return np.array(x, dtype=float), np.array(v, dtype=float)
-        u = v / speed
-        ang = speed * t / r
-        xt = math.cos(ang) * x + r * math.sin(ang) * u
-        vt = -speed * math.sin(ang) * x / r + math.cos(ang) * v
-        return xt, vt
-
-    def transport_rhs(self, x, xdot, v):
-        return -(np.dot(v, xdot) / self.radius**2) * x
-
-    def transport_along_geodesic(self, x, v, t, w):
-        r = self.radius
-        speed = np.linalg.norm(v)
-        if speed * abs(t) < 1e-300:
-            return np.array(w, dtype=float)
-        u = v / speed
-        ang = speed * t / r
-        c = np.dot(w, u)
-        w_perp = w - c * u
-        u_t = math.cos(ang) * u - math.sin(ang) * x / r
-        return w_perp + c * u_t
-
-    def log_arr(self, x, y):
-        r = self.radius
-        cosang = np.clip(np.dot(x, y) / r**2, -1.0, 1.0)
-        ang = math.acos(cosang)
-        u = y - cosang * x
-        nu = np.linalg.norm(u)
-        if nu < 1e-14:
-            if ang > 1.0:
-                raise GeometryError("log map is singular at antipodal points")
-            return np.zeros(self.amb_dim)
-        return (r * ang) * u / nu
-
-    def curvature_matrix_apply(self, x, xi):
-        return self.curvature_constant * xi
-
-    def _normal(self, x):
-        return x / self.radius
 
     def random_point(self, rng):
         v = rng.standard_normal(self.amb_dim)
@@ -517,75 +486,14 @@ class Hyperbolic(ConstantCurvature):
         self.signature = np.ones(self.amb_dim)
         self.signature[0] = -1.0
 
-    @staticmethod
-    def minkowski(u, v):
-        return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
-
     def constraint_residual(self, x):
-        res = abs(self.minkowski(x, x) + self.radius**2)
-        if x[0] <= 0:
-            return math.inf
-        return res
-
-    def constraint_residuals(self, xs):
-        res = np.abs(np.sum(self.signature * xs * xs, axis=-1) + self.radius**2)
-        return np.where(xs[:, 0] > 0, res, math.inf)
-
-    def tangency_residual(self, x, v):
-        return abs(self.minkowski(x, v)) / self.radius
+        res = np.abs(self.inner_at(x, x, x) + self.radius**2)
+        return np.where(np.asarray(x)[..., 0] > 0, res, math.inf)[()]
 
     def closest_point(self, x):
         x = np.array(x, dtype=float)
         x[..., 0] = np.sqrt(self.radius**2 + np.sum(x[..., 1:] ** 2, axis=-1))
         return x
-
-    def inner_at(self, x, u, v):
-        return self.minkowski(u, v)
-
-    def project(self, x, w):
-        return w + (self.minkowski(x, w) / self.radius**2) * x
-
-    def geodesic_flow(self, x, v, t):
-        r = self.radius
-        speed = math.sqrt(max(self.minkowski(v, v), 0.0))
-        if speed * abs(t) < 1e-300:
-            return np.array(x, dtype=float), np.array(v, dtype=float)
-        u = v / speed
-        ang = speed * t / r
-        xt = math.cosh(ang) * x + r * math.sinh(ang) * u
-        vt = speed * math.sinh(ang) * x / r + math.cosh(ang) * v
-        return xt, vt
-
-    def transport_rhs(self, x, xdot, v):
-        return (self.minkowski(v, xdot) / self.radius**2) * x
-
-    def transport_along_geodesic(self, x, v, t, w):
-        r = self.radius
-        speed = math.sqrt(max(self.minkowski(v, v), 0.0))
-        if speed * abs(t) < 1e-300:
-            return np.array(w, dtype=float)
-        u = v / speed
-        ang = speed * t / r
-        c = self.minkowski(w, u)
-        w_perp = w - c * u
-        u_t = math.cosh(ang) * u + math.sinh(ang) * x / r
-        return w_perp + c * u_t
-
-    def log_arr(self, x, y):
-        r = self.radius
-        coshang = max(-self.minkowski(x, y) / r**2, 1.0)
-        ang = math.acosh(coshang)
-        u = y - coshang * x
-        nu = math.sqrt(max(self.minkowski(u, u), 0.0))
-        if nu < 1e-14:
-            return np.zeros(self.amb_dim)
-        return (r * ang) * u / nu
-
-    def curvature_matrix_apply(self, x, xi):
-        return self.curvature_constant * xi
-
-    def _normal(self, x):
-        return x / self.radius
 
     def random_point(self, rng):
         spatial = rng.standard_normal(self.dim)
@@ -606,6 +514,8 @@ class WarpFunction:
     cosh:   a cosh(omega s) + b sinh(omega s), k_ref = -omega^2
     exp:    a exp(omega s),                    k_ref = -omega^2
     affine: a + b s,                           k_ref = 0
+
+    Values and derivatives take one s or an array of them.
     """
 
     name: str
@@ -626,24 +536,24 @@ class WarpFunction:
         return 0.0
 
     def value(self, s):
-        w = self.omega
+        w, lib = self.omega, _lib(s)
         if self.name == "cos":
-            return self.a * math.cos(w * s) + self.b * math.sin(w * s)
+            return self.a * lib.cos(w * s) + self.b * lib.sin(w * s)
         if self.name == "cosh":
-            return self.a * math.cosh(w * s) + self.b * math.sinh(w * s)
+            return self.a * lib.cosh(w * s) + self.b * lib.sinh(w * s)
         if self.name == "exp":
-            return self.a * math.exp(w * s)
+            return self.a * lib.exp(w * s)
         return self.a + self.b * s
 
     def derivative(self, s):
-        w = self.omega
+        w, lib = self.omega, _lib(s)
         if self.name == "cos":
-            return w * (-self.a * math.sin(w * s) + self.b * math.cos(w * s))
+            return w * (-self.a * lib.sin(w * s) + self.b * lib.cos(w * s))
         if self.name == "cosh":
-            return w * (self.a * math.sinh(w * s) + self.b * math.cosh(w * s))
+            return w * (self.a * lib.sinh(w * s) + self.b * lib.cosh(w * s))
         if self.name == "exp":
-            return w * self.a * math.exp(w * s)
-        return self.b
+            return w * self.a * lib.exp(w * s)
+        return self.b + 0.0 * s
 
     def second_derivative(self, s):
         return -self.k_ref * self.value(s)
@@ -670,88 +580,77 @@ class Warped(SpaceForm):
         self.fiber = fiber
         self.dim = fiber.dim + 1
         self.amb_dim = fiber.amb_dim + 1
-        for s in np.linspace(*self.interval, 17):
-            if abs(warp.second_derivative(s) + warp.k_ref * warp.value(s)) > 1e-10:
-                raise GeometryError("warp function does not satisfy f'' = -k_ref f")
-            if warp.value(s) <= 0:
-                raise GeometryError("warp function must be positive on the interval")
+        s = np.linspace(*self.interval, 17)
+        if np.any(np.abs(warp.second_derivative(s) + warp.k_ref * warp.value(s)) > 1e-10):
+            raise GeometryError("warp function does not satisfy f'' = -k_ref f")
+        if np.any(warp.value(s) <= 0):
+            raise GeometryError("warp function must be positive on the interval")
 
-    def split(self, x):
-        return float(x[0]), np.asarray(x[1:], dtype=float)
+    def _inside(self, s):
+        return (self.interval[0] <= s) & (s <= self.interval[1])
 
     def constraint_residual(self, x):
-        s, y = self.split(x)
-        if not (self.interval[0] <= s <= self.interval[1]):
-            return math.inf
-        return self.fiber.constraint_residual(y)
-
-    def constraint_residuals(self, xs):
-        s = xs[:, 0]
-        inside = (self.interval[0] <= s) & (s <= self.interval[1])
-        return np.where(inside, self.fiber.constraint_residuals(xs[:, 1:]), math.inf)
+        x = np.asarray(x)
+        return np.where(self._inside(x[..., 0]), self.fiber.constraint_residual(x[..., 1:]),
+                        math.inf)[()]
 
     def tangency_residual(self, x, v):
-        _, y = self.split(x)
-        return self.fiber.tangency_residual(y, np.asarray(v[1:], dtype=float))
+        return self.fiber.tangency_residual(np.asarray(x)[..., 1:], np.asarray(v)[..., 1:])
 
     def closest_point(self, x):
-        s, y = self.split(x)
-        s = min(max(s, self.interval[0]), self.interval[1])
-        return np.concatenate(([s], self.fiber.closest_point(y)))
+        x = np.asarray(x, dtype=float)
+        s = np.minimum(np.maximum(x[..., 0], self.interval[0]), self.interval[1])
+        return _stack(s, self.fiber.closest_point(x[..., 1:]))
 
     def _check_s(self, s):
-        if not (self.interval[0] <= s <= self.interval[1]):
-            raise DomainError(f"radial coordinate {s:.6g} left the interval {self.interval}")
+        s = np.asarray(s)
+        inside = self._inside(s)
+        if not inside.all():
+            raise DomainError(f"radial coordinate {s[~inside].flat[0]:.6g} left the interval "
+                              f"{self.interval}")
 
-    def inner_at(self, x, u, v):
-        s, y = self.split(x)
-        f = self.warp.value(s)
-        return float(u[0] * v[0]) + f * f * self.fiber.inner_at(y, u[1:], v[1:])
-
-    def metric_weights(self, xs):
-        f2 = np.array([self.warp.value(s) ** 2 for s in xs[:, 0]])[:, None]
-        return np.hstack([np.ones_like(f2), f2 * self.fiber.metric_weights(xs[:, 1:])])
+    def metric_weights(self, x):
+        x = np.asarray(x)
+        f = self.warp.value(x[..., 0])
+        return _stack(1.0, _col(f * f) * self.fiber.metric_weights(x[..., 1:]))
 
     def _normal(self, x):
-        return np.concatenate(([0.0], self.fiber._normal(x[1:])))
+        return _stack(0.0, self.fiber._normal(np.asarray(x)[..., 1:]))
 
     def project(self, x, w):
-        _, y = self.split(x)
-        return np.concatenate(([w[0]], self.fiber.project(y, w[1:])))
+        w = np.asarray(w, dtype=float)
+        return _stack(w[..., 0], self.fiber.project(np.asarray(x)[..., 1:], w[..., 1:]))
 
     def transport_rhs(self, x, xdot, v):
-        s, y = self.split(x)
-        f = self.warp.value(s)
-        fp = self.warp.derivative(s)
-        sdot, ydot = xdot[0], xdot[1:]
-        a, vf = v[0], v[1:]
-        da = f * fp * self.fiber.inner_at(y, ydot, vf)
-        dvf = self.fiber.transport_rhs(y, ydot, vf) - (fp / f) * (sdot * vf + a * ydot)
-        return np.concatenate(([da], dvf))
+        s, y = x[..., 0], x[..., 1:]
+        f, fp = self.warp.value(s), self.warp.derivative(s)
+        ydot, vf = xdot[..., 1:], v[..., 1:]
+        da = _col(f * fp * self.fiber.inner_at(y, ydot, vf))
+        dvf = self.fiber.transport_rhs(y, ydot, vf) - _col(fp / f) * (
+            xdot[..., :1] * vf + v[..., :1] * ydot)
+        return np.concatenate((da, dvf), axis=-1)  # both have every argument's leading axes
+
+    def _geodesic_rk4(self, t, step, x, v, *ws):
+        """RK4 from time 0 to t of the geodesic with initial data (x, v) and of
+        the vectors ws transported along it; returns the state stacked on the
+        second-to-last axis: point, velocity, then the transported vectors."""
+
+        def rhs(_, y):
+            xc, vc = y[..., :1, :], y[..., 1:2, :]
+            self._check_s(xc[..., 0, 0])
+            return np.concatenate((vc, self.transport_rhs(xc, vc, y[..., 1:, :])), axis=-2)
+
+        y0 = np.stack(np.broadcast_arrays(x, v, *ws), axis=-2)
+        out = _rk4(rhs, y0, 0.0, t, _steps_for(t, step))
+        self._check_s(out[..., 0, 0])
+        return out
 
     def geodesic_flow(self, x, v, t, step=DEFAULT_STEP):
-        def rhs(_, state):
-            xc, vc = state[: self.amb_dim], state[self.amb_dim :]
-            self._check_s(xc[0])
-            return np.concatenate((vc, self.transport_rhs(xc, vc, vc)))
-
-        out = _rk4(rhs, np.concatenate((x, v)), 0.0, t, _steps_for(t, step))
-        xt, vt = out[: self.amb_dim], out[self.amb_dim :]
-        self._check_s(xt[0])
-        return xt, vt
+        out = self._geodesic_rk4(t, step, x, v)
+        return out[..., 0, :], out[..., 1, :]
 
     def transport_along_geodesic(self, x, v, t, w, step=DEFAULT_STEP):
-        def rhs(_, state):
-            xc = state[: self.amb_dim]
-            vc = state[self.amb_dim : 2 * self.amb_dim]
-            wc = state[2 * self.amb_dim :]
-            self._check_s(xc[0])
-            return np.concatenate(
-                (vc, self.transport_rhs(xc, vc, vc), self.transport_rhs(xc, vc, wc))
-            )
-
-        out = _rk4(rhs, np.concatenate((x, v, w)), 0.0, t, _steps_for(t, step))
-        return out[2 * self.amb_dim :]
+        return self._geodesic_rk4(t, step, x, v, w)[..., 2, :]
 
     def radial_curvature(self, s):
         return -self.warp.second_derivative(s) / self.warp.value(s)
@@ -765,13 +664,12 @@ class Warped(SpaceForm):
     def curvature_matrix_apply(self, x, xi):
         # Frame index 0 is the radial direction, so plane (0, j) is radial
         # and planes (i, j) with i, j >= 1 lie in the fiber.
-        s, _ = self.split(x)
-        sig_rad = self.radial_curvature(s)
-        sig_fib = self.fiber_plane_curvature(s)
-        out = sig_fib * np.array(xi)
-        out[0, :] = sig_rad * xi[0, :]
-        out[:, 0] = sig_rad * xi[:, 0]
-        return out
+        s = np.asarray(x)[..., 0]
+        first = np.arange(self.dim) == 0
+        radial = first[:, None] | first[None, :]
+        sigma = np.where(radial, _col(_col(self.radial_curvature(s))),
+                         _col(_col(self.fiber_plane_curvature(s))))
+        return sigma * np.asarray(xi)
 
     def random_point(self, rng, margin=0.15):
         lo, hi = self.interval
@@ -822,9 +720,6 @@ class GeodesicPath:
         self.t_max = float(t_max)
         self._cache = None
 
-    def _closed_form(self):
-        return isinstance(self.manifold, ConstantCurvature)
-
     def _ensure_cache(self):
         if self._cache is None:
             from scipy.interpolate import CubicSpline
@@ -838,20 +733,15 @@ class GeodesicPath:
             self._cache = (CubicSpline(ts, np.array(xs), axis=0),
                            CubicSpline(ts, np.array(vs), axis=0))
 
-    def _flow(self, t):
-        if np.ndim(t):
-            return self.manifold.geodesic_rows(self.x0, self.v0, t)
-        return self.manifold.geodesic_flow(self.x0, self.v0, t)
-
     def point(self, t):
-        if self._closed_form():
-            return self._flow(t)[0]
+        if isinstance(self.manifold, ConstantCurvature):
+            return self.manifold.geodesic_arr(self.x0, self.v0, t)
         self._ensure_cache()
         return self.manifold.closest_point(self._cache[0](t))
 
     def velocity(self, t):
-        if self._closed_form():
-            return self._flow(t)[1]
+        if isinstance(self.manifold, ConstantCurvature):
+            return self.manifold.geodesic_flow(self.x0, self.v0, t)[1]
         self._ensure_cache()
         return self.manifold.project(self.point(t), self._cache[1](t))
 
@@ -866,8 +756,8 @@ class GeodesicPath:
 class SampledPath:
     """Driving path given by dense samples; velocities come from a cubic
     spline through the ambient coordinates, projected to the tangent space.
-    On a constant-curvature manifold, point and velocity also take an array
-    of times and return one row per time."""
+    Point and velocity also take an array of times and return one row per
+    time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
         from scipy.interpolate import CubicSpline
@@ -877,9 +767,8 @@ class SampledPath:
         if np.any(np.diff(self.times) <= 0):
             raise GeometryError("path time grid must be strictly increasing")
         pts = np.asarray(points, dtype=float)
-        for p in pts:
-            if manifold.constraint_residual(p) > 1e-8:
-                raise GeometryError("path sample lies off the manifold")
+        if np.any(manifold.constraint_residual(pts) > 1e-8):
+            raise GeometryError("path sample lies off the manifold")
         self._spline = CubicSpline(self.times, pts, axis=0)
         self._deriv = self._spline.derivative()
 
@@ -891,10 +780,7 @@ class SampledPath:
         return self.manifold.closest_point(self._spline(t))
 
     def velocity(self, t):
-        x = self.point(t)
-        if np.ndim(t):
-            return self.manifold.project_rows(x, self._deriv(t))
-        return self.manifold.project(x, self._deriv(t))
+        return self.manifold.project(self.point(t), self._deriv(t))
 
     def sample_times(self, step):
         return self.times

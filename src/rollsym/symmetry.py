@@ -77,16 +77,10 @@ class KillingField:
     def nabla_matrix(self, x):
         """Matrix of the covariant differential in the deterministic frame."""
         m = self.manifold
-        fr = m.frame(x)
-        n = m.dim
         if self.generator is None:
-            return np.zeros((n, n))
-        out = np.empty((n, n))
-        for b in range(n):
-            col = m.project(x, self.generator @ fr[b])
-            for a in range(n):
-                out[a, b] = m.inner_at(x, col, fr[a])
-        return out
+            return np.zeros((m.dim, m.dim))
+        fr = m.frame(x)
+        return m.inner_at(x, fr[:, None], m.project(x, fr @ self.generator.T))
 
 
 def killing_catalog(manifold: SpaceForm):
@@ -146,9 +140,7 @@ def killing_ode_residual(field: KillingField, x, v, h=1e-4, order=4):
         return p.T @ mat @ p
 
     d = central_diff(sample, h, order)
-    fr = m.frame(x)
-    a = m.frame_coords(x, fr, v)
-    b = m.frame_coords(x, fr, field.value(x))
+    a, b = m.frame_coords(x, m.frame(x), np.array([v, field.value(x)]))
     expected = m.curvature_matrix_apply(x, wedge_matrix(a, b))
     return float(np.linalg.norm(d - expected))
 
@@ -286,16 +278,9 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
     """Largest rolling-curvature norm over frame planes through Z(q):
     max_i || Rol_q(E_i ^ Z) ||.  Zero certifies the inner-symmetry
     hypothesis at q."""
-    n = q.pair.dim
-    z = Z(q) if callable(Z) else np.asarray(Z, float)
-    zc = q.coords(z)
-    worst = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        mat = rolling_curvature(q, wedge_matrix(e, zc))
-        worst = max(worst, float(np.linalg.norm(mat)))
-    return worst
+    zc = q.coords(Z(q) if callable(Z) else np.asarray(Z, float))
+    return max(float(np.linalg.norm(rolling_curvature(q, wedge_matrix(e, zc))))
+               for e in np.eye(q.pair.dim))
 
 
 def vertical_compatibility_residual(cand: SymmetryCandidate, q: RollingState, X, Y,
@@ -353,23 +338,18 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     fr1_hat = q1.frame_hat
 
     def par_frame(t):
-        return np.array(
-            [mh.transport_along_geodesic(q1.x_hat, v_hat, t, fr1_hat[k]) for k in range(n)]
-        )
+        return mh.transport_along_geodesic(q1.x_hat, v_hat, t, fr1_hat)
 
     def jacobi_rhs(t, y):
         eta, deta = y[:n], y[n:]
         xt, vt = mh.geodesic_flow(q1.x_hat, v_hat, t)
         frt = par_frame(t)
-        y_amb = frt.T @ eta
         frame_det = mh.frame(xt)
-        a = mh.frame_coords(xt, frame_det, vt)
-        b = mh.frame_coords(xt, frame_det, y_amb)
+        a, b = mh.frame_coords(xt, frame_det, np.array([vt, frt.T @ eta]))
         r_apply = frame_det.T @ (mh.curvature_matrix_apply(xt, wedge_matrix(a, b)) @ a)
-        dd = np.array([mh.inner_at(xt, r_apply, frt[k]) for k in range(n)])
-        return np.concatenate((deta, dd))
+        return np.concatenate((deta, mh.inner_at(xt, r_apply, frt)))
 
-    eta0 = np.array([mh.inner_at(q1.x_hat, np.asarray(Z_hat_0, float), fr1_hat[k]) for k in range(n)])
+    eta0 = mh.inner_at(q1.x_hat, np.asarray(Z_hat_0, float), fr1_hat)
     deta0 = np.asarray(U_bar_0, float) @ q1.coords(X)
 
     etas = [np.concatenate((eta0, deta0))]
@@ -385,9 +365,7 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
         y_amb = frt.T @ y[:n]
         z_hats.append(y_amb)
         xt, vt = mh.geodesic_flow(q1.x_hat, v_hat, t)
-        frame_det = mh.frame(xt)
-        a = mh.frame_coords(xt, frame_det, vt)
-        b = mh.frame_coords(xt, frame_det, y_amb)
+        a, b = mh.frame_coords(xt, mh.frame(xt), np.array([vt, y_amb]))
         r_mat = mh.curvature_matrix_apply(xt, wedge_matrix(a, b))
         p_hat = det_transport_matrix(mh, q1.x_hat, v_hat, t)
         p_hats.append(p_hat)

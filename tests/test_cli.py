@@ -441,6 +441,34 @@ def test_simulate_rejects_a_step_that_is_not_finite_and_positive(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-250"])
+def test_simulate_rejects_a_grid_too_large_to_hold(tmp_path, capsys, step):
+    # such grids cannot be allocated (and one of a few million rows would take
+    # gigabytes): the step is an input error, found before any grid is built
+    cfg = write_config(tmp_path, SPHERE_PLANE)
+    out = tmp_path / "traj.csv"
+    assert main([
+        "--config", cfg, "simulate",
+        "--path-spec", json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                   "length": 0.5}),
+        f"--step={step}", "--out", str(out),
+    ]) == 2
+    assert "grid intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_audit_rejects_a_sample_count_below_one(tmp_path, capsys, samples):
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+        f"--samples={samples}", "--out", str(out),
+    ]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path", [
     {"direction": [1.0, 0.0, 0.0]},  # one entry too many for the plane
     {"direction": [float("nan"), 1.0]},
@@ -544,12 +572,14 @@ def _corrupt_manifold(draw, config):
 @st.composite
 def malformed_invocations(draw):
     """(subcommand, config, global flags, subcommand flags), malformed at least once."""
-    command = draw(st.sampled_from(["killing", "rol", "simulate"]))
+    command = draw(st.sampled_from(["killing", "rol", "simulate", "symmetry-check"]))
     choices = ["not_object", "manifold", "tolerances", "seed", "output", "--seed", "--tol"]
-    if command != "killing":
+    if command in ("rol", "simulate"):
         choices += ["initial_state"]
     if command == "simulate":
         choices += ["--step", "--path-spec"]
+    if command == "symmetry-check":
+        choices += ["--samples"]
     picked = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=2, unique=True))
     config = copy.deepcopy(SPHERES_1_3)
     global_flags, sub_flags = [], []
@@ -573,8 +603,10 @@ def malformed_invocations(draw):
             tol = draw(st.sampled_from(["nan", "inf", "-inf", "0", "-1e-6", "abc"]))
             global_flags.append(f"--tol={tol}")
         elif what == "--step":
-            step = draw(st.sampled_from(["0", "-0.01", "nan", "inf", "-inf", "abc"]))
+            step = draw(st.sampled_from(["0", "-0.01", "nan", "inf", "-inf", "abc", "1e-300"]))
             sub_flags.append(f"--step={step}")
+        elif what == "--samples":
+            sub_flags.append(f"--samples={draw(st.sampled_from(['0', '-1', '-3', 'abc', '1.5']))}")
         elif what == "--path-spec":
             path_spec = draw(st.sampled_from(BAD_PATHS))
     if "not_object" in picked:
@@ -582,6 +614,8 @@ def malformed_invocations(draw):
                                 st.text(max_size=5), st.none(), st.booleans()))
     if command == "simulate":
         sub_flags += ["--path-spec", path_spec, "--format", "csv"]
+    if command == "symmetry-check":
+        sub_flags += ["--candidate", json.dumps({"kind": "catalog"})]
     return command, config, global_flags, sub_flags
 
 

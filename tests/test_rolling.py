@@ -265,7 +265,7 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     path = GeodesicPath(pair.space, q0.x, v, length)
     curve = roll_along(q0, path, step=step)
     for m, pts in ((pair.space, curve.x), (pair.space_hat, curve.x_hat)):
-        assert m.constraint_residuals(pts).max() <= POINT_TOL
+        assert m.constraint_residual(pts).max() <= POINT_TOL
     assert curve.residuals.max() < 1e-11
     assert np.all(np.linalg.det(curve.A) > 0)
     end, exact = curve.final_state(), roll_geodesic(q0, v, length)

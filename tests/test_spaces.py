@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rollsym import (
     DomainError,
@@ -345,6 +346,21 @@ def test_array_frames_equal_the_pointwise_frames(m):
         assert np.abs(fr - m.frame(x)).max() < 1e-12
 
 
+def test_pointwise_frames_near_a_coordinate_plane_are_orthonormal():
+    # with |x_2| <= 1e-4 r the projected e_0 and e_1 are nearly parallel, so
+    # the second row is what is left after a cancellation to about 1e-4 of its
+    # length; one Gram-Schmidt pass left it orthonormal only to about 1e-8
+    m = Sphere(2, 3.0)
+    rng = np.random.default_rng(11)
+    count = 20000
+    height = m.radius * rng.uniform(-1e-4, 1e-4, count)
+    angle = rng.uniform(0.0, 2 * math.pi, count)
+    rho = np.sqrt(m.radius**2 - height**2)
+    xs = np.column_stack((rho * np.cos(angle), rho * np.sin(angle), height))
+    worst = max(np.linalg.norm(fr @ fr.T - np.eye(2)) for fr in map(m.frame, xs))
+    assert worst < 1e-13
+
+
 @pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
 def test_warped_frames_are_coherently_oriented(fiber):
     # along a fine sample of a geodesic, consecutive frames differ by a small
@@ -422,3 +438,97 @@ def test_curvature_operator_agrees_with_sectional():
         X, Y = fr[0], fr[1]
         num = m.inner_at(x, m.curvature_vector_apply(x, X, Y, Y), X)
         assert num == pytest.approx(m.sectional_curvature(x, X, Y), abs=1e-9)
+
+
+# -- the broadcasting API -------------------------------------------------------------
+
+BROADCAST_FORMS = st.one_of(
+    st.builds(Sphere, st.integers(2, 4), st.floats(0.5, 3.0)),
+    st.builds(Hyperbolic, st.integers(2, 4), st.floats(0.5, 3.0)),
+    st.builds(Euclidean, st.integers(2, 4)),
+)
+# where a stacked call evaluates its trigonometric factors by NumPy on arrays
+# and the one-point call by Python on numbers, they agree to this relative
+# tolerance; everywhere else the arithmetic is the same and so are the results
+STACK_TOL = 1e-13
+
+
+def _row_by_row(f, *stacks):
+    """f called on each row of the stacks, its results stacked (slot by slot
+    for a tuple)."""
+    out = [f(*args) for args in zip(*stacks)]
+    return tuple(map(np.array, zip(*out))) if isinstance(out[0], tuple) else np.array(out)
+
+
+def _close(got, expected, tol=STACK_TOL):
+    return np.abs(got - expected).max() <= tol * max(1.0, np.abs(expected).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(BROADCAST_FORMS, st.integers(0, 2**32 - 1))
+def test_stacked_calls_equal_the_row_by_row_calls(m, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.array([m.random_point(rng) for _ in range(6)])
+    us, vs = (np.array([m.random_tangent(rng, x) for x in xs]) for _ in range(2))
+    vs[1] = 0.0  # a geodesic that stays put
+    ws = rng.standard_normal(xs.shape)
+    assert np.array_equal(m.inner_at(xs, us, vs), _row_by_row(m.inner_at, xs, us, vs))
+    assert np.array_equal(m.project(xs, ws), _row_by_row(m.project, xs, ws))
+    assert np.array_equal(m.transport_rhs(xs, us, vs), _row_by_row(m.transport_rhs, xs, us, vs))
+    # a frame moved along one geodesic at one time: the same arithmetic per row
+    x, v, t = xs[0], vs[0], rng.uniform(-2.0, 2.0)
+    frame = m.frame(x)
+    assert np.array_equal(m.transport_along_geodesic(x, v, t, frame),
+                          [m.transport_along_geodesic(x, v, t, w) for w in frame])
+    # one geodesic at an array of times, and a stack of geodesics at one time
+    ts = rng.uniform(-2.0, 2.0, 7)
+    for got, expected in zip(m.geodesic_flow(x, v, ts),
+                             _row_by_row(lambda s: m.geodesic_flow(x, v, s), ts)):
+        assert _close(got, expected)
+    for got, expected in zip(m.geodesic_flow(xs, vs, t),
+                             _row_by_row(lambda y, u: m.geodesic_flow(y, u, t), xs, vs)):
+        assert _close(got, expected)
+    assert _close(m.transport_along_geodesic(xs, vs, t, us),
+                  _row_by_row(lambda y, u, w: m.transport_along_geodesic(y, u, t, w), xs, vs, us))
+    assert np.array_equal(m.geodesic_flow(xs, vs, t)[0][1], xs[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(BROADCAST_FORMS, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_transport_along_a_geodesic_is_a_linear_isometry(m, seed, t):
+    rng = np.random.default_rng(seed)
+    x = m.random_point(rng)
+    v = m.random_tangent(rng, x, unit=True)
+    ws = np.array([m.random_tangent(rng, x) for _ in range(m.dim + 1)])
+    a, b = rng.standard_normal(2)
+    xt = m.geodesic_arr(x, v, t)
+    moved = m.transport_along_geodesic(x, v, t, np.vstack([ws, a * ws[0] + b * ws[1]]))
+    # on a hyperboloid the transport stretches ambient coordinates by up to
+    # cosh(theta), theta = |t| sqrt(-K) at unit speed, and the Minkowski
+    # products cancel that stretch: round-off scales with it
+    k = m.curvature_constant
+    stretch = math.cosh(abs(t) * math.sqrt(-k)) if k < 0 else 1.0
+    scale = stretch * max(1.0, np.abs(ws).max(), np.abs(x).max())
+    before = m.inner_at(x, ws[:, None], ws)
+    after = m.inner_at(xt, moved[:-1, None], moved[:-1])
+    assert np.abs(after - before).max() <= 1e-13 * scale**2
+    assert np.abs(moved[-1] - (a * moved[0] + b * moved[1])).max() <= 1e-13 * scale
+    assert m.tangency_residual(xt, moved).max() <= 1e-13 * scale**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(BROADCAST_FORMS, st.integers(0, 2**32 - 1))
+def test_deterministic_frames_stay_coherently_oriented_along_geodesics(m, seed):
+    rng = np.random.default_rng(seed)
+    x = m.random_point(rng)
+    path = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 2.0)
+    pts = path.point(np.linspace(0.0, 2.0, 201))
+    frames = m.frames(pts)
+    # consecutive frames differ by a rotation: no row flips between neighbours
+    change = m.inner_at(pts[:-1, None, None], frames[:-1, :, None], frames[1:, None])
+    assert np.all(np.linalg.det(change) > 0)
+    # far out on a hyperboloid the frame entries are large and the Minkowski
+    # products cancel, so the agreement is relative to the squared entries
+    for k in range(0, len(pts), 40):
+        scale = max(1.0, np.abs(frames[k]).max())
+        assert np.abs(m.frame(pts[k]) - frames[k]).max() < 1e-12 * scale**2
