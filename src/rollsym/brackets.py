@@ -33,8 +33,7 @@ from .rolling import (
     TangentOfQ,
     q_dim,
     rolling_lift,
-    tangent_curve,
-    _pull_back,
+    curve_sample,
     _stencil,
 )
 
@@ -84,19 +83,20 @@ class StructuredField:
 
 def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
     """Covariant derivative of a field's (T, T_hat, U) data along xi by
-    central differences with parallel pull-back of all three slots."""
+    central differences with parallel pull-back of all three slots.  The
+    sample states are shared by every field differentiated along xi at q
+    (curve_sample); each value is pulled back in frame coordinates through
+    the frame-transport matrices that its state keeps."""
 
     def sample(t):
-        qt = tangent_curve(q, xi, t)
+        qt = curve_sample(q, xi, t)
+        fwd, fwd_hat = qt._transports
         v = fld.value(qt)
-        u = qt.isometry @ v.C
-        return (
-            _pull_back(q, xi, t, v.X, "vector"),
-            _pull_back(q, xi, t, v.X_hat, "vector_hat"),
-            _pull_back(q, xi, t, u, "map"),
-        )
+        return (fwd.T @ qt.coords(v.X), fwd_hat.T @ qt.coords_hat(v.X_hat),
+                fwd_hat.T @ qt.isometry @ v.C @ fwd)
 
-    return FieldData(*central_diff(sample, h, order))
+    d_x, d_x_hat, d_u = central_diff(sample, h, order)
+    return FieldData(q.from_coords(d_x), q.from_coords_hat(d_x_hat), d_u)
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState,
@@ -167,22 +167,17 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
 # -- generator fields -----------------------------------------------------------
 
 
-def frame_field_derivative(m, x, v, h=1e-3, order=4):
+def frame_field_derivative(m, x, v):
     """Covariant derivatives of all deterministic frame fields along v at x,
-    returned as an (n, amb) array."""
-
-    def sample(t):
-        xt, vt = m.geodesic_flow(x, v, t)
-        return m.transport_along_geodesic(xt, vt, -t, m.frame(xt))
-
-    return central_diff(sample, h, order)
+    returned as an (n, amb) array, from the frame's connection form."""
+    return m.connection_form(x, v) @ m.frame(x)
 
 
-def rolling_generators(pair, rotation=None, fd_h=1e-3):
+def rolling_generators(pair, rotation=None):
     """Rolling lifts of the deterministic frame (optionally rotated by a
-    fixed orthogonal matrix), with semi-analytic derivatives: along a
-    canonical curve the isometry differentiates to A C, so only the frame
-    field itself needs a stencil."""
+    fixed orthogonal matrix), with closed-form derivatives: along a
+    canonical curve the isometry differentiates to A C, and the frame field
+    to its connection form (RollingState.connection)."""
     n = pair.dim
     rot = np.eye(n) if rotation is None else np.asarray(rotation, float)
 
@@ -192,9 +187,10 @@ def rolling_generators(pair, rotation=None, fd_h=1e-3):
             return rolling_lift(q, v)
 
         def derivative(q, xi):
-            dv = frame_field_derivative(pair.space, q.x, xi.X, h=fd_h).T @ rot[:, i]
-            d_t_hat = q.apply(q.from_coords(xi.C @ rot[:, i])) + q.apply(dv)
-            return FieldData(dv, d_t_hat, np.zeros((n, n)))
+            omega = (q.coords(xi.X) @ q.connection.reshape(n, n * n)).reshape(n, n)
+            dv = omega.T @ rot[:, i]
+            d_t_hat = q.from_coords_hat(q.isometry @ (xi.C @ rot[:, i] + dv))
+            return FieldData(q.from_coords(dv), d_t_hat, np.zeros((n, n)))
 
         return StructuredField(pair, value, derivative, name=f"L_R(E{i})")
 
@@ -226,21 +222,26 @@ class FlagReport:
 
 
 def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
-               h=FIELD_FD_STEP, order=FIELD_FD_ORDER, nested_h=NESTED_FD_STEP) -> FlagReport:
+               nested_h=NESTED_FD_STEP) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 
     The distribution is spanned by rolling lifts of the frame; each flag
     step adjoins brackets of the previous step's new fields with the
-    generators.  All vectors are expressed in TangentOfQ coordinates.
+    generators.  All vectors are expressed in TangentOfQ coordinates, and
+    each step's vectors form one layer of the equilibrated rank rule of
+    numerics.numerical_rank: the reported singular values are those of the
+    rows after dropping round-off rows and dividing every layer by its
+    longest row.
     """
     if depth < 1:
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
-    gens = rolling_generators(q.pair, rotation=rotation, fd_h=h)
+    gens = rolling_generators(q.pair, rotation=rotation)
     vectors = [g.value(q).coords() for g in gens]
-    steps = [numerical_rank(vectors, tol)]  # (rank, singular values, gap) per flag step
+    layers = [len(vectors)]
+    steps = [numerical_rank(vectors, tol, layers)]  # (rank, singular values, gap) per flag step
     current = list(gens)
     full = q_dim(q.pair.dim)
     for _ in range(1, depth):
@@ -249,10 +250,10 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
             # a stationary flag stays stationary: pad to the requested depth
             steps.append(steps[-1])
             continue
-        current = [bracket_field(f, g, h=h, order=order, nested_h=nested_h)
-                   for f in current for g in gens]
+        current = [bracket_field(f, g, nested_h=nested_h) for f in current for g in gens]
         vectors.extend(bf.value(q).coords() for bf in current)
-        steps.append(numerical_rank(vectors, tol))
+        layers.append(len(current))
+        steps.append(numerical_rank(vectors, tol, layers))
     ranks, svs, gaps = zip(*steps)
     return FlagReport(q, ranks, list(svs), tol, gaps)
 

@@ -120,14 +120,6 @@ def operator_invertible(op, tol=1e-8, floor=1e-12):
     return rank == len(sv), cond, sv
 
 
-def space_curvature_invertible(m, x, tol=1e-8, floor=1e-12):
-    """Invertibility of the curvature operator of a single manifold on its
-    bivector space at x; together with the rolling-curvature verdict this
-    covers the hypotheses of the symmetry classification machinery."""
-    op = _bivector_operator(m.dim, lambda xi: m.curvature_matrix_apply(x, xi))
-    return operator_invertible(op, tol, floor)[:2]
-
-
 def rolling_curvature_invertible(q, tol=1e-8, floor=1e-12):
     """Invertibility verdict (verdict, condition_number) for the so-valued
     rolling curvature; see `operator_invertible`."""

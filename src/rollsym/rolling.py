@@ -91,6 +91,9 @@ class RollingState:
             raise GeometryError("contact map must preserve orientation")
         self._frame = None
         self._frame_hat = None
+        self._connection = None
+        self._transports = None  # (fwd, fwd_hat) from the base of a canonical curve
+        self._samples = {}  # canonical-curve states from this one, see curve_sample
 
     def isometry_residual(self) -> float:
         A = self.isometry
@@ -108,6 +111,15 @@ class RollingState:
             self._frame_hat = self.pair.space_hat.frame(self.x_hat)
         return self._frame_hat
 
+    @property
+    def connection(self):
+        """The connection forms of the first factor's deterministic frame
+        along its own vectors, an (n, n, n) array: omega(v) is the sum of
+        v's frame coordinates against the first axis."""
+        if self._connection is None:
+            self._connection = self.pair.space.connection_form(self.x, self.frame)
+        return self._connection
+
     def coords(self, w):
         return self.pair.space.frame_coords(self.x, self.frame, w)
 
@@ -123,9 +135,6 @@ class RollingState:
     def apply(self, w):
         """Image of an ambient tangent vector at x under the contact map."""
         return self.from_coords_hat(self.isometry @ self.coords(w))
-
-    def apply_inverse(self, w_hat):
-        return self.from_coords(self.isometry.T @ self.coords_hat(w_hat))
 
     def to_json(self) -> dict:
         return {"x": self.x.tolist(), "x_hat": self.x_hat.tolist(),
@@ -202,7 +211,8 @@ def _transport_in_frames(m, x, fr, v, t):
 def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
     """The canonical curve through q with initial velocity xi: both base
     points run along geodesics, A is transported in parallel frames and
-    composed with expm(tC) on the fiber."""
+    composed with expm(tC) on the fiber.  The state keeps the two
+    frame-transport matrices from q (det_transport_matrix on each factor)."""
     pair = q.pair
     xt, fwd, frame = _transport_in_frames(pair.space, q.x, q.frame, xi.X, t)
     xht, fwd_hat, frame_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.frame_hat,
@@ -215,6 +225,17 @@ def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
         raise GeometryError(f"canonical curve left the isometry bundle by {drift:.3e}")
     qt = pair.state(xt, xht, _nearest_rotation(a_new))
     qt._frame, qt._frame_hat = frame, frame_hat  # built above, the same frames
+    qt._transports = fwd, fwd_hat
+    return qt
+
+
+def curve_sample(q: RollingState, xi: TangentOfQ, t) -> RollingState:
+    """tangent_curve(q, xi, t), built once per base state: every stencil
+    along the same xi at q samples the same states, so they are kept on q."""
+    key = (t, xi.X.tobytes(), xi.X_hat.tobytes(), xi.C.tobytes())
+    qt = q._samples.get(key)
+    if qt is None:
+        qt = q._samples[key] = tangent_curve(q, xi, t)
     return qt
 
 

@@ -105,12 +105,18 @@ class SpaceForm:
     product, the frames and the frame coordinates are written here once, in
     terms of `metric_weights`.  Subclasses provide the constraint and
     tangency residuals, tangent projection, geodesics, parallel transport, the
-    curvature operator in the deterministic frame, random_point and to_spec.
+    curvature operator in the deterministic frame, the derivatives of the
+    projection and the metric weights (for the frame's connection form),
+    random_point and to_spec.
     """
 
     kind = "abstract"
     dim: int
     amb_dim: int
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in self.to_spec().items() if k != "kind")
+        return f"{type(self).__name__}({args})"
 
     # -- point / tangent construction and validation ----------------------
 
@@ -167,27 +173,6 @@ class SpaceForm:
         """Inverse of the exponential map, when a closed form exists."""
         raise NotImplementedError
 
-    def parallel_transport(self, path, v0, step=DEFAULT_STEP):
-        """Transport the tangent vector v0 at the start of a path; returns
-        (times, array of transported vectors), one row per sample time.
-
-        RK4 on the transport ODE at the given step; constraint drift is left
-        visible.
-        """
-        times = path.sample_times(step)
-        v = np.array(v0, dtype=float)
-        vecs = [v]
-        for a, b in zip(times[:-1], times[1:]):
-            if b == a:
-                raise GeometryError("zero-length step in path time grid")
-
-            def rhs(t, y):
-                return self.transport_rhs(path.point(t), path.velocity(t), y)
-
-            v = _rk4(rhs, v, a, b, _substeps(b - a, step))
-            vecs.append(v)
-        return times, np.array(vecs)
-
     # -- curvature -----------------------------------------------------------
 
     def curvature_matrix_apply(self, x, xi):
@@ -228,10 +213,16 @@ class SpaceForm:
         manifold; otherwise the frame matrix of an orientation-preserving
         contact map could pick up a spurious sign between frame patches.
         Returns an (n, amb_dim) array of row vectors."""
+        return self._gram_schmidt(x)[0]
+
+    def _gram_schmidt(self, x):
+        """SpaceForm.frame at x and the coordinate indices whose projected
+        basis vectors it kept."""
         w = self.metric_weights(x)  # one point, a hot path: p @ (w * q), not inner_at
         rows = np.empty((self.dim, self.amb_dim))
-        k = 0
-        for p in self.project(x, np.eye(self.amb_dim)):
+        kept = []
+        for i, p in enumerate(self.project(x, np.eye(self.amb_dim))):
+            k = len(kept)
             wp = w * p
             v = p - (rows[:k] @ wp) @ rows[:k]
             nrm = v @ (w * v)
@@ -241,14 +232,52 @@ class SpaceForm:
                     v = v - (rows[:k] @ (w * v)) @ rows[:k]
                     nrm = v @ (w * v)
                 rows[k] = v / math.sqrt(nrm)
-                k += 1
-                if k == self.dim:
+                kept.append(i)
+                if k + 1 == self.dim:
                     break
-        if k < self.dim:
+        if len(kept) < self.dim:
             raise GeometryError("could not complete an orthonormal frame at this point")
         if self._orientation_sign(x, rows) < 0:
             rows[-1] = -rows[-1]
-        return rows
+        return rows, kept
+
+    def connection_form(self, x, v):
+        """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
+        for the deterministic frame E at the point x; v is one tangent vector
+        or a stack (..., amb_dim), which gives (..., n, n).
+
+        Gram-Schmidt is a Cholesky factorization: the kept projected basis
+        vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
+        and L L^T = B W B^T.  Differentiating that product along v gives
+        L^-1 dL = low(S) for S = Phi + Phi^T + E dW E^T, Phi = L^-1 dB W E^T,
+        where low keeps the strict lower part and half the diagonal; then
+        dE = L^-1 dB - low(S) E, and nabla_v E = dE - transport_rhs(x, v, E).
+        The kept set is locally constant, and an orientation flip of the last
+        row negates the last row and column of omega.  Subclasses supply dB
+        and dW through project_derivative and metric_weights_derivative."""
+        fr, kept = self._gram_schmidt(x)
+        w = self.metric_weights(x)
+        eye = np.eye(self.amb_dim)[kept]
+        lower = self.project(x, eye) @ (w * fr).T
+        sign = np.sign(np.diagonal(lower))  # -1 on the last row after a flip
+        fr = sign[:, None] * fr
+        inv = np.linalg.inv(np.tril(lower * sign))
+        v = np.asarray(v, dtype=float)[..., None, :]
+        d_basis = self.project_derivative(x, v, eye)
+        phi = inv @ (d_basis * w) @ fr.T
+        s = phi + np.swapaxes(phi, -1, -2) + (fr * self.metric_weights_derivative(x, v)) @ fr.T
+        low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
+        nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
+        return sign[:, None] * ((nabla * w) @ fr.T) * sign
+
+    def project_derivative(self, x, v, w):
+        """Derivative of the projection of a fixed ambient vector w along the
+        tangent vector v at x: d/dt project(x(t), w) for x'(0) = v."""
+        raise NotImplementedError
+
+    def metric_weights_derivative(self, x, v):
+        """Derivative of metric_weights along the tangent vector v at x."""
+        raise NotImplementedError
 
     def frames(self, xs):
         """SpaceForm.frame at every row of xs, as an (N, n, amb_dim) array, by
@@ -330,6 +359,13 @@ class ConstantCurvature(SpaceForm):
 
     def project(self, x, w):
         return w - _col(self.curvature_constant * self.inner_at(x, x, w)) * x
+
+    def project_derivative(self, x, v, w):
+        k = self.curvature_constant
+        return -k * (_col(self.inner_at(x, v, w)) * x + _col(self.inner_at(x, x, w)) * v)
+
+    def metric_weights_derivative(self, x, v):
+        return np.zeros(np.shape(v))
 
     def transport_rhs(self, x, xdot, v):
         return _col(-self.curvature_constant * self.inner_at(x, v, xdot)) * x
@@ -620,6 +656,18 @@ class Warped(SpaceForm):
     def project(self, x, w):
         w = np.asarray(w, dtype=float)
         return _stack(w[..., 0], self.fiber.project(np.asarray(x)[..., 1:], w[..., 1:]))
+
+    def project_derivative(self, x, v, w):
+        x, v, w = np.asarray(x), np.asarray(v), np.asarray(w)
+        return _stack(0.0, self.fiber.project_derivative(x[..., 1:], v[..., 1:], w[..., 1:]))
+
+    def metric_weights_derivative(self, x, v):
+        # d(f^2 h) = 2 f f' ds h + f^2 dh
+        x, v = np.asarray(x), np.asarray(v)
+        f, fp = self.warp.value(x[..., 0]), self.warp.derivative(x[..., 0])
+        y = x[..., 1:]
+        return _stack(0.0, _col(2 * f * fp * v[..., 0]) * self.fiber.metric_weights(y)
+                      + _col(f * f) * self.fiber.metric_weights_derivative(y, v[..., 1:]))
 
     def transport_rhs(self, x, xdot, v):
         s, y = x[..., 0], x[..., 1:]

@@ -422,7 +422,8 @@ def sym0_dimension_probe(q0: RollingState, candidates, tol=1e-8) -> DimensionRep
     over a list of base-fixing candidates.  The data determines the
     candidate along the reachable set, so the rank bounds the dimension of
     the base-fixing symmetry space; the full Killing catalog realizes
-    n(n+1)/2."""
+    n(n+1)/2.  The rows form one layer of numerics.numerical_rank's rule, so
+    the singular values are those of the rows over the longest one."""
     rows = []
     for cand in candidates:
         if not cand.is_base_fixing():
@@ -430,4 +431,4 @@ def sym0_dimension_probe(q0: RollingState, candidates, tol=1e-8) -> DimensionRep
         zh = q0.coords_hat(cand.Z_hat(q0))
         u = skew_part(q0.isometry.T @ cand.U_bar(q0))
         rows.append(np.concatenate((zh, skew_to_vector(u))))
-    return DimensionReport(*numerical_rank(np.array(rows), tol), tol)
+    return DimensionReport(*numerical_rank(np.array(rows), tol, layers=[len(rows)]), tol)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere
+from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
 from rollsym.curvature import wedge_matrix
 from rollsym.brackets import (
     StructuredField,
@@ -27,12 +28,55 @@ PAIRS = {
 }
 
 
+def frame_stencil(m, x, v, h=1e-4):
+    """Covariant derivatives of the deterministic frame fields along v at x,
+    as an (n, amb) array: an order-4 central difference of m.frame along the
+    geodesic of v, every sample transported back to x."""
+
+    def sample(t):
+        xt, vt = m.geodesic_flow(x, v, t)
+        return m.transport_along_geodesic(xt, vt, -t, m.frame(xt))
+
+    s = [sample(t) for t in (2 * h, h, -h, -2 * h)]
+    return (-s[0] + 8 * s[1] - 8 * s[2] + s[3]) / (12 * h)
+
+
 def frame_bracket(pair, q, i, j):
-    """[E_i, E_j] at the contact point from the frame-field stencil."""
+    """[E_i, E_j] at the contact point from a stencil of the frame."""
     n = pair.dim
-    d_j = frame_field_derivative(pair.space, q.x, q.from_coords(np.eye(n)[i]))[j]
-    d_i = frame_field_derivative(pair.space, q.x, q.from_coords(np.eye(n)[j]))[i]
+    d_j = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[i]))[j]
+    d_i = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[j]))[i]
     return d_j - d_i
+
+
+CONNECTION_FORMS = st.one_of(
+    st.builds(Sphere, st.integers(2, 4), st.floats(0.3, 3.0)),
+    st.builds(Hyperbolic, st.integers(2, 4), st.floats(0.3, 3.0)),
+    st.builds(Euclidean, st.integers(2, 4)),
+    st.builds(lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name), fiber),
+              st.sampled_from(["cos", "cosh"]), st.sampled_from([Sphere(1, 1.0), Sphere(2, 1.0)])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CONNECTION_FORMS, st.integers(0, 2**32 - 1))
+def test_connection_form_is_skew_and_matches_a_frame_stencil(m, seed):
+    rng = np.random.default_rng(seed)
+    x = m.random_point(rng)
+    v = m.random_tangent(rng, x, unit=True)
+    omega = m.connection_form(x, v)
+    expected = frame_stencil(m, x, v)
+    fr = m.frame(x)
+    # far out on a hyperboloid the frame's ambient coordinates grow like the
+    # cosh of the distance, and the stencil's round-off with them
+    scale = max(1.0, float(np.abs(expected).max()), float(np.abs(fr).max()))
+    assert np.abs(omega + omega.T).max() <= 1e-11 * scale**2
+    assert np.abs(omega @ fr - expected).max() <= 1e-8 * scale
+    assert np.array_equal(frame_field_derivative(m, x, v), omega @ fr)
+    # linear in v: the forms along the frame vectors, in one stacked call
+    along_frame = m.connection_form(x, fr)
+    assert np.abs(np.tensordot(m.frame_coords(x, fr, v), along_frame, 1) - omega).max() \
+        <= 1e-12 * scale
 
 
 def expected_generator_bracket(pair, q, i, j):
@@ -79,6 +123,40 @@ def test_bracket_oracles_share_no_stencil_code(monkeypatch):
         fd = bracket_fd(gens[0], gens[1], q).coords()
     assert np.abs(fd - structured).max() < 1e-5
     assert np.all(np.isfinite(nested.coords()))
+
+
+def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypatch):
+    import rollsym.brackets as brackets_mod
+    import rollsym.rolling as rolling_mod
+    from rollsym.spaces import SpaceForm
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the FD oracle reached the structured path")
+
+    pair = PAIRS["hyp_sphere"]()
+    q = pair.random_state(RNG)
+    gens = rolling_generators(pair)
+    structured = bracket_structured(gens[0], gens[1], q).coords()
+    q_fresh = pair.state(q.x, q.x_hat, q.isometry)
+    monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
+    for mod in (rolling_mod, brackets_mod):
+        monkeypatch.setattr(mod, "curve_sample", forbidden)
+    fd = bracket_fd(gens[0], gens[1], q_fresh).coords()
+    assert np.abs(fd - structured).max() < 1e-5
+
+
+def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
+    # the nested stencils of all [b, g] along one generator g share their
+    # four sample states, so a flag builds at most 4n canonical curves
+    import rollsym.rolling as rolling_mod
+
+    calls = []
+    build = rolling_mod.tangent_curve
+    monkeypatch.setattr(rolling_mod, "tangent_curve", lambda *a: calls.append(1) or build(*a))
+    for pair in (RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)), RollingPair(Sphere(3, 1.0), Euclidean(3))):
+        calls.clear()
+        assert flag_ranks(pair.random_state(RNG), depth=3).ranks[-1] == q_dim(pair.dim)
+        assert 0 < len(calls) <= 4 * pair.dim
 
 
 def test_bracket_antisymmetry_and_self_bracket():

@@ -253,6 +253,22 @@ def test_growth_rank_gap_ambiguity_exit(tmp_path):
     assert main(["--config", cfg, "growth", "--out", str(tmp_path / "g.json")]) == 4
 
 
+def test_growth_equilibrates_flag_layers_of_different_lengths(tmp_path):
+    # the depth-3 bracket rows are about 175 long against 1.4 for the
+    # generators; unscaled, the smallest kept singular value sat only 4e3
+    # above the cut and a correct flag exited 4
+    cfg = write_config(tmp_path, {
+        "manifold_pair": [
+            {"kind": "sphere", "dim": 2, "radius": 1.0},
+            {"kind": "sphere", "dim": 2, "radius": 3.0},
+        ],
+    })
+    out = tmp_path / "g.json"
+    assert main(["--config", cfg, "growth", "--seed", "1186217206", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["flag"]["ranks"] == [2, 3, 5] and data["rank_cut_ambiguous"] is False
+
+
 def test_audit_catalog_and_perturbation(tmp_path):
     cfg = write_config(tmp_path, SPHERES_1_3)
     out = tmp_path / "audit.json"

@@ -7,7 +7,6 @@ from rollsym.curvature import (
     rolling_curvature,
     rolling_curvature_invertible,
     rolling_curvature_operator,
-    space_curvature_invertible,
     skew_to_vector,
     so_pairs,
     vector_to_skew,
@@ -151,6 +150,13 @@ def test_invertibility_constant_curvature():
     # a nonzero operator with a singular value below tol times the largest
     verdict_s, cond_s, sv_s = operator_invertible(np.diag([1.0, 1e-12]))
     assert not verdict_s and cond_s == pytest.approx(1e12) and list(sv_s) == [1.0, 1e-12]
+
+
+def space_curvature_invertible(m, x):
+    """The curvature operator of m at x on bivectors: the rolling curvature
+    against a flat second factor, whose own curvature term vanishes."""
+    pair = RollingPair(m, Euclidean(m.dim))
+    return rolling_curvature_invertible(pair.state(x, np.zeros(m.dim), np.eye(m.dim)))
 
 
 def test_space_curvature_invertibility():

@@ -71,8 +71,36 @@ def test_numerical_rank_and_gap():
     assert rank_rows == 2 and len(sv_rows) == 3 and gap_rows == math.inf
 
 
+def test_layers_are_equilibrated_by_their_longest_row():
+    # a second layer 1e6 times longer than the first: unscaled, the first
+    # layer's directions sink below the cut; scaled, every layer has unit length
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2e6], [0.0, 3e5, 1e6]])
+    assert numerical_rank(rows, 1e-6)[0] == 2
+    rank, sv, gap = numerical_rank(rows, 1e-6, layers=[2, 2])
+    assert rank == 3 and gap == math.inf
+    assert sv[0] == pytest.approx(np.linalg.svd(rows * [[1], [1], [5e-7], [5e-7]],
+                                                 compute_uv=False)[0], rel=1e-12)
+    # scaling a layer changes nothing
+    scaled = rows * [[7.0], [7.0], [1e-3], [1e-3]]
+    assert np.allclose(numerical_rank(scaled, 1e-6, layers=[2, 2])[1], sv, rtol=1e-12, atol=0.0)
+
+
+def test_round_off_rows_are_dropped_before_the_layers_are_scaled():
+    # a layer that vanishes up to round-off must not become unit noise
+    noise = 1e-15 * np.random.default_rng(0).standard_normal((3, 3))
+    rows = np.vstack([np.eye(3)[:2], noise])
+    rank, sv, gap = numerical_rank(rows, 1e-8, layers=[2, 3])
+    assert rank == 2 and np.all(sv[2:] == 0.0) and gap == math.inf
+    # the same layer 1e4 times above the floor is a direction of its own
+    rank_kept, _, _ = numerical_rank(np.vstack([np.eye(3)[:2], 1e-6 * np.eye(3)[2:]]), 1e-8,
+                                     layers=[2, 1])
+    assert rank_kept == 3
+
+
 def test_numerical_rank_of_the_zero_matrix():
     rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8)
+    assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
+    rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8, layers=[1, 2])
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
 
 

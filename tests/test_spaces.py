@@ -16,7 +16,7 @@ from rollsym import (
     Warped,
     from_spec,
 )
-from rollsym.rolling import RollingPair, rolling_lift
+from rollsym.rolling import RollingPair, roll_along, rolling_lift
 
 RNG = np.random.default_rng(2024)
 
@@ -118,6 +118,29 @@ def brute_transport(m, points, v0):
     return v
 
 
+def rk4_transport(m, path, v0, step):
+    """Parallel transport of v0 to the end of a path by classical RK4 on the
+    transport ODE, each interval of the path's sample times split into
+    substeps of length at most step."""
+    times = path.sample_times(step)
+    v = np.array(v0, dtype=float)
+
+    def rhs(t, y):
+        return m.transport_rhs(path.point(t), path.velocity(t), y)
+
+    for a, b in zip(times[:-1], times[1:]):
+        steps = max(1, math.ceil((b - a) / step * (1 - 1e-9)))
+        h = (b - a) / steps
+        for i in range(steps):
+            t = a + i * h
+            k1 = rhs(t, v)
+            k2 = rhs(t + h / 2, v + h / 2 * k1)
+            k3 = rhs(t + h / 2, v + h / 2 * k2)
+            k4 = rhs(t + h, v + h * k3)
+            v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return v
+
+
 def test_latitude_holonomy_matches_brute_force_and_closed_form():
     m = Sphere(2, 1.0)
     theta = math.acos(0.8)  # polar angle, expected rotation 2 pi (1 - 0.8)
@@ -129,8 +152,7 @@ def test_latitude_holonomy_matches_brute_force_and_closed_form():
     path = SampledPath(m, ts, pts)
     x0 = pts[0]
     fr = m.frame(x0)
-    _, vecs = m.parallel_transport(path, fr[0], step=2e-3)
-    v_end = vecs[-1]
+    v_end = rk4_transport(m, path, fr[0], step=2e-3)
     cosang = np.dot(v_end, fr[0])
     sinang = np.dot(v_end, fr[1])
     angle = abs(math.atan2(sinang, cosang))
@@ -147,8 +169,7 @@ def test_transport_euclidean_is_componentwise_constant():
     pts = np.outer(ts, [1.0, 2.0, 0.0])
     path = SampledPath(m, ts, pts)
     v0 = np.array([0.5, -1.0, 2.0])
-    _, vecs = m.parallel_transport(path, v0)
-    assert np.allclose(vecs[-1], v0)
+    assert np.allclose(rk4_transport(m, path, v0, step=1e-3), v0)
 
 
 def test_transport_is_linear_isometry():
@@ -158,11 +179,11 @@ def test_transport_is_linear_isometry():
         path = GeodesicPath(m, x, v, 1.3)
         w1 = m.random_tangent(RNG, x)
         w2 = m.random_tangent(RNG, x)
-        _, out1 = m.parallel_transport(path, w1, step=1e-3)
-        _, out2 = m.parallel_transport(path, w2, step=1e-3)
+        out1 = rk4_transport(m, path, w1, step=1e-3)
+        out2 = rk4_transport(m, path, w2, step=1e-3)
         before = m.inner_at(x, w1, w2)
         xe = path.point(1.3)
-        after = m.inner_at(xe, out1[-1], out2[-1])
+        after = m.inner_at(xe, out1, out2)
         assert abs(after - before) < 1e-7
 
 
@@ -391,14 +412,17 @@ def test_paths_evaluate_arrays_of_times_like_single_times(m):
 
 def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):
     # 0.25 / 1e-3 grid intervals exceed 1e-3 by round-off; each takes one
-    # RK4 substep (four right-hand sides), not two
-    m = Sphere(2, 1.0)
-    x = m.random_point(RNG)
-    path = GeodesicPath(m, x, m.random_tangent(RNG, x, unit=True), 0.25)
+    # RK4 substep (four right-hand sides), not two.  A warped second factor
+    # makes roll_along transport the sphere's frame by RK4 (its fiber is flat,
+    # so the warped right-hand side calls no Sphere.transport_rhs).
+    pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Euclidean(1)))
+    q0 = pair.random_state(RNG)
+    m = pair.space
+    path = GeodesicPath(m, q0.x, m.random_tangent(RNG, q0.x, unit=True), 0.25)
     calls = []
     rhs = Sphere.transport_rhs
     monkeypatch.setattr(Sphere, "transport_rhs", lambda *a: calls.append(1) or rhs(*a))
-    times, _ = m.parallel_transport(path, m.random_tangent(RNG, x), step=1e-3)
+    times = roll_along(q0, path, step=1e-3).times
     assert len(times) == 251
     assert len(calls) == 4 * 250
 

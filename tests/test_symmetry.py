@@ -374,7 +374,8 @@ def test_propagation_round_trip():
     grid = np.linspace(0.0, 1.1, 45)
     res = propagate_sym0(q1, X, cand.Z_hat(q1), cand.U_bar(q1), grid)
     q_end, z_end, u_end = res.final()
-    back_dir = -q_end.apply_inverse(pair.space_hat.geodesic_flow(q1.x_hat, q1.apply(X), 1.1)[1])
+    v_hat = pair.space_hat.geodesic_flow(q1.x_hat, q1.apply(X), 1.1)[1]
+    back_dir = -q_end.from_coords(q_end.isometry.T @ q_end.coords_hat(v_hat))
     res_back = propagate_sym0(q_end, back_dir, z_end, u_end, grid)
     _, z0, u0 = res_back.final()
     assert np.abs(z0 - cand.Z_hat(q1)).max() < 1e-5
