@@ -25,15 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import skew_part, wedge_matrix
-from .numerics import central_diff, numerical_rank
+from .numerics import numerical_rank
 from .spaces import GeometryError
 from .rolling import (
     Chart,
     RollingState,
     TangentOfQ,
+    directional_derivative,
     q_dim,
     rolling_lift,
-    curve_sample,
     _stencil,
 )
 
@@ -83,20 +83,16 @@ class StructuredField:
 
 def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
     """Covariant derivative of a field's (T, T_hat, U) data along xi by
-    central differences with parallel pull-back of all three slots.  The
-    sample states are shared by every field differentiated along xi at q
-    (curve_sample); each value is pulled back in frame coordinates through
-    the frame-transport matrices that its state keeps."""
+    central differences with parallel pull-back of all three slots
+    (rolling.directional_derivative, whose sample states every field
+    differentiated along xi at q shares)."""
 
-    def sample(t):
-        qt = curve_sample(q, xi, t)
-        fwd, fwd_hat = qt._transports
+    def data(qt):
         v = fld.value(qt)
-        return (fwd.T @ qt.coords(v.X), fwd_hat.T @ qt.coords_hat(v.X_hat),
-                fwd_hat.T @ qt.isometry @ v.C @ fwd)
+        return v.X, v.X_hat, qt.isometry @ v.C
 
-    d_x, d_x_hat, d_u = central_diff(sample, h, order)
-    return FieldData(q.from_coords(d_x), q.from_coords_hat(d_x_hat), d_u)
+    return FieldData(*directional_derivative(data, q, xi, ("vector", "vector_hat", "map"),
+                                             h=h, order=order))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState,

@@ -285,7 +285,7 @@ def cmd_audit(args):
     probe = sym0_dimension_probe(q0, [c for c in cands if c.is_base_fixing()])
     out["sym0_dimension"] = probe.to_json()
     _dump(out, run.out)
-    failing = [k for k, v in out["residuals"].items() if v["max"] >= tol]
+    failing = [k for k, v in out["residuals"].items() if not v["max"] < tol]
     if failing:
         print(f"residuals above tolerance {tol:g}: {', '.join(sorted(failing))}")
         return EXIT_FAIL

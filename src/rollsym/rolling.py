@@ -92,7 +92,7 @@ class RollingState:
         self._frame = None
         self._frame_hat = None
         self._connection = None
-        self._transports = None  # (fwd, fwd_hat) from the base of a canonical curve
+        self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
         self._samples = {}  # canonical-curve states from this one, see curve_sample
 
     def isometry_residual(self) -> float:
@@ -212,7 +212,8 @@ def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
     """The canonical curve through q with initial velocity xi: both base
     points run along geodesics, A is transported in parallel frames and
     composed with expm(tC) on the fiber.  The state keeps the two
-    frame-transport matrices from q (det_transport_matrix on each factor)."""
+    frame-transport matrices from q (det_transport_matrix on each factor) as
+    its `transports`, through which values at it are pulled back to q."""
     pair = q.pair
     xt, fwd, frame = _transport_in_frames(pair.space, q.x, q.frame, xi.X, t)
     xht, fwd_hat, frame_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.frame_hat,
@@ -225,7 +226,7 @@ def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
         raise GeometryError(f"canonical curve left the isometry bundle by {drift:.3e}")
     qt = pair.state(xt, xht, _nearest_rotation(a_new))
     qt._frame, qt._frame_hat = frame, frame_hat  # built above, the same frames
-    qt._transports = fwd, fwd_hat
+    qt.transports = fwd, fwd_hat
     return qt
 
 
@@ -463,34 +464,20 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
 
 # -- derivatives of bundle maps -------------------------------------------------
 
-VALUE_KINDS = ("scalar", "vector", "vector_hat", "pair", "map", "endo", "endo_hat")
+VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
 
 
-def _pull_back(q0: RollingState, xi: TangentOfQ, t, value, kind):
-    pair = q0.pair
-    m, mh = pair.space, pair.space_hat
-    if kind == "scalar":
-        return value
+def _pull_back(q: RollingState, qt: RollingState, value, kind):
+    """A value at the canonical-curve state qt, parallel-transported back to
+    q through the frame-transport matrices that qt keeps."""
+    fwd, fwd_hat = qt.transports
     if kind == "vector":
-        xt, vt = m.geodesic_flow(q0.x, xi.X, t)
-        return m.transport_along_geodesic(xt, vt, -t, value)
+        return q.from_coords(fwd.T @ qt.coords(value))
     if kind == "vector_hat":
-        xt, vt = mh.geodesic_flow(q0.x_hat, xi.X_hat, t)
-        return mh.transport_along_geodesic(xt, vt, -t, value)
-    if kind == "pair":
-        return (
-            _pull_back(q0, xi, t, value[0], "vector"),
-            _pull_back(q0, xi, t, value[1], "vector_hat"),
-        )
-    fwd = _transport_in_frames(m, q0.x, q0.frame, xi.X, t)[1]
-    fwd_hat = _transport_in_frames(mh, q0.x_hat, q0.frame_hat, xi.X_hat, t)[1]
+        return q.from_coords_hat(fwd_hat.T @ qt.coords_hat(value))
     if kind == "map":
         return fwd_hat.T @ value @ fwd
-    if kind == "endo":
-        return fwd.T @ value @ fwd
-    if kind == "endo_hat":
-        return fwd_hat.T @ value @ fwd_hat
-    raise GeometryError(f"unknown value kind {kind!r}")
+    return value
 
 
 def directional_derivative(func, q: RollingState, xi: TangentOfQ, kind,
@@ -499,15 +486,20 @@ def directional_derivative(func, q: RollingState, xi: TangentOfQ, kind,
     canonical curve of xi, by central differences with parallel pull-back.
 
     `kind` declares how the value transports: 'vector' / 'vector_hat' for
-    tangent vectors on either factor, 'pair' for a vector on each, 'map'
-    for frame matrices of maps T_x M -> T_xhat Mhat (like the isometry),
-    'endo' / 'endo_hat' for endomorphism fields, 'scalar' for functions.
+    tangent vectors on either factor, 'map' for frame matrices of maps
+    T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  A
+    tuple of kinds differentiates a tuple of values slot by slot.  The
+    sample states come from curve_sample, so every derivative along the
+    same xi at q shares them.
     """
-    if kind not in VALUE_KINDS:
+    if not set(kind if isinstance(kind, tuple) else (kind,)) <= set(VALUE_KINDS):
         raise GeometryError(f"unknown value kind {kind!r}")
 
     def sample(t):
-        return _pull_back(q, xi, t, func(tangent_curve(q, xi, t)), kind)
+        qt = curve_sample(q, xi, t)
+        if isinstance(kind, tuple):
+            return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kind))
+        return _pull_back(q, qt, func(qt), kind)
 
     return central_diff(sample, h, order)
 

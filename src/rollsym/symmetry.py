@@ -195,7 +195,7 @@ class SymmetryCandidate:
         returns the skewness residual, raising when it exceeds tol."""
         pulled = q.isometry.T @ self.U_bar(q)
         skew_res = float(np.abs(pulled + pulled.T).max())
-        if skew_res > tol:
+        if not skew_res <= tol:
             raise GeometryError(f"A^-1 U_bar is not skew (residual {skew_res:.3e})")
         return skew_res
 
@@ -220,7 +220,7 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
     check that the residual operations reject near-symmetries."""
     n = cand.pair.dim
     noise = skew_part(rng.standard_normal((n, n)))
-    noise *= eps / max(np.abs(noise).max(), 1e-300)
+    noise = noise / max(np.abs(noise).max(), 1e-300) * eps
 
     return SymmetryCandidate(
         cand.pair,
@@ -325,25 +325,18 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     follows its transport-integral formula, evaluated with composite Simpson
     quadrature on the supplied grid.
     """
-    pair = q1.pair
-    m, mh = pair.space, pair.space_hat
-    n = pair.dim
+    mh, n = q1.pair.space_hat, q1.pair.dim
     t_grid = np.asarray(t_grid, float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise GeometryError("time grid must start at 0 and increase")
     X = np.asarray(X, float)
-    v_hat = q1.apply(X)
-
-    # parallel frame along the development geodesic
-    fr1_hat = q1.frame_hat
-
-    def par_frame(t):
-        return mh.transport_along_geodesic(q1.x_hat, v_hat, t, fr1_hat)
+    v_hat, fr1_hat = q1.apply(X), q1.frame_hat
 
     def jacobi_rhs(t, y):
+        # eta in the parallel frame frt along the development geodesic
         eta, deta = y[:n], y[n:]
         xt, vt = mh.geodesic_flow(q1.x_hat, v_hat, t)
-        frt = par_frame(t)
+        frt = mh.transport_along_geodesic(q1.x_hat, v_hat, t, fr1_hat)
         frame_det = mh.frame(xt)
         a, b = mh.frame_coords(xt, frame_det, np.array([vt, frt.T @ eta]))
         r_apply = frame_det.T @ (mh.curvature_matrix_apply(xt, wedge_matrix(a, b)) @ a)
@@ -356,19 +349,17 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     for a, b in zip(t_grid[:-1], t_grid[1:]):
         etas.append(_rk4(jacobi_rhs, etas[-1], a, b, max(2, int(math.ceil((b - a) / 1e-3)))))
 
+    # each state keeps the frame-transport matrices (p, p_hat) from q1: the
+    # parallel frame along the development is p_hat.T in its deterministic frame
     states = [tangent_curve(q1, rolling_lift(q1, X), t) for t in t_grid]
+    v_c = q1.isometry @ q1.coords(X)
     z_hats = []
     integrand = []
-    p_hats = []
-    for t, y in zip(t_grid, etas):
-        frt = par_frame(t)
-        y_amb = frt.T @ y[:n]
-        z_hats.append(y_amb)
-        xt, vt = mh.geodesic_flow(q1.x_hat, v_hat, t)
-        a, b = mh.frame_coords(xt, mh.frame(xt), np.array([vt, y_amb]))
-        r_mat = mh.curvature_matrix_apply(xt, wedge_matrix(a, b))
-        p_hat = det_transport_matrix(mh, q1.x_hat, v_hat, t)
-        p_hats.append(p_hat)
+    for st, y in zip(states, etas):
+        p_hat = st.transports[1]
+        eta = p_hat @ y[:n]
+        z_hats.append(st.from_coords_hat(eta))
+        r_mat = mh.curvature_matrix_apply(st.x_hat, wedge_matrix(p_hat @ v_c, eta))
         integrand.append(p_hat.T @ r_mat @ p_hat)
 
     integrand = np.array(integrand)
@@ -378,11 +369,8 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
         integral = np.zeros_like(integrand)
 
     u1 = np.asarray(U_bar_0, float)
-    a1 = q1.isometry
-    u_bars = []
-    for k, t in enumerate(t_grid):
-        p = det_transport_matrix(m, q1.x, X, t)
-        u_bars.append(p_hats[k] @ (u1 + integral[k] @ a1) @ p.T)
+    u_bars = [st.transports[1] @ (u1 + i @ q1.isometry) @ st.transports[0].T
+              for st, i in zip(states, integral)]
     return PropagationResult(t_grid, states, z_hats, u_bars)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,17 @@ def frame_bracket(pair, q, i, j):
     d_j = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[i]))[j]
     d_i = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[j]))[i]
     return d_j - d_i
+
+
+def patch_everywhere(mp, fn, new):
+    """Replace fn by new under every name that any rollsym module binds it
+    to (a from-import copies a function into the importing module)."""
+    bindings = [(mod, key) for name, mod in list(sys.modules.items())
+                if name.split(".")[0] == "rollsym"
+                for key, value in list(vars(mod).items()) if value is fn]
+    assert bindings, fn
+    for mod, key in bindings:
+        mp.setattr(mod, key, new)
 
 
 CONNECTION_FORMS = st.one_of(
@@ -102,9 +115,8 @@ def test_generator_bracket_identity_structured_and_fd(name):
 def test_bracket_oracles_share_no_stencil_code(monkeypatch):
     # the FD oracle differentiates through its own stencil, the structured
     # formula through central_diff; neither may reach the other's kernel
-    import rollsym.brackets as brackets_mod
+    import rollsym.numerics as numerics_mod
     import rollsym.rolling as rolling_mod
-    import rollsym.symmetry as symmetry_mod
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the two bracket oracles share a stencil")
@@ -113,20 +125,17 @@ def test_bracket_oracles_share_no_stencil_code(monkeypatch):
     q = pair.random_state(RNG)
     gens = rolling_generators(pair)
     with monkeypatch.context() as mp:
-        for mod in (rolling_mod, brackets_mod):
-            mp.setattr(mod, "_stencil", forbidden)
+        patch_everywhere(mp, rolling_mod._stencil, forbidden)
         structured = bracket_structured(gens[0], gens[1], q).coords()
         nested = bracket_structured(gens[0], bracket_field(gens[0], gens[1]), q)
     with monkeypatch.context() as mp:
-        for mod in (rolling_mod, brackets_mod, symmetry_mod):
-            mp.setattr(mod, "central_diff", forbidden)
+        patch_everywhere(mp, numerics_mod.central_diff, forbidden)
         fd = bracket_fd(gens[0], gens[1], q).coords()
     assert np.abs(fd - structured).max() < 1e-5
     assert np.all(np.isfinite(nested.coords()))
 
 
 def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypatch):
-    import rollsym.brackets as brackets_mod
     import rollsym.rolling as rolling_mod
     from rollsym.spaces import SpaceForm
 
@@ -139,8 +148,8 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
     structured = bracket_structured(gens[0], gens[1], q).coords()
     q_fresh = pair.state(q.x, q.x_hat, q.isometry)
     monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
-    for mod in (rolling_mod, brackets_mod):
-        monkeypatch.setattr(mod, "curve_sample", forbidden)
+    for fn in (rolling_mod.curve_sample, rolling_mod.directional_derivative):
+        patch_everywhere(monkeypatch, fn, forbidden)
     fd = bracket_fd(gens[0], gens[1], q_fresh).coords()
     assert np.abs(fd - structured).max() < 1e-5
 

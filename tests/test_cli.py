@@ -502,6 +502,22 @@ def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
     assert not out.exists()
 
 
+def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
+    # at seed 1 the noise's largest entry is below 1: its scale used to
+    # overflow to inf, U_bar to turn NaN and the NaN skewness residual to
+    # pass validation, ending in a LinAlgError traceback
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check",
+        "--candidate", json.dumps({"kind": "catalog", "perturb": 1e308}),
+        "--samples", "2", "--seed", "1", "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "is not skew" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
 def test_perturbed_audit_with_a_degenerate_tolerance_exits_2(tmp_path, capsys, tol):
     cfg = write_config(tmp_path, SPHERES_1_3)

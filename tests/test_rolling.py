@@ -16,14 +16,17 @@ from rollsym.rolling import (
     RollingPair,
     TangentOfQ,
     curve_velocity,
+    directional_derivative,
     q_dim,
     random_rotation,
     roll_along,
     roll_geodesic,
     rolling_derivative,
     rolling_lift,
+    tangent_curve,
     vertical_derivative,
 )
+from rollsym.numerics import central_diff
 from rollsym.spaces import POINT_TOL
 
 RNG = np.random.default_rng(123)
@@ -455,6 +458,66 @@ def test_rolling_derivative_is_linear_in_direction():
     dY = rolling_derivative(field, q, Y, "scalar", order=4)
     dXY = rolling_derivative(field, q, 0.5 * X + 2.0 * Y, "scalar", order=4)
     assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
+
+
+@st.composite
+def pull_back_cases(draw):
+    """A pair of space forms, or one with a warped factor on either side,
+    and a seed."""
+    pair, seed, _, _ = draw(space_form_rolls())
+    side = draw(st.sampled_from(["neither", "first", "second"]))
+    if side != "neither":
+        warp = Warped((-1.2, 1.2), WarpFunction(draw(st.sampled_from(["cos", "cosh"]))),
+                      Sphere(pair.dim - 1, 1.0))
+        pair = RollingPair(warp, pair.space_hat) if side == "first" else RollingPair(pair.space, warp)
+    return pair, seed
+
+
+def _transported_back(m, x, v, t, w):
+    """w at the geodesic point exp_x(t v), transported back to x along the
+    geodesic (by -t from the geodesic point)."""
+    xt, vt = m.geodesic_flow(x, v, t)
+    return m.transport_along_geodesic(xt, vt, -t, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pull_back_cases(), st.sampled_from(["vector", "vector_hat", "map"]))
+def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, kind):
+    # the sample states' frame-transport matrices pull a value back as
+    # transporting it back along the geodesics does, at every kind
+    pair, seed = case
+    m, mh, n = pair.space, pair.space_hat, pair.dim
+    rng = np.random.default_rng(seed)
+    q = pair.random_state(rng)
+    xi = TangentOfQ(q, m.random_tangent(rng, q.x, unit=True),
+                    mh.random_tangent(rng, q.x_hat, unit=True),
+                    wedge_matrix(rng.standard_normal(n), rng.standard_normal(n)))
+    w, w_hat = rng.standard_normal((m.amb_dim,) * 2), rng.standard_normal((mh.amb_dim,) * 2)
+    r = rng.standard_normal((mh.amb_dim, m.amb_dim))
+    fields = {
+        "vector": lambda s: m.project(s.x, w @ s.x) + s.from_coords(s.isometry[0]),
+        "vector_hat": lambda s: mh.project(s.x_hat, w_hat @ s.x_hat) + s.apply(s.frame[0]),
+        "map": lambda s: s.isometry + s.frame_hat @ r @ s.frame.T,
+    }
+
+    def deleted_path(t):
+        qt = tangent_curve(q, xi, t)
+        value = fields[kind](qt)
+        if kind == "vector":
+            return _transported_back(m, q.x, xi.X, t, value)
+        if kind == "vector_hat":
+            return _transported_back(mh, q.x_hat, xi.X_hat, t, value)
+        fwd = q.coords(_transported_back(m, q.x, xi.X, t, qt.frame))
+        fwd_hat = q.coords_hat(_transported_back(mh, q.x_hat, xi.X_hat, t, qt.frame_hat))
+        return fwd_hat.T @ value @ fwd
+
+    expected = central_diff(deleted_path, 1e-4)
+    got = directional_derivative(fields[kind], q, xi, kind)
+    assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
+    # a tuple of kinds differentiates slot by slot through the same samples
+    kinds = ("vector", "vector_hat", "map")
+    both = directional_derivative(lambda s: tuple(fields[k](s) for k in kinds), q, xi, kinds)
+    assert np.array_equal(both[kinds.index(kind)], got)
 
 
 def test_vertical_derivative_examples():

@@ -131,6 +131,10 @@ def test_candidate_validation():
     )
     with pytest.raises(GeometryError):
         broken.validate(q)
+    # a NaN residual compares false with the tolerance and must not pass
+    nan_valued = SymmetryCandidate(pair, "sym0", U_bar=lambda s: np.full((2, 2), np.nan))
+    with pytest.raises(GeometryError):
+        nan_valued.validate(q)
     with pytest.raises(GeometryError):
         SymmetryCandidate(pair, "mystery")
 
@@ -198,6 +202,28 @@ def test_vertical_compatibility_detects_base_dependence():
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
     assert vertical_compatibility_residual(cand, q, X, Y) > 1e-4
+
+
+def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch):
+    # every candidate is differentiated along the rolling lift of X and the
+    # fiber direction of (X, Y) at q: the order-2 stencils share their two
+    # sample states per direction (rolling.curve_sample)
+    import rollsym.rolling as rolling_mod
+    from test_brackets import patch_everywhere
+
+    calls = []
+    build = rolling_mod.tangent_curve
+    patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
+    pair = RollingPair(Sphere(3, 2.0), Sphere(3, 1.0))
+    rng = np.random.default_rng(5)
+    q = pair.random_state(rng)
+    X = pair.space.random_tangent(rng, q.x, unit=True)
+    Y = pair.space.random_tangent(rng, q.x, unit=True)
+    cands = [killing_to_symmetry(pair, f) for f in killing_catalog(pair.space_hat)]
+    for cand in cands:
+        assert max(symmetry_residual(cand, q, X)) < 1e-6
+        assert vertical_compatibility_residual(cand, q, X, Y) < 1e-6
+    assert len(cands) == 6 and 0 < len(calls) <= 4
 
 
 # -- inner symmetries -------------------------------------------------------------------
