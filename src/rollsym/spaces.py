@@ -358,7 +358,13 @@ class ConstantCurvature(SpaceForm):
         return np.abs(self.inner_at(x, x, v)) * math.sqrt(abs(self.curvature_constant))
 
     def project(self, x, w):
-        return w - _col(self.curvature_constant * self.inner_at(x, x, w)) * x
+        # dividing by K<x, x> (1 on the manifold) keeps the result orthogonal
+        # to x at a point that round-off moved off it: far out on a
+        # hyperboloid a computed geodesic point misses <x, x> = 1/K by many
+        # ulps, and w - K<x, w> x would then keep a normal part
+        k = self.curvature_constant
+        norm = k * self.inner_at(x, x, x) if k else 1.0
+        return w - _col(k * self.inner_at(x, x, w) / norm) * x
 
     def project_derivative(self, x, v, w):
         k = self.curvature_constant

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rollsym import (
     DomainError,
@@ -542,6 +542,9 @@ def test_transport_along_a_geodesic_is_a_linear_isometry(m, seed, t):
 
 @settings(max_examples=40, deadline=None)
 @given(BROADCAST_FORMS, st.integers(0, 2**32 - 1))
+# the geodesic ends off the hyperboloid by many ulps; projecting with K<x, w>
+# alone left the one-point frame a normal part there, 3e-11 from `frames`
+@example(m=Hyperbolic(3, 0.505521905722678), seed=183806)
 def test_deterministic_frames_stay_coherently_oriented_along_geodesics(m, seed):
     rng = np.random.default_rng(seed)
     x = m.random_point(rng)
