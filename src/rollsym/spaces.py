@@ -5,8 +5,9 @@ space, round spheres, hyperbolic spaces (hyperboloid model), and warped
 products I x_f N over a one-dimensional base.  Spheres and hyperbolic
 spaces are represented extrinsically (ambient constraint plus projection),
 which gives closed forms for geodesics and parallel transport.  Warped
-products are intrinsic pairs (s, fiber point) and fall back to RK4 on the
-relevant ODEs.
+products are intrinsic pairs (s, fiber point) over a space-form fiber; their
+geodesics and transports fall back to RK4, and a geodesic driving path is
+sampled through Clairaut's integral.
 
 Every geometry method broadcasts over leading axes: points and vectors have
 shape (..., amb_dim), a frame (..., n, amb_dim), and the leading axes of all
@@ -72,7 +73,7 @@ def _substeps(spans, step):
 def _lib(a):
     """math for a single number, NumPy for an array: Python's scalar
     functions cost a fraction of NumPy's on one number."""
-    return np if np.ndim(a) else math
+    return np if isinstance(a, np.ndarray) and a.ndim else math
 
 
 def _col(a):
@@ -243,8 +244,10 @@ class SpaceForm:
 
     def connection_form(self, x, v):
         """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
-        for the deterministic frame E at the point x; v is one tangent vector
-        or a stack (..., amb_dim), which gives (..., n, n).
+        for the deterministic frame E at the point x.  At one point x, v is
+        one tangent vector or a stack (..., amb_dim), which gives (..., n, n);
+        at a stack of points xs (N, amb_dim), v holds one vector at each and
+        the result is (N, n, n), from the frames of `frames`.
 
         Gram-Schmidt is a Cholesky factorization: the kept projected basis
         vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
@@ -255,20 +258,22 @@ class SpaceForm:
         The kept set is locally constant, and an orientation flip of the last
         row negates the last row and column of omega.  Subclasses supply dB
         and dW through project_derivative and metric_weights_derivative."""
-        fr, kept = self._gram_schmidt(x)
+        x = np.asarray(x, dtype=float)
+        fr, kept = self._gram_schmidt(x) if x.ndim == 1 else self._frames(x)
+        x = x[..., None, :]  # against the frame rows
         w = self.metric_weights(x)
         eye = np.eye(self.amb_dim)[kept]
-        lower = self.project(x, eye) @ (w * fr).T
-        sign = np.sign(np.diagonal(lower))  # -1 on the last row after a flip
-        fr = sign[:, None] * fr
-        inv = np.linalg.inv(np.tril(lower * sign))
+        lower = self.project(x, eye) @ (w * fr).mT
+        sign = np.sign(np.diagonal(lower, axis1=-2, axis2=-1))  # -1 on the last row after a flip
+        fr = sign[..., None] * fr
+        inv = np.linalg.inv(np.tril(lower * sign[..., None, :]))
         v = np.asarray(v, dtype=float)[..., None, :]
         d_basis = self.project_derivative(x, v, eye)
-        phi = inv @ (d_basis * w) @ fr.T
-        s = phi + np.swapaxes(phi, -1, -2) + (fr * self.metric_weights_derivative(x, v)) @ fr.T
+        phi = inv @ (d_basis * w) @ fr.mT
+        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.mT
         low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
         nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
-        return sign[:, None] * ((nabla * w) @ fr.T) * sign
+        return sign[..., None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
 
     def project_derivative(self, x, v, w):
         """Derivative of the projection of a fixed ambient vector w along the
@@ -285,10 +290,16 @@ class SpaceForm:
         rule) run on all rows at once.  Every kept vector is projected and
         orthogonalized a second time ("twice is enough"), so the rows are the
         same frames, orthonormal to round-off."""
+        return self._frames(xs)[0]
+
+    def _frames(self, xs):
+        """SpaceForm.frames at xs and, per row, the coordinate indices whose
+        projected basis vectors it kept, an (N, n) integer array."""
         xs = np.asarray(xs, dtype=float)
         n = self.dim
         rows = np.zeros((len(xs), n, self.amb_dim))
         filled = np.zeros(len(xs), dtype=int)
+        kept = np.zeros((len(xs), n), dtype=int)
         basis = self.project(xs[:, None], np.eye(self.amb_dim))
         for k in range(self.amb_dim):
             if np.all(filled == n):
@@ -298,11 +309,12 @@ class SpaceForm:
             at = xs[take]
             v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
             rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
+            kept[take, filled[take]] = k
             filled[take] += 1
         if np.any(filled < n):
             raise GeometryError("could not complete an orthonormal frame at this point")
         rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
-        return rows
+        return rows, kept
 
     def _orthogonalize(self, xs, vs, rows):
         """vs minus its components along rows (rows not yet filled are zero)."""
@@ -614,7 +626,10 @@ class Warped(SpaceForm):
 
     kind = "warped"
 
-    def __init__(self, interval, warp: WarpFunction, fiber: SpaceForm):
+    def __init__(self, interval, warp: WarpFunction, fiber: ConstantCurvature):
+        if not isinstance(fiber, ConstantCurvature):
+            raise GeometryError(f"the fiber of a warped product must be a space form, "
+                                f"not {fiber.kind!r}")
         self.interval = (float(interval[0]), float(interval[1]))
         if not self.interval[0] < self.interval[1]:
             raise GeometryError("empty warp interval")
@@ -684,7 +699,7 @@ class Warped(SpaceForm):
             xdot[..., :1] * vf + v[..., :1] * ydot)
         return np.concatenate((da, dvf), axis=-1)  # both have every argument's leading axes
 
-    def _geodesic_rk4(self, t, step, x, v, *ws):
+    def _geodesic_rk4(self, t, x, v, *ws):
         """RK4 from time 0 to t of the geodesic with initial data (x, v) and of
         the vectors ws transported along it; returns the state stacked on the
         second-to-last axis: point, velocity, then the transported vectors."""
@@ -695,16 +710,16 @@ class Warped(SpaceForm):
             return np.concatenate((vc, self.transport_rhs(xc, vc, y[..., 1:, :])), axis=-2)
 
         y0 = np.stack(np.broadcast_arrays(x, v, *ws), axis=-2)
-        out = _rk4(rhs, y0, 0.0, t, _steps_for(t, step))
+        out = _rk4(rhs, y0, 0.0, t, _steps_for(t, DEFAULT_STEP))
         self._check_s(out[..., 0, 0])
         return out
 
-    def geodesic_flow(self, x, v, t, step=DEFAULT_STEP):
-        out = self._geodesic_rk4(t, step, x, v)
+    def geodesic_flow(self, x, v, t):
+        out = self._geodesic_rk4(t, x, v)
         return out[..., 0, :], out[..., 1, :]
 
-    def transport_along_geodesic(self, x, v, t, w, step=DEFAULT_STEP):
-        return self._geodesic_rk4(t, step, x, v, w)[..., 2, :]
+    def transport_along_geodesic(self, x, v, t, w):
+        return self._geodesic_rk4(t, x, v, w)[..., 2, :]
 
     def radial_curvature(self, s):
         return -self.warp.second_derivative(s) / self.warp.value(s)
@@ -712,8 +727,7 @@ class Warped(SpaceForm):
     def fiber_plane_curvature(self, s):
         f = self.warp.value(s)
         fp = self.warp.derivative(s)
-        k_fib = getattr(self.fiber, "curvature_constant", 0.0)
-        return (k_fib - fp * fp) / (f * f)
+        return (self.fiber.curvature_constant - fp * fp) / (f * f)
 
     def curvature_matrix_apply(self, x, xi):
         # Frame index 0 is the radial direction, so plane (0, j) is radial
@@ -762,9 +776,15 @@ def from_spec(spec: dict) -> SpaceForm:
 class GeodesicPath:
     """Driving path given as a geodesic spec (point, direction, duration).
 
-    Constant-curvature manifolds evaluate through their closed forms, at one
-    time or (one row each) at an array of times; warped products integrate
-    the geodesic once and interpolate, so repeated point queries stay cheap.
+    Point, velocity and both together (`flow`) take one time or (one row
+    each) an array of times.  Constant-curvature manifolds evaluate through
+    their closed forms.  On a warped product I x_f N, f(s)^2 |y'|_h = c is
+    conserved (Clairaut's integral), so the fiber part y runs along the fiber
+    geodesic of the unit direction of y'(0), at the arclength phi with
+    phi' = c / f(s)^2, while s'' = c^2 f'(s) / f(s)^3.  The scalar system
+    (s, s', phi) is integrated once by RK4 over the whole path, and any time
+    is reached by one RK4 step from the grid time below it; the point is
+    exactly on the manifold.
     """
 
     def __init__(self, manifold: SpaceForm, x0, v0, t_max):
@@ -772,46 +792,76 @@ class GeodesicPath:
         self.x0 = np.asarray(x0, dtype=float)
         self.v0 = np.asarray(v0, dtype=float)
         self.t_max = float(t_max)
-        self._cache = None
-
-    def _ensure_cache(self):
-        if self._cache is None:
-            from scipy.interpolate import CubicSpline
-
-            ts = np.linspace(0.0, self.t_max, max(64, _steps_for(self.t_max, DEFAULT_STEP)) + 1)
-            xs, vs = [self.x0], [self.v0]
-            for a, b in zip(ts[:-1], ts[1:]):
-                x, v = self.manifold.geodesic_flow(xs[-1], vs[-1], b - a, step=b - a)
-                xs.append(x)
-                vs.append(v)
-            self._cache = (CubicSpline(ts, np.array(xs), axis=0),
-                           CubicSpline(ts, np.array(vs), axis=0))
+        self._table = None
 
     def point(self, t):
-        if isinstance(self.manifold, ConstantCurvature):
-            return self.manifold.geodesic_arr(self.x0, self.v0, t)
-        self._ensure_cache()
-        return self.manifold.closest_point(self._cache[0](t))
+        return self.flow(t)[0]
 
     def velocity(self, t):
-        if isinstance(self.manifold, ConstantCurvature):
-            return self.manifold.geodesic_flow(self.x0, self.v0, t)[1]
-        self._ensure_cache()
-        return self.manifold.project(self.point(t), self._cache[1](t))
+        return self.flow(t)[1]
+
+    def flow(self, t):
+        """(point, velocity) at t."""
+        m = self.manifold
+        if isinstance(m, ConstantCurvature):
+            return m.geodesic_flow(self.x0, self.v0, t)
+        if self._table is None:
+            self._table = self._clairaut_table()
+        h, grid, c, direction = self._table
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.floor(t / h), 0, len(grid) - 1).astype(int) if h else np.zeros(t.shape, int)
+        s, sdot, phi = _clairaut_step(m.warp, c, *grid[k].T, t - k * h)
+        m._check_s(s)
+        y, ydot = m.fiber.geodesic_flow(self.x0[1:], direction, phi)
+        return _stack(s, y), _stack(sdot, _col(c / m.warp.value(s) ** 2) * ydot)
+
+    def _clairaut_table(self):
+        """(grid step, rows (s, s', phi) at the grid times, Clairaut's c, the
+        unit fiber direction)."""
+        m = self.manifold
+        y0, eta = self.x0[1:], self.v0[1:]
+        speed = math.sqrt(max(float(m.fiber.inner_at(y0, eta, eta)), 0.0))
+        c = float(m.warp.value(self.x0[0])) ** 2 * speed
+        direction = eta / speed if speed > 0 else np.zeros_like(eta)
+        steps = _steps_for(self.t_max, DEFAULT_STEP)
+        h = self.t_max / steps
+        rows = [(float(self.x0[0]), float(self.v0[0]), 0.0)]
+        lo, hi = m.interval
+        for _ in range(steps):
+            rows.append(_clairaut_step(m.warp, c, *rows[-1], h))
+            if not lo <= rows[-1][0] <= hi:
+                m._check_s(rows[-1][0])
+        return h, np.array(rows), c, direction
 
     def sample_times(self, step):
         return np.linspace(0.0, self.t_max, _steps_for(self.t_max, step) + 1)
 
     def reversed(self):
-        xe, ve = self.manifold.geodesic_flow(self.x0, self.v0, self.t_max)
-        return GeodesicPath(self.manifold, xe, -ve, self.t_max)
+        x, v = self.flow(self.t_max)
+        return GeodesicPath(self.manifold, x, -v, self.t_max)
+
+
+def _clairaut_step(warp, c, s, sdot, phi, h):
+    """One RK4 step of length h of s'' = c^2 f'(s) / f(s)^3, phi' = c / f(s)^2
+    from (s, s', phi); numbers or arrays alike."""
+
+    def rates(s, sdot):
+        f = warp.value(s)
+        return sdot, c * c * warp.derivative(s) / (f * f * f), c / (f * f)
+
+    k1 = rates(s, sdot)
+    k2 = rates(s + h / 2 * k1[0], sdot + h / 2 * k1[1])
+    k3 = rates(s + h / 2 * k2[0], sdot + h / 2 * k2[1])
+    k4 = rates(s + h * k3[0], sdot + h * k3[1])
+    return tuple(y + h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
+                 for y, r1, r2, r3, r4 in zip((s, sdot, phi), k1, k2, k3, k4))
 
 
 class SampledPath:
     """Driving path given by dense samples; velocities come from a cubic
     spline through the ambient coordinates, projected to the tangent space.
-    Point and velocity also take an array of times and return one row per
-    time."""
+    Point, velocity and flow also take an array of times and return one row
+    per time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
         from scipy.interpolate import CubicSpline
@@ -834,7 +884,12 @@ class SampledPath:
         return self.manifold.closest_point(self._spline(t))
 
     def velocity(self, t):
-        return self.manifold.project(self.point(t), self._deriv(t))
+        return self.flow(t)[1]
+
+    def flow(self, t):
+        """(point, velocity) at t."""
+        x = self.point(t)
+        return x, self.manifold.project(x, self._deriv(t))
 
     def sample_times(self, step):
         return self.times

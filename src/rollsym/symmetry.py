@@ -74,12 +74,13 @@ class KillingField:
             out = out + self.translation
         return self.manifold.project(x, out)
 
-    def nabla_matrix(self, x):
-        """Matrix of the covariant differential in the deterministic frame."""
+    def nabla_matrix(self, x, frame=None):
+        """Matrix of the covariant differential in the deterministic frame
+        (built at x unless it is given)."""
         m = self.manifold
         if self.generator is None:
             return np.zeros((m.dim, m.dim))
-        fr = m.frame(x)
+        fr = m.frame(x) if frame is None else frame
         return m.inner_at(x, fr[:, None], m.project(x, fr @ self.generator.T))
 
 
@@ -210,7 +211,7 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
         pair,
         "killing-induced",
         Z_hat=lambda q: field.value(q.x_hat),
-        U_bar=lambda q: field.nabla_matrix(q.x_hat) @ q.isometry,
+        U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat) @ q.isometry,
         name=f"killing({field.name})",
     )
 

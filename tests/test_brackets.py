@@ -69,6 +69,31 @@ CONNECTION_FORMS = st.one_of(
     st.builds(lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name), fiber),
               st.sampled_from(["cos", "cosh"]), st.sampled_from([Sphere(1, 1.0), Sphere(2, 1.0)])),
 )
+CATALOG = st.one_of(
+    CONNECTION_FORMS,
+    st.builds(lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name), fiber),
+              st.sampled_from(["exp", "affine"]),
+              st.sampled_from([Euclidean(1), Hyperbolic(2, 1.0), Sphere(3, 2.0)])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CATALOG, st.integers(0, 2**32 - 1))
+def test_stacked_connection_form_is_the_pointwise_one(m, seed):
+    # a stack of points takes its frames from `frames`, one point from the
+    # pointwise Gram-Schmidt; both give the same forms, to 1e-12 of their
+    # size or, where a kept basis vector nearly cancelled, to the round-off
+    # of the Cholesky factor's inverse, which shows as their skew defect
+    rng = np.random.default_rng(seed)
+    xs = np.array([m.random_point(rng) for _ in range(6)])
+    vs = np.array([m.random_tangent(rng, x, unit=True) for x in xs])
+    stacked = m.connection_form(xs, vs)
+    assert stacked.shape == (len(xs), m.dim, m.dim)
+    for x, v, omega in zip(xs, vs, stacked):
+        expected = m.connection_form(x, v)
+        scale = max(1.0, float(np.abs(expected).max()), float(np.abs(m.frame(x)).max()))
+        round_off = max(np.abs(w + w.T).max() for w in (omega, expected))
+        assert np.abs(omega - expected).max() <= 1e-12 * scale + round_off
 
 
 @settings(max_examples=60, deadline=None)

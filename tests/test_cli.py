@@ -166,6 +166,18 @@ def test_simulate_domain_exit_code(tmp_path):
     assert code == 3
 
 
+def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
+    # the curvature of a warped product needs a fiber of constant curvature
+    inner = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
+             "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
+    outer = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cos"}, "fiber": inner}
+    cfg = write_config(tmp_path, {"manifold_pair": [outer, {"kind": "sphere", "dim": 3}],
+                                  "seed": 1})
+    assert main(["--config", cfg, "rol", "--out", str(tmp_path / "k.json")]) == 2
+    assert "fiber of a warped product must be a space form" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_config_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -17,6 +17,7 @@ from rollsym import (
     from_spec,
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
+from rollsym.spaces import POINT_TOL
 
 RNG = np.random.default_rng(2024)
 
@@ -322,6 +323,8 @@ def test_warp_function_invariants():
         Warped((-3.0, 3.0), WarpFunction("cos"), Sphere(1, 1.0))  # cos vanishes inside
     with pytest.raises(GeometryError):
         WarpFunction("tanh")
+    with pytest.raises(GeometryError):  # a warped fiber has no constant curvature
+        Warped((-1.2, 1.2), WarpFunction("cos"), unit_sphere_cosh_warped())
 
 
 # -- frames and serialization -----------------------------------------------------
@@ -396,18 +399,50 @@ def test_warped_frames_are_coherently_oriented(fiber):
         assert np.all(np.linalg.det(change) > 0)
 
 
-@pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2)], ids=repr)
+@pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2),
+                               unit_sphere_cosh_warped(3)], ids=repr)
 def test_paths_evaluate_arrays_of_times_like_single_times(m):
     rng = np.random.default_rng(4)
     x = m.random_point(rng)
     ts = np.linspace(0.0, 1.7, 9)
-    geodesic = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 1.7)
+    # a warped geodesic runs slower, so that it stays in its interval
+    speed = 0.2 if isinstance(m, Warped) else 1.0
+    geodesic = GeodesicPath(m, x, speed * m.random_tangent(rng, x, unit=True), 1.7)
     sampled = SampledPath(m, ts, np.array([geodesic.point(t) for t in ts]))
     for path in (geodesic, sampled):
         times = np.array([0.0, 0.35, 1.1, 1.7])
         for got, one in ((path.point(times), path.point), (path.velocity(times), path.velocity)):
             assert got.shape == (len(times), m.amb_dim)
             assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
+
+
+WARPED_GEODESICS = st.builds(
+    lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name, omega=0.8), fiber),
+    st.sampled_from(["cos", "cosh", "exp"]),
+    st.sampled_from([Sphere(1, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Euclidean(2)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(WARPED_GEODESICS, st.integers(0, 2**32 - 1), st.floats(0.01, 0.35))
+def test_clairaut_sampler_conserves_its_integral_and_matches_the_geodesic_flow(m, seed, length):
+    # f(s)^2 |y'|_h and the speed are constant along the sampled geodesic,
+    # which agrees with RK4 on the full geodesic equations
+    rng = np.random.default_rng(seed)
+    x = m.random_point(rng)
+    v = m.random_tangent(rng, x, unit=True)
+    path = GeodesicPath(m, x, v, length)
+    ts = np.linspace(0.0, length, 7)
+    pts, vel = path.point(ts), path.velocity(ts)
+    assert m.constraint_residual(pts).max() <= POINT_TOL
+    y, ydot = pts[:, 1:], vel[:, 1:]
+    clairaut = m.warp.value(pts[:, 0]) ** 2 * np.sqrt(m.fiber.inner_at(y, ydot, ydot))
+    assert np.abs(clairaut - clairaut[0]).max() <= 1e-12
+    assert np.abs(m.inner_at(pts, vel, vel) - 1.0).max() <= 1e-10
+    xt, vt = x, v  # RK4 on the geodesic equations, from sample to sample
+    for dt, p, u in zip(np.diff(ts), pts[1:], vel[1:]):
+        xt, vt = m.geodesic_flow(xt, vt, dt)
+        assert np.abs(p - xt).max() <= 1e-10
+        assert np.abs(u - vt).max() <= 1e-10
 
 
 def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):
