@@ -340,9 +340,9 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     When the second factor is a space form, its point and parallel frame form
     one group element, advanced by 4th-order Magnus steps (two Gauss nodes),
     and so does the first factor's parallel frame: as a group element with
-    its point on a space form, as a rotation of the deterministic frame on a
-    warped product.  The constraints then hold to round-off at any step.
-    Only a warped second factor falls back to RK4 on the frames."""
+    its point on a space form, as its rows with the fiber parts scaled by
+    f(s) on a warped product.  The constraints then hold to round-off at any
+    step.  Only a warped second factor falls back to RK4 on the frames."""
     pair = q0.pair
     times = np.asarray(path.sample_times(step), dtype=float)
     if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
@@ -360,17 +360,19 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
 def _roll_magnus(q0, path, times, step):
     """Rows of (x, x_hat, A) at the sample times, grid block by grid block.
 
-    The first factor's parallel frame is carried by a matrix g with g' = g Z.
-    On a space form g is the group element G (rows: the parallel frame, the
-    point) and Z = transport_generators(x, v); on a warped product g is the
-    rotation R with parallel frame R E(x), E the deterministic frame, and
-    Z = -omega(x, v), the connection form of E.  The second factor's H
-    (columns: the images of that frame, the point) follows H' = H X(c), c the
-    coordinates of the path velocity in the parallel frame.  c is needed at
-    the Gauss nodes of each step, so g is also carried from the start of the
-    step to each node by a Magnus step of its own.  Both factors start from
-    their points moved onto the manifold and the rotation nearest to A, so
-    that round-off in q0 is not amplified along the roll."""
+    The first factor's parallel frame is carried by its group element g
+    (`group_element`, read back by `group_frame`) with g' = g Z, Z =
+    transport_generators(x, v): on a space form the rows of g are the
+    parallel frame and the point, on a warped product the parallel frame with
+    its fiber parts scaled by f(s).  Neither depends on the deterministic
+    frame, which jumps where its Gram-Schmidt skips a different basis vector.
+    The second factor's H (columns: the images of that frame, the point)
+    follows H' = H X(c), c the coordinates of the path velocity in the
+    parallel frame.  c is needed at the Gauss nodes of each step, so g is
+    also carried from the start of the step to each node by a Magnus step of
+    its own.  Both factors start from their points moved onto the manifold
+    and the rotation nearest to A, so that round-off in q0 is not amplified
+    along the roll."""
     m, mh, n = q0.pair.space, q0.pair.space_hat, q0.pair.dim
     counts = _substeps(np.diff(times), step)
     first = np.cumsum(counts) - counts
@@ -379,23 +381,9 @@ def _roll_magnus(q0, path, times, step):
     grid = np.append(times[which] + frac * np.diff(times)[which], times[-1])
     out = np.append(first, counts.sum())  # the sample times within the grid
 
-    if isinstance(m, ConstantCurvature):
-        x0 = m.closest_point(q0.x)
-        g = m.group_element(x0, m.frame(x0))
-        generators = m.transport_generators
-
-        def parallel(g, pts):
-            return g[..., :n, : m.amb_dim]
-    else:
-        g = np.eye(n)
-
-        def generators(pts, vel):
-            return -m.connection_form(pts, vel)
-
-        def parallel(g, pts):
-            return g @ m.frames(pts.reshape(-1, m.amb_dim)).reshape(g.shape[:-1] + (m.amb_dim,))
-
-    size = len(g)
+    x0 = m.closest_point(q0.x)
+    g = m.group_element(x0, m.frame(x0))
+    size = g.shape[-1]
     x_hat0 = mh.closest_point(q0.x_hat)
     hh = mh.group_element(x_hat0, _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)).T
     x = path.point(times)
@@ -409,20 +397,21 @@ def _roll_magnus(q0, path, times, step):
         span = h[:, None] * np.concatenate(([1.0], GAUSS_NODES))
         at = (grid[lo:hi, None, None] + span[:, :, None] * GAUSS_NODES).ravel()
         pts, vel = path.flow(at)
-        z = generators(pts, vel).reshape(-1, 2, size, size)
+        z = m.transport_generators(pts, vel).reshape(-1, 2, size, size)
         d = expm1_stack(_magnus(z, span.ravel())).reshape(hi - lo, 3, size, size)
         step_d = running_products(d[:, 0])
         g_start = np.concatenate((g[None], g + g @ step_d[:-1]))[:, None]
         g_node = g_start + g_start @ d[:, 1:]
-        node_pts, node_vel = (p.reshape(hi - lo, 3, 2, -1)[:, 0, :, None] for p in (pts, vel))
-        c = m.inner_at(node_pts, parallel(g_node, node_pts), node_vel)
+        node_pts, node_vel = (p.reshape(hi - lo, 3, 2, -1)[:, 0] for p in (pts, vel))
+        frames = m.group_frame(node_pts, g_node)
+        c = m.inner_at(node_pts[..., None, :], frames, node_vel[..., None, :])
         xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, n + 1, n + 1)
         gs, hs = g + g @ step_d, hh + hh @ running_products(expm1_stack(_magnus(xi, h)))
         g, hh = gs[-1], hs[-1]
         keep = np.flatnonzero((out > lo) & (out <= hi))
         at_row = out[keep] - lo - 1
         x_hat[keep] = hs[at_row, : mh.amb_dim, n]
-        a[keep] = _redress(q0.pair, x[keep], x_hat[keep], parallel(gs[at_row], x[keep]),
+        a[keep] = _redress(q0.pair, x[keep], x_hat[keep], m.group_frame(x[keep], gs[at_row]),
                            hs[at_row, : mh.amb_dim, :n])
     return x, x_hat, a
 

@@ -449,6 +449,10 @@ class ConstantCurvature(SpaceForm):
         return np.vstack([self._homogeneous(np.asarray(frame, dtype=float), 0.0),
                           self._homogeneous(np.asarray(x, dtype=float), 1.0)])
 
+    def group_frame(self, xs, g):
+        """The frame rows of group elements g (..., n+1, n+1) at points xs."""
+        return g[..., : self.dim, : self.amb_dim]
+
     def transport_generators(self, xs, vs):
         """Z with G' = G Z for the group element G of a parallel frame along a
         curve through the rows of xs with velocities vs: Z = K (Jx v^T - Jv x^T)
@@ -698,6 +702,38 @@ class Warped(SpaceForm):
         dvf = self.fiber.transport_rhs(y, ydot, vf) - _col(fp / f) * (
             xdot[..., :1] * vf + v[..., :1] * ydot)
         return np.concatenate((da, dvf), axis=-1)  # both have every argument's leading axes
+
+    def _fiber_scale(self, xs):
+        """(1, f(s), ..., f(s)) at each point, as a row against frame rows."""
+        f = self.warp.value(np.asarray(xs)[..., 0])
+        return _stack(1.0, _col(f) * np.ones(self.fiber.amb_dim))[..., None, :]
+
+    def group_element(self, x, frame):
+        """The frame rows with their fiber coordinates multiplied by f(s): an
+        n x amb_dim matrix F with F J F^T = I for J = diag(1, fiber
+        signature), whatever s is.  Along a curve a parallel frame moves it by
+        F' = F Z, Z from transport_generators, and Z J is skew, so Magnus
+        steps keep F J F^T = I to round-off.  This holds along any path,
+        through the points where the deterministic frame jumps."""
+        return np.asarray(frame, dtype=float) * self._fiber_scale(x)
+
+    def group_frame(self, xs, g):
+        """The frame rows held by elements g (..., n, amb_dim) at points xs."""
+        return g / self._fiber_scale(xs)
+
+    def transport_generators(self, xs, vs):
+        """Z with F' = F Z for the element F of a parallel frame along a curve
+        through the rows of xs with velocities vs.  With q the fiber part of a
+        row of F (f times the frame vector's) and a its radial part, the
+        transport equations read a' = f'(s) <q, y'>_h and q' = -f'(s) a y' +
+        (q's fiber transport), the last from the fiber's own generator."""
+        fp = _col(self.warp.derivative(xs[:, 0]))
+        y, ydot, m = xs[:, 1:], vs[:, 1:], self.fiber.amb_dim
+        z = np.zeros((len(xs), self.amb_dim, self.amb_dim))
+        z[:, 0, 1:] = -fp * ydot
+        z[:, 1:, 0] = fp * self.fiber.signature * ydot
+        z[:, 1:, 1:] = self.fiber.transport_generators(y, ydot)[:, :m, :m]
+        return z
 
     def _geodesic_rk4(self, t, x, v, *ws):
         """RK4 from time 0 to t of the geodesic with initial data (x, v) and of

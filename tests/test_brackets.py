@@ -77,23 +77,33 @@ CATALOG = st.one_of(
 )
 
 
+def _least_kept_length(m, x):
+    """The smallest length a kept projected basis vector keeps after
+    Gram-Schmidt: the smallest diagonal entry of the Cholesky factor that
+    connection_form inverts."""
+    rows, kept = m._gram_schmidt(x)
+    basis = m.project(x, np.eye(m.amb_dim)[kept])
+    return float(np.abs(m.inner_at(x, basis, rows)).min())
+
+
 @settings(max_examples=60, deadline=None)
 @given(CATALOG, st.integers(0, 2**32 - 1))
 def test_stacked_connection_form_is_the_pointwise_one(m, seed):
     # a stack of points takes its frames from `frames`, one point from the
-    # pointwise Gram-Schmidt; both give the same forms, to 1e-12 of their
-    # size or, where a kept basis vector nearly cancelled, to the round-off
-    # of the Cholesky factor's inverse, which shows as their skew defect
+    # pointwise Gram-Schmidt; both give the same forms to 1e-12 of their
+    # size and of the frame's coordinates (large far out on a hyperboloid),
+    # at points away from where a kept basis vector nearly cancels (there the
+    # inverse Cholesky factor amplifies round-off in both)
     rng = np.random.default_rng(seed)
     xs = np.array([m.random_point(rng) for _ in range(6)])
-    vs = np.array([m.random_tangent(rng, x, unit=True) for x in xs])
+    xs = xs[[_least_kept_length(m, x) > 1e-3 for x in xs]]
+    vs = np.array([m.random_tangent(rng, x, unit=True) for x in xs]).reshape(len(xs), m.amb_dim)
     stacked = m.connection_form(xs, vs)
     assert stacked.shape == (len(xs), m.dim, m.dim)
     for x, v, omega in zip(xs, vs, stacked):
         expected = m.connection_form(x, v)
         scale = max(1.0, float(np.abs(expected).max()), float(np.abs(m.frame(x)).max()))
-        round_off = max(np.abs(w + w.T).max() for w in (omega, expected))
-        assert np.abs(omega - expected).max() <= 1e-12 * scale + round_off
+        assert np.abs(omega - expected).max() <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)

@@ -346,20 +346,40 @@ def test_warped_first_factor_converges_at_fourth_order_along_a_curved_path(fiber
     assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
 
 
-@pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
-def test_warped_first_factor_rolls_like_rk4(fiber):
-    # the rotation of the deterministic frame by Magnus steps against RK4 on
-    # both parallel frames at a ten times finer step
-    pair = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), fiber), Sphere(fiber.dim + 1, 1.0))
+def _warped_start(fiber, miss, rng):
+    """A point and unit velocity on cos x S^2(1) or cos x H^2(1).  With miss
+    None: the fiber point (1, 0, 0), where the deterministic frame skips a
+    different basis vector than next to it, and a random direction.  With
+    miss d: 0.05 before the point where the fiber geodesic comes closest to
+    (1, 0, 0), at fiber distance d."""
+    m = Warped((-1.2, 1.2), WarpFunction("cos"), fiber)
+    if miss is None:
+        x = np.array([0.2, 1.0, 0.0, 0.0])
+        return m, x, m.random_tangent(rng, x, unit=True)
+    ch, sh = (math.cos(miss), math.sin(miss)) if fiber.kind == "sphere" else (
+        math.cosh(miss), math.sinh(miss))
+    closest = np.array([0.2, ch, 0.0, sh])
+    v = np.array([0.3, 0.0, 1.0, 0.0])
+    back = GeodesicPath(m, closest, v / math.sqrt(m.inner_at(closest, v, v)), 0.05)
+    return m, back.point(0.05), -back.velocity(0.05)
+
+
+@pytest.mark.parametrize("fiber", [Sphere(2, 1.0), Hyperbolic(2, 1.0)], ids=repr)
+@pytest.mark.parametrize("miss", [None, 1e-3, 0.3], ids=repr)
+def test_warped_first_factor_rolls_like_rk4(fiber, miss):
+    # the parallel frame by Magnus steps against RK4 on both parallel frames
+    # at a ten times finer step, row by row, also where the path starts at or
+    # passes next to the fiber point where the deterministic frame jumps
     rng = np.random.default_rng(5)
-    q0 = pair.random_state(rng)
-    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.1)
+    m, x, v = _warped_start(fiber, miss, rng)
+    pair = RollingPair(m, Sphere(3, 1.0))
+    q0 = pair.state(x, pair.space_hat.random_point(rng), random_rotation(rng, 3))
+    path = GeodesicPath(m, x, v, 0.1)
     curve = roll_along(q0, path, step=1e-3)
     assert curve.residuals.max() < 1e-12
     _, x_hat, a = _roll_rk4(q0, path, path.sample_times(1e-4), 1e-4)
-    end = curve.final_state()
-    assert np.abs(end.x_hat - x_hat[-1]).max() < 1e-9
-    assert np.abs(end.isometry - a[-1]).max() < 1e-9
+    assert np.abs(curve.x_hat - x_hat[::10]).max() < 1e-9
+    assert np.abs(curve.A - a[::10]).max() < 1e-9
 
 
 @pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
