@@ -39,13 +39,17 @@ for name, pair in pairs.items():
 
 # The first bracket carries the whole story: for rolling lifts of the
 # frame, its vertical part is kappa times the wedge of the two directions.
+# The generators form one stacked field, and one bracket_structured call
+# returns the whole table of brackets [L(E_i), L(E_j)] in (i, j) order.
 pair = pairs["sphere(1) on sphere(3)"]
 q = pair.random_state(rng)
-g1, g2 = rolling_generators(pair)[:2]
-br = bracket_structured(g1, g2, q)
+gens = rolling_generators(pair)
+table = bracket_structured(gens, gens, q)
 print("\nvertical part of [L(E1), L(E2)] on sphere(1)/sphere(3):")
-print(np.round(br.C, 6))
+print(np.round(table[1].C, 6))
 print("kappa =", curvature_mismatch(pair))
+coords = table.coords().reshape(2, 2, -1)
+print(f"antisymmetry defect of the table: {np.abs(coords + coords.swapaxes(0, 1)).max():.1e}")
 
 # Equiregularity: the growth vector does not depend on the state.
 growths = {flag_ranks(pair.random_state(rng), depth=3).ranks for _ in range(10)}

@@ -1,10 +1,11 @@
 """Lie brackets of structured fields on the state space, and the growth
 vector of the rolling distribution.
 
-A structured field assigns to every state a tangent vector in the
-(X, X_hat, C) decomposition.  The bracket of two such fields has a closed
-combinatorial form: derivative terms of each field along the other, plus a
-vertical curvature term
+A structured field is a stack of k fields: it assigns to every state k
+tangent vectors in the (X, X_hat, C) decomposition, stacked along a leading
+axis.  The bracket of two such fields has a closed combinatorial form:
+derivative terms of each field along the other, plus a vertical curvature
+term
 
     nu( A R(T ^ S) - R_hat(T_hat ^ S_hat) A )
 
@@ -12,9 +13,13 @@ built from the curvature operators of the two factors.  For rolling lifts
 on a constant-curvature pair this reduces to the mismatch constant
 kappa = K - K_hat times the vertical direction A (X ^ Y); the sign has
 been pinned against two independent finite-difference oracles.
+`bracket_structured` evaluates it for every pair of two stacks at once, as
+one (i, j) table of broadcast arrays, and the growth vector brackets the
+whole stack of generators in one call per flag step and stencil sample.
 
 An independent oracle, the coordinate bracket in the canonical chart, is
-provided for cross-checking the structured formula.
+provided for cross-checking the structured formula; it shares no stencil,
+connection form or sample state with it.
 """
 
 from __future__ import annotations
@@ -52,18 +57,24 @@ def curvature_mismatch(pair) -> float:
 
 @dataclass
 class FieldData:
+    """Covariant derivatives (dT, dT_hat, dU) of the data of a stack of k
+    fields along a stack of m directions, with leading axes (m, k)."""
+
     T: np.ndarray
     T_hat: np.ndarray
     U: np.ndarray
 
 
 class StructuredField:
-    """Vector field on the state space given by closures.
+    """A stack of k vector fields on the state space, given by closures.
 
-    `value(q)` returns a TangentOfQ; the vertical data is the skew matrix C
-    with fiber direction A C.  `derivative(q, xi)` may supply the covariant
-    derivatives (dT, dT_hat, dU) of the field data along the canonical curve
-    of xi; when absent they are computed by symmetric stencils.
+    `value(q)` returns a TangentOfQ whose X, X_hat and C carry a leading axis
+    of length k, one row per field (a closure that returns one vector gives a
+    stack of one); the vertical data is the skew matrix C with fiber
+    direction A C.  `derivative(q, xi)` may supply the covariant derivatives
+    of the field data along every vector of a stack xi, as FieldData with
+    leading axes (len(xi), k); when absent they are computed by symmetric
+    stencils, one along each vector of xi.
     """
 
     def __init__(self, pair, value, derivative=None, name=""):
@@ -73,7 +84,10 @@ class StructuredField:
         self.name = name
 
     def value(self, q: RollingState) -> TangentOfQ:
-        return self._value(q)
+        v = self._value(q)
+        if v.X.ndim == 1:
+            v = TangentOfQ(q, v.X[None], v.X_hat[None], v.C[None])
+        return v
 
     def data_derivative(self, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
         if self._derivative is not None:
@@ -82,46 +96,54 @@ class StructuredField:
 
 
 def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
-    """Covariant derivative of a field's (T, T_hat, U) data along xi by
-    central differences with parallel pull-back of all three slots
-    (rolling.directional_derivative, whose sample states every field
-    differentiated along xi at q shares)."""
+    """Covariant derivatives of a stack of fields' (T, T_hat, U) data along
+    each vector of the stack xi, by central differences with parallel
+    pull-back of all three slots (rolling.directional_derivative): one
+    stencil per vector of xi, each evaluating the whole stack at its sample
+    states, which every field differentiated along that vector at q shares."""
 
     def data(qt):
         v = fld.value(qt)
         return v.X, v.X_hat, qt.isometry @ v.C
 
-    return FieldData(*directional_derivative(data, q, xi, ("vector", "vector_hat", "map"),
-                                             h=h, order=order))
+    kinds = ("vector", "vector_hat", "map")
+    along = [directional_derivative(data, q, xi[a], kinds, h=h, order=order)
+             for a in range(len(xi.X))]
+    return FieldData(*(np.stack(slot) for slot in zip(*along)))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState,
                        h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> TangentOfQ:
-    """Bracket [X, Y] at q from the structured formula: derivative terms of
-    each field along the other plus the vertical curvature term."""
+    """The table of brackets [X_i, Y_j] of two stacks of fields at q, a
+    stack of kx * ky vectors in (i, j) order, from the structured formula:
+    derivative terms of each field along the other plus the vertical
+    curvature term, for all pairs at once."""
     xi_x = xf.value(q)
     xi_y = yf.value(q)
-    d_y = yf.data_derivative(q, xi_x, h=h, order=order)
-    d_x = xf.data_derivative(q, xi_y, h=h, order=order)
+    d_y = yf.data_derivative(q, xi_x, h=h, order=order)  # axes (i, j)
+    d_x = xf.data_derivative(q, xi_y, h=h, order=order)  # axes (j, i)
 
     pair = q.pair
     a_mat = q.isometry
-    aa, bb = q.coords(xi_x.X), q.coords(xi_y.X)
-    aah, bbh = q.coords_hat(xi_x.X_hat), q.coords_hat(xi_y.X_hat)
-    r = pair.space.curvature_matrix_apply(q.x, wedge_matrix(aa, bb))
-    r_hat = pair.space_hat.curvature_matrix_apply(q.x_hat, wedge_matrix(aah, bbh))
+    wedge = wedge_matrix(q.coords(xi_x.X)[:, None], q.coords(xi_y.X))
+    wedge_hat = wedge_matrix(q.coords_hat(xi_x.X_hat)[:, None], q.coords_hat(xi_y.X_hat))
+    r = pair.space.curvature_matrix_apply(q.x, wedge)
+    r_hat = pair.space_hat.curvature_matrix_apply(q.x_hat, wedge_hat)
 
-    nu_mat = (d_y.U - d_x.U) + a_mat @ r - r_hat @ a_mat
+    def table(dy, dx):
+        return (dy - np.swapaxes(dx, 0, 1)).reshape((-1,) + dy.shape[2:])
+
+    nu_mat = table(d_y.U, d_x.U) + (a_mat @ r - r_hat @ a_mat).reshape((-1,) + a_mat.shape)
     c = skew_part(a_mat.T @ nu_mat)
-    return TangentOfQ(q, d_y.T - d_x.T, d_y.T_hat - d_x.T_hat, c)
+    return TangentOfQ(q, table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c)
 
 
 def bracket_field(xf: StructuredField, yf: StructuredField,
                   h=FIELD_FD_STEP, order=FIELD_FD_ORDER,
                   nested_h=NESTED_FD_STEP) -> StructuredField:
-    """The bracket as a field, evaluable near a state; its own derivatives
-    fall back to (wider) stencils since every evaluation already contains
-    first-order stencils."""
+    """The table of brackets as a stack of kx * ky fields, evaluable near a
+    state; its own derivatives fall back to (wider) stencils since every
+    evaluation already contains first-order stencils."""
     fld = StructuredField(
         xf.pair,
         lambda q: bracket_structured(xf, yf, q, h=h, order=order),
@@ -135,29 +157,29 @@ def bracket_field(xf: StructuredField, yf: StructuredField,
 
 def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
                h=1e-3, chart_h=1e-5) -> TangentOfQ:
-    """Independent bracket oracle: push both fields into the canonical chart
-    at q and take the coordinate bracket by fourth-order central differences
-    of the chart components."""
+    """Independent bracket oracle: push both stacks of fields into the
+    canonical chart at q and take the coordinate brackets by fourth-order
+    central differences of the chart components.  It returns the same
+    (i, j) table as bracket_structured; the chart differentials, which cost
+    the most, serve every field of both stacks."""
     chart = Chart(q)
     dim = chart.dim
 
     def components(theta):
         d_mat, q_theta = chart.differential(theta, h=chart_h)
-        rhs = np.array([xf.value(q_theta).coords(), yf.value(q_theta).coords()]).T
-        sol = np.linalg.solve(d_mat, rhs)
-        return sol[:, 0], sol[:, 1]
+        rhs = np.concatenate((xf.value(q_theta).coords(), yf.value(q_theta).coords()))
+        return np.linalg.solve(d_mat, rhs.T).T
 
     x0 = xf.value(q).coords()
     y0 = yf.value(q).coords()
-    out = np.zeros(dim)
+    kx = len(x0)
+    out = np.zeros((kx, len(y0), dim))
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = h
-        samples = [components(t * e) for t in (2.0, 1.0, -1.0, -2.0)]
-        dx = _stencil([s[0] for s in samples], h, 4)
-        dy = _stencil([s[1] for s in samples], h, 4)
-        out += x0[j] * dy - y0[j] * dx
-    return TangentOfQ.from_coords(q, out)
+        d = _stencil([components(t * e) for t in (2.0, 1.0, -1.0, -2.0)], h, 4)
+        out += x0[:, None, j, None] * d[None, kx:] - y0[None, :, j, None] * d[:kx, None]
+    return TangentOfQ.from_coords(q, out.reshape(-1, dim))
 
 
 # -- generator fields -----------------------------------------------------------
@@ -169,28 +191,29 @@ def frame_field_derivative(m, x, v):
     return m.connection_form(x, v) @ m.frame(x)
 
 
-def rolling_generators(pair, rotation=None):
-    """Rolling lifts of the deterministic frame (optionally rotated by a
-    fixed orthogonal matrix), with closed-form derivatives: along a
-    canonical curve the isometry differentiates to A C, and the frame field
-    to its connection form (RollingState.connection)."""
+def rolling_generators(pair, coeffs=None) -> StructuredField:
+    """The stack of rolling lifts of the frame vectors whose frame
+    coordinates are the columns of `coeffs` (an n x k matrix, by default the
+    identity: the lifts of the deterministic frame), with closed-form
+    derivatives: along a canonical curve the isometry differentiates to A C,
+    and the frame fields to their connection form (RollingState.connection)."""
     n = pair.dim
-    rot = np.eye(n) if rotation is None else np.asarray(rotation, float)
+    coeffs = np.eye(n) if coeffs is None else np.asarray(coeffs, float)
 
-    def make(i):
-        def value(q):
-            v = q.from_coords(rot[:, i])
-            return rolling_lift(q, v)
+    def value(q):
+        return rolling_lift(q, coeffs.T @ q.frame)
 
-        def derivative(q, xi):
-            omega = (q.coords(xi.X) @ q.connection.reshape(n, n * n)).reshape(n, n)
-            dv = omega.T @ rot[:, i]
-            d_t_hat = q.from_coords_hat(q.isometry @ (xi.C @ rot[:, i] + dv))
-            return FieldData(q.from_coords(dv), d_t_hat, np.zeros((n, n)))
+    def derivative(q, xi):
+        # along xi[a] the frame moves by its connection form omega[a], so the
+        # field with coordinates c moves by omega[a]^T c in the frame, and its
+        # image under A by A (C[a] c + omega[a]^T c)
+        omega = np.einsum("ak,kij->aij", q.coords(xi.X), q.connection)
+        dv = np.einsum("aji,jk->aki", omega, coeffs)
+        d_image = np.einsum("aij,jk->aki", xi.C, coeffs) + dv
+        return FieldData(q.from_coords(dv), q.from_coords_hat(d_image @ q.isometry.T),
+                         np.zeros(dv.shape + (n,)))
 
-        return StructuredField(pair, value, derivative, name=f"L_R(E{i})")
-
-    return [make(i) for i in range(n)]
+    return StructuredField(pair, value, derivative, name="L_R(E)")
 
 
 # -- growth vector ----------------------------------------------------------------
@@ -222,9 +245,13 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 
-    The distribution is spanned by rolling lifts of the frame; each flag
-    step adjoins brackets of the previous step's new fields with the
-    generators.  All vectors are expressed in TangentOfQ coordinates, and
+    The distribution is spanned by rolling lifts of the frame (the columns
+    of `rotation` give the lifted frame vectors); each flag step adjoins the
+    table of brackets of the previous step's new fields with the generators,
+    one stacked bracket_field.  Depth 2 is one bracket_structured of the
+    generators with themselves; depth 3 differentiates that n x n table along
+    each generator by one stencil, at four sample states per generator.
+    All vectors are expressed in TangentOfQ coordinates, and
     each step's vectors form one layer of the equilibrated rank rule of
     numerics.numerical_rank: the reported singular values are those of the
     rows after dropping round-off rows and dividing every layer by its
@@ -234,11 +261,11 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
-    gens = rolling_generators(q.pair, rotation=rotation)
-    vectors = [g.value(q).coords() for g in gens]
-    layers = [len(vectors)]
-    steps = [numerical_rank(vectors, tol, layers)]  # (rank, singular values, gap) per flag step
-    current = list(gens)
+    gens = rolling_generators(q.pair, rotation)
+    rows = gens.value(q).coords()
+    layers = [len(rows)]
+    steps = [numerical_rank(rows, tol, layers)]  # (rank, singular values, gap) per flag step
+    current = gens
     full = q_dim(q.pair.dim)
     for _ in range(1, depth):
         rank = steps[-1][0]
@@ -246,10 +273,11 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
             # a stationary flag stays stationary: pad to the requested depth
             steps.append(steps[-1])
             continue
-        current = [bracket_field(f, g, nested_h=nested_h) for f in current for g in gens]
-        vectors.extend(bf.value(q).coords() for bf in current)
-        layers.append(len(current))
-        steps.append(numerical_rank(vectors, tol, layers))
+        current = bracket_field(current, gens, nested_h=nested_h)
+        new = current.value(q).coords()
+        rows = np.concatenate((rows, new))
+        layers.append(len(new))
+        steps.append(numerical_rank(rows, tol, layers))
     ranks, svs, gaps = zip(*steps)
     return FlagReport(q, ranks, list(svs), tol, gaps)
 
@@ -304,7 +332,7 @@ def double_bracket_identity_residual(q: RollingState, X, Y, Z,
     lift_y = rolling_lift_of_extension(pair, q.x, Y)
     lift_z = rolling_lift_of_extension(pair, q.x, Z)
     inner = bracket_field(lift_y, lift_z, h=h, nested_h=nested_h)
-    outer = bracket_structured(lift_x, inner, q, h=nested_h, order=FIELD_FD_ORDER)
+    outer = bracket_structured(lift_x, inner, q, h=nested_h, order=FIELD_FD_ORDER)[0]
 
     measured_class = outer.X_hat - q.apply(outer.X)
     g = pair.space.inner_at

@@ -30,37 +30,49 @@ def so_pairs(n):
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@cache
+def _so_index(n):
+    """so_pairs(n) as the two index arrays of the upper triangle."""
+    return np.triu_indices(n, 1)
+
+
 def so_dim(n):
     return n * (n - 1) // 2
 
 
 def skew_to_vector(mat):
-    n = mat.shape[0]
-    return np.array([mat[i, j] for i, j in so_pairs(n)])
+    """Coordinates of skew matrices (..., n, n) in the lexicographic basis."""
+    mat = np.asarray(mat)
+    i, j = _so_index(mat.shape[-1])
+    return mat[..., i, j]
 
 
 def vector_to_skew(vec, n):
-    mat = np.zeros((n, n))
-    for (i, j), c in zip(so_pairs(n), vec):
-        mat[i, j] = c
-        mat[j, i] = -c
+    """Skew matrices (..., n, n) from coordinates (..., n(n-1)/2)."""
+    vec = np.asarray(vec, dtype=float)
+    i, j = _so_index(n)
+    mat = np.zeros(vec.shape[:-1] + (n, n))
+    mat[..., i, j] = vec
+    mat[..., j, i] = -vec
     return mat
 
 
 def skew_part(mat):
-    return 0.5 * (mat - mat.T)
+    return 0.5 * (mat - np.swapaxes(mat, -1, -2))
 
 
 def check_skew(mat, tol=SKEW_TOL, what="matrix"):
-    res = np.abs(mat + mat.T).max()
+    res = np.abs(mat + np.swapaxes(mat, -1, -2)).max()
     if res > tol:
         raise GeometryError(f"{what} is not skew-symmetric (residual {res:.3e})")
     return mat
 
 
 def wedge_matrix(a, b):
-    """Matrix of a ^ b in an orthonormal frame, given frame coefficients."""
-    return np.outer(a, b) - np.outer(b, a)
+    """Matrix of a ^ b in an orthonormal frame, given frame coefficients;
+    stacks of coefficients (..., n) broadcast to stacks of matrices."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
 
 
 # -- rolling curvature --------------------------------------------------------
@@ -83,13 +95,8 @@ def rolling_curvature(q, xi):
 def _bivector_operator(n, apply):
     """Matrix, in the lexicographic basis of bivectors, of a map taking
     skew n x n matrices to skew matrices."""
-    cols = []
-    for i, j in so_pairs(n):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0
-        e[j, i] = -1.0
-        cols.append(skew_to_vector(apply(e)))
-    return np.array(cols).T
+    basis = vector_to_skew(np.eye(so_dim(n)), n)
+    return skew_to_vector(np.array([apply(e) for e in basis])).T
 
 
 def rolling_curvature_operator(q):

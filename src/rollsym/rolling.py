@@ -127,14 +127,15 @@ class RollingState:
         return self.pair.space_hat.frame_coords(self.x_hat, self.frame_hat, w)
 
     def from_coords(self, c):
-        return self.frame.T @ np.asarray(c, float)
+        """Tangent vectors at x from frame coordinates (..., n)."""
+        return np.asarray(c, float) @ self.frame
 
     def from_coords_hat(self, c):
-        return self.frame_hat.T @ np.asarray(c, float)
+        return np.asarray(c, float) @ self.frame_hat
 
     def apply(self, w):
-        """Image of an ambient tangent vector at x under the contact map."""
-        return self.from_coords_hat(self.isometry @ self.coords(w))
+        """Image of ambient tangent vectors (..., amb) at x under the contact map."""
+        return self.from_coords_hat(self.coords(w) @ self.isometry.T)
 
     def to_json(self) -> dict:
         return {"x": self.x.tolist(), "x_hat": self.x_hat.tolist(),
@@ -145,7 +146,9 @@ class RollingState:
 class TangentOfQ:
     """Tangent vector of the state space in the canonical decomposition:
     a no-spin part moving the base points with velocities (X, X_hat) and a
-    vertical part tangent to A expm(tC)."""
+    vertical part tangent to A expm(tC).  X, X_hat and C may carry a leading
+    axis: the tangent is then a stack of vectors at the same state, and
+    `coords` and `from_coords` work row by row."""
 
     state: RollingState
     X: np.ndarray
@@ -158,10 +161,14 @@ class TangentOfQ:
         self.C = np.asarray(self.C, float)
         check_skew(self.C, tol=1e-12, what="vertical component")
 
+    def __getitem__(self, index):
+        """Row `index` of a stack."""
+        return TangentOfQ(self.state, self.X[index], self.X_hat[index], self.C[index])
+
     def coords(self):
         q = self.state
         return np.concatenate(
-            (q.coords(self.X), q.coords_hat(self.X_hat), skew_to_vector(self.C))
+            (q.coords(self.X), q.coords_hat(self.X_hat), skew_to_vector(self.C)), axis=-1
         )
 
     @classmethod
@@ -170,9 +177,9 @@ class TangentOfQ:
         vec = np.asarray(vec, float)
         return cls(
             state,
-            state.from_coords(vec[:n]),
-            state.from_coords_hat(vec[n : 2 * n]),
-            vector_to_skew(vec[2 * n :], n),
+            state.from_coords(vec[..., :n]),
+            state.from_coords_hat(vec[..., n : 2 * n]),
+            vector_to_skew(vec[..., 2 * n :], n),
         )
 
 
@@ -181,14 +188,15 @@ def q_dim(n):
 
 
 def rolling_lift(q: RollingState, X) -> TangentOfQ:
-    """Lift of a tangent vector at x to the rolling distribution: the base
-    points move with matched contact velocities (X, AX) and A stays put."""
+    """Lift of a tangent vector at x (or a stack of them) to the rolling
+    distribution: the base points move with matched contact velocities
+    (X, AX) and A stays put."""
     X = np.asarray(X, float)
     err = q.pair.space.tangency_residual(q.x, X)
-    if err > 1e-8 * max(1.0, float(np.linalg.norm(X))):
+    if np.any(err > 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))):
         raise GeometryError("lifted vector is not tangent at the contact point")
     n = q.pair.dim
-    return TangentOfQ(q, X, q.apply(X), np.zeros((n, n)))
+    return TangentOfQ(q, X, q.apply(X), np.zeros(X.shape[:-1] + (n, n)))
 
 
 # -- canonical curves and transports ------------------------------------------
@@ -479,13 +487,14 @@ VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
 
 
 def _pull_back(q: RollingState, qt: RollingState, value, kind):
-    """A value at the canonical-curve state qt, parallel-transported back to
-    q through the frame-transport matrices that qt keeps."""
+    """A value at the canonical-curve state qt (or a stack of values, along
+    the leading axes), parallel-transported back to q through the
+    frame-transport matrices that qt keeps."""
     fwd, fwd_hat = qt.transports
     if kind == "vector":
-        return q.from_coords(fwd.T @ qt.coords(value))
+        return q.from_coords(qt.coords(value) @ fwd)
     if kind == "vector_hat":
-        return q.from_coords_hat(fwd_hat.T @ qt.coords_hat(value))
+        return q.from_coords_hat(qt.coords_hat(value) @ fwd_hat)
     if kind == "map":
         return fwd_hat.T @ value @ fwd
     return value

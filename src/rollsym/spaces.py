@@ -257,7 +257,11 @@ class SpaceForm:
         dE = L^-1 dB - low(S) E, and nabla_v E = dE - transport_rhs(x, v, E).
         The kept set is locally constant, and an orientation flip of the last
         row negates the last row and column of omega.  Subclasses supply dB
-        and dW through project_derivative and metric_weights_derivative."""
+        and dW through project_derivative and metric_weights_derivative.
+
+        omega is skew in exact arithmetic, but where a kept basis vector
+        nearly cancels, L^-1 amplifies round-off in its symmetric part (about
+        1e-11 of |omega| on a hyperboloid); the skew part is returned."""
         x = np.asarray(x, dtype=float)
         fr, kept = self._gram_schmidt(x) if x.ndim == 1 else self._frames(x)
         x = x[..., None, :]  # against the frame rows
@@ -273,7 +277,8 @@ class SpaceForm:
         s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.mT
         low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
         nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
-        return sign[..., None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
+        omega = sign[..., None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
+        return 0.5 * (omega - omega.mT)
 
     def project_derivative(self, x, v, w):
         """Derivative of the projection of a fixed ambient vector w along the
@@ -738,7 +743,9 @@ class Warped(SpaceForm):
     def _geodesic_rk4(self, t, x, v, *ws):
         """RK4 from time 0 to t of the geodesic with initial data (x, v) and of
         the vectors ws transported along it; returns the state stacked on the
-        second-to-last axis: point, velocity, then the transported vectors."""
+        second-to-last axis: point, velocity, then the transported vectors.
+        An array of times broadcasts against the leading axes of the data, and
+        every time is reached in the step count of the longest."""
 
         def rhs(_, y):
             xc, vc = y[..., :1, :], y[..., 1:2, :]
@@ -746,7 +753,9 @@ class Warped(SpaceForm):
             return np.concatenate((vc, self.transport_rhs(xc, vc, y[..., 1:, :])), axis=-2)
 
         y0 = np.stack(np.broadcast_arrays(x, v, *ws), axis=-2)
-        out = _rk4(rhs, y0, 0.0, t, _steps_for(t, DEFAULT_STEP))
+        t = np.asarray(t, dtype=float)
+        y0 = np.broadcast_to(y0, np.broadcast_shapes(t.shape, y0.shape[:-2]) + y0.shape[-2:])
+        out = _rk4(rhs, y0, 0.0, t[..., None, None], _steps_for(np.abs(t).max(), DEFAULT_STEP))
         self._check_s(out[..., 0, 0])
         return out
 

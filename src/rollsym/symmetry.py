@@ -29,7 +29,6 @@ from scipy.integrate import cumulative_simpson
 
 from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
 from .numerics import central_diff, numerical_rank
-from .spaces import _rk4
 from .rolling import (
     RollingPair,
     RollingState,
@@ -322,9 +321,9 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     the geodesic through (x1, X).
 
     The drift value follows the geodesic-variation equation on the second
-    factor (integrated by RK4 in a parallel frame) and the vertical part
-    follows its transport-integral formula, evaluated with composite Simpson
-    quadrature on the supplied grid.
+    factor (integrated by RK4 in a parallel frame, see _jacobi_steps) and the
+    vertical part follows its transport-integral formula, evaluated with
+    composite Simpson quadrature on the supplied grid.
     """
     mh, n = q1.pair.space_hat, q1.pair.dim
     t_grid = np.asarray(t_grid, float)
@@ -333,22 +332,16 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     X = np.asarray(X, float)
     v_hat, fr1_hat = q1.apply(X), q1.frame_hat
 
-    def jacobi_rhs(t, y):
-        # eta in the parallel frame frt along the development geodesic
-        eta, deta = y[:n], y[n:]
-        xt, vt = mh.geodesic_flow(q1.x_hat, v_hat, t)
-        frt = mh.transport_along_geodesic(q1.x_hat, v_hat, t, fr1_hat)
-        frame_det = mh.frame(xt)
-        a, b = mh.frame_coords(xt, frame_det, np.array([vt, frt.T @ eta]))
-        r_apply = frame_det.T @ (mh.curvature_matrix_apply(xt, wedge_matrix(a, b)) @ a)
-        return np.concatenate((deta, mh.inner_at(xt, r_apply, frt)))
-
     eta0 = mh.inner_at(q1.x_hat, np.asarray(Z_hat_0, float), fr1_hat)
     deta0 = np.asarray(U_bar_0, float) @ q1.coords(X)
 
+    steps, counts = _jacobi_steps(mh, q1.x_hat, v_hat, fr1_hat, t_grid)
     etas = [np.concatenate((eta0, deta0))]
-    for a, b in zip(t_grid[:-1], t_grid[1:]):
-        etas.append(_rk4(jacobi_rhs, etas[-1], a, b, max(2, int(math.ceil((b - a) / 1e-3)))))
+    for block in np.split(steps, np.cumsum(counts)[:-1]):
+        y = etas[-1]
+        for step in block:
+            y = step @ y
+        etas.append(y)
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic frame
@@ -373,6 +366,47 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     u_bars = [st.transports[1] @ (u1 + i @ q1.isometry) @ st.transports[0].T
               for st, i in zip(states, integral)]
     return PropagationResult(t_grid, states, z_hats, u_bars)
+
+
+JACOBI_STEP = 1e-3  # longest RK4 substep of the geodesic-variation equation
+
+
+def _jacobi_steps(mh, x, v, fr, t_grid):
+    """RK4 step matrices of the geodesic-variation equation along the
+    geodesic of (x, v), (eta, eta')' = (eta', M(t) eta) with eta the
+    coordinates in the parallel frame started at fr, and the number of steps
+    in each grid interval (substeps of at most JACOBI_STEP, at least two).
+
+    M(t) eta is the parallel-frame form of R(gamma' ^ eta) gamma'.  It is
+    linear in eta, so M is built at every stage time of every step in one
+    pass of broadcast geometry, and an RK4 step is one matrix:
+    I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = L(t), K2 = L(t + h/2)(I + h/2 K1),
+    K3 = L(t + h/2)(I + h/2 K2), K4 = L(t + h)(I + h K3) for the generator L
+    of the first-order system."""
+    n = len(fr)
+    spans = np.diff(t_grid)
+    counts = np.maximum(2, np.ceil(spans / JACOBI_STEP).astype(int))
+    h = np.repeat(spans / counts, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    start = np.repeat(t_grid[:-1], counts) + (np.arange(len(h)) - first) * h
+    ts = (start[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])).ravel()
+    xt, vt = mh.geodesic_flow(x, v, ts)
+    frt = mh.transport_along_geodesic(x, v, ts[:, None], fr)
+    det = mh.frames(xt)
+    # a: the velocity in the deterministic frame; t_mat[k, l] = <det_k, frt_l>
+    a = mh.inner_at(xt[:, None], vt[:, None], det)
+    t_mat = mh.inner_at(xt[:, None, None], det[:, :, None], frt[:, None])
+    r_cols = mh.curvature_matrix_apply(xt[:, None], wedge_matrix(a[:, None], np.eye(n)))
+    r_mat = np.swapaxes((r_cols @ a[:, None, :, None])[..., 0], 1, 2)
+    gen = np.zeros((len(ts), 2 * n, 2 * n))
+    gen[:, :n, n:] = np.eye(n)
+    gen[:, n:, :n] = np.swapaxes(t_mat, 1, 2) @ r_mat @ t_mat
+    l1, l2, l3 = np.moveaxis(gen.reshape(len(h), 3, 2 * n, 2 * n), 1, 0)
+    eye, h = np.eye(2 * n), h[:, None, None]
+    k2 = l2 @ (eye + h / 2 * l1)
+    k3 = l2 @ (eye + h / 2 * k2)
+    k4 = l3 @ (eye + h * k3)
+    return eye + h / 6 * (l1 + 2 * k2 + 2 * k3 + k4), counts
 
 
 def propagate_chain(q0: RollingState, segments, Z_hat_0, U_bar_0, samples_per_segment=48):

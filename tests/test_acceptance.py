@@ -87,16 +87,17 @@ def test_criterion_02_bracket_identity():
         n = pair.dim
         for _ in range(20):
             q = pair.random_state(rng)
+            # the (i, j) tables of all generator brackets at q
+            got = bracket_structured(gens, gens, q).coords().reshape(n, n, -1)
+            got_fd = bracket_fd(gens, gens, q).coords().reshape(n, n, -1)
             for i in range(n):
                 for j in range(i + 1, n):
                     w = frame_bracket(pair, q, i, j)
                     expected = TangentOfQ(
                         q, w, q.apply(w), kappa * wedge_matrix(np.eye(n)[i], np.eye(n)[j])
                     ).coords()
-                    got = bracket_structured(gens[i], gens[j], q).coords()
-                    worst_structured = max(worst_structured, np.abs(got - expected).max())
-                    got_fd = bracket_fd(gens[i], gens[j], q).coords()
-                    worst_fd = max(worst_fd, np.abs(got_fd - expected).max())
+                    worst_structured = max(worst_structured, np.abs(got[i, j] - expected).max())
+                    worst_fd = max(worst_fd, np.abs(got_fd[i, j] - expected).max())
     assert worst_structured < 1e-5
     assert worst_fd < 1e-5
     report(2, f"bracket identity on kappa in (-8/9, 1, -2); residuals "

@@ -51,6 +51,11 @@ def frame_bracket(pair, q, i, j):
     return d_j - d_i
 
 
+def generator(pair, i):
+    """The rolling lift of the i-th frame vector, as a stack of one field."""
+    return rolling_generators(pair, np.eye(pair.dim)[:, [i]])
+
+
 def patch_everywhere(mp, fn, new):
     """Replace fn by new under every name that any rollsym module binds it
     to (a from-import copies a function into the importing module)."""
@@ -106,6 +111,20 @@ def test_stacked_connection_form_is_the_pointwise_one(m, seed):
         assert np.abs(omega - expected).max() <= 1e-12 * scale
 
 
+def test_connection_form_is_exactly_skew_where_a_basis_vector_nearly_cancels():
+    # at this point the fourth projected basis vector keeps 0.0016 of its
+    # length, and the inverse Cholesky factor amplifies round-off in the
+    # symmetric part of the form to about 1e-11; the returned form is skew
+    m = Hyperbolic(4, 0.5217)
+    rng = np.random.default_rng(2396)
+    x = m.random_point(rng)
+    v = m.random_tangent(rng, x, unit=True)
+    assert _least_kept_length(m, x) < 2e-3
+    for omega in (m.connection_form(x, v), m.connection_form(x[None], v[None])[0]):
+        assert np.abs(omega).max() > 0.1
+        assert np.array_equal(omega + omega.T, np.zeros((4, 4)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(CONNECTION_FORMS, st.integers(0, 2**32 - 1))
 def test_connection_form_is_skew_and_matches_a_frame_stencil(m, seed):
@@ -138,11 +157,11 @@ def expected_generator_bracket(pair, q, i, j):
 def test_generator_bracket_identity_structured_and_fd(name):
     pair = PAIRS[name]()
     q = pair.random_state(RNG)
-    gens = rolling_generators(pair)
+    g0, g1 = generator(pair, 0), generator(pair, 1)
     expected = expected_generator_bracket(pair, q, 0, 1).coords()
-    got = bracket_structured(gens[0], gens[1], q).coords()
+    got = bracket_structured(g0, g1, q).coords()[0]
     assert np.abs(got - expected).max() < 1e-9
-    got_fd = bracket_fd(gens[0], gens[1], q).coords()
+    got_fd = bracket_fd(g0, g1, q).coords()[0]
     assert np.abs(got_fd - expected).max() < 1e-5
     assert np.abs(got_fd - got).max() < 1e-5
 
@@ -158,14 +177,14 @@ def test_bracket_oracles_share_no_stencil_code(monkeypatch):
 
     pair = PAIRS["sphere_plane"]()
     q = pair.random_state(RNG)
-    gens = rolling_generators(pair)
+    g0, g1 = generator(pair, 0), generator(pair, 1)
     with monkeypatch.context() as mp:
         patch_everywhere(mp, rolling_mod._stencil, forbidden)
-        structured = bracket_structured(gens[0], gens[1], q).coords()
-        nested = bracket_structured(gens[0], bracket_field(gens[0], gens[1]), q)
+        structured = bracket_structured(g0, g1, q).coords()
+        nested = bracket_structured(g0, bracket_field(g0, g1), q)
     with monkeypatch.context() as mp:
         patch_everywhere(mp, numerics_mod.central_diff, forbidden)
-        fd = bracket_fd(gens[0], gens[1], q).coords()
+        fd = bracket_fd(g0, g1, q).coords()
     assert np.abs(fd - structured).max() < 1e-5
     assert np.all(np.isfinite(nested.coords()))
 
@@ -179,13 +198,13 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
 
     pair = PAIRS["hyp_sphere"]()
     q = pair.random_state(RNG)
-    gens = rolling_generators(pair)
-    structured = bracket_structured(gens[0], gens[1], q).coords()
+    g0, g1 = generator(pair, 0), generator(pair, 1)
+    structured = bracket_structured(g0, g1, q).coords()
     q_fresh = pair.state(q.x, q.x_hat, q.isometry)
     monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
     for fn in (rolling_mod.curve_sample, rolling_mod.directional_derivative):
         patch_everywhere(monkeypatch, fn, forbidden)
-    fd = bracket_fd(gens[0], gens[1], q_fresh).coords()
+    fd = bracket_fd(g0, g1, q_fresh).coords()
     assert np.abs(fd - structured).max() < 1e-5
 
 
@@ -203,14 +222,41 @@ def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
         assert 0 < len(calls) <= 4 * pair.dim
 
 
-def test_bracket_antisymmetry_and_self_bracket():
-    pair = PAIRS["spheres_1_3"]()
-    q = pair.random_state(RNG)
-    gens = rolling_generators(pair)
-    b01 = bracket_structured(gens[0], gens[1], q).coords()
-    b10 = bracket_structured(gens[1], gens[0], q).coords()
-    assert np.abs(b01 + b10).max() < 1e-8
-    assert np.abs(bracket_structured(gens[0], gens[0], q).coords()).max() < 1e-10
+def space_forms(n):
+    return st.one_of(st.builds(Sphere, st.just(n), st.floats(0.3, 3.0)),
+                     st.builds(Hyperbolic, st.just(n), st.floats(0.3, 3.0)), st.just(Euclidean(n)))
+
+
+WARPED_SURFACES = st.builds(lambda name: Warped((-1.2, 1.2), WarpFunction(name), Sphere(1, 1.0)),
+                            st.sampled_from(["cos", "cosh"]))
+CATALOG_PAIRS = (st.builds(RollingPair, space_forms(2) | WARPED_SURFACES, space_forms(2))
+                 | st.builds(RollingPair, space_forms(3), space_forms(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CATALOG_PAIRS, st.integers(0, 2**32 - 1))
+def test_bracket_antisymmetry_and_self_bracket(pair, seed):
+    # the stacked table of [L_i, L_j] is antisymmetric with a zero diagonal,
+    # and each entry is the bracket of the two stacks of one
+    q = pair.random_state(np.random.default_rng(seed))
+    n = pair.dim
+    table = bracket_structured(rolling_generators(pair), rolling_generators(pair), q).coords()
+    table = table.reshape(n, n, -1)
+    scale = max(1.0, float(np.abs(table).max()))
+    assert np.abs(table + table.transpose(1, 0, 2)).max() <= 1e-12 * scale
+    assert np.abs(np.diagonal(table, axis1=0, axis2=1)).max() <= 1e-12 * scale
+    one = bracket_structured(generator(pair, n - 1), generator(pair, 0), q).coords()[0]
+    assert np.abs(one - table[n - 1, 0]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_fd_bracket_is_antisymmetric(seed):
+    pair = PAIRS["hyp_sphere"]()
+    q = pair.random_state(np.random.default_rng(seed))
+    g0, g1 = generator(pair, 0), generator(pair, 1)
+    b01 = bracket_fd(g0, g1, q).coords()
+    b10 = bracket_fd(g1, g0, pair.state(q.x, q.x_hat, q.isometry)).coords()
+    assert np.abs(b01 + b10).max() < 1e-6
 
 
 def test_flat_flat_coordinate_fields_commute():
@@ -232,8 +278,7 @@ def test_flat_flat_coordinate_fields_commute():
 def test_fd_bracket_reproduces_vertical_part_on_spheres():
     pair = PAIRS["spheres_1_3"]()
     q = pair.random_state(RNG)
-    gens = rolling_generators(pair)
-    fd = bracket_fd(gens[0], gens[1], q)
+    fd = bracket_fd(generator(pair, 0), generator(pair, 1), q)[0]
     assert abs(fd.C[0, 1] - (-8.0 / 9.0)) < 1e-5
 
 
@@ -295,6 +340,33 @@ def test_flag_ranks_examples():
     assert repe.ranks == (2, 2, 2)  # the flag stalls at the distribution rank
 
 
+# depth-3 singular values of the flag at seeded states of the three growth
+# benchmark pairs, as computed by brackets built one pair at a time
+PINNED_FLAG_SINGULAR_VALUES = {
+    2: [1.9890526272630058, 1.0663792183753138, 0.9989494718483103, 0.3280803717276421,
+        0.2139383057615225],
+    3: [2.259858873470775, 1.5026206531648039, 1.2014930142497602, 1.1985577334756408,
+        1.1044400569414723, 0.9881512012216201, 0.4181761898084274, 0.3529867697598826,
+        0.25062767957852106],
+    4: [2.6843679470165136, 2.2628774554548814, 2.0754090690282707, 1.3739200424155904,
+        1.3423647456773014, 1.3277613998069002, 1.3197441448623066, 1.054765738303055,
+        1.0290462059545877, 1.0005239741508027, 0.5360200456003013, 0.5074790291988892,
+        0.446285455950239, 0.3550130811777996],
+}
+
+
+@pytest.mark.parametrize("pair, seed", [
+    (RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)), 902),
+    (RollingPair(Sphere(3, 1.0), Euclidean(3)), 903),
+    (RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)), 904),
+], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)"])
+def test_stacked_flag_reproduces_the_pinned_singular_values(pair, seed):
+    rep = flag_ranks(pair.random_state(np.random.default_rng(seed)), depth=3)
+    expected = np.array(PINNED_FLAG_SINGULAR_VALUES[pair.dim])
+    assert rep.ranks[-1] == len(expected)
+    assert np.abs(rep.singular_values[-1] / expected - 1.0).max() <= 1e-9
+
+
 def test_flag_report_invariants():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
@@ -350,8 +422,9 @@ def test_structured_vs_fd_over_hundred_states():
         pair = catalog_pairs[k % len(catalog_pairs)]
         q = pair.random_state(rng)
         gens = rolling_generators(pair)
-        a = bracket_structured(gens[0], gens[1], q).coords()
-        b = bracket_fd(gens[0], gens[1], q).coords()
+        # the whole 2 x 2 table: the chart differentials serve every pair
+        a = bracket_structured(gens, gens, q).coords()
+        b = bracket_fd(gens, gens, q).coords()
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst < 1e-5
 

@@ -23,6 +23,13 @@ def test_so_vector_round_trip():
     mat = vector_to_skew(vec, n)
     assert np.allclose(mat + mat.T, 0.0)
     assert np.allclose(skew_to_vector(mat), vec)
+    # a stack converts row by row, in the lexicographic order of so_pairs
+    stack = RNG.standard_normal((3, len(so_pairs(n))))
+    mats = vector_to_skew(stack, n)
+    for row, m in zip(stack, mats):
+        for (i, j), c in zip(so_pairs(n), row):
+            assert m[i, j] == c and m[j, i] == -c
+    assert np.array_equal(skew_to_vector(mats), stack)
 
 
 def test_so_pairs_is_built_once_per_n():

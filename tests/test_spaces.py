@@ -416,6 +416,28 @@ def test_paths_evaluate_arrays_of_times_like_single_times(m):
             assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
 
 
+@pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2),
+                               unit_sphere_cosh_warped(3)], ids=repr)
+def test_geodesic_flow_and_transport_take_arrays_of_times(m):
+    # an array of times broadcasts against the leading axes of the vectors
+    # transported (here the frame rows); a warped product reaches every time
+    # in the step count of the longest, so it agrees with one time at a time
+    # to the RK4 error
+    rng = np.random.default_rng(5)
+    x = m.random_point(rng)
+    v = 0.3 * m.random_tangent(rng, x, unit=True)
+    fr = m.frame(x)
+    ts = np.array([0.0, 0.2, 0.55, 0.9])
+    points, velocities = m.geodesic_flow(x, v, ts)
+    frames = m.transport_along_geodesic(x, v, ts[:, None], fr)
+    assert frames.shape == (len(ts), m.dim, m.amb_dim)
+    for t, p, u, f in zip(ts, points, velocities, frames):
+        one_p, one_u = m.geodesic_flow(x, v, t)
+        assert np.abs(p - one_p).max() < 1e-11
+        assert np.abs(u - one_u).max() < 1e-11
+        assert np.abs(f - m.transport_along_geodesic(x, v, t, fr)).max() < 1e-11
+
+
 WARPED_GEODESICS = st.builds(
     lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name, omega=0.8), fiber),
     st.sampled_from(["cos", "cosh", "exp"]),
