@@ -20,17 +20,16 @@ from rollsym.symmetry import killing_catalog, killing_to_symmetry, propagate_cha
 rng = np.random.default_rng(3)
 
 pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
-field = killing_catalog(pair.space_hat)[2]
-cand = killing_to_symmetry(pair, field)
+cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[2])  # a stack of one
 
 q = pair.random_state(rng)
-z, u = cand.Z_hat(q), cand.U_bar(q)
-print("propagating the data of", cand.name, "along a 3-segment broken geodesic")
+z, u = cand.Z_hat(q)[0], cand.U_bar(q)[0]
+print("propagating the data of", cand.names[0], "along a 3-segment broken geodesic")
 for leg in range(3):
     direction = pair.space.random_tangent(rng, q.x, unit=True)
     q, z, u = propagate_chain(q, [(direction, 0.9)], z, u)
-    z_err = np.abs(z - cand.Z_hat(q)).max()
-    u_err = np.abs(u - cand.U_bar(q)).max()
+    z_err = np.abs(z - cand.Z_hat(q)[0]).max()
+    u_err = np.abs(u - cand.U_bar(q)[0]).max()
     print(f"  after leg {leg + 1}: drift error {z_err:.2e}, vertical error {u_err:.2e}")
 
 # On the unit sphere, zero initial drift with a unit covariant rate gives

@@ -50,12 +50,12 @@ print("  residual of a unit candidate: %.6f (rejected)" % inner_symmetry_residua
 from rollsym.symmetry import inner_symmetry_residual as _res, standard_contact_field
 
 s3 = Sphere(3, 1.0)
-xi = standard_contact_field(s3)
+xi = standard_contact_field(s3)  # a Killing stack of one field
 pair_c = RollingPair(s3, Sphere(3, 1.0))
 q_c = pair_c.random_state(rng)
 print("\nstandard contact field on the unit 3-sphere")
 print("  |xi| = %.6f, inner residual %.2e"
-      % (np.linalg.norm(xi.value(q_c.x)), _res(lambda s: xi.value(s.x), q_c)))
+      % (np.linalg.norm(xi.value(q_c.x)[0]), _res(lambda s: xi.value(s.x)[0], q_c)))
 
 # Matched curvatures sit at the other extreme: everything is inner.
 pair3 = RollingPair(Sphere(2, 2.0), Sphere(2, 2.0))

@@ -89,8 +89,8 @@ class RollingState:
             raise GeometryError(f"contact map is not an isometry (residual {res:.3e})")
         if np.linalg.det(self.isometry) <= 0:
             raise GeometryError("contact map must preserve orientation")
-        self._frame = None
-        self._frame_hat = None
+        self._basis = None  # the deterministic frame at x and its kept indices
+        self._basis_hat = None
         self._connection = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
         self._samples = {}  # canonical-curve states from this one, see curve_sample
@@ -100,16 +100,26 @@ class RollingState:
         return float(np.linalg.norm(A.T @ A - np.eye(A.shape[0])))
 
     @property
+    def basis(self):
+        """The pair SpaceForm.frame(x, kept=True): the deterministic frame at
+        x and the coordinate indices its Gram-Schmidt kept."""
+        if self._basis is None:
+            self._basis = self.pair.space.frame(self.x, kept=True)
+        return self._basis
+
+    @property
+    def basis_hat(self):
+        if self._basis_hat is None:
+            self._basis_hat = self.pair.space_hat.frame(self.x_hat, kept=True)
+        return self._basis_hat
+
+    @property
     def frame(self):
-        if self._frame is None:
-            self._frame = self.pair.space.frame(self.x)
-        return self._frame
+        return self.basis[0]
 
     @property
     def frame_hat(self):
-        if self._frame_hat is None:
-            self._frame_hat = self.pair.space_hat.frame(self.x_hat)
-        return self._frame_hat
+        return self.basis_hat[0]
 
     @property
     def connection(self):
@@ -117,7 +127,7 @@ class RollingState:
         along its own vectors, an (n, n, n) array: omega(v) is the sum of
         v's frame coordinates against the first axis."""
         if self._connection is None:
-            self._connection = self.pair.space.connection_form(self.x, self.frame)
+            self._connection = self.pair.space.connection_form(self.x, self.frame, self.basis)
         return self._connection
 
     def coords(self, w):
@@ -205,15 +215,20 @@ def rolling_lift(q: RollingState, X) -> TangentOfQ:
 def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
-    return _transport_in_frames(m, x, m.frame(x), v, t)[1]
+    return _transport_in_frames(m, x, m.frame(x, kept=True), v, t)[1]
 
 
-def _transport_in_frames(m, x, fr, v, t):
-    """(geodesic point at t, det_transport_matrix(m, x, v, t), deterministic
-    frame there), given the deterministic frame fr at x."""
+def _transport_in_frames(m, x, basis, v, t):
+    """(geodesic point at t, det_transport_matrix(m, x, v, t), the basis
+    frame(., kept=True) there), given the basis at x.  A factor whose
+    velocity is exactly zero keeps its point and basis, and its transport
+    matrix is the identity."""
+    if not np.any(v):
+        return x, np.eye(m.dim), basis
     xt = m.geodesic_arr(x, v, t)
-    frt = m.frame(xt)
-    return xt, m.inner_at(xt, frt[:, None], m.transport_along_geodesic(x, v, t, fr)), frt
+    basis_t = m.frame(xt, kept=True)
+    return xt, m.inner_at(xt, basis_t[0][:, None],
+                          m.transport_along_geodesic(x, v, t, basis[0])), basis_t
 
 
 def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
@@ -221,19 +236,24 @@ def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
     points run along geodesics, A is transported in parallel frames and
     composed with expm(tC) on the fiber.  The state keeps the two
     frame-transport matrices from q (det_transport_matrix on each factor) as
-    its `transports`, through which values at it are pulled back to q."""
+    its `transports`, through which values at it are pulled back to q.  On a
+    fiber curve (X = X_hat = 0) both factors stay put, and C = 0 takes no
+    matrix exponential."""
     pair = q.pair
-    xt, fwd, frame = _transport_in_frames(pair.space, q.x, q.frame, xi.X, t)
-    xht, fwd_hat, frame_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.frame_hat,
+    xt, fwd, basis = _transport_in_frames(pair.space, q.x, q.basis, xi.X, t)
+    xht, fwd_hat, basis_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.basis_hat,
                                                    xi.X_hat, t)
-    a_new = fwd_hat @ q.isometry @ expm(t * xi.C) @ fwd.T
+    a_new = fwd_hat @ q.isometry
+    if np.any(xi.C):
+        a_new = a_new @ expm(t * xi.C)
+    a_new = a_new @ fwd.T
     # strip accumulated round-off before the isometry check; anything beyond
     # round-off scale indicates a genuine defect and must surface
     drift = np.linalg.norm(a_new.T @ a_new - np.eye(a_new.shape[0]))
     if drift > 1e-6:
         raise GeometryError(f"canonical curve left the isometry bundle by {drift:.3e}")
     qt = pair.state(xt, xht, _nearest_rotation(a_new))
-    qt._frame, qt._frame_hat = frame, frame_hat  # built above, the same frames
+    qt._basis, qt._basis_hat = basis, basis_hat  # built above, the same frames
     qt.transports = fwd, fwd_hat
     return qt
 

@@ -201,7 +201,7 @@ class SpaceForm:
 
     # -- deterministic frame ---------------------------------------------------
 
-    def frame(self, x):
+    def frame(self, x, kept=False):
         """Deterministic orthonormal frame at x: Gram-Schmidt on the projected
         ambient coordinate basis, in coordinate order, skipping vectors whose
         squared length after orthogonalization is at most FRAME_SKIP_TOL**2.
@@ -213,8 +213,11 @@ class SpaceForm:
         _orientation_sign) so the frame field is coherently oriented across the
         manifold; otherwise the frame matrix of an orientation-preserving
         contact map could pick up a spurious sign between frame patches.
-        Returns an (n, amb_dim) array of row vectors."""
-        return self._gram_schmidt(x)[0]
+        Returns an (n, amb_dim) array of row vectors; with kept=True, the
+        frame and the coordinate indices whose projected basis vectors it
+        kept, which connection_form can reuse."""
+        rows, indices = self._gram_schmidt(x)
+        return (rows, indices) if kept else rows
 
     def _gram_schmidt(self, x):
         """SpaceForm.frame at x and the coordinate indices whose projected
@@ -242,12 +245,13 @@ class SpaceForm:
             rows[-1] = -rows[-1]
         return rows, kept
 
-    def connection_form(self, x, v):
+    def connection_form(self, x, v, basis=None):
         """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
         for the deterministic frame E at the point x.  At one point x, v is
         one tangent vector or a stack (..., amb_dim), which gives (..., n, n);
         at a stack of points xs (N, amb_dim), v holds one vector at each and
-        the result is (N, n, n), from the frames of `frames`.
+        the result is (N, n, n), from the frames of `frames`.  `basis`, the
+        pair frame(x, kept=True) at one point, saves rerunning Gram-Schmidt.
 
         Gram-Schmidt is a Cholesky factorization: the kept projected basis
         vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
@@ -263,7 +267,9 @@ class SpaceForm:
         nearly cancels, L^-1 amplifies round-off in its symmetric part (about
         1e-11 of |omega| on a hyperboloid); the skew part is returned."""
         x = np.asarray(x, dtype=float)
-        fr, kept = self._gram_schmidt(x) if x.ndim == 1 else self._frames(x)
+        if basis is None:
+            basis = self._gram_schmidt(x) if x.ndim == 1 else self._frames(x)
+        fr, kept = basis
         x = x[..., None, :]  # against the frame rows
         w = self.metric_weights(x)
         eye = np.eye(self.amb_dim)[kept]

@@ -16,7 +16,9 @@ U_bar(q0)) of such candidates spans at most n(n+1)/2 dimensions.
 
 All residual checkers evaluate candidates through finite-difference
 stencils, so user-supplied closures are tested against the actual
-definitions rather than against their own derivative formulas.
+definitions rather than against their own derivative formulas.  Killing
+fields and candidates come in stacks: a checker evaluates the whole stack
+on the same stencil states and returns one residual per candidate.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
-from .numerics import central_diff, numerical_rank
+from .numerics import numerical_rank
 from .rolling import (
     RollingPair,
     RollingState,
-    det_transport_matrix,
     rolling_derivative,
     rolling_lift,
     tangent_curve,
@@ -48,69 +49,77 @@ KIND_TAGS = ("general", "sym0", "inner", "killing-induced")
 
 
 class KillingField:
-    """Killing field of a constant-curvature catalog manifold, given by a
-    linear generator of the ambient isometry group.
+    """A stack of k Killing fields of a constant-curvature catalog manifold,
+    each given by a linear generator of the ambient isometry group plus a
+    constant translation part: generators (k, amb, amb), translations (k, amb)
+    and one name per field.
 
     For spheres the generator is skew, for hyperbolic spaces it is skew with
-    respect to the Minkowski form, and for Euclidean spaces it splits into a
-    skew matrix plus a constant translation part.  The covariant differential
-    is the tangential compression of the generator and is skew at every
-    point; its second covariant derivative reproduces the curvature term
-    R(X ^ K), which is what makes the induced symmetry candidate close.
+    respect to the Minkowski form, and for Euclidean spaces a field is a
+    skew matrix or a translation.  The covariant differential is the
+    tangential compression of the generator and is skew at every point; its
+    second covariant derivative reproduces the curvature term R(X ^ K), which
+    is what makes the induced symmetry candidate close.  Indexing returns a
+    sub-stack (an integer gives a stack of one), so iteration yields the
+    stacks of one in order.
     """
 
-    def __init__(self, manifold: SpaceForm, generator, translation=None, name=""):
+    def __init__(self, manifold: SpaceForm, generators, translations, names):
         self.manifold = manifold
-        self.generator = None if generator is None else np.asarray(generator, float)
-        self.translation = None if translation is None else np.asarray(translation, float)
-        self.name = name
+        self.generators = np.asarray(generators, float)
+        self.translations = np.asarray(translations, float)
+        self.names = list(names)
+
+    def __len__(self):
+        return len(self.names)
+
+    def __getitem__(self, index):
+        rows = np.atleast_1d(np.arange(len(self))[index])
+        return KillingField(self.manifold, self.generators[rows], self.translations[rows],
+                            [self.names[i] for i in rows])
 
     def value(self, x):
-        out = np.zeros(self.manifold.amb_dim)
-        if self.generator is not None:
-            out = out + self.generator @ x
-        if self.translation is not None:
-            out = out + self.translation
-        return self.manifold.project(x, out)
+        """The fields at x, a (k, amb) array."""
+        return self.manifold.project(x, self.generators @ x + self.translations)
 
-    def nabla_matrix(self, x, frame=None):
-        """Matrix of the covariant differential in the deterministic frame
-        (built at x unless it is given)."""
+    def nabla_matrix(self, x, frame):
+        """Matrices of the covariant differentials in the deterministic frame
+        at x, a (k, n, n) array: entry (i, j) is <E_i, nabla_{E_j} K>."""
         m = self.manifold
-        if self.generator is None:
-            return np.zeros((m.dim, m.dim))
-        fr = m.frame(x) if frame is None else frame
-        return m.inner_at(x, fr[:, None], m.project(x, fr @ self.generator.T))
+        images = m.project(x, frame @ self.generators.mT)  # (k, n, amb): K's generator on E_j
+        return m.inner_at(x, frame[:, None], images[:, None])
 
 
-def killing_catalog(manifold: SpaceForm):
-    """The full Killing algebra of a constant-curvature catalog manifold:
-    exactly n(n+1)/2 fields."""
+def killing_catalog(manifold: SpaceForm) -> KillingField:
+    """The full Killing algebra of a constant-curvature catalog manifold, as
+    one stack of exactly n(n+1)/2 fields."""
     if not isinstance(manifold, (Euclidean, Sphere, Hyperbolic)):
         raise MismatchError(
             "the Killing catalog covers constant-curvature manifolds only; "
             f"got kind {manifold.kind!r}"
         )
     n, amb = manifold.dim, manifold.amb_dim
-    fields = []
-    if isinstance(manifold, Euclidean):
-        fields = [KillingField(manifold, None, np.eye(n)[k], name=f"translation-{k}")
-                  for k in range(n)]
+    pairs = so_pairs(amb)
+    shift = n if isinstance(manifold, Euclidean) else 0
+    gens = np.zeros((shift + len(pairs), amb, amb))
+    trans = np.zeros((shift + len(pairs), amb))
+    names = []
+    if shift:
+        trans[:n] = np.eye(n)
+        names = [f"translation-{k}" for k in range(n)]
     # ambient rotations, and on the hyperboloid boosts in the planes (0, j)
-    for i, j in so_pairs(amb):
+    for k, (i, j) in enumerate(pairs, start=shift):
         boost = isinstance(manifold, Hyperbolic) and i == 0
-        gen = np.zeros((amb, amb))
-        gen[i, j] = 1.0 if boost else -1.0
-        gen[j, i] = 1.0
-        name = f"boost-{j}" if boost else f"rotation-{i}{j}"
-        fields.append(KillingField(manifold, gen, name=name))
-    return fields
+        gens[k, i, j] = 1.0 if boost else -1.0
+        gens[k, j, i] = 1.0
+        names.append(f"boost-{j}" if boost else f"rotation-{i}{j}")
+    return KillingField(manifold, gens, trans, names)
 
 
 def standard_contact_field(manifold: SpaceForm) -> KillingField:
     """The standard contact (characteristic) field of an odd-dimensional
-    unit sphere: x -> J x for the block rotation J pairing consecutive
-    ambient coordinates.
+    unit sphere, as a stack of one: x -> J x for the block rotation J pairing
+    consecutive ambient coordinates.
 
     This is the constant-curvature instance of the contact-geometry example
     of an inner symmetry: rolling the unit sphere on itself, the lift of
@@ -121,45 +130,30 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
     if not isinstance(manifold, Sphere) or manifold.dim % 2 == 0 or manifold.radius != 1.0:
         raise GeometryError("the standard contact field lives on odd-dimensional unit spheres")
     n_amb = manifold.amb_dim
-    gen = np.zeros((n_amb, n_amb))
+    gen = np.zeros((1, n_amb, n_amb))
     for k in range(0, n_amb - 1, 2):
-        gen[k, k + 1] = -1.0
-        gen[k + 1, k] = 1.0
-    return KillingField(manifold, gen, name="contact")
-
-
-def killing_ode_residual(field: KillingField, x, v, h=1e-4, order=4):
-    """Residual of the second-order Killing identity
-    nabla_v (nabla K) = R(v ^ K) at x, as a frame matrix norm."""
-    m = field.manifold
-
-    def sample(t):
-        xt, vt = m.geodesic_flow(x, v, t)
-        mat = field.nabla_matrix(xt)
-        p = det_transport_matrix(m, x, v, t)
-        return p.T @ mat @ p
-
-    d = central_diff(sample, h, order)
-    a, b = m.frame_coords(x, m.frame(x), np.array([v, field.value(x)]))
-    expected = m.curvature_matrix_apply(x, wedge_matrix(a, b))
-    return float(np.linalg.norm(d - expected))
+        gen[0, k, k + 1] = -1.0
+        gen[0, k + 1, k] = 1.0
+    return KillingField(manifold, gen, np.zeros((1, n_amb)), ["contact"])
 
 
 # -- symmetry candidates ----------------------------------------------------------
 
 
 class SymmetryCandidate:
-    """Closure triple (Z, Z_hat, U_bar) with a kind tag.
+    """A stack of k closure triples (Z, Z_hat, U_bar) of one kind, with one
+    name per candidate.
 
     Z and Z_hat map states to ambient tangent vectors at the respective
-    contact points (Z may be None, meaning identically zero); U_bar maps
-    states to the deterministic-frame matrix of a map T_x M -> T_xhat Mhat
-    with A^{-1} U_bar skew.  Kinds: 'general'; 'sym0' forces Z = 0;
-    'killing-induced' is the sym0 subclass built from a Killing field;
-    'inner' forces Z_hat = A Z and U_bar = 0.
+    contact points, (k, amb) arrays (Z may be None, meaning identically
+    zero); U_bar maps states to the deterministic-frame matrices of maps
+    T_x M -> T_xhat Mhat with A^{-1} U_bar skew, a (k, n, n) array.  A
+    closure of a stack of one may return the single value.  Kinds:
+    'general'; 'sym0' forces Z = 0; 'killing-induced' is the sym0 subclass
+    built from Killing fields; 'inner' forces Z_hat = A Z and U_bar = 0.
     """
 
-    def __init__(self, pair: RollingPair, kind, Z=None, Z_hat=None, U_bar=None, name=""):
+    def __init__(self, pair: RollingPair, kind, Z=None, Z_hat=None, U_bar=None, names=("",)):
         if kind not in KIND_TAGS:
             raise GeometryError(f"unknown candidate kind {kind!r}")
         self.pair = pair
@@ -167,43 +161,52 @@ class SymmetryCandidate:
         self._Z = Z
         self._Z_hat = Z_hat
         self._U_bar = U_bar
-        self.name = name
+        self.names = list(names)
+
+    def __len__(self):
+        return len(self.names)
+
+    def _stack(self, value, *shape):
+        return np.asarray(value, float).reshape((len(self),) + shape)
 
     def Z(self, q):
-        if self._Z is None or self.kind in ("sym0", "killing-induced"):
-            return np.zeros(self.pair.space.amb_dim)
-        return np.asarray(self._Z(q), float)
+        amb = self.pair.space.amb_dim
+        if self._Z is None or self.is_base_fixing():
+            return np.zeros((len(self), amb))
+        return self._stack(self._Z(q), amb)
 
     def Z_hat(self, q):
         if self.kind == "inner":
             return q.apply(self.Z(q))
+        amb = self.pair.space_hat.amb_dim
         if self._Z_hat is None:
-            return np.zeros(self.pair.space_hat.amb_dim)
-        return np.asarray(self._Z_hat(q), float)
+            return np.zeros((len(self), amb))
+        return self._stack(self._Z_hat(q), amb)
 
     def U_bar(self, q):
         n = self.pair.dim
         if self.kind == "inner" or self._U_bar is None:
-            return np.zeros((n, n))
-        return np.asarray(self._U_bar(q), float)
+            return np.zeros((len(self), n, n))
+        return self._stack(self._U_bar(q), n, n)
 
     def is_base_fixing(self):
         return self.kind in ("sym0", "killing-induced")
 
     def validate(self, q, tol=1e-10):
-        """Check the structural invariant A^{-1} U_bar in so(n) at a state;
-        returns the skewness residual, raising when it exceeds tol."""
+        """Check the structural invariant A^{-1} U_bar in so(n) at a state
+        for every candidate; returns the largest skewness residual, raising
+        when it exceeds tol."""
         pulled = q.isometry.T @ self.U_bar(q)
-        skew_res = float(np.abs(pulled + pulled.T).max())
+        skew_res = float(np.abs(pulled + pulled.mT).max())
         if not skew_res <= tol:
             raise GeometryError(f"A^-1 U_bar is not skew (residual {skew_res:.3e})")
         return skew_res
 
 
 def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandidate:
-    """Base-fixing symmetry candidate induced by a Killing field of the
-    second factor: Z_hat is the field at the contact point and U_bar its
-    covariant differential composed with the contact map."""
+    """Base-fixing symmetry candidates induced by a stack of Killing fields
+    of the second factor: Z_hat is each field at the contact point and U_bar
+    its covariant differential composed with the contact map."""
     if field.manifold is not pair.space_hat:
         raise MismatchError("Killing field must live on the second factor of the pair")
     return SymmetryCandidate(
@@ -211,16 +214,17 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
         "killing-induced",
         Z_hat=lambda q: field.value(q.x_hat),
         U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat) @ q.isometry,
-        name=f"killing({field.name})",
+        names=[f"killing({name})" for name in field.names],
     )
 
 
 def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
-    """Add a fixed random skew perturbation of size eps to U_bar; used to
-    check that the residual operations reject near-symmetries."""
+    """Add a fixed random skew perturbation of size eps to each U_bar of the
+    stack, one normal (n, n) draw per candidate in stack order; used to check
+    that the residual operations reject near-symmetries."""
     n = cand.pair.dim
-    noise = skew_part(rng.standard_normal((n, n)))
-    noise = noise / max(np.abs(noise).max(), 1e-300) * eps
+    noise = skew_part(rng.standard_normal((len(cand), n, n)))
+    noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), 1e-300) * eps
 
     return SymmetryCandidate(
         cand.pair,
@@ -228,42 +232,49 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
         Z=cand._Z,
         Z_hat=cand._Z_hat,
         U_bar=lambda q: cand.U_bar(q) + q.isometry @ noise,
-        name=cand.name + f"+skew({eps:g})",
+        names=[name + f"+skew({eps:g})" for name in cand.names],
     )
 
 
 # -- residual operations ------------------------------------------------------------
 
 
+def _norm_hat(q: RollingState, vecs):
+    """Norms of ambient vectors at x_hat after projecting them to the tangent
+    space: off-tangent round-off could make a Minkowski norm negative."""
+    mh = q.pair.space_hat
+    vecs = mh.project(q.x_hat, vecs)
+    return np.sqrt(mh.inner_at(q.x_hat, vecs, vecs))
+
+
 def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
-    """Residual pair of the two symmetry equations at (q, X), with the
-    rolling derivatives evaluated by stencils."""
+    """Residuals (r1, r2) of the two symmetry equations at (q, X), one entry
+    per candidate of the stack, with the rolling derivatives evaluated by
+    stencils whose sample states every candidate shares."""
     pair = q.pair
     X = np.asarray(X, float)
-    d_zhat = rolling_derivative(lambda s: cand.Z_hat(s), q, X, "vector_hat", h=h)
-    u_x = q.from_coords_hat(cand.U_bar(q) @ q.coords(X))
-    if cand.is_base_fixing():
-        r1_vec = u_x - d_zhat
+    base_fixing = cand.is_base_fixing()
+    if base_fixing:
+        d_zhat, d_u = rolling_derivative(lambda s: (cand.Z_hat(s), cand.U_bar(s)), q, X,
+                                         ("vector_hat", "map"), h=h)
     else:
-        d_z = rolling_derivative(lambda s: cand.Z(s), q, X, "vector", h=h)
-        r1_vec = u_x + q.apply(d_z) - d_zhat
-    # off-tangent round-off can make a Minkowski norm negative
-    r1_vec = pair.space_hat.project(q.x_hat, r1_vec)
-    r1 = math.sqrt(pair.space_hat.inner_at(q.x_hat, r1_vec, r1_vec))
+        d_zhat, d_u, d_z = rolling_derivative(
+            lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s)), q, X,
+            ("vector_hat", "map", "vector"), h=h)
+    u_x = q.from_coords_hat(cand.U_bar(q) @ q.coords(X))
+    r1_vec = u_x - d_zhat if base_fixing else u_x + q.apply(d_z) - d_zhat
+    r1 = _norm_hat(q, r1_vec)
 
-    d_u = rolling_derivative(lambda s: cand.U_bar(s), q, X, "map", h=h)
     a = q.isometry
-    r_term = np.zeros((pair.dim, pair.dim))
-    if not cand.is_base_fixing():
-        z = cand.Z(q)
+    x_coords = q.coords(X)
+    r_term = 0.0
+    if not base_fixing:
         r_term = a @ pair.space.curvature_matrix_apply(
-            q.x, wedge_matrix(q.coords(X), q.coords(z))
-        )
-    zh = cand.Z_hat(q)
+            q.x, wedge_matrix(x_coords, q.coords(cand.Z(q))))
     rh_term = pair.space_hat.curvature_matrix_apply(
-        q.x_hat, wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(zh))
+        q.x_hat, wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(cand.Z_hat(q)))
     ) @ a
-    r2 = float(np.linalg.norm(d_u + r_term - rh_term))
+    r2 = np.linalg.norm(d_u + r_term - rh_term, axis=(-2, -1))
     return r1, r2
 
 
@@ -284,22 +295,22 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
 
 
 def vertical_compatibility_residual(cand: SymmetryCandidate, q: RollingState, X, Y,
-                                    h=1e-5) -> float:
-    """Residual of the fiber-derivative compatibility along the rolling
-    curvature direction of the plane (X, Y):
+                                    h=1e-5):
+    """Residuals of the fiber-derivative compatibility along the rolling
+    curvature direction of the plane (X, Y), one per candidate of the stack:
 
         A . (d_fiber Z) = d_fiber Z_hat   along  nu(Rol_q(X ^ Y)).
-    """
-    pair = q.pair
+
+    The rolling curvature and the fiber direction do not depend on the
+    candidate, so they are built once for the stack."""
     xi = wedge_matrix(q.coords(np.asarray(X, float)), q.coords(np.asarray(Y, float)))
     b = rolling_curvature(q, xi)
     c = skew_part(q.isometry.T @ b)
     if np.abs(c).max() < 1e-14:
-        return 0.0
-    d_z = vertical_derivative(lambda s: cand.Z(s), q, c, "vector", h=h)
-    d_zhat = vertical_derivative(lambda s: cand.Z_hat(s), q, c, "vector_hat", h=h)
-    diff = pair.space_hat.project(q.x_hat, q.apply(d_z) - d_zhat)
-    return math.sqrt(pair.space_hat.inner_at(q.x_hat, diff, diff))
+        return np.zeros(len(cand))
+    d_z, d_zhat = vertical_derivative(lambda s: (cand.Z(s), cand.Z_hat(s)), q, c,
+                                      ("vector", "vector_hat"), h=h)
+    return _norm_hat(q, q.apply(d_z) - d_zhat)
 
 
 # -- propagation along rolling curves ---------------------------------------------
@@ -440,18 +451,16 @@ class DimensionReport:
         }
 
 
-def sym0_dimension_probe(q0: RollingState, candidates, tol=1e-8) -> DimensionReport:
+def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) -> DimensionReport:
     """Numerical rank of the evaluation data (Z_hat(q0), A0^{-1} U_bar(q0))
-    over a list of base-fixing candidates.  The data determines the
-    candidate along the reachable set, so the rank bounds the dimension of
-    the base-fixing symmetry space; the full Killing catalog realizes
-    n(n+1)/2.  The rows form one layer of numerics.numerical_rank's rule, so
-    the singular values are those of the rows over the longest one."""
-    rows = []
-    for cand in candidates:
-        if not cand.is_base_fixing():
-            raise GeometryError("dimension probe requires base-fixing candidates")
-        zh = q0.coords_hat(cand.Z_hat(q0))
-        u = skew_part(q0.isometry.T @ cand.U_bar(q0))
-        rows.append(np.concatenate((zh, skew_to_vector(u))))
-    return DimensionReport(*numerical_rank(np.array(rows), tol, layers=[len(rows)]), tol)
+    over a stack of base-fixing candidates, one row per candidate.  The data
+    determines the candidate along the reachable set, so the rank bounds the
+    dimension of the base-fixing symmetry space; the full Killing catalog
+    realizes n(n+1)/2.  The rows form one layer of numerics.numerical_rank's
+    rule, so the singular values are those of the rows over the longest one."""
+    if not cand.is_base_fixing():
+        raise GeometryError("dimension probe requires base-fixing candidates")
+    zh = q0.coords_hat(cand.Z_hat(q0))
+    u = skew_part(q0.isometry.T @ cand.U_bar(q0))
+    rows = np.concatenate((zh, skew_to_vector(u)), axis=1)
+    return DimensionReport(*numerical_rank(rows, tol, layers=[len(rows)]), tol)

@@ -291,7 +291,7 @@ def killing_induced_fields(pair, rng):
     c0 = wedge_matrix(rng.standard_normal(pair.dim), rng.standard_normal(pair.dim))
 
     def value(q):
-        return TangentOfQ(q, k1.value(q.x), k2.value(q.x_hat), c0)
+        return TangentOfQ(q, k1.value(q.x)[0], k2.value(q.x_hat)[0], c0)
 
     return StructuredField(pair, value)
 

@@ -1,12 +1,18 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rollsym.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SPHERE_PLANE = {
     "manifold_pair": [
@@ -328,6 +334,29 @@ def test_audit_sphere_on_hyperbolic_plane_seed_62(tmp_path):
     assert all(block["max"] < 1e-6 for block in data["residuals"].values())
 
 
+def test_seeded_perturbed_audit_report_is_pinned(tmp_path):
+    # the stacked perturbation draws one normal (n, n) per field in catalog
+    # order, so the seeded noise, and with it the report, are those of one
+    # draw per candidate
+    cfg = write_config(tmp_path, {
+        "manifold_pair": [
+            {"kind": "sphere", "dim": 3, "radius": 2.0},
+            {"kind": "sphere", "dim": 3, "radius": 1.0},
+        ],
+        "seed": 17,
+    })
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check",
+        "--candidate", json.dumps({"kind": "catalog", "perturb": 1e-3}),
+        "--samples", "10", "--out", str(out),
+    ]) == 1
+    data = json.loads(out.read_text())
+    assert data["candidates"] == [f"killing(rotation-{i}{j})+skew(0.001)"
+                                  for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    assert data["residuals"]["eq_drift"]["max"] == pytest.approx(0.001371564580228729, rel=1e-9)
+
+
 def test_audit_mismatched_generator_exit(tmp_path):
     cfg = write_config(tmp_path, SPHERE_PLANE)
     code = main([
@@ -495,6 +524,20 @@ def test_audit_rejects_a_sample_count_below_one(tmp_path, capsys, samples):
     ]) == 2
     assert "--samples must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rollsym", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120).returncode
+
+    assert run("nilpotent", "--n", "4", "--out", str(tmp_path / "nil.json")) == 0
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    assert run("--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+               "--samples", "0") == 2
 
 
 @pytest.mark.parametrize("path", [

@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
-from rollsym.rolling import RollingPair
+from rollsym.curvature import wedge_matrix
+from rollsym.numerics import central_diff
+from rollsym.rolling import (
+    RollingPair,
+    TangentOfQ,
+    det_transport_matrix,
+    rolling_lift,
+    tangent_curve,
+)
 from rollsym.symmetry import (
     SymmetryCandidate,
     standard_contact_field,
     inner_symmetry_residual,
     killing_catalog,
-    killing_ode_residual,
     killing_to_symmetry,
     perturb_candidate,
     propagate_chain,
@@ -40,11 +49,29 @@ def test_catalog_rejects_warped():
         killing_catalog(warped)
 
 
+def killing_ode_residual(field, x, v, h=1e-4, order=4):
+    """Residual of the second-order Killing identity
+    nabla_v (nabla K) = R(v ^ K) at x for a stack of one field, as a frame
+    matrix norm: the stencil differentiates nabla K along the geodesic of v
+    in parallel-transported frames."""
+    m = field.manifold
+
+    def sample(t):
+        xt = m.geodesic_flow(x, v, t)[0]
+        p = det_transport_matrix(m, x, v, t)
+        return p.T @ field.nabla_matrix(xt, m.frame(xt))[0] @ p
+
+    d = central_diff(sample, h, order)
+    a, b = m.frame_coords(x, m.frame(x), np.array([v, field.value(x)[0]]))
+    expected = m.curvature_matrix_apply(x, wedge_matrix(a, b))
+    return float(np.linalg.norm(d - expected))
+
+
 def test_killing_fields_have_skew_differential_and_satisfy_the_ode():
     for m in (Euclidean(2), Sphere(2, 1.0), Hyperbolic(2, 1.0), Sphere(3, 1.0)):
         for field in killing_catalog(m):
             x = m.random_point(RNG)
-            nb = field.nabla_matrix(x)
+            nb = field.nabla_matrix(x, m.frame(x))[0]
             assert np.abs(nb + nb.T).max() < 1e-10
             v = m.random_tangent(RNG, x, unit=True)
             assert killing_ode_residual(field, x, v) < 1e-7
@@ -68,19 +95,19 @@ def test_translation_induced_candidate_is_exact():
     assert np.all(cand.U_bar(q) == 0.0)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = sym0_residual(cand, q, X)
-    assert r1 < 1e-9 and r2 < 1e-9
+    assert r1[0] < 1e-9 and r2[0] < 1e-9
 
 
 def test_plane_rotation_induced_candidate():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
-    rot = [f for f in killing_catalog(pair.space_hat) if f.name == "rotation-01"][0]
+    rot = [f for f in killing_catalog(pair.space_hat) if f.names == ["rotation-01"]][0]
     cand = killing_to_symmetry(pair, rot)
-    expected = rot.generator @ q.isometry
+    expected = rot.generators @ q.isometry
     assert np.allclose(cand.U_bar(q), expected, atol=1e-12)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = sym0_residual(cand, q, X)
-    assert max(r1, r2) < 1e-7
+    assert max(r1[0], r2[0]) < 1e-7
 
 
 def test_sphere_rotation_induced_candidate_on_s3():
@@ -90,7 +117,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
         r1, r2 = sym0_residual(cand, q, X)
-        assert max(r1, r2) < 1e-6
+        assert max(r1[0], r2[0]) < 1e-6
 
 
 def test_zero_candidate_has_zero_residuals():
@@ -98,7 +125,7 @@ def test_zero_candidate_has_zero_residuals():
     q = pair.random_state(RNG)
     zero = SymmetryCandidate(pair, "sym0")
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert sym0_residual(zero, q, X) == (0.0, 0.0)
+    assert np.all(np.concatenate(sym0_residual(zero, q, X)) == 0.0)
 
 
 def test_sym0_residual_requires_base_fixing():
@@ -116,9 +143,9 @@ def test_perturbed_candidate_is_rejected():
     pert = perturb_candidate(cand, 1e-3, np.random.default_rng(0))
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = symmetry_residual(pert, q, X)
-    assert max(r1, r2) > 1e-4
+    assert max(r1[0], r2[0]) > 1e-4
     # linear response: the drift equation sees the perturbation at its size
-    assert r1 == pytest.approx(1e-3, rel=0.9)
+    assert r1[0] == pytest.approx(1e-3, rel=0.9)
 
 
 def test_candidate_validation():
@@ -162,7 +189,7 @@ def test_lemma_u_reconstruction_is_fiber_independent():
     u1 = cand.U_bar(q1) @ q1.isometry.T
     u2 = cand.U_bar(q2) @ q2.isometry.T
     assert np.abs(u1 - u2).max() < 1e-9
-    assert np.abs(u1 - field.nabla_matrix(x_hat)).max() < 1e-9
+    assert np.abs(u1 - field.nabla_matrix(x_hat, pair.space_hat.frame(x_hat))).max() < 1e-9
 
 
 # -- vertical compatibility ------------------------------------------------------------
@@ -174,12 +201,12 @@ def test_vertical_compatibility_flat_and_matched_cases():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, q, X, Y) < 1e-9
+    assert vertical_compatibility_residual(cand, q, X, Y)[0] < 1e-9
 
     matched = RollingPair(Sphere(2, 1.0), Sphere(2, 1.0))
     qm = matched.random_state(RNG)
     cand_m = killing_to_symmetry(matched, killing_catalog(matched.space_hat)[0])
-    assert vertical_compatibility_residual(cand_m, qm, X, Y) == 0.0
+    assert vertical_compatibility_residual(cand_m, qm, X, Y)[0] == 0.0
 
 
 def test_vertical_compatibility_on_distinct_spheres():
@@ -189,7 +216,7 @@ def test_vertical_compatibility_on_distinct_spheres():
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
         Y = pair.space.random_tangent(RNG, q.x, unit=True)
-        assert vertical_compatibility_residual(cand, q, X, Y) < 1e-6
+        assert vertical_compatibility_residual(cand, q, X, Y)[0] < 1e-6
 
 
 def test_vertical_compatibility_detects_base_dependence():
@@ -201,29 +228,104 @@ def test_vertical_compatibility_detects_base_dependence():
     )
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, q, X, Y) > 1e-4
+    assert vertical_compatibility_residual(cand, q, X, Y)[0] > 1e-4
 
 
 def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch):
-    # every candidate is differentiated along the rolling lift of X and the
+    # the whole catalog is differentiated along the rolling lift of X and the
     # fiber direction of (X, Y) at q: the order-2 stencils share their two
-    # sample states per direction (rolling.curve_sample)
+    # sample states per direction (rolling.curve_sample), and the fiber
+    # states keep q's frames, so a sample builds the two frames of q and the
+    # two of each rolling-lift state
     import rollsym.rolling as rolling_mod
+    from rollsym.spaces import SpaceForm
     from test_brackets import patch_everywhere
 
-    calls = []
+    calls, frames = [], []
     build = rolling_mod.tangent_curve
     patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
+    frame = SpaceForm.frame
+    monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or frame(*a, **k))
     pair = RollingPair(Sphere(3, 2.0), Sphere(3, 1.0))
     rng = np.random.default_rng(5)
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
     Y = pair.space.random_tangent(rng, q.x, unit=True)
-    cands = [killing_to_symmetry(pair, f) for f in killing_catalog(pair.space_hat)]
-    for cand in cands:
-        assert max(symmetry_residual(cand, q, X)) < 1e-6
-        assert vertical_compatibility_residual(cand, q, X, Y) < 1e-6
+    cands = killing_to_symmetry(pair, killing_catalog(pair.space_hat))
+    cands.validate(q)
+    assert max(np.concatenate(symmetry_residual(cands, q, X))) < 1e-6
+    assert max(vertical_compatibility_residual(cands, q, X, Y)) < 1e-6
     assert len(cands) == 6 and 0 < len(calls) <= 4
+    assert 0 < len(frames) <= 6
+
+
+def test_a_fiber_curve_keeps_the_base_point_and_frames():
+    pair = RollingPair(Sphere(3, 2.0), Hyperbolic(3, 1.0))
+    rng = np.random.default_rng(7)
+    q = pair.random_state(rng)
+    c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
+    xi = TangentOfQ(q, np.zeros(4), np.zeros(4), c)
+    qt = tangent_curve(q, xi, 0.3)
+    assert qt.x is q.x and qt.x_hat is q.x_hat
+    assert qt.frame is q.frame and qt.frame_hat is q.frame_hat
+    for fwd in qt.transports:
+        assert np.array_equal(fwd, np.eye(3))
+    assert np.abs(qt.isometry - q.isometry @ expm(0.3 * c)).max() < 1e-14
+
+
+def test_a_rolling_lift_curve_takes_no_matrix_exponential(monkeypatch):
+    import rollsym.rolling as rolling_mod
+
+    monkeypatch.setattr(rolling_mod, "expm", lambda *a: pytest.fail("expm called"))
+    pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
+    rng = np.random.default_rng(8)
+    q = pair.random_state(rng)
+    X = pair.space.random_tangent(rng, q.x, unit=True)
+    qt = tangent_curve(q, rolling_lift(q, X), 0.2)
+    p, p_hat = qt.transports
+    assert np.abs(qt.isometry - p_hat @ q.isometry @ p.T).max() < 1e-14
+
+
+# pairs whose second factor carries a catalog: the four audit pairs, a
+# cosine-warped first factor, and flat second factors with translation fields
+STACK_PAIRS = st.sampled_from([
+    lambda: RollingPair(Sphere(2, 2.0), Sphere(2, 1.0)),
+    lambda: RollingPair(Sphere(2, 2.0), Hyperbolic(2, 1.0)),
+    lambda: RollingPair(Sphere(2, 2.0), Euclidean(2)),
+    lambda: RollingPair(Sphere(3, 2.0), Sphere(3, 1.0)),
+    lambda: RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)),
+                        Sphere(2, 1.0)),
+    lambda: RollingPair(Sphere(3, 2.0), Euclidean(3)),
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(STACK_PAIRS, st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
+    # each candidate's row of (r1, r2, r3) from the whole catalog equals the
+    # residuals of its field alone; a perturbed stack draws one noise matrix
+    # per field in catalog order, so field i alone skips i draws
+    pair = make_pair()
+    catalog = killing_catalog(pair.space_hat)
+    rng = np.random.default_rng(seed)
+    q = pair.random_state(rng)
+    X = pair.space.random_tangent(rng, q.x, unit=True)
+    Y = pair.space.random_tangent(rng, q.x, unit=True)
+
+    def residuals(fields, skip):
+        cand = killing_to_symmetry(pair, fields)
+        if perturbed:
+            noise_rng = np.random.default_rng(seed + 1)
+            noise_rng.standard_normal((skip, pair.dim, pair.dim))
+            cand = perturb_candidate(cand, 1e-3, noise_rng)
+        cand.validate(q)
+        return np.array([*symmetry_residual(cand, q, X),
+                         vertical_compatibility_residual(cand, q, X, Y)])
+
+    stacked = residuals(catalog, 0)
+    assert stacked.shape == (3, len(catalog))
+    for i in range(len(catalog)):
+        assert np.abs(stacked[:, i] - residuals(catalog[i], i)[:, 0]).max() < 1e-11
 
 
 # -- inner symmetries -------------------------------------------------------------------
@@ -235,14 +337,14 @@ def test_inner_kind_candidate_passes_general_residuals():
     warped = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
     pair = RollingPair(warped, Sphere(2, 1.0))
     cand = SymmetryCandidate(
-        pair, "inner", Z=lambda s: np.array([1.0, 0.0, 0.0]), name="radial"
+        pair, "inner", Z=lambda s: np.array([1.0, 0.0, 0.0]), names=["radial"]
     )
     rng = np.random.default_rng(88)
     for _ in range(5):
         q = pair.random_state(rng)
         X = pair.space.random_tangent(rng, q.x, unit=True)
         r1, r2 = symmetry_residual(cand, q, X)
-        assert max(r1, r2) < 1e-6
+        assert max(r1[0], r2[0]) < 1e-6
         assert np.all(cand.U_bar(q) == 0.0)
         assert np.allclose(cand.Z_hat(q), q.apply(cand.Z(q)))
 
@@ -255,13 +357,13 @@ def test_contact_field_instance_is_inner_on_matched_unit_spheres():
     rng = np.random.default_rng(89)
     for _ in range(5):
         q = pair.random_state(rng)
-        assert abs(np.linalg.norm(xi.value(q.x)) - 1.0) < 1e-12  # unit field
-        assert inner_symmetry_residual(lambda s: xi.value(s.x), q) < 1e-12
-    cand = SymmetryCandidate(pair, "inner", Z=lambda s: xi.value(s.x), name="contact lift")
+        assert abs(np.linalg.norm(xi.value(q.x)[0]) - 1.0) < 1e-12  # unit field
+        assert inner_symmetry_residual(lambda s: xi.value(s.x)[0], q) < 1e-12
+    cand = SymmetryCandidate(pair, "inner", Z=lambda s: xi.value(s.x), names=["contact lift"])
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
     r1, r2 = symmetry_residual(cand, q, X)
-    assert max(r1, r2) < 1e-6
+    assert max(r1[0], r2[0]) < 1e-6
     with pytest.raises(GeometryError):
         standard_contact_field(Sphere(2, 1.0))
     with pytest.raises(GeometryError):
@@ -321,8 +423,8 @@ def test_propagation_flat_target_is_affine():
     q1 = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q1.x, unit=True)
     z0 = np.array([0.4, -0.2])
-    rot = [f for f in killing_catalog(pair.space_hat) if f.name == "rotation-01"][0]
-    u0 = rot.generator @ q1.isometry
+    rot = [f for f in killing_catalog(pair.space_hat) if f.names == ["rotation-01"]][0]
+    u0 = rot.generators[0] @ q1.isometry
     grid = np.linspace(0.0, 1.5, 31)
     res = propagate_sym0(q1, X, z0, u0, grid)
     v_hat = q1.apply(X)
@@ -398,14 +500,14 @@ def test_propagation_round_trip():
     cand = killing_to_symmetry(pair, field)
     X = pair.space.random_tangent(RNG, q1.x, unit=True)
     grid = np.linspace(0.0, 1.1, 45)
-    res = propagate_sym0(q1, X, cand.Z_hat(q1), cand.U_bar(q1), grid)
+    res = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0], grid)
     q_end, z_end, u_end = res.final()
     v_hat = pair.space_hat.geodesic_flow(q1.x_hat, q1.apply(X), 1.1)[1]
     back_dir = -q_end.from_coords(q_end.isometry.T @ q_end.coords_hat(v_hat))
     res_back = propagate_sym0(q_end, back_dir, z_end, u_end, grid)
     _, z0, u0 = res_back.final()
-    assert np.abs(z0 - cand.Z_hat(q1)).max() < 1e-5
-    assert np.abs(u0 - cand.U_bar(q1)).max() < 1e-5
+    assert np.abs(z0 - cand.Z_hat(q1)[0]).max() < 1e-5
+    assert np.abs(u0 - cand.U_bar(q1)[0]).max() < 1e-5
 
 
 def test_propagation_matches_killing_construction():
@@ -414,13 +516,13 @@ def test_propagation_matches_killing_construction():
         q1 = pair.random_state(RNG)
         field = killing_catalog(mh)[-1]
         cand = killing_to_symmetry(pair, field)
-        q_cur, z_cur, u_cur = q1, cand.Z_hat(q1), cand.U_bar(q1)
+        q_cur, z_cur, u_cur = q1, cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
         rng = np.random.default_rng(12)
         for _ in range(3):
             direction = pair.space.random_tangent(rng, q_cur.x, unit=True)
             q_cur, z_cur, u_cur = propagate_chain(q_cur, [(direction, 0.8)], z_cur, u_cur)
-        assert np.abs(z_cur - cand.Z_hat(q_cur)).max() < 1e-5
-        assert np.abs(u_cur - cand.U_bar(q_cur)).max() < 1e-5
+        assert np.abs(z_cur - cand.Z_hat(q_cur)[0]).max() < 1e-5
+        assert np.abs(u_cur - cand.U_bar(q_cur)[0]).max() < 1e-5
 
 
 def test_propagation_grid_refinement_stability():
@@ -432,9 +534,9 @@ def test_propagation_grid_refinement_stability():
     field = killing_catalog(pair.space_hat)[0]
     cand = killing_to_symmetry(pair, field)
     X = pair.space.random_tangent(rng, q1.x, unit=True)
-    coarse = propagate_sym0(q1, X, cand.Z_hat(q1), cand.U_bar(q1),
+    coarse = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0],
                             np.linspace(0.0, 1.0, 49))
-    fine = propagate_sym0(q1, X, cand.Z_hat(q1), cand.U_bar(q1),
+    fine = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0],
                           np.linspace(0.0, 1.0, 97))
     assert np.abs(coarse.final()[1] - fine.final()[1]).max() < 1e-8
     assert np.abs(coarse.final()[2] - fine.final()[2]).max() < 1e-8
@@ -452,13 +554,13 @@ def test_propagation_grid_validation():
 
 def test_dimension_probe_full_catalogs():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
-    cands = [killing_to_symmetry(pair, f) for f in killing_catalog(pair.space_hat)]
+    cands = killing_to_symmetry(pair, killing_catalog(pair.space_hat))
     q0 = pair.random_state(RNG)
     rep = sym0_dimension_probe(q0, cands)
     assert rep.rank == 3
 
     pair3 = RollingPair(Euclidean(3), Sphere(3, 1.0))
-    cands3 = [killing_to_symmetry(pair3, f) for f in killing_catalog(pair3.space_hat)]
+    cands3 = killing_to_symmetry(pair3, killing_catalog(pair3.space_hat))
     q03 = pair3.random_state(RNG)
     rep3 = sym0_dimension_probe(q03, cands3)
     assert rep3.rank == 6
@@ -466,10 +568,11 @@ def test_dimension_probe_full_catalogs():
 
 def test_dimension_probe_span_invariance_and_small_cases():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
-    cands = [killing_to_symmetry(pair, f) for f in killing_catalog(pair.space_hat)]
+    catalog = killing_catalog(pair.space_hat)
     q0 = pair.random_state(RNG)
-    base = sym0_dimension_probe(q0, cands).rank
-    assert sym0_dimension_probe(q0, cands + cands).rank == base
-    assert sym0_dimension_probe(q0, cands[:1]).rank == 1
+    base = sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog)).rank
+    twice = catalog[np.tile(np.arange(len(catalog)), 2)]
+    assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
+    assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
     with pytest.raises(GeometryError):
-        sym0_dimension_probe(q0, [SymmetryCandidate(pair, "general")])
+        sym0_dimension_probe(q0, SymmetryCandidate(pair, "general"))
