@@ -12,6 +12,7 @@ import numpy as np
 
 from rollsym import Euclidean, Hyperbolic, Sphere
 from rollsym.brackets import (
+    bracket_fd,
     bracket_structured,
     controllability_verdict,
     curvature_mismatch,
@@ -50,6 +51,10 @@ print(np.round(table[1].C, 6))
 print("kappa =", curvature_mismatch(pair))
 coords = table.coords().reshape(2, 2, -1)
 print(f"antisymmetry defect of the table: {np.abs(coords + coords.swapaxes(0, 1)).max():.1e}")
+# The independent oracle: coordinate brackets in the canonical chart by
+# finite differences, sharing no stencil or sample state with the formula.
+fd = bracket_fd(gens, gens, q)
+print(f"largest difference from the chart oracle: {np.abs(table.coords() - fd.coords()).max():.1e}")
 
 # Equiregularity: the growth vector does not depend on the state.
 growths = {flag_ranks(pair.random_state(rng), depth=3).ranks for _ in range(10)}

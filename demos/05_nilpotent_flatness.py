@@ -3,7 +3,9 @@
 At every state, the rolling distribution of a mismatched constant-curvature
 pair has the same step-3 graded nilpotent model: R^n + so(n) + R^n, with
 generators bracketing to wedge planes and planes acting back on generators.
-The structure is verified here with exact rational arithmetic.
+Its structure constants are integers: an element is one row of integer
+coordinates, a stack of rows brackets against another stack in one call,
+and the structure is verified exactly.
 
 A distribution is flat when it is locally equivalent to this model.  For
 n >= 3 that never happens: a hypothetical flat frame forces the quantities
@@ -15,7 +17,7 @@ flat pair of spheres with radius ratio 1:3.
 from fractions import Fraction
 
 from rollsym.nilpotent import (
-    GradedVector,
+    basis,
     flatness_obstruction,
     graded_dims,
     growth_vector,
@@ -23,15 +25,19 @@ from rollsym.nilpotent import (
     verify_structure,
 )
 
-# The brackets on basis elements, spelled out for n = 3.
+# The brackets on basis elements, spelled out for n = 3: the first n rows of
+# the basis are the generators N0, N1, N2.
 n = 3
-N = [GradedVector.layer1(n, i) for i in range(n)]
+N = basis(n)[:n]
 b01 = nil_bracket(N[0], N[1])
 print("[N0, N1] lands in layer 2 (plane e0^e1):", b01.b)
-t = nil_bracket(N[0], nil_bracket(N[0], N[1]))
+t = nil_bracket(N[0], b01)
 print("[N0, [N0, N1]] lands in layer 3:", t.c)
-print("[N2, [N0, N1]] vanishes (disjoint indices):",
-      nil_bracket(N[2], nil_bracket(N[0], N[1])).is_zero())
+print("[N2, [N0, N1]] vanishes (disjoint indices):", nil_bracket(N[2], b01).is_zero())
+# one broadcast call brackets every pair of generators: row i, column j of
+# the table holds the layer-2 part of [N_i, N_j]
+table = nil_bracket(N[:, None], N[None, :])
+print("layer-2 parts of the generator table:", table.b.tolist())
 
 print()
 for size in (2, 3, 4, 5):

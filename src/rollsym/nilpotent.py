@@ -8,9 +8,10 @@ brackets
     [(a,0,0), (0,B,0)]  = (0, 0, -B a)
     [layer 3, anything] = 0,     [layer 2, layer 2] = 0 (step-3 grading)
 
-realized here over exact rational arithmetic: structure checks are
-certificates, not approximations.  Floating point enters only where actual
-manifolds do.
+realized here on integer coordinate arrays: the structure constants are
+integers, so structure checks are certificates, not approximations.
+Rationals enter only the obstruction arithmetic, floating point only where
+actual manifolds do.
 
 The obstruction arithmetic encodes the terminal computation of the
 non-flatness argument for constant-curvature pairs: a hypothetical flat
@@ -31,114 +32,63 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import so_pairs, so_dim
+from .curvature import so_dim, vector_to_skew
 from .spaces import GeometryError
 
 
-def _exact(x):
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return x
-
-
-@dataclass(frozen=True)
 class GradedVector:
-    """Element of the graded algebra: layer-1 and layer-3 vectors of length
-    n plus a layer-2 skew matrix stored as strictly upper triangular
-    coefficients in lexicographic order."""
+    """Elements of the graded algebra, stacked along leading axes: one array
+    (..., d) of integer coordinates in the graded basis, d = 2n + n(n-1)/2.
+    The layers are views of it: a (layer 1), b (the layer-2 skew matrix as
+    its strictly upper triangular coefficients in lexicographic order) and c
+    (layer 3).  Indexing selects along the leading axes.  int64 products
+    wrap on overflow; an object array of Python integers brackets at any
+    size."""
 
-    a: tuple
-    b: tuple
-    c: tuple
-
-    def __post_init__(self):
-        n = len(self.a)
-        if len(self.c) != n or len(self.b) != so_dim(n):
-            raise GeometryError("graded layers have inconsistent dimensions")
+    def __init__(self, coords):
+        self.coords = np.asarray(coords)
+        d = self.coords.shape[-1]
+        self.n = (math.isqrt(9 + 8 * d) - 3) // 2
+        if self.n < 1 or self.n * (self.n + 3) != 2 * d:
+            raise GeometryError(f"{d} coordinates do not make a graded vector")
 
     @property
-    def n(self):
-        return len(self.a)
+    def a(self):
+        return self.coords[..., : self.n]
 
-    @classmethod
-    def from_layers(cls, a, b, c):
-        return cls(tuple(_exact(x) for x in a), tuple(_exact(x) for x in b),
-                   tuple(_exact(x) for x in c))
+    @property
+    def b(self):
+        return self.coords[..., self.n : -self.n]
 
-    @classmethod
-    def layer1(cls, n, i):
-        a = [0] * n
-        a[i] = 1
-        return cls(tuple(a), (0,) * so_dim(n), (0,) * n)
+    @property
+    def c(self):
+        return self.coords[..., -self.n :]
 
-    @classmethod
-    def layer2(cls, n, i, j):
-        if not i < j:
-            raise GeometryError("layer-2 basis indices must satisfy i < j")
-        b = [0] * so_dim(n)
-        b[so_pairs(n).index((i, j))] = 1
-        return cls((0,) * n, tuple(b), (0,) * n)
-
-    @classmethod
-    def layer3(cls, n, i):
-        c = [0] * n
-        c[i] = 1
-        return cls((0,) * n, (0,) * so_dim(n), tuple(c))
-
-    def __add__(self, other):
-        return GradedVector(
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
-            tuple(x + y for x, y in zip(self.c, other.c)),
-        )
-
-    def scale(self, s):
-        s = _exact(s)
-        return GradedVector(
-            tuple(s * x for x in self.a),
-            tuple(s * x for x in self.b),
-            tuple(s * x for x in self.c),
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def __getitem__(self, index):
+        return GradedVector(self.coords[index])
 
     def is_zero(self):
-        return all(x == 0 for x in self.a + self.b + self.c)
-
-    def skew_apply(self, vec):
-        """Apply the layer-2 skew matrix to a length-n vector."""
-        n = self.n
-        out = [0] * n
-        for (i, j), coef in zip(so_pairs(n), self.b):
-            if coef != 0:
-                out[i] += coef * vec[j]
-                out[j] -= coef * vec[i]
-        return tuple(out)
+        return not self.coords.any()
 
 
 def nil_bracket(u: GradedVector, v: GradedVector) -> GradedVector:
-    """Bracket of the graded algebra: bilinear, antisymmetric, exact on
-    rational inputs; layers combine as 1+1 -> 2, 1+2 -> 3, all else 0."""
+    """Bracket of the graded algebra, for two stacks of vectors whose leading
+    axes broadcast: bilinear, antisymmetric and exact on integers; layers
+    combine as 1+1 -> 2, 1+2 -> 3, all else 0."""
     if u.n != v.n:
         raise GeometryError("graded vectors have different dimensions")
-    n = u.n
-    b = tuple(u.a[i] * v.a[j] - u.a[j] * v.a[i] for i, j in so_pairs(n))
+    i, j = np.triu_indices(u.n, 1)
+    b = u.a[..., i] * v.a[..., j] - u.a[..., j] * v.a[..., i]
     # [a, B'] = -B'a and [B, a'] = +B a'
-    c_from_u = u.skew_apply(v.a)
-    c_from_v = v.skew_apply(u.a)
-    c = tuple(c_from_u[k] - c_from_v[k] for k in range(n))
-    return GradedVector((0,) * n, b, c)
+    skew_u, skew_v = vector_to_skew(u.b, u.n), vector_to_skew(v.b, u.n)
+    c = (skew_u @ v.a[..., None] - skew_v @ u.a[..., None])[..., 0]
+    return GradedVector(np.concatenate((np.zeros_like(c), b, c), axis=-1))
 
 
 def basis(n):
-    """Full graded basis: layer-1 generators, layer-2 planes, layer-3 tails."""
-    out = [GradedVector.layer1(n, i) for i in range(n)]
-    out += [GradedVector.layer2(n, i, j) for i, j in so_pairs(n)]
-    out += [GradedVector.layer3(n, i) for i in range(n)]
-    return out
+    """The graded basis as one stack of int64 rows: layer-1 generators,
+    layer-2 planes (lexicographic), layer-3 tails."""
+    return GradedVector(np.eye(2 * n + so_dim(n), dtype=np.int64))
 
 
 def graded_dims(n):
@@ -156,24 +106,19 @@ def growth_vector(n):
 
 def structure_tensor(n):
     """Structure constants of the graded basis: c[i, j, k] is the coefficient
-    of basis element k in nil_bracket(basis i, basis j), one call per pair,
-    so checks on c certify nil_bracket itself.  Raises unless every
-    coefficient is an integer with d^2 |c|^3 < 2^53: verify_structure's
-    partial sums (at most d^2 products of three) then stay exact in float64."""
+    of basis element k in [basis i, basis j], from one nil_bracket of the
+    basis stack against itself, so checks on c certify nil_bracket itself.
+    Raises unless every coefficient is an integer with d^2 |c|^3 < 2^53:
+    verify_structure's partial sums (at most d^2 products of three) then
+    stay exact in float64."""
     bas = basis(n)
-    d = len(bas)
-    c = np.zeros((d, d, d), dtype=np.int64)
-    for i, x in enumerate(bas):
-        for j, y in enumerate(bas):
-            br = nil_bracket(x, y)
-            coeffs = list(br.a + br.b + br.c)
-            ints = [int(v) for v in coeffs]
-            if ints != coeffs:
-                raise GeometryError("structure constants must be integers")
-            if d * d * max(map(abs, ints)) ** 3 >= 2**53:
-                raise GeometryError("structure constants too large for exact contraction")
-            c[i, j] = ints
-    return c
+    c = nil_bracket(bas[:, None], bas[None, :]).coords
+    ints = c.astype(np.int64)
+    if not np.array_equal(ints, c):
+        raise GeometryError("structure constants must be integers")
+    if len(c) ** 2 * int(np.abs(ints).max()) ** 3 >= 2**53:
+        raise GeometryError("structure constants too large for exact contraction")
+    return ints
 
 
 def verify_structure(n, c=None) -> dict:
@@ -226,8 +171,8 @@ def verify_structure(n, c=None) -> dict:
 
     # layer dimensions as generated, not as declared: the spans of the
     # first brackets and of the triple brackets must have the full ranks
-    layer2_rank = _exact_rank(c[:n, :n, n:n + m].reshape(n * n, m).tolist())
-    layer3_rank = _exact_rank(gens[..., n + m:].reshape(n**3, n).astype(np.int64).tolist())
+    layer2_rank = _exact_rank(c[:n, :n, n:n + m].reshape(n * n, m))
+    layer3_rank = _exact_rank(gens[..., n + m:].reshape(n**3, n).astype(np.int64))
     dims_ok = (layer2_rank, layer3_rank) == (m, n)
     return {
         "n": n,
@@ -245,25 +190,21 @@ def verify_structure(n, c=None) -> dict:
     }
 
 
-def _exact_rank(rows):
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
-    rank = 0
-    col = 0
-    width = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < width:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
+def _exact_rank(mat):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination on
+    Python integers: after each pivot every remaining entry is a minor of
+    the matrix, so each division by the previous pivot is exact."""
+    a = np.array(mat, dtype=object)
+    a = a[(a != 0).any(axis=1)]
+    rank, prev = 0, 1
+    for col in range(a.shape[1]):
+        rows = np.flatnonzero(a[rank:, col] != 0)
+        if not len(rows):
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
+        a[[rank, rank + rows[0]]] = a[[rank + rows[0], rank]]
+        pivot = a[rank, col]
+        a[rank + 1:] = (pivot * a[rank + 1:] - a[rank + 1:, col:col + 1] * a[rank]) // prev
+        rank, prev = rank + 1, pivot
     return rank
 
 
@@ -315,9 +256,7 @@ def flatness_obstruction(K, K_hat, beta, n=3) -> ObstructionReport:
     Raises on kappa = 0 (the mismatch hypothesis is a precondition, not a
     verdict) and on beta <= 0.
     """
-    K = _exact(K)
-    K_hat = _exact(K_hat)
-    beta = _exact(beta)
+    K, K_hat, beta = (Fraction(v) if isinstance(v, str) else v for v in (K, K_hat, beta))
     if all(isinstance(v, (int, Fraction)) for v in (K, K_hat, beta)):
         K, K_hat, beta = Fraction(K), Fraction(K_hat), Fraction(beta)
     if isinstance(K, numbers.Real) and isinstance(K_hat, numbers.Real):
@@ -337,46 +276,3 @@ def flatness_obstruction(K, K_hat, beta, n=3) -> ObstructionReport:
     else:
         verdict = "not_flat" if max(obs_m, obs_mh) > 0 else "inconclusive"
     return ObstructionReport(K, K_hat, beta, n, kappa, obs_m, obs_mh, verdict)
-
-
-def vertical_action_consistency(q, beta=1.0) -> float:
-    """Mechanical check of the penultimate step of the non-flatness
-    argument at a state of a constant-curvature pair.
-
-    With W_i = sqrt(beta) times the deterministic frame, the flat-frame
-    hypotheses force the fiber derivative of W_k along nu(A(W_i ^ W_j)) to
-    take the closed form (beta K / kappa)(delta_jk W_i - delta_ik W_j);
-    this evaluates kappa times that form against K (W_i ^ W_j) W_k computed
-    mechanically through the wedge action, and returns the largest norm of
-    the difference over all index triples.  kappa = -K + K_hat.
-    """
-    pair = q.pair
-    for m in (pair.space, pair.space_hat):
-        if not hasattr(m, "curvature_constant"):
-            raise GeometryError("consistency check needs a constant-curvature pair")
-    K = pair.space.curvature_constant
-    K_hat = pair.space_hat.curvature_constant
-    kappa = -K + K_hat
-    if kappa == 0:
-        raise GeometryError("equal curvatures: kappa vanishes")
-    if not beta > 0:
-        raise GeometryError("beta must be positive")
-    n = pair.dim
-    fr = q.frame
-    sb = math.sqrt(beta)
-    w = [sb * fr[i] for i in range(n)]
-    m_space = pair.space
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lemma_form = (beta * K / kappa) * (
-                    (1.0 if j == k else 0.0) * w[i] - (1.0 if i == k else 0.0) * w[j]
-                )
-                # wedge action evaluated on the actual frame vectors
-                wedge = m_space.inner_at(q.x, w[k], w[j]) * w[i] - m_space.inner_at(
-                    q.x, w[k], w[i]
-                ) * w[j]
-                diff = kappa * lemma_form - K * wedge
-                worst = max(worst, math.sqrt(m_space.inner_at(q.x, diff, diff)))
-    return worst

@@ -225,7 +225,7 @@ def _transport_in_frames(m, x, basis, v, t):
     matrix is the identity."""
     if not np.any(v):
         return x, np.eye(m.dim), basis
-    xt = m.geodesic_arr(x, v, t)
+    xt = m.geodesic_flow(x, v, t)[0]
     basis_t = m.frame(xt, kept=True)
     return xt, m.inner_at(xt, basis_t[0][:, None],
                           m.transport_along_geodesic(x, v, t, basis[0])), basis_t

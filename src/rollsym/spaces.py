@@ -159,19 +159,12 @@ class SpaceForm:
         """Return (point, velocity) of the geodesic with initial data (x, v)."""
         raise NotImplementedError
 
-    def geodesic_arr(self, x, v, t):
-        return self.geodesic_flow(x, v, t)[0]
-
     def transport_rhs(self, x, xdot, v):
         """Ambient derivative of a parallel vector v along a curve with velocity xdot."""
         raise NotImplementedError
 
     def transport_along_geodesic(self, x, v, t, w):
         """Parallel transport of w from x to the geodesic point at time t."""
-        raise NotImplementedError
-
-    def log_arr(self, x, y):
-        """Inverse of the exponential map, when a closed form exists."""
         raise NotImplementedError
 
     # -- curvature -----------------------------------------------------------
@@ -247,11 +240,9 @@ class SpaceForm:
 
     def connection_form(self, x, v, basis=None):
         """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
-        for the deterministic frame E at the point x.  At one point x, v is
-        one tangent vector or a stack (..., amb_dim), which gives (..., n, n);
-        at a stack of points xs (N, amb_dim), v holds one vector at each and
-        the result is (N, n, n), from the frames of `frames`.  `basis`, the
-        pair frame(x, kept=True) at one point, saves rerunning Gram-Schmidt.
+        for the deterministic frame E at the point x; v is one tangent vector
+        or a stack (..., amb_dim), which gives (..., n, n).  `basis`, the pair
+        frame(x, kept=True), saves rerunning Gram-Schmidt.
 
         Gram-Schmidt is a Cholesky factorization: the kept projected basis
         vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
@@ -267,23 +258,21 @@ class SpaceForm:
         nearly cancels, L^-1 amplifies round-off in its symmetric part (about
         1e-11 of |omega| on a hyperboloid); the skew part is returned."""
         x = np.asarray(x, dtype=float)
-        if basis is None:
-            basis = self._gram_schmidt(x) if x.ndim == 1 else self._frames(x)
-        fr, kept = basis
-        x = x[..., None, :]  # against the frame rows
+        fr, kept = self._gram_schmidt(x) if basis is None else basis
+        x = x[None]  # against the frame rows
         w = self.metric_weights(x)
         eye = np.eye(self.amb_dim)[kept]
-        lower = self.project(x, eye) @ (w * fr).mT
-        sign = np.sign(np.diagonal(lower, axis1=-2, axis2=-1))  # -1 on the last row after a flip
-        fr = sign[..., None] * fr
-        inv = np.linalg.inv(np.tril(lower * sign[..., None, :]))
+        lower = self.project(x, eye) @ (w * fr).T
+        sign = np.sign(np.diag(lower))  # -1 on the last row after a flip
+        fr = sign[:, None] * fr
+        inv = np.linalg.inv(np.tril(lower * sign))
         v = np.asarray(v, dtype=float)[..., None, :]
         d_basis = self.project_derivative(x, v, eye)
-        phi = inv @ (d_basis * w) @ fr.mT
-        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.mT
+        phi = inv @ (d_basis * w) @ fr.T
+        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.T
         low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
         nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
-        omega = sign[..., None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
+        omega = sign[:, None] * ((nabla * w) @ fr.T) * sign
         return 0.5 * (omega - omega.mT)
 
     def project_derivative(self, x, v, w):
@@ -301,16 +290,10 @@ class SpaceForm:
         rule) run on all rows at once.  Every kept vector is projected and
         orthogonalized a second time ("twice is enough"), so the rows are the
         same frames, orthonormal to round-off."""
-        return self._frames(xs)[0]
-
-    def _frames(self, xs):
-        """SpaceForm.frames at xs and, per row, the coordinate indices whose
-        projected basis vectors it kept, an (N, n) integer array."""
         xs = np.asarray(xs, dtype=float)
         n = self.dim
         rows = np.zeros((len(xs), n, self.amb_dim))
         filled = np.zeros(len(xs), dtype=int)
-        kept = np.zeros((len(xs), n), dtype=int)
         basis = self.project(xs[:, None], np.eye(self.amb_dim))
         for k in range(self.amb_dim):
             if np.all(filled == n):
@@ -320,12 +303,11 @@ class SpaceForm:
             at = xs[take]
             v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
             rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
-            kept[take, filled[take]] = k
             filled[take] += 1
         if np.any(filled < n):
             raise GeometryError("could not complete an orthonormal frame at this point")
         rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
-        return rows, kept
+        return rows
 
     def _orthogonalize(self, xs, vs, rows):
         """vs minus its components along rows (rows not yet filled are zero)."""
@@ -431,20 +413,6 @@ class ConstantCurvature(SpaceForm):
         # <w, v> = 0 where v = 0, so the floor only keeps 0/0 out
         along = self.inner_at(x, w, v) / np.maximum(vv, 1e-300)
         return w + _col(along) * (s_times * x + (c - 1.0) * v)
-
-    def log_arr(self, x, y):
-        """Initial velocity of the geodesic from x reaching y at time 1."""
-        k = self.curvature_constant
-        if k == 0:
-            return y - x
-        c = k * self.inner_at(x, x, y)  # cos (cosh) of the distance times sqrt|K|
-        angle = np.arccos(np.clip(c, -1.0, 1.0)) if k > 0 else np.arccosh(np.maximum(c, 1.0))
-        u = y - _col(c) * x
-        nu = np.sqrt(np.maximum(self.inner_at(x, u, u), 0.0))
-        if np.any((nu < 1e-14) & (angle > 1.0)):
-            raise GeometryError("log map is singular at antipodal points")
-        scale = np.where(nu < 1e-14, 0.0, angle / math.sqrt(abs(k)) / np.maximum(nu, 1e-300))
-        return _col(scale) * u
 
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * np.asarray(xi)

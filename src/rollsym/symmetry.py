@@ -193,14 +193,15 @@ class SymmetryCandidate:
         return self.kind in ("sym0", "killing-induced")
 
     def validate(self, q, tol=1e-10):
-        """Check the structural invariant A^{-1} U_bar in so(n) at a state
-        for every candidate; returns the largest skewness residual, raising
-        when it exceeds tol."""
-        pulled = q.isometry.T @ self.U_bar(q)
+        """U_bar at q, after checking the structural invariant A^{-1} U_bar
+        in so(n) for every candidate: raises when the largest skewness
+        residual exceeds tol."""
+        u_bar = self.U_bar(q)
+        pulled = q.isometry.T @ u_bar
         skew_res = float(np.abs(pulled + pulled.mT).max())
         if not skew_res <= tol:
             raise GeometryError(f"A^-1 U_bar is not skew (residual {skew_res:.3e})")
-        return skew_res
+        return u_bar
 
 
 def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandidate:
@@ -250,9 +251,12 @@ def _norm_hat(q: RollingState, vecs):
 def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
     """Residuals (r1, r2) of the two symmetry equations at (q, X), one entry
     per candidate of the stack, with the rolling derivatives evaluated by
-    stencils whose sample states every candidate shares."""
+    stencils whose sample states every candidate shares.  U_bar(q) comes
+    from SymmetryCandidate.validate, which raises on a candidate that is
+    not skew there."""
     pair = q.pair
     X = np.asarray(X, float)
+    u_bar = cand.validate(q)
     base_fixing = cand.is_base_fixing()
     if base_fixing:
         d_zhat, d_u = rolling_derivative(lambda s: (cand.Z_hat(s), cand.U_bar(s)), q, X,
@@ -261,7 +265,7 @@ def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
         d_zhat, d_u, d_z = rolling_derivative(
             lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s)), q, X,
             ("vector_hat", "map", "vector"), h=h)
-    u_x = q.from_coords_hat(cand.U_bar(q) @ q.coords(X))
+    u_x = q.from_coords_hat(u_bar @ q.coords(X))
     r1_vec = u_x - d_zhat if base_fixing else u_x + q.apply(d_z) - d_zhat
     r1 = _norm_hat(q, r1_vec)
 
@@ -276,13 +280,6 @@ def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
     ) @ a
     r2 = np.linalg.norm(d_u + r_term - rh_term, axis=(-2, -1))
     return r1, r2
-
-
-def sym0_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
-    """Residuals of the base-fixing characterization (the Z terms dropped)."""
-    if not cand.is_base_fixing():
-        raise GeometryError("sym0 residual requires a base-fixing candidate")
-    return symmetry_residual(cand, q, X, h=h)
 
 
 def inner_symmetry_residual(Z, q: RollingState) -> float:

@@ -540,6 +540,25 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                "--samples", "0") == 2
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    from rollsym.cli import build_parser
+
+    cfg = write_config(tmp_path, SPHERES_1_3)
+
+    def growth(*extra):
+        out = tmp_path / "g.json"
+        assert main(["--config", cfg, "growth", "--depth", "2", "--out", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    build_parser.cache_clear()
+    fresh = growth()
+    assert build_parser() is build_parser()
+    seeded = growth("--seed", "11")
+    # the override of the call before does not carry over to this one
+    assert growth() == fresh
+    assert json.loads(fresh)["seed"] == 3 and json.loads(seeded)["seed"] == 11
+
+
 @pytest.mark.parametrize("path", [
     {"direction": [1.0, 0.0, 0.0]},  # one entry too many for the plane
     {"direction": [float("nan"), 1.0]},
@@ -555,6 +574,23 @@ def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
                  json.dumps({"type": "geodesic", "length": 0.5, **path}), "--out", str(out)]) == 2
     assert "path" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch):
+    from rollsym.symmetry import KillingField
+
+    calls = []
+    nabla = KillingField.nabla_matrix
+    monkeypatch.setattr(KillingField, "nabla_matrix",
+                        lambda self, *a: calls.append(1) or nabla(self, *a))
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    assert main([
+        "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+        "--samples", "3", "--seed", "1", "--out", str(tmp_path / "audit.json"),
+    ]) == 0
+    # per sample: once at the state and at the two samples of the order-2
+    # stencil of the drift derivative; once more for the dimension probe
+    assert len(calls) == 3 * 3 + 1
 
 
 def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):

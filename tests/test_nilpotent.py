@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rollsym import GeometryError, Sphere, Euclidean, nilpotent
 from rollsym.curvature import so_dim
 from rollsym.nilpotent import (
     GradedVector,
+    _exact_rank,
     basis,
     flatness_obstruction,
     graded_dims,
@@ -15,95 +18,91 @@ from rollsym.nilpotent import (
     nil_bracket,
     structure_tensor,
     verify_structure,
-    vertical_action_consistency,
 )
 from rollsym.rolling import RollingPair
 
 RNG = np.random.default_rng(55)
 
 
-def rational_vector(rng, n):
-    def rat():
-        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+def layers(n):
+    """The basis of the graded algebra split into its three layers N, B, Z."""
+    bas, m = basis(n), so_dim(n)
+    return bas[:n], bas[n:n + m], bas[n + m:]
 
-    from rollsym.curvature import so_dim
 
-    return GradedVector.from_layers(
-        [rat() for _ in range(n)], [rat() for _ in range(so_dim(n))], [rat() for _ in range(n)]
-    )
+N3, B3, Z3 = layers(3)
+
+
+def graded_vectors(n, count):
+    """count stacks of k integer graded vectors of dimension n, k <= 3."""
+    d = 2 * n + so_dim(n)
+    return st.integers(1, 3).flatmap(lambda k: st.tuples(
+        *[arrays(np.int64, (k, d), elements=st.integers(-50, 50))] * count))
 
 
 def test_generator_bracket_lands_in_layer_two():
-    n = 3
-    n1 = GradedVector.layer1(n, 0)
-    n2 = GradedVector.layer1(n, 1)
-    br = nil_bracket(n1, n2)
-    assert br.a == (0, 0, 0) and br.c == (0, 0, 0)
-    assert br.b == (1, 0, 0)  # e0 ^ e1 in lexicographic order
+    br = nil_bracket(N3[0], N3[1])
+    assert br.a.tolist() == [0, 0, 0] and br.c.tolist() == [0, 0, 0]
+    assert br.b.tolist() == [1, 0, 0]  # e0 ^ e1 in lexicographic order
+    assert br.coords.dtype == np.int64
 
 
 def test_disjoint_triple_vanishes():
-    n = 3
-    out = nil_bracket(
-        GradedVector.layer1(n, 0),
-        nil_bracket(GradedVector.layer1(n, 1), GradedVector.layer1(n, 2)),
-    )
-    assert out.is_zero()
+    assert nil_bracket(N3[0], nil_bracket(N3[1], N3[2])).is_zero()
 
 
 def test_triple_identity_sign():
     # [N_j, [N_i, N_j]] = -Z_i for i != j, per the generator identity
-    n = 3
-    got = nil_bracket(
-        GradedVector.layer1(n, 1),
-        nil_bracket(GradedVector.layer1(n, 0), GradedVector.layer1(n, 1)),
-    )
-    assert (got + GradedVector.layer3(n, 0)).is_zero()
+    got = nil_bracket(N3[1], nil_bracket(N3[0], N3[1]))
+    assert np.array_equal(got.coords, -Z3[0].coords)
     # and the reversed nesting produces +Z_i
-    rev = nil_bracket(
-        nil_bracket(GradedVector.layer1(n, 0), GradedVector.layer1(n, 1)),
-        GradedVector.layer1(n, 1),
-    )
-    assert (rev - GradedVector.layer3(n, 0)).is_zero()
+    rev = nil_bracket(nil_bracket(N3[0], N3[1]), N3[1])
+    assert np.array_equal(rev.coords, Z3[0].coords)
 
 
 def test_tail_layer_is_central():
-    n = 3
-    z = GradedVector.layer3(n, 0)
-    for b in basis(n):
-        assert nil_bracket(z, b).is_zero()
+    assert nil_bracket(Z3[0], basis(3)).is_zero()
 
 
-def test_bracket_is_exact_antisymmetric_bilinear_on_rationals():
+def test_stacks_bracket_like_their_rows():
+    # one broadcast call over two stacks equals the bracket of every pair of rows
     n = 4
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        u = rational_vector(rng, n)
-        v = rational_vector(rng, n)
-        w = rational_vector(rng, n)
-        assert (nil_bracket(u, v) + nil_bracket(v, u)).is_zero()
-        lin = nil_bracket(u + w.scale(Fraction(2, 3)), v)
-        split = nil_bracket(u, v) + nil_bracket(w, v).scale(Fraction(2, 3))
-        assert (lin - split).is_zero()
-        assert all(isinstance(c, (int, Fraction)) for c in nil_bracket(u, v).c)
+    rng = np.random.default_rng(3)
+    u = GradedVector(rng.integers(-9, 10, (3, 1, 2 * n + so_dim(n))))
+    v = GradedVector(rng.integers(-9, 10, (1, 4, 2 * n + so_dim(n))))
+    table = nil_bracket(u, v)
+    assert table.coords.shape == (3, 4, 2 * n + so_dim(n))
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(table[i, j].coords, nil_bracket(u[i, 0], v[0, j]).coords)
 
 
-def test_jacobi_exact_on_random_rationals():
-    n = 3
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        u, v, w = (rational_vector(rng, n) for _ in range(3))
-        s = (
-            nil_bracket(u, nil_bracket(v, w))
-            + nil_bracket(v, nil_bracket(w, u))
-            + nil_bracket(w, nil_bracket(u, v))
-        )
-        assert s.is_zero()
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: graded_vectors(n, 3)), st.integers(-9, 9))
+def test_bracket_is_exact_antisymmetric_bilinear_on_integers(vectors, s):
+    u, v, w = (GradedVector(x) for x in vectors)
+    assert (nil_bracket(u, v).coords + nil_bracket(v, u).coords == 0).all()
+    lin = nil_bracket(GradedVector(u.coords + s * w.coords), v).coords
+    split = nil_bracket(u, v).coords + s * nil_bracket(w, v).coords
+    assert np.array_equal(lin, split)
+    assert nil_bracket(u, v).coords.dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: graded_vectors(n, 3)))
+def test_jacobi_exact_on_random_integers(vectors):
+    u, v, w = (GradedVector(x) for x in vectors)
+    s = (nil_bracket(u, nil_bracket(v, w)).coords
+         + nil_bracket(v, nil_bracket(w, u)).coords
+         + nil_bracket(w, nil_bracket(u, v)).coords)
+    assert not s.any()
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(GeometryError):
-        nil_bracket(GradedVector.layer1(2, 0), GradedVector.layer1(3, 0))
+        nil_bracket(basis(2)[0], basis(3)[0])
+    with pytest.raises(GeometryError, match="graded vector"):
+        GradedVector(np.zeros(6, dtype=np.int64))  # no n has 2n + n(n-1)/2 = 6
 
 
 def test_verify_structure_all_sizes():
@@ -115,26 +114,15 @@ def test_verify_structure_all_sizes():
         assert report["step3_failures"] == 0
 
 
-def test_verify_structure_rejects_one_flipped_coefficient(monkeypatch):
-    n = 3
-    n0, n1 = GradedVector.layer1(n, 0), GradedVector.layer1(n, 1)
-
-    def flipped(u, v):
-        br = nil_bracket(u, v)
-        if (u, v) == (n0, n1):  # [N0, N1] = -B01 instead of B01
-            return br.scale(-1)
-        return br
-
-    monkeypatch.setattr(nilpotent, "nil_bracket", flipped)
-    report = verify_structure(n)
+def test_verify_structure_rejects_one_flipped_coefficient():
+    c = structure_tensor(3)
+    assert c[0, 1, 3] == 1
+    c[0, 1, 3] = -1  # [N0, N1] = -B01 instead of B01, [N1, N0] left alone
+    report = verify_structure(3, c)
     assert report["ok"] is False
     failures = (report["triple_identity_failures"] + report["jacobi_failures"]
                 + report["step3_failures"])
     assert failures > 0
-
-
-N3 = [GradedVector.layer1(3, i) for i in range(3)]
-Z3 = [GradedVector.layer3(3, i) for i in range(3)]
 
 
 @pytest.mark.parametrize("u0, v0, extra, failing", [
@@ -142,19 +130,16 @@ Z3 = [GradedVector.layer3(3, i) for i in range(3)]
     # only the grading certificate (degree 1 + 1 -> 3) fails
     (N3[0], N3[1], Z3[2], None),
     # [N0, Z0] = B01 leaves four-fold brackets that do not vanish
-    (N3[0], Z3[0], GradedVector.layer2(3, 0, 1), "step3_failures"),
+    (N3[0], Z3[0], B3[0], "step3_failures"),
 ])
-def test_verify_structure_rejects_an_ungraded_bracket(monkeypatch, u0, v0, extra, failing):
-    def mutant(u, v):
-        br = nil_bracket(u, v)
-        if (u, v) == (u0, v0):
-            return br + extra
-        if (u, v) == (v0, u0):
-            return br - extra
-        return br
-
-    monkeypatch.setattr(nilpotent, "nil_bracket", mutant)
-    report = verify_structure(3)
+def test_verify_structure_rejects_an_ungraded_bracket(u0, v0, extra, failing):
+    # the structure tensor with extra added to [u0, v0] (and taken from
+    # [v0, u0], keeping it antisymmetric)
+    c = structure_tensor(3)
+    i, j = u0.coords.argmax(), v0.coords.argmax()
+    c[i, j] += extra.coords
+    c[j, i] -= extra.coords
+    report = verify_structure(3, c)
     assert report["ok"] is False
     if failing:
         assert report[failing] > 0
@@ -163,7 +148,8 @@ def test_verify_structure_rejects_an_ungraded_bracket(monkeypatch, u0, v0, extra
 
 
 def test_structure_tensor_rejects_non_integer_constants(monkeypatch):
-    monkeypatch.setattr(nilpotent, "nil_bracket", lambda u, v: nil_bracket(u, v).scale(Fraction(1, 2)))
+    monkeypatch.setattr(nilpotent, "nil_bracket",
+                        lambda u, v: GradedVector(nil_bracket(u, v).coords / 2))
     with pytest.raises(GeometryError, match="integers"):
         structure_tensor(3)
 
@@ -184,13 +170,62 @@ def test_structure_tensor_contraction_equals_nil_bracket(data):
     m = so_dim(n)
     coords = st.lists(st.integers(-50, 50), min_size=2 * n + m, max_size=2 * n + m)
     u, v = data.draw(coords), data.draw(coords)
-
-    def vec(x):
-        return GradedVector.from_layers(x[:n], x[n:n + m], x[n + m:])
-
-    br = nil_bracket(vec(u), vec(v))
+    br = nil_bracket(GradedVector(np.array(u)), GradedVector(np.array(v)))
     got = np.einsum("i,j,ijk->k", u, v, structure_tensor(n))
-    assert got.tolist() == list(br.a + br.b + br.c)
+    assert got.tolist() == br.coords.tolist()
+
+
+def fraction_rank(rows):
+    """Rank over the rationals by Gaussian elimination in Fractions: the
+    reference for the fraction-free elimination of _exact_rank."""
+    mat = [[Fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
+    rank = 0
+    col = 0
+    width = len(mat[0]) if mat else 0
+    while rank < len(mat) and col < width:
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / lead
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices, often rank-deficient: a product of two random
+    factors of inner size k, with some rows copied or zeroed."""
+    rows, cols, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    entries = st.integers(-40, 40)
+    mat = draw(arrays(np.int64, (rows, k), elements=entries)) @ draw(
+        arrays(np.int64, (k, cols), elements=entries))
+    if draw(st.booleans()):
+        mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-10**6, 10**6)))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        mat[r] = 0 if draw(st.booleans()) else mat[draw(st.integers(0, rows - 1))]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_exact_rank_equals_fraction_elimination(mat):
+    assert _exact_rank(mat) == fraction_rank(mat.tolist())
+
+
+def test_exact_rank_of_zero_and_deficient_matrices():
+    assert _exact_rank(np.zeros((4, 3), dtype=np.int64)) == 0
+    a = np.arange(12).reshape(4, 3)  # rows in arithmetic progression: rank 2
+    assert _exact_rank(a) == 2
+    # entries whose minors overflow int64 stay exact on Python integers
+    big = np.array([[2**40, 1], [2**40 + 1, 1], [3, 2**41]], dtype=np.int64)
+    assert _exact_rank(big) == fraction_rank(big.tolist()) == 2
 
 
 def test_graded_dims_and_growth():
@@ -278,6 +313,49 @@ def test_obstruction_json_serializes_rationals():
 
 
 # -- vertical action consistency --------------------------------------------------------
+
+
+def vertical_action_consistency(q, beta=1.0) -> float:
+    """Mechanical check of the penultimate step of the non-flatness
+    argument at a state of a constant-curvature pair.
+
+    With W_i = sqrt(beta) times the deterministic frame, the flat-frame
+    hypotheses force the fiber derivative of W_k along nu(A(W_i ^ W_j)) to
+    take the closed form (beta K / kappa)(delta_jk W_i - delta_ik W_j);
+    this evaluates kappa times that form against K (W_i ^ W_j) W_k computed
+    mechanically through the wedge action, and returns the largest norm of
+    the difference over all index triples.  kappa = -K + K_hat.
+    """
+    pair = q.pair
+    for m in (pair.space, pair.space_hat):
+        if not hasattr(m, "curvature_constant"):
+            raise GeometryError("consistency check needs a constant-curvature pair")
+    K = pair.space.curvature_constant
+    K_hat = pair.space_hat.curvature_constant
+    kappa = -K + K_hat
+    if kappa == 0:
+        raise GeometryError("equal curvatures: kappa vanishes")
+    if not beta > 0:
+        raise GeometryError("beta must be positive")
+    n = pair.dim
+    fr = q.frame
+    sb = math.sqrt(beta)
+    w = [sb * fr[i] for i in range(n)]
+    m_space = pair.space
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lemma_form = (beta * K / kappa) * (
+                    (1.0 if j == k else 0.0) * w[i] - (1.0 if i == k else 0.0) * w[j]
+                )
+                # wedge action evaluated on the actual frame vectors
+                wedge = m_space.inner_at(q.x, w[k], w[j]) * w[i] - m_space.inner_at(
+                    q.x, w[k], w[i]
+                ) * w[j]
+                diff = kappa * lemma_form - K * wedge
+                worst = max(worst, math.sqrt(m_space.inner_at(q.x, diff, diff)))
+    return worst
 
 
 def test_vertical_action_consistency_is_tight():

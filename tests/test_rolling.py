@@ -65,7 +65,7 @@ def test_rolling_on_warped_pair():
 def test_killing_symmetry_with_warped_first_factor():
     # the induced-symmetry construction holds for any first factor
     from rollsym import WarpFunction, Warped
-    from rollsym.symmetry import killing_catalog, killing_to_symmetry, sym0_residual
+    from rollsym.symmetry import killing_catalog, killing_to_symmetry, symmetry_residual
 
     warped = Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0))
     pair = RollingPair(warped, Sphere(2, 1.0))
@@ -74,7 +74,7 @@ def test_killing_symmetry_with_warped_first_factor():
     X = pair.space.random_tangent(rng, q.x, unit=True)
     for field in killing_catalog(pair.space_hat):
         cand = killing_to_symmetry(pair, field)
-        r1, r2 = sym0_residual(cand, q, X)
+        r1, r2 = symmetry_residual(cand, q, X)
         assert max(r1[0], r2[0]) < 1e-6
 
 
@@ -173,7 +173,7 @@ def test_straight_segment_develops_to_great_circle_arc():
     path = GeodesicPath(pair.space, q0.x, v, length)
     curve = roll_along(q0, path, step=1e-3)
     qT = curve.final_state()
-    expected = pair.space_hat.geodesic_arr(q0.x_hat, q0.apply(v), length)
+    expected = pair.space_hat.geodesic_flow(q0.x_hat, q0.apply(v), length)[0]
     assert np.linalg.norm(qT.x_hat - expected) < 1e-9
     oracle = brute_roll(pair, q0, path, 40000)
     assert np.linalg.norm(qT.x_hat - oracle) < 1e-3

@@ -25,7 +25,6 @@ from rollsym.symmetry import (
     propagate_chain,
     propagate_sym0,
     sym0_dimension_probe,
-    sym0_residual,
     symmetry_residual,
     vertical_compatibility_residual,
 )
@@ -94,7 +93,7 @@ def test_translation_induced_candidate_is_exact():
     cand = killing_to_symmetry(pair, trans)
     assert np.all(cand.U_bar(q) == 0.0)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = sym0_residual(cand, q, X)
+    r1, r2 = symmetry_residual(cand, q, X)
     assert r1[0] < 1e-9 and r2[0] < 1e-9
 
 
@@ -106,7 +105,7 @@ def test_plane_rotation_induced_candidate():
     expected = rot.generators @ q.isometry
     assert np.allclose(cand.U_bar(q), expected, atol=1e-12)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = sym0_residual(cand, q, X)
+    r1, r2 = symmetry_residual(cand, q, X)
     assert max(r1[0], r2[0]) < 1e-7
 
 
@@ -116,7 +115,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
     for field in killing_catalog(pair.space_hat)[:3]:
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
-        r1, r2 = sym0_residual(cand, q, X)
+        r1, r2 = symmetry_residual(cand, q, X)
         assert max(r1[0], r2[0]) < 1e-6
 
 
@@ -125,15 +124,7 @@ def test_zero_candidate_has_zero_residuals():
     q = pair.random_state(RNG)
     zero = SymmetryCandidate(pair, "sym0")
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert np.all(np.concatenate(sym0_residual(zero, q, X)) == 0.0)
-
-
-def test_sym0_residual_requires_base_fixing():
-    pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
-    q = pair.random_state(RNG)
-    general = SymmetryCandidate(pair, "general", Z=lambda s: s.frame[0])
-    with pytest.raises(GeometryError):
-        sym0_residual(general, q, q.frame[0])
+    assert np.all(np.concatenate(symmetry_residual(zero, q, X)) == 0.0)
 
 
 def test_perturbed_candidate_is_rejected():
@@ -152,12 +143,14 @@ def test_candidate_validation():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
-    assert cand.validate(q) < 1e-10
+    assert np.array_equal(cand.validate(q), cand.U_bar(q))
     broken = SymmetryCandidate(
         pair, "sym0", U_bar=lambda s: np.array([[0.0, 1.0], [1.0, 0.0]])
     )
     with pytest.raises(GeometryError):
         broken.validate(q)
+    with pytest.raises(GeometryError, match="not skew"):
+        symmetry_residual(broken, q, q.frame[0])
     # a NaN residual compares false with the tolerance and must not pass
     nan_valued = SymmetryCandidate(pair, "sym0", U_bar=lambda s: np.full((2, 2), np.nan))
     with pytest.raises(GeometryError):
