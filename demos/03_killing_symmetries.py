@@ -31,13 +31,14 @@ print(f"Killing catalog of the unit sphere: {len(catalog)} fields "
 # The catalog is one stack: each residual call checks every field at once
 # and returns one residual per field.
 cands = killing_to_symmetry(pair, catalog)
-worst = np.zeros((3, len(cands)))
+qs, Xs, Ys = [], [], []
 for _ in range(10):
-    q = pair.random_state(rng)
-    X = pair.space.random_tangent(rng, q.x, unit=True)
-    Y = pair.space.random_tangent(rng, q.x, unit=True)
-    rows = (*symmetry_residual(cands, q, X), vertical_compatibility_residual(cands, q, X, Y))
-    worst = np.maximum(worst, rows)
+    qs.append(pair.random_state(rng))
+    Xs.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
+    Ys.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
+# each residual is a (samples, candidates) array, from one pass over all samples
+rows = (*symmetry_residual(cands, qs, Xs), vertical_compatibility_residual(cands, qs, Xs, Ys))
+worst = np.max(rows, axis=1)
 print(f"  {'candidate':24s} {'drift':>9s} {'curvature':>9s} {'vertical':>9s}   (worst of 10 states)")
 for name, (r1, r2, r3) in zip(cands.names, worst.T):
     print(f"  {name:24s} {r1:9.2e} {r2:9.2e} {r3:9.2e}")
@@ -47,8 +48,8 @@ for name, (r1, r2, r3) in zip(cands.names, worst.T):
 broken = perturb_candidate(killing_to_symmetry(pair, catalog[0]), 1e-3, rng)
 q = pair.random_state(rng)
 X = pair.space.random_tangent(rng, q.x, unit=True)
-r1, r2 = symmetry_residual(broken, q, X)
-print(f"\nperturbed by a 1e-3 skew: drift residual {r1[0]:.2e} (rejected)")
+r1, r2 = symmetry_residual(broken, [q], [X])
+print(f"\nperturbed by a 1e-3 skew: drift residual {r1[0, 0]:.2e} (rejected)")
 
 # The evaluation data (Z_hat, A^-1 U_bar) at one state determines the
 # symmetry along everything reachable, so its rank bounds the dimension of

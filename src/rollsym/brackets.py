@@ -100,15 +100,16 @@ def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -
     each vector of the stack xi, by central differences with parallel
     pull-back of all three slots (rolling.directional_derivative): one
     stencil per vector of xi, each evaluating the whole stack at its sample
-    states, which every field differentiated along that vector at q shares."""
+    states, which every field differentiated along that vector at q shares.
+    The sample states along all of xi come from one tangent_curve call."""
 
     def data(qt):
         v = fld.value(qt)
         return v.X, v.X_hat, qt.isometry @ v.C
 
     kinds = ("vector", "vector_hat", "map")
-    along = [directional_derivative(data, q, xi[a], kinds, h=h, order=order)
-             for a in range(len(xi.X))]
+    along = directional_derivative(data, [(q, xi[a]) for a in range(len(xi.X))], kinds,
+                                   h=h, order=order)
     return FieldData(*(np.stack(slot) for slot in zip(*along)))
 
 
@@ -161,23 +162,23 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
     canonical chart at q and take the coordinate brackets by fourth-order
     central differences of the chart components.  It returns the same
     (i, j) table as bracket_structured; the chart differentials, which cost
-    the most, serve every field of both stacks."""
+    the most, serve every field of both stacks, and one Chart.differential
+    call builds all of them."""
     chart = Chart(q)
     dim = chart.dim
-
-    def components(theta):
-        d_mat, q_theta = chart.differential(theta, h=chart_h)
-        rhs = np.concatenate((xf.value(q_theta).coords(), yf.value(q_theta).coords()))
-        return np.linalg.solve(d_mat, rhs.T).T
+    # chart coordinates t h e_j, by coordinate j, then time t
+    thetas = (np.array([2.0, 1.0, -1.0, -2.0])[:, None] * (h * np.eye(dim))[:, None])
+    d_mats, states = chart.differential(thetas.reshape(-1, dim), h=chart_h)
+    rhs = np.array([np.concatenate((xf.value(s).coords(), yf.value(s).coords()))
+                    for s in states])
+    components = np.linalg.solve(d_mats, rhs.mT).mT.reshape(dim, 4, -1, dim)
 
     x0 = xf.value(q).coords()
     y0 = yf.value(q).coords()
     kx = len(x0)
     out = np.zeros((kx, len(y0), dim))
     for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        d = _stencil([components(t * e) for t in (2.0, 1.0, -1.0, -2.0)], h, 4)
+        d = _stencil(components[j], h, 4)
         out += x0[:, None, j, None] * d[None, kx:] - y0[None, :, j, None] * d[:kx, None]
     return TangentOfQ.from_coords(q, out.reshape(-1, dim))
 

@@ -16,13 +16,18 @@ import numpy as np
 from .spaces import GeometryError
 
 
+def stencil_offsets(h, order=2):
+    """The times at which central_diff samples, in its order."""
+    if order not in (2, 4):
+        raise GeometryError(f"central differences have order 2 or 4, not {order!r}")
+    return (2 * h, h, -h, -2 * h) if order == 4 else (h, -h)
+
+
 def central_diff(sample, h, order=2):
     """Derivative at 0 of t -> sample(t) by the central difference of
     order 2 or 4 with step h.  Array values are differenced as a whole,
     tuple values slot by slot (the result is then a tuple)."""
-    if order not in (2, 4):
-        raise GeometryError(f"central differences have order 2 or 4, not {order!r}")
-    values = [sample(t) for t in ((2 * h, h, -h, -2 * h) if order == 4 else (h, -h))]
+    values = [sample(t) for t in stencil_offsets(h, order)]
     if isinstance(values[0], tuple):
         return tuple(_weigh(slot, h) for slot in zip(*values))
     return _weigh(values, h)

@@ -7,6 +7,11 @@ state space decompose into a no-spin part, moving both base points while
 transporting A in parallel frames, and a vertical part, moving A alone
 along the fiber curve A expm(tC) for skew C.
 
+Canonical curves, which combine both motions, are built in stacks: one
+tangent_curve call takes rows of (base state, X, X_hat, C, t) and returns a
+state per row, and every stencil on the state space draws its sample states
+from such a call.
+
 Rolling a path gamma in the first factor integrates the kinematic
 constraints of rolling without slipping (contact velocities match) or
 twisting (A is parallel): gamma_hat' = A gamma' with A constant in
@@ -23,10 +28,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
-from .numerics import central_diff, expm1_stack, running_products
+from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
 from .spaces import (
     DEFAULT_STEP,
-    POINT_TOL,
     ConstantCurvature,
     GeometryError,
     SpaceForm,
@@ -50,8 +54,10 @@ class RollingPair:
         self.dim = space.dim
 
     def state(self, x, x_hat, isometry) -> "RollingState":
-        return RollingState(self, np.asarray(x, float), np.asarray(x_hat, float),
-                            np.asarray(isometry, float))
+        """The state (x, x_hat; isometry), after every check of _check_rows."""
+        x, x_hat, a = (np.asarray(v, float) for v in (x, x_hat, isometry))
+        _check_rows(self, x[None], x_hat[None], a[None])
+        return RollingState(self, x, x_hat, a)
 
     def random_state(self, rng) -> "RollingState":
         x = self.space.random_point(rng)
@@ -71,6 +77,24 @@ def random_rotation(rng, n):
     return q
 
 
+def _check_rows(pair, x, x_hat, a):
+    """Every check of a state on rows of states: each point on its manifold,
+    each contact map an orientation-preserving isometry.  Returns the
+    isometry residuals."""
+    n = pair.dim
+    for m, pts in ((pair.space, x), (pair.space_hat, x_hat)):
+        if m.point(pts).shape != (len(a), m.amb_dim):
+            raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
+    if a.shape[1:] != (n, n):
+        raise GeometryError(f"contact map must be a {n} x {n} matrix")
+    residuals = np.linalg.norm(a.mT @ a - np.eye(n), axis=(1, 2))
+    if not residuals.max() <= ISOMETRY_TOL:
+        raise GeometryError(f"contact map is not an isometry (residual {residuals.max():.3e})")
+    if np.any(np.linalg.det(a) <= 0):
+        raise GeometryError("contact map must preserve orientation")
+    return residuals
+
+
 @dataclass
 class RollingState:
     pair: RollingPair
@@ -79,25 +103,12 @@ class RollingState:
     isometry: np.ndarray
 
     def __post_init__(self):
-        self.pair.space.point(self.x)
-        self.pair.space_hat.point(self.x_hat)
-        n = self.pair.dim
-        if self.isometry.shape != (n, n):
-            raise GeometryError(f"contact map must be a {n} x {n} matrix")
-        res = self.isometry_residual()
-        if not res <= ISOMETRY_TOL:
-            raise GeometryError(f"contact map is not an isometry (residual {res:.3e})")
-        if np.linalg.det(self.isometry) <= 0:
-            raise GeometryError("contact map must preserve orientation")
+        # RollingPair.state and tangent_curve check the states they build
         self._basis = None  # the deterministic frame at x and its kept indices
         self._basis_hat = None
         self._connection = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
         self._samples = {}  # canonical-curve states from this one, see curve_sample
-
-    def isometry_residual(self) -> float:
-        A = self.isometry
-        return float(np.linalg.norm(A.T @ A - np.eye(A.shape[0])))
 
     @property
     def basis(self):
@@ -215,57 +226,90 @@ def rolling_lift(q: RollingState, X) -> TangentOfQ:
 def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
-    return _transport_in_frames(m, x, m.frame(x, kept=True), v, t)[1]
+    return _flow_rows(m, [x], [m.frame(x, kept=True)], v, np.array([t], float))[1][0]
 
 
-def _transport_in_frames(m, x, basis, v, t):
-    """(geodesic point at t, det_transport_matrix(m, x, v, t), the basis
-    frame(., kept=True) there), given the basis at x.  A factor whose
-    velocity is exactly zero keeps its point and basis, and its transport
-    matrix is the identity."""
-    if not np.any(v):
-        return x, np.eye(m.dim), basis
-    xt = m.geodesic_flow(x, v, t)[0]
-    basis_t = m.frame(xt, kept=True)
-    return xt, m.inner_at(xt, basis_t[0][:, None],
-                          m.transport_along_geodesic(x, v, t, basis[0])), basis_t
+def _flow_rows(m, points, bases, v, t):
+    """Per row, the point at time t[i] of the geodesic of (points[i], v[i])
+    on m, det_transport_matrix to it and its basis frame(., kept=True), given
+    the bases at the points.  A row with v[i] = 0 keeps its point and basis
+    with the identity transport; the moving rows flow in one geodesic_flow
+    and one transport_along_geodesic call, and share a basis per point."""
+    v = np.broadcast_to(np.asarray(v, float), (len(points), m.amb_dim))
+    fwd = np.tile(np.eye(m.dim), (len(points), 1, 1))
+    points, bases = list(points), list(bases)
+    move = np.flatnonzero(v.any(axis=1))
+    if len(move):
+        x, v, t = np.array([points[i] for i in move]), v[move], t[move]
+        xt = m.geodesic_flow(x, v, t)[0]
+        moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None],
+                                           np.array([bases[i][0] for i in move]))
+        made = {}
+        for k, i in enumerate(move):
+            key = xt[k].tobytes()
+            if key not in made:
+                made[key] = m.frame(xt[k], kept=True)
+            points[i], bases[i] = xt[k], made[key]
+        frames = np.array([bases[i][0] for i in move])
+        fwd[move] = m.inner_at(xt[:, None, None], frames[:, :, None], moved[:, None])
+    return points, fwd, bases
 
 
-def tangent_curve(q: RollingState, xi: TangentOfQ, t) -> RollingState:
-    """The canonical curve through q with initial velocity xi: both base
-    points run along geodesics, A is transported in parallel frames and
-    composed with expm(tC) on the fiber.  The state keeps the two
-    frame-transport matrices from q (det_transport_matrix on each factor) as
-    its `transports`, through which values at it are pulled back to q.  On a
-    fiber curve (X = X_hat = 0) both factors stay put, and C = 0 takes no
-    matrix exponential."""
-    pair = q.pair
-    xt, fwd, basis = _transport_in_frames(pair.space, q.x, q.basis, xi.X, t)
-    xht, fwd_hat, basis_hat = _transport_in_frames(pair.space_hat, q.x_hat, q.basis_hat,
-                                                   xi.X_hat, t)
-    a_new = fwd_hat @ q.isometry
-    if np.any(xi.C):
-        a_new = a_new @ expm(t * xi.C)
-    a_new = a_new @ fwd.T
+def tangent_curve(qs, X, X_hat, C, t) -> list:
+    """The canonical curves of a stack of rows, one state per row: row i
+    starts at qs[i] (rows may share a base) with velocity (X[i], X_hat[i],
+    C[i]), each broadcast against the rows, and stops at time t[i].  Both
+    base points run along geodesics, A is transported in parallel frames and
+    composed with expm(tC) on the fiber.  Each state keeps the two
+    frame-transport matrices from its base (det_transport_matrix on each
+    factor) as its `transports`, through which values at it are pulled back.
+    Only rows with C != 0 enter the one stacked expm, one SVD takes the
+    nearest rotations, and every check of RollingState runs once over the
+    whole stack."""
+    pair, rows, n = qs[0].pair, len(qs), qs[0].pair.dim
+    t = np.broadcast_to(np.asarray(t, float), (rows,))
+    C = np.broadcast_to(np.asarray(C, float), (rows, n, n))
+    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], [q.basis for q in qs], X, t)
+    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, [q.x_hat for q in qs],
+                                         [q.basis_hat for q in qs], X_hat, t)
+    a = fwd_hat @ np.array([q.isometry for q in qs])
+    spin = np.flatnonzero(C.any(axis=(1, 2)))
+    if len(spin):
+        a[spin] = a[spin] @ expm(t[spin, None, None] * C[spin])
+    a = a @ fwd.mT
     # strip accumulated round-off before the isometry check; anything beyond
     # round-off scale indicates a genuine defect and must surface
-    drift = np.linalg.norm(a_new.T @ a_new - np.eye(a_new.shape[0]))
-    if drift > 1e-6:
-        raise GeometryError(f"canonical curve left the isometry bundle by {drift:.3e}")
-    qt = pair.state(xt, xht, _nearest_rotation(a_new))
-    qt._basis, qt._basis_hat = basis, basis_hat  # built above, the same frames
-    qt.transports = fwd, fwd_hat
-    return qt
+    drift = np.linalg.norm(a.mT @ a - np.eye(n), axis=(1, 2))
+    if np.any(drift > 1e-6):
+        raise GeometryError(f"canonical curve left the isometry bundle by "
+                            f"{drift[drift > 1e-6].max():.3e}")
+    a = _nearest_rotation(a)
+    _check_rows(pair, np.array(xt), np.array(xht), a)
+    out = []
+    for i in range(rows):
+        qt = RollingState(pair, xt[i], xht[i], a[i])
+        qt._basis, qt._basis_hat = basis[i], basis_hat[i]  # built above, the same frames
+        qt.transports = fwd[i], fwd_hat[i]
+        out.append(qt)
+    return out
 
 
-def curve_sample(q: RollingState, xi: TangentOfQ, t) -> RollingState:
-    """tangent_curve(q, xi, t), built once per base state: every stencil
-    along the same xi at q samples the same states, so they are kept on q."""
-    key = (t, xi.X.tobytes(), xi.X_hat.tobytes(), xi.C.tobytes())
-    qt = q._samples.get(key)
-    if qt is None:
-        qt = q._samples[key] = tangent_curve(q, xi, t)
-    return qt
+def curve_sample(rows, ts):
+    """The states of tangent_curve from each (q, xi) of rows at each time of
+    ts, one list per row.  Every stencil along the same xi at q samples the
+    same states, so each is built once and kept on q; those not built yet
+    come from one tangent_curve call."""
+    keys = [[(t, xi.X.tobytes(), xi.X_hat.tobytes(), xi.C.tobytes()) for t in ts]
+            for _, xi in rows]
+    todo = [(q, xi, t, key) for (q, xi), row in zip(rows, keys)
+            for t, key in zip(ts, row) if key not in q._samples]
+    if todo:
+        qs, xis, times, new = zip(*todo)
+        built = tangent_curve(qs, [xi.X for xi in xis], [xi.X_hat for xi in xis],
+                              [xi.C for xi in xis], times)
+        for q, key, qt in zip(qs, new, built):
+            q._samples[key] = qt
+    return [[q._samples[key] for key in row] for (q, _), row in zip(rows, keys)]
 
 
 def _nearest_rotation(a):
@@ -274,26 +318,35 @@ def _nearest_rotation(a):
 
 
 def _stencil(samples, dt, order):
-    """The FD bracket oracle's own stencil, kept apart from numerics.central_diff."""
+    """The FD bracket oracle's own stencil, kept apart from numerics.central_diff,
+    over samples at the times _stencil_times(dt, order)."""
     if order == 4:
         return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
     return (samples[0] - samples[1]) / (2 * dt)
 
 
-def curve_velocity(q: RollingState, state_at, dt, order=2) -> TangentOfQ:
-    """Decompose the velocity of a state curve t -> state_at(t) through q
-    into (X, X_hat, C) components, by symmetric differences; the vertical
-    part subtracts the no-spin rate of the measured base velocities."""
-    pair = q.pair
-    ts = (2 * dt, dt, -dt, -2 * dt) if order == 4 else (dt, -dt)
-    states = [state_at(t) for t in ts]
-    X = pair.space.project(q.x, _stencil([s.x for s in states], dt, order))
-    X_hat = pair.space_hat.project(q.x_hat, _stencil([s.x_hat for s in states], dt, order))
-    a_dot = _stencil([s.isometry for s in states], dt, order)
-    ns = TangentOfQ(q, X, X_hat, np.zeros((pair.dim, pair.dim)))
-    a_dot_ns = _stencil([tangent_curve(q, ns, t).isometry for t in ts], dt, order)
-    c = skew_part(q.isometry.T @ (a_dot - a_dot_ns))
-    return TangentOfQ(q, X, X_hat, c)
+def _stencil_times(dt, order):
+    return (2 * dt, dt, -dt, -2 * dt) if order == 4 else (dt, -dt)
+
+
+def curve_velocity(qs, samples, dt, order=2):
+    """Rows (X, X_hat, C) of the velocities of state curves through qs, by
+    symmetric differences of their states `samples` at the times
+    _stencil_times(dt, order); C subtracts the no-spin rate of the measured
+    base velocities, whose states come from one tangent_curve call."""
+    pair, ts = qs[0].pair, _stencil_times(dt, order)
+
+    def rate(attr, states):  # the stencil of an attribute along the times of each row
+        values = np.array([[getattr(s, attr) for s in row] for row in states])
+        return _stencil(values.swapaxes(0, 1), dt, order)
+
+    X = pair.space.project(np.array([q.x for q in qs]), rate("x", samples))
+    X_hat = pair.space_hat.project(np.array([q.x_hat for q in qs]), rate("x_hat", samples))
+    ns = tangent_curve([q for q in qs for _ in ts], np.repeat(X, len(ts), axis=0),
+                       np.repeat(X_hat, len(ts), axis=0), 0.0, np.tile(ts, len(qs)))
+    ns = [ns[i : i + len(ts)] for i in range(0, len(ns), len(ts))]
+    a_dot = rate("isometry", samples) - rate("isometry", ns)
+    return X, X_hat, skew_part(np.array([q.isometry for q in qs]).mT @ a_dot)
 
 
 # -- rolling curves -------------------------------------------------------------
@@ -318,22 +371,7 @@ class RollingCurve:
     residuals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pair, n = self.pair, self.pair.dim
-        for m, pts in ((pair.space, self.x), (pair.space_hat, self.x_hat)):
-            if pts.shape != (len(self.times), m.amb_dim):
-                raise GeometryError(f"expected {m.amb_dim} ambient coordinates per row")
-            err = np.where(np.isfinite(pts).all(axis=1), m.constraint_residual(pts), math.inf)
-            if not err.max() <= POINT_TOL:
-                raise GeometryError(f"point violates the {m.kind} constraint by {err.max():.3e}")
-        if self.A.shape != (len(self.times), n, n):
-            raise GeometryError(f"contact map must be a {n} x {n} matrix")
-        gram = np.swapaxes(self.A, 1, 2) @ self.A - np.eye(n)
-        self.residuals = np.linalg.norm(gram, axis=(1, 2))
-        if not self.residuals.max() <= ISOMETRY_TOL:
-            raise GeometryError(
-                f"contact map is not an isometry (residual {self.residuals.max():.3e})")
-        if np.any(np.linalg.det(self.A) <= 0):
-            raise GeometryError("contact map must preserve orientation")
+        self.residuals = _check_rows(self.pair, self.x, self.x_hat, self.A)
 
     def final_state(self) -> RollingState:
         return self.pair.state(self.x[-1], self.x_hat[-1], self.A[-1])
@@ -498,7 +536,7 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
     development is the geodesic of the matched velocity, and the isometry is
     conjugated by the two geodesic transports."""
     xi = rolling_lift(q0, direction)
-    return tangent_curve(q0, xi, t)
+    return tangent_curve([q0], xi.X, xi.X_hat, xi.C, t)[0]
 
 
 # -- derivatives of bundle maps -------------------------------------------------
@@ -520,44 +558,47 @@ def _pull_back(q: RollingState, qt: RollingState, value, kind):
     return value
 
 
-def directional_derivative(func, q: RollingState, xi: TangentOfQ, kind,
-                           h=FD_STEP, order=2):
-    """Covariant derivative of a state-dependent tensor value along the
-    canonical curve of xi, by central differences with parallel pull-back.
+def directional_derivative(func, rows, kind, h=FD_STEP, order=2):
+    """Covariant derivatives of a state-dependent tensor value along the
+    canonical curve of each (q, xi) of rows, one per row, by central
+    differences with parallel pull-back.
 
     `kind` declares how the value transports: 'vector' / 'vector_hat' for
     tangent vectors on either factor, 'map' for frame matrices of maps
     T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  A
     tuple of kinds differentiates a tuple of values slot by slot.  The
-    sample states come from curve_sample, so every derivative along the
-    same xi at q shares them.
+    sample states of all rows come from one curve_sample call, so every
+    derivative along the same xi at q shares them.
     """
     if not set(kind if isinstance(kind, tuple) else (kind,)) <= set(VALUE_KINDS):
         raise GeometryError(f"unknown value kind {kind!r}")
+    ts = stencil_offsets(h, order)
 
-    def sample(t):
-        qt = curve_sample(q, xi, t)
+    def pulled(q, qt):
         if isinstance(kind, tuple):
             return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kind))
         return _pull_back(q, qt, func(qt), kind)
 
-    return central_diff(sample, h, order)
+    return [central_diff(dict(zip(ts, [pulled(q, qt) for qt in states])).get, h, order)
+            for (q, _), states in zip(rows, curve_sample(rows, ts))]
 
 
-def rolling_derivative(func, q: RollingState, X, kind, h=FD_STEP, order=2):
-    """Derivative along the rolling curve with initial velocity the rolling
-    lift of X, with values pulled back to the contact points."""
-    return directional_derivative(func, q, rolling_lift(q, X), kind, h=h, order=order)
+def rolling_derivative(func, qs, Xs, kind, h=FD_STEP, order=2):
+    """Derivatives along the rolling curves whose initial velocities are the
+    rolling lifts of Xs[i] at qs[i], one per state, with values pulled back to
+    the contact points."""
+    rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
+    return directional_derivative(func, rows, kind, h=h, order=order)
 
 
-def vertical_derivative(func, q: RollingState, C, kind, h=FD_STEP_FIBER, order=2):
-    """Derivative of a state-dependent value along the fiber curve
-    A expm(tC); only the isometry moves, so no transport is involved."""
-    C = np.asarray(C, float)
-    check_skew(C, tol=1e-10, what="fiber direction")
-    amb, amb_hat = q.pair.space.amb_dim, q.pair.space_hat.amb_dim
-    xi = TangentOfQ(q, np.zeros(amb), np.zeros(amb_hat), C)
-    return directional_derivative(func, q, xi, kind, h=h, order=order)
+def vertical_derivative(func, qs, Cs, kind, h=FD_STEP_FIBER, order=2):
+    """Derivatives of a state-dependent value along the fiber curves
+    A expm(tC) through qs[i] with C = Cs[i], one per state; only the isometry
+    moves, so no transport is involved."""
+    rows = [(q, TangentOfQ(q, np.zeros(q.pair.space.amb_dim), np.zeros(q.pair.space_hat.amb_dim),
+                           check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))
+            for q, C in zip(qs, Cs)]
+    return directional_derivative(func, rows, kind, h=h, order=order)
 
 
 # -- the chart around a state ----------------------------------------------------
@@ -574,21 +615,22 @@ class Chart:
         self.n = center.pair.dim
         self.dim = q_dim(self.n)
 
-    def tangent_of(self, theta) -> TangentOfQ:
-        return TangentOfQ.from_coords(self.center, np.asarray(theta, float))
-
-    def point(self, theta) -> RollingState:
-        return tangent_curve(self.center, self.tangent_of(theta), 1.0)
-
-    def differential(self, theta, h=1e-5, order=4):
-        """Matrix of the chart differential at theta, column by column, in
-        TangentOfQ coordinates of the state at theta."""
-        q_theta = self.point(theta)
-        theta = np.asarray(theta, float)
-        cols = []
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = 1.0
-            xi = curve_velocity(q_theta, lambda t: self.point(theta + t * e), h, order=order)
-            cols.append(xi.coords())
-        return np.array(cols).T, q_theta
+    def differential(self, thetas, h=1e-5, order=4):
+        """Matrices of the chart differential at a stack of chart coordinates
+        (m, dim), column by column in TangentOfQ coordinates of the state at
+        each, and those states.  The states and every column stencil's chart
+        points come from one tangent_curve call, and curve_velocity takes all
+        columns at once."""
+        dim, ts = self.dim, _stencil_times(h, order)
+        # per theta: theta itself, then theta + t e_k for each column k and time t
+        steps = np.concatenate((np.zeros((1, dim)),
+                                (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
+        xi = TangentOfQ.from_coords(self.center, (thetas[:, None] + steps).reshape(-1, dim))
+        states = tangent_curve([self.center] * len(xi.X), xi.X, xi.X_hat, xi.C, 1.0)
+        centers = states[:: len(steps)]
+        samples = [states[i : i + len(ts)] for c in range(len(thetas))
+                   for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
+        X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples, h, order)
+        mats = [TangentOfQ(q, X[k : k + dim], X_hat[k : k + dim], C[k : k + dim]).coords().T
+                for q, k in zip(centers, range(0, len(X), dim))]
+        return np.array(mats), centers

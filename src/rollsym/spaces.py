@@ -122,13 +122,16 @@ class SpaceForm:
     # -- point / tangent construction and validation ----------------------
 
     def point(self, coords):
-        """Validated ambient coordinates of a point on the manifold."""
+        """Validated ambient coordinates of a point on the manifold, or of a
+        stack of points (..., amb_dim)."""
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.amb_dim,):
+        if coords.shape[-1:] != (self.amb_dim,):
             raise GeometryError(f"expected {self.amb_dim} ambient coordinates, got {coords.shape}")
-        err = self.constraint_residual(coords) if np.isfinite(coords).all() else math.inf
-        if err > POINT_TOL:
-            raise GeometryError(f"point violates the {self.kind} constraint by {err:.3e}")
+        finite = np.isfinite(coords).all(axis=-1)
+        err = np.full(finite.shape, math.inf)
+        err[finite] = self.constraint_residual(coords[finite])
+        if not err.max(initial=0.0) <= POINT_TOL:
+            raise GeometryError(f"point violates the {self.kind} constraint by {err.max():.3e}")
         return coords
 
     def constraint_residual(self, x):
@@ -393,16 +396,16 @@ class ConstantCurvature(SpaceForm):
 
     def _geodesic_factors(self, x, v, t):
         """<v, v> and the factors cos(wt), sin(wt)/w, -sign(K) w sin(wt) of the
-        geodesic flow, the last three as columns for arrays."""
+        geodesic flow, the last three as columns.  A single point takes NumPy's
+        cosh and sinh as a stack does, not libm's, which differ from them by
+        an ulp: a canonical curve then lands on the same point whether it is
+        built alone or in a stack."""
         k = self.curvature_constant
         vv = self.inner_at(x, v, v)
         omega = np.sqrt(abs(k) * np.maximum(vv, 0.0))
         theta = omega * t
-        lib = _lib(theta)
-        c, s = (lib.cos(theta), lib.sin(theta)) if k > 0 else (lib.cosh(theta), lib.sinh(theta))
+        c, s = (np.cos(theta), np.sin(theta)) if k > 0 else (np.cosh(theta), np.sinh(theta))
         s_times = -math.copysign(1.0, k) * (omega * s)
-        if lib is math:
-            return vv, c, (s / omega if omega else t), s_times
         moving = omega > 0
         s_over = np.where(moving, s, t) / np.where(moving, omega, 1.0)
         return vv, _col(c), _col(s_over), _col(s_times)

@@ -17,8 +17,10 @@ U_bar(q0)) of such candidates spans at most n(n+1)/2 dimensions.
 All residual checkers evaluate candidates through finite-difference
 stencils, so user-supplied closures are tested against the actual
 definitions rather than against their own derivative formulas.  Killing
-fields and candidates come in stacks: a checker evaluates the whole stack
-on the same stencil states and returns one residual per candidate.
+fields and candidates come in stacks, and a checker takes a whole list of
+samples: it builds the stencil states of every sample in one canonical-curve
+call, evaluates the whole stack on them and returns one residual per sample
+and candidate.
 """
 
 from __future__ import annotations
@@ -248,23 +250,25 @@ def _norm_hat(q: RollingState, vecs):
     return np.sqrt(mh.inner_at(q.x_hat, vecs, vecs))
 
 
-def symmetry_residual(cand: SymmetryCandidate, q: RollingState, X, h=1e-4):
-    """Residuals (r1, r2) of the two symmetry equations at (q, X), one entry
-    per candidate of the stack, with the rolling derivatives evaluated by
-    stencils whose sample states every candidate shares.  U_bar(q) comes
-    from SymmetryCandidate.validate, which raises on a candidate that is
-    not skew there."""
+def symmetry_residual(cand: SymmetryCandidate, qs, Xs, h=1e-4):
+    """Residuals (r1, r2) of the two symmetry equations at every sample
+    (qs[i], Xs[i]), two (samples, candidates) arrays, by stencils whose
+    states every candidate shares and one tangent_curve call builds for all
+    samples.  U_bar(q) comes from SymmetryCandidate.validate, which raises on
+    a candidate that is not skew there."""
+    Xs = np.asarray(Xs, float)
+    kinds = ("vector_hat", "map", "vector")[: 2 if cand.is_base_fixing() else 3]
+    derivatives = rolling_derivative(
+        lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s))[: len(kinds)], qs, Xs, kinds, h=h)
+    r1, r2 = zip(*(_residuals_at(cand, q, X, *d) for q, X, d in zip(qs, Xs, derivatives)))
+    return np.array(r1), np.array(r2)
+
+
+def _residuals_at(cand, q, X, d_zhat, d_u, d_z=None):
+    """symmetry_residual at one sample, from the rolling derivatives there."""
     pair = q.pair
-    X = np.asarray(X, float)
     u_bar = cand.validate(q)
     base_fixing = cand.is_base_fixing()
-    if base_fixing:
-        d_zhat, d_u = rolling_derivative(lambda s: (cand.Z_hat(s), cand.U_bar(s)), q, X,
-                                         ("vector_hat", "map"), h=h)
-    else:
-        d_zhat, d_u, d_z = rolling_derivative(
-            lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s)), q, X,
-            ("vector_hat", "map", "vector"), h=h)
     u_x = q.from_coords_hat(u_bar @ q.coords(X))
     r1_vec = u_x - d_zhat if base_fixing else u_x + q.apply(d_z) - d_zhat
     r1 = _norm_hat(q, r1_vec)
@@ -291,23 +295,25 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
                for e in np.eye(q.pair.dim))
 
 
-def vertical_compatibility_residual(cand: SymmetryCandidate, q: RollingState, X, Y,
-                                    h=1e-5):
+def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys, h=1e-5):
     """Residuals of the fiber-derivative compatibility along the rolling
-    curvature direction of the plane (X, Y), one per candidate of the stack:
+    curvature direction of the plane (Xs[i], Ys[i]) at every sample qs[i], a
+    (samples, candidates) array:
 
         A . (d_fiber Z) = d_fiber Z_hat   along  nu(Rol_q(X ^ Y)).
 
     The rolling curvature and the fiber direction do not depend on the
-    candidate, so they are built once for the stack."""
-    xi = wedge_matrix(q.coords(np.asarray(X, float)), q.coords(np.asarray(Y, float)))
-    b = rolling_curvature(q, xi)
-    c = skew_part(q.isometry.T @ b)
-    if np.abs(c).max() < 1e-14:
-        return np.zeros(len(cand))
-    d_z, d_zhat = vertical_derivative(lambda s: (cand.Z(s), cand.Z_hat(s)), q, c,
-                                      ("vector", "vector_hat"), h=h)
-    return _norm_hat(q, q.apply(d_z) - d_zhat)
+    candidate, so they are built once for the stack, and the fiber states of
+    all samples come from one tangent_curve call."""
+    cs = [skew_part(q.isometry.T @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
+          for q, X, Y in zip(qs, np.asarray(Xs, float), np.asarray(Ys, float))]
+    live = [i for i, c in enumerate(cs) if np.abs(c).max() >= 1e-14]  # zero there otherwise
+    derivatives = vertical_derivative(lambda s: (cand.Z(s), cand.Z_hat(s)), [qs[i] for i in live],
+                                      [cs[i] for i in live], ("vector", "vector_hat"), h=h)
+    out = np.zeros((len(qs), len(cand)))
+    for i, (d_z, d_zhat) in zip(live, derivatives):
+        out[i] = _norm_hat(qs[i], qs[i].apply(d_z) - d_zhat)
+    return out
 
 
 # -- propagation along rolling curves ---------------------------------------------
@@ -353,7 +359,8 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic frame
-    states = [tangent_curve(q1, rolling_lift(q1, X), t) for t in t_grid]
+    xi = rolling_lift(q1, X)
+    states = tangent_curve([q1] * len(t_grid), xi.X, xi.X_hat, xi.C, t_grid)
     v_c = q1.isometry @ q1.coords(X)
     z_hats = []
     integrand = []

@@ -187,16 +187,18 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
 
 def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
     # the nested stencils of all [b, g] along one generator g share their
-    # four sample states, so a flag builds at most 4n canonical curves
+    # four sample states, and the 4n states along all n generators come from
+    # one tangent_curve call
     import rollsym.rolling as rolling_mod
 
     calls = []
     build = rolling_mod.tangent_curve
-    monkeypatch.setattr(rolling_mod, "tangent_curve", lambda *a: calls.append(1) or build(*a))
+    monkeypatch.setattr(rolling_mod, "tangent_curve",
+                        lambda *a: calls.append(len(a[0])) or build(*a))
     for pair in (RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)), RollingPair(Sphere(3, 1.0), Euclidean(3))):
         calls.clear()
         assert flag_ranks(pair.random_state(RNG), depth=3).ranks[-1] == q_dim(pair.dim)
-        assert 0 < len(calls) <= 4 * pair.dim
+        assert calls == [4 * pair.dim]
 
 
 def space_forms(n):

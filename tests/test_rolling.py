@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from rollsym import (Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere,
                      WarpFunction, Warped)
@@ -74,8 +75,8 @@ def test_killing_symmetry_with_warped_first_factor():
     X = pair.space.random_tangent(rng, q.x, unit=True)
     for field in killing_catalog(pair.space_hat):
         cand = killing_to_symmetry(pair, field)
-        r1, r2 = symmetry_residual(cand, q, X)
-        assert max(r1[0], r2[0]) < 1e-6
+        r1, r2 = symmetry_residual(cand, [q], [X])
+        assert max(r1[0, 0], r2[0, 0]) < 1e-6
 
 
 def test_state_invariants_enforced():
@@ -445,10 +446,10 @@ def test_velocity_round_trip_on_rolling_curves():
     dt = 1e-5
     qp = roll_geodesic(q0, v, dt)
     qm = roll_geodesic(q0, v, -dt)
-    xi = curve_velocity(q0, {dt: qp, -dt: qm}.get, dt, order=2)
-    assert np.linalg.norm(xi.X - v) < 1e-6
-    assert np.linalg.norm(xi.X_hat - q0.apply(v)) < 1e-6
-    assert np.abs(xi.C).max() < 1e-6
+    (X,), (X_hat,), (C,) = curve_velocity([q0], [[qp, qm]], dt, order=2)
+    assert np.linalg.norm(X - v) < 1e-6
+    assert np.linalg.norm(X_hat - q0.apply(v)) < 1e-6
+    assert np.abs(C).max() < 1e-6
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -506,7 +507,7 @@ def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
-    d = rolling_derivative(lambda s: const, q, np.array([1.0, 0.0]), "vector")
+    d, = rolling_derivative(lambda s: const, [q], [np.array([1.0, 0.0])], "vector")
     assert np.abs(d).max() < 1e-8
 
 
@@ -515,7 +516,7 @@ def test_rolling_derivative_of_the_isometry_vanishes():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    d = rolling_derivative(lambda s: s.isometry, q, X, "map")
+    d, = rolling_derivative(lambda s: s.isometry, [q], [X], "map")
     assert np.abs(d).max() < 1e-8
 
 
@@ -524,7 +525,7 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
-    d = rolling_derivative(lambda s: const_hat, q, X, "vector_hat")
+    d, = rolling_derivative(lambda s: const_hat, [q], [X], "vector_hat")
     assert np.abs(d).max() < 1e-10
 
 
@@ -538,9 +539,9 @@ def test_rolling_derivative_is_linear_in_direction():
     def field(s):
         return s.isometry @ s.coords(s.frame[0])
 
-    dX = rolling_derivative(field, q, X, "scalar", order=4)
-    dY = rolling_derivative(field, q, Y, "scalar", order=4)
-    dXY = rolling_derivative(field, q, 0.5 * X + 2.0 * Y, "scalar", order=4)
+    dX, = rolling_derivative(field, [q], [X], "scalar", order=4)
+    dY, = rolling_derivative(field, [q], [Y], "scalar", order=4)
+    dXY, = rolling_derivative(field, [q], [0.5 * X + 2.0 * Y], "scalar", order=4)
     assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
 
 
@@ -585,7 +586,7 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
     }
 
     def deleted_path(t):
-        qt = tangent_curve(q, xi, t)
+        qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, t)
         value = fields[kind](qt)
         if kind == "vector":
             return _transported_back(m, q.x, xi.X, t, value)
@@ -596,11 +597,11 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
         return fwd_hat.T @ value @ fwd
 
     expected = central_diff(deleted_path, 1e-4)
-    got = directional_derivative(fields[kind], q, xi, kind)
+    got, = directional_derivative(fields[kind], [(q, xi)], kind)
     assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
     # a tuple of kinds differentiates slot by slot through the same samples
     kinds = ("vector", "vector_hat", "map")
-    both = directional_derivative(lambda s: tuple(fields[k](s) for k in kinds), q, xi, kinds)
+    both, = directional_derivative(lambda s: tuple(fields[k](s) for k in kinds), [(q, xi)], kinds)
     assert np.array_equal(both[kinds.index(kind)], got)
 
 
@@ -610,28 +611,169 @@ def test_vertical_derivative_examples():
     c = wedge_matrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
     # field independent of the contact map
-    d0 = vertical_derivative(lambda s: s.x_hat, q, c, "scalar")
+    d0, = vertical_derivative(lambda s: s.x_hat, [q], [c], "scalar")
     assert np.abs(d0).max() < 1e-12
 
     # the contact map itself differentiates to A C
-    d1 = vertical_derivative(lambda s: s.isometry, q, c, "scalar")
+    d1, = vertical_derivative(lambda s: s.isometry, [q], [c], "scalar")
     assert np.allclose(d1, q.isometry @ c, atol=1e-9)
 
     # the rolling curvature at a frozen bivector: analytic fiber derivative
     from rollsym.curvature import rolling_curvature
 
     xi = wedge_matrix(np.array([0.6, 0.2]), np.array([-0.1, 0.9]))
-    d2 = vertical_derivative(lambda s: rolling_curvature(s, xi), q, c, "scalar")
+    d2, = vertical_derivative(lambda s: rolling_curvature(s, xi), [q], [c], "scalar")
     kappa = pair.space.curvature_constant - pair.space_hat.curvature_constant
     assert np.allclose(d2, kappa * q.isometry @ c @ xi, atol=1e-6)
 
     with pytest.raises(GeometryError):
-        vertical_derivative(lambda s: s.x, q, np.array([[0.0, 1.0], [0.3, 0.0]]), "scalar")
+        vertical_derivative(lambda s: s.x, [q], [np.array([[0.0, 1.0], [0.3, 0.0]])], "scalar")
 
 
 def test_chart_differential_is_identity_at_origin():
     pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 1.0))
     q = pair.random_state(RNG)
     chart = Chart(q)
-    d, _ = chart.differential(np.zeros(chart.dim))
+    (d,), _ = chart.differential(np.zeros((1, chart.dim)))
     assert np.abs(d - np.eye(q_dim(pair.dim))).max() < 1e-8
+
+
+# -- the stacked canonical-curve kernel -----------------------------------------------
+
+
+def _one_row_tangent_curve(q, X, X_hat, C, t):
+    """The canonical curve of one row as it was built before the kernel was
+    stacked, kept as the kernel's reference: (x, x_hat, A, transports)."""
+
+    def transport_in_frames(m, x, basis, v):
+        if not np.any(v):
+            return x, np.eye(m.dim)
+        xt = m.geodesic_flow(x, v, t)[0]
+        frame_t = m.frame(xt)
+        return xt, m.inner_at(xt, frame_t[:, None], m.transport_along_geodesic(x, v, t, basis))
+
+    xt, fwd = transport_in_frames(q.pair.space, q.x, q.frame, X)
+    xht, fwd_hat = transport_in_frames(q.pair.space_hat, q.x_hat, q.frame_hat, X_hat)
+    a = fwd_hat @ q.isometry
+    if np.any(C):
+        a = a @ expm(t * C)
+    u, _, vt = np.linalg.svd(a @ fwd.T)
+    return xt, xht, u @ vt, (fwd, fwd_hat)
+
+
+ROW_KINDS = ("rolling lift", "no spin", "fiber", "zero", "general")
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A pair (space forms, or a warped first factor), a seed, and rows of
+    (base index, kind, t) over up to three base states."""
+    warped = draw(st.booleans())
+    if warped:
+        n = draw(st.sampled_from([2, 3]))
+        first = Warped((-1.2, 1.2), WarpFunction(draw(st.sampled_from(["cos", "cosh"]))),
+                       Sphere(n - 1, 1.0))
+        pair = RollingPair(first, draw(SPACE_FORMS.filter(lambda m: m.dim == n)))
+    else:
+        pair, *_ = draw(space_form_rolls())
+    # warped states keep a margin of 0.18 to the interval's ends: unit speed
+    # for at most 0.15 stays inside
+    t_max = 0.15 if warped else 1.5
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(ROW_KINDS),
+                                   st.floats(0.01, t_max), st.sampled_from([1.0, -1.0])),
+                         min_size=1, max_size=8))
+    return pair, warped, draw(st.integers(0, 2**32 - 1)), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_stacks())
+def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
+    # a warped geodesic of the stack takes the RK4 step count of its longest
+    # |t|, a row alone that of its own, hence the looser bound there
+    pair, warped, seed, rows = case
+    m, mh, n = pair.space, pair.space_hat, pair.dim
+    rng = np.random.default_rng(seed)
+    bases = [pair.random_state(rng) for _ in range(3)]
+    qs, X, X_hat, C, t = [], [], [], [], []
+    for index, kind, size, sign in rows:
+        q = bases[index]
+        x, x_hat, c = np.zeros(m.amb_dim), np.zeros(mh.amb_dim), np.zeros((n, n))
+        if kind in ("rolling lift", "no spin", "general"):
+            x = m.random_tangent(rng, q.x, unit=True)
+            x_hat = (q.apply(x) if kind == "rolling lift"
+                     else mh.random_tangent(rng, q.x_hat, unit=True))
+        if kind in ("fiber", "general"):
+            c = wedge_matrix(rng.standard_normal(n), rng.standard_normal(n))
+        qs.append(q), X.append(x), X_hat.append(x_hat), C.append(c), t.append(sign * size)
+    states = tangent_curve(qs, X, X_hat, C, t)
+    assert len(states) == len(rows)
+    tol = 1e-11 if warped else 1e-14
+    for qt, *row in zip(states, qs, X, X_hat, C, t):
+        xt, xht, a, transports = _one_row_tangent_curve(*row)
+        for got, want in ((qt.x, xt), (qt.x_hat, xht), (qt.isometry, a),
+                          *zip(qt.transports, transports)):
+            assert np.abs(got - want).max() <= tol * _scale(want)
+
+
+def _check_stack():
+    """A stack over two base states with a rolling-lift, a fiber and a
+    general row, so that every factor moves and the fiber spins."""
+    pair = RollingPair(Sphere(3, 2.0), Hyperbolic(3, 1.0))
+    rng = np.random.default_rng(11)
+    q0, q1 = pair.random_state(rng), pair.random_state(rng)
+    X0 = pair.space.random_tangent(rng, q0.x, unit=True)
+    X1 = pair.space.random_tangent(rng, q1.x, unit=True)
+    c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
+    return pair, ([q0, q1, q1], [X0, np.zeros(4), X1],
+                  [q0.apply(X0), np.zeros(4), pair.space_hat.random_tangent(rng, q1.x_hat)],
+                  [np.zeros((3, 3)), c, c], [0.3, -0.2, 0.4])
+
+
+def _raised(stack):
+    with pytest.raises(GeometryError) as info:
+        tangent_curve(*stack)
+    return str(info.value)
+
+
+def test_the_kernel_checks_every_row_of_a_stack(monkeypatch):
+    # each failure injected into the last row of the stack raises the
+    # message of the one-row path, and raises it alone as well
+    import rollsym.rolling as rolling_mod
+
+    pair, stack = _check_stack()
+    tangent_curve(*stack)  # a clean stack raises nothing
+    last = [arg[-1:] for arg in stack]
+
+    with monkeypatch.context() as mp:
+        # the last spinning row's exponential is scaled by 1.01: A^T A - I = 0.0201 I
+        exp = rolling_mod.expm
+        mp.setattr(rolling_mod, "expm", lambda a: exp(a) * np.where(
+            np.arange(len(a)) == len(a) - 1, 1.01, 1.0)[:, None, None])
+        expected = f"canonical curve left the isometry bundle by {0.0201 * math.sqrt(3):.3e}"
+        assert _raised(stack) == _raised(last) == expected
+
+    with monkeypatch.context() as mp:
+        # the last moving row's point leaves the sphere by a relative 1e-8
+        m, flow, residual = pair.space, pair.space.geodesic_flow, []
+
+        def off(x, v, t):
+            xt, vt = flow(x, v, t)
+            xt[-1] *= 1.0 + 1e-8
+            residual.append(m.constraint_residual(xt[-1]))
+            return xt, vt
+
+        mp.setattr(m, "geodesic_flow", off)
+        for rows in (stack, last):
+            assert _raised(rows) == f"point violates the sphere constraint by {residual[-1]:.3e}"
+
+    with monkeypatch.context() as mp:
+        # the SVD hands back a reflection for the last row
+        nearest = rolling_mod._nearest_rotation
+        mp.setattr(rolling_mod, "_nearest_rotation", lambda a: _flip_last(nearest(a)))
+        assert _raised(stack) == _raised(last) == "contact map must preserve orientation"
+
+
+def _flip_last(rotations):
+    out = rotations.copy()
+    out[-1, :, 0] *= -1.0
+    return out

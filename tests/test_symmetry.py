@@ -93,8 +93,8 @@ def test_translation_induced_candidate_is_exact():
     cand = killing_to_symmetry(pair, trans)
     assert np.all(cand.U_bar(q) == 0.0)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, q, X)
-    assert r1[0] < 1e-9 and r2[0] < 1e-9
+    r1, r2 = symmetry_residual(cand, [q], [X])
+    assert r1[0, 0] < 1e-9 and r2[0, 0] < 1e-9
 
 
 def test_plane_rotation_induced_candidate():
@@ -105,8 +105,8 @@ def test_plane_rotation_induced_candidate():
     expected = rot.generators @ q.isometry
     assert np.allclose(cand.U_bar(q), expected, atol=1e-12)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, q, X)
-    assert max(r1[0], r2[0]) < 1e-7
+    r1, r2 = symmetry_residual(cand, [q], [X])
+    assert max(r1[0, 0], r2[0, 0]) < 1e-7
 
 
 def test_sphere_rotation_induced_candidate_on_s3():
@@ -115,8 +115,8 @@ def test_sphere_rotation_induced_candidate_on_s3():
     for field in killing_catalog(pair.space_hat)[:3]:
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
-        r1, r2 = symmetry_residual(cand, q, X)
-        assert max(r1[0], r2[0]) < 1e-6
+        r1, r2 = symmetry_residual(cand, [q], [X])
+        assert max(r1[0, 0], r2[0, 0]) < 1e-6
 
 
 def test_zero_candidate_has_zero_residuals():
@@ -124,7 +124,7 @@ def test_zero_candidate_has_zero_residuals():
     q = pair.random_state(RNG)
     zero = SymmetryCandidate(pair, "sym0")
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert np.all(np.concatenate(symmetry_residual(zero, q, X)) == 0.0)
+    assert np.all(np.concatenate(symmetry_residual(zero, [q], [X])) == 0.0)
 
 
 def test_perturbed_candidate_is_rejected():
@@ -133,10 +133,10 @@ def test_perturbed_candidate_is_rejected():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[1])
     pert = perturb_candidate(cand, 1e-3, np.random.default_rng(0))
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(pert, q, X)
-    assert max(r1[0], r2[0]) > 1e-4
+    r1, r2 = symmetry_residual(pert, [q], [X])
+    assert max(r1[0, 0], r2[0, 0]) > 1e-4
     # linear response: the drift equation sees the perturbation at its size
-    assert r1[0] == pytest.approx(1e-3, rel=0.9)
+    assert r1[0, 0] == pytest.approx(1e-3, rel=0.9)
 
 
 def test_candidate_validation():
@@ -150,7 +150,7 @@ def test_candidate_validation():
     with pytest.raises(GeometryError):
         broken.validate(q)
     with pytest.raises(GeometryError, match="not skew"):
-        symmetry_residual(broken, q, q.frame[0])
+        symmetry_residual(broken, [q], [q.frame[0]])
     # a NaN residual compares false with the tolerance and must not pass
     nan_valued = SymmetryCandidate(pair, "sym0", U_bar=lambda s: np.full((2, 2), np.nan))
     with pytest.raises(GeometryError):
@@ -194,12 +194,12 @@ def test_vertical_compatibility_flat_and_matched_cases():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, q, X, Y)[0] < 1e-9
+    assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] < 1e-9
 
     matched = RollingPair(Sphere(2, 1.0), Sphere(2, 1.0))
     qm = matched.random_state(RNG)
     cand_m = killing_to_symmetry(matched, killing_catalog(matched.space_hat)[0])
-    assert vertical_compatibility_residual(cand_m, qm, X, Y)[0] == 0.0
+    assert vertical_compatibility_residual(cand_m, [qm], [X], [Y])[0, 0] == 0.0
 
 
 def test_vertical_compatibility_on_distinct_spheres():
@@ -209,7 +209,7 @@ def test_vertical_compatibility_on_distinct_spheres():
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
         Y = pair.space.random_tangent(RNG, q.x, unit=True)
-        assert vertical_compatibility_residual(cand, q, X, Y)[0] < 1e-6
+        assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] < 1e-6
 
 
 def test_vertical_compatibility_detects_base_dependence():
@@ -221,16 +221,19 @@ def test_vertical_compatibility_detects_base_dependence():
     )
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, q, X, Y)[0] > 1e-4
+    assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] > 1e-4
 
 
-def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch):
-    # the whole catalog is differentiated along the rolling lift of X and the
-    # fiber direction of (X, Y) at q: the order-2 stencils share their two
-    # sample states per direction (rolling.curve_sample), and the fiber
-    # states keep q's frames, so a sample builds the two frames of q and the
-    # two of each rolling-lift state
+def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp_path):
+    # an audit draws all its samples first: the rolling-lift states of every
+    # sample then come from one tangent_curve call, and the fiber states from
+    # one more.  The fiber states keep their base's frames, so a sample
+    # builds the two frames of its state and the two of each rolling-lift
+    # state; the dimension probe's state adds one, at its x_hat
+    import json
+
     import rollsym.rolling as rolling_mod
+    from rollsym.cli import main
     from rollsym.spaces import SpaceForm
     from test_brackets import patch_everywhere
 
@@ -239,17 +242,17 @@ def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch):
     patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
     frame = SpaceForm.frame
     monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or frame(*a, **k))
-    pair = RollingPair(Sphere(3, 2.0), Sphere(3, 1.0))
-    rng = np.random.default_rng(5)
-    q = pair.random_state(rng)
-    X = pair.space.random_tangent(rng, q.x, unit=True)
-    Y = pair.space.random_tangent(rng, q.x, unit=True)
-    cands = killing_to_symmetry(pair, killing_catalog(pair.space_hat))
-    cands.validate(q)
-    assert max(np.concatenate(symmetry_residual(cands, q, X))) < 1e-6
-    assert max(vertical_compatibility_residual(cands, q, X, Y)) < 1e-6
-    assert len(cands) == 6 and 0 < len(calls) <= 4
-    assert 0 < len(frames) <= 6
+    config = tmp_path / "pair.json"
+    config.write_text(json.dumps({"manifold_pair": [Sphere(3, 2.0).to_spec(),
+                                                    Sphere(3, 1.0).to_spec()]}))
+    for samples in (1, 20):
+        calls.clear()
+        frames.clear()
+        assert main(["--config", str(config), "symmetry-check", "--seed", "5",
+                     "--candidate", json.dumps({"kind": "catalog"}), "--samples", str(samples),
+                     "--out", str(tmp_path / "audit.json")]) == 0
+        assert 0 < len(calls) <= 2
+        assert 0 < len(frames) <= 6 * samples + 1
 
 
 def test_a_fiber_curve_keeps_the_base_point_and_frames():
@@ -258,7 +261,7 @@ def test_a_fiber_curve_keeps_the_base_point_and_frames():
     q = pair.random_state(rng)
     c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
     xi = TangentOfQ(q, np.zeros(4), np.zeros(4), c)
-    qt = tangent_curve(q, xi, 0.3)
+    qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, 0.3)
     assert qt.x is q.x and qt.x_hat is q.x_hat
     assert qt.frame is q.frame and qt.frame_hat is q.frame_hat
     for fwd in qt.transports:
@@ -274,7 +277,8 @@ def test_a_rolling_lift_curve_takes_no_matrix_exponential(monkeypatch):
     rng = np.random.default_rng(8)
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
-    qt = tangent_curve(q, rolling_lift(q, X), 0.2)
+    xi = rolling_lift(q, X)
+    qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, 0.2)
     p, p_hat = qt.transports
     assert np.abs(qt.isometry - p_hat @ q.isometry @ p.T).max() < 1e-14
 
@@ -312,8 +316,8 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
             noise_rng.standard_normal((skip, pair.dim, pair.dim))
             cand = perturb_candidate(cand, 1e-3, noise_rng)
         cand.validate(q)
-        return np.array([*symmetry_residual(cand, q, X),
-                         vertical_compatibility_residual(cand, q, X, Y)])
+        return np.array([*symmetry_residual(cand, [q], [X]),
+                         vertical_compatibility_residual(cand, [q], [X], [Y])])[:, 0]
 
     stacked = residuals(catalog, 0)
     assert stacked.shape == (3, len(catalog))
@@ -336,8 +340,8 @@ def test_inner_kind_candidate_passes_general_residuals():
     for _ in range(5):
         q = pair.random_state(rng)
         X = pair.space.random_tangent(rng, q.x, unit=True)
-        r1, r2 = symmetry_residual(cand, q, X)
-        assert max(r1[0], r2[0]) < 1e-6
+        r1, r2 = symmetry_residual(cand, [q], [X])
+        assert max(r1[0, 0], r2[0, 0]) < 1e-6
         assert np.all(cand.U_bar(q) == 0.0)
         assert np.allclose(cand.Z_hat(q), q.apply(cand.Z(q)))
 
@@ -355,8 +359,8 @@ def test_contact_field_instance_is_inner_on_matched_unit_spheres():
     cand = SymmetryCandidate(pair, "inner", Z=lambda s: xi.value(s.x), names=["contact lift"])
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, q, X)
-    assert max(r1[0], r2[0]) < 1e-6
+    r1, r2 = symmetry_residual(cand, [q], [X])
+    assert max(r1[0, 0], r2[0, 0]) < 1e-6
     with pytest.raises(GeometryError):
         standard_contact_field(Sphere(2, 1.0))
     with pytest.raises(GeometryError):
