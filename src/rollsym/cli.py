@@ -152,7 +152,7 @@ def cmd_simulate(args):
     step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
-    if path is not None and path.t_max / step > MAX_GRID_INTERVALS:
+    if path is not None and abs(path.t_max) / step > MAX_GRID_INTERVALS:
         raise GeometryError(f"--step {step:g} over a path of length {path.t_max:g} would take more "
                             f"than {MAX_GRID_INTERVALS} grid intervals")
     if path is None:

@@ -104,33 +104,24 @@ class RollingState:
 
     def __post_init__(self):
         # RollingPair.state and tangent_curve check the states they build
-        self._basis = None  # the deterministic frame at x and its kept indices
+        self._basis = None  # (frame, kept indices) at x, see _fill_bases
         self._basis_hat = None
         self._connection = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
         self._samples = {}  # canonical-curve states from this one, see curve_sample
 
     @property
-    def basis(self):
-        """The pair SpaceForm.frame(x, kept=True): the deterministic frame at
-        x and the coordinate indices its Gram-Schmidt kept."""
-        if self._basis is None:
-            self._basis = self.pair.space.frame(self.x, kept=True)
-        return self._basis
-
-    @property
-    def basis_hat(self):
-        if self._basis_hat is None:
-            self._basis_hat = self.pair.space_hat.frame(self.x_hat, kept=True)
-        return self._basis_hat
-
-    @property
     def frame(self):
-        return self.basis[0]
+        """The deterministic frame at x, one row of SpaceForm.frames."""
+        if self._basis is None:
+            _fill_bases([self])
+        return self._basis[0]
 
     @property
     def frame_hat(self):
-        return self.basis_hat[0]
+        if self._basis_hat is None:
+            _fill_bases([self])
+        return self._basis_hat[0]
 
     @property
     def connection(self):
@@ -138,7 +129,8 @@ class RollingState:
         along its own vectors, an (n, n, n) array: omega(v) is the sum of
         v's frame coordinates against the first axis."""
         if self._connection is None:
-            self._connection = self.pair.space.connection_form(self.x, self.frame, self.basis)
+            fr = self.frame  # fills self._basis
+            self._connection = self.pair.space.connection_form(self.x, fr, self._basis)
         return self._connection
 
     def coords(self, w):
@@ -226,15 +218,27 @@ def rolling_lift(q: RollingState, X) -> TangentOfQ:
 def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
-    return _flow_rows(m, [x], [m.frame(x, kept=True)], v, np.array([t], float))[1][0]
+    return _flow_rows(m, [x], zip(*m.frames([x], kept=True)), v, np.array([t], float))[1][0]
+
+
+def _fill_bases(qs):
+    """Give every state of qs that has none its (frame, kept indices) on each
+    factor, from one SpaceForm.frames call per factor over those states."""
+    pair = qs[0].pair
+    for m, attr, point in ((pair.space, "_basis", "x"), (pair.space_hat, "_basis_hat", "x_hat")):
+        todo = [q for q in qs if getattr(q, attr) is None]
+        if todo:
+            bases = zip(*m.frames([getattr(q, point) for q in todo], kept=True))
+            for q, basis in zip(todo, bases):
+                setattr(q, attr, basis)
 
 
 def _flow_rows(m, points, bases, v, t):
     """Per row, the point at time t[i] of the geodesic of (points[i], v[i])
-    on m, det_transport_matrix to it and its basis frame(., kept=True), given
-    the bases at the points.  A row with v[i] = 0 keeps its point and basis
-    with the identity transport; the moving rows flow in one geodesic_flow
-    and one transport_along_geodesic call, and share a basis per point."""
+    on m, det_transport_matrix to it and its basis, given the bases at the
+    points.  A row with v[i] = 0 keeps its point and basis with the identity
+    transport; the moving rows flow in one geodesic_flow and one
+    transport_along_geodesic call and take their bases from one frames call."""
     v = np.broadcast_to(np.asarray(v, float), (len(points), m.amb_dim))
     fwd = np.tile(np.eye(m.dim), (len(points), 1, 1))
     points, bases = list(points), list(bases)
@@ -244,13 +248,9 @@ def _flow_rows(m, points, bases, v, t):
         xt = m.geodesic_flow(x, v, t)[0]
         moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None],
                                            np.array([bases[i][0] for i in move]))
-        made = {}
+        frames, kept = m.frames(xt, kept=True)
         for k, i in enumerate(move):
-            key = xt[k].tobytes()
-            if key not in made:
-                made[key] = m.frame(xt[k], kept=True)
-            points[i], bases[i] = xt[k], made[key]
-        frames = np.array([bases[i][0] for i in move])
+            points[i], bases[i] = xt[k], (frames[k], kept[k])
         fwd[move] = m.inner_at(xt[:, None, None], frames[:, :, None], moved[:, None])
     return points, fwd, bases
 
@@ -269,9 +269,10 @@ def tangent_curve(qs, X, X_hat, C, t) -> list:
     pair, rows, n = qs[0].pair, len(qs), qs[0].pair.dim
     t = np.broadcast_to(np.asarray(t, float), (rows,))
     C = np.broadcast_to(np.asarray(C, float), (rows, n, n))
-    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], [q.basis for q in qs], X, t)
+    _fill_bases(qs)
+    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], [q._basis for q in qs], X, t)
     xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, [q.x_hat for q in qs],
-                                         [q.basis_hat for q in qs], X_hat, t)
+                                         [q._basis_hat for q in qs], X_hat, t)
     a = fwd_hat @ np.array([q.isometry for q in qs])
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
@@ -587,6 +588,7 @@ def rolling_derivative(func, qs, Xs, kind, h=FD_STEP, order=2):
     """Derivatives along the rolling curves whose initial velocities are the
     rolling lifts of Xs[i] at qs[i], one per state, with values pulled back to
     the contact points."""
+    _fill_bases(qs)  # the lifts read every frame
     rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
     return directional_derivative(func, rows, kind, h=h, order=order)
 

@@ -24,9 +24,6 @@ import numpy as np
 
 POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
-# a kept Gram-Schmidt vector cut below this share of its squared length is
-# orthogonalized once more (see SpaceForm.frame)
-FRAME_REORTH_SHARE = 1e-2
 DEFAULT_STEP = 1e-3
 # a span that exceeds a whole number of steps by no more than this relative
 # amount is round-off (b - a of two grid times), not a reason for another substep
@@ -197,55 +194,58 @@ class SpaceForm:
 
     # -- deterministic frame ---------------------------------------------------
 
-    def frame(self, x, kept=False):
-        """Deterministic orthonormal frame at x: Gram-Schmidt on the projected
-        ambient coordinate basis, in coordinate order, skipping vectors whose
-        squared length after orthogonalization is at most FRAME_SKIP_TOL**2.
-        A kept vector that the subtraction cut below FRAME_REORTH_SHARE of its
-        squared length is projected and orthogonalized a second time, as in
-        `frames`: the cancellation left it tangent and orthogonal only to
-        round-off over its remaining length.  The result is
-        orientation-normalized (last vector flipped if necessary, see
-        _orientation_sign) so the frame field is coherently oriented across the
-        manifold; otherwise the frame matrix of an orientation-preserving
-        contact map could pick up a spurious sign between frame patches.
-        Returns an (n, amb_dim) array of row vectors; with kept=True, the
-        frame and the coordinate indices whose projected basis vectors it
-        kept, which connection_form can reuse."""
-        rows, indices = self._gram_schmidt(x)
+    def frames(self, xs, kept=False):
+        """The deterministic orthonormal frames at the rows of xs (N,
+        amb_dim), an (N, n, amb_dim) array of row vectors: Gram-Schmidt on the
+        projected ambient coordinate basis, in coordinate order, skipping a
+        vector whose squared length after orthogonalization is at most
+        FRAME_SKIP_TOL**2.  Every kept vector is projected and orthogonalized
+        a second time ("twice is enough"), so a frame is tangent and
+        orthonormal to round-off even where the subtraction cancels most of a
+        vector.  The last row is flipped where needed (_orientation_sign), so
+        the frame field is coherently oriented across the manifold; otherwise
+        the frame matrix of an orientation-preserving contact map could pick up
+        a spurious sign between frame patches.  Each row is computed on its
+        own: a row of a stack is the frame of its point alone, bit for bit.
+        With kept=True, also the (N, n) coordinate indices whose projected
+        basis vectors each frame kept, which connection_form reuses."""
+        xs = np.asarray(xs, dtype=float)
+        n = self.dim
+        rows = np.zeros((len(xs), n, self.amb_dim))
+        indices = np.zeros((len(xs), n), dtype=int)
+        filled = np.zeros(len(xs), dtype=int)
+        basis = self.project(xs[:, None], np.eye(self.amb_dim))
+        for k in range(self.amb_dim):
+            if np.all(filled == n):
+                break
+            v = self._orthogonalize(xs, basis[:, k], rows[:, :k])
+            take = np.flatnonzero((self.inner_at(xs, v, v) > FRAME_SKIP_TOL**2) & (filled < n))
+            at = xs[take]
+            v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
+            rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
+            indices[take, filled[take]] = k
+            filled[take] += 1
+        if np.any(filled < n):
+            raise GeometryError("could not complete an orthonormal frame at this point")
+        rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
         return (rows, indices) if kept else rows
 
-    def _gram_schmidt(self, x):
-        """SpaceForm.frame at x and the coordinate indices whose projected
-        basis vectors it kept."""
-        w = self.metric_weights(x)  # one point, a hot path: p @ (w * q), not inner_at
-        rows = np.empty((self.dim, self.amb_dim))
-        kept = []
-        for i, p in enumerate(self.project(x, np.eye(self.amb_dim))):
-            k = len(kept)
-            wp = w * p
-            v = p - (rows[:k] @ wp) @ rows[:k]
-            nrm = v @ (w * v)
-            if nrm > FRAME_SKIP_TOL**2:
-                if nrm < FRAME_REORTH_SHARE * (p @ wp):
-                    v = self.project(x, v)
-                    v = v - (rows[:k] @ (w * v)) @ rows[:k]
-                    nrm = v @ (w * v)
-                rows[k] = v / math.sqrt(nrm)
-                kept.append(i)
-                if k + 1 == self.dim:
-                    break
-        if len(kept) < self.dim:
-            raise GeometryError("could not complete an orthonormal frame at this point")
-        if self._orientation_sign(x, rows) < 0:
-            rows[-1] = -rows[-1]
-        return rows, kept
+    def _orthogonalize(self, xs, vs, rows):
+        """vs minus its components along rows (rows not yet filled are zero)."""
+        coeffs = self.inner_at(xs[:, None], vs[:, None], rows)
+        return vs - np.einsum("nk,nka->na", coeffs, rows)
+
+    def frame(self, x):
+        """The deterministic orthonormal frame at one point x, an (n, amb_dim)
+        array of row vectors: the one row of `frames`."""
+        return self.frames(np.asarray(x, dtype=float)[None])[0]
 
     def connection_form(self, x, v, basis=None):
         """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
         for the deterministic frame E at the point x; v is one tangent vector
-        or a stack (..., amb_dim), which gives (..., n, n).  `basis`, the pair
-        frame(x, kept=True), saves rerunning Gram-Schmidt.
+        or a stack (..., amb_dim), which gives (..., n, n).  `basis`, row
+        (frame, kept indices) of frames(., kept=True) at x, saves rerunning
+        Gram-Schmidt.
 
         Gram-Schmidt is a Cholesky factorization: the kept projected basis
         vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
@@ -261,7 +261,7 @@ class SpaceForm:
         nearly cancels, L^-1 amplifies round-off in its symmetric part (about
         1e-11 of |omega| on a hyperboloid); the skew part is returned."""
         x = np.asarray(x, dtype=float)
-        fr, kept = self._gram_schmidt(x) if basis is None else basis
+        fr, kept = (b[0] for b in self.frames(x[None], kept=True)) if basis is None else basis
         x = x[None]  # against the frame rows
         w = self.metric_weights(x)
         eye = np.eye(self.amb_dim)[kept]
@@ -286,36 +286,6 @@ class SpaceForm:
     def metric_weights_derivative(self, x, v):
         """Derivative of metric_weights along the tangent vector v at x."""
         raise NotImplementedError
-
-    def frames(self, xs):
-        """SpaceForm.frame at every row of xs, as an (N, n, amb_dim) array, by
-        the same Gram-Schmidt (coordinate order, skip threshold, orientation
-        rule) run on all rows at once.  Every kept vector is projected and
-        orthogonalized a second time ("twice is enough"), so the rows are the
-        same frames, orthonormal to round-off."""
-        xs = np.asarray(xs, dtype=float)
-        n = self.dim
-        rows = np.zeros((len(xs), n, self.amb_dim))
-        filled = np.zeros(len(xs), dtype=int)
-        basis = self.project(xs[:, None], np.eye(self.amb_dim))
-        for k in range(self.amb_dim):
-            if np.all(filled == n):
-                break
-            v = self._orthogonalize(xs, basis[:, k], rows[:, :k])
-            take = np.flatnonzero((self.inner_at(xs, v, v) > FRAME_SKIP_TOL**2) & (filled < n))
-            at = xs[take]
-            v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
-            rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
-            filled[take] += 1
-        if np.any(filled < n):
-            raise GeometryError("could not complete an orthonormal frame at this point")
-        rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
-        return rows
-
-    def _orthogonalize(self, xs, vs, rows):
-        """vs minus its components along rows (rows not yet filled are zero)."""
-        coeffs = self.inner_at(xs[:, None], vs[:, None], rows)
-        return vs - np.einsum("nk,nka->na", coeffs, rows)
 
     def _orientation_sign(self, x, rows):
         """Determinant of the frame rows against the ambient orientation,

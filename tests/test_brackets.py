@@ -83,7 +83,7 @@ def _least_kept_length(m, x):
     """The smallest length a kept projected basis vector keeps after
     Gram-Schmidt: the smallest diagonal entry of the Cholesky factor that
     connection_form inverts."""
-    rows, kept = m._gram_schmidt(x)
+    rows, kept = (b[0] for b in m.frames(x[None], kept=True))
     basis = m.project(x, np.eye(m.amb_dim)[kept])
     return float(np.abs(m.inner_at(x, basis, rows)).min())
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rollsym.cli import main
 
@@ -752,6 +752,12 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_invocations())
+# a negative length slipped past the grid-size check and asked NumPy for
+# about 5e298 grid times
+@example(invocation=("simulate", SPHERES_1_3, [], [
+    "--step=1e-300", "--path-spec",
+    json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": -0.05}),
+    "--format", "csv"]))
 def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, invocation):
     command, config, global_flags, sub_flags = invocation
     cfg = fuzz_dir / "config.json"

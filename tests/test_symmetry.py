@@ -227,9 +227,10 @@ def test_vertical_compatibility_detects_base_dependence():
 def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp_path):
     # an audit draws all its samples first: the rolling-lift states of every
     # sample then come from one tangent_curve call, and the fiber states from
-    # one more.  The fiber states keep their base's frames, so a sample
-    # builds the two frames of its state and the two of each rolling-lift
-    # state; the dimension probe's state adds one, at its x_hat
+    # one more.  The frames come in stacks too: one frames call per factor
+    # for the sample states and one for the moving rolling-lift states (the
+    # fiber states keep their base's frames), and at most two for the
+    # dimension probe's state, whatever the sample count
     import json
 
     import rollsym.rolling as rolling_mod
@@ -240,8 +241,8 @@ def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp
     calls, frames = [], []
     build = rolling_mod.tangent_curve
     patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
-    frame = SpaceForm.frame
-    monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or frame(*a, **k))
+    stacked = SpaceForm.frames
+    monkeypatch.setattr(SpaceForm, "frames", lambda *a, **k: frames.append(1) or stacked(*a, **k))
     config = tmp_path / "pair.json"
     config.write_text(json.dumps({"manifold_pair": [Sphere(3, 2.0).to_spec(),
                                                     Sphere(3, 1.0).to_spec()]}))
@@ -252,7 +253,7 @@ def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp
                      "--candidate", json.dumps({"kind": "catalog"}), "--samples", str(samples),
                      "--out", str(tmp_path / "audit.json")]) == 0
         assert 0 < len(calls) <= 2
-        assert 0 < len(frames) <= 6 * samples + 1
+        assert 0 < len(frames) <= 6
 
 
 def test_a_fiber_curve_keeps_the_base_point_and_frames():
