@@ -45,6 +45,7 @@ from .rolling import (
 FIELD_FD_STEP = 1e-3
 FIELD_FD_ORDER = 4
 NESTED_FD_STEP = 1e-2
+ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 
 
 def curvature_mismatch(pair) -> float:
@@ -140,24 +141,20 @@ def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState
 
 
 def bracket_field(xf: StructuredField, yf: StructuredField,
-                  h=FIELD_FD_STEP, order=FIELD_FD_ORDER,
-                  nested_h=NESTED_FD_STEP) -> StructuredField:
+                  h=FIELD_FD_STEP, nested_h=NESTED_FD_STEP) -> StructuredField:
     """The table of brackets as a stack of kx * ky fields, evaluable near a
     state; its own derivatives fall back to (wider) stencils since every
     evaluation already contains first-order stencils."""
     fld = StructuredField(
         xf.pair,
-        lambda q: bracket_structured(xf, yf, q, h=h, order=order),
+        lambda q: bracket_structured(xf, yf, q, h=h),
+        lambda q, xi: stencil_data_derivative(fld, q, xi, h=nested_h),
         name=f"[{xf.name},{yf.name}]",
-    )
-    fld._derivative = lambda q, xi: stencil_data_derivative(
-        fld, q, xi, h=nested_h, order=FIELD_FD_ORDER
     )
     return fld
 
 
-def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
-               h=1e-3, chart_h=1e-5) -> TangentOfQ:
+def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> TangentOfQ:
     """Independent bracket oracle: push both stacks of fields into the
     canonical chart at q and take the coordinate brackets by fourth-order
     central differences of the chart components.  It returns the same
@@ -165,10 +162,10 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState,
     the most, serve every field of both stacks, and one Chart.differential
     call builds all of them."""
     chart = Chart(q)
-    dim = chart.dim
+    dim, h = chart.dim, ORACLE_STEP
     # chart coordinates t h e_j, by coordinate j, then time t
     thetas = (np.array([2.0, 1.0, -1.0, -2.0])[:, None] * (h * np.eye(dim))[:, None])
-    d_mats, states = chart.differential(thetas.reshape(-1, dim), h=chart_h)
+    d_mats, states = chart.differential(thetas.reshape(-1, dim))
     rhs = np.array([np.concatenate((xf.value(s).coords(), yf.value(s).coords()))
                     for s in states])
     components = np.linalg.solve(d_mats, rhs.mT).mT.reshape(dim, 4, -1, dim)
@@ -241,8 +238,7 @@ class FlagReport:
         }
 
 
-def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
-               nested_h=NESTED_FD_STEP) -> FlagReport:
+def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 
@@ -274,7 +270,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
             # a stationary flag stays stationary: pad to the requested depth
             steps.append(steps[-1])
             continue
-        current = bracket_field(current, gens, nested_h=nested_h)
+        current = bracket_field(current, gens)
         new = current.value(q).coords()
         rows = np.concatenate((rows, new))
         layers.append(len(new))
@@ -283,8 +279,8 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None,
     return FlagReport(q, ranks, list(svs), tol, gaps)
 
 
-def controllability_verdict(q: RollingState, tol=1e-8) -> bool:
+def controllability_verdict(q: RollingState) -> bool:
     """Bracket-generating test at q: the flag reaches the full dimension
     2n + n(n-1)/2 of the state space."""
-    report = flag_ranks(q, depth=3, tol=tol)
+    report = flag_ranks(q, depth=3)
     return report.ranks[-1] == q_dim(q.pair.dim)

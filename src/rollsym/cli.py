@@ -278,7 +278,7 @@ def cmd_audit(args):
         for key, vals in stats.items()
     }
     q0 = pair.random_state(run.rng())
-    probe = sym0_dimension_probe(q0, cands)
+    probe = sym0_dimension_probe(q0, cands, tol=run.tolerances["rank"])
     out["sym0_dimension"] = probe.to_json()
     _dump(out, run.out)
     failing = [k for k, v in out["residuals"].items() if not v["max"] < tol]

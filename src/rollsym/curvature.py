@@ -112,17 +112,20 @@ def rolling_curvature_operator(q):
     return _bivector_operator(q.pair.dim, so_form)
 
 
-def operator_invertible(op, tol=1e-8, floor=1e-12):
+# operators whose largest singular value sits at or below this count as zero
+# maps: matched curvatures produce exactly those, up to round-off
+ZERO_OPERATOR_FLOOR = 1e-12
+
+
+def operator_invertible(op, tol=1e-8):
     """Invertibility of an operator on bivectors from one SVD.
 
     Returns (verdict, condition_number, singular_values); the verdict is
-    true when the smallest singular value exceeds tol times the largest.
-    Operators whose largest singular value sits below the absolute floor
-    count as zero maps (matched curvatures produce exactly those, up to
-    round-off).
+    true when the smallest singular value exceeds tol times the largest,
+    and false for a zero map (see ZERO_OPERATOR_FLOOR).
     """
     rank, sv, _ = numerical_rank(op, tol)
-    if sv[0] <= floor:
+    if sv[0] <= ZERO_OPERATOR_FLOOR:
         return False, math.inf, sv
     cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     return rank == len(sv), cond, sv

@@ -17,26 +17,24 @@ from .spaces import GeometryError
 
 
 def stencil_offsets(h, order=2):
-    """The times at which central_diff samples, in its order."""
+    """The times at which central_diff takes its samples, in its order."""
     if order not in (2, 4):
         raise GeometryError(f"central differences have order 2 or 4, not {order!r}")
     return (2 * h, h, -h, -2 * h) if order == 4 else (h, -h)
 
 
-def central_diff(sample, h, order=2):
-    """Derivative at 0 of t -> sample(t) by the central difference of
-    order 2 or 4 with step h.  Array values are differenced as a whole,
+def central_diff(values, h):
+    """Derivative at 0 by the central difference with step h, from the
+    samples at stencil_offsets(h, order) in that order: two samples give
+    order 2, four give order 4.  Array values are differenced as a whole,
     tuple values slot by slot (the result is then a tuple)."""
-    values = [sample(t) for t in stencil_offsets(h, order)]
     if isinstance(values[0], tuple):
-        return tuple(_weigh(slot, h) for slot in zip(*values))
-    return _weigh(values, h)
-
-
-def _weigh(f, h):
-    if len(f) == 4:
-        return (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
-    return (f[0] - f[1]) / (2 * h)
+        return tuple(central_diff(slot, h) for slot in zip(*values))
+    if len(values) == 4:
+        return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
+    if len(values) == 2:
+        return (values[0] - values[1]) / (2 * h)
+    raise GeometryError(f"central differences take 2 or 4 samples, not {len(values)}")
 
 
 # rows shorter than this share of the longest row of the first layer are

@@ -9,8 +9,8 @@ along the fiber curve A expm(tC) for skew C.
 
 Canonical curves, which combine both motions, are built in stacks: one
 tangent_curve call takes rows of (base state, X, X_hat, C, t) and returns a
-state per row, and every stencil on the state space draws its sample states
-from such a call.
+state per row, and every stencil on the state space draws all its sample states
+from one such call.
 
 Rolling a path gamma in the first factor integrates the kinematic
 constraints of rolling without slipping (contact velocities match) or
@@ -41,6 +41,9 @@ from .spaces import (
 ISOMETRY_TOL = 1e-9
 FD_STEP = 1e-4
 FD_STEP_FIBER = 1e-5
+# the chart differential of the FD bracket oracle: its own step and order
+CHART_STEP = 1e-5
+CHART_ORDER = 4
 
 
 class RollingPair:
@@ -108,19 +111,18 @@ class RollingState:
         self._basis_hat = None
         self._connection = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
-        self._samples = {}  # canonical-curve states from this one, see curve_sample
 
     @property
     def frame(self):
         """The deterministic frame at x, one row of SpaceForm.frames."""
         if self._basis is None:
-            _fill_bases([self])
+            _fill_bases([self], ("",))
         return self._basis[0]
 
     @property
     def frame_hat(self):
         if self._basis_hat is None:
-            _fill_bases([self])
+            _fill_bases([self], ("_hat",))
         return self._basis_hat[0]
 
     @property
@@ -221,14 +223,16 @@ def det_transport_matrix(m: SpaceForm, x, v, t):
     return _flow_rows(m, [x], zip(*m.frames([x], kept=True)), v, np.array([t], float))[1][0]
 
 
-def _fill_bases(qs):
+def _fill_bases(qs, sides=("", "_hat")):
     """Give every state of qs that has none its (frame, kept indices) on each
-    factor, from one SpaceForm.frames call per factor over those states."""
+    factor of sides ("" the first, "_hat" the second), from one
+    SpaceForm.frames call per factor over those states."""
     pair = qs[0].pair
-    for m, attr, point in ((pair.space, "_basis", "x"), (pair.space_hat, "_basis_hat", "x_hat")):
+    for side in sides:
+        m, attr = pair.space_hat if side else pair.space, "_basis" + side
         todo = [q for q in qs if getattr(q, attr) is None]
         if todo:
-            bases = zip(*m.frames([getattr(q, point) for q in todo], kept=True))
+            bases = zip(*m.frames([getattr(q, "x" + side) for q in todo], kept=True))
             for q, basis in zip(todo, bases):
                 setattr(q, attr, basis)
 
@@ -293,24 +297,6 @@ def tangent_curve(qs, X, X_hat, C, t) -> list:
         qt.transports = fwd[i], fwd_hat[i]
         out.append(qt)
     return out
-
-
-def curve_sample(rows, ts):
-    """The states of tangent_curve from each (q, xi) of rows at each time of
-    ts, one list per row.  Every stencil along the same xi at q samples the
-    same states, so each is built once and kept on q; those not built yet
-    come from one tangent_curve call."""
-    keys = [[(t, xi.X.tobytes(), xi.X_hat.tobytes(), xi.C.tobytes()) for t in ts]
-            for _, xi in rows]
-    todo = [(q, xi, t, key) for (q, xi), row in zip(rows, keys)
-            for t, key in zip(ts, row) if key not in q._samples]
-    if todo:
-        qs, xis, times, new = zip(*todo)
-        built = tangent_curve(qs, [xi.X for xi in xis], [xi.X_hat for xi in xis],
-                              [xi.C for xi in xis], times)
-        for q, key, qt in zip(qs, new, built):
-            q._samples[key] = qt
-    return [[q._samples[key] for key in row] for (q, _), row in zip(rows, keys)]
 
 
 def _nearest_rotation(a):
@@ -567,40 +553,45 @@ def directional_derivative(func, rows, kind, h=FD_STEP, order=2):
     `kind` declares how the value transports: 'vector' / 'vector_hat' for
     tangent vectors on either factor, 'map' for frame matrices of maps
     T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  A
-    tuple of kinds differentiates a tuple of values slot by slot.  The
-    sample states of all rows come from one curve_sample call, so every
-    derivative along the same xi at q shares them.
+    tuple of kinds differentiates a tuple of values slot by slot.  One
+    tangent_curve call builds the sample states of all rows, row by row and
+    within a row at the times stencil_offsets(h, order).
     """
     if not set(kind if isinstance(kind, tuple) else (kind,)) <= set(VALUE_KINDS):
         raise GeometryError(f"unknown value kind {kind!r}")
+    if not rows:
+        return []
     ts = stencil_offsets(h, order)
+    xis = [xi for _, xi in rows for _ in ts]
+    states = tangent_curve([q for q, _ in rows for _ in ts], [xi.X for xi in xis],
+                           [xi.X_hat for xi in xis], [xi.C for xi in xis], ts * len(rows))
 
     def pulled(q, qt):
         if isinstance(kind, tuple):
             return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kind))
         return _pull_back(q, qt, func(qt), kind)
 
-    return [central_diff(dict(zip(ts, [pulled(q, qt) for qt in states])).get, h, order)
-            for (q, _), states in zip(rows, curve_sample(rows, ts))]
+    return [central_diff([pulled(q, qt) for qt in states[i * len(ts) : (i + 1) * len(ts)]], h)
+            for i, (q, _) in enumerate(rows)]
 
 
-def rolling_derivative(func, qs, Xs, kind, h=FD_STEP, order=2):
+def rolling_derivative(func, qs, Xs, kind, order=2):
     """Derivatives along the rolling curves whose initial velocities are the
     rolling lifts of Xs[i] at qs[i], one per state, with values pulled back to
     the contact points."""
     _fill_bases(qs)  # the lifts read every frame
     rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
-    return directional_derivative(func, rows, kind, h=h, order=order)
+    return directional_derivative(func, rows, kind, order=order)
 
 
-def vertical_derivative(func, qs, Cs, kind, h=FD_STEP_FIBER, order=2):
+def vertical_derivative(func, qs, Cs, kind):
     """Derivatives of a state-dependent value along the fiber curves
     A expm(tC) through qs[i] with C = Cs[i], one per state; only the isometry
     moves, so no transport is involved."""
     rows = [(q, TangentOfQ(q, np.zeros(q.pair.space.amb_dim), np.zeros(q.pair.space_hat.amb_dim),
                            check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))
             for q, C in zip(qs, Cs)]
-    return directional_derivative(func, rows, kind, h=h, order=order)
+    return directional_derivative(func, rows, kind, h=FD_STEP_FIBER)
 
 
 # -- the chart around a state ----------------------------------------------------
@@ -617,13 +608,13 @@ class Chart:
         self.n = center.pair.dim
         self.dim = q_dim(self.n)
 
-    def differential(self, thetas, h=1e-5, order=4):
+    def differential(self, thetas):
         """Matrices of the chart differential at a stack of chart coordinates
         (m, dim), column by column in TangentOfQ coordinates of the state at
-        each, and those states.  The states and every column stencil's chart
-        points come from one tangent_curve call, and curve_velocity takes all
-        columns at once."""
-        dim, ts = self.dim, _stencil_times(h, order)
+        each, and those states, by stencils of CHART_ORDER with CHART_STEP.
+        The states and every column stencil's chart points come from one
+        tangent_curve call, and curve_velocity takes all columns at once."""
+        dim, ts = self.dim, _stencil_times(CHART_STEP, CHART_ORDER)
         # per theta: theta itself, then theta + t e_k for each column k and time t
         steps = np.concatenate((np.zeros((1, dim)),
                                 (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
@@ -632,7 +623,8 @@ class Chart:
         centers = states[:: len(steps)]
         samples = [states[i : i + len(ts)] for c in range(len(thetas))
                    for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
-        X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples, h, order)
+        X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples,
+                                     CHART_STEP, CHART_ORDER)
         mats = [TangentOfQ(q, X[k : k + dim], X_hat[k : k + dim], C[k : k + dim]).coords().T
                 for q, k in zip(centers, range(0, len(X), dim))]
         return np.array(mats), centers

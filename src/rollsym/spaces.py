@@ -565,9 +565,6 @@ class WarpFunction:
             return w * self.a * lib.exp(w * s)
         return self.b + 0.0 * s
 
-    def second_derivative(self, s):
-        return -self.k_ref * self.value(s)
-
     def to_spec(self):
         return {"name": self.name, "a": self.a, "b": self.b, "omega": self.omega}
 
@@ -576,7 +573,7 @@ class Warped(SpaceForm):
     """Warped product I x_f N with metric ds^2 + f(s)^2 h.
 
     The fiber is itself a catalog space form, so every curvature term has a
-    closed form: radial planes carry -f''/f and fiber planes
+    closed form: radial planes carry -f''/f = k_ref and fiber planes
     (K_fiber - f'^2)/f^2.  Ambient coordinates are (s, fiber coordinates).
     """
 
@@ -593,10 +590,7 @@ class Warped(SpaceForm):
         self.fiber = fiber
         self.dim = fiber.dim + 1
         self.amb_dim = fiber.amb_dim + 1
-        s = np.linspace(*self.interval, 17)
-        if np.any(np.abs(warp.second_derivative(s) + warp.k_ref * warp.value(s)) > 1e-10):
-            raise GeometryError("warp function does not satisfy f'' = -k_ref f")
-        if np.any(warp.value(s) <= 0):
+        if np.any(warp.value(np.linspace(*self.interval, 17)) <= 0):
             raise GeometryError("warp function must be positive on the interval")
 
     def _inside(self, s):
@@ -713,9 +707,6 @@ class Warped(SpaceForm):
     def transport_along_geodesic(self, x, v, t, w):
         return self._geodesic_rk4(t, x, v, w)[..., 2, :]
 
-    def radial_curvature(self, s):
-        return -self.warp.second_derivative(s) / self.warp.value(s)
-
     def fiber_plane_curvature(self, s):
         f = self.warp.value(s)
         fp = self.warp.derivative(s)
@@ -727,13 +718,12 @@ class Warped(SpaceForm):
         s = np.asarray(x)[..., 0]
         first = np.arange(self.dim) == 0
         radial = first[:, None] | first[None, :]
-        sigma = np.where(radial, _col(_col(self.radial_curvature(s))),
-                         _col(_col(self.fiber_plane_curvature(s))))
+        sigma = np.where(radial, self.warp.k_ref, _col(_col(self.fiber_plane_curvature(s))))
         return sigma * np.asarray(xi)
 
-    def random_point(self, rng, margin=0.15):
+    def random_point(self, rng):
         lo, hi = self.interval
-        pad = margin * (hi - lo)
+        pad = 0.15 * (hi - lo)  # keep random points off the ends of the interval
         s = rng.uniform(lo + pad, hi - pad)
         return np.concatenate(([s], self.fiber.random_point(rng)))
 

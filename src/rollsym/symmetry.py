@@ -45,6 +45,8 @@ from .curvature import rolling_curvature
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
 KIND_TAGS = ("general", "sym0", "inner", "killing-induced")
+U_BAR_SKEW_TOL = 1e-10  # largest skewness residual of A^{-1} U_bar that validate accepts
+CHAIN_SAMPLES = 48  # grid intervals per segment of propagate_chain
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------
@@ -194,14 +196,14 @@ class SymmetryCandidate:
     def is_base_fixing(self):
         return self.kind in ("sym0", "killing-induced")
 
-    def validate(self, q, tol=1e-10):
+    def validate(self, q):
         """U_bar at q, after checking the structural invariant A^{-1} U_bar
         in so(n) for every candidate: raises when the largest skewness
-        residual exceeds tol."""
+        residual exceeds U_BAR_SKEW_TOL."""
         u_bar = self.U_bar(q)
         pulled = q.isometry.T @ u_bar
         skew_res = float(np.abs(pulled + pulled.mT).max())
-        if not skew_res <= tol:
+        if not skew_res <= U_BAR_SKEW_TOL:
             raise GeometryError(f"A^-1 U_bar is not skew (residual {skew_res:.3e})")
         return u_bar
 
@@ -250,7 +252,7 @@ def _norm_hat(q: RollingState, vecs):
     return np.sqrt(mh.inner_at(q.x_hat, vecs, vecs))
 
 
-def symmetry_residual(cand: SymmetryCandidate, qs, Xs, h=1e-4):
+def symmetry_residual(cand: SymmetryCandidate, qs, Xs):
     """Residuals (r1, r2) of the two symmetry equations at every sample
     (qs[i], Xs[i]), two (samples, candidates) arrays, by stencils whose
     states every candidate shares and one tangent_curve call builds for all
@@ -259,7 +261,7 @@ def symmetry_residual(cand: SymmetryCandidate, qs, Xs, h=1e-4):
     Xs = np.asarray(Xs, float)
     kinds = ("vector_hat", "map", "vector")[: 2 if cand.is_base_fixing() else 3]
     derivatives = rolling_derivative(
-        lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s))[: len(kinds)], qs, Xs, kinds, h=h)
+        lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s))[: len(kinds)], qs, Xs, kinds)
     r1, r2 = zip(*(_residuals_at(cand, q, X, *d) for q, X, d in zip(qs, Xs, derivatives)))
     return np.array(r1), np.array(r2)
 
@@ -295,7 +297,7 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
                for e in np.eye(q.pair.dim))
 
 
-def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys, h=1e-5):
+def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys):
     """Residuals of the fiber-derivative compatibility along the rolling
     curvature direction of the plane (Xs[i], Ys[i]) at every sample qs[i], a
     (samples, candidates) array:
@@ -309,7 +311,7 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys, h=1e-5)
           for q, X, Y in zip(qs, np.asarray(Xs, float), np.asarray(Ys, float))]
     live = [i for i, c in enumerate(cs) if np.abs(c).max() >= 1e-14]  # zero there otherwise
     derivatives = vertical_derivative(lambda s: (cand.Z(s), cand.Z_hat(s)), [qs[i] for i in live],
-                                      [cs[i] for i in live], ("vector", "vector_hat"), h=h)
+                                      [cs[i] for i in live], ("vector", "vector_hat"))
     out = np.zeros((len(qs), len(cand)))
     for i, (d_z, d_zhat) in zip(live, derivatives):
         out[i] = _norm_hat(qs[i], qs[i].apply(d_z) - d_zhat)
@@ -424,13 +426,13 @@ def _jacobi_steps(mh, x, v, fr, t_grid):
     return eye + h / 6 * (l1 + 2 * k2 + 2 * k3 + k4), counts
 
 
-def propagate_chain(q0: RollingState, segments, Z_hat_0, U_bar_0, samples_per_segment=48):
-    """Propagate along a broken-geodesic chain; each segment is (X, length).
-    Returns the final state and data."""
+def propagate_chain(q0: RollingState, segments, Z_hat_0, U_bar_0):
+    """Propagate along a broken-geodesic chain; each segment is (X, length),
+    on a grid of CHAIN_SAMPLES intervals.  Returns the final state and data."""
     q = q0
     z, u = np.asarray(Z_hat_0, float), np.asarray(U_bar_0, float)
     for X, length in segments:
-        grid = np.linspace(0.0, length, samples_per_segment + 1)
+        grid = np.linspace(0.0, length, CHAIN_SAMPLES + 1)
         res = propagate_sym0(q, X, z, u, grid)
         q, z, u = res.final()
     return q, z, u

@@ -1,7 +1,11 @@
 """Every public module-level function and class of the package has a caller
 outside the tests: the package itself (outside the name's own definition),
 a demo, or the benchmark's span list, which names what it traces as
-strings.  A function that only a test calls belongs in that test."""
+strings.  A function that only a test calls belongs in that test.
+
+Every parameter with a default is passed by some call in the package, the
+demos, the tests or the benchmark: a default that no caller overrides is a
+constant, and belongs in the code as one."""
 
 import ast
 from pathlib import Path
@@ -54,3 +58,62 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
                     if name not in used | _outside_uses())
     assert not unused, unused
 
+
+def _calls_by_name():
+    """Every call of the package, the demos, the tests and the benchmark, by
+    the name it calls (a plain name or the last attribute)."""
+    calls = {}
+    for folder in ("src", "demos", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, index, name):
+    """Whether a call passes the parameter `name`, positional slot `index`
+    (None for keyword-only), counting *args and **kwargs as passing it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _optional_parameters():
+    """(qualified name, the name calls use, parameter, positional slot) of
+    every parameter with a default of every function and method of the
+    package; a slot counts from the first argument that a call passes."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = owners.get(node)
+            method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            called = owner.name if method and node.name == "__init__" else node.name
+            qualified = f"{owner.name}.{node.name}" if method else node.name
+            args = node.args.posonlyargs + node.args.args
+            skip = 1 if method else 0
+            for i, arg in enumerate(args[len(args) - len(node.args.defaults):],
+                                    start=len(args) - len(node.args.defaults)):
+                out.append((f"{path.name}: {qualified}", called, arg.arg, i - skip))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    out.append((f"{path.name}: {qualified}", called, arg.arg, None))
+    return out
+
+
+def test_every_optional_parameter_is_passed_by_some_caller():
+    calls = _calls_by_name()
+    options = _optional_parameters()
+    assert len(options) > 20  # the scan found the package
+    unset = sorted(f"{where}({param})" for where, called, param, index in options
+                   if not any(_passes(c, index, param) for c in calls.get(called, [])))
+    assert not unset, unset

@@ -626,6 +626,17 @@ def test_perturbed_audit_with_a_degenerate_tolerance_exits_2(tmp_path, capsys, t
     assert not out.exists()
 
 
+def test_the_audit_dimension_probe_reads_the_rank_tolerance(tmp_path):
+    # the probe used to rank at the default 1e-8 whatever the config said,
+    # while growth and rol honoured the setting
+    cfg = write_config(tmp_path, {**SPHERES_1_3, "tolerances": {"rank": 1e-3}})
+    out = tmp_path / "audit.json"
+    assert main(["--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+                 "--samples", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["tolerances"]["rank"] == report["sym0_dimension"]["tol"] == 1e-3
+
+
 def test_tolerance_override_recorded(tmp_path):
     cfg = write_config(tmp_path, SPHERES_1_3)
     out = tmp_path / "g.json"

@@ -6,7 +6,8 @@ import pytest
 from rollsym import GeometryError
 from scipy.linalg import expm
 
-from rollsym.numerics import central_diff, expm1_stack, numerical_rank, running_products
+from rollsym.numerics import (central_diff, expm1_stack, numerical_rank, running_products,
+                              stencil_offsets)
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -19,6 +20,10 @@ def poly(coeffs, t):
     return sum(c * t**k for k, c in enumerate(coeffs))
 
 
+def samples(f, order):
+    return [f(t) for t in stencil_offsets(H, order)]
+
+
 @pytest.mark.parametrize("order, coeffs", [(2, QUADRATIC), (4, QUARTIC)])
 def test_central_diff_is_exact_on_polynomials_of_its_order(order, coeffs):
     other = tuple(-c for c in coeffs)
@@ -26,10 +31,10 @@ def test_central_diff_is_exact_on_polynomials_of_its_order(order, coeffs):
     def array_sample(t):
         return np.array([poly(coeffs, t), poly(other, t)])
 
-    assert central_diff(lambda t: poly(coeffs, t), H, order) == coeffs[1]
-    assert np.array_equal(central_diff(array_sample, H, order), [coeffs[1], other[1]])
+    assert central_diff(samples(lambda t: poly(coeffs, t), order), H) == coeffs[1]
+    assert np.array_equal(central_diff(samples(array_sample, order), H), [coeffs[1], other[1]])
 
-    out = central_diff(lambda t: (array_sample(t), poly(other, t)), H, order)
+    out = central_diff(samples(lambda t: (array_sample(t), poly(other, t)), order), H)
     assert isinstance(out, tuple) and len(out) == 2
     assert np.array_equal(out[0], [coeffs[1], other[1]])
     assert out[1] == other[1]
@@ -37,22 +42,23 @@ def test_central_diff_is_exact_on_polynomials_of_its_order(order, coeffs):
 
 def test_central_diff_error_term_pins_the_weights():
     # the leading errors are h^2 f'''/6 at order 2 and -h^4 f^(5)/30 at order 4
-    assert central_diff(lambda t: t**3, H, 2) == H**2
-    assert central_diff(lambda t: t**5, H, 4) == -4 * H**4
+    assert central_diff(samples(lambda t: t**3, 2), H) == H**2
+    assert central_diff(samples(lambda t: t**5, 4), H) == -4 * H**4
 
 
 def test_central_diff_samples_symmetric_points_only():
-    seen = []
-    central_diff(lambda t: seen.append(t) or 0.0, H, 4)
-    assert seen == [2 * H, H, -H, -2 * H]
-    seen.clear()
-    central_diff(lambda t: seen.append(t) or 0.0, H, 2)
-    assert seen == [H, -H]
+    # stencil_offsets names the times of central_diff's samples, in its order
+    assert stencil_offsets(H, 4) == (2 * H, H, -H, -2 * H)
+    assert stencil_offsets(H, 2) == (H, -H)
+    assert stencil_offsets(H) == stencil_offsets(H, 2)
 
 
 def test_central_diff_rejects_other_orders():
     with pytest.raises(GeometryError):
-        central_diff(lambda t: t, H, 3)
+        stencil_offsets(H, 3)
+    for count in (1, 3, 5):
+        with pytest.raises(GeometryError):
+            central_diff([0.0] * count, H)
 
 
 def test_numerical_rank_and_gap():

@@ -28,7 +28,7 @@ from rollsym.rolling import (
     tangent_curve,
     vertical_derivative,
 )
-from rollsym.numerics import central_diff
+from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
 
 RNG = np.random.default_rng(123)
@@ -503,6 +503,31 @@ def test_rolling_curve_checks_every_row():
 # -- derivatives ----------------------------------------------------------------------
 
 
+def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monkeypatch):
+    # one tangent_curve call per derivative call, of rows times stencil
+    # offsets states; nothing is kept between calls, and no rows build nothing
+    import rollsym.rolling as rolling_mod
+
+    calls = []
+    build = rolling_mod.tangent_curve
+    monkeypatch.setattr(rolling_mod, "tangent_curve",
+                        lambda qs, *a: calls.append(len(qs)) or build(qs, *a))
+    pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 2.0))
+    rng = np.random.default_rng(3)
+    qs = [pair.random_state(rng) for _ in range(3)]
+    Xs = [pair.space.random_tangent(rng, q.x, unit=True) for q in qs]
+    results = []
+    for order in (2, 4, 4):
+        calls.clear()
+        results.append(rolling_derivative(lambda s: s.isometry, qs, Xs, "map", order=order))
+        assert calls == [len(qs) * order]
+    assert all(np.array_equal(a, b) for a, b in zip(results[1], results[2]))
+    calls.clear()
+    assert vertical_derivative(lambda s: s.isometry, [], [], "map") == []
+    assert directional_derivative(lambda s: s.x, [], "vector") == []
+    assert calls == []
+
+
 def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
@@ -596,7 +621,7 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
         fwd_hat = q.coords_hat(_transported_back(mh, q.x_hat, xi.X_hat, t, qt.frame_hat))
         return fwd_hat.T @ value @ fwd
 
-    expected = central_diff(deleted_path, 1e-4)
+    expected = central_diff([deleted_path(t) for t in stencil_offsets(1e-4)], 1e-4)
     got, = directional_derivative(fields[kind], [(q, xi)], kind)
     assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
     # a tuple of kinds differentiates slot by slot through the same samples

@@ -17,6 +17,7 @@ from rollsym import (
     from_spec,
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
+from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
 
 RNG = np.random.default_rng(2024)
@@ -316,9 +317,15 @@ def test_warped_model_space_reduction():
 
 
 def test_warp_function_invariants():
-    w = WarpFunction("cos")
-    for s in np.linspace(-1.0, 1.0, 9):
-        assert abs(w.second_derivative(s) + w.k_ref * w.value(s)) < 1e-12
+    # f' is the derivative of f, and f'' = -k_ref f, by order-4 stencils
+    h, s = 1e-3, np.linspace(-1.0, 1.0, 9)
+    times = s[:, None] + np.array(stencil_offsets(h, 4))
+    for name in ("cos", "cosh", "exp", "affine"):
+        w = WarpFunction(name, a=1.3, b=-0.4, omega=1.7)
+        d1 = central_diff(list(w.value(times).T), h)
+        d2 = central_diff(list(w.derivative(times).T), h)
+        assert np.abs(d1 - w.derivative(s)).max() < 1e-8
+        assert np.abs(d2 + w.k_ref * w.value(s)).max() < 1e-8
     with pytest.raises(GeometryError):
         Warped((-3.0, 3.0), WarpFunction("cos"), Sphere(1, 1.0))  # cos vanishes inside
     with pytest.raises(GeometryError):
