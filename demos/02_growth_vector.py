@@ -44,7 +44,7 @@ for name, pair in pairs.items():
 # returns the whole table of brackets [L(E_i), L(E_j)] in (i, j) order.
 pair = pairs["sphere(1) on sphere(3)"]
 q = pair.random_state(rng)
-gens = rolling_generators(pair)
+gens = rolling_generators()
 table = bracket_structured(gens, gens, q)
 print("\nvertical part of [L(E1), L(E2)] on sphere(1)/sphere(3):")
 print(np.round(table[1].C, 6))

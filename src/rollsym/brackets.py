@@ -1,11 +1,12 @@
 """Lie brackets of structured fields on the state space, and the growth
 vector of the rolling distribution.
 
-A structured field is a stack of k fields: it assigns to every state k
-tangent vectors in the (X, X_hat, C) decomposition, stacked along a leading
-axis.  The bracket of two such fields has a closed combinatorial form:
-derivative terms of each field along the other, plus a vertical curvature
-term
+A structured field is a stack of k fields given by two closures: its value
+assigns to every state k tangent vectors in the (X, X_hat, C) decomposition,
+stacked along a leading axis, and its derivative gives the covariant
+derivatives of their data along a stack of directions.  The bracket of two
+such fields has a closed combinatorial form: derivative terms of each field
+along the other, plus a vertical curvature term
 
     nu( A R(T ^ S) - R_hat(T_hat ^ S_hat) A )
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .rolling import (
     _stencil,
 )
 
-FIELD_FD_STEP = 1e-3
 FIELD_FD_ORDER = 4
 NESTED_FD_STEP = 1e-2
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
@@ -66,64 +67,50 @@ class FieldData:
     U: np.ndarray
 
 
+@dataclass
 class StructuredField:
-    """A stack of k vector fields on the state space, given by closures.
+    """A stack of k vector fields on the state space, given by two closures.
 
     `value(q)` returns a TangentOfQ whose X, X_hat and C carry a leading axis
-    of length k, one row per field (a closure that returns one vector gives a
-    stack of one); the vertical data is the skew matrix C with fiber
-    direction A C.  `derivative(q, xi)` may supply the covariant derivatives
-    of the field data along every vector of a stack xi, as FieldData with
-    leading axes (len(xi), k); when absent they are computed by symmetric
-    stencils, one along each vector of xi.
+    of length k, one row per field; the vertical data is the skew matrix C
+    with fiber direction A C.  `derivative(q, xi)` returns the covariant
+    derivatives of the field data along every vector of a stack xi, as
+    FieldData with leading axes (len(xi), k).  A field without a closed-form
+    derivative passes `lambda q, xi: stencil_data_derivative(value, q, xi, h)`.
     """
 
-    def __init__(self, pair, value, derivative=None, name=""):
-        self.pair = pair
-        self._value = value
-        self._derivative = derivative
-        self.name = name
-
-    def value(self, q: RollingState) -> TangentOfQ:
-        v = self._value(q)
-        if v.X.ndim == 1:
-            v = TangentOfQ(q, v.X[None], v.X_hat[None], v.C[None])
-        return v
-
-    def data_derivative(self, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
-        if self._derivative is not None:
-            return self._derivative(q, xi)
-        return stencil_data_derivative(self, q, xi, h=h, order=order)
+    value: Callable[[RollingState], TangentOfQ]
+    derivative: Callable[[RollingState, TangentOfQ], FieldData]
 
 
-def stencil_data_derivative(fld, q, xi, h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> FieldData:
-    """Covariant derivatives of a stack of fields' (T, T_hat, U) data along
-    each vector of the stack xi, by central differences with parallel
-    pull-back of all three slots (rolling.directional_derivative): one
-    stencil per vector of xi, each evaluating the whole stack at its sample
-    states, which every field differentiated along that vector at q shares.
-    The sample states along all of xi come from one tangent_curve call."""
+def stencil_data_derivative(value, q, xi, h) -> FieldData:
+    """Covariant derivatives of the (T, T_hat, U) data of the stack of fields
+    that `value` returns, along each vector of the stack xi, by central
+    differences of order FIELD_FD_ORDER and step h with parallel pull-back of
+    all three slots (rolling.directional_derivative): one stencil per vector
+    of xi, each evaluating the whole stack at its sample states, which every
+    field differentiated along that vector at q shares.  The sample states
+    along all of xi come from one tangent_curve call."""
 
     def data(qt):
-        v = fld.value(qt)
+        v = value(qt)
         return v.X, v.X_hat, qt.isometry @ v.C
 
     kinds = ("vector", "vector_hat", "map")
     along = directional_derivative(data, [(q, xi[a]) for a in range(len(xi.X))], kinds,
-                                   h=h, order=order)
+                                   h=h, order=FIELD_FD_ORDER)
     return FieldData(*(np.stack(slot) for slot in zip(*along)))
 
 
-def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState,
-                       h=FIELD_FD_STEP, order=FIELD_FD_ORDER) -> TangentOfQ:
+def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> TangentOfQ:
     """The table of brackets [X_i, Y_j] of two stacks of fields at q, a
     stack of kx * ky vectors in (i, j) order, from the structured formula:
     derivative terms of each field along the other plus the vertical
     curvature term, for all pairs at once."""
     xi_x = xf.value(q)
     xi_y = yf.value(q)
-    d_y = yf.data_derivative(q, xi_x, h=h, order=order)  # axes (i, j)
-    d_x = xf.data_derivative(q, xi_y, h=h, order=order)  # axes (j, i)
+    d_y = yf.derivative(q, xi_x)  # axes (i, j)
+    d_x = xf.derivative(q, xi_y)  # axes (j, i)
 
     pair = q.pair
     a_mat = q.isometry
@@ -140,18 +127,17 @@ def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState
     return TangentOfQ(q, table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c)
 
 
-def bracket_field(xf: StructuredField, yf: StructuredField,
-                  h=FIELD_FD_STEP, nested_h=NESTED_FD_STEP) -> StructuredField:
+def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
     """The table of brackets as a stack of kx * ky fields, evaluable near a
-    state; its own derivatives fall back to (wider) stencils since every
-    evaluation already contains first-order stencils."""
-    fld = StructuredField(
-        xf.pair,
-        lambda q: bracket_structured(xf, yf, q, h=h),
-        lambda q, xi: stencil_data_derivative(fld, q, xi, h=nested_h),
-        name=f"[{xf.name},{yf.name}]",
-    )
-    return fld
+    state; its own derivatives are stencils of step NESTED_FD_STEP, wider
+    than a field's own, since every evaluation already contains the
+    derivatives of xf and yf."""
+
+    def value(q):
+        return bracket_structured(xf, yf, q)
+
+    return StructuredField(value,
+                           lambda q, xi: stencil_data_derivative(value, q, xi, NESTED_FD_STEP))
 
 
 def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> TangentOfQ:
@@ -189,29 +175,24 @@ def frame_field_derivative(m, x, v):
     return m.connection_form(x, v) @ m.frame(x)
 
 
-def rolling_generators(pair, coeffs=None) -> StructuredField:
-    """The stack of rolling lifts of the frame vectors whose frame
-    coordinates are the columns of `coeffs` (an n x k matrix, by default the
-    identity: the lifts of the deterministic frame), with closed-form
-    derivatives: along a canonical curve the isometry differentiates to A C,
-    and the frame fields to their connection form (RollingState.connection)."""
-    n = pair.dim
-    coeffs = np.eye(n) if coeffs is None else np.asarray(coeffs, float)
+def rolling_generators() -> StructuredField:
+    """The stack of rolling lifts of the deterministic frame, with
+    closed-form derivatives: along a canonical curve the isometry
+    differentiates to A C, and the frame fields to their connection form
+    (RollingState.connection)."""
 
     def value(q):
-        return rolling_lift(q, coeffs.T @ q.frame)
+        return rolling_lift(q, q.frame)
 
     def derivative(q, xi):
-        # along xi[a] the frame moves by its connection form omega[a], so the
-        # field with coordinates c moves by omega[a]^T c in the frame, and its
-        # image under A by A (C[a] c + omega[a]^T c)
+        # along xi[a] frame vector k moves by row k of its connection form
+        # omega[a], and its image under A by A times row k of C[a]^T + omega[a]
         omega = np.einsum("ak,kij->aij", q.coords(xi.X), q.connection)
-        dv = np.einsum("aji,jk->aki", omega, coeffs)
-        d_image = np.einsum("aij,jk->aki", xi.C, coeffs) + dv
-        return FieldData(q.from_coords(dv), q.from_coords_hat(d_image @ q.isometry.T),
-                         np.zeros(dv.shape + (n,)))
+        d_image = xi.C.mT + omega
+        return FieldData(q.from_coords(omega), q.from_coords_hat(d_image @ q.isometry.T),
+                         np.zeros(omega.shape + (q.pair.dim,)))
 
-    return StructuredField(pair, value, derivative, name="L_R(E)")
+    return StructuredField(value, derivative)
 
 
 # -- growth vector ----------------------------------------------------------------
@@ -238,18 +219,18 @@ class FlagReport:
         }
 
 
-def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None) -> FlagReport:
+def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 
-    The distribution is spanned by rolling lifts of the frame (the columns
-    of `rotation` give the lifted frame vectors); each flag step adjoins the
-    table of brackets of the previous step's new fields with the generators,
-    one stacked bracket_field.  Depth 2 is one bracket_structured of the
-    generators with themselves; depth 3 differentiates that n x n table along
-    each generator by one stencil, at four sample states per generator.
-    All vectors are expressed in TangentOfQ coordinates, and
-    each step's vectors form one layer of the equilibrated rank rule of
+    The distribution is spanned by the rolling lifts of the frame
+    (rolling_generators); each flag step adjoins the table of brackets of the
+    previous step's new fields with the generators, one stacked
+    bracket_field.  Depth 2 is one bracket_structured of the generators with
+    themselves; depth 3 differentiates that n x n table along each generator
+    by one stencil, at four sample states per generator.  All vectors are
+    expressed in TangentOfQ coordinates, and each step's vectors form one
+    layer of the equilibrated rank rule of
     numerics.numerical_rank: the reported singular values are those of the
     rows after dropping round-off rows and dividing every layer by its
     longest row.
@@ -258,7 +239,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8, rotation=None) -> FlagReport:
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
-    gens = rolling_generators(q.pair, rotation)
+    gens = rolling_generators()
     rows = gens.value(q).coords()
     layers = [len(rows)]
     steps = [numerical_rank(rows, tol, layers)]  # (rank, singular values, gap) per flag step

@@ -131,6 +131,9 @@ def _parse_path(pair, q0, spec):
         direction = np.asarray(spec["direction"], float)
         if direction.shape != q0.x.shape or not np.isfinite(direction).all():
             raise GeometryError(f"path direction must hold {q0.x.size} finite numbers")
+        # an exact power-of-two scaling brings the largest entry into [0.5, 1),
+        # so that the norm neither overflows nor underflows
+        direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
         direction = pair.space.project(q0.x, direction)
         length = float(spec.get("length", 1.0))
         if not math.isfinite(length):
@@ -345,7 +348,8 @@ def cmd_flatness(args):
     report = flatness_obstruction(_rational(args.K), _rational(args.K_hat),
                                   _rational(args.beta), n=args.n)
     out = run.report_header()
-    out["obstruction"] = report.to_json()
+    with _reading("--K, --K-hat or --beta"):  # a value beyond the float range
+        out["obstruction"] = report.to_json()
     _dump(out, run.out)
     return EXIT_OK
 

@@ -545,20 +545,20 @@ def _pull_back(q: RollingState, qt: RollingState, value, kind):
     return value
 
 
-def directional_derivative(func, rows, kind, h=FD_STEP, order=2):
-    """Covariant derivatives of a state-dependent tensor value along the
-    canonical curve of each (q, xi) of rows, one per row, by central
-    differences with parallel pull-back.
+def directional_derivative(func, rows, kinds, h=FD_STEP, order=2):
+    """Covariant derivatives of a tuple of state-dependent tensor values
+    along the canonical curve of each (q, xi) of rows, one tuple per row, by
+    central differences with parallel pull-back.
 
-    `kind` declares how the value transports: 'vector' / 'vector_hat' for
-    tangent vectors on either factor, 'map' for frame matrices of maps
-    T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  A
-    tuple of kinds differentiates a tuple of values slot by slot.  One
-    tangent_curve call builds the sample states of all rows, row by row and
-    within a row at the times stencil_offsets(h, order).
+    `func` returns a tuple of values, and `kinds` declares slot by slot how
+    each transports: 'vector' / 'vector_hat' for tangent vectors on either
+    factor, 'map' for frame matrices of maps T_x M -> T_xhat Mhat (like the
+    isometry), 'scalar' for functions.  One tangent_curve call builds the
+    sample states of all rows, row by row and within a row at the times
+    stencil_offsets(h, order).
     """
-    if not set(kind if isinstance(kind, tuple) else (kind,)) <= set(VALUE_KINDS):
-        raise GeometryError(f"unknown value kind {kind!r}")
+    if not set(kinds) <= set(VALUE_KINDS):
+        raise GeometryError(f"unknown value kind in {kinds!r}")
     if not rows:
         return []
     ts = stencil_offsets(h, order)
@@ -567,31 +567,29 @@ def directional_derivative(func, rows, kind, h=FD_STEP, order=2):
                            [xi.X_hat for xi in xis], [xi.C for xi in xis], ts * len(rows))
 
     def pulled(q, qt):
-        if isinstance(kind, tuple):
-            return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kind))
-        return _pull_back(q, qt, func(qt), kind)
+        return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kinds))
 
     return [central_diff([pulled(q, qt) for qt in states[i * len(ts) : (i + 1) * len(ts)]], h)
             for i, (q, _) in enumerate(rows)]
 
 
-def rolling_derivative(func, qs, Xs, kind, order=2):
+def rolling_derivative(func, qs, Xs, kinds):
     """Derivatives along the rolling curves whose initial velocities are the
     rolling lifts of Xs[i] at qs[i], one per state, with values pulled back to
     the contact points."""
     _fill_bases(qs)  # the lifts read every frame
     rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
-    return directional_derivative(func, rows, kind, order=order)
+    return directional_derivative(func, rows, kinds)
 
 
-def vertical_derivative(func, qs, Cs, kind):
+def vertical_derivative(func, qs, Cs, kinds):
     """Derivatives of a state-dependent value along the fiber curves
     A expm(tC) through qs[i] with C = Cs[i], one per state; only the isometry
     moves, so no transport is involved."""
     rows = [(q, TangentOfQ(q, np.zeros(q.pair.space.amb_dim), np.zeros(q.pair.space_hat.amb_dim),
                            check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))
             for q, C in zip(qs, Cs)]
-    return directional_derivative(func, rows, kind, h=FD_STEP_FIBER)
+    return directional_derivative(func, rows, kinds, h=FD_STEP_FIBER)
 
 
 # -- the chart around a state ----------------------------------------------------

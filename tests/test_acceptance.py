@@ -82,7 +82,7 @@ def test_criterion_02_bracket_identity():
     for pair, kappa, seed in cases:
         assert curvature_mismatch(pair) == pytest.approx(kappa, abs=1e-12)
         rng = np.random.default_rng(seed)
-        gens = rolling_generators(pair)
+        gens = rolling_generators()
         n = pair.dim
         for _ in range(20):
             q = pair.random_state(rng)

@@ -4,8 +4,9 @@ a demo, or the benchmark's span list, which names what it traces as
 strings.  A function that only a test calls belongs in that test.
 
 Every parameter with a default is passed by some call in the package, the
-demos, the tests or the benchmark: a default that no caller overrides is a
-constant, and belongs in the code as one."""
+demos or the benchmark: a default that no caller outside the tests overrides
+is a constant, and belongs in the code as one; a test that needs another
+value builds it itself."""
 
 import ast
 from pathlib import Path
@@ -60,11 +61,12 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
 
 
 def _calls_by_name():
-    """Every call of the package, the demos, the tests and the benchmark, by
-    the name it calls (a plain name or the last attribute)."""
+    """Every call of the package, the demos and the benchmark, by the name it
+    calls (a plain name or the last attribute)."""
     calls = {}
-    for folder in ("src", "demos", "tests", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted(p for p in (ROOT / folder).rglob("*.py")
+                           if not p.name.startswith("test_")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
                     func = node.func

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
 from rollsym.curvature import wedge_matrix
 from rollsym.brackets import (
-    FIELD_FD_ORDER,
-    FIELD_FD_STEP,
     NESTED_FD_STEP,
+    FieldData,
     StructuredField,
     bracket_fd,
     bracket_field,
@@ -20,11 +19,14 @@ from rollsym.brackets import (
     flag_ranks,
     frame_field_derivative,
     rolling_generators,
+    stencil_data_derivative,
 )
+from rollsym.numerics import numerical_rank
 from rollsym.rolling import RollingPair, TangentOfQ, q_dim, random_rotation, rolling_lift
 from rollsym.symmetry import killing_catalog
 
 RNG = np.random.default_rng(31)
+FIELD_FD_STEP = 1e-3  # the stencil step of a test field without closed-form derivatives
 
 PAIRS = {
     "spheres_1_3": lambda: RollingPair(Sphere(2, 3.0), Sphere(2, 1.0)),  # mismatch -8/9
@@ -54,9 +56,22 @@ def frame_bracket(pair, q, i, j):
     return d_j - d_i
 
 
-def generator(pair, i):
-    """The rolling lift of the i-th frame vector, as a stack of one field."""
-    return rolling_generators(pair, np.eye(pair.dim)[:, [i]])
+def generator(i):
+    """The rolling lift of the i-th frame vector, as a stack of one field:
+    row i of rolling_generators(), with row i of its derivatives."""
+    gens, row = rolling_generators(), slice(i, i + 1)
+
+    def derivative(q, xi):
+        d = gens.derivative(q, xi)
+        return FieldData(d.T[:, row], d.T_hat[:, row], d.U[:, row])
+
+    return StructuredField(lambda q: gens.value(q)[row], derivative)
+
+
+def stencil_field(value, h=FIELD_FD_STEP):
+    """The structured field of a value closure, differentiated by stencils of
+    step h."""
+    return StructuredField(value, lambda q, xi: stencil_data_derivative(value, q, xi, h))
 
 
 def patch_everywhere(mp, fn, new):
@@ -134,7 +149,7 @@ def expected_generator_bracket(pair, q, i, j):
 def test_generator_bracket_identity_structured_and_fd(name):
     pair = PAIRS[name]()
     q = pair.random_state(RNG)
-    g0, g1 = generator(pair, 0), generator(pair, 1)
+    g0, g1 = generator(0), generator(1)
     expected = expected_generator_bracket(pair, q, 0, 1).coords()
     got = bracket_structured(g0, g1, q).coords()[0]
     assert np.abs(got - expected).max() < 1e-9
@@ -154,7 +169,7 @@ def test_bracket_oracles_share_no_stencil_code(monkeypatch):
 
     pair = PAIRS["sphere_plane"]()
     q = pair.random_state(RNG)
-    g0, g1 = generator(pair, 0), generator(pair, 1)
+    g0, g1 = generator(0), generator(1)
     with monkeypatch.context() as mp:
         patch_everywhere(mp, rolling_mod._stencil, forbidden)
         structured = bracket_structured(g0, g1, q).coords()
@@ -175,7 +190,7 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
 
     pair = PAIRS["hyp_sphere"]()
     q = pair.random_state(RNG)
-    g0, g1 = generator(pair, 0), generator(pair, 1)
+    g0, g1 = generator(0), generator(1)
     structured = bracket_structured(g0, g1, q).coords()
     q_fresh = pair.state(q.x, q.x_hat, q.isometry)
     monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
@@ -218,12 +233,12 @@ def test_bracket_antisymmetry_and_self_bracket(pair, seed):
     # and each entry is the bracket of the two stacks of one
     q = pair.random_state(np.random.default_rng(seed))
     n = pair.dim
-    table = bracket_structured(rolling_generators(pair), rolling_generators(pair), q).coords()
+    table = bracket_structured(rolling_generators(), rolling_generators(), q).coords()
     table = table.reshape(n, n, -1)
     scale = max(1.0, float(np.abs(table).max()))
     assert np.abs(table + table.transpose(1, 0, 2)).max() <= 1e-12 * scale
     assert np.abs(np.diagonal(table, axis1=0, axis2=1)).max() <= 1e-12 * scale
-    one = bracket_structured(generator(pair, n - 1), generator(pair, 0), q).coords()[0]
+    one = bracket_structured(generator(n - 1), generator(0), q).coords()[0]
     assert np.abs(one - table[n - 1, 0]).max() <= 1e-12 * scale
 
 
@@ -231,7 +246,7 @@ def test_bracket_antisymmetry_and_self_bracket(pair, seed):
 def test_fd_bracket_is_antisymmetric(seed):
     pair = PAIRS["hyp_sphere"]()
     q = pair.random_state(np.random.default_rng(seed))
-    g0, g1 = generator(pair, 0), generator(pair, 1)
+    g0, g1 = generator(0), generator(1)
     b01 = bracket_fd(g0, g1, q).coords()
     b10 = bracket_fd(g1, g0, pair.state(q.x, q.x_hat, q.isometry)).coords()
     assert np.abs(b01 + b10).max() < 1e-6
@@ -243,9 +258,8 @@ def test_flat_flat_coordinate_fields_commute():
     n = pair.dim
 
     def const_field(vec):
-        return StructuredField(
-            pair, lambda s: TangentOfQ(s, np.array(vec), s.apply(np.array(vec)), np.zeros((n, n)))
-        )
+        vec = np.array([vec])
+        return stencil_field(lambda s: TangentOfQ(s, vec, s.apply(vec), np.zeros((1, n, n))))
 
     f1 = const_field([1.0, 0.0])
     f2 = const_field([0.0, 1.0])
@@ -256,12 +270,13 @@ def test_flat_flat_coordinate_fields_commute():
 def test_fd_bracket_reproduces_vertical_part_on_spheres():
     pair = PAIRS["spheres_1_3"]()
     q = pair.random_state(RNG)
-    fd = bracket_fd(generator(pair, 0), generator(pair, 1), q)[0]
+    fd = bracket_fd(generator(0), generator(1), q)[0]
     assert abs(fd.C[0, 1] - (-8.0 / 9.0)) < 1e-5
 
 
-def killing_induced_fields(pair, rng):
-    """Structured test fields built from Killing data on both factors."""
+def killing_induced_value(pair, rng):
+    """The value closure of a test field, a stack of one, built from Killing
+    data on both factors."""
     cat = killing_catalog(pair.space)
     cat_hat = killing_catalog(pair.space_hat)
     k1 = cat[rng.integers(len(cat))]
@@ -269,20 +284,21 @@ def killing_induced_fields(pair, rng):
     c0 = wedge_matrix(rng.standard_normal(pair.dim), rng.standard_normal(pair.dim))
 
     def value(q):
-        return TangentOfQ(q, k1.value(q.x)[0], k2.value(q.x_hat)[0], c0)
+        return TangentOfQ(q, k1.value(q.x), k2.value(q.x_hat), c0[None])
 
-    return StructuredField(pair, value)
+    return value
 
 
 def test_jacobi_identity_residual():
     pair = PAIRS["spheres_1_3"]()
     rng = np.random.default_rng(8)
     q = pair.random_state(rng)
-    fields = [killing_induced_fields(pair, rng) for _ in range(3)]
+    values = [killing_induced_value(pair, rng) for _ in range(3)]
     total = np.zeros(q_dim(pair.dim))
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = bracket_field(fields[b], fields[c])
-        total = total + bracket_structured(fields[a], inner, q, h=1e-2).coords()
+        # the inner fields at the field step, the outer one at 1e-2
+        inner = bracket_field(stencil_field(values[b]), stencil_field(values[c]))
+        total = total + bracket_structured(stencil_field(values[a], 1e-2), inner, q).coords()
     assert np.abs(total).max() < 1e-4
 
 
@@ -291,8 +307,8 @@ def test_structured_vs_fd_on_random_fields():
     rng = np.random.default_rng(9)
     for _ in range(3):
         q = pair.random_state(rng)
-        f1 = killing_induced_fields(pair, rng)
-        f2 = killing_induced_fields(pair, rng)
+        f1 = stencil_field(killing_induced_value(pair, rng))
+        f2 = stencil_field(killing_induced_value(pair, rng))
         a = bracket_structured(f1, f2, q).coords()
         b = bracket_fd(f1, f2, q).coords()
         assert np.abs(a - b).max() < 1e-5
@@ -355,11 +371,43 @@ def test_flag_report_invariants():
     assert data["ranks"] == list(rep.ranks)
 
 
+def rotated_generators(rot):
+    """The rolling lifts of the frame vectors whose frame coordinates are the
+    columns of rot: those combinations of rolling_generators(), and of their
+    derivatives."""
+    gens = rolling_generators()
+
+    def value(q):
+        v = gens.value(q)
+        return TangentOfQ(q, rot.T @ v.X, rot.T @ v.X_hat, np.einsum("jk,j...->k...", rot, v.C))
+
+    def derivative(q, xi):
+        d = gens.derivative(q, xi)
+        return FieldData(*(np.einsum("jk,aj...->ak...", rot, s) for s in (d.T, d.T_hat, d.U)))
+
+    return StructuredField(value, derivative)
+
+
+def depth_three_ranks(gens, q):
+    """Ranks of the flag D, D + [D, D], D + [D, D] + [[D, D], D] of the
+    distribution that the stack gens spans at q, each step one layer of the
+    rank rule, as flag_ranks takes them."""
+    rows, layers, ranks, current = [], [], [], gens
+    for step in range(3):
+        if step:
+            current = bracket_field(current, gens)
+        rows.append(current.value(q).coords())
+        layers.append(len(rows[-1]))
+        ranks.append(numerical_rank(np.concatenate(rows), 1e-8, layers)[0])
+    return tuple(ranks)
+
+
 def test_flag_ranks_frame_independent():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     rot = random_rotation(np.random.default_rng(4), 2)
-    assert flag_ranks(q, depth=3).ranks == flag_ranks(q, depth=3, rotation=rot).ranks
+    assert flag_ranks(q, depth=3).ranks == depth_three_ranks(rolling_generators(), q)
+    assert flag_ranks(q, depth=3).ranks == depth_three_ranks(rotated_generators(rot), q)
 
 
 def test_flag_depth_guard():
@@ -399,7 +447,7 @@ def test_structured_vs_fd_over_hundred_states():
     for k in range(100):
         pair = catalog_pairs[k % len(catalog_pairs)]
         q = pair.random_state(rng)
-        gens = rolling_generators(pair)
+        gens = rolling_generators()
         # the whole 2 x 2 table: the chart differentials serve every pair
         a = bracket_structured(gens, gens, q).coords()
         b = bracket_fd(gens, gens, q).coords()
@@ -443,12 +491,14 @@ def normal_extension_field(m, x0, v0):
     return ext
 
 
-def rolling_lift_of_extension(pair, x0, v0):
+def rolling_lift_of_extension(pair, x0, v0, h):
+    """The rolling lift of the normal extension of v0, a stack of one field
+    differentiated by stencils of step h."""
     ext = normal_extension_field(pair.space, x0, v0)
-    return StructuredField(pair, lambda q: rolling_lift(q, ext(q.x)), name="L_R(ext)")
+    return stencil_field(lambda q: rolling_lift(q, ext(q.x)[None]), h)
 
 
-def double_bracket_identity_residual(q, X, Y, Z, h=FIELD_FD_STEP, nested_h=NESTED_FD_STEP):
+def double_bracket_identity_residual(q, X, Y, Z):
     """Residual of the constant-curvature double-bracket identity
 
         [L_R(X), [L_R(Y), L_R(Z)]]
@@ -462,11 +512,12 @@ def double_bracket_identity_residual(q, X, Y, Z, h=FIELD_FD_STEP, nested_h=NESTE
     """
     kappa = -curvature_mismatch(q.pair)
     pair = q.pair
-    lift_x = rolling_lift_of_extension(pair, q.x, X)
-    lift_y = rolling_lift_of_extension(pair, q.x, Y)
-    lift_z = rolling_lift_of_extension(pair, q.x, Z)
-    inner = bracket_field(lift_y, lift_z, h=h, nested_h=nested_h)
-    outer = bracket_structured(lift_x, inner, q, h=nested_h, order=FIELD_FD_ORDER)[0]
+    # the inner fields at the field step, the outer one at the nested step
+    lift_x = rolling_lift_of_extension(pair, q.x, X, NESTED_FD_STEP)
+    lift_y = rolling_lift_of_extension(pair, q.x, Y, FIELD_FD_STEP)
+    lift_z = rolling_lift_of_extension(pair, q.x, Z, FIELD_FD_STEP)
+    inner = bracket_field(lift_y, lift_z)
+    outer = bracket_structured(lift_x, inner, q)[0]
 
     measured_class = outer.X_hat - q.apply(outer.X)
     g = pair.space.inner_at
@@ -520,9 +571,7 @@ def test_structured_field_vertical_data_is_skew_checked():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
 
-    bad = StructuredField(
-        pair,
-        lambda s: TangentOfQ(s, np.zeros(3), np.zeros(2), np.array([[0.0, 1.0], [0.5, 0.0]])),
-    )
+    bad = stencil_field(lambda s: TangentOfQ(s, np.zeros((1, 3)), np.zeros((1, 2)),
+                                             np.array([[[0.0, 1.0], [0.5, 0.0]]])))
     with pytest.raises(GeometryError):
         bad.value(q)

@@ -66,6 +66,23 @@ def test_simulate_zero_length_path_single_row(tmp_path):
     assert len(out.read_text().splitlines()) == 2  # header + initial state
 
 
+@pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1060], ids=["2**1000", "2**-1060"])
+def test_simulate_direction_scale_does_not_change_the_trajectory(tmp_path, scale):
+    # the path is the unit-speed geodesic along the direction, however long
+    # the direction is: a norm beyond the float range must not stop the roll
+    cfg = write_config(tmp_path, SPHERES_1_3)
+
+    def trajectory(direction):
+        out = tmp_path / "traj.csv"
+        assert main(["--config", cfg, "simulate", "--path-spec",
+                     json.dumps({"type": "geodesic", "direction": direction, "length": 1.0}),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for d in ([1.0, 1.0, 0.0], [0.75, -0.5, 0.25]):
+        assert trajectory([scale * c for c in d]) == trajectory(d)
+
+
 def test_simulate_default_format_is_trajectory_csv(tmp_path):
     cfg = write_config(tmp_path, SPHERE_PLANE)
     out = tmp_path / "default_out"
@@ -409,6 +426,16 @@ def test_rol_report(tmp_path):
     assert data["singular_values"] == pytest.approx([8.0 / 9.0], abs=1e-9)
 
 
+def test_rol_on_a_one_dimensional_pair_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": "sphere", "dim": 1, "radius": 1.0},
+                                                    {"kind": "euclidean", "dim": 1}]})
+    out = tmp_path / "rol.json"
+    assert main(["--config", cfg, "rol", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the rolling curvature needs n >= 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_nilpotent_report(tmp_path):
     out = tmp_path / "nil.json"
     assert main(["nilpotent", "--n", "3", "--out", str(out)]) == 0
@@ -454,6 +481,17 @@ def test_flatness_rejects_non_finite_or_unparsable_numbers(tmp_path, capsys, fla
     assert main(["flatness", *[a for kv in args.items() for a in kv], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "not a finite rational number" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--K", "1e400", "--K-hat", "1"],
+                                  ["--K", "1", "--K-hat", "3", "--beta", "1e200"]])
+def test_flatness_values_beyond_the_float_range_exit_2(tmp_path, capsys, args):
+    # the exact inputs are fine, but the report's float values overflow
+    out = tmp_path / "flat.json"
+    assert main(["flatness", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "OverflowError" in err and "Traceback" not in err
     assert not out.exists()
 
 

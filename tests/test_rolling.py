@@ -516,15 +516,20 @@ def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monke
     rng = np.random.default_rng(3)
     qs = [pair.random_state(rng) for _ in range(3)]
     Xs = [pair.space.random_tangent(rng, q.x, unit=True) for q in qs]
+    rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
     results = []
     for order in (2, 4, 4):
         calls.clear()
-        results.append(rolling_derivative(lambda s: s.isometry, qs, Xs, "map", order=order))
+        results.append(directional_derivative(lambda s: (s.isometry,), rows, ("map",), order=order))
         assert calls == [len(qs) * order]
-    assert all(np.array_equal(a, b) for a, b in zip(results[1], results[2]))
+    assert all(np.array_equal(a, b) for (a,), (b,) in zip(results[1], results[2]))
     calls.clear()
-    assert vertical_derivative(lambda s: s.isometry, [], [], "map") == []
-    assert directional_derivative(lambda s: s.x, [], "vector") == []
+    along_lifts = rolling_derivative(lambda s: (s.isometry,), qs, Xs, ("map",))
+    assert calls == [len(qs) * 2]
+    assert all(np.array_equal(a, b) for (a,), (b,) in zip(along_lifts, results[0]))
+    calls.clear()
+    assert vertical_derivative(lambda s: (s.isometry,), [], [], ("map",)) == []
+    assert directional_derivative(lambda s: (s.x,), [], ("vector",)) == []
     assert calls == []
 
 
@@ -532,7 +537,7 @@ def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
-    d, = rolling_derivative(lambda s: const, [q], [np.array([1.0, 0.0])], "vector")
+    (d,), = rolling_derivative(lambda s: (const,), [q], [np.array([1.0, 0.0])], ("vector",))
     assert np.abs(d).max() < 1e-8
 
 
@@ -541,7 +546,7 @@ def test_rolling_derivative_of_the_isometry_vanishes():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    d, = rolling_derivative(lambda s: s.isometry, [q], [X], "map")
+    (d,), = rolling_derivative(lambda s: (s.isometry,), [q], [X], ("map",))
     assert np.abs(d).max() < 1e-8
 
 
@@ -550,7 +555,7 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
-    d, = rolling_derivative(lambda s: const_hat, [q], [X], "vector_hat")
+    (d,), = rolling_derivative(lambda s: (const_hat,), [q], [X], ("vector_hat",))
     assert np.abs(d).max() < 1e-10
 
 
@@ -562,11 +567,13 @@ def test_rolling_derivative_is_linear_in_direction():
     Y = pair.space.random_tangent(rng, q.x)
 
     def field(s):
-        return s.isometry @ s.coords(s.frame[0])
+        return (s.isometry @ s.coords(s.frame[0]),)
 
-    dX, = rolling_derivative(field, [q], [X], "scalar", order=4)
-    dY, = rolling_derivative(field, [q], [Y], "scalar", order=4)
-    dXY, = rolling_derivative(field, [q], [0.5 * X + 2.0 * Y], "scalar", order=4)
+    def along(v):  # order 4 along the rolling lift of v
+        (d,), = directional_derivative(field, [(q, rolling_lift(q, v))], ("scalar",), order=4)
+        return d
+
+    dX, dY, dXY = along(X), along(Y), along(0.5 * X + 2.0 * Y)
     assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
 
 
@@ -622,9 +629,9 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
         return fwd_hat.T @ value @ fwd
 
     expected = central_diff([deleted_path(t) for t in stencil_offsets(1e-4)], 1e-4)
-    got, = directional_derivative(fields[kind], [(q, xi)], kind)
+    (got,), = directional_derivative(lambda s: (fields[kind](s),), [(q, xi)], (kind,))
     assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
-    # a tuple of kinds differentiates slot by slot through the same samples
+    # three kinds differentiate slot by slot through the same samples
     kinds = ("vector", "vector_hat", "map")
     both, = directional_derivative(lambda s: tuple(fields[k](s) for k in kinds), [(q, xi)], kinds)
     assert np.array_equal(both[kinds.index(kind)], got)
@@ -636,23 +643,24 @@ def test_vertical_derivative_examples():
     c = wedge_matrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
     # field independent of the contact map
-    d0, = vertical_derivative(lambda s: s.x_hat, [q], [c], "scalar")
+    (d0,), = vertical_derivative(lambda s: (s.x_hat,), [q], [c], ("scalar",))
     assert np.abs(d0).max() < 1e-12
 
     # the contact map itself differentiates to A C
-    d1, = vertical_derivative(lambda s: s.isometry, [q], [c], "scalar")
+    (d1,), = vertical_derivative(lambda s: (s.isometry,), [q], [c], ("scalar",))
     assert np.allclose(d1, q.isometry @ c, atol=1e-9)
 
     # the rolling curvature at a frozen bivector: analytic fiber derivative
     from rollsym.curvature import rolling_curvature
 
     xi = wedge_matrix(np.array([0.6, 0.2]), np.array([-0.1, 0.9]))
-    d2, = vertical_derivative(lambda s: rolling_curvature(s, xi), [q], [c], "scalar")
+    (d2,), = vertical_derivative(lambda s: (rolling_curvature(s, xi),), [q], [c], ("scalar",))
     kappa = pair.space.curvature_constant - pair.space_hat.curvature_constant
     assert np.allclose(d2, kappa * q.isometry @ c @ xi, atol=1e-6)
 
     with pytest.raises(GeometryError):
-        vertical_derivative(lambda s: s.x, [q], [np.array([[0.0, 1.0], [0.3, 0.0]])], "scalar")
+        vertical_derivative(lambda s: (s.x,), [q], [np.array([[0.0, 1.0], [0.3, 0.0]])],
+                            ("scalar",))
 
 
 def test_chart_differential_is_identity_at_origin():
