@@ -103,8 +103,6 @@ def _bivector_operator(n, apply):
 def rolling_curvature_operator(q):
     """Matrix of the so-valued rolling curvature xi -> R(xi) - A^{-1}
     R_hat(A xi) A on Lambda^2, in the lexicographic basis; size n(n-1)/2."""
-    if q.pair.dim < 2:
-        raise GeometryError("the rolling curvature needs n >= 2: so(1) is zero")
     m, mh, A = q.pair.space, q.pair.space_hat, q.isometry
 
     def so_form(xi):

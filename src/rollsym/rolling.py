@@ -47,11 +47,13 @@ CHART_ORDER = 4
 
 
 class RollingPair:
-    """An ordered pair of equal-dimensional catalog manifolds."""
+    """An ordered pair of catalog manifolds of equal dimension n >= 2."""
 
     def __init__(self, space: SpaceForm, space_hat: SpaceForm):
         if space.dim != space_hat.dim:
             raise GeometryError("rolling requires manifolds of equal dimension")
+        if space.dim < 2:
+            raise GeometryError("rolling needs manifolds of dimension n >= 2")
         self.space = space
         self.space_hat = space_hat
         self.dim = space.dim

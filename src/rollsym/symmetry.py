@@ -8,9 +8,11 @@ distribution:
     U_bar(q) X = -A D_X Z + D_X Z_hat                      (drift equation)
     D_X U_bar  = -A R(X ^ Z) + R_hat(AX ^ Z_hat) A         (curvature equation)
 
-with D_X the derivative along rolling curves.  Candidates with Z = 0 form
-the base-fixing class (tagged 'sym0'); every Killing field of the second
-factor induces one through Z_hat(q) = K_hat at the contact point and
+with D_X the derivative along rolling curves.  A candidate is three closures
+that map a state to stacks, one row per candidate (SymmetryCandidate), and
+the residuals always use these general equations.  Candidates with Z = 0
+form the base-fixing class; every Killing field of the second factor
+induces one through Z_hat(q) = K_hat at the contact point and
 U_bar(q) = (nabla K_hat) A, and the evaluation data (Z_hat(q0), A0^{-1}
 U_bar(q0)) of such candidates spans at most n(n+1)/2 dimensions.
 
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
 from .numerics import numerical_rank
@@ -44,7 +46,6 @@ from .rolling import (
 from .curvature import rolling_curvature
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
-KIND_TAGS = ("general", "sym0", "inner", "killing-induced")
 U_BAR_SKEW_TOL = 1e-10  # largest skewness residual of A^{-1} U_bar that validate accepts
 CHAIN_SAMPLES = 48  # grid intervals per segment of propagate_chain
 
@@ -144,57 +145,23 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
 # -- symmetry candidates ----------------------------------------------------------
 
 
+@dataclass
 class SymmetryCandidate:
-    """A stack of k closure triples (Z, Z_hat, U_bar) of one kind, with one
-    name per candidate.
-
-    Z and Z_hat map states to ambient tangent vectors at the respective
-    contact points, (k, amb) arrays (Z may be None, meaning identically
-    zero); U_bar maps states to the deterministic-frame matrices of maps
+    """A stack of k closure triples (Z, Z_hat, U_bar), with one name per
+    candidate.  Every closure maps a state to a stack: Z and Z_hat give
+    ambient tangent vectors at the respective contact points, (k, amb)
+    arrays, and U_bar the deterministic-frame matrices of maps
     T_x M -> T_xhat Mhat with A^{-1} U_bar skew, a (k, n, n) array.  A
-    closure of a stack of one may return the single value.  Kinds:
-    'general'; 'sym0' forces Z = 0; 'killing-induced' is the sym0 subclass
-    built from Killing fields; 'inner' forces Z_hat = A Z and U_bar = 0.
-    """
+    candidate is base-fixing where Z is zero."""
 
-    def __init__(self, pair: RollingPair, kind, Z=None, Z_hat=None, U_bar=None, names=("",)):
-        if kind not in KIND_TAGS:
-            raise GeometryError(f"unknown candidate kind {kind!r}")
-        self.pair = pair
-        self.kind = kind
-        self._Z = Z
-        self._Z_hat = Z_hat
-        self._U_bar = U_bar
-        self.names = list(names)
+    pair: RollingPair
+    Z: Callable[[RollingState], np.ndarray]
+    Z_hat: Callable[[RollingState], np.ndarray]
+    U_bar: Callable[[RollingState], np.ndarray]
+    names: list
 
     def __len__(self):
         return len(self.names)
-
-    def _stack(self, value, *shape):
-        return np.asarray(value, float).reshape((len(self),) + shape)
-
-    def Z(self, q):
-        amb = self.pair.space.amb_dim
-        if self._Z is None or self.is_base_fixing():
-            return np.zeros((len(self), amb))
-        return self._stack(self._Z(q), amb)
-
-    def Z_hat(self, q):
-        if self.kind == "inner":
-            return q.apply(self.Z(q))
-        amb = self.pair.space_hat.amb_dim
-        if self._Z_hat is None:
-            return np.zeros((len(self), amb))
-        return self._stack(self._Z_hat(q), amb)
-
-    def U_bar(self, q):
-        n = self.pair.dim
-        if self.kind == "inner" or self._U_bar is None:
-            return np.zeros((len(self), n, n))
-        return self._stack(self._U_bar(q), n, n)
-
-    def is_base_fixing(self):
-        return self.kind in ("sym0", "killing-induced")
 
     def validate(self, q):
         """U_bar at q, after checking the structural invariant A^{-1} U_bar
@@ -216,7 +183,7 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
         raise MismatchError("Killing field must live on the second factor of the pair")
     return SymmetryCandidate(
         pair,
-        "killing-induced",
+        Z=lambda q: np.zeros((len(field), pair.space.amb_dim)),
         Z_hat=lambda q: field.value(q.x_hat),
         U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat) @ q.isometry,
         names=[f"killing({name})" for name in field.names],
@@ -233,9 +200,8 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
 
     return SymmetryCandidate(
         cand.pair,
-        cand.kind,
-        Z=cand._Z,
-        Z_hat=cand._Z_hat,
+        Z=cand.Z,
+        Z_hat=cand.Z_hat,
         U_bar=lambda q: cand.U_bar(q) + q.isometry @ noise,
         names=[name + f"+skew({eps:g})" for name in cand.names],
     )
@@ -259,28 +225,22 @@ def symmetry_residual(cand: SymmetryCandidate, qs, Xs):
     samples.  U_bar(q) comes from SymmetryCandidate.validate, which raises on
     a candidate that is not skew there."""
     Xs = np.asarray(Xs, float)
-    kinds = ("vector_hat", "map", "vector")[: 2 if cand.is_base_fixing() else 3]
-    derivatives = rolling_derivative(
-        lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s))[: len(kinds)], qs, Xs, kinds)
+    derivatives = rolling_derivative(lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s)),
+                                     qs, Xs, ("vector_hat", "map", "vector"))
     r1, r2 = zip(*(_residuals_at(cand, q, X, *d) for q, X, d in zip(qs, Xs, derivatives)))
     return np.array(r1), np.array(r2)
 
 
-def _residuals_at(cand, q, X, d_zhat, d_u, d_z=None):
+def _residuals_at(cand, q, X, d_zhat, d_u, d_z):
     """symmetry_residual at one sample, from the rolling derivatives there."""
     pair = q.pair
     u_bar = cand.validate(q)
-    base_fixing = cand.is_base_fixing()
     u_x = q.from_coords_hat(u_bar @ q.coords(X))
-    r1_vec = u_x - d_zhat if base_fixing else u_x + q.apply(d_z) - d_zhat
-    r1 = _norm_hat(q, r1_vec)
+    r1 = _norm_hat(q, u_x + q.apply(d_z) - d_zhat)
 
     a = q.isometry
-    x_coords = q.coords(X)
-    r_term = 0.0
-    if not base_fixing:
-        r_term = a @ pair.space.curvature_matrix_apply(
-            q.x, wedge_matrix(x_coords, q.coords(cand.Z(q))))
+    r_term = a @ pair.space.curvature_matrix_apply(
+        q.x, wedge_matrix(q.coords(X), q.coords(cand.Z(q))))
     rh_term = pair.space_hat.curvature_matrix_apply(
         q.x_hat, wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(cand.Z_hat(q)))
     ) @ a
@@ -375,6 +335,8 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
 
     integrand = np.array(integrand)
     if len(t_grid) > 1:
+        from scipy.integrate import cumulative_simpson
+
         integral = cumulative_simpson(integrand, x=t_grid, axis=0, initial=0.0)
     else:
         integral = np.zeros_like(integrand)
@@ -464,8 +426,8 @@ def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) ->
     dimension of the base-fixing symmetry space; the full Killing catalog
     realizes n(n+1)/2.  The rows form one layer of numerics.numerical_rank's
     rule, so the singular values are those of the rows over the longest one."""
-    if not cand.is_base_fixing():
-        raise GeometryError("dimension probe requires base-fixing candidates")
+    if np.any(cand.Z(q0)):
+        raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
     zh = q0.coords_hat(cand.Z_hat(q0))
     u = skew_part(q0.isometry.T @ cand.U_bar(q0))
     rows = np.concatenate((zh, skew_to_vector(u)), axis=1)

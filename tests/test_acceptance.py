@@ -148,8 +148,8 @@ def test_criterion_04_killing_fields_induce_symmetries():
         rng = np.random.default_rng(seed)
         catalog = killing_catalog(pair.space_hat)
         cands = killing_to_symmetry(pair, catalog)
-        assert cands.is_base_fixing()
         qs, Xs, Ys = draw_samples(pair, rng, 50)
+        assert all(np.all(cands.Z(q) == 0.0) for q in qs)  # base-fixing: Z = 0
         rs = (*symmetry_residual(cands, qs, Xs),
               vertical_compatibility_residual(cands, qs, Xs, Ys))
         worst = max(worst, np.max(rs))

@@ -426,13 +426,33 @@ def test_rol_report(tmp_path):
     assert data["singular_values"] == pytest.approx([8.0 / 9.0], abs=1e-9)
 
 
-def test_rol_on_a_one_dimensional_pair_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": "sphere", "dim": 1, "radius": 1.0},
-                                                    {"kind": "euclidean", "dim": 1}]})
-    out = tmp_path / "rol.json"
-    assert main(["--config", cfg, "rol", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "the rolling curvature needs n >= 2" in err and "Traceback" not in err
+ONE_DIMENSIONAL_PAIRS = {
+    "S1(1)/R1": [{"kind": "sphere", "dim": 1, "radius": 1.0}, {"kind": "euclidean", "dim": 1}],
+    "S1(1)/S1(2)": [{"kind": "sphere", "dim": 1, "radius": 1.0},
+                    {"kind": "sphere", "dim": 1, "radius": 2.0}],
+}
+SUBCOMMANDS_ON_A_PAIR = {
+    "simulate": ["--path-spec", json.dumps({"type": "geodesic", "direction": [0.0, 1.0],
+                                            "length": 1.0})],
+    "growth": [],
+    "symmetry-check": ["--candidate", json.dumps({"kind": "catalog"})],
+    "killing": [],
+    "rol": [],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ONE_DIMENSIONAL_PAIRS))
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS_ON_A_PAIR))
+def test_rol_on_a_one_dimensional_pair_exits_2(tmp_path, capsys, command, pair):
+    # rolling needs n >= 2: every subcommand that reads a pair refuses a
+    # pair of curves as an input error, before it computes or writes anything
+    cfg = write_config(tmp_path, {"manifold_pair": ONE_DIMENSIONAL_PAIRS[pair], "seed": 1})
+    out = tmp_path / "report.out"
+    assert main(["--config", cfg, command, *SUBCOMMANDS_ON_A_PAIR[command],
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "n >= 2" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -576,6 +596,20 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     cfg = write_config(tmp_path, SPHERES_1_3)
     assert run("--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
                "--samples", "0") == 2
+
+
+def test_importing_the_cli_loads_no_scipy_integrate_or_interpolate():
+    # no subcommand integrates or interpolates on its own: the functions that
+    # do import their SciPy module when they run, so a CLI run does not pay
+    # for those imports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, rollsym.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate']))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):

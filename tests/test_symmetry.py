@@ -32,6 +32,11 @@ from rollsym.symmetry import (
 RNG = np.random.default_rng(404)
 
 
+def zeros(*shape):
+    """A closure that gives the zero stack of the given shape at every state."""
+    return lambda s: np.zeros(shape)
+
+
 # -- catalog ---------------------------------------------------------------------
 
 
@@ -122,7 +127,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
 def test_zero_candidate_has_zero_residuals():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
-    zero = SymmetryCandidate(pair, "sym0")
+    zero = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 2), zeros(1, 2, 2), ["zero"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     assert np.all(np.concatenate(symmetry_residual(zero, [q], [X])) == 0.0)
 
@@ -144,19 +149,17 @@ def test_candidate_validation():
     q = pair.random_state(RNG)
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
     assert np.array_equal(cand.validate(q), cand.U_bar(q))
-    broken = SymmetryCandidate(
-        pair, "sym0", U_bar=lambda s: np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
+    broken = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
+                               lambda s: np.array([[[0.0, 1.0], [1.0, 0.0]]]), ["symmetric"])
     with pytest.raises(GeometryError):
         broken.validate(q)
     with pytest.raises(GeometryError, match="not skew"):
         symmetry_residual(broken, [q], [q.frame[0]])
     # a NaN residual compares false with the tolerance and must not pass
-    nan_valued = SymmetryCandidate(pair, "sym0", U_bar=lambda s: np.full((2, 2), np.nan))
+    nan_valued = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
+                                   lambda s: np.full((1, 2, 2), np.nan), ["nan"])
     with pytest.raises(GeometryError):
         nan_valued.validate(q)
-    with pytest.raises(GeometryError):
-        SymmetryCandidate(pair, "mystery")
 
 
 def test_killing_mismatch_raises():
@@ -216,9 +219,8 @@ def test_vertical_compatibility_detects_base_dependence():
     # a candidate whose drift depends on the contact map fails the check
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
-    cand = SymmetryCandidate(
-        pair, "sym0", Z_hat=lambda s: s.apply(s.frame[0]), U_bar=lambda s: np.zeros((2, 2))
-    )
+    cand = SymmetryCandidate(pair, zeros(1, 3), lambda s: s.apply(s.frame[:1]),
+                             zeros(1, 2, 2), ["contact-map drift"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
     assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] > 1e-4
@@ -330,22 +332,24 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
 # -- inner symmetries -------------------------------------------------------------------
 
 
+def inner_candidate(pair, Z, name):
+    """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0)."""
+    return SymmetryCandidate(pair, Z, lambda s: s.apply(Z(s)),
+                             lambda s: np.zeros((len(Z(s)), pair.dim, pair.dim)), [name])
+
+
 def test_inner_kind_candidate_passes_general_residuals():
     # the full residual checker accepts a genuine inner symmetry: the
     # radial field of the cosine warp rolling on the matching sphere
     warped = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
     pair = RollingPair(warped, Sphere(2, 1.0))
-    cand = SymmetryCandidate(
-        pair, "inner", Z=lambda s: np.array([1.0, 0.0, 0.0]), names=["radial"]
-    )
+    cand = inner_candidate(pair, lambda s: np.array([[1.0, 0.0, 0.0]]), "radial")
     rng = np.random.default_rng(88)
     for _ in range(5):
         q = pair.random_state(rng)
         X = pair.space.random_tangent(rng, q.x, unit=True)
         r1, r2 = symmetry_residual(cand, [q], [X])
         assert max(r1[0, 0], r2[0, 0]) < 1e-6
-        assert np.all(cand.U_bar(q) == 0.0)
-        assert np.allclose(cand.Z_hat(q), q.apply(cand.Z(q)))
 
 
 def test_contact_field_instance_is_inner_on_matched_unit_spheres():
@@ -358,7 +362,7 @@ def test_contact_field_instance_is_inner_on_matched_unit_spheres():
         q = pair.random_state(rng)
         assert abs(np.linalg.norm(xi.value(q.x)[0]) - 1.0) < 1e-12  # unit field
         assert inner_symmetry_residual(lambda s: xi.value(s.x)[0], q) < 1e-12
-    cand = SymmetryCandidate(pair, "inner", Z=lambda s: xi.value(s.x), names=["contact lift"])
+    cand = inner_candidate(pair, lambda s: xi.value(s.x), "contact lift")
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
     r1, r2 = symmetry_residual(cand, [q], [X])
@@ -573,5 +577,8 @@ def test_dimension_probe_span_invariance_and_small_cases():
     twice = catalog[np.tile(np.arange(len(catalog)), 2)]
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
-    with pytest.raises(GeometryError):
-        sym0_dimension_probe(q0, SymmetryCandidate(pair, "general"))
+    # a stack whose drift on the first factor is nonzero at q0 is not base-fixing
+    moving = SymmetryCandidate(pair, lambda s: s.frame[:1], zeros(1, 3), zeros(1, 2, 2),
+                               ["moving base"])
+    with pytest.raises(GeometryError, match="base-fixing"):
+        sym0_dimension_probe(q0, moving)
