@@ -143,7 +143,7 @@ def _parse_path(pair, q0, spec):
             return None
         return GeodesicPath(pair.space, q0.x, direction / nrm, length)
     if spec.get("type") == "samples":
-        data = np.loadtxt(spec["file"], delimiter=",")
+        data = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
         return SampledPath(pair.space, data[:, 0], data[:, 1:])
     raise GeometryError(f"unknown path spec type {spec.get('type')!r}")
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
@@ -299,6 +298,11 @@ def tangent_curve(qs, X, X_hat, C, t) -> list:
         qt.transports = fwd[i], fwd_hat[i]
         out.append(qt)
     return out
+
+
+def expm(a):
+    """The matrix exponential of every matrix of a stack (..., m, m)."""
+    return np.eye(a.shape[-1]) + expm1_stack(a)
 
 
 def _nearest_rotation(a):

@@ -846,24 +846,29 @@ class SampledPath:
     per time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
-        from scipy.interpolate import CubicSpline
-
         self.manifold = manifold
         self.times = np.asarray(times, dtype=float)
+        pts = np.asarray(points, dtype=float)
+        if self.times.ndim != 1 or len(self.times) < 2:
+            raise GeometryError(f"a sampled path needs at least 2 samples, got {self.times.size}")
+        if pts.shape != (len(self.times), manifold.amb_dim):
+            raise GeometryError(f"each path sample must hold a time and {manifold.amb_dim} "
+                                f"ambient coordinates, got points of shape {pts.shape}")
+        if not (np.isfinite(self.times).all() and np.isfinite(pts).all()):
+            raise GeometryError("path samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise GeometryError("path time grid must be strictly increasing")
-        pts = np.asarray(points, dtype=float)
         if np.any(manifold.constraint_residual(pts) > 1e-8):
             raise GeometryError("path sample lies off the manifold")
-        self._spline = CubicSpline(self.times, pts, axis=0)
-        self._deriv = self._spline.derivative()
+        self.points = pts
+        self._spline = NotAKnotSpline(self.times, pts)
 
     @property
     def t_max(self):
         return float(self.times[-1])
 
     def point(self, t):
-        return self.manifold.closest_point(self._spline(t))
+        return self.manifold.closest_point(self._spline.value(t))
 
     def velocity(self, t):
         return self.flow(t)[1]
@@ -871,11 +876,74 @@ class SampledPath:
     def flow(self, t):
         """(point, velocity) at t."""
         x = self.point(t)
-        return x, self.manifold.project(x, self._deriv(t))
+        return x, self.manifold.project(x, self._spline.derivative(t))
 
     def sample_times(self, step):
         return self.times
 
     def reversed(self):
-        rev_t = self.times[-1] - self.times[::-1]
-        return SampledPath(self.manifold, rev_t, np.asarray(self._spline(self.times))[::-1])
+        return SampledPath(self.manifold, self.times[-1] - self.times[::-1], self.points[::-1])
+
+
+class NotAKnotSpline:
+    """The not-a-knot cubic spline through the rows y[i] at the strictly
+    increasing times x[i], and its derivative; both extend the end pieces
+    beyond the grid.  Two knots give the line through them and three the
+    parabola, for the two not-a-knot conditions of a single interior knot
+    coincide.  From four knots on, the slopes at the knots solve the
+    tridiagonal system of a C2 cubic whose third derivative is also
+    continuous at the second and the second-to-last knot."""
+
+    def __init__(self, x, y):
+        self.x = x
+        dx = np.diff(x)
+        h = dx[:, None]
+        slope = np.diff(y, axis=0) / h
+        if len(x) <= 3:  # the polynomial through the knots, by its second divided difference
+            second = (slope[-1] - slope[0]) / (x[-1] - x[0])
+            s = np.concatenate((slope - second * h, slope[-1:] + second * h[-1:]))
+        else:
+            s = _not_a_knot_slopes(x, dx, slope)
+        # the Hermite cubic of each interval in powers of (t - x[i]), highest first
+        bend = (s[:-1] + s[1:] - 2 * slope) / h
+        self._coeffs = np.stack((bend / h, (slope - s[:-1]) / h - bend, s[:-1], y[:-1]))
+        self._dcoeffs = self._coeffs[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+
+    def value(self, t):
+        return self._horner(t, self._coeffs)
+
+    def derivative(self, t):
+        return self._horner(t, self._dcoeffs)
+
+    def _horner(self, t, coeffs):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
+        d = (t - self.x[i])[..., None]
+        out = coeffs[0][i]
+        for c in coeffs[1:]:
+            out = out * d + c[i]
+        return out
+
+
+def _not_a_knot_slopes(x, dx, slope):
+    """Slopes at four or more knots of the not-a-knot spline with interval
+    slopes `slope`: interior rows make the second derivative continuous, the
+    first and last rows the third, and the tridiagonal system is solved by
+    forward elimination and back substitution (the Thomas algorithm)."""
+    h = dx[:, None]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = [0.0, *dx[1:].tolist(), d1]
+    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+    upper = [d0, *dx[:-1].tolist(), 0.0]
+    rhs = np.concatenate((
+        ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1])[None] / d0,
+        3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
+        (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1])[None] / d1))
+    for i in range(1, len(rhs)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(len(rhs) - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    return rhs

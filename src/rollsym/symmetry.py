@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
-from .numerics import numerical_rank
+from .numerics import cumulative_simpson, numerical_rank
 from .rolling import (
     RollingPair,
     RollingState,
@@ -333,13 +333,7 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
         r_mat = mh.curvature_matrix_apply(st.x_hat, wedge_matrix(p_hat @ v_c, eta))
         integrand.append(p_hat.T @ r_mat @ p_hat)
 
-    integrand = np.array(integrand)
-    if len(t_grid) > 1:
-        from scipy.integrate import cumulative_simpson
-
-        integral = cumulative_simpson(integrand, x=t_grid, axis=0, initial=0.0)
-    else:
-        integral = np.zeros_like(integrand)
+    integral = cumulative_simpson(np.array(integrand), t_grid)
 
     u1 = np.asarray(U_bar_0, float)
     u_bars = [st.transports[1] @ (u1 + i @ q1.isometry) @ st.transports[0].T

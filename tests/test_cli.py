@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -118,6 +119,26 @@ def test_simulate_sampled_path_file(tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 42  # header + one state per sample
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,1\n1,1,0\n", "a time and 3 ambient coordinates"),
+    ("0,0,0,1\n", "at least 2 samples"),
+    ("0,0,0,1\nnan,0,0,1\n", "must be finite"),
+    ("0,0,0,1\n0.1,0,inf,1\n", "must be finite"),
+])
+def test_simulate_rejects_a_malformed_samples_file(tmp_path, capsys, rows, message):
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    samples = tmp_path / "path.csv"
+    samples.write_text(rows)
+    out = tmp_path / "traj.csv"
+    assert main([
+        "--config", cfg, "simulate",
+        "--path-spec", json.dumps({"type": "samples", "file": str(samples)}),
+        "--out", str(out),
+    ]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_json_format(tmp_path):
@@ -584,12 +605,15 @@ def test_audit_rejects_a_sample_count_below_one(tmp_path, capsys, samples):
     assert not out.exists()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "rollsym", *argv], cwd=tmp_path, env=env,
+        return subprocess.run([sys.executable, "-m", "rollsym", *argv], cwd=tmp_path, env=_src_env(),
                               capture_output=True, text=True, timeout=120).returncode
 
     assert run("nilpotent", "--n", "4", "--out", str(tmp_path / "nil.json")) == 0
@@ -598,18 +622,61 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                "--samples", "0") == 2
 
 
-def test_importing_the_cli_loads_no_scipy_integrate_or_interpolate():
-    # no subcommand integrates or interpolates on its own: the functions that
-    # do import their SciPy module when they run, so a CLI run does not pay
-    # for those imports
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, rollsym.cli; print(' '.join(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate']))))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+def test_importing_the_package_or_the_cli_loads_no_scipy_module():
+    # NumPy is the only runtime dependency; SciPy serves the tests as an oracle
+    scipy_modules = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, rollsym; print({scipy_modules}); import rollsym.cli; print({scipy_modules})"
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert done.stdout.splitlines() == ["", ""]
+
+
+def test_no_source_file_imports_scipy():
+    for path in sorted((ROOT / "src" / "rollsym").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
+
+
+# a None entry in sys.modules makes every import of scipy or of a submodule fail
+BLOCK_SCIPY = "import runpy, sys; sys.modules['scipy'] = None; "
+
+
+@pytest.mark.parametrize("run", ["geodesic", "sampled", "growth", "symmetry-check",
+                                 "nilpotent", "propagate_sym0"])
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path, run):
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    at_pole = write_config(tmp_path, {**SPHERES_1_3, "initial_state": {
+        "x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0, 3.0], "A": [[1.0, 0.0], [0.0, 1.0]]}}, "pole.json")
+    ts = np.linspace(0.0, 0.5, 41)
+    np.savetxt(tmp_path / "path.csv", np.column_stack([ts, np.sin(ts), 0 * ts, np.cos(ts)]),
+               delimiter=",")
+    argv = {
+        "geodesic": ["--config", cfg, "simulate", "--path-spec",
+                     json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                 "length": 0.3})],
+        "sampled": ["--config", at_pole, "simulate", "--path-spec",
+                    json.dumps({"type": "samples", "file": "path.csv"})],
+        "growth": ["--config", cfg, "growth", "--depth", "3"],
+        "symmetry-check": ["--config", cfg, "symmetry-check", "--candidate",
+                           json.dumps({"kind": "catalog"}), "--samples", "3"],
+        "nilpotent": ["nilpotent", "--n", "4"],
+    }
+    if run == "propagate_sym0":
+        code = f"runpy.run_path({str(ROOT / 'demos' / '04_jacobi_propagation.py')!r})"
+    else:
+        code = (f"sys.argv = ['rollsym', *{argv[run] + ['--out', 'report.out']!r}]; "
+                "runpy.run_module('rollsym', run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + code], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert run == "propagate_sym0" or (tmp_path / "report.out").stat().st_size > 0
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):

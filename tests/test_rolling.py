@@ -19,6 +19,7 @@ from rollsym.rolling import (
     TangentOfQ,
     curve_velocity,
     directional_derivative,
+    expm as rolling_expm,
     q_dim,
     random_rotation,
     roll_along,
@@ -692,6 +693,17 @@ def _one_row_tangent_curve(q, X, X_hat, C, t):
         a = a @ expm(t * C)
     u, _, vt = np.linalg.svd(a @ fwd.T)
     return xt, xht, u @ vt, (fwd, fwd_hat)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 0.3])
+def test_rolling_expm_matches_scipy_on_skew_stacks(scale):
+    # 1-norms up to about 3
+    rng = np.random.default_rng(11)
+    c = scale * rng.standard_normal((40, 4, 4))
+    c = c - c.mT
+    got = rolling_expm(c)
+    assert np.abs(got - np.array([expm(m) for m in c])).max() <= 1e-14
+    assert np.abs(got.mT @ got - np.eye(4)).max() <= 1e-15
 
 
 ROW_KINDS = ("rolling lift", "no spin", "fiber", "zero", "general")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from rollsym import (
     DomainError,
@@ -18,7 +19,7 @@ from rollsym import (
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
 from rollsym.numerics import central_diff, stencil_offsets
-from rollsym.spaces import POINT_TOL
+from rollsym.spaces import POINT_TOL, NotAKnotSpline
 
 RNG = np.random.default_rng(2024)
 
@@ -199,6 +200,22 @@ def test_transport_round_trip_is_identity():
     xt, vt = m.geodesic_flow(x, v, t)
     back = m.transport_along_geodesic(xt, vt, -t, fwd)
     assert np.allclose(back, w, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 41])
+@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+def test_not_a_knot_spline_matches_scipy(count, even):
+    # two knots give SciPy's line and three its parabola
+    rng = np.random.default_rng(count)
+    x = np.linspace(0.0, 1.3, count) if even else np.cumsum(rng.uniform(0.1, 1.0, count))
+    y = rng.standard_normal((count, 3))
+    ref = CubicSpline(x, y, axis=0)
+    spline = NotAKnotSpline(x, y)
+    t = np.concatenate((x, rng.uniform(x[0] - 0.2, x[-1] + 0.2, 60)))
+    for got, want in ((spline.value(t), ref(t)), (spline.derivative(t), ref(t, 1)),
+                      (spline.value(t[5]), ref(t[5]))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_transport_zero_length_step_raises():
