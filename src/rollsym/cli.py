@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +48,9 @@ EXIT_RANK_GAP = 4
 EXIT_MISMATCH = 5
 
 GAP_REQUIREMENT = 1e4
-NILPOTENT_MAX_N = 12  # the structure tensor has (2n + n(n-1)/2)^3 entries
+# the structure tensor is built dense, (2n + n(n-1)/2)^3 int64 entries (5.8 MB at
+# n = 12), though verify_structure reads only its 3n(n-1) nonzero ones
+NILPOTENT_MAX_N = 12
 # a simulated grid holds every row in memory; 2 pi at the default step is 6,284 intervals
 MAX_GRID_INTERVALS = 10**6
 TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": 1e-3, "isometry": 1e-7}
@@ -143,7 +146,10 @@ def _parse_path(pair, q0, spec):
             return None
         return GeodesicPath(pair.space, q0.x, direction / nrm, length)
     if spec.get("type") == "samples":
-        data = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is SampledPath's "fewer than 2 samples" error, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
         return SampledPath(pair.space, data[:, 0], data[:, 1:])
     raise GeometryError(f"unknown path spec type {spec.get('type')!r}")
 
@@ -331,11 +337,13 @@ def cmd_nilpotent(args):
         + [f"B{i}{j}" for i in range(n) for j in range(i + 1, n)]
         + [f"Z{i}" for i in range(n)]
     )
-    table = []
-    for i, j in zip(*np.triu_indices(len(names), 1)):
-        coeffs = {names[k]: float(c[i, j, k]) for k in np.flatnonzero(c[i, j])}
-        if coeffs:
-            table.append({"x": names[i], "y": names[j], "bracket": coeffs})
+    # the nonzero constants of the pairs i < j, in (i, j, k) order
+    upper = np.triu(np.ones((len(names),) * 2, dtype=bool), 1)
+    i, j, k = np.nonzero(upper[..., None] & (c != 0))
+    brackets = {}
+    for x, y, z, v in zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist()):
+        brackets.setdefault((x, y), {})[names[z]] = float(v)
+    table = [{"x": names[x], "y": names[y], "bracket": b} for (x, y), b in brackets.items()]
     out = run.report_header()
     out["verification"] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in report.items()}
     out["structure_constants"] = table

@@ -109,8 +109,8 @@ def structure_tensor(n):
     of basis element k in [basis i, basis j], from one nil_bracket of the
     basis stack against itself, so checks on c certify nil_bracket itself.
     Raises unless every coefficient is an integer with d^2 |c|^3 < 2^53:
-    verify_structure's partial sums (at most d^2 products of three) then
-    stay exact in float64."""
+    every sum verify_structure forms (at most d^2 products of three
+    constants) then stays far inside int64, so its checks are exact."""
     bas = basis(n)
     c = nil_bracket(bas[:, None], bas[None, :]).coords
     ints = c.astype(np.int64)
@@ -127,37 +127,41 @@ def verify_structure(n, c=None) -> dict:
     basis triples, vanishing of all four-fold brackets (step-3 nilpotency),
     the grading of the bracket, and the layer dimensions.
 
-    All checks contract the structure tensor c (structure_tensor(n) unless
-    given), one basis element x at a time so that no temporary exceeds d^3
-    entries.  They run in float64, exact because every partial sum is an
-    integer below 2^53."""
+    Every check reads the nonzero entries of the structure tensor c
+    (structure_tensor(n) unless given; 3n(n-1) of its d^3 entries).  The
+    nested brackets [x, [y, z]] = sum_l c[y, z, l] c[x, l, m] come from one
+    join of that list with itself on l, summed per (x, y, z, m); the four-fold
+    brackets from one more join.  All arithmetic is on int64, exact while
+    every sum stays below 2^63; structure_tensor's bound keeps them below
+    2^53."""
     if n < 2:
         raise GeometryError("structure verification needs n >= 2")
     if c is None:
         c = structure_tensor(n)
     d = c.shape[0]
     m = so_dim(n)
+    i, j, k = np.nonzero(c)
+    vals = c[i, j, k].astype(np.int64)
     deg = np.repeat([1, 2, 3], [n, m, n])
-    grading_ok = not c[deg[:, None, None] + deg[None, :, None] != deg[None, None, :]].any()
+    grading_ok = bool((deg[i] + deg[j] == deg[k]).all())
 
-    jacobi_failures = 0
-    gens = np.empty((n, n, n, d))  # gens[i, j, k] = [N_i, [N_j, N_k]]
-    triples = set()
-    cf = c.astype(np.float64)
-    pairs = cf.reshape(d * d, d)  # pairs[(y, z), l] = c[y, z, l]
-    inner = cf.transpose(1, 0, 2).reshape(d, d * d)  # inner[l, (w, m)] = c[w, l, m]
-    xyz, tmp = np.empty((d * d, d)), np.empty((d, d * d))
-    for x in range(d):
-        # [x,[y,z]], then [y,[z,x]] and [z,[x,y]] added, all indexed [y, z, :]
-        np.matmul(pairs, cf[x], out=xyz)
-        triples.update(map(tuple, xyz[xyz.any(axis=1)].tolist()))
-        jac = xyz.reshape(d, d, d)
-        if x < n:
-            gens[x] = jac[:n, :n]
-        jac += np.matmul(cf[:, x], inner, out=tmp).reshape(d, d, d).transpose(1, 0, 2)
-        jac += np.matmul(cf[x], inner, out=tmp).reshape(d, d, d)
-        jacobi_failures += int(jac.any(axis=2).sum())
+    by_mid = np.argsort(j, kind="stable")
+    entries = i[by_mid], j[by_mid], k[by_mid], vals[by_mid]
+    # [x, [y, z]] term by term, then the cyclic sum of the Jacobi identity:
+    # the term of [x, [y, z]] also enters the sums at (z, x, y) and (y, z, x)
+    yz, x, col, prod = _bracket_terms(i * d + j, k, vals, entries)
+    y, z = np.divmod(yz, d)
+    shape = (d, d, d, d)
+    cyclic = [np.ravel_multi_index((a, b, e, col), shape) for a, b, e in
+              ((x, y, z), (z, x, y), (y, z, x))]
+    jac_keys, _ = _sum_by_key(np.concatenate(cyclic), np.tile(prod, 3))
+    jacobi_failures = int(np.count_nonzero(_first_of_runs(jac_keys // d)))
 
+    keys, sums = _sum_by_key(cyclic[0], prod)
+    tx, ty, tz, tm = np.unravel_index(keys, shape)
+    gen = (tx < n) & (ty < n) & (tz < n)
+    gens = np.zeros((n, n, n, d), dtype=np.int64)  # gens[i, j, k] = [N_i, [N_j, N_k]]
+    gens[tx[gen], ty[gen], tz[gen], tm[gen]] = sums[gen]
     # [N_i, [N_j, N_k]] = -delta_ik Z_j + delta_ij Z_k
     i, j = np.ogrid[:n, :n]
     want = np.zeros_like(gens)
@@ -166,13 +170,19 @@ def verify_structure(n, c=None) -> dict:
     triple_failures = int((gens != want).any(axis=3).sum())
 
     # step-3 nilpotency: [x, t] = 0 for every distinct nonzero triple bracket t
-    triples = np.array(list(triples)).reshape(-1, d)
-    step3_failures = sum(int((triples @ cf[x]).any(axis=1).sum()) for x in range(d))
+    first = _first_of_runs(keys // d)
+    triples = np.zeros((np.count_nonzero(first), d), dtype=np.int64)
+    triples[np.cumsum(first) - 1, tm] = sums
+    triples = _distinct_rows(triples)
+    u, l = np.nonzero(triples)
+    t, x, col, prod = _bracket_terms(u, l, triples[u, l], entries)
+    step3_keys, _ = _sum_by_key(np.ravel_multi_index((x, t, col), (d, len(triples), d)), prod)
+    step3_failures = int(np.count_nonzero(_first_of_runs(step3_keys // d)))
 
     # layer dimensions as generated, not as declared: the spans of the
     # first brackets and of the triple brackets must have the full ranks
     layer2_rank = _exact_rank(c[:n, :n, n:n + m].reshape(n * n, m))
-    layer3_rank = _exact_rank(gens[..., n + m:].reshape(n**3, n).astype(np.int64))
+    layer3_rank = _exact_rank(gens[..., n + m:].reshape(n**3, n))
     dims_ok = (layer2_rank, layer3_rank) == (m, n)
     return {
         "n": n,
@@ -190,12 +200,55 @@ def verify_structure(n, c=None) -> dict:
     }
 
 
+def _bracket_terms(rows, mids, vals, entries):
+    """The terms of [x, t] for a sparse stack of vectors t given as entries
+    t[rows, mids] = vals: for every such entry and every nonzero c[x, l, m]
+    with l = mids, the product vals * c[x, l, m], returned as (rows, x, m,
+    products) without summation.  entries are the nonzero (x, l, m, c)
+    of the structure tensor sorted by l."""
+    x, l, col, cv = entries
+    lo, hi = np.searchsorted(l, mids, "left"), np.searchsorted(l, mids, "right")
+    count = hi - lo
+    left = np.repeat(np.arange(len(mids)), count)
+    right = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return rows[left], x[right], col[right], vals[left] * cv[right]
+
+
+def _sum_by_key(keys, vals):
+    """The distinct keys in ascending order whose vals sum to nonzero, with
+    those sums: one sort and a comparison of neighbours."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    start = np.flatnonzero(_first_of_runs(keys))
+    sums = np.add.reduceat(vals, start)
+    keep = sums != 0
+    return keys[start][keep], sums[keep]
+
+
+def _first_of_runs(a):
+    """True where an entry (or row) of a sorted array differs from the one
+    before it: the starts of its runs of equal values."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]).any(axis=tuple(range(1, a.ndim)))
+    return first
+
+
+def _distinct_rows(a):
+    """The distinct rows of a 2-D array in lexicographic order: one sort and a
+    comparison of neighbours (np.unique would import numpy.ma)."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[_first_of_runs(a)]
+
+
 def _exact_rank(mat):
     """Rank of an integer matrix by fraction-free (Bareiss) elimination on
     Python integers: after each pivot every remaining entry is a minor of
-    the matrix, so each division by the previous pivot is exact."""
-    a = np.array(mat, dtype=object)
+    the matrix, so each division by the previous pivot is exact.  Zero rows
+    and rows repeated up to sign leave the rank alone and are dropped first."""
+    a = np.asarray(mat, dtype=np.int64)
     a = a[(a != 0).any(axis=1)]
+    a = a * np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
+    a = _distinct_rows(a).astype(object)
     rank, prev = 0, 1
     for col in range(a.shape[1]):
         rows = np.flatnonzero(a[rank:, col] != 0)

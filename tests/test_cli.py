@@ -141,6 +141,20 @@ def test_simulate_rejects_a_malformed_samples_file(tmp_path, capsys, rows, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", ["", "\n\n"])
+def test_simulate_on_an_empty_samples_file_prints_only_the_error(tmp_path, rows):
+    # -W always: a warning that loadtxt emits would reach stderr whatever the filters
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    (tmp_path / "path.csv").write_text(rows)
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "rollsym", "--config", cfg, "simulate",
+         "--path-spec", json.dumps({"type": "samples", "file": "path.csv"}), "--out", "traj.csv"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: a sampled path needs at least 2 samples, got 0\n"
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_simulate_json_format(tmp_path):
     cfg = write_config(tmp_path, SPHERE_PLANE)
     out = tmp_path / "traj.json"
@@ -495,6 +509,12 @@ NILPOTENT_REPORT_SHA256 = {
     5: "fd236633776e4b2bec3740779d2bfd4f07acc7dfbafac69fd248b40ae943124d",
     6: "b385df49cef9ec0b4df44a86b11d56df6bb2ddcef5ec4296e65a1aa4112a7d72",
     7: "2013108590d77c7dfd53b6e8eb1267ce452a9661d5084d4df0f622cdda566d66",
+    # written by the dense float64 contraction that the sparse joins replaced
+    8: "033c4a0368c1282161c38b01dfe2c05496a8593bb0d65d83ff0d8d8615ea7d73",
+    9: "61bcaafcd3fb649365467a2b21ee2495308dfb3b41d3e5c4c026980ebf6c8748",
+    10: "054aacb0535d241ca491b523b2192381f3660455e61839bf5a079b480a026eec",
+    11: "789752c95137a56502913f615780717e79cc51126663ca3e5c8a848fc00a3a08",
+    12: "6afd122aa8c279210568bb190d7f426fedbd3bc560ba6181fa00e1128e695a74",
 }
 
 
@@ -630,6 +650,17 @@ def test_importing_the_package_or_the_cli_loads_no_scipy_module():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["", ""]
+
+
+def test_nilpotent_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call (NumPy 2.4): 11-14 ms and 1.6 MB a process
+    code = ("import sys; from rollsym.cli import main; "
+            "code = main(['nilpotent', '--n', '6', '--out', 'nil.json']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_no_source_file_imports_scipy():

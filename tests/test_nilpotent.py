@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rollsym import GeometryError, Sphere, Euclidean, nilpotent
+from rollsym.cli import NILPOTENT_MAX_N
 from rollsym.curvature import so_dim
 from rollsym.nilpotent import (
     GradedVector,
@@ -105,10 +106,65 @@ def test_dimension_mismatch_raises():
         GradedVector(np.zeros(6, dtype=np.int64))  # no n has 2n + n(n-1)/2 = 6
 
 
+def dense_verification(n, c):
+    """The structure checks by dense float64 contraction, one basis element x
+    at a time: the reference for verify_structure's sparse integer joins,
+    with the layer ranks from Fraction elimination."""
+    d, m = c.shape[0], so_dim(n)
+    deg = np.repeat([1, 2, 3], [n, m, n])
+    grading_ok = not c[deg[:, None, None] + deg[None, :, None] != deg[None, None, :]].any()
+
+    jacobi_failures = 0
+    gens = np.empty((n, n, n, d))  # gens[i, j, k] = [N_i, [N_j, N_k]]
+    triples = set()
+    cf = c.astype(np.float64)
+    pairs = cf.reshape(d * d, d)  # pairs[(y, z), l] = c[y, z, l]
+    inner = cf.transpose(1, 0, 2).reshape(d, d * d)  # inner[l, (w, m)] = c[w, l, m]
+    for x in range(d):
+        # [x,[y,z]], then [y,[z,x]] and [z,[x,y]] added, all indexed [y, z, :]
+        xyz = pairs @ cf[x]
+        triples.update(map(tuple, xyz[xyz.any(axis=1)].tolist()))
+        jac = xyz.reshape(d, d, d)
+        if x < n:
+            gens[x] = jac[:n, :n]
+        jac += (cf[:, x] @ inner).reshape(d, d, d).transpose(1, 0, 2)
+        jac += (cf[x] @ inner).reshape(d, d, d)
+        jacobi_failures += int(jac.any(axis=2).sum())
+
+    # [N_i, [N_j, N_k]] = -delta_ik Z_j + delta_ij Z_k
+    i, j = np.ogrid[:n, :n]
+    want = np.zeros_like(gens)
+    want[i, j, i, n + m + j] -= 1
+    want[i, i, j, n + m + j] += 1
+    triple_failures = int((gens != want).any(axis=3).sum())
+
+    triples = np.array(list(triples)).reshape(-1, d)
+    step3_failures = sum(int((triples @ cf[x]).any(axis=1).sum()) for x in range(d))
+
+    layer2_rank = fraction_rank(c[:n, :n, n:n + m].reshape(n * n, m).tolist())
+    layer3_rank = fraction_rank(gens[..., n + m:].reshape(n**3, n).astype(np.int64).tolist())
+    dims_ok = (layer2_rank, layer3_rank) == (m, n)
+    return {
+        "dims": (n, layer2_rank, layer3_rank),
+        "triple_identity_failures": triple_failures,
+        "jacobi_failures": jacobi_failures,
+        "step3_failures": step3_failures,
+        "dims_ok": dims_ok,
+        "ok": triple_failures == jacobi_failures == step3_failures == 0 and dims_ok
+        and grading_ok,
+    }
+
+
+def assert_matches_dense(n, c, report):
+    want = dense_verification(n, c)
+    assert {key: report[key] for key in want} == want
+
+
 def test_verify_structure_all_sizes():
-    for n in (2, 3, 4, 5, 6, 7):
+    for n in range(2, NILPOTENT_MAX_N + 1):
         report = verify_structure(n)
         assert report["ok"]
+        assert report["dims"] == (n, so_dim(n), n)
         assert report["triple_identity_failures"] == 0
         assert report["jacobi_failures"] == 0
         assert report["step3_failures"] == 0
@@ -119,6 +175,7 @@ def test_verify_structure_rejects_one_flipped_coefficient():
     assert c[0, 1, 3] == 1
     c[0, 1, 3] = -1  # [N0, N1] = -B01 instead of B01, [N1, N0] left alone
     report = verify_structure(3, c)
+    assert_matches_dense(3, c, report)
     assert report["ok"] is False
     failures = (report["triple_identity_failures"] + report["jacobi_failures"]
                 + report["step3_failures"])
@@ -140,11 +197,35 @@ def test_verify_structure_rejects_an_ungraded_bracket(u0, v0, extra, failing):
     c[i, j] += extra.coords
     c[j, i] -= extra.coords
     report = verify_structure(3, c)
+    assert_matches_dense(3, c, report)
     assert report["ok"] is False
     if failing:
         assert report[failing] > 0
     else:
         assert report["jacobi_failures"] == 0 and report["step3_failures"] == 0
+
+
+@st.composite
+def doctored_tensors(draw):
+    """(n, c): the structure tensor for n = 2..4 with 1-5 integer edits, each
+    with or without its antisymmetric partner."""
+    n = draw(st.integers(2, 4))
+    c = structure_tensor(n)
+    index = st.integers(0, len(c) - 1)
+    for _ in range(draw(st.integers(1, 5))):
+        i, j, k = draw(index), draw(index), draw(index)
+        value = draw(st.integers(-3, 3).filter(bool))
+        c[i, j, k] += value
+        if draw(st.booleans()):
+            c[j, i, k] -= value
+    return n, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(doctored_tensors())
+def test_verify_structure_counts_equal_the_dense_reference(doctored):
+    n, c = doctored
+    assert_matches_dense(n, c, verify_structure(n, c))
 
 
 def test_structure_tensor_rejects_non_integer_constants(monkeypatch):
@@ -217,6 +298,16 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_exact_rank_equals_fraction_elimination(mat):
     assert _exact_rank(mat) == fraction_rank(mat.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices(), st.data())
+def test_exact_rank_ignores_repeated_and_negated_rows(mat, data):
+    picks = data.draw(st.lists(st.integers(0, len(mat) - 1), min_size=1, max_size=6))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(picks),
+                                        max_size=len(picks))))
+    stacked = np.concatenate([mat, signs[:, None] * mat[picks]])
+    assert _exact_rank(stacked) == fraction_rank(stacked.tolist()) == fraction_rank(mat.tolist())
 
 
 def test_exact_rank_of_zero_and_deficient_matrices():
