@@ -33,7 +33,7 @@ import numpy as np
 
 from .curvature import skew_part, wedge_matrix
 from .numerics import numerical_rank
-from .spaces import GeometryError
+from .spaces import GeometryError, Warped
 from .rolling import (
     Chart,
     RollingState,
@@ -51,10 +51,24 @@ ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 
 def curvature_mismatch(pair) -> float:
     """kappa = K - K_hat for a constant-curvature pair."""
-    for m in (pair.space, pair.space_hat):
-        if not hasattr(m, "curvature_constant"):
-            raise GeometryError("curvature mismatch needs constant-curvature factors")
-    return pair.space.curvature_constant - pair.space_hat.curvature_constant
+    return _constant_curvature(pair.space) - _constant_curvature(pair.space_hat)
+
+
+def _constant_curvature(m) -> float:
+    """The curvature of a factor of constant curvature: a catalog space form,
+    or a warped product whose fiber planes carry the radial curvature k_ref.
+    They do when the fiber is a curve, or when its curvature equals
+    f'^2 + k_ref f^2, which is constant along every warp of the catalog."""
+    if isinstance(m, Warped):
+        w = m.warp
+        fiber_curvature = {"cos": w.omega**2 * (w.a**2 + w.b**2),
+                           "cosh": w.omega**2 * (w.b**2 - w.a**2),
+                           "exp": 0.0, "affine": w.b**2}[w.name]
+        if m.fiber.dim == 1 or m.fiber.curvature_constant == fiber_curvature:
+            return w.k_ref
+    elif hasattr(m, "curvature_constant"):
+        return m.curvature_constant
+    raise GeometryError("curvature mismatch needs constant-curvature factors")
 
 
 @dataclass

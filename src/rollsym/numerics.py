@@ -1,7 +1,6 @@
 """The numerical kernels shared by the geometry layers: one central
-difference, one numerical rank with its spectral gap, the batched matrix
-exponential and running products of the rolling integrator, and the
-cumulative Simpson quadrature of the Jacobi propagation.
+difference, one numerical rank with its spectral gap, and the batched
+matrix exponential and running products of the rolling integrator.
 
 The finite-difference bracket oracle (`brackets.bracket_fd`, through the
 chart differential in `rolling`) deliberately keeps its own stencil, so
@@ -128,34 +127,3 @@ def running_products(d):
         k *= 2
     return out
 
-
-def cumulative_simpson(y, x):
-    """Running integrals from x[0] of samples y (len(x), ...) at the strictly
-    increasing times x, one per time and 0 at x[0]: the integral over each
-    interval is that of the parabola through it and a neighbouring sample,
-    by the uneven-grid composite Simpson rule of Cartwright (2017, eq. 8).
-    Intervals 0, 2, 4, ... take the sample to their right, intervals 1, 3,
-    5, ... and the last one the sample to their left.  Two samples give the
-    trapezoid."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    if len(x) < 3:
-        parts = h * (y[1:] + y[:-1]) / 2
-    else:
-        ahead = _simpson_first_interval(y, h)  # interval i from samples i, i+1, i+2
-        behind = _simpson_first_interval(y[::-1], h[::-1])[::-1]  # from i-1, i, i+1
-        parts = np.empty_like(y[1:])
-        parts[:-1:2] = ahead[::2]
-        parts[1::2] = behind[::2]
-        parts[-1] = behind[-1]
-    return np.concatenate((np.zeros_like(y[:1]), np.cumsum(parts, axis=0)))
-
-
-def _simpson_first_interval(y, h):
-    """The integral over [x[i], x[i+1]] of the parabola through the samples
-    at x[i], x[i+1], x[i+2], for every i, from the interval lengths h."""
-    h1, h2 = h[:-1], h[1:]
-    r31, r32 = h1 / (h1 + h2), h1 / h2
-    r = r31 * r32
-    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + r + r31) * y[1:-1] - r * y[2:])

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import skew_part, skew_to_vector, so_pairs, wedge_matrix
-from .numerics import cumulative_simpson, numerical_rank
+from .curvature import skew_part, skew_to_vector, so_dim, so_pairs, vector_to_skew, wedge_matrix
+from .numerics import numerical_rank
 from .rolling import (
     RollingPair,
     RollingState,
@@ -47,7 +47,6 @@ from .curvature import rolling_curvature
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
 U_BAR_SKEW_TOL = 1e-10  # largest skewness residual of A^{-1} U_bar that validate accepts
-CHAIN_SAMPLES = 48  # grid intervals per segment of propagate_chain
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------
@@ -296,86 +295,80 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     """Propagate base-fixing symmetry data along the rolling curve driven by
     the geodesic through (x1, X).
 
-    The drift value follows the geodesic-variation equation on the second
-    factor (integrated by RK4 in a parallel frame, see _jacobi_steps) and the
-    vertical part follows its transport-integral formula, evaluated with
-    composite Simpson quadrature on the supplied grid.
+    The drift value eta follows the geodesic-variation equation on the second
+    factor, and the vertical part the transport integral I of an integrand
+    linear in eta, so (eta, eta', I) is one linear system: one RK4 flow in a
+    parallel frame (see _jacobi_steps) gives both.  The grid only sets the
+    times of the returned states; the substeps set the accuracy.
     """
-    mh, n = q1.pair.space_hat, q1.pair.dim
+    n = q1.pair.dim
     t_grid = np.asarray(t_grid, float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise GeometryError("time grid must start at 0 and increase")
     X = np.asarray(X, float)
-    v_hat, fr1_hat = q1.apply(X), q1.frame_hat
-
-    eta0 = mh.inner_at(q1.x_hat, np.asarray(Z_hat_0, float), fr1_hat)
-    deta0 = np.asarray(U_bar_0, float) @ q1.coords(X)
-
-    steps, counts = _jacobi_steps(mh, q1.x_hat, v_hat, fr1_hat, t_grid)
-    etas = [np.concatenate((eta0, deta0))]
-    for block in np.split(steps, np.cumsum(counts)[:-1]):
-        y = etas[-1]
-        for step in block:
-            y = step @ y
-        etas.append(y)
+    u1 = np.asarray(U_bar_0, float)
+    y = np.concatenate((q1.coords_hat(np.asarray(Z_hat_0, float)), u1 @ q1.coords(X),
+                        np.zeros(so_dim(n))))
+    steps, counts = _jacobi_steps(q1, X, t_grid)
+    ys = [y]
+    for step in steps:
+        ys.append(step @ ys[-1])
+    ys = np.array(ys)[np.cumsum(np.concatenate(([0], counts)))]  # the states at the grid times
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic frame
     xi = rolling_lift(q1, X)
     states = tangent_curve([q1] * len(t_grid), xi.X, xi.X_hat, xi.C, t_grid)
-    v_c = q1.isometry @ q1.coords(X)
-    z_hats = []
-    integrand = []
-    for st, y in zip(states, etas):
-        p_hat = st.transports[1]
-        eta = p_hat @ y[:n]
-        z_hats.append(st.from_coords_hat(eta))
-        r_mat = mh.curvature_matrix_apply(st.x_hat, wedge_matrix(p_hat @ v_c, eta))
-        integrand.append(p_hat.T @ r_mat @ p_hat)
-
-    integral = cumulative_simpson(np.array(integrand), t_grid)
-
-    u1 = np.asarray(U_bar_0, float)
-    u_bars = [st.transports[1] @ (u1 + i @ q1.isometry) @ st.transports[0].T
-              for st, i in zip(states, integral)]
-    return PropagationResult(t_grid, states, z_hats, u_bars)
+    p, p_hat = (np.array(m) for m in zip(*(st.transports for st in states)))
+    frames_hat = np.array([st.frame_hat for st in states])
+    z_hats = (ys[:, None, :n] @ p_hat.mT @ frames_hat)[:, 0]
+    u_bars = p_hat @ (u1 + vector_to_skew(ys[:, 2 * n:], n) @ q1.isometry) @ p.mT
+    return PropagationResult(t_grid, states, list(z_hats), list(u_bars))
 
 
 JACOBI_STEP = 1e-3  # longest RK4 substep of the geodesic-variation equation
 
 
-def _jacobi_steps(mh, x, v, fr, t_grid):
+def _jacobi_steps(q1, X, t_grid):
     """RK4 step matrices of the geodesic-variation equation along the
-    geodesic of (x, v), (eta, eta')' = (eta', M(t) eta) with eta the
-    coordinates in the parallel frame started at fr, and the number of steps
-    in each grid interval (substeps of at most JACOBI_STEP, at least two).
+    geodesic of (x_hat, A X) on the second factor together with the transport
+    integral of the vertical part, (eta, eta', I)' = (eta', M(t) eta, N(t) eta)
+    with eta the coordinates in the parallel frame started at the
+    deterministic frame of q1, and the number of steps in each grid interval
+    (substeps of at most JACOBI_STEP, at least two).
 
-    M(t) eta is the parallel-frame form of R(gamma' ^ eta) gamma'.  It is
-    linear in eta, so M is built at every stage time of every step in one
-    pass of broadcast geometry, and an RK4 step is one matrix:
-    I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = L(t), K2 = L(t + h/2)(I + h/2 K1),
-    K3 = L(t + h/2)(I + h/2 K2), K4 = L(t + h)(I + h K3) for the generator L
-    of the first-order system."""
-    n = len(fr)
+    With N_l(t) = R(gamma' ^ E_l) in the parallel frame (E_l), M(t) eta is
+    the parallel-frame form of R(gamma' ^ eta) gamma', with columns N_l v for
+    the constant parallel-frame velocity v, and N(t) eta = sum_l eta_l N_l
+    in so(n) coordinates.  Both are linear in eta, so N is built at every
+    stage time of every step in one pass of broadcast geometry, and an RK4
+    step is one matrix: I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = L(t),
+    K2 = L(t + h/2)(I + h/2 K1), K3 = L(t + h/2)(I + h/2 K2),
+    K4 = L(t + h)(I + h K3) for the generator L of the first-order system."""
+    mh, n = q1.pair.space_hat, q1.pair.dim
+    v_c = q1.isometry @ q1.coords(X)
+    x, v = q1.x_hat, q1.from_coords_hat(v_c)
     spans = np.diff(t_grid)
     counts = np.maximum(2, np.ceil(spans / JACOBI_STEP).astype(int))
     h = np.repeat(spans / counts, counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     start = np.repeat(t_grid[:-1], counts) + (np.arange(len(h)) - first) * h
     ts = (start[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])).ravel()
-    xt, vt = mh.geodesic_flow(x, v, ts)
-    frt = mh.transport_along_geodesic(x, v, ts[:, None], fr)
+    xt = mh.geodesic_flow(x, v, ts)[0]
+    frt = mh.transport_along_geodesic(x, v, ts[:, None], q1.frame_hat)
     det = mh.frames(xt)
-    # a: the velocity in the deterministic frame; t_mat[k, l] = <det_k, frt_l>
-    a = mh.inner_at(xt[:, None], vt[:, None], det)
+    # t_mat[k, l] = <det_k, frt_l> takes parallel-frame coordinates to
+    # deterministic ones, and t_mat v_c is the velocity in the deterministic frame
     t_mat = mh.inner_at(xt[:, None, None], det[:, :, None], frt[:, None])
-    r_cols = mh.curvature_matrix_apply(xt[:, None], wedge_matrix(a[:, None], np.eye(n)))
-    r_mat = np.swapaxes((r_cols @ a[:, None, :, None])[..., 0], 1, 2)
-    gen = np.zeros((len(ts), 2 * n, 2 * n))
-    gen[:, :n, n:] = np.eye(n)
-    gen[:, n:, :n] = np.swapaxes(t_mat, 1, 2) @ r_mat @ t_mat
-    l1, l2, l3 = np.moveaxis(gen.reshape(len(h), 3, 2 * n, 2 * n), 1, 0)
-    eye, h = np.eye(2 * n), h[:, None, None]
+    planes = wedge_matrix((t_mat @ v_c)[:, None], t_mat.mT)
+    curv = t_mat.mT[:, None] @ mh.curvature_matrix_apply(xt[:, None], planes) @ t_mat[:, None]
+    size = 2 * n + so_dim(n)
+    gen = np.zeros((len(ts), size, size))
+    gen[:, :n, n : 2 * n] = np.eye(n)
+    gen[:, n : 2 * n, :n] = (curv @ v_c).mT
+    gen[:, 2 * n :, :n] = skew_to_vector(curv).mT
+    l1, l2, l3 = np.moveaxis(gen.reshape(len(h), 3, size, size), 1, 0)
+    eye, h = np.eye(size), h[:, None, None]
     k2 = l2 @ (eye + h / 2 * l1)
     k3 = l2 @ (eye + h / 2 * k2)
     k4 = l3 @ (eye + h * k3)
@@ -384,13 +377,12 @@ def _jacobi_steps(mh, x, v, fr, t_grid):
 
 def propagate_chain(q0: RollingState, segments, Z_hat_0, U_bar_0):
     """Propagate along a broken-geodesic chain; each segment is (X, length),
-    on a grid of CHAIN_SAMPLES intervals.  Returns the final state and data."""
+    one RK4 flow of (eta, eta', I) over [0, length] (see propagate_sym0).
+    Returns the final state and data."""
     q = q0
     z, u = np.asarray(Z_hat_0, float), np.asarray(U_bar_0, float)
     for X, length in segments:
-        grid = np.linspace(0.0, length, CHAIN_SAMPLES + 1)
-        res = propagate_sym0(q, X, z, u, grid)
-        q, z, u = res.final()
+        q, z, u = propagate_sym0(q, X, z, u, [0.0, length]).final()
     return q, z, u
 
 

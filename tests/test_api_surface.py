@@ -6,7 +6,11 @@ strings.  A function that only a test calls belongs in that test.
 Every parameter with a default is passed by some call in the package, the
 demos or the benchmark: a default that no caller outside the tests overrides
 is a constant, and belongs in the code as one; a test that needs another
-value builds it itself."""
+value builds it itself.
+
+Every module-level UPPER_CASE constant of the package is read somewhere
+other than its own assignment: in the package, a demo or the benchmark
+outside its tests.  A constant that nothing reads is left over."""
 
 import ast
 from pathlib import Path
@@ -119,3 +123,40 @@ def test_every_optional_parameter_is_passed_by_some_caller():
     unset = sorted(f"{where}({param})" for where, called, param, index in options
                    if not any(_passes(c, index, param) for c in calls.get(called, [])))
     assert not unset, unset
+
+
+def _module_constants():
+    """(name, module file) of every module-level UPPER_CASE assignment."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.isupper():
+                        out.append((name.id, path.name))
+    return out
+
+
+def _names_read():
+    """Names and attribute names that the package, the demos and the
+    benchmark outside its tests read (assignment targets are not reads)."""
+    read = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted(p for p in (ROOT / folder).rglob("*.py")
+                           if not p.name.startswith("test_")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    constants = _module_constants()
+    assert len(constants) > 10  # the scan found the package
+    read = _names_read()
+    unread = sorted(f"{module}: {name}" for name, module in constants if name not in read)
+    assert not unread, unread

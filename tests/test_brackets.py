@@ -560,8 +560,10 @@ def test_double_bracket_zero_mismatch():
 def test_double_bracket_requires_constant_curvature():
     from rollsym import WarpFunction, Warped
 
-    warped = Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0))
-    pair = RollingPair(warped, Euclidean(2))
+    # fiber planes carry (1 - sinh^2) / cosh^2 and radial planes -1; over a
+    # circle fiber the same warp would be the hyperbolic plane
+    warped = Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(2, 1.0))
+    pair = RollingPair(warped, Euclidean(3))
     q = pair.random_state(RNG)
     with pytest.raises(GeometryError):
         double_bracket_identity_residual(q, q.frame[0], q.frame[1], q.frame[0])

@@ -311,6 +311,40 @@ def test_growth_matched_curvatures_notes_kappa_zero(tmp_path):
     assert data["flag"]["ranks"] == [2, 2, 2]
 
 
+def _sphere(dim, radius=1.0):
+    return {"kind": "sphere", "dim": dim, "radius": radius}
+
+
+def _warped(name, fiber):
+    return {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": name}, "fiber": fiber}
+
+
+@pytest.mark.parametrize("pair, kappa", [
+    ([_sphere(2), _warped("cos", _sphere(1))], 0.0),
+    ([_warped("cos", _sphere(1)), _sphere(2)], 0.0),
+    ([_sphere(3), _warped("cos", _sphere(2))], 0.0),
+    ([{"kind": "hyperbolic", "dim": 3, "radius": 1.0},
+      _warped("exp", {"kind": "euclidean", "dim": 2})], 0.0),
+    # fiber planes of cos S2(2) carry (1/4 - sin^2) / cos^2, not 1
+    ([_sphere(3), _warped("cos", _sphere(2, 2.0))], None),
+], ids=["S2(1)/cos S1(1)", "cos S1(1)/S2(1)", "S3(1)/cos S2(1)", "H3(1)/exp R2",
+        "S3(1)/cos S2(2)"])
+def test_growth_reads_the_curvature_of_a_warped_space_form(tmp_path, pair, kappa):
+    # a warped product of constant curvature is a space form: equal
+    # curvatures give kappa = 0 and the degenerate flag, which is correct
+    cfg = write_config(tmp_path, {"manifold_pair": pair, "seed": 1})
+    out = tmp_path / "growth.json"
+    code = main(["--config", cfg, "growth", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert data["kappa"] == kappa
+    if kappa is not None:
+        assert code == 0
+        assert data["note"] == "kappa=0"
+        assert not data["rank_cut_ambiguous"]
+    else:
+        assert "note" not in data
+
+
 def test_growth_rank_gap_ambiguity_exit(tmp_path):
     nearly_equal = {
         "manifold_pair": [

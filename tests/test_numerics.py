@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rollsym import GeometryError
-from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.linalg import expm
 
-from rollsym.numerics import (central_diff, cumulative_simpson, expm1_stack, numerical_rank,
-                              running_products, stencil_offsets)
+from rollsym.numerics import (central_diff, expm1_stack, numerical_rank, running_products,
+                              stencil_offsets)
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -163,17 +162,3 @@ def test_running_products_match_the_sequential_product(count):
         prod = prod @ (np.eye(3) + d[i])
         assert np.allclose(np.eye(3) + out[i], prod, rtol=0, atol=1e-13)
 
-
-# -- cumulative Simpson quadrature ----------------------------------------------------
-
-
-@pytest.mark.parametrize("count", [2, 3, 50])
-@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
-def test_cumulative_simpson_matches_scipy(count, even):
-    rng = np.random.default_rng(count)
-    x = np.linspace(0.0, 1.3, count) if even else np.cumsum(rng.uniform(0.1, 1.0, count))
-    y = rng.standard_normal((count, 4, 3, 3))  # a stack of matrices at each time
-    ref = scipy_cumulative_simpson(y, x=x, axis=0, initial=0.0)
-    got = cumulative_simpson(y, x)
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -529,7 +529,8 @@ def test_propagation_matches_killing_construction():
 
 
 def test_propagation_grid_refinement_stability():
-    # halving the quadrature grid moves the endpoint data only at the
+    # the grid only sets the output times: halving it changes the RK4
+    # substeps slightly, which moves the endpoint data only at the
     # integrator's order, far below the acceptance tolerance
     pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
     rng = np.random.default_rng(19)
@@ -543,6 +544,57 @@ def test_propagation_grid_refinement_stability():
                           np.linspace(0.0, 1.0, 97))
     assert np.abs(coarse.final()[1] - fine.final()[1]).max() < 1e-8
     assert np.abs(coarse.final()[2] - fine.final()[2]).max() < 1e-8
+
+
+def propagation_factors(n):
+    return st.one_of(st.builds(Sphere, st.just(n), st.floats(1.0, 3.0)),
+                     st.builds(Hyperbolic, st.just(n), st.floats(1.0, 2.0)), st.just(Euclidean(n)))
+
+
+PROPAGATION_PAIRS = st.integers(2, 3).flatmap(
+    lambda n: st.builds(RollingPair, propagation_factors(n), propagation_factors(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PROPAGATION_PAIRS, st.data(), st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_propagation_lands_on_the_killing_construction(pair, data, lengths, seed):
+    # the data of a Killing-induced candidate at one state, propagated along
+    # a broken geodesic, is the candidate's data at the end state
+    rng = np.random.default_rng(seed)
+    catalog = killing_catalog(pair.space_hat)
+    cand = killing_to_symmetry(pair, catalog[data.draw(st.integers(0, len(catalog) - 1))])
+    q = pair.random_state(rng)
+    z, u = cand.Z_hat(q)[0], cand.U_bar(q)[0]
+    for length in lengths:
+        q, z, u = propagate_chain(q, [(pair.space.random_tangent(rng, q.x, unit=True), length)],
+                                  z, u)
+    z_ref, u_ref = cand.Z_hat(q)[0], cand.U_bar(q)[0]
+    scale = max(1.0, float(np.abs(z_ref).max()), float(np.abs(u_ref).max()))
+    assert max(np.abs(z - z_ref).max(), np.abs(u - u_ref).max()) <= 1e-11 * scale
+
+
+def test_propagation_one_point_grid_returns_the_start():
+    pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
+    q1 = pair.random_state(RNG)
+    cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[1])
+    z0, u0 = cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
+    res = propagate_sym0(q1, pair.space.random_tangent(RNG, q1.x, unit=True), z0, u0, [0.0])
+    assert len(res.states) == len(res.Z_hat) == len(res.U_bar) == 1
+    assert np.abs(res.Z_hat[0] - z0).max() < 1e-14
+    assert np.abs(res.U_bar[0] - u0).max() < 1e-14
+
+
+def test_propagation_without_motion_keeps_the_data():
+    pair = RollingPair(Sphere(3, 2.0), Hyperbolic(3, 1.0))
+    q1 = pair.random_state(RNG)
+    cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[2])
+    z0, u0 = cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
+    res = propagate_sym0(q1, np.zeros(4), z0, u0, np.linspace(0.0, 0.7, 8))
+    scale = max(1.0, float(np.abs(z0).max()), float(np.abs(u0).max()))
+    for z, u in zip(res.Z_hat, res.U_bar):
+        assert np.abs(z - z0).max() <= 1e-13 * scale
+        assert np.abs(u - u0).max() <= 1e-13 * scale
 
 
 def test_propagation_grid_validation():
