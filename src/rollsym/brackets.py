@@ -31,41 +31,48 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import skew_part, wedge_matrix
+from .curvature import curvature_term, skew_part, wedge_matrix
 from .numerics import numerical_rank
 from .spaces import GeometryError, Warped
 from .rolling import (
-    Chart,
     RollingState,
     TangentOfQ,
+    chart_differential,
     directional_derivative,
     q_dim,
     rolling_lift,
     _stencil,
+    _stencil_times,
 )
 
 FIELD_FD_ORDER = 4
 NESTED_FD_STEP = 1e-2
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
+CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
 
 
 def curvature_mismatch(pair) -> float:
-    """kappa = K - K_hat for a constant-curvature pair."""
-    return _constant_curvature(pair.space) - _constant_curvature(pair.space_hat)
+    """kappa = K - K_hat for a constant-curvature pair, exactly 0.0 when the
+    two agree to round-off."""
+    k, k_hat = _constant_curvature(pair.space), _constant_curvature(pair.space_hat)
+    return 0.0 if _within_roundoff(k - k_hat, k, k_hat) else k - k_hat
+
+
+def _within_roundoff(diff, *terms):
+    return abs(diff) <= CURVATURE_ROUNDOFF * max(abs(t) for t in terms)
 
 
 def _constant_curvature(m) -> float:
     """The curvature of a factor of constant curvature: a catalog space form,
-    or a warped product whose fiber planes carry the radial curvature k_ref.
-    They do when the fiber is a curve, or when its curvature equals
-    f'^2 + k_ref f^2, which is constant along every warp of the catalog."""
+    or a warped product whose fiber planes carry the radial curvature k_ref,
+    as they do when the fiber is a curve.  Fiber-plane curvature
+    (K_fiber - f'^2) / f^2 is constant along every warp of the catalog
+    (f'' = -k_ref f keeps f'^2 + k_ref f^2 fixed), so one s tells."""
     if isinstance(m, Warped):
-        w = m.warp
-        fiber_curvature = {"cos": w.omega**2 * (w.a**2 + w.b**2),
-                           "cosh": w.omega**2 * (w.b**2 - w.a**2),
-                           "exp": 0.0, "affine": w.b**2}[w.name]
-        if m.fiber.dim == 1 or m.fiber.curvature_constant == fiber_curvature:
-            return w.k_ref
+        s, k = sum(m.interval) / 2, m.warp.k_ref
+        fiber_term = m.fiber.curvature_constant / m.warp.value(s) ** 2
+        if m.fiber.dim == 1 or _within_roundoff(m.fiber_plane_curvature(s) - k, k, fiber_term):
+            return k
     elif hasattr(m, "curvature_constant"):
         return m.curvature_constant
     raise GeometryError("curvature mismatch needs constant-curvature factors")
@@ -126,18 +133,15 @@ def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState
     d_y = yf.derivative(q, xi_x)  # axes (i, j)
     d_x = xf.derivative(q, xi_y)  # axes (j, i)
 
-    pair = q.pair
-    a_mat = q.isometry
     wedge = wedge_matrix(q.coords(xi_x.X)[:, None], q.coords(xi_y.X))
     wedge_hat = wedge_matrix(q.coords_hat(xi_x.X_hat)[:, None], q.coords_hat(xi_y.X_hat))
-    r = pair.space.curvature_matrix_apply(q.x, wedge)
-    r_hat = pair.space_hat.curvature_matrix_apply(q.x_hat, wedge_hat)
 
     def table(dy, dx):
         return (dy - np.swapaxes(dx, 0, 1)).reshape((-1,) + dy.shape[2:])
 
-    nu_mat = table(d_y.U, d_x.U) + (a_mat @ r - r_hat @ a_mat).reshape((-1,) + a_mat.shape)
-    c = skew_part(a_mat.T @ nu_mat)
+    curv = curvature_term(q, wedge, wedge_hat)
+    nu_mat = table(d_y.U, d_x.U) + curv.reshape((-1,) + curv.shape[2:])
+    c = skew_part(q.isometry.T @ nu_mat)
     return TangentOfQ(q, table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c)
 
 
@@ -159,13 +163,12 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> Tan
     canonical chart at q and take the coordinate brackets by fourth-order
     central differences of the chart components.  It returns the same
     (i, j) table as bracket_structured; the chart differentials, which cost
-    the most, serve every field of both stacks, and one Chart.differential
+    the most, serve every field of both stacks, and one chart_differential
     call builds all of them."""
-    chart = Chart(q)
-    dim, h = chart.dim, ORACLE_STEP
-    # chart coordinates t h e_j, by coordinate j, then time t
-    thetas = (np.array([2.0, 1.0, -1.0, -2.0])[:, None] * (h * np.eye(dim))[:, None])
-    d_mats, states = chart.differential(thetas.reshape(-1, dim))
+    dim, h = q_dim(q.pair.dim), ORACLE_STEP
+    # chart coordinates t e_j, by coordinate j, then time t
+    thetas = np.eye(dim)[:, None] * np.array(_stencil_times(h))[:, None]
+    d_mats, states = chart_differential(q, thetas.reshape(-1, dim))
     rhs = np.array([np.concatenate((xf.value(s).coords(), yf.value(s).coords()))
                     for s in states])
     components = np.linalg.solve(d_mats, rhs.mT).mT.reshape(dim, 4, -1, dim)
@@ -175,7 +178,7 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> Tan
     kx = len(x0)
     out = np.zeros((kx, len(y0), dim))
     for j in range(dim):
-        d = _stencil(components[j], h, 4)
+        d = _stencil(components[j], h)
         out += x0[:, None, j, None] * d[None, kx:] - y0[None, :, j, None] * d[:kx, None]
     return TangentOfQ.from_coords(q, out.reshape(-1, dim))
 

@@ -64,7 +64,7 @@ def skew_part(mat):
 
 def check_skew(mat, tol=SKEW_TOL, what="matrix"):
     res = np.abs(mat + np.swapaxes(mat, -1, -2)).max()
-    if res > tol:
+    if not res <= tol:  # NaN fails too
         raise GeometryError(f"{what} is not skew-symmetric (residual {res:.3e})")
     return mat
 
@@ -82,34 +82,32 @@ def wedge_matrix(a, b):
 # deterministic-frame matrix representations.
 
 
-def rolling_curvature(q, xi):
-    """Matrix (in the deterministic frames) of the map T_x M -> T_xhat Mhat
-    given by A R(xi) - R_hat(A xi) A for a bivector xi at x, given as a
-    skew matrix."""
-    xi_mat = check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
+def curvature_term(q, plane, plane_hat):
+    """A R(plane) - R_hat(plane_hat) A at q, for stacks (..., n, n) of skew
+    matrices in the deterministic frames at x and x_hat: the one place that
+    forms this term.  The rolling curvature takes plane_hat = A plane A^T;
+    the bracket and symmetry equations pass their own pair of planes."""
     A = q.isometry
-    r = q.pair.space.curvature_matrix_apply(q.x, xi_mat)
-    r_hat = q.pair.space_hat.curvature_matrix_apply(q.x_hat, A @ xi_mat @ A.T)
+    r = q.pair.space.curvature_matrix_apply(q.x, plane)
+    r_hat = q.pair.space_hat.curvature_matrix_apply(q.x_hat, plane_hat)
     return A @ r - r_hat @ A
 
 
-def _bivector_operator(n, apply):
-    """Matrix, in the lexicographic basis of bivectors, of a map taking
-    skew n x n matrices to skew matrices."""
-    basis = vector_to_skew(np.eye(so_dim(n)), n)
-    return skew_to_vector(np.array([apply(e) for e in basis])).T
+def rolling_curvature(q, xi):
+    """Matrix (in the deterministic frames) of the map T_x M -> T_xhat Mhat
+    given by A R(xi) - R_hat(A xi) A for a bivector xi at x, given as a
+    skew matrix, or for a stack of them."""
+    xi_mat = check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
+    A = q.isometry
+    return curvature_term(q, xi_mat, A @ xi_mat @ A.T)
 
 
 def rolling_curvature_operator(q):
-    """Matrix of the so-valued rolling curvature xi -> R(xi) - A^{-1}
-    R_hat(A xi) A on Lambda^2, in the lexicographic basis; size n(n-1)/2."""
-    m, mh, A = q.pair.space, q.pair.space_hat, q.isometry
-
-    def so_form(xi):
-        return m.curvature_matrix_apply(q.x, xi) - A.T @ mh.curvature_matrix_apply(
-            q.x_hat, A @ xi @ A.T) @ A
-
-    return _bivector_operator(q.pair.dim, so_form)
+    """Matrix of the so-valued rolling curvature xi -> A^{-1} Rol_q(xi) on
+    Lambda^2, in the lexicographic basis; size n(n-1)/2."""
+    n = q.pair.dim
+    basis = vector_to_skew(np.eye(so_dim(n)), n)
+    return skew_to_vector(q.isometry.T @ rolling_curvature(q, basis)).T
 
 
 # operators whose largest singular value sits at or below this count as zero

@@ -40,9 +40,7 @@ from .spaces import (
 ISOMETRY_TOL = 1e-9
 FD_STEP = 1e-4
 FD_STEP_FIBER = 1e-5
-# the chart differential of the FD bracket oracle: its own step and order
-CHART_STEP = 1e-5
-CHART_ORDER = 4
+CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
 
 
 class RollingPair:
@@ -310,28 +308,26 @@ def _nearest_rotation(a):
     return u @ vt
 
 
-def _stencil(samples, dt, order):
-    """The FD bracket oracle's own stencil, kept apart from numerics.central_diff,
-    over samples at the times _stencil_times(dt, order)."""
-    if order == 4:
-        return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
-    return (samples[0] - samples[1]) / (2 * dt)
+def _stencil(samples, dt):
+    """The FD bracket oracle's own fourth-order stencil, kept apart from
+    numerics.central_diff, over samples at the times _stencil_times(dt)."""
+    return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
 
 
-def _stencil_times(dt, order):
-    return (2 * dt, dt, -dt, -2 * dt) if order == 4 else (dt, -dt)
+def _stencil_times(dt):
+    return (2 * dt, dt, -dt, -2 * dt)
 
 
-def curve_velocity(qs, samples, dt, order=2):
+def curve_velocity(qs, samples, dt):
     """Rows (X, X_hat, C) of the velocities of state curves through qs, by
     symmetric differences of their states `samples` at the times
-    _stencil_times(dt, order); C subtracts the no-spin rate of the measured
-    base velocities, whose states come from one tangent_curve call."""
-    pair, ts = qs[0].pair, _stencil_times(dt, order)
+    _stencil_times(dt); C subtracts the no-spin rate of the measured base
+    velocities, whose states come from one tangent_curve call."""
+    pair, ts = qs[0].pair, _stencil_times(dt)
 
     def rate(attr, states):  # the stencil of an attribute along the times of each row
         values = np.array([[getattr(s, attr) for s in row] for row in states])
-        return _stencil(values.swapaxes(0, 1), dt, order)
+        return _stencil(values.swapaxes(0, 1), dt)
 
     X = pair.space.project(np.array([q.x for q in qs]), rate("x", samples))
     X_hat = pair.space_hat.project(np.array([q.x_hat for q in qs]), rate("x_hat", samples))
@@ -601,34 +597,25 @@ def vertical_derivative(func, qs, Cs, kinds):
 # -- the chart around a state ----------------------------------------------------
 
 
-class Chart:
-    """Local parametrization of the state space at a center state:
+def chart_differential(center: RollingState, thetas):
+    """Matrices of the differential of the canonical chart at center,
     (u, u_hat, omega) -> (exp_x(E u), exp_xhat(Ehat u_hat), transported
-    A expm(omega)), with E, Ehat the deterministic frames.  Its differential
-    at the origin is the identity in TangentOfQ coordinates."""
-
-    def __init__(self, center: RollingState):
-        self.center = center
-        self.n = center.pair.dim
-        self.dim = q_dim(self.n)
-
-    def differential(self, thetas):
-        """Matrices of the chart differential at a stack of chart coordinates
-        (m, dim), column by column in TangentOfQ coordinates of the state at
-        each, and those states, by stencils of CHART_ORDER with CHART_STEP.
-        The states and every column stencil's chart points come from one
-        tangent_curve call, and curve_velocity takes all columns at once."""
-        dim, ts = self.dim, _stencil_times(CHART_STEP, CHART_ORDER)
-        # per theta: theta itself, then theta + t e_k for each column k and time t
-        steps = np.concatenate((np.zeros((1, dim)),
-                                (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
-        xi = TangentOfQ.from_coords(self.center, (thetas[:, None] + steps).reshape(-1, dim))
-        states = tangent_curve([self.center] * len(xi.X), xi.X, xi.X_hat, xi.C, 1.0)
-        centers = states[:: len(steps)]
-        samples = [states[i : i + len(ts)] for c in range(len(thetas))
-                   for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
-        X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples,
-                                     CHART_STEP, CHART_ORDER)
-        mats = [TangentOfQ(q, X[k : k + dim], X_hat[k : k + dim], C[k : k + dim]).coords().T
-                for q, k in zip(centers, range(0, len(X), dim))]
-        return np.array(mats), centers
+    A expm(omega)) with E, Ehat the deterministic frames, at a stack of chart
+    coordinates (m, dim), column by column in TangentOfQ coordinates of the
+    state at each, and those states, by stencils of step CHART_STEP.  At the
+    origin the differential is the identity.  The states and every column
+    stencil's chart points come from one tangent_curve call, and
+    curve_velocity takes all columns at once."""
+    dim, ts = q_dim(center.pair.dim), _stencil_times(CHART_STEP)
+    # per theta: theta itself, then theta + t e_k for each column k and time t
+    steps = np.concatenate((np.zeros((1, dim)),
+                            (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
+    xi = TangentOfQ.from_coords(center, (thetas[:, None] + steps).reshape(-1, dim))
+    states = tangent_curve([center] * len(xi.X), xi.X, xi.X_hat, xi.C, 1.0)
+    centers = states[:: len(steps)]
+    samples = [states[i : i + len(ts)] for c in range(len(thetas))
+               for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
+    X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples, CHART_STEP)
+    mats = [TangentOfQ(q, X[k : k + dim], X_hat[k : k + dim], C[k : k + dim]).coords().T
+            for q, k in zip(centers, range(0, len(X), dim))]
+    return np.array(mats), centers

@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import skew_part, skew_to_vector, so_dim, so_pairs, vector_to_skew, wedge_matrix
+from .curvature import (check_skew, curvature_term, rolling_curvature, skew_part, skew_to_vector,
+                        so_dim, so_pairs, vector_to_skew, wedge_matrix)
 from .numerics import numerical_rank
 from .rolling import (
     RollingPair,
@@ -43,7 +44,6 @@ from .rolling import (
     tangent_curve,
     vertical_derivative,
 )
-from .curvature import rolling_curvature
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
 U_BAR_SKEW_TOL = 1e-10  # largest skewness residual of A^{-1} U_bar that validate accepts
@@ -167,10 +167,7 @@ class SymmetryCandidate:
         in so(n) for every candidate: raises when the largest skewness
         residual exceeds U_BAR_SKEW_TOL."""
         u_bar = self.U_bar(q)
-        pulled = q.isometry.T @ u_bar
-        skew_res = float(np.abs(pulled + pulled.mT).max())
-        if not skew_res <= U_BAR_SKEW_TOL:
-            raise GeometryError(f"A^-1 U_bar is not skew (residual {skew_res:.3e})")
+        check_skew(q.isometry.T @ u_bar, tol=U_BAR_SKEW_TOL, what="A^-1 U_bar")
         return u_bar
 
 
@@ -232,18 +229,13 @@ def symmetry_residual(cand: SymmetryCandidate, qs, Xs):
 
 def _residuals_at(cand, q, X, d_zhat, d_u, d_z):
     """symmetry_residual at one sample, from the rolling derivatives there."""
-    pair = q.pair
     u_bar = cand.validate(q)
     u_x = q.from_coords_hat(u_bar @ q.coords(X))
     r1 = _norm_hat(q, u_x + q.apply(d_z) - d_zhat)
 
-    a = q.isometry
-    r_term = a @ pair.space.curvature_matrix_apply(
-        q.x, wedge_matrix(q.coords(X), q.coords(cand.Z(q))))
-    rh_term = pair.space_hat.curvature_matrix_apply(
-        q.x_hat, wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(cand.Z_hat(q)))
-    ) @ a
-    r2 = np.linalg.norm(d_u + r_term - rh_term, axis=(-2, -1))
+    curv = curvature_term(q, wedge_matrix(q.coords(X), q.coords(cand.Z(q))),
+                          wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(cand.Z_hat(q))))
+    r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
     return r1, r2
 
 
@@ -252,8 +244,8 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
     max_i || Rol_q(E_i ^ Z) ||.  Zero certifies the inner-symmetry
     hypothesis at q."""
     zc = q.coords(Z(q) if callable(Z) else np.asarray(Z, float))
-    return max(float(np.linalg.norm(rolling_curvature(q, wedge_matrix(e, zc))))
-               for e in np.eye(q.pair.dim))
+    planes = wedge_matrix(np.eye(q.pair.dim), zc)
+    return float(np.linalg.norm(rolling_curvature(q, planes), axis=(-2, -1)).max())
 
 
 def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys):

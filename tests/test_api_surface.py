@@ -6,7 +6,8 @@ strings.  A function that only a test calls belongs in that test.
 Every parameter with a default is passed by some call in the package, the
 demos or the benchmark: a default that no caller outside the tests overrides
 is a constant, and belongs in the code as one; a test that needs another
-value builds it itself.
+value builds it itself.  Nor does every such caller pass it one and the
+same constant: that too is a constant with a second name.
 
 Every module-level UPPER_CASE constant of the package is read somewhere
 other than its own assignment: in the package, a demo or the benchmark
@@ -123,6 +124,44 @@ def test_every_optional_parameter_is_passed_by_some_caller():
     unset = sorted(f"{where}({param})" for where, called, param, index in options
                    if not any(_passes(c, index, param) for c in calls.get(called, [])))
     assert not unset, unset
+
+
+def _passed_value(call, index, name):
+    """The expression a call passes for the parameter `name`, positional
+    slot `index`; None when it leaves it at its default or passes it
+    through *args or **kwargs."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return None
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if index is not None and len(call.args) > index:
+        return call.args[index]
+    return None
+
+
+def _constant_expression(node):
+    """A literal, signed or not, or an UPPER_CASE name, as text; None for
+    anything else."""
+    if isinstance(node.operand if isinstance(node, ast.UnaryOp) else node, ast.Constant):
+        return ast.dump(node)
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name is not None and name.isupper() else None
+
+
+def test_no_optional_parameter_is_always_passed_the_same_constant():
+    # a default that every caller outside the tests overrides, always with
+    # the same literal or UPPER_CASE name, is that constant under two names
+    calls = _calls_by_name()
+    fixed = []
+    for where, called, param, index in _optional_parameters():
+        passed = [_passed_value(c, index, param) for c in calls.get(called, [])]
+        if not passed or any(v is None for v in passed):
+            continue
+        constants = {_constant_expression(v) for v in passed}
+        if len(constants) == 1 and None not in constants:
+            fixed.append(f"{where}({param}={constants.pop()})")
+    assert not fixed, fixed
 
 
 def _module_constants():

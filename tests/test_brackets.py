@@ -569,6 +569,65 @@ def test_double_bracket_requires_constant_curvature():
         double_bracket_identity_residual(q, q.frame[0], q.frame[1], q.frame[0])
 
 
+def table_constant_curvature(m):
+    """The warped space-form rule as the per-family table of f'^2 + k_ref f^2
+    it was first written as, compared exactly: k_ref where the fiber planes
+    carry it, None elsewhere.  Kept as the reference of the fiber-plane rule."""
+    w = m.warp
+    fiber_curvature = {"cos": w.omega**2 * (w.a**2 + w.b**2),
+                       "cosh": w.omega**2 * (w.b**2 - w.a**2),
+                       "exp": 0.0, "affine": w.b**2}[w.name]
+    return w.k_ref if m.fiber.dim == 1 or m.fiber.curvature_constant == fiber_curvature else None
+
+
+def mismatch_or_none(pair):
+    try:
+        return curvature_mismatch(pair)
+    except GeometryError:
+        return None
+
+
+# dyadic radii, warp coefficients and frequencies keep every entry of the
+# table exact, so the table's exact comparison is the true answer there
+DYADIC = st.sampled_from([0.5, 1.0, 2.0])
+
+
+def exact_factors(n):
+    fibers = (st.builds(Sphere, st.just(1), DYADIC) if n == 2 else
+              st.one_of(st.builds(Sphere, st.just(2), DYADIC),
+                        st.builds(Hyperbolic, st.just(2), DYADIC), st.just(Euclidean(2))))
+    warped = st.builds(lambda name, a, b, omega, fiber: Warped(
+        (-0.3, 0.2), WarpFunction(name, a, b, omega), fiber),
+        st.sampled_from(["cos", "cosh", "exp", "affine"]), st.sampled_from([1.0, 2.0]),
+        st.sampled_from([0.0, 0.5, 1.0]), DYADIC, fibers)
+    return st.one_of(st.builds(Sphere, st.just(n), DYADIC), st.builds(Hyperbolic, st.just(n), DYADIC),
+                     st.just(Euclidean(n)), warped, warped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.builds(RollingPair, exact_factors(n),
+                                                     exact_factors(n))))
+def test_warped_space_form_rule_agrees_with_the_family_table(pair):
+    # kappa from the fiber-plane curvature against kappa from the table,
+    # with warped first and second factors
+    ks = [table_constant_curvature(m) if isinstance(m, Warped) else m.curvature_constant
+          for m in (pair.space, pair.space_hat)]
+    assert mismatch_or_none(pair) == (None if None in ks else ks[0] - ks[1])
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7])
+@pytest.mark.parametrize("name, form", [("cos", Sphere), ("cosh", Hyperbolic)])
+def test_warped_space_forms_with_an_inexact_frequency_match_their_space_form(name, form, r):
+    # omega = 1/r squares to 1/r^2 only to round-off: the exact table missed
+    # cos over S2(r), and kappa came out null instead of 0
+    warped = Warped((-1.2 * r, 1.2 * r), WarpFunction(name, omega=1.0 / r), form(2, r))
+    assert table_constant_curvature(warped) is None
+    assert curvature_mismatch(RollingPair(form(3, r), warped)) == 0.0
+    assert curvature_mismatch(RollingPair(warped, form(3, r))) == 0.0
+    # a nearby radius is a different curvature
+    assert curvature_mismatch(RollingPair(form(3, r * (1 + 1e-9)), warped)) != 0.0
+
+
 def test_structured_field_vertical_data_is_skew_checked():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)

@@ -315,8 +315,14 @@ def _sphere(dim, radius=1.0):
     return {"kind": "sphere", "dim": dim, "radius": radius}
 
 
-def _warped(name, fiber):
-    return {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": name}, "fiber": fiber}
+def _hyperbolic(dim, radius=1.0):
+    return {"kind": "hyperbolic", "dim": dim, "radius": radius}
+
+
+def _warped(name, fiber, r=1.0):
+    # omega = 1/r on [-1.2 r, 1.2 r]: a fiber of radius r can match the warp
+    return {"kind": "warped", "interval": [-1.2 * r, 1.2 * r],
+            "warp": {"name": name, "omega": 1.0 / r}, "fiber": fiber}
 
 
 @pytest.mark.parametrize("pair, kappa", [
@@ -327,8 +333,14 @@ def _warped(name, fiber):
       _warped("exp", {"kind": "euclidean", "dim": 2})], 0.0),
     # fiber planes of cos S2(2) carry (1/4 - sin^2) / cos^2, not 1
     ([_sphere(3), _warped("cos", _sphere(2, 2.0))], None),
+    # omega = 1/r squares to 1/r^2 only to round-off
+    ([_sphere(3, 0.3), _warped("cos", _sphere(2, 0.3), 0.3)], 0.0),
+    ([_sphere(3, 0.7), _warped("cos", _sphere(2, 0.7), 0.7)], 0.0),
+    ([_hyperbolic(3, 0.3), _warped("cosh", _hyperbolic(2, 0.3), 0.3)], 0.0),
+    ([_hyperbolic(3, 0.7), _warped("cosh", _hyperbolic(2, 0.7), 0.7)], 0.0),
 ], ids=["S2(1)/cos S1(1)", "cos S1(1)/S2(1)", "S3(1)/cos S2(1)", "H3(1)/exp R2",
-        "S3(1)/cos S2(2)"])
+        "S3(1)/cos S2(2)", "S3(0.3)/cos S2(0.3)", "S3(0.7)/cos S2(0.7)",
+        "H3(0.3)/cosh H2(0.3)", "H3(0.7)/cosh H2(0.7)"])
 def test_growth_reads_the_curvature_of_a_warped_space_form(tmp_path, pair, kappa):
     # a warped product of constant curvature is a space form: equal
     # curvatures give kappa = 0 and the degenerate flag, which is correct

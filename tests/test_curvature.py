@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
 from rollsym.curvature import (
+    check_skew,
     operator_invertible,
     rolling_curvature,
     rolling_curvature_operator,
     skew_to_vector,
+    so_dim,
     so_pairs,
     vector_to_skew,
     wedge_matrix,
 )
 from rollsym.rolling import RollingPair
+from rollsym.symmetry import inner_symmetry_residual
 
 RNG = np.random.default_rng(77)
 
@@ -55,6 +59,15 @@ def test_bivector_requires_skew():
     q = pair.state([0.0, 0.0, 1.0], [0.0, 0.0], np.eye(2))
     with pytest.raises(GeometryError):
         rolling_curvature(q, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_check_skew_rejects_nan():
+    # NaN > tol is false, so a residual test written that way let NaN through
+    nan = np.array([[0.0, np.nan], [-1.0, 0.0]])
+    with pytest.raises(GeometryError, match="nan"):
+        check_skew(nan)
+    with pytest.raises(GeometryError):
+        check_skew(np.full((2, 3, 3), np.nan), tol=1.0)
 
 
 def test_curvature_op_on_bivectors():
@@ -201,6 +214,64 @@ def test_invertibility_warped_against_flat():
     verdict3, _ = invertibility(q3)
     sv = np.linalg.svd(rolling_curvature_operator(q3), compute_uv=False)
     assert verdict3 and sv[-1] > 1e-8 * sv[0]
+
+
+def reference_operator(q):
+    """The operator as it was built one basis bivector at a time,
+    R(xi) - A^T R_hat(A xi A^T) A, kept as the stacked operator's reference."""
+    m, mh, A, n = q.pair.space, q.pair.space_hat, q.isometry, q.pair.dim
+    cols = [m.curvature_matrix_apply(q.x, e) - A.T @ mh.curvature_matrix_apply(
+        q.x_hat, A @ e @ A.T) @ A for e in vector_to_skew(np.eye(so_dim(n)), n)]
+    return skew_to_vector(np.array(cols)).T
+
+
+def warped_factors(n):
+    """Warped n-manifolds, one warp of each family with omega = 1/r on
+    [-1.2 r, 1.2 r], over a fiber of radius r: a circle (n = 2) or a
+    2-dimensional space form (n = 3), which matches the warp when it is a
+    sphere under cos or a hyperbolic plane under cosh."""
+
+    def build(name, r, form):
+        fiber = form(n - 1) if form is Euclidean else form(n - 1, r)
+        b = 0.5 / r if name == "affine" else 0.0
+        return Warped((-1.2 * r, 1.2 * r), WarpFunction(name, 1.0, b, 1.0 / r), fiber)
+
+    forms = st.just(Sphere) if n == 2 else st.sampled_from([Sphere, Hyperbolic, Euclidean])
+    return st.builds(build, st.sampled_from(["cos", "cosh", "exp", "affine"]),
+                     st.floats(0.3, 3.0), forms)
+
+
+def catalog_factors(n):
+    radius = st.floats(0.3, 3.0)
+    return st.one_of(st.builds(Sphere, st.just(n), radius), st.builds(Hyperbolic, st.just(n), radius),
+                     st.just(Euclidean(n)), warped_factors(n))
+
+
+CURVATURE_PAIRS = st.integers(2, 3).flatmap(
+    lambda n: st.builds(RollingPair, catalog_factors(n), catalog_factors(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(CURVATURE_PAIRS, st.integers(0, 2**32 - 1))
+def test_curvature_term_callers_match_their_references(pair, seed):
+    # the stacked operator against the per-basis loop, and the stacked inner
+    # residual against the per-plane maximum; round-off is relative to the
+    # largest curvature entry, since matched factors give an operator of
+    # round-off alone
+    rng = np.random.default_rng(seed)
+    q = pair.random_state(rng)
+    n, A = pair.dim, q.isometry
+    basis = vector_to_skew(np.eye(so_dim(n)), n)
+    scale = max(np.abs(pair.space.curvature_matrix_apply(q.x, basis)).max(),
+                np.abs(pair.space_hat.curvature_matrix_apply(q.x_hat, A @ basis @ A.T)).max())
+    assert np.abs(rolling_curvature_operator(q) - reference_operator(q)).max() <= 1e-14 * scale
+
+    z = pair.space.random_tangent(rng, q.x)
+    zc = q.coords(z)
+    per_plane = max(float(np.linalg.norm(rolling_curvature(q, wedge_matrix(e, zc))))
+                    for e in np.eye(n))
+    scale *= max(1.0, float(np.abs(zc).max()))
+    assert abs(inner_symmetry_residual(z, q) - per_plane) <= 1e-14 * scale
 
 
 def test_rolling_curvature_dimension_mismatch():
