@@ -28,19 +28,15 @@ import numpy as np
 
 from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
-from .spaces import (
-    DEFAULT_STEP,
-    ConstantCurvature,
-    GeometryError,
-    SpaceForm,
-    _rk4,
-    _substeps,
-)
+from .spaces import DEFAULT_STEP, ConstantCurvature, GeometryError, SpaceForm
 
 ISOMETRY_TOL = 1e-9
 FD_STEP = 1e-4
 FD_STEP_FIBER = 1e-5
 CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
+# a span that exceeds a whole number of steps by no more than this relative
+# amount is round-off (b - a of two grid times), not a reason for another substep
+SUBSTEP_SLACK = 1e-9
 
 
 class RollingPair:
@@ -479,6 +475,26 @@ def _magnus(gens, h):
     return h / 2 * (a + b) + MAGNUS_COMMUTATOR * h * h * (a @ b - b @ a)
 
 
+def _substeps(spans, step):
+    """Number of integration substeps of length at most `step` for each span;
+    a span within round-off of k steps takes k of them."""
+    return np.maximum(1, np.ceil(np.abs(spans) / step * (1 - SUBSTEP_SLACK))).astype(int)
+
+
+def _rk4(rhs, y, t0, t1, steps):
+    """Classical fixed-step RK4 from t0 to t1 on a state array."""
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return y
+
+
 def _roll_rk4(q0, path, times, step):
     """The same rows as _roll_magnus, by RK4 on the second factor's point and
     both parallel frames (for warped factors)."""
@@ -494,6 +510,8 @@ def _roll_rk4(q0, path, times, step):
         x = path.point(t)
         v = path.velocity(t)
         x_hat = y[:amb_hat]
+        if not isinstance(mh, ConstantCurvature):  # leaving the interval is a domain error
+            mh._check_s(x_hat[0])
         frame = y[amb_hat : amb_hat + n * amb].reshape(n, amb)
         frame_hat = y[amb_hat + n * amb :].reshape(n, amb_hat)
         v_hat = frame_hat.T @ (a_par @ m.inner_at(x, v, frame))

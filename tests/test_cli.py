@@ -224,6 +224,22 @@ def test_simulate_domain_exit_code(tmp_path):
     assert code == 3
 
 
+def test_a_warped_second_factor_that_rolls_out_of_its_interval_exits_3(tmp_path, capsys):
+    # the contact point on the warped factor leaves (-1.2, 1.2) during the
+    # roll: a domain error, not an off-manifold point in the trajectory
+    warped = {"kind": "warped", "dim": 2, "interval": [-1.2, 1.2], "warp": {"name": "cos"},
+              "fiber": {"kind": "euclidean", "dim": 1}}
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": "euclidean", "dim": 2}, warped],
+                                  "seed": 0})
+    code = main([
+        "--config", cfg, "simulate", "--seed", "0",
+        "--path-spec", json.dumps({"type": "geodesic", "direction": [0, 1], "length": 6}),
+        "--out", str(tmp_path / "t.csv"), "--format", "csv",
+    ])
+    assert code == 3
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     # the curvature of a warped product needs a fiber of constant curvature
     inner = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},

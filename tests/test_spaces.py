@@ -144,6 +144,32 @@ def rk4_transport(m, path, v0, step):
     return v
 
 
+def rk4_geodesic(m, x, v, t, *ws, step=1e-3):
+    """Independent reference for geodesics and transport: classical RK4 from
+    time 0 to t on the point, the velocity and the vectors ws carried along,
+    from m.transport_rhs alone (the velocity is transported by itself).
+    Returns them stacked on the second-to-last axis.  An array of times
+    broadcasts against the leading axes of the data, and every time is
+    reached in the step count of the longest."""
+
+    def rhs(y):
+        xc, vc = y[..., :1, :], y[..., 1:2, :]
+        return np.concatenate((vc, m.transport_rhs(xc, vc, y[..., 1:, :])), axis=-2)
+
+    y = np.stack(np.broadcast_arrays(x, v, *ws), axis=-2)
+    t = np.asarray(t, dtype=float)
+    y = np.broadcast_to(y, np.broadcast_shapes(t.shape, y.shape[:-2]) + y.shape[-2:])
+    steps = max(1, math.ceil(np.abs(t).max() / step))
+    h = t[..., None, None] / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + h / 2 * k1)
+        k3 = rhs(y + h / 2 * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
 def test_latitude_holonomy_matches_brute_force_and_closed_form():
     m = Sphere(2, 1.0)
     theta = math.acos(0.8)  # polar angle, expected rotation 2 pi (1 - 0.8)
@@ -275,6 +301,8 @@ def test_geodesic_warped_unit_speed_and_domain_error():
     radial = np.array([1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         m.geodesic_flow(np.array([0.0, 1.0, 0.0]), radial, 5.0)[0]
+    with pytest.raises(DomainError):
+        m.transport_along_geodesic(np.array([0.0, 1.0, 0.0]), radial, 5.0, radial)
 
 
 def test_geodesic_semigroup_property():
@@ -457,7 +485,7 @@ def test_geodesic_flow_and_transport_take_arrays_of_times(m):
     # an array of times broadcasts against the leading axes of the vectors
     # transported (here the frame rows); a warped product reaches every time
     # in the step count of the longest, so it agrees with one time at a time
-    # to the RK4 error
+    # to the error of its RK4 on Clairaut's (s, s', phi)
     rng = np.random.default_rng(5)
     x = m.random_point(rng)
     v = 0.3 * m.random_tangent(rng, x, unit=True)
@@ -473,15 +501,24 @@ def test_geodesic_flow_and_transport_take_arrays_of_times(m):
         assert np.abs(f - m.transport_along_geodesic(x, v, t, fr)).max() < 1e-11
 
 
-WARPED_GEODESICS = st.builds(
-    lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name, omega=0.8), fiber),
-    st.sampled_from(["cos", "cosh", "exp"]),
-    st.sampled_from([Sphere(1, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Euclidean(2)]))
+# every warp family, positive on the interval, over every kind of fiber; a
+# random point lies at least 0.36 inside the interval
+WARPED_FORMS = st.builds(
+    lambda name, fiber: Warped((-1.2, 1.2), WarpFunction(name, b=0.3, omega=0.8), fiber),
+    st.sampled_from(["cos", "cosh", "exp", "affine"]),
+    st.sampled_from([Sphere(1, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Euclidean(2),
+                     Euclidean(1)]))
+
+
+def _warped_slow(m, v, t_max):
+    """v, slowed on a warped product so that a geodesic of duration up to
+    t_max travels at most 0.3 and stays inside the interval."""
+    return v * min(1.0, 0.3 / t_max) if isinstance(m, Warped) else v
 
 
 @settings(max_examples=40, deadline=None)
-@given(WARPED_GEODESICS, st.integers(0, 2**32 - 1), st.floats(0.01, 0.35))
-def test_clairaut_sampler_conserves_its_integral_and_matches_the_geodesic_flow(m, seed, length):
+@given(WARPED_FORMS, st.integers(0, 2**32 - 1), st.floats(0.01, 0.35))
+def test_clairaut_sampler_conserves_its_integral_and_matches_the_rk4_reference(m, seed, length):
     # f(s)^2 |y'|_h and the speed are constant along the sampled geodesic,
     # which agrees with RK4 on the full geodesic equations
     rng = np.random.default_rng(seed)
@@ -495,11 +532,29 @@ def test_clairaut_sampler_conserves_its_integral_and_matches_the_geodesic_flow(m
     clairaut = m.warp.value(pts[:, 0]) ** 2 * np.sqrt(m.fiber.inner_at(y, ydot, ydot))
     assert np.abs(clairaut - clairaut[0]).max() <= 1e-12
     assert np.abs(m.inner_at(pts, vel, vel) - 1.0).max() <= 1e-10
-    xt, vt = x, v  # RK4 on the geodesic equations, from sample to sample
-    for dt, p, u in zip(np.diff(ts), pts[1:], vel[1:]):
-        xt, vt = m.geodesic_flow(xt, vt, dt)
-        assert np.abs(p - xt).max() <= 1e-10
-        assert np.abs(u - vt).max() <= 1e-10
+    reference = rk4_geodesic(m, x, v, ts)
+    assert np.abs(pts - reference[:, 0]).max() <= 1e-10
+    assert np.abs(vel - reference[:, 1]).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(WARPED_FORMS, st.integers(0, 2**32 - 1))
+def test_warped_flow_and_transport_match_the_rk4_reference(m, seed):
+    # stacked rows at times of both signs: two generic geodesics, a radial
+    # one (no fiber motion, Clairaut's c = 0) and one that stays put
+    rng = np.random.default_rng(seed)
+    xs = np.array([m.random_point(rng) for _ in range(4)])
+    vs = np.array([m.random_tangent(rng, x, unit=True) for x in xs])
+    vs[2, 1:], vs[3] = 0.0, 0.0
+    vs[2, 0] = rng.choice([-1.0, 1.0])
+    ts = rng.uniform(0.01, 0.35, 4) * np.array([-1.0, 1.0, *rng.choice([-1.0, 1.0], 2)])
+    ws = np.array([[m.random_tangent(rng, x) for _ in range(3)] for x in xs])
+    points, velocities = m.geodesic_flow(xs, vs, ts)
+    moved = m.transport_along_geodesic(xs[:, None], vs[:, None], ts[:, None], ws)
+    reference = rk4_geodesic(m, xs[:, None], vs[:, None], ts[:, None], ws)
+    assert _close(points, reference[:, 0, 0], 1e-10)
+    assert _close(velocities, reference[:, 0, 1], 1e-10)
+    assert _close(moved, reference[:, :, 2], 1e-10)
 
 
 def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):
@@ -591,11 +646,7 @@ def test_stacked_calls_equal_the_row_by_row_calls(m, seed):
     assert np.array_equal(m.inner_at(xs, us, vs), _row_by_row(m.inner_at, xs, us, vs))
     assert np.array_equal(m.project(xs, ws), _row_by_row(m.project, xs, ws))
     assert np.array_equal(m.transport_rhs(xs, us, vs), _row_by_row(m.transport_rhs, xs, us, vs))
-    # a frame moved along one geodesic at one time: the same arithmetic per row
     x, v, t = xs[0], vs[0], rng.uniform(-2.0, 2.0)
-    frame = m.frame(x)
-    assert np.array_equal(m.transport_along_geodesic(x, v, t, frame),
-                          [m.transport_along_geodesic(x, v, t, w) for w in frame])
     # one geodesic at an array of times, and a stack of geodesics at one time
     ts = rng.uniform(-2.0, 2.0, 7)
     for got, expected in zip(m.geodesic_flow(x, v, ts),
@@ -610,11 +661,25 @@ def test_stacked_calls_equal_the_row_by_row_calls(m, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(BROADCAST_FORMS, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+@given(st.one_of(BROADCAST_FORMS, WARPED_FORMS), st.integers(0, 2**32 - 1),
+       st.floats(-2.0, 2.0))
+def test_a_frame_transported_in_one_call_equals_its_rows_transported_one_by_one(m, seed, t):
+    # a frame moved along one geodesic at one time: the same arithmetic per row
+    rng = np.random.default_rng(seed)
+    x = m.random_point(rng)
+    v = _warped_slow(m, m.random_tangent(rng, x, unit=True), 2.0)
+    frame = m.frame(x)
+    assert np.array_equal(m.transport_along_geodesic(x, v, t, frame),
+                          [m.transport_along_geodesic(x, v, t, w) for w in frame])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(BROADCAST_FORMS, WARPED_FORMS), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0))
 def test_transport_along_a_geodesic_is_a_linear_isometry(m, seed, t):
     rng = np.random.default_rng(seed)
     x = m.random_point(rng)
-    v = m.random_tangent(rng, x, unit=True)
+    v = _warped_slow(m, m.random_tangent(rng, x, unit=True), 3.0)
     ws = np.array([m.random_tangent(rng, x) for _ in range(m.dim + 1)])
     a, b = rng.standard_normal(2)
     xt = m.geodesic_flow(x, v, t)[0]
@@ -622,7 +687,7 @@ def test_transport_along_a_geodesic_is_a_linear_isometry(m, seed, t):
     # on a hyperboloid the transport stretches ambient coordinates by up to
     # cosh(theta), theta = |t| sqrt(-K) at unit speed, and the Minkowski
     # products cancel that stretch: round-off scales with it
-    k = m.curvature_constant
+    k = getattr(m, "curvature_constant", 0.0)  # a warped geodesic stays near its start
     stretch = math.cosh(abs(t) * math.sqrt(-k)) if k < 0 else 1.0
     scale = stretch * max(1.0, np.abs(ws).max(), np.abs(x).max())
     before = m.inner_at(x, ws[:, None], ws)
