@@ -43,7 +43,7 @@ e -= pair2.space_hat.inner_at(q1.x_hat, e, v_hat) * v_hat
 e /= math.sqrt(pair2.space_hat.inner_at(q1.x_hat, e, e))
 u0 = np.outer(q1.coords_hat(e), q1.coords(X))
 u0 = q1.isometry @ (0.5 * (q1.isometry.T @ u0 - (q1.isometry.T @ u0).T))
-d0 = q1.from_coords_hat(u0 @ q1.coords(X))
+d0 = u0 @ q1.coords(X) @ q1.frame_hat
 u0 /= np.linalg.norm(d0)  # normalize so the initial covariant rate is a unit vector
 d0 /= np.linalg.norm(d0)
 

@@ -21,7 +21,7 @@ from .spaces import (
     Warped,
     from_spec,
 )
-from .rolling import RollingPair, RollingState, TangentOfQ, roll_along, rolling_lift
+from .rolling import RollingPair, RollingState, roll_along, rolling_lift
 
 __all__ = [
     "Euclidean",
@@ -38,7 +38,6 @@ __all__ = [
     "from_spec",
     "RollingPair",
     "RollingState",
-    "TangentOfQ",
     "roll_along",
     "rolling_lift",
 ]

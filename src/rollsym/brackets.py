@@ -2,8 +2,8 @@
 vector of the rolling distribution.
 
 A structured field is a stack of k fields given by two closures: its value
-assigns to every state k tangent vectors in the (X, X_hat, C) decomposition,
-stacked along a leading axis, and its derivative gives the covariant
+assigns to every state k tangent rows (the (X, X_hat, C) decomposition in
+frame coordinates, see rolling), and its derivative gives the covariant
 derivatives of their data along a stack of directions.  The bracket of two
 such fields has a closed combinatorial form: derivative terms of each field
 along the other, plus a vertical curvature term
@@ -31,16 +31,15 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import curvature_term, skew_part, wedge_matrix
+from .curvature import (curvature_term, skew_part, skew_to_vector, so_dim, vector_to_skew,
+                        wedge_matrix)
 from .numerics import numerical_rank
 from .spaces import GeometryError, Warped
 from .rolling import (
     RollingState,
-    TangentOfQ,
     chart_differential,
     directional_derivative,
     q_dim,
-    rolling_lift,
     _stencil,
     _stencil_times,
 )
@@ -81,7 +80,8 @@ def _constant_curvature(m) -> float:
 @dataclass
 class FieldData:
     """Covariant derivatives (dT, dT_hat, dU) of the data of a stack of k
-    fields along a stack of m directions, with leading axes (m, k)."""
+    fields along a stack of m directions, with leading axes (m, k): the
+    frame coordinates of both drifts and the frame matrix of A C."""
 
     T: np.ndarray
     T_hat: np.ndarray
@@ -92,16 +92,16 @@ class FieldData:
 class StructuredField:
     """A stack of k vector fields on the state space, given by two closures.
 
-    `value(q)` returns a TangentOfQ whose X, X_hat and C carry a leading axis
-    of length k, one row per field; the vertical data is the skew matrix C
-    with fiber direction A C.  `derivative(q, xi)` returns the covariant
-    derivatives of the field data along every vector of a stack xi, as
-    FieldData with leading axes (len(xi), k).  A field without a closed-form
-    derivative passes `lambda q, xi: stencil_data_derivative(value, q, xi, h)`.
+    `value(q)` returns a (k, q_dim(n)) array of tangent rows, one per field;
+    the vertical data is the skew matrix C with fiber direction A C.
+    `derivative(q, xi)` returns the covariant derivatives of the field data
+    along every tangent row of a stack xi, as FieldData with leading axes
+    (len(xi), k).  A field without a closed-form derivative passes
+    `lambda q, xi: stencil_data_derivative(value, q, xi, h)`.
     """
 
-    value: Callable[[RollingState], TangentOfQ]
-    derivative: Callable[[RollingState, TangentOfQ], FieldData]
+    value: Callable[[RollingState], np.ndarray]
+    derivative: Callable[[RollingState, np.ndarray], FieldData]
 
 
 def stencil_data_derivative(value, q, xi, h) -> FieldData:
@@ -113,36 +113,38 @@ def stencil_data_derivative(value, q, xi, h) -> FieldData:
     field differentiated along that vector at q shares.  The sample states
     along all of xi come from one tangent_curve call."""
 
+    n = q.pair.dim
+
     def data(qt):
         v = value(qt)
-        return v.X, v.X_hat, qt.isometry @ v.C
+        return v[:, :n], v[:, n : 2 * n], qt.isometry @ vector_to_skew(v[:, 2 * n :], n)
 
-    kinds = ("vector", "vector_hat", "map")
-    along = directional_derivative(data, [(q, xi[a]) for a in range(len(xi.X))], kinds,
+    along = directional_derivative(data, [(q, row) for row in xi], ("vector", "vector_hat", "map"),
                                    h=h, order=FIELD_FD_ORDER)
     return FieldData(*(np.stack(slot) for slot in zip(*along)))
 
 
-def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> TangentOfQ:
+def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:
     """The table of brackets [X_i, Y_j] of two stacks of fields at q, a
-    stack of kx * ky vectors in (i, j) order, from the structured formula:
+    stack of kx * ky tangent rows in (i, j) order, from the structured formula:
     derivative terms of each field along the other plus the vertical
     curvature term, for all pairs at once."""
+    n = q.pair.dim
     xi_x = xf.value(q)
     xi_y = yf.value(q)
     d_y = yf.derivative(q, xi_x)  # axes (i, j)
     d_x = xf.derivative(q, xi_y)  # axes (j, i)
 
-    wedge = wedge_matrix(q.coords(xi_x.X)[:, None], q.coords(xi_y.X))
-    wedge_hat = wedge_matrix(q.coords_hat(xi_x.X_hat)[:, None], q.coords_hat(xi_y.X_hat))
+    wedge = wedge_matrix(xi_x[:, None, :n], xi_y[:, :n])
+    wedge_hat = wedge_matrix(xi_x[:, None, n : 2 * n], xi_y[:, n : 2 * n])
 
     def table(dy, dx):
         return (dy - np.swapaxes(dx, 0, 1)).reshape((-1,) + dy.shape[2:])
 
     curv = curvature_term(q, wedge, wedge_hat)
     nu_mat = table(d_y.U, d_x.U) + curv.reshape((-1,) + curv.shape[2:])
-    c = skew_part(q.isometry.T @ nu_mat)
-    return TangentOfQ(q, table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c)
+    c = skew_to_vector(skew_part(q.isometry.T @ nu_mat))
+    return np.concatenate((table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c), axis=-1)
 
 
 def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
@@ -158,7 +160,7 @@ def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
                            lambda q, xi: stencil_data_derivative(value, q, xi, NESTED_FD_STEP))
 
 
-def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> TangentOfQ:
+def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:
     """Independent bracket oracle: push both stacks of fields into the
     canonical chart at q and take the coordinate brackets by fourth-order
     central differences of the chart components.  It returns the same
@@ -169,18 +171,17 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> Tan
     # chart coordinates t e_j, by coordinate j, then time t
     thetas = np.eye(dim)[:, None] * np.array(_stencil_times(h))[:, None]
     d_mats, states = chart_differential(q, thetas.reshape(-1, dim))
-    rhs = np.array([np.concatenate((xf.value(s).coords(), yf.value(s).coords()))
-                    for s in states])
+    rhs = np.array([np.concatenate((xf.value(s), yf.value(s))) for s in states])
     components = np.linalg.solve(d_mats, rhs.mT).mT.reshape(dim, 4, -1, dim)
 
-    x0 = xf.value(q).coords()
-    y0 = yf.value(q).coords()
+    x0 = xf.value(q)
+    y0 = yf.value(q)
     kx = len(x0)
     out = np.zeros((kx, len(y0), dim))
     for j in range(dim):
         d = _stencil(components[j], h)
         out += x0[:, None, j, None] * d[None, kx:] - y0[None, :, j, None] * d[:kx, None]
-    return TangentOfQ.from_coords(q, out.reshape(-1, dim))
+    return out.reshape(-1, dim)
 
 
 # -- generator fields -----------------------------------------------------------
@@ -193,21 +194,22 @@ def frame_field_derivative(m, x, v):
 
 
 def rolling_generators() -> StructuredField:
-    """The stack of rolling lifts of the deterministic frame, with
-    closed-form derivatives: along a canonical curve the isometry
-    differentiates to A C, and the frame fields to their connection form
-    (RollingState.connection)."""
+    """The stack of rolling lifts of the deterministic frame, the rows
+    [I | A^T | 0], with closed-form derivatives: along a canonical curve the
+    isometry differentiates to A C, and the frame fields to their connection
+    form (RollingState.connection)."""
 
     def value(q):
-        return rolling_lift(q, q.frame)
+        n = q.pair.dim
+        return np.concatenate((np.eye(n), q.isometry.T, np.zeros((n, so_dim(n)))), axis=1)
 
     def derivative(q, xi):
         # along xi[a] frame vector k moves by row k of its connection form
         # omega[a], and its image under A by A times row k of C[a]^T + omega[a]
-        omega = np.einsum("ak,kij->aij", q.coords(xi.X), q.connection)
-        d_image = xi.C.mT + omega
-        return FieldData(q.from_coords(omega), q.from_coords_hat(d_image @ q.isometry.T),
-                         np.zeros(omega.shape + (q.pair.dim,)))
+        n = q.pair.dim
+        omega = np.einsum("ak,kij->aij", xi[:, :n], q.connection)
+        d_image = vector_to_skew(xi[:, 2 * n :], n).mT + omega
+        return FieldData(omega, d_image @ q.isometry.T, np.zeros(omega.shape + (n,)))
 
     return StructuredField(value, derivative)
 
@@ -246,18 +248,17 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     bracket_field.  Depth 2 is one bracket_structured of the generators with
     themselves; depth 3 differentiates that n x n table along each generator
     by one stencil, at four sample states per generator.  All vectors are
-    expressed in TangentOfQ coordinates, and each step's vectors form one
-    layer of the equilibrated rank rule of
-    numerics.numerical_rank: the reported singular values are those of the
-    rows after dropping round-off rows and dividing every layer by its
-    longest row.
+    tangent rows, and each step's vectors form one layer of the equilibrated
+    rank rule of numerics.numerical_rank: the reported singular values are
+    those of the rows after dropping round-off rows and dividing every layer
+    by its longest row.
     """
     if depth < 1:
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
     gens = rolling_generators()
-    rows = gens.value(q).coords()
+    rows = gens.value(q)
     layers = [len(rows)]
     steps = [numerical_rank(rows, tol, layers)]  # (rank, singular values, gap) per flag step
     current = gens
@@ -269,7 +270,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
             steps.append(steps[-1])
             continue
         current = bracket_field(current, gens)
-        new = current.value(q).coords()
+        new = current.value(q)
         rows = np.concatenate((rows, new))
         layers.append(len(new))
         steps.append(numerical_rank(rows, tol, layers))

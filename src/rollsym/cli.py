@@ -187,8 +187,6 @@ def cmd_simulate(args):
 
 def cmd_growth(args):
     run = Run(args)
-    if not (1 <= args.depth <= 6):
-        raise GeometryError("depth must lie in [1, 6]")
     rng = run.rng()
     q0 = run.initial_state(rng)
     report = flag_ranks(q0, depth=args.depth, tol=run.tolerances["rank"])

@@ -5,12 +5,16 @@ orientation-preserving isometry between the tangent spaces, stored as a
 matrix in the deterministic orthonormal frames.  Tangent vectors of the
 state space decompose into a no-spin part, moving both base points while
 transporting A in parallel frames, and a vertical part, moving A alone
-along the fiber curve A expm(tC) for skew C.
+along the fiber curve A expm(tC) for skew C.  A tangent vector at q, or a
+stack of them, is a row of length q_dim(n) = 2n + n(n-1)/2: the frame
+coordinates of X at x, then those of X_hat at x_hat, then the so(n)
+coordinates of C (curvature.skew_to_vector order).
 
 Canonical curves, which combine both motions, are built in stacks: one
-tangent_curve call takes rows of (base state, X, X_hat, C, t) and returns a
+tangent_curve call takes rows of (base state, tangent row, t) and returns a
 state per row, and every stencil on the state space draws all its sample states
-from one such call.
+from one such call.  tangent_curve is the one place where tangent rows
+become ambient velocities.
 
 Rolling a path gamma in the first factor integrates the kinematic
 constraints of rolling without slipping (contact velocities match) or
@@ -136,77 +140,31 @@ class RollingState:
     def coords_hat(self, w):
         return self.pair.space_hat.frame_coords(self.x_hat, self.frame_hat, w)
 
-    def from_coords(self, c):
-        """Tangent vectors at x from frame coordinates (..., n)."""
-        return np.asarray(c, float) @ self.frame
-
-    def from_coords_hat(self, c):
-        return np.asarray(c, float) @ self.frame_hat
-
     def apply(self, w):
         """Image of ambient tangent vectors (..., amb) at x under the contact map."""
-        return self.from_coords_hat(self.coords(w) @ self.isometry.T)
+        return self.coords(w) @ self.isometry.T @ self.frame_hat
 
     def to_json(self) -> dict:
         return {"x": self.x.tolist(), "x_hat": self.x_hat.tolist(),
                 "A": self.isometry.tolist()}
 
 
-@dataclass
-class TangentOfQ:
-    """Tangent vector of the state space in the canonical decomposition:
-    a no-spin part moving the base points with velocities (X, X_hat) and a
-    vertical part tangent to A expm(tC).  X, X_hat and C may carry a leading
-    axis: the tangent is then a stack of vectors at the same state, and
-    `coords` and `from_coords` work row by row."""
-
-    state: RollingState
-    X: np.ndarray
-    X_hat: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, float)
-        self.X_hat = np.asarray(self.X_hat, float)
-        self.C = np.asarray(self.C, float)
-        check_skew(self.C, tol=1e-12, what="vertical component")
-
-    def __getitem__(self, index):
-        """Row `index` of a stack."""
-        return TangentOfQ(self.state, self.X[index], self.X_hat[index], self.C[index])
-
-    def coords(self):
-        q = self.state
-        return np.concatenate(
-            (q.coords(self.X), q.coords_hat(self.X_hat), skew_to_vector(self.C)), axis=-1
-        )
-
-    @classmethod
-    def from_coords(cls, state: RollingState, vec):
-        n = state.pair.dim
-        vec = np.asarray(vec, float)
-        return cls(
-            state,
-            state.from_coords(vec[..., :n]),
-            state.from_coords_hat(vec[..., n : 2 * n]),
-            vector_to_skew(vec[..., 2 * n :], n),
-        )
-
-
 def q_dim(n):
     return 2 * n + so_dim(n)
 
 
-def rolling_lift(q: RollingState, X) -> TangentOfQ:
+def rolling_lift(q: RollingState, X):
     """Lift of a tangent vector at x (or a stack of them) to the rolling
-    distribution: the base points move with matched contact velocities
-    (X, AX) and A stays put."""
+    distribution, as tangent rows (c, c A^T, 0) for the frame coordinates c
+    of X: the base points move with matched contact velocities (X, AX) and
+    A stays put."""
     X = np.asarray(X, float)
     err = q.pair.space.tangency_residual(q.x, X)
     if np.any(err > 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))):
         raise GeometryError("lifted vector is not tangent at the contact point")
-    n = q.pair.dim
-    return TangentOfQ(q, X, q.apply(X), np.zeros(X.shape[:-1] + (n, n)))
+    c = q.coords(X)
+    return np.concatenate((c, c @ q.isometry.T, np.zeros(c.shape[:-1] + (so_dim(q.pair.dim),))),
+                          axis=-1)
 
 
 # -- canonical curves and transports ------------------------------------------
@@ -254,24 +212,27 @@ def _flow_rows(m, points, bases, v, t):
     return points, fwd, bases
 
 
-def tangent_curve(qs, X, X_hat, C, t) -> list:
+def tangent_curve(qs, xi, t) -> list:
     """The canonical curves of a stack of rows, one state per row: row i
-    starts at qs[i] (rows may share a base) with velocity (X[i], X_hat[i],
-    C[i]), each broadcast against the rows, and stops at time t[i].  Both
-    base points run along geodesics, A is transported in parallel frames and
-    composed with expm(tC) on the fiber.  Each state keeps the two
-    frame-transport matrices from its base (det_transport_matrix on each
-    factor) as its `transports`, through which values at it are pulled back.
-    Only rows with C != 0 enter the one stacked expm, one SVD takes the
-    nearest rotations, and every check of RollingState runs once over the
-    whole stack."""
+    starts at qs[i] (rows may share a base) with the tangent row xi[i] and
+    stops at time t[i], both broadcast against the rows.  Both base points
+    run along geodesics, A is transported in parallel frames and composed
+    with expm(tC) on the fiber.  Each state keeps the two frame-transport
+    matrices from its base (det_transport_matrix on each factor) as its
+    `transports`, through which values at it are pulled back.  Only rows
+    with C != 0 enter the one stacked expm, one SVD takes the nearest
+    rotations, and every check of RollingState runs once over the whole
+    stack."""
     pair, rows, n = qs[0].pair, len(qs), qs[0].pair.dim
     t = np.broadcast_to(np.asarray(t, float), (rows,))
-    C = np.broadcast_to(np.asarray(C, float), (rows, n, n))
+    xi = np.broadcast_to(np.asarray(xi, float), (rows, q_dim(n)))
+    C = vector_to_skew(xi[:, 2 * n :], n)
     _fill_bases(qs)
-    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], [q._basis for q in qs], X, t)
-    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, [q.x_hat for q in qs],
-                                         [q._basis_hat for q in qs], X_hat, t)
+    bases, bases_hat = [q._basis for q in qs], [q._basis_hat for q in qs]
+    X = (xi[:, None, :n] @ np.array([b[0] for b in bases]))[:, 0]
+    X_hat = (xi[:, None, n : 2 * n] @ np.array([b[0] for b in bases_hat]))[:, 0]
+    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], bases, X, t)
+    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, [q.x_hat for q in qs], bases_hat, X_hat, t)
     a = fwd_hat @ np.array([q.isometry for q in qs])
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
@@ -315,23 +276,29 @@ def _stencil_times(dt):
 
 
 def curve_velocity(qs, samples, dt):
-    """Rows (X, X_hat, C) of the velocities of state curves through qs, by
+    """Tangent rows of the velocities of state curves through qs, by
     symmetric differences of their states `samples` at the times
     _stencil_times(dt); C subtracts the no-spin rate of the measured base
     velocities, whose states come from one tangent_curve call."""
-    pair, ts = qs[0].pair, _stencil_times(dt)
+    pair, ts, n = qs[0].pair, _stencil_times(dt), qs[0].pair.dim
 
     def rate(attr, states):  # the stencil of an attribute along the times of each row
         values = np.array([[getattr(s, attr) for s in row] for row in states])
         return _stencil(values.swapaxes(0, 1), dt)
 
-    X = pair.space.project(np.array([q.x for q in qs]), rate("x", samples))
-    X_hat = pair.space_hat.project(np.array([q.x_hat for q in qs]), rate("x_hat", samples))
-    ns = tangent_curve([q for q in qs for _ in ts], np.repeat(X, len(ts), axis=0),
-                       np.repeat(X_hat, len(ts), axis=0), 0.0, np.tile(ts, len(qs)))
+    def coords(m, side):  # frame coordinates of the rate of each base point
+        points = np.array([getattr(q, "x" + side) for q in qs])
+        frames = np.array([getattr(q, "frame" + side) for q in qs])
+        return m.frame_coords(points, frames, rate("x" + side, samples))
+
+    rows = np.zeros((len(qs), q_dim(n)))
+    rows[:, :n], rows[:, n : 2 * n] = coords(pair.space, ""), coords(pair.space_hat, "_hat")
+    ns = tangent_curve([q for q in qs for _ in ts], np.repeat(rows, len(ts), axis=0),
+                       np.tile(ts, len(qs)))
     ns = [ns[i : i + len(ts)] for i in range(0, len(ns), len(ts))]
     a_dot = rate("isometry", samples) - rate("isometry", ns)
-    return X, X_hat, skew_part(np.array([q.isometry for q in qs]).mT @ a_dot)
+    rows[:, 2 * n :] = skew_to_vector(skew_part(np.array([q.isometry for q in qs]).mT @ a_dot))
+    return rows
 
 
 # -- rolling curves -------------------------------------------------------------
@@ -542,8 +509,7 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
     """Closed-form rolling along a geodesic of the first factor: the
     development is the geodesic of the matched velocity, and the isometry is
     conjugated by the two geodesic transports."""
-    xi = rolling_lift(q0, direction)
-    return tangent_curve([q0], xi.X, xi.X_hat, xi.C, t)[0]
+    return tangent_curve([q0], rolling_lift(q0, direction), t)[0]
 
 
 # -- derivatives of bundle maps -------------------------------------------------
@@ -551,15 +517,16 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
 VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
 
 
-def _pull_back(q: RollingState, qt: RollingState, value, kind):
+def _pull_back(qt: RollingState, value, kind):
     """A value at the canonical-curve state qt (or a stack of values, along
-    the leading axes), parallel-transported back to q through the
-    frame-transport matrices that qt keeps."""
+    the leading axes), parallel-transported back to the curve's base through
+    the frame-transport matrices that qt keeps; vectors are frame
+    coordinates."""
     fwd, fwd_hat = qt.transports
     if kind == "vector":
-        return q.from_coords(qt.coords(value) @ fwd)
+        return value @ fwd
     if kind == "vector_hat":
-        return q.from_coords_hat(qt.coords_hat(value) @ fwd_hat)
+        return value @ fwd_hat
     if kind == "map":
         return fwd_hat.T @ value @ fwd
     return value
@@ -567,30 +534,29 @@ def _pull_back(q: RollingState, qt: RollingState, value, kind):
 
 def directional_derivative(func, rows, kinds, h=FD_STEP, order=2):
     """Covariant derivatives of a tuple of state-dependent tensor values
-    along the canonical curve of each (q, xi) of rows, one tuple per row, by
-    central differences with parallel pull-back.
+    along the canonical curve of each (q, xi) of rows, xi a tangent row, one
+    tuple per row, by central differences with parallel pull-back.
 
     `func` returns a tuple of values, and `kinds` declares slot by slot how
-    each transports: 'vector' / 'vector_hat' for tangent vectors on either
-    factor, 'map' for frame matrices of maps T_x M -> T_xhat Mhat (like the
-    isometry), 'scalar' for functions.  One tangent_curve call builds the
-    sample states of all rows, row by row and within a row at the times
-    stencil_offsets(h, order).
+    each transports: 'vector' / 'vector_hat' for the frame coordinates of
+    tangent vectors on either factor, 'map' for frame matrices of maps
+    T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  One
+    tangent_curve call builds the sample states of all rows, row by row and
+    within a row at the times stencil_offsets(h, order).
     """
     if not set(kinds) <= set(VALUE_KINDS):
         raise GeometryError(f"unknown value kind in {kinds!r}")
     if not rows:
         return []
     ts = stencil_offsets(h, order)
-    xis = [xi for _, xi in rows for _ in ts]
-    states = tangent_curve([q for q, _ in rows for _ in ts], [xi.X for xi in xis],
-                           [xi.X_hat for xi in xis], [xi.C for xi in xis], ts * len(rows))
+    states = tangent_curve([q for q, _ in rows for _ in ts],
+                           np.repeat([xi for _, xi in rows], len(ts), axis=0), ts * len(rows))
 
-    def pulled(q, qt):
-        return tuple(_pull_back(q, qt, v, k) for v, k in zip(func(qt), kinds))
+    def pulled(qt):
+        return tuple(_pull_back(qt, v, k) for v, k in zip(func(qt), kinds))
 
-    return [central_diff([pulled(q, qt) for qt in states[i * len(ts) : (i + 1) * len(ts)]], h)
-            for i, (q, _) in enumerate(rows)]
+    return [central_diff([pulled(qt) for qt in states[i * len(ts) : (i + 1) * len(ts)]], h)
+            for i in range(len(rows))]
 
 
 def rolling_derivative(func, qs, Xs, kinds):
@@ -604,10 +570,10 @@ def rolling_derivative(func, qs, Xs, kinds):
 
 def vertical_derivative(func, qs, Cs, kinds):
     """Derivatives of a state-dependent value along the fiber curves
-    A expm(tC) through qs[i] with C = Cs[i], one per state; only the isometry
-    moves, so no transport is involved."""
-    rows = [(q, TangentOfQ(q, np.zeros(q.pair.space.amb_dim), np.zeros(q.pair.space_hat.amb_dim),
-                           check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))
+    A expm(tC) through qs[i] with the skew matrix C = Cs[i], one per state;
+    only the isometry moves, so no transport is involved."""
+    rows = [(q, np.concatenate((np.zeros(2 * q.pair.dim), skew_to_vector(
+                check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))))
             for q, C in zip(qs, Cs)]
     return directional_derivative(func, rows, kinds, h=FD_STEP_FIBER)
 
@@ -619,21 +585,20 @@ def chart_differential(center: RollingState, thetas):
     """Matrices of the differential of the canonical chart at center,
     (u, u_hat, omega) -> (exp_x(E u), exp_xhat(Ehat u_hat), transported
     A expm(omega)) with E, Ehat the deterministic frames, at a stack of chart
-    coordinates (m, dim), column by column in TangentOfQ coordinates of the
-    state at each, and those states, by stencils of step CHART_STEP.  At the
-    origin the differential is the identity.  The states and every column
-    stencil's chart points come from one tangent_curve call, and
-    curve_velocity takes all columns at once."""
+    coordinates (m, dim), column by column in tangent rows at the state at
+    each, and those states, by stencils of step CHART_STEP.  Chart
+    coordinates are tangent rows at center, and at the origin the
+    differential is the identity.  The states and every column stencil's
+    chart points come from one tangent_curve call, and curve_velocity takes
+    all columns at once."""
     dim, ts = q_dim(center.pair.dim), _stencil_times(CHART_STEP)
     # per theta: theta itself, then theta + t e_k for each column k and time t
     steps = np.concatenate((np.zeros((1, dim)),
                             (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
-    xi = TangentOfQ.from_coords(center, (thetas[:, None] + steps).reshape(-1, dim))
-    states = tangent_curve([center] * len(xi.X), xi.X, xi.X_hat, xi.C, 1.0)
+    rows = (thetas[:, None] + steps).reshape(-1, dim)
+    states = tangent_curve([center] * len(rows), rows, 1.0)
     centers = states[:: len(steps)]
     samples = [states[i : i + len(ts)] for c in range(len(thetas))
                for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
-    X, X_hat, C = curve_velocity([q for q in centers for _ in range(dim)], samples, CHART_STEP)
-    mats = [TangentOfQ(q, X[k : k + dim], X_hat[k : k + dim], C[k : k + dim]).coords().T
-            for q, k in zip(centers, range(0, len(X), dim))]
-    return np.array(mats), centers
+    columns = curve_velocity([q for q in centers for _ in range(dim)], samples, CHART_STEP)
+    return columns.reshape(len(thetas), dim, dim).mT, centers

@@ -699,7 +699,7 @@ class Warped(SpaceForm):
         alpha = self.fiber.inner_at(y0, w[..., 1:], u)
         cos, sin = np.cos(turn), np.sin(turn)
         a, b = cos * w[..., 0] - sin * f0 * alpha, sin * w[..., 0] + cos * f0 * alpha
-        omega = self.fiber.transport_along_geodesic(y0, u, phi, w[..., 1:] - _col(alpha) * u)
+        omega = w[..., 1:] - _col(alpha) * u  # h-orthogonal to u: the fiber transport keeps it
         sigma_dot = self.fiber.geodesic_flow(y0, u, phi)[1]
         return _stack(a, _col(b / f) * sigma_dot + _col(f0 / f) * omega)
 

@@ -188,8 +188,8 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
 
 def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
     """Add a fixed random skew perturbation of size eps to each U_bar of the
-    stack, one normal (n, n) draw per candidate in stack order; used to check
-    that the residual operations reject near-symmetries."""
+    stack, one normal (n, n) draw per candidate in stack order, and keep Z and
+    Z_hat; used to check that the residual operations reject near-symmetries."""
     n = cand.pair.dim
     noise = skew_part(rng.standard_normal((len(cand), n, n)))
     noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), 1e-300) * eps
@@ -206,35 +206,29 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
 # -- residual operations ------------------------------------------------------------
 
 
-def _norm_hat(q: RollingState, vecs):
-    """Norms of ambient vectors at x_hat after projecting them to the tangent
-    space: off-tangent round-off could make a Minkowski norm negative."""
-    mh = q.pair.space_hat
-    vecs = mh.project(q.x_hat, vecs)
-    return np.sqrt(mh.inner_at(q.x_hat, vecs, vecs))
-
-
 def symmetry_residual(cand: SymmetryCandidate, qs, Xs):
     """Residuals (r1, r2) of the two symmetry equations at every sample
     (qs[i], Xs[i]), two (samples, candidates) arrays, by stencils whose
     states every candidate shares and one tangent_curve call builds for all
     samples.  U_bar(q) comes from SymmetryCandidate.validate, which raises on
-    a candidate that is not skew there."""
+    a candidate that is not skew there.  The closure converts Z and Z_hat to
+    frame coordinates once per state, and the residuals are Euclidean norms
+    of orthonormal coordinates."""
     Xs = np.asarray(Xs, float)
-    derivatives = rolling_derivative(lambda s: (cand.Z_hat(s), cand.U_bar(s), cand.Z(s)),
-                                     qs, Xs, ("vector_hat", "map", "vector"))
+    derivatives = rolling_derivative(
+        lambda s: (s.coords_hat(cand.Z_hat(s)), cand.U_bar(s), s.coords(cand.Z(s))),
+        qs, Xs, ("vector_hat", "map", "vector"))
     r1, r2 = zip(*(_residuals_at(cand, q, X, *d) for q, X, d in zip(qs, Xs, derivatives)))
     return np.array(r1), np.array(r2)
 
 
 def _residuals_at(cand, q, X, d_zhat, d_u, d_z):
     """symmetry_residual at one sample, from the rolling derivatives there."""
-    u_bar = cand.validate(q)
-    u_x = q.from_coords_hat(u_bar @ q.coords(X))
-    r1 = _norm_hat(q, u_x + q.apply(d_z) - d_zhat)
+    u_bar, x, a = cand.validate(q), q.coords(X), q.isometry
+    r1 = np.linalg.norm(u_bar @ x + d_z @ a.T - d_zhat, axis=-1)
 
-    curv = curvature_term(q, wedge_matrix(q.coords(X), q.coords(cand.Z(q))),
-                          wedge_matrix(q.coords_hat(q.apply(X)), q.coords_hat(cand.Z_hat(q))))
+    curv = curvature_term(q, wedge_matrix(x, q.coords(cand.Z(q))),
+                          wedge_matrix(a @ x, q.coords_hat(cand.Z_hat(q))))
     r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
     return r1, r2
 
@@ -261,11 +255,12 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys):
     cs = [skew_part(q.isometry.T @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
           for q, X, Y in zip(qs, np.asarray(Xs, float), np.asarray(Ys, float))]
     live = [i for i, c in enumerate(cs) if np.abs(c).max() >= 1e-14]  # zero there otherwise
-    derivatives = vertical_derivative(lambda s: (cand.Z(s), cand.Z_hat(s)), [qs[i] for i in live],
-                                      [cs[i] for i in live], ("vector", "vector_hat"))
+    derivatives = vertical_derivative(lambda s: (s.coords(cand.Z(s)), s.coords_hat(cand.Z_hat(s))),
+                                      [qs[i] for i in live], [cs[i] for i in live],
+                                      ("vector", "vector_hat"))
     out = np.zeros((len(qs), len(cand)))
     for i, (d_z, d_zhat) in zip(live, derivatives):
-        out[i] = _norm_hat(qs[i], qs[i].apply(d_z) - d_zhat)
+        out[i] = np.linalg.norm(d_z @ qs[i].isometry.T - d_zhat, axis=-1)
     return out
 
 
@@ -309,8 +304,7 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic frame
-    xi = rolling_lift(q1, X)
-    states = tangent_curve([q1] * len(t_grid), xi.X, xi.X_hat, xi.C, t_grid)
+    states = tangent_curve([q1] * len(t_grid), rolling_lift(q1, X), t_grid)
     p, p_hat = (np.array(m) for m in zip(*(st.transports for st in states)))
     frames_hat = np.array([st.frame_hat for st in states])
     z_hats = (ys[:, None, :n] @ p_hat.mT @ frames_hat)[:, 0]
@@ -339,7 +333,7 @@ def _jacobi_steps(q1, X, t_grid):
     K4 = L(t + h)(I + h K3) for the generator L of the first-order system."""
     mh, n = q1.pair.space_hat, q1.pair.dim
     v_c = q1.isometry @ q1.coords(X)
-    x, v = q1.x_hat, q1.from_coords_hat(v_c)
+    x, v = q1.x_hat, v_c @ q1.frame_hat
     spans = np.diff(t_grid)
     counts = np.maximum(2, np.ceil(spans / JACOBI_STEP).astype(int))
     h = np.repeat(spans / counts, counts)

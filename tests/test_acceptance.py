@@ -25,11 +25,12 @@ from rollsym.cli import main
 from rollsym.curvature import (
     operator_invertible,
     rolling_curvature_operator,
+    skew_to_vector,
     so_dim,
     wedge_matrix,
 )
 from rollsym.nilpotent import flatness_obstruction, verify_structure
-from rollsym.rolling import RollingPair, TangentOfQ, roll_along
+from rollsym.rolling import RollingPair, roll_along
 from rollsym.symmetry import (
     killing_catalog,
     killing_to_symmetry,
@@ -87,14 +88,14 @@ def test_criterion_02_bracket_identity():
         for _ in range(20):
             q = pair.random_state(rng)
             # the (i, j) tables of all generator brackets at q
-            got = bracket_structured(gens, gens, q).coords().reshape(n, n, -1)
-            got_fd = bracket_fd(gens, gens, q).coords().reshape(n, n, -1)
+            got = bracket_structured(gens, gens, q).reshape(n, n, -1)
+            got_fd = bracket_fd(gens, gens, q).reshape(n, n, -1)
             for i in range(n):
                 for j in range(i + 1, n):
                     w = frame_bracket(pair, q, i, j)
-                    expected = TangentOfQ(
-                        q, w, q.apply(w), kappa * wedge_matrix(np.eye(n)[i], np.eye(n)[j])
-                    ).coords()
+                    c = kappa * wedge_matrix(np.eye(n)[i], np.eye(n)[j])
+                    expected = np.concatenate((q.coords(w), q.coords_hat(q.apply(w)),
+                                               skew_to_vector(c)))
                     worst_structured = max(worst_structured, np.abs(got[i, j] - expected).max())
                     worst_fd = max(worst_fd, np.abs(got_fd[i, j] - expected).max())
     assert worst_structured < 1e-5

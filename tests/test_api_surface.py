@@ -11,9 +11,15 @@ same constant: that too is a constant with a second name.
 
 Every module-level UPPER_CASE constant of the package is read somewhere
 other than its own assignment: in the package, a demo or the benchmark
-outside its tests.  A constant that nothing reads is left over."""
+outside its tests.  A constant that nothing reads is left over.
+
+Every dotted name that README.md quotes as inline code and that starts with
+a module of the package or one of its public classes names something that
+exists: the README does not drift from the code it points to."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,3 +205,45 @@ def test_every_module_constant_is_read_outside_the_tests():
     read = _names_read()
     unread = sorted(f"{module}: {name}" for name, module in constants if name not in read)
     assert not unread, unread
+
+
+def _readme_dotted_names():
+    """The dotted names that start the inline code spans of README.md,
+    fenced blocks left out."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if match:
+            yield match.group(0)
+
+
+def _readme_roots():
+    """The package, its modules and their public classes, by the name the
+    README uses for them."""
+    roots = {"rollsym": importlib.import_module("rollsym")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"rollsym.{path.stem}")
+        roots[path.stem] = module
+        roots.update({name: value for name, value in vars(module).items()
+                      if isinstance(value, type) and not name.startswith("_")
+                      and value.__module__ == module.__name__})
+    return roots
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    roots = _readme_roots()
+    checked, missing = 0, []
+    for name in _readme_dotted_names():
+        head, *rest = name.split(".")
+        if head not in roots:
+            continue
+        checked += 1
+        owner = roots[head]
+        for part in rest:
+            owner = getattr(owner, part, missing)
+        if owner is missing:
+            missing.append(name)
+    assert checked > 5  # the scan found the README's names
+    assert not missing, missing

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
-from rollsym.curvature import wedge_matrix
+from rollsym.curvature import skew_to_vector, wedge_matrix
 from rollsym.brackets import (
     NESTED_FD_STEP,
     FieldData,
@@ -22,7 +22,7 @@ from rollsym.brackets import (
     stencil_data_derivative,
 )
 from rollsym.numerics import numerical_rank
-from rollsym.rolling import RollingPair, TangentOfQ, q_dim, random_rotation, rolling_lift
+from rollsym.rolling import RollingPair, q_dim, random_rotation, rolling_lift
 from rollsym.symmetry import killing_catalog
 
 RNG = np.random.default_rng(31)
@@ -51,8 +51,8 @@ def frame_stencil(m, x, v, h=1e-4):
 def frame_bracket(pair, q, i, j):
     """[E_i, E_j] at the contact point from a stencil of the frame."""
     n = pair.dim
-    d_j = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[i]))[j]
-    d_i = frame_stencil(pair.space, q.x, q.from_coords(np.eye(n)[j]))[i]
+    d_j = frame_stencil(pair.space, q.x, np.eye(n)[i] @ q.frame)[j]
+    d_i = frame_stencil(pair.space, q.x, np.eye(n)[j] @ q.frame)[i]
     return d_j - d_i
 
 
@@ -139,10 +139,12 @@ def test_connection_form_is_skew_and_matches_a_frame_stencil(m, seed):
 
 
 def expected_generator_bracket(pair, q, i, j):
+    """The tangent row (w, A w, kappa E_i ^ E_j) of [L(E_i), L(E_j)], w the
+    frame bracket [E_i, E_j]."""
     n = pair.dim
     w = frame_bracket(pair, q, i, j)
-    kappa = curvature_mismatch(pair)
-    return TangentOfQ(q, w, q.apply(w), kappa * wedge_matrix(np.eye(n)[i], np.eye(n)[j]))
+    c = curvature_mismatch(pair) * wedge_matrix(np.eye(n)[i], np.eye(n)[j])
+    return np.concatenate((q.coords(w), q.coords_hat(q.apply(w)), skew_to_vector(c)))
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -150,10 +152,10 @@ def test_generator_bracket_identity_structured_and_fd(name):
     pair = PAIRS[name]()
     q = pair.random_state(RNG)
     g0, g1 = generator(0), generator(1)
-    expected = expected_generator_bracket(pair, q, 0, 1).coords()
-    got = bracket_structured(g0, g1, q).coords()[0]
+    expected = expected_generator_bracket(pair, q, 0, 1)
+    got = bracket_structured(g0, g1, q)[0]
     assert np.abs(got - expected).max() < 1e-9
-    got_fd = bracket_fd(g0, g1, q).coords()[0]
+    got_fd = bracket_fd(g0, g1, q)[0]
     assert np.abs(got_fd - expected).max() < 1e-5
     assert np.abs(got_fd - got).max() < 1e-5
 
@@ -172,13 +174,13 @@ def test_bracket_oracles_share_no_stencil_code(monkeypatch):
     g0, g1 = generator(0), generator(1)
     with monkeypatch.context() as mp:
         patch_everywhere(mp, rolling_mod._stencil, forbidden)
-        structured = bracket_structured(g0, g1, q).coords()
+        structured = bracket_structured(g0, g1, q)
         nested = bracket_structured(g0, bracket_field(g0, g1), q)
     with monkeypatch.context() as mp:
         patch_everywhere(mp, numerics_mod.central_diff, forbidden)
-        fd = bracket_fd(g0, g1, q).coords()
+        fd = bracket_fd(g0, g1, q)
     assert np.abs(fd - structured).max() < 1e-5
-    assert np.all(np.isfinite(nested.coords()))
+    assert np.all(np.isfinite(nested))
 
 
 def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypatch):
@@ -191,11 +193,11 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
     pair = PAIRS["hyp_sphere"]()
     q = pair.random_state(RNG)
     g0, g1 = generator(0), generator(1)
-    structured = bracket_structured(g0, g1, q).coords()
+    structured = bracket_structured(g0, g1, q)
     q_fresh = pair.state(q.x, q.x_hat, q.isometry)
     monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
     patch_everywhere(monkeypatch, rolling_mod.directional_derivative, forbidden)
-    fd = bracket_fd(g0, g1, q_fresh).coords()
+    fd = bracket_fd(g0, g1, q_fresh)
     assert np.abs(fd - structured).max() < 1e-5
 
 
@@ -233,12 +235,12 @@ def test_bracket_antisymmetry_and_self_bracket(pair, seed):
     # and each entry is the bracket of the two stacks of one
     q = pair.random_state(np.random.default_rng(seed))
     n = pair.dim
-    table = bracket_structured(rolling_generators(), rolling_generators(), q).coords()
+    table = bracket_structured(rolling_generators(), rolling_generators(), q)
     table = table.reshape(n, n, -1)
     scale = max(1.0, float(np.abs(table).max()))
     assert np.abs(table + table.transpose(1, 0, 2)).max() <= 1e-12 * scale
     assert np.abs(np.diagonal(table, axis1=0, axis2=1)).max() <= 1e-12 * scale
-    one = bracket_structured(generator(n - 1), generator(0), q).coords()[0]
+    one = bracket_structured(generator(n - 1), generator(0), q)[0]
     assert np.abs(one - table[n - 1, 0]).max() <= 1e-12 * scale
 
 
@@ -247,31 +249,30 @@ def test_fd_bracket_is_antisymmetric(seed):
     pair = PAIRS["hyp_sphere"]()
     q = pair.random_state(np.random.default_rng(seed))
     g0, g1 = generator(0), generator(1)
-    b01 = bracket_fd(g0, g1, q).coords()
-    b10 = bracket_fd(g1, g0, pair.state(q.x, q.x_hat, q.isometry)).coords()
+    b01 = bracket_fd(g0, g1, q)
+    b10 = bracket_fd(g1, g0, pair.state(q.x, q.x_hat, q.isometry))
     assert np.abs(b01 + b10).max() < 1e-6
 
 
 def test_flat_flat_coordinate_fields_commute():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
-    n = pair.dim
 
     def const_field(vec):
         vec = np.array([vec])
-        return stencil_field(lambda s: TangentOfQ(s, vec, s.apply(vec), np.zeros((1, n, n))))
+        return stencil_field(lambda s: rolling_lift(s, vec))
 
     f1 = const_field([1.0, 0.0])
     f2 = const_field([0.0, 1.0])
-    assert np.abs(bracket_structured(f1, f2, q).coords()).max() < 1e-9
-    assert np.abs(bracket_fd(f1, f2, q).coords()).max() < 1e-8
+    assert np.abs(bracket_structured(f1, f2, q)).max() < 1e-9
+    assert np.abs(bracket_fd(f1, f2, q)).max() < 1e-8
 
 
 def test_fd_bracket_reproduces_vertical_part_on_spheres():
     pair = PAIRS["spheres_1_3"]()
     q = pair.random_state(RNG)
     fd = bracket_fd(generator(0), generator(1), q)[0]
-    assert abs(fd.C[0, 1] - (-8.0 / 9.0)) < 1e-5
+    assert abs(fd[4] - (-8.0 / 9.0)) < 1e-5  # the so(2) coordinate, C[0, 1]
 
 
 def killing_induced_value(pair, rng):
@@ -284,7 +285,8 @@ def killing_induced_value(pair, rng):
     c0 = wedge_matrix(rng.standard_normal(pair.dim), rng.standard_normal(pair.dim))
 
     def value(q):
-        return TangentOfQ(q, k1.value(q.x), k2.value(q.x_hat), c0[None])
+        return np.concatenate((q.coords(k1.value(q.x)), q.coords_hat(k2.value(q.x_hat)),
+                               skew_to_vector(c0)[None]), axis=1)
 
     return value
 
@@ -298,7 +300,7 @@ def test_jacobi_identity_residual():
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         # the inner fields at the field step, the outer one at 1e-2
         inner = bracket_field(stencil_field(values[b]), stencil_field(values[c]))
-        total = total + bracket_structured(stencil_field(values[a], 1e-2), inner, q).coords()
+        total = total + bracket_structured(stencil_field(values[a], 1e-2), inner, q)
     assert np.abs(total).max() < 1e-4
 
 
@@ -309,8 +311,8 @@ def test_structured_vs_fd_on_random_fields():
         q = pair.random_state(rng)
         f1 = stencil_field(killing_induced_value(pair, rng))
         f2 = stencil_field(killing_induced_value(pair, rng))
-        a = bracket_structured(f1, f2, q).coords()
-        b = bracket_fd(f1, f2, q).coords()
+        a = bracket_structured(f1, f2, q)
+        b = bracket_fd(f1, f2, q)
         assert np.abs(a - b).max() < 1e-5
 
 
@@ -378,8 +380,7 @@ def rotated_generators(rot):
     gens = rolling_generators()
 
     def value(q):
-        v = gens.value(q)
-        return TangentOfQ(q, rot.T @ v.X, rot.T @ v.X_hat, np.einsum("jk,j...->k...", rot, v.C))
+        return rot.T @ gens.value(q)
 
     def derivative(q, xi):
         d = gens.derivative(q, xi)
@@ -396,7 +397,7 @@ def depth_three_ranks(gens, q):
     for step in range(3):
         if step:
             current = bracket_field(current, gens)
-        rows.append(current.value(q).coords())
+        rows.append(current.value(q))
         layers.append(len(rows[-1]))
         ranks.append(numerical_rank(np.concatenate(rows), 1e-8, layers)[0])
     return tuple(ranks)
@@ -449,8 +450,8 @@ def test_structured_vs_fd_over_hundred_states():
         q = pair.random_state(rng)
         gens = rolling_generators()
         # the whole 2 x 2 table: the chart differentials serve every pair
-        a = bracket_structured(gens, gens, q).coords()
-        b = bracket_fd(gens, gens, q).coords()
+        a = bracket_structured(gens, gens, q)
+        b = bracket_fd(gens, gens, q)
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst < 1e-5
 
@@ -518,15 +519,16 @@ def double_bracket_identity_residual(q, X, Y, Z):
     lift_z = rolling_lift_of_extension(pair, q.x, Z, FIELD_FD_STEP)
     inner = bracket_field(lift_y, lift_z)
     outer = bracket_structured(lift_x, inner, q)[0]
+    n, a = pair.dim, q.isometry
 
-    measured_class = outer.X_hat - q.apply(outer.X)
+    measured_class = outer[n : 2 * n] - outer[:n] @ a.T
     g = pair.space.inner_at
     rhs_base = -kappa * g(q.x, Z, X) * np.asarray(Y, float) + kappa * g(q.x, Y, X) * np.asarray(
         Z, float
     )
-    expected_class = -q.apply(rhs_base)
-    diff = measured_class - expected_class
-    return math.sqrt(pair.space_hat.inner_at(q.x_hat, diff, diff))
+    expected_class = -q.coords(rhs_base) @ a.T
+    # orthonormal frame coordinates: the Euclidean norm is the metric one
+    return float(np.linalg.norm(measured_class - expected_class))
 
 
 def test_double_bracket_identity_on_three_pairs():
@@ -626,13 +628,3 @@ def test_warped_space_forms_with_an_inexact_frequency_match_their_space_form(nam
     assert curvature_mismatch(RollingPair(warped, form(3, r))) == 0.0
     # a nearby radius is a different curvature
     assert curvature_mismatch(RollingPair(form(3, r * (1 + 1e-9)), warped)) != 0.0
-
-
-def test_structured_field_vertical_data_is_skew_checked():
-    pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
-    q = pair.random_state(RNG)
-
-    bad = stencil_field(lambda s: TangentOfQ(s, np.zeros((1, 3)), np.zeros((1, 2)),
-                                             np.array([[[0.0, 1.0], [0.5, 0.0]]])))
-    with pytest.raises(GeometryError):
-        bad.value(q)

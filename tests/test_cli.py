@@ -309,6 +309,17 @@ def test_growth_report_and_exit(tmp_path):
     assert data["seed"] == 3
 
 
+@pytest.mark.parametrize("depth", ["0", "7"])
+def test_growth_rejects_a_depth_outside_one_to_six(tmp_path, capsys, depth):
+    # flag_ranks' own guard decides, and the report is never written
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    out = tmp_path / "growth.json"
+    assert main(["--config", cfg, "growth", "--depth", depth, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flag depth") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_growth_matched_curvatures_notes_kappa_zero(tmp_path):
     cfg = write_config(
         tmp_path,

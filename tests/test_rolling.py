@@ -10,12 +10,12 @@ from scipy.linalg import expm
 
 from rollsym import (Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere,
                      WarpFunction, Warped)
-from rollsym.curvature import wedge_matrix
+from rollsym.curvature import skew_to_vector, vector_to_skew, wedge_matrix
 from rollsym.rolling import (
     _roll_rk4,
     RollingCurve,
     RollingPair,
-    TangentOfQ,
+    _pull_back,
     chart_differential,
     curve_velocity,
     directional_derivative,
@@ -102,12 +102,12 @@ def test_rolling_lift_zero_and_identity():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.state(np.zeros(2), np.ones(2), np.eye(2))
     xi = rolling_lift(q, np.zeros(2))
-    assert np.all(xi.coords() == 0.0)
+    assert np.all(xi == 0.0)
     e1 = np.array([1.0, 0.0])
     lifted = rolling_lift(q, e1)
-    assert np.allclose(lifted.X, e1)
-    assert np.allclose(lifted.X_hat, e1)
-    assert np.all(lifted.C == 0.0)
+    assert np.allclose(lifted[:2] @ q.frame, e1)
+    assert np.allclose(lifted[2:4] @ q.frame_hat, e1)
+    assert np.all(lifted[4:] == 0.0)
 
 
 def test_rolling_lift_is_isometric_and_linear():
@@ -116,21 +116,10 @@ def test_rolling_lift_is_isometric_and_linear():
     X = pair.space.random_tangent(RNG, q.x)
     Y = pair.space.random_tangent(RNG, q.x)
     gx = pair.space.inner_at(q.x, X, X)
-    lift = rolling_lift(q, X)
-    assert abs(pair.space_hat.inner_at(q.x_hat, lift.X_hat, lift.X_hat) - gx) < 1e-9
+    x_hat = rolling_lift(q, X)[2:4] @ q.frame_hat
+    assert abs(pair.space_hat.inner_at(q.x_hat, x_hat, x_hat) - gx) < 1e-9
     both = rolling_lift(q, 2.0 * X - Y)
-    assert np.allclose(
-        both.coords(),
-        2.0 * rolling_lift(q, X).coords() - rolling_lift(q, Y).coords(),
-        atol=1e-12,
-    )
-
-
-def test_tangent_of_q_requires_skew_vertical():
-    pair = sphere_on_plane()
-    q = pair.random_state(RNG)
-    with pytest.raises(GeometryError):
-        TangentOfQ(q, np.zeros(3), np.zeros(2), np.array([[0.0, 1.0], [0.5, 0.0]]))
+    assert np.allclose(both, 2.0 * rolling_lift(q, X) - rolling_lift(q, Y), atol=1e-12)
 
 
 # -- rolling curves ----------------------------------------------------------------
@@ -446,10 +435,10 @@ def test_velocity_round_trip_on_rolling_curves():
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     dt = 1e-5
     samples = [roll_geodesic(q0, v, t) for t in (2 * dt, dt, -dt, -2 * dt)]
-    (X,), (X_hat,), (C,) = curve_velocity([q0], [samples], dt)
-    assert np.linalg.norm(X - v) < 1e-6
-    assert np.linalg.norm(X_hat - q0.apply(v)) < 1e-6
-    assert np.abs(C).max() < 1e-6
+    row, = curve_velocity([q0], [samples], dt)
+    assert np.linalg.norm(row[:2] @ q0.frame - v) < 1e-6
+    assert np.linalg.norm(row[2:4] @ q0.frame_hat - q0.apply(v)) < 1e-6
+    assert np.abs(row[4:]).max() < 1e-6
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -537,7 +526,8 @@ def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
-    (d,), = rolling_derivative(lambda s: (const,), [q], [np.array([1.0, 0.0])], ("vector",))
+    (d,), = rolling_derivative(lambda s: (s.coords(const),), [q], [np.array([1.0, 0.0])],
+                               ("vector",))
     assert np.abs(d).max() < 1e-8
 
 
@@ -555,7 +545,7 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
-    (d,), = rolling_derivative(lambda s: (const_hat,), [q], [X], ("vector_hat",))
+    (d,), = rolling_derivative(lambda s: (s.coords_hat(const_hat),), [q], [X], ("vector_hat",))
     assert np.abs(d).max() < 1e-10
 
 
@@ -597,6 +587,15 @@ def _transported_back(m, x, v, t, w):
     return m.transport_along_geodesic(xt, vt, -t, w)
 
 
+def _random_tangent_row(rng, q):
+    """A tangent row at q that moves both base points (unit speed) and spins."""
+    m, mh, n = q.pair.space, q.pair.space_hat, q.pair.dim
+    return np.concatenate((q.coords(m.random_tangent(rng, q.x, unit=True)),
+                           q.coords_hat(mh.random_tangent(rng, q.x_hat, unit=True)),
+                           skew_to_vector(wedge_matrix(rng.standard_normal(n),
+                                                       rng.standard_normal(n)))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(pull_back_cases(), st.sampled_from(["vector", "vector_hat", "map"]))
 def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, kind):
@@ -606,35 +605,72 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
     q = pair.random_state(rng)
-    xi = TangentOfQ(q, m.random_tangent(rng, q.x, unit=True),
-                    mh.random_tangent(rng, q.x_hat, unit=True),
-                    wedge_matrix(rng.standard_normal(n), rng.standard_normal(n)))
+    xi = _random_tangent_row(rng, q)
+    X, X_hat = xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat
     w, w_hat = rng.standard_normal((m.amb_dim,) * 2), rng.standard_normal((mh.amb_dim,) * 2)
     r = rng.standard_normal((mh.amb_dim, m.amb_dim))
-    fields = {
-        "vector": lambda s: m.project(s.x, w @ s.x) + s.from_coords(s.isometry[0]),
+    fields = {  # ambient values, and their frame coordinates where they are vectors
+        "vector": lambda s: m.project(s.x, w @ s.x) + s.isometry[0] @ s.frame,
         "vector_hat": lambda s: mh.project(s.x_hat, w_hat @ s.x_hat) + s.apply(s.frame[0]),
         "map": lambda s: s.isometry + s.frame_hat @ r @ s.frame.T,
     }
+    coords = {"vector": lambda s, v: s.coords(v), "vector_hat": lambda s, v: s.coords_hat(v),
+              "map": lambda s, v: v}
 
     def deleted_path(t):
-        qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, t)
+        qt, = tangent_curve([q], xi, t)
         value = fields[kind](qt)
         if kind == "vector":
-            return _transported_back(m, q.x, xi.X, t, value)
+            return q.coords(_transported_back(m, q.x, X, t, value))
         if kind == "vector_hat":
-            return _transported_back(mh, q.x_hat, xi.X_hat, t, value)
-        fwd = q.coords(_transported_back(m, q.x, xi.X, t, qt.frame))
-        fwd_hat = q.coords_hat(_transported_back(mh, q.x_hat, xi.X_hat, t, qt.frame_hat))
+            return q.coords_hat(_transported_back(mh, q.x_hat, X_hat, t, value))
+        fwd = q.coords(_transported_back(m, q.x, X, t, qt.frame))
+        fwd_hat = q.coords_hat(_transported_back(mh, q.x_hat, X_hat, t, qt.frame_hat))
         return fwd_hat.T @ value @ fwd
 
     expected = central_diff([deleted_path(t) for t in stencil_offsets(1e-4)], 1e-4)
-    (got,), = directional_derivative(lambda s: (fields[kind](s),), [(q, xi)], (kind,))
+    (got,), = directional_derivative(lambda s: (coords[kind](s, fields[kind](s)),), [(q, xi)],
+                                     (kind,))
     assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
     # three kinds differentiate slot by slot through the same samples
     kinds = ("vector", "vector_hat", "map")
-    both, = directional_derivative(lambda s: tuple(fields[k](s) for k in kinds), [(q, xi)], kinds)
+    both, = directional_derivative(lambda s: tuple(coords[k](s, fields[k](s)) for k in kinds),
+                                   [(q, xi)], kinds)
     assert np.array_equal(both[kinds.index(kind)], got)
+
+
+def _ambient_pull_back(q, qt, value, kind):
+    """The pull-back as it was written on ambient vectors, kept as the
+    reference of the coordinate one: frame coordinates at qt, through the
+    kept transports, back to ambient vectors at the base q."""
+    fwd, fwd_hat = qt.transports
+    if kind == "vector":
+        return (qt.coords(value) @ fwd) @ q.frame
+    if kind == "vector_hat":
+        return (qt.coords_hat(value) @ fwd_hat) @ q.frame_hat
+    return fwd_hat.T @ value @ fwd
+
+
+@settings(max_examples=60, deadline=None)
+@given(pull_back_cases(), st.floats(0.05, 0.3), st.sampled_from([1.0, -1.0]))
+def test_the_coordinate_pull_back_equals_the_coordinates_of_the_ambient_one(case, size, sign):
+    # warped states keep a margin of 0.36 to the interval's ends: unit speed
+    # for at most 0.3 stays inside
+    pair, seed = case
+    m, mh, n = pair.space, pair.space_hat, pair.dim
+    rng = np.random.default_rng(seed)
+    q = pair.random_state(rng)
+    qt, = tangent_curve([q], _random_tangent_row(rng, q), sign * size)
+    vectors = m.project(qt.x, rng.standard_normal((3, m.amb_dim)))
+    vectors_hat = mh.project(qt.x_hat, rng.standard_normal((3, mh.amb_dim)))
+    maps = rng.standard_normal((3, n, n))
+    for kind, value, value_coords, to_coords in (
+            ("vector", vectors, qt.coords(vectors), q.coords),
+            ("vector_hat", vectors_hat, qt.coords_hat(vectors_hat), q.coords_hat),
+            ("map", maps, maps, lambda v: v)):
+        want = to_coords(_ambient_pull_back(q, qt, value, kind))
+        got = _pull_back(qt, value_coords, kind)
+        assert np.abs(got - want).max() <= 1e-12 * _scale(want)
 
 
 def test_vertical_derivative_examples():
@@ -737,22 +773,25 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
     bases = [pair.random_state(rng) for _ in range(3)]
-    qs, X, X_hat, C, t = [], [], [], [], []
+    qs, xis, t = [], [], []
     for index, kind, size, sign in rows:
         q = bases[index]
-        x, x_hat, c = np.zeros(m.amb_dim), np.zeros(mh.amb_dim), np.zeros((n, n))
+        xi = np.zeros(q_dim(n))
         if kind in ("rolling lift", "no spin", "general"):
-            x = m.random_tangent(rng, q.x, unit=True)
-            x_hat = (q.apply(x) if kind == "rolling lift"
-                     else mh.random_tangent(rng, q.x_hat, unit=True))
+            xi[:n] = q.coords(m.random_tangent(rng, q.x, unit=True))
+            xi[n : 2 * n] = (xi[:n] @ q.isometry.T if kind == "rolling lift"
+                             else q.coords_hat(mh.random_tangent(rng, q.x_hat, unit=True)))
         if kind in ("fiber", "general"):
             c = wedge_matrix(rng.standard_normal(n), rng.standard_normal(n))
-        qs.append(q), X.append(x), X_hat.append(x_hat), C.append(c), t.append(sign * size)
-    states = tangent_curve(qs, X, X_hat, C, t)
+            xi[2 * n :] = skew_to_vector(c)
+        qs.append(q), xis.append(xi), t.append(sign * size)
+    states = tangent_curve(qs, xis, t)
     assert len(states) == len(rows)
     tol = 1e-11 if warped else 1e-14
-    for qt, *row in zip(states, qs, X, X_hat, C, t):
-        xt, xht, a, transports = _one_row_tangent_curve(*row)
+    for qt, q, xi, ti in zip(states, qs, xis, t):
+        # the ambient velocities that the kernel forms from the row
+        xt, xht, a, transports = _one_row_tangent_curve(
+            q, xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat, vector_to_skew(xi[2 * n :], n), ti)
         for got, want in ((qt.x, xt), (qt.x_hat, xht), (qt.isometry, a),
                           *zip(qt.transports, transports)):
             assert np.abs(got - want).max() <= tol * _scale(want)
@@ -766,10 +805,11 @@ def _check_stack():
     q0, q1 = pair.random_state(rng), pair.random_state(rng)
     X0 = pair.space.random_tangent(rng, q0.x, unit=True)
     X1 = pair.space.random_tangent(rng, q1.x, unit=True)
-    c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
-    return pair, ([q0, q1, q1], [X0, np.zeros(4), X1],
-                  [q0.apply(X0), np.zeros(4), pair.space_hat.random_tangent(rng, q1.x_hat)],
-                  [np.zeros((3, 3)), c, c], [0.3, -0.2, 0.4])
+    c = skew_to_vector(wedge_matrix(rng.standard_normal(3), rng.standard_normal(3)))
+    general = np.concatenate((q1.coords(X1),
+                              q1.coords_hat(pair.space_hat.random_tangent(rng, q1.x_hat)), c))
+    return pair, ([q0, q1, q1], np.array([rolling_lift(q0, X0), np.concatenate((np.zeros(6), c)),
+                                          general]), [0.3, -0.2, 0.4])
 
 
 def _raised(stack):

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
-from rollsym.curvature import wedge_matrix
+from rollsym.curvature import skew_to_vector, wedge_matrix
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.rolling import (
     RollingPair,
-    TangentOfQ,
     det_transport_matrix,
     rolling_lift,
     tangent_curve,
@@ -264,8 +263,7 @@ def test_a_fiber_curve_keeps_the_base_point_and_frames():
     rng = np.random.default_rng(7)
     q = pair.random_state(rng)
     c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
-    xi = TangentOfQ(q, np.zeros(4), np.zeros(4), c)
-    qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, 0.3)
+    qt, = tangent_curve([q], np.concatenate((np.zeros(6), skew_to_vector(c))), 0.3)
     assert qt.x is q.x and qt.x_hat is q.x_hat
     assert qt.frame is q.frame and qt.frame_hat is q.frame_hat
     for fwd in qt.transports:
@@ -281,8 +279,7 @@ def test_a_rolling_lift_curve_takes_no_matrix_exponential(monkeypatch):
     rng = np.random.default_rng(8)
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
-    xi = rolling_lift(q, X)
-    qt, = tangent_curve([q], xi.X, xi.X_hat, xi.C, 0.2)
+    qt, = tangent_curve([q], rolling_lift(q, X), 0.2)
     p, p_hat = qt.transports
     assert np.abs(qt.isometry - p_hat @ q.isometry @ p.T).max() < 1e-14
 
@@ -431,7 +428,7 @@ def test_propagation_flat_target_is_affine():
     grid = np.linspace(0.0, 1.5, 31)
     res = propagate_sym0(q1, X, z0, u0, grid)
     v_hat = q1.apply(X)
-    d0 = q1.from_coords_hat(u0 @ q1.coords(X))
+    d0 = u0 @ q1.coords(X) @ q1.frame_hat
     for t, z in zip(grid, res.Z_hat):
         assert np.allclose(z, z0 + t * d0, atol=1e-9)
     # vertical data stays constant in parallel frames on a flat target
@@ -454,7 +451,7 @@ def test_propagation_sphere_jacobi_closed_form():
     u0 = q1.isometry @ (0.5 * (q1.isometry.T @ u0 - (q1.isometry.T @ u0).T))
     grid = np.linspace(0.0, 2.0, 81)
     res = propagate_sym0(q1, X, np.zeros(3), u0, grid)
-    d0 = q1.from_coords_hat(u0 @ q1.coords(X))
+    d0 = u0 @ q1.coords(X) @ q1.frame_hat
 
     def brute_jacobi(t_grid):
         """Independent oracle: RK4 on the variation equation of the unit
@@ -506,7 +503,7 @@ def test_propagation_round_trip():
     res = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0], grid)
     q_end, z_end, u_end = res.final()
     v_hat = pair.space_hat.geodesic_flow(q1.x_hat, q1.apply(X), 1.1)[1]
-    back_dir = -q_end.from_coords(q_end.isometry.T @ q_end.coords_hat(v_hat))
+    back_dir = -(q_end.isometry.T @ q_end.coords_hat(v_hat)) @ q_end.frame
     res_back = propagate_sym0(q_end, back_dir, z_end, u_end, grid)
     _, z0, u0 = res_back.final()
     assert np.abs(z0 - cand.Z_hat(q1)[0]).max() < 1e-5
