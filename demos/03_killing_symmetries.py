@@ -31,12 +31,14 @@ print(f"Killing catalog of the unit sphere: {len(catalog)} fields "
 # The catalog is one stack: each residual call checks every field at once
 # and returns one residual per field.
 cands = killing_to_symmetry(pair, catalog)
-qs, Xs, Ys = [], [], []
+rows = []
 for _ in range(10):
-    qs.append(pair.random_state(rng))
-    Xs.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
-    Ys.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
-# each residual is a (samples, candidates) array, from one pass over all samples
+    x, x_hat, a = pair.draw(rng)
+    rows.append((x, x_hat, a, pair.space.random_tangent(rng, x, unit=True),
+                 pair.space.random_tangent(rng, x, unit=True)))
+x, x_hat, a, Xs, Ys = (np.array(column) for column in zip(*rows))
+qs = pair.state(x, x_hat, a)  # the 10 samples as one stack of states
+# each residual is a (samples, candidates) array, from one pass over the stack
 rows = (*symmetry_residual(cands, qs, Xs), vertical_compatibility_residual(cands, qs, Xs, Ys))
 worst = np.max(rows, axis=1)
 print(f"  {'candidate':24s} {'drift':>9s} {'curvature':>9s} {'vertical':>9s}   (worst of 10 states)")
@@ -48,7 +50,7 @@ for name, (r1, r2, r3) in zip(cands.names, worst.T):
 broken = perturb_candidate(killing_to_symmetry(pair, catalog[0]), 1e-3, rng)
 q = pair.random_state(rng)
 X = pair.space.random_tangent(rng, q.x, unit=True)
-r1, r2 = symmetry_residual(broken, [q], [X])
+r1, r2 = symmetry_residual(broken, q[None], X[None])
 print(f"\nperturbed by a 1e-3 skew: drift residual {r1[0, 0]:.2e} (rejected)")
 
 # The evaluation data (Z_hat, A^-1 U_bar) at one state determines the

@@ -15,8 +15,9 @@ on a constant-curvature pair this reduces to the mismatch constant
 kappa = K - K_hat times the vertical direction A (X ^ Y); the sign has
 been pinned against two independent finite-difference oracles.
 `bracket_structured` evaluates it for every pair of two stacks at once, as
-one (i, j) table of broadcast arrays, and the growth vector brackets the
-whole stack of generators in one call per flag step and stencil sample.
+one (i, j) table of broadcast arrays, at a state or a stack of states; the
+growth vector brackets the whole stack of generators in one call per flag
+step, and each stencil evaluates the table once on its stacked sample states.
 
 An independent oracle, the coordinate bracket in the canonical chart, is
 provided for cross-checking the structured formula; it shares no stencil,
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import (curvature_term, skew_part, skew_to_vector, so_dim, vector_to_skew,
+from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_skew,
                         wedge_matrix)
 from .numerics import numerical_rank
 from .spaces import GeometryError, Warped
@@ -80,8 +81,9 @@ def _constant_curvature(m) -> float:
 @dataclass
 class FieldData:
     """Covariant derivatives (dT, dT_hat, dU) of the data of a stack of k
-    fields along a stack of m directions, with leading axes (m, k): the
-    frame coordinates of both drifts and the frame matrix of A C."""
+    fields along a stack of m directions, with axes (m, k) after the stack
+    axes of the states: the frame coordinates of both drifts and the frame
+    matrix of A C."""
 
     T: np.ndarray
     T_hat: np.ndarray
@@ -90,13 +92,15 @@ class FieldData:
 
 @dataclass
 class StructuredField:
-    """A stack of k vector fields on the state space, given by two closures.
+    """A stack of k vector fields on the state space, given by two closures
+    that take a state or a stack of states (RollingState) at once.
 
-    `value(q)` returns a (k, q_dim(n)) array of tangent rows, one per field;
-    the vertical data is the skew matrix C with fiber direction A C.
-    `derivative(q, xi)` returns the covariant derivatives of the field data
-    along every tangent row of a stack xi, as FieldData with leading axes
-    (len(xi), k).  A field without a closed-form derivative passes
+    `value(q)` returns the tangent rows of the k fields at every state,
+    (*q.shape, k, q_dim(n)); the vertical data is the skew matrix C with
+    fiber direction A C.  `derivative(q, xi)` returns the covariant
+    derivatives of the field data along the m tangent rows xi
+    (*q.shape, m, q_dim(n)) at each state, as FieldData with axes
+    (*q.shape, m, k).  A field without a closed-form derivative passes
     `lambda q, xi: stencil_data_derivative(value, q, xi, h)`.
     """
 
@@ -106,44 +110,46 @@ class StructuredField:
 
 def stencil_data_derivative(value, q, xi, h) -> FieldData:
     """Covariant derivatives of the (T, T_hat, U) data of the stack of fields
-    that `value` returns, along each vector of the stack xi, by central
-    differences of order FIELD_FD_ORDER and step h with parallel pull-back of
-    all three slots (rolling.directional_derivative): one stencil per vector
-    of xi, each evaluating the whole stack at its sample states, which every
-    field differentiated along that vector at q shares.  The sample states
-    along all of xi come from one tangent_curve call."""
+    that `value` returns, along each tangent row of xi (*q.shape, m, q_dim)
+    at each state of the stack q, by central differences of order
+    FIELD_FD_ORDER and step h with parallel pull-back of all three slots
+    (rolling.directional_derivative).  The sample states along every row at
+    every state form one stack from one tangent_curve call, and `value`
+    evaluates the whole stack of fields on it in one call."""
 
     n = q.pair.dim
 
-    def data(qt):
-        v = value(qt)
-        return v[:, :n], v[:, n : 2 * n], qt.isometry @ vector_to_skew(v[:, 2 * n :], n)
+    def data(s):
+        v = value(s)
+        return (v[..., :n], v[..., n : 2 * n],
+                s.expand(s.isometry, v.ndim + 1) @ vector_to_skew(v[..., 2 * n :], n))
 
-    along = directional_derivative(data, [(q, row) for row in xi], ("vector", "vector_hat", "map"),
-                                   h=h, order=FIELD_FD_ORDER)
-    return FieldData(*(np.stack(slot) for slot in zip(*along)))
+    return FieldData(*directional_derivative(data, q[..., None], xi,
+                                             ("vector", "vector_hat", "map"),
+                                             h=h, order=FIELD_FD_ORDER))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:
-    """The table of brackets [X_i, Y_j] of two stacks of fields at q, a
-    stack of kx * ky tangent rows in (i, j) order, from the structured formula:
-    derivative terms of each field along the other plus the vertical
-    curvature term, for all pairs at once."""
-    n = q.pair.dim
+    """The table of brackets [X_i, Y_j] of two stacks of fields at the state
+    or stack q, kx * ky tangent rows in (i, j) order after the stack axes,
+    from the structured formula: derivative terms of each field along the
+    other plus the vertical curvature term, for all pairs and states at
+    once."""
+    n, lead = q.pair.dim, len(q.shape)
     xi_x = xf.value(q)
     xi_y = yf.value(q)
     d_y = yf.derivative(q, xi_x)  # axes (i, j)
     d_x = xf.derivative(q, xi_y)  # axes (j, i)
 
-    wedge = wedge_matrix(xi_x[:, None, :n], xi_y[:, :n])
-    wedge_hat = wedge_matrix(xi_x[:, None, n : 2 * n], xi_y[:, n : 2 * n])
+    wedge = wedge_matrix(xi_x[..., :, None, :n], xi_y[..., None, :, :n])
+    wedge_hat = wedge_matrix(xi_x[..., :, None, n : 2 * n], xi_y[..., None, :, n : 2 * n])
 
     def table(dy, dx):
-        return (dy - np.swapaxes(dx, 0, 1)).reshape((-1,) + dy.shape[2:])
+        return (dy - np.swapaxes(dx, lead, lead + 1)).reshape(q.shape + (-1,) + dy.shape[lead + 2:])
 
     curv = curvature_term(q, wedge, wedge_hat)
-    nu_mat = table(d_y.U, d_x.U) + curv.reshape((-1,) + curv.shape[2:])
-    c = skew_to_vector(skew_part(q.isometry.T @ nu_mat))
+    nu_mat = table(d_y.U, d_x.U) + curv.reshape(q.shape + (-1, n, n))
+    c = skew_to_vector(skew_part(q.expand(q.isometry, nu_mat.ndim).mT @ nu_mat))
     return np.concatenate((table(d_y.T, d_x.T), table(d_y.T_hat, d_x.T_hat), c), axis=-1)
 
 
@@ -151,7 +157,8 @@ def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
     """The table of brackets as a stack of kx * ky fields, evaluable near a
     state; its own derivatives are stencils of step NESTED_FD_STEP, wider
     than a field's own, since every evaluation already contains the
-    derivatives of xf and yf."""
+    derivatives of xf and yf.  A bracket_field of a bracket_field evaluates
+    each level of nested stencils as one stack."""
 
     def value(q):
         return bracket_structured(xf, yf, q)
@@ -171,7 +178,7 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.
     # chart coordinates t e_j, by coordinate j, then time t
     thetas = np.eye(dim)[:, None] * np.array(_stencil_times(h))[:, None]
     d_mats, states = chart_differential(q, thetas.reshape(-1, dim))
-    rhs = np.array([np.concatenate((xf.value(s), yf.value(s))) for s in states])
+    rhs = np.concatenate((xf.value(states), yf.value(states)), axis=-2)
     components = np.linalg.solve(d_mats, rhs.mT).mT.reshape(dim, 4, -1, dim)
 
     x0 = xf.value(q)
@@ -201,15 +208,19 @@ def rolling_generators() -> StructuredField:
 
     def value(q):
         n = q.pair.dim
-        return np.concatenate((np.eye(n), q.isometry.T, np.zeros((n, so_dim(n)))), axis=1)
+        rows = np.zeros(q.shape + (n, q_dim(n)))
+        rows[..., :n] = np.eye(n)
+        rows[..., n : 2 * n] = q.isometry.mT
+        return rows
 
     def derivative(q, xi):
         # along xi[a] frame vector k moves by row k of its connection form
         # omega[a], and its image under A by A times row k of C[a]^T + omega[a]
         n = q.pair.dim
-        omega = np.einsum("ak,kij->aij", xi[:, :n], q.connection)
-        d_image = vector_to_skew(xi[:, 2 * n :], n).mT + omega
-        return FieldData(omega, d_image @ q.isometry.T, np.zeros(omega.shape + (n,)))
+        omega = np.einsum("...ak,...kij->...aij", xi[..., :n], q.connection)
+        d_image = vector_to_skew(xi[..., 2 * n :], n).mT + omega
+        return FieldData(omega, d_image @ q.expand(q.isometry, d_image.ndim).mT,
+                         np.zeros(omega.shape + (n,)))
 
     return StructuredField(value, derivative)
 

@@ -195,7 +195,9 @@ def cmd_growth(args):
         kappa = curvature_mismatch(run.pair)
     except GeometryError:
         kappa = None
-    predicted = (n, n * (n + 1) // 2, 2 * n + n * (n - 1) // 2)[: args.depth]
+    # a full flag stays full: the prediction is padded to the requested depth
+    full = 2 * n + n * (n - 1) // 2
+    predicted = ((n, n * (n + 1) // 2) + (full,) * max(1, args.depth - 2))[: args.depth]
     out = run.report_header()
     out["flag"] = report.to_json()
     out["kappa"] = kappa
@@ -268,12 +270,15 @@ def cmd_audit(args):
     if eps:
         cands = perturb_candidate(cands, eps, rng)
 
-    # every sample is drawn first; each checker then takes them all at once
-    qs, Xs, Ys = [], [], []
+    # every sample is drawn first and checked as one stack; each checker
+    # then takes the whole stack at once
+    rows = []
     for _ in range(args.samples):
-        qs.append(pair.random_state(rng))
-        Xs.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
-        Ys.append(pair.space.random_tangent(rng, qs[-1].x, unit=True))
+        x, x_hat, a = pair.draw(rng)
+        rows.append((x, x_hat, a, pair.space.random_tangent(rng, x, unit=True),
+                     pair.space.random_tangent(rng, x, unit=True)))
+    x, x_hat, a, Xs, Ys = (np.array(column) for column in zip(*rows))
+    qs = pair.state(x, x_hat, a)
     # one row of residuals per sample, one entry per candidate
     stats = dict(zip(("eq_drift", "eq_curvature"), symmetry_residual(cands, qs, Xs)))
     stats["vertical"] = vertical_compatibility_residual(cands, qs, Xs, Ys)

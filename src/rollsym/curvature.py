@@ -63,7 +63,7 @@ def skew_part(mat):
 
 
 def check_skew(mat, tol=SKEW_TOL, what="matrix"):
-    res = np.abs(mat + np.swapaxes(mat, -1, -2)).max()
+    res = np.abs(mat + np.swapaxes(mat, -1, -2)).max(initial=0.0)
     if not res <= tol:  # NaN fails too
         raise GeometryError(f"{what} is not skew-symmetric (residual {res:.3e})")
     return mat
@@ -83,23 +83,25 @@ def wedge_matrix(a, b):
 
 
 def curvature_term(q, plane, plane_hat):
-    """A R(plane) - R_hat(plane_hat) A at q, for stacks (..., n, n) of skew
-    matrices in the deterministic frames at x and x_hat: the one place that
-    forms this term.  The rolling curvature takes plane_hat = A plane A^T;
-    the bracket and symmetry equations pass their own pair of planes."""
-    A = q.isometry
-    r = q.pair.space.curvature_matrix_apply(q.x, plane)
-    r_hat = q.pair.space_hat.curvature_matrix_apply(q.x_hat, plane_hat)
+    """A R(plane) - R_hat(plane_hat) A at the stack q, for skew matrices
+    (..., n, n) in the deterministic frames at x and x_hat, the stack axes
+    first: the one place that forms this term.  The rolling curvature takes
+    plane_hat = A plane A^T; the bracket and symmetry equations pass their
+    own pair of planes."""
+    ndim = max(np.ndim(plane), np.ndim(plane_hat))
+    A = q.expand(q.isometry, ndim)
+    r = q.pair.space.curvature_matrix_apply(q.expand(q.x, ndim - 1), plane)
+    r_hat = q.pair.space_hat.curvature_matrix_apply(q.expand(q.x_hat, ndim - 1), plane_hat)
     return A @ r - r_hat @ A
 
 
 def rolling_curvature(q, xi):
     """Matrix (in the deterministic frames) of the map T_x M -> T_xhat Mhat
     given by A R(xi) - R_hat(A xi) A for a bivector xi at x, given as a
-    skew matrix, or for a stack of them."""
+    skew matrix, or for a stack of them (the stack axes of q first)."""
     xi_mat = check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
-    A = q.isometry
-    return curvature_term(q, xi_mat, A @ xi_mat @ A.T)
+    A = q.expand(q.isometry, xi_mat.ndim)
+    return curvature_term(q, xi_mat, A @ xi_mat @ A.mT)
 
 
 def rolling_curvature_operator(q):

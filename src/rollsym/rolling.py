@@ -10,11 +10,15 @@ stack of them, is a row of length q_dim(n) = 2n + n(n-1)/2: the frame
 coordinates of X at x, then those of X_hat at x_hat, then the so(n)
 coordinates of C (curvature.skew_to_vector order).
 
-Canonical curves, which combine both motions, are built in stacks: one
-tangent_curve call takes rows of (base state, tangent row, t) and returns a
-state per row, and every stencil on the state space draws all its sample states
-from one such call.  tangent_curve is the one place where tangent rows
-become ambient velocities.
+States come in stacks: a RollingState holds one state or a stack of them
+along leading axes, and every array it carries (points, contact maps, frames,
+connection forms, transports) has those leading axes first.  Canonical
+curves, which combine both motions, are built as one stack: one tangent_curve
+call takes a stack of base states, tangent rows and times, broadcast against
+each other, and returns the stacked state at the end of every curve.  Every
+stencil on the state space draws all its sample states from one such call and
+evaluates its closure once on that stack.  tangent_curve is the one place
+where tangent rows become ambient velocities.
 
 Rolling a path gamma in the first factor integrates the kinematic
 constraints of rolling without slipping (contact velocities match) or
@@ -56,18 +60,34 @@ class RollingPair:
         self.dim = space.dim
 
     def state(self, x, x_hat, isometry) -> "RollingState":
-        """The state (x, x_hat; isometry), after every check of _check_rows."""
+        """The state (x, x_hat; isometry), or the stack of states along the
+        leading axes of the isometry, after every check of _check_rows."""
         x, x_hat, a = (np.asarray(v, float) for v in (x, x_hat, isometry))
-        _check_rows(self, x[None], x_hat[None], a[None])
+        n = self.dim
+        if a.shape[-2:] != (n, n):
+            raise GeometryError(f"contact map must be a {n} x {n} matrix")
+        shape = a.shape[:-2]
+        for pts in (x, x_hat):
+            if pts.shape[:-1] != shape:
+                raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
+        _check_rows(self, x.reshape((-1,) + x.shape[len(shape):]),
+                    x_hat.reshape((-1,) + x_hat.shape[len(shape):]), a.reshape(-1, n, n))
         return RollingState(self, x, x_hat, a)
 
+    def draw(self, rng):
+        """The (x, x_hat, A) of a random state, unchecked: a random point on
+        each factor, then a random rotation."""
+        return (self.space.random_point(rng), self.space_hat.random_point(rng),
+                random_rotation(rng, self.dim))
+
     def random_state(self, rng) -> "RollingState":
-        x = self.space.random_point(rng)
-        x_hat = self.space_hat.random_point(rng)
-        return self.state(x, x_hat, random_rotation(rng, self.dim))
+        return self.state(*self.draw(rng))
 
     def state_from_json(self, data: dict) -> "RollingState":
-        return self.state(data["x"], data["x_hat"], data["A"])
+        q = self.state(data["x"], data["x_hat"], data["A"])
+        if q.shape:
+            raise GeometryError(f"a state holds one contact map, got a stack of shape {q.shape}")
+        return q
 
 
 def random_rotation(rng, n):
@@ -90,8 +110,9 @@ def _check_rows(pair, x, x_hat, a):
     if a.shape[1:] != (n, n):
         raise GeometryError(f"contact map must be a {n} x {n} matrix")
     residuals = np.linalg.norm(a.mT @ a - np.eye(n), axis=(1, 2))
-    if not residuals.max() <= ISOMETRY_TOL:
-        raise GeometryError(f"contact map is not an isometry (residual {residuals.max():.3e})")
+    worst = residuals.max(initial=0.0)
+    if not worst <= ISOMETRY_TOL:
+        raise GeometryError(f"contact map is not an isometry (residual {worst:.3e})")
     if np.any(np.linalg.det(a) <= 0):
         raise GeometryError("contact map must preserve orientation")
     return residuals
@@ -99,6 +120,14 @@ def _check_rows(pair, x, x_hat, a):
 
 @dataclass
 class RollingState:
+    """A state (x, x_hat; A), or a stack of them along leading axes: x is
+    (*shape, amb), x_hat (*shape, amb_hat) and isometry (*shape, n, n), and a
+    lone state has shape ().  The frames, connection forms and transports it
+    carries have the same leading axes, and so has every value of a closure
+    on states: at a stack, a closure returns the stack of its values at each
+    state.  Indexing (q[i], q[mask], q[..., None]) applies to the stack axes
+    of every array and keeps what was computed for those states."""
+
     pair: RollingPair
     x: np.ndarray
     x_hat: np.ndarray
@@ -106,43 +135,91 @@ class RollingState:
 
     def __post_init__(self):
         # RollingPair.state and tangent_curve check the states they build
-        self._basis = None  # (frame, kept indices) at x, see _fill_bases
+        self._basis = None  # (frames, kept indices) at x, see _bases
         self._basis_hat = None
         self._connection = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
 
     @property
+    def shape(self):
+        return self.isometry.shape[:-2]
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        index = index if isinstance(index, tuple) else (index,)
+
+        def take(a, core):
+            return a[index + (slice(None),) * core]
+
+        out = RollingState(self.pair, take(self.x, 1), take(self.x_hat, 1), take(self.isometry, 2))
+        for attr in ("_basis", "_basis_hat"):
+            if getattr(self, attr) is not None:
+                frames, kept = getattr(self, attr)
+                setattr(out, attr, (take(frames, 2), take(kept, 1)))
+        if self._connection is not None:
+            out._connection = take(self._connection, 3)
+        if self.transports is not None:
+            out.transports = tuple(take(fwd, 2) for fwd in self.transports)
+        return out
+
+    def expand(self, a, ndim):
+        """A per-state array (stack axes first) with axes inserted after the
+        stack axes, up to ndim axes, so that it broadcasts against values
+        that hold more per state (a stack of fields, say)."""
+        lead = len(self.shape)
+        return a.reshape(a.shape[:lead] + (1,) * max(0, ndim - a.ndim) + a.shape[lead:])
+
+    def _bases(self, side):
+        """(frames, kept indices) at the points of the first factor (side "")
+        or the second ("_hat"), from one SpaceForm.frames call over the stack."""
+        attr = "_basis" + side
+        if getattr(self, attr) is None:
+            x = getattr(self, "x" + side)
+            m = self.pair.space_hat if side else self.pair.space
+            frames, kept = m.frames(x.reshape(-1, x.shape[-1]), kept=True)
+            setattr(self, attr, (frames.reshape(self.shape + frames.shape[1:]),
+                                 kept.reshape(self.shape + kept.shape[1:])))
+        return getattr(self, attr)
+
+    @property
     def frame(self):
-        """The deterministic frame at x, one row of SpaceForm.frames."""
-        if self._basis is None:
-            _fill_bases([self], ("",))
-        return self._basis[0]
+        """The deterministic frames at x, (*shape, n, amb): rows of SpaceForm.frames."""
+        return self._bases("")[0]
 
     @property
     def frame_hat(self):
-        if self._basis_hat is None:
-            _fill_bases([self], ("_hat",))
-        return self._basis_hat[0]
+        return self._bases("_hat")[0]
 
     @property
     def connection(self):
         """The connection forms of the first factor's deterministic frame
-        along its own vectors, an (n, n, n) array: omega(v) is the sum of
-        v's frame coordinates against the first axis."""
+        along its own vectors, (*shape, n, n, n): omega(v) is the sum of v's
+        frame coordinates against the first axis after the stack axes."""
         if self._connection is None:
-            fr = self.frame  # fills self._basis
-            self._connection = self.pair.space.connection_form(self.x, fr, self._basis)
+            frame, kept = self._bases("")
+            self._connection = self.pair.space.connection_form(
+                self.x[..., None, :], frame, (frame[..., None, :, :], kept[..., None, :]))
         return self._connection
 
     def coords(self, w):
-        return self.pair.space.frame_coords(self.x, self.frame, w)
+        """Frame coordinates at x of ambient tangent vectors w, with the
+        stack axes first and any others (a stack of fields) after them."""
+        w = np.asarray(w, float)
+        return self.pair.space.frame_coords(self.expand(self.x, w.ndim),
+                                            self.expand(self.frame, w.ndim + 1), w)
 
     def coords_hat(self, w):
-        return self.pair.space_hat.frame_coords(self.x_hat, self.frame_hat, w)
+        w = np.asarray(w, float)
+        return self.pair.space_hat.frame_coords(self.expand(self.x_hat, w.ndim),
+                                                self.expand(self.frame_hat, w.ndim + 1), w)
 
     def apply(self, w):
-        """Image of ambient tangent vectors (..., amb) at x under the contact map."""
-        return self.coords(w) @ self.isometry.T @ self.frame_hat
+        """Image of ambient tangent vectors at x under the contact map."""
+        c = self.coords(w)[..., None, :]
+        a, frame_hat = (self.expand(v, c.ndim) for v in (self.isometry, self.frame_hat))
+        return (c @ a.mT @ frame_hat)[..., 0, :]
 
     def to_json(self) -> dict:
         return {"x": self.x.tolist(), "x_hat": self.x_hat.tolist(),
@@ -154,17 +231,26 @@ def q_dim(n):
 
 
 def rolling_lift(q: RollingState, X):
-    """Lift of a tangent vector at x (or a stack of them) to the rolling
-    distribution, as tangent rows (c, c A^T, 0) for the frame coordinates c
-    of X: the base points move with matched contact velocities (X, AX) and
-    A stays put."""
+    """Lift of tangent vectors at x (the stack axes first, then any others)
+    to the rolling distribution, as tangent rows (c, c A^T, 0) for the frame
+    coordinates c of X: the base points move with matched contact velocities
+    (X, AX) and A stays put."""
     X = np.asarray(X, float)
-    err = q.pair.space.tangency_residual(q.x, X)
+    err = q.pair.space.tangency_residual(q.expand(q.x, X.ndim), X)
     if np.any(err > 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))):
         raise GeometryError("lifted vector is not tangent at the contact point")
     c = q.coords(X)
-    return np.concatenate((c, c @ q.isometry.T, np.zeros(c.shape[:-1] + (so_dim(q.pair.dim),))),
-                          axis=-1)
+    return np.concatenate((c, _times(q, c, q.isometry.mT),
+                           np.zeros(c.shape[:-1] + (so_dim(q.pair.dim),))), axis=-1)
+
+
+def _times(q, rows, mat):
+    """Vectors `rows` at the states of q (the stack axes first, then any
+    others) times the matrix `mat` of their state, one matrix product per
+    state."""
+    lead = len(q.shape)
+    flat = rows.reshape(rows.shape[:lead] + (math.prod(rows.shape[lead:-1]), rows.shape[-1]))
+    return (flat @ mat).reshape(rows.shape[:-1] + mat.shape[-1:])
 
 
 # -- canonical curves and transports ------------------------------------------
@@ -173,67 +259,62 @@ def rolling_lift(q: RollingState, X):
 def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
-    return _flow_rows(m, [x], zip(*m.frames([x], kept=True)), v, np.array([t], float))[1][0]
+    x = np.asarray(x, float)[None]
+    return _flow_rows(m, x, m.frames(x, kept=True), np.asarray(v, float)[None],
+                      np.array([t], float))[1][0]
 
 
-def _fill_bases(qs, sides=("", "_hat")):
-    """Give every state of qs that has none its (frame, kept indices) on each
-    factor of sides ("" the first, "_hat" the second), from one
-    SpaceForm.frames call per factor over those states."""
-    pair = qs[0].pair
-    for side in sides:
-        m, attr = pair.space_hat if side else pair.space, "_basis" + side
-        todo = [q for q in qs if getattr(q, attr) is None]
-        if todo:
-            bases = zip(*m.frames([getattr(q, "x" + side) for q in todo], kept=True))
-            for q, basis in zip(todo, bases):
-                setattr(q, attr, basis)
-
-
-def _flow_rows(m, points, bases, v, t):
-    """Per row, the point at time t[i] of the geodesic of (points[i], v[i])
-    on m, det_transport_matrix to it and its basis, given the bases at the
-    points.  A row with v[i] = 0 keeps its point and basis with the identity
-    transport; the moving rows flow in one geodesic_flow and one
-    transport_along_geodesic call and take their bases from one frames call."""
-    v = np.broadcast_to(np.asarray(v, float), (len(points), m.amb_dim))
-    fwd = np.tile(np.eye(m.dim), (len(points), 1, 1))
-    points, bases = list(points), list(bases)
+def _flow_rows(m, x, basis, v, t):
+    """Per row, the point at time t[i] of the geodesic of (x[i], v[i]) on m,
+    det_transport_matrix to it and its basis (frames, kept indices), given
+    the basis at the points.  A row with v[i] = 0 keeps its point and basis
+    with the identity transport; the moving rows flow in one geodesic_flow
+    and one transport_along_geodesic call and take their bases from one
+    frames call."""
+    fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
+    frames, kept = basis
     move = np.flatnonzero(v.any(axis=1))
     if len(move):
-        x, v, t = np.array([points[i] for i in move]), v[move], t[move]
-        xt = m.geodesic_flow(x, v, t)[0]
-        moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None],
-                                           np.array([bases[i][0] for i in move]))
-        frames, kept = m.frames(xt, kept=True)
-        for k, i in enumerate(move):
-            points[i], bases[i] = xt[k], (frames[k], kept[k])
-        fwd[move] = m.inner_at(xt[:, None, None], frames[:, :, None], moved[:, None])
-    return points, fwd, bases
+        x, frames, kept = x.copy(), frames.copy(), kept.copy()
+        xm, vm, tm = x[move], v[move], t[move]
+        xt = m.geodesic_flow(xm, vm, tm)[0]
+        moved = m.transport_along_geodesic(xm[:, None], vm[:, None], tm[:, None], frames[move])
+        x[move] = xt
+        frames[move], kept[move] = m.frames(xt, kept=True)
+        fwd[move] = m.inner_at(xt[:, None, None], frames[move][:, :, None], moved[:, None])
+    return x, fwd, (frames, kept)
 
 
-def tangent_curve(qs, xi, t) -> list:
-    """The canonical curves of a stack of rows, one state per row: row i
-    starts at qs[i] (rows may share a base) with the tangent row xi[i] and
-    stops at time t[i], both broadcast against the rows.  Both base points
-    run along geodesics, A is transported in parallel frames and composed
-    with expm(tC) on the fiber.  Each state keeps the two frame-transport
-    matrices from its base (det_transport_matrix on each factor) as its
-    `transports`, through which values at it are pulled back.  Only rows
-    with C != 0 enter the one stacked expm, one SVD takes the nearest
-    rotations, and every check of RollingState runs once over the whole
-    stack."""
-    pair, rows, n = qs[0].pair, len(qs), qs[0].pair.dim
-    t = np.broadcast_to(np.asarray(t, float), (rows,))
-    xi = np.broadcast_to(np.asarray(xi, float), (rows, q_dim(n)))
+def tangent_curve(q: RollingState, xi, t) -> RollingState:
+    """The canonical curves of a stack: the state at time t of the curve
+    that starts at q with the tangent row xi, where the stack of q, the rows
+    of xi and the times t broadcast against each other (NumPy rules on their
+    leading axes) to the shape of the returned stack.  Both base points run
+    along geodesics, A is transported in parallel frames and composed with
+    expm(tC) on the fiber.  The returned stack keeps the two frame-transport
+    matrices from its bases (det_transport_matrix on each factor) as its
+    `transports`, through which values at it are pulled back, and its
+    frames.  The kernel runs on the flattened stack: only rows with C != 0
+    enter the one stacked expm, one SVD takes the nearest rotations, and
+    every check of RollingState runs once over the whole stack."""
+    pair, n = q.pair, q.pair.dim
+    xi, t = np.asarray(xi, float), np.asarray(t, float)
+    shape = np.broadcast_shapes(q.shape, xi.shape[:-1], t.shape)
+
+    def rows(a, core):  # a per-state array at every state of the result, flattened
+        tail = a.shape[a.ndim - core:]
+        return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
+
+    xi, t = rows(xi, 1), rows(t, 0)
+    (frames, kept), (frames_hat, kept_hat) = q._bases(""), q._bases("_hat")
+    frames, frames_hat = rows(frames, 2), rows(frames_hat, 2)
     C = vector_to_skew(xi[:, 2 * n :], n)
-    _fill_bases(qs)
-    bases, bases_hat = [q._basis for q in qs], [q._basis_hat for q in qs]
-    X = (xi[:, None, :n] @ np.array([b[0] for b in bases]))[:, 0]
-    X_hat = (xi[:, None, n : 2 * n] @ np.array([b[0] for b in bases_hat]))[:, 0]
-    xt, fwd, basis = _flow_rows(pair.space, [q.x for q in qs], bases, X, t)
-    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, [q.x_hat for q in qs], bases_hat, X_hat, t)
-    a = fwd_hat @ np.array([q.isometry for q in qs])
+    X = (xi[:, None, :n] @ frames)[:, 0]
+    X_hat = (xi[:, None, n : 2 * n] @ frames_hat)[:, 0]
+    xt, fwd, basis = _flow_rows(pair.space, rows(q.x, 1), (frames, rows(kept, 1)), X, t)
+    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, rows(q.x_hat, 1),
+                                         (frames_hat, rows(kept_hat, 1)), X_hat, t)
+    a = fwd_hat @ rows(q.isometry, 2)
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
         a[spin] = a[spin] @ expm(t[spin, None, None] * C[spin])
@@ -245,13 +326,15 @@ def tangent_curve(qs, xi, t) -> list:
         raise GeometryError(f"canonical curve left the isometry bundle by "
                             f"{drift[drift > 1e-6].max():.3e}")
     a = _nearest_rotation(a)
-    _check_rows(pair, np.array(xt), np.array(xht), a)
-    out = []
-    for i in range(rows):
-        qt = RollingState(pair, xt[i], xht[i], a[i])
-        qt._basis, qt._basis_hat = basis[i], basis_hat[i]  # built above, the same frames
-        qt.transports = fwd[i], fwd_hat[i]
-        out.append(qt)
+    _check_rows(pair, xt, xht, a)
+
+    def stacked(a):
+        return a.reshape(shape + a.shape[1:])
+
+    out = RollingState(pair, stacked(xt), stacked(xht), stacked(a))
+    out._basis = tuple(map(stacked, basis))  # built above, the same frames
+    out._basis_hat = tuple(map(stacked, basis_hat))
+    out.transports = stacked(fwd), stacked(fwd_hat)
     return out
 
 
@@ -275,29 +358,20 @@ def _stencil_times(dt):
     return (2 * dt, dt, -dt, -2 * dt)
 
 
-def curve_velocity(qs, samples, dt):
-    """Tangent rows of the velocities of state curves through qs, by
-    symmetric differences of their states `samples` at the times
-    _stencil_times(dt); C subtracts the no-spin rate of the measured base
+def curve_velocity(q, samples, dt):
+    """Tangent rows of the velocities of state curves through the stack q,
+    by symmetric differences of their states `samples`, a stack whose first
+    axis runs over the times _stencil_times(dt) and whose other axes
+    broadcast against q's; C subtracts the no-spin rate of the measured base
     velocities, whose states come from one tangent_curve call."""
-    pair, ts, n = qs[0].pair, _stencil_times(dt), qs[0].pair.dim
-
-    def rate(attr, states):  # the stencil of an attribute along the times of each row
-        values = np.array([[getattr(s, attr) for s in row] for row in states])
-        return _stencil(values.swapaxes(0, 1), dt)
-
-    def coords(m, side):  # frame coordinates of the rate of each base point
-        points = np.array([getattr(q, "x" + side) for q in qs])
-        frames = np.array([getattr(q, "frame" + side) for q in qs])
-        return m.frame_coords(points, frames, rate("x" + side, samples))
-
-    rows = np.zeros((len(qs), q_dim(n)))
-    rows[:, :n], rows[:, n : 2 * n] = coords(pair.space, ""), coords(pair.space_hat, "_hat")
-    ns = tangent_curve([q for q in qs for _ in ts], np.repeat(rows, len(ts), axis=0),
-                       np.tile(ts, len(qs)))
-    ns = [ns[i : i + len(ts)] for i in range(0, len(ns), len(ts))]
-    a_dot = rate("isometry", samples) - rate("isometry", ns)
-    rows[:, 2 * n :] = skew_to_vector(skew_part(np.array([q.isometry for q in qs]).mT @ a_dot))
+    pair, n = q.pair, q.pair.dim
+    rows = np.zeros(samples.shape[1:] + (q_dim(n),))
+    rows[..., :n] = pair.space.frame_coords(q.x, q.frame, _stencil(samples.x, dt))
+    rows[..., n : 2 * n] = pair.space_hat.frame_coords(q.x_hat, q.frame_hat,
+                                                       _stencil(samples.x_hat, dt))
+    ns = tangent_curve(q, rows, np.reshape(_stencil_times(dt), (-1,) + (1,) * (rows.ndim - 1)))
+    a_dot = _stencil(samples.isometry, dt) - _stencil(ns.isometry, dt)
+    rows[..., 2 * n :] = skew_to_vector(skew_part(q.isometry.mT @ a_dot))
     return rows
 
 
@@ -509,7 +583,7 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
     """Closed-form rolling along a geodesic of the first factor: the
     development is the geodesic of the matched velocity, and the isometry is
     conjugated by the two geodesic transports."""
-    return tangent_curve([q0], rolling_lift(q0, direction), t)[0]
+    return tangent_curve(q0, rolling_lift(q0, direction), t)
 
 
 # -- derivatives of bundle maps -------------------------------------------------
@@ -518,64 +592,55 @@ VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
 
 
 def _pull_back(qt: RollingState, value, kind):
-    """A value at the canonical-curve state qt (or a stack of values, along
-    the leading axes), parallel-transported back to the curve's base through
-    the frame-transport matrices that qt keeps; vectors are frame
-    coordinates."""
+    """Values at the canonical-curve states qt (the stack axes first, then
+    any others), parallel-transported back to the curves' bases through the
+    frame-transport matrices that qt keeps; vectors are frame coordinates."""
     fwd, fwd_hat = qt.transports
     if kind == "vector":
-        return value @ fwd
+        return _times(qt, value, fwd)
     if kind == "vector_hat":
-        return value @ fwd_hat
+        return _times(qt, value, fwd_hat)
     if kind == "map":
-        return fwd_hat.T @ value @ fwd
+        return qt.expand(fwd_hat, value.ndim).mT @ value @ qt.expand(fwd, value.ndim)
     return value
 
 
-def directional_derivative(func, rows, kinds, h=FD_STEP, order=2):
+def directional_derivative(func, q, xi, kinds, h=FD_STEP, order=2):
     """Covariant derivatives of a tuple of state-dependent tensor values
-    along the canonical curve of each (q, xi) of rows, xi a tangent row, one
-    tuple per row, by central differences with parallel pull-back.
+    along the canonical curves of (q, xi), xi tangent rows broadcast against
+    the stack q, by central differences with parallel pull-back: one array
+    per slot, shaped as that value at the broadcast stack.
 
     `func` returns a tuple of values, and `kinds` declares slot by slot how
     each transports: 'vector' / 'vector_hat' for the frame coordinates of
     tangent vectors on either factor, 'map' for frame matrices of maps
     T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  One
-    tangent_curve call builds the sample states of all rows, row by row and
-    within a row at the times stencil_offsets(h, order).
+    tangent_curve call builds all sample states, one stack whose first axis
+    runs over the times stencil_offsets(h, order); func is called once on
+    that stack, and the pull-back and the differences are array operations.
     """
     if not set(kinds) <= set(VALUE_KINDS):
         raise GeometryError(f"unknown value kind in {kinds!r}")
-    if not rows:
-        return []
-    ts = stencil_offsets(h, order)
-    states = tangent_curve([q for q, _ in rows for _ in ts],
-                           np.repeat([xi for _, xi in rows], len(ts), axis=0), ts * len(rows))
-
-    def pulled(qt):
-        return tuple(_pull_back(qt, v, k) for v, k in zip(func(qt), kinds))
-
-    return [central_diff([pulled(qt) for qt in states[i * len(ts) : (i + 1) * len(ts)]], h)
-            for i in range(len(rows))]
+    xi = np.asarray(xi, float)
+    lead = len(np.broadcast_shapes(q.shape, xi.shape[:-1]))
+    states = tangent_curve(q, xi, np.reshape(stencil_offsets(h, order), (-1,) + (1,) * lead))
+    return tuple(central_diff(_pull_back(states, v, k), h) for v, k in zip(func(states), kinds))
 
 
-def rolling_derivative(func, qs, Xs, kinds):
+def rolling_derivative(func, q, X, kinds):
     """Derivatives along the rolling curves whose initial velocities are the
-    rolling lifts of Xs[i] at qs[i], one per state, with values pulled back to
-    the contact points."""
-    _fill_bases(qs)  # the lifts read every frame
-    rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
-    return directional_derivative(func, rows, kinds)
+    rolling lifts of X at the stack q, with values pulled back to the
+    contact points."""
+    return directional_derivative(func, q, rolling_lift(q, X), kinds)
 
 
-def vertical_derivative(func, qs, Cs, kinds):
+def vertical_derivative(func, q, C, kinds):
     """Derivatives of a state-dependent value along the fiber curves
-    A expm(tC) through qs[i] with the skew matrix C = Cs[i], one per state;
-    only the isometry moves, so no transport is involved."""
-    rows = [(q, np.concatenate((np.zeros(2 * q.pair.dim), skew_to_vector(
-                check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")))))
-            for q, C in zip(qs, Cs)]
-    return directional_derivative(func, rows, kinds, h=FD_STEP_FIBER)
+    A expm(tC) through the stack q with the skew matrices C; only the
+    isometry moves, so no transport is involved."""
+    C = check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")
+    rows = np.concatenate((np.zeros(C.shape[:-2] + (2 * q.pair.dim,)), skew_to_vector(C)), axis=-1)
+    return directional_derivative(func, q, rows, kinds, h=FD_STEP_FIBER)
 
 
 # -- the chart around a state ----------------------------------------------------
@@ -586,19 +651,18 @@ def chart_differential(center: RollingState, thetas):
     (u, u_hat, omega) -> (exp_x(E u), exp_xhat(Ehat u_hat), transported
     A expm(omega)) with E, Ehat the deterministic frames, at a stack of chart
     coordinates (m, dim), column by column in tangent rows at the state at
-    each, and those states, by stencils of step CHART_STEP.  Chart
-    coordinates are tangent rows at center, and at the origin the
+    each, and the stack of those states, by stencils of step CHART_STEP.
+    Chart coordinates are tangent rows at center, and at the origin the
     differential is the identity.  The states and every column stencil's
     chart points come from one tangent_curve call, and curve_velocity takes
     all columns at once."""
     dim, ts = q_dim(center.pair.dim), _stencil_times(CHART_STEP)
-    # per theta: theta itself, then theta + t e_k for each column k and time t
+    # per theta: theta itself, then theta + t e_k by time t, then column k
     steps = np.concatenate((np.zeros((1, dim)),
-                            (np.eye(dim)[:, None] * np.array(ts)[:, None]).reshape(-1, dim)))
-    rows = (thetas[:, None] + steps).reshape(-1, dim)
-    states = tangent_curve([center] * len(rows), rows, 1.0)
-    centers = states[:: len(steps)]
-    samples = [states[i : i + len(ts)] for c in range(len(thetas))
-               for i in range(c * len(steps) + 1, (c + 1) * len(steps), len(ts))]
-    columns = curve_velocity([q for q in centers for _ in range(dim)], samples, CHART_STEP)
-    return columns.reshape(len(thetas), dim, dim).mT, centers
+                            (np.array(ts)[:, None, None] * np.eye(dim)).reshape(-1, dim)))
+    states = tangent_curve(center, thetas[:, None] + steps, 1.0)
+    centers = states[:, 0]
+    samples = states[np.arange(len(thetas))[:, None],
+                     1 + np.arange(len(ts) * dim).reshape(len(ts), 1, dim)]
+    columns = curve_velocity(centers[:, None], samples, CHART_STEP)
+    return columns.mT, centers

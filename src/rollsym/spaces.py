@@ -218,11 +218,13 @@ class SpaceForm:
         return self.frames(np.asarray(x, dtype=float)[None])[0]
 
     def connection_form(self, x, v, basis=None):
-        """The skew n x n matrix omega with nabla_v E_i = sum_j omega_ij E_j
-        for the deterministic frame E at the point x; v is one tangent vector
-        or a stack (..., amb_dim), which gives (..., n, n).  `basis`, row
-        (frame, kept indices) of frames(., kept=True) at x, saves rerunning
-        Gram-Schmidt.
+        """The skew n x n matrices omega with nabla_v E_i = sum_j omega_ij E_j
+        for the deterministic frame E at the points x (..., amb_dim), along
+        tangent vectors v (..., amb_dim) whose leading axes broadcast against
+        those of x; returns (..., n, n).  `basis`, (frames, kept indices) of
+        frames(., kept=True) with the leading axes of x, saves rerunning
+        Gram-Schmidt.  A row of a stack is the form of its point alone, bit
+        for bit.
 
         Gram-Schmidt is a Cholesky factorization: the kept projected basis
         vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
@@ -238,21 +240,25 @@ class SpaceForm:
         nearly cancels, L^-1 amplifies round-off in its symmetric part (about
         1e-11 of |omega| on a hyperboloid); the skew part is returned."""
         x = np.asarray(x, dtype=float)
-        fr, kept = (b[0] for b in self.frames(x[None], kept=True)) if basis is None else basis
-        x = x[None]  # against the frame rows
+        if basis is None:
+            frames, kept = self.frames(x.reshape(-1, self.amb_dim), kept=True)
+            basis = frames.reshape(x.shape[:-1] + frames.shape[1:]), kept.reshape(
+                x.shape[:-1] + kept.shape[1:])
+        fr, kept = basis
+        x = x[..., None, :]  # against the frame rows
         w = self.metric_weights(x)
         eye = np.eye(self.amb_dim)[kept]
-        lower = self.project(x, eye) @ (w * fr).T
-        sign = np.sign(np.diag(lower))  # -1 on the last row after a flip
-        fr = sign[:, None] * fr
-        inv = np.linalg.inv(np.tril(lower * sign))
+        lower = self.project(x, eye) @ (w * fr).mT
+        sign = np.sign(np.diagonal(lower, axis1=-2, axis2=-1))  # -1 on the last row after a flip
+        fr = sign[..., None] * fr
+        inv = np.linalg.inv(np.tril(lower * sign[..., None, :]))
         v = np.asarray(v, dtype=float)[..., None, :]
         d_basis = self.project_derivative(x, v, eye)
-        phi = inv @ (d_basis * w) @ fr.T
-        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.T
+        phi = inv @ (d_basis * w) @ fr.mT
+        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.mT
         low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
         nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
-        omega = sign[:, None] * ((nabla * w) @ fr.T) * sign
+        omega = sign[..., :, None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
         return 0.5 * (omega - omega.mT)
 
     def project_derivative(self, x, v, w):

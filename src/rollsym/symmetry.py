@@ -19,10 +19,11 @@ U_bar(q0)) of such candidates spans at most n(n+1)/2 dimensions.
 All residual checkers evaluate candidates through finite-difference
 stencils, so user-supplied closures are tested against the actual
 definitions rather than against their own derivative formulas.  Killing
-fields and candidates come in stacks, and a checker takes a whole list of
-samples: it builds the stencil states of every sample in one canonical-curve
-call, evaluates the whole stack on them and returns one residual per sample
-and candidate.
+fields and candidates come in stacks, and a checker takes a whole stack of
+samples (a stacked RollingState): it builds the stencil states of every
+sample in one canonical-curve call, evaluates the whole stack of candidates
+on them in one call of each closure and returns one residual per sample and
+candidate.
 """
 
 from __future__ import annotations
@@ -83,15 +84,19 @@ class KillingField:
                             [self.names[i] for i in rows])
 
     def value(self, x):
-        """The fields at x, a (k, amb) array."""
-        return self.manifold.project(x, self.generators @ x + self.translations)
+        """The fields at the points x (..., amb), a (..., k, amb) array."""
+        x = np.asarray(x, float)[..., None, :]  # against the fields
+        images = (self.generators @ x[..., None])[..., 0]
+        return self.manifold.project(x, images + self.translations)
 
     def nabla_matrix(self, x, frame):
-        """Matrices of the covariant differentials in the deterministic frame
-        at x, a (k, n, n) array: entry (i, j) is <E_i, nabla_{E_j} K>."""
+        """Matrices of the covariant differentials in the deterministic frames
+        at the points x (..., amb), a (..., k, n, n) array: entry (i, j) is
+        <E_i, nabla_{E_j} K>."""
         m = self.manifold
-        images = m.project(x, frame @ self.generators.mT)  # (k, n, amb): K's generator on E_j
-        return m.inner_at(x, frame[:, None], images[:, None])
+        x, frame = np.asarray(x, float)[..., None, None, :], frame[..., None, :, :]
+        images = m.project(x, frame @ self.generators.mT)  # (..., k, n, amb): K's generator on E_j
+        return m.inner_at(x[..., None, :], frame[..., :, None, :], images[..., None, :, :])
 
 
 def killing_catalog(manifold: SpaceForm) -> KillingField:
@@ -147,11 +152,12 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
 @dataclass
 class SymmetryCandidate:
     """A stack of k closure triples (Z, Z_hat, U_bar), with one name per
-    candidate.  Every closure maps a state to a stack: Z and Z_hat give
-    ambient tangent vectors at the respective contact points, (k, amb)
+    candidate.  Every closure maps a state, or a stack of states in one call,
+    to the stack of candidates at each state: Z and Z_hat give ambient
+    tangent vectors at the respective contact points, (*q.shape, k, amb)
     arrays, and U_bar the deterministic-frame matrices of maps
-    T_x M -> T_xhat Mhat with A^{-1} U_bar skew, a (k, n, n) array.  A
-    candidate is base-fixing where Z is zero."""
+    T_x M -> T_xhat Mhat with A^{-1} U_bar skew, a (*q.shape, k, n, n)
+    array.  A candidate is base-fixing where Z is zero."""
 
     pair: RollingPair
     Z: Callable[[RollingState], np.ndarray]
@@ -167,7 +173,8 @@ class SymmetryCandidate:
         in so(n) for every candidate: raises when the largest skewness
         residual exceeds U_BAR_SKEW_TOL."""
         u_bar = self.U_bar(q)
-        check_skew(q.isometry.T @ u_bar, tol=U_BAR_SKEW_TOL, what="A^-1 U_bar")
+        check_skew(q.expand(q.isometry, u_bar.ndim).mT @ u_bar, tol=U_BAR_SKEW_TOL,
+                   what="A^-1 U_bar")
         return u_bar
 
 
@@ -179,9 +186,10 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandi
         raise MismatchError("Killing field must live on the second factor of the pair")
     return SymmetryCandidate(
         pair,
-        Z=lambda q: np.zeros((len(field), pair.space.amb_dim)),
+        Z=lambda q: np.zeros(q.shape + (len(field), pair.space.amb_dim)),
         Z_hat=lambda q: field.value(q.x_hat),
-        U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat) @ q.isometry,
+        U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat)
+        @ q.expand(q.isometry, q.isometry.ndim + 1),
         names=[f"killing({name})" for name in field.names],
     )
 
@@ -198,7 +206,7 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
         cand.pair,
         Z=cand.Z,
         Z_hat=cand.Z_hat,
-        U_bar=lambda q: cand.U_bar(q) + q.isometry @ noise,
+        U_bar=lambda q: cand.U_bar(q) + q.expand(q.isometry, q.isometry.ndim + 1) @ noise,
         names=[name + f"+skew({eps:g})" for name in cand.names],
     )
 
@@ -206,29 +214,24 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
 # -- residual operations ------------------------------------------------------------
 
 
-def symmetry_residual(cand: SymmetryCandidate, qs, Xs):
+def symmetry_residual(cand: SymmetryCandidate, q, X):
     """Residuals (r1, r2) of the two symmetry equations at every sample
-    (qs[i], Xs[i]), two (samples, candidates) arrays, by stencils whose
-    states every candidate shares and one tangent_curve call builds for all
-    samples.  U_bar(q) comes from SymmetryCandidate.validate, which raises on
-    a candidate that is not skew there.  The closure converts Z and Z_hat to
-    frame coordinates once per state, and the residuals are Euclidean norms
-    of orthonormal coordinates."""
-    Xs = np.asarray(Xs, float)
-    derivatives = rolling_derivative(
+    (q[i], X[i]) of the stack q with tangent vectors X at x, two (samples,
+    candidates) arrays, by stencils whose states every candidate shares and
+    one tangent_curve call builds for all samples.  U_bar(q) comes from
+    SymmetryCandidate.validate, which raises on a candidate that is not skew
+    there.  The closure converts Z and Z_hat to frame coordinates once per
+    stack, and the residuals are Euclidean norms of orthonormal coordinates."""
+    X = np.asarray(X, float)
+    d_zhat, d_u, d_z = rolling_derivative(
         lambda s: (s.coords_hat(cand.Z_hat(s)), cand.U_bar(s), s.coords(cand.Z(s))),
-        qs, Xs, ("vector_hat", "map", "vector"))
-    r1, r2 = zip(*(_residuals_at(cand, q, X, *d) for q, X, d in zip(qs, Xs, derivatives)))
-    return np.array(r1), np.array(r2)
-
-
-def _residuals_at(cand, q, X, d_zhat, d_u, d_z):
-    """symmetry_residual at one sample, from the rolling derivatives there."""
+        q, X, ("vector_hat", "map", "vector"))
     u_bar, x, a = cand.validate(q), q.coords(X), q.isometry
-    r1 = np.linalg.norm(u_bar @ x + d_z @ a.T - d_zhat, axis=-1)
+    r1 = np.linalg.norm((u_bar @ q.expand(x, u_bar.ndim - 1)[..., None])[..., 0]
+                        + d_z @ a.mT - d_zhat, axis=-1)
 
-    curv = curvature_term(q, wedge_matrix(x, q.coords(cand.Z(q))),
-                          wedge_matrix(a @ x, q.coords_hat(cand.Z_hat(q))))
+    curv = curvature_term(q, wedge_matrix(x[..., None, :], q.coords(cand.Z(q))),
+                          wedge_matrix((a @ x[..., None]).mT, q.coords_hat(cand.Z_hat(q))))
     r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
     return r1, r2
 
@@ -242,26 +245,24 @@ def inner_symmetry_residual(Z, q: RollingState) -> float:
     return float(np.linalg.norm(rolling_curvature(q, planes), axis=(-2, -1)).max())
 
 
-def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys):
+def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
     """Residuals of the fiber-derivative compatibility along the rolling
-    curvature direction of the plane (Xs[i], Ys[i]) at every sample qs[i], a
-    (samples, candidates) array:
+    curvature direction of the plane (X[i], Y[i]) at every sample q[i] of
+    the stack q, a (samples, candidates) array:
 
         A . (d_fiber Z) = d_fiber Z_hat   along  nu(Rol_q(X ^ Y)).
 
     The rolling curvature and the fiber direction do not depend on the
     candidate, so they are built once for the stack, and the fiber states of
     all samples come from one tangent_curve call."""
-    cs = [skew_part(q.isometry.T @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
-          for q, X, Y in zip(qs, np.asarray(Xs, float), np.asarray(Ys, float))]
-    live = [i for i, c in enumerate(cs) if np.abs(c).max() >= 1e-14]  # zero there otherwise
-    derivatives = vertical_derivative(lambda s: (s.coords(cand.Z(s)), s.coords_hat(cand.Z_hat(s))),
-                                      [qs[i] for i in live], [cs[i] for i in live],
-                                      ("vector", "vector_hat"))
-    out = np.zeros((len(qs), len(cand)))
-    for i, (d_z, d_zhat) in zip(live, derivatives):
-        out[i] = np.linalg.norm(d_z @ qs[i].isometry.T - d_zhat, axis=-1)
-    return out
+    a = q.isometry
+    c = skew_part(a.mT @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
+    # where the direction is round-off, the fiber curve stays put and the
+    # derivative is exactly zero
+    c = np.where(np.abs(c).max(axis=(-2, -1), keepdims=True) >= 1e-14, c, 0.0)
+    d_z, d_zhat = vertical_derivative(lambda s: (s.coords(cand.Z(s)), s.coords_hat(cand.Z_hat(s))),
+                                      q, c, ("vector", "vector_hat"))
+    return np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
 
 
 # -- propagation along rolling curves ---------------------------------------------
@@ -270,9 +271,9 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, qs, Xs, Ys):
 @dataclass
 class PropagationResult:
     times: np.ndarray
-    states: list
-    Z_hat: list
-    U_bar: list
+    states: RollingState
+    Z_hat: np.ndarray
+    U_bar: np.ndarray
 
     def final(self):
         return self.states[-1], self.Z_hat[-1], self.U_bar[-1]
@@ -304,12 +305,11 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic frame
-    states = tangent_curve([q1] * len(t_grid), rolling_lift(q1, X), t_grid)
-    p, p_hat = (np.array(m) for m in zip(*(st.transports for st in states)))
-    frames_hat = np.array([st.frame_hat for st in states])
-    z_hats = (ys[:, None, :n] @ p_hat.mT @ frames_hat)[:, 0]
+    states = tangent_curve(q1, rolling_lift(q1, X), t_grid)
+    p, p_hat = states.transports
+    z_hats = (ys[:, None, :n] @ p_hat.mT @ states.frame_hat)[:, 0]
     u_bars = p_hat @ (u1 + vector_to_skew(ys[:, 2 * n:], n) @ q1.isometry) @ p.mT
-    return PropagationResult(t_grid, states, list(z_hats), list(u_bars))
+    return PropagationResult(t_grid, states, z_hats, u_bars)
 
 
 JACOBI_STEP = 1e-3  # longest RK4 substep of the geodesic-variation equation

@@ -274,6 +274,9 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
                                            "A": np.eye(3).tolist()}},
         {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0],
                                            "A": [[float("nan"), 0.0], [0.0, 1.0]]}},
+        # a valid stack of one state is not one state
+        {**SPHERE_PLANE, "initial_state": {"x": [[0.0, 0.0, 1.0]], "x_hat": [[0.0, 0.0]],
+                                           "A": [[[1.0, 0.0], [0.0, 1.0]]]}},
     ]
     for k, payload in enumerate(malformed):
         capsys.readouterr()
@@ -307,6 +310,18 @@ def test_growth_report_and_exit(tmp_path):
     assert data["predicted_growth"] == [2, 3, 5]
     assert data["kappa"] == pytest.approx(8.0 / 9.0)
     assert data["seed"] == 3
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_growth_pads_the_prediction_of_a_full_flag_to_its_depth(tmp_path, depth):
+    # S3(1)/S3(2) reaches the full 9 at depth 3 and stays there; a rank
+    # tuple of length depth used to be compared with a prediction of length 3
+    cfg = write_config(tmp_path, {"manifold_pair": [_sphere(3), _sphere(3, 2.0)], "seed": 0})
+    out = tmp_path / "growth.json"
+    assert main(["--config", cfg, "growth", "--depth", str(depth), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["predicted_growth"] == [3, 6] + [9] * (depth - 2)
+    assert data["flag"]["ranks"] == data["predicted_growth"]
 
 
 @pytest.mark.parametrize("depth", ["0", "7"])
@@ -825,15 +840,16 @@ def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch
     calls = []
     nabla = KillingField.nabla_matrix
     monkeypatch.setattr(KillingField, "nabla_matrix",
-                        lambda self, *a: calls.append(1) or nabla(self, *a))
+                        lambda self, x, *a: calls.append(np.shape(x)[:-1]) or nabla(self, x, *a))
     cfg = write_config(tmp_path, SPHERES_1_3)
     assert main([
         "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
         "--samples", "3", "--seed", "1", "--out", str(tmp_path / "audit.json"),
     ]) == 0
-    # per sample: once at the state and at the two samples of the order-2
-    # stencil of the drift derivative; once more for the dimension probe
-    assert len(calls) == 3 * 3 + 1
+    # per sample: once at the two samples of the order-2 stencil of the
+    # drift derivative and once at the state, each a call on the stack of
+    # all samples; once more for the dimension probe's state
+    assert calls == [(2, 3), (3,), ()]
 
 
 def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):

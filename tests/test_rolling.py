@@ -39,6 +39,11 @@ def sphere_on_plane():
     return RollingPair(Sphere(2, 1.0), Euclidean(2))
 
 
+def stack(pair, states):
+    """The stack of lone states, in order, as one RollingState."""
+    return pair.state(*(np.array(v) for v in zip(*((q.x, q.x_hat, q.isometry) for q in states))))
+
+
 # -- states and lifts ----------------------------------------------------------------
 
 
@@ -76,7 +81,7 @@ def test_killing_symmetry_with_warped_first_factor():
     X = pair.space.random_tangent(rng, q.x, unit=True)
     for field in killing_catalog(pair.space_hat):
         cand = killing_to_symmetry(pair, field)
-        r1, r2 = symmetry_residual(cand, [q], [X])
+        r1, r2 = symmetry_residual(cand, q[None], X[None])
         assert max(r1[0, 0], r2[0, 0]) < 1e-6
 
 
@@ -434,8 +439,8 @@ def test_velocity_round_trip_on_rolling_curves():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     dt = 1e-5
-    samples = [roll_geodesic(q0, v, t) for t in (2 * dt, dt, -dt, -2 * dt)]
-    row, = curve_velocity([q0], [samples], dt)
+    samples = roll_geodesic(q0, v, np.array([2 * dt, dt, -dt, -2 * dt]))
+    row = curve_velocity(q0, samples, dt)
     assert np.linalg.norm(row[:2] @ q0.frame - v) < 1e-6
     assert np.linalg.norm(row[2:4] @ q0.frame_hat - q0.apply(v)) < 1e-6
     assert np.abs(row[4:]).max() < 1e-6
@@ -493,41 +498,53 @@ def test_rolling_curve_checks_every_row():
 
 
 def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monkeypatch):
-    # one tangent_curve call per derivative call, of rows times stencil
-    # offsets states; nothing is kept between calls, and no rows build nothing
+    # one tangent_curve call per derivative call, of states times stencil
+    # offsets states, and one call of func on them; nothing is kept between
+    # calls, and an empty stack gives empty derivatives
     import rollsym.rolling as rolling_mod
 
-    calls = []
+    calls, evaluated = [], []
     build = rolling_mod.tangent_curve
-    monkeypatch.setattr(rolling_mod, "tangent_curve",
-                        lambda qs, *a: calls.append(len(qs)) or build(qs, *a))
+
+    def counting(*args):
+        states = build(*args)
+        calls.append(math.prod(states.shape))
+        return states
+
+    def isometry(s):
+        evaluated.append(s.shape)
+        return (s.isometry,)
+
+    monkeypatch.setattr(rolling_mod, "tangent_curve", counting)
     pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 2.0))
     rng = np.random.default_rng(3)
-    qs = [pair.random_state(rng) for _ in range(3)]
-    Xs = [pair.space.random_tangent(rng, q.x, unit=True) for q in qs]
-    rows = [(q, rolling_lift(q, X)) for q, X in zip(qs, Xs)]
+    qs = stack(pair, [pair.random_state(rng) for _ in range(3)])
+    Xs = np.array([pair.space.random_tangent(rng, x, unit=True) for x in qs.x])
+    rows = rolling_lift(qs, Xs)
     results = []
     for order in (2, 4, 4):
         calls.clear()
-        results.append(directional_derivative(lambda s: (s.isometry,), rows, ("map",), order=order))
+        evaluated.clear()
+        results.append(directional_derivative(isometry, qs, rows, ("map",), order=order))
         assert calls == [len(qs) * order]
-    assert all(np.array_equal(a, b) for (a,), (b,) in zip(results[1], results[2]))
+        assert evaluated == [(order, len(qs))]
+    assert np.array_equal(results[1][0], results[2][0])
     calls.clear()
     along_lifts = rolling_derivative(lambda s: (s.isometry,), qs, Xs, ("map",))
     assert calls == [len(qs) * 2]
-    assert all(np.array_equal(a, b) for (a,), (b,) in zip(along_lifts, results[0]))
-    calls.clear()
-    assert vertical_derivative(lambda s: (s.isometry,), [], [], ("map",)) == []
-    assert directional_derivative(lambda s: (s.x,), [], ("vector",)) == []
-    assert calls == []
+    assert np.array_equal(along_lifts[0], results[0][0])
+    none = qs[:0]
+    d, = vertical_derivative(lambda s: (s.isometry,), none, np.zeros((0, 2, 2)), ("map",))
+    assert d.shape == (0, 2, 2)
+    d, = directional_derivative(lambda s: (s.coords(s.x),), none, rows[:0], ("vector",))
+    assert d.shape == (0, 2)
 
 
 def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
-    (d,), = rolling_derivative(lambda s: (s.coords(const),), [q], [np.array([1.0, 0.0])],
-                               ("vector",))
+    d, = rolling_derivative(lambda s: (s.coords(const),), q, np.array([1.0, 0.0]), ("vector",))
     assert np.abs(d).max() < 1e-8
 
 
@@ -536,7 +553,7 @@ def test_rolling_derivative_of_the_isometry_vanishes():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    (d,), = rolling_derivative(lambda s: (s.isometry,), [q], [X], ("map",))
+    d, = rolling_derivative(lambda s: (s.isometry,), q, X, ("map",))
     assert np.abs(d).max() < 1e-8
 
 
@@ -545,7 +562,7 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
-    (d,), = rolling_derivative(lambda s: (s.coords_hat(const_hat),), [q], [X], ("vector_hat",))
+    d, = rolling_derivative(lambda s: (s.coords_hat(const_hat),), q, X, ("vector_hat",))
     assert np.abs(d).max() < 1e-10
 
 
@@ -557,10 +574,10 @@ def test_rolling_derivative_is_linear_in_direction():
     Y = pair.space.random_tangent(rng, q.x)
 
     def field(s):
-        return (s.isometry @ s.coords(s.frame[0]),)
+        return ((s.isometry @ s.coords(s.frame[..., 0, :])[..., None])[..., 0],)
 
     def along(v):  # order 4 along the rolling lift of v
-        (d,), = directional_derivative(field, [(q, rolling_lift(q, v))], ("scalar",), order=4)
+        d, = directional_derivative(field, q, rolling_lift(q, v), ("scalar",), order=4)
         return d
 
     dX, dY, dXY = along(X), along(Y), along(0.5 * X + 2.0 * Y)
@@ -610,15 +627,17 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
     w, w_hat = rng.standard_normal((m.amb_dim,) * 2), rng.standard_normal((mh.amb_dim,) * 2)
     r = rng.standard_normal((mh.amb_dim, m.amb_dim))
     fields = {  # ambient values, and their frame coordinates where they are vectors
-        "vector": lambda s: m.project(s.x, w @ s.x) + s.isometry[0] @ s.frame,
-        "vector_hat": lambda s: mh.project(s.x_hat, w_hat @ s.x_hat) + s.apply(s.frame[0]),
-        "map": lambda s: s.isometry + s.frame_hat @ r @ s.frame.T,
+        "vector": lambda s: (m.project(s.x, s.x @ w.T)
+                             + (s.isometry[..., :1, :] @ s.frame)[..., 0, :]),
+        "vector_hat": lambda s: (mh.project(s.x_hat, s.x_hat @ w_hat.T)
+                                 + s.apply(s.frame[..., 0, :])),
+        "map": lambda s: s.isometry + s.frame_hat @ r @ s.frame.mT,
     }
     coords = {"vector": lambda s, v: s.coords(v), "vector_hat": lambda s, v: s.coords_hat(v),
               "map": lambda s, v: v}
 
     def deleted_path(t):
-        qt, = tangent_curve([q], xi, t)
+        qt = tangent_curve(q, xi, t)
         value = fields[kind](qt)
         if kind == "vector":
             return q.coords(_transported_back(m, q.x, X, t, value))
@@ -629,13 +648,12 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
         return fwd_hat.T @ value @ fwd
 
     expected = central_diff([deleted_path(t) for t in stencil_offsets(1e-4)], 1e-4)
-    (got,), = directional_derivative(lambda s: (coords[kind](s, fields[kind](s)),), [(q, xi)],
-                                     (kind,))
+    got, = directional_derivative(lambda s: (coords[kind](s, fields[kind](s)),), q, xi, (kind,))
     assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
     # three kinds differentiate slot by slot through the same samples
     kinds = ("vector", "vector_hat", "map")
-    both, = directional_derivative(lambda s: tuple(coords[k](s, fields[k](s)) for k in kinds),
-                                   [(q, xi)], kinds)
+    both = directional_derivative(lambda s: tuple(coords[k](s, fields[k](s)) for k in kinds),
+                                  q, xi, kinds)
     assert np.array_equal(both[kinds.index(kind)], got)
 
 
@@ -660,7 +678,7 @@ def test_the_coordinate_pull_back_equals_the_coordinates_of_the_ambient_one(case
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
     q = pair.random_state(rng)
-    qt, = tangent_curve([q], _random_tangent_row(rng, q), sign * size)
+    qt = tangent_curve(q, _random_tangent_row(rng, q), sign * size)
     vectors = m.project(qt.x, rng.standard_normal((3, m.amb_dim)))
     vectors_hat = mh.project(qt.x_hat, rng.standard_normal((3, mh.amb_dim)))
     maps = rng.standard_normal((3, n, n))
@@ -679,23 +697,23 @@ def test_vertical_derivative_examples():
     c = wedge_matrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
     # field independent of the contact map
-    (d0,), = vertical_derivative(lambda s: (s.x_hat,), [q], [c], ("scalar",))
+    d0, = vertical_derivative(lambda s: (s.x_hat,), q, c, ("scalar",))
     assert np.abs(d0).max() < 1e-12
 
     # the contact map itself differentiates to A C
-    (d1,), = vertical_derivative(lambda s: (s.isometry,), [q], [c], ("scalar",))
+    d1, = vertical_derivative(lambda s: (s.isometry,), q, c, ("scalar",))
     assert np.allclose(d1, q.isometry @ c, atol=1e-9)
 
     # the rolling curvature at a frozen bivector: analytic fiber derivative
     from rollsym.curvature import rolling_curvature
 
     xi = wedge_matrix(np.array([0.6, 0.2]), np.array([-0.1, 0.9]))
-    (d2,), = vertical_derivative(lambda s: (rolling_curvature(s, xi),), [q], [c], ("scalar",))
+    d2, = vertical_derivative(lambda s: (rolling_curvature(s, xi),), q, c, ("scalar",))
     kappa = pair.space.curvature_constant - pair.space_hat.curvature_constant
     assert np.allclose(d2, kappa * q.isometry @ c @ xi, atol=1e-6)
 
     with pytest.raises(GeometryError):
-        vertical_derivative(lambda s: (s.x,), [q], [np.array([[0.0, 1.0], [0.3, 0.0]])],
+        vertical_derivative(lambda s: (s.x,), q, np.array([[0.0, 1.0], [0.3, 0.0]]),
                             ("scalar",))
 
 
@@ -773,9 +791,9 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
     bases = [pair.random_state(rng) for _ in range(3)]
-    qs, xis, t = [], [], []
-    for index, kind, size, sign in rows:
-        q = bases[index]
+    index, xis, t = [], [], []
+    for base_index, kind, size, sign in rows:
+        q = bases[base_index]
         xi = np.zeros(q_dim(n))
         if kind in ("rolling lift", "no spin", "general"):
             xi[:n] = q.coords(m.random_tangent(rng, q.x, unit=True))
@@ -784,11 +802,12 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
         if kind in ("fiber", "general"):
             c = wedge_matrix(rng.standard_normal(n), rng.standard_normal(n))
             xi[2 * n :] = skew_to_vector(c)
-        qs.append(q), xis.append(xi), t.append(sign * size)
-    states = tangent_curve(qs, xis, t)
+        index.append(base_index), xis.append(xi), t.append(sign * size)
+    states = tangent_curve(stack(pair, bases)[np.array(index)], np.array(xis), np.array(t))
     assert len(states) == len(rows)
     tol = 1e-11 if warped else 1e-14
-    for qt, q, xi, ti in zip(states, qs, xis, t):
+    for i, (xi, ti) in enumerate(zip(xis, t)):
+        qt, q = states[i], bases[index[i]]
         # the ambient velocities that the kernel forms from the row
         xt, xht, a, transports = _one_row_tangent_curve(
             q, xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat, vector_to_skew(xi[2 * n :], n), ti)
@@ -808,8 +827,9 @@ def _check_stack():
     c = skew_to_vector(wedge_matrix(rng.standard_normal(3), rng.standard_normal(3)))
     general = np.concatenate((q1.coords(X1),
                               q1.coords_hat(pair.space_hat.random_tangent(rng, q1.x_hat)), c))
-    return pair, ([q0, q1, q1], np.array([rolling_lift(q0, X0), np.concatenate((np.zeros(6), c)),
-                                          general]), [0.3, -0.2, 0.4])
+    return pair, (stack(pair, [q0, q1, q1]),
+                  np.array([rolling_lift(q0, X0), np.concatenate((np.zeros(6), c)), general]),
+                  np.array([0.3, -0.2, 0.4]))
 
 
 def _raised(stack):

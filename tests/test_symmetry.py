@@ -32,8 +32,9 @@ RNG = np.random.default_rng(404)
 
 
 def zeros(*shape):
-    """A closure that gives the zero stack of the given shape at every state."""
-    return lambda s: np.zeros(shape)
+    """A closure that gives the zero stack of the given shape at every state
+    of a stack."""
+    return lambda s: np.zeros(s.shape + shape)
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -97,7 +98,7 @@ def test_translation_induced_candidate_is_exact():
     cand = killing_to_symmetry(pair, trans)
     assert np.all(cand.U_bar(q) == 0.0)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, [q], [X])
+    r1, r2 = symmetry_residual(cand, q[None], X[None])
     assert r1[0, 0] < 1e-9 and r2[0, 0] < 1e-9
 
 
@@ -109,7 +110,7 @@ def test_plane_rotation_induced_candidate():
     expected = rot.generators @ q.isometry
     assert np.allclose(cand.U_bar(q), expected, atol=1e-12)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, [q], [X])
+    r1, r2 = symmetry_residual(cand, q[None], X[None])
     assert max(r1[0, 0], r2[0, 0]) < 1e-7
 
 
@@ -119,7 +120,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
     for field in killing_catalog(pair.space_hat)[:3]:
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
-        r1, r2 = symmetry_residual(cand, [q], [X])
+        r1, r2 = symmetry_residual(cand, q[None], X[None])
         assert max(r1[0, 0], r2[0, 0]) < 1e-6
 
 
@@ -128,7 +129,7 @@ def test_zero_candidate_has_zero_residuals():
     q = pair.random_state(RNG)
     zero = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 2), zeros(1, 2, 2), ["zero"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert np.all(np.concatenate(symmetry_residual(zero, [q], [X])) == 0.0)
+    assert np.all(np.concatenate(symmetry_residual(zero, q[None], X[None])) == 0.0)
 
 
 def test_perturbed_candidate_is_rejected():
@@ -137,7 +138,7 @@ def test_perturbed_candidate_is_rejected():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[1])
     pert = perturb_candidate(cand, 1e-3, np.random.default_rng(0))
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    r1, r2 = symmetry_residual(pert, [q], [X])
+    r1, r2 = symmetry_residual(pert, q[None], X[None])
     assert max(r1[0, 0], r2[0, 0]) > 1e-4
     # linear response: the drift equation sees the perturbation at its size
     assert r1[0, 0] == pytest.approx(1e-3, rel=0.9)
@@ -149,11 +150,12 @@ def test_candidate_validation():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
     assert np.array_equal(cand.validate(q), cand.U_bar(q))
     broken = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
-                               lambda s: np.array([[[0.0, 1.0], [1.0, 0.0]]]), ["symmetric"])
+                               lambda s: np.broadcast_to([[[0.0, 1.0], [1.0, 0.0]]],
+                                                         s.shape + (1, 2, 2)), ["symmetric"])
     with pytest.raises(GeometryError):
         broken.validate(q)
     with pytest.raises(GeometryError, match="not skew"):
-        symmetry_residual(broken, [q], [q.frame[0]])
+        symmetry_residual(broken, q[None], q.frame[None, 0])
     # a NaN residual compares false with the tolerance and must not pass
     nan_valued = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
                                    lambda s: np.full((1, 2, 2), np.nan), ["nan"])
@@ -196,12 +198,12 @@ def test_vertical_compatibility_flat_and_matched_cases():
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] < 1e-9
+    assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] < 1e-9
 
     matched = RollingPair(Sphere(2, 1.0), Sphere(2, 1.0))
     qm = matched.random_state(RNG)
     cand_m = killing_to_symmetry(matched, killing_catalog(matched.space_hat)[0])
-    assert vertical_compatibility_residual(cand_m, [qm], [X], [Y])[0, 0] == 0.0
+    assert vertical_compatibility_residual(cand_m, qm[None], X[None], Y[None])[0, 0] == 0.0
 
 
 def test_vertical_compatibility_on_distinct_spheres():
@@ -211,18 +213,18 @@ def test_vertical_compatibility_on_distinct_spheres():
         cand = killing_to_symmetry(pair, field)
         X = pair.space.random_tangent(RNG, q.x, unit=True)
         Y = pair.space.random_tangent(RNG, q.x, unit=True)
-        assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] < 1e-6
+        assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] < 1e-6
 
 
 def test_vertical_compatibility_detects_base_dependence():
     # a candidate whose drift depends on the contact map fails the check
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
-    cand = SymmetryCandidate(pair, zeros(1, 3), lambda s: s.apply(s.frame[:1]),
+    cand = SymmetryCandidate(pair, zeros(1, 3), lambda s: s.apply(s.frame[..., :1, :]),
                              zeros(1, 2, 2), ["contact-map drift"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
-    assert vertical_compatibility_residual(cand, [q], [X], [Y])[0, 0] > 1e-4
+    assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] > 1e-4
 
 
 def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp_path):
@@ -258,14 +260,19 @@ def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp
         assert 0 < len(frames) <= 5
 
 
-def test_a_fiber_curve_keeps_the_base_point_and_frames():
+def test_a_fiber_curve_keeps_the_base_point_and_frames(monkeypatch):
+    from rollsym.spaces import SpaceForm
+
     pair = RollingPair(Sphere(3, 2.0), Hyperbolic(3, 1.0))
     rng = np.random.default_rng(7)
     q = pair.random_state(rng)
     c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
-    qt, = tangent_curve([q], np.concatenate((np.zeros(6), skew_to_vector(c))), 0.3)
-    assert qt.x is q.x and qt.x_hat is q.x_hat
-    assert qt.frame is q.frame and qt.frame_hat is q.frame_hat
+    frame, frame_hat = q.frame, q.frame_hat
+    # the curve takes its frames from q's and builds none
+    monkeypatch.setattr(SpaceForm, "frames", lambda *a, **k: pytest.fail("frames rebuilt"))
+    qt = tangent_curve(q, np.concatenate((np.zeros(6), skew_to_vector(c))), 0.3)
+    assert np.array_equal(qt.x, q.x) and np.array_equal(qt.x_hat, q.x_hat)
+    assert np.array_equal(qt.frame, frame) and np.array_equal(qt.frame_hat, frame_hat)
     for fwd in qt.transports:
         assert np.array_equal(fwd, np.eye(3))
     assert np.abs(qt.isometry - q.isometry @ expm(0.3 * c)).max() < 1e-14
@@ -279,7 +286,7 @@ def test_a_rolling_lift_curve_takes_no_matrix_exponential(monkeypatch):
     rng = np.random.default_rng(8)
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
-    qt, = tangent_curve([q], rolling_lift(q, X), 0.2)
+    qt = tangent_curve(q, rolling_lift(q, X), 0.2)
     p, p_hat = qt.transports
     assert np.abs(qt.isometry - p_hat @ q.isometry @ p.T).max() < 1e-14
 
@@ -317,8 +324,8 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
             noise_rng.standard_normal((skip, pair.dim, pair.dim))
             cand = perturb_candidate(cand, 1e-3, noise_rng)
         cand.validate(q)
-        return np.array([*symmetry_residual(cand, [q], [X]),
-                         vertical_compatibility_residual(cand, [q], [X], [Y])])[:, 0]
+        return np.array([*symmetry_residual(cand, q[None], X[None]),
+                         vertical_compatibility_residual(cand, q[None], X[None], Y[None])])[:, 0]
 
     stacked = residuals(catalog, 0)
     assert stacked.shape == (3, len(catalog))
@@ -332,7 +339,7 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
 def inner_candidate(pair, Z, name):
     """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0)."""
     return SymmetryCandidate(pair, Z, lambda s: s.apply(Z(s)),
-                             lambda s: np.zeros((len(Z(s)), pair.dim, pair.dim)), [name])
+                             lambda s: np.zeros(Z(s).shape[:-1] + (pair.dim, pair.dim)), [name])
 
 
 def test_inner_kind_candidate_passes_general_residuals():
@@ -340,12 +347,13 @@ def test_inner_kind_candidate_passes_general_residuals():
     # radial field of the cosine warp rolling on the matching sphere
     warped = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
     pair = RollingPair(warped, Sphere(2, 1.0))
-    cand = inner_candidate(pair, lambda s: np.array([[1.0, 0.0, 0.0]]), "radial")
+    cand = inner_candidate(pair, lambda s: np.broadcast_to([1.0, 0.0, 0.0], s.shape + (1, 3)),
+                           "radial")
     rng = np.random.default_rng(88)
     for _ in range(5):
         q = pair.random_state(rng)
         X = pair.space.random_tangent(rng, q.x, unit=True)
-        r1, r2 = symmetry_residual(cand, [q], [X])
+        r1, r2 = symmetry_residual(cand, q[None], X[None])
         assert max(r1[0, 0], r2[0, 0]) < 1e-6
 
 
@@ -362,7 +370,7 @@ def test_contact_field_instance_is_inner_on_matched_unit_spheres():
     cand = inner_candidate(pair, lambda s: xi.value(s.x), "contact lift")
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
-    r1, r2 = symmetry_residual(cand, [q], [X])
+    r1, r2 = symmetry_residual(cand, q[None], X[None])
     assert max(r1[0, 0], r2[0, 0]) < 1e-6
     with pytest.raises(GeometryError):
         standard_contact_field(Sphere(2, 1.0))
@@ -627,7 +635,7 @@ def test_dimension_probe_span_invariance_and_small_cases():
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
     # a stack whose drift on the first factor is nonzero at q0 is not base-fixing
-    moving = SymmetryCandidate(pair, lambda s: s.frame[:1], zeros(1, 3), zeros(1, 2, 2),
+    moving = SymmetryCandidate(pair, lambda s: s.frame[..., :1, :], zeros(1, 3), zeros(1, 2, 2),
                                ["moving base"])
     with pytest.raises(GeometryError, match="base-fixing"):
         sym0_dimension_probe(q0, moving)
