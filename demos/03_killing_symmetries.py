@@ -31,12 +31,10 @@ print(f"Killing catalog of the unit sphere: {len(catalog)} fields "
 # The catalog is one stack: each residual call checks every field at once
 # and returns one residual per field.
 cands = killing_to_symmetry(pair, catalog)
-rows = []
-for _ in range(10):
-    x, x_hat, a = pair.draw(rng)
-    rows.append((x, x_hat, a, pair.space.random_tangent(rng, x, unit=True),
-                 pair.space.random_tangent(rng, x, unit=True)))
-x, x_hat, a, Xs, Ys = (np.array(column) for column in zip(*rows))
+# Draws come in stacks too: 10 states, then a unit X and a unit Y at each.
+x, x_hat, a = pair.draw(rng, (10,))
+Xs = pair.space.random_tangent(rng, x, unit=True)
+Ys = pair.space.random_tangent(rng, x, unit=True)
 qs = pair.state(x, x_hat, a)  # the 10 samples as one stack of states
 # each residual is a (samples, candidates) array, from one pass over the stack
 rows = (*symmetry_residual(cands, qs, Xs), vertical_compatibility_residual(cands, qs, Xs, Ys))

@@ -282,6 +282,9 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
             continue
         current = bracket_field(current, gens)
         new = current.value(q)
+        # the next step reads this table at q again: it is kept, not re-evaluated
+        current = StructuredField(lambda s, f=current.value, v=new: v if s is q else f(s),
+                                  current.derivative)
         rows = np.concatenate((rows, new))
         layers.append(len(new))
         steps.append(numerical_rank(rows, tol, layers))

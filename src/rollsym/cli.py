@@ -53,6 +53,8 @@ GAP_REQUIREMENT = 1e4
 NILPOTENT_MAX_N = 12
 # a simulated grid holds every row in memory; 2 pi at the default step is 6,284 intervals
 MAX_GRID_INTERVALS = 10**6
+# all samples are held at once: peak RSS ~6 KB a sample on S3(2)/S3(1), ~57 KB on S6(2)/S6(1)
+MAX_AUDIT_SAMPLES = 10**4
 TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": 1e-3, "isometry": 1e-7}
 
 
@@ -249,8 +251,9 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
 
 def cmd_audit(args):
     run = Run(args)
-    if args.samples < 1:
-        raise GeometryError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_AUDIT_SAMPLES:
+        raise GeometryError(f"--samples must be at least 1 and at most {MAX_AUDIT_SAMPLES}, "
+                            f"got {args.samples}")
     rng = run.rng()
     pair = run.pair
     tol = run.tolerances["residual"]
@@ -270,14 +273,11 @@ def cmd_audit(args):
     if eps:
         cands = perturb_candidate(cands, eps, rng)
 
-    # every sample is drawn first and checked as one stack; each checker
-    # then takes the whole stack at once
-    rows = []
-    for _ in range(args.samples):
-        x, x_hat, a = pair.draw(rng)
-        rows.append((x, x_hat, a, pair.space.random_tangent(rng, x, unit=True),
-                     pair.space.random_tangent(rng, x, unit=True)))
-    x, x_hat, a, Xs, Ys = (np.array(column) for column in zip(*rows))
+    # the samples are drawn as stacks (all states, then all X, then all Y)
+    # and checked as one stack; each checker then takes the whole stack at once
+    x, x_hat, a = pair.draw(rng, (args.samples,))
+    Xs = pair.space.random_tangent(rng, x, unit=True)
+    Ys = pair.space.random_tangent(rng, x, unit=True)
     qs = pair.state(x, x_hat, a)
     # one row of residuals per sample, one entry per candidate
     stats = dict(zip(("eq_drift", "eq_curvature"), symmetry_residual(cands, qs, Xs)))

@@ -74,11 +74,12 @@ class RollingPair:
                     x_hat.reshape((-1,) + x_hat.shape[len(shape):]), a.reshape(-1, n, n))
         return RollingState(self, x, x_hat, a)
 
-    def draw(self, rng):
-        """The (x, x_hat, A) of a random state, unchecked: a random point on
-        each factor, then a random rotation."""
-        return (self.space.random_point(rng), self.space_hat.random_point(rng),
-                random_rotation(rng, self.dim))
+    def draw(self, rng, shape=()):
+        """The (x, x_hat, A) of a random state, or of a stack of the given
+        shape, unchecked: all points on the first factor, then all on the
+        second, then all rotations, each array drawn whole."""
+        return (self.space.random_point(rng, shape), self.space_hat.random_point(rng, shape),
+                random_rotation(rng, self.dim, shape))
 
     def random_state(self, rng) -> "RollingState":
         return self.state(*self.draw(rng))
@@ -90,12 +91,12 @@ class RollingPair:
         return q
 
 
-def random_rotation(rng, n):
-    m = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def random_rotation(rng, n, shape=()):
+    """Haar random rotations of R^n, a stack of the given shape from one QR
+    (Mezzadri 2007), each first column flipped where det < 0."""
+    q, r = np.linalg.qr(rng.standard_normal(shape + (n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., :, 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q
 
 
@@ -450,7 +451,8 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
 
 
 def _roll_magnus(q0, path, times, step):
-    """Rows of (x, x_hat, A) at the sample times, grid block by grid block.
+    """Rows of (x, x_hat, A) at the sample times, grid block by grid block;
+    one _redress call after the last block gives every row's contact map.
 
     The first factor's parallel frame is carried by its group element g
     (`group_element`, read back by `group_frame`) with g' = g Z, Z =
@@ -479,8 +481,8 @@ def _roll_magnus(q0, path, times, step):
     x_hat0 = mh.closest_point(q0.x_hat)
     hh = mh.group_element(x_hat0, _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)).T
     x = path.point(times)
-    x_hat = np.empty((len(times), mh.amb_dim))
-    a = np.empty((len(times), n, n))
+    g_out, x_hat = np.empty((len(times),) + g.shape), np.empty((len(times), mh.amb_dim))
+    image = np.empty((len(times), mh.amb_dim, n))
     for lo in range(0, len(grid) - 1, BLOCK):
         hi = min(lo + BLOCK, len(grid) - 1)
         h = np.diff(grid[lo : hi + 1])
@@ -502,9 +504,10 @@ def _roll_magnus(q0, path, times, step):
         g, hh = gs[-1], hs[-1]
         keep = np.flatnonzero((out > lo) & (out <= hi))
         at_row = out[keep] - lo - 1
-        x_hat[keep] = hs[at_row, : mh.amb_dim, n]
-        a[keep] = _redress(q0.pair, x[keep], x_hat[keep], m.group_frame(x[keep], gs[at_row]),
-                           hs[at_row, : mh.amb_dim, :n])
+        g_out[keep], rows = gs[at_row], hs[at_row, : mh.amb_dim]
+        x_hat[keep], image[keep] = rows[..., n], rows[..., :n]
+    a = np.empty((len(times), n, n))
+    a[1:] = _redress(q0.pair, x[1:], x_hat[1:], m.group_frame(x[1:], g_out[1:]), image[1:])
     return x, x_hat, a
 
 

@@ -289,10 +289,16 @@ class SpaceForm:
 
     # -- sampling ---------------------------------------------------------------
 
+    def random_point(self, rng, shape=()):
+        """Random points, a stack of the given shape (() for one point)."""
+        raise NotImplementedError
+
     def random_tangent(self, rng, x, unit=False):
-        v = self.project(x, rng.standard_normal(self.amb_dim))
+        """A random tangent vector at x, or one at each point of the stack x,
+        from one standard normal draw of x's shape; unit length if `unit`."""
+        v = self.project(x, rng.standard_normal(np.shape(x)))
         if unit:
-            v = v / math.sqrt(self.inner_at(x, v, v))
+            v = v / np.sqrt(self.inner_at(x, v, v))[..., None]
         return v
 
 
@@ -427,8 +433,8 @@ class Euclidean(ConstantCurvature):
     def closest_point(self, x):
         return np.array(x, dtype=float)
 
-    def random_point(self, rng):
-        return rng.standard_normal(self.amb_dim)
+    def random_point(self, rng, shape=()):
+        return rng.standard_normal(shape + (self.amb_dim,))
 
     def to_spec(self):
         return {"kind": "euclidean", "dim": self.dim}
@@ -454,9 +460,9 @@ class Sphere(ConstantCurvature):
     def closest_point(self, x):
         return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
 
-    def random_point(self, rng):
-        v = rng.standard_normal(self.amb_dim)
-        return self.radius * v / np.linalg.norm(v)
+    def random_point(self, rng, shape=()):
+        v = rng.standard_normal(shape + (self.amb_dim,))
+        return self.radius * v / np.sqrt(np.vecdot(v, v))[..., None]
 
     def to_spec(self):
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
@@ -488,12 +494,10 @@ class Hyperbolic(ConstantCurvature):
         x[..., 0] = np.sqrt(self.radius**2 + np.sum(x[..., 1:] ** 2, axis=-1))
         return x
 
-    def random_point(self, rng):
-        spatial = rng.standard_normal(self.dim)
-        x = np.empty(self.amb_dim)
-        x[1:] = spatial
-        x[0] = math.sqrt(self.radius**2 + float(np.dot(spatial, spatial)))
-        return x
+    def random_point(self, rng, shape=()):
+        spatial = rng.standard_normal(shape + (self.dim,))
+        return np.concatenate((np.sqrt(self.radius**2 + np.vecdot(spatial, spatial))[..., None],
+                               spatial), axis=-1)
 
     def to_spec(self):
         return {"kind": "hyperbolic", "dim": self.dim, "radius": self.radius}
@@ -723,11 +727,11 @@ class Warped(SpaceForm):
         sigma = np.where(radial, self.warp.k_ref, _col(_col(self.fiber_plane_curvature(s))))
         return sigma * np.asarray(xi)
 
-    def random_point(self, rng):
+    def random_point(self, rng, shape=()):
         lo, hi = self.interval
         pad = 0.15 * (hi - lo)  # keep random points off the ends of the interval
-        s = rng.uniform(lo + pad, hi - pad)
-        return np.concatenate(([s], self.fiber.random_point(rng)))
+        s = rng.uniform(lo + pad, hi - pad, shape)  # all of s, then all fiber points
+        return np.concatenate((s[..., None], self.fiber.random_point(rng, shape)), axis=-1)
 
     def to_spec(self):
         return {

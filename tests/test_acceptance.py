@@ -129,13 +129,10 @@ def test_criterion_03_rolling_integrity():
 
 def draw_samples(pair, rng, count):
     """count audit samples (states, X, Y), drawn in the order of cmd_audit:
-    the states as one stack, X and Y as (count, amb) arrays."""
-    rows = []
-    for _ in range(count):
-        x, x_hat, a = pair.draw(rng)
-        rows.append((x, x_hat, a, pair.space.random_tangent(rng, x, unit=True),
-                     pair.space.random_tangent(rng, x, unit=True)))
-    x, x_hat, a, Xs, Ys = (np.array(column) for column in zip(*rows))
+    the states as one stack, then X and then Y as (count, amb) arrays."""
+    x, x_hat, a = pair.draw(rng, (count,))
+    Xs = pair.space.random_tangent(rng, x, unit=True)
+    Ys = pair.space.random_tangent(rng, x, unit=True)
     return pair.state(x, x_hat, a), Xs, Ys
 
 

@@ -224,6 +224,21 @@ def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
         assert calls == [4 * pair.dim]
 
 
+def test_a_depth_three_flag_evaluates_each_table_at_q_once(monkeypatch):
+    # the depth-2 table at q serves both its own flag step and, as the value
+    # of the next step's left field, the depth-3 bracket at q; only the
+    # nested stencil of that bracket evaluates it again, at its 4n sample states
+    import rollsym.brackets as brackets_mod
+
+    shapes = []
+    bracket = brackets_mod.bracket_structured
+    monkeypatch.setattr(brackets_mod, "bracket_structured",
+                        lambda xf, yf, q: shapes.append(q.shape) or bracket(xf, yf, q))
+    pair = RollingPair(Sphere(3, 1.0), Euclidean(3))
+    assert flag_ranks(pair.random_state(np.random.default_rng(0)), depth=3).ranks == (3, 6, 9)
+    assert shapes == [(), (), (4, 3)]
+
+
 def space_forms(n):
     return st.one_of(st.builds(Sphere, st.just(n), st.floats(0.3, 3.0)),
                      st.builds(Hyperbolic, st.just(n), st.floats(0.3, 3.0)), st.just(Euclidean(n)))

@@ -477,7 +477,8 @@ def test_audit_sphere_on_hyperbolic_plane_seed_62(tmp_path):
 def test_seeded_perturbed_audit_report_is_pinned(tmp_path):
     # the stacked perturbation draws one normal (n, n) per field in catalog
     # order, so the seeded noise, and with it the report, are those of one
-    # draw per candidate
+    # draw per candidate; the samples are drawn after it as stacks (all
+    # states, then all X, then all Y), which sets the pinned maximum
     cfg = write_config(tmp_path, {
         "manifold_pair": [
             {"kind": "sphere", "dim": 3, "radius": 2.0},
@@ -494,7 +495,7 @@ def test_seeded_perturbed_audit_report_is_pinned(tmp_path):
     data = json.loads(out.read_text())
     assert data["candidates"] == [f"killing(rotation-{i}{j})+skew(0.001)"
                                   for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    assert data["residuals"]["eq_drift"]["max"] == pytest.approx(0.001371564580228729, rel=1e-9)
+    assert data["residuals"]["eq_drift"]["max"] == pytest.approx(0.0013424872965434877, rel=1e-9)
 
 
 def test_audit_mismatched_generator_exit(tmp_path):
@@ -710,6 +711,25 @@ def test_audit_rejects_a_sample_count_below_one(tmp_path, capsys, samples):
         f"--samples={samples}", "--out", str(out),
     ]) == 2
     assert "--samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_refuses_more_samples_than_its_maximum_before_drawing(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the count is checked before any sample is drawn, so nothing large is allocated
+    from rollsym.cli import MAX_AUDIT_SAMPLES
+    from rollsym.rolling import RollingPair
+
+    monkeypatch.setattr(RollingPair, "draw", lambda *args: pytest.fail("samples were drawn"))
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    out = tmp_path / "audit.json"
+    assert main([
+        "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
+        "--samples", str(MAX_AUDIT_SAMPLES + 1), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --samples must be at least 1 and at most {MAX_AUDIT_SAMPLES}, "
+                   f"got {MAX_AUDIT_SAMPLES + 1}\n")
     assert not out.exists()
 
 

@@ -31,6 +31,7 @@ from rollsym.rolling import (
 )
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
+from test_brackets import catalog_factors
 
 RNG = np.random.default_rng(123)
 
@@ -93,6 +94,95 @@ def test_state_invariants_enforced():
         pair.state(x, x_hat, np.array([[1.0, 0.2], [0.0, 1.0]]))  # not orthogonal
     with pytest.raises(GeometryError):
         pair.state(x, x_hat, np.array([[1.0, 0.0], [0.0, -1.0]]))  # reflection
+
+
+def _points_in_stack_order(m, rng, count):
+    """count random points of m, one at a time, by the per-point draw of
+    the earlier code, in the rng order of a stack: a warped product's
+    coordinates s for all points come before all of its fiber points."""
+    if isinstance(m, Warped):
+        lo, hi = m.interval
+        pad = 0.15 * (hi - lo)
+        s = [rng.uniform(lo + pad, hi - pad) for _ in range(count)]
+        return [np.concatenate(([si], y)) for si, y in
+                zip(s, _points_in_stack_order(m.fiber, rng, count))]
+    points = []
+    for _ in range(count):
+        if isinstance(m, Sphere):
+            v = rng.standard_normal(m.amb_dim)
+            points.append(m.radius * v / np.linalg.norm(v))
+        elif isinstance(m, Hyperbolic):
+            spatial = rng.standard_normal(m.dim)
+            x = np.empty(m.amb_dim)
+            x[1:] = spatial
+            x[0] = math.sqrt(m.radius**2 + float(np.dot(spatial, spatial)))
+            points.append(x)
+        else:
+            points.append(rng.standard_normal(m.amb_dim))
+    return points
+
+
+def _rotation_alone(rng, n):
+    """One random rotation by the per-matrix code of the earlier draw."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _tangent_alone(m, rng, x):
+    """One random unit tangent vector at x by the earlier per-point code."""
+    v = m.project(x, rng.standard_normal(m.amb_dim))
+    return v / math.sqrt(m.inner_at(x, v, v))
+
+
+def _same(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+DRAW_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 4)),
+                        st.tuples(st.integers(1, 3), st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.builds(RollingPair, catalog_factors(n),
+                                                     catalog_factors(n))),
+       st.integers(0, 2**32 - 1), DRAW_SHAPES)
+def test_stacked_draws_are_states_and_unit_tangents_in_stack_order(pair, seed, shape):
+    # every catalog kind in either slot: a stack of draws holds valid states
+    # and unit tangents, and it is its points, rotations and tangents drawn
+    # one at a time by the earlier code, in the stack's rng order (all x,
+    # all x_hat, all A, then the tangents at each factor) and with the same
+    # rng state after it; for shape (), the lone draw of random_state, bit
+    # for bit
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    n, count = pair.dim, math.prod(shape)
+    x, x_hat, a = pair.draw(rng, shape)
+    vs = [m.random_tangent(rng, pts, unit=True)
+          for m, pts in ((pair.space, x), (pair.space_hat, x_hat))]
+    assert x.shape == shape + (pair.space.amb_dim,) and a.shape == shape + (n, n)
+    for m, pts, v in ((pair.space, x, vs[0]), (pair.space_hat, x_hat, vs[1])):
+        assert np.array_equal(m.point(pts), pts)
+        assert np.all(m.tangency_residual(pts, v) <= 1e-12)
+        assert np.all(np.abs(m.inner_at(pts, v, v) - 1.0) <= 1e-12)
+    assert np.abs(a.mT @ a - np.eye(n)).max() <= 1e-12
+    assert np.all(np.abs(np.linalg.det(a) - 1.0) <= 1e-12)
+
+    want = [_points_in_stack_order(pair.space, ref, count),
+            _points_in_stack_order(pair.space_hat, ref, count),
+            [_rotation_alone(ref, n) for _ in range(count)]]
+    for m, points in ((pair.space, want[0]), (pair.space_hat, want[1])):
+        want.append([_tangent_alone(m, ref, p) for p in points])
+    # a warped metric evaluates its warp by math at one point and by NumPy
+    # at a stack (spaces._lib), which may differ in the last bit: a stack's
+    # tangents on a warped factor are its lone tangents to round-off only
+    exact = (True, True, True, not isinstance(pair.space, Warped),
+             not isinstance(pair.space_hat, Warped))
+    for got, rows, bitwise in zip((x, x_hat, a, *vs), want, exact):
+        rows = np.array(rows).reshape(got.shape)
+        assert _same(got, rows) if bitwise or not shape else np.allclose(got, rows, 1e-14, 0)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_state_json_round_trip():
