@@ -3,10 +3,11 @@
 Along the rolling curve driven by a geodesic, the drift of a base-fixing
 symmetry obeys the geodesic-variation equation on the second factor, and
 its vertical part follows a transport-integral formula.  Starting from the
-values of a Killing-induced symmetry at one state and propagating along a
-broken geodesic therefore lands exactly on the Killing construction at
-the end state: the data at one point determines the symmetry everywhere
-reachable.
+tangent row of a Killing-induced symmetry at one state (the frame
+coordinates of its drift Z_hat and the so(n) coordinates of its vertical
+part C) and propagating along a broken geodesic therefore lands exactly on
+the Killing construction at the end state: the data at one point determines
+the symmetry everywhere reachable.
 """
 
 import math
@@ -14,23 +15,25 @@ import math
 import numpy as np
 
 from rollsym import Euclidean, Sphere
+from rollsym.curvature import skew_part, skew_to_vector
 from rollsym.rolling import RollingPair
 from rollsym.symmetry import killing_catalog, killing_to_symmetry, propagate_chain, propagate_sym0
 
 rng = np.random.default_rng(3)
 
 pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
+n = pair.dim
 cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[2])  # a stack of one
 
 q = pair.random_state(rng)
-z, u = cand.Z_hat(q)[0], cand.U_bar(q)[0]
-print("propagating the data of", cand.names[0], "along a 3-segment broken geodesic")
+row = cand.value(q)[0]
+print("propagating the tangent row of", cand.names[0], "along a 3-segment broken geodesic")
 for leg in range(3):
     direction = pair.space.random_tangent(rng, q.x, unit=True)
-    q, z, u = propagate_chain(q, [(direction, 0.9)], z, u)
-    z_err = np.abs(z - cand.Z_hat(q)[0]).max()
-    u_err = np.abs(u - cand.U_bar(q)[0]).max()
-    print(f"  after leg {leg + 1}: drift error {z_err:.2e}, vertical error {u_err:.2e}")
+    q, row = propagate_chain(q, [(direction, 0.9)], row)
+    err = np.abs(row - cand.value(q)[0])
+    print(f"  after leg {leg + 1}: drift error {err[n : 2 * n].max():.2e}, "
+          f"vertical error {err[2 * n :].max():.2e}")
 
 # On the unit sphere, zero initial drift with a unit covariant rate gives
 # the classical sin(t) variation field.
@@ -41,16 +44,14 @@ v_hat = q1.apply(X)
 e = pair2.space_hat.random_tangent(rng, q1.x_hat)
 e -= pair2.space_hat.inner_at(q1.x_hat, e, v_hat) * v_hat
 e /= math.sqrt(pair2.space_hat.inner_at(q1.x_hat, e, e))
-u0 = np.outer(q1.coords_hat(e), q1.coords(X))
-u0 = q1.isometry @ (0.5 * (q1.isometry.T @ u0 - (q1.isometry.T @ u0).T))
-d0 = u0 @ q1.coords(X) @ q1.frame_hat
-u0 /= np.linalg.norm(d0)  # normalize so the initial covariant rate is a unit vector
-d0 /= np.linalg.norm(d0)
+c0 = skew_part(q1.isometry.T @ np.outer(q1.coords_hat(e), q1.coords(X)))
+c0 /= np.linalg.norm(q1.isometry @ c0 @ q1.coords(X))  # the initial covariant rate is a unit vector
+row0 = np.concatenate((np.zeros(2 * n), skew_to_vector(c0)))
 
 grid = np.linspace(0.0, math.pi, 61)
-res = propagate_sym0(q1, X, np.zeros(3), u0, grid)
+res = propagate_sym0(q1, X, row0, grid)
 print("\n|Z_hat(t)| against sin(t) on the unit sphere:")
 for k in (10, 20, 30, 45, 60):
     t = grid[k]
-    norm = np.linalg.norm(res.Z_hat[k])
+    norm = np.linalg.norm(res.rows[k, n : 2 * n])
     print(f"  t = {t:4.2f}: |Z_hat| = {norm:.6f}, sin(t) = {math.sin(t):.6f}")

@@ -37,10 +37,12 @@ from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_ske
 from .numerics import numerical_rank
 from .spaces import GeometryError, Warped
 from .rolling import (
+    ROW_KINDS,
     RollingState,
     chart_differential,
     directional_derivative,
     q_dim,
+    row_data,
     _stencil,
     _stencil_times,
 )
@@ -116,17 +118,8 @@ def stencil_data_derivative(value, q, xi, h) -> FieldData:
     (rolling.directional_derivative).  The sample states along every row at
     every state form one stack from one tangent_curve call, and `value`
     evaluates the whole stack of fields on it in one call."""
-
-    n = q.pair.dim
-
-    def data(s):
-        v = value(s)
-        return (v[..., :n], v[..., n : 2 * n],
-                s.expand(s.isometry, v.ndim + 1) @ vector_to_skew(v[..., 2 * n :], n))
-
-    return FieldData(*directional_derivative(data, q[..., None], xi,
-                                             ("vector", "vector_hat", "map"),
-                                             h=h, order=FIELD_FD_ORDER))
+    return FieldData(*directional_derivative(lambda s: row_data(s, value(s)), q[..., None], xi,
+                                             ROW_KINDS, h=h, order=FIELD_FD_ORDER))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:

@@ -139,14 +139,15 @@ def _parse_path(pair, q0, spec):
         # an exact power-of-two scaling brings the largest entry into [0.5, 1),
         # so that the norm neither overflows nor underflows
         direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
-        direction = pair.space.project(q0.x, direction)
+        tangent = pair.space.project(q0.x, direction)
         length = float(spec.get("length", 1.0))
         if not math.isfinite(length):
             raise GeometryError(f"path length must be finite, got {length!r}")
-        nrm = np.sqrt(pair.space.inner_at(q0.x, direction, direction))
-        if length == 0.0 or nrm == 0.0:
+        nrm2 = pair.space.inner_at(q0.x, tangent, tangent)
+        # a normal direction leaves a round-off tangent part, whose Minkowski square may be < 0
+        if length == 0.0 or not nrm2 > (1e-12 * np.linalg.norm(direction)) ** 2:
             return None
-        return GeodesicPath(pair.space, q0.x, direction / nrm, length)
+        return GeodesicPath(pair.space, q0.x, tangent / np.sqrt(nrm2), length)
     if spec.get("type") == "samples":
         with warnings.catch_warnings():
             # an empty file is SampledPath's "fewer than 2 samples" error, not a warning

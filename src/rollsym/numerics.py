@@ -26,10 +26,7 @@ def stencil_offsets(h, order=2):
 def central_diff(values, h):
     """Derivative at 0 by the central difference with step h, from the
     samples at stencil_offsets(h, order) in that order: two samples give
-    order 2, four give order 4.  Array values are differenced as a whole,
-    tuple values slot by slot (the result is then a tuple)."""
-    if isinstance(values[0], tuple):
-        return tuple(central_diff(slot, h) for slot in zip(*values))
+    order 2, four give order 4; the samples are numbers or arrays alike."""
     if len(values) == 4:
         return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
     if len(values) == 2:

@@ -245,6 +245,15 @@ def rolling_lift(q: RollingState, X):
                            np.zeros(c.shape[:-1] + (so_dim(q.pair.dim),))), axis=-1)
 
 
+def row_data(q: RollingState, rows):
+    """The data (X, X_hat, A C) of tangent rows at the states of q (the stack
+    axes first, then any others): the frame coordinates of both drifts and
+    the frame matrix of A C, which transport as ROW_KINDS."""
+    n = q.pair.dim
+    return (rows[..., :n], rows[..., n : 2 * n],
+            q.expand(q.isometry, rows.ndim + 1) @ vector_to_skew(rows[..., 2 * n :], n))
+
+
 def _times(q, rows, mat):
     """Vectors `rows` at the states of q (the stack axes first, then any
     others) times the matrix `mat` of their state, one matrix product per
@@ -551,8 +560,7 @@ def _roll_rk4(q0, path, times, step):
         return np.concatenate((x_hat, frame.ravel(), frame_hat.ravel()))
 
     def rhs(t, y):
-        x = path.point(t)
-        v = path.velocity(t)
+        x, v = path.flow(t)
         x_hat = y[:amb_hat]
         if not isinstance(mh, ConstantCurvature):  # leaving the interval is a domain error
             mh._check_s(x_hat[0])
@@ -592,6 +600,7 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
 # -- derivatives of bundle maps -------------------------------------------------
 
 VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
+ROW_KINDS = ("vector", "vector_hat", "map")  # the kinds of row_data's slots
 
 
 def _pull_back(qt: RollingState, value, kind):

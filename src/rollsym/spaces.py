@@ -45,9 +45,9 @@ def _steps_for(span, step):
 
 
 def _lib(a):
-    """math for a single number, NumPy for an array: Python's scalar
-    functions cost a fraction of NumPy's on one number."""
-    return np if isinstance(a, np.ndarray) and a.ndim else math
+    """math for a built-in float (np.float64 subclasses float), NumPy otherwise:
+    math costs a fraction of NumPy on one number, but rounds differently."""
+    return math if type(a) is float else np
 
 
 def _col(a):

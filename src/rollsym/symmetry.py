@@ -1,20 +1,23 @@
 """Infinitesimal symmetries of the rolling distribution.
 
-A symmetry candidate is a triple of bundle maps (Z, Z_hat, U_bar): a drift
-on each factor plus a vertical part, subject to two first-order equations
-that characterize when the associated field preserves the rolling
-distribution:
+A symmetry candidate is a vector field (Z, Z_hat, U_bar) on the state space:
+a drift on each factor plus a vertical part U_bar = A C with C skew, subject
+to two first-order equations that characterize when the field preserves the
+rolling distribution:
 
     U_bar(q) X = -A D_X Z + D_X Z_hat                      (drift equation)
     D_X U_bar  = -A R(X ^ Z) + R_hat(AX ^ Z_hat) A         (curvature equation)
 
-with D_X the derivative along rolling curves.  A candidate is three closures
-that map a state to stacks, one row per candidate (SymmetryCandidate), and
-the residuals always use these general equations.  Candidates with Z = 0
-form the base-fixing class; every Killing field of the second factor
-induces one through Z_hat(q) = K_hat at the contact point and
-U_bar(q) = (nabla K_hat) A, and the evaluation data (Z_hat(q0), A0^{-1}
-U_bar(q0)) of such candidates spans at most n(n+1)/2 dimensions.
+with D_X the derivative along rolling curves.  A candidate is one closure
+that maps a state to the tangent rows of a stack of fields, one row per
+candidate (SymmetryCandidate): the frame coordinates of Z and Z_hat, then the
+so(n) coordinates of C, as every tangent vector of the state space is held
+(see rolling).  A vertical part that is not skew cannot be written, and the
+residuals always use these general equations.  Candidates with Z = 0 form
+the base-fixing class; every Killing field of the second factor induces one
+through Z_hat(q) = K_hat at the contact point and C = A^T (nabla K_hat) A,
+and the rows (Z_hat(q0), C(q0)) of such candidates span at most n(n+1)/2
+dimensions.
 
 All residual checkers evaluate candidates through finite-difference
 stencils, so user-supplied closures are tested against the actual
@@ -22,7 +25,7 @@ definitions rather than against their own derivative formulas.  Killing
 fields and candidates come in stacks, and a checker takes a whole stack of
 samples (a stacked RollingState): it builds the stencil states of every
 sample in one canonical-curve call, evaluates the whole stack of candidates
-on them in one call of each closure and returns one residual per sample and
+on them in one call of the closure and returns one residual per sample and
 candidate.
 """
 
@@ -34,20 +37,20 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import (check_skew, curvature_term, rolling_curvature, skew_part, skew_to_vector,
-                        so_dim, so_pairs, vector_to_skew, wedge_matrix)
+from .curvature import (curvature_term, rolling_curvature, skew_part, skew_to_vector, so_dim,
+                        so_pairs, vector_to_skew, wedge_matrix)
 from .numerics import numerical_rank
 from .rolling import (
+    ROW_KINDS,
     RollingPair,
     RollingState,
     rolling_derivative,
     rolling_lift,
+    row_data,
     tangent_curve,
     vertical_derivative,
 )
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
-
-U_BAR_SKEW_TOL = 1e-10  # largest skewness residual of A^{-1} U_bar that validate accepts
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------
@@ -92,11 +95,11 @@ class KillingField:
     def nabla_matrix(self, x, frame):
         """Matrices of the covariant differentials in the deterministic frames
         at the points x (..., amb), a (..., k, n, n) array: entry (i, j) is
-        <E_i, nabla_{E_j} K>."""
-        m = self.manifold
-        x, frame = np.asarray(x, float)[..., None, None, :], frame[..., None, :, :]
-        images = m.project(x, frame @ self.generators.mT)  # (..., k, n, amb): K's generator on E_j
-        return m.inner_at(x[..., None, :], frame[..., :, None, :], images[..., None, :, :])
+        <E_i, nabla_{E_j} K> = <E_i, P G E_j> for the generator G and the
+        tangential projection P, which is <E_i, G E_j> since E_i is tangent:
+        the matrix (E W) G E^T for the metric weights W."""
+        weighted = frame * self.manifold.metric_weights(np.asarray(x, float))[..., None, :]
+        return weighted[..., None, :, :] @ self.generators @ frame[..., None, :, :].mT
 
 
 def killing_catalog(manifold: SpaceForm) -> KillingField:
@@ -151,64 +154,48 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
 
 @dataclass
 class SymmetryCandidate:
-    """A stack of k closure triples (Z, Z_hat, U_bar), with one name per
-    candidate.  Every closure maps a state, or a stack of states in one call,
-    to the stack of candidates at each state: Z and Z_hat give ambient
-    tangent vectors at the respective contact points, (*q.shape, k, amb)
-    arrays, and U_bar the deterministic-frame matrices of maps
-    T_x M -> T_xhat Mhat with A^{-1} U_bar skew, a (*q.shape, k, n, n)
-    array.  A candidate is base-fixing where Z is zero."""
+    """A stack of k vector fields on the state space given by one closure,
+    with one name per candidate.  `value` maps a state, or a stack of states
+    in one call, to the tangent rows of the k fields at each state,
+    (*q.shape, k, q_dim(n)): the frame coordinates of Z at x, those of Z_hat
+    at x_hat, then the so(n) coordinates of C = A^{-1} U_bar, as
+    brackets.StructuredField.value holds them.  A candidate is base-fixing
+    where its Z block is zero."""
 
     pair: RollingPair
-    Z: Callable[[RollingState], np.ndarray]
-    Z_hat: Callable[[RollingState], np.ndarray]
-    U_bar: Callable[[RollingState], np.ndarray]
+    value: Callable[[RollingState], np.ndarray]
     names: list
 
     def __len__(self):
         return len(self.names)
 
-    def validate(self, q):
-        """U_bar at q, after checking the structural invariant A^{-1} U_bar
-        in so(n) for every candidate: raises when the largest skewness
-        residual exceeds U_BAR_SKEW_TOL."""
-        u_bar = self.U_bar(q)
-        check_skew(q.expand(q.isometry, u_bar.ndim).mT @ u_bar, tol=U_BAR_SKEW_TOL,
-                   what="A^-1 U_bar")
-        return u_bar
-
 
 def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandidate:
     """Base-fixing symmetry candidates induced by a stack of Killing fields
-    of the second factor: Z_hat is each field at the contact point and U_bar
-    its covariant differential composed with the contact map."""
+    of the second factor: the rows (0, K_hat at the contact point,
+    A^T (nabla K_hat) A) in frame and so(n) coordinates."""
     if field.manifold is not pair.space_hat:
         raise MismatchError("Killing field must live on the second factor of the pair")
-    return SymmetryCandidate(
-        pair,
-        Z=lambda q: np.zeros(q.shape + (len(field), pair.space.amb_dim)),
-        Z_hat=lambda q: field.value(q.x_hat),
-        U_bar=lambda q: field.nabla_matrix(q.x_hat, q.frame_hat)
-        @ q.expand(q.isometry, q.isometry.ndim + 1),
-        names=[f"killing({name})" for name in field.names],
-    )
+
+    def value(q):
+        a = q.expand(q.isometry, q.isometry.ndim + 1)
+        c = a.mT @ field.nabla_matrix(q.x_hat, q.frame_hat) @ a
+        return np.concatenate((np.zeros(c.shape[:-1]), q.coords_hat(field.value(q.x_hat)),
+                               skew_to_vector(c)), axis=-1)
+
+    return SymmetryCandidate(pair, value, [f"killing({name})" for name in field.names])
 
 
 def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
-    """Add a fixed random skew perturbation of size eps to each U_bar of the
+    """Add a fixed random skew perturbation of size eps to each C of the
     stack, one normal (n, n) draw per candidate in stack order, and keep Z and
     Z_hat; used to check that the residual operations reject near-symmetries."""
     n = cand.pair.dim
     noise = skew_part(rng.standard_normal((len(cand), n, n)))
     noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), 1e-300) * eps
-
-    return SymmetryCandidate(
-        cand.pair,
-        Z=cand.Z,
-        Z_hat=cand.Z_hat,
-        U_bar=lambda q: cand.U_bar(q) + q.expand(q.isometry, q.isometry.ndim + 1) @ noise,
-        names=[name + f"+skew({eps:g})" for name in cand.names],
-    )
+    shift = np.concatenate((np.zeros((len(cand), 2 * n)), skew_to_vector(noise)), axis=-1)
+    return SymmetryCandidate(cand.pair, lambda q: cand.value(q) + shift,
+                             [name + f"+skew({eps:g})" for name in cand.names])
 
 
 # -- residual operations ------------------------------------------------------------
@@ -218,21 +205,23 @@ def symmetry_residual(cand: SymmetryCandidate, q, X):
     """Residuals (r1, r2) of the two symmetry equations at every sample
     (q[i], X[i]) of the stack q with tangent vectors X at x, two (samples,
     candidates) arrays, by stencils whose states every candidate shares and
-    one tangent_curve call builds for all samples.  U_bar(q) comes from
-    SymmetryCandidate.validate, which raises on a candidate that is not skew
-    there.  The closure converts Z and Z_hat to frame coordinates once per
-    stack, and the residuals are Euclidean norms of orthonormal coordinates."""
+    one tangent_curve call builds for all samples.  Residuals that are not
+    finite raise: those of rows at q that are not finite, or that overflow.
+    The data (Z, Z_hat, U_bar) comes from rolling.row_data, and the residuals
+    are Euclidean norms of orthonormal coordinates."""
     X = np.asarray(X, float)
-    d_zhat, d_u, d_z = rolling_derivative(
-        lambda s: (s.coords_hat(cand.Z_hat(s)), cand.U_bar(s), s.coords(cand.Z(s))),
-        q, X, ("vector_hat", "map", "vector"))
-    u_bar, x, a = cand.validate(q), q.coords(X), q.isometry
-    r1 = np.linalg.norm((u_bar @ q.expand(x, u_bar.ndim - 1)[..., None])[..., 0]
-                        + d_z @ a.mT - d_zhat, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        d_z, d_zhat, d_u = rolling_derivative(lambda s: row_data(s, cand.value(s)), q, X, ROW_KINDS)
+        z, z_hat, u_bar = row_data(q, cand.value(q))
+        x, a = q.coords(X), q.isometry
+        r1 = np.linalg.norm((u_bar @ q.expand(x, u_bar.ndim - 1)[..., None])[..., 0]
+                            + d_z @ a.mT - d_zhat, axis=-1)
 
-    curv = curvature_term(q, wedge_matrix(x[..., None, :], q.coords(cand.Z(q))),
-                          wedge_matrix((a @ x[..., None]).mT, q.coords_hat(cand.Z_hat(q))))
-    r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
+        curv = curvature_term(q, wedge_matrix(x[..., None, :], z),
+                              wedge_matrix((a @ x[..., None]).mT, z_hat))
+        r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
+    if not np.isfinite(r1 + r2).all():
+        raise GeometryError("candidate residuals are not finite")
     return r1, r2
 
 
@@ -260,8 +249,7 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
     # where the direction is round-off, the fiber curve stays put and the
     # derivative is exactly zero
     c = np.where(np.abs(c).max(axis=(-2, -1), keepdims=True) >= 1e-14, c, 0.0)
-    d_z, d_zhat = vertical_derivative(lambda s: (s.coords(cand.Z(s)), s.coords_hat(cand.Z_hat(s))),
-                                      q, c, ("vector", "vector_hat"))
+    d_z, d_zhat = vertical_derivative(lambda s: row_data(s, cand.value(s))[:2], q, c, ROW_KINDS[:2])
     return np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
 
 
@@ -272,16 +260,16 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
 class PropagationResult:
     times: np.ndarray
     states: RollingState
-    Z_hat: np.ndarray
-    U_bar: np.ndarray
+    rows: np.ndarray
 
     def final(self):
-        return self.states[-1], self.Z_hat[-1], self.U_bar[-1]
+        return self.states[-1], self.rows[-1]
 
 
-def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> PropagationResult:
-    """Propagate base-fixing symmetry data along the rolling curve driven by
-    the geodesic through (x1, X).
+def propagate_sym0(q1: RollingState, X, row0, t_grid) -> PropagationResult:
+    """Propagate base-fixing symmetry data, the tangent row row0 at q1 with a
+    zero Z block, along the rolling curve driven by the geodesic through
+    (x1, X), returning its tangent row at every grid time.
 
     The drift value eta follows the geodesic-variation equation on the second
     factor, and the vertical part the transport integral I of an integrand
@@ -293,10 +281,11 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     t_grid = np.asarray(t_grid, float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise GeometryError("time grid must start at 0 and increase")
-    X = np.asarray(X, float)
-    u1 = np.asarray(U_bar_0, float)
-    y = np.concatenate((q1.coords_hat(np.asarray(Z_hat_0, float)), u1 @ q1.coords(X),
-                        np.zeros(so_dim(n))))
+    row0 = np.asarray(row0, float)
+    if np.any(row0[:n]):
+        raise GeometryError("propagation requires base-fixing data (Z = 0)")
+    X, a1, c1 = np.asarray(X, float), q1.isometry, vector_to_skew(row0[2 * n:], n)
+    y = np.concatenate((row0[n : 2 * n], a1 @ c1 @ q1.coords(X), np.zeros(so_dim(n))))
     steps, counts = _jacobi_steps(q1, X, t_grid)
     ys = [y]
     for step in steps:
@@ -304,12 +293,16 @@ def propagate_sym0(q1: RollingState, X, Z_hat_0, U_bar_0, t_grid) -> Propagation
     ys = np.array(ys)[np.cumsum(np.concatenate(([0], counts)))]  # the states at the grid times
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
-    # parallel frame along the development is p_hat.T in its deterministic frame
+    # parallel frame along the development is p_hat.T in its deterministic
+    # frame, and A = p_hat A1 p^T, so that C = A^T U_bar for
+    # U_bar = p_hat (A1 C1 + skew(I) A1) p^T; a row is as wide as (eta, eta', I)
     states = tangent_curve(q1, rolling_lift(q1, X), t_grid)
     p, p_hat = states.transports
-    z_hats = (ys[:, None, :n] @ p_hat.mT @ states.frame_hat)[:, 0]
-    u_bars = p_hat @ (u1 + vector_to_skew(ys[:, 2 * n:], n) @ q1.isometry) @ p.mT
-    return PropagationResult(t_grid, states, z_hats, u_bars)
+    rows = np.zeros_like(ys)
+    rows[:, n : 2 * n] = (ys[:, None, :n] @ p_hat.mT)[:, 0]
+    rows[:, 2 * n :] = skew_to_vector(p @ (c1 + a1.T @ vector_to_skew(ys[:, 2 * n :], n) @ a1)
+                                      @ p.mT)
+    return PropagationResult(t_grid, states, rows)
 
 
 JACOBI_STEP = 1e-3  # longest RK4 substep of the geodesic-variation equation
@@ -361,15 +354,13 @@ def _jacobi_steps(q1, X, t_grid):
     return eye + h / 6 * (l1 + 2 * k2 + 2 * k3 + k4), counts
 
 
-def propagate_chain(q0: RollingState, segments, Z_hat_0, U_bar_0):
-    """Propagate along a broken-geodesic chain; each segment is (X, length),
-    one RK4 flow of (eta, eta', I) over [0, length] (see propagate_sym0).
-    Returns the final state and data."""
-    q = q0
-    z, u = np.asarray(Z_hat_0, float), np.asarray(U_bar_0, float)
+def propagate_chain(q: RollingState, segments, row):
+    """Propagate the tangent row at q along a broken-geodesic chain; each
+    segment is (X, length), one RK4 flow of (eta, eta', I) over [0, length]
+    (see propagate_sym0).  Returns the final state and tangent row."""
     for X, length in segments:
-        q, z, u = propagate_sym0(q, X, z, u, [0.0, length]).final()
-    return q, z, u
+        q, row = propagate_sym0(q, X, row, [0.0, length]).final()
+    return q, row
 
 
 # -- dimension probe -------------------------------------------------------------------
@@ -393,14 +384,13 @@ class DimensionReport:
 
 def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) -> DimensionReport:
     """Numerical rank of the evaluation data (Z_hat(q0), A0^{-1} U_bar(q0))
-    over a stack of base-fixing candidates, one row per candidate.  The data
-    determines the candidate along the reachable set, so the rank bounds the
-    dimension of the base-fixing symmetry space; the full Killing catalog
-    realizes n(n+1)/2.  The rows form one layer of numerics.numerical_rank's
-    rule, so the singular values are those of the rows over the longest one."""
-    if np.any(cand.Z(q0)):
+    over a stack of base-fixing candidates, one row per candidate: their
+    tangent rows at q0 without the Z block.  The data determines the
+    candidate along the reachable set, so the rank bounds the dimension of
+    the base-fixing symmetry space; the full Killing catalog realizes
+    n(n+1)/2.  The rows form one layer of numerics.numerical_rank's rule, so
+    the singular values are those of the rows over the longest one."""
+    z, rows = np.split(cand.value(q0), [q0.pair.dim], axis=-1)
+    if np.any(z):
         raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
-    zh = q0.coords_hat(cand.Z_hat(q0))
-    u = skew_part(q0.isometry.T @ cand.U_bar(q0))
-    rows = np.concatenate((zh, skew_to_vector(u)), axis=1)
     return DimensionReport(*numerical_rank(rows, tol, layers=[len(rows)]), tol)

@@ -27,6 +27,7 @@ from rollsym.curvature import (
     rolling_curvature_operator,
     skew_to_vector,
     so_dim,
+    vector_to_skew,
     wedge_matrix,
 )
 from rollsym.nilpotent import flatness_obstruction, verify_structure
@@ -149,7 +150,7 @@ def test_criterion_04_killing_fields_induce_symmetries():
         catalog = killing_catalog(pair.space_hat)
         cands = killing_to_symmetry(pair, catalog)
         qs, Xs, Ys = draw_samples(pair, rng, 50)
-        assert np.all(cands.Z(qs) == 0.0)  # base-fixing: Z = 0
+        assert np.all(cands.value(qs)[..., : pair.dim] == 0.0)  # base-fixing: Z = 0
         rs = (*symmetry_residual(cands, qs, Xs),
               vertical_compatibility_residual(cands, qs, Xs, Ys))
         worst = max(worst, np.max(rs))
@@ -185,14 +186,18 @@ def test_criterion_06_jacobi_propagation_matches_killing_data():
         q = pair.random_state(rng)
         for field in killing_catalog(mh):
             cand = killing_to_symmetry(pair, field)
-            q_cur, z_cur, u_cur = q, cand.Z_hat(q)[0], cand.U_bar(q)[0]
+            q_cur, row = q, cand.value(q)[0]
             for _ in range(3):
                 direction = pair.space.random_tangent(rng, q_cur.x, unit=True)
-                q_cur, z_cur, u_cur = propagate_chain(q_cur, [(direction, 0.8)], z_cur, u_cur)
+                q_cur, row = propagate_chain(q_cur, [(direction, 0.8)], row)
+            # the ambient Z_hat and U_bar = A C of the propagated and the Killing rows
+            (z_cur, u_cur), (z_ref, u_ref) = (
+                (r[2:4] @ q_cur.frame_hat, q_cur.isometry @ vector_to_skew(r[4:], 2))
+                for r in (row, cand.value(q_cur)[0]))
             worst = max(
                 worst,
-                float(np.abs(z_cur - cand.Z_hat(q_cur)[0]).max()),
-                float(np.abs(u_cur - cand.U_bar(q_cur)[0]).max()),
+                float(np.abs(z_cur - z_ref).max()),
+                float(np.abs(u_cur - u_ref).max()),
             )
     assert worst < 1e-5
     report(6, f"three-segment propagation matches the Killing construction "

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rollsym import Hyperbolic, Sphere
 from rollsym.cli import main
+from rollsym.rolling import RollingPair
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,35 @@ def test_simulate_zero_length_path_single_row(tmp_path):
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 2  # header + initial state
+
+
+def test_simulate_direction_normal_to_the_manifold_is_no_path(tmp_path):
+    # at --seed s the start point is the normalised default_rng(s) normal
+    # draw, so that draw is normal to the sphere there: its tangent part is
+    # round-off, once normalised into a vector that was not tangent and left
+    # the sphere (27 of these 50 seeds exited 2); on the hyperboloid the
+    # round-off part may have a negative Minkowski square (39 of 50 exited
+    # 2); a 1e-6 tangent share rolls
+    hyperbolic_first = {"manifold_pair": [{"kind": "hyperbolic", "dim": 2, "radius": 1.0},
+                                          {"kind": "sphere", "dim": 2, "radius": 1.0}]}
+    cfgs = write_config(tmp_path, SPHERE_PLANE), write_config(tmp_path, hyperbolic_first, "h2.json")
+    out = tmp_path / "traj.csv"
+
+    def rows(cfg, seed, direction):
+        assert main(["--config", cfg, "simulate", "--seed", str(seed), "--path-spec",
+                     json.dumps({"type": "geodesic", "direction": direction, "length": 0.5}),
+                     "--out", str(out)]) == 0
+        return len(out.read_text().splitlines()) - 1
+
+    h2 = RollingPair(Hyperbolic(2, 1.0), Sphere(2, 1.0))
+    for seed in range(50):
+        assert rows(cfgs[0], seed, np.random.default_rng(seed).standard_normal(3).tolist()) == 1
+        x = h2.random_state(np.random.default_rng(seed)).x
+        assert rows(cfgs[1], seed, (3.7 * x).tolist()) == 1
+    normal = np.random.default_rng(2).standard_normal(3)
+    tangent = np.cross(normal, [1.0, 0.0, 0.0])
+    tangent *= 1e-6 * np.linalg.norm(normal) / np.linalg.norm(tangent)
+    assert rows(cfgs[0], 2, (normal + tangent).tolist()) == 501
 
 
 @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1060], ids=["2**1000", "2**-1060"])
@@ -867,15 +898,17 @@ def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch
         "--samples", "3", "--seed", "1", "--out", str(tmp_path / "audit.json"),
     ]) == 0
     # per sample: once at the two samples of the order-2 stencil of the
-    # drift derivative and once at the state, each a call on the stack of
-    # all samples; once more for the dimension probe's state
-    assert calls == [(2, 3), (3,), ()]
+    # drift derivative, once at the state and once at the two fiber states of
+    # the vertical check, each a call on the stack of all samples; once more
+    # for the dimension probe's state
+    assert calls == [(2, 3), (3,), (2, 3), ()]
 
 
 def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
     # at seed 1 the noise's largest entry is below 1: its scale used to
     # overflow to inf, U_bar to turn NaN and the NaN skewness residual to
-    # pass validation, ending in a LinAlgError traceback
+    # pass validation, ending in a LinAlgError traceback; the rows of the
+    # perturbed candidates are finite, but their residuals overflow
     cfg = write_config(tmp_path, SPHERES_1_3)
     out = tmp_path / "audit.json"
     assert main([
@@ -884,7 +917,8 @@ def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
         "--samples", "2", "--seed", "1", "--out", str(out),
     ]) == 2
     err = capsys.readouterr().err
-    assert "is not skew" in err and "Traceback" not in err
+    assert "residuals are not finite" in err and "Traceback" not in err
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
     assert not out.exists()
 
 

@@ -34,11 +34,6 @@ def test_central_diff_is_exact_on_polynomials_of_its_order(order, coeffs):
     assert central_diff(samples(lambda t: poly(coeffs, t), order), H) == coeffs[1]
     assert np.array_equal(central_diff(samples(array_sample, order), H), [coeffs[1], other[1]])
 
-    out = central_diff(samples(lambda t: (array_sample(t), poly(other, t)), order), H)
-    assert isinstance(out, tuple) and len(out) == 2
-    assert np.array_equal(out[0], [coeffs[1], other[1]])
-    assert out[1] == other[1]
-
 
 def test_central_diff_error_term_pins_the_weights():
     # the leading errors are h^2 f'''/6 at order 2 and -h^4 f^(5)/30 at order 4

@@ -174,14 +174,10 @@ def test_stacked_draws_are_states_and_unit_tangents_in_stack_order(pair, seed, s
             [_rotation_alone(ref, n) for _ in range(count)]]
     for m, points in ((pair.space, want[0]), (pair.space_hat, want[1])):
         want.append([_tangent_alone(m, ref, p) for p in points])
-    # a warped metric evaluates its warp by math at one point and by NumPy
-    # at a stack (spaces._lib), which may differ in the last bit: a stack's
-    # tangents on a warped factor are its lone tangents to round-off only
-    exact = (True, True, True, not isinstance(pair.space, Warped),
-             not isinstance(pair.space_hat, Warped))
-    for got, rows, bitwise in zip((x, x_hat, a, *vs), want, exact):
-        rows = np.array(rows).reshape(got.shape)
-        assert _same(got, rows) if bitwise or not shape else np.allclose(got, rows, 1e-14, 0)
+    # a warped metric evaluates its warp by NumPy at a lone point as at a
+    # stack (spaces._lib), so a warped factor's tangents match bit for bit too
+    for got, rows in zip((x, x_hat, a, *vs), want):
+        assert _same(got, np.array(rows).reshape(got.shape))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -491,11 +487,13 @@ def test_rk4_fallback_takes_one_substep_per_grid_interval():
     q0 = pair.random_state(rng)
     path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.25)
     calls = []
-    velocity = path.velocity
-    path.velocity = lambda t: calls.append(t) or velocity(t)
+    flow = path.flow
+    path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
     curve = roll_along(q0, path, step=1e-3)
     assert len(curve.times) == 251
-    assert len(calls) == 4 * 250  # one right-hand side per RK4 stage
+    # one path read per RK4 stage (the point and the velocity together), one
+    # for roll_along's start check and one array read of the rows' points
+    assert calls == [0] + [0] * 4 * 250 + [1]
 
 
 def test_magnus_kernel_takes_one_step_per_grid_interval_on_a_warped_first_factor():

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
-from rollsym.curvature import skew_to_vector, wedge_matrix
+from rollsym.curvature import skew_part, skew_to_vector, vector_to_skew, wedge_matrix
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.rolling import (
     RollingPair,
     det_transport_matrix,
+    q_dim,
     rolling_lift,
     tangent_curve,
 )
@@ -35,6 +36,13 @@ def zeros(*shape):
     """A closure that gives the zero stack of the given shape at every state
     of a stack."""
     return lambda s: np.zeros(s.shape + shape)
+
+
+def ambient(q, row):
+    """The ambient Z_hat and the frame matrix U_bar = A C of a tangent row at
+    the state q."""
+    n = q.pair.dim
+    return row[n : 2 * n] @ q.frame_hat, q.isometry @ vector_to_skew(row[2 * n :], n)
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -96,7 +104,7 @@ def test_translation_induced_candidate_is_exact():
     q = pair.random_state(RNG)
     trans = killing_catalog(pair.space_hat)[0]
     cand = killing_to_symmetry(pair, trans)
-    assert np.all(cand.U_bar(q) == 0.0)
+    assert np.all(ambient(q, cand.value(q)[0])[1] == 0.0)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = symmetry_residual(cand, q[None], X[None])
     assert r1[0, 0] < 1e-9 and r2[0, 0] < 1e-9
@@ -107,8 +115,8 @@ def test_plane_rotation_induced_candidate():
     q = pair.random_state(RNG)
     rot = [f for f in killing_catalog(pair.space_hat) if f.names == ["rotation-01"]][0]
     cand = killing_to_symmetry(pair, rot)
-    expected = rot.generators @ q.isometry
-    assert np.allclose(cand.U_bar(q), expected, atol=1e-12)
+    expected = rot.generators[0] @ q.isometry
+    assert np.allclose(ambient(q, cand.value(q)[0])[1], expected, atol=1e-12)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = symmetry_residual(cand, q[None], X[None])
     assert max(r1[0, 0], r2[0, 0]) < 1e-7
@@ -127,7 +135,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
 def test_zero_candidate_has_zero_residuals():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
-    zero = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 2), zeros(1, 2, 2), ["zero"])
+    zero = SymmetryCandidate(pair, zeros(1, q_dim(2)), ["zero"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     assert np.all(np.concatenate(symmetry_residual(zero, q[None], X[None])) == 0.0)
 
@@ -145,22 +153,15 @@ def test_perturbed_candidate_is_rejected():
 
 
 def test_candidate_validation():
+    # a vertical part that is not skew cannot be written as a row; a NaN
+    # residual compares false with the tolerance and must not pass, so rows
+    # that are not finite at the samples are refused
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[0])
-    assert np.array_equal(cand.validate(q), cand.U_bar(q))
-    broken = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
-                               lambda s: np.broadcast_to([[[0.0, 1.0], [1.0, 0.0]]],
-                                                         s.shape + (1, 2, 2)), ["symmetric"])
-    with pytest.raises(GeometryError):
-        broken.validate(q)
-    with pytest.raises(GeometryError, match="not skew"):
-        symmetry_residual(broken, q[None], q.frame[None, 0])
-    # a NaN residual compares false with the tolerance and must not pass
-    nan_valued = SymmetryCandidate(pair, zeros(1, 3), zeros(1, 3),
-                                   lambda s: np.full((1, 2, 2), np.nan), ["nan"])
-    with pytest.raises(GeometryError):
-        nan_valued.validate(q)
+    nan_valued = SymmetryCandidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+                                   ["nan"])
+    with pytest.raises(GeometryError, match="not finite"):
+        symmetry_residual(nan_valued, q[None], q.frame[None, 0])
 
 
 def test_killing_mismatch_raises():
@@ -183,10 +184,55 @@ def test_lemma_u_reconstruction_is_fiber_independent():
 
     q1 = pair.state(x, x_hat, random_rotation(rng, 2))
     q2 = pair.state(x, x_hat, random_rotation(rng, 2))
-    u1 = cand.U_bar(q1) @ q1.isometry.T
-    u2 = cand.U_bar(q2) @ q2.isometry.T
+    u1 = ambient(q1, cand.value(q1)[0])[1] @ q1.isometry.T
+    u2 = ambient(q2, cand.value(q2)[0])[1] @ q2.isometry.T
     assert np.abs(u1 - u2).max() < 1e-9
-    assert np.abs(u1 - field.nabla_matrix(x_hat, pair.space_hat.frame(x_hat))).max() < 1e-9
+    assert np.abs(u1 - field.nabla_matrix(x_hat, pair.space_hat.frame(x_hat))[0]).max() < 1e-9
+
+
+def projected_nabla(field, x, frame):
+    """The covariant differentials of a Killing stack by the tangential
+    projection of the generator on each frame vector, <E_i, P G E_j>, a
+    (..., k, n, n) array: the reference for nabla_matrix's (E W) G E^T."""
+    m = field.manifold
+    x, frame = x[..., None, None, :], frame[..., None, :, :]
+    images = m.project(x, frame @ field.generators.mT)
+    return m.inner_at(x[..., None, :], frame[..., :, None, :], images[..., None, :, :])
+
+
+def killing_factors(n):
+    return st.one_of(st.builds(Sphere, st.just(n), st.floats(0.5, 3.0)),
+                     st.builds(Hyperbolic, st.just(n), st.floats(0.5, 3.0)),
+                     st.just(Euclidean(n)))
+
+
+KILLING_PAIRS = st.integers(2, 3).flatmap(
+    lambda n: st.builds(RollingPair, killing_factors(n), killing_factors(n)))
+STACK_SHAPES = st.sampled_from([(), (3,), (2, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(KILLING_PAIRS, st.integers(0, 2**32 - 1), STACK_SHAPES)
+def test_killing_rows_are_the_projected_construction(pair, seed, shape):
+    # the rows of the whole catalog on a stack of states are (0, coordinates
+    # of the projected K_hat, A^T (projected nabla K_hat) A) to round-off,
+    # with an exactly zero Z block, and each state's rows are its rows alone
+    # bit for bit
+    n = pair.dim
+    catalog = killing_catalog(pair.space_hat)
+    cand = killing_to_symmetry(pair, catalog)
+    q = pair.state(*pair.draw(np.random.default_rng(seed), shape))
+    rows = cand.value(q)
+    assert rows.shape == shape + (len(catalog), q_dim(n))
+    assert np.all(rows[..., :n] == 0.0)
+    a = q.expand(q.isometry, q.isometry.ndim + 1)
+    want = np.concatenate((q.coords_hat(catalog.value(q.x_hat)),  # K_hat, projected
+                           skew_to_vector(a.mT @ projected_nabla(catalog, q.x_hat, q.frame_hat)
+                                          @ a)), axis=-1)
+    assert np.abs(rows[..., n:] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for i in np.ndindex(shape):
+        alone = pair.state(q.x[i], q.x_hat[i], q.isometry[i])
+        assert np.array_equal(rows[i], cand.value(alone))
 
 
 # -- vertical compatibility ------------------------------------------------------------
@@ -220,8 +266,13 @@ def test_vertical_compatibility_detects_base_dependence():
     # a candidate whose drift depends on the contact map fails the check
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
-    cand = SymmetryCandidate(pair, zeros(1, 3), lambda s: s.apply(s.frame[..., :1, :]),
-                             zeros(1, 2, 2), ["contact-map drift"])
+
+    def contact_map_drift(s):  # the Z_hat block e_0 A^T: the image of frame vector 0
+        rows = np.zeros(s.shape + (1, q_dim(2)))
+        rows[..., 0, 2:4] = s.isometry.mT[..., 0, :]
+        return rows
+
+    cand = SymmetryCandidate(pair, contact_map_drift, ["contact-map drift"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
     assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] > 1e-4
@@ -323,7 +374,6 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
             noise_rng = np.random.default_rng(seed + 1)
             noise_rng.standard_normal((skip, pair.dim, pair.dim))
             cand = perturb_candidate(cand, 1e-3, noise_rng)
-        cand.validate(q)
         return np.array([*symmetry_residual(cand, q[None], X[None]),
                          vertical_compatibility_residual(cand, q[None], X[None], Y[None])])[:, 0]
 
@@ -337,9 +387,9 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
 
 
 def inner_candidate(pair, Z, name):
-    """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0)."""
-    return SymmetryCandidate(pair, Z, lambda s: s.apply(Z(s)),
-                             lambda s: np.zeros(Z(s).shape[:-1] + (pair.dim, pair.dim)), [name])
+    """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0), its
+    rolling lift."""
+    return SymmetryCandidate(pair, lambda s: rolling_lift(s, Z(s)), [name])
 
 
 def test_inner_kind_candidate_passes_general_residuals():
@@ -434,15 +484,14 @@ def test_propagation_flat_target_is_affine():
     rot = [f for f in killing_catalog(pair.space_hat) if f.names == ["rotation-01"]][0]
     u0 = rot.generators[0] @ q1.isometry
     grid = np.linspace(0.0, 1.5, 31)
-    res = propagate_sym0(q1, X, z0, u0, grid)
-    v_hat = q1.apply(X)
+    row0 = np.concatenate((np.zeros(2), q1.coords_hat(z0), skew_to_vector(q1.isometry.T @ u0)))
+    res = propagate_sym0(q1, X, row0, grid)
     d0 = u0 @ q1.coords(X) @ q1.frame_hat
-    for t, z in zip(grid, res.Z_hat):
+    data = [ambient(q, row) for q, row in zip(res.states, res.rows)]
+    for t, (z, _) in zip(grid, data):
         assert np.allclose(z, z0 + t * d0, atol=1e-9)
     # vertical data stays constant in parallel frames on a flat target
-    for t, u in zip(grid, res.U_bar):
-        from rollsym.rolling import det_transport_matrix
-
+    for t, (_, u) in zip(grid, data):
         p = det_transport_matrix(pair.space, q1.x, X, t)
         assert np.abs(u - u0 @ p.T).max() < 1e-9
 
@@ -455,10 +504,11 @@ def test_propagation_sphere_jacobi_closed_form():
     e = pair.space_hat.random_tangent(RNG, q1.x_hat)
     e = e - pair.space_hat.inner_at(q1.x_hat, e, v_hat) * v_hat
     e /= math.sqrt(pair.space_hat.inner_at(q1.x_hat, e, e))
-    u0 = np.outer(q1.coords_hat(e), q1.coords(X))
-    u0 = q1.isometry @ (0.5 * (q1.isometry.T @ u0 - (q1.isometry.T @ u0).T))
+    c0 = skew_part(q1.isometry.T @ np.outer(q1.coords_hat(e), q1.coords(X)))
+    u0 = q1.isometry @ c0
     grid = np.linspace(0.0, 2.0, 81)
-    res = propagate_sym0(q1, X, np.zeros(3), u0, grid)
+    res = propagate_sym0(q1, X, np.concatenate((np.zeros(4), skew_to_vector(c0))), grid)
+    z_hats = [ambient(q, row)[0] for q, row in zip(res.states, res.rows)]
     d0 = u0 @ q1.coords(X) @ q1.frame_hat
 
     def brute_jacobi(t_grid):
@@ -492,12 +542,12 @@ def test_propagation_sphere_jacobi_closed_form():
             out.append(state[:3].copy())
         return out
 
-    for t, z in zip(grid, res.Z_hat):
+    for t, z in zip(grid, z_hats):
         et = pair.space_hat.transport_along_geodesic(q1.x_hat, v_hat, t, d0)
         assert np.abs(z - math.sin(t) * et).max() < 1e-7
 
     oracle = brute_jacobi(grid)
-    for z, zo in zip(res.Z_hat[::20], oracle[::20]):
+    for z, zo in zip(z_hats[::20], oracle[::20]):
         assert np.abs(z - zo).max() < 1e-4
 
 
@@ -508,14 +558,15 @@ def test_propagation_round_trip():
     cand = killing_to_symmetry(pair, field)
     X = pair.space.random_tangent(RNG, q1.x, unit=True)
     grid = np.linspace(0.0, 1.1, 45)
-    res = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0], grid)
-    q_end, z_end, u_end = res.final()
+    res = propagate_sym0(q1, X, cand.value(q1)[0], grid)
+    q_end, row_end = res.final()
     v_hat = pair.space_hat.geodesic_flow(q1.x_hat, q1.apply(X), 1.1)[1]
     back_dir = -(q_end.isometry.T @ q_end.coords_hat(v_hat)) @ q_end.frame
-    res_back = propagate_sym0(q_end, back_dir, z_end, u_end, grid)
-    _, z0, u0 = res_back.final()
-    assert np.abs(z0 - cand.Z_hat(q1)[0]).max() < 1e-5
-    assert np.abs(u0 - cand.U_bar(q1)[0]).max() < 1e-5
+    res_back = propagate_sym0(q_end, back_dir, row_end, grid)
+    z0, u0 = ambient(*res_back.final())
+    z_ref, u_ref = ambient(q1, cand.value(q1)[0])
+    assert np.abs(z0 - z_ref).max() < 1e-5
+    assert np.abs(u0 - u_ref).max() < 1e-5
 
 
 def test_propagation_matches_killing_construction():
@@ -524,13 +575,14 @@ def test_propagation_matches_killing_construction():
         q1 = pair.random_state(RNG)
         field = killing_catalog(mh)[-1]
         cand = killing_to_symmetry(pair, field)
-        q_cur, z_cur, u_cur = q1, cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
+        q_cur, row = q1, cand.value(q1)[0]
         rng = np.random.default_rng(12)
         for _ in range(3):
             direction = pair.space.random_tangent(rng, q_cur.x, unit=True)
-            q_cur, z_cur, u_cur = propagate_chain(q_cur, [(direction, 0.8)], z_cur, u_cur)
-        assert np.abs(z_cur - cand.Z_hat(q_cur)[0]).max() < 1e-5
-        assert np.abs(u_cur - cand.U_bar(q_cur)[0]).max() < 1e-5
+            q_cur, row = propagate_chain(q_cur, [(direction, 0.8)], row)
+        (z_cur, u_cur), (z_ref, u_ref) = (ambient(q_cur, r) for r in (row, cand.value(q_cur)[0]))
+        assert np.abs(z_cur - z_ref).max() < 1e-5
+        assert np.abs(u_cur - u_ref).max() < 1e-5
 
 
 def test_propagation_grid_refinement_stability():
@@ -543,12 +595,10 @@ def test_propagation_grid_refinement_stability():
     field = killing_catalog(pair.space_hat)[0]
     cand = killing_to_symmetry(pair, field)
     X = pair.space.random_tangent(rng, q1.x, unit=True)
-    coarse = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0],
-                            np.linspace(0.0, 1.0, 49))
-    fine = propagate_sym0(q1, X, cand.Z_hat(q1)[0], cand.U_bar(q1)[0],
-                          np.linspace(0.0, 1.0, 97))
-    assert np.abs(coarse.final()[1] - fine.final()[1]).max() < 1e-8
-    assert np.abs(coarse.final()[2] - fine.final()[2]).max() < 1e-8
+    coarse = ambient(*propagate_sym0(q1, X, cand.value(q1)[0], np.linspace(0.0, 1.0, 49)).final())
+    fine = ambient(*propagate_sym0(q1, X, cand.value(q1)[0], np.linspace(0.0, 1.0, 97)).final())
+    assert np.abs(coarse[0] - fine[0]).max() < 1e-8
+    assert np.abs(coarse[1] - fine[1]).max() < 1e-8
 
 
 def propagation_factors(n):
@@ -570,11 +620,11 @@ def test_propagation_lands_on_the_killing_construction(pair, data, lengths, seed
     catalog = killing_catalog(pair.space_hat)
     cand = killing_to_symmetry(pair, catalog[data.draw(st.integers(0, len(catalog) - 1))])
     q = pair.random_state(rng)
-    z, u = cand.Z_hat(q)[0], cand.U_bar(q)[0]
+    row = cand.value(q)[0]
     for length in lengths:
-        q, z, u = propagate_chain(q, [(pair.space.random_tangent(rng, q.x, unit=True), length)],
-                                  z, u)
-    z_ref, u_ref = cand.Z_hat(q)[0], cand.U_bar(q)[0]
+        q, row = propagate_chain(q, [(pair.space.random_tangent(rng, q.x, unit=True), length)],
+                                 row)
+    (z, u), (z_ref, u_ref) = ambient(q, row), ambient(q, cand.value(q)[0])
     scale = max(1.0, float(np.abs(z_ref).max()), float(np.abs(u_ref).max()))
     assert max(np.abs(z - z_ref).max(), np.abs(u - u_ref).max()) <= 1e-11 * scale
 
@@ -583,21 +633,24 @@ def test_propagation_one_point_grid_returns_the_start():
     pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
     q1 = pair.random_state(RNG)
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[1])
-    z0, u0 = cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
-    res = propagate_sym0(q1, pair.space.random_tangent(RNG, q1.x, unit=True), z0, u0, [0.0])
-    assert len(res.states) == len(res.Z_hat) == len(res.U_bar) == 1
-    assert np.abs(res.Z_hat[0] - z0).max() < 1e-14
-    assert np.abs(res.U_bar[0] - u0).max() < 1e-14
+    row0 = cand.value(q1)[0]
+    z0, u0 = ambient(q1, row0)
+    res = propagate_sym0(q1, pair.space.random_tangent(RNG, q1.x, unit=True), row0, [0.0])
+    assert len(res.states) == len(res.rows) == 1
+    z, u = ambient(res.states[0], res.rows[0])
+    assert np.abs(z - z0).max() < 1e-14
+    assert np.abs(u - u0).max() < 1e-14
 
 
 def test_propagation_without_motion_keeps_the_data():
     pair = RollingPair(Sphere(3, 2.0), Hyperbolic(3, 1.0))
     q1 = pair.random_state(RNG)
     cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[2])
-    z0, u0 = cand.Z_hat(q1)[0], cand.U_bar(q1)[0]
-    res = propagate_sym0(q1, np.zeros(4), z0, u0, np.linspace(0.0, 0.7, 8))
+    row0 = cand.value(q1)[0]
+    z0, u0 = ambient(q1, row0)
+    res = propagate_sym0(q1, np.zeros(4), row0, np.linspace(0.0, 0.7, 8))
     scale = max(1.0, float(np.abs(z0).max()), float(np.abs(u0).max()))
-    for z, u in zip(res.Z_hat, res.U_bar):
+    for z, u in (ambient(q, row) for q, row in zip(res.states, res.rows)):
         assert np.abs(z - z0).max() <= 1e-13 * scale
         assert np.abs(u - u0).max() <= 1e-13 * scale
 
@@ -606,7 +659,10 @@ def test_propagation_grid_validation():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
     with pytest.raises(GeometryError):
-        propagate_sym0(q, q.frame[0], np.zeros(2), np.zeros((2, 2)), [0.5, 1.0])
+        propagate_sym0(q, q.frame[0], np.zeros(q_dim(2)), [0.5, 1.0])
+    # propagation carries base-fixing data only: a nonzero Z block is refused
+    with pytest.raises(GeometryError, match="base-fixing"):
+        propagate_sym0(q, q.frame[0], np.eye(q_dim(2))[0], [0.0, 1.0])
 
 
 # -- dimension probe ---------------------------------------------------------------------
@@ -635,7 +691,8 @@ def test_dimension_probe_span_invariance_and_small_cases():
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
     # a stack whose drift on the first factor is nonzero at q0 is not base-fixing
-    moving = SymmetryCandidate(pair, lambda s: s.frame[..., :1, :], zeros(1, 3), zeros(1, 2, 2),
+    moving = SymmetryCandidate(pair, lambda s: np.broadcast_to(np.eye(q_dim(2))[:1],
+                                                              s.shape + (1, q_dim(2))),
                                ["moving base"])
     with pytest.raises(GeometryError, match="base-fixing"):
         sym0_dimension_probe(q0, moving)
