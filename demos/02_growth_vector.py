@@ -41,9 +41,11 @@ for name, pair in pairs.items():
 
 # The first bracket carries the whole story: for rolling lifts of the
 # frame, its vertical part is kappa times the wedge of the two directions.
-# The generators form one stacked field, and one bracket_structured call
-# returns the whole table of brackets [L(E_i), L(E_j)] in (i, j) order, one
-# tangent row each: frame coordinates of X and X_hat, then the so(2)
+# The generators are the lifts of a frame anchored at q, which is the
+# deterministic frame E at q and does not turn there, so at q the table is
+# purely vertical.  They form one stacked field, and one bracket_structured
+# call returns the whole table of brackets [L(E_i), L(E_j)] in (i, j) order,
+# one tangent row each: frame coordinates of X and X_hat, then the so(2)
 # coordinate of the vertical part C.
 pair = pairs["sphere(1) on sphere(3)"]
 q = pair.random_state(rng)

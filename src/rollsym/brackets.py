@@ -48,7 +48,12 @@ from .rolling import (
 )
 
 FIELD_FD_ORDER = 4
-NESTED_FD_STEP = 1e-2
+# Truncation falls 16x per halving of the nested step: the 7th depth-4 value of
+# (-1.2, 1.2) x cos S2(2) / S3(1) at seed 0 is 4.3e-8, 2.7e-9 and 1.8e-10 at
+# 1e-2, 5e-3 and 2.5e-3 (rank 8 at 1e-2, 6 below), and round-off takes over
+# below (3.8e-10 at 1.25e-3).  Depth-3 values of the growth benchmark pairs
+# agree to 1.5e-10 between 1e-2 and 2.5e-3.
+NESTED_FD_STEP = 2.5e-3
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
 
@@ -187,32 +192,39 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.
 # -- generator fields -----------------------------------------------------------
 
 
-def frame_field_derivative(m, x, v):
-    """Covariant derivatives of all deterministic frame fields along v at x,
-    returned as an (n, amb) array, from the frame's connection form."""
-    return m.connection_form(x, v) @ m.frame(x)
+def frame_field_derivative(q, v):
+    """The connection forms omega_F(v) of the generator frame F at every
+    state of q along the ambient tangent vectors v (*q.shape, m, amb) at x,
+    (*q.shape, m, n, n): nabla_v F_k = sum_j omega_kj F_j."""
+    x0, frame0 = q.anchor
+    return q.pair.space.anchored_connection(x0[..., None, :], frame0[..., None, :, :],
+                                            q.x[..., None, :], v)
 
 
 def rolling_generators() -> StructuredField:
-    """The stack of rolling lifts of the deterministic frame, the rows
-    [I | A^T | 0], with closed-form derivatives: along a canonical curve the
-    isometry differentiates to A C, and the frame fields to their connection
-    form (RollingState.connection)."""
+    """The stack of rolling lifts of the frame F anchored at each state's
+    anchor (RollingState.anchor, SpaceForm.anchored_frame), the rows
+    [M | M A^T | 0] for the coordinates M of F in the deterministic frame
+    (RollingState.anchored), with closed-form derivatives: along a canonical
+    curve F moves by its connection form omega_F (frame_field_derivative),
+    and the isometry differentiates to A C.  At a state that is its own
+    anchor, F is the deterministic frame and M = I."""
 
     def value(q):
-        n = q.pair.dim
+        n, m = q.pair.dim, q.anchored
         rows = np.zeros(q.shape + (n, q_dim(n)))
-        rows[..., :n] = np.eye(n)
-        rows[..., n : 2 * n] = q.isometry.mT
+        rows[..., :n] = m
+        rows[..., n : 2 * n] = m @ q.isometry.mT
         return rows
 
     def derivative(q, xi):
-        # along xi[a] frame vector k moves by row k of its connection form
-        # omega[a], and its image under A by A times row k of C[a]^T + omega[a]
-        n = q.pair.dim
-        omega = np.einsum("...ak,...kij->...aij", xi[..., :n], q.connection)
-        d_image = vector_to_skew(xi[..., 2 * n :], n).mT + omega
-        return FieldData(omega, d_image @ q.expand(q.isometry, d_image.ndim).mT,
+        # along xi[a] frame vector F_k moves by row k of omega[a] M, and its
+        # image A F_k by A times row k of M C[a]^T + omega[a] M
+        n, m = q.pair.dim, q.anchored[..., None, :, :]
+        omega = frame_field_derivative(q, xi[..., :n] @ q.expand(q.frame, xi.ndim))
+        d_frame = omega @ m
+        d_image = m @ vector_to_skew(xi[..., 2 * n :], n).mT + d_frame
+        return FieldData(d_frame, d_image @ q.expand(q.isometry, d_image.ndim).mT,
                          np.zeros(omega.shape + (n,)))
 
     return StructuredField(value, derivative)
@@ -246,10 +258,10 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 
-    The distribution is spanned by the rolling lifts of the frame
-    (rolling_generators); each flag step adjoins the table of brackets of the
-    previous step's new fields with the generators, one stacked
-    bracket_field.  Depth 2 is one bracket_structured of the generators with
+    The distribution is spanned by the rolling lifts of the frame anchored
+    at q (rolling_generators), whatever anchor q carries; each flag step
+    adjoins the table of brackets of the previous step's new fields with the
+    generators, one stacked bracket_field.  Depth 2 is one bracket_structured of the generators with
     themselves; depth 3 differentiates that n x n table along each generator
     by one stencil, at four sample states per generator.  All vectors are
     tangent rows, and each step's vectors form one layer of the equilibrated
@@ -261,6 +273,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
+    q = RollingState(q.pair, q.x, q.x_hat, q.isometry)  # its own anchor
     gens = rolling_generators()
     rows = gens.value(q)
     layers = [len(rows)]

@@ -12,13 +12,16 @@ coordinates of C (curvature.skew_to_vector order).
 
 States come in stacks: a RollingState holds one state or a stack of them
 along leading axes, and every array it carries (points, contact maps, frames,
-connection forms, transports) has those leading axes first.  Canonical
+anchors, transports) has those leading axes first.  Canonical
 curves, which combine both motions, are built as one stack: one tangent_curve
 call takes a stack of base states, tangent rows and times, broadcast against
 each other, and returns the stacked state at the end of every curve.  Every
 stencil on the state space draws all its sample states from one such call and
 evaluates its closure once on that stack.  tangent_curve is the one place
-where tangent rows become ambient velocities.
+where tangent rows become ambient velocities.  It also passes on the anchor
+of the curve's base, the first factor's point and frame at which the flag
+generators are anchored, so that generators at the sample states of a
+stencil are one smooth field.
 
 Rolling a path gamma in the first factor integrates the kinematic
 constraints of rolling without slipping (contact velocities match) or
@@ -123,9 +126,9 @@ def _check_rows(pair, x, x_hat, a):
 class RollingState:
     """A state (x, x_hat; A), or a stack of them along leading axes: x is
     (*shape, amb), x_hat (*shape, amb_hat) and isometry (*shape, n, n), and a
-    lone state has shape ().  The frames, connection forms and transports it
-    carries have the same leading axes, and so has every value of a closure
-    on states: at a stack, a closure returns the stack of its values at each
+    lone state has shape ().  The frames, anchor and transports it carries
+    have the same leading axes, and so has every value of a closure on
+    states: at a stack, a closure returns the stack of its values at each
     state.  Indexing (q[i], q[mask], q[..., None]) applies to the stack axes
     of every array and keeps what was computed for those states."""
 
@@ -136,9 +139,10 @@ class RollingState:
 
     def __post_init__(self):
         # RollingPair.state and tangent_curve check the states they build
-        self._basis = None  # (frames, kept indices) at x, see _bases
-        self._basis_hat = None
-        self._connection = None
+        self._frame = None
+        self._frame_hat = None
+        self._anchor = None  # (x0, frame0) passed on by tangent_curve, see anchor
+        self._anchored = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
 
     @property
@@ -155,12 +159,11 @@ class RollingState:
             return a[index + (slice(None),) * core]
 
         out = RollingState(self.pair, take(self.x, 1), take(self.x_hat, 1), take(self.isometry, 2))
-        for attr in ("_basis", "_basis_hat"):
+        for attr in ("_frame", "_frame_hat", "_anchored"):  # two axes per state
             if getattr(self, attr) is not None:
-                frames, kept = getattr(self, attr)
-                setattr(out, attr, (take(frames, 2), take(kept, 1)))
-        if self._connection is not None:
-            out._connection = take(self._connection, 3)
+                setattr(out, attr, take(getattr(self, attr), 2))
+        if self._anchor is not None:
+            out._anchor = take(self._anchor[0], 1), take(self._anchor[1], 2)
         if self.transports is not None:
             out.transports = tuple(take(fwd, 2) for fwd in self.transports)
         return out
@@ -172,37 +175,33 @@ class RollingState:
         lead = len(self.shape)
         return a.reshape(a.shape[:lead] + (1,) * max(0, ndim - a.ndim) + a.shape[lead:])
 
-    def _bases(self, side):
-        """(frames, kept indices) at the points of the first factor (side "")
-        or the second ("_hat"), from one SpaceForm.frames call over the stack."""
-        attr = "_basis" + side
-        if getattr(self, attr) is None:
-            x = getattr(self, "x" + side)
-            m = self.pair.space_hat if side else self.pair.space
-            frames, kept = m.frames(x.reshape(-1, x.shape[-1]), kept=True)
-            setattr(self, attr, (frames.reshape(self.shape + frames.shape[1:]),
-                                 kept.reshape(self.shape + kept.shape[1:])))
-        return getattr(self, attr)
-
     @property
     def frame(self):
         """The deterministic frames at x, (*shape, n, amb): rows of SpaceForm.frames."""
-        return self._bases("")[0]
+        if self._frame is None:
+            self._frame = self.pair.space.frames(self.x)
+        return self._frame
 
     @property
     def frame_hat(self):
-        return self._bases("_hat")[0]
+        if self._frame_hat is None:
+            self._frame_hat = self.pair.space_hat.frames(self.x_hat)
+        return self._frame_hat
 
     @property
-    def connection(self):
-        """The connection forms of the first factor's deterministic frame
-        along its own vectors, (*shape, n, n, n): omega(v) is the sum of v's
-        frame coordinates against the first axis after the stack axes."""
-        if self._connection is None:
-            frame, kept = self._bases("")
-            self._connection = self.pair.space.connection_form(
-                self.x[..., None, :], frame, (frame[..., None, :, :], kept[..., None, :]))
-        return self._connection
+    def anchor(self):
+        """(x0, frame0), (*shape, amb) and (*shape, n, amb): the first
+        factor's point and frame at which the flag generators of each state
+        are anchored; the state itself unless tangent_curve built it."""
+        return self._anchor if self._anchor is not None else (self.x, self.frame)
+
+    @property
+    def anchored(self):
+        """M = <F_k, E_j>, (*shape, n, n): the frame F anchored at `anchor`
+        (SpaceForm.anchored_frame) at x, in the deterministic frame E there."""
+        if self._anchored is None:
+            self._anchored = self.coords(self.pair.space.anchored_frame(*self.anchor, self.x)[0])
+        return self._anchored
 
     def coords(self, w):
         """Frame coordinates at x of ambient tangent vectors w, with the
@@ -270,29 +269,27 @@ def det_transport_matrix(m: SpaceForm, x, v, t):
     """Matrix taking deterministic-frame coordinates at x to those at the
     geodesic point, through parallel transport along the geodesic."""
     x = np.asarray(x, float)[None]
-    return _flow_rows(m, x, m.frames(x, kept=True), np.asarray(v, float)[None],
-                      np.array([t], float))[1][0]
+    return _flow_rows(m, x, m.frames(x), np.asarray(v, float)[None], np.array([t], float))[1][0]
 
 
-def _flow_rows(m, x, basis, v, t):
+def _flow_rows(m, x, frames, v, t):
     """Per row, the point at time t[i] of the geodesic of (x[i], v[i]) on m,
-    det_transport_matrix to it and its basis (frames, kept indices), given
-    the basis at the points.  A row with v[i] = 0 keeps its point and basis
-    with the identity transport; the moving rows flow in one geodesic_flow
-    and one transport_along_geodesic call and take their bases from one
-    frames call."""
+    det_transport_matrix to it and its frame, given the frames at the
+    points.  A row with v[i] = 0 keeps its point and frame with the identity
+    transport; the moving rows flow in one geodesic_flow and one
+    transport_along_geodesic call and take their frames from one frames
+    call."""
     fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
-    frames, kept = basis
     move = np.flatnonzero(v.any(axis=1))
     if len(move):
-        x, frames, kept = x.copy(), frames.copy(), kept.copy()
+        x, frames = x.copy(), frames.copy()
         xm, vm, tm = x[move], v[move], t[move]
         xt = m.geodesic_flow(xm, vm, tm)[0]
         moved = m.transport_along_geodesic(xm[:, None], vm[:, None], tm[:, None], frames[move])
         x[move] = xt
-        frames[move], kept[move] = m.frames(xt, kept=True)
+        frames[move] = m.frames(xt)
         fwd[move] = m.inner_at(xt[:, None, None], frames[move][:, :, None], moved[:, None])
-    return x, fwd, (frames, kept)
+    return x, fwd, frames
 
 
 def tangent_curve(q: RollingState, xi, t) -> RollingState:
@@ -303,10 +300,11 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     along geodesics, A is transported in parallel frames and composed with
     expm(tC) on the fiber.  The returned stack keeps the two frame-transport
     matrices from its bases (det_transport_matrix on each factor) as its
-    `transports`, through which values at it are pulled back, and its
-    frames.  The kernel runs on the flattened stack: only rows with C != 0
-    enter the one stacked expm, one SVD takes the nearest rotations, and
-    every check of RollingState runs once over the whole stack."""
+    `transports`, through which values at it are pulled back, its frames,
+    and the anchor of q at each state.  The kernel runs on the flattened
+    stack: only rows with C != 0 enter the one stacked expm, one SVD takes
+    the nearest rotations, and every check of RollingState runs once over
+    the whole stack."""
     pair, n = q.pair, q.pair.dim
     xi, t = np.asarray(xi, float), np.asarray(t, float)
     shape = np.broadcast_shapes(q.shape, xi.shape[:-1], t.shape)
@@ -316,14 +314,12 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
         return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
 
     xi, t = rows(xi, 1), rows(t, 0)
-    (frames, kept), (frames_hat, kept_hat) = q._bases(""), q._bases("_hat")
-    frames, frames_hat = rows(frames, 2), rows(frames_hat, 2)
+    frames, frames_hat = rows(q.frame, 2), rows(q.frame_hat, 2)
     C = vector_to_skew(xi[:, 2 * n :], n)
     X = (xi[:, None, :n] @ frames)[:, 0]
     X_hat = (xi[:, None, n : 2 * n] @ frames_hat)[:, 0]
-    xt, fwd, basis = _flow_rows(pair.space, rows(q.x, 1), (frames, rows(kept, 1)), X, t)
-    xht, fwd_hat, basis_hat = _flow_rows(pair.space_hat, rows(q.x_hat, 1),
-                                         (frames_hat, rows(kept_hat, 1)), X_hat, t)
+    xt, fwd, frames = _flow_rows(pair.space, rows(q.x, 1), frames, X, t)
+    xht, fwd_hat, frames_hat = _flow_rows(pair.space_hat, rows(q.x_hat, 1), frames_hat, X_hat, t)
     a = fwd_hat @ rows(q.isometry, 2)
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
@@ -342,8 +338,10 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
         return a.reshape(shape + a.shape[1:])
 
     out = RollingState(pair, stacked(xt), stacked(xht), stacked(a))
-    out._basis = tuple(map(stacked, basis))  # built above, the same frames
-    out._basis_hat = tuple(map(stacked, basis_hat))
+    out._frame, out._frame_hat = stacked(frames), stacked(frames_hat)  # built above
+    x0, frame0 = q.anchor
+    out._anchor = (np.broadcast_to(x0, shape + x0.shape[-1:]),
+                   np.broadcast_to(frame0, shape + frame0.shape[-2:]))
     out.transports = stacked(fwd), stacked(fwd_hat)
     return out
 

@@ -80,9 +80,9 @@ class SpaceForm:
     product, the frames and the frame coordinates are written here once, in
     terms of `metric_weights`.  Subclasses provide the constraint and
     tangency residuals, tangent projection, geodesics, parallel transport, the
-    curvature operator in the deterministic frame, the derivatives of the
-    projection and the metric weights (for the frame's connection form),
-    random_point and to_spec.
+    curvature operator in the deterministic frame, a frame anchored at a point
+    in closed form (from which anchored_connection follows), random_point and
+    to_spec.
     """
 
     kind = "abstract"
@@ -171,9 +171,9 @@ class SpaceForm:
 
     # -- deterministic frame ---------------------------------------------------
 
-    def frames(self, xs, kept=False):
-        """The deterministic orthonormal frames at the rows of xs (N,
-        amb_dim), an (N, n, amb_dim) array of row vectors: Gram-Schmidt on the
+    def frames(self, xs):
+        """The deterministic orthonormal frames at the points xs (...,
+        amb_dim), a (..., n, amb_dim) array of row vectors: Gram-Schmidt on the
         projected ambient coordinate basis, in coordinate order, skipping a
         vector whose squared length after orthogonalization is at most
         FRAME_SKIP_TOL**2.  Every kept vector is projected and orthogonalized
@@ -183,13 +183,11 @@ class SpaceForm:
         the frame field is coherently oriented across the manifold; otherwise
         the frame matrix of an orientation-preserving contact map could pick up
         a spurious sign between frame patches.  Each row is computed on its
-        own: a row of a stack is the frame of its point alone, bit for bit.
-        With kept=True, also the (N, n) coordinate indices whose projected
-        basis vectors each frame kept, which connection_form reuses."""
+        own: a row of a stack is the frame of its point alone, bit for bit."""
         xs = np.asarray(xs, dtype=float)
+        lead, xs = xs.shape[:-1], xs.reshape(-1, self.amb_dim)
         n = self.dim
         rows = np.zeros((len(xs), n, self.amb_dim))
-        indices = np.zeros((len(xs), n), dtype=int)
         filled = np.zeros(len(xs), dtype=int)
         basis = self.project(xs[:, None], np.eye(self.amb_dim))
         for k in range(self.amb_dim):
@@ -200,12 +198,11 @@ class SpaceForm:
             at = xs[take]
             v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
             rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
-            indices[take, filled[take]] = k
             filled[take] += 1
         if np.any(filled < n):
             raise GeometryError("could not complete an orthonormal frame at this point")
         rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
-        return (rows, indices) if kept else rows
+        return rows.reshape(lead + rows.shape[1:])
 
     def _orthogonalize(self, xs, vs, rows):
         """vs minus its components along rows (rows not yet filled are zero)."""
@@ -214,61 +211,26 @@ class SpaceForm:
 
     def frame(self, x):
         """The deterministic orthonormal frame at one point x, an (n, amb_dim)
-        array of row vectors: the one row of `frames`."""
-        return self.frames(np.asarray(x, dtype=float)[None])[0]
+        array of row vectors: `frames` of one point."""
+        return self.frames(x)
 
-    def connection_form(self, x, v, basis=None):
-        """The skew n x n matrices omega with nabla_v E_i = sum_j omega_ij E_j
-        for the deterministic frame E at the points x (..., amb_dim), along
-        tangent vectors v (..., amb_dim) whose leading axes broadcast against
-        those of x; returns (..., n, n).  `basis`, (frames, kept indices) of
-        frames(., kept=True) with the leading axes of x, saves rerunning
-        Gram-Schmidt.  A row of a stack is the form of its point alone, bit
-        for bit.
-
-        Gram-Schmidt is a Cholesky factorization: the kept projected basis
-        vectors B = P(x) e_k are B = L E, with L = B W E^T lower triangular
-        and L L^T = B W B^T.  Differentiating that product along v gives
-        L^-1 dL = low(S) for S = Phi + Phi^T + E dW E^T, Phi = L^-1 dB W E^T,
-        where low keeps the strict lower part and half the diagonal; then
-        dE = L^-1 dB - low(S) E, and nabla_v E = dE - transport_rhs(x, v, E).
-        The kept set is locally constant, and an orientation flip of the last
-        row negates the last row and column of omega.  Subclasses supply dB
-        and dW through project_derivative and metric_weights_derivative.
-
-        omega is skew in exact arithmetic, but where a kept basis vector
-        nearly cancels, L^-1 amplifies round-off in its symmetric part (about
-        1e-11 of |omega| on a hyperboloid); the skew part is returned."""
-        x = np.asarray(x, dtype=float)
-        if basis is None:
-            frames, kept = self.frames(x.reshape(-1, self.amb_dim), kept=True)
-            basis = frames.reshape(x.shape[:-1] + frames.shape[1:]), kept.reshape(
-                x.shape[:-1] + kept.shape[1:])
-        fr, kept = basis
-        x = x[..., None, :]  # against the frame rows
-        w = self.metric_weights(x)
-        eye = np.eye(self.amb_dim)[kept]
-        lower = self.project(x, eye) @ (w * fr).mT
-        sign = np.sign(np.diagonal(lower, axis1=-2, axis2=-1))  # -1 on the last row after a flip
-        fr = sign[..., None] * fr
-        inv = np.linalg.inv(np.tril(lower * sign[..., None, :]))
-        v = np.asarray(v, dtype=float)[..., None, :]
-        d_basis = self.project_derivative(x, v, eye)
-        phi = inv @ (d_basis * w) @ fr.mT
-        s = phi + phi.mT + (fr * self.metric_weights_derivative(x, v)) @ fr.mT
-        low = s * (np.tri(self.dim, k=-1) + 0.5 * np.eye(self.dim))
-        nabla = inv @ d_basis - low @ fr - self.transport_rhs(x, v, fr)
-        omega = sign[..., :, None] * ((nabla * w) @ fr.mT) * sign[..., None, :]
-        return 0.5 * (omega - omega.mT)
-
-    def project_derivative(self, x, v, w):
-        """Derivative of the projection of a fixed ambient vector w along the
-        tangent vector v at x: d/dt project(x(t), w) for x'(0) = v."""
+    def anchored_frame(self, x0, frame0, x, v=None):
+        """The frame F at x anchored at the orthonormal frame rows frame0 at
+        x0, moved from there by a closed form, and its ambient derivative
+        dF(v) along the tangent vector v at x (None without v).  x0, x and v
+        are (..., amb_dim) and frame0 (..., n, amb_dim), their leading axes
+        broadcast, and F and dF are (..., n, amb_dim)."""
         raise NotImplementedError
 
-    def metric_weights_derivative(self, x, v):
-        """Derivative of metric_weights along the tangent vector v at x."""
-        raise NotImplementedError
+    def anchored_connection(self, x0, frame0, x, v):
+        """The matrices omega with nabla_v F_k = sum_j omega_kj F_j for the
+        frame F anchored at (x0, frame0), at x along v (leading axes as in
+        anchored_frame), (..., n, n): omega_kj = <dF_k(v) - transport_rhs(x,
+        v, F_k), F_j>, skew to round-off."""
+        fr, d_fr = self.anchored_frame(x0, frame0, x, v)
+        x, v = np.asarray(x, dtype=float)[..., None, :], np.asarray(v, dtype=float)[..., None, :]
+        nabla = d_fr - self.transport_rhs(x, v, fr)
+        return self.inner_at(x[..., None, :], nabla[..., :, None, :], fr[..., None, :, :])
 
     def _orientation_sign(self, x, rows):
         """Determinant of the frame rows against the ambient orientation,
@@ -333,15 +295,25 @@ class ConstantCurvature(SpaceForm):
         norm = k * self.inner_at(x, x, x) if k else 1.0
         return w - _col(k * self.inner_at(x, x, w) / norm) * x
 
-    def project_derivative(self, x, v, w):
-        k = self.curvature_constant
-        return -k * (_col(self.inner_at(x, v, w)) * x + _col(self.inner_at(x, x, w)) * v)
-
-    def metric_weights_derivative(self, x, v):
-        return np.zeros(np.shape(v))
-
     def transport_rhs(self, x, xdot, v):
         return _col(-self.curvature_constant * self.inner_at(x, v, xdot)) * x
+
+    def anchored_frame(self, x0, frame0, x, v=None):
+        """The transvection of the frame rows e at x0, T e = e - K<x, e> /
+        (1 + K<x0, x>) (x0 + x): parallel transport along the geodesic from x0
+        to x, a rotation of S^n (short of the antipode of x0), a boost of H^n
+        and the identity of R^n."""
+        k = self.curvature_constant
+        x0, frame0, x = (np.asarray(a, dtype=float) for a in (x0, frame0, x))
+        lowered, ends = frame0 * self.signature, (x0 + x)[..., None, :]
+        denom = 1.0 + k * self.inner_at(x, x0, x)[..., None, None]
+        coef = k * (lowered @ x[..., None]) / denom
+        fr = frame0 - coef * ends
+        if v is None:
+            return fr, None
+        v = np.asarray(v, dtype=float)
+        d_coef = k * (lowered @ v[..., None] - coef * self.inner_at(x, x0, v)[..., None, None])
+        return fr, -d_coef / denom * ends - coef * v[..., None, :]
 
     def _normal(self, x):
         return x
@@ -615,18 +587,6 @@ class Warped(SpaceForm):
         w = np.asarray(w, dtype=float)
         return _stack(w[..., 0], self.fiber.project(np.asarray(x)[..., 1:], w[..., 1:]))
 
-    def project_derivative(self, x, v, w):
-        x, v, w = np.asarray(x), np.asarray(v), np.asarray(w)
-        return _stack(0.0, self.fiber.project_derivative(x[..., 1:], v[..., 1:], w[..., 1:]))
-
-    def metric_weights_derivative(self, x, v):
-        # d(f^2 h) = 2 f f' ds h + f^2 dh
-        x, v = np.asarray(x), np.asarray(v)
-        f, fp = self.warp.value(x[..., 0]), self.warp.derivative(x[..., 0])
-        y = x[..., 1:]
-        return _stack(0.0, _col(2 * f * fp * v[..., 0]) * self.fiber.metric_weights(y)
-                      + _col(f * f) * self.fiber.metric_weights_derivative(y, v[..., 1:]))
-
     def transport_rhs(self, x, xdot, v):
         s, y = x[..., 0], x[..., 1:]
         f, fp = self.warp.value(s), self.warp.derivative(s)
@@ -635,6 +595,22 @@ class Warped(SpaceForm):
         dvf = self.fiber.transport_rhs(y, ydot, vf) - _col(fp / f) * (
             xdot[..., :1] * vf + v[..., :1] * ydot)
         return np.concatenate((da, dvf), axis=-1)  # both have every argument's leading axes
+
+    def anchored_frame(self, x0, frame0, x, v=None):
+        """Each row of frame0 keeps its radial part, and its fiber part is
+        moved by the fiber's anchored frame and scaled by f(s0) / f(s), which
+        keeps the rows orthonormal for ds^2 + f(s)^2 h.  A deterministic
+        frame0 keeps row 0 radial."""
+        x0, frame0, x = (np.asarray(a, dtype=float) for a in (x0, frame0, x))
+        f = self.warp.value(x[..., 0])
+        scale = _col(_col(self.warp.value(x0[..., 0]) / f))
+        d_y = None if v is None else np.asarray(v, dtype=float)[..., 1:]
+        fiber, d_fiber = self.fiber.anchored_frame(x0[..., 1:], frame0[..., 1:], x[..., 1:], d_y)
+        fr = _stack(frame0[..., 0], scale * fiber)
+        if v is None:
+            return fr, None
+        rate = _col(_col(self.warp.derivative(x[..., 0]) / f * np.asarray(v)[..., 0]))
+        return fr, _stack(0.0, scale * (d_fiber - rate * fiber))
 
     def _fiber_scale(self, xs):
         """(1, f(s), ..., f(s)) at each point, as a row against frame rows."""

@@ -243,14 +243,20 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
 
     The rolling curvature and the fiber direction do not depend on the
     candidate, so they are built once for the stack, and the fiber states of
-    all samples come from one tangent_curve call."""
+    all samples come from one tangent_curve call.  Residuals that are not
+    finite raise, as in symmetry_residual."""
     a = q.isometry
     c = skew_part(a.mT @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
     # where the direction is round-off, the fiber curve stays put and the
     # derivative is exactly zero
     c = np.where(np.abs(c).max(axis=(-2, -1), keepdims=True) >= 1e-14, c, 0.0)
-    d_z, d_zhat = vertical_derivative(lambda s: row_data(s, cand.value(s))[:2], q, c, ROW_KINDS[:2])
-    return np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        d_z, d_zhat = vertical_derivative(lambda s: row_data(s, cand.value(s))[:2], q, c,
+                                          ROW_KINDS[:2])
+        r = np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
+    if not np.isfinite(r).all():
+        raise GeometryError("candidate residuals are not finite")
+    return r
 
 
 # -- propagation along rolling curves ---------------------------------------------
@@ -389,8 +395,12 @@ def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) ->
     candidate along the reachable set, so the rank bounds the dimension of
     the base-fixing symmetry space; the full Killing catalog realizes
     n(n+1)/2.  The rows form one layer of numerics.numerical_rank's rule, so
-    the singular values are those of the rows over the longest one."""
-    z, rows = np.split(cand.value(q0), [q0.pair.dim], axis=-1)
+    the singular values are those of the rows over the longest one.  Rows
+    that are not finite raise."""
+    values = cand.value(q0)
+    if not np.isfinite(values).all():
+        raise GeometryError("candidate rows are not finite")
+    z, rows = np.split(values, [q0.pair.dim], axis=-1)
     if np.any(z):
         raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
     return DimensionReport(*numerical_rank(rows, tol, layers=[len(rows)]), tol)

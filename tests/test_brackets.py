@@ -21,9 +21,10 @@ from rollsym.brackets import (
     rolling_generators,
     stencil_data_derivative,
 )
-from rollsym.cli import GAP_REQUIREMENT
+from rollsym.cli import GAP_REQUIREMENT, _rank_cut_ambiguous
 from rollsym.numerics import numerical_rank
-from rollsym.rolling import RollingPair, q_dim, random_rotation, rolling_lift
+from rollsym.rolling import (RollingPair, q_dim, random_rotation, roll_geodesic, rolling_lift,
+                             tangent_curve)
 from rollsym.symmetry import killing_catalog, killing_to_symmetry, perturb_candidate
 
 RNG = np.random.default_rng(31)
@@ -36,24 +37,26 @@ PAIRS = {
 }
 
 
-def frame_stencil(m, x, v, h=1e-4):
-    """Covariant derivatives of the deterministic frame fields along v at x,
-    as an (n, amb) array: an order-4 central difference of m.frame along the
-    geodesic of v, every sample transported back to x."""
+def frame_stencil(m, anchor, x, v, h=1e-4):
+    """Covariant derivatives of the frame fields anchored at anchor = (x0,
+    frame0) along v at x, as an (n, amb) array: an order-4 central
+    difference of the values of m.anchored_frame along the geodesic of v,
+    every sample transported back to x."""
 
     def sample(t):
         xt, vt = m.geodesic_flow(x, v, t)
-        return m.transport_along_geodesic(xt, vt, -t, m.frame(xt))
+        return m.transport_along_geodesic(xt, vt, -t, m.anchored_frame(*anchor, xt)[0])
 
     s = [sample(t) for t in (2 * h, h, -h, -2 * h)]
     return (-s[0] + 8 * s[1] - 8 * s[2] + s[3]) / (12 * h)
 
 
 def frame_bracket(pair, q, i, j):
-    """[E_i, E_j] at the contact point from a stencil of the frame."""
-    n = pair.dim
-    d_j = frame_stencil(pair.space, q.x, np.eye(n)[i] @ q.frame)[j]
-    d_i = frame_stencil(pair.space, q.x, np.eye(n)[j] @ q.frame)[i]
+    """[F_i, F_j] at the contact point from a stencil of the generator frame
+    F, anchored at q.anchor."""
+    fr = pair.space.anchored_frame(*q.anchor, q.x)[0]
+    d_j = frame_stencil(pair.space, q.anchor, q.x, fr[i])[j]
+    d_i = frame_stencil(pair.space, q.anchor, q.x, fr[j])[i]
     return d_j - d_i
 
 
@@ -96,53 +99,51 @@ CONNECTION_FORMS = st.one_of(
 )
 
 
-def _least_kept_length(m, x):
-    """The smallest length a kept projected basis vector keeps after
-    Gram-Schmidt: the smallest diagonal entry of the Cholesky factor that
-    connection_form inverts."""
-    rows, kept = (b[0] for b in m.frames(x[None], kept=True))
-    basis = m.project(x, np.eye(m.amb_dim)[kept])
-    return float(np.abs(m.inner_at(x, basis, rows)).min())
-
-
-def test_connection_form_is_exactly_skew_where_a_basis_vector_nearly_cancels():
-    # at this point the fourth projected basis vector keeps 0.0016 of its
-    # length, and the inverse Cholesky factor amplifies round-off in the
-    # symmetric part of the form to about 1e-11; the returned form is skew
-    m = Hyperbolic(4, 0.5217)
-    rng = np.random.default_rng(2396)
-    x = m.random_point(rng)
-    v = m.random_tangent(rng, x, unit=True)
-    assert _least_kept_length(m, x) < 2e-3
-    omega = m.connection_form(x, v)
-    assert np.abs(omega).max() > 0.1
-    assert np.array_equal(omega + omega.T, np.zeros((4, 4)))
+def _near_point(m, rng, x0, reach):
+    """A point at distance at most reach from x0 along a random geodesic,
+    kept 0.05 inside the interval of a warped product (a unit-speed geodesic
+    moves s by at most its length)."""
+    t = rng.uniform(0.0, reach)
+    if isinstance(m, Warped):
+        t = min(t, min(x0[0] - m.interval[0], m.interval[1] - x0[0]) - 0.05)
+    return m.geodesic_flow(x0, m.random_tangent(rng, x0, unit=True), t)[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(CONNECTION_FORMS, st.integers(0, 2**32 - 1))
-def test_connection_form_is_skew_and_matches_a_frame_stencil(m, seed):
+def test_anchored_frame_is_orthonormal_and_its_connection_matches_a_stencil(m, seed):
     rng = np.random.default_rng(seed)
-    x = m.random_point(rng)
+    x0 = m.random_point(rng)
+    anchor = x0, m.frame(x0)
+    x = _near_point(m, rng, x0, 0.5)
     v = m.random_tangent(rng, x, unit=True)
-    omega = m.connection_form(x, v)
-    expected = frame_stencil(m, x, v)
-    fr = m.frame(x)
+    fr = m.anchored_frame(*anchor, x)[0]
+    assert np.abs(m.inner_at(x, fr[:, None], fr[None]) - np.eye(m.dim)).max() <= 1e-12
+    assert m.tangency_residual(x, fr).max() <= 1e-12
+    omega = m.anchored_connection(*anchor, x, v)
+    expected = frame_stencil(m, anchor, x, v)
     # far out on a hyperboloid the frame's ambient coordinates grow like the
     # cosh of the distance, and the stencil's round-off with them
     scale = max(1.0, float(np.abs(expected).max()), float(np.abs(fr).max()))
-    assert np.abs(omega + omega.T).max() <= 1e-11 * scale**2
+    assert np.abs(omega + omega.T).max() <= 1e-12 * scale**2
     assert np.abs(omega @ fr - expected).max() <= 1e-8 * scale
-    assert np.array_equal(frame_field_derivative(m, x, v), omega @ fr)
     # linear in v: the forms along the frame vectors, in one stacked call
-    along_frame = m.connection_form(x, fr)
+    along_frame = m.anchored_connection(*anchor, x, fr)
     assert np.abs(np.tensordot(m.frame_coords(x, fr, v), along_frame, 1) - omega).max() \
         <= 1e-12 * scale
+    if not isinstance(m, Warped):
+        # the transvection is parallel along the geodesics from x0: at x0 it
+        # is the anchor frame, and it does not turn
+        u = m.random_tangent(rng, x0, unit=True)
+        coords = m.frame_coords(x0, anchor[1], m.anchored_frame(*anchor, x0)[0])
+        assert np.abs(coords - np.eye(m.dim)).max() <= 1e-12
+        assert np.abs(m.anchored_connection(*anchor, x0, u)).max() <= 1e-12 * scale
 
 
 def expected_generator_bracket(pair, q, i, j):
-    """The tangent row (w, A w, kappa E_i ^ E_j) of [L(E_i), L(E_j)], w the
-    frame bracket [E_i, E_j]."""
+    """The tangent row (w, A w, kappa E_i ^ E_j) of [L(F_i), L(F_j)], w the
+    frame bracket [F_i, F_j] of the generator frame, which is the
+    deterministic frame E at q."""
     n = pair.dim
     w = frame_bracket(pair, q, i, j)
     c = curvature_mismatch(pair) * wedge_matrix(np.eye(n)[i], np.eye(n)[j])
@@ -197,7 +198,7 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
     g0, g1 = generator(0), generator(1)
     structured = bracket_structured(g0, g1, q)
     q_fresh = pair.state(q.x, q.x_hat, q.isometry)
-    monkeypatch.setattr(SpaceForm, "connection_form", forbidden)
+    monkeypatch.setattr(SpaceForm, "anchored_connection", forbidden)
     patch_everywhere(monkeypatch, rolling_mod.directional_derivative, forbidden)
     fd = bracket_fd(g0, g1, q_fresh)
     assert np.abs(fd - structured).max() < 1e-5
@@ -276,23 +277,26 @@ def stack_of(pair, rng, count):
 @given(ALL_CATALOG_PAIRS, st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
     # every row of a stacked evaluation is the evaluation at that state
-    # alone, bit for bit: the connection forms, the bracket table, the
-    # stencil derivative of the table's fields (the depth-3 flag's sample
-    # states) and the rows of the Killing candidates
+    # alone, bit for bit: the anchored generator frame (its coordinates M at
+    # the sample states of a stencil, and its connection forms there), the
+    # bracket table, the stencil derivative of the table's fields (the
+    # depth-3 flag's sample states) and the rows of the Killing candidates
     rng = np.random.default_rng(seed)
     qs, alone = stack_of(pair, rng, count)
     gens = rolling_generators()
     table = bracket_field(gens, gens)
-    vs = np.array([pair.space.random_tangent(rng, q.x) for q in alone])
-    forms = pair.space.connection_form(qs.x, vs)
-    stacked = (qs.connection, bracket_structured(gens, gens, qs),
+    moved = tangent_curve(qs, gens.value(qs)[:, 0], 0.01)  # anchored at qs, away from it
+    stacked = (gens.value(moved), frame_field_derivative(moved, moved.frame[:, :1]),
+               bracket_structured(gens, gens, qs),
                stencil_data_derivative(table.value, qs, gens.value(qs), NESTED_FD_STEP))
     for i, q in enumerate(alone):
-        assert np.array_equal(forms[i], pair.space.connection_form(q.x, vs[i]))
-        assert np.array_equal(stacked[0][i], q.connection)
-        assert np.array_equal(stacked[1][i], bracket_structured(gens, gens, q))
+        moved_alone = tangent_curve(q, gens.value(q)[0], 0.01)
+        assert np.array_equal(stacked[0][i], gens.value(moved_alone))
+        assert np.array_equal(stacked[1][i],
+                              frame_field_derivative(moved_alone, moved_alone.frame[:1]))
+        assert np.array_equal(stacked[2][i], bracket_structured(gens, gens, q))
         d = stencil_data_derivative(table.value, q, gens.value(q), NESTED_FD_STEP)
-        for got, want in zip((stacked[2].T, stacked[2].T_hat, stacked[2].U), (d.T, d.T_hat, d.U)):
+        for got, want in zip((stacked[3].T, stacked[3].T_hat, stacked[3].U), (d.T, d.T_hat, d.U)):
             assert np.array_equal(got[i], want)
     if not isinstance(pair.space_hat, Warped):
         cand = perturb_candidate(killing_to_symmetry(pair, killing_catalog(pair.space_hat)),
@@ -410,18 +414,19 @@ def test_flag_ranks_examples():
     assert repe.ranks == (2, 2, 2)  # the flag stalls at the distribution rank
 
 
-# depth-3 singular values of the flag at seeded states of the three growth
-# benchmark pairs, as computed by brackets built one pair at a time
+# depth-3 singular values of the flag of the three growth benchmark pairs,
+# the same at every state, since the generator frame is anchored at the state
+# and these pairs are homogeneous (they agree to 1.1e-14 over seven seeds)
 PINNED_FLAG_SINGULAR_VALUES = {
-    2: [1.9890526272630058, 1.0663792183753138, 0.9989494718483103, 0.3280803717276421,
-        0.2139383057615225],
-    3: [2.259858873470775, 1.5026206531648039, 1.2014930142497602, 1.1985577334756408,
-        1.1044400569414723, 0.9881512012216201, 0.4181761898084274, 0.3529867697598826,
-        0.25062767957852106],
-    4: [2.6843679470165136, 2.2628774554548814, 2.0754090690282707, 1.3739200424155904,
-        1.3423647456773014, 1.3277613998069002, 1.3197441448623066, 1.054765738303055,
-        1.0290462059545877, 1.0005239741508027, 0.5360200456003013, 0.5074790291988892,
-        0.446285455950239, 0.3550130811777996],
+    2: [1.695235825473479, 1.6952358254734745, 1.414213562373095, 0.3552119029977088,
+        0.355211902997707],
+    3: [2.1987549899853702, 2.1987549899853676, 2.198754989985362, 1.414213562373095,
+        1.414213562373095, 1.4142135623730947, 0.4067880209819712, 0.4067880209819699,
+        0.4067880209819697],
+    4: [2.593356775500734, 2.5933567755007316, 2.593356775500731, 2.593356775500728,
+        1.4142135623730954, 1.4142135623730954, 1.414213562373095, 1.414213562373095,
+        1.414213562373095, 1.4142135623730947, 0.5239280818627718, 0.5239280818627716,
+        0.5239280818627715, 0.5239280818627701],
 }
 
 
@@ -431,10 +436,11 @@ PINNED_FLAG_SINGULAR_VALUES = {
     (RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)), 904),
 ], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)"])
 def test_stacked_flag_reproduces_the_pinned_singular_values(pair, seed):
-    rep = flag_ranks(pair.random_state(np.random.default_rng(seed)), depth=3)
     expected = np.array(PINNED_FLAG_SINGULAR_VALUES[pair.dim])
-    assert rep.ranks[-1] == len(expected)
-    assert np.abs(rep.singular_values[-1] / expected - 1.0).max() <= 1e-9
+    for s in (seed, seed + 100, seed + 200):
+        rep = flag_ranks(pair.random_state(np.random.default_rng(s)), depth=3)
+        assert rep.ranks[-1] == len(expected)
+        assert np.abs(rep.singular_values[-1] / expected - 1.0).max() <= 1e-9
 
 
 # (-1.2, 1.2) x cos S2(2) on S3(1): its depth-4 flag brackets a bracket_field
@@ -442,23 +448,64 @@ def test_stacked_flag_reproduces_the_pinned_singular_values(pair, seed):
 NESTED_PAIR = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 2.0)), Sphere(3, 1.0))
 
 
-@pytest.mark.parametrize("seed, ranks", [(0, (3, 4, 6, 8)), (1, (3, 4, 6, 8)), (2, (3, 4, 6, 8)),
-                                         (3, (3, 4, 6, 6)), (4, (3, 4, 6, 8))])
+# depth 4 reads rank 6 at every seed: at NESTED_FD_STEP = 1e-2 seeds 0, 1, 2
+# and 4 read 8, but the 7th and 8th singular values fell 16x per halving of
+# the step (the stencil's truncation error), and from 5e-3 on every seed reads 6
+@pytest.mark.parametrize("seed, ranks", [(0, (3, 4, 6, 6)), (1, (3, 4, 6, 6)), (2, (3, 4, 6, 6)),
+                                         (3, (3, 4, 6, 6)), (4, (3, 4, 6, 6))])
 def test_a_depth_four_flag_runs_its_nested_stencils(seed, ranks):
     rep = flag_ranks(NESTED_PAIR.random_state(np.random.default_rng(seed)), depth=4)
     assert rep.ranks == ranks
     assert all(math.isfinite(s) for sv in rep.singular_values for s in sv)
     if seed == 3:
-        assert rep.gaps[-1] == pytest.approx(5.6e6, rel=0.01)
+        assert rep.gaps[-1] == pytest.approx(1.614e9, rel=0.01)
         assert all(g >= GAP_REQUIREMENT for g in rep.gaps)
 
 
-@pytest.mark.xfail(strict=True, reason="the noise of nested order-4 stencils at step 1e-2 sits "
-                                       "at the 1e-8 rank cut")
+@pytest.mark.xfail(strict=True, reason="the values below the depth-4 rank cut lie only 42 to 151 "
+                                       "below it, where nested order-4 stencils bottom out in "
+                                       "round-off, inside the 1e4 margin that the CLI requires")
 @pytest.mark.parametrize("seed", [0, 2])
 def test_a_depth_four_flag_that_reaches_eight_has_a_clear_gap(seed):
     rep = flag_ranks(NESTED_PAIR.random_state(np.random.default_rng(seed)), depth=4)
     assert all(g >= GAP_REQUIREMENT for g in rep.gaps)
+    assert not _rank_cut_ambiguous(rep, 1e-8)
+
+
+def rank_cut_margin(rep, tol=1e-8):
+    """The smallest factor between a nonzero singular value of a flag and
+    the rank cut of its step, the quantity that cli._rank_cut_ambiguous
+    compares with GAP_REQUIREMENT."""
+    return min(max(s / (tol * sv[0]), tol * sv[0] / s)
+               for sv in rep.singular_values if sv[0] for s in sv if s)
+
+
+@pytest.mark.parametrize("pair", [
+    RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)),
+    RollingPair(Sphere(3, 1.0), Euclidean(3)),
+    RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)),
+], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)"])
+def test_growth_flags_keep_a_wide_margin_to_the_rank_cut(pair):
+    # growth's states at seeds 0-99; the anchored generators keep every
+    # margin near 2e7 on these pairs (the Gram-Schmidt frame's lifts fell to
+    # 378 over seeds 0-999), so a frame that loses margin fails here
+    worst = min(rank_cut_margin(flag_ranks(pair.random_state(np.random.default_rng(seed))))
+                for seed in range(100))
+    assert worst >= 1e6
+
+
+def test_a_flag_anchors_its_generators_at_its_own_state():
+    # roll_geodesic passes its base's anchor on to the state it reaches, here
+    # near the antipode of that base, where the base's transvection turns
+    # fast; flag_ranks re-anchors at the state itself
+    pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
+    rng = np.random.default_rng(12)
+    q0 = pair.random_state(rng)
+    q = roll_geodesic(q0, pair.space.random_tangent(rng, q0.x, unit=True), 3.1)
+    rolled, rebuilt = flag_ranks(q), flag_ranks(pair.state(q.x, q.x_hat, q.isometry))
+    assert rolled.ranks == rebuilt.ranks == (2, 3, 5)
+    for a, b in zip(rolled.singular_values, rebuilt.singular_values):
+        assert np.abs(a - b).max() <= 1e-12
 
 
 def test_flag_report_invariants():

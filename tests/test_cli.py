@@ -458,6 +458,22 @@ def test_growth_equilibrates_flag_layers_of_different_lengths(tmp_path):
     assert data["flag"]["ranks"] == [2, 3, 5] and data["rank_cut_ambiguous"] is False
 
 
+@pytest.mark.parametrize("pair, seed, ranks", [
+    ([_sphere(4), _hyperbolic(4)], 104, [4, 10, 14]),
+    ([_sphere(4), _hyperbolic(4)], 283, [4, 10, 14]),
+    ([_sphere(3), {"kind": "euclidean", "dim": 3}], 585, [3, 6, 9]),
+], ids=["S4(1)/H4(1)-104", "S4(1)/H4(1)-283", "S3(1)/R3-585"])
+def test_growth_is_clear_where_gram_schmidt_nearly_cancels(tmp_path, pair, seed, ranks):
+    # at these states the Gram-Schmidt frame turns about 100 rad per unit
+    # length; its rolling lifts put a depth-3 singular value within 1e4 of
+    # the rank cut, and growth exited 4 on a correct flag
+    cfg = write_config(tmp_path, {"manifold_pair": pair})
+    out = tmp_path / "g.json"
+    assert main(["--config", cfg, "growth", "--seed", str(seed), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["flag"]["ranks"] == ranks and data["rank_cut_ambiguous"] is False
+
+
 def test_audit_catalog_and_perturbation(tmp_path):
     cfg = write_config(tmp_path, SPHERES_1_3)
     out = tmp_path / "audit.json"

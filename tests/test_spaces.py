@@ -416,19 +416,17 @@ def _skip_points(m):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 30))
 def test_array_frames_equal_the_pointwise_frames(m, seed, count):
-    # a row of a stack, with its kept indices, is the frame of its point
-    # alone, bit for bit, wherever it sits in the stack: every batch of states
-    # takes its bases from one frames call
+    # a row of a stack is the frame of its point alone, bit for bit, wherever
+    # it sits in the stack: every batch of states takes its frames from one
+    # frames call
     rng = np.random.default_rng(seed)
     xs = np.array([m.random_point(rng) for _ in range(count)] + _skip_points(m))
-    got, kept = m.frames(xs, kept=True)
-    assert got.shape == (len(xs), m.dim, m.amb_dim) and kept.shape == (len(xs), m.dim)
+    got = m.frames(xs)
+    assert got.shape == (len(xs), m.dim, m.amb_dim)
     order = rng.permutation(len(xs))
-    shuffled, shuffled_kept = m.frames(xs[order], kept=True)
-    assert np.array_equal(shuffled, got[order]) and np.array_equal(shuffled_kept, kept[order])
+    assert np.array_equal(m.frames(xs[order]), got[order])
     for k in range(len(xs)):
-        alone, alone_kept = m.frames(xs[k : k + 1], kept=True)
-        assert np.array_equal(alone[0], got[k]) and np.array_equal(alone_kept[0], kept[k])
+        assert np.array_equal(m.frames(xs[k : k + 1])[0], got[k])
         assert np.array_equal(m.frame(xs[k]), got[k])
 
 

@@ -164,6 +164,30 @@ def test_candidate_validation():
         symmetry_residual(nan_valued, q[None], q.frame[None, 0])
 
 
+def test_vertical_compatibility_refuses_rows_that_are_not_finite():
+    pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
+    q = pair.random_state(RNG)
+    nan_valued = SymmetryCandidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+                                   ["nan"])
+    with pytest.raises(GeometryError, match="not finite"):
+        vertical_compatibility_residual(nan_valued, q[None], q.frame[None, 0], q.frame[None, 1])
+
+
+def test_dimension_probe_refuses_rows_that_are_not_finite():
+    # a zero Z block passes the base-fixing check; the NaN elsewhere must not
+    # reach the SVD
+    pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
+    q = pair.random_state(RNG)
+
+    def value(s):
+        rows = np.full(s.shape + (1, q_dim(2)), np.nan)
+        rows[..., :2] = 0.0
+        return rows
+
+    with pytest.raises(GeometryError, match="not finite"):
+        sym0_dimension_probe(q, SymmetryCandidate(pair, value, ["nan"]))
+
+
 def test_killing_mismatch_raises():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     field_on_wrong_factor = killing_catalog(Sphere(2, 1.0))[0]
