@@ -198,9 +198,9 @@ def cmd_growth(args):
         kappa = curvature_mismatch(run.pair)
     except GeometryError:
         kappa = None
-    # a full flag stays full: the prediction is padded to the requested depth
-    full = 2 * n + n * (n - 1) // 2
-    predicted = ((n, n * (n + 1) // 2) + (full,) * max(1, args.depth - 2))[: args.depth]
+    # kappa = 0 leaves D integrable; a full flag stays full to the requested depth
+    growth = (n, n, n) if kappa == 0.0 else (n, n * (n + 1) // 2, 2 * n + n * (n - 1) // 2)
+    predicted = (growth + growth[-1:] * args.depth)[: args.depth]
     out = run.report_header()
     out["flag"] = report.to_json()
     out["kappa"] = kappa

@@ -77,12 +77,12 @@ class SpaceForm:
     """Base class for the catalog manifolds.
 
     Every catalog metric is diagonal in the ambient coordinates, so the inner
-    product, the frames and the frame coordinates are written here once, in
-    terms of `metric_weights`.  Subclasses provide the constraint and
-    tangency residuals, tangent projection, geodesics, parallel transport, the
-    curvature operator in the deterministic frame, a frame anchored at a point
-    in closed form (from which anchored_connection follows), random_point and
-    to_spec.
+    product and the frame coordinates are written here once, in terms of
+    `metric_weights`.  Subclasses provide the constraint and tangency
+    residuals, tangent projection, geodesics, parallel transport, the
+    deterministic frame and the curvature operator in it, a frame anchored at
+    a point (from which anchored_connection follows), all in closed form, and
+    random_point and to_spec.
     """
 
     kind = "abstract"
@@ -176,42 +176,28 @@ class SpaceForm:
         amb_dim), a (..., n, amb_dim) array of row vectors: Gram-Schmidt on the
         projected ambient coordinate basis, in coordinate order, skipping a
         vector whose squared length after orthogonalization is at most
-        FRAME_SKIP_TOL**2.  Every kept vector is projected and orthogonalized
-        a second time ("twice is enough"), so a frame is tangent and
-        orthonormal to round-off even where the subtraction cancels most of a
-        vector.  The last row is flipped where needed (_orientation_sign), so
-        the frame field is coherently oriented across the manifold; otherwise
-        the frame matrix of an orientation-preserving contact map could pick up
-        a spurious sign between frame patches.  Each row is computed on its
-        own: a row of a stack is the frame of its point alone, bit for bit."""
+        FRAME_SKIP_TOL**2 and every vector once n rows are kept.  The last row
+        is flipped where the rows followed by the constraint's normal (x on S^n
+        and H^n, (0, y) on a warped product over them) have negative
+        determinant, so that the frame field is coherently oriented.
+
+        _frames computes this in closed form: the identity on R^n, (d/ds, fiber
+        frame / f(s)) on a warped product.  On S^n and H^n, with signature s,
+        w_i = s_i x_i^2 and T_k the sum of w_i over the coordinates after k not
+        kept before k (x' is x on them), coordinate k leaves s_k T_k / (T_k +
+        w_k) of squared length and, if kept, gives the row sign(s_k T_k) (T_k
+        e_k - s_k x_k x') / sqrt|s_k T_k (T_k + w_k)|.  So exactly one j is
+        skipped, the determinant has the sign of (-1)^(n - j) x_j, and a row of
+        a stack is the frame of its point alone, bit for bit."""
         xs = np.asarray(xs, dtype=float)
         lead, xs = xs.shape[:-1], xs.reshape(-1, self.amb_dim)
-        n = self.dim
-        rows = np.zeros((len(xs), n, self.amb_dim))
-        filled = np.zeros(len(xs), dtype=int)
-        basis = self.project(xs[:, None], np.eye(self.amb_dim))
-        for k in range(self.amb_dim):
-            if np.all(filled == n):
-                break
-            v = self._orthogonalize(xs, basis[:, k], rows[:, :k])
-            take = np.flatnonzero((self.inner_at(xs, v, v) > FRAME_SKIP_TOL**2) & (filled < n))
-            at = xs[take]
-            v = self._orthogonalize(at, self.project(at, v[take]), rows[take, :k])
-            rows[take, filled[take]] = v / np.sqrt(_col(self.inner_at(at, v, v)))
-            filled[take] += 1
-        if np.any(filled < n):
+        rows = self._frames(xs)
+        if not np.isfinite(rows).all():
             raise GeometryError("could not complete an orthonormal frame at this point")
-        rows[self._orientation_sign(xs, rows) < 0, -1] *= -1.0
         return rows.reshape(lead + rows.shape[1:])
 
-    def _orthogonalize(self, xs, vs, rows):
-        """vs minus its components along rows (rows not yet filled are zero)."""
-        coeffs = self.inner_at(xs[:, None], vs[:, None], rows)
-        return vs - np.einsum("nk,nka->na", coeffs, rows)
-
     def frame(self, x):
-        """The deterministic orthonormal frame at one point x, an (n, amb_dim)
-        array of row vectors: `frames` of one point."""
+        """`frames` of one point x: an (n, amb_dim) array of row vectors."""
         return self.frames(x)
 
     def anchored_frame(self, x0, frame0, x, v=None):
@@ -231,19 +217,6 @@ class SpaceForm:
         x, v = np.asarray(x, dtype=float)[..., None, :], np.asarray(v, dtype=float)[..., None, :]
         nabla = d_fr - self.transport_rhs(x, v, fr)
         return self.inner_at(x[..., None, :], nabla[..., :, None, :], fr[..., None, :, :])
-
-    def _orientation_sign(self, x, rows):
-        """Determinant of the frame rows against the ambient orientation,
-        completed by the normal when the manifold is a hypersurface of its
-        coordinates; only its sign is read."""
-        if self.amb_dim > self.dim:
-            rows = np.concatenate([rows, self._normal(x)[..., None, :]], axis=-2)
-        return np.linalg.det(rows)
-
-    def _normal(self, x):
-        """Normal of the constraint hypersurface at x (ambient coordinates), up
-        to a positive factor."""
-        raise NotImplementedError
 
     def frame_coords(self, x, fr, v):
         """Coefficients of ambient tangent vectors v in the frame rows fr."""
@@ -315,8 +288,29 @@ class ConstantCurvature(SpaceForm):
         d_coef = k * (lowered @ v[..., None] - coef * self.inner_at(x, x0, v)[..., None, None])
         return fr, -d_coef / denom * ends - coef * v[..., None, :]
 
-    def _normal(self, x):
-        return x
+    def _frames(self, xs, weight=1.0):
+        """`frames` in closed form; weight scales the skip test (f(s)^2 on a fiber)."""
+        n, s = self.dim, self.signature
+        if n == self.amb_dim:
+            return np.tile(np.eye(n), (len(xs), 1, 1))
+        w = s * xs * xs
+        tail = np.zeros_like(w)  # the sum of w over the coordinates after each
+        tail[:, :-1] = np.cumsum(w[:, :0:-1], axis=1)[:, ::-1]
+        # the squared lengths before any skip, s tail / (tail + w), tested
+        # undivided: s (tail + w) = s tail + x^2 is never negative
+        j = np.argmax(weight * tail <= FRAME_SKIP_TOL**2 * s * (tail + w), axis=1)  # skipped
+        at, r = np.arange(len(xs))[:, None], np.arange(n)
+        k = r + (r >= j[:, None])  # the kept coordinates, row by row
+        after = k > j[:, None]
+        t = tail[at, k] + np.where(after, w[at, j[:, None]], 0.0)
+        st, total = s[k] * t, t + w[at, k]
+        i = np.arange(self.amb_dim)
+        free = (i > k[..., None]) | ((i == j[:, None, None]) & after[..., None])
+        rows = np.where(free, xs[:, None, :], 0.0) * _col(-s[k] * xs[at, k])
+        rows[at, r, k] = t
+        rows *= _col(np.sign(st) / np.sqrt(np.abs(st * total)))
+        rows[(-1.0) ** (n - j) * xs[at[:, 0], j] < 0, -1] *= -1.0
+        return rows
 
     def geodesic_flow(self, x, v, t):
         """x cos(wt) + v sin(wt)/w and its velocity, w = |v| sqrt|K| (cosh and
@@ -580,9 +574,6 @@ class Warped(SpaceForm):
         f = self.warp.value(x[..., 0])
         return _stack(1.0, _col(f * f) * self.fiber.metric_weights(x[..., 1:]))
 
-    def _normal(self, x):
-        return _stack(0.0, self.fiber._normal(np.asarray(x)[..., 1:]))
-
     def project(self, x, w):
         w = np.asarray(w, dtype=float)
         return _stack(w[..., 0], self.fiber.project(np.asarray(x)[..., 1:], w[..., 1:]))
@@ -611,6 +602,14 @@ class Warped(SpaceForm):
             return fr, None
         rate = _col(_col(self.warp.derivative(x[..., 0]) / f * np.asarray(v)[..., 0]))
         return fr, _stack(0.0, scale * (d_fiber - rate * fiber))
+
+    def _frames(self, xs):
+        """d/ds, then the fiber's frame over f(s), skip test scaled by f(s)^2 as lengths are."""
+        f = _col(self.warp.value(xs[:, 0]))
+        out = np.zeros((len(xs), self.dim, self.amb_dim))
+        out[:, 0, 0] = 1.0
+        out[:, 1:, 1:] = self.fiber._frames(xs[:, 1:], f * f) / f[..., None]
+        return out
 
     def _fiber_scale(self, xs):
         """(1, f(s), ..., f(s)) at each point, as a row against frame rows."""

@@ -382,6 +382,7 @@ def test_growth_matched_curvatures_notes_kappa_zero(tmp_path):
     data = json.loads(out.read_text())
     assert data["note"] == "kappa=0"
     assert data["flag"]["ranks"] == [2, 2, 2]
+    assert data["flag"]["ranks"] == data["predicted_growth"]
 
 
 def _sphere(dim, radius=1.0):
@@ -426,6 +427,7 @@ def test_growth_reads_the_curvature_of_a_warped_space_form(tmp_path, pair, kappa
         assert code == 0
         assert data["note"] == "kappa=0"
         assert not data["rank_cut_ambiguous"]
+        assert data["flag"]["ranks"] == data["predicted_growth"]
     else:
         assert "note" not in data
 

@@ -19,7 +19,7 @@ from rollsym import (
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
 from rollsym.numerics import central_diff, stencil_offsets
-from rollsym.spaces import POINT_TOL, NotAKnotSpline
+from rollsym.spaces import FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline
 
 RNG = np.random.default_rng(2024)
 
@@ -407,12 +407,19 @@ def _skip_points(m):
         return [s * m.radius * e[k] for k in range(m.amb_dim) for s in (1, -1)] + [
             m.radius * (tilt[0] * e[k] + tilt[1] * e[(k + 1) % m.amb_dim])
             for k in range(m.amb_dim)]
+    if isinstance(m, Warped):
+        s = sum(m.interval) / 2
+        return [np.concatenate(([s], y)) for y in _skip_points(m.fiber)]
     return [np.zeros(m.amb_dim)]
 
 
 @pytest.mark.parametrize("m", [Sphere(2, 1.0), Sphere(2, 3.0), Sphere(3, 0.5),
                                Hyperbolic(2, 1.0), Hyperbolic(3, 2.0), Euclidean(2),
-                               Euclidean(3)], ids=repr)
+                               Euclidean(3), unit_sphere_cosh_warped(),
+                               Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 2.0)),
+                               Warped((-1.0, 1.0), WarpFunction("cosh"), Hyperbolic(2, 1.0)),
+                               Warped((-1.0, 1.0), WarpFunction("exp"), Euclidean(2))],
+                         ids=repr)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 30))
 def test_array_frames_equal_the_pointwise_frames(m, seed, count):
@@ -716,3 +723,129 @@ def test_deterministic_frames_stay_coherently_oriented_along_geodesics(m, seed):
     scale = max(1.0, np.abs(fr).max())
     assert np.abs(m.inner_at(x, fr[:, None], fr) - np.eye(m.dim)).max() < 1e-12 * scale**2
     assert m.tangency_residual(x, fr).max() < 1e-12 * scale**2
+
+
+def gram_schmidt_frame(m, x):
+    """The deterministic frame at one point x by the loop that defines it:
+    Gram-Schmidt on the projected coordinate basis in coordinate order, each
+    kept vector projected and orthogonalized a second time, a vector skipped
+    where its squared length is at most FRAME_SKIP_TOL**2 or once n rows are
+    kept, and the last row flipped where the rows followed by the constraint
+    normal have negative determinant.  Returns the rows and the skipped
+    coordinates."""
+    rows, skipped = [], []
+
+    def orthogonalize(v):
+        return v - sum(m.inner_at(x, v, r) * r for r in rows)
+
+    for k in range(m.amb_dim):
+        v = orthogonalize(m.project(x, np.eye(m.amb_dim)[k]))
+        if len(rows) == m.dim or not m.inner_at(x, v, v) > FRAME_SKIP_TOL**2:
+            skipped.append(k)
+            continue
+        v = orthogonalize(m.project(x, v))
+        rows.append(v / math.sqrt(m.inner_at(x, v, v)))
+    rows = np.array(rows)
+    if _orientation(m, x, rows) < 0:
+        rows[-1] *= -1.0
+    return rows, skipped
+
+
+def _orientation(m, x, rows):
+    """The sign of the determinant of the frame rows followed by the normal of
+    the constraint (x on S^n and H^n, (0, y) on a warped product with a curved
+    fiber), or of the rows alone where there is no constraint."""
+    if m.amb_dim > m.dim:
+        normal = np.concatenate(([0.0], x[1:])) if isinstance(m, Warped) else x
+        rows = np.vstack([rows, normal])
+    return np.sign(np.linalg.det(rows))
+
+
+def _frame_oracle_points(m):
+    """Points where Gram-Schmidt skips, or nearly skips, a coordinate: those of
+    _skip_points, points 1e-9 off them, points with a last coordinate of
+    exactly 0, and points with x_0 about 1e3 on a hyperboloid."""
+    if isinstance(m, Warped):
+        s = sum(m.interval) / 2
+        return [np.concatenate(([s], y)) for y in _frame_oracle_points(m.fiber)]
+    points = _skip_points(m)
+    e = np.eye(m.amb_dim)
+    if isinstance(m, Sphere):
+        tilt = [math.cos(1e-9), math.sin(1e-9)]
+        points += [m.radius * (tilt[0] * e[k] + tilt[1] * e[(k + 1) % m.amb_dim])
+                   for k in range(m.amb_dim)]
+        flat = np.arange(1.0, m.amb_dim + 1) * (-1.0) ** np.arange(m.amb_dim)
+        flat[-1] = 0.0
+        points += [m.radius * flat / np.linalg.norm(flat)]
+    if isinstance(m, Hyperbolic):
+        axis = np.arange(m.dim)
+        spatial = [1e-9 * e[1, 1:], np.linspace(0.5, -0.7, m.dim) * (axis < m.dim - 1),
+                   1e3 * e[1, 1:] + np.linspace(0.3, 0.9, m.dim) * (axis > 0),
+                   np.linspace(1e3, 2e2, m.dim)]
+        points += [np.concatenate(([math.sqrt(m.radius**2 + y @ y)], y)) for y in spatial]
+    return points
+
+
+def test_frames_far_out_on_a_hyperboloid_skip_a_vanishing_last_coordinate():
+    # at x = (x_0, 1000, 600, 0) on H3(2) nothing is left of coordinate 2
+    # after orthogonalization, but the loop's round-off in it (about 1e-10 of
+    # squared length) passed the skip test, and the loop returned NaN rows;
+    # the closed form skips it exactly
+    m = Hyperbolic(3, 2.0)
+    y = np.array([1000.0, 600.0, 0.0])
+    x = np.concatenate(([math.sqrt(4.0 + y @ y)], y))
+    fr = m.frames(x)
+    scale = np.abs(fr).max()
+    assert np.abs(m.inner_at(x, fr[:, None], fr) - np.eye(3)).max() < 1e-12 * scale**2
+    assert m.tangency_residual(x, fr).max() < 1e-12 * scale**2
+    assert not np.tril(np.delete(fr, 2, axis=1), -1).any()
+
+
+@st.composite
+def _catalog_form_points(draw, forms):
+    """A manifold of forms and a random point of it, maybe pulled near a skip
+    point: the coordinates after a cut are shrunk by a factor, then the point
+    is moved back onto the manifold."""
+    m = draw(forms)
+    x = m.random_point(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    cut = draw(st.integers(int(isinstance(m, Warped)), m.amb_dim - 1))  # keep a fiber coordinate
+    x[cut + 1 :] *= draw(st.sampled_from([1.0, 1e-3, 1e-9, 1e-10, 0.0]))
+    return m, m.closest_point(x)
+
+
+FRAME_ORACLE_FORMS = [Sphere(1, 1.0), Sphere(2, 1.0), Sphere(3, 2.0), Sphere(4, 0.5),
+                      Hyperbolic(1, 1.0), Hyperbolic(2, 1.0), Hyperbolic(3, 2.0),
+                      Hyperbolic(4, 1.0), Euclidean(2), unit_sphere_cosh_warped(),
+                      Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 2.0)),
+                      Warped((-1.0, 1.0), WarpFunction("cosh"), Hyperbolic(2, 1.0)),
+                      Warped((-1.0, 1.0), WarpFunction("exp"), Euclidean(2))]
+
+
+def _with_frame_oracle_examples(test):
+    for m in FRAME_ORACLE_FORMS:
+        for x in _frame_oracle_points(m):
+            test = example(case=(m, x))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_catalog_form_points(st.one_of(
+    BROADCAST_FORMS, WARPED_FORMS, st.builds(Sphere, st.just(1), st.floats(0.5, 3.0)),
+    st.builds(Hyperbolic, st.just(1), st.floats(0.5, 3.0)), st.builds(Euclidean, st.just(1)))))
+@_with_frame_oracle_examples
+def test_frames_equal_the_gram_schmidt_that_defines_them(case):
+    # frames computes the Gram-Schmidt in closed form, with the same skipped
+    # coordinate and the same orientation.  Far out on a hyperboloid both
+    # lose the digits that the Minkowski products cancel, about the squared
+    # largest entry: at x_0 = 1e3 the loop is off a 60-digit Gram-Schmidt
+    # by 1e-10 of its largest entry, the closed form by 2.4e-11
+    m, x = case
+    got = m.frames(x)
+    expected, skipped = gram_schmidt_frame(m, x)
+    scale = max(1.0, np.abs(expected).max())
+    assert np.abs(got - expected).max() <= 1e-13 * scale**3
+    # the kept coordinates are where the rows start: row r vanishes on the
+    # kept coordinates before its own, and not on its own
+    kept = np.delete(got, skipped, axis=1)
+    assert not np.tril(kept, -1).any() and np.all(np.diagonal(kept) != 0)
+    assert _orientation(m, x, got) == _orientation(m, x, expected) == 1
