@@ -37,12 +37,10 @@ from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_ske
 from .numerics import numerical_rank
 from .spaces import GeometryError, Warped
 from .rolling import (
-    ROW_KINDS,
     RollingState,
     chart_differential,
     directional_derivative,
     q_dim,
-    row_data,
     _stencil,
     _stencil_times,
 )
@@ -118,13 +116,10 @@ class StructuredField:
 def stencil_data_derivative(value, q, xi, h) -> FieldData:
     """Covariant derivatives of the (T, T_hat, U) data of the stack of fields
     that `value` returns, along each tangent row of xi (*q.shape, m, q_dim)
-    at each state of the stack q, by central differences of order
-    FIELD_FD_ORDER and step h with parallel pull-back of all three slots
-    (rolling.directional_derivative).  The sample states along every row at
-    every state form one stack from one tangent_curve call, and `value`
-    evaluates the whole stack of fields on it in one call."""
-    return FieldData(*directional_derivative(lambda s: row_data(s, value(s)), q[..., None], xi,
-                                             ROW_KINDS, h=h, order=FIELD_FD_ORDER))
+    at each state of the stack q: rolling.directional_derivative of order
+    FIELD_FD_ORDER and step h, whose one stack of sample states holds those
+    of every row at every state."""
+    return FieldData(*directional_derivative(value, q[..., None], xi, h=h, order=FIELD_FD_ORDER))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:

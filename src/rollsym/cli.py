@@ -164,12 +164,14 @@ def cmd_simulate(args):
     step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
-    if path is not None and abs(path.t_max) / step > MAX_GRID_INTERVALS:
-        raise GeometryError(f"--step {step:g} over a path of length {path.t_max:g} would take more "
-                            f"than {MAX_GRID_INTERVALS} grid intervals")
     if path is None:
         curve = RollingCurve(run.pair, np.zeros(1), q0.x[None], q0.x_hat[None], q0.isometry[None])
     else:
+        # the roll substeps the span from the path's first time, which is 0 on a geodesic
+        span = abs(path.t_max - (path.times[0] if isinstance(path, SampledPath) else 0.0))
+        if span / step > MAX_GRID_INTERVALS:
+            raise GeometryError(f"--step {step:g} over a path span of {span:g} would take more "
+                                f"than {MAX_GRID_INTERVALS} grid intervals")
         curve = roll_along(q0, path, step=step)
     residual = float(curve.residuals.max())
     if run.format != "json":  # the trajectory CSV schema is the default

@@ -62,10 +62,10 @@ def skew_part(mat):
     return 0.5 * (mat - np.swapaxes(mat, -1, -2))
 
 
-def check_skew(mat, tol=SKEW_TOL, what="matrix"):
+def check_skew(mat):
     res = np.abs(mat + np.swapaxes(mat, -1, -2)).max(initial=0.0)
-    if not res <= tol:  # NaN fails too
-        raise GeometryError(f"{what} is not skew-symmetric (residual {res:.3e})")
+    if not res <= SKEW_TOL:  # NaN fails too
+        raise GeometryError(f"bivector matrix is not skew-symmetric (residual {res:.3e})")
     return mat
 
 
@@ -99,7 +99,7 @@ def rolling_curvature(q, xi):
     """Matrix (in the deterministic frames) of the map T_x M -> T_xhat Mhat
     given by A R(xi) - R_hat(A xi) A for a bivector xi at x, given as a
     skew matrix, or for a stack of them (the stack axes of q first)."""
-    xi_mat = check_skew(np.asarray(xi, dtype=float), what="bivector matrix")
+    xi_mat = check_skew(np.asarray(xi, dtype=float))
     A = q.expand(q.isometry, xi_mat.ndim)
     return curvature_term(q, xi_mat, A @ xi_mat @ A.mT)
 

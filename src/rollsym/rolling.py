@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import check_skew, skew_part, skew_to_vector, so_dim, vector_to_skew
+from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
 from .spaces import DEFAULT_STEP, ConstantCurvature, GeometryError, SpaceForm
 
@@ -247,7 +247,7 @@ def rolling_lift(q: RollingState, X):
 def row_data(q: RollingState, rows):
     """The data (X, X_hat, A C) of tangent rows at the states of q (the stack
     axes first, then any others): the frame coordinates of both drifts and
-    the frame matrix of A C, which transport as ROW_KINDS."""
+    the frame matrix of A C."""
     n = q.pair.dim
     return (rows[..., :n], rows[..., n : 2 * n],
             q.expand(q.isometry, rows.ndim + 1) @ vector_to_skew(rows[..., 2 * n :], n))
@@ -595,62 +595,31 @@ def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
     return tangent_curve(q0, rolling_lift(q0, direction), t)
 
 
-# -- derivatives of bundle maps -------------------------------------------------
-
-VALUE_KINDS = ("scalar", "vector", "vector_hat", "map")
-ROW_KINDS = ("vector", "vector_hat", "map")  # the kinds of row_data's slots
+# -- derivatives of fields of tangent rows ---------------------------------------
 
 
-def _pull_back(qt: RollingState, value, kind):
-    """Values at the canonical-curve states qt (the stack axes first, then
-    any others), parallel-transported back to the curves' bases through the
-    frame-transport matrices that qt keeps; vectors are frame coordinates."""
+def _pull_back(qt: RollingState, rows):
+    """The data (X, X_hat, A C) of tangent rows at the canonical-curve states
+    qt (the stack axes first, then any others), parallel-transported back to
+    the curves' bases through the frame-transport matrices that qt keeps."""
+    x, x_hat, u = row_data(qt, rows)
     fwd, fwd_hat = qt.transports
-    if kind == "vector":
-        return _times(qt, value, fwd)
-    if kind == "vector_hat":
-        return _times(qt, value, fwd_hat)
-    if kind == "map":
-        return qt.expand(fwd_hat, value.ndim).mT @ value @ qt.expand(fwd, value.ndim)
-    return value
+    return (_times(qt, x, fwd), _times(qt, x_hat, fwd_hat),
+            qt.expand(fwd_hat, u.ndim).mT @ u @ qt.expand(fwd, u.ndim))
 
 
-def directional_derivative(func, q, xi, kinds, h=FD_STEP, order=2):
-    """Covariant derivatives of a tuple of state-dependent tensor values
-    along the canonical curves of (q, xi), xi tangent rows broadcast against
-    the stack q, by central differences with parallel pull-back: one array
-    per slot, shaped as that value at the broadcast stack.
-
-    `func` returns a tuple of values, and `kinds` declares slot by slot how
-    each transports: 'vector' / 'vector_hat' for the frame coordinates of
-    tangent vectors on either factor, 'map' for frame matrices of maps
-    T_x M -> T_xhat Mhat (like the isometry), 'scalar' for functions.  One
-    tangent_curve call builds all sample states, one stack whose first axis
-    runs over the times stencil_offsets(h, order); func is called once on
-    that stack, and the pull-back and the differences are array operations.
-    """
-    if not set(kinds) <= set(VALUE_KINDS):
-        raise GeometryError(f"unknown value kind in {kinds!r}")
+def directional_derivative(value, q, xi, h=FD_STEP, order=2):
+    """Covariant derivatives (dX, dX_hat, dU) of the data (X, X_hat, A C)
+    (row_data) of the field of tangent rows that `value` gives at a stack of
+    states, along the canonical curves of (q, xi), xi tangent rows broadcast
+    against the stack q: central differences of the data pulled back from
+    one stack of sample states, whose first axis runs over the times
+    stencil_offsets(h, order), built by one tangent_curve call and passed to
+    value in one call.  Each array is shaped as its slot at the stack."""
     xi = np.asarray(xi, float)
     lead = len(np.broadcast_shapes(q.shape, xi.shape[:-1]))
     states = tangent_curve(q, xi, np.reshape(stencil_offsets(h, order), (-1,) + (1,) * lead))
-    return tuple(central_diff(_pull_back(states, v, k), h) for v, k in zip(func(states), kinds))
-
-
-def rolling_derivative(func, q, X, kinds):
-    """Derivatives along the rolling curves whose initial velocities are the
-    rolling lifts of X at the stack q, with values pulled back to the
-    contact points."""
-    return directional_derivative(func, q, rolling_lift(q, X), kinds)
-
-
-def vertical_derivative(func, q, C, kinds):
-    """Derivatives of a state-dependent value along the fiber curves
-    A expm(tC) through the stack q with the skew matrices C; only the
-    isometry moves, so no transport is involved."""
-    C = check_skew(np.asarray(C, float), tol=1e-10, what="fiber direction")
-    rows = np.concatenate((np.zeros(C.shape[:-2] + (2 * q.pair.dim,)), skew_to_vector(C)), axis=-1)
-    return directional_derivative(func, q, rows, kinds, h=FD_STEP_FIBER)
+    return tuple(central_diff(d, h) for d in _pull_back(states, value(states)))
 
 
 # -- the chart around a state ----------------------------------------------------

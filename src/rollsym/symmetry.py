@@ -41,14 +41,13 @@ from .curvature import (curvature_term, rolling_curvature, skew_part, skew_to_ve
                         so_pairs, vector_to_skew, wedge_matrix)
 from .numerics import numerical_rank
 from .rolling import (
-    ROW_KINDS,
+    FD_STEP_FIBER,
     RollingPair,
     RollingState,
-    rolling_derivative,
+    directional_derivative,
     rolling_lift,
     row_data,
     tangent_curve,
-    vertical_derivative,
 )
 from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
 
@@ -211,7 +210,7 @@ def symmetry_residual(cand: SymmetryCandidate, q, X):
     are Euclidean norms of orthonormal coordinates."""
     X = np.asarray(X, float)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
-        d_z, d_zhat, d_u = rolling_derivative(lambda s: row_data(s, cand.value(s)), q, X, ROW_KINDS)
+        d_z, d_zhat, d_u = directional_derivative(cand.value, q, rolling_lift(q, X))
         z, z_hat, u_bar = row_data(q, cand.value(q))
         x, a = q.coords(X), q.isometry
         r1 = np.linalg.norm((u_bar @ q.expand(x, u_bar.ndim - 1)[..., None])[..., 0]
@@ -226,10 +225,10 @@ def symmetry_residual(cand: SymmetryCandidate, q, X):
 
 
 def inner_symmetry_residual(Z, q: RollingState) -> float:
-    """Largest rolling-curvature norm over frame planes through Z(q):
-    max_i || Rol_q(E_i ^ Z) ||.  Zero certifies the inner-symmetry
-    hypothesis at q."""
-    zc = q.coords(Z(q) if callable(Z) else np.asarray(Z, float))
+    """Largest rolling-curvature norm over frame planes through the tangent
+    vector Z at x, max_i || Rol_q(E_i ^ Z) ||.  Zero certifies the
+    inner-symmetry hypothesis at q."""
+    zc = q.coords(np.asarray(Z, float))
     planes = wedge_matrix(np.eye(q.pair.dim), zc)
     return float(np.linalg.norm(rolling_curvature(q, planes), axis=(-2, -1)).max())
 
@@ -250,9 +249,9 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
     # where the direction is round-off, the fiber curve stays put and the
     # derivative is exactly zero
     c = np.where(np.abs(c).max(axis=(-2, -1), keepdims=True) >= 1e-14, c, 0.0)
+    fiber = np.concatenate((np.zeros(c.shape[:-2] + (2 * q.pair.dim,)), skew_to_vector(c)), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
-        d_z, d_zhat = vertical_derivative(lambda s: row_data(s, cand.value(s))[:2], q, c,
-                                          ROW_KINDS[:2])
+        d_z, d_zhat, _ = directional_derivative(cand.value, q, fiber, h=FD_STEP_FIBER)
         r = np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
     if not np.isfinite(r).all():
         raise GeometryError("candidate residuals are not finite")

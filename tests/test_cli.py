@@ -545,6 +545,9 @@ def test_seeded_perturbed_audit_report_is_pinned(tmp_path):
     assert data["candidates"] == [f"killing(rotation-{i}{j})+skew(0.001)"
                                   for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     assert data["residuals"]["eq_drift"]["max"] == pytest.approx(0.0013424872965434877, rel=1e-9)
+    assert data["residuals"]["eq_curvature"]["max"] == pytest.approx(0.002110875264124934, rel=1e-9)
+    assert data["residuals"]["eq_curvature"]["mean"] == pytest.approx(4.5242286571609556e-4,
+                                                                      rel=1e-9)
 
 
 def test_audit_mismatched_generator_exit(tmp_path):
@@ -749,6 +752,37 @@ def test_simulate_rejects_a_grid_too_large_to_hold(tmp_path, capsys, step):
     ]) == 2
     assert "grid intervals" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _constant_samples_run(tmp_path, times):
+    """simulate at step 1e-5 along a constant two-sample path at the
+    config's initial state, sampled at the given times."""
+    cfg = write_config(tmp_path, {**SPHERE_PLANE, "initial_state": {
+        "x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]}})
+    samples = tmp_path / "path.csv"
+    samples.write_text("".join(f"{t},0,0,1\n" for t in times))
+    out = tmp_path / "traj.csv"
+    code = main([
+        "--config", cfg, "simulate",
+        "--path-spec", json.dumps({"type": "samples", "file": str(samples)}),
+        "--step=1e-5", "--out", str(out),
+    ])
+    return code, out
+
+
+def test_simulate_caps_the_grid_of_samples_by_their_time_span(tmp_path, capsys):
+    # the roll substeps from the first sample time: 2e6 substeps over (-20, 0)
+    code, out = _constant_samples_run(tmp_path, (-20.0, 0.0))
+    assert code == 2
+    assert "grid intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rolls_late_samples_whose_span_is_short(tmp_path):
+    # 5e4 substeps over (20, 20.5), although the last time over the step is 2e6
+    code, out = _constant_samples_run(tmp_path, (20.0, 20.5))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3  # header + one state per sample
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -67,7 +67,7 @@ def test_check_skew_rejects_nan():
     with pytest.raises(GeometryError, match="nan"):
         check_skew(nan)
     with pytest.raises(GeometryError):
-        check_skew(np.full((2, 3, 3), np.nan), tol=1.0)
+        check_skew(np.full((2, 3, 3), np.nan))
 
 
 def test_curvature_op_on_bivectors():

@@ -10,8 +10,10 @@ from scipy.linalg import expm
 
 from rollsym import (Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere,
                      WarpFunction, Warped)
-from rollsym.curvature import skew_to_vector, vector_to_skew, wedge_matrix
+from rollsym.curvature import (rolling_curvature, skew_part, skew_to_vector, vector_to_skew,
+                               wedge_matrix)
 from rollsym.rolling import (
+    FD_STEP_FIBER,
     _roll_rk4,
     RollingCurve,
     RollingPair,
@@ -24,10 +26,8 @@ from rollsym.rolling import (
     random_rotation,
     roll_along,
     roll_geodesic,
-    rolling_derivative,
     rolling_lift,
     tangent_curve,
-    vertical_derivative,
 )
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
@@ -585,10 +585,28 @@ def test_rolling_curve_checks_every_row():
 # -- derivatives ----------------------------------------------------------------------
 
 
+def _reading_field(s):
+    """A field of one tangent row that reads the contact map and the frames:
+    (A^T e_0, A e_0, skew coordinates of A)."""
+    a = s.isometry
+    return np.concatenate((a[..., 0, :], a[..., :, 0], skew_to_vector(skew_part(a))),
+                          axis=-1)[..., None, :]
+
+
+def _rows(s, x=None, x_hat=None, c=None):
+    """One tangent row per state of s from the slots given (zero where not)."""
+    n = s.pair.dim
+    rows = np.zeros(s.shape + (q_dim(n),))
+    for block, value in ((slice(0, n), x), (slice(n, 2 * n), x_hat), (slice(2 * n, None), c)):
+        if value is not None:
+            rows[..., block] = value
+    return rows
+
+
 def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monkeypatch):
     # one tangent_curve call per derivative call, of states times stencil
-    # offsets states, and one call of func on them; nothing is kept between
-    # calls, and an empty stack gives empty derivatives
+    # offsets states, and one call of the field on them; nothing is kept
+    # between calls, and an empty stack gives empty derivatives
     import rollsym.rolling as rolling_mod
 
     calls, evaluated = [], []
@@ -599,9 +617,9 @@ def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monke
         calls.append(math.prod(states.shape))
         return states
 
-    def isometry(s):
+    def field(s):
         evaluated.append(s.shape)
-        return (s.isometry,)
+        return _reading_field(s)
 
     monkeypatch.setattr(rolling_mod, "tangent_curve", counting)
     pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 2.0))
@@ -613,36 +631,32 @@ def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monke
     for order in (2, 4, 4):
         calls.clear()
         evaluated.clear()
-        results.append(directional_derivative(isometry, qs, rows, ("map",), order=order))
+        results.append(directional_derivative(field, qs, rows, order=order))
         assert calls == [len(qs) * order]
         assert evaluated == [(order, len(qs))]
-    assert np.array_equal(results[1][0], results[2][0])
-    calls.clear()
-    along_lifts = rolling_derivative(lambda s: (s.isometry,), qs, Xs, ("map",))
-    assert calls == [len(qs) * 2]
-    assert np.array_equal(along_lifts[0], results[0][0])
-    none = qs[:0]
-    d, = vertical_derivative(lambda s: (s.isometry,), none, np.zeros((0, 2, 2)), ("map",))
-    assert d.shape == (0, 2, 2)
-    d, = directional_derivative(lambda s: (s.coords(s.x),), none, rows[:0], ("vector",))
-    assert d.shape == (0, 2)
+    for twice, once in zip(results[1], results[2]):
+        assert np.array_equal(twice, once)
+    d_x, d_xhat, d_u = directional_derivative(field, qs[:0], rows[:0])
+    assert (d_x.shape, d_xhat.shape, d_u.shape) == ((0, 1, 2), (0, 1, 2), (0, 1, 2, 2))
 
 
 def test_rolling_derivative_of_parallel_field_vanishes():
     pair = RollingPair(Euclidean(2), Euclidean(2))
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
-    d, = rolling_derivative(lambda s: (s.coords(const),), q, np.array([1.0, 0.0]), ("vector",))
-    assert np.abs(d).max() < 1e-8
+    d = directional_derivative(lambda s: _rows(s, x=s.coords(const)), q,
+                               rolling_lift(q, np.array([1.0, 0.0])))
+    assert max(np.abs(slot).max() for slot in d) < 1e-8
 
 
 def test_rolling_derivative_of_the_isometry_vanishes():
-    # the contact map is parallel along rolling curves
+    # the contact map is parallel along rolling curves, so the vertical data
+    # A C of a constant C is too
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    d, = rolling_derivative(lambda s: (s.isometry,), q, X, ("map",))
-    assert np.abs(d).max() < 1e-8
+    *_, d_u = directional_derivative(lambda s: _rows(s, c=[0.4]), q, rolling_lift(q, X))
+    assert np.abs(d_u).max() < 1e-8
 
 
 def test_rolling_derivative_of_flat_translation_field_vanishes():
@@ -650,8 +664,9 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
-    d, = rolling_derivative(lambda s: (s.coords_hat(const_hat),), q, X, ("vector_hat",))
-    assert np.abs(d).max() < 1e-10
+    _, d_xhat, _ = directional_derivative(lambda s: _rows(s, x_hat=s.coords_hat(const_hat)), q,
+                                          rolling_lift(q, X))
+    assert np.abs(d_xhat).max() < 1e-10
 
 
 def test_rolling_derivative_is_linear_in_direction():
@@ -661,15 +676,11 @@ def test_rolling_derivative_is_linear_in_direction():
     X = pair.space.random_tangent(rng, q.x)
     Y = pair.space.random_tangent(rng, q.x)
 
-    def field(s):
-        return ((s.isometry @ s.coords(s.frame[..., 0, :])[..., None])[..., 0],)
-
     def along(v):  # order 4 along the rolling lift of v
-        d, = directional_derivative(field, q, rolling_lift(q, v), ("scalar",), order=4)
-        return d
+        return directional_derivative(_reading_field, q, rolling_lift(q, v), order=4)
 
-    dX, dY, dXY = along(X), along(Y), along(0.5 * X + 2.0 * Y)
-    assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
+    for dX, dY, dXY in zip(along(X), along(Y), along(0.5 * X + 2.0 * Y)):
+        assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
 
 
 @st.composite
@@ -702,10 +713,11 @@ def _random_tangent_row(rng, q):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pull_back_cases(), st.sampled_from(["vector", "vector_hat", "map"]))
-def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, kind):
-    # the sample states' frame-transport matrices pull a value back as
-    # transporting it back along the geodesics does, at every kind
+@given(pull_back_cases())
+def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case):
+    # the sample states' frame-transport matrices pull the data (X, X_hat,
+    # A C) of a field of tangent rows back as transporting it back along the
+    # geodesics does, slot by slot
     pair, seed = case
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
@@ -714,35 +726,29 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case, ki
     X, X_hat = xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat
     w, w_hat = rng.standard_normal((m.amb_dim,) * 2), rng.standard_normal((mh.amb_dim,) * 2)
     r = rng.standard_normal((mh.amb_dim, m.amb_dim))
-    fields = {  # ambient values, and their frame coordinates where they are vectors
-        "vector": lambda s: (m.project(s.x, s.x @ w.T)
-                             + (s.isometry[..., :1, :] @ s.frame)[..., 0, :]),
-        "vector_hat": lambda s: (mh.project(s.x_hat, s.x_hat @ w_hat.T)
-                                 + s.apply(s.frame[..., 0, :])),
-        "map": lambda s: s.isometry + s.frame_hat @ r @ s.frame.mT,
-    }
-    coords = {"vector": lambda s, v: s.coords(v), "vector_hat": lambda s, v: s.coords_hat(v),
-              "map": lambda s, v: v}
+
+    def ambient(s):  # the drifts as ambient vectors, and C
+        return (m.project(s.x, s.x @ w.T) + (s.isometry[..., :1, :] @ s.frame)[..., 0, :],
+                mh.project(s.x_hat, s.x_hat @ w_hat.T) + s.apply(s.frame[..., 0, :]),
+                skew_part(s.isometry.mT @ s.frame_hat @ r @ s.frame.mT))
+
+    def field(s):
+        v, v_hat, c = ambient(s)
+        return _rows(s, s.coords(v), s.coords_hat(v_hat), skew_to_vector(c))
 
     def deleted_path(t):
         qt = tangent_curve(q, xi, t)
-        value = fields[kind](qt)
-        if kind == "vector":
-            return q.coords(_transported_back(m, q.x, X, t, value))
-        if kind == "vector_hat":
-            return q.coords_hat(_transported_back(mh, q.x_hat, X_hat, t, value))
+        v, v_hat, c = ambient(qt)
         fwd = q.coords(_transported_back(m, q.x, X, t, qt.frame))
         fwd_hat = q.coords_hat(_transported_back(mh, q.x_hat, X_hat, t, qt.frame_hat))
-        return fwd_hat.T @ value @ fwd
+        return (q.coords(_transported_back(m, q.x, X, t, v)),
+                q.coords_hat(_transported_back(mh, q.x_hat, X_hat, t, v_hat)),
+                fwd_hat.T @ qt.isometry @ c @ fwd)
 
-    expected = central_diff([deleted_path(t) for t in stencil_offsets(1e-4)], 1e-4)
-    got, = directional_derivative(lambda s: (coords[kind](s, fields[kind](s)),), q, xi, (kind,))
-    assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
-    # three kinds differentiate slot by slot through the same samples
-    kinds = ("vector", "vector_hat", "map")
-    both = directional_derivative(lambda s: tuple(coords[k](s, fields[k](s)) for k in kinds),
-                                  q, xi, kinds)
-    assert np.array_equal(both[kinds.index(kind)], got)
+    paths = [deleted_path(t) for t in stencil_offsets(1e-4)]
+    for slot, got in enumerate(directional_derivative(field, q, xi)):
+        expected = central_diff([p[slot] for p in paths], 1e-4)
+        assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
 
 
 def _ambient_pull_back(q, qt, value, kind):
@@ -769,40 +775,45 @@ def test_the_coordinate_pull_back_equals_the_coordinates_of_the_ambient_one(case
     qt = tangent_curve(q, _random_tangent_row(rng, q), sign * size)
     vectors = m.project(qt.x, rng.standard_normal((3, m.amb_dim)))
     vectors_hat = mh.project(qt.x_hat, rng.standard_normal((3, mh.amb_dim)))
-    maps = rng.standard_normal((3, n, n))
-    for kind, value, value_coords, to_coords in (
-            ("vector", vectors, qt.coords(vectors), q.coords),
-            ("vector_hat", vectors_hat, qt.coords_hat(vectors_hat), q.coords_hat),
-            ("map", maps, maps, lambda v: v)):
-        want = to_coords(_ambient_pull_back(q, qt, value, kind))
-        got = _pull_back(qt, value_coords, kind)
+    cs = skew_part(rng.standard_normal((3, n, n)))
+    rows = np.concatenate((qt.coords(vectors), qt.coords_hat(vectors_hat), skew_to_vector(cs)),
+                          axis=-1)
+    wants = (q.coords(_ambient_pull_back(q, qt, vectors, "vector")),
+             q.coords_hat(_ambient_pull_back(q, qt, vectors_hat, "vector_hat")),
+             _ambient_pull_back(q, qt, qt.isometry @ cs, "map"))
+    for got, want in zip(_pull_back(qt, rows), wants):
         assert np.abs(got - want).max() <= 1e-12 * _scale(want)
 
 
 def test_vertical_derivative_examples():
+    # along the fiber rows (0, 0, c) only the contact map moves
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
+    mh = pair.space_hat
     q = pair.random_state(RNG)
     c = wedge_matrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    fiber = _rows(q, c=skew_to_vector(c))
 
-    # field independent of the contact map
-    d0, = vertical_derivative(lambda s: (s.x_hat,), q, c, ("scalar",))
+    def along_fiber(field):
+        return directional_derivative(field, q, fiber, h=FD_STEP_FIBER)
+
+    # a drift independent of the contact map
+    w_hat = RNG.standard_normal(mh.amb_dim)
+    _, d0, _ = along_fiber(lambda s: _rows(s, x_hat=s.coords_hat(mh.project(s.x_hat, w_hat))))
     assert np.abs(d0).max() < 1e-12
 
-    # the contact map itself differentiates to A C
-    d1, = vertical_derivative(lambda s: (s.isometry,), q, c, ("scalar",))
-    assert np.allclose(d1, q.isometry @ c, atol=1e-9)
+    # the vertical data A C0 of a constant C0 differentiates to A C C0
+    c0 = wedge_matrix(np.array([0.6, 0.2]), np.array([-0.1, 0.9]))
+    *_, d1 = along_fiber(lambda s: _rows(s, c=skew_to_vector(c0)))
+    assert np.allclose(d1, q.isometry @ c @ c0, atol=1e-9)
 
-    # the rolling curvature at a frozen bivector: analytic fiber derivative
-    from rollsym.curvature import rolling_curvature
-
-    xi = wedge_matrix(np.array([0.6, 0.2]), np.array([-0.1, 0.9]))
-    d2, = vertical_derivative(lambda s: (rolling_curvature(s, xi),), q, c, ("scalar",))
-    kappa = pair.space.curvature_constant - pair.space_hat.curvature_constant
+    # the rolling curvature at a frozen bivector xi as vertical data
+    # A skew(A^T Rol(xi)), which is Rol(xi) = kappa A xi on space forms:
+    # analytic fiber derivative kappa A C xi
+    xi = c0
+    *_, d2 = along_fiber(lambda s: _rows(s, c=skew_to_vector(
+        skew_part(s.isometry.mT @ rolling_curvature(s, xi)))))
+    kappa = pair.space.curvature_constant - mh.curvature_constant
     assert np.allclose(d2, kappa * q.isometry @ c @ xi, atol=1e-6)
-
-    with pytest.raises(GeometryError):
-        vertical_derivative(lambda s: (s.x,), q, np.array([[0.0, 1.0], [0.3, 0.0]]),
-                            ("scalar",))
 
 
 def test_chart_differential_is_identity_at_origin():

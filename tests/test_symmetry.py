@@ -440,7 +440,7 @@ def test_contact_field_instance_is_inner_on_matched_unit_spheres():
     for _ in range(5):
         q = pair.random_state(rng)
         assert abs(np.linalg.norm(xi.value(q.x)[0]) - 1.0) < 1e-12  # unit field
-        assert inner_symmetry_residual(lambda s: xi.value(s.x)[0], q) < 1e-12
+        assert inner_symmetry_residual(xi.value(q.x)[0], q) < 1e-12
     cand = inner_candidate(pair, lambda s: xi.value(s.x), "contact lift")
     q = pair.random_state(rng)
     X = pair.space.random_tangent(rng, q.x, unit=True)
