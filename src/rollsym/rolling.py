@@ -39,7 +39,8 @@ import numpy as np
 
 from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
-from .spaces import DEFAULT_STEP, ConstantCurvature, GeometryError, SpaceForm
+from .spaces import (DEFAULT_STEP, ConstantCurvature, DomainError, GeodesicPath, GeometryError,
+                     SpaceForm)
 
 ISOMETRY_TOL = 1e-9
 FD_STEP = 1e-4
@@ -420,16 +421,16 @@ class RollingCurve:
             + [f"A{i}{j}" for i in range(n) for j in range(n)]
             + ["isometry_residual"]
         )
+        # %r of a float is its repr: a block formatted by one row template is
+        # what csv.writer writes for rows of repr strings
+        row = ",".join(["%r"] * len(header)) + "\r\n"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             for lo in range(0, len(self.times), BLOCK):
                 rows = slice(lo, lo + BLOCK)
                 table = np.column_stack((self.times[rows], self.x[rows], self.x_hat[rows],
                                          self.A[rows].reshape(-1, n * n), self.residuals[rows]))
-                # the repr of a list of rows writes every float by repr in one call;
-                # reshaped, it is what csv.writer writes for rows of repr strings
-                text = repr(table.tolist())[2:-2].replace("], [", "\r\n").replace(", ", ",")
-                fh.write(text + "\r\n")
+                fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
@@ -437,24 +438,75 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     factor.  The isometry is kept constant in co-transported parallel frames
     and re-expressed in the deterministic frames at each sample time.
 
-    When the second factor is a space form, its point and parallel frame form
-    one group element, advanced by 4th-order Magnus steps (two Gauss nodes),
-    and so does the first factor's parallel frame: as a group element with
-    its point on a space form, as its rows with the fiber parts scaled by
-    f(s) on a warped product.  The constraints then hold to round-off at any
-    step.  Only a warped second factor falls back to RK4 on the frames."""
+    A geodesic of a space form rolled on a space form takes the closed form
+    of _roll_closed_form.  Otherwise, when the second factor is a space form,
+    its point and parallel frame form one group element, advanced by
+    4th-order Magnus steps (two Gauss nodes), and so does the first factor's
+    parallel frame: as a group element with its point on a space form, as its
+    rows with the fiber parts scaled by f(s) on a warped product.  The
+    constraints then hold to round-off at any step.  Only a warped second
+    factor falls back to RK4 on the frames.
+
+    A bad path raises GeometryError.  Rows computed from a valid start can
+    still fail the checks of a state (far out on a hyperboloid a point misses
+    its constraint by round-off): that raises DomainError, naming the check
+    and the first sample time whose row fails it."""
     pair = q0.pair
     times = np.asarray(path.sample_times(step), dtype=float)
     if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
-    if isinstance(pair.space_hat, ConstantCurvature):
-        x, x_hat, a = _roll_magnus(q0, path, times, step)
+    if not isinstance(pair.space_hat, ConstantCurvature):
+        kernel = _roll_rk4
+    elif isinstance(path, GeodesicPath) and isinstance(pair.space, ConstantCurvature):
+        kernel = _roll_closed_form
     else:
-        x, x_hat, a = _roll_rk4(q0, path, times, step)
-    x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
-    return RollingCurve(pair, times, x, x_hat, a)
+        kernel = _roll_magnus
+
+    def rows(k):  # the checked rows at the first k sample times
+        x, x_hat, a = kernel(q0, path, times[:k], step)
+        x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
+        return RollingCurve(pair, times[:k], x, x_hat, a)
+
+    with np.errstate(all="ignore"):  # a row that overflows fails the checks instead
+        try:
+            return rows(len(times))
+        except DomainError:
+            raise
+        except GeometryError as exc:
+            error, good, bad = exc, 1, len(times)
+        # every kernel computes a row from the times up to its own, so the
+        # first failing row is where rows(good) passes and rows(good + 1)
+        # fails; only a failed roll pays for these probes
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                rows(mid)
+                good = mid
+            except GeometryError as exc:
+                error, bad = exc, mid
+    raise DomainError(f"the roll fails a check at t = {times[bad - 1]:.6g}: {error}")
+
+
+def _roll_closed_form(q0, path, times, step):
+    """Rows of (x, x_hat, A) at the sample times along a geodesic of a space
+    form rolled on a space form.  The rolling distribution of two space forms
+    is left-invariant (Bor and Montgomery 2009), so this roll is a
+    one-parameter subgroup: the development is the geodesic of the matched
+    velocity, and A stays constant in the two parallel frames, each carried
+    over all sample times by one transport_along_geodesic.  It starts, as
+    _roll_magnus does, from both points moved onto their manifolds and the
+    rotation nearest to A.  The rows are exact at any step."""
+    m, mh = q0.pair.space, q0.pair.space_hat
+    x0, x_hat0 = m.closest_point(q0.x), mh.closest_point(q0.x_hat)
+    frame0 = m.frame(x0)
+    image0 = _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)  # rows: the images of frame0
+    v_hat = m.inner_at(x0, frame0, path.v0) @ image0
+    frame = m.transport_along_geodesic(x0, path.v0, times[:, None], frame0)
+    image = mh.transport_along_geodesic(x_hat0, v_hat, times[:, None], image0)
+    x, x_hat = path.point(times), mh.geodesic_flow(x_hat0, v_hat, times)[0]
+    return x, x_hat, _redress(q0.pair, x, x_hat, frame, image.mT)
 
 
 def _roll_magnus(q0, path, times, step):

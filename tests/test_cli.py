@@ -271,6 +271,30 @@ def test_a_warped_second_factor_that_rolls_out_of_its_interval_exits_3(tmp_path,
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kinds", [("hyperbolic", "sphere"), ("sphere", "hyperbolic")])
+@pytest.mark.parametrize("length, step, code", [(6, "0.01", 0), (7, "0.01", 3), (30, "0.5", 3)])
+def test_a_long_roll_on_a_hyperbolic_factor_is_a_domain_error(tmp_path, kinds, length, step, code):
+    # far out on the hyperboloid a rolled point misses the absolute POINT_TOL
+    # by round-off from t = 6.8, and at length 30 its frame cannot be
+    # completed either: rows computed from valid input, so exit 3 with one
+    # line and no NumPy warning, not exit 2 (config error)
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": k, "dim": 2, "radius": 1.0}
+                                                    for k in kinds], "seed": 0})
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "rollsym", "--config", cfg, "simulate",
+         "--step", step, "--out", "traj.csv", "--path-spec",
+         json.dumps({"type": "geodesic", "direction": [0.3, 1, 0.2], "length": length})],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert done.stderr == ""
+        return
+    line, = done.stderr.splitlines()
+    assert line.startswith("domain error: the roll fails a check at t = ")
+    assert "point violates the hyperbolic constraint" in line
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     # the curvature of a warped product needs a fiber of constant curvature
     inner = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from rollsym import (Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath, Sphere,
-                     WarpFunction, Warped)
+from rollsym import (DomainError, Euclidean, GeodesicPath, GeometryError, Hyperbolic, SampledPath,
+                     Sphere, WarpFunction, Warped)
 from rollsym.curvature import (rolling_curvature, skew_part, skew_to_vector, vector_to_skew,
                                wedge_matrix)
 from rollsym.rolling import (
     FD_STEP_FIBER,
+    _roll_closed_form,
+    _roll_magnus,
     _roll_rk4,
     RollingCurve,
     RollingPair,
@@ -29,6 +31,7 @@ from rollsym.rolling import (
     rolling_lift,
     tangent_curve,
 )
+from rollsym import rolling as rolling_module
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
 from test_brackets import catalog_factors
@@ -43,6 +46,15 @@ def sphere_on_plane():
 def stack(pair, states):
     """The stack of lone states, in order, as one RollingState."""
     return pair.state(*(np.array(v) for v in zip(*((q.x, q.x_hat, q.isometry) for q in states))))
+
+
+def magnus_roll(q0, path, step):
+    """The checked rows of roll_along through the Magnus kernel, which a
+    geodesic of a space form rolled on a space form does not take."""
+    times = path.sample_times(step)
+    x, x_hat, a = _roll_magnus(q0, path, times, step)
+    x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry
+    return RollingCurve(q0.pair, times, x, x_hat, a)
 
 
 # -- states and lifts ----------------------------------------------------------------
@@ -279,8 +291,8 @@ def test_matched_spheres_preserve_the_diagonal():
     q0 = pair.state(x, x, np.eye(2))
     v = pair.space.random_tangent(RNG, x, unit=True)
     path = GeodesicPath(pair.space, x, v, 2.0)
-    coarse = roll_along(q0, path, step=1e-3).final_state()
-    fine = roll_along(q0, path, step=1e-4).final_state()
+    coarse = magnus_roll(q0, path, step=1e-3).final_state()
+    fine = magnus_roll(q0, path, step=1e-4).final_state()
     assert np.linalg.norm(coarse.x_hat - coarse.x) < 1e-8
     assert np.abs(coarse.isometry - np.eye(2)).max() < 1e-8
     assert np.linalg.norm(coarse.x_hat - fine.x_hat) < 1e-9
@@ -291,8 +303,8 @@ def test_roll_reversibility():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.7)
-    out = roll_along(q0, path, step=1e-3)
-    back = roll_along(out.final_state(), path.reversed(), step=1e-3).final_state()
+    out = magnus_roll(q0, path, step=1e-3)
+    back = magnus_roll(out.final_state(), path.reversed(), step=1e-3).final_state()
     assert np.linalg.norm(back.x - q0.x) < 1e-6
     assert np.linalg.norm(back.x_hat - q0.x_hat) < 1e-6
     assert np.abs(back.isometry - q0.isometry).max() < 1e-6
@@ -314,7 +326,7 @@ def test_coarse_roll_stays_on_the_constraints():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.0)
-    curve = roll_along(q0, path, step=1e-2)
+    curve = magnus_roll(q0, path, step=1e-2)
     exact = roll_geodesic(q0, v, 1.0)
     assert np.linalg.norm(curve.final_state().x_hat - exact.x_hat) < 1e-7
     assert curve.residuals.max() < 1e-12
@@ -353,7 +365,7 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, length)
-    curve = roll_along(q0, path, step=step)
+    curve = magnus_roll(q0, path, step=step)
     for m, pts in ((pair.space, curve.x), (pair.space_hat, curve.x_hat)):
         assert m.constraint_residual(pts).max() <= POINT_TOL
     assert curve.residuals.max() < 1e-11
@@ -361,10 +373,67 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     end, exact = curve.final_state(), roll_geodesic(q0, v, length)
     assert np.abs(end.x_hat - exact.x_hat).max() < 1e-9 * _scale(exact.x_hat)
     assert np.abs(end.isometry - exact.isometry).max() < 1e-9 * _scale(exact.x_hat)
-    back = roll_along(end, path.reversed(), step=step).final_state()
+    back = magnus_roll(end, path.reversed(), step=step).final_state()
     assert np.abs(back.x - q0.x).max() < 1e-9 * _scale(end.x)
     assert np.abs(back.x_hat - q0.x_hat).max() < 1e-9 * _scale(end.x_hat)
     assert np.abs(back.isometry - q0.isometry).max() < 1e-9 * _scale(end.x_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space_form_rolls())
+@example((RollingPair(Euclidean(3), Hyperbolic(3, 1.0)), 4058, 3.0, 0.0625))
+def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
+    # roll_along takes the closed form here; the Magnus kernel is its oracle
+    pair, seed, length, step = roll
+    rng = np.random.default_rng(seed)
+    q0 = pair.random_state(rng)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    path = GeodesicPath(pair.space, q0.x, v, length)
+    curve, magnus = roll_along(q0, path, step=step), magnus_roll(q0, path, step)
+    assert np.array_equal(curve.times, magnus.times)
+    assert np.array_equal(curve.x, magnus.x)
+    scale = np.maximum(1.0, np.abs(magnus.x_hat).max(axis=1))
+    assert np.all(np.abs(curve.x_hat - magnus.x_hat).max(axis=1) < 1e-9 * scale)
+    assert np.all(np.abs(curve.A - magnus.A).max(axis=(1, 2)) < 1e-9 * scale)
+
+
+@pytest.mark.parametrize("first, second", [(Sphere(2, 1.0), Sphere(2, 3.0)),
+                                           (Hyperbolic(3, 1.0), Euclidean(3)),
+                                           (Euclidean(2), Hyperbolic(2, 2.0))], ids=repr)
+def test_a_geodesic_roll_on_space_forms_takes_no_matrix_exponential(monkeypatch, first, second):
+    calls = []
+    expm1_stack = rolling_module.expm1_stack
+    monkeypatch.setattr(rolling_module, "expm1_stack",
+                        lambda a: calls.append(a.shape) or expm1_stack(a))
+    pair = RollingPair(first, second)
+    rng = np.random.default_rng(2)
+    q0 = pair.random_state(rng)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    assert len(roll_along(q0, GeodesicPath(pair.space, q0.x, v, 1.0), step=1e-2).times) == 101
+    assert calls == []
+    # the same points as a sampled path go through the Magnus kernel
+    ts = np.linspace(0.0, 1.0, 11)
+    roll_along(q0, SampledPath(pair.space, ts, pair.space.geodesic_flow(q0.x, v, ts)[0]), 1e-2)
+    assert calls
+
+
+def test_rows_that_fail_their_checks_are_a_domain_error_at_the_first_failing_time():
+    # far out on the hyperboloid (|x|^2 ~ 2e5 near t = 6.8) a point misses the
+    # absolute POINT_TOL by round-off
+    pair = RollingPair(Hyperbolic(2, 1.0), Sphere(2, 1.0))
+    rng = np.random.default_rng(0)
+    q0 = pair.random_state(rng)
+    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 9.0)
+    with pytest.raises(DomainError, match="point violates the hyperbolic constraint") as info:
+        roll_along(q0, path, step=0.01)
+    times = path.sample_times(0.01)
+    t = float(str(info.value).split("t = ")[1].split(":")[0])
+    k = int(np.flatnonzero(np.isclose(times, t, rtol=1e-6, atol=0.0))[0])
+    x, x_hat, a = _roll_closed_form(q0, path, times, 0.01)
+    x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry
+    RollingCurve(pair, times[:k], x[:k], x_hat[:k], a[:k])  # every row before t passes
+    with pytest.raises(GeometryError, match="point violates the hyperbolic constraint"):
+        RollingCurve(pair, times[k : k + 1], x[k : k + 1], x_hat[k : k + 1], a[k : k + 1])
 
 
 @pytest.mark.parametrize("hat", [Euclidean(2), Sphere(2, 3.0)], ids=repr)
@@ -375,7 +444,7 @@ def test_full_turn_matches_the_closed_form(hat):
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     exact = roll_geodesic(q0, v, 2 * math.pi)
     for step in (1e-3, 0.05):
-        curve = roll_along(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
+        curve = magnus_roll(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
         end = curve.final_state()
         assert np.abs(end.x_hat - exact.x_hat).max() < 1e-10
         assert np.abs(end.isometry - exact.isometry).max() < 1e-10
