@@ -10,7 +10,7 @@ isometry stays parallel (no twisting).
 import numpy as np
 
 from rollsym import Euclidean, GeodesicPath, SampledPath, Sphere
-from rollsym.rolling import RollingPair, roll_along, roll_geodesic
+from rollsym.rolling import RollingPair, roll_along, rolling_lift, tangent_curve
 
 rng = np.random.default_rng(0)
 
@@ -37,7 +37,7 @@ print("  isometry drift:       %.2e" % curve.residuals.max())
 # On two space forms roll_along rolls a geodesic in closed form (the
 # development is a geodesic, A stays constant in the parallel frames), and so
 # does the canonical curve of the rolling lift.
-q_closed = roll_geodesic(q0, direction, np.pi)
+q_closed = tangent_curve(q0, rolling_lift(q0, direction), np.pi)
 print("  roll_along vs canonical curve: %.2e" % np.abs(q_closed.isometry - q_end.isometry).max())
 
 # The same arc given as 201 samples is a spline path, which roll_along

@@ -266,28 +266,21 @@ def _times(q, rows, mat):
 # -- canonical curves and transports ------------------------------------------
 
 
-def det_transport_matrix(m: SpaceForm, x, v, t):
-    """Matrix taking deterministic-frame coordinates at x to those at the
-    geodesic point, through parallel transport along the geodesic."""
-    x = np.asarray(x, float)[None]
-    return _flow_rows(m, x, m.frames(x), np.asarray(v, float)[None], np.array([t], float))[1][0]
-
-
-def _flow_rows(m, x, frames, v, t):
+def det_transport_matrix(m: SpaceForm, x, frames, v, t):
     """Per row, the point at time t[i] of the geodesic of (x[i], v[i]) on m,
-    det_transport_matrix to it and its frame, given the frames at the
-    points.  A row with v[i] = 0 keeps its point and frame with the identity
-    transport; the moving rows flow in one geodesic_flow and one
+    the matrix taking deterministic-frame coordinates at x[i] to those at
+    that point through parallel transport along the geodesic, and the frame
+    there, given the frames at the points.  A row with v[i] = 0 keeps its
+    point and frame with the identity transport; the moving rows flow in one
     transport_along_geodesic call and take their frames from one frames
     call."""
     fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
     move = np.flatnonzero(v.any(axis=1))
     if len(move):
         x, frames = x.copy(), frames.copy()
-        xm, vm, tm = x[move], v[move], t[move]
-        xt = m.geodesic_flow(xm, vm, tm)[0]
-        moved = m.transport_along_geodesic(xm[:, None], vm[:, None], tm[:, None], frames[move])
-        x[move] = xt
+        xt, moved = m.transport_along_geodesic(x[move, None], v[move, None], t[move, None],
+                                               frames[move])
+        x[move] = xt = xt[:, 0]
         frames[move] = m.frames(xt)
         fwd[move] = m.inner_at(xt[:, None, None], frames[move][:, :, None], moved[:, None])
     return x, fwd, frames
@@ -319,8 +312,9 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     C = vector_to_skew(xi[:, 2 * n :], n)
     X = (xi[:, None, :n] @ frames)[:, 0]
     X_hat = (xi[:, None, n : 2 * n] @ frames_hat)[:, 0]
-    xt, fwd, frames = _flow_rows(pair.space, rows(q.x, 1), frames, X, t)
-    xht, fwd_hat, frames_hat = _flow_rows(pair.space_hat, rows(q.x_hat, 1), frames_hat, X_hat, t)
+    xt, fwd, frames = det_transport_matrix(pair.space, rows(q.x, 1), frames, X, t)
+    xht, fwd_hat, frames_hat = det_transport_matrix(pair.space_hat, rows(q.x_hat, 1), frames_hat,
+                                                    X_hat, t)
     a = fwd_hat @ rows(q.isometry, 2)
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
@@ -503,9 +497,9 @@ def _roll_closed_form(q0, path, times, step):
     frame0 = m.frame(x0)
     image0 = _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)  # rows: the images of frame0
     v_hat = m.inner_at(x0, frame0, path.v0) @ image0
-    frame = m.transport_along_geodesic(x0, path.v0, times[:, None], frame0)
-    image = mh.transport_along_geodesic(x_hat0, v_hat, times[:, None], image0)
-    x, x_hat = path.point(times), mh.geodesic_flow(x_hat0, v_hat, times)[0]
+    frame = m.transport_along_geodesic(x0, path.v0, times[:, None], frame0)[1]
+    x_hat, image = mh.transport_along_geodesic(x_hat0, v_hat, times[:, None], image0)
+    x, x_hat = path.point(times), x_hat[:, 0]
     return x, x_hat, _redress(q0.pair, x, x_hat, frame, image.mT)
 
 
@@ -600,7 +594,10 @@ def _rk4(rhs, y, t0, t1, steps):
 
 def _roll_rk4(q0, path, times, step):
     """The same rows as _roll_magnus, by RK4 on the second factor's point and
-    both parallel frames (for warped factors)."""
+    both parallel frames (for warped factors).  After each grid interval the
+    row is put back onto the constraints: the point by closest_point, both
+    frames by _orthonormal at their points, so that the RK4 drift does not
+    accumulate into a failed check of a state."""
     pair = q0.pair
     m, mh = pair.space, pair.space_hat
     n, amb, amb_hat = pair.dim, m.amb_dim, mh.amb_dim
@@ -609,24 +606,39 @@ def _roll_rk4(q0, path, times, step):
     def pack(x_hat, frame, frame_hat):
         return np.concatenate((x_hat, frame.ravel(), frame_hat.ravel()))
 
-    def rhs(t, y):
-        x, v = path.flow(t)
+    def unpack(y):
         x_hat = y[:amb_hat]
         if not isinstance(mh, ConstantCurvature):  # leaving the interval is a domain error
             mh._check_s(x_hat[0])
-        frame = y[amb_hat : amb_hat + n * amb].reshape(n, amb)
-        frame_hat = y[amb_hat + n * amb :].reshape(n, amb_hat)
+        return (x_hat, y[amb_hat : amb_hat + n * amb].reshape(n, amb),
+                y[amb_hat + n * amb :].reshape(n, amb_hat))
+
+    def rhs(t, y):
+        x, v = path.flow(t)
+        x_hat, frame, frame_hat = unpack(y)
         v_hat = frame_hat.T @ (a_par @ m.inner_at(x, v, frame))
         return pack(v_hat, m.transport_rhs(x, v, frame), mh.transport_rhs(x_hat, v_hat, frame_hat))
 
+    x = path.point(times)
     ys = [pack(q0.x_hat, q0.frame, q0.frame_hat)]
-    for a, b in zip(times[:-1], times[1:]):
-        ys.append(_rk4(rhs, ys[-1], a, b, _substeps(b - a, step)))
+    for a, b, xb in zip(times[:-1], times[1:], x[1:]):
+        x_hat, frame, frame_hat = unpack(_rk4(rhs, ys[-1], a, b, _substeps(b - a, step)))
+        x_hat = mh.closest_point(x_hat)
+        ys.append(pack(x_hat, _orthonormal(m, xb, frame), _orthonormal(mh, x_hat, frame_hat)))
     ys = np.array(ys)
     frame = ys[:, amb_hat : amb_hat + n * amb].reshape(-1, n, amb)
     frame_hat = ys[:, amb_hat + n * amb :].reshape(-1, n, amb_hat)
-    x, x_hat = path.point(times), ys[:, :amb_hat]
+    x_hat = ys[:, :amb_hat]
     return x, x_hat, _redress(pair, x, x_hat, frame, np.swapaxes(frame_hat, 1, 2) @ a_par)
+
+
+def _orthonormal(m, x, frame):
+    """The rows of frame projected onto the tangent space at x and made
+    orthonormal symmetrically, S^(-1/2) F for their Gram matrix S: of all
+    orthonormal rows, the nearest to F."""
+    frame = m.project(x, frame)
+    w, u = np.linalg.eigh(m.inner_at(x, frame[:, None], frame[None]))
+    return (u / np.sqrt(w)) @ u.T @ frame
 
 
 def _redress(pair, x, x_hat, frame, image):
@@ -638,13 +650,6 @@ def _redress(pair, x, x_hat, frame, image):
     det_fr, det_fr_hat = m.frames(x), mh.frames(x_hat)
     s = (frame * m.metric_weights(x)[..., None, :]) @ np.swapaxes(det_fr, 1, 2)
     return (det_fr_hat * mh.metric_weights(x_hat)[..., None, :]) @ image @ s
-
-
-def roll_geodesic(q0: RollingState, direction, t) -> RollingState:
-    """Closed-form rolling along a geodesic of the first factor: the
-    development is the geodesic of the matched velocity, and the isometry is
-    conjugated by the two geodesic transports."""
-    return tangent_curve(q0, rolling_lift(q0, direction), t)
 
 
 # -- derivatives of fields of tangent rows ---------------------------------------

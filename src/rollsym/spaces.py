@@ -133,15 +133,18 @@ class SpaceForm:
     # -- geodesics and transport -------------------------------------------
 
     def geodesic_flow(self, x, v, t):
-        """Return (point, velocity) of the geodesic with initial data (x, v)."""
-        raise NotImplementedError
+        """(point, velocity) at time t of the geodesic with initial data (x,
+        v): the velocity is v transported along its own geodesic."""
+        return self.transport_along_geodesic(x, v, t, v)
 
     def transport_rhs(self, x, xdot, v):
         """Ambient derivative of a parallel vector v along a curve with velocity xdot."""
         raise NotImplementedError
 
     def transport_along_geodesic(self, x, v, t, w):
-        """Parallel transport of w from x to the geodesic point at time t."""
+        """(point, transported w) at time t of the geodesic with initial data
+        (x, v): the geodesic is evaluated once for both.  The point has the
+        leading axes of x, v and t broadcast, the transport those of w too."""
         raise NotImplementedError
 
     # -- curvature -----------------------------------------------------------
@@ -312,13 +315,6 @@ class ConstantCurvature(SpaceForm):
         rows[(-1.0) ** (n - j) * xs[at[:, 0], j] < 0, -1] *= -1.0
         return rows
 
-    def geodesic_flow(self, x, v, t):
-        """x cos(wt) + v sin(wt)/w and its velocity, w = |v| sqrt|K| (cosh and
-        sinh where K < 0; x + t v where w = 0).  t may be an array of times,
-        which broadcasts against the leading axes of x and v."""
-        _, c, s_over, s_times = self._geodesic_factors(x, v, t)
-        return c * x + s_over * v, s_times * x + c * v
-
     def _geodesic_factors(self, x, v, t):
         """<v, v> and the factors cos(wt), sin(wt)/w, -sign(K) w sin(wt) of the
         geodesic flow, the last three as columns.  A single point takes NumPy's
@@ -336,11 +332,13 @@ class ConstantCurvature(SpaceForm):
         return vv, _col(c), _col(s_over), _col(s_times)
 
     def transport_along_geodesic(self, x, v, t, w):
-        """The component of w along v turns with the velocity, the rest stays."""
-        vv, c, _, s_times = self._geodesic_factors(x, v, t)
+        """The point x cos(wt) + v sin(wt)/w, w = |v| sqrt|K| (cosh and sinh
+        where K < 0; x + t v where w = 0); the component of w along v turns
+        with the velocity, the rest stays."""
+        vv, c, s_over, s_times = self._geodesic_factors(x, v, t)
         # <w, v> = 0 where v = 0, so the floor only keeps 0/0 out
         along = self.inner_at(x, w, v) / np.maximum(vv, 1e-300)
-        return w + _col(along) * (s_times * x + (c - 1.0) * v)
+        return c * x + s_over * v, w + _col(along) * (s_times * x + (c - 1.0) * v)
 
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * np.asarray(xi)
@@ -667,16 +665,13 @@ class Warped(SpaceForm):
         y, ydot = self.fiber.geodesic_flow(y0, u, phi)
         return _stack(s, y), _stack(sdot, _col(c / self.warp.value(s) ** 2) * ydot)
 
-    def geodesic_flow(self, x, v, t):
-        """Through Clairaut's integral, as GeodesicPath samples it."""
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        return self._clairaut_point(x[..., 1:], *self._clairaut_flow(x, v, t))
-
     def transport_along_geodesic(self, x, v, t, w):
-        """The geodesic stays in the totally geodesic surface I x_f sigma over
-        the fiber geodesic sigma of u.  With w = (a, alpha u + omega), omega
-        h-orthogonal to u, (a, f alpha) in the orthonormal pair (d/ds, sigma'/f)
-        turns with the velocity (s', c / f), and f omega is parallel for the fiber."""
+        """Through Clairaut's integral, as GeodesicPath samples it: the point
+        (s, sigma(phi)) on the fiber geodesic sigma of u.  The geodesic stays
+        in the totally geodesic surface I x_f sigma.  With w = (a, alpha u +
+        omega), omega h-orthogonal to u, (a, f alpha) in the orthonormal pair
+        (d/ds, sigma'/f) turns with the velocity (s', c / f), and f omega is
+        parallel for the fiber."""
         x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
         c, u, s, sdot, phi = self._clairaut_flow(x, v, t)
         y0, f0, f = x[..., 1:], self.warp.value(x[..., 0]), self.warp.value(s)
@@ -685,8 +680,8 @@ class Warped(SpaceForm):
         cos, sin = np.cos(turn), np.sin(turn)
         a, b = cos * w[..., 0] - sin * f0 * alpha, sin * w[..., 0] + cos * f0 * alpha
         omega = w[..., 1:] - _col(alpha) * u  # h-orthogonal to u: the fiber transport keeps it
-        sigma_dot = self.fiber.geodesic_flow(y0, u, phi)[1]
-        return _stack(a, _col(b / f) * sigma_dot + _col(f0 / f) * omega)
+        y, sigma_dot = self.fiber.geodesic_flow(y0, u, phi)
+        return _stack(s, y), _stack(a, _col(b / f) * sigma_dot + _col(f0 / f) * omega)
 
     def fiber_plane_curvature(self, s):
         f = self.warp.value(s)
@@ -745,8 +740,8 @@ class GeodesicPath:
     conserved (Clairaut's integral), so the fiber part y runs along the fiber
     geodesic of the unit direction of y'(0), at the arclength phi with
     phi' = c / f(s)^2, while s'' = c^2 f'(s) / f(s)^3.  As in Warped's
-    geodesic_flow, (s, s', phi) is stepped by _clairaut_step, here once over
-    the whole path on Python floats; any time is reached by one step from the
+    transport, (s, s', phi) is stepped by _clairaut_step, here once over the
+    whole path on Python floats; any time is reached by one step from the
     grid time below it, and the point is exactly on the manifold.
     """
 

@@ -44,6 +44,7 @@ from .rolling import (
     FD_STEP_FIBER,
     RollingPair,
     RollingState,
+    det_transport_matrix,
     directional_derivative,
     rolling_lift,
     row_data,
@@ -338,12 +339,10 @@ def _jacobi_steps(q1, X, t_grid):
     first = np.repeat(np.cumsum(counts) - counts, counts)
     start = np.repeat(t_grid[:-1], counts) + (np.arange(len(h)) - first) * h
     ts = (start[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])).ravel()
-    xt = mh.geodesic_flow(x, v, ts)[0]
-    frt = mh.transport_along_geodesic(x, v, ts[:, None], q1.frame_hat)
-    det = mh.frames(xt)
-    # t_mat[k, l] = <det_k, frt_l> takes parallel-frame coordinates to
-    # deterministic ones, and t_mat v_c is the velocity in the deterministic frame
-    t_mat = mh.inner_at(xt[:, None, None], det[:, :, None], frt[:, None])
+    # t_mat takes parallel-frame coordinates to deterministic ones, and t_mat
+    # v_c is the velocity in the deterministic frame
+    xt, t_mat, _ = det_transport_matrix(
+        mh, *(np.broadcast_to(a, ts.shape + a.shape) for a in (x, q1.frame_hat, v)), ts)
     planes = wedge_matrix((t_mat @ v_c)[:, None], t_mat.mT)
     curv = t_mat.mT[:, None] @ mh.curvature_matrix_apply(xt[:, None], planes) @ t_mat[:, None]
     size = 2 * n + so_dim(n)

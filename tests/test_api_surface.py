@@ -15,7 +15,11 @@ outside its tests.  A constant that nothing reads is left over.
 
 Every dotted name that README.md quotes as inline code and that starts with
 a module of the package or one of its public classes names something that
-exists: the README does not drift from the code it points to."""
+exists: the README does not drift from the code it points to.
+
+Every function and method that the benchmark's span list traces exists
+where the span recorder looks for it: a rename shows here, not only in a
+traced benchmark run."""
 
 import ast
 import importlib
@@ -246,4 +250,35 @@ def test_every_dotted_name_in_the_readme_resolves():
         if owner is missing:
             missing.append(name)
     assert checked > 5  # the scan found the README's names
+    assert not missing, missing
+
+
+def _traced_targets():
+    """(module, owner, attribute) of every entry of the SPANS and COUNTERS
+    lists of the benchmark's span recorder, read from its syntax tree."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("SPANS", "COUNTERS")):
+            for module, owner, attr, _ in ast.literal_eval(node.value):
+                yield module, owner, attr
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # owner None: a module attribute; "*": an entry of the __dict__ of some
+    # class defined in the module; a class name: an entry of its __dict__
+    targets, missing = list(_traced_targets()), []
+    assert len(targets) > 15  # the scan found the span list
+    for module_name, owner, attr in targets:
+        module = importlib.import_module(f"rollsym.{module_name}")
+        if owner is None:
+            found = hasattr(module, attr)
+        elif owner == "*":
+            found = any(attr in vars(cls) for cls in vars(module).values()
+                        if isinstance(cls, type) and cls.__module__ == module.__name__)
+        else:
+            cls = getattr(module, owner, None)
+            found = isinstance(cls, type) and attr in vars(cls)
+        if not found:
+            missing.append(f"{module_name}.{owner or ''}.{attr}")
     assert not missing, missing

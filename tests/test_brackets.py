@@ -24,7 +24,7 @@ from rollsym.brackets import (
 )
 from rollsym.cli import GAP_REQUIREMENT, _rank_cut_ambiguous
 from rollsym.numerics import numerical_rank
-from rollsym.rolling import (CHART_STEP, RollingPair, q_dim, random_rotation, roll_geodesic,
+from rollsym.rolling import (CHART_STEP, RollingPair, q_dim, random_rotation,
                              rolling_lift, tangent_curve)
 from rollsym.symmetry import killing_catalog, killing_to_symmetry, perturb_candidate
 
@@ -46,7 +46,7 @@ def frame_stencil(m, anchor, x, v, h=1e-4):
 
     def sample(t):
         xt, vt = m.geodesic_flow(x, v, t)
-        return m.transport_along_geodesic(xt, vt, -t, m.anchored_frame(*anchor, xt)[0])
+        return m.transport_along_geodesic(xt, vt, -t, m.anchored_frame(*anchor, xt)[0])[1]
 
     s = [sample(t) for t in (2 * h, h, -h, -2 * h)]
     return (-s[0] + 8 * s[1] - 8 * s[2] + s[3]) / (12 * h)
@@ -508,13 +508,14 @@ def test_growth_flags_keep_a_wide_margin_to_the_rank_cut(pair):
 
 
 def test_a_flag_anchors_its_generators_at_its_own_state():
-    # roll_geodesic passes its base's anchor on to the state it reaches, here
+    # tangent_curve passes its base's anchor on to the state it reaches, here
     # near the antipode of that base, where the base's transvection turns
     # fast; flag_ranks re-anchors at the state itself
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     rng = np.random.default_rng(12)
     q0 = pair.random_state(rng)
-    q = roll_geodesic(q0, pair.space.random_tangent(rng, q0.x, unit=True), 3.1)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    q = tangent_curve(q0, rolling_lift(q0, v), 3.1)
     rolled, rebuilt = flag_ranks(q), flag_ranks(pair.state(q.x, q.x_hat, q.isometry))
     assert rolled.ranks == rebuilt.ranks == (2, 3, 5)
     for a, b in zip(rolled.singular_values, rebuilt.singular_values):
@@ -647,7 +648,7 @@ def normal_extension_field(m, x0, v0):
         if np.linalg.norm(w) < 1e-14:
             return np.array(v0)
         # projection only strips round-off; the transport is tangent already
-        return m.project(y, m.transport_along_geodesic(x0, w, 1.0, v0))
+        return m.project(y, m.transport_along_geodesic(x0, w, 1.0, v0)[1])
 
     return ext
 

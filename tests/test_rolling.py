@@ -22,12 +22,12 @@ from rollsym.rolling import (
     _pull_back,
     chart_differential,
     curve_velocity,
+    det_transport_matrix,
     directional_derivative,
     expm as rolling_expm,
     q_dim,
     random_rotation,
     roll_along,
-    roll_geodesic,
     rolling_lift,
     tangent_curve,
 )
@@ -327,7 +327,7 @@ def test_coarse_roll_stays_on_the_constraints():
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.0)
     curve = magnus_roll(q0, path, step=1e-2)
-    exact = roll_geodesic(q0, v, 1.0)
+    exact = tangent_curve(q0, rolling_lift(q0, v), 1.0)
     assert np.linalg.norm(curve.final_state().x_hat - exact.x_hat) < 1e-7
     assert curve.residuals.max() < 1e-12
 
@@ -370,7 +370,7 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
         assert m.constraint_residual(pts).max() <= POINT_TOL
     assert curve.residuals.max() < 1e-11
     assert np.all(np.linalg.det(curve.A) > 0)
-    end, exact = curve.final_state(), roll_geodesic(q0, v, length)
+    end, exact = curve.final_state(), tangent_curve(q0, rolling_lift(q0, v), length)
     assert np.abs(end.x_hat - exact.x_hat).max() < 1e-9 * _scale(exact.x_hat)
     assert np.abs(end.isometry - exact.isometry).max() < 1e-9 * _scale(exact.x_hat)
     back = magnus_roll(end, path.reversed(), step=step).final_state()
@@ -442,7 +442,7 @@ def test_full_turn_matches_the_closed_form(hat):
     rng = np.random.default_rng(8)
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
-    exact = roll_geodesic(q0, v, 2 * math.pi)
+    exact = tangent_curve(q0, rolling_lift(q0, v), 2 * math.pi)
     for step in (1e-3, 0.05):
         curve = magnus_roll(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
         end = curve.final_state()
@@ -481,6 +481,26 @@ def test_rolling_along_a_curved_path_converges_at_fourth_order():
     errors = _step_halving_errors(sphere, SampledPath(sphere, ts, _latitude_circle(ts)))
     assert errors[0] > 1e-9
     assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("hat", [Sphere(2, 3.0), Hyperbolic(2, 1.0), Euclidean(2)], ids=repr)
+def test_magnus_rows_along_a_curved_sampled_path_match_a_finer_step(hat):
+    # along a latitude circle the generators turn within each step, so the
+    # placement of the two Gauss nodes and the commutator's sign show: the
+    # 4th-order kernel at step 0.05 is within 3.1e-8 of step 0.05 / 16 row by
+    # row, and with (a + a) for (a + b), or the commutator's sign flipped, it
+    # misses by at least 1.1e-2 and 2.5e-6
+    ts = np.linspace(0.0, 2.0, 21)
+    sphere = Sphere(2, 1.0)
+    path = SampledPath(sphere, ts, _latitude_circle(ts))
+    pair = RollingPair(sphere, hat)
+    rng = np.random.default_rng(1)
+    q0 = pair.state(path.point(0.0), hat.random_point(rng), random_rotation(rng, 2))
+    _, x_hat, a = _roll_magnus(q0, path, ts, 0.05)
+    _, x_hat_ref, a_ref = _roll_magnus(q0, path, ts, 0.05 / 16)
+    # row 0 is q0 itself, which roll_along writes in
+    assert np.abs(x_hat - x_hat_ref)[1:].max() < 1e-7
+    assert np.abs(a - a_ref)[1:].max() < 1e-7
 
 
 @pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
@@ -561,8 +581,45 @@ def test_rk4_fallback_takes_one_substep_per_grid_interval():
     curve = roll_along(q0, path, step=1e-3)
     assert len(curve.times) == 251
     # one path read per RK4 stage (the point and the velocity together), one
-    # for roll_along's start check and one array read of the rows' points
-    assert calls == [0] + [0] * 4 * 250 + [1]
+    # for roll_along's start check and one array read of the rows' points,
+    # which the kernel takes first to settle each row's first-factor frame
+    assert calls == [0] + [1] + [0] * 4 * 250
+
+
+@pytest.mark.parametrize("step", [0.01, 0.05])
+def test_rk4_rows_settle_on_the_constraints_at_coarse_steps(step):
+    # RK4 alone let the second factor's point and both frames drift off their
+    # constraints until a row failed the checks of a state (exit 3 from
+    # simulate at 4 of these 5 seeds at step 0.01 and at all 5 at 0.05);
+    # settled rows keep round-off residuals and the 4th-order accuracy
+    pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)))
+    for seed in range(5):
+        q0 = pair.random_state(np.random.default_rng(seed))
+        v = pair.space.project(q0.x, np.array([0.3, 1.0, 0.2]))
+        path = GeodesicPath(pair.space, q0.x, v / np.sqrt(pair.space.inner_at(q0.x, v, v)), 0.3)
+        curve = roll_along(q0, path, step=step)
+        assert curve.residuals.max() < 1e-13
+        assert pair.space_hat.constraint_residual(curve.x_hat).max() < 1e-14
+        ref = roll_along(q0, path, step=1e-3).final_state()
+        assert np.abs(curve.x_hat[-1] - ref.x_hat).max() < step**4
+        assert np.abs(curve.A[-1] - ref.isometry).max() < step**4
+
+
+def test_one_clairaut_pass_per_transport_call_on_a_warped_factor(monkeypatch):
+    # the point and the transport come from one evaluation of the geodesic
+    first = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
+    pair = RollingPair(first, Warped((-1.0, 1.0), WarpFunction("cosh"), Sphere(1, 1.0)))
+    rng = np.random.default_rng(3)
+    q = pair.random_state(rng)
+    X, xi = 0.2 * first.random_tangent(rng, q.x, unit=True), 0.2 * rng.standard_normal(q_dim(2))
+    calls, flow = [], Warped._clairaut_flow
+    monkeypatch.setattr(Warped, "_clairaut_flow",
+                        lambda self, *args: calls.append(self) or flow(self, *args))
+    det_transport_matrix(first, q.x[None], q.frame[None], X[None], np.array([0.3]))
+    assert calls == [first]
+    calls.clear()
+    tangent_curve(q, xi, 0.3)
+    assert calls == [first, pair.space_hat]
 
 
 def test_magnus_kernel_takes_one_step_per_grid_interval_on_a_warped_first_factor():
@@ -596,7 +653,7 @@ def test_velocity_round_trip_on_rolling_curves():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     dt = 1e-5
-    samples = roll_geodesic(q0, v, np.array([2 * dt, dt, -dt, -2 * dt]))
+    samples = tangent_curve(q0, rolling_lift(q0, v), np.array([2 * dt, dt, -dt, -2 * dt]))
     row = curve_velocity(q0, samples, dt)
     assert np.linalg.norm(row[:2] @ q0.frame - v) < 1e-6
     assert np.linalg.norm(row[2:4] @ q0.frame_hat - q0.apply(v)) < 1e-6
@@ -769,7 +826,7 @@ def _transported_back(m, x, v, t, w):
     """w at the geodesic point exp_x(t v), transported back to x along the
     geodesic (by -t from the geodesic point)."""
     xt, vt = m.geodesic_flow(x, v, t)
-    return m.transport_along_geodesic(xt, vt, -t, w)
+    return m.transport_along_geodesic(xt, vt, -t, w)[1]
 
 
 def _random_tangent_row(rng, q):
@@ -904,7 +961,7 @@ def _one_row_tangent_curve(q, X, X_hat, C, t):
             return x, np.eye(m.dim)
         xt = m.geodesic_flow(x, v, t)[0]
         frame_t = m.frame(xt)
-        return xt, m.inner_at(xt, frame_t[:, None], m.transport_along_geodesic(x, v, t, basis))
+        return xt, m.inner_at(xt, frame_t[:, None], m.transport_along_geodesic(x, v, t, basis)[1])
 
     xt, fwd = transport_in_frames(q.pair.space, q.x, q.frame, X)
     xht, fwd_hat = transport_in_frames(q.pair.space_hat, q.x_hat, q.frame_hat, X_hat)
@@ -1025,15 +1082,15 @@ def test_the_kernel_checks_every_row_of_a_stack(monkeypatch):
 
     with monkeypatch.context() as mp:
         # the last moving row's point leaves the sphere by a relative 1e-8
-        m, flow, residual = pair.space, pair.space.geodesic_flow, []
+        m, transport, residual = pair.space, pair.space.transport_along_geodesic, []
 
-        def off(x, v, t):
-            xt, vt = flow(x, v, t)
+        def off(x, v, t, w):
+            xt, moved = transport(x, v, t, w)
             xt[-1] *= 1.0 + 1e-8
-            residual.append(m.constraint_residual(xt[-1]))
-            return xt, vt
+            residual.append(m.constraint_residual(xt[-1]).max())
+            return xt, moved
 
-        mp.setattr(m, "geodesic_flow", off)
+        mp.setattr(m, "transport_along_geodesic", off)
         for rows in (stack, last):
             assert _raised(rows) == f"point violates the sphere constraint by {residual[-1]:.3e}"
 

@@ -106,7 +106,7 @@ def test_transport_geodesic_tangent_is_parallel():
     v = m.random_tangent(RNG, x, unit=True)
     for t in (0.3, 1.1, 2.9):
         xt, vt = m.geodesic_flow(x, v, t)
-        moved = m.transport_along_geodesic(x, v, t, v)
+        moved = m.transport_along_geodesic(x, v, t, v)[1]
         assert np.allclose(moved, vt, atol=1e-12)
 
 
@@ -222,9 +222,9 @@ def test_transport_round_trip_is_identity():
     v = m.random_tangent(RNG, x, unit=True)
     w = m.random_tangent(RNG, x)
     t = 0.9
-    fwd = m.transport_along_geodesic(x, v, t, w)
+    fwd = m.transport_along_geodesic(x, v, t, w)[1]
     xt, vt = m.geodesic_flow(x, v, t)
-    back = m.transport_along_geodesic(xt, vt, -t, fwd)
+    back = m.transport_along_geodesic(xt, vt, -t, fwd)[1]
     assert np.allclose(back, w, atol=1e-12)
 
 
@@ -302,7 +302,7 @@ def test_geodesic_warped_unit_speed_and_domain_error():
     with pytest.raises(DomainError):
         m.geodesic_flow(np.array([0.0, 1.0, 0.0]), radial, 5.0)[0]
     with pytest.raises(DomainError):
-        m.transport_along_geodesic(np.array([0.0, 1.0, 0.0]), radial, 5.0, radial)
+        m.transport_along_geodesic(np.array([0.0, 1.0, 0.0]), radial, 5.0, radial)[1]
 
 
 def test_geodesic_semigroup_property():
@@ -497,13 +497,13 @@ def test_geodesic_flow_and_transport_take_arrays_of_times(m):
     fr = m.frame(x)
     ts = np.array([0.0, 0.2, 0.55, 0.9])
     points, velocities = m.geodesic_flow(x, v, ts)
-    frames = m.transport_along_geodesic(x, v, ts[:, None], fr)
+    frames = m.transport_along_geodesic(x, v, ts[:, None], fr)[1]
     assert frames.shape == (len(ts), m.dim, m.amb_dim)
     for t, p, u, f in zip(ts, points, velocities, frames):
         one_p, one_u = m.geodesic_flow(x, v, t)
         assert np.abs(p - one_p).max() < 1e-11
         assert np.abs(u - one_u).max() < 1e-11
-        assert np.abs(f - m.transport_along_geodesic(x, v, t, fr)).max() < 1e-11
+        assert np.abs(f - m.transport_along_geodesic(x, v, t, fr)[1]).max() < 1e-11
 
 
 # every warp family, positive on the interval, over every kind of fiber; a
@@ -555,7 +555,7 @@ def test_warped_flow_and_transport_match_the_rk4_reference(m, seed):
     ts = rng.uniform(0.01, 0.35, 4) * np.array([-1.0, 1.0, *rng.choice([-1.0, 1.0], 2)])
     ws = np.array([[m.random_tangent(rng, x) for _ in range(3)] for x in xs])
     points, velocities = m.geodesic_flow(xs, vs, ts)
-    moved = m.transport_along_geodesic(xs[:, None], vs[:, None], ts[:, None], ws)
+    moved = m.transport_along_geodesic(xs[:, None], vs[:, None], ts[:, None], ws)[1]
     reference = rk4_geodesic(m, xs[:, None], vs[:, None], ts[:, None], ws)
     assert _close(points, reference[:, 0, 0], 1e-10)
     assert _close(velocities, reference[:, 0, 1], 1e-10)
@@ -660,8 +660,9 @@ def test_stacked_calls_equal_the_row_by_row_calls(m, seed):
     for got, expected in zip(m.geodesic_flow(xs, vs, t),
                              _row_by_row(lambda y, u: m.geodesic_flow(y, u, t), xs, vs)):
         assert _close(got, expected)
-    assert _close(m.transport_along_geodesic(xs, vs, t, us),
-                  _row_by_row(lambda y, u, w: m.transport_along_geodesic(y, u, t, w), xs, vs, us))
+    assert _close(m.transport_along_geodesic(xs, vs, t, us)[1],
+                  _row_by_row(lambda y, u, w: m.transport_along_geodesic(y, u, t, w)[1],
+                              xs, vs, us))
     assert np.array_equal(m.geodesic_flow(xs, vs, t)[0][1], xs[1])
 
 
@@ -674,8 +675,8 @@ def test_a_frame_transported_in_one_call_equals_its_rows_transported_one_by_one(
     x = m.random_point(rng)
     v = _warped_slow(m, m.random_tangent(rng, x, unit=True), 2.0)
     frame = m.frame(x)
-    assert np.array_equal(m.transport_along_geodesic(x, v, t, frame),
-                          [m.transport_along_geodesic(x, v, t, w) for w in frame])
+    assert np.array_equal(m.transport_along_geodesic(x, v, t, frame)[1],
+                          [m.transport_along_geodesic(x, v, t, w)[1] for w in frame])
 
 
 @settings(max_examples=60, deadline=None)
@@ -688,7 +689,7 @@ def test_transport_along_a_geodesic_is_a_linear_isometry(m, seed, t):
     ws = np.array([m.random_tangent(rng, x) for _ in range(m.dim + 1)])
     a, b = rng.standard_normal(2)
     xt = m.geodesic_flow(x, v, t)[0]
-    moved = m.transport_along_geodesic(x, v, t, np.vstack([ws, a * ws[0] + b * ws[1]]))
+    moved = m.transport_along_geodesic(x, v, t, np.vstack([ws, a * ws[0] + b * ws[1]]))[1]
     # on a hyperboloid the transport stretches ambient coordinates by up to
     # cosh(theta), theta = |t| sqrt(-K) at unit speed, and the Minkowski
     # products cancel that stretch: round-off scales with it

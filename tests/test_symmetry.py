@@ -70,7 +70,7 @@ def killing_ode_residual(field, x, v, h=1e-4, order=4):
 
     def sample(t):
         xt = m.geodesic_flow(x, v, t)[0]
-        p = det_transport_matrix(m, x, v, t)
+        p = det_transport_matrix(m, x[None], m.frames(x)[None], v[None], np.array([t]))[1][0]
         return p.T @ field.nabla_matrix(xt, m.frame(xt))[0] @ p
 
     d = central_diff([sample(t) for t in stencil_offsets(h, order)], h)
@@ -516,7 +516,8 @@ def test_propagation_flat_target_is_affine():
         assert np.allclose(z, z0 + t * d0, atol=1e-9)
     # vertical data stays constant in parallel frames on a flat target
     for t, (_, u) in zip(grid, data):
-        p = det_transport_matrix(pair.space, q1.x, X, t)
+        p = det_transport_matrix(pair.space, q1.x[None], q1.frame[None], X[None],
+                                 np.array([t]))[1][0]
         assert np.abs(u - u0 @ p.T).max() < 1e-9
 
 
@@ -567,7 +568,7 @@ def test_propagation_sphere_jacobi_closed_form():
         return out
 
     for t, z in zip(grid, z_hats):
-        et = pair.space_hat.transport_along_geodesic(q1.x_hat, v_hat, t, d0)
+        et = pair.space_hat.transport_along_geodesic(q1.x_hat, v_hat, t, d0)[1]
         assert np.abs(z - math.sin(t) * et).max() < 1e-7
 
     oracle = brute_jacobi(grid)
