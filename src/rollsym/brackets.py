@@ -71,13 +71,13 @@ def _constant_curvature(m) -> float:
     """The curvature of a factor of constant curvature: a catalog space form,
     or a warped product whose fiber planes carry the radial curvature k_ref,
     as they do when the fiber is a curve.  Fiber-plane curvature
-    (K_fiber - f'^2) / f^2 is constant along every warp of the catalog
-    (f'' = -k_ref f keeps f'^2 + k_ref f^2 fixed), so one s tells."""
+    (K_fiber - f'^2) / f^2 is k_ref + (K_fiber - I) / f^2 for the warp's
+    invariant I = f'^2 + k_ref f^2 (f'' = -k_ref f keeps it fixed), so the
+    fiber planes carry k_ref where K_fiber = I."""
     if isinstance(m, Warped):
-        s, k = sum(m.interval) / 2, m.warp.k_ref
-        fiber_term = m.fiber.curvature_constant / m.warp.value(s) ** 2
-        if m.fiber.dim == 1 or _within_roundoff(m.fiber_plane_curvature(s) - k, k, fiber_term):
-            return k
+        k_fiber, inv = m.fiber.curvature_constant, m.warp.invariant
+        if m.fiber.dim == 1 or _within_roundoff(k_fiber - inv, k_fiber, inv):
+            return m.warp.k_ref
     elif hasattr(m, "curvature_constant"):
         return m.curvature_constant
     raise GeometryError("curvature mismatch needs constant-curvature factors")

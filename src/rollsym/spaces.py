@@ -6,8 +6,8 @@ products I x_f N over a one-dimensional base.  Spheres and hyperbolic
 spaces are represented extrinsically (ambient constraint plus projection),
 which gives closed forms for geodesics and parallel transport.  Warped
 products are intrinsic pairs (s, fiber point) over a space-form fiber; their
-geodesics, transports and geodesic paths follow Clairaut's integral: one
-scalar RK4 system for s and the fiber arclength, and the fiber's closed forms.
+geodesics, transports and geodesic paths follow Clairaut's integral, which
+gives s and the fiber arclength in closed form, and the fiber's closed forms.
 
 Every geometry method broadcasts over leading axes: points and vectors have
 shape (..., amb_dim), a frame (..., n, amb_dim), and the leading axes of all
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +43,6 @@ def _steps_for(span, step):
     return max(1, int(math.ceil(abs(span) / step)))
 
 
-def _lib(a):
-    """math for a built-in float (np.float64 subclasses float), NumPy otherwise:
-    math costs a fraction of NumPy on one number, but rounds differently."""
-    return math if type(a) is float else np
-
-
 def _col(a):
     """Per-point numbers as a column against the ambient axis."""
     return np.asarray(a)[..., None]
@@ -63,6 +56,42 @@ def _stack(first, rest):
     out[..., 0] = first
     out[..., 1:] = rest
     return out
+
+
+def _k_functions(k, t):
+    """C = cos(r t), S = sin(r t) / r and V = (1 - C) / k for r = sqrt(k) when
+    k > 0, their hyperbolic forms when k < 0 and the limits 1, t and t^2 / 2
+    when k = 0: C' = -k S, S' = C and V' = S."""
+    if k == 0:
+        return np.ones_like(t), t, t * t / 2
+    r = math.sqrt(abs(k))
+    cos, sin = (np.cos, np.sin) if k > 0 else (np.cosh, np.sinh)
+    return cos(r * t), sin(r * t) / r, 2.0 * (sin(r * t / 2) / r) ** 2
+
+
+def _atan_k(k, y, x):
+    """a with tan_k(a) = y / x, for tan_k(a) = tan(sqrt(k) a) / sqrt(k) when k
+    > 0, tanh(sqrt(-k) a) / sqrt(-k) when k < 0 and a when k = 0; when k > 0,
+    sqrt(k) a is the angle of (x, sqrt(k) y), in (-pi, pi]."""
+    if k == 0:
+        return y / x
+    r = math.sqrt(abs(k))
+    return (np.arctan2(r * y, x) if k > 0 else np.arctanh(r * y / x)) / r
+
+
+def _turning_points(k, a, b, t):
+    """The times between 0 and t (t included) at which a C + b S vanishes,
+    for C and S of k as in _k_functions, and 0 in place of those that do not
+    come: the first two when k > 0, for a S + b V is then periodic and takes
+    its extremes there, and the only one when k <= 0."""
+    d = np.sign(t)  # the direction of t
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where there is none
+        tau = _atan_k(k, -a, b)
+    if k > 0:
+        half = math.pi / math.sqrt(k)  # half a period
+        first = d * np.mod(d * tau, half)
+        tau = np.concatenate((first, first + d * half), axis=-1)
+    return np.where((d * tau > 0) & (d * tau <= d * t), tau, 0.0)
 
 
 def integral(value, what):
@@ -496,24 +525,30 @@ class WarpFunction:
             return -self.omega**2
         return 0.0
 
+    @property
+    def invariant(self):
+        """f'^2 + k_ref f^2, the same at every s."""
+        w2, a2, b2 = self.omega**2, self.a**2, self.b**2
+        return {"cos": w2 * (a2 + b2), "cosh": w2 * (b2 - a2), "exp": 0.0, "affine": b2}[self.name]
+
     def value(self, s):
-        w, lib = self.omega, _lib(s)
+        w = self.omega
         if self.name == "cos":
-            return self.a * lib.cos(w * s) + self.b * lib.sin(w * s)
+            return self.a * np.cos(w * s) + self.b * np.sin(w * s)
         if self.name == "cosh":
-            return self.a * lib.cosh(w * s) + self.b * lib.sinh(w * s)
+            return self.a * np.cosh(w * s) + self.b * np.sinh(w * s)
         if self.name == "exp":
-            return self.a * lib.exp(w * s)
+            return self.a * np.exp(w * s)
         return self.a + self.b * s
 
     def derivative(self, s):
-        w, lib = self.omega, _lib(s)
+        w = self.omega
         if self.name == "cos":
-            return w * (-self.a * lib.sin(w * s) + self.b * lib.cos(w * s))
+            return w * (-self.a * np.sin(w * s) + self.b * np.cos(w * s))
         if self.name == "cosh":
-            return w * (self.a * lib.sinh(w * s) + self.b * lib.cosh(w * s))
+            return w * (self.a * np.sinh(w * s) + self.b * np.cosh(w * s))
         if self.name == "exp":
-            return w * self.a * lib.exp(w * s)
+            return w * self.a * np.exp(w * s)
         return self.b + 0.0 * s
 
     def to_spec(self):
@@ -641,41 +676,59 @@ class Warped(SpaceForm):
         z[:, 1:, 1:] = self.fiber.transport_generators(y, ydot)[:, :m, :m]
         return z
 
-    def _clairaut(self, x, v):
-        """Clairaut's c = f(s)^2 |y'|_h of the geodesic of (x, v) and the unit
-        fiber direction u of y' (u = 0 where y' = 0)."""
-        y, eta = x[..., 1:], v[..., 1:]
-        speed = np.sqrt(np.maximum(self.fiber.inner_at(y, eta, eta), 0.0))
-        return self.warp.value(x[..., 0]) ** 2 * speed, eta / _col(np.where(speed > 0, speed, 1.0))
-
     def _clairaut_flow(self, x, v, t):
-        """c, u and (s, s', phi) at the times t, each reached by _clairaut_step
-        in the step count of the longest; leaving the interval raises DomainError."""
-        c, u = self._clairaut(x, v)
-        steps = _steps_for(np.abs(t).max(), DEFAULT_STEP)
-        state = x[..., 0], v[..., 0], 0.0
-        for _ in range(steps):
-            state = _clairaut_step(self.warp, c, *state, t / steps)
-            self._check_s(state[0])
-        return (c, u, *state)
+        """The unit fiber direction u of y' (0 where y' = 0) and f(s0), then
+        at the times t: s, f(s), the angle the velocity has turned through in
+        the orthonormal pair (d/ds, sigma'/f) and the fiber arclength phi, in
+        closed form; s leaving the interval anywhere between 0 and t raises
+        DomainError.
 
-    def _clairaut_point(self, y0, c, u, s, sdot, phi):
-        """(point, velocity) at (s, s', phi) of the geodesic with Clairaut's c
-        along the fiber geodesic of (y0, u)."""
-        y, ydot = self.fiber.geodesic_flow(y0, u, phi)
-        return _stack(s, y), _stack(sdot, _col(c / self.warp.value(s) ** 2) * ydot)
+        The geodesic runs at its speed q, to arclength q t, in the surface
+        ds^2 + f(s)^2 dphi^2 of curvature k = k_ref.  At unit speed, with
+        Clairaut's c = f^2 phi' and U = int f ds from s0, U' = f s' and f^2 =
+        f0^2 + 2 f0' U - k U^2, so U'' = f0' - k U, and U = U'(0) S + f0' V
+        for C, S, V of k at the arclength (_k_functions).  Then s = s0 + 2
+        atan_k(U / (f0 + f)), the velocity (s', c / f) is (U', c) / f, and
+        phi' = c / f^2 integrates to tan_I(phi) = c S / (f0^2 C + f0' U'(0) S)
+        (_atan_k) for the warp's invariant I.  When k > 0 the geodesic winds
+        about the fiber, and sqrt(I) phi is the angle within pi of sign(c)
+        sqrt(k) times the arclength.  s is extreme at t or where U' = 0, so it
+        is checked there."""
+        eta = v[..., 1:]
+        speed = np.sqrt(np.maximum(self.fiber.inner_at(x[..., 1:], eta, eta), 0.0))[..., None]
+        k, inv = self.warp.k_ref, self.warp.invariant
+        s0, sdot0 = x[..., 0, None], v[..., 0, None]  # columns against the times
+        f0, fp0 = self.warp.value(s0), self.warp.derivative(s0)
+        q = np.sqrt(sdot0 * sdot0 + (f0 * speed) ** 2)  # the speed
+        unit = np.where(q > 0, q, 1.0)
+        alpha, c = f0 * sdot0 / unit, f0 * f0 * speed / unit  # U'(0) and c at unit speed
+        arc = q * np.asarray(t, dtype=float)[..., None]
+        arcs = np.concatenate((arc, _turning_points(k, alpha, fp0, arc)), axis=-1)
+        cos, sin, ver = _k_functions(k, arcs)
+        big_u = alpha * sin + fp0 * ver
+        f = np.sqrt(np.maximum(f0 * f0 + (2.0 * fp0 - k * big_u) * big_u, 0.0))
+        s = s0 + 2.0 * _atan_k(k, big_u, f0 + f)
+        self._check_s(s)
+        cos, sin, f, s = (a[..., :1] for a in (cos, sin, f, s))  # at t
+        phi = _atan_k(inv, c * sin, f0 * f0 * cos + fp0 * alpha * sin)
+        if k > 0:
+            root, turns = math.sqrt(inv), np.sign(c) * math.sqrt(k) * arc
+            phi -= 2.0 * math.pi / root * np.rint((root * phi - turns) / (2.0 * math.pi))
+        rate = alpha * cos + fp0 * sin  # U'
+        turn = np.arctan2(c * (alpha - rate), alpha * rate + c * c)  # from (alpha, c) to (U', c)
+        u = eta / np.where(speed > 0, speed, 1.0)
+        return u, *(a[..., 0] for a in (f0, s, f, turn, phi))
 
     def transport_along_geodesic(self, x, v, t, w):
-        """Through Clairaut's integral, as GeodesicPath samples it: the point
-        (s, sigma(phi)) on the fiber geodesic sigma of u.  The geodesic stays
-        in the totally geodesic surface I x_f sigma.  With w = (a, alpha u +
-        omega), omega h-orthogonal to u, (a, f alpha) in the orthonormal pair
-        (d/ds, sigma'/f) turns with the velocity (s', c / f), and f omega is
-        parallel for the fiber."""
+        """Through Clairaut's integral: the point (s, sigma(phi)) on the fiber
+        geodesic sigma of u.  The geodesic stays in the totally geodesic
+        surface I x_f sigma.  With w = (a, alpha u + omega), omega
+        h-orthogonal to u, (a, f alpha) in the orthonormal pair (d/ds,
+        sigma'/f) turns with the velocity, and f omega is parallel for the
+        fiber."""
         x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
-        c, u, s, sdot, phi = self._clairaut_flow(x, v, t)
-        y0, f0, f = x[..., 1:], self.warp.value(x[..., 0]), self.warp.value(s)
-        turn = np.arctan2(c / f, sdot) - np.arctan2(c / f0, v[..., 0])
+        u, f0, s, f, turn, phi = self._clairaut_flow(x, v, t)
+        y0 = x[..., 1:]
         alpha = self.fiber.inner_at(y0, w[..., 1:], u)
         cos, sin = np.cos(turn), np.sin(turn)
         a, b = cos * w[..., 0] - sin * f0 * alpha, sin * w[..., 0] + cos * f0 * alpha
@@ -735,14 +788,10 @@ class GeodesicPath:
     """Driving path given as a geodesic spec (point, direction, duration).
 
     Point, velocity and both together (`flow`) take one time or (one row
-    each) an array of times.  Constant-curvature manifolds evaluate through
-    their closed forms.  On a warped product I x_f N, f(s)^2 |y'|_h = c is
-    conserved (Clairaut's integral), so the fiber part y runs along the fiber
-    geodesic of the unit direction of y'(0), at the arclength phi with
-    phi' = c / f(s)^2, while s'' = c^2 f'(s) / f(s)^3.  As in Warped's
-    transport, (s, s', phi) is stepped by _clairaut_step, here once over the
-    whole path on Python floats; any time is reached by one step from the
-    grid time below it, and the point is exactly on the manifold.
+    each) an array of times, at which the manifold's geodesic flow is
+    evaluated in closed form: on a warped product I x_f N through Clairaut's
+    integral (see Warped._clairaut_flow), so that any time costs the same and
+    the point is exactly on the manifold.
     """
 
     def __init__(self, manifold: SpaceForm, x0, v0, t_max):
@@ -759,31 +808,7 @@ class GeodesicPath:
 
     def flow(self, t):
         """(point, velocity) at t."""
-        m = self.manifold
-        if isinstance(m, ConstantCurvature):
-            return m.geodesic_flow(self.x0, self.v0, t)
-        h, grid, c, direction = self._clairaut_table
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.floor(t / h), 0, len(grid) - 1).astype(int) if h else np.zeros(t.shape, int)
-        s, sdot, phi = _clairaut_step(m.warp, c, *grid[k].T, t - k * h)
-        m._check_s(s)
-        return m._clairaut_point(self.x0[1:], c, direction, s, sdot, phi)
-
-    @cached_property
-    def _clairaut_table(self):
-        """(grid step, rows (s, s', phi) at the grid times, Clairaut's c, the
-        unit fiber direction)."""
-        m = self.manifold
-        c, direction = m._clairaut(self.x0, self.v0)
-        c = float(c)  # the table steps about 1.4x faster on Python floats than on NumPy scalars
-        steps = _steps_for(self.t_max, DEFAULT_STEP)
-        h = self.t_max / steps
-        rows = [(float(self.x0[0]), float(self.v0[0]), 0.0)]
-        for _ in range(steps):
-            rows.append(_clairaut_step(m.warp, c, *rows[-1], h))
-            if not m._inside(rows[-1][0]):
-                m._check_s(rows[-1][0])
-        return h, np.array(rows), c, direction
+        return self.manifold.geodesic_flow(self.x0, self.v0, t)
 
     def sample_times(self, step):
         return np.linspace(0.0, self.t_max, _steps_for(self.t_max, step) + 1)
@@ -791,22 +816,6 @@ class GeodesicPath:
     def reversed(self):
         x, v = self.flow(self.t_max)
         return GeodesicPath(self.manifold, x, -v, self.t_max)
-
-
-def _clairaut_step(warp, c, s, sdot, phi, h):
-    """One RK4 step of length h of s'' = c^2 f'(s) / f(s)^3, phi' = c / f(s)^2
-    from (s, s', phi); numbers or arrays alike."""
-
-    def rates(s, sdot):
-        f = warp.value(s)
-        return sdot, c * c * warp.derivative(s) / (f * f * f), c / (f * f)
-
-    k1 = rates(s, sdot)
-    k2 = rates(s + h / 2 * k1[0], sdot + h / 2 * k1[1])
-    k3 = rates(s + h / 2 * k2[0], sdot + h / 2 * k2[1])
-    k4 = rates(s + h * k3[0], sdot + h * k3[1])
-    return tuple(y + h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
-                 for y, r1, r2, r3, r4 in zip((s, sdot, phi), k1, k2, k3, k4))
 
 
 class SampledPath:

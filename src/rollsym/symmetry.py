@@ -44,13 +44,14 @@ from .rolling import (
     FD_STEP_FIBER,
     RollingPair,
     RollingState,
-    det_transport_matrix,
     directional_derivative,
+    expm,
     rolling_lift,
     row_data,
     tangent_curve,
 )
-from .spaces import Euclidean, GeometryError, Hyperbolic, MismatchError, SpaceForm, Sphere
+from .spaces import (ConstantCurvature, Euclidean, GeometryError, Hyperbolic, MismatchError,
+                     SpaceForm, Sphere)
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------
@@ -279,11 +280,15 @@ def propagate_sym0(q1: RollingState, X, row0, t_grid) -> PropagationResult:
 
     The drift value eta follows the geodesic-variation equation on the second
     factor, and the vertical part the transport integral I of an integrand
-    linear in eta, so (eta, eta', I) is one linear system: one RK4 flow in a
-    parallel frame (see _jacobi_steps) gives both.  The grid only sets the
-    times of the returned states; the substeps set the accuracy.
+    linear in eta, so (eta, eta', I) is one linear system in a parallel frame.
+    On a space form its generator is constant (see _jacobi_generator), and
+    the rows at the grid times are exact: one matrix exponential each.  A
+    second factor that is not a space form raises MismatchError.
     """
-    n = q1.pair.dim
+    n, mh = q1.pair.dim, q1.pair.space_hat
+    if not isinstance(mh, ConstantCurvature):
+        raise MismatchError("propagation covers constant-curvature second factors only; "
+                            f"got kind {mh.kind!r}")
     t_grid = np.asarray(t_grid, float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise GeometryError("time grid must start at 0 and increase")
@@ -292,11 +297,7 @@ def propagate_sym0(q1: RollingState, X, row0, t_grid) -> PropagationResult:
         raise GeometryError("propagation requires base-fixing data (Z = 0)")
     X, a1, c1 = np.asarray(X, float), q1.isometry, vector_to_skew(row0[2 * n:], n)
     y = np.concatenate((row0[n : 2 * n], a1 @ c1 @ q1.coords(X), np.zeros(so_dim(n))))
-    steps, counts = _jacobi_steps(q1, X, t_grid)
-    ys = [y]
-    for step in steps:
-        ys.append(step @ ys[-1])
-    ys = np.array(ys)[np.cumsum(np.concatenate(([0], counts)))]  # the states at the grid times
+    ys = expm(t_grid[:, None, None] * _jacobi_generator(q1, X)) @ y
 
     # each state keeps the frame-transport matrices (p, p_hat) from q1: the
     # parallel frame along the development is p_hat.T in its deterministic
@@ -311,57 +312,34 @@ def propagate_sym0(q1: RollingState, X, row0, t_grid) -> PropagationResult:
     return PropagationResult(t_grid, states, rows)
 
 
-JACOBI_STEP = 1e-3  # longest RK4 substep of the geodesic-variation equation
+def _jacobi_generator(q1, X):
+    """The generator L of the geodesic-variation equation along the geodesic
+    of (x_hat, A X) on the second factor together with the transport integral
+    of the vertical part, (eta, eta', I)' = L (eta, eta', I) = (eta', M eta,
+    N eta), with eta the coordinates in the parallel frame (E_l) started at
+    the deterministic frame of q1.
 
-
-def _jacobi_steps(q1, X, t_grid):
-    """RK4 step matrices of the geodesic-variation equation along the
-    geodesic of (x_hat, A X) on the second factor together with the transport
-    integral of the vertical part, (eta, eta', I)' = (eta', M(t) eta, N(t) eta)
-    with eta the coordinates in the parallel frame started at the
-    deterministic frame of q1, and the number of steps in each grid interval
-    (substeps of at most JACOBI_STEP, at least two).
-
-    With N_l(t) = R(gamma' ^ E_l) in the parallel frame (E_l), M(t) eta is
-    the parallel-frame form of R(gamma' ^ eta) gamma', with columns N_l v for
-    the constant parallel-frame velocity v, and N(t) eta = sum_l eta_l N_l
-    in so(n) coordinates.  Both are linear in eta, so N is built at every
-    stage time of every step in one pass of broadcast geometry, and an RK4
-    step is one matrix: I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = L(t),
-    K2 = L(t + h/2)(I + h/2 K1), K3 = L(t + h/2)(I + h/2 K2),
-    K4 = L(t + h)(I + h K3) for the generator L of the first-order system."""
+    With N_l = R(gamma' ^ E_l) in that frame, M eta is the parallel-frame
+    form of R(gamma' ^ eta) gamma', with columns N_l v for the constant
+    parallel-frame velocity v, and N eta = sum_l eta_l N_l in so(n)
+    coordinates.  The curvature of a space form is the same in every
+    orthonormal frame, so L is its value at q1."""
     mh, n = q1.pair.space_hat, q1.pair.dim
     v_c = q1.isometry @ q1.coords(X)
-    x, v = q1.x_hat, v_c @ q1.frame_hat
-    spans = np.diff(t_grid)
-    counts = np.maximum(2, np.ceil(spans / JACOBI_STEP).astype(int))
-    h = np.repeat(spans / counts, counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    start = np.repeat(t_grid[:-1], counts) + (np.arange(len(h)) - first) * h
-    ts = (start[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])).ravel()
-    # t_mat takes parallel-frame coordinates to deterministic ones, and t_mat
-    # v_c is the velocity in the deterministic frame
-    xt, t_mat, _ = det_transport_matrix(
-        mh, *(np.broadcast_to(a, ts.shape + a.shape) for a in (x, q1.frame_hat, v)), ts)
-    planes = wedge_matrix((t_mat @ v_c)[:, None], t_mat.mT)
-    curv = t_mat.mT[:, None] @ mh.curvature_matrix_apply(xt[:, None], planes) @ t_mat[:, None]
+    curv = mh.curvature_matrix_apply(q1.x_hat, wedge_matrix(v_c, np.eye(n)))
     size = 2 * n + so_dim(n)
-    gen = np.zeros((len(ts), size, size))
-    gen[:, :n, n : 2 * n] = np.eye(n)
-    gen[:, n : 2 * n, :n] = (curv @ v_c).mT
-    gen[:, 2 * n :, :n] = skew_to_vector(curv).mT
-    l1, l2, l3 = np.moveaxis(gen.reshape(len(h), 3, size, size), 1, 0)
-    eye, h = np.eye(size), h[:, None, None]
-    k2 = l2 @ (eye + h / 2 * l1)
-    k3 = l2 @ (eye + h / 2 * k2)
-    k4 = l3 @ (eye + h * k3)
-    return eye + h / 6 * (l1 + 2 * k2 + 2 * k3 + k4), counts
+    gen = np.zeros((size, size))
+    gen[:n, n : 2 * n] = np.eye(n)
+    gen[n : 2 * n, :n] = (curv @ v_c).T
+    gen[2 * n :, :n] = skew_to_vector(curv).T
+    return gen
 
 
 def propagate_chain(q: RollingState, segments, row):
     """Propagate the tangent row at q along a broken-geodesic chain; each
-    segment is (X, length), one RK4 flow of (eta, eta', I) over [0, length]
-    (see propagate_sym0).  Returns the final state and tangent row."""
+    segment is (X, length), one matrix exponential of the generator of
+    (eta, eta', I) (see propagate_sym0).  Returns the final state and
+    tangent row."""
     for X, length in segments:
         q, row = propagate_sym0(q, X, row, [0.0, length]).final()
     return q, row

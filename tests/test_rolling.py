@@ -66,7 +66,7 @@ def test_pair_requires_equal_dimensions():
 
 
 def test_rolling_on_warped_pair():
-    # warped first factor: RK4 geodesics and transports behind the same API
+    # warped first factor: Clairaut geodesics and transports behind the same API
     from rollsym import WarpFunction, Warped
 
     warped = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
@@ -186,8 +186,8 @@ def test_stacked_draws_are_states_and_unit_tangents_in_stack_order(pair, seed, s
             [_rotation_alone(ref, n) for _ in range(count)]]
     for m, points in ((pair.space, want[0]), (pair.space_hat, want[1])):
         want.append([_tangent_alone(m, ref, p) for p in points])
-    # a warped metric evaluates its warp by NumPy at a lone point as at a
-    # stack (spaces._lib), so a warped factor's tangents match bit for bit too
+    # a warped metric evaluates its warp by NumPy, at a lone point as in a
+    # stack, so a warped factor's tangents match bit for bit too
     for got, rows in zip((x, x_hat, a, *vs), want):
         assert _same(got, np.array(rows).reshape(got.shape))
     assert rng.bit_generator.state == ref.bit_generator.state

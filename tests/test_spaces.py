@@ -488,9 +488,9 @@ def test_paths_evaluate_arrays_of_times_like_single_times(m):
                                unit_sphere_cosh_warped(3)], ids=repr)
 def test_geodesic_flow_and_transport_take_arrays_of_times(m):
     # an array of times broadcasts against the leading axes of the vectors
-    # transported (here the frame rows); a warped product reaches every time
-    # in the step count of the longest, so it agrees with one time at a time
-    # to the error of its RK4 on Clairaut's (s, s', phi)
+    # transported (here the frame rows); a warped product evaluates
+    # Clairaut's closed form at every time, so it agrees with one time at a
+    # time to round-off
     rng = np.random.default_rng(5)
     x = m.random_point(rng)
     v = 0.3 * m.random_tangent(rng, x, unit=True)
@@ -560,6 +560,72 @@ def test_warped_flow_and_transport_match_the_rk4_reference(m, seed):
     assert _close(points, reference[:, 0, 0], 1e-10)
     assert _close(velocities, reference[:, 0, 1], 1e-10)
     assert _close(moved, reference[:, :, 2], 1e-10)
+
+
+def test_warped_geodesic_path_is_exact_outside_its_duration():
+    # a path is the geodesic flow at every time, before 0 and after t_max too
+    m = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 1.0))
+    rng = np.random.default_rng(8)
+    x0 = m.random_point(rng)
+    v0 = m.random_tangent(rng, x0, unit=True)
+    path = GeodesicPath(m, x0, v0, 0.2)
+    for t in (-0.1, 0.5):
+        for got, want in zip(path.flow(t), m.geodesic_flow(x0, v0, t)):
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_warped_geodesic_leaving_the_interval_between_its_ends_is_a_domain_error():
+    # at t = 2 pi this geodesic of the unit sphere's band |s| < 0.3 is back
+    # near s = 0, but it turned at s = 0.5 on the way; at t = 0.2 it is inside
+    m = Warped((-0.3, 0.3), WarpFunction("cos"), Sphere(1, 1.0))
+    x, v = np.array([0.0, 1.0, 0.0]), np.array([math.sin(0.5), 0.0, math.cos(0.5)])
+    with pytest.raises(DomainError):
+        GeodesicPath(m, x, v, 2 * math.pi).flow(2 * math.pi)
+    with pytest.raises(DomainError):
+        m.transport_along_geodesic(x, v, 2 * math.pi, v)
+    GeodesicPath(m, x, v, 0.2).flow(0.2)
+    m.transport_along_geodesic(x, v, 0.2, v)
+    # sent the other way on the band -0.6 < s < 0.3, it turns inside at s =
+    # -0.5 first and leaves at its second turning point, s = 0.5
+    m = Warped((-0.6, 0.3), WarpFunction("cos"), Sphere(1, 1.0))
+    v[0] = -v[0]
+    with pytest.raises(DomainError):
+        m.transport_along_geodesic(x, v, 2 * math.pi, v)
+    m.transport_along_geodesic(x, v, 1.0, v)
+
+
+def _winding_geodesic():
+    """A unit-speed geodesic near the equator of a unit-sphere band that
+    winds about the fiber about three times in 20."""
+    m = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
+    x, v = np.array([0.1, 1.0, 0.0]), np.array([0.05, 0.0, 1.0])
+    return m, x, v / np.sqrt(m.inner_at(x, v, v))
+
+
+def test_a_long_winding_warped_geodesic_matches_the_rk4_reference():
+    m, x, v = _winding_geodesic()
+    ts = np.array([7.0, 20.0])
+    reference = rk4_geodesic(m, x, v, ts, step=4e-3)  # its own error is 3.4e-10
+    pts, vel = m.geodesic_flow(x, v, ts)
+    assert np.abs(pts - reference[:, 0]).max() <= 1e-9
+    assert np.abs(vel - reference[:, 1]).max() <= 1e-9
+    pts, vel = m.geodesic_flow(x, v, np.linspace(0.0, 20.0, 201))
+    y, ydot = pts[:, 1:], vel[:, 1:]
+    clairaut = m.warp.value(pts[:, 0]) ** 2 * np.sqrt(m.fiber.inner_at(y, ydot, ydot))
+    assert np.abs(clairaut - clairaut[0]).max() <= 1e-13
+    assert np.abs(m.inner_at(pts, vel, vel) - 1.0).max() <= 1e-13
+
+
+def test_warped_transport_costs_the_same_at_every_time(monkeypatch):
+    m, x, v = _winding_geodesic()
+    calls, value = [], WarpFunction.value
+    monkeypatch.setattr(WarpFunction, "value", lambda self, s: calls.append(1) or value(self, s))
+    counts = []
+    for t in (0.01, 20.0):
+        calls.clear()
+        m.transport_along_geodesic(x, v, t, m.frame(x))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
+from rollsym import (Euclidean, GeometryError, Hyperbolic, MismatchError, Sphere, WarpFunction,
+                     Warped)
 from rollsym.curvature import skew_part, skew_to_vector, vector_to_skew, wedge_matrix
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.rolling import (
@@ -611,9 +612,9 @@ def test_propagation_matches_killing_construction():
 
 
 def test_propagation_grid_refinement_stability():
-    # the grid only sets the output times: halving it changes the RK4
-    # substeps slightly, which moves the endpoint data only at the
-    # integrator's order, far below the acceptance tolerance
+    # the grid only sets the output times: each row is one exponential of
+    # the constant generator, so halving the grid moves the endpoint data by
+    # round-off only, far below the acceptance tolerance
     pair = RollingPair(Sphere(2, 3.0), Sphere(2, 1.0))
     rng = np.random.default_rng(19)
     q1 = pair.random_state(rng)
@@ -688,6 +689,12 @@ def test_propagation_grid_validation():
     # propagation carries base-fixing data only: a nonzero Z block is refused
     with pytest.raises(GeometryError, match="base-fixing"):
         propagate_sym0(q, q.frame[0], np.eye(q_dim(2))[0], [0.0, 1.0])
+    # the Jacobi generator is constant on a space form only: a warped second
+    # factor is refused, as by killing_catalog
+    warped = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0)))
+    q = warped.random_state(RNG)
+    with pytest.raises(MismatchError):
+        propagate_sym0(q, q.frame[0], np.zeros(q_dim(2)), [0.0, 1.0])
 
 
 # -- dimension probe ---------------------------------------------------------------------
