@@ -17,7 +17,11 @@ been pinned against two independent finite-difference oracles.
 `bracket_structured` evaluates it for every pair of two stacks at once, as
 one (i, j) table of broadcast arrays, at a state or a stack of states; the
 growth vector brackets the whole stack of generators in one call per flag
-step, and each stencil evaluates the table once on its stacked sample states.
+step.  The bracket of two rolling lifts is a rolling lift plus a vertical
+curvature term, so the depth-2 table of the generators has closed-form
+derivatives (generator_brackets) and the depth-3 flag takes no stencil; the
+tables of depth 3 and above are differentiated by stencils, each of which
+evaluates its table once on its stacked sample states.
 
 An independent oracle, the coordinate bracket in the canonical chart, is
 provided for cross-checking the structured formula; it shares no stencil,
@@ -46,11 +50,13 @@ from .rolling import (
 )
 
 FIELD_FD_ORDER = 4
-# Truncation falls 16x per halving of the nested step: the 7th depth-4 value of
-# (-1.2, 1.2) x cos S2(2) / S3(1) at seed 0 is 4.3e-8, 2.7e-9 and 1.8e-10 at
-# 1e-2, 5e-3 and 2.5e-3 (rank 8 at 1e-2, 6 below), and round-off takes over
-# below (3.8e-10 at 1.25e-3).  Depth-3 values of the growth benchmark pairs
-# agree to 1.5e-10 between 1e-2 and 2.5e-3.
+# The depth-3 flag takes no step (generator_brackets).  Depth 4 nests one
+# level of stencils, whose truncation falls 16x per halving of the step: the
+# 7th depth-4 value of (-1.2, 1.2) x cos S2(2) / S3(1) at seed 0 is 3.9e-8,
+# 2.5e-9, 1.5e-10, 9.6e-12 and 7.6e-13 at 1e-2, 5e-3, 2.5e-3, 1.25e-3 and
+# 6.25e-4 (rank 8 at 1e-2, 6 below).  Depth 5 nests two levels, and two levels
+# of this stencil bottom out in round-off below 2.5e-3: the same value was
+# 3.8e-10 at 1.25e-3 when depth 4 nested two.
 NESTED_FD_STEP = 2.5e-3
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
@@ -150,8 +156,10 @@ def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
     """The table of brackets as a stack of kx * ky fields, evaluable near a
     state; its own derivatives are stencils of step NESTED_FD_STEP, wider
     than a field's own, since every evaluation already contains the
-    derivatives of xf and yf.  A bracket_field of a bracket_field evaluates
-    each level of nested stencils as one stack."""
+    derivatives of xf and yf.  The flag takes it from depth 4 on, for the
+    table of depth 3 and above: the depth-2 table of the generators has
+    closed-form derivatives (generator_brackets), so a depth-4 flag nests a
+    single level of stencils, evaluated as one stack."""
 
     def value(q):
         return bracket_structured(xf, yf, q)
@@ -185,6 +193,71 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.
 
 
 # -- generator fields -----------------------------------------------------------
+
+
+def generator_brackets() -> StructuredField:
+    """The table of brackets [L_i, L_j] of the rolling generators, n * n
+    fields whose value is bracket_structured(gens, gens, q), with closed-form
+    derivatives.  Field ij has the data T = [F_i, F_j], which is dF_j(F_i) -
+    dF_i(F_j) since transport_rhs is symmetric, T_hat = A T and U = Rol_q(w)
+    = A R(w) - R_hat(w_hat) A for w = F_i ^ F_j and w_hat = A F_i ^ A F_j
+    (Chitour and Kokkonen 2010).  Along a row (X, X_hat, C), A moves by A C:
+    dT = nabla_X [F_i, F_j] from the anchored frame's first and second
+    ambient derivatives, dT_hat = (dT + T C^T) A^T in rows, and dU = A R(dw) -
+    R_hat(dw_hat) A + A C R(w) - R_hat(w_hat) A C + A (nabla_X R)(w) -
+    (nabla_X_hat R_hat)(w_hat) A, with dw and dw_hat from the generators' own
+    derivatives."""
+    gens = rolling_generators()
+
+    def value(q):
+        return bracket_structured(gens, gens, q)
+
+    def derivative(q, xi):
+        space, space_hat, n = q.pair.space, q.pair.space_hat, q.pair.dim
+        lead, x0, frame0 = len(q.shape), *q.anchor
+        dirs = xi[..., :n] @ q.expand(q.frame, xi.ndim)  # X, ambient, axis (m)
+
+        def anchored(extra, *directions):  # the anchored frame with `extra` axes before F's
+            return space.anchored_frame(q.expand(x0, lead + 1 + extra),
+                                        q.expand(frame0, lead + 2 + extra),
+                                        q.expand(q.x, lead + 1 + extra), *directions)
+
+        fr, d_dirs, _ = anchored(1, dirs)  # F (1, k, amb), dF_k(X) (m, k, amb)
+        _, d_fr, dd = anchored(2, fr, dirs[..., None, :])  # dF_l(F_k), d2F_l(F_k, X)
+        d_chain = anchored(2, d_dirs)[1]  # dF_l(dF_k(X))
+        swap = lead + 1, lead + 2  # the axes (k, l) of the table
+
+        def skew(a):
+            return a - np.swapaxes(a, *swap)
+
+        bracket = skew(d_fr)  # [F_k, F_l], axes (1, k, l)
+        nabla = skew(dd + d_chain) - space.transport_rhs(q.expand(q.x, lead + 4),
+                                                         dirs[..., None, None, :], bracket)
+        t_val, d_t = (q.coords(v).reshape(v.shape[: lead + 1] + (n * n, n))
+                      for v in (bracket, nabla))
+        iso, spin = q.isometry, vector_to_skew(xi[..., 2 * n :], n)  # A, and C along axis (m)
+        d_t_hat = (d_t + t_val @ spin.mT) @ q.expand(iso, lead + 3).mT
+
+        def planes(rows, d_rows):  # F_k ^ F_l and its derivative, axes (m, k, l)
+            w = wedge_matrix(rows[..., :, None, :], rows[..., None, :, :])
+            return w, wedge_matrix(d_rows[..., :, None, :], rows[..., None, :, :]) + \
+                wedge_matrix(rows[..., :, None, :], d_rows[..., None, :, :])
+
+        m, d_gens = q.anchored[..., None, :, :], gens.derivative(q, xi)
+        w, dw = planes(m, d_gens.T)
+        w_hat, dw_hat = planes(m @ q.expand(iso, lead + 3).mT, d_gens.T_hat)
+        xs, xs_hat = q.expand(q.x, lead + 4), q.expand(q.x_hat, lead + 4)
+        rows = xi[..., :, None, None, :]  # against the planes' axes (m, k, l)
+        iso, spin = q.expand(iso, lead + 5), spin[..., None, None, :, :]
+        d_u = (curvature_term(q, dw, dw_hat)
+               + iso @ (spin @ space.curvature_matrix_apply(xs, w)
+                        + space.curvature_derivative_apply(xs, rows[..., :n], w))
+               - (space_hat.curvature_matrix_apply(xs_hat, w_hat) @ iso @ spin
+                  + space_hat.curvature_derivative_apply(xs_hat, rows[..., n : 2 * n], w_hat)
+                  @ iso))
+        return FieldData(d_t, d_t_hat, d_u.reshape(d_u.shape[: lead + 1] + (n * n, n, n)))
+
+    return StructuredField(value, derivative)
 
 
 def frame_field_derivative(q, v):
@@ -256,13 +329,15 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     The distribution is spanned by the rolling lifts of the frame anchored
     at q (rolling_generators), whatever anchor q carries; each flag step
     adjoins the table of brackets of the previous step's new fields with the
-    generators, one stacked bracket_field.  Depth 2 is one bracket_structured of the generators with
-    themselves; depth 3 differentiates that n x n table along each generator
-    by one stencil, at four sample states per generator.  All vectors are
-    tangent rows, and each step's vectors form one layer of the equilibrated
-    rank rule of numerics.numerical_rank: the reported singular values are
-    those of the rows after dropping round-off rows and dividing every layer
-    by its longest row.
+    generators.  Depth 2 is the n x n table of the generators with
+    themselves (generator_brackets), and depth 3 brackets it with them
+    through its closed-form derivatives, with no stencil.  From depth 4 on,
+    each step is one stacked bracket_field, whose derivatives are stencils
+    at four sample states per generator.  All vectors are tangent rows, and
+    each step's vectors form one layer of the equilibrated rank rule of
+    numerics.numerical_rank: the reported singular values are those of the
+    rows after dropping round-off rows and dividing every layer by its
+    longest row.
     """
     if depth < 1:
         raise GeometryError("flag depth must be at least 1")
@@ -281,7 +356,7 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
             # a stationary flag stays stationary: pad to the requested depth
             steps.append(steps[-1])
             continue
-        current = bracket_field(current, gens)
+        current = generator_brackets() if current is gens else bracket_field(current, gens)
         new = current.value(q)
         # the next step reads this table at q again: it is kept, not re-evaluated
         current = StructuredField(lambda s, f=current.value, v=new: v if s is q else f(s),

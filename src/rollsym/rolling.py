@@ -521,12 +521,9 @@ def _roll_magnus(q0, path, times, step):
     and the rotation nearest to A, so that round-off in q0 is not amplified
     along the roll."""
     m, mh, n = q0.pair.space, q0.pair.space_hat, q0.pair.dim
-    counts = _substeps(np.diff(times), step)
-    first = np.cumsum(counts) - counts
-    which = np.repeat(np.arange(len(counts)), counts)
-    frac = (np.arange(counts.sum()) - first[which]) / counts[which]
-    grid = np.append(times[which] + frac * np.diff(times)[which], times[-1])
-    out = np.append(first, counts.sum())  # the sample times within the grid
+    counts, starts = _substep_starts(times, step)
+    grid = np.append(starts, times[-1])
+    out = np.append(0, np.cumsum(counts))  # the sample times within the grid
 
     x0 = m.closest_point(q0.x)
     g = m.group_element(x0, m.frame(x0))
@@ -572,32 +569,37 @@ def _magnus(gens, h):
     return h / 2 * (a + b) + MAGNUS_COMMUTATOR * h * h * (a @ b - b @ a)
 
 
-def _substeps(spans, step):
-    """Number of integration substeps of length at most `step` for each span;
-    a span within round-off of k steps takes k of them."""
-    return np.maximum(1, np.ceil(np.abs(spans) / step * (1 - SUBSTEP_SLACK))).astype(int)
+def _substep_starts(times, step):
+    """The number of integration substeps of length at most `step` of each
+    grid interval between the sample times, and the start time of every
+    substep, interval by interval; an interval within round-off of k steps
+    takes k of them."""
+    counts = np.maximum(1, np.ceil(np.diff(times) / step * (1 - SUBSTEP_SLACK))).astype(int)
+    which = np.repeat(np.arange(len(counts)), counts)
+    frac = (np.arange(counts.sum()) - (np.cumsum(counts) - counts)[which]) / counts[which]
+    return counts, times[which] + frac * np.diff(times)[which]
 
 
-def _rk4(rhs, y, t0, t1, steps):
-    """Classical fixed-step RK4 from t0 to t1 on a state array."""
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
+def _rk4(rhs, y, h, stages):
+    """Classical RK4 on a state array, one step of length h per stage row:
+    the right-hand side's inputs at the start, the middle and the end of
+    the step."""
+    for start, mid, end in stages:
+        k1 = rhs(start, y)
+        k2 = rhs(mid, y + h / 2 * k1)
+        k3 = rhs(mid, y + h / 2 * k2)
+        k4 = rhs(end, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
     return y
 
 
 def _roll_rk4(q0, path, times, step):
     """The same rows as _roll_magnus, by RK4 on the second factor's point and
-    both parallel frames (for warped factors).  After each grid interval the
-    row is put back onto the constraints: the point by closest_point, both
-    frames by _orthonormal at their points, so that the RK4 drift does not
-    accumulate into a failed check of a state."""
+    both parallel frames (for warped factors).  The path is read once, at
+    the sample times and at every stage time of every substep.  After each
+    grid interval the row is put back onto the constraints: the point by
+    closest_point, both frames by _orthonormal at their points, so that the
+    RK4 drift does not accumulate into a failed check of a state."""
     pair = q0.pair
     m, mh = pair.space, pair.space_hat
     n, amb, amb_hat = pair.dim, m.amb_dim, mh.amb_dim
@@ -613,16 +615,22 @@ def _roll_rk4(q0, path, times, step):
         return (x_hat, y[amb_hat : amb_hat + n * amb].reshape(n, amb),
                 y[amb_hat + n * amb :].reshape(n, amb_hat))
 
-    def rhs(t, y):
-        x, v = path.flow(t)
+    def rhs(flow, y):
+        x, v = flow
         x_hat, frame, frame_hat = unpack(y)
         v_hat = frame_hat.T @ (a_par @ m.inner_at(x, v, frame))
         return pack(v_hat, m.transport_rhs(x, v, frame), mh.transport_rhs(x_hat, v_hat, frame_hat))
 
-    x = path.point(times)
+    counts, starts = _substep_starts(times, step)
+    h = np.repeat(np.diff(times) / counts, counts)  # by substep
+    at = starts[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])
+    pts, vel = path.flow(np.concatenate((times, at.ravel())))
+    x = pts[: len(times)]
+    stages = np.stack((pts[len(times):], vel[len(times):]), axis=1).reshape(-1, 3, 2, amb)
     ys = [pack(q0.x_hat, q0.frame, q0.frame_hat)]
-    for a, b, xb in zip(times[:-1], times[1:], x[1:]):
-        x_hat, frame, frame_hat = unpack(_rk4(rhs, ys[-1], a, b, _substeps(b - a, step)))
+    ends = np.cumsum(counts)
+    for xb, lo, hi in zip(x[1:], ends - counts, ends):
+        x_hat, frame, frame_hat = unpack(_rk4(rhs, ys[-1], h[lo], stages[lo:hi]))
         x_hat = mh.closest_point(x_hat)
         ys.append(pack(x_hat, _orthonormal(m, xb, frame), _orthonormal(mh, x_hat, frame_hat)))
     ys = np.array(ys)

@@ -183,6 +183,11 @@ class SpaceForm:
         in the deterministic orthonormal frame at x; returns the same shape."""
         raise NotImplementedError
 
+    def curvature_derivative_apply(self, x, c, xi):
+        """(nabla_X R)(xi) for X with deterministic-frame coordinates c at x,
+        and xi as in curvature_matrix_apply; leading axes broadcast."""
+        raise NotImplementedError
+
     def curvature_vector_apply(self, x, X, Y, Z):
         """R(X wedge Y)Z on ambient tangent vectors."""
         fr = self.frame(x)
@@ -232,12 +237,15 @@ class SpaceForm:
         """`frames` of one point x: an (n, amb_dim) array of row vectors."""
         return self.frames(x)
 
-    def anchored_frame(self, x0, frame0, x, v=None):
+    def anchored_frame(self, x0, frame0, x, v=None, w=None):
         """The frame F at x anchored at the orthonormal frame rows frame0 at
-        x0, moved from there by a closed form, and its ambient derivative
-        dF(v) along the tangent vector v at x (None without v).  x0, x and v
-        are (..., amb_dim) and frame0 (..., n, amb_dim), their leading axes
-        broadcast, and F and dF are (..., n, amb_dim)."""
+        x0, moved from there by a closed form, its ambient derivative dF(v)
+        along the vector v at x and its second ambient derivative d2F(v, w)
+        along v and w (None without v, or without w).  The derivatives are
+        those of the closed form in the ambient coordinates of x, so they
+        take any ambient vectors and follow the chain rule along any curve.
+        x0, x, v and w are (..., amb_dim) and frame0 (..., n, amb_dim), their
+        leading axes broadcast, and F, dF and d2F are (..., n, amb_dim)."""
         raise NotImplementedError
 
     def anchored_connection(self, x0, frame0, x, v):
@@ -245,7 +253,7 @@ class SpaceForm:
         frame F anchored at (x0, frame0), at x along v (leading axes as in
         anchored_frame), (..., n, n): omega_kj = <dF_k(v) - transport_rhs(x,
         v, F_k), F_j>, skew to round-off."""
-        fr, d_fr = self.anchored_frame(x0, frame0, x, v)
+        fr, d_fr, _ = self.anchored_frame(x0, frame0, x, v)
         x, v = np.asarray(x, dtype=float)[..., None, :], np.asarray(v, dtype=float)[..., None, :]
         nabla = d_fr - self.transport_rhs(x, v, fr)
         return self.inner_at(x[..., None, :], nabla[..., :, None, :], fr[..., None, :, :])
@@ -303,22 +311,34 @@ class ConstantCurvature(SpaceForm):
     def transport_rhs(self, x, xdot, v):
         return _col(-self.curvature_constant * self.inner_at(x, v, xdot)) * x
 
-    def anchored_frame(self, x0, frame0, x, v=None):
-        """The transvection of the frame rows e at x0, T e = e - K<x, e> /
-        (1 + K<x0, x>) (x0 + x): parallel transport along the geodesic from x0
-        to x, a rotation of S^n (short of the antipode of x0), a boost of H^n
-        and the identity of R^n."""
+    def anchored_frame(self, x0, frame0, x, v=None, w=None):
+        """The transvection of the frame rows e at x0, T e = e - c (x0 + x)
+        with c = K<x, e> / (1 + K<x0, x>): parallel transport along the
+        geodesic from x0 to x, a rotation of S^n (short of the antipode of
+        x0), a boost of H^n and the identity of R^n.  dF(v) = -dc(v) (x0 + x)
+        - c v, and d2F(v, w) = -d2c(v, w) (x0 + x) - dc(v) w - dc(w) v."""
         k = self.curvature_constant
         x0, frame0, x = (np.asarray(a, dtype=float) for a in (x0, frame0, x))
         lowered, ends = frame0 * self.signature, (x0 + x)[..., None, :]
         denom = 1.0 + k * self.inner_at(x, x0, x)[..., None, None]
         coef = k * (lowered @ x[..., None]) / denom
+
+        def d_coef(u):  # dc(u) and K<x0, u>, both against the frame rows
+            x0_u = self.inner_at(x, x0, u)[..., None, None]
+            return k * (lowered @ u[..., None] - coef * x0_u) / denom, k * x0_u
+
         fr = frame0 - coef * ends
         if v is None:
-            return fr, None
+            return fr, None, None
         v = np.asarray(v, dtype=float)
-        d_coef = k * (lowered @ v[..., None] - coef * self.inner_at(x, x0, v)[..., None, None])
-        return fr, -d_coef / denom * ends - coef * v[..., None, :]
+        dv, kv = d_coef(v)
+        d_fr = -dv * ends - coef * v[..., None, :]
+        if w is None:
+            return fr, d_fr, None
+        w = np.asarray(w, dtype=float)
+        dw, kw = d_coef(w)
+        dd = -(dw * kv + dv * kw) / denom
+        return fr, d_fr, -dd * ends - dv * w[..., None, :] - dw * v[..., None, :]
 
     def _frames(self, xs, weight=1.0):
         """`frames` in closed form; weight scales the skip test (f(s)^2 on a fiber)."""
@@ -371,6 +391,10 @@ class ConstantCurvature(SpaceForm):
 
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * np.asarray(xi)
+
+    def curvature_derivative_apply(self, x, c, xi):
+        """Zero: the curvature operator of a space form is K times the identity."""
+        return np.zeros(np.broadcast_shapes(np.shape(c)[:-1] + (1, 1), np.shape(xi)))
 
     def _homogeneous(self, rows, last):
         if self.amb_dim > self.dim:
@@ -620,21 +644,30 @@ class Warped(SpaceForm):
             xdot[..., :1] * vf + v[..., :1] * ydot)
         return np.concatenate((da, dvf), axis=-1)  # both have every argument's leading axes
 
-    def anchored_frame(self, x0, frame0, x, v=None):
+    def anchored_frame(self, x0, frame0, x, v=None, w=None):
         """Each row of frame0 keeps its radial part, and its fiber part is
-        moved by the fiber's anchored frame and scaled by f(s0) / f(s), which
-        keeps the rows orthonormal for ds^2 + f(s)^2 h.  A deterministic
-        frame0 keeps row 0 radial."""
+        moved by the fiber's anchored frame Phi and scaled by sigma = f(s0) /
+        f(s), which keeps the rows orthonormal for ds^2 + f(s)^2 h.  A
+        deterministic frame0 keeps row 0 radial.  With rho = f'/f, sigma' =
+        -rho sigma and sigma'' = (2 rho^2 + k_ref) sigma, since f'' = -k_ref f."""
         x0, frame0, x = (np.asarray(a, dtype=float) for a in (x0, frame0, x))
+        y0, fr0, y = x0[..., 1:], frame0[..., 1:], x[..., 1:]
         f = self.warp.value(x[..., 0])
         scale = _col(_col(self.warp.value(x0[..., 0]) / f))
-        d_y = None if v is None else np.asarray(v, dtype=float)[..., 1:]
-        fiber, d_fiber = self.fiber.anchored_frame(x0[..., 1:], frame0[..., 1:], x[..., 1:], d_y)
+        rho = _col(_col(self.warp.derivative(x[..., 0]) / f))
+        v, w = (None if u is None else np.asarray(u, dtype=float) for u in (v, w))
+        fiber, d_v, dd = self.fiber.anchored_frame(y0, fr0, y, *(None if u is None else u[..., 1:]
+                                                                 for u in (v, w)))
         fr = _stack(frame0[..., 0], scale * fiber)
         if v is None:
-            return fr, None
-        rate = _col(_col(self.warp.derivative(x[..., 0]) / f * np.asarray(v)[..., 0]))
-        return fr, _stack(0.0, scale * (d_fiber - rate * fiber))
+            return fr, None, None
+        sv = _col(_col(v[..., 0]))
+        d_fr = _stack(0.0, scale * (d_v - rho * sv * fiber))
+        if w is None:
+            return fr, d_fr, None
+        sw, d_w = _col(_col(w[..., 0])), self.fiber.anchored_frame(y0, fr0, y, w[..., 1:])[1]
+        dd = dd - rho * (sw * d_v + sv * d_w) + (2.0 * rho * rho + self.warp.k_ref) * sv * sw * fiber
+        return fr, d_fr, _stack(0.0, scale * dd)
 
     def _frames(self, xs):
         """d/ds, then the fiber's frame over f(s), skip test scaled by f(s)^2 as lengths are."""
@@ -749,6 +782,24 @@ class Warped(SpaceForm):
         radial = first[:, None] | first[None, :]
         sigma = np.where(radial, self.warp.k_ref, _col(_col(self.fiber_plane_curvature(s))))
         return sigma * np.asarray(xi)
+
+    def curvature_derivative_apply(self, x, c, xi):
+        """With N = d/ds (frame vector 0) and pi = I - N N^T, R(xi) = k_ref xi
+        + (K_f - k_ref) pi xi pi for the fiber-plane curvature K_f.  Along X,
+        nabla_X N = rho (X - X_s N) with rho = f'/f, so nabla_X pi = -(h N^T +
+        N h^T) for h = nabla_X N, and X(K_f) = 2 rho X_s (k_ref - K_f)."""
+        s, c = np.asarray(x)[..., 0], np.asarray(c, dtype=float)
+        rho = self.warp.derivative(s) / self.warp.value(s)
+        excess = _col(_col(self.fiber_plane_curvature(s) - self.warp.k_ref))
+        h = _col(rho) * c
+        h[..., 0] = 0.0
+        d_pi = np.zeros(h.shape + (self.dim,))
+        d_pi[..., 0, :] = -h
+        d_pi[..., :, 0] -= h
+        pi = np.diag((np.arange(self.dim) > 0).astype(float))
+        inner = pi @ xi @ pi
+        rate = _col(_col(-2.0 * rho * c[..., 0]))
+        return excess * (d_pi @ xi @ pi + pi @ xi @ d_pi + rate * inner)
 
     def random_point(self, rng, shape=()):
         lo, hi = self.interval

@@ -19,6 +19,7 @@ from rollsym.brackets import (
     curvature_mismatch,
     flag_ranks,
     frame_field_derivative,
+    generator_brackets,
     rolling_generators,
     stencil_data_derivative,
 )
@@ -132,6 +133,13 @@ def test_anchored_frame_is_orthonormal_and_its_connection_matches_a_stencil(m, s
     along_frame = m.anchored_connection(*anchor, x, fr)
     assert np.abs(np.tensordot(m.frame_coords(x, fr, v), along_frame, 1) - omega).max() \
         <= 1e-12 * scale
+    # the second ambient derivative of the closed form against a central
+    # difference of its first derivative, along a second vector w
+    w, h = m.random_tangent(rng, x, unit=True), 1e-5
+    dd = m.anchored_frame(*anchor, x, v, w)[2]
+    fd = (m.anchored_frame(*anchor, x + h * w, v)[1] - m.anchored_frame(*anchor, x - h * w, v)[1])
+    assert np.abs(dd - fd / (2 * h)).max() <= 1e-7 * scale**2
+    assert np.abs(dd - m.anchored_frame(*anchor, x, w, v)[2]).max() <= 1e-14 * scale**2  # symmetric
     if not isinstance(m, Warped):
         # the transvection is parallel along the geodesics from x0: at x0 it
         # is the anchor frame, and it does not turn
@@ -206,9 +214,10 @@ def test_fd_oracle_uses_neither_the_connection_form_nor_shared_samples(monkeypat
 
 
 def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
-    # the nested stencils of all [b, g] along one generator g share their
-    # four sample states, and the 4n states along all n generators come from
-    # one tangent_curve call
+    # depth 3 differentiates the depth-2 table in closed form and builds no
+    # sample state; depth 4 differentiates the depth-3 table by one level of
+    # stencils, whose 4n states along all n generators come from one
+    # tangent_curve call
     import rollsym.rolling as rolling_mod
 
     calls = []
@@ -223,13 +232,15 @@ def test_a_depth_three_flag_builds_each_sample_state_once(monkeypatch):
     for pair in (RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)), RollingPair(Sphere(3, 1.0), Euclidean(3))):
         calls.clear()
         assert flag_ranks(pair.random_state(RNG), depth=3).ranks[-1] == q_dim(pair.dim)
-        assert calls == [4 * pair.dim]
+        assert calls == []
+    flag_ranks(NESTED_PAIR.random_state(RNG), depth=4)
+    assert calls == [4 * NESTED_PAIR.dim]
 
 
 def test_a_depth_three_flag_evaluates_each_table_at_q_once(monkeypatch):
     # the depth-2 table at q serves both its own flag step and, as the value
-    # of the next step's left field, the depth-3 bracket at q; only the
-    # nested stencil of that bracket evaluates it again, at its 4n sample states
+    # of the next step's left field, the depth-3 bracket at q, whose
+    # closed-form derivative of that table evaluates no bracket
     import rollsym.brackets as brackets_mod
 
     shapes = []
@@ -238,7 +249,7 @@ def test_a_depth_three_flag_evaluates_each_table_at_q_once(monkeypatch):
                         lambda xf, yf, q: shapes.append(q.shape) or bracket(xf, yf, q))
     pair = RollingPair(Sphere(3, 1.0), Euclidean(3))
     assert flag_ranks(pair.random_state(np.random.default_rng(0)), depth=3).ranks == (3, 6, 9)
-    assert shapes == [(), (), (4, 3)]
+    assert shapes == [(), ()]
 
 
 def space_forms(n):
@@ -280,16 +291,19 @@ def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
     # every row of a stacked evaluation is the evaluation at that state
     # alone, bit for bit: the anchored generator frame (its coordinates M at
     # the sample states of a stencil, and its connection forms there), the
-    # bracket table, the stencil derivative of the table's fields (the
-    # depth-3 flag's sample states) and the rows of the Killing candidates
+    # bracket table, the stencil derivative of the table's fields (a depth-4
+    # flag's sample states), the table's closed-form derivative and the rows
+    # of the Killing candidates
     rng = np.random.default_rng(seed)
     qs, alone = stack_of(pair, rng, count)
     gens = rolling_generators()
     table = bracket_field(gens, gens)
     moved = tangent_curve(qs, gens.value(qs)[:, 0], 0.01)  # anchored at qs, away from it
+    xi = rng.standard_normal((count, 2, q_dim(pair.dim)))  # C != 0
     stacked = (gens.value(moved), frame_field_derivative(moved, moved.frame[:, :1]),
                bracket_structured(gens, gens, qs),
-               stencil_data_derivative(table.value, qs, gens.value(qs), NESTED_FD_STEP))
+               stencil_data_derivative(table.value, qs, gens.value(qs), NESTED_FD_STEP),
+               generator_brackets().derivative(moved, xi))
     for i, q in enumerate(alone):
         moved_alone = tangent_curve(q, gens.value(q)[0], 0.01)
         assert np.array_equal(stacked[0][i], gens.value(moved_alone))
@@ -297,13 +311,38 @@ def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
                               frame_field_derivative(moved_alone, moved_alone.frame[:1]))
         assert np.array_equal(stacked[2][i], bracket_structured(gens, gens, q))
         d = stencil_data_derivative(table.value, q, gens.value(q), NESTED_FD_STEP)
-        for got, want in zip((stacked[3].T, stacked[3].T_hat, stacked[3].U), (d.T, d.T_hat, d.U)):
-            assert np.array_equal(got[i], want)
+        closed = generator_brackets().derivative(moved_alone, xi[i])
+        for data, alone_data in ((stacked[3], d), (stacked[4], closed)):
+            for got, want in zip((data.T, data.T_hat, data.U),
+                                 (alone_data.T, alone_data.T_hat, alone_data.U)):
+                assert np.array_equal(got[i], want)
     if not isinstance(pair.space_hat, Warped):
         cand = perturb_candidate(killing_to_symmetry(pair, killing_catalog(pair.space_hat)),
                                  1e-3, rng)
         got = cand.value(qs)
         assert all(np.array_equal(got[i], cand.value(q)) for i, q in enumerate(alone))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALL_CATALOG_PAIRS, st.integers(0, 2**32 - 1))
+def test_the_generator_table_derivative_matches_a_stencil(pair, seed):
+    # the closed form against the order-4 stencil of the table's values, at
+    # states away from their anchor, along rows that also turn the contact map
+    # (C != 0): the stencil's truncation at NESTED_FD_STEP is below 1e-7 of
+    # the data's size on warped factors and near 1e-10 on space forms
+    rng = np.random.default_rng(seed)
+    q = pair.random_state(rng)
+    gens, table = rolling_generators(), generator_brackets()
+    # a unit rolling lift, so that a warped factor's s moves by at most 0.2,
+    # in a random direction, so that no term of the frame's derivatives vanishes
+    u = rng.standard_normal(pair.dim)
+    moved = tangent_curve(q, u / np.linalg.norm(u) @ gens.value(q), 0.2)
+    xi = rng.standard_normal((3, q_dim(pair.dim)))
+    got = table.derivative(moved, xi)
+    want = stencil_data_derivative(table.value, moved, xi, NESTED_FD_STEP)
+    for a, b in zip((got.T, got.T_hat, got.U), (want.T, want.T_hat, want.U)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-6 * max(1.0, float(np.abs(b).max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,13 +496,13 @@ def test_stacked_flag_reproduces_the_pinned_singular_values(pair, seed):
 
 
 # (-1.2, 1.2) x cos S2(2) on S3(1): its depth-4 flag brackets a bracket_field
-# of a bracket_field, two levels of nested order-4 stencils
+# of the closed-form depth-2 table, one level of nested order-4 stencils
 NESTED_PAIR = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 2.0)), Sphere(3, 1.0))
 
 
-# depth 4 reads rank 6 at every seed: at NESTED_FD_STEP = 1e-2 seeds 0, 1, 2
-# and 4 read 8, but the 7th and 8th singular values fell 16x per halving of
-# the step (the stencil's truncation error), and from 5e-3 on every seed reads 6
+# depth 4 reads rank 6 at every seed: at NESTED_FD_STEP = 1e-2 every seed
+# reads 8, but the 7th and 8th singular values fall 16x per halving of the
+# step (the stencil's truncation error), and from 5e-3 on every seed reads 6
 @pytest.mark.parametrize("seed, ranks", [(0, (3, 4, 6, 6)), (1, (3, 4, 6, 6)), (2, (3, 4, 6, 6)),
                                          (3, (3, 4, 6, 6)), (4, (3, 4, 6, 6))])
 def test_a_depth_four_flag_runs_its_nested_stencils(seed, ranks):
@@ -471,13 +510,14 @@ def test_a_depth_four_flag_runs_its_nested_stencils(seed, ranks):
     assert rep.ranks == ranks
     assert all(math.isfinite(s) for sv in rep.singular_values for s in sv)
     if seed == 3:
-        assert rep.gaps[-1] == pytest.approx(1.614e9, rel=0.01)
+        assert rep.gaps[-1] == pytest.approx(2.148e9, rel=0.01)
         assert all(g >= GAP_REQUIREMENT for g in rep.gaps)
 
 
-@pytest.mark.xfail(strict=True, reason="the values below the depth-4 rank cut lie only 42 to 151 "
-                                       "below it, where nested order-4 stencils bottom out in "
-                                       "round-off, inside the 1e4 margin that the CLI requires")
+@pytest.mark.xfail(strict=True, reason="the values below the depth-4 rank cut, the truncation "
+                                       "error of the order-4 stencil at NESTED_FD_STEP, lie only "
+                                       "57 to 204 below it, inside the 1e4 margin that the CLI "
+                                       "requires")
 @pytest.mark.parametrize("seed", [0, 2])
 def test_a_depth_four_flag_that_reaches_eight_has_a_clear_gap(seed):
     rep = flag_ranks(NESTED_PAIR.random_state(np.random.default_rng(seed)), depth=4)
@@ -615,6 +655,23 @@ def test_structured_vs_fd_over_hundred_states():
         b = bracket_fd(gens, gens, q)
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("pair", [
+    RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)),
+    RollingPair(Warped((-1.5, 1.5), WarpFunction("cosh"), Sphere(2, 1.0)), Sphere(3, 1.0)),
+    RollingPair(Sphere(3, 1.0), Warped((-1.5, 1.5), WarpFunction("cosh"), Sphere(2, 1.0))),
+    RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)),
+                Warped((-1.0, 1.0), WarpFunction("cosh"), Sphere(1, 1.0))),
+], ids=["S4(1)/H4(1)", "cosh S2(1)/S3(1)", "S3(1)/cosh S2(1)", "cos S1/cosh S1"])
+def test_the_depth_three_table_matches_the_fd_oracle(pair):
+    # the closed-form derivative of the depth-2 table against the chart
+    # oracle, which reads the table's values only; over 100 states per pair
+    # the two agree to 3.4e-7 at worst
+    gens, table = rolling_generators(), generator_brackets()
+    for seed in range(5):
+        q = pair.random_state(np.random.default_rng(seed))
+        assert np.abs(bracket_structured(table, gens, q) - bracket_fd(table, gens, q)).max() < 1e-6
 
 
 # -- double bracket -----------------------------------------------------------------

@@ -14,7 +14,8 @@ from rollsym.curvature import (
     vector_to_skew,
     wedge_matrix,
 )
-from rollsym.rolling import RollingPair
+from rollsym.numerics import central_diff, stencil_offsets
+from rollsym.rolling import RollingPair, det_transport_matrix
 from rollsym.symmetry import inner_symmetry_residual
 
 RNG = np.random.default_rng(77)
@@ -94,6 +95,31 @@ def test_first_bianchi_cyclic_sum():
 
 
 # -- rolling curvature -----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["cos", "cosh", "exp", "affine"]),
+       st.sampled_from([Sphere(1, 1.0), Sphere(2, 1.0), Hyperbolic(2, 2.0), Euclidean(2)]),
+       st.integers(0, 2**32 - 1))
+def test_warped_curvature_derivative_matches_a_stencil(name, fiber, seed):
+    # (nabla_X R)(xi) against an order-4 stencil of the curvature operator
+    # along the geodesic of X, pulled back to x by parallel transport
+    m = Warped((-1.2, 1.2), WarpFunction(name, 1.0, 0.3), fiber)
+    rng = np.random.default_rng(seed)
+    x, c = m.random_point(rng), rng.standard_normal(m.dim)
+    xi = vector_to_skew(rng.standard_normal(so_dim(m.dim)), m.dim)
+    frame, h = m.frame(x), 1e-3
+
+    def pulled_back(t):
+        xt, fwd, _ = det_transport_matrix(m, x[None], frame[None], (c @ frame)[None], np.array([t]))
+        return fwd[0].T @ m.curvature_matrix_apply(xt[0], fwd[0] @ xi @ fwd[0].T) @ fwd[0]
+
+    want = central_diff([pulled_back(t) for t in stencil_offsets(h, 4)], h)
+    got = m.curvature_derivative_apply(x, c, xi)
+    assert np.abs(got - want).max() <= 1e-8 * max(1.0, float(np.abs(want).max()))
+    assert np.abs(got + got.T).max() <= 1e-15 * max(1.0, float(np.abs(got).max()))
+    sphere = Sphere(m.dim, 1.0)  # a space form's curvature operator is parallel
+    assert not sphere.curvature_derivative_apply(sphere.random_point(rng), c, xi).any()
 
 
 def test_rolling_curvature_vanishes_for_equal_curvatures():

@@ -577,13 +577,33 @@ def test_rk4_fallback_takes_one_substep_per_grid_interval():
     path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.25)
     calls = []
     flow = path.flow
-    path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
+    path.flow = lambda t: calls.append(np.shape(t)) or flow(t)
     curve = roll_along(q0, path, step=1e-3)
     assert len(curve.times) == 251
-    # one path read per RK4 stage (the point and the velocity together), one
-    # for roll_along's start check and one array read of the rows' points,
-    # which the kernel takes first to settle each row's first-factor frame
-    assert calls == [0] + [1] + [0] * 4 * 250
+    # one read for roll_along's start check, then the kernel's one array read
+    # (the point and the velocity together) at the 251 sample times and at
+    # the start, middle and end of one RK4 substep per grid interval
+    assert calls == [(), (251 + 3 * 250,)]
+
+
+@pytest.mark.parametrize("first", [Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"),
+                                                          Sphere(1, 1.0))], ids=["S2(1)", "warped"])
+def test_an_rk4_roll_reads_its_path_once(first):
+    # every stage time is known before the loop, so a roll that succeeds
+    # reads its path in one flow call besides roll_along's start check
+    pair = RollingPair(first, Warped((-1.0, 1.0), WarpFunction("cosh"), Sphere(1, 1.0)))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q0 = pair.random_state(rng)
+        path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.3)
+        for step in (1e-3, 0.01, 0.07):
+            calls = []
+            flow = path.flow
+            path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
+            curve = roll_along(q0, path, step=step)
+            path.flow = flow
+            assert calls == [0, 1]
+            assert len(curve.times) == len(path.sample_times(step))
 
 
 @pytest.mark.parametrize("step", [0.01, 0.05])
