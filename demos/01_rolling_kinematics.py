@@ -34,7 +34,7 @@ print("  straight-line target: ", np.round(expected, 6))
 print("  development error:    %.2e" % np.linalg.norm(q_end.x_hat - expected))
 print("  isometry drift:       %.2e" % curve.residuals.max())
 
-# On two space forms roll_along rolls a geodesic in closed form (the
+# roll_along rolls every geodesic path in closed form, on any pair (the
 # development is a geodesic, A stays constant in the parallel frames), and so
 # does the canonical curve of the rolling lift.
 q_closed = tangent_curve(q0, rolling_lift(q0, direction), np.pi)

@@ -382,6 +382,9 @@ def curve_velocity(q, samples, dt):
 
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+# the commutator-free CF4 step takes the blends alpha_1 c_1 + alpha_2 c_2, then
+# alpha_2 c_1 + alpha_1 c_2, of c at the two Gauss nodes, alpha = 1/4 +- sqrt(3)/6
+CF4_BLENDS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
 BLOCK = 256  # grid intervals (or CSV rows) per batch of the array kernels
 
 
@@ -432,31 +435,23 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     factor.  The isometry is kept constant in co-transported parallel frames
     and re-expressed in the deterministic frames at each sample time.
 
-    A geodesic of a space form rolled on a space form takes the closed form
-    of _roll_closed_form.  Otherwise, when the second factor is a space form,
-    its point and parallel frame form one group element, advanced by
-    4th-order Magnus steps (two Gauss nodes), and so does the first factor's
-    parallel frame: as a group element with its point on a space form, as its
-    rows with the fiber parts scaled by f(s) on a warped product.  The
-    constraints then hold to round-off at any step.  Only a warped second
-    factor falls back to RK4 on the frames.
+    The kind of path alone picks the kernel: a GeodesicPath rolls in the
+    closed form of _roll_closed_form on every pair, and any other path takes
+    the group-valued steps of _roll_magnus.  The constraints then hold to
+    round-off at any step.
 
-    A bad path raises GeometryError.  Rows computed from a valid start can
-    still fail the checks of a state (far out on a hyperboloid a point misses
-    its constraint by round-off): that raises DomainError, naming the check
-    and the first sample time whose row fails it."""
+    A bad path raises GeometryError, and a contact point leaving the interval
+    of a warped factor raises DomainError.  Rows computed from a valid start
+    can still fail the checks of a state (far out on a hyperboloid a point
+    misses its constraint by round-off): that raises DomainError, naming the
+    check and the first sample time whose row fails it."""
     pair = q0.pair
     times = np.asarray(path.sample_times(step), dtype=float)
     if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
-    if not isinstance(pair.space_hat, ConstantCurvature):
-        kernel = _roll_rk4
-    elif isinstance(path, GeodesicPath) and isinstance(pair.space, ConstantCurvature):
-        kernel = _roll_closed_form
-    else:
-        kernel = _roll_magnus
+    kernel = _roll_closed_form if isinstance(path, GeodesicPath) else _roll_magnus
 
     def rows(k):  # the checked rows at the first k sample times
         x, x_hat, a = kernel(q0, path, times[:k], step)
@@ -484,14 +479,15 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
 
 
 def _roll_closed_form(q0, path, times, step):
-    """Rows of (x, x_hat, A) at the sample times along a geodesic of a space
-    form rolled on a space form.  The rolling distribution of two space forms
-    is left-invariant (Bor and Montgomery 2009), so this roll is a
-    one-parameter subgroup: the development is the geodesic of the matched
-    velocity, and A stays constant in the two parallel frames, each carried
-    over all sample times by one transport_along_geodesic.  It starts, as
-    _roll_magnus does, from both points moved onto their manifolds and the
-    rotation nearest to A.  The rows are exact at any step."""
+    """Rows of (x, x_hat, A) at the sample times along a geodesic of the
+    first factor.  Rolling without slipping or twisting takes a geodesic to
+    a geodesic, and A stays constant in the two parallel frames (Chitour and
+    Kokkonen 2010): the development is the geodesic of the matched velocity,
+    and each parallel frame is carried over all sample times by one
+    transport_along_geodesic, a closed form on every catalog factor.  It
+    starts, as _roll_magnus does, from both points moved onto their
+    manifolds and the rotation nearest to A.  The rows are exact at any
+    step."""
     m, mh = q0.pair.space, q0.pair.space_hat
     x0, x_hat0 = m.closest_point(q0.x), mh.closest_point(q0.x_hat)
     frame0 = m.frame(x0)
@@ -513,13 +509,14 @@ def _roll_magnus(q0, path, times, step):
     parallel frame and the point, on a warped product the parallel frame with
     its fiber parts scaled by f(s).  Neither depends on the deterministic
     frame, which jumps where its Gram-Schmidt skips a different basis vector.
-    The second factor's H (columns: the images of that frame, the point)
-    follows H' = H X(c), c the coordinates of the path velocity in the
-    parallel frame.  c is needed at the Gauss nodes of each step, so g is
-    also carried from the start of the step to each node by a Magnus step of
-    its own.  Both factors start from their points moved onto the manifold
-    and the rotation nearest to A, so that round-off in q0 is not amplified
-    along the roll."""
+    The second factor's H (columns: the images of that frame, then the
+    point) moves with c, the coordinates of the path velocity in the
+    parallel frame: on a space form by 4th-order Magnus steps of H' = H X(c),
+    on a warped product by the commutator-free steps of _develop_cf4.  c is
+    needed at the Gauss nodes of each step, so g is also carried from the
+    start of the step to each node by a Magnus step of its own.  Both factors
+    start from their points moved onto the manifold and the rotation nearest
+    to A, so that round-off in q0 is not amplified along the roll."""
     m, mh, n = q0.pair.space, q0.pair.space_hat, q0.pair.dim
     counts, starts = _substep_starts(times, step)
     grid = np.append(starts, times[-1])
@@ -529,7 +526,9 @@ def _roll_magnus(q0, path, times, step):
     g = m.group_element(x0, m.frame(x0))
     size = g.shape[-1]
     x_hat0 = mh.closest_point(q0.x_hat)
-    hh = mh.group_element(x_hat0, _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)).T
+    image0 = _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)
+    space_form = isinstance(mh, ConstantCurvature)
+    hh = mh.group_element(x_hat0, image0).T if space_form else np.column_stack((image0.T, x_hat0))
     x = path.point(times)
     g_out, x_hat = np.empty((len(times),) + g.shape), np.empty((len(times), mh.amb_dim))
     image = np.empty((len(times), mh.amb_dim, n))
@@ -549,8 +548,12 @@ def _roll_magnus(q0, path, times, step):
         node_pts, node_vel = (p.reshape(hi - lo, 3, 2, -1)[:, 0] for p in (pts, vel))
         frames = m.group_frame(node_pts, g_node)
         c = m.inner_at(node_pts[..., None, :], frames, node_vel[..., None, :])
-        xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, n + 1, n + 1)
-        gs, hs = g + g @ step_d, hh + hh @ running_products(expm1_stack(_magnus(xi, h)))
+        if space_form:
+            xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, n + 1, n + 1)
+            hs = hh + hh @ running_products(expm1_stack(_magnus(xi, h)))
+        else:
+            hs = _develop_cf4(mh, hh, c, h)
+        gs = g + g @ step_d
         g, hh = gs[-1], hs[-1]
         keep = np.flatnonzero((out > lo) & (out <= hi))
         at_row = out[keep] - lo - 1
@@ -569,6 +572,26 @@ def _magnus(gens, h):
     return h / 2 * (a + b) + MAGNUS_COMMUTATOR * h * h * (a @ b - b @ a)
 
 
+def _develop_cf4(mh, hh, c, h):
+    """H = (images of the parallel frame as columns, then the point) of a
+    warped second factor after each step of lengths h, from H at the start,
+    by the 4th-order commutator-free method of Celledoni, Marthinsen and
+    Owren (2003) with c, the velocity's coordinates in the images, at the
+    two Gauss nodes of each step.  With c frozen the point runs along a
+    geodesic that carries the images by parallel transport, so each of the
+    step's two exponentials is one transport_along_geodesic over the whole
+    step, for the blends CF4_BLENDS of c in turn: exact isometries, so the
+    images stay orthonormal at the point on the manifold with no settling."""
+    n = c.shape[-1]
+    hs = np.empty((len(h),) + hh.shape)
+    x_hat, image = hh[:, n], hh[:, :n].T
+    for j, blends in enumerate(CF4_BLENDS @ c):
+        for b in blends:
+            x_hat, image = mh.transport_along_geodesic(x_hat, b @ image, h[j], image)
+        hs[j, :, :n], hs[j, :, n] = image.T, x_hat
+    return hs
+
+
 def _substep_starts(times, step):
     """The number of integration substeps of length at most `step` of each
     grid interval between the sample times, and the start time of every
@@ -578,75 +601,6 @@ def _substep_starts(times, step):
     which = np.repeat(np.arange(len(counts)), counts)
     frac = (np.arange(counts.sum()) - (np.cumsum(counts) - counts)[which]) / counts[which]
     return counts, times[which] + frac * np.diff(times)[which]
-
-
-def _rk4(rhs, y, h, stages):
-    """Classical RK4 on a state array, one step of length h per stage row:
-    the right-hand side's inputs at the start, the middle and the end of
-    the step."""
-    for start, mid, end in stages:
-        k1 = rhs(start, y)
-        k2 = rhs(mid, y + h / 2 * k1)
-        k3 = rhs(mid, y + h / 2 * k2)
-        k4 = rhs(end, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
-def _roll_rk4(q0, path, times, step):
-    """The same rows as _roll_magnus, by RK4 on the second factor's point and
-    both parallel frames (for warped factors).  The path is read once, at
-    the sample times and at every stage time of every substep.  After each
-    grid interval the row is put back onto the constraints: the point by
-    closest_point, both frames by _orthonormal at their points, so that the
-    RK4 drift does not accumulate into a failed check of a state."""
-    pair = q0.pair
-    m, mh = pair.space, pair.space_hat
-    n, amb, amb_hat = pair.dim, m.amb_dim, mh.amb_dim
-    a_par = q0.isometry  # constant matrix in the parallel frames
-
-    def pack(x_hat, frame, frame_hat):
-        return np.concatenate((x_hat, frame.ravel(), frame_hat.ravel()))
-
-    def unpack(y):
-        x_hat = y[:amb_hat]
-        if not isinstance(mh, ConstantCurvature):  # leaving the interval is a domain error
-            mh._check_s(x_hat[0])
-        return (x_hat, y[amb_hat : amb_hat + n * amb].reshape(n, amb),
-                y[amb_hat + n * amb :].reshape(n, amb_hat))
-
-    def rhs(flow, y):
-        x, v = flow
-        x_hat, frame, frame_hat = unpack(y)
-        v_hat = frame_hat.T @ (a_par @ m.inner_at(x, v, frame))
-        return pack(v_hat, m.transport_rhs(x, v, frame), mh.transport_rhs(x_hat, v_hat, frame_hat))
-
-    counts, starts = _substep_starts(times, step)
-    h = np.repeat(np.diff(times) / counts, counts)  # by substep
-    at = starts[:, None] + h[:, None] * np.array([0.0, 0.5, 1.0])
-    pts, vel = path.flow(np.concatenate((times, at.ravel())))
-    x = pts[: len(times)]
-    stages = np.stack((pts[len(times):], vel[len(times):]), axis=1).reshape(-1, 3, 2, amb)
-    ys = [pack(q0.x_hat, q0.frame, q0.frame_hat)]
-    ends = np.cumsum(counts)
-    for xb, lo, hi in zip(x[1:], ends - counts, ends):
-        x_hat, frame, frame_hat = unpack(_rk4(rhs, ys[-1], h[lo], stages[lo:hi]))
-        x_hat = mh.closest_point(x_hat)
-        ys.append(pack(x_hat, _orthonormal(m, xb, frame), _orthonormal(mh, x_hat, frame_hat)))
-    ys = np.array(ys)
-    frame = ys[:, amb_hat : amb_hat + n * amb].reshape(-1, n, amb)
-    frame_hat = ys[:, amb_hat + n * amb :].reshape(-1, n, amb_hat)
-    x_hat = ys[:, :amb_hat]
-    return x, x_hat, _redress(pair, x, x_hat, frame, np.swapaxes(frame_hat, 1, 2) @ a_par)
-
-
-def _orthonormal(m, x, frame):
-    """The rows of frame projected onto the tangent space at x and made
-    orthonormal symmetrically, S^(-1/2) F for their Gram matrix S: of all
-    orthonormal rows, the nearest to F."""
-    frame = m.project(x, frame)
-    w, u = np.linalg.eigh(m.inner_at(x, frame[:, None], frame[None]))
-    return (u / np.sqrt(w)) @ u.T @ frame
 
 
 def _redress(pair, x, x_hat, frame, image):

@@ -85,13 +85,14 @@ def _turning_points(k, a, b, t):
     come: the first two when k > 0, for a S + b V is then periodic and takes
     its extremes there, and the only one when k <= 0."""
     d = np.sign(t)  # the direction of t
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where there is none
+    # NaN where there is none, and 0 * inf at t = 0 where a C + b S never vanishes
+    with np.errstate(divide="ignore", invalid="ignore"):
         tau = _atan_k(k, -a, b)
-    if k > 0:
-        half = math.pi / math.sqrt(k)  # half a period
-        first = d * np.mod(d * tau, half)
-        tau = np.concatenate((first, first + d * half), axis=-1)
-    return np.where((d * tau > 0) & (d * tau <= d * t), tau, 0.0)
+        if k > 0:
+            half = math.pi / math.sqrt(k)  # half a period
+            first = d * np.mod(d * tau, half)
+            tau = np.concatenate((first, first + d * half), axis=-1)
+        return np.where((d * tau > 0) & (d * tau <= d * t), tau, 0.0)
 
 
 def integral(value, what):

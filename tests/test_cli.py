@@ -295,6 +295,28 @@ def test_a_long_roll_on_a_hyperbolic_factor_is_a_domain_error(tmp_path, kinds, l
     assert not (tmp_path / "traj.csv").exists()
 
 
+def test_a_sampled_roll_out_of_a_warped_interval_is_a_domain_error(tmp_path):
+    # a straight samples-file path in the plane develops along d/ds of
+    # cos x R^1 and leaves (-1.2, 1.2) at t = 1.2: the commutator-free step
+    # that crosses it raises, so exit 3 with one line and no NumPy warning
+    warped = {"kind": "warped", "dim": 2, "interval": [-1.2, 1.2], "warp": {"name": "cos"},
+              "fiber": {"kind": "euclidean", "dim": 1}}
+    state = {"x": [0.0, 0.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": "euclidean", "dim": 2}, warped],
+                                  "seed": 0, "initial_state": state})
+    ts = np.linspace(0.0, 3.0, 31)
+    np.savetxt(tmp_path / "path.csv", np.column_stack((ts, ts, 0.0 * ts)), delimiter=",")
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "rollsym", "--config", cfg, "simulate",
+         "--out", "traj.csv", "--path-spec", json.dumps({"type": "samples", "file": "path.csv"})],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    line, = done.stderr.splitlines()
+    assert line.startswith("domain error: radial coordinate 1.2")
+    assert line.endswith("left the interval (-1.2, 1.2)")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     # the curvature of a warped product needs a fiber of constant curvature
     inner = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},

@@ -16,7 +16,6 @@ from rollsym.rolling import (
     FD_STEP_FIBER,
     _roll_closed_form,
     _roll_magnus,
-    _roll_rk4,
     RollingCurve,
     RollingPair,
     _pull_back,
@@ -34,7 +33,7 @@ from rollsym.rolling import (
 from rollsym import rolling as rolling_module
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
-from test_brackets import catalog_factors
+from test_brackets import ALL_CATALOG_PAIRS, catalog_factors
 
 RNG = np.random.default_rng(123)
 
@@ -50,7 +49,7 @@ def stack(pair, states):
 
 def magnus_roll(q0, path, step):
     """The checked rows of roll_along through the Magnus kernel, which a
-    geodesic of a space form rolled on a space form does not take."""
+    geodesic path does not take."""
     times = path.sample_times(step)
     x, x_hat, a = _roll_magnus(q0, path, times, step)
     x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry
@@ -349,6 +348,19 @@ def space_form_rolls(draw):
             draw(st.floats(1e-3, math.pi)), draw(st.floats(1e-3, 0.1)))
 
 
+@st.composite
+def catalog_rolls(draw):
+    """space_form_rolls, or a roll on a pair with a warped factor in either
+    slot.  Its unit-speed geodesic is at most 0.3 long, so that neither
+    contact point leaves the interval (random_point keeps 0.36 from its ends),
+    and its step at most 1e-2, where the Magnus steps of a warped first
+    factor's frame, which are not exact along its geodesics, stay within
+    1e-9 of the closed form."""
+    warped = ALL_CATALOG_PAIRS.filter(lambda p: "warped" in (p.space.kind, p.space_hat.kind))
+    return draw(space_form_rolls() | st.tuples(warped, st.integers(0, 2**32 - 1),
+                                                st.floats(1e-3, 0.3), st.floats(1e-3, 1e-2)))
+
+
 def _scale(x):
     return max(1.0, float(np.abs(x).max()))
 
@@ -380,10 +392,12 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
 
 
 @settings(max_examples=40, deadline=None)
-@given(space_form_rolls())
+@given(catalog_rolls())
 @example((RollingPair(Euclidean(3), Hyperbolic(3, 1.0)), 4058, 3.0, 0.0625))
 def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
-    # roll_along takes the closed form here; the Magnus kernel is its oracle
+    # roll_along takes the closed form on every pair, and the Magnus kernel
+    # is its oracle, CF4 included on a warped second factor (and the other
+    # way round)
     pair, seed, length, step = roll
     rng = np.random.default_rng(seed)
     q0 = pair.random_state(rng)
@@ -397,9 +411,11 @@ def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
     assert np.all(np.abs(curve.A - magnus.A).max(axis=(1, 2)) < 1e-9 * scale)
 
 
-@pytest.mark.parametrize("first, second", [(Sphere(2, 1.0), Sphere(2, 3.0)),
-                                           (Hyperbolic(3, 1.0), Euclidean(3)),
-                                           (Euclidean(2), Hyperbolic(2, 2.0))], ids=repr)
+@pytest.mark.parametrize("first, second", [
+    (Sphere(2, 1.0), Sphere(2, 3.0)), (Hyperbolic(3, 1.0), Euclidean(3)),
+    (Euclidean(2), Hyperbolic(2, 2.0)),
+    (Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 1.0)),
+    (Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0)))], ids=repr)
 def test_a_geodesic_roll_on_space_forms_takes_no_matrix_exponential(monkeypatch, first, second):
     calls = []
     expm1_stack = rolling_module.expm1_stack
@@ -456,10 +472,25 @@ def _latitude_circle(ts, lat=0.7):
                             np.full_like(ts, math.cos(lat))))
 
 
-def _step_halving_errors(first, path):
-    """End-point errors of rolling `first` on the sphere of radius 3 along
-    path at steps 0.1, 0.05 and 0.025, against a step of 0.1 / 64."""
-    pair = RollingPair(first, Sphere(first.dim, 3.0))
+def _latitude_path():
+    """The latitude circle of S^2(1) as a SampledPath of 21 samples."""
+    ts = np.linspace(0.0, 2.0, 21)
+    return Sphere(2, 1.0), SampledPath(Sphere(2, 1.0), ts, _latitude_circle(ts))
+
+
+def _swinging_path(fiber):
+    """A sampled path on cos x fiber whose s swings while the fiber point
+    runs along a circle (a latitude circle of S^2), 21 samples."""
+    first = Warped((-1.2, 1.2), WarpFunction("cos"), fiber)
+    ts = np.linspace(0.0, 2.0, 21)
+    circle = _latitude_circle(ts) if fiber.dim == 2 else np.column_stack((np.cos(ts), np.sin(ts)))
+    return first, SampledPath(first, ts, np.column_stack((0.3 + 0.4 * np.sin(ts), circle)))
+
+
+def _step_halving_errors(first, path, second):
+    """End-point errors of rolling `first` on `second` along path at steps
+    0.1, 0.05 and 0.025, against a step of 0.1 / 64."""
+    pair = RollingPair(first, second)
     rng = np.random.default_rng(1)
     q0 = pair.state(path.point(0.0), pair.space_hat.random_point(rng),
                     random_rotation(rng, pair.dim))
@@ -476,9 +507,7 @@ def test_rolling_along_a_curved_path_converges_at_fourth_order():
     # a latitude circle is no geodesic, so the Magnus commutator and the
     # transport of the frame to the Gauss nodes both enter; halving the step
     # divides the error by 2^4
-    ts = np.linspace(0.0, 2.0, 21)
-    sphere = Sphere(2, 1.0)
-    errors = _step_halving_errors(sphere, SampledPath(sphere, ts, _latitude_circle(ts)))
+    errors = _step_halving_errors(*_latitude_path(), Sphere(2, 3.0))
     assert errors[0] > 1e-9
     assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
 
@@ -505,16 +534,119 @@ def test_magnus_rows_along_a_curved_sampled_path_match_a_finer_step(hat):
 
 @pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
 def test_warped_first_factor_converges_at_fourth_order_along_a_curved_path(fiber):
-    # s swings while the fiber point runs along a circle (a latitude circle
-    # of S^2): the rotation of the deterministic frame follows the connection
-    # form at the Gauss nodes, and halving the step divides the error by 2^4
-    first = Warped((-1.2, 1.2), WarpFunction("cos"), fiber)
-    ts = np.linspace(0.0, 2.0, 21)
-    circle = _latitude_circle(ts) if fiber.dim == 2 else np.column_stack((np.cos(ts), np.sin(ts)))
-    path = SampledPath(first, ts, np.column_stack((0.3 + 0.4 * np.sin(ts), circle)))
-    errors = _step_halving_errors(first, path)
+    # s swings while the fiber point runs along a circle: the rotation of the
+    # deterministic frame follows the connection form at the Gauss nodes,
+    # and halving the step divides the error by 2^4
+    errors = _step_halving_errors(*_swinging_path(fiber), Sphere(fiber.dim + 1, 3.0))
     assert errors[0] > 1e-9
     assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
+
+
+COS_S1 = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
+COSH_S2 = Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(2, 1.0))
+
+
+@pytest.mark.parametrize("path, second", [
+    (_latitude_path, COS_S1), (lambda: _swinging_path(Sphere(1, 1.0)), COS_S1),
+    (lambda: _swinging_path(Sphere(2, 1.0)), COSH_S2)], ids=["S2", "cosS1", "cosS2"])
+def test_a_warped_second_factor_converges_at_fourth_order_along_a_curved_path(path, second):
+    # both curved paths onto a warped second factor: the velocity's
+    # coordinates turn within each step, so the two blends of the
+    # commutator-free steps differ; halving the step divides the error by 2^4
+    errors = _step_halving_errors(*path(), second)
+    assert errors[0] > 1e-9
+    assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
+
+
+def rk4_roll(q0, path, step):
+    """Independent reference for roll_along: classical RK4 on the second
+    factor's point and on both parallel frames, from transport_rhs alone and
+    with no settling, each interval of the path's sample times split into
+    substeps of length at most step.  Returns x_hat and A at the sample
+    times, A[j, i] = sum_k <E_hat_j, image_k> <frame_k, E_i> for the
+    deterministic frames E and E_hat."""
+    m, mh = q0.pair.space, q0.pair.space_hat
+    times = path.sample_times(step)
+
+    def rhs(flow, y):
+        (x, v), (x_hat, frame, image) = flow, y
+        v_hat = m.inner_at(x, frame, v) @ image
+        return v_hat, m.transport_rhs(x, v, frame), mh.transport_rhs(x_hat, v_hat, image)
+
+    def plus(y, h, k):
+        return tuple(a + h * b for a, b in zip(y, k))
+
+    y = (q0.x_hat, q0.frame, q0.isometry.T @ q0.frame_hat)
+    rows = [y]
+    for a, b in zip(times[:-1], times[1:]):
+        steps = max(1, math.ceil((b - a) / step * (1 - 1e-9)))
+        h = (b - a) / steps
+        pts, vel = path.flow(a + h / 2 * np.arange(2 * steps + 1))  # the stages' times
+        for i in range(0, 2 * steps, 2):
+            start, mid, end = ((pts[j], vel[j]) for j in (i, i + 1, i + 2))
+            k1 = rhs(start, y)
+            k2 = rhs(mid, plus(y, h / 2, k1))
+            k3 = rhs(mid, plus(y, h / 2, k2))
+            k4 = rhs(end, plus(y, h, k3))
+            y = tuple(u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                      for u, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4))
+        rows.append(y)
+    x_hat, frame, image = (np.array(r) for r in zip(*rows))
+    x = path.point(times)
+    p = m.inner_at(x[:, None, None], frame[:, :, None], m.frames(x)[:, None])
+    q = mh.inner_at(x_hat[:, None, None], mh.frames(x_hat)[:, :, None], image[:, None])
+    return x_hat, q @ p
+
+
+class ClosedFormPath:
+    """A driving path given by the closed forms of its points and velocities
+    at an array of times (`flow`), sampled at `times`.  Any path but a
+    GeodesicPath takes the Magnus kernel, so this one does, with velocities
+    that are the derivatives of its points; those of a SampledPath are the
+    projected spline derivatives, which differ from the derivatives of its
+    projected points (1.8e-9 apart in the rows of the latitude circle below
+    at 10 samples per unit time)."""
+
+    def __init__(self, flow, times):
+        self.flow, self.times = flow, times
+
+    def point(self, t):
+        return self.flow(np.atleast_1d(t))[0]
+
+    def sample_times(self, step):
+        return self.times
+
+
+def _latitude_flow(ts, lat=0.7):
+    r = math.sin(lat)
+    return _latitude_circle(ts, lat), r * np.column_stack((-np.sin(ts), np.cos(ts), 0.0 * ts))
+
+
+def _swinging_flow(ts):
+    x, v = _latitude_flow(ts)
+    return (np.column_stack((0.3 + 0.4 * np.sin(ts), x)),
+            np.column_stack((0.4 * np.cos(ts), v)))
+
+
+@pytest.mark.parametrize("flow, second", [(_latitude_flow, COS_S1), (_swinging_flow, COSH_S2)],
+                         ids=["S2", "cosS2"])
+def test_cf4_rows_match_a_test_local_rk4(flow, second):
+    # the commutator-free rows against RK4 at step 1e-4, row by row, along
+    # the curved paths in closed form; the transports keep the rows on the
+    # constraints with no settling
+    first = Sphere(2, 1.0) if second.dim == 2 else Warped((-1.2, 1.2), WarpFunction("cos"),
+                                                          Sphere(2, 1.0))
+    path = ClosedFormPath(flow, np.linspace(0.0, 0.5, 6))
+    pair = RollingPair(first, second)
+    rng = np.random.default_rng(4)
+    q0 = pair.state(path.point(0.0)[0], second.random_point(rng), random_rotation(rng, pair.dim))
+    x_hat, a = rk4_roll(q0, path, 1e-4)
+    for step in (1e-2, 1e-3):
+        curve = roll_along(q0, path, step=step)
+        assert np.abs(curve.x_hat - x_hat).max() < 1e-10
+        assert np.abs(curve.A - a).max() < 1e-10
+        assert curve.residuals.max() < 1e-13
+        assert second.constraint_residual(curve.x_hat).max() < 1e-13
 
 
 def _warped_start(fiber, miss, rng):
@@ -538,19 +670,20 @@ def _warped_start(fiber, miss, rng):
 @pytest.mark.parametrize("fiber", [Sphere(2, 1.0), Hyperbolic(2, 1.0)], ids=repr)
 @pytest.mark.parametrize("miss", [None, 1e-3, 0.3], ids=repr)
 def test_warped_first_factor_rolls_like_rk4(fiber, miss):
-    # the parallel frame by Magnus steps against RK4 on both parallel frames
-    # at a ten times finer step, row by row, also where the path starts at or
-    # passes next to the fiber point where the deterministic frame jumps
+    # the closed form and the parallel frame by Magnus steps against the
+    # test-local RK4 on both parallel frames at a ten times finer step, row
+    # by row, also where the path starts at or passes next to the fiber point
+    # where the deterministic frame jumps
     rng = np.random.default_rng(5)
     m, x, v = _warped_start(fiber, miss, rng)
     pair = RollingPair(m, Sphere(3, 1.0))
     q0 = pair.state(x, pair.space_hat.random_point(rng), random_rotation(rng, 3))
     path = GeodesicPath(m, x, v, 0.1)
-    curve = roll_along(q0, path, step=1e-3)
-    assert curve.residuals.max() < 1e-12
-    _, x_hat, a = _roll_rk4(q0, path, path.sample_times(1e-4), 1e-4)
-    assert np.abs(curve.x_hat - x_hat[::10]).max() < 1e-9
-    assert np.abs(curve.A - a[::10]).max() < 1e-9
+    x_hat, a = rk4_roll(q0, path, 1e-4)
+    for curve in (roll_along(q0, path, step=1e-3), magnus_roll(q0, path, 1e-3)):
+        assert curve.residuals.max() < 1e-12
+        assert np.abs(curve.x_hat - x_hat[::10]).max() < 1e-9
+        assert np.abs(curve.A - a[::10]).max() < 1e-9
 
 
 @pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
@@ -568,55 +701,65 @@ def test_warped_rolls_keep_orientation(fiber):
         assert np.all(np.linalg.det(curve.A) > 0)
 
 
-def test_rk4_fallback_takes_one_substep_per_grid_interval():
-    # the 250 grid intervals of a 0.25-long path exceed 1e-3 by round-off;
-    # RK4 remains for a warped second factor
+def _sampled_geodesic(m, x, v, t_max, count):
+    """The geodesic of (x, v) up to t_max as a SampledPath of count samples."""
+    ts = np.linspace(0.0, t_max, count)
+    return SampledPath(m, ts, m.geodesic_flow(x, v, ts)[0])
+
+
+def test_a_cf4_roll_takes_one_substep_per_grid_interval():
+    # the 250 grid intervals of a 0.25-long path exceed 1e-3 by round-off:
+    # each takes one commutator-free step, which reads the path at its two
+    # Gauss nodes and at the two nodes of each of its two partial steps, in
+    # one array call
     pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)))
     rng = np.random.default_rng(0)
     q0 = pair.random_state(rng)
-    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.25)
+    path = _sampled_geodesic(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True),
+                             0.25, 251)
     calls = []
     flow = path.flow
     path.flow = lambda t: calls.append(np.shape(t)) or flow(t)
     curve = roll_along(q0, path, step=1e-3)
     assert len(curve.times) == 251
-    # one read for roll_along's start check, then the kernel's one array read
-    # (the point and the velocity together) at the 251 sample times and at
-    # the start, middle and end of one RK4 substep per grid interval
-    assert calls == [(), (251 + 3 * 250,)]
+    assert calls == [(6 * 250,)]
 
 
 @pytest.mark.parametrize("first", [Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"),
                                                           Sphere(1, 1.0))], ids=["S2(1)", "warped"])
-def test_an_rk4_roll_reads_its_path_once(first):
-    # every stage time is known before the loop, so a roll that succeeds
-    # reads its path in one flow call besides roll_along's start check
+def test_a_roll_onto_a_warped_factor_reads_its_path_once(first):
+    # the closed form reads a geodesic in one flow call besides roll_along's
+    # start check, and the Magnus kernel reads a sampled path in one flow
+    # call per block of BLOCK grid intervals (300 substeps at step 1e-3)
     pair = RollingPair(first, Warped((-1.0, 1.0), WarpFunction("cosh"), Sphere(1, 1.0)))
     for seed in range(5):
         rng = np.random.default_rng(seed)
         q0 = pair.random_state(rng)
-        path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.3)
-        for step in (1e-3, 0.01, 0.07):
-            calls = []
-            flow = path.flow
-            path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
-            curve = roll_along(q0, path, step=step)
-            path.flow = flow
-            assert calls == [0, 1]
-            assert len(curve.times) == len(path.sample_times(step))
+        v = pair.space.random_tangent(rng, q0.x, unit=True)
+        geodesic = GeodesicPath(pair.space, q0.x, v, 0.3)
+        sampled = _sampled_geodesic(pair.space, q0.x, v, 0.3, 31)
+        for step, blocks in ((1e-3, 2), (0.01, 1), (0.07, 1)):
+            for path, reads in ((geodesic, [0, 1]), (sampled, [1] * blocks)):
+                calls = []
+                flow = path.flow
+                path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
+                curve = roll_along(q0, path, step=step)
+                path.flow = flow
+                assert calls == reads
+                assert len(curve.times) == len(path.sample_times(step))
 
 
 @pytest.mark.parametrize("step", [0.01, 0.05])
-def test_rk4_rows_settle_on_the_constraints_at_coarse_steps(step):
-    # RK4 alone let the second factor's point and both frames drift off their
-    # constraints until a row failed the checks of a state (exit 3 from
-    # simulate at 4 of these 5 seeds at step 0.01 and at all 5 at 0.05);
-    # settled rows keep round-off residuals and the 4th-order accuracy
+def test_cf4_rows_hold_the_constraints_at_coarse_steps(step):
+    # the commutator-free steps move the second factor's point and images by
+    # exact transports, so coarse rows keep round-off residuals with no
+    # settling, and the 4th-order accuracy
     pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)))
+    path = ClosedFormPath(_latitude_flow, np.linspace(0.0, 0.3, 4))
     for seed in range(5):
-        q0 = pair.random_state(np.random.default_rng(seed))
-        v = pair.space.project(q0.x, np.array([0.3, 1.0, 0.2]))
-        path = GeodesicPath(pair.space, q0.x, v / np.sqrt(pair.space.inner_at(q0.x, v, v)), 0.3)
+        rng = np.random.default_rng(seed)
+        q0 = pair.state(path.point(0.0)[0], pair.space_hat.random_point(rng),
+                        random_rotation(rng, 2))
         curve = roll_along(q0, path, step=step)
         assert curve.residuals.max() < 1e-13
         assert pair.space_hat.constraint_residual(curve.x_hat).max() < 1e-14
@@ -643,21 +786,20 @@ def test_one_clairaut_pass_per_transport_call_on_a_warped_factor(monkeypatch):
 
 
 def test_magnus_kernel_takes_one_step_per_grid_interval_on_a_warped_first_factor():
-    # the same grid through the block Magnus kernel: each of the 250 steps
-    # reads the path at its two Gauss nodes and at the two nodes of each of
-    # its two partial steps, points and velocities in one array call per
-    # block
+    # each of the 250 steps reads the path at its two Gauss nodes and at the
+    # two nodes of each of its two partial steps, points and velocities in
+    # one array call per block
     pair = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 1.0))
     rng = np.random.default_rng(0)
     q0 = pair.random_state(rng)
-    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 0.25)
+    path = _sampled_geodesic(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True),
+                             0.25, 251)
     calls = []
     flow = path.flow
     path.flow = lambda t: calls.append(np.asarray(t)) or flow(t)
     curve = roll_along(q0, path, step=1e-3)
     assert len(curve.times) == 251
-    # the start point, the points of the 251 rows, then the one block
-    assert [t.shape for t in calls] == [(), (251,), (6 * 250,)]
+    assert [t.shape for t in calls] == [(6 * 250,)]
 
 
 def test_roll_along_rejects_bad_paths():
@@ -1030,9 +1172,9 @@ def kernel_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(kernel_stacks())
 def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
-    # a warped geodesic of the stack takes the RK4 step count of its longest
-    # |t|, a row alone that of its own, hence the looser bound there
-    pair, warped, seed, rows = case
+    # warped geodesics too are closed forms (Clairaut's integral), so a row
+    # of the stack and the row alone agree to round-off on every pair
+    pair, _, seed, rows = case
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
     bases = [pair.random_state(rng) for _ in range(3)]
@@ -1050,7 +1192,6 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
         index.append(base_index), xis.append(xi), t.append(sign * size)
     states = tangent_curve(stack(pair, bases)[np.array(index)], np.array(xis), np.array(t))
     assert len(states) == len(rows)
-    tol = 1e-11 if warped else 1e-14
     for i, (xi, ti) in enumerate(zip(xis, t)):
         qt, q = states[i], bases[index[i]]
         # the ambient velocities that the kernel forms from the row
@@ -1058,7 +1199,7 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
             q, xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat, vector_to_skew(xi[2 * n :], n), ti)
         for got, want in ((qt.x, xt), (qt.x_hat, xht), (qt.isometry, a),
                           *zip(qt.transports, transports)):
-            assert np.abs(got - want).max() <= tol * _scale(want)
+            assert np.abs(got - want).max() <= 1e-14 * _scale(want)
 
 
 def _check_stack():

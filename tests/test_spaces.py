@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -628,21 +629,35 @@ def test_warped_transport_costs_the_same_at_every_time(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_a_transport_step_within_round_off_of_the_step_takes_one_rk4_substep(monkeypatch):
+def test_a_transport_step_within_round_off_of_the_step_takes_one_cf4_substep(monkeypatch):
     # 0.25 / 1e-3 grid intervals exceed 1e-3 by round-off; each takes one
-    # RK4 substep (four right-hand sides), not two.  A warped second factor
-    # makes roll_along transport the sphere's frame by RK4 (its fiber is flat,
-    # so the warped right-hand side calls no Sphere.transport_rhs).
+    # commutator-free substep (two transports of the warped second factor),
+    # not two.  A sampled path takes the step kernel on any pair.
     pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Euclidean(1)))
     q0 = pair.random_state(RNG)
     m = pair.space
-    path = GeodesicPath(m, q0.x, m.random_tangent(RNG, q0.x, unit=True), 0.25)
+    ts = np.linspace(0.0, 0.25, 251)
+    path = SampledPath(m, ts, m.geodesic_flow(q0.x, m.random_tangent(RNG, q0.x, unit=True), ts)[0])
     calls = []
-    rhs = Sphere.transport_rhs
-    monkeypatch.setattr(Sphere, "transport_rhs", lambda *a: calls.append(1) or rhs(*a))
+    transport = Warped.transport_along_geodesic
+    monkeypatch.setattr(Warped, "transport_along_geodesic",
+                        lambda *a: calls.append(1) or transport(*a))
     times = roll_along(q0, path, step=1e-3).times
     assert len(times) == 251
-    assert len(calls) == 4 * 250
+    assert len(calls) == 2 * 250
+
+
+@pytest.mark.parametrize("name", ["cos", "cosh", "exp", "affine"])
+def test_a_warped_geodesic_at_time_zero_warns_nothing(name):
+    # a radial geodesic of an exp or affine warp has no turning point, and
+    # its test at t = 0 multiplied 0 by an infinite time (a NumPy warning
+    # from simulate's start check)
+    m = Warped((-1.2, 1.2), WarpFunction(name), Sphere(1, 1.0))
+    x = np.array([0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.0, 0.8])):
+            assert np.array_equal(m.geodesic_flow(x, v, 0.0)[0], x)
 
 
 def test_spec_round_trip():
