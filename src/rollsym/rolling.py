@@ -104,6 +104,11 @@ def random_rotation(rng, n, shape=()):
     return q
 
 
+def _transposed(a):
+    """a.mT, copied out: NumPy multiplies stacks of small matrices faster."""
+    return np.ascontiguousarray(a.mT)
+
+
 def _check_rows(pair, x, x_hat, a):
     """Every check of a state on rows of states: each point on its manifold,
     each contact map an orientation-preserving isometry.  Returns the
@@ -114,7 +119,7 @@ def _check_rows(pair, x, x_hat, a):
             raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
     if a.shape[1:] != (n, n):
         raise GeometryError(f"contact map must be a {n} x {n} matrix")
-    residuals = np.linalg.norm(a.mT @ a - np.eye(n), axis=(1, 2))
+    residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(1, 2))
     worst = residuals.max(initial=0.0)
     if not worst <= ISOMETRY_TOL:
         raise GeometryError(f"contact map is not an isometry (residual {worst:.3e})")
@@ -272,18 +277,21 @@ def det_transport_matrix(m: SpaceForm, x, frames, v, t):
     that point through parallel transport along the geodesic, and the frame
     there, given the frames at the points.  A row with v[i] = 0 keeps its
     point and frame with the identity transport; the moving rows flow in one
-    transport_along_geodesic call and take their frames from one frames
-    call."""
-    fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
+    transport_along_geodesic call, their frames from one frames call and
+    their transports from one product with the metric weights; when every
+    row moves, none is copied out."""
     move = np.flatnonzero(v.any(axis=1))
-    if len(move):
-        x, frames = x.copy(), frames.copy()
-        xt, moved = m.transport_along_geodesic(x[move, None], v[move, None], t[move, None],
-                                               frames[move])
-        x[move] = xt = xt[:, 0]
-        frames[move] = m.frames(xt)
-        fwd[move] = m.inner_at(xt[:, None, None], frames[move][:, :, None], moved[:, None])
-    return x, fwd, frames
+    if len(move) < len(x):
+        fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
+        if len(move):
+            x, frames = x.copy(), frames.copy()
+            x[move], fwd[move], frames[move] = det_transport_matrix(m, x[move], frames[move],
+                                                                    v[move], t[move])
+        return x, fwd, frames
+    xt, moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None], frames)
+    xt = xt[:, 0]
+    frames = m.frames(xt)
+    return xt, (frames * m.metric_weights(xt)[..., None, :]) @ _transposed(moved), frames
 
 
 def tangent_curve(q: RollingState, xi, t) -> RollingState:
@@ -296,9 +304,9 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     matrices from its bases (det_transport_matrix on each factor) as its
     `transports`, through which values at it are pulled back, its frames,
     and the anchor of q at each state.  The kernel runs on the flattened
-    stack: only rows with C != 0 enter the one stacked expm, one SVD takes
-    the nearest rotations, and every check of RollingState runs once over
-    the whole stack."""
+    stack: only rows with C != 0 enter the one stacked expm, and every check
+    of RollingState runs once over the whole stack.  The transports are
+    exact isometries, so A is never projected back onto the rotations."""
     pair, n = q.pair, q.pair.dim
     xi, t = np.asarray(xi, float), np.asarray(t, float)
     shape = np.broadcast_shapes(q.shape, xi.shape[:-1], t.shape)
@@ -307,26 +315,18 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
         tail = a.shape[a.ndim - core:]
         return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
 
-    xi, t = rows(xi, 1), rows(t, 0)
-    frames, frames_hat = rows(q.frame, 2), rows(q.frame_hat, 2)
-    C = vector_to_skew(xi[:, 2 * n :], n)
-    X = (xi[:, None, :n] @ frames)[:, 0]
-    X_hat = (xi[:, None, n : 2 * n] @ frames_hat)[:, 0]
-    xt, fwd, frames = det_transport_matrix(pair.space, rows(q.x, 1), frames, X, t)
-    xht, fwd_hat, frames_hat = det_transport_matrix(pair.space_hat, rows(q.x_hat, 1), frames_hat,
-                                                    X_hat, t)
+    # velocities from the bases and rows alone, before the times broadcast
+    X = rows((xi[..., None, :n] @ q.frame)[..., 0, :], 1)
+    X_hat = rows((xi[..., None, n : 2 * n] @ q.frame_hat)[..., 0, :], 1)
+    C, t = rows(vector_to_skew(xi[..., 2 * n :], n), 2), rows(t, 0)
+    xt, fwd, frames = det_transport_matrix(pair.space, rows(q.x, 1), rows(q.frame, 2), X, t)
+    xht, fwd_hat, frames_hat = det_transport_matrix(pair.space_hat, rows(q.x_hat, 1),
+                                                    rows(q.frame_hat, 2), X_hat, t)
     a = fwd_hat @ rows(q.isometry, 2)
     spin = np.flatnonzero(C.any(axis=(1, 2)))
     if len(spin):
         a[spin] = a[spin] @ expm(t[spin, None, None] * C[spin])
-    a = a @ fwd.mT
-    # strip accumulated round-off before the isometry check; anything beyond
-    # round-off scale indicates a genuine defect and must surface
-    drift = np.linalg.norm(a.mT @ a - np.eye(n), axis=(1, 2))
-    if np.any(drift > 1e-6):
-        raise GeometryError(f"canonical curve left the isometry bundle by "
-                            f"{drift[drift > 1e-6].max():.3e}")
-    a = _nearest_rotation(a)
+    a = a @ _transposed(fwd)
     _check_rows(pair, xt, xht, a)
 
     def stacked(a):
@@ -435,9 +435,13 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     factor.  The isometry is kept constant in co-transported parallel frames
     and re-expressed in the deterministic frames at each sample time.
 
-    The kind of path alone picks the kernel: a GeodesicPath rolls in the
-    closed form of _roll_closed_form on every pair, and any other path takes
-    the group-valued steps of _roll_magnus.  The constraints then hold to
+    The roll starts from both points moved onto their manifolds and the
+    rotation nearest to A, so that round-off in q0 is not amplified.  Rolling
+    without slipping or twisting takes a geodesic to a geodesic, with A
+    constant in the two parallel frames (Chitour and Kokkonen 2010): a
+    GeodesicPath rolls along the canonical curve of its rolling lift, the
+    first factor's rows read from the path, and any other path by the
+    group-valued steps of _roll_magnus.  Either holds the constraints to
     round-off at any step.
 
     A bad path raises GeometryError, and a contact point leaving the interval
@@ -451,10 +455,16 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
-    kernel = _roll_closed_form if isinstance(path, GeodesicPath) else _roll_magnus
+    start = RollingState(pair, pair.space.closest_point(q0.x),
+                         pair.space_hat.closest_point(q0.x_hat), _nearest_rotation(q0.isometry))
+    lift = rolling_lift(start, path.v0) if isinstance(path, GeodesicPath) else None
 
     def rows(k):  # the checked rows at the first k sample times
-        x, x_hat, a = kernel(q0, path, times[:k], step)
+        if lift is None:
+            x, x_hat, a = _roll_magnus(start, path, times[:k], step)
+        else:
+            end = tangent_curve(start, lift, times[:k])
+            x, x_hat, a = path.point(times[:k]), end.x_hat, end.isometry
         x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
         return RollingCurve(pair, times[:k], x, x_hat, a)
 
@@ -478,30 +488,10 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     raise DomainError(f"the roll fails a check at t = {times[bad - 1]:.6g}: {error}")
 
 
-def _roll_closed_form(q0, path, times, step):
-    """Rows of (x, x_hat, A) at the sample times along a geodesic of the
-    first factor.  Rolling without slipping or twisting takes a geodesic to
-    a geodesic, and A stays constant in the two parallel frames (Chitour and
-    Kokkonen 2010): the development is the geodesic of the matched velocity,
-    and each parallel frame is carried over all sample times by one
-    transport_along_geodesic, a closed form on every catalog factor.  It
-    starts, as _roll_magnus does, from both points moved onto their
-    manifolds and the rotation nearest to A.  The rows are exact at any
-    step."""
-    m, mh = q0.pair.space, q0.pair.space_hat
-    x0, x_hat0 = m.closest_point(q0.x), mh.closest_point(q0.x_hat)
-    frame0 = m.frame(x0)
-    image0 = _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)  # rows: the images of frame0
-    v_hat = m.inner_at(x0, frame0, path.v0) @ image0
-    frame = m.transport_along_geodesic(x0, path.v0, times[:, None], frame0)[1]
-    x_hat, image = mh.transport_along_geodesic(x_hat0, v_hat, times[:, None], image0)
-    x, x_hat = path.point(times), x_hat[:, 0]
-    return x, x_hat, _redress(q0.pair, x, x_hat, frame, image.mT)
-
-
-def _roll_magnus(q0, path, times, step):
-    """Rows of (x, x_hat, A) at the sample times, grid block by grid block;
-    one _redress call after the last block gives every row's contact map.
+def _roll_magnus(start, path, times, step):
+    """Rows of (x, x_hat, A) at the sample times from the cleaned start
+    state of roll_along, grid block by grid block; one _redress call after
+    the last block gives every row's contact map.
 
     The first factor's parallel frame is carried by its group element g
     (`group_element`, read back by `group_frame`) with g' = g Z, Z =
@@ -514,21 +504,18 @@ def _roll_magnus(q0, path, times, step):
     parallel frame: on a space form by 4th-order Magnus steps of H' = H X(c),
     on a warped product by the commutator-free steps of _develop_cf4.  c is
     needed at the Gauss nodes of each step, so g is also carried from the
-    start of the step to each node by a Magnus step of its own.  Both factors
-    start from their points moved onto the manifold and the rotation nearest
-    to A, so that round-off in q0 is not amplified along the roll."""
-    m, mh, n = q0.pair.space, q0.pair.space_hat, q0.pair.dim
+    start of the step to each node by a Magnus step of its own."""
+    m, mh, n = start.pair.space, start.pair.space_hat, start.pair.dim
     counts, starts = _substep_starts(times, step)
     grid = np.append(starts, times[-1])
     out = np.append(0, np.cumsum(counts))  # the sample times within the grid
 
-    x0 = m.closest_point(q0.x)
-    g = m.group_element(x0, m.frame(x0))
+    g = m.group_element(start.x, start.frame)
     size = g.shape[-1]
-    x_hat0 = mh.closest_point(q0.x_hat)
-    image0 = _nearest_rotation(q0.isometry).T @ mh.frame(x_hat0)
+    image0 = start.isometry.T @ start.frame_hat
     space_form = isinstance(mh, ConstantCurvature)
-    hh = mh.group_element(x_hat0, image0).T if space_form else np.column_stack((image0.T, x_hat0))
+    hh = (mh.group_element(start.x_hat, image0).T if space_form
+          else np.column_stack((image0.T, start.x_hat)))
     x = path.point(times)
     g_out, x_hat = np.empty((len(times),) + g.shape), np.empty((len(times), mh.amb_dim))
     image = np.empty((len(times), mh.amb_dim, n))
@@ -560,7 +547,7 @@ def _roll_magnus(q0, path, times, step):
         g_out[keep], rows = gs[at_row], hs[at_row, : mh.amb_dim]
         x_hat[keep], image[keep] = rows[..., n], rows[..., :n]
     a = np.empty((len(times), n, n))
-    a[1:] = _redress(q0.pair, x[1:], x_hat[1:], m.group_frame(x[1:], g_out[1:]), image[1:])
+    a[1:] = _redress(start.pair, x[1:], x_hat[1:], m.group_frame(x[1:], g_out[1:]), image[1:])
     return x, x_hat, a
 
 

@@ -146,6 +146,11 @@ class SpaceForm:
         """Project ambient coordinates back onto the manifold (best effort)."""
         raise NotImplementedError
 
+    def closest_point_rate(self, x, xdot):
+        """The derivative of closest_point at ambient coordinates x along
+        xdot: xdot itself on R^n, which closest_point leaves as it is."""
+        return np.array(xdot, dtype=float)
+
     # -- metric ------------------------------------------------------------
 
     def metric_weights(self, x):
@@ -365,30 +370,18 @@ class ConstantCurvature(SpaceForm):
         rows[(-1.0) ** (n - j) * xs[at[:, 0], j] < 0, -1] *= -1.0
         return rows
 
-    def _geodesic_factors(self, x, v, t):
-        """<v, v> and the factors cos(wt), sin(wt)/w, -sign(K) w sin(wt) of the
-        geodesic flow, the last three as columns.  A single point takes NumPy's
-        cosh and sinh as a stack does, not libm's, which differ from them by
-        an ulp: a canonical curve then lands on the same point whether it is
-        built alone or in a stack."""
-        k = self.curvature_constant
-        vv = self.inner_at(x, v, v)
-        omega = np.sqrt(abs(k) * np.maximum(vv, 0.0))
-        theta = omega * t
-        c, s = (np.cos(theta), np.sin(theta)) if k > 0 else (np.cosh(theta), np.sinh(theta))
-        s_times = -math.copysign(1.0, k) * (omega * s)
-        moving = omega > 0
-        s_over = np.where(moving, s, t) / np.where(moving, omega, 1.0)
-        return vv, _col(c), _col(s_over), _col(s_times)
-
     def transport_along_geodesic(self, x, v, t, w):
-        """The point x cos(wt) + v sin(wt)/w, w = |v| sqrt|K| (cosh and sinh
-        where K < 0; x + t v where w = 0); the component of w along v turns
-        with the velocity, the rest stays."""
-        vv, c, s_over, s_times = self._geodesic_factors(x, v, t)
-        # <w, v> = 0 where v = 0, so the floor only keeps 0/0 out
-        along = self.inner_at(x, w, v) / np.maximum(vv, 1e-300)
-        return c * x + s_over * v, w + _col(along) * (s_times * x + (c - 1.0) * v)
+        """The point C x + S u at arclength |v| t along u = v / |v| (0 where
+        v = 0), for C and S of K (_k_functions); the component of w along u
+        turns with the velocity C u - K S x, the rest stays.  A single point
+        takes NumPy's cos, cosh and sinh as a stack does, so that a canonical
+        curve lands on the same point whether it is built alone or in a
+        stack."""
+        k = self.curvature_constant
+        speed = np.sqrt(np.maximum(self.inner_at(x, v, v), 0.0))[..., None]
+        u = v / np.where(speed > 0, speed, 1.0)
+        cos, sin, _ = _k_functions(k, speed * np.asarray(t, dtype=float)[..., None])
+        return cos * x + sin * u, w + _col(self.inner_at(x, w, u)) * ((cos - 1.0) * u - k * sin * x)
 
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * np.asarray(xi)
@@ -478,6 +471,10 @@ class Sphere(ConstantCurvature):
     def closest_point(self, x):
         return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
 
+    def closest_point_rate(self, x, xdot):
+        """r / |x| times the part of xdot orthogonal to x (project divides by <x, x>)."""
+        return self.radius / np.linalg.norm(x, axis=-1, keepdims=True) * self.project(x, xdot)
+
     def random_point(self, rng, shape=()):
         v = rng.standard_normal(shape + (self.amb_dim,))
         return self.radius * v / np.sqrt(np.vecdot(v, v))[..., None]
@@ -511,6 +508,12 @@ class Hyperbolic(ConstantCurvature):
         x = np.array(x, dtype=float)
         x[..., 0] = np.sqrt(self.radius**2 + np.sum(x[..., 1:] ** 2, axis=-1))
         return x
+
+    def closest_point_rate(self, x, xdot):
+        """xdot with its time part y . ydot / x_0 for the space parts y, ydot."""
+        y, rate = np.asarray(x, dtype=float)[..., 1:], np.array(xdot, dtype=float)
+        rate[..., 0] = np.vecdot(y, rate[..., 1:]) / np.sqrt(self.radius**2 + np.vecdot(y, y))
+        return rate
 
     def random_point(self, rng, shape=()):
         spatial = rng.standard_normal(shape + (self.dim,))
@@ -594,14 +597,16 @@ class Warped(SpaceForm):
         if not isinstance(fiber, ConstantCurvature):
             raise GeometryError(f"the fiber of a warped product must be a space form, "
                                 f"not {fiber.kind!r}")
-        self.interval = (float(interval[0]), float(interval[1]))
-        if not self.interval[0] < self.interval[1]:
+        lo, hi = self.interval = (float(interval[0]), float(interval[1]))
+        if not lo < hi:
             raise GeometryError("empty warp interval")
         self.warp = warp
         self.fiber = fiber
         self.dim = fiber.dim + 1
         self.amb_dim = fiber.amb_dim + 1
-        if np.any(warp.value(np.linspace(*self.interval, 17)) <= 0):
+        # cos vanishes once in every pi / |omega|; the others at most once, changing sign
+        short = warp.name != "cos" or abs(warp.omega) * (hi - lo) < math.pi
+        if not (short and np.all(warp.value(np.array(self.interval)) > 0)):
             raise GeometryError("warp function must be positive on the interval")
 
     def _inside(self, s):
@@ -619,6 +624,11 @@ class Warped(SpaceForm):
         x = np.asarray(x, dtype=float)
         s = np.minimum(np.maximum(x[..., 0], self.interval[0]), self.interval[1])
         return _stack(s, self.fiber.closest_point(x[..., 1:]))
+
+    def closest_point_rate(self, x, xdot):
+        """No radial rate where s is clamped to the interval, then the fiber's."""
+        return _stack(np.where(self._inside(x[..., 0]), xdot[..., 0], 0.0),
+                      self.fiber.closest_point_rate(x[..., 1:], xdot[..., 1:]))
 
     def _check_s(self, s):
         s = np.asarray(s)
@@ -871,10 +881,10 @@ class GeodesicPath:
 
 
 class SampledPath:
-    """Driving path given by dense samples; velocities come from a cubic
-    spline through the ambient coordinates, projected to the tangent space.
-    Point, velocity and flow also take an array of times and return one row
-    per time."""
+    """Driving path given by dense samples: the point is the closest point
+    of a cubic spline through the ambient coordinates and the velocity its
+    derivative (closest_point_rate along the spline's).  Point, velocity and
+    flow also take an array of times and return one row per time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
         self.manifold = manifold
@@ -906,8 +916,9 @@ class SampledPath:
 
     def flow(self, t):
         """(point, velocity) at t."""
-        x = self.point(t)
-        return x, self.manifold.project(x, self._spline.derivative(t))
+        y = self._spline.value(t)
+        return (self.manifold.closest_point(y),
+                self.manifold.closest_point_rate(y, self._spline.derivative(t)))
 
     def sample_times(self, step):
         return self.times

@@ -329,6 +329,23 @@ def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     assert not (tmp_path / "k.json").exists()
 
 
+def test_a_warp_that_vanishes_between_its_ends_exits_2(tmp_path):
+    # cos(2 pi s / 0.15) is positive at both ends of (-1.2, 1.2) and at 17
+    # points spread over it, yet reaches -0.9997 between them
+    warped = {"kind": "warped", "interval": [-1.2, 1.2],
+              "warp": {"name": "cos", "omega": 2 * np.pi / 0.15},
+              "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
+    cfg = write_config(tmp_path, {"manifold_pair": [warped, {"kind": "sphere", "dim": 2}],
+                                  "seed": 0})
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "rollsym", "--config", cfg, "growth",
+         "--out", "growth.json"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: warp function must be positive on the interval\n"
+    assert not (tmp_path / "growth.json").exists()
+
+
 def test_config_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

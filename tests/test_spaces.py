@@ -374,6 +374,32 @@ def test_warp_function_invariants():
         assert np.abs(d2 + w.k_ref * w.value(s)).max() < 1e-8
     with pytest.raises(GeometryError):
         Warped((-3.0, 3.0), WarpFunction("cos"), Sphere(1, 1.0))  # cos vanishes inside
+    rejected = [
+        # positive at both ends, with a minimum of -0.9997 between samples
+        ((-1.2, 1.2), WarpFunction("cos", omega=2 * math.pi / 0.15)),
+        # cos changes sign in every interval longer than pi / |omega|
+        ((-0.5, math.pi - 0.49), WarpFunction("cos", omega=-2.0)),
+        ((-0.5, 0.5), WarpFunction("cosh", a=0.2, b=1.0)),  # one zero, at s = -0.203
+        ((0.0, 1.0), WarpFunction("affine", a=0.0, b=1.0)),  # zero at an end
+        ((0.0, 1.0), WarpFunction("exp", a=-1.0)),
+    ]
+    for interval, warp in rejected:
+        s = np.linspace(*interval, 100001)
+        assert warp.value(s).min() <= 0.0
+        with pytest.raises(GeometryError, match="warp function must be positive"):
+            Warped(interval, warp, Sphere(1, 1.0))
+    accepted = [
+        ((-1.2, 1.2), WarpFunction("cos")),
+        # sin(2 s) between two of its zeros, pi / 2 apart
+        ((1e-6, math.pi / 2.0 - 1e-6), WarpFunction("cos", a=0.0, b=-1.0, omega=-2.0)),
+        ((-0.5, 0.5), WarpFunction("cosh", a=1.0, b=0.9)),
+        ((0.5, 3.0), WarpFunction("cosh", a=0.2, b=1.0)),
+        ((-0.5, 0.5), WarpFunction("affine", a=1.0, b=1.9)),
+        ((-9.0, 9.0), WarpFunction("exp", a=0.1, omega=3.0)),
+    ]
+    for interval, warp in accepted:
+        Warped(interval, warp, Sphere(1, 1.0))
+        assert warp.value(np.linspace(*interval, 100001)).min() > 0.0
     with pytest.raises(GeometryError):
         WarpFunction("tanh")
     with pytest.raises(GeometryError):  # a warped fiber has no constant curvature
@@ -931,3 +957,29 @@ def test_frames_equal_the_gram_schmidt_that_defines_them(case):
     kept = np.delete(got, skipped, axis=1)
     assert not np.tril(kept, -1).any() and np.all(np.diagonal(kept) != 0)
     assert _orientation(m, x, got) == _orientation(m, x, expected) == 1
+
+
+def _circle(ts):
+    return np.column_stack((np.cos(ts), np.sin(ts)))
+
+
+@pytest.mark.parametrize("m, curve", [
+    (Sphere(2, 1.0), lambda ts: np.column_stack((math.sin(0.7) * _circle(ts / math.sin(0.7)),
+                                                  np.full_like(ts, math.cos(0.7))))),
+    (Hyperbolic(2, 1.0), lambda ts: np.column_stack((np.full_like(ts, math.cosh(0.8)),
+                                                      math.sinh(0.8) * _circle(ts / math.sinh(0.8))))),
+    (Euclidean(2), _circle),
+    (Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)),
+     lambda ts: np.column_stack((0.6 * np.sin(2.0 * ts), _circle(ts)))),
+], ids=["S2", "H2", "R2", "cos S1"])
+def test_a_sampled_path_velocity_is_the_derivative_of_its_point(m, curve):
+    # 6 samples of a 0.5-long curve at about unit speed: the spline's
+    # derivative projected to the tangent space misses the derivative of the
+    # point, its closest point, by 6.9e-6 on S2(1), 1.7e-4 on H2(1) and
+    # 2.9e-6 on cos S1; the derivative meets the central difference to 1.8e-10
+    knots = np.linspace(0.0, 0.5, 6)
+    path = SampledPath(m, knots, curve(knots))
+    ts, h = np.linspace(0.0, 0.5, 99)[1:-1], 1e-6  # 97 times, each at least 1e-3 off the knots
+    x, v = path.flow(ts)
+    assert np.array_equal(x, path.point(ts))
+    assert np.abs(v - (path.point(ts + h) - path.point(ts - h)) / (2 * h)).max() < 1e-8
