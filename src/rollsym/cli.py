@@ -29,7 +29,7 @@ from .spaces import (DomainError, GeodesicPath, GeometryError, MismatchError, Sa
 from .rolling import RollingCurve, RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
-from .nilpotent import flatness_obstruction, structure_tensor, verify_structure
+from .nilpotent import flatness_obstruction, growth_vector, structure_tensor, verify_structure
 from .symmetry import (
     KillingField,
     killing_catalog,
@@ -201,7 +201,7 @@ def cmd_growth(args):
     except GeometryError:
         kappa = None
     # kappa = 0 leaves D integrable; a full flag stays full to the requested depth
-    growth = (n, n, n) if kappa == 0.0 else (n, n * (n + 1) // 2, 2 * n + n * (n - 1) // 2)
+    growth = (n, n, n) if kappa == 0.0 else growth_vector(n)
     predicted = (growth + growth[-1:] * args.depth)[: args.depth]
     out = run.report_header()
     out["flag"] = report.to_json()
@@ -214,7 +214,7 @@ def cmd_growth(args):
     _dump(out, run.out)
     if ambiguous:
         return EXIT_RANK_GAP
-    if kappa is not None and kappa == 0.0:
+    if kappa == 0.0:
         return EXIT_OK
     return EXIT_OK if tuple(report.ranks) == tuple(predicted[: len(report.ranks)]) else EXIT_FAIL
 

@@ -309,13 +309,11 @@ def flatness_obstruction(K, K_hat, beta, n=3) -> ObstructionReport:
     Raises on kappa = 0 (the mismatch hypothesis is a precondition, not a
     verdict) and on beta <= 0.
     """
-    K, K_hat, beta = (Fraction(v) if isinstance(v, str) else v for v in (K, K_hat, beta))
     if all(isinstance(v, (int, Fraction)) for v in (K, K_hat, beta)):
         K, K_hat, beta = Fraction(K), Fraction(K_hat), Fraction(beta)
-    if isinstance(K, numbers.Real) and isinstance(K_hat, numbers.Real):
-        kappa = -K + K_hat
-    else:
+    if not (isinstance(K, numbers.Real) and isinstance(K_hat, numbers.Real)):
         raise GeometryError("curvatures must be real scalars")
+    kappa = -K + K_hat
     if kappa == 0:
         raise GeometryError("equal curvatures: the obstruction needs K != K_hat")
     if not beta > 0:

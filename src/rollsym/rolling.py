@@ -39,8 +39,8 @@ import numpy as np
 
 from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
-from .spaces import (DEFAULT_STEP, ConstantCurvature, DomainError, GeodesicPath, GeometryError,
-                     SpaceForm)
+from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, GeodesicPath,
+                     GeometryError, SpaceForm)
 
 ISOMETRY_TOL = 1e-9
 FD_STEP = 1e-4
@@ -67,15 +67,7 @@ class RollingPair:
         """The state (x, x_hat; isometry), or the stack of states along the
         leading axes of the isometry, after every check of _check_rows."""
         x, x_hat, a = (np.asarray(v, float) for v in (x, x_hat, isometry))
-        n = self.dim
-        if a.shape[-2:] != (n, n):
-            raise GeometryError(f"contact map must be a {n} x {n} matrix")
-        shape = a.shape[:-2]
-        for pts in (x, x_hat):
-            if pts.shape[:-1] != shape:
-                raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
-        _check_rows(self, x.reshape((-1,) + x.shape[len(shape):]),
-                    x_hat.reshape((-1,) + x_hat.shape[len(shape):]), a.reshape(-1, n, n))
+        _check_rows(self, x, x_hat, a)
         return RollingState(self, x, x_hat, a)
 
     def draw(self, rng, shape=()):
@@ -110,22 +102,34 @@ def _transposed(a):
 
 
 def _check_rows(pair, x, x_hat, a):
-    """Every check of a state on rows of states: each point on its manifold,
-    each contact map an orientation-preserving isometry.  Returns the
-    isometry residuals."""
+    """Every check of a state on a stack of any leading shape: its points on
+    their manifolds, its contact map an orientation-preserving isometry.
+    Returns the isometry residuals.  Raises the first failing state's first
+    failing check, from its own values, with its flat index as `row`."""
     n = pair.dim
-    for m, pts in ((pair.space, x), (pair.space_hat, x_hat)):
-        if m.point(pts).shape != (len(a), m.amb_dim):
-            raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
-    if a.shape[1:] != (n, n):
+    if a.shape[-2:] != (n, n):
         raise GeometryError(f"contact map must be a {n} x {n} matrix")
-    residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(1, 2))
-    worst = residuals.max(initial=0.0)
-    if not worst <= ISOMETRY_TOL:
-        raise GeometryError(f"contact map is not an isometry (residual {worst:.3e})")
-    if np.any(np.linalg.det(a) <= 0):
+    for pts in (x, x_hat):
+        if pts.shape[:-1] != a.shape[:-2]:
+            raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
+    error = np.maximum(pair.space.point_error(x), pair.space_hat.point_error(x_hat))  # NaN fails
+    residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(-2, -1))
+    good = np.ravel((error <= POINT_TOL) & (residuals <= ISOMETRY_TOL))
+    flat = a.reshape(-1, n, n)  # the determinant only of isometries, never of NaN
+    good[good] = np.linalg.det(flat if good.all() else flat[good]) > 0
+    if good.all():
+        return residuals
+    row = int(np.argmin(good))
+    state = np.unravel_index(row, residuals.shape)
+    try:
+        for m, pts in ((pair.space, x), (pair.space_hat, x_hat)):
+            m.point(pts[state])
+        if not residuals[state] <= ISOMETRY_TOL:
+            raise GeometryError(f"contact map is not an isometry (residual {residuals[state]:.3e})")
         raise GeometryError("contact map must preserve orientation")
-    return residuals
+    except GeometryError as exc:
+        exc.row = row
+        raise
 
 
 @dataclass
@@ -277,9 +281,9 @@ def det_transport_matrix(m: SpaceForm, x, frames, v, t):
     that point through parallel transport along the geodesic, and the frame
     there, given the frames at the points.  A row with v[i] = 0 keeps its
     point and frame with the identity transport; the moving rows flow in one
-    transport_along_geodesic call, their frames from one frames call and
+    transport_along_geodesic call, their frames from one _frames call and
     their transports from one product with the metric weights; when every
-    row moves, none is copied out."""
+    row moves, none is copied out.  A frame that is not finite fails its row's check."""
     move = np.flatnonzero(v.any(axis=1))
     if len(move) < len(x):
         fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
@@ -290,7 +294,7 @@ def det_transport_matrix(m: SpaceForm, x, frames, v, t):
         return x, fwd, frames
     xt, moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None], frames)
     xt = xt[:, 0]
-    frames = m.frames(xt)
+    frames = m._frames(xt)
     return xt, (frames * m.metric_weights(xt)[..., None, :]) @ _transposed(moved), frames
 
 
@@ -304,9 +308,16 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     matrices from its bases (det_transport_matrix on each factor) as its
     `transports`, through which values at it are pulled back, its frames,
     and the anchor of q at each state.  The kernel runs on the flattened
-    stack: only rows with C != 0 enter the one stacked expm, and every check
-    of RollingState runs once over the whole stack.  The transports are
-    exact isometries, so A is never projected back onto the rotations."""
+    stack: only rows with C != 0 enter the one stacked expm, and _check_rows
+    runs once over the whole stack.  The transports are exact isometries, so
+    A is never projected back onto the rotations."""
+    out = _canonical_states(q, xi, t)
+    _check_rows(out.pair, out.x, out.x_hat, out.isometry)
+    return out
+
+
+def _canonical_states(q, xi, t):
+    """The states of tangent_curve, unchecked."""
     pair, n = q.pair, q.pair.dim
     xi, t = np.asarray(xi, float), np.asarray(t, float)
     shape = np.broadcast_shapes(q.shape, xi.shape[:-1], t.shape)
@@ -327,7 +338,6 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     if len(spin):
         a[spin] = a[spin] @ expm(t[spin, None, None] * C[spin])
     a = a @ _transposed(fwd)
-    _check_rows(pair, xt, xht, a)
 
     def stacked(a):
         return a.reshape(shape + a.shape[1:])
@@ -392,8 +402,8 @@ BLOCK = 256  # grid intervals (or CSV rows) per batch of the array kernels
 class RollingCurve:
     """A rolling motion sampled on a time grid, one row per sample time: the
     contact points, the contact map A in the deterministic frames and its
-    isometry residual.  Construction applies every check of RollingState to
-    every row."""
+    isometry residual.  Construction runs _check_rows once over the rows,
+    which names the first row that fails a check of RollingState."""
 
     pair: RollingPair
     times: np.ndarray
@@ -447,8 +457,9 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     A bad path raises GeometryError, and a contact point leaving the interval
     of a warped factor raises DomainError.  Rows computed from a valid start
     can still fail the checks of a state (far out on a hyperboloid a point
-    misses its constraint by round-off): that raises DomainError, naming the
-    check and the first sample time whose row fails it."""
+    misses its constraint by round-off, further out a row overflows): the
+    one check of the rows written raises DomainError, naming the check and
+    the first sample time whose written row fails it."""
     pair = q0.pair
     times = np.asarray(path.sample_times(step), dtype=float)
     if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
@@ -457,35 +468,17 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
         raise GeometryError("driving path time grid must be increasing")
     start = RollingState(pair, pair.space.closest_point(q0.x),
                          pair.space_hat.closest_point(q0.x_hat), _nearest_rotation(q0.isometry))
-    lift = rolling_lift(start, path.v0) if isinstance(path, GeodesicPath) else None
-
-    def rows(k):  # the checked rows at the first k sample times
-        if lift is None:
-            x, x_hat, a = _roll_magnus(start, path, times[:k], step)
+    with np.errstate(all="ignore"):  # a row that overflows fails its check instead
+        if isinstance(path, GeodesicPath):
+            end = _canonical_states(start, rolling_lift(start, path.v0), times)
+            x, x_hat, a = path.point(times), end.x_hat, end.isometry
         else:
-            end = tangent_curve(start, lift, times[:k])
-            x, x_hat, a = path.point(times[:k]), end.x_hat, end.isometry
+            x, x_hat, a = _roll_magnus(start, path, times, step)
         x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
-        return RollingCurve(pair, times[:k], x, x_hat, a)
-
-    with np.errstate(all="ignore"):  # a row that overflows fails the checks instead
         try:
-            return rows(len(times))
-        except DomainError:
-            raise
-        except GeometryError as exc:
-            error, good, bad = exc, 1, len(times)
-        # every kernel computes a row from the times up to its own, so the
-        # first failing row is where rows(good) passes and rows(good + 1)
-        # fails; only a failed roll pays for these probes
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                rows(mid)
-                good = mid
-            except GeometryError as exc:
-                error, bad = exc, mid
-    raise DomainError(f"the roll fails a check at t = {times[bad - 1]:.6g}: {error}")
+            return RollingCurve(pair, times, x, x_hat, a)
+        except GeometryError as err:
+            raise DomainError(f"the roll fails a check at t = {times[err.row]:.6g}: {err}") from None
 
 
 def _roll_magnus(start, path, times, step):
@@ -596,7 +589,7 @@ def _redress(pair, x, x_hat, frame, image):
     the inner product of deterministic frame vector j at x_hat with the image
     of deterministic frame vector i at x, expanded in the parallel frame."""
     m, mh = pair.space, pair.space_hat
-    det_fr, det_fr_hat = m.frames(x), mh.frames(x_hat)
+    det_fr, det_fr_hat = m._frames(x), mh._frames(x_hat)
     s = (frame * m.metric_weights(x)[..., None, :]) @ np.swapaxes(det_fr, 1, 2)
     return (det_fr_hat * mh.metric_weights(x_hat)[..., None, :]) @ image @ s
 

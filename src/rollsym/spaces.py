@@ -129,14 +129,20 @@ class SpaceForm:
         """Validated ambient coordinates of a point on the manifold, or of a
         stack of points (..., amb_dim)."""
         coords = np.asarray(coords, dtype=float)
+        err = self.point_error(coords)
+        if not err.max(initial=0.0) <= POINT_TOL:
+            raise GeometryError(f"point violates the {self.kind} constraint by {err.max():.3e}")
+        return coords
+
+    def point_error(self, coords):
+        """constraint_residual at a stack of ambient coordinates (..., amb_dim),
+        inf where one is not finite: `point` takes at most POINT_TOL."""
         if coords.shape[-1:] != (self.amb_dim,):
             raise GeometryError(f"expected {self.amb_dim} ambient coordinates, got {coords.shape}")
         finite = np.isfinite(coords).all(axis=-1)
         err = np.full(finite.shape, math.inf)
         err[finite] = self.constraint_residual(coords[finite])
-        if not err.max(initial=0.0) <= POINT_TOL:
-            raise GeometryError(f"point violates the {self.kind} constraint by {err.max():.3e}")
-        return coords
+        return err
 
     def constraint_residual(self, x):
         """Violation of the manifold's constraint at each point (inf off its domain)."""
@@ -231,7 +237,8 @@ class SpaceForm:
         w_k) of squared length and, if kept, gives the row sign(s_k T_k) (T_k
         e_k - s_k x_k x') / sqrt|s_k T_k (T_k + w_k)|.  So exactly one j is
         skipped, the determinant has the sign of (-1)^(n - j) x_j, and a row of
-        a stack is the frame of its point alone, bit for bit."""
+        a stack is the frame of its point alone, bit for bit.  A frame that is
+        not finite raises; canonical curves and rolls take _frames and check the row."""
         xs = np.asarray(xs, dtype=float)
         lead, xs = xs.shape[:-1], xs.reshape(-1, self.amb_dim)
         rows = self._frames(xs)

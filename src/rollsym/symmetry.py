@@ -46,6 +46,7 @@ from .rolling import (
     RollingState,
     directional_derivative,
     expm,
+    q_dim,
     rolling_lift,
     row_data,
     tangent_curve,
@@ -327,8 +328,7 @@ def _jacobi_generator(q1, X):
     mh, n = q1.pair.space_hat, q1.pair.dim
     v_c = q1.isometry @ q1.coords(X)
     curv = mh.curvature_matrix_apply(q1.x_hat, wedge_matrix(v_c, np.eye(n)))
-    size = 2 * n + so_dim(n)
-    gen = np.zeros((size, size))
+    gen = np.zeros((q_dim(n), q_dim(n)))
     gen[:n, n : 2 * n] = np.eye(n)
     gen[n : 2 * n, :n] = (curv @ v_c).T
     gen[2 * n :, :n] = skew_to_vector(curv).T

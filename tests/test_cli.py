@@ -272,12 +272,14 @@ def test_a_warped_second_factor_that_rolls_out_of_its_interval_exits_3(tmp_path,
 
 
 @pytest.mark.parametrize("kinds", [("hyperbolic", "sphere"), ("sphere", "hyperbolic")])
-@pytest.mark.parametrize("length, step, code", [(6, "0.01", 0), (7, "0.01", 3), (30, "0.5", 3)])
+@pytest.mark.parametrize("length, step, code", [(6, "0.01", 0), (7, "0.01", 3), (30, "0.5", 3),
+                                                (800, "1", 3)])
 def test_a_long_roll_on_a_hyperbolic_factor_is_a_domain_error(tmp_path, kinds, length, step, code):
     # far out on the hyperboloid a rolled point misses the absolute POINT_TOL
-    # by round-off from t = 6.8, and at length 30 its frame cannot be
-    # completed either: rows computed from valid input, so exit 3 with one
-    # line and no NumPy warning, not exit 2 (config error)
+    # by round-off from t = 6.8, at length 30 its frame cannot be completed
+    # either, and at length 800 the rows overflow: rows computed from valid
+    # input, so exit 3 with one line and no NumPy warning, not exit 2 (config
+    # error)
     cfg = write_config(tmp_path, {"manifold_pair": [{"kind": k, "dim": 2, "radius": 1.0}
                                                     for k in kinds], "seed": 0})
     done = subprocess.run(

@@ -14,7 +14,6 @@ from rollsym.curvature import (rolling_curvature, skew_part, skew_to_vector, vec
                                wedge_matrix)
 from rollsym.rolling import (
     FD_STEP_FIBER,
-    _nearest_rotation,
     _roll_magnus,
     RollingCurve,
     RollingPair,
@@ -433,26 +432,85 @@ def test_a_geodesic_roll_on_space_forms_takes_no_matrix_exponential(monkeypatch,
     assert calls
 
 
-def test_rows_that_fail_their_checks_are_a_domain_error_at_the_first_failing_time():
-    # far out on the hyperboloid (|x|^2 ~ 2e5 near t = 6.8) a point misses the
-    # absolute POINT_TOL by round-off
+def _far_hyperbolic_roll(length, step):
+    """H2(1)/S2(1) at seed 0, rolled along a unit geodesic far out on the
+    hyperboloid, and the sample times of the path."""
     pair = RollingPair(Hyperbolic(2, 1.0), Sphere(2, 1.0))
     rng = np.random.default_rng(0)
     q0 = pair.random_state(rng)
-    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), 9.0)
-    with pytest.raises(DomainError, match="point violates the hyperbolic constraint") as info:
+    path = GeodesicPath(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True), length)
+    return pair, q0, path, path.sample_times(step)
+
+
+def test_rows_that_fail_their_checks_are_a_domain_error_at_the_first_failing_time():
+    # far out on the hyperboloid (|x|^2 ~ 2e5 near t = 6.9) a point misses the
+    # absolute POINT_TOL by round-off; the roll names the first sample time
+    # whose written row fails, here the path's own point there
+    pair, q0, path, times = _far_hyperbolic_roll(9.0, 0.01)
+    with pytest.raises(DomainError) as info:
         roll_along(q0, path, step=0.01)
-    times = path.sample_times(0.01)
-    t = float(str(info.value).split("t = ")[1].split(":")[0])
-    k = int(np.flatnonzero(np.isclose(times, t, rtol=1e-6, atol=0.0))[0])
-    # a geodesic rolls along the canonical curve of its rolling lift, from
-    # the points moved onto their manifolds and the rotation nearest to A
-    start = pair.state(pair.space.closest_point(q0.x), pair.space_hat.closest_point(q0.x_hat),
-                       _nearest_rotation(q0.isometry))
-    lift = rolling_lift(start, path.v0)
-    tangent_curve(start, lift, times[:k])  # every row before t passes
-    with pytest.raises(GeometryError, match="point violates the hyperbolic constraint"):
-        tangent_curve(start, lift, times[: k + 1])
+    err = pair.space.point_error(path.point(times))
+    k = int(np.argmax(~(err <= POINT_TOL)))
+    assert f"{times[k]:.6g}" == "6.86"
+    assert str(info.value) == (f"the roll fails a check at t = 6.86: point violates the "
+                               f"hyperbolic constraint by {err[k]:.3e}")
+
+
+@pytest.mark.parametrize("length, sampled, fails", [(9.0, False, True), (6.0, False, False),
+                                                     (6.0, True, False)])
+def test_every_roll_runs_its_kernel_and_its_check_once(monkeypatch, length, sampled, fails):
+    _, q0, path, times = _far_hyperbolic_roll(length, 0.01)
+    if sampled:
+        path = SampledPath(path.manifold, times[::10], path.point(times[::10]))
+    calls = []
+    for name in ("_canonical_states", "_roll_magnus", "_check_rows"):
+        func = getattr(rolling_module, name)
+        monkeypatch.setattr(rolling_module, name,
+                            lambda *args, name=name, func=func: calls.append(name) or func(*args))
+    if fails:
+        with pytest.raises(DomainError):
+            roll_along(q0, path, step=0.01)
+    else:
+        roll_along(q0, path, step=0.01)
+    assert calls == ["_roll_magnus" if sampled else "_canonical_states", "_check_rows"]
+
+
+def test_a_roll_that_overflows_past_its_first_bad_row_names_that_row(recwarn):
+    # at length 800 the rows overflow to inf and NaN long after the first
+    # row that fails; the roll still names that row, and warns of nothing
+    _, q0, path, _ = _far_hyperbolic_roll(800.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        roll_along(q0, path, step=1.0)
+    assert str(info.value) == ("the roll fails a check at t = 7: point violates the hyperbolic "
+                               "constraint by 2.682e-10")
+    assert not recwarn.list
+
+
+def test_the_row_check_names_the_first_failing_row_with_its_own_message():
+    # rows 1, 3 and 4 fail different checks: the error is row 1's, from its
+    # own value, although row 4 fails a check that comes first in a state
+    pair = RollingPair(Sphere(2, 1.0), Hyperbolic(2, 1.0))
+    x, x_hat, a = pair.draw(np.random.default_rng(5), (2, 3))
+    a[0, 1] *= 1.01  # flat row 1: not an isometry
+    a[1, 0, :, 0] *= -1.0  # flat row 3: a reflection
+    x[1, 1] *= 2.0  # flat row 4: off the sphere
+    residual = np.linalg.norm(a[0, 1].T @ a[0, 1] - np.eye(2))
+    with pytest.raises(GeometryError) as info:
+        pair.state(x, x_hat, a)
+    assert info.value.row == 1
+    assert str(info.value) == f"contact map is not an isometry (residual {residual:.3e})"
+    a[0, 1] /= 1.01
+    with pytest.raises(GeometryError, match="^contact map must preserve orientation$") as info:
+        pair.state(x, x_hat, a)
+    assert info.value.row == 3
+    a[1, 0, :, 0] *= -1.0
+    message = f"point violates the sphere constraint by {pair.space.point_error(x[1, 1]):.3e}"
+    for stack, row in (((x, x_hat, a), 4), ((x[1, 1], x_hat[1, 1], a[1, 1]), 0)):
+        with pytest.raises(GeometryError) as info:
+            pair.state(*stack)
+        assert (info.value.row, str(info.value)) == (row, message)
+    with pytest.raises(GeometryError, match="^expected 3 ambient coordinates"):
+        pair.state(x[..., :2], x_hat, a)
 
 
 @pytest.mark.parametrize("hat", [Euclidean(2), Sphere(2, 3.0)], ids=repr)
