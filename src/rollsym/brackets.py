@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_skew,
                         wedge_matrix)
-from .numerics import numerical_rank
+from .numerics import equilibrate, numerical_rank
 from .spaces import GeometryError, Warped
 from .rolling import (
     RollingState,
@@ -195,19 +196,18 @@ def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.
 # -- generator fields -----------------------------------------------------------
 
 
-def generator_brackets() -> StructuredField:
-    """The table of brackets [L_i, L_j] of the rolling generators, n * n
-    fields whose value is bracket_structured(gens, gens, q), with closed-form
-    derivatives.  Field ij has the data T = [F_i, F_j], which is dF_j(F_i) -
-    dF_i(F_j) since transport_rhs is symmetric, T_hat = A T and U = Rol_q(w)
-    = A R(w) - R_hat(w_hat) A for w = F_i ^ F_j and w_hat = A F_i ^ A F_j
-    (Chitour and Kokkonen 2010).  Along a row (X, X_hat, C), A moves by A C:
-    dT = nabla_X [F_i, F_j] from the anchored frame's first and second
-    ambient derivatives, dT_hat = (dT + T C^T) A^T in rows, and dU = A R(dw) -
-    R_hat(dw_hat) A + A C R(w) - R_hat(w_hat) A C + A (nabla_X R)(w) -
-    (nabla_X_hat R_hat)(w_hat) A, with dw and dw_hat from the generators' own
-    derivatives."""
-    gens = rolling_generators()
+def generator_brackets(gens: StructuredField) -> StructuredField:
+    """The table of brackets [L_i, L_j] of the rolling generators gens (as the
+    flag keeps them), n * n fields whose value is bracket_structured(gens,
+    gens, q), with closed-form derivatives.  Field ij has the data T = [F_i,
+    F_j], which is dF_j(F_i) - dF_i(F_j) since transport_rhs is symmetric,
+    T_hat = A T and U = Rol_q(w) = A R(w) - R_hat(w_hat) A for w = F_i ^ F_j
+    and w_hat = A F_i ^ A F_j (Chitour and Kokkonen 2010).  Along a row (X,
+    X_hat, C), A moves by A C: dT = nabla_X [F_i, F_j] from the anchored
+    frame's first and second ambient derivatives, dT_hat = (dT + T C^T) A^T
+    in rows, and dU = A R(dw) - R_hat(dw_hat) A + A C R(w) - R_hat(w_hat) A C
+    + A (nabla_X R)(w) - (nabla_X_hat R_hat)(w_hat) A, with dw and dw_hat
+    from gens' own derivatives (at the flag's state, the ones it keeps)."""
 
     def value(q):
         return bracket_structured(gens, gens, q)
@@ -322,6 +322,15 @@ class FlagReport:
         }
 
 
+def kept_at(field: StructuredField, q: RollingState) -> StructuredField:
+    """field with its value at q, and its derivative at q along that value,
+    each computed once and kept; elsewhere it evaluates as field does."""
+    value, along_value = field.value(q), cache(lambda: field.derivative(q, value))
+    return StructuredField(
+        lambda s: value if s is q else field.value(s),
+        lambda s, xi: along_value() if s is q and xi is value else field.derivative(s, xi))
+
+
 def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
@@ -333,22 +342,21 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
     themselves (generator_brackets), and depth 3 brackets it with them
     through its closed-form derivatives, with no stencil.  From depth 4 on,
     each step is one stacked bracket_field, whose derivatives are stencils
-    at four sample states per generator.  All vectors are tangent rows, and
-    each step's vectors form one layer of the equilibrated rank rule of
-    numerics.numerical_rank: the reported singular values are those of the
-    rows after dropping round-off rows and dividing every layer by its
-    longest row.
+    at four sample states per generator.  The generators and every table are
+    kept at q (kept_at).  All vectors are tangent rows, and each step's form
+    one layer, equilibrated when it is adjoined (numerics.equilibrate): the
+    reported singular values are those of the rows after dropping round-off
+    rows and dividing every layer by its longest row.
     """
     if depth < 1:
         raise GeometryError("flag depth must be at least 1")
     if depth > 6:
         raise GeometryError("flag depth above 6 is not supported")
     q = RollingState(q.pair, q.x, q.x_hat, q.isometry)  # its own anchor
-    gens = rolling_generators()
-    rows = gens.value(q)
-    layers = [len(rows)]
-    steps = [numerical_rank(rows, tol, layers)]  # (rank, singular values, gap) per flag step
-    current = gens
+    gens = current = kept_at(rolling_generators(), q)
+    first, floor = equilibrate(gens.value(q), None)
+    layers = [first]
+    steps = [numerical_rank(first, tol)]  # (rank, singular values, gap) per flag step
     full = q_dim(q.pair.dim)
     for _ in range(1, depth):
         rank = steps[-1][0]
@@ -356,14 +364,10 @@ def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
             # a stationary flag stays stationary: pad to the requested depth
             steps.append(steps[-1])
             continue
-        current = generator_brackets() if current is gens else bracket_field(current, gens)
-        new = current.value(q)
-        # the next step reads this table at q again: it is kept, not re-evaluated
-        current = StructuredField(lambda s, f=current.value, v=new: v if s is q else f(s),
-                                  current.derivative)
-        rows = np.concatenate((rows, new))
-        layers.append(len(new))
-        steps.append(numerical_rank(rows, tol, layers))
+        current = kept_at(generator_brackets(gens) if current is gens
+                          else bracket_field(current, gens), q)
+        layers.append(equilibrate(current.value(q), floor)[0])
+        steps.append(numerical_rank(np.concatenate(layers), tol))
     ranks, svs, gaps = zip(*steps)
     return FlagReport(q, ranks, list(svs), tol, gaps)
 

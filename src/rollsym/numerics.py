@@ -35,41 +35,38 @@ def central_diff(values, h):
 
 
 # rows shorter than this share of the longest row of the first layer are
-# round-off, which numerical_rank drops before it equilibrates the layers.
-# Every derivative of a depth-3 flag is a closed form, and in `growth` over
-# seeds 0-199 at n = 2, 3, 4 the rows that vanish analytically come out
-# exactly 0 or below 9e-16 of the generators' length, the shortest genuine
-# ones at 0.63 of it.
+# round-off, which equilibrate drops before it scales a layer.  Every
+# derivative of a depth-3 flag is a closed form, and in `growth` over seeds
+# 0-199 at n = 2, 3, 4 the rows that vanish analytically come out exactly 0
+# or below 9e-16 of the generators' length, the shortest genuine ones at 0.63
+# of it.
 ROW_FLOOR = 1e-10
 
 
-def numerical_rank(mat, tol, layers=None):
+def equilibrate(rows, floor):
+    """One layer of the rank rule, and the floor of every later layer: rows
+    no longer than `floor` are round-off and become 0 (not noise of unit
+    length), and the rest are divided by the longest of them, since layers
+    of very different lengths would spread the singular values across the
+    cut.  The first layer passes floor None: ROW_FLOOR times its longest row."""
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's, without its checks
+    if floor is None:
+        floor = ROW_FLOOR * norms.max(initial=0.0)
+    kept = norms > floor
+    longest = norms.max(initial=0.0, where=kept)
+    return (kept / longest if longest else np.zeros(len(rows)))[:, None] * rows, floor
+
+
+def numerical_rank(mat, tol):
     """(rank, singular values, gap) of a matrix: the rank counts singular
     values above tol times the largest, and the gap is the ratio across
     that cut (inf when nothing lies below it, or for the zero matrix).
-
-    With `layers`, the row counts of consecutive blocks of rows, the rows
-    are equilibrated first.  Rows shorter than ROW_FLOOR times the longest
-    row of the first block are dropped, so that rows which vanish up to
-    round-off are not scaled up into noise of unit length; then every block
-    is divided by its longest remaining row.  Scaling a block changes no
-    rank, but blocks of very different lengths would spread the singular
-    values across the cut.  The singular values returned are those of the
-    equilibrated rows."""
+    Layered rows pass through equilibrate first, one layer at a time."""
     mat = np.asarray(mat, dtype=float)
-    if layers is not None:
-        norms = np.linalg.norm(mat, axis=1)
-        kept = norms > ROW_FLOOR * norms[: layers[0]].max(initial=0.0)
-        scale = np.zeros(len(mat))
-        for block in np.split(np.arange(len(mat)), np.cumsum(layers)[:-1]):
-            longest = norms[block][kept[block]].max(initial=0.0)
-            if longest > 0.0:
-                scale[block] = np.where(kept[block], 1.0 / longest, 0.0)
-        mat = scale[:, None] * mat
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[0] == 0.0:
         return 0, sv, math.inf
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.count_nonzero(sv > tol * sv[0]))
     gap = math.inf
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = sv[rank - 1] / sv[rank]

@@ -113,7 +113,8 @@ def _check_rows(pair, x, x_hat, a):
         if pts.shape[:-1] != a.shape[:-2]:
             raise GeometryError(f"expected one point per contact map, got shape {pts.shape}")
     error = np.maximum(pair.space.point_error(x), pair.space_hat.point_error(x_hat))  # NaN fails
-    residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf residual
+        residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(-2, -1))
     good = np.ravel((error <= POINT_TOL) & (residuals <= ISOMETRY_TOL))
     flat = a.reshape(-1, n, n)  # the determinant only of isometries, never of NaN
     good[good] = np.linalg.det(flat if good.all() else flat[good]) > 0

@@ -136,12 +136,14 @@ class SpaceForm:
 
     def point_error(self, coords):
         """constraint_residual at a stack of ambient coordinates (..., amb_dim),
-        inf where one is not finite: `point` takes at most POINT_TOL."""
+        inf where one is not finite or overflows: `point` takes at most
+        POINT_TOL."""
         if coords.shape[-1:] != (self.amb_dim,):
             raise GeometryError(f"expected {self.amb_dim} ambient coordinates, got {coords.shape}")
         finite = np.isfinite(coords).all(axis=-1)
         err = np.full(finite.shape, math.inf)
-        err[finite] = self.constraint_residual(coords[finite])
+        with np.errstate(over="ignore", invalid="ignore"):
+            err[finite] = self.constraint_residual(coords[finite])
         return err
 
     def constraint_residual(self, x):
@@ -906,7 +908,7 @@ class SampledPath:
             raise GeometryError("path samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise GeometryError("path time grid must be strictly increasing")
-        if np.any(manifold.constraint_residual(pts) > 1e-8):
+        if np.any(manifold.point_error(pts) > 1e-8):
             raise GeometryError("path sample lies off the manifold")
         self.points = pts
         self._spline = NotAKnotSpline(self.times, pts)

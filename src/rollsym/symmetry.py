@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvature import (curvature_term, rolling_curvature, skew_part, skew_to_vector, so_dim,
                         so_pairs, vector_to_skew, wedge_matrix)
-from .numerics import numerical_rank
+from .numerics import equilibrate, numerical_rank
 from .rolling import (
     FD_STEP_FIBER,
     RollingPair,
@@ -370,7 +370,7 @@ def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) ->
     tangent rows at q0 without the Z block.  The data determines the
     candidate along the reachable set, so the rank bounds the dimension of
     the base-fixing symmetry space; the full Killing catalog realizes
-    n(n+1)/2.  The rows form one layer of numerics.numerical_rank's rule, so
+    n(n+1)/2.  The rows form one layer of numerics.equilibrate's rule, so
     the singular values are those of the rows over the longest one.  Rows
     that are not finite raise."""
     values = cand.value(q0)
@@ -379,4 +379,4 @@ def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) ->
     z, rows = np.split(values, [q0.pair.dim], axis=-1)
     if np.any(z):
         raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
-    return DimensionReport(*numerical_rank(rows, tol, layers=[len(rows)]), tol)
+    return DimensionReport(*numerical_rank(equilibrate(rows, None)[0], tol), tol)

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from rollsym.brackets import (
     stencil_data_derivative,
 )
 from rollsym.cli import GAP_REQUIREMENT, _rank_cut_ambiguous
-from rollsym.numerics import numerical_rank
 from rollsym.rolling import (CHART_STEP, RollingPair, q_dim, random_rotation,
                              rolling_lift, tangent_curve)
 from rollsym.symmetry import killing_catalog, killing_to_symmetry, perturb_candidate
+from test_numerics import batch_rank, layered_rank
 
 RNG = np.random.default_rng(31)
 FIELD_FD_STEP = 1e-3  # the stencil step of a test field without closed-form derivatives
@@ -252,6 +253,61 @@ def test_a_depth_three_flag_evaluates_each_table_at_q_once(monkeypatch):
     assert shapes == [(), ()]
 
 
+def test_a_depth_three_flag_computes_each_generator_quantity_at_q_once(monkeypatch):
+    # the generators' rows at q and their derivative along those rows are
+    # kept: bracket_structured(gens, gens, q) reads both twice and the depth-3
+    # table's closed-form derivative reads the derivative again, while the
+    # depth-3 bracket differentiates the generators along the depth-2 table
+    import rollsym.brackets as brackets_mod
+
+    q = RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)).random_state(np.random.default_rng(0))
+    calls = Counter()
+    make, bracket = brackets_mod.rolling_generators, brackets_mod.bracket_structured
+    svd = np.linalg.svd
+
+    def counted_generators():
+        gens = make()
+        return StructuredField(
+            lambda s: calls.update([("rows", s.shape)]) or gens.value(s),
+            lambda s, xi: (calls.update([("derivative", s.shape, len(xi))])
+                           or gens.derivative(s, xi)))
+
+    monkeypatch.setattr(brackets_mod, "rolling_generators", counted_generators)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.update(["svd"]) or svd(*a, **k))
+    monkeypatch.setattr(brackets_mod, "bracket_structured",
+                        lambda xf, yf, s: calls.update(["bracket"]) or bracket(xf, yf, s))
+    assert flag_ranks(q, depth=3).ranks == (4, 10, 14)
+    assert calls == {("rows", ()): 1, ("derivative", (), 4): 1, ("derivative", (), 16): 1,
+                     "svd": 3, "bracket": 2}
+
+
+@pytest.mark.parametrize("pair", [
+    RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)),
+    RollingPair(Sphere(3, 1.0), Euclidean(3)),
+    RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)),
+    RollingPair(Warped((-1.5, 1.5), WarpFunction("cosh"), Sphere(2, 1.0)), Sphere(3, 1.0)),
+], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)", "cosh S2(1)/S3(1)"])
+def test_a_flag_equals_its_tables_evaluated_afresh_and_ranked_as_one_batch(pair):
+    # the tables kept at q and the layers equilibrated once, when adjoined,
+    # give the flag that evaluates every table afresh and re-equilibrates all
+    # layers at each step, bit for bit, at growth's states of seeds 0-49
+    full = q_dim(pair.dim)
+    for seed in range(50):
+        q = pair.random_state(np.random.default_rng(seed))
+        gens = rolling_generators()
+        table = generator_brackets(gens)
+        rows, steps = [], []
+        for field in (gens, table, bracket_field(table, gens)):
+            if steps and (steps[-1][0] == full or len(steps) > 1 and steps[-1][0] == steps[-2][0]):
+                steps.append(steps[-1])  # a stationary flag stays stationary
+                continue
+            rows.append(field.value(q))
+            steps.append(batch_rank(np.concatenate(rows), 1e-8, [len(r) for r in rows]))
+        rep = flag_ranks(q, depth=3)
+        assert rep.ranks == tuple(s[0] for s in steps) and rep.gaps == tuple(s[2] for s in steps)
+        assert all(np.array_equal(a, s[1]) for a, s in zip(rep.singular_values, steps))
+
+
 def space_forms(n):
     return st.one_of(st.builds(Sphere, st.just(n), st.floats(0.3, 3.0)),
                      st.builds(Hyperbolic, st.just(n), st.floats(0.3, 3.0)), st.just(Euclidean(n)))
@@ -303,7 +359,7 @@ def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
     stacked = (gens.value(moved), frame_field_derivative(moved, moved.frame[:, :1]),
                bracket_structured(gens, gens, qs),
                stencil_data_derivative(table.value, qs, gens.value(qs), NESTED_FD_STEP),
-               generator_brackets().derivative(moved, xi))
+               generator_brackets(gens).derivative(moved, xi))
     for i, q in enumerate(alone):
         moved_alone = tangent_curve(q, gens.value(q)[0], 0.01)
         assert np.array_equal(stacked[0][i], gens.value(moved_alone))
@@ -311,7 +367,7 @@ def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
                               frame_field_derivative(moved_alone, moved_alone.frame[:1]))
         assert np.array_equal(stacked[2][i], bracket_structured(gens, gens, q))
         d = stencil_data_derivative(table.value, q, gens.value(q), NESTED_FD_STEP)
-        closed = generator_brackets().derivative(moved_alone, xi[i])
+        closed = generator_brackets(gens).derivative(moved_alone, xi[i])
         for data, alone_data in ((stacked[3], d), (stacked[4], closed)):
             for got, want in zip((data.T, data.T_hat, data.U),
                                  (alone_data.T, alone_data.T_hat, alone_data.U)):
@@ -332,7 +388,8 @@ def test_the_generator_table_derivative_matches_a_stencil(pair, seed):
     # the data's size on warped factors and near 1e-10 on space forms
     rng = np.random.default_rng(seed)
     q = pair.random_state(rng)
-    gens, table = rolling_generators(), generator_brackets()
+    gens = rolling_generators()
+    table = generator_brackets(gens)
     # a unit rolling lift, so that a warped factor's s moves by at most 0.2,
     # in a random direction, so that no term of the frame's derivatives vanishes
     u = rng.standard_normal(pair.dim)
@@ -600,7 +657,7 @@ def depth_three_ranks(gens, q):
             current = bracket_field(current, gens)
         rows.append(current.value(q))
         layers.append(len(rows[-1]))
-        ranks.append(numerical_rank(np.concatenate(rows), 1e-8, layers)[0])
+        ranks.append(layered_rank(np.concatenate(rows), 1e-8, layers)[0])
     return tuple(ranks)
 
 
@@ -668,7 +725,8 @@ def test_the_depth_three_table_matches_the_fd_oracle(pair):
     # the closed-form derivative of the depth-2 table against the chart
     # oracle, which reads the table's values only; over 100 states per pair
     # the two agree to 3.4e-7 at worst
-    gens, table = rolling_generators(), generator_brackets()
+    gens = rolling_generators()
+    table = generator_brackets(gens)
     for seed in range(5):
         q = pair.random_state(np.random.default_rng(seed))
         assert np.abs(bracket_structured(table, gens, q) - bracket_fd(table, gens, q)).max() < 1e-6

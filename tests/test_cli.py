@@ -157,6 +157,7 @@ def test_simulate_sampled_path_file(tmp_path):
     ("0,0,0,1\n", "at least 2 samples"),
     ("0,0,0,1\nnan,0,0,1\n", "must be finite"),
     ("0,0,0,1\n0.1,0,inf,1\n", "must be finite"),
+    ("0,0,0,1\n1,1e200,0,1\n", "lies off the manifold"),  # its residual overflows to inf
 ])
 def test_simulate_rejects_a_malformed_samples_file(tmp_path, capsys, rows, message):
     cfg = write_config(tmp_path, SPHERES_1_3)
@@ -168,7 +169,8 @@ def test_simulate_rejects_a_malformed_samples_file(tmp_path, capsys, rows, messa
         "--path-spec", json.dumps({"type": "samples", "file": str(samples)}),
         "--out", str(out),
     ]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -694,6 +696,32 @@ def test_rol_on_a_one_dimensional_pair_exits_2(tmp_path, capsys, command, pair):
     captured = capsys.readouterr()
     assert "n >= 2" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+# finite inputs whose checks overflow: the residual is inf and fails its check
+HUGE_STATES = {
+    "A": {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[1e308, 1e308], [0.0, 1.0]]},
+    "x": {"x": [1e200, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]},
+}
+ON_SPHERE_PLANE = {
+    "simulate": ["--path-spec", json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                            "length": 1.0})],
+    "growth": [],
+    "rol": [],
+}
+
+
+@pytest.mark.parametrize("state", sorted(HUGE_STATES))
+@pytest.mark.parametrize("command", sorted(ON_SPHERE_PLANE))
+def test_a_state_whose_check_overflows_exits_2_with_one_error_line(tmp_path, capsys, command,
+                                                                    state):
+    cfg = write_config(tmp_path, {**SPHERE_PLANE, "initial_state": HUGE_STATES[state]})
+    out = tmp_path / "report.out"
+    assert main(["--config", cfg, command, *ON_SPHERE_PLANE[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("not an isometry" if state == "A" else "violates the sphere constraint") in err
     assert not out.exists()
 
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rollsym import GeometryError
 from scipy.linalg import expm
 
-from rollsym.numerics import (central_diff, expm1_stack, numerical_rank, running_products,
-                              stencil_offsets)
+from rollsym.numerics import (ROW_FLOOR, central_diff, equilibrate, expm1_stack, numerical_rank,
+                              running_products, stencil_offsets)
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -72,37 +73,93 @@ def test_numerical_rank_and_gap():
     assert rank_rows == 2 and len(sv_rows) == 3 and gap_rows == math.inf
 
 
+def layered_rank(rows, tol, layers):
+    """numerical_rank of rows whose consecutive blocks of `layers` rows are
+    equilibrated one by one, as a flag adjoins its steps."""
+    scaled, floor = [], None
+    for block in np.split(np.asarray(rows, dtype=float), np.cumsum(layers)[:-1]):
+        layer, floor = equilibrate(block, floor)
+        scaled.append(layer)
+    return numerical_rank(np.concatenate(scaled), tol)
+
+
+def batch_rank(mat, tol, layers):
+    """The rank rule as one batch over all layers at once, re-equilibrating
+    every earlier layer at each call: the reference that the per-layer rule
+    must match bit for bit."""
+    mat = np.asarray(mat, dtype=float)
+    norms = np.linalg.norm(mat, axis=1)
+    kept = norms > ROW_FLOOR * norms[: layers[0]].max(initial=0.0)
+    scale = np.zeros(len(mat))
+    for block in np.split(np.arange(len(mat)), np.cumsum(layers)[:-1]):
+        longest = norms[block][kept[block]].max(initial=0.0)
+        if longest > 0.0:
+            scale[block] = np.where(kept[block], 1.0 / longest, 0.0)
+    return numerical_rank(scale[:, None] * mat, tol)
+
+
 def test_layers_are_equilibrated_by_their_longest_row():
     # a second layer 1e6 times longer than the first: unscaled, the first
     # layer's directions sink below the cut; scaled, every layer has unit length
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2e6], [0.0, 3e5, 1e6]])
     assert numerical_rank(rows, 1e-6)[0] == 2
-    rank, sv, gap = numerical_rank(rows, 1e-6, layers=[2, 2])
+    rank, sv, gap = layered_rank(rows, 1e-6, [2, 2])
     assert rank == 3 and gap == math.inf
     assert sv[0] == pytest.approx(np.linalg.svd(rows * [[1], [1], [5e-7], [5e-7]],
                                                  compute_uv=False)[0], rel=1e-12)
     # scaling a layer changes nothing
     scaled = rows * [[7.0], [7.0], [1e-3], [1e-3]]
-    assert np.allclose(numerical_rank(scaled, 1e-6, layers=[2, 2])[1], sv, rtol=1e-12, atol=0.0)
+    assert np.allclose(layered_rank(scaled, 1e-6, [2, 2])[1], sv, rtol=1e-12, atol=0.0)
 
 
 def test_round_off_rows_are_dropped_before_the_layers_are_scaled():
     # a layer that vanishes up to round-off must not become unit noise
     noise = 1e-15 * np.random.default_rng(0).standard_normal((3, 3))
     rows = np.vstack([np.eye(3)[:2], noise])
-    rank, sv, gap = numerical_rank(rows, 1e-8, layers=[2, 3])
+    rank, sv, gap = layered_rank(rows, 1e-8, [2, 3])
     assert rank == 2 and np.all(sv[2:] == 0.0) and gap == math.inf
     # the same layer 1e4 times above the floor is a direction of its own
-    rank_kept, _, _ = numerical_rank(np.vstack([np.eye(3)[:2], 1e-6 * np.eye(3)[2:]]), 1e-8,
-                                     layers=[2, 1])
+    rank_kept, _, _ = layered_rank(np.vstack([np.eye(3)[:2], 1e-6 * np.eye(3)[2:]]), 1e-8,
+                                   [2, 1])
     assert rank_kept == 3
 
 
 def test_numerical_rank_of_the_zero_matrix():
     rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8)
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
-    rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8, layers=[1, 2])
+    rank, sv, gap = layered_rank(np.zeros((3, 2)), 1e-8, [1, 2])
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
+
+
+# a row: a direction times a length, among them 0, round-off below the floor
+# (1e-12 of the unit rows) and lengths 1e8 apart
+ROW_LENGTHS = st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1.0, 3.0, 1e4, 1e8])
+
+
+@st.composite
+def layer_lists(draw):
+    width = draw(st.integers(1, 4))
+    unit = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=width, max_size=width)
+    layers = draw(st.lists(st.lists(st.tuples(unit, ROW_LENGTHS), max_size=4), min_size=1,
+                           max_size=5))
+    rows = [[length * np.array(u) for u, length in layer] for layer in layers]
+    # a layer as a whole 1e8 longer or shorter than the first
+    factors = draw(st.lists(st.sampled_from([1.0, 1e-8, 1e8]), min_size=len(rows),
+                            max_size=len(rows)))
+    counts = [len(layer) for layer in rows]
+    stacked = [f * r for f, layer in zip(factors, rows) for r in layer]
+    return np.array(stacked).reshape(-1, width), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_lists())
+def test_the_per_layer_rule_is_the_batch_rule_bit_for_bit(case):
+    rows, layers = case
+    assume(len(rows))  # a rank needs a row, but any layer may be empty
+    rank, sv, gap = layered_rank(rows, 1e-8, layers)
+    want_rank, want_sv, want_gap = batch_rank(rows, 1e-8, layers)
+    assert rank == want_rank and gap == want_gap
+    assert np.array_equal(sv, want_sv)
 
 
 # -- matrix exponentials and running products ------------------------------------------
