@@ -55,10 +55,13 @@ FIELD_FD_ORDER = 4
 # level of stencils, whose truncation falls 16x per halving of the step: the
 # 7th depth-4 value of (-1.2, 1.2) x cos S2(2) / S3(1) at seed 0 is 3.9e-8,
 # 2.5e-9, 1.5e-10, 9.6e-12 and 7.6e-13 at 1e-2, 5e-3, 2.5e-3, 1.25e-3 and
-# 6.25e-4 (rank 8 at 1e-2, 6 below).  Depth 5 nests two levels, and two levels
-# of this stencil bottom out in round-off below 2.5e-3: the same value was
-# 3.8e-10 at 1.25e-3 when depth 4 nested two.
-NESTED_FD_STEP = 2.5e-3
+# 6.25e-4 (rank 8 at 1e-2, 6 below).  At 5e-4 every value of that pair's
+# depth-4 flags at seeds 0-199 lies at least 2.2e4 from the rank cut (median
+# 5.0e4); truncation comes within 1e4 of it from 6.25e-4 up, round-off below
+# 2.5e-4.  Depth 5 would nest two levels, near round-off at this step, but
+# no catalog flag grows at depth 4, so none computes depth 5: none of 1,024
+# flags over the ordered pairs of 16 factors each at n = 2 and n = 3.
+NESTED_FD_STEP = 5e-4
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import (DomainError, GeodesicPath, GeometryError, MismatchError, SampledPath,
-                     from_spec, integral)
+from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
+                     SampledPath, from_spec, integral)
 from .rolling import RollingCurve, RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
@@ -55,7 +55,7 @@ NILPOTENT_MAX_N = 12
 MAX_GRID_INTERVALS = 10**6
 # all samples are held at once: peak RSS ~6 KB a sample on S3(2)/S3(1), ~57 KB on S6(2)/S6(1)
 MAX_AUDIT_SAMPLES = 10**4
-TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": 1e-3, "isometry": 1e-7}
+TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": DEFAULT_STEP, "isometry": 1e-7}
 
 
 def _dump(obj, out_path):

@@ -452,7 +452,7 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     constant in the two parallel frames (Chitour and Kokkonen 2010): a
     GeodesicPath rolls along the canonical curve of its rolling lift, the
     first factor's rows read from the path, and any other path by the
-    group-valued steps of _roll_magnus.  Either holds the constraints to
+    exponential steps of _roll_magnus.  Either holds the constraints to
     round-off at any step.
 
     A bad path raises GeometryError, and a contact point leaving the interval
@@ -487,29 +487,26 @@ def _roll_magnus(start, path, times, step):
     state of roll_along, grid block by grid block; one _redress call after
     the last block gives every row's contact map.
 
-    The first factor's parallel frame is carried by its group element g
-    (`group_element`, read back by `group_frame`) with g' = g Z, Z =
-    transport_generators(x, v): on a space form the rows of g are the
-    parallel frame and the point, on a warped product the parallel frame with
-    its fiber parts scaled by f(s).  Neither depends on the deterministic
-    frame, which jumps where its Gram-Schmidt skips a different basis vector.
-    The second factor's H (columns: the images of that frame, then the
-    point) moves with c, the coordinates of the path velocity in the
-    parallel frame: on a space form by 4th-order Magnus steps of H' = H X(c),
-    on a warped product by the commutator-free steps of _develop_cf4.  c is
-    needed at the Gauss nodes of each step, so g is also carried from the
-    start of the step to each node by a Magnus step of its own."""
+    The first factor carries its parallel frame as the rows F of the frame
+    times sqrt|w| (_weight_roots), with F' = F Z for Z =
+    transport_generators(x, v).  F does not depend on the deterministic
+    frame, which jumps where its Gram-Schmidt skips a different basis
+    vector.  The second factor carries H, whose columns are the images of
+    that frame and then the point, moving with c, the coordinates of the
+    path velocity in the parallel frame: on a space form by 4th-order Magnus
+    steps of H' = H X(c), on a warped product by the commutator-free steps
+    of _develop_cf4.  c is needed at the Gauss nodes of each step, so F is
+    also carried from the start of the step to each node by a Magnus step
+    of its own."""
     m, mh, n = start.pair.space, start.pair.space_hat, start.pair.dim
     counts, starts = _substep_starts(times, step)
     grid = np.append(starts, times[-1])
     out = np.append(0, np.cumsum(counts))  # the sample times within the grid
 
-    g = m.group_element(start.x, start.frame)
+    g = start.frame * _weight_roots(m, start.x)
     size = g.shape[-1]
-    image0 = start.isometry.T @ start.frame_hat
+    hh = np.column_stack(((start.isometry.T @ start.frame_hat).T, start.x_hat))
     space_form = isinstance(mh, ConstantCurvature)
-    hh = (mh.group_element(start.x_hat, image0).T if space_form
-          else np.column_stack((image0.T, start.x_hat)))
     x = path.point(times)
     g_out, x_hat = np.empty((len(times),) + g.shape), np.empty((len(times), mh.amb_dim))
     image = np.empty((len(times), mh.amb_dim, n))
@@ -527,7 +524,7 @@ def _roll_magnus(start, path, times, step):
         g_start = np.concatenate((g[None], g + g @ step_d[:-1]))[:, None]
         g_node = g_start + g_start @ d[:, 1:]
         node_pts, node_vel = (p.reshape(hi - lo, 3, 2, -1)[:, 0] for p in (pts, vel))
-        frames = m.group_frame(node_pts, g_node)
+        frames = g_node / _weight_roots(m, node_pts)
         c = m.inner_at(node_pts[..., None, :], frames, node_vel[..., None, :])
         if space_form:
             xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, n + 1, n + 1)
@@ -538,11 +535,21 @@ def _roll_magnus(start, path, times, step):
         g, hh = gs[-1], hs[-1]
         keep = np.flatnonzero((out > lo) & (out <= hi))
         at_row = out[keep] - lo - 1
-        g_out[keep], rows = gs[at_row], hs[at_row, : mh.amb_dim]
+        g_out[keep], rows = gs[at_row], hs[at_row]
         x_hat[keep], image[keep] = rows[..., n], rows[..., :n]
     a = np.empty((len(times), n, n))
-    a[1:] = _redress(start.pair, x[1:], x_hat[1:], m.group_frame(x[1:], g_out[1:]), image[1:])
+    a[1:] = _redress(start.pair, x[1:], x_hat[1:], g_out[1:] / _weight_roots(m, x[1:]), image[1:])
     return x, x_hat, a
+
+
+def _weight_roots(m, xs):
+    """sqrt|w| for the metric weights w of m at the points xs, a row against
+    frame rows.  Frame rows times it are orthonormal for the constant
+    signature J of w on every catalog factor (diag(1, fiber signature) on a
+    warped product, whatever f(s) is), and transport_generators gives Z with
+    Z J skew, so Magnus steps of F' = F Z keep F J F^T = I to round-off
+    along any path."""
+    return np.sqrt(np.abs(m.metric_weights(xs)))[..., None, :]
 
 
 def _magnus(gens, h):

@@ -297,12 +297,10 @@ class ConstantCurvature(SpaceForm):
 
     Their metric is the constant diagonal `signature` of the ambient
     coordinates, and a point x of a curved form satisfies <x, x> = 1/K for its
-    curvature K; every closed form below follows from these two facts.  A
-    point together with an orthonormal frame is one element of SO(n+1),
-    SO+(1,n) or SE(n): the (n+1) x (n+1) matrix whose rows are the frame
-    vectors and the point, with a homogeneous coordinate appended on R^n (0
-    for vectors, 1 for the point).  Parallel transport and rolling move that
-    element by exponentials of the generators below.
+    curvature K; every closed form below follows from these two facts.  Along
+    a curve, the rows of a parallel frame move by exponentials of
+    transport_generators, and the point with the images of a frame as
+    columns by those of development_generators.
     """
 
     signature: np.ndarray
@@ -399,36 +397,18 @@ class ConstantCurvature(SpaceForm):
         """Zero: the curvature operator of a space form is K times the identity."""
         return np.zeros(np.broadcast_shapes(np.shape(c)[:-1] + (1, 1), np.shape(xi)))
 
-    def _homogeneous(self, rows, last):
-        if self.amb_dim > self.dim:
-            return rows
-        pad = np.full(rows.shape[:-1] + (1,), last)
-        return np.concatenate([rows, pad], axis=-1)
-
-    def group_element(self, x, frame):
-        """The (n+1) x (n+1) matrix with the frame rows and the point as rows."""
-        return np.vstack([self._homogeneous(np.asarray(frame, dtype=float), 0.0),
-                          self._homogeneous(np.asarray(x, dtype=float), 1.0)])
-
-    def group_frame(self, xs, g):
-        """The frame rows of group elements g (..., n+1, n+1) at points xs."""
-        return g[..., : self.dim, : self.amb_dim]
-
     def transport_generators(self, xs, vs):
-        """Z with G' = G Z for the group element G of a parallel frame along a
-        curve through the rows of xs with velocities vs: Z = K (Jx v^T - Jv x^T)
-        on curved forms, e_n (v, 0)^T on R^n."""
-        if self.amb_dim == self.dim:
-            z = np.zeros((len(xs), self.dim + 1, self.dim + 1))
-            z[:, -1, :-1] = vs
-            return z
+        """Z with F' = F Z for the rows F of a parallel frame along a curve
+        through the rows of xs with velocities vs: Z = K (Jx v^T - Jv x^T),
+        zero on R^n.  Z J is skew for the signature J, so F J F^T stays
+        fixed."""
         k, w = self.curvature_constant, self.signature
         return k * ((w * xs)[:, :, None] * vs[:, None, :] - (w * vs)[:, :, None] * xs[:, None, :])
 
     def development_generators(self, cs):
-        """X with H' = H X for the transposed group element H (columns: frame
-        vectors, then the point) of a point moving with frame coordinates cs of
-        its velocity while the frame stays parallel: X = [[0, c], [-K c^T, 0]]."""
+        """X with H' = H X for the matrix H whose columns are a frame and then
+        its point, the point moving with frame coordinates cs of its velocity
+        while the frame stays parallel: X = [[0, c], [-K c^T, 0]]."""
         n = self.dim
         x = np.zeros((len(cs), n + 1, n + 1))
         x[:, :n, n] = cs
@@ -697,36 +677,19 @@ class Warped(SpaceForm):
         out[:, 1:, 1:] = self.fiber._frames(xs[:, 1:], f * f) / f[..., None]
         return out
 
-    def _fiber_scale(self, xs):
-        """(1, f(s), ..., f(s)) at each point, as a row against frame rows."""
-        f = self.warp.value(np.asarray(xs)[..., 0])
-        return _stack(1.0, _col(f) * np.ones(self.fiber.amb_dim))[..., None, :]
-
-    def group_element(self, x, frame):
-        """The frame rows with their fiber coordinates multiplied by f(s): an
-        n x amb_dim matrix F with F J F^T = I for J = diag(1, fiber
-        signature), whatever s is.  Along a curve a parallel frame moves it by
-        F' = F Z, Z from transport_generators, and Z J is skew, so Magnus
-        steps keep F J F^T = I to round-off.  This holds along any path,
-        through the points where the deterministic frame jumps."""
-        return np.asarray(frame, dtype=float) * self._fiber_scale(x)
-
-    def group_frame(self, xs, g):
-        """The frame rows held by elements g (..., n, amb_dim) at points xs."""
-        return g / self._fiber_scale(xs)
-
     def transport_generators(self, xs, vs):
-        """Z with F' = F Z for the element F of a parallel frame along a curve
-        through the rows of xs with velocities vs.  With q the fiber part of a
-        row of F (f times the frame vector's) and a its radial part, the
-        transport equations read a' = f'(s) <q, y'>_h and q' = -f'(s) a y' +
-        (q's fiber transport), the last from the fiber's own generator."""
+        """Z with F' = F Z for the rows F of a parallel frame times sqrt|w|
+        (metric_weights) along a curve through the rows of xs with velocities
+        vs.  With q the fiber part of a row of F (f times the frame vector's)
+        and a its radial part, the transport equations read a' = f'(s) <q,
+        y'>_h and q' = -f'(s) a y' + (q's fiber transport), the last from the
+        fiber's own generator.  Z J is skew for J = diag(1, fiber signature)."""
         fp = _col(self.warp.derivative(xs[:, 0]))
-        y, ydot, m = xs[:, 1:], vs[:, 1:], self.fiber.amb_dim
+        y, ydot = xs[:, 1:], vs[:, 1:]
         z = np.zeros((len(xs), self.amb_dim, self.amb_dim))
         z[:, 0, 1:] = -fp * ydot
         z[:, 1:, 0] = fp * self.fiber.signature * ydot
-        z[:, 1:, 1:] = self.fiber.transport_generators(y, ydot)[:, :m, :m]
+        z[:, 1:, 1:] = self.fiber.transport_generators(y, ydot)
         return z
 
     def _clairaut_flow(self, x, v, t):

@@ -393,6 +393,14 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
 @settings(max_examples=40, deadline=None)
 @given(catalog_rolls())
 @example((RollingPair(Euclidean(3), Hyperbolic(3, 1.0)), 4058, 3.0, 0.0625))
+# the corner layouts of the Magnus kernel: sqrt|w| with negative signature
+# entries and an R^n second factor, a warped first factor over R^n, and R^n
+# in both slots
+@example((RollingPair(Warped((-1.2, 1.2), WarpFunction("cosh"), Hyperbolic(1, 1.0)),
+                      Euclidean(2)), 0, 0.3, 1e-2))
+@example((RollingPair(Warped((-1.2, 1.2), WarpFunction("affine", 1.0, 0.3), Euclidean(2)),
+                      Sphere(3, 1.0)), 1, 0.3, 1e-2))
+@example((RollingPair(Euclidean(2), Euclidean(2)), 2, 3.0, 1e-2))
 def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
     # roll_along takes the closed form on every pair, and the Magnus kernel
     # is its oracle, CF4 included on a warped second factor (and the other
