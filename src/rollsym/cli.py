@@ -29,6 +29,7 @@ from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, Mis
 from .rolling import RollingCurve, RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
+from .numerics import cut_margin
 from .nilpotent import flatness_obstruction, growth_vector, structure_tensor, verify_structure
 from .symmetry import (
     KillingField,
@@ -141,8 +142,8 @@ def _parse_path(pair, q0, spec):
         direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
         tangent = pair.space.project(q0.x, direction)
         length = float(spec.get("length", 1.0))
-        if not math.isfinite(length):
-            raise GeometryError(f"path length must be finite, got {length!r}")
+        if not 0.0 <= length < math.inf:  # NaN fails both
+            raise GeometryError(f"path length must be finite and non-negative, got {length!r}")
         nrm2 = pair.space.inner_at(q0.x, tangent, tangent)
         # a normal direction leaves a round-off tangent part, whose Minkowski square may be < 0
         if length == 0.0 or not nrm2 > (1e-12 * np.linalg.norm(direction)) ** 2:
@@ -209,7 +210,8 @@ def cmd_growth(args):
     out["predicted_growth"] = list(predicted)
     if kappa == 0.0:
         out["note"] = "kappa=0"
-    ambiguous = _rank_cut_ambiguous(report, run.tolerances["rank"])
+    ambiguous = any(cut_margin(sv, run.tolerances["rank"]) < GAP_REQUIREMENT
+                    for sv in report.singular_values)
     out["rank_cut_ambiguous"] = ambiguous
     _dump(out, run.out)
     if ambiguous:
@@ -217,22 +219,6 @@ def cmd_growth(args):
     if kappa == 0.0:
         return EXIT_OK
     return EXIT_OK if tuple(report.ranks) == tuple(predicted[: len(report.ranks)]) else EXIT_FAIL
-
-
-def _rank_cut_ambiguous(report, tol):
-    """A rank decision is ambiguous when a singular value sits within the
-    required factor of the accept/reject threshold."""
-    for sv in report.singular_values:
-        if sv[0] == 0.0:
-            continue
-        threshold = tol * sv[0]
-        for s in sv:
-            if s == 0.0:
-                continue
-            ratio = s / threshold if s > threshold else threshold / s
-            if ratio < GAP_REQUIREMENT:
-                return True
-    return False
 
 
 def _field_from_spec(manifold, gen_spec) -> KillingField:

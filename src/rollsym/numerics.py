@@ -1,6 +1,6 @@
 """The numerical kernels shared by the geometry layers: one central
-difference, one numerical rank with its spectral gap, and the batched
-matrix exponential and running products of the rolling integrator.
+difference, one numerical rank with its gap and cut margin, and the
+batched matrix exponential and running products of the rolling integrator.
 
 The finite-difference bracket oracle (`brackets.bracket_fd`, through the
 chart differential in `rolling`) deliberately keeps its own stencil, so
@@ -71,6 +71,17 @@ def numerical_rank(mat, tol):
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = sv[rank - 1] / sv[rank]
     return rank, sv, gap
+
+
+def cut_margin(sv, tol):
+    """The smallest factor by which a nonzero singular value of sv (largest
+    first) clears the rank cut tol times the largest, on either side, inf
+    when sv is all zero: a rank decision is ambiguous when this is small."""
+    sv = np.asarray(sv, dtype=float)
+    if sv[0] == 0.0:
+        return math.inf
+    cut, s = tol * sv[0], sv[sv != 0.0]
+    return float(np.where(s > cut, s / cut, cut / s).min())
 
 
 # Taylor polynomials are evaluated on matrices scaled to 1-norm at most this

@@ -17,10 +17,11 @@ curves, which combine both motions, are built as one stack: one tangent_curve
 call takes a stack of base states, tangent rows and times, broadcast against
 each other, and returns the stacked state at the end of every curve.  Every
 stencil on the state space draws all its sample states from one such call and
-evaluates its closure once on that stack.  tangent_curve is the one place
-where tangent rows become ambient velocities.  It also passes on the anchor
-of the curve's base, the first factor's point and frame at which the flag
-generators are anchored, so that generators at the sample states of a
+evaluates its closure once on that stack.  tangent_curve turns tangent rows
+into the curves' ambient velocities (the closed-form field derivatives of
+brackets turn them into their directions too).  It also passes on the
+anchor of the curve's base, the first factor's point and frame at which the
+flag generators are anchored, so that generators at the sample states of a
 stencil are one smooth field.
 
 Rolling a path gamma in the first factor integrates the kinematic
@@ -188,15 +189,15 @@ class RollingState:
 
     @property
     def frame(self):
-        """The deterministic frames at x, (*shape, n, amb): rows of SpaceForm.frames."""
+        """The deterministic frames at x, (*shape, n, amb): rows of SpaceForm.frame."""
         if self._frame is None:
-            self._frame = self.pair.space.frames(self.x)
+            self._frame = self.pair.space.frame(self.x)
         return self._frame
 
     @property
     def frame_hat(self):
         if self._frame_hat is None:
-            self._frame_hat = self.pair.space_hat.frames(self.x_hat)
+            self._frame_hat = self.pair.space_hat.frame(self.x_hat)
         return self._frame_hat
 
     @property
@@ -280,23 +281,20 @@ def det_transport_matrix(m: SpaceForm, x, frames, v, t):
     """Per row, the point at time t[i] of the geodesic of (x[i], v[i]) on m,
     the matrix taking deterministic-frame coordinates at x[i] to those at
     that point through parallel transport along the geodesic, and the frame
-    there, given the frames at the points.  A row with v[i] = 0 keeps its
-    point and frame with the identity transport; the moving rows flow in one
-    transport_along_geodesic call, their frames from one _frames call and
-    their transports from one product with the metric weights; when every
-    row moves, none is copied out.  A frame that is not finite fails its row's check."""
-    move = np.flatnonzero(v.any(axis=1))
-    if len(move) < len(x):
-        fwd = np.tile(np.eye(m.dim), (len(x), 1, 1))
-        if len(move):
-            x, frames = x.copy(), frames.copy()
-            x[move], fwd[move], frames[move] = det_transport_matrix(m, x[move], frames[move],
-                                                                    v[move], t[move])
-        return x, fwd, frames
+    there, given the frames at the points.  All rows flow in one
+    transport_along_geodesic call, then take frames from one _frames call and
+    transports from one product with the metric weights; a row with v[i] = 0
+    keeps its point and frame (the flow may flip a zero's sign) with the
+    identity transport.  A frame that is not finite fails its row's check."""
+    still = ~v.any(axis=1)
+    if still.all():
+        return x, np.tile(np.eye(m.dim), (len(x), 1, 1)), frames
     xt, moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None], frames)
     xt = xt[:, 0]
-    frames = m._frames(xt)
-    return xt, (frames * m.metric_weights(xt)[..., None, :]) @ _transposed(moved), frames
+    frames_t = m._frames(xt)
+    fwd = (frames_t * m.metric_weights(xt)[..., None, :]) @ _transposed(moved)
+    xt[still], fwd[still], frames_t[still] = x[still], np.eye(m.dim), frames[still]
+    return xt, fwd, frames_t
 
 
 def tangent_curve(q: RollingState, xi, t) -> RollingState:

@@ -222,15 +222,16 @@ class SpaceForm:
 
     # -- deterministic frame ---------------------------------------------------
 
-    def frames(self, xs):
-        """The deterministic orthonormal frames at the points xs (...,
-        amb_dim), a (..., n, amb_dim) array of row vectors: Gram-Schmidt on the
-        projected ambient coordinate basis, in coordinate order, skipping a
-        vector whose squared length after orthogonalization is at most
-        FRAME_SKIP_TOL**2 and every vector once n rows are kept.  The last row
-        is flipped where the rows followed by the constraint's normal (x on S^n
-        and H^n, (0, y) on a warped product over them) have negative
-        determinant, so that the frame field is coherently oriented.
+    def frame(self, xs):
+        """The deterministic orthonormal frame at a point, or the frames at a
+        stack of points, xs (..., amb_dim): a (..., n, amb_dim) array of row
+        vectors, Gram-Schmidt on the projected ambient coordinate basis, in
+        coordinate order, skipping a vector whose squared length after
+        orthogonalization is at most FRAME_SKIP_TOL**2 and every vector once n
+        rows are kept.  The last row is flipped where the rows followed by the
+        constraint's normal (x on S^n and H^n, (0, y) on a warped product over
+        them) have negative determinant, so that the frame field is coherently
+        oriented.
 
         _frames computes this in closed form: the identity on R^n, (d/ds, fiber
         frame / f(s)) on a warped product.  On S^n and H^n, with signature s,
@@ -247,10 +248,6 @@ class SpaceForm:
         if not np.isfinite(rows).all():
             raise GeometryError("could not complete an orthonormal frame at this point")
         return rows.reshape(lead + rows.shape[1:])
-
-    def frame(self, x):
-        """`frames` of one point x: an (n, amb_dim) array of row vectors."""
-        return self.frames(x)
 
     def anchored_frame(self, x0, frame0, x, v=None, w=None):
         """The frame F at x anchored at the orthonormal frame rows frame0 at
@@ -354,7 +351,7 @@ class ConstantCurvature(SpaceForm):
         return fr, d_fr, -dd * ends - dv * w[..., None, :] - dw * v[..., None, :]
 
     def _frames(self, xs, weight=1.0):
-        """`frames` in closed form; weight scales the skip test (f(s)^2 on a fiber)."""
+        """`frame` in closed form; weight scales the skip test (f(s)^2 on a fiber)."""
         n, s = self.dim, self.signature
         if n == self.amb_dim:
             return np.tile(np.eye(n), (len(xs), 1, 1))

@@ -17,9 +17,9 @@ Every dotted name that README.md quotes as inline code and that starts with
 a module of the package or one of its public classes names something that
 exists: the README does not drift from the code it points to.
 
-Every function and method that the benchmark's span list traces exists
-where the span recorder looks for it: a rename shows here, not only in a
-traced benchmark run."""
+Every function and method that the benchmark's span list traces, and every
+other name its span recorder patches, exists where the recorder looks for
+it: a rename or a move shows here, not only in a traced benchmark run."""
 
 import ast
 import importlib
@@ -281,4 +281,38 @@ def test_every_name_the_benchmark_traces_resolves():
             found = isinstance(cls, type) and attr in vars(cls)
         if not found:
             missing.append(f"{module_name}.{owner or ''}.{attr}")
+    assert not missing, missing
+
+
+def _patched_by_install():
+    """(owner source, owner, attribute) of every other name the recorder's
+    `install` patches by a literal name, `self._patch(owner, "name", ...)`,
+    with the owner evaluated as `install` binds it (`np`, the rollsym
+    `modules` by name and the locals it assigns)."""
+    import numpy
+
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    names = {"np": numpy, "modules": {name: importlib.import_module(f"rollsym.{name}")
+                                      for name in ("spaces", "curvature", "rolling", "brackets",
+                                                   "symmetry", "nilpotent", "cli")}}
+    for node in install.body:  # the locals, `modules` bound above
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id not in names):
+            names[node.targets[0].id] = eval(ast.unparse(node.value), {}, dict(names))
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_patch" and isinstance(node.args[1], ast.Constant)):
+            source = ast.unparse(node.args[0])
+            yield source, eval(source, {}, dict(names)), node.args[1].value
+
+
+def test_every_other_name_the_span_recorder_patches_resolves():
+    # GeodesicPath.velocity is read from the class's own __dict__, so a move
+    # into a base class breaks every traced run; numpy.linalg.svd by name
+    targets = list(_patched_by_install())
+    assert {attr for _, _, attr in targets} >= {"velocity", "svd"}
+    missing = [f"{source}.{attr}" for source, owner, attr in targets
+               if attr not in (vars(owner) if isinstance(owner, type) else dir(owner))]
     assert not missing, missing

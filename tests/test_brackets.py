@@ -24,7 +24,8 @@ from rollsym.brackets import (
     rolling_generators,
     stencil_data_derivative,
 )
-from rollsym.cli import GAP_REQUIREMENT, _rank_cut_ambiguous
+from rollsym.cli import GAP_REQUIREMENT
+from rollsym.numerics import cut_margin
 from rollsym.rolling import (CHART_STEP, RollingPair, q_dim, random_rotation,
                              rolling_lift, tangent_curve)
 from rollsym.symmetry import killing_catalog, killing_to_symmetry, perturb_candidate
@@ -578,15 +579,7 @@ def test_a_depth_four_flag_runs_its_nested_stencils(seed, ranks):
 def test_a_depth_four_flag_that_reaches_eight_has_a_clear_gap(seed):
     rep = flag_ranks(NESTED_PAIR.random_state(np.random.default_rng(seed)), depth=4)
     assert all(g >= GAP_REQUIREMENT for g in rep.gaps)
-    assert not _rank_cut_ambiguous(rep, 1e-8)
-
-
-def rank_cut_margin(rep, tol=1e-8):
-    """The smallest factor between a nonzero singular value of a flag and
-    the rank cut of its step, the quantity that cli._rank_cut_ambiguous
-    compares with GAP_REQUIREMENT."""
-    return min(max(s / (tol * sv[0]), tol * sv[0] / s)
-               for sv in rep.singular_values if sv[0] for s in sv if s)
+    assert all(cut_margin(sv, 1e-8) >= GAP_REQUIREMENT for sv in rep.singular_values)
 
 
 @pytest.mark.parametrize("pair", [
@@ -595,11 +588,13 @@ def rank_cut_margin(rep, tol=1e-8):
     RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)),
 ], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)"])
 def test_growth_flags_keep_a_wide_margin_to_the_rank_cut(pair):
-    # growth's states at seeds 0-99; the anchored generators keep every
+    # growth's states at seeds 0-199; the anchored generators keep every
     # margin near 2e7 on these pairs (the Gram-Schmidt frame's lifts fell to
-    # 378 over seeds 0-999), so a frame that loses margin fails here
-    worst = min(rank_cut_margin(flag_ranks(pair.random_state(np.random.default_rng(seed))))
-                for seed in range(100))
+    # 378 over seeds 0-999), so a frame that loses margin fails here, and no
+    # seed is a rank cut that growth calls ambiguous (exit 4)
+    worst = min(cut_margin(sv, 1e-8)
+                for seed in range(200)
+                for sv in flag_ranks(pair.random_state(np.random.default_rng(seed))).singular_values)
     assert worst >= 1e6
 
 

@@ -1030,6 +1030,22 @@ def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [-1, -0.05])
+def test_simulate_rejects_a_negative_path_length(tmp_path, capsys, length):
+    # it used to reach the roll and fail there as "driving path time grid
+    # must be increasing", which names no input
+    cfg = write_config(tmp_path, SPHERE_PLANE)
+    out = tmp_path / "traj.csv"
+    spec = {"type": "geodesic", "direction": [0, 1, 0], "length": length}
+    assert main(["--config", cfg, "simulate", "--path-spec", json.dumps(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: ")
+    assert f"path length must be finite and non-negative, got {float(length)!r}" in err
+    assert not out.exists()
+
+
 def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch):
     from rollsym.symmetry import KillingField
 

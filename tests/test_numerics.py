@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from rollsym import GeometryError
 from scipy.linalg import expm
 
-from rollsym.numerics import (ROW_FLOOR, central_diff, equilibrate, expm1_stack, numerical_rank,
-                              running_products, stencil_offsets)
+from rollsym.numerics import (ROW_FLOOR, central_diff, cut_margin, equilibrate, expm1_stack,
+                              numerical_rank, running_products, stencil_offsets)
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -129,6 +129,28 @@ def test_numerical_rank_of_the_zero_matrix():
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
     rank, sv, gap = layered_rank(np.zeros((3, 2)), 1e-8, [1, 2])
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
+
+
+def test_the_cut_margin_of_the_zero_matrix_is_inf():
+    assert cut_margin(numerical_rank(np.zeros((3, 2)), 1e-8)[1], 1e-8) == math.inf
+
+
+def test_a_singular_value_at_the_cut_has_margin_one():
+    assert cut_margin([1.0, 1e-8], 1e-8) == 1.0
+    assert cut_margin([4.0, 2.0**-18], 2.0**-20) == 1.0
+
+
+def test_the_cut_margin_skips_zeros():
+    # a zero is no value to decide (cut / 0 would also warn): with only zeros
+    # below it, the largest value clears the cut by 1 / tol
+    assert cut_margin([2.0, 0.0, 0.0], 1e-8) == 2.0 / (1e-8 * 2.0)
+    assert cut_margin([4.0, 3.0, 1e-12, 0.0], 1e-8) == 1e-8 * 4.0 / 1e-12
+
+
+def test_the_cut_margin_is_read_on_either_side_of_the_cut():
+    # the value nearest the cut sets the margin, whether above it or below it
+    assert cut_margin([1.0, 5e-5, 1e-14], 1e-8) == 5e-5 / 1e-8
+    assert cut_margin([1.0, 5e-3, 2e-12], 1e-8) == 1e-8 / 2e-12
 
 
 # a row: a direction times a length, among them 0, round-off below the floor

@@ -662,8 +662,8 @@ def rk4_roll(q0, path, step):
         rows.append(y)
     x_hat, frame, image = (np.array(r) for r in zip(*rows))
     x = path.point(times)
-    p = m.inner_at(x[:, None, None], frame[:, :, None], m.frames(x)[:, None])
-    q = mh.inner_at(x_hat[:, None, None], mh.frames(x_hat)[:, :, None], image[:, None])
+    p = m.inner_at(x[:, None, None], frame[:, :, None], m.frame(x)[:, None])
+    q = mh.inner_at(x_hat[:, None, None], mh.frame(x_hat)[:, :, None], image[:, None])
     return x_hat, q @ p
 
 
@@ -868,6 +868,29 @@ def test_one_clairaut_pass_per_transport_call_on_a_warped_factor(monkeypatch):
     calls.clear()
     tangent_curve(q, xi, 0.3)
     assert calls == [first, pair.space_hat]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(catalog_factors), st.integers(0, 2**32 - 1),
+       st.lists(st.booleans(), min_size=1, max_size=12))
+def test_a_transport_row_has_the_same_bytes_in_any_stack(m, seed, still):
+    # every row of a stack of still and moving rows gets the bytes it gets in
+    # a stack whose rows all move or all stand still; the first point has a
+    # coordinate -0.0, which a still row keeps
+    rng = np.random.default_rng(seed)
+    still = np.array(still)
+    x = m.random_point(rng, still.shape)
+    x[0, -1] = 0.0
+    x[0] = m.closest_point(x[0])
+    x[0, -1] = -0.0
+    v = np.where(still[:, None], 0.0, m.random_tangent(rng, x, unit=True))
+    t, frames = rng.uniform(-0.2, 0.2, len(x)), m.frame(x)
+    mixed = det_transport_matrix(m, x, frames, v, t)
+    for rows in (still, ~still):
+        if rows.any():
+            alike = det_transport_matrix(m, x[rows], frames[rows], v[rows], t[rows])
+            for got, want in zip(mixed, alike):
+                assert got[rows].tobytes() == want.tobytes()
 
 
 def test_magnus_kernel_takes_one_step_per_grid_interval_on_a_warped_first_factor():

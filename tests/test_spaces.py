@@ -452,15 +452,15 @@ def _skip_points(m):
 def test_array_frames_equal_the_pointwise_frames(m, seed, count):
     # a row of a stack is the frame of its point alone, bit for bit, wherever
     # it sits in the stack: every batch of states takes its frames from one
-    # frames call
+    # frame call
     rng = np.random.default_rng(seed)
     xs = np.array([m.random_point(rng) for _ in range(count)] + _skip_points(m))
-    got = m.frames(xs)
+    got = m.frame(xs)
     assert got.shape == (len(xs), m.dim, m.amb_dim)
     order = rng.permutation(len(xs))
-    assert np.array_equal(m.frames(xs[order]), got[order])
+    assert np.array_equal(m.frame(xs[order]), got[order])
     for k in range(len(xs)):
-        assert np.array_equal(m.frames(xs[k : k + 1])[0], got[k])
+        assert np.array_equal(m.frame(xs[k : k + 1])[0], got[k])
         assert np.array_equal(m.frame(xs[k]), got[k])
 
 
@@ -475,7 +475,7 @@ def test_pointwise_frames_near_a_coordinate_plane_are_orthonormal():
     angle = rng.uniform(0.0, 2 * math.pi, count)
     rho = np.sqrt(m.radius**2 - height**2)
     xs = np.column_stack((rho * np.cos(angle), rho * np.sin(angle), height))
-    frames = m.frames(xs)
+    frames = m.frame(xs)
     worst = np.linalg.norm(frames @ frames.mT - np.eye(2), axis=(1, 2)).max()
     assert worst < 1e-13
 
@@ -489,7 +489,7 @@ def test_warped_frames_are_coherently_oriented(fiber):
     for _ in range(5):
         x = m.random_point(rng)
         path = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 0.3)
-        frames = m.frames([path.point(t) for t in np.linspace(0.0, 0.3, 61)])
+        frames = m.frame([path.point(t) for t in np.linspace(0.0, 0.3, 61)])
         change = np.einsum("tia,tja->tij", frames[:-1], frames[1:])
         assert np.all(np.linalg.det(change) > 0)
 
@@ -820,7 +820,7 @@ def test_deterministic_frames_stay_coherently_oriented_along_geodesics(m, seed):
     x = m.random_point(rng)
     path = GeodesicPath(m, x, m.random_tangent(rng, x, unit=True), 2.0)
     pts = path.point(np.linspace(0.0, 2.0, 201))
-    frames = m.frames(pts)
+    frames = m.frame(pts)
     # consecutive frames differ by a rotation: no row flips between neighbours
     change = m.inner_at(pts[:-1, None, None], frames[:-1, :, None], frames[1:, None])
     assert np.all(np.linalg.det(change) > 0)
@@ -902,7 +902,7 @@ def test_frames_far_out_on_a_hyperboloid_skip_a_vanishing_last_coordinate():
     m = Hyperbolic(3, 2.0)
     y = np.array([1000.0, 600.0, 0.0])
     x = np.concatenate(([math.sqrt(4.0 + y @ y)], y))
-    fr = m.frames(x)
+    fr = m.frame(x)
     scale = np.abs(fr).max()
     assert np.abs(m.inner_at(x, fr[:, None], fr) - np.eye(3)).max() < 1e-12 * scale**2
     assert m.tangency_residual(x, fr).max() < 1e-12 * scale**2
@@ -948,7 +948,7 @@ def test_frames_equal_the_gram_schmidt_that_defines_them(case):
     # largest entry: at x_0 = 1e3 the loop is off a 60-digit Gram-Schmidt
     # by 1e-10 of its largest entry, the closed form by 2.4e-11
     m, x = case
-    got = m.frames(x)
+    got = m.frame(x)
     expected, skipped = gram_schmidt_frame(m, x)
     scale = max(1.0, np.abs(expected).max())
     assert np.abs(got - expected).max() <= 1e-13 * scale**3

@@ -71,7 +71,7 @@ def killing_ode_residual(field, x, v, h=1e-4, order=4):
 
     def sample(t):
         xt = m.geodesic_flow(x, v, t)[0]
-        p = det_transport_matrix(m, x[None], m.frames(x)[None], v[None], np.array([t]))[1][0]
+        p = det_transport_matrix(m, x[None], m.frame(x)[None], v[None], np.array([t]))[1][0]
         return p.T @ field.nabla_matrix(xt, m.frame(xt))[0] @ p
 
     d = central_diff([sample(t) for t in stencil_offsets(h, order)], h)
@@ -306,7 +306,7 @@ def test_vertical_compatibility_detects_base_dependence():
 def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp_path):
     # an audit draws all its samples first: the rolling-lift states of every
     # sample then come from one tangent_curve call, and the fiber states from
-    # one more.  The frames come in stacks too: one frames call per factor
+    # one more.  The frames come in stacks too: one frame call per factor
     # for the sample states and one per factor for the moving rolling-lift
     # states (the fiber states keep their base's frames), and one for the
     # dimension probe's state, which reads the frame at x_hat only, whatever
@@ -321,8 +321,8 @@ def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp
     calls, frames = [], []
     build = rolling_mod.tangent_curve
     patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
-    stacked = SpaceForm.frames
-    monkeypatch.setattr(SpaceForm, "frames", lambda *a, **k: frames.append(1) or stacked(*a, **k))
+    stacked = SpaceForm.frame
+    monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or stacked(*a, **k))
     config = tmp_path / "pair.json"
     config.write_text(json.dumps({"manifold_pair": [Sphere(3, 2.0).to_spec(),
                                                     Sphere(3, 1.0).to_spec()]}))
@@ -345,7 +345,7 @@ def test_a_fiber_curve_keeps_the_base_point_and_frames(monkeypatch):
     c = wedge_matrix(rng.standard_normal(3), rng.standard_normal(3))
     frame, frame_hat = q.frame, q.frame_hat
     # the curve takes its frames from q's and builds none
-    monkeypatch.setattr(SpaceForm, "frames", lambda *a, **k: pytest.fail("frames rebuilt"))
+    monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: pytest.fail("frames rebuilt"))
     qt = tangent_curve(q, np.concatenate((np.zeros(6), skew_to_vector(c))), 0.3)
     assert np.array_equal(qt.x, q.x) and np.array_equal(qt.x_hat, q.x_hat)
     assert np.array_equal(qt.frame, frame) and np.array_equal(qt.frame_hat, frame_hat)
