@@ -3,9 +3,11 @@
 Every Killing field of the second factor induces an infinitesimal symmetry
 of the rolling distribution that fixes the first factor: the drift is the
 field itself at the contact point and the vertical part is its covariant
-differential composed with the contact map.  Two residual equations
-characterize such symmetries; genuine candidates sit at stencil accuracy
-while small perturbations are rejected by orders of magnitude.
+differential composed with the contact map.  A field is a symmetry when its
+bracket with every rolling lift stays in the distribution; the drift and
+vertical blocks of that bracket, in closed form, are its two residuals.
+Genuine candidates sit at round-off while small perturbations are rejected
+by orders of magnitude.
 """
 
 import numpy as np
@@ -43,9 +45,10 @@ print(f"  {'candidate':24s} {'drift':>9s} {'curvature':>9s} {'vertical':>9s}   (
 for name, (r1, r2, r3) in zip(cands.names, worst.T):
     print(f"  {name:24s} {r1:9.2e} {r2:9.2e} {r3:9.2e}")
 
-# A perturbed candidate is not a symmetry, and the drift equation sees the
-# perturbation at exactly its own size.
-broken = perturb_candidate(killing_to_symmetry(pair, catalog[0]), 1e-3, rng)
+# A perturbed candidate is not a symmetry: its vertical part comes from the
+# generator plus a skew matrix of largest entry 1e-3, and the drift equation
+# sees the perturbation at about that size.
+broken = perturb_candidate(pair, catalog[0], 1e-3, rng)
 q = pair.random_state(rng)
 X = pair.space.random_tangent(rng, q.x, unit=True)
 r1, r2 = symmetry_residual(broken, q[None], X[None])

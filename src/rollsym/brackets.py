@@ -50,7 +50,6 @@ from .rolling import (
     _stencil_times,
 )
 
-FIELD_FD_ORDER = 4
 # The depth-3 flag takes no step (generator_brackets).  Depth 4 nests one
 # level of stencils, whose truncation falls 16x per halving of the step: the
 # 7th depth-4 value of (-1.2, 1.2) x cos S2(2) / S3(1) at seed 0 is 3.9e-8,
@@ -126,10 +125,10 @@ class StructuredField:
 def stencil_data_derivative(value, q, xi, h) -> FieldData:
     """Covariant derivatives of the (T, T_hat, U) data of the stack of fields
     that `value` returns, along each tangent row of xi (*q.shape, m, q_dim)
-    at each state of the stack q: rolling.directional_derivative of order
-    FIELD_FD_ORDER and step h, whose one stack of sample states holds those
-    of every row at every state."""
-    return FieldData(*directional_derivative(value, q[..., None], xi, h=h, order=FIELD_FD_ORDER))
+    at each state of the stack q: rolling.directional_derivative of step h,
+    whose one stack of sample states holds those of every row at every
+    state."""
+    return FieldData(*directional_derivative(value, q[..., None], xi, h))
 
 
 def bracket_structured(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:

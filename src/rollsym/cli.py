@@ -258,9 +258,7 @@ def cmd_audit(args):
         eps = float(cand_spec.get("perturb") or 0.0)
     if not math.isfinite(eps):
         raise GeometryError(f"perturb must be finite, got {eps!r}")
-    cands = killing_to_symmetry(pair, fields)
-    if eps:
-        cands = perturb_candidate(cands, eps, rng)
+    cands = perturb_candidate(pair, fields, eps, rng) if eps else killing_to_symmetry(pair, fields)
 
     # the samples are drawn as stacks (all states, then all X, then all Y)
     # and checked as one stack; each checker then takes the whole stack at once

@@ -16,22 +16,18 @@ import numpy as np
 from .spaces import GeometryError
 
 
-def stencil_offsets(h, order=2):
+def stencil_offsets(h):
     """The times at which central_diff takes its samples, in its order."""
-    if order not in (2, 4):
-        raise GeometryError(f"central differences have order 2 or 4, not {order!r}")
-    return (2 * h, h, -h, -2 * h) if order == 4 else (h, -h)
+    return (2 * h, h, -h, -2 * h)
 
 
 def central_diff(values, h):
-    """Derivative at 0 by the central difference with step h, from the
-    samples at stencil_offsets(h, order) in that order: two samples give
-    order 2, four give order 4; the samples are numbers or arrays alike."""
-    if len(values) == 4:
-        return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
-    if len(values) == 2:
-        return (values[0] - values[1]) / (2 * h)
-    raise GeometryError(f"central differences take 2 or 4 samples, not {len(values)}")
+    """Derivative at 0 by the fourth-order central difference with step h,
+    from the four samples at stencil_offsets(h) in that order; the samples
+    are numbers or arrays alike."""
+    if len(values) != 4:
+        raise GeometryError(f"central differences take 4 samples, not {len(values)}")
+    return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
 
 
 # rows shorter than this share of the longest row of the first layer are

@@ -44,8 +44,6 @@ from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, Ge
                      GeometryError, SpaceForm)
 
 ISOMETRY_TOL = 1e-9
-FD_STEP = 1e-4
-FD_STEP_FIBER = 1e-5
 CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
 # a span that exceeds a whole number of steps by no more than this relative
 # amount is round-off (b - a of two grid times), not a reason for another substep
@@ -254,15 +252,6 @@ def rolling_lift(q: RollingState, X):
     c = q.coords(X)
     return np.concatenate((c, _times(q, c, q.isometry.mT),
                            np.zeros(c.shape[:-1] + (so_dim(q.pair.dim),))), axis=-1)
-
-
-def row_data(q: RollingState, rows):
-    """The data (X, X_hat, A C) of tangent rows at the states of q (the stack
-    axes first, then any others): the frame coordinates of both drifts and
-    the frame matrix of A C."""
-    n = q.pair.dim
-    return (rows[..., :n], rows[..., n : 2 * n],
-            q.expand(q.isometry, rows.ndim + 1) @ vector_to_skew(rows[..., 2 * n :], n))
 
 
 def _times(q, rows, mat):
@@ -605,25 +594,26 @@ def _redress(pair, x, x_hat, frame, image):
 
 def _pull_back(qt: RollingState, rows):
     """The data (X, X_hat, A C) of tangent rows at the canonical-curve states
-    qt (the stack axes first, then any others), parallel-transported back to
-    the curves' bases through the frame-transport matrices that qt keeps."""
-    x, x_hat, u = row_data(qt, rows)
-    fwd, fwd_hat = qt.transports
-    return (_times(qt, x, fwd), _times(qt, x_hat, fwd_hat),
+    qt (the stack axes first, then any others), the frame coordinates of both
+    drifts and the frame matrix of A C, parallel-transported back to the
+    curves' bases through the frame-transport matrices that qt keeps."""
+    n, (fwd, fwd_hat) = qt.pair.dim, qt.transports
+    u = qt.expand(qt.isometry, rows.ndim + 1) @ vector_to_skew(rows[..., 2 * n :], n)
+    return (_times(qt, rows[..., :n], fwd), _times(qt, rows[..., n : 2 * n], fwd_hat),
             qt.expand(fwd_hat, u.ndim).mT @ u @ qt.expand(fwd, u.ndim))
 
 
-def directional_derivative(value, q, xi, h=FD_STEP, order=2):
+def directional_derivative(value, q, xi, h):
     """Covariant derivatives (dX, dX_hat, dU) of the data (X, X_hat, A C)
-    (row_data) of the field of tangent rows that `value` gives at a stack of
+    (_pull_back) of the field of tangent rows that `value` gives at a stack of
     states, along the canonical curves of (q, xi), xi tangent rows broadcast
-    against the stack q: central differences of the data pulled back from
-    one stack of sample states, whose first axis runs over the times
-    stencil_offsets(h, order), built by one tangent_curve call and passed to
+    against the stack q: central differences of step h of the data pulled
+    back from one stack of sample states, whose first axis runs over the
+    times stencil_offsets(h), built by one tangent_curve call and passed to
     value in one call.  Each array is shaped as its slot at the stack."""
     xi = np.asarray(xi, float)
     lead = len(np.broadcast_shapes(q.shape, xi.shape[:-1]))
-    states = tangent_curve(q, xi, np.reshape(stencil_offsets(h, order), (-1,) + (1,) * lead))
+    states = tangent_curve(q, xi, np.reshape(stencil_offsets(h), (-1,) + (1,) * lead))
     return tuple(central_diff(d, h) for d in _pull_back(states, value(states)))
 
 

@@ -1,56 +1,40 @@
 """Infinitesimal symmetries of the rolling distribution.
 
-A symmetry candidate is a vector field (Z, Z_hat, U_bar) on the state space:
-a drift on each factor plus a vertical part U_bar = A C with C skew, subject
-to two first-order equations that characterize when the field preserves the
-rolling distribution:
+A symmetry candidate V = (Z, Z_hat, U_bar) is a drift on each factor plus a
+vertical part U_bar = A C with C skew, and it is a symmetry exactly when
+[V, D] lies in D.  Modulo D the bracket is tensorial in the generators, so
+the drift and vertical blocks of [V, L_X] for the rolling lifts L_X at q
+are the two equations
 
     U_bar(q) X = -A D_X Z + D_X Z_hat                      (drift equation)
     D_X U_bar  = -A R(X ^ Z) + R_hat(AX ^ Z_hat) A         (curvature equation)
 
-with D_X the derivative along rolling curves.  A candidate is one closure
-that maps a state to the tangent rows of a stack of fields, one row per
-candidate (SymmetryCandidate): the frame coordinates of Z and Z_hat, then the
-so(n) coordinates of C, as every tangent vector of the state space is held
-(see rolling).  A vertical part that is not skew cannot be written, and the
-residuals always use these general equations.  Candidates with Z = 0 form
-the base-fixing class; every Killing field of the second factor induces one
-through Z_hat(q) = K_hat at the contact point and C = A^T (nabla K_hat) A,
-and the rows (Z_hat(q0), C(q0)) of such candidates span at most n(n+1)/2
-dimensions.
-
-All residual checkers evaluate candidates through finite-difference
-stencils, so user-supplied closures are tested against the actual
-definitions rather than against their own derivative formulas.  Killing
-fields and candidates come in stacks, and a checker takes a whole stack of
-samples (a stacked RollingState): it builds the stencil states of every
-sample in one canonical-curve call, evaluates the whole stack of candidates
-on them in one call of the closure and returns one residual per sample and
-candidate.
+with D_X the derivative along rolling curves, and symmetry_residual reads
+them off bracket_structured, with no stencil.  A candidate
+(SymmetryCandidate) is a brackets.StructuredField of one tangent row per
+field, (Z, Z_hat, C) in frame and so(n) coordinates (see rolling), with its
+pair and names.  Candidates with Z = 0 form the base-fixing class; every
+Killing field of the second factor induces one through Z_hat(q) = K_hat at
+the contact point and C = A^T (nabla K_hat) A, and the rows (Z_hat(q0),
+C(q0)) of such candidates span at most n(n+1)/2 dimensions.  Their
+derivatives are closed forms from the ambient formula of nabla K_hat, not
+from the Killing identity, so the residuals still test them against the
+curvature.  Fields, candidates and samples come in stacks, and a checker
+returns one residual per sample and candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .curvature import (curvature_term, rolling_curvature, skew_part, skew_to_vector, so_dim,
-                        so_pairs, vector_to_skew, wedge_matrix)
+from .brackets import FieldData, StructuredField, bracket_structured, rolling_generators
+from .curvature import (rolling_curvature, skew_part, skew_to_vector, so_dim, so_pairs,
+                        vector_to_skew, wedge_matrix)
 from .numerics import equilibrate, numerical_rank
-from .rolling import (
-    FD_STEP_FIBER,
-    RollingPair,
-    RollingState,
-    directional_derivative,
-    expm,
-    q_dim,
-    rolling_lift,
-    row_data,
-    tangent_curve,
-)
+from .rolling import RollingPair, RollingState, expm, q_dim, rolling_lift, tangent_curve
 from .spaces import (ConstantCurvature, Euclidean, GeometryError, Hyperbolic, MismatchError,
                      SpaceForm, Sphere)
 
@@ -102,6 +86,21 @@ class KillingField:
         the matrix (E W) G E^T for the metric weights W."""
         weighted = frame * self.manifold.metric_weights(np.asarray(x, float))[..., None, :]
         return weighted[..., None, :, :] @ self.generators @ frame[..., None, :, :].mT
+
+    def nabla_derivative(self, x, frame, v):
+        """Matrices of nabla_v (nabla K) in the deterministic frames at x
+        (..., amb) along the frame coordinates v (..., m, n), (..., m, k, n,
+        n), from the ambient formula: a parallel Y moves by its normal part
+        -K <Y, v> x (transport_rhs), and P G Y by the derivative of the
+        projection P, -K <x, G Y> v in tangent directions, so
+        (nabla_v nabla K) Y = -K <x, G Y> v - K <Y, v> P G x, zero on R^n."""
+        x = np.asarray(x, float)
+        ext = np.concatenate((frame, x[..., None, :]), axis=-2)  # the frame rows, then x
+        weighted = ext * self.manifold.metric_weights(x)[..., None, :]
+        p = weighted[..., None, :, :] @ self.generators @ ext[..., None, :, :].mT
+        g, h = p[..., None, :, :-1, -1:], p[..., None, :, -1:, :-1]  # <E_i, G x>, <x, G E_j>
+        v = v[..., :, None, :]  # against the fields
+        return -self.manifold.curvature_constant * (v[..., :, None] * h + g * v[..., None, :])
 
 
 def killing_catalog(manifold: SpaceForm) -> KillingField:
@@ -155,49 +154,64 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
 
 
 @dataclass
-class SymmetryCandidate:
-    """A stack of k vector fields on the state space given by one closure,
-    with one name per candidate.  `value` maps a state, or a stack of states
-    in one call, to the tangent rows of the k fields at each state,
-    (*q.shape, k, q_dim(n)): the frame coordinates of Z at x, those of Z_hat
-    at x_hat, then the so(n) coordinates of C = A^{-1} U_bar, as
-    brackets.StructuredField.value holds them.  A candidate is base-fixing
-    where its Z block is zero."""
+class SymmetryCandidate(StructuredField):
+    """A stack of k vector fields on the state space, a
+    brackets.StructuredField whose rows hold Z, Z_hat and C = A^{-1} U_bar,
+    with its pair and one name per field; base-fixing where Z is zero."""
 
     pair: RollingPair
-    value: Callable[[RollingState], np.ndarray]
     names: list
 
     def __len__(self):
         return len(self.names)
 
 
-def killing_to_symmetry(pair: RollingPair, field: KillingField) -> SymmetryCandidate:
+def killing_to_symmetry(pair: RollingPair, field: KillingField, spin=None) -> SymmetryCandidate:
     """Base-fixing symmetry candidates induced by a stack of Killing fields
-    of the second factor: the rows (0, K_hat at the contact point,
-    A^T (nabla K_hat) A) in frame and so(n) coordinates."""
+    of the second factor: the rows (0, K_hat, A^T (nabla K_spin) A), spin the
+    stack itself unless perturb_candidate passes another.  Along a row (X,
+    X_hat, C), T_hat moves by (nabla K_hat) X_hat, and U = (nabla K_spin) A
+    by (nabla_{X_hat} nabla K_spin) A + (nabla K_spin) A C."""
     if field.manifold is not pair.space_hat:
         raise MismatchError("Killing field must live on the second factor of the pair")
+    spin = field if spin is None else spin
+    n = pair.dim
 
     def value(q):
         a = q.expand(q.isometry, q.isometry.ndim + 1)
-        c = a.mT @ field.nabla_matrix(q.x_hat, q.frame_hat) @ a
+        c = a.mT @ spin.nabla_matrix(q.x_hat, q.frame_hat) @ a
         return np.concatenate((np.zeros(c.shape[:-1]), q.coords_hat(field.value(q.x_hat)),
                                skew_to_vector(c)), axis=-1)
 
-    return SymmetryCandidate(pair, value, [f"killing({name})" for name in field.names])
+    def derivative(q, xi):  # axes (m, k) after the stack axes: directions, then fields
+        def nabla_at(f):  # nabla K at x_hat, against the directions
+            return f.nabla_matrix(q.x_hat, q.frame_hat)[..., None, :, :, :]
+
+        nabla = nabla_at(spin)
+        d_t_hat = ((nabla if spin is field else nabla_at(field))
+                   @ xi[..., :, None, n : 2 * n, None])[..., 0]
+        a = q.expand(q.isometry, nabla.ndim)
+        d_u = (spin.nabla_derivative(q.x_hat, q.frame_hat, xi[..., n : 2 * n]) @ a
+               + nabla @ a @ vector_to_skew(xi[..., :, None, 2 * n :], n))
+        return FieldData(np.zeros_like(d_t_hat), d_t_hat, d_u)
+
+    return SymmetryCandidate(value, derivative, pair, [f"killing({name})" for name in field.names])
 
 
-def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
-    """Add a fixed random skew perturbation of size eps to each C of the
-    stack, one normal (n, n) draw per candidate in stack order, and keep Z and
-    Z_hat; used to check that the residual operations reject near-symmetries."""
-    n = cand.pair.dim
-    noise = skew_part(rng.standard_normal((len(cand), n, n)))
+def perturb_candidate(pair: RollingPair, field: KillingField, eps, rng) -> SymmetryCandidate:
+    """killing_to_symmetry(pair, field) with the vertical part of G + B: one
+    W-skew ambient B per field in stack order, the skew part of a normal
+    (amb, amb) draw scaled to the largest entry eps, its rows times the
+    metric weights W; used to check that the residuals reject
+    near-symmetries."""
+    m = field.manifold
+    noise = skew_part(rng.standard_normal((len(field), m.amb_dim, m.amb_dim)))
     noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), 1e-300) * eps
-    shift = np.concatenate((np.zeros((len(cand), 2 * n)), skew_to_vector(noise)), axis=-1)
-    return SymmetryCandidate(cand.pair, lambda q: cand.value(q) + shift,
-                             [name + f"+skew({eps:g})" for name in cand.names])
+    spin = KillingField(m, field.generators + m.signature[:, None] * noise, field.translations,
+                        field.names)
+    cand = killing_to_symmetry(pair, field, spin)
+    cand.names = [name + f"+skew({eps:g})" for name in cand.names]
+    return cand
 
 
 # -- residual operations ------------------------------------------------------------
@@ -205,23 +219,19 @@ def perturb_candidate(cand: SymmetryCandidate, eps, rng) -> SymmetryCandidate:
 
 def symmetry_residual(cand: SymmetryCandidate, q, X):
     """Residuals (r1, r2) of the two symmetry equations at every sample
-    (q[i], X[i]) of the stack q with tangent vectors X at x, two (samples,
-    candidates) arrays, by stencils whose states every candidate shares and
-    one tangent_curve call builds for all samples.  Residuals that are not
-    finite raise: those of rows at q that are not finite, or that overflow.
-    The data (Z, Z_hat, U_bar) comes from rolling.row_data, and the residuals
-    are Euclidean norms of orthonormal coordinates."""
-    X = np.asarray(X, float)
+    (q[i], X[i]) of the stack q, two (samples, candidates) arrays: the drift
+    block |T_hat - A T| and the Frobenius norm of the vertical block of
+    [V, L_X], the table bracket_structured(cand, rolling_generators(), q)
+    contracted with the coordinates of X in the generator frame (the
+    deterministic frame at a state that is its own anchor).  Residuals that
+    are not finite raise: those of rows that are not finite, or overflow."""
+    n = q.pair.dim
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
-        d_z, d_zhat, d_u = directional_derivative(cand.value, q, rolling_lift(q, X))
-        z, z_hat, u_bar = row_data(q, cand.value(q))
-        x, a = q.coords(X), q.isometry
-        r1 = np.linalg.norm((u_bar @ q.expand(x, u_bar.ndim - 1)[..., None])[..., 0]
-                            + d_z @ a.mT - d_zhat, axis=-1)
-
-        curv = curvature_term(q, wedge_matrix(x[..., None, :], z),
-                              wedge_matrix((a @ x[..., None]).mT, z_hat))
-        r2 = np.linalg.norm(d_u + curv, axis=(-2, -1))
+        table = bracket_structured(cand, rolling_generators(), q)
+        coeffs = (q.anchored @ q.coords(np.asarray(X, float))[..., None])[..., None, None, :, 0]
+        rows = (coeffs @ table.reshape(q.shape + (len(cand), n, -1)))[..., 0, :]
+        r1 = np.linalg.norm(rows[..., n : 2 * n] - rows[..., :n] @ q.isometry.mT, axis=-1)
+        r2 = np.linalg.norm(vector_to_skew(rows[..., 2 * n :], n), axis=(-2, -1))
     if not np.isfinite(r1 + r2).all():
         raise GeometryError("candidate residuals are not finite")
     return r1, r2
@@ -241,21 +251,17 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
     curvature direction of the plane (X[i], Y[i]) at every sample q[i] of
     the stack q, a (samples, candidates) array:
 
-        A . (d_fiber Z) = d_fiber Z_hat   along  nu(Rol_q(X ^ Y)).
+        A . (d_fiber Z) = d_fiber Z_hat   along  nu(Rol_q(X ^ Y)),
 
-    The rolling curvature and the fiber direction do not depend on the
-    candidate, so they are built once for the stack, and the fiber states of
-    all samples come from one tangent_curve call.  Residuals that are not
-    finite raise, as in symmetry_residual."""
-    a = q.isometry
-    c = skew_part(a.mT @ rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y))))
-    # where the direction is round-off, the fiber curve stays put and the
-    # derivative is exactly zero
-    c = np.where(np.abs(c).max(axis=(-2, -1), keepdims=True) >= 1e-14, c, 0.0)
-    fiber = np.concatenate((np.zeros(c.shape[:-2] + (2 * q.pair.dim,)), skew_to_vector(c)), axis=-1)
+    from the candidates' derivatives along the fiber rows (0, 0,
+    skew(A^T Rol_q(X ^ Y))).  Residuals that are not finite raise."""
+    n, a = q.pair.dim, q.isometry
+    rol = rolling_curvature(q, wedge_matrix(q.coords(X), q.coords(Y)))
+    c = skew_to_vector(skew_part(a.mT @ rol))
+    fiber = np.concatenate((np.zeros(c.shape[:-1] + (2 * n,)), c), axis=-1)[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
-        d_z, d_zhat, _ = directional_derivative(cand.value, q, fiber, h=FD_STEP_FIBER)
-        r = np.linalg.norm(d_z @ a.mT - d_zhat, axis=-1)
+        d = cand.derivative(q, fiber)
+        r = np.linalg.norm(d.T @ a[..., None, :, :].mT - d.T_hat, axis=-1)[..., 0, :]
     if not np.isfinite(r).all():
         raise GeometryError("candidate residuals are not finite")
     return r

@@ -156,7 +156,7 @@ def test_criterion_04_killing_fields_induce_symmetries():
         worst = max(worst, np.max(rs))
         assert worst < 1e-6
 
-        pert = perturb_candidate(killing_to_symmetry(pair, catalog[-1]), 1e-3, rng)
+        pert = perturb_candidate(pair, catalog[-1], 1e-3, rng)
         qs, Xs, Ys = draw_samples(pair, rng, 5)
         rs = (*symmetry_residual(pert, qs, Xs), vertical_compatibility_residual(pert, qs, Xs, Ys))
         assert np.all(np.max(rs, axis=(0, 2)) > 1e-4)

@@ -28,7 +28,7 @@ from rollsym.cli import GAP_REQUIREMENT
 from rollsym.numerics import cut_margin
 from rollsym.rolling import (CHART_STEP, RollingPair, q_dim, random_rotation,
                              rolling_lift, tangent_curve)
-from rollsym.symmetry import killing_catalog, killing_to_symmetry, perturb_candidate
+from rollsym.symmetry import killing_catalog, perturb_candidate
 from test_numerics import batch_rank, layered_rank
 
 RNG = np.random.default_rng(31)
@@ -374,8 +374,7 @@ def test_a_stack_of_states_equals_its_states_alone(pair, seed, count):
                                  (alone_data.T, alone_data.T_hat, alone_data.U)):
                 assert np.array_equal(got[i], want)
     if not isinstance(pair.space_hat, Warped):
-        cand = perturb_candidate(killing_to_symmetry(pair, killing_catalog(pair.space_hat)),
-                                 1e-3, rng)
+        cand = perturb_candidate(pair, killing_catalog(pair.space_hat), 1e-3, rng)
         got = cand.value(qs)
         assert all(np.array_equal(got[i], cand.value(q)) for i, q in enumerate(alone))
 

@@ -13,7 +13,6 @@ from rollsym import (DomainError, Euclidean, GeodesicPath, GeometryError, Hyperb
 from rollsym.curvature import (rolling_curvature, skew_part, skew_to_vector, vector_to_skew,
                                wedge_matrix)
 from rollsym.rolling import (
-    FD_STEP_FIBER,
     _roll_magnus,
     RollingCurve,
     RollingPair,
@@ -35,6 +34,7 @@ from rollsym.spaces import POINT_TOL
 from test_brackets import ALL_CATALOG_PAIRS, catalog_factors
 
 RNG = np.random.default_rng(123)
+STEP = 1e-3  # the stencil step of directional_derivative where no test pins another
 
 
 def sphere_on_plane():
@@ -1024,15 +1024,15 @@ def test_a_directional_derivative_builds_all_its_sample_states_in_one_call(monke
     Xs = np.array([pair.space.random_tangent(rng, x, unit=True) for x in qs.x])
     rows = rolling_lift(qs, Xs)
     results = []
-    for order in (2, 4, 4):
+    for h in (1e-4, STEP, STEP):
         calls.clear()
         evaluated.clear()
-        results.append(directional_derivative(field, qs, rows, order=order))
-        assert calls == [len(qs) * order]
-        assert evaluated == [(order, len(qs))]
+        results.append(directional_derivative(field, qs, rows, h))
+        assert calls == [len(qs) * 4]
+        assert evaluated == [(4, len(qs))]
     for twice, once in zip(results[1], results[2]):
         assert np.array_equal(twice, once)
-    d_x, d_xhat, d_u = directional_derivative(field, qs[:0], rows[:0])
+    d_x, d_xhat, d_u = directional_derivative(field, qs[:0], rows[:0], STEP)
     assert (d_x.shape, d_xhat.shape, d_u.shape) == ((0, 1, 2), (0, 1, 2), (0, 1, 2, 2))
 
 
@@ -1041,7 +1041,7 @@ def test_rolling_derivative_of_parallel_field_vanishes():
     q = pair.random_state(RNG)
     const = np.array([0.3, -0.7])
     d = directional_derivative(lambda s: _rows(s, x=s.coords(const)), q,
-                               rolling_lift(q, np.array([1.0, 0.0])))
+                               rolling_lift(q, np.array([1.0, 0.0])), STEP)
     assert max(np.abs(slot).max() for slot in d) < 1e-8
 
 
@@ -1051,7 +1051,7 @@ def test_rolling_derivative_of_the_isometry_vanishes():
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q = pair.random_state(RNG)
     X = pair.space.random_tangent(RNG, q.x, unit=True)
-    *_, d_u = directional_derivative(lambda s: _rows(s, c=[0.4]), q, rolling_lift(q, X))
+    *_, d_u = directional_derivative(lambda s: _rows(s, c=[0.4]), q, rolling_lift(q, X), STEP)
     assert np.abs(d_u).max() < 1e-8
 
 
@@ -1061,7 +1061,7 @@ def test_rolling_derivative_of_flat_translation_field_vanishes():
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     const_hat = np.array([1.0, 2.0])
     _, d_xhat, _ = directional_derivative(lambda s: _rows(s, x_hat=s.coords_hat(const_hat)), q,
-                                          rolling_lift(q, X))
+                                          rolling_lift(q, X), STEP)
     assert np.abs(d_xhat).max() < 1e-10
 
 
@@ -1072,8 +1072,8 @@ def test_rolling_derivative_is_linear_in_direction():
     X = pair.space.random_tangent(rng, q.x)
     Y = pair.space.random_tangent(rng, q.x)
 
-    def along(v):  # order 4 along the rolling lift of v
-        return directional_derivative(_reading_field, q, rolling_lift(q, v), order=4)
+    def along(v):  # along the rolling lift of v
+        return directional_derivative(_reading_field, q, rolling_lift(q, v), STEP)
 
     for dX, dY, dXY in zip(along(X), along(Y), along(0.5 * X + 2.0 * Y)):
         assert np.abs(dXY - (0.5 * dX + 2.0 * dY)).max() < 1e-8
@@ -1142,7 +1142,7 @@ def test_pull_back_through_kept_transports_matches_transport_by_minus_t(case):
                 fwd_hat.T @ qt.isometry @ c @ fwd)
 
     paths = [deleted_path(t) for t in stencil_offsets(1e-4)]
-    for slot, got in enumerate(directional_derivative(field, q, xi)):
+    for slot, got in enumerate(directional_derivative(field, q, xi, 1e-4)):
         expected = central_diff([p[slot] for p in paths], 1e-4)
         assert np.abs(got - expected).max() <= 1e-8 * _scale(expected)
 
@@ -1190,7 +1190,7 @@ def test_vertical_derivative_examples():
     fiber = _rows(q, c=skew_to_vector(c))
 
     def along_fiber(field):
-        return directional_derivative(field, q, fiber, h=FD_STEP_FIBER)
+        return directional_derivative(field, q, fiber, STEP)
 
     # a drift independent of the contact map
     w_hat = RNG.standard_normal(mh.amb_dim)

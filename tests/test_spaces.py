@@ -365,7 +365,7 @@ def test_warped_model_space_reduction():
 def test_warp_function_invariants():
     # f' is the derivative of f, and f'' = -k_ref f, by order-4 stencils
     h, s = 1e-3, np.linspace(-1.0, 1.0, 9)
-    times = s[:, None] + np.array(stencil_offsets(h, 4))
+    times = s[:, None] + np.array(stencil_offsets(h))
     for name in ("cos", "cosh", "exp", "affine"):
         w = WarpFunction(name, a=1.3, b=-0.4, omega=1.7)
         d1 = central_diff(list(w.value(times).T), h)

@@ -7,6 +7,8 @@ from scipy.linalg import expm
 
 from rollsym import (Euclidean, GeometryError, Hyperbolic, MismatchError, Sphere, WarpFunction,
                      Warped)
+from rollsym.brackets import (bracket_fd, bracket_structured, rolling_generators,
+                              stencil_data_derivative)
 from rollsym.curvature import skew_part, skew_to_vector, vector_to_skew, wedge_matrix
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.rolling import (
@@ -31,6 +33,14 @@ from rollsym.symmetry import (
 )
 
 RNG = np.random.default_rng(404)
+FIELD_FD_STEP = 1e-3  # the stencil step of a candidate without closed-form derivatives
+
+
+def stencil_candidate(pair, value, names):
+    """The candidate of a value closure, differentiated by stencils."""
+    return SymmetryCandidate(value, lambda q, xi: stencil_data_derivative(value, q, xi,
+                                                                          FIELD_FD_STEP),
+                             pair, names)
 
 
 def zeros(*shape):
@@ -62,7 +72,7 @@ def test_catalog_rejects_warped():
         killing_catalog(warped)
 
 
-def killing_ode_residual(field, x, v, h=1e-4, order=4):
+def killing_ode_residual(field, x, v, h=1e-4):
     """Residual of the second-order Killing identity
     nabla_v (nabla K) = R(v ^ K) at x for a stack of one field, as a frame
     matrix norm: the stencil differentiates nabla K along the geodesic of v
@@ -74,7 +84,7 @@ def killing_ode_residual(field, x, v, h=1e-4, order=4):
         p = det_transport_matrix(m, x[None], m.frame(x)[None], v[None], np.array([t]))[1][0]
         return p.T @ field.nabla_matrix(xt, m.frame(xt))[0] @ p
 
-    d = central_diff([sample(t) for t in stencil_offsets(h, order)], h)
+    d = central_diff([sample(t) for t in stencil_offsets(h)], h)
     a, b = m.frame_coords(x, m.frame(x), np.array([v, field.value(x)[0]]))
     expected = m.curvature_matrix_apply(x, wedge_matrix(a, b))
     return float(np.linalg.norm(d - expected))
@@ -136,7 +146,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
 def test_zero_candidate_has_zero_residuals():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
-    zero = SymmetryCandidate(pair, zeros(1, q_dim(2)), ["zero"])
+    zero = stencil_candidate(pair, zeros(1, q_dim(2)), ["zero"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     assert np.all(np.concatenate(symmetry_residual(zero, q[None], X[None])) == 0.0)
 
@@ -144,8 +154,8 @@ def test_zero_candidate_has_zero_residuals():
 def test_perturbed_candidate_is_rejected():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    cand = killing_to_symmetry(pair, killing_catalog(pair.space_hat)[1])
-    pert = perturb_candidate(cand, 1e-3, np.random.default_rng(0))
+    pert = perturb_candidate(pair, killing_catalog(pair.space_hat)[1], 1e-3,
+                             np.random.default_rng(0))
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     r1, r2 = symmetry_residual(pert, q[None], X[None])
     assert max(r1[0, 0], r2[0, 0]) > 1e-4
@@ -159,7 +169,7 @@ def test_candidate_validation():
     # that are not finite at the samples are refused
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    nan_valued = SymmetryCandidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+    nan_valued = stencil_candidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
                                    ["nan"])
     with pytest.raises(GeometryError, match="not finite"):
         symmetry_residual(nan_valued, q[None], q.frame[None, 0])
@@ -168,7 +178,7 @@ def test_candidate_validation():
 def test_vertical_compatibility_refuses_rows_that_are_not_finite():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    nan_valued = SymmetryCandidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+    nan_valued = stencil_candidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
                                    ["nan"])
     with pytest.raises(GeometryError, match="not finite"):
         vertical_compatibility_residual(nan_valued, q[None], q.frame[None, 0], q.frame[None, 1])
@@ -186,7 +196,7 @@ def test_dimension_probe_refuses_rows_that_are_not_finite():
         return rows
 
     with pytest.raises(GeometryError, match="not finite"):
-        sym0_dimension_probe(q, SymmetryCandidate(pair, value, ["nan"]))
+        sym0_dimension_probe(q, stencil_candidate(pair, value, ["nan"]))
 
 
 def test_killing_mismatch_raises():
@@ -260,6 +270,70 @@ def test_killing_rows_are_the_projected_construction(pair, seed, shape):
         assert np.array_equal(rows[i], cand.value(alone))
 
 
+@settings(max_examples=60, deadline=None)
+@given(KILLING_PAIRS, st.integers(0, 2**32 - 1), STACK_SHAPES, st.booleans())
+def test_a_killing_lift_derivative_is_the_stencil_of_its_rows(pair, seed, shape, perturbed):
+    # the closed-form derivatives of the whole catalog, perturbed or not,
+    # along random rows that move both points and turn the contact map equal
+    # the order-4 stencil of the candidates' rows
+    rng = np.random.default_rng(seed)
+    catalog = killing_catalog(pair.space_hat)
+    cand = (perturb_candidate(pair, catalog, 0.1, rng) if perturbed
+            else killing_to_symmetry(pair, catalog))
+    q = pair.state(*pair.draw(rng, shape))
+    xi = rng.standard_normal(shape + (2, q_dim(pair.dim)))
+    got = cand.derivative(q, xi)
+    want = stencil_data_derivative(cand.value, q, xi, FIELD_FD_STEP)
+    bound = 1e-9 * max(1.0, float(np.abs(cand.value(q)).max()), float(np.abs(xi).max()))
+    for a, b in zip((got.T, got.T_hat, got.U), (want.T, want.T_hat, want.U)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= bound
+
+
+# the benchmark's audit pairs, and a warped first factor: the stencil audit
+# sat at a floor of 1.7e-9 to 5.1e-9 on all but S2(2)/R2
+AUDIT_PAIRS = {
+    "S2(2)/S2(1)": lambda: RollingPair(Sphere(2, 2.0), Sphere(2, 1.0)),
+    "S2(2)/H2(1)": lambda: RollingPair(Sphere(2, 2.0), Hyperbolic(2, 1.0)),
+    "S2(2)/R2": lambda: RollingPair(Sphere(2, 2.0), Euclidean(2)),
+    "S3(2)/S3(1)": lambda: RollingPair(Sphere(3, 2.0), Sphere(3, 1.0)),
+    "cosh S2(1)/S3(1)": lambda: RollingPair(
+        Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(2, 1.0)), Sphere(3, 1.0)),
+}
+
+
+@pytest.mark.parametrize("label", list(AUDIT_PAIRS))
+def test_the_audit_bracket_is_the_fd_oracle_bracket(label):
+    pair = AUDIT_PAIRS[label]()
+    catalog = killing_catalog(pair.space_hat)
+    gens = rolling_generators()
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        q = pair.random_state(rng)
+        for cand in (killing_to_symmetry(pair, catalog),
+                     perturb_candidate(pair, catalog, 1e-3, rng)):
+            got, want = bracket_structured(cand, gens, q), bracket_fd(cand, gens, q)
+            assert np.abs(got - want).max() < 1e-6
+
+
+@pytest.mark.parametrize("label", list(AUDIT_PAIRS))
+def test_catalog_residuals_sit_at_round_off(label):
+    # at 200 states the catalog's residuals are round-off of its rows, and
+    # the vertical check of a Killing lift, perturbed or not, is exactly 0
+    pair = AUDIT_PAIRS[label]()
+    catalog = killing_catalog(pair.space_hat)
+    rng = np.random.default_rng(17)
+    x, x_hat, a = pair.draw(rng, (200,))
+    q = pair.state(x, x_hat, a)
+    X = pair.space.random_tangent(rng, x, unit=True)
+    Y = pair.space.random_tangent(rng, x, unit=True)
+    cands = killing_to_symmetry(pair, catalog)
+    r1, r2 = symmetry_residual(cands, q, X)
+    assert max(r1.max(), r2.max()) <= 1e-12 * np.abs(cands.value(q)).max()
+    for cand in (cands, perturb_candidate(pair, catalog, 1e-3, rng)):
+        assert np.all(vertical_compatibility_residual(cand, q, X, Y) == 0.0)
+
+
 # -- vertical compatibility ------------------------------------------------------------
 
 
@@ -297,43 +371,46 @@ def test_vertical_compatibility_detects_base_dependence():
         rows[..., 0, 2:4] = s.isometry.mT[..., 0, :]
         return rows
 
-    cand = SymmetryCandidate(pair, contact_map_drift, ["contact-map drift"])
+    cand = stencil_candidate(pair, contact_map_drift, ["contact-map drift"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
     assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] > 1e-4
 
 
-def test_an_audit_sample_builds_each_canonical_curve_state_once(monkeypatch, tmp_path):
-    # an audit draws all its samples first: the rolling-lift states of every
-    # sample then come from one tangent_curve call, and the fiber states from
-    # one more.  The frames come in stacks too: one frame call per factor
-    # for the sample states and one per factor for the moving rolling-lift
-    # states (the fiber states keep their base's frames), and one for the
-    # dimension probe's state, which reads the frame at x_hat only, whatever
-    # the sample count
+def test_an_audit_takes_no_stencil(monkeypatch, tmp_path):
+    # both checks read bracket_structured and the candidates' closed-form
+    # derivatives, so an audit builds no canonical curve, catalog or
+    # perturbed.  The frames come in stacks: one frame call per factor for
+    # the sample states, and one for the dimension probe's state, which reads
+    # the frame at x_hat only, whatever the sample count
     import json
 
+    import rollsym.brackets as brackets_mod
     import rollsym.rolling as rolling_mod
     from rollsym.cli import main
     from rollsym.spaces import SpaceForm
     from test_brackets import patch_everywhere
 
-    calls, frames = [], []
-    build = rolling_mod.tangent_curve
-    patch_everywhere(monkeypatch, build, lambda *a: calls.append(1) or build(*a))
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the audit took a stencil")
+
+    for fn in (rolling_mod.directional_derivative, brackets_mod.stencil_data_derivative,
+               rolling_mod.tangent_curve):
+        patch_everywhere(monkeypatch, fn, forbidden)
+    frames = []
     stacked = SpaceForm.frame
     monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or stacked(*a, **k))
     config = tmp_path / "pair.json"
     config.write_text(json.dumps({"manifold_pair": [Sphere(3, 2.0).to_spec(),
                                                     Sphere(3, 1.0).to_spec()]}))
     for samples in (1, 20):
-        calls.clear()
-        frames.clear()
-        assert main(["--config", str(config), "symmetry-check", "--seed", "5",
-                     "--candidate", json.dumps({"kind": "catalog"}), "--samples", str(samples),
-                     "--out", str(tmp_path / "audit.json")]) == 0
-        assert 0 < len(calls) <= 2
-        assert 0 < len(frames) <= 5
+        for candidate, code in (({"kind": "catalog"}, 0),
+                                ({"kind": "catalog", "perturb": 1e-3}, 1)):
+            frames.clear()
+            assert main(["--config", str(config), "symmetry-check", "--seed", "5",
+                         "--candidate", json.dumps(candidate), "--samples", str(samples),
+                         "--out", str(tmp_path / "audit.json")]) == code
+            assert 0 < len(frames) <= 5
 
 
 def test_a_fiber_curve_keeps_the_base_point_and_frames(monkeypatch):
@@ -384,8 +461,8 @@ STACK_PAIRS = st.sampled_from([
 @given(STACK_PAIRS, st.integers(0, 2**32 - 1), st.booleans())
 def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
     # each candidate's row of (r1, r2, r3) from the whole catalog equals the
-    # residuals of its field alone; a perturbed stack draws one noise matrix
-    # per field in catalog order, so field i alone skips i draws
+    # residuals of its field alone; a perturbed stack draws one ambient noise
+    # matrix per field in catalog order, so field i alone skips i draws
     pair = make_pair()
     catalog = killing_catalog(pair.space_hat)
     rng = np.random.default_rng(seed)
@@ -397,8 +474,8 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
         cand = killing_to_symmetry(pair, fields)
         if perturbed:
             noise_rng = np.random.default_rng(seed + 1)
-            noise_rng.standard_normal((skip, pair.dim, pair.dim))
-            cand = perturb_candidate(cand, 1e-3, noise_rng)
+            noise_rng.standard_normal((skip,) + (pair.space_hat.amb_dim,) * 2)
+            cand = perturb_candidate(pair, fields, 1e-3, noise_rng)
         return np.array([*symmetry_residual(cand, q[None], X[None]),
                          vertical_compatibility_residual(cand, q[None], X[None], Y[None])])[:, 0]
 
@@ -414,7 +491,7 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
 def inner_candidate(pair, Z, name):
     """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0), its
     rolling lift."""
-    return SymmetryCandidate(pair, lambda s: rolling_lift(s, Z(s)), [name])
+    return stencil_candidate(pair, lambda s: rolling_lift(s, Z(s)), [name])
 
 
 def test_inner_kind_candidate_passes_general_residuals():
@@ -723,7 +800,7 @@ def test_dimension_probe_span_invariance_and_small_cases():
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
     # a stack whose drift on the first factor is nonzero at q0 is not base-fixing
-    moving = SymmetryCandidate(pair, lambda s: np.broadcast_to(np.eye(q_dim(2))[:1],
+    moving = stencil_candidate(pair, lambda s: np.broadcast_to(np.eye(q_dim(2))[:1],
                                                               s.shape + (1, q_dim(2))),
                                ["moving base"])
     with pytest.raises(GeometryError, match="base-fixing"):
