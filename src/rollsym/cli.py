@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
-                     SampledPath, from_spec, integral)
+                     SampledPath, from_spec, integral, real, reals)
 from .rolling import RollingCurve, RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
@@ -101,7 +101,8 @@ class Run:
             tol_block = dict(self.config.get("tolerances", {}))
             if args.tol is not None:
                 tol_block["residual"] = args.tol
-            self.tolerances = {k: _positive(float(tol_block.get(k, d)), f"tolerance {k}")
+            self.tolerances = {k: _positive(real(tol_block.get(k, d), f"tolerance {k}"),
+                                            f"tolerance {k}")
                                for k, d in TOLERANCE_DEFAULTS.items()}
             output = self.config.get("output", {})
             if not (isinstance(output, dict) and isinstance(output.get("path") or "", str)
@@ -134,14 +135,14 @@ class Run:
 
 def _parse_path(pair, q0, spec):
     if spec.get("type") == "geodesic":
-        direction = np.asarray(spec["direction"], float)
+        direction = reals(spec["direction"], "path direction")
         if direction.shape != q0.x.shape or not np.isfinite(direction).all():
             raise GeometryError(f"path direction must hold {q0.x.size} finite numbers")
         # an exact power-of-two scaling brings the largest entry into [0.5, 1),
         # so that the norm neither overflows nor underflows
         direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
         tangent = pair.space.project(q0.x, direction)
-        length = float(spec.get("length", 1.0))
+        length = real(spec.get("length", 1.0), "path length")
         if not 0.0 <= length < math.inf:  # NaN fails both
             raise GeometryError(f"path length must be finite and non-negative, got {length!r}")
         nrm2 = pair.space.inner_at(q0.x, tangent, tangent)
@@ -255,13 +256,14 @@ def cmd_audit(args):
             fields = _field_from_spec(pair.space_hat, cand_spec.get("generator", {}))
         else:
             raise GeometryError(f"unknown candidate kind {kind!r}")
-        eps = float(cand_spec.get("perturb") or 0.0)
+        eps = real(cand_spec.get("perturb", 0.0), "perturb")
     if not math.isfinite(eps):
         raise GeometryError(f"perturb must be finite, got {eps!r}")
     cands = perturb_candidate(pair, fields, eps, rng) if eps else killing_to_symmetry(pair, fields)
 
-    # the samples are drawn as stacks (all states, then all X, then all Y)
-    # and checked as one stack; each checker then takes the whole stack at once
+    # one seeded draw: the samples come as stacks (all states, then all X,
+    # then all Y), checked as one stack; each checker takes the whole stack at
+    # once, and the dimension probe reads the first state, frames and all
     x, x_hat, a = pair.draw(rng, (args.samples,))
     Xs = pair.space.random_tangent(rng, x, unit=True)
     Ys = pair.space.random_tangent(rng, x, unit=True)
@@ -276,8 +278,7 @@ def cmd_audit(args):
         key: {"max": float(np.max(vals)), "mean": float(np.mean(vals.ravel()))}
         for key, vals in stats.items()
     }
-    q0 = pair.random_state(run.rng())
-    probe = sym0_dimension_probe(q0, cands, tol=run.tolerances["rank"])
+    probe = sym0_dimension_probe(qs[0], cands, tol=run.tolerances["rank"])
     out["sym0_dimension"] = probe.to_json()
     _dump(out, run.out)
     failing = [k for k, v in out["residuals"].items() if not v["max"] < tol]

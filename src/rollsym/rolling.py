@@ -41,7 +41,7 @@ import numpy as np
 from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
 from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, GeodesicPath,
-                     GeometryError, SpaceForm)
+                     GeometryError, SpaceForm, reals)
 
 ISOMETRY_TOL = 1e-9
 CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
@@ -80,7 +80,7 @@ class RollingPair:
         return self.state(*self.draw(rng))
 
     def state_from_json(self, data: dict) -> "RollingState":
-        q = self.state(data["x"], data["x_hat"], data["A"])
+        q = self.state(*(reals(data[key], f"state {key}") for key in ("x", "x_hat", "A")))
         if q.shape:
             raise GeometryError(f"a state holds one contact map, got a stack of shape {q.shape}")
         return q

@@ -97,10 +97,27 @@ def _turning_points(k, a, b, t):
 
 def integral(value, what):
     """A count read from input: 2 and 2.0 give 2, a non-integral number is
-    an input error rather than being truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    an input error rather than being truncated, and so is a boolean (see
+    real)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise GeometryError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(value, what):
+    """A number read from input, as a float: JSON true and false are input
+    errors, though Python reads them as 1 and 0."""
+    if isinstance(value, bool):
+        raise GeometryError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def reals(value, what):
+    """An array of numbers read from input (nested lists), as floats, with
+    real's rule for every entry."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise GeometryError(f"{what} must hold numbers, got a boolean")
+    return np.asarray(value, dtype=float)
 
 
 class SpaceForm:
@@ -803,15 +820,16 @@ def from_spec(spec: dict) -> SpaceForm:
     if kind == "euclidean":
         return Euclidean(integral(spec["dim"], "dim"))
     if kind == "sphere":
-        return Sphere(integral(spec["dim"], "dim"), float(spec.get("radius", 1.0)))
+        return Sphere(integral(spec["dim"], "dim"), real(spec.get("radius", 1.0), "radius"))
     if kind == "hyperbolic":
-        return Hyperbolic(integral(spec["dim"], "dim"), float(spec.get("radius", 1.0)))
+        return Hyperbolic(integral(spec["dim"], "dim"), real(spec.get("radius", 1.0), "radius"))
     if kind == "warped":
         w = spec["warp"]
-        warp = WarpFunction(
-            w["name"], float(w.get("a", 1.0)), float(w.get("b", 0.0)), float(w.get("omega", 1.0))
-        )
-        return Warped(tuple(spec["interval"]), warp, from_spec(spec["fiber"]))
+        warp = WarpFunction(w["name"], *(real(w.get(key, default), f"warp {key}")
+                                         for key, default in (("a", 1.0), ("b", 0.0),
+                                                              ("omega", 1.0))))
+        return Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
+                      from_spec(spec["fiber"]))
     raise GeometryError(f"unknown manifold kind {kind!r}")
 
 

@@ -221,20 +221,36 @@ def symmetry_residual(cand: SymmetryCandidate, q, X):
     """Residuals (r1, r2) of the two symmetry equations at every sample
     (q[i], X[i]) of the stack q, two (samples, candidates) arrays: the drift
     block |T_hat - A T| and the Frobenius norm of the vertical block of
-    [V, L_X], the table bracket_structured(cand, rolling_generators(), q)
-    contracted with the coordinates of X in the generator frame (the
-    deterministic frame at a state that is its own anchor).  Residuals that
+    [V, L_X] = sum_j c_j [V, L_j], one bracket_structured row per candidate
+    for the lift L_X = sum_j c_j L_j of the rolling generators, with c the
+    coordinates of X in the generator frame held constant.  Residuals that
     are not finite raise: those of rows that are not finite, or overflow."""
     n = q.pair.dim
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
-        table = bracket_structured(cand, rolling_generators(), q)
-        coeffs = (q.anchored @ q.coords(np.asarray(X, float))[..., None])[..., None, None, :, 0]
-        rows = (coeffs @ table.reshape(q.shape + (len(cand), n, -1)))[..., 0, :]
+        coeffs = (q.anchored @ q.coords(np.asarray(X, float))[..., None])[..., 0]
+        rows = bracket_structured(cand, _combination(rolling_generators(), coeffs), q)
         r1 = np.linalg.norm(rows[..., n : 2 * n] - rows[..., :n] @ q.isometry.mT, axis=-1)
         r2 = np.linalg.norm(vector_to_skew(rows[..., 2 * n :], n), axis=(-2, -1))
     if not np.isfinite(r1 + r2).all():
         raise GeometryError("candidate residuals are not finite")
     return r1, r2
+
+
+def _combination(field: StructuredField, c) -> StructuredField:
+    """The one field sum_j c_j F_j of a stack of k fields F_j, for constant
+    coefficients c (*q.shape, k): its rows and its derivatives are the same
+    sums of theirs."""
+    weights = c[..., None, None, :]  # against the axes (m, k) of a derivative
+
+    def along(a):  # axes (m, k, *rest) after the stack axes, summed over k
+        flat = a.reshape(a.shape[: weights.ndim - 1] + (-1,))
+        return (weights @ flat).reshape(flat.shape[:-2] + (1,) + a.shape[weights.ndim - 1 :])
+
+    def derivative(q, xi):
+        d = field.derivative(q, xi)
+        return FieldData(along(d.T), along(d.T_hat), along(d.U))
+
+    return StructuredField(lambda q: weights[..., 0, :, :] @ field.value(q), derivative)
 
 
 def inner_symmetry_residual(Z, q: RollingState) -> float:

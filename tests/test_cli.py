@@ -633,6 +633,37 @@ def test_seeded_perturbed_audit_report_is_pinned(tmp_path):
                                                                       rel=1e-9)
 
 
+@pytest.mark.parametrize("candidate", [{"kind": "catalog"}, {"kind": "catalog", "perturb": 1e-3}])
+def test_an_audit_draws_once_and_probes_its_first_sample(tmp_path, monkeypatch, candidate):
+    # one seeded Generator feeds the perturbation, the samples and the
+    # dimension probe, which reads the first sample state
+    from rollsym.cli import np as cli_np
+    from rollsym.spaces import from_spec
+    from rollsym.symmetry import (killing_catalog, killing_to_symmetry, perturb_candidate,
+                                  sym0_dimension_probe)
+
+    spec = {"manifold_pair": [{"kind": "sphere", "dim": 3, "radius": 2.0},
+                              {"kind": "sphere", "dim": 3, "radius": 1.0}], "seed": 11}
+    cfg = write_config(tmp_path, spec)
+    out = tmp_path / "audit.json"
+    made = []
+    default_rng = cli_np.random.default_rng
+    monkeypatch.setattr(cli_np.random, "default_rng",
+                        lambda *a, **k: made.append(a) or default_rng(*a, **k))
+    assert main(["--config", cfg, "symmetry-check", "--candidate", json.dumps(candidate),
+                 "--samples", "4", "--out", str(out)]) == (1 if "perturb" in candidate else 0)
+    assert made == [(11,)]
+
+    pair = RollingPair(*map(from_spec, spec["manifold_pair"]))
+    rng = default_rng(11)
+    catalog = killing_catalog(pair.space_hat)
+    cands = (perturb_candidate(pair, catalog, candidate["perturb"], rng) if "perturb" in candidate
+             else killing_to_symmetry(pair, catalog))
+    qs = pair.state(*pair.draw(rng, (4,)))
+    probe = sym0_dimension_probe(qs[0], cands, tol=1e-8)
+    assert json.loads(out.read_text())["sym0_dimension"] == json.loads(json.dumps(probe.to_json()))
+
+
 AUDIT_FLOOR_PAIRS = {
     "S2(2)/S2(1)": [{"kind": "sphere", "dim": 2, "radius": 2.0},
                     {"kind": "sphere", "dim": 2, "radius": 1.0}],
@@ -1078,6 +1109,34 @@ def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
     assert not out.exists()
 
 
+WARPED_FIRST = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
+                "fiber": {"kind": "sphere", "dim": 2, "radius": 1.0}}
+
+
+BOOLEAN_AXIS = ["symmetry-check", "--candidate", json.dumps(
+    {"kind": "killing", "generator": {"type": "translation", "axis": True}})]
+
+
+@pytest.mark.parametrize("first, command, what", [
+    ({**WARPED_FIRST, "warp": {"name": "cosh", "a": True}}, ["killing"], "warp a"),
+    ({**WARPED_FIRST, "warp": {"name": "cosh", "b": False}}, ["killing"], "warp b"),
+    ({**WARPED_FIRST, "warp": {"name": "cosh", "omega": True}}, ["killing"], "warp omega"),
+    ({**WARPED_FIRST, "interval": [False, 1.2]}, ["killing"], "interval end"),
+    ({"kind": "sphere", "dim": 3, "radius": True}, ["killing"], "radius"),
+    ({"kind": "sphere", "dim": True, "radius": 1.0}, ["killing"], "dim"),
+    ({"kind": "sphere", "dim": 3, "radius": 1.0}, BOOLEAN_AXIS, "generator axis"),
+], ids=["warp-a", "warp-b", "warp-omega", "interval", "radius", "dim", "axis"])
+def test_a_boolean_is_not_a_number(tmp_path, capsys, first, command, what):
+    # Python reads true as 1 and false as 0, so these used to run and exit 0
+    cfg = write_config(tmp_path, {"manifold_pair": [first, {"kind": "euclidean", "dim": 3}]})
+    out = tmp_path / "report.json"
+    assert main(["--config", cfg, *command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{what} must be " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length", [-1, -0.05])
 def test_simulate_rejects_a_negative_path_length(tmp_path, capsys, length):
     # it used to reach the roll and fail there as "driving path time grid
@@ -1173,8 +1232,10 @@ def test_tolerance_override_recorded(tmp_path):
 
 FUZZ_PATH = {"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": 0.05}
 NAN, INF = float("nan"), float("inf")
-NOT_A_COUNT = [0, -1, -3, 2.9, 1.5, "two", "", "nan", None, [], {}, NAN, INF]
-NOT_POSITIVE = [0.0, -1.0, -1e-3, NAN, INF, -INF, "nan", "-inf", "abc", None, [], {}]
+# JSON true and false are not numbers, though Python reads them as 1 and 0
+NOT_A_COUNT = [0, -1, -3, 2.9, 1.5, "two", "", "nan", None, [], {}, NAN, INF, True, False]
+NOT_POSITIVE = [0.0, -1.0, -1e-3, NAN, INF, -INF, "nan", "-inf", "abc", None, [], {}, True,
+                False]
 JUNK = ["abc", "", 5, None, [], [1, 2], {}]
 GOOD_STATE = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0, 3.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
 BAD_STATES = [
@@ -1188,6 +1249,9 @@ BAD_STATES = [
     {**GOOD_STATE, "A": [[0.0, 1.0], [1.0, 0.0]]},
     {**GOOD_STATE, "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
     {**GOOD_STATE, "A": [[NAN, 0.0], [0.0, 1.0]]},
+    {**GOOD_STATE, "x": [False, False, True]},
+    {**GOOD_STATE, "A": [[True, 0.0], [0.0, 1.0]]},
+    {**GOOD_STATE, "A": [[True, False], [False, True]]},
 ]
 BAD_PATHS = [
     "{not json", "[]", "5", '"x"',
@@ -1201,10 +1265,19 @@ BAD_PATHS = [
     json.dumps({**FUZZ_PATH, "length": NAN}),
     json.dumps({**FUZZ_PATH, "length": INF}),
     json.dumps({**FUZZ_PATH, "length": -0.05}),
+    json.dumps({**FUZZ_PATH, "direction": [True, 0.0, 0.0]}),
+    json.dumps({**FUZZ_PATH, "length": True}),
     json.dumps({"type": "samples"}),
     json.dumps({"type": "samples", "file": "missing.csv"}),
     json.dumps({"type": "samples", "file": "garbage.csv"}),
     json.dumps({"type": "samples", "file": "one_row.csv"}),
+]
+BAD_CANDIDATES = [
+    {"kind": "catalog", "perturb": True},
+    {"kind": "catalog", "perturb": False},
+    {"kind": "catalog", "perturb": NAN},
+    {"kind": "killing", "generator": {"type": "rotation", "plane": [False, True]}},
+    {"kind": "killing", "generator": {"type": "rotation", "plane": [0, 1.5]}},
 ]
 VALID_KINDS = ("euclidean", "sphere", "hyperbolic", "warped")
 
@@ -1235,11 +1308,12 @@ def malformed_invocations(draw):
     if command == "simulate":
         choices += ["--step", "--path-spec"]
     if command == "symmetry-check":
-        choices += ["--samples"]
+        choices += ["--samples", "--candidate"]
     picked = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=2, unique=True))
     config = copy.deepcopy(SPHERES_1_3)
     global_flags, sub_flags = [], []
     path_spec = json.dumps(FUZZ_PATH)
+    candidate = {"kind": "catalog"}
     for what in picked:
         if what == "manifold":
             _corrupt_manifold(draw, config)
@@ -1247,7 +1321,8 @@ def malformed_invocations(draw):
             key = draw(st.sampled_from(["residual", "rank", "step", "isometry"]))
             config["tolerances"] = {key: draw(st.sampled_from(NOT_POSITIVE))}
         elif what == "seed":
-            config["seed"] = draw(st.sampled_from(["abc", -1, -7, 2.7, None, [], "1.5", NAN]))
+            config["seed"] = draw(st.sampled_from(["abc", -1, -7, 2.7, None, [], "1.5", NAN,
+                                                   True, False]))
         elif what == "output":
             config["output"] = draw(st.sampled_from(["x", 5, [], {"format": "xml"},
                                                      {"format": 5}]))
@@ -1265,13 +1340,15 @@ def malformed_invocations(draw):
             sub_flags.append(f"--samples={draw(st.sampled_from(['0', '-1', '-3', 'abc', '1.5']))}")
         elif what == "--path-spec":
             path_spec = draw(st.sampled_from(BAD_PATHS))
+        elif what == "--candidate":
+            candidate = draw(st.sampled_from(BAD_CANDIDATES))
     if "not_object" in picked:
         config = draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(),
                                 st.text(max_size=5), st.none(), st.booleans()))
     if command == "simulate":
         sub_flags += ["--path-spec", path_spec, "--format", "csv"]
     if command == "symmetry-check":
-        sub_flags += ["--candidate", json.dumps({"kind": "catalog"})]
+        sub_flags += ["--candidate", json.dumps(candidate)]
     return command, config, global_flags, sub_flags
 
 

@@ -316,6 +316,37 @@ def test_the_audit_bracket_is_the_fd_oracle_bracket(label):
             assert np.abs(got - want).max() < 1e-6
 
 
+def generator_table_residuals(cand, q, X):
+    """The residuals of the whole generator table: every candidate bracketed
+    with all n rolling generators, then contracted with the coordinates of X
+    in the generator frame; and the largest entry of the contracted rows."""
+    n = q.pair.dim
+    table = bracket_structured(cand, rolling_generators(), q)
+    coeffs = (q.anchored @ q.coords(np.asarray(X, float))[..., None])[..., None, None, :, 0]
+    rows = (coeffs @ table.reshape(q.shape + (len(cand), n, -1)))[..., 0, :]
+    r1 = np.linalg.norm(rows[..., n : 2 * n] - rows[..., :n] @ q.isometry.mT, axis=-1)
+    r2 = np.linalg.norm(vector_to_skew(rows[..., 2 * n :], n), axis=(-2, -1))
+    return r1, r2, float(np.abs(rows).max())
+
+
+@pytest.mark.parametrize("label", list(AUDIT_PAIRS))
+def test_the_one_lift_residuals_are_those_of_the_generator_table(label):
+    # [V, sum_j c_j L_j] = sum_j c_j [V, L_j] for constant c, so bracketing
+    # with the one lift of X gives the contracted table up to round-off
+    pair = AUDIT_PAIRS[label]()
+    catalog = killing_catalog(pair.space_hat)
+    rng = np.random.default_rng(42)
+    x, x_hat, a = pair.draw(rng, (200,))
+    q = pair.state(x, x_hat, a)
+    X = pair.space.random_tangent(rng, x, unit=True)
+    for cand in (killing_to_symmetry(pair, catalog), perturb_candidate(pair, catalog, 1e-3, rng),
+                 perturb_candidate(pair, catalog, 1e-9, rng)):
+        *want, largest = generator_table_residuals(cand, q, X)
+        for got, ref in zip(symmetry_residual(cand, q, X), want):
+            assert got.shape == ref.shape == (200, len(cand))
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, largest)
+
+
 @pytest.mark.parametrize("label", list(AUDIT_PAIRS))
 def test_catalog_residuals_sit_at_round_off(label):
     # at 200 states the catalog's residuals are round-off of its rows, and
@@ -381,8 +412,8 @@ def test_an_audit_takes_no_stencil(monkeypatch, tmp_path):
     # both checks read bracket_structured and the candidates' closed-form
     # derivatives, so an audit builds no canonical curve, catalog or
     # perturbed.  The frames come in stacks: one frame call per factor for
-    # the sample states, and one for the dimension probe's state, which reads
-    # the frame at x_hat only, whatever the sample count
+    # the sample states, whatever the sample count, and the dimension probe
+    # reads the first sample's frames
     import json
 
     import rollsym.brackets as brackets_mod
@@ -399,7 +430,8 @@ def test_an_audit_takes_no_stencil(monkeypatch, tmp_path):
         patch_everywhere(monkeypatch, fn, forbidden)
     frames = []
     stacked = SpaceForm.frame
-    monkeypatch.setattr(SpaceForm, "frame", lambda *a, **k: frames.append(1) or stacked(*a, **k))
+    monkeypatch.setattr(SpaceForm, "frame",
+                        lambda m, *a, **k: frames.append(m.radius) or stacked(m, *a, **k))
     config = tmp_path / "pair.json"
     config.write_text(json.dumps({"manifold_pair": [Sphere(3, 2.0).to_spec(),
                                                     Sphere(3, 1.0).to_spec()]}))
@@ -410,7 +442,7 @@ def test_an_audit_takes_no_stencil(monkeypatch, tmp_path):
             assert main(["--config", str(config), "symmetry-check", "--seed", "5",
                          "--candidate", json.dumps(candidate), "--samples", str(samples),
                          "--out", str(tmp_path / "audit.json")]) == code
-            assert 0 < len(frames) <= 5
+            assert sorted(frames) == [1.0, 2.0]  # the radii of the two factors
 
 
 def test_a_fiber_curve_keeps_the_base_point_and_frames(monkeypatch):
