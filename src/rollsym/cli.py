@@ -26,7 +26,7 @@ import numpy as np
 
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
                      SampledPath, from_spec, integral, real, reals)
-from .rolling import RollingCurve, RollingPair, roll_along
+from .rolling import RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator
 from .brackets import curvature_mismatch, flag_ranks
 from .numerics import cut_margin
@@ -148,7 +148,7 @@ def _parse_path(pair, q0, spec):
         nrm2 = pair.space.inner_at(q0.x, tangent, tangent)
         # a normal direction leaves a round-off tangent part, whose Minkowski square may be < 0
         if length == 0.0 or not nrm2 > (1e-12 * np.linalg.norm(direction)) ** 2:
-            return None
+            return GeodesicPath(pair.space, q0.x, np.zeros_like(tangent), 0.0)  # no step
         return GeodesicPath(pair.space, q0.x, tangent / np.sqrt(nrm2), length)
     if spec.get("type") == "samples":
         with warnings.catch_warnings():
@@ -166,15 +166,12 @@ def cmd_simulate(args):
     step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
-    if path is None:
-        curve = RollingCurve(run.pair, np.zeros(1), q0.x[None], q0.x_hat[None], q0.isometry[None])
-    else:
-        # the roll substeps the span from the path's first time, which is 0 on a geodesic
-        span = abs(path.t_max - (path.times[0] if isinstance(path, SampledPath) else 0.0))
-        if span / step > MAX_GRID_INTERVALS:
-            raise GeometryError(f"--step {step:g} over a path span of {span:g} would take more "
-                                f"than {MAX_GRID_INTERVALS} grid intervals")
-        curve = roll_along(q0, path, step=step)
+    # the roll substeps the span from the path's first time, which is 0 on a geodesic
+    span = abs(path.t_max - (path.times[0] if isinstance(path, SampledPath) else 0.0))
+    if span / step > MAX_GRID_INTERVALS:
+        raise GeometryError(f"--step {step:g} over a path span of {span:g} would take more "
+                            f"than {MAX_GRID_INTERVALS} grid intervals")
+    curve = roll_along(q0, path, step=step)
     residual = float(curve.residuals.max())
     if run.format != "json":  # the trajectory CSV schema is the default
         curve.write_csv(run.out or "trajectory.csv")

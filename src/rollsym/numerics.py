@@ -65,7 +65,7 @@ def numerical_rank(mat, tol):
     rank = int(np.count_nonzero(sv > tol * sv[0]))
     gap = math.inf
     if 0 < rank < len(sv) and sv[rank] > 0:
-        gap = sv[rank - 1] / sv[rank]
+        gap = float(sv[rank - 1]) / float(sv[rank])  # inf, unwarned, past the float range
     return rank, sv, gap
 
 

@@ -41,13 +41,10 @@ import numpy as np
 from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
 from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, GeodesicPath,
-                     GeometryError, SpaceForm, reals)
+                     GeometryError, SpaceForm, reals, steps_for)
 
 ISOMETRY_TOL = 1e-9
 CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
-# a span that exceeds a whole number of steps by no more than this relative
-# amount is round-off (b - a of two grid times), not a reason for another substep
-SUBSTEP_SLACK = 1e-9
 
 
 class RollingPair:
@@ -276,8 +273,6 @@ def det_transport_matrix(m: SpaceForm, x, frames, v, t):
     keeps its point and frame (the flow may flip a zero's sign) with the
     identity transport.  A frame that is not finite fails its row's check."""
     still = ~v.any(axis=1)
-    if still.all():
-        return x, np.tile(np.eye(m.dim), (len(x), 1, 1)), frames
     xt, moved = m.transport_along_geodesic(x[:, None], v[:, None], t[:, None], frames)
     xt = xt[:, 0]
     frames_t = m._frames(xt)
@@ -297,15 +292,16 @@ def tangent_curve(q: RollingState, xi, t) -> RollingState:
     `transports`, through which values at it are pulled back, its frames,
     and the anchor of q at each state.  The kernel runs on the flattened
     stack: only rows with C != 0 enter the one stacked expm, and _check_rows
-    runs once over the whole stack.  The transports are exact isometries, so
-    A is never projected back onto the rotations."""
+    runs once over the whole stack.  A is never projected back onto the
+    rotations, so it is off them by the transports' round-off (|x|^2 ulps
+    far out on H^n), and a transport defect shows in the isometry check."""
     out = _canonical_states(q, xi, t)
     _check_rows(out.pair, out.x, out.x_hat, out.isometry)
     return out
 
 
 def _canonical_states(q, xi, t):
-    """The states of tangent_curve, unchecked."""
+    """The states of tangent_curve, unchecked, A not projected."""
     pair, n = q.pair, q.pair.dim
     xi, t = np.asarray(xi, float), np.asarray(t, float)
     shape = np.broadcast_shapes(q.shape, xi.shape[:-1], t.shape)
@@ -342,11 +338,6 @@ def _canonical_states(q, xi, t):
 def expm(a):
     """The matrix exponential of every matrix of a stack (..., m, m)."""
     return np.eye(a.shape[-1]) + expm1_stack(a)
-
-
-def _nearest_rotation(a):
-    u, _, vt = np.linalg.svd(a)
-    return u @ vt
 
 
 def _stencil(samples, dt):
@@ -454,8 +445,9 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
+    u, _, vt = np.linalg.svd(q0.isometry)  # the rotation nearest to A is u vt
     start = RollingState(pair, pair.space.closest_point(q0.x),
-                         pair.space_hat.closest_point(q0.x_hat), _nearest_rotation(q0.isometry))
+                         pair.space_hat.closest_point(q0.x_hat), u @ vt)
     with np.errstate(all="ignore"):  # a row that overflows fails its check instead
         if isinstance(path, GeodesicPath):
             end = _canonical_states(start, rolling_lift(start, path.v0), times)
@@ -568,11 +560,10 @@ def _develop_cf4(mh, hh, c, h):
 
 
 def _substep_starts(times, step):
-    """The number of integration substeps of length at most `step` of each
-    grid interval between the sample times, and the start time of every
-    substep, interval by interval; an interval within round-off of k steps
-    takes k of them."""
-    counts = np.maximum(1, np.ceil(np.diff(times) / step * (1 - SUBSTEP_SLACK))).astype(int)
+    """The number of integration substeps of each grid interval between the
+    sample times (steps_for), and the start time of every substep, interval
+    by interval."""
+    counts = steps_for(np.diff(times), step)
     which = np.repeat(np.arange(len(counts)), counts)
     frac = (np.arange(counts.sum()) - (np.cumsum(counts) - counts)[which]) / counts[which]
     return counts, times[which] + frac * np.diff(times)[which]

@@ -25,6 +25,7 @@ import numpy as np
 POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
 DEFAULT_STEP = 1e-3
+STEP_SLACK = 1e-9
 
 
 class GeometryError(ValueError):
@@ -39,8 +40,12 @@ class MismatchError(GeometryError):
     """A candidate or generator does not fit the manifold it is applied to."""
 
 
-def _steps_for(span, step):
-    return max(1, int(math.ceil(abs(span) / step)))
+def steps_for(span, step):
+    """The number of steps of length at most `step` that cover each span,
+    none for an empty one: a span at most STEP_SLACK (relative) above k steps
+    is round-off (b - a of two grid times), not a reason for another step."""
+    span = np.abs(span)
+    return np.maximum(span > 0, np.ceil(span / step * (1 - STEP_SLACK))).astype(int)
 
 
 def _col(a):
@@ -314,11 +319,27 @@ class ConstantCurvature(SpaceForm):
     curvature K; every closed form below follows from these two facts.  Along
     a curve, the rows of a parallel frame move by exponentials of
     transport_generators, and the point with the images of a frame as
-    columns by those of development_generators.
+    columns by those of development_generators.  A curved form of radius r
+    has curvature sign / r^2, and sign in the signature of coordinate 0.
     """
 
     signature: np.ndarray
     curvature_constant: float
+
+    def __init__(self, dim, radius):
+        if dim < 1:
+            raise GeometryError("dimension must be at least 1")
+        if not 0 < radius < math.inf:
+            raise GeometryError("radius must be positive and finite")
+        self.dim = dim
+        self.amb_dim = dim + 1
+        self.radius = float(radius)
+        self.curvature_constant = self.sign / radius**2
+        self.signature = np.ones(self.amb_dim)
+        self.signature[0] = self.sign
+
+    def to_spec(self):
+        return {"kind": self.kind, "dim": self.dim, "radius": self.radius}
 
     def metric_weights(self, x):
         return self.signature
@@ -456,17 +477,7 @@ class Euclidean(ConstantCurvature):
 
 class Sphere(ConstantCurvature):
     kind = "sphere"
-
-    def __init__(self, dim, radius=1.0):
-        if dim < 1:
-            raise GeometryError("dimension must be at least 1")
-        if not 0 < radius < math.inf:
-            raise GeometryError("radius must be positive and finite")
-        self.dim = dim
-        self.amb_dim = dim + 1
-        self.radius = float(radius)
-        self.curvature_constant = 1.0 / radius**2
-        self.signature = np.ones(self.amb_dim)
+    sign = 1.0
 
     def constraint_residual(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
@@ -482,26 +493,12 @@ class Sphere(ConstantCurvature):
         v = rng.standard_normal(shape + (self.amb_dim,))
         return self.radius * v / np.sqrt(np.vecdot(v, v))[..., None]
 
-    def to_spec(self):
-        return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
-
 
 class Hyperbolic(ConstantCurvature):
     """Hyperboloid model in Minkowski space; coordinate 0 is the time axis."""
 
     kind = "hyperbolic"
-
-    def __init__(self, dim, radius=1.0):
-        if dim < 1:
-            raise GeometryError("dimension must be at least 1")
-        if not 0 < radius < math.inf:
-            raise GeometryError("radius must be positive and finite")
-        self.dim = dim
-        self.amb_dim = dim + 1
-        self.radius = float(radius)
-        self.curvature_constant = -1.0 / radius**2
-        self.signature = np.ones(self.amb_dim)
-        self.signature[0] = -1.0
+    sign = -1.0
 
     def constraint_residual(self, x):
         res = np.abs(self.inner_at(x, x, x) + self.radius**2)
@@ -522,9 +519,6 @@ class Hyperbolic(ConstantCurvature):
         spatial = rng.standard_normal(shape + (self.dim,))
         return np.concatenate((np.sqrt(self.radius**2 + np.vecdot(spatial, spatial))[..., None],
                                spatial), axis=-1)
-
-    def to_spec(self):
-        return {"kind": "hyperbolic", "dim": self.dim, "radius": self.radius}
 
 
 @dataclass
@@ -600,6 +594,8 @@ class Warped(SpaceForm):
         if not isinstance(fiber, ConstantCurvature):
             raise GeometryError(f"the fiber of a warped product must be a space form, "
                                 f"not {fiber.kind!r}")
+        if len(interval) != 2:
+            raise GeometryError(f"a warp interval has two ends, got {len(interval)}")
         lo, hi = self.interval = (float(interval[0]), float(interval[1]))
         if not lo < hi:
             raise GeometryError("empty warp interval")
@@ -828,8 +824,11 @@ def from_spec(spec: dict) -> SpaceForm:
         warp = WarpFunction(w["name"], *(real(w.get(key, default), f"warp {key}")
                                          for key, default in (("a", 1.0), ("b", 0.0),
                                                               ("omega", 1.0))))
-        return Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
-                      from_spec(spec["fiber"]))
+        m = Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
+                   from_spec(spec["fiber"]))
+        if "dim" in spec and integral(spec["dim"], "dim") != m.dim:  # its fiber's dim + 1
+            raise GeometryError(f"a warped product has dim {m.dim}, got {spec['dim']!r}")
+        return m
     raise GeometryError(f"unknown manifold kind {kind!r}")
 
 
@@ -860,7 +859,7 @@ class GeodesicPath:
         return self.manifold.geodesic_flow(self.x0, self.v0, t)
 
     def sample_times(self, step):
-        return np.linspace(0.0, self.t_max, _steps_for(self.t_max, step) + 1)
+        return np.linspace(0.0, self.t_max, steps_for(self.t_max, step) + 1)
 
     def reversed(self):
         x, v = self.flow(self.t_max)
@@ -870,8 +869,8 @@ class GeodesicPath:
 class SampledPath:
     """Driving path given by dense samples: the point is the closest point
     of a cubic spline through the ambient coordinates and the velocity its
-    derivative (closest_point_rate along the spline's).  Point, velocity and
-    flow also take an array of times and return one row per time."""
+    derivative (closest_point_rate along the spline's).  Point and flow also
+    take an array of times and return one row per time."""
 
     def __init__(self, manifold: SpaceForm, times, points):
         self.manifold = manifold
@@ -897,9 +896,6 @@ class SampledPath:
 
     def point(self, t):
         return self.manifold.closest_point(self._spline.value(t))
-
-    def velocity(self, t):
-        return self.flow(t)[1]
 
     def flow(self, t):
         """(point, velocity) at t."""

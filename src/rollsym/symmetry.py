@@ -88,19 +88,21 @@ class KillingField:
         return weighted[..., None, :, :] @ self.generators @ frame[..., None, :, :].mT
 
     def nabla_derivative(self, x, frame, v):
-        """Matrices of nabla_v (nabla K) in the deterministic frames at x
-        (..., amb) along the frame coordinates v (..., m, n), (..., m, k, n,
-        n), from the ambient formula: a parallel Y moves by its normal part
-        -K <Y, v> x (transport_rhs), and P G Y by the derivative of the
+        """nabla_matrix (..., 1, k, n, n) and the matrices of nabla_v (nabla
+        K) in the deterministic frames at x (..., amb) along the frame
+        coordinates v (..., m, n), (..., m, k, n, n), from one product (E; x)
+        W G (E; x)^T and the ambient formula: a parallel Y moves by its normal
+        part -K <Y, v> x (transport_rhs), and P G Y by the derivative of the
         projection P, -K <x, G Y> v in tangent directions, so
         (nabla_v nabla K) Y = -K <x, G Y> v - K <Y, v> P G x, zero on R^n."""
         x = np.asarray(x, float)
-        ext = np.concatenate((frame, x[..., None, :]), axis=-2)  # the frame rows, then x
-        weighted = ext * self.manifold.metric_weights(x)[..., None, :]
-        p = weighted[..., None, :, :] @ self.generators @ ext[..., None, :, :].mT
-        g, h = p[..., None, :, :-1, -1:], p[..., None, :, -1:, :-1]  # <E_i, G x>, <x, G E_j>
+        ext = np.concatenate((frame, x[..., None, :]), axis=-2)[..., None, None, :, :]  # E, then x
+        weighted = ext * self.manifold.metric_weights(x)[..., None, None, None, :]
+        p = weighted @ self.generators @ ext.mT  # against the directions, then the fields
+        g, h = p[..., :-1, -1:], p[..., -1:, :-1]  # <E_i, G x>, <x, G E_j>
         v = v[..., :, None, :]  # against the fields
-        return -self.manifold.curvature_constant * (v[..., :, None] * h + g * v[..., None, :])
+        return p[..., :-1, :-1], -self.manifold.curvature_constant * (v[..., :, None] * h
+                                                                     + g * v[..., None, :])
 
 
 def killing_catalog(manifold: SpaceForm) -> KillingField:
@@ -184,15 +186,12 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField, spin=None) -> Sy
                                skew_to_vector(c)), axis=-1)
 
     def derivative(q, xi):  # axes (m, k) after the stack axes: directions, then fields
-        def nabla_at(f):  # nabla K at x_hat, against the directions
-            return f.nabla_matrix(q.x_hat, q.frame_hat)[..., None, :, :, :]
-
-        nabla = nabla_at(spin)
-        d_t_hat = ((nabla if spin is field else nabla_at(field))
-                   @ xi[..., :, None, n : 2 * n, None])[..., 0]
+        nabla, d_nabla = spin.nabla_derivative(q.x_hat, q.frame_hat, xi[..., n : 2 * n])
+        nabla_t = (nabla if spin is field  # the drift's own nabla K, against the directions
+                   else field.nabla_matrix(q.x_hat, q.frame_hat)[..., None, :, :, :])
+        d_t_hat = (nabla_t @ xi[..., :, None, n : 2 * n, None])[..., 0]
         a = q.expand(q.isometry, nabla.ndim)
-        d_u = (spin.nabla_derivative(q.x_hat, q.frame_hat, xi[..., n : 2 * n]) @ a
-               + nabla @ a @ vector_to_skew(xi[..., :, None, 2 * n :], n))
+        d_u = d_nabla @ a + nabla @ a @ vector_to_skew(xi[..., :, None, 2 * n :], n)
         return FieldData(np.zeros_like(d_t_hat), d_t_hat, d_u)
 
     return SymmetryCandidate(value, derivative, pair, [f"killing({name})" for name in field.names])

@@ -75,6 +75,54 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     assert not unused, unused
 
 
+def _public_methods_and_uses():
+    """(the public methods and properties of the public classes of the
+    package, (class, name) with their module file; the names the package
+    uses outside each method's own definition)."""
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= set().union(*(_names_used(node) for node in tree.body
+                              if not isinstance(node, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if not node.name.startswith("_"):
+                        defined[node.name, item.name] = path.name
+                    used |= _names_used(item) - {item.name}
+                else:
+                    used |= _names_used(item)
+    return defined, used
+
+
+def _methods_the_benchmark_wraps():
+    """(class name, attribute) of every method that the span recorder wraps,
+    from its span lists or by a literal name in `install`."""
+    out = set()
+    for module_name, owner, attr in _traced_targets():
+        module = importlib.import_module(f"rollsym.{module_name}")
+        out |= {(cls.__name__, attr) for cls in vars(module).values()
+                if isinstance(cls, type) and owner in ("*", cls.__name__) and attr in vars(cls)}
+    return out | {(owner.__name__, attr) for _, owner, attr in _patched_by_install()
+                  if isinstance(owner, type)}
+
+
+def test_every_public_method_and_property_has_a_caller_outside_the_tests():
+    # a call by attribute name anywhere in the package or a demo counts for
+    # every class that defines the name; the benchmark's span recorder counts
+    # for the methods it wraps, class by class, so that a name it patches on
+    # one class keeps no same-named method of another alive
+    defined, used = _public_methods_and_uses()
+    assert len(defined) > 50  # the scan found the classes
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        used |= _names_used(ast.parse(path.read_text()))
+    unused = sorted(f"{module}: {cls}.{name}" for (cls, name), module in defined.items()
+                    if name not in used and (cls, name) not in _methods_the_benchmark_wraps())
+    assert not unused, unused
+
+
 def _calls_by_name():
     """Every call of the package, the demos and the benchmark, by the name it
     calls (a plain name or the last attribute)."""

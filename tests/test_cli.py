@@ -346,6 +346,22 @@ def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     assert not (tmp_path / "k.json").exists()
 
 
+@pytest.mark.parametrize("command", ["growth", "killing"])
+@pytest.mark.parametrize("fault, message", [
+    ({"interval": [-1.2, 1.2, 99]}, "a warp interval has two ends, got 3"),
+    ({"interval": [-1.2]}, "a warp interval has two ends, got 1"),
+    ({"dim": 7}, "a warped product has dim 3, got 7"),
+])
+def test_a_warped_spec_has_two_interval_ends_and_the_dim_of_its_fiber_plus_one(
+        tmp_path, capsys, command, fault, message):
+    cfg = write_config(tmp_path, {"manifold_pair": [
+        {**COSH_S2, **fault}, {"kind": "sphere", "dim": 3, "radius": 1.0}]})
+    out = tmp_path / "report.json"
+    assert main(["--config", cfg, command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_warp_that_vanishes_between_its_ends_exits_2(tmp_path):
     # cos(2 pi s / 0.15) is positive at both ends of (-1.2, 1.2) and at 17
     # points spread over it, yet reaches -0.9997 between them
@@ -1157,19 +1173,25 @@ def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch
     from rollsym.symmetry import KillingField
 
     calls = []
-    nabla = KillingField.nabla_matrix
-    monkeypatch.setattr(KillingField, "nabla_matrix",
-                        lambda self, x, *a: calls.append(np.shape(x)[:-1]) or nabla(self, x, *a))
+
+    def counted(name):
+        method = getattr(KillingField, name)
+        return lambda self, x, *a: calls.append((name, np.shape(x)[:-1])) or method(self, x, *a)
+
+    for name in ("nabla_matrix", "nabla_derivative"):
+        monkeypatch.setattr(KillingField, name, counted(name))
     cfg = write_config(tmp_path, SPHERES_1_3)
     assert main([
         "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
         "--samples", "3", "--seed", "1", "--out", str(tmp_path / "audit.json"),
     ]) == 0
-    # each a call on the stack of all samples: once for the rows of the
-    # bracket, once for the candidates' derivatives along the generators and
-    # once for those along the fiber rows of the vertical check; once more
-    # for the dimension probe's state
-    assert calls == [(3,), (3,), (3,), ()]
+    # each a call on the stack of all samples: nabla K once for the rows of
+    # the bracket, then nabla K with its derivative in one product, once for
+    # the candidates' derivatives along the generators and once for those
+    # along the fiber rows of the vertical check; nabla K once more for the
+    # dimension probe's state
+    assert calls == [("nabla_matrix", (3,)), ("nabla_derivative", (3,)),
+                     ("nabla_derivative", (3,)), ("nabla_matrix", ())]
 
 
 def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
@@ -1231,6 +1253,8 @@ def test_tolerance_override_recorded(tmp_path):
 # them must exit with an error code and write no report.
 
 FUZZ_PATH = {"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": 0.05}
+COSH_S2 = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
+           "fiber": {"kind": "sphere", "dim": 2, "radius": 1.0}}
 NAN, INF = float("nan"), float("inf")
 # JSON true and false are not numbers, though Python reads them as 1 and 0
 NOT_A_COUNT = [0, -1, -3, 2.9, 1.5, "two", "", "nan", None, [], {}, NAN, INF, True, False]
@@ -1368,6 +1392,12 @@ def fuzz_dir(tmp_path_factory):
     "--step=1e-300", "--path-spec",
     json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0], "length": -0.05}),
     "--format", "csv"]))
+# a warped spec was read loosely: a third interval end was dropped, and a dim
+# that its fiber contradicts was ignored, and both ran to exit 0
+@example(invocation=("growth", {"manifold_pair": [
+    {**COSH_S2, "interval": [-1.2, 1.2, 99]}, {"kind": "euclidean", "dim": 3}]}, [], []))
+@example(invocation=("killing", {"manifold_pair": [
+    {**COSH_S2, "dim": 7}, {"kind": "sphere", "dim": 3, "radius": 1.0}]}, [], []))
 def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, invocation):
     command, config, global_flags, sub_flags = invocation
     cfg = fuzz_dir / "config.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rollsym import GeometryError
 from scipy.linalg import expm
@@ -117,6 +117,19 @@ def test_round_off_rows_are_dropped_before_the_layers_are_scaled():
     assert rank_kept == 3
 
 
+@pytest.mark.parametrize("longest", [1.0, 2.0**40])
+def test_a_row_no_longer_than_a_ten_billionth_of_the_first_layers_longest_is_dropped(longest):
+    # the documented rule, written out rather than read from ROW_FLOOR: a row
+    # no longer than 1e-10 times the first layer's longest row becomes 0, in
+    # that layer and in every later one, and a row 3 times that is kept
+    at_floor, above = 1e-10 * longest, 3e-10 * longest
+    first = np.array([[longest, 0.0, 0.0], [0.0, at_floor, 0.0], [0.0, 0.0, above]])
+    layer, floor = equilibrate(first, None)
+    assert np.array_equal(layer, np.diag([1.0, 0.0, 3e-10]))
+    for length, kept in ((at_floor, 0.0), (above, 1.0)):
+        assert equilibrate(np.array([[0.0, length, 0.0]]), floor)[0][0, 1] == kept
+
+
 def test_numerical_rank_of_the_zero_matrix():
     rank, sv, gap = numerical_rank(np.zeros((3, 2)), 1e-8)
     assert rank == 0 and np.all(sv == 0.0) and gap == math.inf
@@ -168,6 +181,8 @@ def layer_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(layer_lists())
+# the gap across the cut, 1.4e-12 over 5.9e-323, overflowed with a warning
+@example(case=(np.array([[1e-12, 3.36738517e-307]] * 2), [2]))
 def test_the_per_layer_rule_is_the_batch_rule_bit_for_bit(case):
     rows, layers = case
     assume(len(rows))  # a rank needs a row, but any layer may be empty

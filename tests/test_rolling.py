@@ -1281,7 +1281,13 @@ def kernel_stacks(draw):
 @given(kernel_stacks())
 def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
     # warped geodesics too are closed forms (Clairaut's integral), so a row
-    # of the stack and the row alone agree to round-off on every pair
+    # of the stack and the row alone agree to round-off on every pair.  A and
+    # the transports are products of frame rows, whose entries grow like |x|
+    # far out on a hyperboloid, so their round-off grows with the squared
+    # largest frame entry (the model that
+    # test_canonical_curves_stay_isometries_without_projection measured);
+    # the reference also projects A onto the rotations, which the kernel
+    # does not.  At most 1 on spheres and R^n, the factor changes nothing there
     pair, _, seed, rows = case
     m, mh, n = pair.space, pair.space_hat, pair.dim
     rng = np.random.default_rng(seed)
@@ -1305,9 +1311,12 @@ def test_the_stacked_kernel_reproduces_the_one_row_canonical_curve(case):
         # the ambient velocities that the kernel forms from the row
         xt, xht, a, transports = _one_row_tangent_curve(
             q, xi[:n] @ q.frame, xi[n : 2 * n] @ q.frame_hat, vector_to_skew(xi[2 * n :], n), ti)
-        for got, want in ((qt.x, xt), (qt.x_hat, xht), (qt.isometry, a),
-                          *zip(qt.transports, transports)):
-            assert np.abs(got - want).max() <= 1e-14 * _scale(want)
+        frames = (q.frame, q.frame_hat, qt.frame, qt.frame_hat)
+        grow = max(1.0, max(np.abs(f).max() for f in frames)) ** 2
+        (fwd, fwd_hat), (want_fwd, want_fwd_hat) = qt.transports, transports
+        for got, want, bound in ((qt.x, xt, 1.0), (qt.x_hat, xht, 1.0), (qt.isometry, a, grow),
+                                 (fwd, want_fwd, grow), (fwd_hat, want_fwd_hat, grow)):
+            assert np.abs(got - want).max() <= 1e-14 * _scale(want) * bound
 
 
 def _catalog_speed(m):
@@ -1321,7 +1330,7 @@ def _catalog_speed(m):
 @given(ALL_CATALOG_PAIRS, st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_canonical_curves_stay_isometries_without_projection(pair, seed, count):
     # rows that move both factors and spin, at times up to 3: the transports
-    # are exact isometries, so A^T A - I stays at round-off.  On a hyperboloid
+    # are isometries to round-off, so A^T A - I stays at round-off.  On a hyperboloid
     # the ambient coordinates of points and frames grow like cosh of the
     # distance from its vertex, and the residual with their square: over 6,000
     # examples it was at most 126 eps times the largest frame entry squared,

@@ -20,7 +20,7 @@ from rollsym import (
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
 from rollsym.numerics import central_diff, stencil_offsets
-from rollsym.spaces import FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline
+from rollsym.spaces import FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline, steps_for
 
 RNG = np.random.default_rng(2024)
 
@@ -130,7 +130,7 @@ def rk4_transport(m, path, v0, step):
     v = np.array(v0, dtype=float)
 
     def rhs(t, y):
-        return m.transport_rhs(path.point(t), path.velocity(t), y)
+        return m.transport_rhs(*path.flow(t), y)
 
     for a, b in zip(times[:-1], times[1:]):
         steps = max(1, math.ceil((b - a) / step * (1 - 1e-9)))
@@ -494,6 +494,18 @@ def test_warped_frames_are_coherently_oriented(fiber):
         assert np.all(np.linalg.det(change) > 0)
 
 
+def test_a_geodesic_grid_takes_one_step_count_with_every_substep_grid():
+    # an empty path is one sample, and a span within round-off above k
+    # steps takes k, on a geodesic grid as in the substeps of any path:
+    # 4.001 / 1e-3 is 4001.0000000000005 in floating point
+    m = Sphere(2, 1.0)
+    x, v = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    assert GeodesicPath(m, x, 0.0 * v, 0.0).sample_times(1e-3).tolist() == [0.0]
+    assert steps_for(np.array([0.0, 4.001, 4.0011, 1e-300]), 1e-3).tolist() == [0, 4001, 4002, 1]
+    for length, count in ((4.001, 4001), (4.0011, 4002), (0.25, 250)):
+        assert len(GeodesicPath(m, x, v, length).sample_times(1e-3)) == count + 1
+
+
 @pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2),
                                unit_sphere_cosh_warped(3)], ids=repr)
 def test_paths_evaluate_arrays_of_times_like_single_times(m):
@@ -506,7 +518,8 @@ def test_paths_evaluate_arrays_of_times_like_single_times(m):
     sampled = SampledPath(m, ts, np.array([geodesic.point(t) for t in ts]))
     for path in (geodesic, sampled):
         times = np.array([0.0, 0.35, 1.1, 1.7])
-        for got, one in ((path.point(times), path.point), (path.velocity(times), path.velocity)):
+        for got, one in ((path.point(times), path.point),
+                         (path.flow(times)[1], lambda t: path.flow(t)[1])):
             assert got.shape == (len(times), m.amb_dim)
             assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
 
