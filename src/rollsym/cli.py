@@ -27,8 +27,8 @@ import numpy as np
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
                      SampledPath, from_spec, integral, real, reals)
 from .rolling import RollingPair, roll_along
-from .curvature import operator_invertible, rolling_curvature_operator
-from .brackets import curvature_mismatch, flag_ranks
+from .curvature import operator_invertible, rolling_curvature_operator, so_pairs
+from .brackets import curvature_mismatch, flag_ranks, kept_at
 from .numerics import cut_margin
 from .nilpotent import flatness_obstruction, growth_vector, structure_tensor, verify_structure
 from .symmetry import (
@@ -60,12 +60,14 @@ TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": 1e-8, "step": DEFAULT_STEP, "iso
 
 
 def _dump(obj, out_path):
+    """Write the report to out_path or stdout; return the stream for a status line after it."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return sys.stdout
+    sys.stdout.write(text)
+    return sys.stderr
 
 
 @contextlib.contextmanager
@@ -98,12 +100,13 @@ class Run:
                 raise GeometryError("config must be a JSON object")
             self.seed = (args.seed if args.seed is not None
                          else integral(self.config.get("seed", 0), "seed"))
-            tol_block = dict(self.config.get("tolerances", {}))
-            if args.tol is not None:
-                tol_block["residual"] = args.tol
-            self.tolerances = {k: _positive(real(tol_block.get(k, d), f"tolerance {k}"),
-                                            f"tolerance {k}")
-                               for k, d in TOLERANCE_DEFAULTS.items()}
+            tol_block = self.config.get("tolerances", {})
+            if not (isinstance(tol_block, dict) and set(tol_block) <= set(TOLERANCE_DEFAULTS)):
+                raise GeometryError("tolerances must be an object with keys among residual, "
+                                    f"rank, step and isometry, got {tol_block!r}")
+            override = {} if args.tol is None else {"residual": args.tol}
+            self.tolerances = {k: _positive(real(v, f"tolerance {k}"), f"tolerance {k}")
+                               for k, v in {**TOLERANCE_DEFAULTS, **tol_block, **override}.items()}
             output = self.config.get("output", {})
             if not (isinstance(output, dict) and isinstance(output.get("path") or "", str)
                     and output.get("format") in (None, "json", "csv")):
@@ -173,6 +176,7 @@ def cmd_simulate(args):
                             f"than {MAX_GRID_INTERVALS} grid intervals")
     curve = roll_along(q0, path, step=step)
     residual = float(curve.residuals.max())
+    status = sys.stdout
     if run.format != "json":  # the trajectory CSV schema is the default
         curve.write_csv(run.out or "trajectory.csv")
     else:
@@ -184,8 +188,8 @@ def cmd_simulate(args):
                                            curve.residuals.tolist())
         ]
         report["max_isometry_residual"] = residual
-        _dump(report, run.out)
-    print(f"max isometry residual: {residual:.6e}")
+        status = _dump(report, run.out)
+    print(f"max isometry residual: {residual:.6e}", file=status)
     return EXIT_OK if residual < run.tolerances["isometry"] else EXIT_FAIL
 
 
@@ -222,13 +226,11 @@ def cmd_growth(args):
 def _field_from_spec(manifold, gen_spec) -> KillingField:
     kind = gen_spec.get("type")
     catalog = killing_catalog(manifold)
-    if kind == "translation":
-        name = f"translation-{integral(gen_spec['axis'], 'generator axis')}"
+    if kind in ("translation", "boost"):
+        name = f"{kind}-{integral(gen_spec['axis'], 'generator axis')}"
     elif kind == "rotation":
         i, j = sorted(integral(k, "generator plane index") for k in gen_spec["plane"])
         name = f"rotation-{i}{j}"
-    elif kind == "boost":
-        name = f"boost-{integral(gen_spec['axis'], 'generator axis')}"
     else:
         raise GeometryError(f"unknown generator type {kind!r}")
     if name in catalog.names:
@@ -260,14 +262,17 @@ def cmd_audit(args):
 
     # one seeded draw: the samples come as stacks (all states, then all X,
     # then all Y), checked as one stack; each checker takes the whole stack at
-    # once, and the dimension probe reads the first state, frames and all
+    # once, and the candidates' rows on it are evaluated once, for the bracket
+    # and for the dimension probe, which ranks those of the first sample
     x, x_hat, a = pair.draw(rng, (args.samples,))
     Xs = pair.space.random_tangent(rng, x, unit=True)
     Ys = pair.space.random_tangent(rng, x, unit=True)
     qs = pair.state(x, x_hat, a)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checkers refuse rows that overflow
+        kept = kept_at(cands, qs)
     # one row of residuals per sample, one entry per candidate
-    stats = dict(zip(("eq_drift", "eq_curvature"), symmetry_residual(cands, qs, Xs)))
-    stats["vertical"] = vertical_compatibility_residual(cands, qs, Xs, Ys)
+    stats = dict(zip(("eq_drift", "eq_curvature"), symmetry_residual(kept, qs, Xs)))
+    stats["vertical"] = vertical_compatibility_residual(kept, qs, Xs, Ys)
     out = run.report_header()
     out["samples"] = args.samples
     out["candidates"] = cands.names
@@ -275,12 +280,12 @@ def cmd_audit(args):
         key: {"max": float(np.max(vals)), "mean": float(np.mean(vals.ravel()))}
         for key, vals in stats.items()
     }
-    probe = sym0_dimension_probe(qs[0], cands, tol=run.tolerances["rank"])
+    probe = sym0_dimension_probe(qs, kept, tol=run.tolerances["rank"])
     out["sym0_dimension"] = probe.to_json()
-    _dump(out, run.out)
+    status = _dump(out, run.out)
     failing = [k for k, v in out["residuals"].items() if not v["max"] < tol]
     if failing:
-        print(f"residuals above tolerance {tol:g}: {', '.join(sorted(failing))}")
+        print(f"residuals above tolerance {tol:g}: {', '.join(sorted(failing))}", file=status)
         return EXIT_FAIL
     return EXIT_OK
 
@@ -320,11 +325,8 @@ def cmd_nilpotent(args):
         raise GeometryError(f"--n must lie in [2, {NILPOTENT_MAX_N}]")
     c = structure_tensor(n)
     report = verify_structure(n, c)
-    names = (
-        [f"N{i}" for i in range(n)]
-        + [f"B{i}{j}" for i in range(n) for j in range(i + 1, n)]
-        + [f"Z{i}" for i in range(n)]
-    )
+    names = ([f"N{i}" for i in range(n)] + [f"B{i}{j}" for i, j in so_pairs(n)]
+             + [f"Z{i}" for i in range(n)])
     # the nonzero constants of the pairs i < j, in (i, j, k) order
     upper = np.triu(np.ones((len(names),) * 2, dtype=bool), 1)
     i, j, k = np.nonzero(upper[..., None] & (c != 0))
@@ -378,46 +380,37 @@ def build_parser():
     _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="roll along a driving path, emit the trajectory")
-    _add_global_flags(p, suppress=True)
+    def command(name, func, help, **kw):  # a subcommand also takes the global flags
+        p = sub.add_parser(name, help=help, **kw)
+        _add_global_flags(p, suppress=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simulate", cmd_simulate, "roll along a driving path, emit the trajectory")
     p.add_argument("--path-spec", required=True,
                    help='JSON, e.g. {"type":"geodesic","direction":[...],"length":3.14}')
     p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("growth", help="flag ranks of the rolling distribution")
-    _add_global_flags(p, suppress=True)
+    p = command("growth", cmd_growth, "flag ranks of the rolling distribution")
     p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("symmetry-check", aliases=["audit"], help="residual sweep for a candidate")
-    _add_global_flags(p, suppress=True)
+    p = command("symmetry-check", cmd_audit, "residual sweep for a candidate", aliases=["audit"])
     p.add_argument("--candidate", required=True,
                    help='JSON, e.g. {"kind":"killing","generator":{"type":"rotation","plane":[0,1]}}')
     p.add_argument("--samples", type=int, default=20)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("killing", help="list the Killing catalog of the second factor")
-    _add_global_flags(p, suppress=True)
-    p.set_defaults(func=cmd_killing)
+    command("killing", cmd_killing, "list the Killing catalog of the second factor")
+    command("rol", cmd_rol, "rolling-curvature operator at a state")
 
-    p = sub.add_parser("rol", help="rolling-curvature operator at a state")
-    _add_global_flags(p, suppress=True)
-    p.set_defaults(func=cmd_rol)
-
-    p = sub.add_parser("nilpotent", help="verify the graded algebra, emit structure constants")
-    _add_global_flags(p, suppress=True)
+    p = command("nilpotent", cmd_nilpotent, "verify the graded algebra, emit structure constants")
     p.add_argument("--n", type=int, default=3,
                    help=f"algebra dimension, 2 <= n <= {NILPOTENT_MAX_N}")
-    p.set_defaults(func=cmd_nilpotent)
 
-    p = sub.add_parser("flatness", help="non-flatness obstruction arithmetic")
-    _add_global_flags(p, suppress=True)
+    p = command("flatness", cmd_flatness, "non-flatness obstruction arithmetic")
     p.add_argument("--K", required=True)
     p.add_argument("--K-hat", dest="K_hat", required=True)
     p.add_argument("--beta", default="1")
     p.add_argument("--n", type=int, default=3)
-    p.set_defaults(func=cmd_flatness)
 
     return parser
 

@@ -78,28 +78,26 @@ class KillingField:
         images = (self.generators @ x[..., None])[..., 0]
         return self.manifold.project(x, images + self.translations)
 
-    def nabla_matrix(self, x, frame):
-        """Matrices of the covariant differentials in the deterministic frames
-        at the points x (..., amb), a (..., k, n, n) array: entry (i, j) is
-        <E_i, nabla_{E_j} K> = <E_i, P G E_j> for the generator G and the
-        tangential projection P, which is <E_i, G E_j> since E_i is tangent:
-        the matrix (E W) G E^T for the metric weights W."""
-        weighted = frame * self.manifold.metric_weights(np.asarray(x, float))[..., None, :]
-        return weighted[..., None, :, :] @ self.generators @ frame[..., None, :, :].mT
-
-    def nabla_derivative(self, x, frame, v):
-        """nabla_matrix (..., 1, k, n, n) and the matrices of nabla_v (nabla
-        K) in the deterministic frames at x (..., amb) along the frame
-        coordinates v (..., m, n), (..., m, k, n, n), from one product (E; x)
-        W G (E; x)^T and the ambient formula: a parallel Y moves by its normal
-        part -K <Y, v> x (transport_rhs), and P G Y by the derivative of the
-        projection P, -K <x, G Y> v in tangent directions, so
-        (nabla_v nabla K) Y = -K <x, G Y> v - K <Y, v> P G x, zero on R^n."""
+    def nabla_matrix(self, x, frame, v=None):
+        """Matrices of the covariant differentials nabla K in the
+        deterministic frames at the points x (..., amb), a (..., k, n, n)
+        array: entry (i, j) is <E_i, nabla_{E_j} K> = <E_i, P G E_j> for the
+        generator G and the tangential projection P, which is <E_i, G E_j>
+        since E_i is tangent.  Given the frame coordinates v (..., m, n) of
+        directions, it returns nabla K with the matrices of nabla_v (nabla K),
+        (..., m, k, n, n).  Both come from one product (E; x) W G (E; x)^T for
+        the metric weights W, the latter by the ambient formula: a parallel Y
+        moves by its normal part -K <Y, v> x (transport_rhs), and P G Y by the
+        derivative of the projection P, -K <x, G Y> v in tangent directions,
+        so (nabla_v nabla K) Y = -K <x, G Y> v - K <Y, v> P G x, zero on R^n."""
         x = np.asarray(x, float)
-        ext = np.concatenate((frame, x[..., None, :]), axis=-2)[..., None, None, :, :]  # E, then x
-        weighted = ext * self.manifold.metric_weights(x)[..., None, None, None, :]
-        p = weighted @ self.generators @ ext.mT  # against the directions, then the fields
-        g, h = p[..., :-1, -1:], p[..., -1:, :-1]  # <E_i, G x>, <x, G E_j>
+        ext = np.concatenate((frame, x[..., None, :]), axis=-2)[..., None, :, :]  # E, then x
+        weighted = ext * self.manifold.metric_weights(x)[..., None, None, :]
+        p = weighted @ self.generators @ ext.mT  # against the fields
+        if v is None:
+            return p[..., :-1, :-1]
+        p_v = p[..., None, :, :, :]  # against the directions
+        g, h = p_v[..., :-1, -1:], p_v[..., -1:, :-1]  # <E_i, G x>, <x, G E_j>
         v = v[..., :, None, :]  # against the fields
         return p[..., :-1, :-1], -self.manifold.curvature_constant * (v[..., :, None] * h
                                                                      + g * v[..., None, :])
@@ -186,12 +184,12 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField, spin=None) -> Sy
                                skew_to_vector(c)), axis=-1)
 
     def derivative(q, xi):  # axes (m, k) after the stack axes: directions, then fields
-        nabla, d_nabla = spin.nabla_derivative(q.x_hat, q.frame_hat, xi[..., n : 2 * n])
-        nabla_t = (nabla if spin is field  # the drift's own nabla K, against the directions
-                   else field.nabla_matrix(q.x_hat, q.frame_hat)[..., None, :, :, :])
-        d_t_hat = (nabla_t @ xi[..., :, None, n : 2 * n, None])[..., 0]
-        a = q.expand(q.isometry, nabla.ndim)
-        d_u = d_nabla @ a + nabla @ a @ vector_to_skew(xi[..., :, None, 2 * n :], n)
+        nabla, d_nabla = spin.nabla_matrix(q.x_hat, q.frame_hat, xi[..., n : 2 * n])
+        # the drift's own nabla K; each nabla K goes against the directions
+        nabla_t = nabla if spin is field else field.nabla_matrix(q.x_hat, q.frame_hat)
+        d_t_hat = (nabla_t[..., None, :, :, :] @ xi[..., :, None, n : 2 * n, None])[..., 0]
+        a, c = q.expand(q.isometry, d_nabla.ndim), vector_to_skew(xi[..., :, None, 2 * n :], n)
+        d_u = d_nabla @ a + nabla[..., None, :, :, :] @ a @ c
         return FieldData(np.zeros_like(d_t_hat), d_t_hat, d_u)
 
     return SymmetryCandidate(value, derivative, pair, [f"killing({name})" for name in field.names])
@@ -385,19 +383,21 @@ class DimensionReport:
         }
 
 
-def sym0_dimension_probe(q0: RollingState, cand: SymmetryCandidate, tol=1e-8) -> DimensionReport:
+def sym0_dimension_probe(q: RollingState, cand: StructuredField, tol=1e-8) -> DimensionReport:
     """Numerical rank of the evaluation data (Z_hat(q0), A0^{-1} U_bar(q0))
-    over a stack of base-fixing candidates, one row per candidate: their
-    tangent rows at q0 without the Z block.  The data determines the
+    over a stack of base-fixing candidates at the state q0, the first of the
+    state or stack q, one row per candidate: their tangent rows at q0 without
+    the Z block, read off cand.value(q), so a candidate kept at q
+    (brackets.kept_at) is not evaluated again.  The data determines the
     candidate along the reachable set, so the rank bounds the dimension of
     the base-fixing symmetry space; the full Killing catalog realizes
     n(n+1)/2.  The rows form one layer of numerics.equilibrate's rule, so
     the singular values are those of the rows over the longest one.  Rows
     that are not finite raise."""
-    values = cand.value(q0)
+    values = cand.value(q)[(0,) * len(q.shape)]
     if not np.isfinite(values).all():
         raise GeometryError("candidate rows are not finite")
-    z, rows = np.split(values, [q0.pair.dim], axis=-1)
+    z, rows = np.split(values, [q.pair.dim], axis=-1)
     if np.any(z):
         raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
     return DimensionReport(*numerical_rank(equilibrate(rows, None)[0], tol), tol)

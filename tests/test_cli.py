@@ -3,6 +3,8 @@ import copy
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,53 @@ def test_simulate_writes_trajectory_and_reports_residual(tmp_path, capsys):
     assert lines[0].startswith("t,x0")
     assert len(lines) > 3000
     assert "max isometry residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    (["simulate", "--path-spec", json.dumps({"type": "geodesic", "direction": [1.0, 0.0, 0.0],
+                                             "length": 0.5}), "--format", "json"],
+     0, "max isometry residual: "),
+    (["symmetry-check", "--candidate", json.dumps({"kind": "catalog", "perturb": 1e-3}),
+      "--samples", "5"], 1, "residuals above tolerance 1e-06: "),
+])
+def test_a_report_on_stdout_is_the_whole_of_stdout(tmp_path, capsys, argv, code, status):
+    # the status line after a report went to stdout in both cases, so stdout
+    # did not parse as JSON; with --out it stays on stdout
+    cfg = write_config(tmp_path, {**SPHERES_1_3, "seed": 7})
+    out = tmp_path / "report.json"
+    assert main(["--config", cfg, *argv, "--out", str(out)]) == code
+    filed = capsys.readouterr()
+    assert filed.out.startswith(status) and filed.out.count("\n") == 1 and filed.err == ""
+    assert main(["--config", cfg, *argv]) == code
+    printed = capsys.readouterr()
+    assert printed.out == out.read_text()
+    json.loads(printed.out)
+    assert printed.err == filed.out
+
+
+def test_the_readme_command_lines_run_and_their_reports_parse(tmp_path, monkeypatch, capsys):
+    # the fenced sh block under "## Command line", its pair.json written by
+    # its heredoc, each rollsym line run in-process
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    config = re.search(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", block, flags=re.M | re.S)
+    (tmp_path / config.group(1)).write_text(config.group(2))
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("rollsym ")]
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        printed = capsys.readouterr().out
+        if "--out" not in argv:
+            json.loads(printed)
+            continue
+        report = tmp_path / argv[argv.index("--out") + 1]
+        if "csv" in argv:
+            rows = np.loadtxt(report, delimiter=",", skiprows=1, ndmin=2)
+            assert len(rows) > 1 and np.isfinite(rows).all()
+        else:
+            json.loads(report.read_text())
 
 
 def test_simulate_zero_length_path_single_row(tmp_path):
@@ -394,6 +443,11 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
         {"manifold_pair": [{**sphere, "dim": 2.9}, plane]},
         {**SPHERE_PLANE, "seed": 2.7},
         {**SPHERE_PLANE, "tolerances": {"rank": "abc"}},
+        # key-value pairs were read as an object (growth exited 4 at rank
+        # tolerance 1e-3), and a misspelled key or an empty list was ignored
+        {**SPHERE_PLANE, "tolerances": [["rank", 1e-3]]},
+        {**SPHERE_PLANE, "tolerances": {"rnak": 1e-3}},
+        {**SPHERE_PLANE, "tolerances": []},
         # the plane has no constraint that a non-finite coordinate would violate
         {**SPHERE_PLANE, "initial_state": {"x": [0.0, 0.0, 1.0], "x_hat": [float("nan"), 0.0],
                                            "A": [[1.0, 0.0], [0.0, 1.0]]}},
@@ -1173,25 +1227,20 @@ def test_an_audit_sample_evaluates_u_bar_once_at_its_state(tmp_path, monkeypatch
     from rollsym.symmetry import KillingField
 
     calls = []
-
-    def counted(name):
-        method = getattr(KillingField, name)
-        return lambda self, x, *a: calls.append((name, np.shape(x)[:-1])) or method(self, x, *a)
-
-    for name in ("nabla_matrix", "nabla_derivative"):
-        monkeypatch.setattr(KillingField, name, counted(name))
+    nabla_matrix = KillingField.nabla_matrix
+    monkeypatch.setattr(KillingField, "nabla_matrix", lambda self, x, *a: calls.append(
+        np.shape(x)[:-1]) or nabla_matrix(self, x, *a))
     cfg = write_config(tmp_path, SPHERES_1_3)
     assert main([
         "--config", cfg, "symmetry-check", "--candidate", json.dumps({"kind": "catalog"}),
         "--samples", "3", "--seed", "1", "--out", str(tmp_path / "audit.json"),
     ]) == 0
-    # each a call on the stack of all samples: nabla K once for the rows of
-    # the bracket, then nabla K with its derivative in one product, once for
-    # the candidates' derivatives along the generators and once for those
-    # along the fiber rows of the vertical check; nabla K once more for the
-    # dimension probe's state
-    assert calls == [("nabla_matrix", (3,)), ("nabla_derivative", (3,)),
-                     ("nabla_derivative", (3,)), ("nabla_matrix", ())]
+    # each one product on the stack of all samples: nabla K for the rows, which
+    # the bracket and the dimension probe share, then nabla K with its
+    # derivative, once for the candidates' derivatives along the generators and
+    # once for those along the fiber rows of the vertical check; none at a
+    # lone state
+    assert calls == [(3,)] * 3
 
 
 def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
@@ -1343,7 +1392,9 @@ def malformed_invocations(draw):
             _corrupt_manifold(draw, config)
         elif what == "tolerances":
             key = draw(st.sampled_from(["residual", "rank", "step", "isometry"]))
-            config["tolerances"] = {key: draw(st.sampled_from(NOT_POSITIVE))}
+            # a bad value, key-value pairs in place of an object, or a misspelled key
+            config["tolerances"] = draw(st.sampled_from(
+                [{key: bad} for bad in NOT_POSITIVE] + [[[key, 1e-3]], {key[::-1]: 1e-3}]))
         elif what == "seed":
             config["seed"] = draw(st.sampled_from(["abc", -1, -7, 2.7, None, [], "1.5", NAN,
                                                    True, False]))
@@ -1398,6 +1449,10 @@ def fuzz_dir(tmp_path_factory):
     {**COSH_S2, "interval": [-1.2, 1.2, 99]}, {"kind": "euclidean", "dim": 3}]}, [], []))
 @example(invocation=("killing", {"manifold_pair": [
     {**COSH_S2, "dim": 7}, {"kind": "sphere", "dim": 3, "radius": 1.0}]}, [], []))
+# tolerances given as key-value pairs were read as an object (growth exited
+# 4 at rank tolerance 1e-3), and a misspelled key was ignored (exit 0)
+@example(invocation=("growth", {**SPHERES_1_3, "tolerances": [["rank", 1e-3]]}, [], []))
+@example(invocation=("growth", {**SPHERES_1_3, "tolerances": {"rnak": 1e-3}}, [], []))
 def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, invocation):
     command, config, global_flags, sub_flags = invocation
     cfg = fuzz_dir / "config.json"

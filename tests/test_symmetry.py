@@ -19,6 +19,7 @@ from rollsym.rolling import (
     tangent_curve,
 )
 from rollsym.symmetry import (
+    KillingField,
     SymmetryCandidate,
     standard_contact_field,
     inner_symmetry_residual,
@@ -268,6 +269,43 @@ def test_killing_rows_are_the_projected_construction(pair, seed, shape):
     for i in np.ndindex(shape):
         alone = pair.state(q.x[i], q.x_hat[i], q.isometry[i])
         assert np.array_equal(rows[i], cand.value(alone))
+
+
+def nabla_derivative_reference(field, x, frame, v):
+    """nabla K against the directions and nabla_v (nabla K) along the frame
+    coordinates v (..., m, n), as the separate derivative method computed
+    them before nabla_matrix took the directions: from its own product (E;
+    x) W G (E; x)^T, shaped with the axis of the directions from the start."""
+    ext = np.concatenate((frame, x[..., None, :]), axis=-2)[..., None, None, :, :]
+    weighted = ext * field.manifold.metric_weights(x)[..., None, None, None, :]
+    p = weighted @ field.generators @ ext.mT
+    g, h = p[..., :-1, -1:], p[..., -1:, :-1]
+    v = v[..., :, None, :]
+    return p[..., :-1, :-1], -field.manifold.curvature_constant * (v[..., :, None] * h
+                                                                  + g * v[..., None, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(KILLING_PAIRS, st.integers(0, 2**32 - 1), STACK_SHAPES, st.booleans())
+def test_one_killing_product_gives_nabla_k_and_its_derivative(pair, seed, shape, perturbed):
+    # nabla K alone is the nabla K that comes with the derivative, bit for
+    # bit, and both are those of the derivative's former product, whether the
+    # generators are Killing or perturbed as perturb_candidate perturbs them
+    rng = np.random.default_rng(seed)
+    field = killing_catalog(pair.space_hat)
+    if perturbed:
+        m = field.manifold
+        noise = 0.1 * skew_part(rng.standard_normal(field.generators.shape))
+        field = KillingField(m, field.generators + m.signature[:, None] * noise,
+                             field.translations, field.names)
+    q = pair.state(*pair.draw(rng, shape))
+    v = rng.standard_normal(shape + (2, pair.dim))
+    nabla = field.nabla_matrix(q.x_hat, q.frame_hat)
+    along, d_nabla = field.nabla_matrix(q.x_hat, q.frame_hat, v)
+    assert nabla.shape == shape + (len(field), pair.dim, pair.dim)
+    assert np.array_equal(nabla, along)
+    want, d_want = nabla_derivative_reference(field, q.x_hat, q.frame_hat, v)
+    assert np.array_equal(along[..., None, :, :, :], want) and np.array_equal(d_nabla, d_want)
 
 
 @settings(max_examples=60, deadline=None)
