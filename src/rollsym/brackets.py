@@ -41,14 +41,7 @@ from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_ske
                         wedge_matrix)
 from .numerics import equilibrate, numerical_rank
 from .spaces import GeometryError, Warped
-from .rolling import (
-    RollingState,
-    chart_differential,
-    directional_derivative,
-    q_dim,
-    _stencil,
-    _stencil_times,
-)
+from .rolling import RollingState, directional_derivative, q_dim, tangent_curve
 
 # The depth-3 flag takes no step (generator_brackets).  Depth 4 nests one
 # level of stencils, whose truncation falls 16x per halving of the step: the
@@ -62,6 +55,7 @@ from .rolling import (
 # flags over the ordered pairs of 16 factors each at n = 2 and n = 3.
 NESTED_FD_STEP = 5e-4
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
+CHART_STEP = 1e-5  # the FD oracle's own step for its chart differential
 CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
 
 
@@ -169,6 +163,58 @@ def bracket_field(xf: StructuredField, yf: StructuredField) -> StructuredField:
 
     return StructuredField(value,
                            lambda q, xi: stencil_data_derivative(value, q, xi, NESTED_FD_STEP))
+
+
+# -- the FD oracle: coordinate brackets in the canonical chart ------------------
+
+
+def _stencil(samples, dt):
+    """The FD bracket oracle's own fourth-order stencil, kept apart from
+    numerics.central_diff, over samples at the times _stencil_times(dt)."""
+    return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
+
+
+def _stencil_times(dt):
+    return (2 * dt, dt, -dt, -2 * dt)
+
+
+def curve_velocity(q, samples, dt):
+    """Tangent rows of the velocities of state curves through the stack q,
+    by symmetric differences of their states `samples`, a stack whose first
+    axis runs over the times _stencil_times(dt) and whose other axes
+    broadcast against q's; C subtracts the no-spin rate of the measured base
+    velocities, whose states come from one tangent_curve call."""
+    pair, n = q.pair, q.pair.dim
+    rows = np.zeros(samples.shape[1:] + (q_dim(n),))
+    rows[..., :n] = pair.space.frame_coords(q.x, q.frame, _stencil(samples.x, dt))
+    rows[..., n : 2 * n] = pair.space_hat.frame_coords(q.x_hat, q.frame_hat,
+                                                       _stencil(samples.x_hat, dt))
+    ns = tangent_curve(q, rows, np.reshape(_stencil_times(dt), (-1,) + (1,) * (rows.ndim - 1)))
+    a_dot = _stencil(samples.isometry, dt) - _stencil(ns.isometry, dt)
+    rows[..., 2 * n :] = skew_to_vector(skew_part(q.isometry.mT @ a_dot))
+    return rows
+
+
+def chart_differential(center: RollingState, thetas):
+    """Matrices of the differential of the canonical chart at center,
+    (u, u_hat, omega) -> (exp_x(E u), exp_xhat(Ehat u_hat), transported
+    A expm(omega)) with E, Ehat the deterministic frames, at a stack of chart
+    coordinates (m, dim), column by column in tangent rows at the state at
+    each, and the stack of those states, by stencils of step CHART_STEP.
+    Chart coordinates are tangent rows at center, and at the origin the
+    differential is the identity.  The states and every column stencil's
+    chart points come from one tangent_curve call, and curve_velocity takes
+    all columns at once."""
+    dim, ts = q_dim(center.pair.dim), _stencil_times(CHART_STEP)
+    # per theta: theta itself, then theta + t e_k by time t, then column k
+    steps = np.concatenate((np.zeros((1, dim)),
+                            (np.array(ts)[:, None, None] * np.eye(dim)).reshape(-1, dim)))
+    states = tangent_curve(center, thetas[:, None] + steps, 1.0)
+    centers = states[:, 0]
+    samples = states[np.arange(len(thetas))[:, None],
+                     1 + np.arange(len(ts) * dim).reshape(len(ts), 1, dim)]
+    columns = curve_velocity(centers[:, None], samples, CHART_STEP)
+    return columns.mT, centers
 
 
 def bracket_fd(xf: StructuredField, yf: StructuredField, q: RollingState) -> np.ndarray:

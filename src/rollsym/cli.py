@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
-                     SampledPath, from_spec, integral, real, reals)
+                     SampledPath, from_spec, integral, keyed, real, reals)
 from .rolling import RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator, so_pairs
 from .brackets import curvature_mismatch, flag_ranks, kept_at
@@ -96,19 +96,17 @@ class Run:
             if args.config:
                 with open(args.config) as fh:
                     self.config = json.load(fh)
-            if not isinstance(self.config, dict):
-                raise GeometryError("config must be a JSON object")
+            keyed(self.config, "config",
+                  ("manifold_pair", "seed", "initial_state", "tolerances", "output"))
             self.seed = (args.seed if args.seed is not None
                          else integral(self.config.get("seed", 0), "seed"))
-            tol_block = self.config.get("tolerances", {})
-            if not (isinstance(tol_block, dict) and set(tol_block) <= set(TOLERANCE_DEFAULTS)):
-                raise GeometryError("tolerances must be an object with keys among residual, "
-                                    f"rank, step and isometry, got {tol_block!r}")
+            tol_block = keyed(self.config.get("tolerances", {}), "tolerances",
+                              tuple(TOLERANCE_DEFAULTS))
             override = {} if args.tol is None else {"residual": args.tol}
             self.tolerances = {k: _positive(real(v, f"tolerance {k}"), f"tolerance {k}")
                                for k, v in {**TOLERANCE_DEFAULTS, **tol_block, **override}.items()}
-            output = self.config.get("output", {})
-            if not (isinstance(output, dict) and isinstance(output.get("path") or "", str)
+            output = keyed(self.config.get("output", {}), "output", ("path", "format"))
+            if not (isinstance(output.get("path") or "", str)
                     and output.get("format") in (None, "json", "csv")):
                 raise GeometryError("output must be an object with a path string and a "
                                     "format json or csv")
@@ -127,10 +125,11 @@ class Run:
         return np.random.default_rng(self.seed)
 
     def initial_state(self, rng):
-        if self.config.get("initial_state"):
-            with _reading("initial_state"):
-                return self.pair.state_from_json(self.config["initial_state"])
-        return self.pair.random_state(rng)
+        if "initial_state" not in self.config:
+            return self.pair.random_state(rng)
+        with _reading("initial_state"):
+            return self.pair.state_from_json(
+                keyed(self.config["initial_state"], "initial_state", ("x", "x_hat", "A")))
 
     def report_header(self):
         return {"seed": self.seed, "tolerances": self.tolerances}
@@ -138,6 +137,7 @@ class Run:
 
 def _parse_path(pair, q0, spec):
     if spec.get("type") == "geodesic":
+        keyed(spec, "a geodesic path spec", ("type", "direction", "length"))
         direction = reals(spec["direction"], "path direction")
         if direction.shape != q0.x.shape or not np.isfinite(direction).all():
             raise GeometryError(f"path direction must hold {q0.x.size} finite numbers")
@@ -154,6 +154,7 @@ def _parse_path(pair, q0, spec):
             return GeodesicPath(pair.space, q0.x, np.zeros_like(tangent), 0.0)  # no step
         return GeodesicPath(pair.space, q0.x, tangent / np.sqrt(nrm2), length)
     if spec.get("type") == "samples":
+        keyed(spec, "a samples path spec", ("type", "file"))
         with warnings.catch_warnings():
             # an empty file is SampledPath's "fewer than 2 samples" error, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -227,8 +228,10 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
     kind = gen_spec.get("type")
     catalog = killing_catalog(manifold)
     if kind in ("translation", "boost"):
+        keyed(gen_spec, f"a {kind} generator", ("type", "axis"))
         name = f"{kind}-{integral(gen_spec['axis'], 'generator axis')}"
     elif kind == "rotation":
+        keyed(gen_spec, "a rotation generator", ("type", "plane"))
         i, j = sorted(integral(k, "generator plane index") for k in gen_spec["plane"])
         name = f"rotation-{i}{j}"
     else:
@@ -250,8 +253,10 @@ def cmd_audit(args):
         cand_spec = json.loads(args.candidate)
         kind = cand_spec.get("kind")
         if kind == "catalog":
+            keyed(cand_spec, "a catalog candidate", ("kind", "perturb"))
             fields = killing_catalog(pair.space_hat)
         elif kind == "killing":
+            keyed(cand_spec, "a killing candidate", ("kind", "generator", "perturb"))
             fields = _field_from_spec(pair.space_hat, cand_spec.get("generator", {}))
         else:
             raise GeometryError(f"unknown candidate kind {kind!r}")

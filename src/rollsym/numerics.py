@@ -2,9 +2,9 @@
 difference, one numerical rank with its gap and cut margin, and the
 batched matrix exponential and running products of the rolling integrator.
 
-The finite-difference bracket oracle (`brackets.bracket_fd`, through the
-chart differential in `rolling`) deliberately keeps its own stencil, so
-that it never shares code with the structured path it checks.
+The finite-difference bracket oracle (`brackets.bracket_fd` with its chart
+differential) deliberately keeps its own stencil, so that it never shares
+code with the structured path it checks.
 """
 
 from __future__ import annotations

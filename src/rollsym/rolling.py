@@ -35,16 +35,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .curvature import skew_part, skew_to_vector, so_dim, vector_to_skew
+from .curvature import so_dim, vector_to_skew
 from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
 from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, GeodesicPath,
                      GeometryError, SpaceForm, reals, steps_for)
 
 ISOMETRY_TOL = 1e-9
-CHART_STEP = 1e-5  # the FD bracket oracle's own step for its chart differential
 
 
 class RollingPair:
@@ -146,10 +146,6 @@ class RollingState:
 
     def __post_init__(self):
         # RollingPair.state and tangent_curve check the states they build
-        self._frame = None
-        self._frame_hat = None
-        self._anchor = None  # (x0, frame0) passed on by tangent_curve, see anchor
-        self._anchored = None
         self.transports = None  # (fwd, fwd_hat) from the base of a canonical curve
 
     @property
@@ -161,18 +157,16 @@ class RollingState:
 
     def __getitem__(self, index):
         index = index if isinstance(index, tuple) else (index,)
+        lead = len(self.shape)
 
-        def take(a, core):
-            return a[index + (slice(None),) * core]
+        def take(a):  # an array, a tuple of them (anchor, transports) or None
+            if isinstance(a, tuple):
+                return tuple(map(take, a))
+            return a if a is None else a[index + (slice(None),) * (a.ndim - lead)]
 
-        out = RollingState(self.pair, take(self.x, 1), take(self.x_hat, 1), take(self.isometry, 2))
-        for attr in ("_frame", "_frame_hat", "_anchored"):  # two axes per state
-            if getattr(self, attr) is not None:
-                setattr(out, attr, take(getattr(self, attr), 2))
-        if self._anchor is not None:
-            out._anchor = take(self._anchor[0], 1), take(self._anchor[1], 2)
-        if self.transports is not None:
-            out.transports = tuple(take(fwd, 2) for fwd in self.transports)
+        kept = {key: take(value) for key, value in vars(self).items() if key != "pair"}
+        out = RollingState(self.pair, kept.pop("x"), kept.pop("x_hat"), kept.pop("isometry"))
+        vars(out).update(kept)
         return out
 
     def expand(self, a, ndim):
@@ -182,33 +176,27 @@ class RollingState:
         lead = len(self.shape)
         return a.reshape(a.shape[:lead] + (1,) * max(0, ndim - a.ndim) + a.shape[lead:])
 
-    @property
+    @cached_property
     def frame(self):
         """The deterministic frames at x, (*shape, n, amb): rows of SpaceForm.frame."""
-        if self._frame is None:
-            self._frame = self.pair.space.frame(self.x)
-        return self._frame
+        return self.pair.space.frame(self.x)
 
-    @property
+    @cached_property
     def frame_hat(self):
-        if self._frame_hat is None:
-            self._frame_hat = self.pair.space_hat.frame(self.x_hat)
-        return self._frame_hat
+        return self.pair.space_hat.frame(self.x_hat)
 
-    @property
+    @cached_property
     def anchor(self):
         """(x0, frame0), (*shape, amb) and (*shape, n, amb): the first
         factor's point and frame at which the flag generators of each state
         are anchored; the state itself unless tangent_curve built it."""
-        return self._anchor if self._anchor is not None else (self.x, self.frame)
+        return self.x, self.frame
 
-    @property
+    @cached_property
     def anchored(self):
         """M = <F_k, E_j>, (*shape, n, n): the frame F anchored at `anchor`
         (SpaceForm.anchored_frame) at x, in the deterministic frame E there."""
-        if self._anchored is None:
-            self._anchored = self.coords(self.pair.space.anchored_frame(*self.anchor, self.x)[0])
-        return self._anchored
+        return self.coords(self.pair.space.anchored_frame(*self.anchor, self.x)[0])
 
     def coords(self, w):
         """Frame coordinates at x of ambient tangent vectors w, with the
@@ -327,10 +315,10 @@ def _canonical_states(q, xi, t):
         return a.reshape(shape + a.shape[1:])
 
     out = RollingState(pair, stacked(xt), stacked(xht), stacked(a))
-    out._frame, out._frame_hat = stacked(frames), stacked(frames_hat)  # built above
+    out.frame, out.frame_hat = stacked(frames), stacked(frames_hat)  # built above
     x0, frame0 = q.anchor
-    out._anchor = (np.broadcast_to(x0, shape + x0.shape[-1:]),
-                   np.broadcast_to(frame0, shape + frame0.shape[-2:]))
+    out.anchor = (np.broadcast_to(x0, shape + x0.shape[-1:]),
+                  np.broadcast_to(frame0, shape + frame0.shape[-2:]))
     out.transports = stacked(fwd), stacked(fwd_hat)
     return out
 
@@ -338,33 +326,6 @@ def _canonical_states(q, xi, t):
 def expm(a):
     """The matrix exponential of every matrix of a stack (..., m, m)."""
     return np.eye(a.shape[-1]) + expm1_stack(a)
-
-
-def _stencil(samples, dt):
-    """The FD bracket oracle's own fourth-order stencil, kept apart from
-    numerics.central_diff, over samples at the times _stencil_times(dt)."""
-    return (-samples[0] + 8 * samples[1] - 8 * samples[2] + samples[3]) / (12 * dt)
-
-
-def _stencil_times(dt):
-    return (2 * dt, dt, -dt, -2 * dt)
-
-
-def curve_velocity(q, samples, dt):
-    """Tangent rows of the velocities of state curves through the stack q,
-    by symmetric differences of their states `samples`, a stack whose first
-    axis runs over the times _stencil_times(dt) and whose other axes
-    broadcast against q's; C subtracts the no-spin rate of the measured base
-    velocities, whose states come from one tangent_curve call."""
-    pair, n = q.pair, q.pair.dim
-    rows = np.zeros(samples.shape[1:] + (q_dim(n),))
-    rows[..., :n] = pair.space.frame_coords(q.x, q.frame, _stencil(samples.x, dt))
-    rows[..., n : 2 * n] = pair.space_hat.frame_coords(q.x_hat, q.frame_hat,
-                                                       _stencil(samples.x_hat, dt))
-    ns = tangent_curve(q, rows, np.reshape(_stencil_times(dt), (-1,) + (1,) * (rows.ndim - 1)))
-    a_dot = _stencil(samples.isometry, dt) - _stencil(ns.isometry, dt)
-    rows[..., 2 * n :] = skew_to_vector(skew_part(q.isometry.mT @ a_dot))
-    return rows
 
 
 # -- rolling curves -------------------------------------------------------------
@@ -606,28 +567,3 @@ def directional_derivative(value, q, xi, h):
     lead = len(np.broadcast_shapes(q.shape, xi.shape[:-1]))
     states = tangent_curve(q, xi, np.reshape(stencil_offsets(h), (-1,) + (1,) * lead))
     return tuple(central_diff(d, h) for d in _pull_back(states, value(states)))
-
-
-# -- the chart around a state ----------------------------------------------------
-
-
-def chart_differential(center: RollingState, thetas):
-    """Matrices of the differential of the canonical chart at center,
-    (u, u_hat, omega) -> (exp_x(E u), exp_xhat(Ehat u_hat), transported
-    A expm(omega)) with E, Ehat the deterministic frames, at a stack of chart
-    coordinates (m, dim), column by column in tangent rows at the state at
-    each, and the stack of those states, by stencils of step CHART_STEP.
-    Chart coordinates are tangent rows at center, and at the origin the
-    differential is the identity.  The states and every column stencil's
-    chart points come from one tangent_curve call, and curve_velocity takes
-    all columns at once."""
-    dim, ts = q_dim(center.pair.dim), _stencil_times(CHART_STEP)
-    # per theta: theta itself, then theta + t e_k by time t, then column k
-    steps = np.concatenate((np.zeros((1, dim)),
-                            (np.array(ts)[:, None, None] * np.eye(dim)).reshape(-1, dim)))
-    states = tangent_curve(center, thetas[:, None] + steps, 1.0)
-    centers = states[:, 0]
-    samples = states[np.arange(len(thetas))[:, None],
-                     1 + np.arange(len(ts) * dim).reshape(len(ts), 1, dim)]
-    columns = curve_velocity(centers[:, None], samples, CHART_STEP)
-    return columns.mT, centers

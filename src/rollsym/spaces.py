@@ -117,6 +117,15 @@ def real(value, what):
     return float(value)
 
 
+def keyed(spec, what, keys):
+    """A JSON object read from input, whose keys are all among `keys`: a
+    misspelled or unknown key is an input error, not ignored."""
+    if not (isinstance(spec, dict) and set(spec) <= set(keys)):
+        raise GeometryError(f"{what} must be an object with keys among {', '.join(keys[:-1])} "
+                            f"and {keys[-1]}, got {spec!r}")
+    return spec
+
+
 def reals(value, what):
     """An array of numbers read from input (nested lists), as floats, with
     real's rule for every entry."""
@@ -545,15 +554,16 @@ class WarpFunction:
     @property
     def k_ref(self):
         if self.name == "cos":
-            return self.omega**2
+            return self.omega * self.omega
         if self.name in ("cosh", "exp"):
-            return -self.omega**2
+            return -self.omega * self.omega
         return 0.0
 
     @property
     def invariant(self):
-        """f'^2 + k_ref f^2, the same at every s."""
-        w2, a2, b2 = self.omega**2, self.a**2, self.b**2
+        """f'^2 + k_ref f^2, the same at every s.  Squares are products,
+        which overflow to inf where ** raises."""
+        w2, a2, b2 = self.omega * self.omega, self.a * self.a, self.b * self.b
         return {"cos": w2 * (a2 + b2), "cosh": w2 * (b2 - a2), "exp": 0.0, "affine": b2}[self.name]
 
     def value(self, s):
@@ -605,8 +615,16 @@ class Warped(SpaceForm):
         self.amb_dim = fiber.amb_dim + 1
         # cos vanishes once in every pi / |omega|; the others at most once, changing sign
         short = warp.name != "cos" or abs(warp.omega) * (hi - lo) < math.pi
-        if not (short and np.all(warp.value(np.array(self.interval)) > 0)):
+        with np.errstate(over="ignore", invalid="ignore"):  # a warp too large is refused below
+            ends = np.array(self.interval)
+            f, df = warp.value(ends), warp.derivative(ends)
+            # f^2 and f'^2 peak at the ends: f is monotone or convex, or (cos) the invariant bounds it
+            sizes = np.array([warp.k_ref, warp.invariant, *(f * f), *(df * df)])
+        if not (short and np.all(f > 0)):
             raise GeometryError("warp function must be positive on the interval")
+        if not np.isfinite(sizes).all():
+            raise GeometryError("warp too large: f^2, f'^2, k_ref or the invariant "
+                                "f'^2 + k_ref f^2 overflows on the interval")
 
     def _inside(self, s):
         return (self.interval[0] <= s) & (s <= self.interval[1])
@@ -810,26 +828,32 @@ class Warped(SpaceForm):
         }
 
 
+SPEC_KEYS = {"euclidean": ("kind", "dim"), "sphere": ("kind", "dim", "radius"),
+             "hyperbolic": ("kind", "dim", "radius"),
+             "warped": ("kind", "dim", "interval", "warp", "fiber")}
+
+
 def from_spec(spec: dict) -> SpaceForm:
     """Build a catalog manifold from its JSON description."""
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise GeometryError(f"unknown manifold kind {kind!r}")
+    keyed(spec, f"a {kind} spec", SPEC_KEYS[kind])
     if kind == "euclidean":
         return Euclidean(integral(spec["dim"], "dim"))
     if kind == "sphere":
         return Sphere(integral(spec["dim"], "dim"), real(spec.get("radius", 1.0), "radius"))
     if kind == "hyperbolic":
         return Hyperbolic(integral(spec["dim"], "dim"), real(spec.get("radius", 1.0), "radius"))
-    if kind == "warped":
-        w = spec["warp"]
-        warp = WarpFunction(w["name"], *(real(w.get(key, default), f"warp {key}")
-                                         for key, default in (("a", 1.0), ("b", 0.0),
-                                                              ("omega", 1.0))))
-        m = Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
-                   from_spec(spec["fiber"]))
-        if "dim" in spec and integral(spec["dim"], "dim") != m.dim:  # its fiber's dim + 1
-            raise GeometryError(f"a warped product has dim {m.dim}, got {spec['dim']!r}")
-        return m
-    raise GeometryError(f"unknown manifold kind {kind!r}")
+    w = spec["warp"]
+    warp = WarpFunction(w["name"], *(real(w.get(key, default), f"warp {key}")
+                                     for key, default in (("a", 1.0), ("b", 0.0), ("omega", 1.0))))
+    keyed(w, "warp", ("name", "a", "b", "omega"))
+    m = Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
+               from_spec(spec["fiber"]))
+    if "dim" in spec and integral(spec["dim"], "dim") != m.dim:  # its fiber's dim + 1
+        raise GeometryError(f"a warped product has dim {m.dim}, got {spec['dim']!r}")
+    return m
 
 
 class GeodesicPath:
@@ -905,9 +929,6 @@ class SampledPath:
 
     def sample_times(self, step):
         return self.times
-
-    def reversed(self):
-        return SampledPath(self.manifold, self.times[-1] - self.times[::-1], self.points[::-1])
 
 
 class NotAKnotSpline:

@@ -19,7 +19,11 @@ exists: the README does not drift from the code it points to.
 
 Every function and method that the benchmark's span list traces, and every
 other name its span recorder patches, exists where the recorder looks for
-it: a rename or a move shows here, not only in a traced benchmark run."""
+it: a rename or a move shows here, not only in a traced benchmark run.
+
+No module of the package imports a private (underscore) name from another:
+a helper that two modules share is public, or the rule it serves lives in
+one module."""
 
 import ast
 import importlib
@@ -364,3 +368,13 @@ def test_every_other_name_the_span_recorder_patches_resolves():
     missing = [f"{source}.{attr}" for source, owner, attr in targets
                if attr not in (vars(owner) if isinstance(owner, type) else dir(owner))]
     assert not missing, missing
+
+
+def test_no_module_imports_a_private_name_from_another():
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rollsym")):
+                imported += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert not imported, imported

@@ -35,6 +35,9 @@ SPHERES_1_3 = {
     "seed": 3,
 }
 
+WARPED_S1 = {"kind": "warped", "interval": [-0.5, 0.5], "warp": {"name": "cos"},
+             "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -212,6 +215,12 @@ def test_simulate_sampled_path_file(tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 42  # header + one state per sample
+    # a key that a samples path does not take is refused, not ignored
+    out.unlink()
+    assert main(["--config", cfg, "simulate", "--path-spec",
+                 json.dumps({"type": "samples", "file": str(samples), "length": 3.0}),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -428,6 +437,45 @@ def test_a_warp_that_vanishes_between_its_ends_exits_2(tmp_path):
     assert not (tmp_path / "growth.json").exists()
 
 
+WARP_SIZE_COMMANDS = {
+    "growth": [],
+    "rol": [],
+    "simulate": ["--path-spec", json.dumps({"type": "geodesic", "direction": [0.1, 1.0, 0.0],
+                                            "length": 0.2})],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WARP_SIZE_COMMANDS))
+@pytest.mark.parametrize("warp, code", [
+    ({"name": "cos", "a": 1e154}, 0),
+    ({"name": "cos", "a": 1e155}, 2),
+    ({"name": "cosh", "a": 1e154}, 0),
+    ({"name": "cosh", "a": 1e155}, 2),
+    ({"name": "affine", "a": 1e154}, 0),
+    ({"name": "affine", "a": 1e155}, 2),
+    # f(0.5)^2 = e a^2 overflows from a = 8.2e153
+    ({"name": "exp", "a": 8e153}, 0),
+    ({"name": "exp", "a": 1e154}, 2),
+    # an affine warp reads no omega, which only its squares overflowed
+    ({"name": "affine", "omega": 1e155}, 0),
+], ids=["cos-1e154", "cos-1e155", "cosh-1e154", "cosh-1e155", "affine-1e154", "affine-1e155",
+        "exp-8e153", "exp-1e154", "affine-omega-1e155"])
+def test_a_warp_too_large_to_square_exits_2(tmp_path, capsys, warp, code, command):
+    # f^2 overflowed: from a = 1e155 growth died in the SVD, simulate raised
+    # OverflowError and rol warned; so did exp at 1e154 at this seed
+    cfg = write_config(tmp_path, {"manifold_pair": [{**WARPED_S1, "warp": warp},
+                                                    {"kind": "sphere", "dim": 2}], "seed": 4})
+    out = tmp_path / "report.out"
+    assert main(["--config", cfg, command, *WARP_SIZE_COMMANDS[command],
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: warp too large") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
 def test_config_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -435,6 +483,7 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
     missing_pair = write_config(tmp_path, {"seed": 0}, "nopair.json")
     assert main(["--config", missing_pair, "growth"]) == 2
     sphere, plane = SPHERE_PLANE["manifold_pair"]
+    state = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
     malformed = [
         [sphere, plane],  # not a JSON object
         {"manifold_pair": [{**sphere, "dim": "two"}, plane]},
@@ -458,13 +507,31 @@ def test_config_parse_failure_exit_code(tmp_path, capsys):
         # a valid stack of one state is not one state
         {**SPHERE_PLANE, "initial_state": {"x": [[0.0, 0.0, 1.0]], "x_hat": [[0.0, 0.0]],
                                            "A": [[[1.0, 0.0], [0.0, 1.0]]]}},
+        # nor are two points for one contact map, and a boolean is no coordinate
+        {**SPHERE_PLANE, "initial_state": {**state, "x": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]}},
+        {**SPHERE_PLANE, "initial_state": {**state, "x": [True, 0, 0]}},
+        {"manifold_pair": [{**sphere, "dim": 0}, plane]},
+        {"manifold_pair": [sphere, {**plane, "dim": 0}]},
+        {"manifold_pair": [{**WARPED_S1, "interval": [1, 1]}, plane]},
+        # a misspelled or unknown key in any object was ignored and the run
+        # went on without it (a seed of 0, a radius of 1, a random state)
+        {**SPHERE_PLANE, "sede": 5},
+        {"manifold_pair": [{**sphere, "radus": 7}, plane]},
+        {"manifold_pair": [sphere, {**plane, "radius": 1.0}]},
+        {"manifold_pair": [{**WARPED_S1, "dimm": 2}, plane]},
+        {"manifold_pair": [{**WARPED_S1, "warp": {"name": "cos", "omgea": 2.0}}, plane]},
+        {**SPHERE_PLANE, "output": {"fromat": "json"}},
+        {**SPHERE_PLANE, "initial_state": {**state, "xhat": [0.0, 0.0]}},
+        # a present but empty state was read as no state
+        {**SPHERE_PLANE, "initial_state": {}},
     ]
     for k, payload in enumerate(malformed):
         capsys.readouterr()
         out = tmp_path / "growth.json"
         assert main(["--config", write_config(tmp_path, payload, f"m{k}.json"), "growth",
                      "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, payload
         assert not out.exists()
     # an output path that is not a string is rejected before anything is opened
     bad_out = write_config(tmp_path, {**SPHERE_PLANE, "output": {"path": ["a"]}}, "out.json")
@@ -1167,7 +1234,11 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     {"direction": [float("nan"), 1.0]},
     {"direction": [1.0, 0.0], "length": float("nan")},
     {"direction": [1.0, 0.0], "length": float("inf")},
-], ids=["wrong-length", "nan-direction", "nan-length", "inf-length"])
+    {"type": "spiral"},
+    # a misspelled key was ignored: the geodesic rolled the default length 1
+    {"direction": [1.0, 0.0], "lenght": 3.0},
+], ids=["wrong-length", "nan-direction", "nan-length", "inf-length", "unknown-type",
+        "misspelled-key"])
 def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
     plane_first = {"manifold_pair": [{"kind": "euclidean", "dim": 2},
                                      {"kind": "sphere", "dim": 2, "radius": 1.0}]}
@@ -1175,7 +1246,29 @@ def test_simulate_rejects_a_malformed_path(tmp_path, capsys, path):
     out = tmp_path / "traj.csv"
     assert main(["--config", cfg, "simulate", "--path-spec",
                  json.dumps({"type": "geodesic", "length": 0.5, **path}), "--out", str(out)]) == 2
-    assert "path" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "path" in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("candidate, message", [
+    ({"kind": "catalgo"}, "unknown candidate kind 'catalgo'"),
+    # a misspelled perturb was ignored: the catalog audited unperturbed and passed
+    ({"kind": "catalog", "perturbb": 1e-3}, "a catalog candidate must be an object with keys"),
+    ({"kind": "killing", "generatr": {"type": "translation", "axis": 0}},
+     "a killing candidate must be an object with keys"),
+    ({"kind": "killing", "generator": {"type": "translation", "axis": 0, "plane": [0, 1]}},
+     "a translation generator must be an object with keys"),
+    ({"kind": "killing", "generator": {"type": "rotation", "plane": [0, 1], "axis": 0}},
+     "a rotation generator must be an object with keys"),
+], ids=["unknown-kind", "catalog", "killing", "translation", "rotation"])
+def test_audit_rejects_an_unknown_candidate_kind_or_key(tmp_path, capsys, candidate, message):
+    cfg = write_config(tmp_path, SPHERE_PLANE)
+    out = tmp_path / "audit.json"
+    assert main(["--config", cfg, "symmetry-check", "--candidate", json.dumps(candidate),
+                 "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1325,6 +1418,8 @@ BAD_STATES = [
     {**GOOD_STATE, "x": [False, False, True]},
     {**GOOD_STATE, "A": [[True, 0.0], [0.0, 1.0]]},
     {**GOOD_STATE, "A": [[True, False], [False, True]]},
+    {**GOOD_STATE, "xhat": [0.0, 0.0, 3.0]},
+    {},
 ]
 BAD_PATHS = [
     "{not json", "[]", "5", '"x"',
@@ -1344,6 +1439,7 @@ BAD_PATHS = [
     json.dumps({"type": "samples", "file": "missing.csv"}),
     json.dumps({"type": "samples", "file": "garbage.csv"}),
     json.dumps({"type": "samples", "file": "one_row.csv"}),
+    json.dumps({**FUZZ_PATH, "lenght": 3.0}),
 ]
 BAD_CANDIDATES = [
     {"kind": "catalog", "perturb": True},
@@ -1351,6 +1447,9 @@ BAD_CANDIDATES = [
     {"kind": "catalog", "perturb": NAN},
     {"kind": "killing", "generator": {"type": "rotation", "plane": [False, True]}},
     {"kind": "killing", "generator": {"type": "rotation", "plane": [0, 1.5]}},
+    {"kind": "catalgo"},
+    {"kind": "catalog", "perturbb": 1e-3},
+    {"kind": "killing", "generator": {"type": "rotation", "plane": [0, 1], "axis": 0}},
 ]
 VALID_KINDS = ("euclidean", "sphere", "hyperbolic", "warped")
 
@@ -1358,7 +1457,7 @@ VALID_KINDS = ("euclidean", "sphere", "hyperbolic", "warped")
 def _corrupt_manifold(draw, config):
     pair = config["manifold_pair"]
     k = draw(st.integers(0, 1))
-    how = draw(st.sampled_from(["pair", "factor", "dim", "radius", "kind"]))
+    how = draw(st.sampled_from(["pair", "factor", "dim", "radius", "kind", "key"]))
     if how == "pair":
         config["manifold_pair"] = draw(st.sampled_from([None, [], 5, [pair[0]], pair * 2]))
     elif how == "factor":
@@ -1367,6 +1466,8 @@ def _corrupt_manifold(draw, config):
         pair[k]["dim"] = draw(st.sampled_from(NOT_A_COUNT))
     elif how == "radius":
         pair[k]["radius"] = draw(st.sampled_from(NOT_POSITIVE))
+    elif how == "key":
+        pair[k]["radus"] = 7.0
     else:
         pair[k]["kind"] = draw(st.text(max_size=8).filter(lambda t: t not in VALID_KINDS))
 
@@ -1375,7 +1476,7 @@ def _corrupt_manifold(draw, config):
 def malformed_invocations(draw):
     """(subcommand, config, global flags, subcommand flags), malformed at least once."""
     command = draw(st.sampled_from(["killing", "rol", "simulate", "symmetry-check"]))
-    choices = ["not_object", "manifold", "tolerances", "seed", "output", "--seed", "--tol"]
+    choices = ["not_object", "manifold", "tolerances", "seed", "output", "key", "--seed", "--tol"]
     if command in ("rol", "simulate"):
         choices += ["initial_state"]
     if command == "simulate":
@@ -1400,7 +1501,9 @@ def malformed_invocations(draw):
                                                    True, False]))
         elif what == "output":
             config["output"] = draw(st.sampled_from(["x", 5, [], {"format": "xml"},
-                                                     {"format": 5}]))
+                                                     {"format": 5}, {"fromat": "json"}]))
+        elif what == "key":  # a misspelled key of the config
+            config[draw(st.sampled_from(["sede", "tolerance", "ouptut", "initial_sate"]))] = 5
         elif what == "initial_state":
             config["initial_state"] = draw(st.sampled_from(BAD_STATES))
         elif what == "--seed":
@@ -1453,6 +1556,10 @@ def fuzz_dir(tmp_path_factory):
 # 4 at rank tolerance 1e-3), and a misspelled key was ignored (exit 0)
 @example(invocation=("growth", {**SPHERES_1_3, "tolerances": [["rank", 1e-3]]}, [], []))
 @example(invocation=("growth", {**SPHERES_1_3, "tolerances": {"rnak": 1e-3}}, [], []))
+# so was a misspelled key of any other object (exit 0)
+@example(invocation=("killing", {**SPHERES_1_3, "sede": 5}, [], []))
+@example(invocation=("simulate", SPHERES_1_3, [], [
+    "--path-spec", json.dumps({**FUZZ_PATH, "lenght": 3.0}), "--format", "csv"]))
 def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, invocation):
     command, config, global_flags, sub_flags = invocation
     cfg = fuzz_dir / "config.json"

@@ -17,8 +17,6 @@ from rollsym.rolling import (
     RollingCurve,
     RollingPair,
     _pull_back,
-    chart_differential,
-    curve_velocity,
     det_transport_matrix,
     directional_derivative,
     expm as rolling_expm,
@@ -29,6 +27,7 @@ from rollsym.rolling import (
     tangent_curve,
 )
 from rollsym import rolling as rolling_module
+from rollsym.brackets import chart_differential, curve_velocity
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
 from test_brackets import ALL_CATALOG_PAIRS, catalog_factors
