@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
-                     SampledPath, from_spec, integral, keyed, real, reals)
+                     SampledPath, from_spec, integral, keyed, real, reals, tagged)
 from .rolling import RollingPair, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator, so_pairs
 from .brackets import curvature_mismatch, flag_ranks, kept_at
@@ -136,8 +136,8 @@ class Run:
 
 
 def _parse_path(pair, q0, spec):
-    if spec.get("type") == "geodesic":
-        keyed(spec, "a geodesic path spec", ("type", "direction", "length"))
+    if tagged(spec, "path spec", "type", {"geodesic": ("type", "direction", "length"),
+                                          "samples": ("type", "file")}) == "geodesic":
         direction = reals(spec["direction"], "path direction")
         if direction.shape != q0.x.shape or not np.isfinite(direction).all():
             raise GeometryError(f"path direction must hold {q0.x.size} finite numbers")
@@ -153,14 +153,11 @@ def _parse_path(pair, q0, spec):
         if length == 0.0 or not nrm2 > (1e-12 * np.linalg.norm(direction)) ** 2:
             return GeodesicPath(pair.space, q0.x, np.zeros_like(tangent), 0.0)  # no step
         return GeodesicPath(pair.space, q0.x, tangent / np.sqrt(nrm2), length)
-    if spec.get("type") == "samples":
-        keyed(spec, "a samples path spec", ("type", "file"))
-        with warnings.catch_warnings():
-            # an empty file is SampledPath's "fewer than 2 samples" error, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
-        return SampledPath(pair.space, data[:, 0], data[:, 1:])
-    raise GeometryError(f"unknown path spec type {spec.get('type')!r}")
+    with warnings.catch_warnings():
+        # an empty file is SampledPath's "fewer than 2 samples" error, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
+    return SampledPath(pair.space, data[:, 0], data[:, 1:])
 
 
 def cmd_simulate(args):
@@ -225,17 +222,14 @@ def cmd_growth(args):
 
 
 def _field_from_spec(manifold, gen_spec) -> KillingField:
-    kind = gen_spec.get("type")
     catalog = killing_catalog(manifold)
-    if kind in ("translation", "boost"):
-        keyed(gen_spec, f"a {kind} generator", ("type", "axis"))
-        name = f"{kind}-{integral(gen_spec['axis'], 'generator axis')}"
-    elif kind == "rotation":
-        keyed(gen_spec, "a rotation generator", ("type", "plane"))
+    kind = tagged(gen_spec, "generator", "type", {"rotation": ("type", "plane"),
+                  **dict.fromkeys(("translation", "boost"), ("type", "axis"))})
+    if kind == "rotation":
         i, j = sorted(integral(k, "generator plane index") for k in gen_spec["plane"])
         name = f"rotation-{i}{j}"
     else:
-        raise GeometryError(f"unknown generator type {kind!r}")
+        name = f"{kind}-{integral(gen_spec['axis'], 'generator axis')}"
     if name in catalog.names:
         return catalog[catalog.names.index(name)]
     raise MismatchError(f"generator {name} does not exist on {manifold.kind}{manifold.dim}")
@@ -251,15 +245,11 @@ def cmd_audit(args):
     tol = run.tolerances["residual"]
     with _reading("--candidate"):
         cand_spec = json.loads(args.candidate)
-        kind = cand_spec.get("kind")
-        if kind == "catalog":
-            keyed(cand_spec, "a catalog candidate", ("kind", "perturb"))
+        if tagged(cand_spec, "candidate", "kind", {"catalog": ("kind", "perturb"),
+                  "killing": ("kind", "generator", "perturb")}) == "catalog":
             fields = killing_catalog(pair.space_hat)
-        elif kind == "killing":
-            keyed(cand_spec, "a killing candidate", ("kind", "generator", "perturb"))
-            fields = _field_from_spec(pair.space_hat, cand_spec.get("generator", {}))
         else:
-            raise GeometryError(f"unknown candidate kind {kind!r}")
+            fields = _field_from_spec(pair.space_hat, cand_spec.get("generator", {}))
         eps = real(cand_spec.get("perturb", 0.0), "perturb")
     if not math.isfinite(eps):
         raise GeometryError(f"perturb must be finite, got {eps!r}")

@@ -97,11 +97,13 @@ def _transposed(a):
     return np.ascontiguousarray(a.mT)
 
 
-def _check_rows(pair, x, x_hat, a):
+def _check_rows(pair, x, x_hat, a, tol=ISOMETRY_TOL):
     """Every check of a state on a stack of any leading shape: its points on
-    their manifolds, its contact map an orientation-preserving isometry.
-    Returns the isometry residuals.  Raises the first failing state's first
-    failing check, from its own values, with its flat index as `row`."""
+    their manifolds, its contact map an orientation-preserving isometry, with
+    an isometry residual of at most tol (the largest float lets any finite
+    one pass).  Returns the isometry residuals.  Raises the first failing
+    state's first failing check, from its own values, with its flat index as
+    `row`."""
     n = pair.dim
     if a.shape[-2:] != (n, n):
         raise GeometryError(f"contact map must be a {n} x {n} matrix")
@@ -111,7 +113,7 @@ def _check_rows(pair, x, x_hat, a):
     error = np.maximum(pair.space.point_error(x), pair.space_hat.point_error(x_hat))  # NaN fails
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf residual
         residuals = np.linalg.norm(_transposed(a) @ a - np.eye(n), axis=(-2, -1))
-    good = np.ravel((error <= POINT_TOL) & (residuals <= ISOMETRY_TOL))
+    good = np.ravel((error <= POINT_TOL) & (residuals <= tol))
     flat = a.reshape(-1, n, n)  # the determinant only of isometries, never of NaN
     good[good] = np.linalg.det(flat if good.all() else flat[good]) > 0
     if good.all():
@@ -121,7 +123,7 @@ def _check_rows(pair, x, x_hat, a):
     try:
         for m, pts in ((pair.space, x), (pair.space_hat, x_hat)):
             m.point(pts[state])
-        if not residuals[state] <= ISOMETRY_TOL:
+        if not residuals[state] <= tol:
             raise GeometryError(f"contact map is not an isometry (residual {residuals[state]:.3e})")
         raise GeometryError("contact map must preserve orientation")
     except GeometryError as exc:
@@ -343,7 +345,9 @@ class RollingCurve:
     """A rolling motion sampled on a time grid, one row per sample time: the
     contact points, the contact map A in the deterministic frames and its
     isometry residual.  Construction runs _check_rows once over the rows,
-    which names the first row that fails a check of RollingState."""
+    which names the first row that fails a check of RollingState; the
+    isometry residuals need only be finite, for a roll's caller weighs them
+    against its own tolerance."""
 
     pair: RollingPair
     times: np.ndarray
@@ -353,7 +357,7 @@ class RollingCurve:
     residuals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.residuals = _check_rows(self.pair, self.x, self.x_hat, self.A)
+        self.residuals = _check_rows(self.pair, self.x, self.x_hat, self.A, np.finfo(float).max)
 
     def final_state(self) -> RollingState:
         return self.pair.state(self.x[-1], self.x_hat[-1], self.A[-1])
@@ -391,15 +395,17 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     constant in the two parallel frames (Chitour and Kokkonen 2010): a
     GeodesicPath rolls along the canonical curve of its rolling lift, the
     first factor's rows read from the path, and any other path by the
-    exponential steps of _roll_magnus.  Either holds the constraints to
-    round-off at any step.
+    exponential steps of _roll_magnus.  A canonical curve holds every check
+    of a state to round-off at any step.  A Magnus or CF4 roll holds the
+    J-orthonormality of its carried rows to round-off, and its isometry to
+    the order of its step: the rows' residuals say how far.
 
     A bad path raises GeometryError, and a contact point leaving the interval
     of a warped factor raises DomainError.  Rows computed from a valid start
     can still fail the checks of a state (far out on a hyperboloid a point
     misses its constraint by round-off, further out a row overflows): the
-    one check of the rows written raises DomainError, naming the check and
-    the first sample time whose written row fails it."""
+    one check of the rows written (RollingCurve) raises DomainError, naming
+    the check and the first sample time whose written row fails it."""
     pair = q0.pair
     times = np.asarray(path.sample_times(step), dtype=float)
     if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):

@@ -18,7 +18,7 @@ vectors, say).  Per-point scalars come back with the leading shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,6 +126,18 @@ def keyed(spec, what, keys):
     return spec
 
 
+def tagged(spec, what, tag, keys):
+    """The kind that the `tag` key of a JSON object read from input names,
+    the object checked by keyed with the keys `keys` maps that kind to."""
+    if not isinstance(spec, dict):
+        raise GeometryError(f"{what} must be an object with a {tag}, got {spec!r}")
+    kind = spec.get(tag)
+    if not (isinstance(kind, str) and kind in keys):
+        raise GeometryError(f"unknown {what} {tag} {kind!r}")
+    keyed(spec, f"a {kind} {what}", keys[kind])
+    return kind
+
+
 def reals(value, what):
     """An array of numbers read from input (nested lists), as floats, with
     real's rule for every entry."""
@@ -178,7 +190,9 @@ class SpaceForm:
         return err
 
     def constraint_residual(self, x):
-        """Violation of the manifold's constraint at each point (inf off its domain)."""
+        """Violation of the manifold's constraint at each point, relative to
+        its scale, so that POINT_TOL means the same at every radius (inf off
+        its domain)."""
         raise NotImplementedError
 
     def closest_point(self, x):
@@ -489,7 +503,7 @@ class Sphere(ConstantCurvature):
     sign = 1.0
 
     def constraint_residual(self, x):
-        return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
+        return np.abs(np.linalg.norm(x, axis=-1) / self.radius - 1.0)
 
     def closest_point(self, x):
         return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
@@ -510,7 +524,7 @@ class Hyperbolic(ConstantCurvature):
     sign = -1.0
 
     def constraint_residual(self, x):
-        res = np.abs(self.inner_at(x, x, x) + self.radius**2)
+        res = np.abs(self.inner_at(x, x, x) / self.radius**2 + 1.0)
         return np.where(np.asarray(x)[..., 0] > 0, res, math.inf)[()]
 
     def closest_point(self, x):
@@ -530,9 +544,16 @@ class Hyperbolic(ConstantCurvature):
                                spatial), axis=-1)
 
 
+# every warp family solves f'' = -k_ref f with f(0) = a: its (k_ref, f'(0)) from (a, b, omega)
+WARPS = {"cos": lambda a, b, w: (w * w, b * w), "cosh": lambda a, b, w: (-w * w, b * w),
+         "exp": lambda a, b, w: (-w * w, a * w), "affine": lambda a, b, w: (0.0, b)}
+
+
 @dataclass
 class WarpFunction:
-    """Warp profile selected by name; each family satisfies f'' = -k_ref f.
+    """Warp profile selected by name, evaluated as a C + f'(0) S for C and S
+    of k_ref (_k_functions), since f'' = -k_ref f; exp keeps a exp(omega s),
+    which that form cancels to 0 far down its slope:
 
     cos:    a cos(omega s) + b sin(omega s),  k_ref = omega^2
     cosh:   a cosh(omega s) + b sinh(omega s), k_ref = -omega^2
@@ -546,45 +567,31 @@ class WarpFunction:
     a: float = 1.0
     b: float = 0.0
     omega: float = 1.0
+    k_ref: float = field(init=False, repr=False)
+    slope: float = field(init=False, repr=False)  # f'(0)
 
     def __post_init__(self):
-        if self.name not in ("cos", "cosh", "exp", "affine"):
-            raise GeometryError(f"unknown warp function {self.name!r}")
-
-    @property
-    def k_ref(self):
-        if self.name == "cos":
-            return self.omega * self.omega
-        if self.name in ("cosh", "exp"):
-            return -self.omega * self.omega
-        return 0.0
+        if self.name not in WARPS:
+            raise GeometryError(f"unknown warp name {self.name!r}")
+        self.k_ref, self.slope = WARPS[self.name](self.a, self.b, self.omega)
 
     @property
     def invariant(self):
-        """f'^2 + k_ref f^2, the same at every s.  Squares are products,
-        which overflow to inf where ** raises."""
-        w2, a2, b2 = self.omega * self.omega, self.a * self.a, self.b * self.b
-        return {"cos": w2 * (a2 + b2), "cosh": w2 * (b2 - a2), "exp": 0.0, "affine": b2}[self.name]
+        """f'^2 + k_ref f^2, the same at every s, and exactly 0 on exp.
+        Squares are products, which overflow to inf where ** raises."""
+        return 0.0 if self.name == "exp" else self.slope * self.slope + self.k_ref * self.a * self.a
 
     def value(self, s):
-        w = self.omega
-        if self.name == "cos":
-            return self.a * np.cos(w * s) + self.b * np.sin(w * s)
-        if self.name == "cosh":
-            return self.a * np.cosh(w * s) + self.b * np.sinh(w * s)
         if self.name == "exp":
-            return self.a * np.exp(w * s)
-        return self.a + self.b * s
+            return self.a * np.exp(self.omega * s)
+        cos, sin, _ = _k_functions(self.k_ref, s)
+        return self.a * cos + self.slope * sin
 
     def derivative(self, s):
-        w = self.omega
-        if self.name == "cos":
-            return w * (-self.a * np.sin(w * s) + self.b * np.cos(w * s))
-        if self.name == "cosh":
-            return w * (self.a * np.sinh(w * s) + self.b * np.cosh(w * s))
         if self.name == "exp":
-            return w * self.a * np.exp(w * s)
-        return self.b + 0.0 * s
+            return self.slope * np.exp(self.omega * s)
+        cos, sin, _ = _k_functions(self.k_ref, s)
+        return self.slope * cos - self.k_ref * self.a * sin
 
     def to_spec(self):
         return {"name": self.name, "a": self.a, "b": self.b, "omega": self.omega}
@@ -613,12 +620,12 @@ class Warped(SpaceForm):
         self.fiber = fiber
         self.dim = fiber.dim + 1
         self.amb_dim = fiber.amb_dim + 1
-        # cos vanishes once in every pi / |omega|; the others at most once, changing sign
-        short = warp.name != "cos" or abs(warp.omega) * (hi - lo) < math.pi
+        # f vanishes once in every pi / sqrt(k_ref) if k_ref > 0, else at most once, changing sign
+        short = warp.k_ref <= 0 or math.sqrt(warp.k_ref) * (hi - lo) < math.pi
         with np.errstate(over="ignore", invalid="ignore"):  # a warp too large is refused below
             ends = np.array(self.interval)
             f, df = warp.value(ends), warp.derivative(ends)
-            # f^2 and f'^2 peak at the ends: f is monotone or convex, or (cos) the invariant bounds it
+            # f^2 and f'^2 peak at the ends: f is monotone or convex, or the invariant bounds them
             sizes = np.array([warp.k_ref, warp.invariant, *(f * f), *(df * df)])
         if not (short and np.all(f > 0)):
             raise GeometryError("warp function must be positive on the interval")
@@ -835,10 +842,7 @@ SPEC_KEYS = {"euclidean": ("kind", "dim"), "sphere": ("kind", "dim", "radius"),
 
 def from_spec(spec: dict) -> SpaceForm:
     """Build a catalog manifold from its JSON description."""
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in SPEC_KEYS:
-        raise GeometryError(f"unknown manifold kind {kind!r}")
-    keyed(spec, f"a {kind} spec", SPEC_KEYS[kind])
+    kind = tagged(spec, "manifold", "kind", SPEC_KEYS)
     if kind == "euclidean":
         return Euclidean(integral(spec["dim"], "dim"))
     if kind == "sphere":
@@ -846,9 +850,9 @@ def from_spec(spec: dict) -> SpaceForm:
     if kind == "hyperbolic":
         return Hyperbolic(integral(spec["dim"], "dim"), real(spec.get("radius", 1.0), "radius"))
     w = spec["warp"]
-    warp = WarpFunction(w["name"], *(real(w.get(key, default), f"warp {key}")
-                                     for key, default in (("a", 1.0), ("b", 0.0), ("omega", 1.0))))
-    keyed(w, "warp", ("name", "a", "b", "omega"))
+    name = tagged(w, "warp", "name", dict.fromkeys(WARPS, ("name", "a", "b", "omega")))
+    warp = WarpFunction(name, *(real(w.get(key, default), f"warp {key}")
+                                for key, default in (("a", 1.0), ("b", 0.0), ("omega", 1.0))))
     m = Warped(tuple(real(end, "interval end") for end in spec["interval"]), warp,
                from_spec(spec["fiber"]))
     if "dim" in spec and integral(spec["dim"], "dim") != m.dim:  # its fiber's dim + 1

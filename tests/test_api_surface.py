@@ -23,7 +23,10 @@ it: a rename or a move shows here, not only in a traced benchmark run.
 
 No module of the package imports a private (underscore) name from another:
 a helper that two modules share is public, or the rule it serves lives in
-one module."""
+one module.
+
+Only `spaces.tagged` reads the kind, type or name that says what an input
+object is: one reader, with one rule for a value that is no object."""
 
 import ast
 import importlib
@@ -378,3 +381,28 @@ def test_no_module_imports_a_private_name_from_another():
                 imported += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_")]
     assert not imported, imported
+
+
+def test_only_tagged_reads_the_tag_of_an_input_object():
+    # a kind, type or name read off an input object by hand is a second
+    # dispatch, with its own message for a value that is no object
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and node.args):
+                key = node.args[0]
+            else:
+                continue
+            if not (isinstance(key, ast.Constant) and key.value in ("kind", "type", "name")):
+                continue
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = owners[scope]
+            if getattr(scope, "name", None) != "tagged":
+                reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not reads, reads

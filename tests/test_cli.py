@@ -223,6 +223,30 @@ def test_simulate_sampled_path_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step, tolerance, code", [
+    ("0.25", None, 1), ("0.125", None, 0), ("0.25", 1e-3, 0), ("0.1", 1e-12, 1), ("0.01", 1e-12, 0),
+], ids=["coarse", "fine", "coarse-lenient", "fine-strict", "finest-strict"])
+def test_a_sampled_roll_exits_by_its_isometry_tolerance(tmp_path, capsys, step, tolerance, code):
+    # a Magnus roll's isometry residual is truncation error (3.6e-7 at step
+    # 0.25, 2.0e-9 at 0.125, 8.0e-11 at 0.1 and 1.3e-15 at 0.01): the
+    # configured tolerance decides exit 0 or 1, where a fixed 1e-9 check of
+    # the rows used to exit 3 whatever the tolerance
+    t = np.arange(9) * 0.25
+    c = np.cos(0.6)
+    pts = np.column_stack((t, c * np.cos(3 * t), c * np.sin(3 * t), np.full(9, np.sin(0.6))))
+    np.savetxt(tmp_path / "circle.csv", pts, delimiter=",", fmt="%.17g")
+    state = {"x": pts[0, 1:].tolist(), "x_hat": [3.0, 0.0, 0.0], "A": np.eye(2).tolist()}
+    tolerances = {} if tolerance is None else {"tolerances": {"isometry": tolerance}}
+    cfg = write_config(tmp_path, {**SPHERES_1_3, "initial_state": state, **tolerances})
+    out = tmp_path / "traj.json"
+    path = json.dumps({"type": "samples", "file": str(tmp_path / "circle.csv")})
+    assert main(["--config", cfg, "simulate", "--step", step, "--format", "json",
+                 "--out", str(out), "--path-spec", path]) == code
+    assert capsys.readouterr().out.startswith("max isometry residual: ")
+    residual = json.loads(out.read_text())["max_isometry_residual"]
+    assert (residual < (tolerance or 1e-7)) == (code == 0)
+
+
 @pytest.mark.parametrize("rows, message", [
     ("0,0,1\n1,1,0\n", "a time and 3 ambient coordinates"),
     ("0,0,0,1\n", "at least 2 samples"),
@@ -629,9 +653,13 @@ def _warped(name, fiber, r=1.0):
     ([_sphere(3, 0.7), _warped("cos", _sphere(2, 0.7), 0.7)], 0.0),
     ([_hyperbolic(3, 0.3), _warped("cosh", _hyperbolic(2, 0.3), 0.3)], 0.0),
     ([_hyperbolic(3, 0.7), _warped("cosh", _hyperbolic(2, 0.7), 0.7)], 0.0),
+    # the invariant of exp is exactly 0: as f'(0)^2 + k_ref f(0)^2 it is -1.8e-15
+    ([{**_warped("exp", {"kind": "euclidean", "dim": 2}), "warp": {"name": "exp", "a": 3.3,
+                                                                  "omega": 0.9}},
+      _hyperbolic(3, 1 / 0.9)], 0.0),
 ], ids=["S2(1)/cos S1(1)", "cos S1(1)/S2(1)", "S3(1)/cos S2(1)", "H3(1)/exp R2",
         "S3(1)/cos S2(2)", "S3(0.3)/cos S2(0.3)", "S3(0.7)/cos S2(0.7)",
-        "H3(0.3)/cosh H2(0.3)", "H3(0.7)/cosh H2(0.7)"])
+        "H3(0.3)/cosh H2(0.3)", "H3(0.7)/cosh H2(0.7)", "exp(3.3, 0.9) R2/H3(1/0.9)"])
 def test_growth_reads_the_curvature_of_a_warped_space_form(tmp_path, pair, kappa):
     # a warped product of constant curvature is a space form: equal
     # curvatures give kappa = 0 and the degenerate flag, which is correct
@@ -647,6 +675,24 @@ def test_growth_reads_the_curvature_of_a_warped_space_form(tmp_path, pair, kappa
         assert data["flag"]["ranks"] == data["predicted_growth"]
     else:
         assert "note" not in data
+
+
+@pytest.mark.parametrize("pair", [[_hyperbolic(2, 1000.0), _sphere(2, 1000.0)],
+                                  [_sphere(3, 3e4), _hyperbolic(3, 3e4)]],
+                         ids=["H2(1000)/S2(1000)", "S3(3e4)/H3(3e4)"])
+def test_a_large_radius_passes_its_own_point_check(tmp_path, pair):
+    # the point check was absolute: the ulp of r^2 is 1.2e-10 at r = 1000, so
+    # about half the program's own seeded draws failed it and blamed the
+    # input (exit 2), and rolled rows failed it (exit 3)
+    cfg = write_config(tmp_path, {"manifold_pair": pair})
+    path = {"type": "geodesic", "direction": [0.3] + [1.0] * pair[0]["dim"]}
+    commands = [["growth"], ["rol"],
+                ["symmetry-check", "--candidate", '{"kind": "catalog"}', "--samples", "5"],
+                ["simulate", "--path-spec", json.dumps(path), "--format", "json"]]
+    codes = {(cmd[0], seed): main(["--config", cfg, *cmd, "--seed", str(seed),
+                                   "--out", str(tmp_path / "report")])
+             for cmd in commands for seed in range(10)}
+    assert set(codes.values()) == {0}, codes
 
 
 def test_growth_rank_gap_ambiguity_exit(tmp_path):
@@ -1269,6 +1315,39 @@ def test_audit_rejects_an_unknown_candidate_kind_or_key(tmp_path, capsys, candid
                  "--samples", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _tagged_input(obj, value):
+    """(config, command) that hand `value` to the CLI as the tagged input object `obj`."""
+    plane = {"kind": "euclidean", "dim": 2}
+    pair = {"manifold": [value, plane], "fiber": [{**WARPED_S1, "fiber": value}, plane],
+            "warp": [{**WARPED_S1, "warp": value}, plane]}.get(obj)
+    if pair is not None:
+        return {"manifold_pair": pair}, ["growth"]
+    if obj == "path spec":
+        return SPHERE_PLANE, ["simulate", "--path-spec", json.dumps(value)]
+    candidate = value if obj == "candidate" else {"kind": "killing", "generator": value}
+    return SPHERE_PLANE, ["symmetry-check", "--candidate", json.dumps(candidate), "--samples", "2"]
+
+
+@pytest.mark.parametrize("value", [[], "abc", 5], ids=["list", "string", "number"])
+@pytest.mark.parametrize("obj, what", [
+    ("manifold", "manifold must be an object with a kind"),
+    ("fiber", "manifold must be an object with a kind"),
+    ("warp", "warp must be an object with a name"),
+    ("path spec", "path spec must be an object with a type"),
+    ("candidate", "candidate must be an object with a kind"),
+    ("generator", "generator must be an object with a type"),
+], ids=["manifold", "fiber", "warp", "path-spec", "candidate", "generator"])
+def test_a_tagged_input_that_is_no_object_names_the_object(tmp_path, capsys, obj, what, value):
+    # these exited 2 with a Python message ("AttributeError: 'list' object has
+    # no attribute 'get'") rather than the object's own rule
+    config, command = _tagged_input(obj, value)
+    out = tmp_path / "report"
+    assert main(["--config", write_config(tmp_path, config), *command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what}, got {value!r}\n"
     assert not out.exists()
 
 

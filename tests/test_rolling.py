@@ -966,7 +966,7 @@ def test_rolling_curve_checks_every_row():
         (curve.x + np.where(np.arange(len(curve.times)) == 7, 1e-6, 0.0)[:, None], 1),
         (np.where(np.arange(len(curve.times))[:, None] == 9, np.nan, curve.x_hat), 2),
         (curve.A[:, :1], 3),
-        (curve.A * 1.001, 3),
+        (np.where(np.arange(len(curve.times))[:, None, None] == 4, np.inf, curve.A), 3),
         (curve.A @ flip, 3),
     ]
     for value, slot in bad:
@@ -975,6 +975,10 @@ def test_rolling_curve_checks_every_row():
         with pytest.raises(GeometryError):
             RollingCurve(pair, *args)
     assert np.allclose(RollingCurve(pair, *rows).residuals, curve.residuals)
+    # a roll's isometry residual is reported, not refused: its caller weighs
+    # it against its own tolerance (|1.001^2 I - I| = 2.001e-3 sqrt(2))
+    scaled = RollingCurve(pair, *rows[:3], curve.A * 1.001)
+    assert np.allclose(scaled.residuals, 2.001e-3 * math.sqrt(2.0))
 
 
 # -- derivatives ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ from rollsym import (
 )
 from rollsym.rolling import RollingPair, roll_along, rolling_lift
 from rollsym.numerics import central_diff, stencil_offsets
-from rollsym.spaces import FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline, steps_for
+from rollsym.spaces import (FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline, _atan_k, _k_functions,
+                            steps_for)
 
 RNG = np.random.default_rng(2024)
 
@@ -404,6 +405,98 @@ def test_warp_function_invariants():
         WarpFunction("tanh")
     with pytest.raises(GeometryError):  # a warped fiber has no constant curvature
         Warped((-1.2, 1.2), WarpFunction("cos"), unit_sphere_cosh_warped())
+
+
+def _family_warp(name, a, b, w, s):
+    """(f, f') of each warp family, written family by family."""
+    if name == "cos":
+        return a * np.cos(w * s) + b * np.sin(w * s), w * (-a * np.sin(w * s) + b * np.cos(w * s))
+    if name == "cosh":
+        return a * np.cosh(w * s) + b * np.sinh(w * s), w * (a * np.sinh(w * s) + b * np.cosh(w * s))
+    if name == "exp":
+        return a * np.exp(w * s), w * a * np.exp(w * s)
+    return a + b * s, b + 0.0 * s
+
+
+def test_the_warp_normal_form_matches_each_family_formula():
+    # a C + f'(0) S against the family formulas, to 1e-14 of the size of
+    # their terms; exp keeps its own formula and affine's C and S are 1 and s
+    rng = np.random.default_rng(46)
+    s = rng.uniform(-3.0, 3.0, 50)
+    for name in ("cos", "cosh", "exp", "affine"):
+        for a, b, omega in rng.uniform(-2.0, 2.0, (100, 3)):
+            warp = WarpFunction(name, a, b, omega)
+            f, df = _family_warp(name, a, b, omega, s)
+            if name in ("exp", "affine"):
+                assert np.array_equal(warp.value(s), f) and np.array_equal(warp.derivative(s), df)
+                continue
+            size = (abs(a) + abs(b)) * (np.cosh(omega * s) if name == "cosh" else 1.0)
+            assert np.all(np.abs(warp.value(s) - f) <= 1e-14 * size)
+            assert np.all(np.abs(warp.derivative(s) - df) <= 1e-14 * size * abs(omega))
+    # exactly 0, not round-off: brackets reads a zero invariant on an exp
+    # warp over a flat fiber as a space form
+    assert WarpFunction("exp", a=3.3, omega=0.9).invariant == 0.0
+
+
+def _space_form_log(m, y0, y1):
+    """(distance, unit direction) at y0 of the geodesic of the space form m
+    to y1: y1 = C y0 + S u for C and S of the curvature at the distance."""
+    k = m.curvature_constant
+    cos = k * m.inner_at(y0, y0, y1) if k else 1.0
+    w = y1 - cos * y0
+    size = math.sqrt(m.inner_at(y0, w, w))
+    return _atan_k(k, size, cos), w / size
+
+
+def _warped_log(m, x, x1):
+    """The velocity v at x whose geodesic reaches x1 at time 1, from the
+    surface I x_f sigma over the fiber geodesic sigma from y0 to y1, mapped
+    into the model of curvature k = k_ref, the points p with p0^2 + k (p1^2 +
+    p2^2) = 1, at the origin (1, 0, 0): s runs along the geodesic (C, S, 0)
+    of k, and the fiber along the Killing field B = f T2 + f' R, f and f' at
+    s0, which is (0, 0, f(s)) on it.  exp(phi B) = 1 + S_I B + V_I B^2 for
+    the invariant I, and the log at the origin is atan_k of the end point."""
+    k, inv = m.warp.k_ref, m.warp.invariant
+    f0, fp0 = m.warp.value(x[0]), m.warp.derivative(x[0])
+    phi, u = _space_form_log(m.fiber, x[1:], x1[1:])
+    t2 = np.array([[0.0, 0.0, -k], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    rot = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    b = f0 * t2 + fp0 * rot
+    _, sin_i, ver_i = _k_functions(inv, phi)
+    cos, sin, _ = _k_functions(k, x1[0] - x[0])
+    p = (np.eye(3) + sin_i * b + ver_i * b @ b) @ np.array([cos, sin, 0.0])
+    size = math.hypot(p[1], p[2])
+    dist = _atan_k(k, size, p[0])
+    return np.concatenate(([dist * p[1] / size], dist * p[2] / (size * f0) * u))
+
+
+def test_an_exact_inverse_recovers_the_velocity_of_the_warped_geodesic_flow():
+    # an independent oracle of Clairaut's closed form: the warped log map
+    # through the normal form of the warp, and the space forms' log map
+    rng = np.random.default_rng(22)
+    warps = [WarpFunction("cos"), WarpFunction("cos", b=0.3, omega=0.8),
+             WarpFunction("cos", a=1.3, b=0.4, omega=0.9), WarpFunction("cosh"),
+             WarpFunction("cosh", b=0.3, omega=0.8), WarpFunction("cosh", b=0.9),
+             WarpFunction("exp"), WarpFunction("exp", a=0.5, omega=-1.5),
+             WarpFunction("affine", b=0.3), WarpFunction("affine", a=2.0, b=-0.7)]
+    fibers = [Sphere(1, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Euclidean(2)]
+    forms = [Warped((-1.2, 1.2), warp, fiber) for warp in warps for fiber in fibers]
+    worst = {}
+    for m in forms + fibers + [Sphere(3, 0.5), Hyperbolic(3, 2.0)]:
+        for _ in range(5):
+            x = m.random_point(rng)
+            if isinstance(m, Warped):
+                x[0] = rng.uniform(-0.5, 0.5)  # 0.6 from there stays inside the interval
+            v = m.random_tangent(rng, x, unit=True) * rng.uniform(1e-3, 0.6)
+            x1 = m.geodesic_flow(x, v, 1.0)[0]
+            if isinstance(m, Warped):
+                got = _warped_log(m, x, x1)
+            else:
+                dist, u = _space_form_log(m, x, x1)
+                got = dist * u
+            err = np.linalg.norm(got - v) / np.linalg.norm(v)
+            worst[type(m).__name__] = max(worst.get(type(m).__name__, 0.0), err)
+    assert max(worst.values()) <= 1e-11, worst
 
 
 # -- frames and serialization -----------------------------------------------------
