@@ -167,11 +167,10 @@ def cmd_simulate(args):
     step = _positive(args.step, "--step") if args.step is not None else run.tolerances["step"]
     with _reading("--path-spec"):
         path = _parse_path(run.pair, q0, json.loads(args.path_spec))
-    # the roll substeps the span from the path's first time, which is 0 on a geodesic
-    span = abs(path.t_max - (path.times[0] if isinstance(path, SampledPath) else 0.0))
-    if span / step > MAX_GRID_INTERVALS:
-        raise GeometryError(f"--step {step:g} over a path span of {span:g} would take more "
-                            f"than {MAX_GRID_INTERVALS} grid intervals")
+    # a geodesic rolls on a grid of the step; a samples path's rows are its samples
+    if isinstance(path, GeodesicPath) and path.t_max / step > MAX_GRID_INTERVALS:
+        raise GeometryError(f"--step {step:g} over a path span of {path.t_max:g} would take "
+                            f"more than {MAX_GRID_INTERVALS} grid intervals")
     curve = roll_along(q0, path, step=step)
     residual = float(curve.residuals.max())
     status = sys.stdout

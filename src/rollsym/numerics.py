@@ -1,6 +1,5 @@
 """The numerical kernels shared by the geometry layers: one central
-difference, one numerical rank with its gap and cut margin, and the
-batched matrix exponential and running products of the rolling integrator.
+difference, and one numerical rank with its gap and cut margin.
 
 The finite-difference bracket oracle (`brackets.bracket_fd` with its chart
 differential) deliberately keeps its own stencil, so that it never shares
@@ -78,53 +77,3 @@ def cut_margin(sv, tol):
         return math.inf
     cut, s = tol * sv[0], sv[sv != 0.0]
     return float(np.where(s > cut, s / cut, cut / s).min())
-
-
-# Taylor polynomials are evaluated on matrices scaled to 1-norm at most this
-EXPM_THETA = 0.5
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def expm1_stack(a):
-    """exp(a) - I for every matrix of a stack (..., m, m), in one pass of
-    batched products: scaling and squaring of the Taylor polynomial whose
-    first omitted term, at the largest 1-norm theta, lies below the unit
-    round-off of the result (about theta).
-
-    The identity is left out, so that the exponential of a small generator
-    keeps all its digits; rounding exp(a) itself would make the same error at
-    every step of a constant generator, and a product of n steps would drift
-    by n round-offs."""
-    a = np.asarray(a, dtype=float)
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
-    if not math.isfinite(norm):
-        raise GeometryError("matrix exponential of a non-finite matrix")
-    squarings = max(0, math.ceil(math.log2(norm / EXPM_THETA))) if norm > 0 else 0
-    a = a / 2.0**squarings
-    theta = norm / 2.0**squarings
-    degree, omitted = 1, theta * theta / 2  # omitted = theta^(degree + 1) / (degree + 1)!
-    while omitted > UNIT_ROUNDOFF * theta:
-        degree += 1
-        omitted *= theta / (degree + 1)
-    eye = np.eye(a.shape[-1])
-    out = a / degree if degree > 1 else a
-    for k in range(degree - 1, 0, -1):  # Horner: a (I + a/2 (I + a/3 (... (I + a/degree))))
-        out = a @ (out + eye)
-        if k > 1:
-            out /= k
-    for _ in range(squarings):  # (I + d)^2 = I + (2d + d d)
-        out = 2 * out + out @ out
-    return out
-
-
-def running_products(d):
-    """Running products of the stack of matrices I + d[i], returned without
-    the identity: P[i] with I + P[i] = (I + d[0]) (I + d[1]) ... (I + d[i]),
-    by a doubling scan of log2(len) batched products."""
-    out = np.array(d, dtype=float)
-    k = 1
-    while k < len(out):
-        out[k:] = out[:-k] + out[k:] + out[:-k] @ out[k:]
-        k *= 2
-    return out
-

@@ -40,9 +40,9 @@ from functools import cached_property
 import numpy as np
 
 from .curvature import so_dim, vector_to_skew
-from .numerics import central_diff, expm1_stack, running_products, stencil_offsets
-from .spaces import (DEFAULT_STEP, POINT_TOL, ConstantCurvature, DomainError, GeodesicPath,
-                     GeometryError, SpaceForm, reals, steps_for)
+from .numerics import central_diff, stencil_offsets
+from .spaces import (DEFAULT_STEP, POINT_TOL, DomainError, GeodesicPath, GeometryError, SpaceForm,
+                     reals)
 
 ISOMETRY_TOL = 1e-9
 
@@ -325,19 +325,44 @@ def _canonical_states(q, xi, t):
     return out
 
 
+# Taylor polynomials are evaluated on matrices scaled to 1-norm at most this
+EXPM_THETA = 0.5
+UNIT_ROUNDOFF = 2.0**-53
+
+
 def expm(a):
-    """The matrix exponential of every matrix of a stack (..., m, m)."""
-    return np.eye(a.shape[-1]) + expm1_stack(a)
+    """The matrix exponential of every matrix of a stack (..., m, m), in one
+    pass of batched products: scaling and squaring of the Taylor polynomial
+    whose first omitted term, at the largest 1-norm theta, lies below the
+    unit round-off of exp(a) - I (about theta), which is carried without the
+    identity until the end."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise GeometryError("matrix exponential of a non-finite matrix")
+    squarings = max(0, math.ceil(math.log2(norm / EXPM_THETA))) if norm > 0 else 0
+    a = a / 2.0**squarings
+    theta = norm / 2.0**squarings
+    degree, omitted = 1, theta * theta / 2  # omitted = theta^(degree + 1) / (degree + 1)!
+    while omitted > UNIT_ROUNDOFF * theta:
+        degree += 1
+        omitted *= theta / (degree + 1)
+    eye = np.eye(a.shape[-1])
+    out = a / degree if degree > 1 else a
+    for k in range(degree - 1, 0, -1):  # Horner: a (I + a/2 (I + a/3 (... (I + a/degree))))
+        out = a @ (out + eye)
+        if k > 1:
+            out /= k
+    for _ in range(squarings):  # (I + d)^2 = I + (2d + d d)
+        out = 2 * out + out @ out
+    return eye + out
 
 
 # -- rolling curves -------------------------------------------------------------
 
-GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
-# the commutator-free CF4 step takes the blends alpha_1 c_1 + alpha_2 c_2, then
-# alpha_2 c_1 + alpha_1 c_2, of c at the two Gauss nodes, alpha = 1/4 +- sqrt(3)/6
-CF4_BLENDS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
-BLOCK = 256  # grid intervals (or CSV rows) per batch of the array kernels
+BLOCK = 256  # CSV rows per batch of write_csv
+# a segment of a sampled path ends within this of its next sample, relative to their size
+SAMPLE_TOL = 1e-8
 
 
 @dataclass
@@ -385,20 +410,19 @@ class RollingCurve:
 
 
 def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
-    """Integrate the rolling constraints along a driving path in the first
-    factor.  The isometry is kept constant in co-transported parallel frames
-    and re-expressed in the deterministic frames at each sample time.
+    """Roll along a driving path in the first factor without slipping or
+    twisting.  The isometry is kept constant in co-transported parallel
+    frames and re-expressed in the deterministic frames at each sample time.
 
     The roll starts from both points moved onto their manifolds and the
     rotation nearest to A, so that round-off in q0 is not amplified.  Rolling
     without slipping or twisting takes a geodesic to a geodesic, with A
     constant in the two parallel frames (Chitour and Kokkonen 2010): a
     GeodesicPath rolls along the canonical curve of its rolling lift, the
-    first factor's rows read from the path, and any other path by the
-    exponential steps of _roll_magnus.  A canonical curve holds every check
-    of a state to round-off at any step.  A Magnus or CF4 roll holds the
-    J-orthonormality of its carried rows to round-off, and its isometry to
-    the order of its step: the rows' residuals say how far.
+    first factor's rows read from the path at its grid of the given step,
+    and a SampledPath along the broken geodesic through its samples, one
+    segment after another by the same rule (_roll_broken), its rows its
+    samples.  Either holds every check of a state to round-off at any step.
 
     A bad path raises GeometryError, and a contact point leaving the interval
     of a warped factor raises DomainError.  Rows computed from a valid start
@@ -407,8 +431,10 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     one check of the rows written (RollingCurve) raises DomainError, naming
     the check and the first sample time whose written row fails it."""
     pair = q0.pair
-    times = np.asarray(path.sample_times(step), dtype=float)
-    if not np.allclose(path.point(float(times[0])), q0.x, atol=1e-8):
+    geodesic = isinstance(path, GeodesicPath)
+    times = path.sample_times(step) if geodesic else path.times
+    first = path.point(float(times[0])) if geodesic else pair.space.closest_point(path.points[0])
+    if not np.allclose(first, q0.x, atol=1e-8):
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
@@ -416,11 +442,13 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     start = RollingState(pair, pair.space.closest_point(q0.x),
                          pair.space_hat.closest_point(q0.x_hat), u @ vt)
     with np.errstate(all="ignore"):  # a row that overflows fails its check instead
-        if isinstance(path, GeodesicPath):
+        if geodesic:
             end = _canonical_states(start, rolling_lift(start, path.v0), times)
             x, x_hat, a = path.point(times), end.x_hat, end.isometry
         else:
-            x, x_hat, a = _roll_magnus(start, path, times, step)
+            x = pair.space.closest_point(path.points)
+            x[0] = start.x
+            x_hat, a = _roll_broken(start, x, times)
         x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry  # the first row is q0 itself
         try:
             return RollingCurve(pair, times, x, x_hat, a)
@@ -428,123 +456,44 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
             raise DomainError(f"the roll fails a check at t = {times[err.row]:.6g}: {err}") from None
 
 
-def _roll_magnus(start, path, times, step):
-    """Rows of (x, x_hat, A) at the sample times from the cleaned start
-    state of roll_along, grid block by grid block; one _redress call after
-    the last block gives every row's contact map.
+def _roll_broken(start, x, times):
+    """Rows of (x_hat, A) at the sample times from the cleaned start state
+    of roll_along, along the broken geodesic through the rows of x (the
+    first at start.x), segment by segment by the rule of a GeodesicPath: the
+    segment's velocity v = log(x_i, x_i+1) / dt keeps its coordinates in the
+    parallel frame, and its image runs along the geodesic of the second
+    factor that carries the images of that frame.
 
-    The first factor carries its parallel frame as the rows F of the frame
-    times sqrt|w| (_weight_roots), with F' = F Z for Z =
-    transport_generators(x, v).  F does not depend on the deterministic
-    frame, which jumps where its Gram-Schmidt skips a different basis
-    vector.  The second factor carries H, whose columns are the images of
-    that frame and then the point, moving with c, the coordinates of the
-    path velocity in the parallel frame: on a space form by 4th-order Magnus
-    steps of H' = H X(c), on a warped product by the commutator-free steps
-    of _develop_cf4.  c is needed at the Gauss nodes of each step, so F is
-    also carried from the start of the step to each node by a Magnus step
-    of its own."""
+    One stacked transport moves the deterministic frames E at x_i along
+    every segment, which gives each segment's transport fwd_i in E, and the
+    rows R of the parallel frame in E follow as R_i+1 = R_i fwd_i^T (R_0 =
+    I).  On the second factor the point and the images of the parallel
+    frame move by one transport per segment, along R_i c_i for the
+    coordinates c_i of v in E.  One _frames call at the end gives every A =
+    (E_hat W) images^T R.  A segment that ends off its next sample, where
+    two samples have no unique shortest geodesic, raises GeometryError."""
     m, mh, n = start.pair.space, start.pair.space_hat, start.pair.dim
-    counts, starts = _substep_starts(times, step)
-    grid = np.append(starts, times[-1])
-    out = np.append(0, np.cumsum(counts))  # the sample times within the grid
-
-    g = start.frame * _weight_roots(m, start.x)
-    size = g.shape[-1]
-    hh = np.column_stack(((start.isometry.T @ start.frame_hat).T, start.x_hat))
-    space_form = isinstance(mh, ConstantCurvature)
-    x = path.point(times)
-    g_out, x_hat = np.empty((len(times),) + g.shape), np.empty((len(times), mh.amb_dim))
-    image = np.empty((len(times), mh.amb_dim, n))
-    for lo in range(0, len(grid) - 1, BLOCK):
-        hi = min(lo + BLOCK, len(grid) - 1)
-        h = np.diff(grid[lo : hi + 1])
-        # three Magnus steps from each grid point: the step itself and the
-        # partial steps to its two Gauss nodes, each with its own two nodes
-        span = h[:, None] * np.concatenate(([1.0], GAUSS_NODES))
-        at = (grid[lo:hi, None, None] + span[:, :, None] * GAUSS_NODES).ravel()
-        pts, vel = path.flow(at)
-        z = m.transport_generators(pts, vel).reshape(-1, 2, size, size)
-        d = expm1_stack(_magnus(z, span.ravel())).reshape(hi - lo, 3, size, size)
-        step_d = running_products(d[:, 0])
-        g_start = np.concatenate((g[None], g + g @ step_d[:-1]))[:, None]
-        g_node = g_start + g_start @ d[:, 1:]
-        node_pts, node_vel = (p.reshape(hi - lo, 3, 2, -1)[:, 0] for p in (pts, vel))
-        frames = g_node / _weight_roots(m, node_pts)
-        c = m.inner_at(node_pts[..., None, :], frames, node_vel[..., None, :])
-        if space_form:
-            xi = mh.development_generators(c.reshape(-1, n)).reshape(hi - lo, 2, n + 1, n + 1)
-            hs = hh + hh @ running_products(expm1_stack(_magnus(xi, h)))
-        else:
-            hs = _develop_cf4(mh, hh, c, h)
-        gs = g + g @ step_d
-        g, hh = gs[-1], hs[-1]
-        keep = np.flatnonzero((out > lo) & (out <= hi))
-        at_row = out[keep] - lo - 1
-        g_out[keep], rows = gs[at_row], hs[at_row]
-        x_hat[keep], image[keep] = rows[..., n], rows[..., :n]
-    a = np.empty((len(times), n, n))
-    a[1:] = _redress(start.pair, x[1:], x_hat[1:], g_out[1:] / _weight_roots(m, x[1:]), image[1:])
-    return x, x_hat, a
-
-
-def _weight_roots(m, xs):
-    """sqrt|w| for the metric weights w of m at the points xs, a row against
-    frame rows.  Frame rows times it are orthonormal for the constant
-    signature J of w on every catalog factor (diag(1, fiber signature) on a
-    warped product, whatever f(s) is), and transport_generators gives Z with
-    Z J skew, so Magnus steps of F' = F Z keep F J F^T = I to round-off
-    along any path."""
-    return np.sqrt(np.abs(m.metric_weights(xs)))[..., None, :]
-
-
-def _magnus(gens, h):
-    """4th-order Magnus exponent of Y' = Y M(t) over steps of lengths h,
-    from M at the two Gauss nodes of each step (gens[:, 0] and gens[:, 1])."""
-    a, b = gens[:, 0], gens[:, 1]
-    h = h[:, None, None]
-    return h / 2 * (a + b) + MAGNUS_COMMUTATOR * h * h * (a @ b - b @ a)
-
-
-def _develop_cf4(mh, hh, c, h):
-    """H = (images of the parallel frame as columns, then the point) of a
-    warped second factor after each step of lengths h, from H at the start,
-    by the 4th-order commutator-free method of Celledoni, Marthinsen and
-    Owren (2003) with c, the velocity's coordinates in the images, at the
-    two Gauss nodes of each step.  With c frozen the point runs along a
-    geodesic that carries the images by parallel transport, so each of the
-    step's two exponentials is one transport_along_geodesic over the whole
-    step, for the blends CF4_BLENDS of c in turn: exact isometries, so the
-    images stay orthonormal at the point on the manifold with no settling."""
-    n = c.shape[-1]
-    hs = np.empty((len(h),) + hh.shape)
-    x_hat, image = hh[:, n], hh[:, :n].T
-    for j, blends in enumerate(CF4_BLENDS @ c):
-        for b in blends:
-            x_hat, image = mh.transport_along_geodesic(x_hat, b @ image, h[j], image)
-        hs[j, :, :n], hs[j, :, n] = image.T, x_hat
-    return hs
-
-
-def _substep_starts(times, step):
-    """The number of integration substeps of each grid interval between the
-    sample times (steps_for), and the start time of every substep, interval
-    by interval."""
-    counts = steps_for(np.diff(times), step)
-    which = np.repeat(np.arange(len(counts)), counts)
-    frac = (np.arange(counts.sum()) - (np.cumsum(counts) - counts)[which]) / counts[which]
-    return counts, times[which] + frac * np.diff(times)[which]
-
-
-def _redress(pair, x, x_hat, frame, image):
-    """The contact map in the deterministic frames at every row, from the
-    parallel frame at x (rows) and its images at x_hat (columns): A[j, i] is
-    the inner product of deterministic frame vector j at x_hat with the image
-    of deterministic frame vector i at x, expanded in the parallel frame."""
-    m, mh = pair.space, pair.space_hat
-    det_fr, det_fr_hat = m._frames(x), mh._frames(x_hat)
-    s = (frame * m.metric_weights(x)[..., None, :]) @ np.swapaxes(det_fr, 1, 2)
-    return (det_fr_hat * mh.metric_weights(x_hat)[..., None, :]) @ image @ s
+    dt = np.diff(times)
+    v = m.log(x[:-1], x[1:]) / dt[:, None]
+    frames = m._frames(x)
+    ends, moved = m.transport_along_geodesic(x[:-1, None], v[:, None], dt[:, None], frames[:-1])
+    size = np.maximum(np.abs(x[:-1]).max(axis=1), np.abs(x[1:]).max(axis=1))
+    miss = ~(np.abs(ends[:, 0] - x[1:]).max(axis=1) <= SAMPLE_TOL * size)
+    if miss.any():
+        i = int(np.argmax(miss))
+        raise GeometryError(f"no unique shortest geodesic joins the path samples at "
+                            f"t = {times[i]:.6g} and t = {times[i + 1]:.6g}")
+    fwd = (frames[1:] * m.metric_weights(x[1:])[..., None, :]) @ _transposed(moved)
+    c = m.frame_coords(x[:-1], frames[:-1], v)
+    rows, x_hat = np.empty((len(times), n, n)), np.empty((len(times), mh.amb_dim))
+    images = np.empty((len(times), n, mh.amb_dim))
+    rows[0], x_hat[0], images[0] = np.eye(n), start.x_hat, start.isometry.T @ start.frame_hat
+    for i, h in enumerate(dt):
+        rows[i + 1] = rows[i] @ fwd[i].T
+        x_hat[i + 1], images[i + 1] = mh.transport_along_geodesic(
+            x_hat[i], rows[i] @ c[i] @ images[i], h, images[i])
+    weighted = mh._frames(x_hat) * mh.metric_weights(x_hat)[..., None, :]
+    return x_hat, weighted @ _transposed(images) @ rows
 
 
 # -- derivatives of fields of tangent rows ---------------------------------------

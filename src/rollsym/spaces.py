@@ -84,6 +84,17 @@ def _atan_k(k, y, x):
     return (np.arctan2(r * y, x) if k > 0 else np.arctanh(r * y / x)) / r
 
 
+def _distance_k(k, size, cos):
+    """The distance a >= 0 with S = size and C = cos for C and S of k at a
+    (_k_functions), from both: atan_k(size / cos) when k >= 0, and when k <
+    0, where C^2 = 1 - k S^2 and tanh loses the digits of long distances,
+    asinh(sqrt(-k) size) / sqrt(-k)."""
+    if k >= 0:
+        return _atan_k(k, size, cos)
+    r = math.sqrt(-k)
+    return np.arcsinh(r * size) / r
+
+
 def _turning_points(k, a, b, t):
     """The times between 0 and t (t included) at which a C + b S vanishes,
     for C and S of k as in _k_functions, and 0 in place of those that do not
@@ -199,11 +210,6 @@ class SpaceForm:
         """Project ambient coordinates back onto the manifold (best effort)."""
         raise NotImplementedError
 
-    def closest_point_rate(self, x, xdot):
-        """The derivative of closest_point at ambient coordinates x along
-        xdot: xdot itself on R^n, which closest_point leaves as it is."""
-        return np.array(xdot, dtype=float)
-
     # -- metric ------------------------------------------------------------
 
     def metric_weights(self, x):
@@ -233,6 +239,13 @@ class SpaceForm:
         """(point, transported w) at time t of the geodesic with initial data
         (x, v): the geodesic is evaluated once for both.  The point has the
         leading axes of x, v and t broadcast, the transport those of w too."""
+        raise NotImplementedError
+
+    def log(self, x, x1):
+        """The velocity at x whose geodesic reaches x1 at time 1, in closed
+        form, and 0 where x1 = x; the leading axes of x and x1 broadcast.  A
+        pair with no unique shortest geodesic (antipodes of a sphere, say)
+        gets a velocity whose geodesic misses x1."""
         raise NotImplementedError
 
     # -- curvature -----------------------------------------------------------
@@ -339,11 +352,9 @@ class ConstantCurvature(SpaceForm):
 
     Their metric is the constant diagonal `signature` of the ambient
     coordinates, and a point x of a curved form satisfies <x, x> = 1/K for its
-    curvature K; every closed form below follows from these two facts.  Along
-    a curve, the rows of a parallel frame move by exponentials of
-    transport_generators, and the point with the images of a frame as
-    columns by those of development_generators.  A curved form of radius r
-    has curvature sign / r^2, and sign in the signature of coordinate 0.
+    curvature K; every closed form below follows from these two facts.  A
+    curved form of radius r has curvature sign / r^2, and sign in the
+    signature of coordinate 0.
     """
 
     signature: np.ndarray
@@ -448,30 +459,24 @@ class ConstantCurvature(SpaceForm):
         cos, sin, _ = _k_functions(k, speed * np.asarray(t, dtype=float)[..., None])
         return cos * x + sin * u, w + _col(self.inner_at(x, w, u)) * ((cos - 1.0) * u - k * sin * x)
 
+    def log(self, x, x1):
+        """x1 = C x + S u for the unit direction u and C and S of K at the
+        distance, so w = project(x, x1 - x) is S u and C = 1 + K<x, x1 - x>:
+        the distance is _distance_k(|w|, C), 0 where w = 0.  C is read from x1 - x
+        so that a short segment keeps its digits, and is exactly 1 on R^n."""
+        k = self.curvature_constant
+        step = np.asarray(x1, dtype=float) - x
+        w = self.project(x, step)
+        size = np.sqrt(np.maximum(self.inner_at(x, w, w), 0.0))
+        dist = _distance_k(k, size, 1.0 + k * self.inner_at(x, x, step))
+        return _col(dist / np.where(size > 0, size, 1.0)) * w
+
     def curvature_matrix_apply(self, x, xi):
         return self.curvature_constant * np.asarray(xi)
 
     def curvature_derivative_apply(self, x, c, xi):
         """Zero: the curvature operator of a space form is K times the identity."""
         return np.zeros(np.broadcast_shapes(np.shape(c)[:-1] + (1, 1), np.shape(xi)))
-
-    def transport_generators(self, xs, vs):
-        """Z with F' = F Z for the rows F of a parallel frame along a curve
-        through the rows of xs with velocities vs: Z = K (Jx v^T - Jv x^T),
-        zero on R^n.  Z J is skew for the signature J, so F J F^T stays
-        fixed."""
-        k, w = self.curvature_constant, self.signature
-        return k * ((w * xs)[:, :, None] * vs[:, None, :] - (w * vs)[:, :, None] * xs[:, None, :])
-
-    def development_generators(self, cs):
-        """X with H' = H X for the matrix H whose columns are a frame and then
-        its point, the point moving with frame coordinates cs of its velocity
-        while the frame stays parallel: X = [[0, c], [-K c^T, 0]]."""
-        n = self.dim
-        x = np.zeros((len(cs), n + 1, n + 1))
-        x[:, :n, n] = cs
-        x[:, n, :n] = -self.curvature_constant * cs
-        return x
 
 
 class Euclidean(ConstantCurvature):
@@ -508,10 +513,6 @@ class Sphere(ConstantCurvature):
     def closest_point(self, x):
         return self.radius * np.asarray(x, dtype=float) / np.linalg.norm(x, axis=-1, keepdims=True)
 
-    def closest_point_rate(self, x, xdot):
-        """r / |x| times the part of xdot orthogonal to x (project divides by <x, x>)."""
-        return self.radius / np.linalg.norm(x, axis=-1, keepdims=True) * self.project(x, xdot)
-
     def random_point(self, rng, shape=()):
         v = rng.standard_normal(shape + (self.amb_dim,))
         return self.radius * v / np.sqrt(np.vecdot(v, v))[..., None]
@@ -531,12 +532,6 @@ class Hyperbolic(ConstantCurvature):
         x = np.array(x, dtype=float)
         x[..., 0] = np.sqrt(self.radius**2 + np.sum(x[..., 1:] ** 2, axis=-1))
         return x
-
-    def closest_point_rate(self, x, xdot):
-        """xdot with its time part y . ydot / x_0 for the space parts y, ydot."""
-        y, rate = np.asarray(x, dtype=float)[..., 1:], np.array(xdot, dtype=float)
-        rate[..., 0] = np.vecdot(y, rate[..., 1:]) / np.sqrt(self.radius**2 + np.vecdot(y, y))
-        return rate
 
     def random_point(self, rng, shape=()):
         spatial = rng.standard_normal(shape + (self.dim,))
@@ -649,11 +644,6 @@ class Warped(SpaceForm):
         s = np.minimum(np.maximum(x[..., 0], self.interval[0]), self.interval[1])
         return _stack(s, self.fiber.closest_point(x[..., 1:]))
 
-    def closest_point_rate(self, x, xdot):
-        """No radial rate where s is clamped to the interval, then the fiber's."""
-        return _stack(np.where(self._inside(x[..., 0]), xdot[..., 0], 0.0),
-                      self.fiber.closest_point_rate(x[..., 1:], xdot[..., 1:]))
-
     def _check_s(self, s):
         s = np.asarray(s)
         inside = self._inside(s)
@@ -711,21 +701,6 @@ class Warped(SpaceForm):
         out[:, 0, 0] = 1.0
         out[:, 1:, 1:] = self.fiber._frames(xs[:, 1:], f * f) / f[..., None]
         return out
-
-    def transport_generators(self, xs, vs):
-        """Z with F' = F Z for the rows F of a parallel frame times sqrt|w|
-        (metric_weights) along a curve through the rows of xs with velocities
-        vs.  With q the fiber part of a row of F (f times the frame vector's)
-        and a its radial part, the transport equations read a' = f'(s) <q,
-        y'>_h and q' = -f'(s) a y' + (q's fiber transport), the last from the
-        fiber's own generator.  Z J is skew for J = diag(1, fiber signature)."""
-        fp = _col(self.warp.derivative(xs[:, 0]))
-        y, ydot = xs[:, 1:], vs[:, 1:]
-        z = np.zeros((len(xs), self.amb_dim, self.amb_dim))
-        z[:, 0, 1:] = -fp * ydot
-        z[:, 1:, 0] = fp * self.fiber.signature * ydot
-        z[:, 1:, 1:] = self.fiber.transport_generators(y, ydot)
-        return z
 
     def _clairaut_flow(self, x, v, t):
         """The unit fiber direction u of y' (0 where y' = 0) and f(s0), then
@@ -786,6 +761,31 @@ class Warped(SpaceForm):
         omega = w[..., 1:] - _col(alpha) * u  # h-orthogonal to u: the fiber transport keeps it
         y, sigma_dot = self.fiber.geodesic_flow(y0, u, phi)
         return _stack(s, y), _stack(a, _col(b / f) * sigma_dot + _col(f0 / f) * omega)
+
+    def log(self, x, x1):
+        """The geodesic stays in the surface I x_f sigma over the fiber
+        geodesic sigma from y to y1, of length phi (the fiber's log eta).
+        Map that surface into the model of curvature k = k_ref, the points p
+        with p0^2 + k (p1^2 + p2^2) = 1, with x at the origin (1, 0, 0): s runs
+        along the geodesic (C, S, 0) of k, and the fiber along the Killing
+        field B = f0 T2 + f0' R (f and f' at s0), which is (0, 0, f) at (C, S,
+        0), f = f0 C + f0' S the warp at s1.  exp(phi B) = 1 + S_I B + V_I B^2
+        for the invariant I carries (C, S, 0) to the image p of x1, p = (C -
+        V_I k f0 f, S - V_I f0' f, S_I f), and the log at the origin is the
+        distance _distance_k(|(p1, p2)|, p0) along (p1, p2), with p2 along
+        eta / (f0 phi)."""
+        x, x1 = np.asarray(x, dtype=float), np.asarray(x1, dtype=float)
+        k, s0, y = self.warp.k_ref, x[..., 0], x[..., 1:]
+        f0, fp0 = self.warp.value(s0), self.warp.derivative(s0)
+        eta = self.fiber.log(y, x1[..., 1:])
+        phi = np.sqrt(np.maximum(self.fiber.inner_at(y, eta, eta), 0.0))
+        cos, sin, _ = _k_functions(k, x1[..., 0] - s0)
+        _, sin_i, ver_i = _k_functions(self.warp.invariant, phi)
+        f = f0 * cos + fp0 * sin
+        p1, p2 = sin - ver_i * fp0 * f, sin_i * f
+        size = np.hypot(p1, p2)
+        scale = _distance_k(k, size, cos - ver_i * k * f0 * f) / np.where(size > 0, size, 1.0)
+        return _stack(scale * p1, _col(scale * p2 / (f0 * np.where(phi > 0, phi, 1.0))) * eta)
 
     def fiber_plane_curvature(self, s):
         f = self.warp.value(s)
@@ -895,13 +895,12 @@ class GeodesicPath:
 
 
 class SampledPath:
-    """Driving path given by dense samples: the point is the closest point
-    of a cubic spline through the ambient coordinates and the velocity its
-    derivative (closest_point_rate along the spline's).  Point and flow also
-    take an array of times and return one row per time."""
+    """Driving path given by samples: the broken geodesic through them, the
+    geodesic from each sample to the next (SpaceForm.log) run over the time
+    between them.  roll_along moves the samples onto the manifold and rolls
+    along one segment after another."""
 
     def __init__(self, manifold: SpaceForm, times, points):
-        self.manifold = manifold
         self.times = np.asarray(times, dtype=float)
         pts = np.asarray(points, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
@@ -916,84 +915,3 @@ class SampledPath:
         if np.any(manifold.point_error(pts) > 1e-8):
             raise GeometryError("path sample lies off the manifold")
         self.points = pts
-        self._spline = NotAKnotSpline(self.times, pts)
-
-    @property
-    def t_max(self):
-        return float(self.times[-1])
-
-    def point(self, t):
-        return self.manifold.closest_point(self._spline.value(t))
-
-    def flow(self, t):
-        """(point, velocity) at t."""
-        y = self._spline.value(t)
-        return (self.manifold.closest_point(y),
-                self.manifold.closest_point_rate(y, self._spline.derivative(t)))
-
-    def sample_times(self, step):
-        return self.times
-
-
-class NotAKnotSpline:
-    """The not-a-knot cubic spline through the rows y[i] at the strictly
-    increasing times x[i], and its derivative; both extend the end pieces
-    beyond the grid.  Two knots give the line through them and three the
-    parabola, for the two not-a-knot conditions of a single interior knot
-    coincide.  From four knots on, the slopes at the knots solve the
-    tridiagonal system of a C2 cubic whose third derivative is also
-    continuous at the second and the second-to-last knot."""
-
-    def __init__(self, x, y):
-        self.x = x
-        dx = np.diff(x)
-        h = dx[:, None]
-        slope = np.diff(y, axis=0) / h
-        if len(x) <= 3:  # the polynomial through the knots, by its second divided difference
-            second = (slope[-1] - slope[0]) / (x[-1] - x[0])
-            s = np.concatenate((slope - second * h, slope[-1:] + second * h[-1:]))
-        else:
-            s = _not_a_knot_slopes(x, dx, slope)
-        # the Hermite cubic of each interval in powers of (t - x[i]), highest first
-        bend = (s[:-1] + s[1:] - 2 * slope) / h
-        self._coeffs = np.stack((bend / h, (slope - s[:-1]) / h - bend, s[:-1], y[:-1]))
-        self._dcoeffs = self._coeffs[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
-
-    def value(self, t):
-        return self._horner(t, self._coeffs)
-
-    def derivative(self, t):
-        return self._horner(t, self._dcoeffs)
-
-    def _horner(self, t, coeffs):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
-        d = (t - self.x[i])[..., None]
-        out = coeffs[0][i]
-        for c in coeffs[1:]:
-            out = out * d + c[i]
-        return out
-
-
-def _not_a_knot_slopes(x, dx, slope):
-    """Slopes at four or more knots of the not-a-knot spline with interval
-    slopes `slope`: interior rows make the second derivative continuous, the
-    first and last rows the third, and the tridiagonal system is solved by
-    forward elimination and back substitution (the Thomas algorithm)."""
-    h = dx[:, None]
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    lower = [0.0, *dx[1:].tolist(), d1]
-    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
-    upper = [d0, *dx[:-1].tolist(), 0.0]
-    rhs = np.concatenate((
-        ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1])[None] / d0,
-        3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
-        (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1])[None] / d1))
-    for i in range(1, len(rhs)):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    rhs[-1] /= diag[-1]
-    for i in range(len(rhs) - 2, -1, -1):
-        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    return rhs

@@ -2,6 +2,7 @@ import ast
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -224,13 +225,15 @@ def test_simulate_sampled_path_file(tmp_path):
 
 
 @pytest.mark.parametrize("step, tolerance, code", [
-    ("0.25", None, 1), ("0.125", None, 0), ("0.25", 1e-3, 0), ("0.1", 1e-12, 1), ("0.01", 1e-12, 0),
-], ids=["coarse", "fine", "coarse-lenient", "fine-strict", "finest-strict"])
+    ("0.25", None, 0), ("0.125", None, 0), ("0.25", 1e-3, 0), ("0.1", 1e-12, 0), ("0.01", 1e-12, 0),
+    ("0.25", 1e-15, 1),
+], ids=["coarse", "fine", "coarse-lenient", "fine-strict", "finest-strict", "below-round-off"])
 def test_a_sampled_roll_exits_by_its_isometry_tolerance(tmp_path, capsys, step, tolerance, code):
-    # a Magnus roll's isometry residual is truncation error (3.6e-7 at step
-    # 0.25, 2.0e-9 at 0.125, 8.0e-11 at 0.1 and 1.3e-15 at 0.01): the
-    # configured tolerance decides exit 0 or 1, where a fixed 1e-9 check of
-    # the rows used to exit 3 whatever the tolerance
+    # 9 samples of a latitude circle roll as the broken geodesic through
+    # them, whose isometry residual is round-off (1.6e-15) and whose report
+    # is the same at every step: the configured tolerance decides exit 0 or
+    # 1, where a fixed 1e-9 check of the rows used to exit 3 whatever the
+    # tolerance
     t = np.arange(9) * 0.25
     c = np.cos(0.6)
     pts = np.column_stack((t, c * np.cos(3 * t), c * np.sin(3 * t), np.full(9, np.sin(0.6))))
@@ -245,6 +248,10 @@ def test_a_sampled_roll_exits_by_its_isometry_tolerance(tmp_path, capsys, step, 
     assert capsys.readouterr().out.startswith("max isometry residual: ")
     residual = json.loads(out.read_text())["max_isometry_residual"]
     assert (residual < (tolerance or 1e-7)) == (code == 0)
+    other = tmp_path / "other.json"
+    main(["--config", cfg, "simulate", "--step", "0.013", "--format", "json", "--out", str(other),
+          "--path-spec", path])
+    assert other.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -396,8 +403,9 @@ def test_a_long_roll_on_a_hyperbolic_factor_is_a_domain_error(tmp_path, kinds, l
 
 def test_a_sampled_roll_out_of_a_warped_interval_is_a_domain_error(tmp_path):
     # a straight samples-file path in the plane develops along d/ds of
-    # cos x R^1 and leaves (-1.2, 1.2) at t = 1.2: the commutator-free step
-    # that crosses it raises, so exit 3 with one line and no NumPy warning
+    # cos x R^1 and leaves (-1.2, 1.2) at t = 1.2: the transport of the
+    # segment that crosses it raises, so exit 3 with one line and no NumPy
+    # warning
     warped = {"kind": "warped", "dim": 2, "interval": [-1.2, 1.2], "warp": {"name": "cos"},
               "fiber": {"kind": "euclidean", "dim": 1}}
     state = {"x": [0.0, 0.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
@@ -414,6 +422,63 @@ def test_a_sampled_roll_out_of_a_warped_interval_is_a_domain_error(tmp_path):
     assert line.startswith("domain error: radial coordinate 1.2")
     assert line.endswith("left the interval (-1.2, 1.2)")
     assert not (tmp_path / "traj.csv").exists()
+
+
+def _simulate_samples(tmp_path, pair, state, rows):
+    """simulate on the samples file of the given rows, in a fresh process
+    that shows every warning: (exit code, stderr lines, whether an output
+    file was written)."""
+    cfg = write_config(tmp_path, {"manifold_pair": pair, "seed": 0, "initial_state": state})
+    np.savetxt(tmp_path / "path.csv", rows, delimiter=",", fmt="%.17g")
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "rollsym", "--config", cfg, "simulate",
+         "--out", "traj.csv", "--path-spec", json.dumps({"type": "samples", "file": "path.csv"})],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr.splitlines(), (tmp_path / "traj.csv").exists()
+
+
+COS_S1 = {"kind": "warped", "dim": 2, "interval": [-1.2, 1.2], "warp": {"name": "cos"},
+          "fiber": {"kind": "sphere", "dim": 1, "radius": 1.0}}
+
+
+@pytest.mark.parametrize("pair, state, rows", [
+    # antipodes of S2(1) at t = 0.5 and t = 1.25
+    ([SPHERES_1_3["manifold_pair"][0], {"kind": "euclidean", "dim": 2}],
+     {"x": [0.0, 0.6, 0.8], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]},
+     [[0.0, 0.0, 0.6, 0.8], [0.5, 0.0, 0.0, 1.0], [1.25, 0.0, 0.0, -1.0]]),
+    # antipodal fiber points of cos x S1, at one s
+    ([COS_S1, {"kind": "sphere", "dim": 2, "radius": 1.0}],
+     {"x": [0.3, 1.0, 0.0], "x_hat": [0.0, 0.0, 1.0], "A": [[1.0, 0.0], [0.0, 1.0]]},
+     [[0.0, 0.3, 1.0, 0.0], [0.5, 0.2, 0.0, 1.0], [1.25, 0.2, 0.0, -1.0]]),
+], ids=["S2 antipodes", "cos S1 fiber antipodes"])
+def test_samples_with_no_unique_shortest_geodesic_between_them_exit_2(tmp_path, pair, state,
+                                                                      rows):
+    # no segment joins the two samples: the roll names both sample times
+    code, lines, written = _simulate_samples(tmp_path, pair, state, rows)
+    assert (code, written) == (2, False)
+    assert lines == ["error: no unique shortest geodesic joins the path samples at t = 0.5 "
+                     "and t = 1.25"]
+
+
+def test_a_samples_segment_that_leaves_a_warped_interval_exits_3(tmp_path):
+    # both samples lie inside (-1.2, 1.2) on cos x S1, but the shortest
+    # geodesic between them bends out to where f is smaller, past s = 1.2
+    state = {"x": [1.1, 1.0, 0.0], "x_hat": [0.0, 0.0, 1.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
+    rows = [[0.0, 1.1, 1.0, 0.0], [1.0, 1.1, math.cos(2.5), math.sin(2.5)]]
+    code, lines, written = _simulate_samples(
+        tmp_path, [COS_S1, {"kind": "sphere", "dim": 2, "radius": 1.0}], state, rows)
+    assert (code, written) == (3, False)
+    line, = lines
+    assert line.startswith("domain error: radial coordinate ")
+    assert line.endswith("left the interval (-1.2, 1.2)")
+
+
+def test_samples_that_do_not_start_at_the_contact_point_exit_2(tmp_path):
+    state = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
+    rows = [[0.0, math.sin(1e-6), 0.0, math.cos(1e-6)], [1.0, 0.0, 1.0, 0.0]]
+    code, lines, written = _simulate_samples(tmp_path, SPHERE_PLANE["manifold_pair"], state, rows)
+    assert (code, written) == (2, False)
+    assert lines == ["error: driving path does not start at the contact point"]
 
 
 def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
@@ -1118,23 +1183,24 @@ def _constant_samples_run(tmp_path, times):
 
 
 def test_simulate_caps_the_grid_of_samples_by_their_time_span(tmp_path, capsys):
-    # the roll substeps from the first sample time: 2e6 substeps over (-20, 0)
+    # a samples path takes no grid steps, so the step caps no span of samples:
+    # (-20, 0) at step 1e-5 rolls one segment, one row per sample
     code, out = _constant_samples_run(tmp_path, (-20.0, 0.0))
-    assert code == 2
-    assert "grid intervals" in capsys.readouterr().err
-    assert not out.exists()
+    assert code == 0
+    assert "grid intervals" not in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 3  # header + one state per sample
 
 
 def test_simulate_caps_the_grid_by_the_span_to_the_last_sample(tmp_path, capsys):
-    # the span runs from the first sample time to the last, not to the second
+    # nor the span from the first sample time to the last
     code, out = _constant_samples_run(tmp_path, (-20.0, -19.9, 0.0))
-    assert code == 2
-    assert "grid intervals" in capsys.readouterr().err
-    assert not out.exists()
+    assert code == 0
+    assert "grid intervals" not in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_simulate_rolls_late_samples_whose_span_is_short(tmp_path):
-    # 5e4 substeps over (20, 20.5), although the last time over the step is 2e6
+    # one segment over (20, 20.5), although the last time over the step is 2e6
     code, out = _constant_samples_run(tmp_path, (20.0, 20.5))
     assert code == 0
     assert len(out.read_text().splitlines()) == 3  # header + one state per sample

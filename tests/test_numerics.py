@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rollsym import GeometryError
 from scipy.linalg import expm
 
-from rollsym.numerics import (ROW_FLOOR, central_diff, cut_margin, equilibrate, expm1_stack,
-                              numerical_rank, running_products, stencil_offsets)
+from rollsym.numerics import (ROW_FLOOR, central_diff, cut_margin, equilibrate, numerical_rank,
+                              stencil_offsets)
+from rollsym.rolling import expm as rolling_expm
 
 # h = 1/2 and integer coefficients keep every sample and every partial sum
 # exact in binary, so exactness is checked with ==
@@ -192,20 +193,22 @@ def test_the_per_layer_rule_is_the_batch_rule_bit_for_bit(case):
     assert np.array_equal(sv, want_sv)
 
 
-# -- matrix exponentials and running products ------------------------------------------
+# -- the matrix exponential -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0])
 def test_expm1_stack_matches_scipy_on_every_matrix(scale):
+    # rolling.expm, the one matrix exponential, on stacks of general matrices
     rng = np.random.default_rng(5)
     stack = scale * rng.standard_normal((40, 4, 4))
     ref = np.array([expm(a) for a in stack])
-    got = np.eye(4) + expm1_stack(stack)
+    got = rolling_expm(stack)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # any leading shape, and a single matrix
-    assert np.allclose(expm1_stack(stack.reshape(4, 10, 4, 4)).reshape(40, 4, 4), got - np.eye(4),
+    assert np.allclose(rolling_expm(stack.reshape(4, 10, 4, 4)).reshape(40, 4, 4), got,
                        rtol=0, atol=1e-15)
-    assert np.allclose(expm1_stack(stack[0]), got[0] - np.eye(4), rtol=0, atol=1e-15)
+    assert np.allclose(rolling_expm(stack[0]), got[0], rtol=0, atol=1e-15)
+    assert np.array_equal(rolling_expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 def test_expm1_stack_of_rotation_generators_is_the_rotation():
@@ -213,34 +216,13 @@ def test_expm1_stack_of_rotation_generators_is_the_rotation():
     angles = np.array([1e-4, 0.3, 2.0, 7.5, 40.0])
     gens = np.zeros((len(angles), 3, 3))
     gens[:, 0, 1], gens[:, 1, 0] = -angles, angles
-    rot = np.eye(3) + expm1_stack(gens)
+    rot = rolling_expm(gens)
     c, s = np.cos(angles), np.sin(angles)
     assert np.allclose(rot[:, 0, 0], c, rtol=0, atol=1e-13)
     assert np.allclose(rot[:, 1, 0], s, rtol=0, atol=1e-13)
     assert np.abs(np.swapaxes(rot, 1, 2) @ rot - np.eye(3)).max() < 1e-13
 
 
-def test_expm1_stack_keeps_the_digits_of_small_generators():
-    # exp(a) - I of a tiny generator is a + a^2/2 to within round-off of a itself;
-    # forming exp(a) first would leave only the digits of a above 1e-16
-    a = 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = expm1_stack(a[None])[0]
-    assert np.abs(out - (a + a @ a / 2)).max() <= 1e-16 * np.abs(a).max()
-    assert np.array_equal(expm1_stack(np.zeros((3, 2, 2))), np.zeros((3, 2, 2)))
-
-
 def test_expm1_stack_rejects_non_finite_matrices():
     with pytest.raises(GeometryError):
-        expm1_stack(np.array([[[0.0, math.nan], [0.0, 0.0]]]))
-
-
-@pytest.mark.parametrize("count", [1, 2, 5, 37])
-def test_running_products_match_the_sequential_product(count):
-    rng = np.random.default_rng(count)
-    d = 0.3 * rng.standard_normal((count, 3, 3))
-    out = running_products(d)
-    prod = np.eye(3)
-    for i in range(count):
-        prod = prod @ (np.eye(3) + d[i])
-        assert np.allclose(np.eye(3) + out[i], prod, rtol=0, atol=1e-13)
-
+        rolling_expm(np.array([[[0.0, math.nan], [0.0, 0.0]]]))

@@ -13,7 +13,6 @@ from rollsym import (DomainError, Euclidean, GeodesicPath, GeometryError, Hyperb
 from rollsym.curvature import (rolling_curvature, skew_part, skew_to_vector, vector_to_skew,
                                wedge_matrix)
 from rollsym.rolling import (
-    _roll_magnus,
     RollingCurve,
     RollingPair,
     _pull_back,
@@ -45,13 +44,12 @@ def stack(pair, states):
     return pair.state(*(np.array(v) for v in zip(*((q.x, q.x_hat, q.isometry) for q in states))))
 
 
-def magnus_roll(q0, path, step):
-    """The checked rows of roll_along through the Magnus kernel, which a
-    geodesic path does not take."""
+def sampled_roll(q0, path, step):
+    """roll_along on the points of a geodesic path at its grid of the given
+    step, given as a SampledPath: the broken geodesic through them is the
+    geodesic itself, which this rolls one segment at a time."""
     times = path.sample_times(step)
-    x, x_hat, a = _roll_magnus(q0, path, times, step)
-    x[0], x_hat[0], a[0] = q0.x, q0.x_hat, q0.isometry
-    return RollingCurve(q0.pair, times, x, x_hat, a)
+    return roll_along(q0, SampledPath(path.manifold, times, path.point(times)))
 
 
 # -- states and lifts ----------------------------------------------------------------
@@ -288,8 +286,8 @@ def test_matched_spheres_preserve_the_diagonal():
     q0 = pair.state(x, x, np.eye(2))
     v = pair.space.random_tangent(RNG, x, unit=True)
     path = GeodesicPath(pair.space, x, v, 2.0)
-    coarse = magnus_roll(q0, path, step=1e-3).final_state()
-    fine = magnus_roll(q0, path, step=1e-4).final_state()
+    coarse = sampled_roll(q0, path, step=1e-3).final_state()
+    fine = sampled_roll(q0, path, step=1e-4).final_state()
     assert np.linalg.norm(coarse.x_hat - coarse.x) < 1e-8
     assert np.abs(coarse.isometry - np.eye(2)).max() < 1e-8
     assert np.linalg.norm(coarse.x_hat - fine.x_hat) < 1e-9
@@ -300,8 +298,8 @@ def test_roll_reversibility():
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.7)
-    out = magnus_roll(q0, path, step=1e-3)
-    back = magnus_roll(out.final_state(), path.reversed(), step=1e-3).final_state()
+    out = sampled_roll(q0, path, step=1e-3)
+    back = sampled_roll(out.final_state(), path.reversed(), step=1e-3).final_state()
     assert np.linalg.norm(back.x - q0.x) < 1e-6
     assert np.linalg.norm(back.x_hat - q0.x_hat) < 1e-6
     assert np.abs(back.isometry - q0.isometry).max() < 1e-6
@@ -317,13 +315,13 @@ def test_isometry_residual_and_orientation_along_curves():
 
 
 def test_coarse_roll_stays_on_the_constraints():
-    # the group-valued kernel needs no projection: at a coarse step every row
-    # is an isometry to round-off and the end point is the closed form's
+    # the segment kernel needs no projection: at a coarse step every row is
+    # an isometry to round-off and the end point is the closed form's
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     q0 = pair.random_state(RNG)
     v = pair.space.random_tangent(RNG, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, 1.0)
-    curve = magnus_roll(q0, path, step=1e-2)
+    curve = sampled_roll(q0, path, step=1e-2)
     exact = tangent_curve(q0, rolling_lift(q0, v), 1.0)
     assert np.linalg.norm(curve.final_state().x_hat - exact.x_hat) < 1e-7
     assert curve.residuals.max() < 1e-12
@@ -351,9 +349,7 @@ def catalog_rolls(draw):
     """space_form_rolls, or a roll on a pair with a warped factor in either
     slot.  Its unit-speed geodesic is at most 0.3 long, so that neither
     contact point leaves the interval (random_point keeps 0.36 from its ends),
-    and its step at most 1e-2, where the Magnus steps of a warped first
-    factor's frame, which are not exact along its geodesics, stay within
-    1e-9 of the closed form."""
+    and its step at most 1e-2."""
     warped = ALL_CATALOG_PAIRS.filter(lambda p: "warped" in (p.space.kind, p.space_hat.kind))
     return draw(space_form_rolls() | st.tuples(warped, st.integers(0, 2**32 - 1),
                                                 st.floats(1e-3, 0.3), st.floats(1e-3, 1e-2)))
@@ -375,7 +371,7 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, length)
-    curve = magnus_roll(q0, path, step=step)
+    curve = sampled_roll(q0, path, step=step)
     for m, pts in ((pair.space, curve.x), (pair.space_hat, curve.x_hat)):
         assert m.constraint_residual(pts).max() <= POINT_TOL
     assert curve.residuals.max() < 1e-11
@@ -383,7 +379,7 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     end, exact = curve.final_state(), tangent_curve(q0, rolling_lift(q0, v), length)
     assert np.abs(end.x_hat - exact.x_hat).max() < 1e-9 * _scale(exact.x_hat)
     assert np.abs(end.isometry - exact.isometry).max() < 1e-9 * _scale(exact.x_hat)
-    back = magnus_roll(end, path.reversed(), step=step).final_state()
+    back = sampled_roll(end, path.reversed(), step=step).final_state()
     assert np.abs(back.x - q0.x).max() < 1e-9 * _scale(end.x)
     assert np.abs(back.x_hat - q0.x_hat).max() < 1e-9 * _scale(end.x_hat)
     assert np.abs(back.isometry - q0.isometry).max() < 1e-9 * _scale(end.x_hat)
@@ -392,29 +388,28 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
 @settings(max_examples=40, deadline=None)
 @given(catalog_rolls())
 @example((RollingPair(Euclidean(3), Hyperbolic(3, 1.0)), 4058, 3.0, 0.0625))
-# the corner layouts of the Magnus kernel: sqrt|w| with negative signature
-# entries and an R^n second factor, a warped first factor over R^n, and R^n
-# in both slots
+# the corner layouts: negative signature entries and an R^n second factor, a
+# warped first factor over R^n, and R^n in both slots
 @example((RollingPair(Warped((-1.2, 1.2), WarpFunction("cosh"), Hyperbolic(1, 1.0)),
                       Euclidean(2)), 0, 0.3, 1e-2))
 @example((RollingPair(Warped((-1.2, 1.2), WarpFunction("affine", 1.0, 0.3), Euclidean(2)),
                       Sphere(3, 1.0)), 1, 0.3, 1e-2))
 @example((RollingPair(Euclidean(2), Euclidean(2)), 2, 3.0, 1e-2))
-def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
-    # roll_along takes the closed form on every pair, and the Magnus kernel
-    # is its oracle, CF4 included on a warped second factor (and the other
-    # way round)
+def test_geodesic_rolls_on_space_forms_match_rk4_row_by_row(roll):
+    # roll_along takes the closed form on every pair, and the test-local RK4
+    # on both parallel frames, from transport_rhs alone, is its oracle at
+    # every row; RK4 steps of at most 2e-3 miss by 1.3e-10 at worst (pi along
+    # S2(0.5)) and cost about 80 us each
     pair, seed, length, step = roll
     rng = np.random.default_rng(seed)
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     path = GeodesicPath(pair.space, q0.x, v, length)
-    curve, magnus = roll_along(q0, path, step=step), magnus_roll(q0, path, step)
-    assert np.array_equal(curve.times, magnus.times)
-    assert np.array_equal(curve.x, magnus.x)
-    scale = np.maximum(1.0, np.abs(magnus.x_hat).max(axis=1))
-    assert np.all(np.abs(curve.x_hat - magnus.x_hat).max(axis=1) < 1e-9 * scale)
-    assert np.all(np.abs(curve.A - magnus.A).max(axis=(1, 2)) < 1e-9 * scale)
+    curve = roll_along(q0, path, step=step)
+    x_hat, a = rk4_roll(q0, ClosedFormPath(path.flow, curve.times), 2e-3)
+    scale = np.maximum(1.0, np.abs(x_hat).max(axis=1))
+    assert np.all(np.abs(curve.x_hat - x_hat).max(axis=1) < 1e-9 * scale)
+    assert np.all(np.abs(curve.A - a).max(axis=(1, 2)) < 1e-9 * scale)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -424,19 +419,17 @@ def test_geodesic_rolls_on_space_forms_match_the_magnus_kernel_row_by_row(roll):
     (Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0)))], ids=repr)
 def test_a_geodesic_roll_on_space_forms_takes_no_matrix_exponential(monkeypatch, first, second):
     calls = []
-    expm1_stack = rolling_module.expm1_stack
-    monkeypatch.setattr(rolling_module, "expm1_stack",
-                        lambda a: calls.append(a.shape) or expm1_stack(a))
+    expm = rolling_module.expm
+    monkeypatch.setattr(rolling_module, "expm", lambda a: calls.append(a.shape) or expm(a))
     pair = RollingPair(first, second)
     rng = np.random.default_rng(2)
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     assert len(roll_along(q0, GeodesicPath(pair.space, q0.x, v, 1.0), step=1e-2).times) == 101
-    assert calls == []
-    # the same points as a sampled path go through the Magnus kernel
+    # nor do the same points as a sampled path, rolled one segment at a time
     ts = np.linspace(0.0, 1.0, 11)
-    roll_along(q0, SampledPath(pair.space, ts, pair.space.geodesic_flow(q0.x, v, ts)[0]), 1e-2)
-    assert calls
+    roll_along(q0, SampledPath(pair.space, ts, pair.space.geodesic_flow(q0.x, v, ts)[0]))
+    assert calls == []
 
 
 def _far_hyperbolic_roll(length, step):
@@ -470,7 +463,7 @@ def test_every_roll_runs_its_kernel_and_its_check_once(monkeypatch, length, samp
     if sampled:
         path = SampledPath(path.manifold, times[::10], path.point(times[::10]))
     calls = []
-    for name in ("_canonical_states", "_roll_magnus", "_check_rows"):
+    for name in ("_canonical_states", "_roll_broken", "_check_rows"):
         func = getattr(rolling_module, name)
         monkeypatch.setattr(rolling_module, name,
                             lambda *args, name=name, func=func: calls.append(name) or func(*args))
@@ -479,7 +472,7 @@ def test_every_roll_runs_its_kernel_and_its_check_once(monkeypatch, length, samp
             roll_along(q0, path, step=0.01)
     else:
         roll_along(q0, path, step=0.01)
-    assert calls == ["_roll_magnus" if sampled else "_canonical_states", "_check_rows"]
+    assert calls == ["_roll_broken" if sampled else "_canonical_states", "_check_rows"]
 
 
 def test_a_roll_that_overflows_past_its_first_bad_row_names_that_row(recwarn):
@@ -528,7 +521,7 @@ def test_full_turn_matches_the_closed_form(hat):
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     exact = tangent_curve(q0, rolling_lift(q0, v), 2 * math.pi)
     for step in (1e-3, 0.05):
-        curve = magnus_roll(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
+        curve = sampled_roll(q0, GeodesicPath(pair.space, q0.x, v, 2 * math.pi), step=step)
         end = curve.final_state()
         assert np.abs(end.x_hat - exact.x_hat).max() < 1e-10
         assert np.abs(end.isometry - exact.isometry).max() < 1e-10
@@ -538,92 +531,6 @@ def test_full_turn_matches_the_closed_form(hat):
 def _latitude_circle(ts, lat=0.7):
     return np.column_stack((math.sin(lat) * np.cos(ts), math.sin(lat) * np.sin(ts),
                             np.full_like(ts, math.cos(lat))))
-
-
-def _latitude_path():
-    """The latitude circle of S^2(1) as a SampledPath of 21 samples."""
-    ts = np.linspace(0.0, 2.0, 21)
-    return Sphere(2, 1.0), SampledPath(Sphere(2, 1.0), ts, _latitude_circle(ts))
-
-
-def _swinging_path(fiber):
-    """A sampled path on cos x fiber whose s swings while the fiber point
-    runs along a circle (a latitude circle of S^2), 21 samples."""
-    first = Warped((-1.2, 1.2), WarpFunction("cos"), fiber)
-    ts = np.linspace(0.0, 2.0, 21)
-    circle = _latitude_circle(ts) if fiber.dim == 2 else np.column_stack((np.cos(ts), np.sin(ts)))
-    return first, SampledPath(first, ts, np.column_stack((0.3 + 0.4 * np.sin(ts), circle)))
-
-
-def _step_halving_errors(first, path, second):
-    """End-point errors of rolling `first` on `second` along path at steps
-    0.1, 0.05 and 0.025, against a step of 0.1 / 64."""
-    pair = RollingPair(first, second)
-    rng = np.random.default_rng(1)
-    q0 = pair.state(path.point(0.0), pair.space_hat.random_point(rng),
-                    random_rotation(rng, pair.dim))
-    ref = roll_along(q0, path, step=0.1 / 64).final_state()
-    errors = []
-    for step in (0.1, 0.05, 0.025):
-        end = roll_along(q0, path, step=step).final_state()
-        errors.append(max(np.abs(end.x_hat - ref.x_hat).max(),
-                          np.abs(end.isometry - ref.isometry).max()))
-    return errors
-
-
-def test_rolling_along_a_curved_path_converges_at_fourth_order():
-    # a latitude circle is no geodesic, so the Magnus commutator and the
-    # transport of the frame to the Gauss nodes both enter; halving the step
-    # divides the error by 2^4
-    errors = _step_halving_errors(*_latitude_path(), Sphere(2, 3.0))
-    assert errors[0] > 1e-9
-    assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
-
-
-@pytest.mark.parametrize("hat", [Sphere(2, 3.0), Hyperbolic(2, 1.0), Euclidean(2)], ids=repr)
-def test_magnus_rows_along_a_curved_sampled_path_match_a_finer_step(hat):
-    # along a latitude circle the generators turn within each step, so the
-    # placement of the two Gauss nodes and the commutator's sign show: the
-    # 4th-order kernel at step 0.05 is within 3.1e-8 of step 0.05 / 16 row by
-    # row, and with (a + a) for (a + b), or the commutator's sign flipped, it
-    # misses by at least 1.1e-2 and 2.5e-6
-    ts = np.linspace(0.0, 2.0, 21)
-    sphere = Sphere(2, 1.0)
-    path = SampledPath(sphere, ts, _latitude_circle(ts))
-    pair = RollingPair(sphere, hat)
-    rng = np.random.default_rng(1)
-    q0 = pair.state(path.point(0.0), hat.random_point(rng), random_rotation(rng, 2))
-    _, x_hat, a = _roll_magnus(q0, path, ts, 0.05)
-    _, x_hat_ref, a_ref = _roll_magnus(q0, path, ts, 0.05 / 16)
-    # row 0 is q0 itself, which roll_along writes in
-    assert np.abs(x_hat - x_hat_ref)[1:].max() < 1e-7
-    assert np.abs(a - a_ref)[1:].max() < 1e-7
-
-
-@pytest.mark.parametrize("fiber", [Sphere(1, 1.0), Sphere(2, 1.0)], ids=repr)
-def test_warped_first_factor_converges_at_fourth_order_along_a_curved_path(fiber):
-    # s swings while the fiber point runs along a circle: the rotation of the
-    # deterministic frame follows the connection form at the Gauss nodes,
-    # and halving the step divides the error by 2^4
-    errors = _step_halving_errors(*_swinging_path(fiber), Sphere(fiber.dim + 1, 3.0))
-    assert errors[0] > 1e-9
-    assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
-
-
-COS_S1 = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0))
-COSH_S2 = Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(2, 1.0))
-
-
-@pytest.mark.parametrize("path, second", [
-    (_latitude_path, COS_S1), (lambda: _swinging_path(Sphere(1, 1.0)), COS_S1),
-    (lambda: _swinging_path(Sphere(2, 1.0)), COSH_S2)], ids=["S2", "cosS1", "cosS2"])
-def test_a_warped_second_factor_converges_at_fourth_order_along_a_curved_path(path, second):
-    # both curved paths onto a warped second factor: the velocity's
-    # coordinates turn within each step, so the two blends of the
-    # commutator-free steps differ; halving the step divides the error by 2^4
-    errors = _step_halving_errors(*path(), second)
-    assert errors[0] > 1e-9
-    assert all(14 < a / b < 18 for a, b in zip(errors, errors[1:]))
 
 
 def rk4_roll(q0, path, step):
@@ -668,12 +575,8 @@ def rk4_roll(q0, path, step):
 
 class ClosedFormPath:
     """A driving path given by the closed forms of its points and velocities
-    at an array of times (`flow`), sampled at `times`.  Any path but a
-    GeodesicPath takes the Magnus kernel, so this one does, with velocities
-    that are the derivatives of its points; those of a SampledPath are the
-    projected spline derivatives, which differ from the derivatives of its
-    projected points (1.8e-9 apart in the rows of the latitude circle below
-    at 10 samples per unit time)."""
+    at an array of times (`flow`), sampled at `times`: what the test-local
+    RK4 references read, a curved path or a geodesic on a grid of its own."""
 
     def __init__(self, flow, times):
         self.flow, self.times = flow, times
@@ -683,38 +586,6 @@ class ClosedFormPath:
 
     def sample_times(self, step):
         return self.times
-
-
-def _latitude_flow(ts, lat=0.7):
-    r = math.sin(lat)
-    return _latitude_circle(ts, lat), r * np.column_stack((-np.sin(ts), np.cos(ts), 0.0 * ts))
-
-
-def _swinging_flow(ts):
-    x, v = _latitude_flow(ts)
-    return (np.column_stack((0.3 + 0.4 * np.sin(ts), x)),
-            np.column_stack((0.4 * np.cos(ts), v)))
-
-
-@pytest.mark.parametrize("flow, second", [(_latitude_flow, COS_S1), (_swinging_flow, COSH_S2)],
-                         ids=["S2", "cosS2"])
-def test_cf4_rows_match_a_test_local_rk4(flow, second):
-    # the commutator-free rows against RK4 at step 1e-4, row by row, along
-    # the curved paths in closed form; the transports keep the rows on the
-    # constraints with no settling
-    first = Sphere(2, 1.0) if second.dim == 2 else Warped((-1.2, 1.2), WarpFunction("cos"),
-                                                          Sphere(2, 1.0))
-    path = ClosedFormPath(flow, np.linspace(0.0, 0.5, 6))
-    pair = RollingPair(first, second)
-    rng = np.random.default_rng(4)
-    q0 = pair.state(path.point(0.0)[0], second.random_point(rng), random_rotation(rng, pair.dim))
-    x_hat, a = rk4_roll(q0, path, 1e-4)
-    for step in (1e-2, 1e-3):
-        curve = roll_along(q0, path, step=step)
-        assert np.abs(curve.x_hat - x_hat).max() < 1e-10
-        assert np.abs(curve.A - a).max() < 1e-10
-        assert curve.residuals.max() < 1e-13
-        assert second.constraint_residual(curve.x_hat).max() < 1e-13
 
 
 def _warped_start(fiber, miss, rng):
@@ -738,7 +609,7 @@ def _warped_start(fiber, miss, rng):
 @pytest.mark.parametrize("fiber", [Sphere(2, 1.0), Hyperbolic(2, 1.0)], ids=repr)
 @pytest.mark.parametrize("miss", [None, 1e-3, 0.3], ids=repr)
 def test_warped_first_factor_rolls_like_rk4(fiber, miss):
-    # the closed form and the parallel frame by Magnus steps against the
+    # the closed form and the roll of the geodesic's samples against the
     # test-local RK4 on both parallel frames at a ten times finer step, row
     # by row, also where the path starts at or passes next to the fiber point
     # where the deterministic frame jumps
@@ -748,7 +619,7 @@ def test_warped_first_factor_rolls_like_rk4(fiber, miss):
     q0 = pair.state(x, pair.space_hat.random_point(rng), random_rotation(rng, 3))
     path = GeodesicPath(m, x, v, 0.1)
     x_hat, a = rk4_roll(q0, path, 1e-4)
-    for curve in (roll_along(q0, path, step=1e-3), magnus_roll(q0, path, 1e-3)):
+    for curve in (roll_along(q0, path, step=1e-3), sampled_roll(q0, path, 1e-3)):
         assert curve.residuals.max() < 1e-12
         assert np.abs(curve.x_hat - x_hat[::10]).max() < 1e-9
         assert np.abs(curve.A - a[::10]).max() < 1e-9
@@ -775,46 +646,177 @@ def _sampled_geodesic(m, x, v, t_max, count):
     return SampledPath(m, ts, m.geodesic_flow(x, v, ts)[0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(catalog_rolls())
+@example((RollingPair(Euclidean(3), Hyperbolic(3, 1.0)), 4058, 3.0, 0.0625))
+def test_a_sampled_geodesic_rolls_along_its_canonical_curve(roll):
+    # 41 samples of a geodesic are the broken geodesic of 40 pieces of it:
+    # every row is the canonical curve's at its time, warped factors in
+    # either slot included
+    pair, seed, length, _ = roll
+    rng = np.random.default_rng(seed)
+    q0 = pair.random_state(rng)
+    v = pair.space.random_tangent(rng, q0.x, unit=True)
+    curve = _sampled_geodesic(pair.space, q0.x, v, length, 41)
+    rolled = roll_along(q0, curve)
+    exact = tangent_curve(q0, rolling_lift(q0, v), curve.times)
+    scale = np.maximum(1.0, np.maximum(np.abs(exact.x).max(axis=1),
+                                       np.abs(exact.x_hat).max(axis=1)))
+    assert np.all(np.abs(rolled.x_hat - exact.x_hat).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(rolled.A - exact.isometry).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+CHAIN_PAIRS = [(Sphere(2, 1.0), Sphere(2, 3.0)), (Sphere(2, 1.0), Euclidean(2)),
+               (Hyperbolic(2, 1.0), Sphere(2, 2.0)), (Euclidean(3), Hyperbolic(3, 1.0)),
+               (Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 1.0)),
+               (Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0))),
+               (Warped((-1.2, 1.2), WarpFunction("exp"), Hyperbolic(2, 1.0)),
+                Warped((-1.2, 1.2), WarpFunction("affine", b=0.3), Euclidean(2)))]
+
+
+@pytest.mark.parametrize("first, second", CHAIN_PAIRS, ids=repr)
+def test_a_broken_geodesic_rolls_as_the_chain_of_its_segments(first, second):
+    # 8 geodesic pieces of random lengths, directions and durations: the
+    # sampled roll at each vertex is the roll along each piece as a
+    # GeodesicPath from the end state of the one before (30% as long on a
+    # warped pair, whose points stay in their intervals)
+    pair = RollingPair(first, second)
+    unit = 0.3 / 8 if "warped" in (first.kind, second.kind) else 0.3
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q0 = pair.random_state(rng)
+        lengths, durations = unit * rng.uniform(0.5, 1.0, 8), rng.uniform(0.1, 1.0, 8)
+        points, pieces, q, rows = [q0.x], [], q0, [q0]
+        for length, dt in zip(lengths, durations):
+            x = points[-1]
+            v = first.random_tangent(rng, x, unit=True) * (length / dt)
+            points.append(first.geodesic_flow(x, v, dt)[0])
+            q = roll_along(q, GeodesicPath(first, x, v, dt), step=dt).final_state()
+            rows.append(q)
+        times = np.concatenate(([0.0], np.cumsum(durations)))
+        rolled = roll_along(q0, SampledPath(first, times, np.array(points)))
+        for got_hat, got_a, want in zip(rolled.x_hat, rolled.A, rows):
+            assert np.abs(got_hat - want.x_hat).max() <= 1e-12 * lengths.sum()
+            assert np.abs(got_a - want.isometry).max() <= 1e-12 * lengths.sum()
+
+
+@pytest.mark.parametrize("first, second, span", [
+    (Sphere(2, 1.0), Sphere(2, 3.0), 2.0), (Sphere(2, 1.0), Euclidean(2), 2.0),
+    (Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Sphere(1, 1.0)), 0.3),
+    (Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 3.0), 2.0)], ids=repr)
+@pytest.mark.parametrize("count", [9, 201, 801])
+def test_a_curved_sampled_path_holds_its_isometry_at_round_off(first, second, span, count):
+    # a latitude circle of S2(1), or a circle of the S1 fiber while s swings:
+    # the contact maps of the broken geodesic through its samples stay
+    # isometries to round-off however many segments there are
+    ts = np.linspace(0.0, span, count)
+    if first.kind == "warped":
+        points = np.column_stack((0.3 + 0.4 * np.sin(ts), np.cos(ts), np.sin(ts)))
+    else:
+        points = _latitude_circle(ts)
+    pair = RollingPair(first, second)
+    rng = np.random.default_rng(1)
+    q0 = pair.state(points[0], second.random_point(rng), random_rotation(rng, 2))
+    curve = roll_along(q0, SampledPath(first, ts, points))
+    assert len(curve.times) == count
+    assert curve.residuals.max() < 1e-13
+    assert second.constraint_residual(curve.x_hat).max() < 1e-13
+
+
+def _turning_angles(p, r):
+    """The signed turning angle of the broken geodesic through the rows of p
+    on S^2(r) at each of its inner vertices, from spherical trigonometry:
+    the angle from the incoming to the outgoing direction, the tangents at
+    the vertex towards its neighbours, in the orientation of the outward
+    normal."""
+    prev, at, nxt = p[:-2], p[1:-1], p[2:]
+
+    def towards(q):  # the tangent at `at` towards q
+        return q - np.vecdot(at, q)[:, None] / r**2 * at
+
+    into, out = -towards(prev), towards(nxt)
+    return np.arctan2(np.vecdot(at / r, np.cross(into, out)), np.vecdot(into, out))
+
+
+def _wrapped(angle):
+    return (angle + math.pi) % (2 * math.pi) - math.pi
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("count", [3, 4, 7, 50])
+def test_a_sphere_rolled_along_a_broken_geodesic_develops_into_its_polygon(r, count):
+    # no slip and no twist: the development in the plane of a broken
+    # geodesic of S^2(r) is the polygon of the same side lengths and turning
+    # angles, each read off the sphere by arccos of dot products and atan2 of
+    # cross products
+    pair = RollingPair(Sphere(2, r), Euclidean(2))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        p = [pair.space.random_point(rng)]
+        for _ in range(count - 1):  # steps of 0.2 r to 1.2 r
+            g = pair.space.random_tangent(rng, p[-1], unit=True) * rng.uniform(0.2, 1.2)
+            p.append(r * (p[-1] + r * g) / np.linalg.norm(p[-1] + r * g))
+        p = np.array(p)
+        q0 = pair.state(p[0], rng.standard_normal(2), random_rotation(rng, 2))
+        dev = roll_along(q0, SampledPath(pair.space, np.cumsum(rng.uniform(0.1, 1.0, count)),
+                                         p)).x_hat
+        sides = r * np.arccos(np.clip(np.vecdot(p[:-1], p[1:]) / r**2, -1.0, 1.0))
+        assert np.abs(np.linalg.norm(np.diff(dev, axis=0), axis=1) - sides).max() <= 1e-12 * r
+        d = np.diff(dev, axis=0)
+        planar = np.arctan2(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0], np.vecdot(d[:-1], d[1:]))
+        assert np.abs(_wrapped(planar - _turning_angles(p, r))).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("count", [3, 4, 7, 50])
+def test_the_holonomy_of_a_closed_broken_geodesic_is_its_area_times_curvature(r, count):
+    # Gauss-Bonnet: around a closed broken geodesic, counterclockwise about
+    # the north pole, the parallel frame turns by 2 pi minus the sum of the
+    # turning angles, which is K times the enclosed area, the sum of the
+    # signed excesses of the triangles (pole, p_i, p_i+1).  The plane's
+    # parallel frame does not turn, so A comes back as A0 turned back by it.
+    pair = RollingPair(Sphere(2, r), Euclidean(2))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        # azimuth gaps below pi keep every triangle of the fan positive
+        phi = 2 * math.pi * (np.arange(count) + rng.uniform(0.3, 0.7, count)) / count
+        theta = rng.uniform(0.3, 1.2, count)
+        p = r * np.column_stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                                 np.cos(theta)))
+        p = np.concatenate((p, p[:1]))
+        q0 = pair.state(p[0], rng.standard_normal(2), random_rotation(rng, 2))
+        end = roll_along(q0, SampledPath(pair.space, np.linspace(0.0, 1.0, count + 1), p))
+        turn = q0.isometry.T @ end.A[-1]
+        holonomy = -math.atan2(turn[1, 0], turn[0, 0])
+        turning = _turning_angles(np.concatenate((p[-2:-1], p)), r).sum()
+        a, b, c = np.array([0.0, 0.0, 1.0]), p[:-1] / r, p[1:] / r
+        excess = 2 * np.arctan2(np.vecdot(a, np.cross(b, c)),
+                                1 + b @ a + np.vecdot(b, c) + c @ a).sum()
+        assert abs(_wrapped(holonomy - (2 * math.pi - turning))) <= 1e-12
+        assert abs(_wrapped(holonomy - excess)) <= 1e-12
+        assert 0 < excess < 2 * math.pi
+
+
 def test_a_sparsely_sampled_path_rolls_with_round_off_residuals():
-    # 4 samples of a unit-speed geodesic of S^2(1), 1/3 apart: the Magnus
-    # kernel integrates the path's velocity, which is the derivative of its
-    # point, so the contact maps stay isometries to round-off (a velocity
-    # that was not, the spline's derivative projected, failed the isometry
-    # check at t = 1/3 with a residual of 1.1e-8)
+    # 4 samples of a unit-speed geodesic of S^2(1), 1/3 apart: each segment
+    # is a geodesic, which rolls in closed form, so the contact maps stay
+    # isometries to round-off (a spline through the samples once failed the
+    # isometry check at t = 1/3 with a residual of 1.1e-8)
     pair = RollingPair(Sphere(2, 1.0), Sphere(2, 3.0))
     rng = np.random.default_rng(0)
     q0 = pair.random_state(rng)
     v = pair.space.random_tangent(rng, q0.x, unit=True)
     ts = np.linspace(0.0, 1.0, 4)
-    curve = roll_along(q0, SampledPath(pair.space, ts, pair.space.geodesic_flow(q0.x, v, ts)[0]),
-                       0.01)
+    curve = roll_along(q0, SampledPath(pair.space, ts, pair.space.geodesic_flow(q0.x, v, ts)[0]))
     assert curve.residuals.max() < 1e-14
-
-
-def test_a_cf4_roll_takes_one_substep_per_grid_interval():
-    # the 250 grid intervals of a 0.25-long path exceed 1e-3 by round-off:
-    # each takes one commutator-free step, which reads the path at its two
-    # Gauss nodes and at the two nodes of each of its two partial steps, in
-    # one array call
-    pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)))
-    rng = np.random.default_rng(0)
-    q0 = pair.random_state(rng)
-    path = _sampled_geodesic(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True),
-                             0.25, 251)
-    calls = []
-    flow = path.flow
-    path.flow = lambda t: calls.append(np.shape(t)) or flow(t)
-    curve = roll_along(q0, path, step=1e-3)
-    assert len(curve.times) == 251
-    assert calls == [(6 * 250,)]
 
 
 @pytest.mark.parametrize("first", [Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"),
                                                           Sphere(1, 1.0))], ids=["S2(1)", "warped"])
 def test_a_roll_onto_a_warped_factor_reads_its_path_once(first):
     # the closed form reads a geodesic in one flow call besides roll_along's
-    # start check, and the Magnus kernel reads a sampled path in one flow
-    # call per block of BLOCK grid intervals (300 substeps at step 1e-3)
+    # start check, and a sampled path is read as its samples, with no flow
+    # at any step
     pair = RollingPair(first, Warped((-1.0, 1.0), WarpFunction("cosh"), Sphere(1, 1.0)))
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -822,34 +824,16 @@ def test_a_roll_onto_a_warped_factor_reads_its_path_once(first):
         v = pair.space.random_tangent(rng, q0.x, unit=True)
         geodesic = GeodesicPath(pair.space, q0.x, v, 0.3)
         sampled = _sampled_geodesic(pair.space, q0.x, v, 0.3, 31)
-        for step, blocks in ((1e-3, 2), (0.01, 1), (0.07, 1)):
-            for path, reads in ((geodesic, [0, 1]), (sampled, [1] * blocks)):
+        for step in (1e-3, 0.01, 0.07):
+            for path, reads, rows in ((geodesic, [0, 1], len(geodesic.sample_times(step))),
+                                      (sampled, [], 31)):
                 calls = []
-                flow = path.flow
+                flow = getattr(path, "flow", None)  # a sampled path has none
                 path.flow = lambda t: calls.append(np.ndim(t)) or flow(t)
                 curve = roll_along(q0, path, step=step)
-                path.flow = flow
+                del path.flow
                 assert calls == reads
-                assert len(curve.times) == len(path.sample_times(step))
-
-
-@pytest.mark.parametrize("step", [0.01, 0.05])
-def test_cf4_rows_hold_the_constraints_at_coarse_steps(step):
-    # the commutator-free steps move the second factor's point and images by
-    # exact transports, so coarse rows keep round-off residuals with no
-    # settling, and the 4th-order accuracy
-    pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)))
-    path = ClosedFormPath(_latitude_flow, np.linspace(0.0, 0.3, 4))
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        q0 = pair.state(path.point(0.0)[0], pair.space_hat.random_point(rng),
-                        random_rotation(rng, 2))
-        curve = roll_along(q0, path, step=step)
-        assert curve.residuals.max() < 1e-13
-        assert pair.space_hat.constraint_residual(curve.x_hat).max() < 1e-14
-        ref = roll_along(q0, path, step=1e-3).final_state()
-        assert np.abs(curve.x_hat[-1] - ref.x_hat).max() < step**4
-        assert np.abs(curve.A[-1] - ref.isometry).max() < step**4
+                assert len(curve.times) == rows
 
 
 def test_one_clairaut_pass_per_transport_call_on_a_warped_factor(monkeypatch):
@@ -890,23 +874,6 @@ def test_a_transport_row_has_the_same_bytes_in_any_stack(m, seed, still):
             alike = det_transport_matrix(m, x[rows], frames[rows], v[rows], t[rows])
             for got, want in zip(mixed, alike):
                 assert got[rows].tobytes() == want.tobytes()
-
-
-def test_magnus_kernel_takes_one_step_per_grid_interval_on_a_warped_first_factor():
-    # each of the 250 steps reads the path at its two Gauss nodes and at the
-    # two nodes of each of its two partial steps, points and velocities in
-    # one array call per block
-    pair = RollingPair(Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)), Sphere(2, 1.0))
-    rng = np.random.default_rng(0)
-    q0 = pair.random_state(rng)
-    path = _sampled_geodesic(pair.space, q0.x, pair.space.random_tangent(rng, q0.x, unit=True),
-                             0.25, 251)
-    calls = []
-    flow = path.flow
-    path.flow = lambda t: calls.append(np.asarray(t)) or flow(t)
-    curve = roll_along(q0, path, step=1e-3)
-    assert len(curve.times) == 251
-    assert [t.shape for t in calls] == [(6 * 250,)]
 
 
 def test_roll_along_rejects_bad_paths():

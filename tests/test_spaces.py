@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicSpline
 
 from rollsym import (
     DomainError,
@@ -18,10 +17,10 @@ from rollsym import (
     Warped,
     from_spec,
 )
-from rollsym.rolling import RollingPair, roll_along, rolling_lift
+from rollsym.rolling import RollingPair, rolling_lift
 from rollsym.numerics import central_diff, stencil_offsets
-from rollsym.spaces import (FRAME_SKIP_TOL, POINT_TOL, NotAKnotSpline, _atan_k, _k_functions,
-                            steps_for)
+from rollsym.spaces import FRAME_SKIP_TOL, POINT_TOL, steps_for
+from test_rolling import ClosedFormPath
 
 RNG = np.random.default_rng(2024)
 
@@ -126,22 +125,23 @@ def brute_transport(m, points, v0):
 def rk4_transport(m, path, v0, step):
     """Parallel transport of v0 to the end of a path by classical RK4 on the
     transport ODE, each interval of the path's sample times split into
-    substeps of length at most step."""
+    substeps of length at most step; the path's flow gives its points and
+    velocities at an array of times."""
     times = path.sample_times(step)
     v = np.array(v0, dtype=float)
-
-    def rhs(t, y):
-        return m.transport_rhs(*path.flow(t), y)
-
     for a, b in zip(times[:-1], times[1:]):
         steps = max(1, math.ceil((b - a) / step * (1 - 1e-9)))
         h = (b - a) / steps
-        for i in range(steps):
-            t = a + i * h
-            k1 = rhs(t, v)
-            k2 = rhs(t + h / 2, v + h / 2 * k1)
-            k3 = rhs(t + h / 2, v + h / 2 * k2)
-            k4 = rhs(t + h, v + h * k3)
+        pts, vel = path.flow(a + h / 2 * np.arange(2 * steps + 1))  # the stages' times
+
+        def rhs(j, y):
+            return m.transport_rhs(pts[j], vel[j], y)
+
+        for i in range(0, 2 * steps, 2):
+            k1 = rhs(i, v)
+            k2 = rhs(i + 1, v + h / 2 * k1)
+            k3 = rhs(i + 1, v + h / 2 * k2)
+            k4 = rhs(i + 2, v + h * k3)
             v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return v
 
@@ -176,11 +176,14 @@ def test_latitude_holonomy_matches_brute_force_and_closed_form():
     m = Sphere(2, 1.0)
     theta = math.acos(0.8)  # polar angle, expected rotation 2 pi (1 - 0.8)
     ts = np.linspace(0.0, 2 * math.pi, 4001)
-    pts = np.array(
-        [[math.sin(theta) * math.cos(p), math.sin(theta) * math.sin(p), math.cos(theta)]
-         for p in ts]
-    )
-    path = SampledPath(m, ts, pts)
+
+    def flow(t):
+        return (np.column_stack((math.sin(theta) * np.cos(t), math.sin(theta) * np.sin(t),
+                                 np.full_like(t, math.cos(theta)))),
+                math.sin(theta) * np.column_stack((-np.sin(t), np.cos(t), np.zeros_like(t))))
+
+    pts = flow(ts)[0]
+    path = ClosedFormPath(flow, ts)
     x0 = pts[0]
     fr = m.frame(x0)
     v_end = rk4_transport(m, path, fr[0], step=2e-3)
@@ -196,9 +199,9 @@ def test_latitude_holonomy_matches_brute_force_and_closed_form():
 
 def test_transport_euclidean_is_componentwise_constant():
     m = Euclidean(3)
-    ts = np.linspace(0.0, 1.0, 11)
-    pts = np.outer(ts, [1.0, 2.0, 0.0])
-    path = SampledPath(m, ts, pts)
+    line = np.array([1.0, 2.0, 0.0])
+    path = ClosedFormPath(lambda t: (np.outer(t, line), np.broadcast_to(line, (len(t), 3))),
+                          np.linspace(0.0, 1.0, 11))
     v0 = np.array([0.5, -1.0, 2.0])
     assert np.allclose(rk4_transport(m, path, v0, step=1e-3), v0)
 
@@ -228,22 +231,6 @@ def test_transport_round_trip_is_identity():
     xt, vt = m.geodesic_flow(x, v, t)
     back = m.transport_along_geodesic(xt, vt, -t, fwd)[1]
     assert np.allclose(back, w, atol=1e-12)
-
-
-@pytest.mark.parametrize("count", [2, 3, 4, 41])
-@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
-def test_not_a_knot_spline_matches_scipy(count, even):
-    # two knots give SciPy's line and three its parabola
-    rng = np.random.default_rng(count)
-    x = np.linspace(0.0, 1.3, count) if even else np.cumsum(rng.uniform(0.1, 1.0, count))
-    y = rng.standard_normal((count, 3))
-    ref = CubicSpline(x, y, axis=0)
-    spline = NotAKnotSpline(x, y)
-    t = np.concatenate((x, rng.uniform(x[0] - 0.2, x[-1] + 0.2, 60)))
-    for got, want in ((spline.value(t), ref(t)), (spline.derivative(t), ref(t, 1)),
-                      (spline.value(t[5]), ref(t[5]))):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_transport_zero_length_step_raises():
@@ -438,41 +425,9 @@ def test_the_warp_normal_form_matches_each_family_formula():
     assert WarpFunction("exp", a=3.3, omega=0.9).invariant == 0.0
 
 
-def _space_form_log(m, y0, y1):
-    """(distance, unit direction) at y0 of the geodesic of the space form m
-    to y1: y1 = C y0 + S u for C and S of the curvature at the distance."""
-    k = m.curvature_constant
-    cos = k * m.inner_at(y0, y0, y1) if k else 1.0
-    w = y1 - cos * y0
-    size = math.sqrt(m.inner_at(y0, w, w))
-    return _atan_k(k, size, cos), w / size
-
-
-def _warped_log(m, x, x1):
-    """The velocity v at x whose geodesic reaches x1 at time 1, from the
-    surface I x_f sigma over the fiber geodesic sigma from y0 to y1, mapped
-    into the model of curvature k = k_ref, the points p with p0^2 + k (p1^2 +
-    p2^2) = 1, at the origin (1, 0, 0): s runs along the geodesic (C, S, 0)
-    of k, and the fiber along the Killing field B = f T2 + f' R, f and f' at
-    s0, which is (0, 0, f(s)) on it.  exp(phi B) = 1 + S_I B + V_I B^2 for
-    the invariant I, and the log at the origin is atan_k of the end point."""
-    k, inv = m.warp.k_ref, m.warp.invariant
-    f0, fp0 = m.warp.value(x[0]), m.warp.derivative(x[0])
-    phi, u = _space_form_log(m.fiber, x[1:], x1[1:])
-    t2 = np.array([[0.0, 0.0, -k], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    rot = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    b = f0 * t2 + fp0 * rot
-    _, sin_i, ver_i = _k_functions(inv, phi)
-    cos, sin, _ = _k_functions(k, x1[0] - x[0])
-    p = (np.eye(3) + sin_i * b + ver_i * b @ b) @ np.array([cos, sin, 0.0])
-    size = math.hypot(p[1], p[2])
-    dist = _atan_k(k, size, p[0])
-    return np.concatenate(([dist * p[1] / size], dist * p[2] / (size * f0) * u))
-
-
 def test_an_exact_inverse_recovers_the_velocity_of_the_warped_geodesic_flow():
-    # an independent oracle of Clairaut's closed form: the warped log map
-    # through the normal form of the warp, and the space forms' log map
+    # log inverts the geodesic flow: on a warped product through the normal
+    # form of the warp, with no Clairaut integral in common with the flow
     rng = np.random.default_rng(22)
     warps = [WarpFunction("cos"), WarpFunction("cos", b=0.3, omega=0.8),
              WarpFunction("cos", a=1.3, b=0.4, omega=0.9), WarpFunction("cosh"),
@@ -489,14 +444,37 @@ def test_an_exact_inverse_recovers_the_velocity_of_the_warped_geodesic_flow():
                 x[0] = rng.uniform(-0.5, 0.5)  # 0.6 from there stays inside the interval
             v = m.random_tangent(rng, x, unit=True) * rng.uniform(1e-3, 0.6)
             x1 = m.geodesic_flow(x, v, 1.0)[0]
-            if isinstance(m, Warped):
-                got = _warped_log(m, x, x1)
-            else:
-                dist, u = _space_form_log(m, x, x1)
-                got = dist * u
+            got = m.log(x, x1)
             err = np.linalg.norm(got - v) / np.linalg.norm(v)
             worst[type(m).__name__] = max(worst.get(type(m).__name__, 0.0), err)
     assert max(worst.values()) <= 1e-11, worst
+
+
+LOG_FORMS = [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2), unit_sphere_cosh_warped(3),
+             Warped((-1.2, 1.2), WarpFunction("cos", b=0.3), Sphere(1, 1.0)),
+             Warped((-1.2, 1.2), WarpFunction("exp", omega=-0.7), Hyperbolic(2, 1.0)),
+             Warped((-1.2, 1.2), WarpFunction("affine", b=0.3), Euclidean(2))]
+
+
+@pytest.mark.parametrize("m", LOG_FORMS, ids=repr)
+def test_a_stack_of_segments_takes_the_log_of_each_row_alone(m):
+    rng = np.random.default_rng(6)
+    x = m.random_point(rng, (7,))
+    x1 = m.geodesic_flow(x, 0.3 * m.random_tangent(rng, x, unit=True), 1.0)[0]
+    x1[3] = x[3]
+    got = m.log(x, x1)
+    assert got.shape == x.shape
+    assert got.tobytes() == np.array([m.log(a, b) for a, b in zip(x, x1)]).tobytes()
+
+
+@pytest.mark.parametrize("m", LOG_FORMS, ids=repr)
+def test_the_log_of_a_repeated_point_is_exactly_zero(m):
+    # a repeated sample is a segment with no motion, and warns of nothing
+    x = m.random_point(np.random.default_rng(7), (5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.log(x, x.copy())
+    assert np.array_equal(got, np.zeros_like(x))
 
 
 # -- frames and serialization -----------------------------------------------------
@@ -604,17 +582,14 @@ def test_a_geodesic_grid_takes_one_step_count_with_every_substep_grid():
 def test_paths_evaluate_arrays_of_times_like_single_times(m):
     rng = np.random.default_rng(4)
     x = m.random_point(rng)
-    ts = np.linspace(0.0, 1.7, 9)
     # a warped geodesic runs slower, so that it stays in its interval
     speed = 0.2 if isinstance(m, Warped) else 1.0
-    geodesic = GeodesicPath(m, x, speed * m.random_tangent(rng, x, unit=True), 1.7)
-    sampled = SampledPath(m, ts, np.array([geodesic.point(t) for t in ts]))
-    for path in (geodesic, sampled):
-        times = np.array([0.0, 0.35, 1.1, 1.7])
-        for got, one in ((path.point(times), path.point),
-                         (path.flow(times)[1], lambda t: path.flow(t)[1])):
-            assert got.shape == (len(times), m.amb_dim)
-            assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
+    path = GeodesicPath(m, x, speed * m.random_tangent(rng, x, unit=True), 1.7)
+    times = np.array([0.0, 0.35, 1.1, 1.7])
+    for got, one in ((path.point(times), path.point),
+                     (path.flow(times)[1], lambda t: path.flow(t)[1])):
+        assert got.shape == (len(times), m.amb_dim)
+        assert np.abs(got - np.array([one(t) for t in times])).max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [Sphere(2, 2.0), Hyperbolic(3, 1.5), Euclidean(2),
@@ -759,24 +734,6 @@ def test_warped_transport_costs_the_same_at_every_time(monkeypatch):
         m.transport_along_geodesic(x, v, t, m.frame(x))
         counts.append(len(calls))
     assert counts[0] == counts[1]
-
-
-def test_a_transport_step_within_round_off_of_the_step_takes_one_cf4_substep(monkeypatch):
-    # 0.25 / 1e-3 grid intervals exceed 1e-3 by round-off; each takes one
-    # commutator-free substep (two transports of the warped second factor),
-    # not two.  A sampled path takes the step kernel on any pair.
-    pair = RollingPair(Sphere(2, 1.0), Warped((-1.2, 1.2), WarpFunction("cosh"), Euclidean(1)))
-    q0 = pair.random_state(RNG)
-    m = pair.space
-    ts = np.linspace(0.0, 0.25, 251)
-    path = SampledPath(m, ts, m.geodesic_flow(q0.x, m.random_tangent(RNG, q0.x, unit=True), ts)[0])
-    calls = []
-    transport = Warped.transport_along_geodesic
-    monkeypatch.setattr(Warped, "transport_along_geodesic",
-                        lambda *a: calls.append(1) or transport(*a))
-    times = roll_along(q0, path, step=1e-3).times
-    assert len(times) == 251
-    assert len(calls) == 2 * 250
 
 
 @pytest.mark.parametrize("name", ["cos", "cosh", "exp", "affine"])
@@ -1063,29 +1020,3 @@ def test_frames_equal_the_gram_schmidt_that_defines_them(case):
     kept = np.delete(got, skipped, axis=1)
     assert not np.tril(kept, -1).any() and np.all(np.diagonal(kept) != 0)
     assert _orientation(m, x, got) == _orientation(m, x, expected) == 1
-
-
-def _circle(ts):
-    return np.column_stack((np.cos(ts), np.sin(ts)))
-
-
-@pytest.mark.parametrize("m, curve", [
-    (Sphere(2, 1.0), lambda ts: np.column_stack((math.sin(0.7) * _circle(ts / math.sin(0.7)),
-                                                  np.full_like(ts, math.cos(0.7))))),
-    (Hyperbolic(2, 1.0), lambda ts: np.column_stack((np.full_like(ts, math.cosh(0.8)),
-                                                      math.sinh(0.8) * _circle(ts / math.sinh(0.8))))),
-    (Euclidean(2), _circle),
-    (Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(1, 1.0)),
-     lambda ts: np.column_stack((0.6 * np.sin(2.0 * ts), _circle(ts)))),
-], ids=["S2", "H2", "R2", "cos S1"])
-def test_a_sampled_path_velocity_is_the_derivative_of_its_point(m, curve):
-    # 6 samples of a 0.5-long curve at about unit speed: the spline's
-    # derivative projected to the tangent space misses the derivative of the
-    # point, its closest point, by 6.9e-6 on S2(1), 1.7e-4 on H2(1) and
-    # 2.9e-6 on cos S1; the derivative meets the central difference to 1.8e-10
-    knots = np.linspace(0.0, 0.5, 6)
-    path = SampledPath(m, knots, curve(knots))
-    ts, h = np.linspace(0.0, 0.5, 99)[1:-1], 1e-6  # 97 times, each at least 1e-3 off the knots
-    x, v = path.flow(ts)
-    assert np.array_equal(x, path.point(ts))
-    assert np.abs(v - (path.point(ts + h) - path.point(ts - h)) / (2 * h)).max() < 1e-8
