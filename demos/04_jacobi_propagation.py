@@ -17,7 +17,7 @@ import numpy as np
 from rollsym import Euclidean, Sphere
 from rollsym.curvature import skew_part, skew_to_vector
 from rollsym.rolling import RollingPair
-from rollsym.symmetry import killing_catalog, killing_to_symmetry, propagate_chain, propagate_sym0
+from rollsym.symmetry import killing_catalog, killing_to_symmetry, propagate_sym0
 
 rng = np.random.default_rng(3)
 
@@ -30,7 +30,7 @@ row = cand.value(q)[0]
 print("propagating the tangent row of", cand.names[0], "along a 3-segment broken geodesic")
 for leg in range(3):
     direction = pair.space.random_tangent(rng, q.x, unit=True)
-    q, row = propagate_chain(q, [(direction, 0.9)], row)
+    q, row = propagate_sym0(q, direction, row, [0.0, 0.9]).final()
     err = np.abs(row - cand.value(q)[0])
     print(f"  after leg {leg + 1}: drift error {err[n : 2 * n].max():.2e}, "
           f"vertical error {err[2 * n :].max():.2e}")

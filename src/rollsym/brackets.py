@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_skew,
                         wedge_matrix)
-from .numerics import equilibrate, numerical_rank
+from .numerics import RANK_TOL, equilibrate, numerical_rank, within_roundoff
 from .spaces import GeometryError, Warped
 from .rolling import RollingState, directional_derivative, q_dim, tangent_curve
 
@@ -56,18 +56,13 @@ from .rolling import RollingState, directional_derivative, q_dim, tangent_curve
 NESTED_FD_STEP = 5e-4
 ORACLE_STEP = 1e-3  # bracket_fd's own stencil step in the chart
 CHART_STEP = 1e-5  # the FD oracle's own step for its chart differential
-CURVATURE_ROUNDOFF = 1e-12  # relative gap below which two curvatures agree
 
 
 def curvature_mismatch(pair) -> float:
     """kappa = K - K_hat for a constant-curvature pair, exactly 0.0 when the
-    two agree to round-off."""
+    two agree to round-off (numerics.within_roundoff)."""
     k, k_hat = _constant_curvature(pair.space), _constant_curvature(pair.space_hat)
-    return 0.0 if _within_roundoff(k - k_hat, k, k_hat) else k - k_hat
-
-
-def _within_roundoff(diff, *terms):
-    return abs(diff) <= CURVATURE_ROUNDOFF * max(abs(t) for t in terms)
+    return 0.0 if within_roundoff(k - k_hat, k, k_hat) else k - k_hat
 
 
 def _constant_curvature(m) -> float:
@@ -79,7 +74,7 @@ def _constant_curvature(m) -> float:
     fiber planes carry k_ref where K_fiber = I."""
     if isinstance(m, Warped):
         k_fiber, inv = m.fiber.curvature_constant, m.warp.invariant
-        if m.fiber.dim == 1 or _within_roundoff(k_fiber - inv, k_fiber, inv):
+        if m.fiber.dim == 1 or within_roundoff(k_fiber - inv, k_fiber, inv):
             return m.warp.k_ref
     elif hasattr(m, "curvature_constant"):
         return m.curvature_constant
@@ -379,7 +374,7 @@ def kept_at(field: StructuredField, q: RollingState) -> StructuredField:
         lambda s, xi: along_value() if s is q and xi is value else field.derivative(s, xi))
 
 
-def flag_ranks(q: RollingState, depth=3, tol=1e-8) -> FlagReport:
+def flag_ranks(q: RollingState, depth=3, tol=RANK_TOL) -> FlagReport:
     """Ranks of the canonical flag D, D + [D, D], ... of the rolling
     distribution at q, by SVD with a relative threshold.
 

@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from .numerics import numerical_rank
+from .numerics import RANK_TOL, numerical_rank, within_roundoff
 from .spaces import GeometryError
 
 SKEW_TOL = 1e-9
@@ -106,27 +106,23 @@ def rolling_curvature(q, xi):
 
 def rolling_curvature_operator(q):
     """Matrix of the so-valued rolling curvature xi -> A^{-1} Rol_q(xi) on
-    Lambda^2, in the lexicographic basis; size n(n-1)/2."""
-    n = q.pair.dim
+    Lambda^2, in the lexicographic basis; size n(n-1)/2.  It is exactly 0 where
+    it is round-off of the factors' curvatures of the basis, as kappa is."""
+    n, a = q.pair.dim, q.isometry
     basis = vector_to_skew(np.eye(so_dim(n)), n)
-    return skew_to_vector(q.isometry.T @ rolling_curvature(q, basis)).T
+    op = skew_to_vector(a.T @ rolling_curvature(q, basis)).T
+    terms = (q.pair.space.curvature_matrix_apply(q.x, basis),
+             q.pair.space_hat.curvature_matrix_apply(q.x_hat, a @ basis @ a.T))
+    return np.zeros_like(op) if within_roundoff(op, *terms) else op  # 0.0 * op writes -0.0
 
 
-# operators whose largest singular value sits at or below this count as zero
-# maps: matched curvatures produce exactly those, up to round-off
-ZERO_OPERATOR_FLOOR = 1e-12
-
-
-def operator_invertible(op, tol=1e-8):
+def operator_invertible(op, tol=RANK_TOL):
     """Invertibility of an operator on bivectors from one SVD.
 
     Returns (verdict, condition_number, singular_values); the verdict is
-    true when the smallest singular value exceeds tol times the largest,
-    and false for a zero map (see ZERO_OPERATOR_FLOOR).
+    true when the smallest singular value exceeds tol times the largest, so
+    it is false for the zero map, whose condition number is inf.
     """
     rank, sv, _ = numerical_rank(op, tol)
-    if sv[0] <= ZERO_OPERATOR_FLOOR:
-        return False, math.inf, sv
     cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     return rank == len(sv), cond, sv
-

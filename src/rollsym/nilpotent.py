@@ -26,7 +26,6 @@ inconclusive there.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -274,20 +273,18 @@ class ObstructionReport:
     and 'inconclusive' for n = 2, where flat pairs genuinely exist.
     """
 
-    K: object
-    K_hat: object
-    beta: object
+    K: Fraction
+    K_hat: Fraction
+    beta: Fraction
     n: int
-    kappa: object
-    obstruction_M: object
-    obstruction_M_hat: object
+    kappa: Fraction
+    obstruction_M: Fraction
+    obstruction_M_hat: Fraction
     verdict: str
 
     def to_json(self):
         def num(x):
-            if isinstance(x, Fraction):
-                return {"num": x.numerator, "den": x.denominator, "value": float(x)}
-            return x
+            return {"num": x.numerator, "den": x.denominator, "value": float(x)}
 
         return {
             "K": num(self.K),
@@ -303,16 +300,13 @@ class ObstructionReport:
 
 def flatness_obstruction(K, K_hat, beta, n=3) -> ObstructionReport:
     """Obstruction quotients (beta K / kappa)^2 and (beta K_hat / kappa)^2
-    of the hypothetical flat frame, with exact rational arithmetic whenever
-    the inputs are rational.
+    of the hypothetical flat frame, in exact rational arithmetic: every
+    input is read as a Fraction, which holds a float exactly.
 
     Raises on kappa = 0 (the mismatch hypothesis is a precondition, not a
     verdict) and on beta <= 0.
     """
-    if all(isinstance(v, (int, Fraction)) for v in (K, K_hat, beta)):
-        K, K_hat, beta = Fraction(K), Fraction(K_hat), Fraction(beta)
-    if not (isinstance(K, numbers.Real) and isinstance(K_hat, numbers.Real)):
-        raise GeometryError("curvatures must be real scalars")
+    K, K_hat, beta = Fraction(K), Fraction(K_hat), Fraction(beta)
     kappa = -K + K_hat
     if kappa == 0:
         raise GeometryError("equal curvatures: the obstruction needs K != K_hat")

@@ -1,5 +1,6 @@
 """The numerical kernels shared by the geometry layers: one central
-difference, and one numerical rank with its gap and cut margin.
+difference, one numerical rank with its gap and cut margin, and one
+round-off rule for curvatures that agree.
 
 The finite-difference bracket oracle (`brackets.bracket_fd` with its chart
 differential) deliberately keeps its own stencil, so that it never shares
@@ -27,6 +28,16 @@ def central_diff(values, h):
     if len(values) != 4:
         raise GeometryError(f"central differences take 4 samples, not {len(values)}")
     return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
+
+
+RANK_TOL = 1e-8  # the default relative rank cut, and of the run's `rank` tolerance
+CURVATURE_ROUNDOFF = 1e-12
+
+
+def within_roundoff(diff, *terms):
+    """Whether diff, the difference of curvature terms (numbers or arrays), is
+    their round-off: at most CURVATURE_ROUNDOFF of the largest, at every scale."""
+    return np.abs(diff).max() <= CURVATURE_ROUNDOFF * max(np.abs(t).max() for t in terms)
 
 
 # rows shorter than this share of the longest row of the first layer are

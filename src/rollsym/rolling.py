@@ -45,6 +45,7 @@ from .spaces import (DEFAULT_STEP, POINT_TOL, DomainError, GeodesicPath, Geometr
                      reals)
 
 ISOMETRY_TOL = 1e-9
+TANGENCY_TOL = 1e-8  # a lifted vector's tangency residual, relative to max(1, |X|)
 
 
 class RollingPair:
@@ -234,7 +235,7 @@ def rolling_lift(q: RollingState, X):
     (X, AX) and A stays put."""
     X = np.asarray(X, float)
     err = q.pair.space.tangency_residual(q.expand(q.x, X.ndim), X)
-    if np.any(err > 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))):
+    if np.any(err > TANGENCY_TOL * np.maximum(1.0, np.linalg.norm(X, axis=-1))):
         raise GeometryError("lifted vector is not tangent at the contact point")
     c = q.coords(X)
     return np.concatenate((c, _times(q, c, q.isometry.mT),
@@ -361,8 +362,15 @@ def expm(a):
 # -- rolling curves -------------------------------------------------------------
 
 BLOCK = 256  # CSV rows per batch of write_csv
-# a segment of a sampled path ends within this of its next sample, relative to their size
+# a path meets a point within this of the larger coordinate of the two: its first
+# point the contact point, and each segment of a samples path its next sample
 SAMPLE_TOL = 1e-8
+
+
+def _misses(a, b):
+    """Whether points a and b, or the rows of two stacks, fail SAMPLE_TOL's test."""
+    size = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
+    return ~(np.abs(a - b).max(axis=-1) <= SAMPLE_TOL * size)
 
 
 @dataclass
@@ -434,7 +442,7 @@ def roll_along(q0: RollingState, path, step=DEFAULT_STEP) -> RollingCurve:
     geodesic = isinstance(path, GeodesicPath)
     times = path.sample_times(step) if geodesic else path.times
     first = path.point(float(times[0])) if geodesic else pair.space.closest_point(path.points[0])
-    if not np.allclose(first, q0.x, atol=1e-8):
+    if _misses(first, q0.x):
         raise GeometryError("driving path does not start at the contact point")
     if np.any(np.diff(times) <= 0):
         raise GeometryError("driving path time grid must be increasing")
@@ -477,8 +485,7 @@ def _roll_broken(start, x, times):
     v = m.log(x[:-1], x[1:]) / dt[:, None]
     frames = m._frames(x)
     ends, moved = m.transport_along_geodesic(x[:-1, None], v[:, None], dt[:, None], frames[:-1])
-    size = np.maximum(np.abs(x[:-1]).max(axis=1), np.abs(x[1:]).max(axis=1))
-    miss = ~(np.abs(ends[:, 0] - x[1:]).max(axis=1) <= SAMPLE_TOL * size)
+    miss = _misses(ends[:, 0], x[1:])
     if miss.any():
         i = int(np.argmax(miss))
         raise GeometryError(f"no unique shortest geodesic joins the path samples at "

@@ -26,6 +26,13 @@ POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
 DEFAULT_STEP = 1e-3
 STEP_SLACK = 1e-9
+SAMPLE_POINT_TOL = 1e-8  # how far a path sample may lie off its manifold (point_error)
+DEGENERATE_PLANE = 1e-14  # a Gram determinant at most this share of |X|^2 |Y|^2: no plane
+NORM_FLOOR = 1e-300  # keeps a zero norm out of a division or a relative test
+# a warp is refused where 1/f^2 or (f'/f)^2 exceeds this anywhere on its interval: the
+# fiber parts of frames scale by 1/f, and products of three of them overflow in `growth`
+# from f ~ 1e-103; the square root of the largest float keeps 1/f^3 below 1.6e231
+WARP_SCALE_MAX = math.sqrt(np.finfo(float).max)
 
 
 class GeometryError(ValueError):
@@ -273,7 +280,7 @@ class SpaceForm:
         gyy = self.inner_at(x, Y, Y)
         gxy = self.inner_at(x, X, Y)
         denom = gxx * gyy - gxy * gxy
-        if denom < 1e-14 * max(gxx * gyy, 1e-300):
+        if denom < DEGENERATE_PLANE * max(gxx * gyy, NORM_FLOOR):
             raise GeometryError("degenerate plane")
         num = self.inner_at(x, self.curvature_vector_apply(x, X, Y, Y), X)
         return num / denom
@@ -617,16 +624,23 @@ class Warped(SpaceForm):
         self.amb_dim = fiber.amb_dim + 1
         # f vanishes once in every pi / sqrt(k_ref) if k_ref > 0, else at most once, changing sign
         short = warp.k_ref <= 0 or math.sqrt(warp.k_ref) * (hi - lo) < math.pi
-        with np.errstate(over="ignore", invalid="ignore"):  # a warp too large is refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
             ends = np.array(self.interval)
             f, df = warp.value(ends), warp.derivative(ends)
             # f^2 and f'^2 peak at the ends: f is monotone or convex, or the invariant bounds them
             sizes = np.array([warp.k_ref, warp.invariant, *(f * f), *(df * df)])
+            # f^2 is least at an end, or where a convex f turns, at invariant / k_ref; and
+            # (f'/f)^2 = invariant / f^2 - k_ref peaks at an end
+            least = warp.invariant / warp.k_ref if df[0] < 0 < df[1] else (f * f).min()
+            scales = np.array([1.0 / least, *(df / f) ** 2])
         if not (short and np.all(f > 0)):
             raise GeometryError("warp function must be positive on the interval")
         if not np.isfinite(sizes).all():
             raise GeometryError("warp too large: f^2, f'^2, k_ref or the invariant "
                                 "f'^2 + k_ref f^2 overflows on the interval")
+        if not np.all(scales <= WARP_SCALE_MAX):
+            raise GeometryError(f"warp too small or too steep: 1/f^2 or (f'/f)^2 exceeds "
+                                f"{WARP_SCALE_MAX:.2g} on the interval")
 
     def _inside(self, s):
         return (self.interval[0] <= s) & (s <= self.interval[1])
@@ -912,6 +926,6 @@ class SampledPath:
             raise GeometryError("path samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise GeometryError("path time grid must be strictly increasing")
-        if np.any(manifold.point_error(pts) > 1e-8):
+        if np.any(manifold.point_error(pts) > SAMPLE_POINT_TOL):
             raise GeometryError("path sample lies off the manifold")
         self.points = pts

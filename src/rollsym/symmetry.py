@@ -13,7 +13,7 @@ with D_X the derivative along rolling curves, and symmetry_residual reads
 them off bracket_structured, with no stencil.  A candidate
 (SymmetryCandidate) is a brackets.StructuredField of one tangent row per
 field, (Z, Z_hat, C) in frame and so(n) coordinates (see rolling), with its
-pair and names.  Candidates with Z = 0 form the base-fixing class; every
+names.  Candidates with Z = 0 form the base-fixing class; every
 Killing field of the second factor induces one through Z_hat(q) = K_hat at
 the contact point and C = A^T (nabla K_hat) A, and the rows (Z_hat(q0),
 C(q0)) of such candidates span at most n(n+1)/2 dimensions.  Their
@@ -33,10 +33,10 @@ import numpy as np
 from .brackets import FieldData, StructuredField, bracket_structured, rolling_generators
 from .curvature import (rolling_curvature, skew_part, skew_to_vector, so_dim, so_pairs,
                         vector_to_skew, wedge_matrix)
-from .numerics import equilibrate, numerical_rank
+from .numerics import RANK_TOL, equilibrate, numerical_rank
 from .rolling import RollingPair, RollingState, expm, q_dim, rolling_lift, tangent_curve
-from .spaces import (ConstantCurvature, Euclidean, GeometryError, Hyperbolic, MismatchError,
-                     SpaceForm, Sphere)
+from .spaces import (NORM_FLOOR, ConstantCurvature, Euclidean, GeometryError, Hyperbolic,
+                     MismatchError, SpaceForm, Sphere)
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------
@@ -157,9 +157,8 @@ def standard_contact_field(manifold: SpaceForm) -> KillingField:
 class SymmetryCandidate(StructuredField):
     """A stack of k vector fields on the state space, a
     brackets.StructuredField whose rows hold Z, Z_hat and C = A^{-1} U_bar,
-    with its pair and one name per field; base-fixing where Z is zero."""
+    with one name per field; base-fixing where Z is zero."""
 
-    pair: RollingPair
     names: list
 
     def __len__(self):
@@ -192,7 +191,7 @@ def killing_to_symmetry(pair: RollingPair, field: KillingField, spin=None) -> Sy
         d_u = d_nabla @ a + nabla[..., None, :, :, :] @ a @ c
         return FieldData(np.zeros_like(d_t_hat), d_t_hat, d_u)
 
-    return SymmetryCandidate(value, derivative, pair, [f"killing({name})" for name in field.names])
+    return SymmetryCandidate(value, derivative, [f"killing({name})" for name in field.names])
 
 
 def perturb_candidate(pair: RollingPair, field: KillingField, eps, rng) -> SymmetryCandidate:
@@ -203,7 +202,7 @@ def perturb_candidate(pair: RollingPair, field: KillingField, eps, rng) -> Symme
     near-symmetries."""
     m = field.manifold
     noise = skew_part(rng.standard_normal((len(field), m.amb_dim, m.amb_dim)))
-    noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), 1e-300) * eps
+    noise = noise / np.maximum(np.abs(noise).max(axis=(1, 2), keepdims=True), NORM_FLOOR) * eps
     spin = KillingField(m, field.generators + m.signature[:, None] * noise, field.translations,
                         field.names)
     cand = killing_to_symmetry(pair, field, spin)
@@ -285,7 +284,6 @@ def vertical_compatibility_residual(cand: SymmetryCandidate, q, X, Y):
 
 @dataclass
 class PropagationResult:
-    times: np.ndarray
     states: RollingState
     rows: np.ndarray
 
@@ -329,7 +327,7 @@ def propagate_sym0(q1: RollingState, X, row0, t_grid) -> PropagationResult:
     rows[:, n : 2 * n] = (ys[:, None, :n] @ p_hat.mT)[:, 0]
     rows[:, 2 * n :] = skew_to_vector(p @ (c1 + a1.T @ vector_to_skew(ys[:, 2 * n :], n) @ a1)
                                       @ p.mT)
-    return PropagationResult(t_grid, states, rows)
+    return PropagationResult(states, rows)
 
 
 def _jacobi_generator(q1, X):
@@ -354,16 +352,6 @@ def _jacobi_generator(q1, X):
     return gen
 
 
-def propagate_chain(q: RollingState, segments, row):
-    """Propagate the tangent row at q along a broken-geodesic chain; each
-    segment is (X, length), one matrix exponential of the generator of
-    (eta, eta', I) (see propagate_sym0).  Returns the final state and
-    tangent row."""
-    for X, length in segments:
-        q, row = propagate_sym0(q, X, row, [0.0, length]).final()
-    return q, row
-
-
 # -- dimension probe -------------------------------------------------------------------
 
 
@@ -383,7 +371,7 @@ class DimensionReport:
         }
 
 
-def sym0_dimension_probe(q: RollingState, cand: StructuredField, tol=1e-8) -> DimensionReport:
+def sym0_dimension_probe(q: RollingState, cand: StructuredField, tol=RANK_TOL) -> DimensionReport:
     """Numerical rank of the evaluation data (Z_hat(q0), A0^{-1} U_bar(q0))
     over a stack of base-fixing candidates at the state q0, the first of the
     state or stack q, one row per candidate: their tangent rows at q0 without

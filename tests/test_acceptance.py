@@ -37,7 +37,7 @@ from rollsym.symmetry import (
     killing_to_symmetry,
     inner_symmetry_residual,
     perturb_candidate,
-    propagate_chain,
+    propagate_sym0,
     sym0_dimension_probe,
     symmetry_residual,
     vertical_compatibility_residual,
@@ -189,7 +189,7 @@ def test_criterion_06_jacobi_propagation_matches_killing_data():
             q_cur, row = q, cand.value(q)[0]
             for _ in range(3):
                 direction = pair.space.random_tangent(rng, q_cur.x, unit=True)
-                q_cur, row = propagate_chain(q_cur, [(direction, 0.8)], row)
+                q_cur, row = propagate_sym0(q_cur, direction, row, [0.0, 0.8]).final()
             # the ambient Z_hat and U_bar = A C of the propagated and the Killing rows
             (z_cur, u_cur), (z_ref, u_ref) = (
                 (r[2:4] @ q_cur.frame_hat, q_cur.isometry @ vector_to_skew(r[4:], 2))

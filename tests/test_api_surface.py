@@ -26,7 +26,11 @@ a helper that two modules share is public, or the rule it serves lives in
 one module.
 
 Only `spaces.tagged` reads the kind, type or name that says what an input
-object is: one reader, with one rule for a value that is no object."""
+object is: one reader, with one rule for a value that is no object.
+
+Every threshold of the package is a named module-level constant: a small
+float literal (in (0, 1e-4)) written into a function, a default or a class
+is a second spelling of some rule, which no table of thresholds lists."""
 
 import ast
 import importlib
@@ -406,3 +410,17 @@ def test_only_tagged_reads_the_tag_of_an_input_object():
             if getattr(scope, "name", None) != "tagged":
                 reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not reads, reads
+
+
+def test_every_small_float_literal_is_a_module_level_constant():
+    # a literal inside a module-level assignment names a threshold; anywhere
+    # else it is a threshold without a name
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(sub) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for sub in ast.walk(node)}
+        unnamed += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < node.value < 1e-4 and id(node) not in named]
+    assert not unnamed, unnamed

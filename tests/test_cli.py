@@ -481,6 +481,34 @@ def test_samples_that_do_not_start_at_the_contact_point_exit_2(tmp_path):
     assert lines == ["error: driving path does not start at the contact point"]
 
 
+@pytest.mark.parametrize("radius, offset, code", [
+    *((r, offset, code) for r in (1e-3, 1.0, 1e6) for offset, code in ((1e-10, 0), (1e-7, 2))),
+    (1e6, 4.9e-6, 2),  # 4.9 units from the contact point
+])
+def test_a_path_starts_at_the_contact_point_by_one_relative_rule(tmp_path, capsys, radius,
+                                                                  offset, code):
+    # the start is checked as each segment's end is: within 1e-8 of the larger
+    # coordinate; np.allclose's rtol of 1e-5 let the first sample lie 1e-7 of r
+    # away at every radius, and 4.9 units away on S2(1e6); offsets are angles
+    x0 = np.full(3, radius / math.sqrt(3.0))
+    u, w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0), np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+    first = math.cos(offset) * x0 + math.sin(offset) * radius * u
+    second = math.cos(0.1) * x0 + math.sin(0.1) * radius * w
+    np.savetxt(tmp_path / "path.csv", [[0.0, *first], [1.0, *second]], delimiter=",", fmt="%.17g")
+    cfg = write_config(tmp_path, {"manifold_pair": [
+        {"kind": "sphere", "dim": 2, "radius": radius}, {"kind": "euclidean", "dim": 2}],
+        "initial_state": {"x": x0.tolist(), "x_hat": [0.0, 0.0], "A": np.eye(2).tolist()}})
+    out = tmp_path / "traj.csv"
+    spec = json.dumps({"type": "samples", "file": str(tmp_path / "path.csv")})
+    assert main(["--config", cfg, "simulate", "--path-spec", spec, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: driving path does not start at the contact point\n"
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
 def test_warped_fiber_of_a_warped_product_exits_2(tmp_path, capsys):
     # the curvature of a warped product needs a fiber of constant curvature
     inner = {"kind": "warped", "interval": [-1.2, 1.2], "warp": {"name": "cosh"},
@@ -563,6 +591,36 @@ def test_a_warp_too_large_to_square_exits_2(tmp_path, capsys, warp, code, comman
         assert not out.exists()
     else:
         assert err == "" and out.exists()
+
+
+SMALL_WARP_COMMANDS = {**WARP_SIZE_COMMANDS,
+                       "symmetry-check": ["--candidate", json.dumps({"kind": "catalog"}),
+                                          "--samples", "5"]}
+
+
+def _small_warp(name, a):
+    """A warp of the given family and amplitude; an affine one with slope 0.3 a."""
+    return {"name": name, "a": a, **({"b": 0.3 * a} if name == "affine" else {})}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_WARP_COMMANDS))
+@pytest.mark.parametrize("name", ["affine", "cos", "cosh", "exp"])
+@pytest.mark.parametrize("a, runs", [(1e-20, True), (1e-76, True), (1e-78, False),
+                                     (1e-152, False)])
+def test_a_warp_too_small_to_divide_by_exits_2(tmp_path, capsys, command, name, a, runs):
+    # products of three fiber-frame scalings 1/f overflowed: from a = 1e-103
+    # growth warned and died in the SVD, and from 1e-155 rol did; every warp
+    # accepted runs without a warning, which the suite turns into an error
+    cfg = write_config(tmp_path, {"manifold_pair": [{**WARPED_S1, "warp": _small_warp(name, a)},
+                                                    {"kind": "sphere", "dim": 2}], "seed": 0})
+    out = tmp_path / "report.out"
+    code = main(["--config", cfg, command, *SMALL_WARP_COMMANDS[command], "--out", str(out)])
+    err = capsys.readouterr().err
+    if runs:
+        assert code in (0, 1) and out.exists()
+    else:
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: warp too small or too steep") and err.count("\n") == 1
 
 
 def test_config_parse_failure_exit_code(tmp_path, capsys):
@@ -986,6 +1044,28 @@ def test_rol_report(tmp_path):
     data = json.loads(out.read_text())
     assert data["invertible"] is True
     assert data["singular_values"] == pytest.approx([8.0 / 9.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3, 1e6, 1e7])
+def test_rol_and_growth_read_agreeing_curvatures_by_one_rule_at_every_scale(tmp_path, radius):
+    # a relative round-off rule: at 1e6 and 1e7 the absolute floor called
+    # kappa = 8.9e-13 a zero map, and at 1e-3 round-off of 1e6 invertible
+    sphere = {"kind": "sphere", "dim": 2}
+    for ratio in (3.0, 1.0):
+        cfg = write_config(tmp_path, {"manifold_pair": [{**sphere, "radius": radius},
+                                                        {**sphere, "radius": ratio * radius}]})
+        for seed in range(5):
+            rol, growth = tmp_path / "rol.json", tmp_path / "growth.json"
+            assert main(["--config", cfg, "--seed", str(seed), "rol", "--out", str(rol)]) == 0
+            main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)])
+            data, kappa = json.loads(rol.read_text()), json.loads(growth.read_text())["kappa"]
+            nonzero = any(v != 0.0 for row in data["operator"] for v in row)
+            assert nonzero == (kappa != 0.0) == (ratio != 1.0)
+            assert data["invertible"] is nonzero
+            if nonzero:
+                assert data["condition_number"] == pytest.approx(1.0, abs=1e-9)
+            else:
+                assert data["condition_number"] is None
 
 
 ONE_DIMENSIONAL_PAIRS = {
@@ -1497,6 +1577,27 @@ def test_audit_rejects_a_perturbation_too_large_to_hold(tmp_path, capsys):
     assert "residuals are not finite" in err and "Traceback" not in err
     assert [line.startswith("error:") for line in err.splitlines()] == [True]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("residual, code", [(5e-10, 0), (5e-9, 2)])
+def test_an_input_state_meets_isometry_tol_whatever_the_isometry_tolerance(tmp_path, capsys,
+                                                                          residual, code):
+    # rolling.ISOMETRY_TOL (1e-9) checks an input state; tolerances.isometry
+    # (here 1e-7) weighs only the rows that a roll writes, so it cannot admit
+    # a contact map that ISOMETRY_TOL refuses
+    stretch = math.sqrt(1.0 + residual)  # |A^T A - I| = residual
+    state = {"x": [0.0, 0.0, 1.0], "x_hat": [0.0, 0.0], "A": [[stretch, 0.0], [0.0, 1.0]]}
+    cfg = write_config(tmp_path, {**SPHERE_PLANE, "initial_state": state,
+                                  "tolerances": {"isometry": 1e-7}})
+    out = tmp_path / "traj.csv"
+    assert main(["--config", cfg, "simulate", *ON_SPHERE_PLANE["simulate"],
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: contact map is not an isometry") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert np.loadtxt(out, delimiter=",", skiprows=1)[0, -1] == pytest.approx(residual)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])

@@ -425,6 +425,17 @@ def test_the_warp_normal_form_matches_each_family_formula():
     assert WarpFunction("exp", a=3.3, omega=0.9).invariant == 0.0
 
 
+def test_a_convex_warp_is_refused_by_its_least_value_inside_the_interval():
+    # cosh is least at 0, where 1/f^2 = 1e180, though 1/f^2 = 1.5e137 at both ends
+    fiber = Sphere(1, 1.0)
+    with pytest.raises(GeometryError, match="warp too small"):
+        Warped((-50.0, 50.0), WarpFunction("cosh", a=1e-90), fiber)
+    Warped((-50.0, 50.0), WarpFunction("cosh", a=1e-60), fiber)
+    # (f'/f)^2 = omega^2 everywhere on exp
+    with pytest.raises(GeometryError, match="too steep"):
+        Warped((-1e-100, 1e-100), WarpFunction("exp", omega=1e78), fiber)
+
+
 def test_an_exact_inverse_recovers_the_velocity_of_the_warped_geodesic_flow():
     # log inverts the geodesic flow: on a warped product through the normal
     # form of the warp, with no Clairaut integral in common with the flow

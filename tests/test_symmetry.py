@@ -26,7 +26,6 @@ from rollsym.symmetry import (
     killing_catalog,
     killing_to_symmetry,
     perturb_candidate,
-    propagate_chain,
     propagate_sym0,
     sym0_dimension_probe,
     symmetry_residual,
@@ -37,11 +36,10 @@ RNG = np.random.default_rng(404)
 FIELD_FD_STEP = 1e-3  # the stencil step of a candidate without closed-form derivatives
 
 
-def stencil_candidate(pair, value, names):
+def stencil_candidate(value, names):
     """The candidate of a value closure, differentiated by stencils."""
     return SymmetryCandidate(value, lambda q, xi: stencil_data_derivative(value, q, xi,
-                                                                          FIELD_FD_STEP),
-                             pair, names)
+                                                                          FIELD_FD_STEP), names)
 
 
 def zeros(*shape):
@@ -147,7 +145,7 @@ def test_sphere_rotation_induced_candidate_on_s3():
 def test_zero_candidate_has_zero_residuals():
     pair = RollingPair(Sphere(2, 1.0), Euclidean(2))
     q = pair.random_state(RNG)
-    zero = stencil_candidate(pair, zeros(1, q_dim(2)), ["zero"])
+    zero = stencil_candidate(zeros(1, q_dim(2)), ["zero"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     assert np.all(np.concatenate(symmetry_residual(zero, q[None], X[None])) == 0.0)
 
@@ -170,7 +168,7 @@ def test_candidate_validation():
     # that are not finite at the samples are refused
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    nan_valued = stencil_candidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+    nan_valued = stencil_candidate(lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
                                    ["nan"])
     with pytest.raises(GeometryError, match="not finite"):
         symmetry_residual(nan_valued, q[None], q.frame[None, 0])
@@ -179,7 +177,7 @@ def test_candidate_validation():
 def test_vertical_compatibility_refuses_rows_that_are_not_finite():
     pair = RollingPair(Sphere(2, 2.0), Sphere(2, 1.0))
     q = pair.random_state(RNG)
-    nan_valued = stencil_candidate(pair, lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
+    nan_valued = stencil_candidate(lambda s: np.full(s.shape + (1, q_dim(2)), np.nan),
                                    ["nan"])
     with pytest.raises(GeometryError, match="not finite"):
         vertical_compatibility_residual(nan_valued, q[None], q.frame[None, 0], q.frame[None, 1])
@@ -197,7 +195,7 @@ def test_dimension_probe_refuses_rows_that_are_not_finite():
         return rows
 
     with pytest.raises(GeometryError, match="not finite"):
-        sym0_dimension_probe(q, stencil_candidate(pair, value, ["nan"]))
+        sym0_dimension_probe(q, stencil_candidate(value, ["nan"]))
 
 
 def test_killing_mismatch_raises():
@@ -440,7 +438,7 @@ def test_vertical_compatibility_detects_base_dependence():
         rows[..., 0, 2:4] = s.isometry.mT[..., 0, :]
         return rows
 
-    cand = stencil_candidate(pair, contact_map_drift, ["contact-map drift"])
+    cand = stencil_candidate(contact_map_drift, ["contact-map drift"])
     X = pair.space.random_tangent(RNG, q.x, unit=True)
     Y = pair.space.random_tangent(RNG, q.x, unit=True)
     assert vertical_compatibility_residual(cand, q[None], X[None], Y[None])[0, 0] > 1e-4
@@ -561,7 +559,7 @@ def test_stacked_residuals_equal_the_stacks_of_one(make_pair, seed, perturbed):
 def inner_candidate(pair, Z, name):
     """The inner symmetry candidate of a stack closure Z: (Z, A Z, 0), its
     rolling lift."""
-    return stencil_candidate(pair, lambda s: rolling_lift(s, Z(s)), [name])
+    return stencil_candidate(lambda s: rolling_lift(s, Z(s)), [name])
 
 
 def test_inner_kind_candidate_passes_general_residuals():
@@ -752,7 +750,7 @@ def test_propagation_matches_killing_construction():
         rng = np.random.default_rng(12)
         for _ in range(3):
             direction = pair.space.random_tangent(rng, q_cur.x, unit=True)
-            q_cur, row = propagate_chain(q_cur, [(direction, 0.8)], row)
+            q_cur, row = propagate_sym0(q_cur, direction, row, [0.0, 0.8]).final()
         (z_cur, u_cur), (z_ref, u_ref) = (ambient(q_cur, r) for r in (row, cand.value(q_cur)[0]))
         assert np.abs(z_cur - z_ref).max() < 1e-5
         assert np.abs(u_cur - u_ref).max() < 1e-5
@@ -795,8 +793,8 @@ def test_propagation_lands_on_the_killing_construction(pair, data, lengths, seed
     q = pair.random_state(rng)
     row = cand.value(q)[0]
     for length in lengths:
-        q, row = propagate_chain(q, [(pair.space.random_tangent(rng, q.x, unit=True), length)],
-                                 row)
+        direction = pair.space.random_tangent(rng, q.x, unit=True)
+        q, row = propagate_sym0(q, direction, row, [0.0, length]).final()
     (z, u), (z_ref, u_ref) = ambient(q, row), ambient(q, cand.value(q)[0])
     scale = max(1.0, float(np.abs(z_ref).max()), float(np.abs(u_ref).max()))
     assert max(np.abs(z - z_ref).max(), np.abs(u - u_ref).max()) <= 1e-11 * scale
@@ -870,7 +868,7 @@ def test_dimension_probe_span_invariance_and_small_cases():
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, twice)).rank == base
     assert sym0_dimension_probe(q0, killing_to_symmetry(pair, catalog[:1])).rank == 1
     # a stack whose drift on the first factor is nonzero at q0 is not base-fixing
-    moving = stencil_candidate(pair, lambda s: np.broadcast_to(np.eye(q_dim(2))[:1],
+    moving = stencil_candidate(lambda s: np.broadcast_to(np.eye(q_dim(2))[:1],
                                                               s.shape + (1, q_dim(2))),
                                ["moving base"])
     with pytest.raises(GeometryError, match="base-fixing"):
