@@ -87,12 +87,14 @@ def curvature_term(q, plane, plane_hat):
     (..., n, n) in the deterministic frames at x and x_hat, the stack axes
     first: the one place that forms this term.  The rolling curvature takes
     plane_hat = A plane A^T; the bracket and symmetry equations pass their
-    own pair of planes."""
+    own pair of planes.  Where the term is round-off of its two parts
+    (numerics.within_roundoff, the rule that reads kappa = 0), it is exactly 0."""
     ndim = max(np.ndim(plane), np.ndim(plane_hat))
     A = q.expand(q.isometry, ndim)
-    r = q.pair.space.curvature_matrix_apply(q.expand(q.x, ndim - 1), plane)
-    r_hat = q.pair.space_hat.curvature_matrix_apply(q.expand(q.x_hat, ndim - 1), plane_hat)
-    return A @ r - r_hat @ A
+    r = A @ q.pair.space.curvature_matrix_apply(q.expand(q.x, ndim - 1), plane)
+    r_hat = q.pair.space_hat.curvature_matrix_apply(q.expand(q.x_hat, ndim - 1), plane_hat) @ A
+    term = r - r_hat  # zeroed by np.zeros_like, since 0.0 * term would write -0.0
+    return np.zeros_like(term) if within_roundoff(term, r, r_hat) else term
 
 
 def rolling_curvature(q, xi):
@@ -106,14 +108,10 @@ def rolling_curvature(q, xi):
 
 def rolling_curvature_operator(q):
     """Matrix of the so-valued rolling curvature xi -> A^{-1} Rol_q(xi) on
-    Lambda^2, in the lexicographic basis; size n(n-1)/2.  It is exactly 0 where
-    it is round-off of the factors' curvatures of the basis, as kappa is."""
-    n, a = q.pair.dim, q.isometry
+    Lambda^2, in the lexicographic basis; size n(n-1)/2."""
+    n = q.pair.dim
     basis = vector_to_skew(np.eye(so_dim(n)), n)
-    op = skew_to_vector(a.T @ rolling_curvature(q, basis)).T
-    terms = (q.pair.space.curvature_matrix_apply(q.x, basis),
-             q.pair.space_hat.curvature_matrix_apply(q.x_hat, a @ basis @ a.T))
-    return np.zeros_like(op) if within_roundoff(op, *terms) else op  # 0.0 * op writes -0.0
+    return skew_to_vector(q.isometry.T @ rolling_curvature(q, basis)).T
 
 
 def operator_invertible(op, tol=RANK_TOL):

@@ -1049,7 +1049,9 @@ def test_rol_report(tmp_path):
 @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3, 1e6, 1e7])
 def test_rol_and_growth_read_agreeing_curvatures_by_one_rule_at_every_scale(tmp_path, radius):
     # a relative round-off rule: at 1e6 and 1e7 the absolute floor called
-    # kappa = 8.9e-13 a zero map, and at 1e-3 round-off of 1e6 invertible
+    # kappa = 8.9e-13 a zero map, and at 1e-3 round-off of 1e6 invertible;
+    # a matched pair's flag is flat at every radius, so growth exits 0 (the
+    # unmatched pair exits 1 from 1e5 on: its depth-2 rows fall under ROW_FLOOR)
     sphere = {"kind": "sphere", "dim": 2}
     for ratio in (3.0, 1.0):
         cfg = write_config(tmp_path, {"manifold_pair": [{**sphere, "radius": radius},
@@ -1057,7 +1059,8 @@ def test_rol_and_growth_read_agreeing_curvatures_by_one_rule_at_every_scale(tmp_
         for seed in range(5):
             rol, growth = tmp_path / "rol.json", tmp_path / "growth.json"
             assert main(["--config", cfg, "--seed", str(seed), "rol", "--out", str(rol)]) == 0
-            main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)])
+            code = main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)])
+            assert code == 0 or (ratio != 1.0 and radius >= 1e5)
             data, kappa = json.loads(rol.read_text()), json.loads(growth.read_text())["kappa"]
             nonzero = any(v != 0.0 for row in data["operator"] for v in row)
             assert nonzero == (kappa != 0.0) == (ratio != 1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
+from rollsym.brackets import flag_ranks
 from rollsym.curvature import (
     check_skew,
     operator_invertible,
@@ -205,16 +206,21 @@ def test_invertibility_constant_curvature():
     assert not verdict_s and cond_s == pytest.approx(1e12) and list(sv_s) == [1.0, 1e-12]
 
 
-def test_matched_curvatures_give_the_exact_zero_operator_at_every_scale():
+def test_matched_curvatures_give_the_zero_operator_and_a_flat_flag_at_every_scale():
     # round-off of the two curvature terms is the zero map, +0.0 in every
     # entry (0.0 * op would write -0.0), whose verdict comes from the rank
-    # rule alone: rank 0, condition number inf
+    # rule alone: rank 0, condition number inf.  The flag's brackets take the
+    # same zero: at radius 1e-3 their round-off sat above ROW_FLOOR, and S3's
+    # flag read (3, 6, 6) or (3, 4, 4) at most states
     for space in (*(Sphere(3, r) for r in (1e-3, 1.0, 1e7)), Hyperbolic(3, 1.0),
                   Hyperbolic(3, 1e7), Euclidean(3)):
-        op = rolling_curvature_operator(RollingPair(space, space).random_state(RNG))
-        assert not op.any() and not np.signbit(op).any()
-        verdict, cond, sv = operator_invertible(op)
-        assert not verdict and cond == np.inf and not sv.any()
+        for _ in range(3):
+            q = RollingPair(space, space).random_state(RNG)
+            op = rolling_curvature_operator(q)
+            assert not op.any() and not np.signbit(op).any()
+            verdict, cond, sv = operator_invertible(op)
+            assert not verdict and cond == np.inf and not sv.any()
+            assert flag_ranks(q).ranks == (3, 3, 3)
     cos_s2 = Warped((-1.2, 1.2), WarpFunction("cos"), Sphere(2, 1.0))  # a space form of K = 1
     q = RollingPair(cos_s2, Sphere(3, 1.0)).random_state(RNG)
     assert not rolling_curvature_operator(q).any()

@@ -393,14 +393,21 @@ def test_obstruction_always_fires_for_admissible_pairs():
         kh = float(rng.uniform(-3, 3))
         if k == kh:
             continue
-        rep = flatness_obstruction(k, kh, float(rng.uniform(0.1, 2.0)), n=3)
+        beta = float(rng.uniform(0.1, 2.0))
+        rep = flatness_obstruction(k, kh, beta, n=3)
         assert rep.verdict == "not_flat"
+        # a float is read exactly, as the Fraction of its binary value
+        assert (rep.K, rep.K_hat, rep.beta) == (Fraction(k), Fraction(kh), Fraction(beta))
+        assert {type(v) for v in (rep.K, rep.K_hat, rep.beta, rep.kappa)} == {Fraction}
 
 
 def test_obstruction_json_serializes_rationals():
     rep = flatness_obstruction(1, Fraction(1, 9), 1, n=3)
     data = rep.to_json()
     assert data["obstruction_M"] == {"num": 81, "den": 64, "value": 1.265625}
+    # a float input is written as the num/den of its exact value
+    assert flatness_obstruction(0.1, 0.3, 0.5, n=3).to_json()["K"] == {
+        "num": 3602879701896397, "den": 36028797018963968, "value": 0.1}
 
 
 # -- vertical action consistency --------------------------------------------------------
