@@ -397,9 +397,8 @@ def flag_ranks(q: RollingState, depth=3, tol=RANK_TOL) -> FlagReport:
         raise GeometryError("flag depth above 6 is not supported")
     q = RollingState(q.pair, q.x, q.x_hat, q.isometry)  # its own anchor
     gens = current = kept_at(rolling_generators(), q)
-    first, floor = equilibrate(gens.value(q), None)
-    layers = [first]
-    steps = [numerical_rank(first, tol)]  # (rank, singular values, gap) per flag step
+    layers = [equilibrate(gens.value(q))]
+    steps = [numerical_rank(layers[0], tol)]  # (rank, singular values, gap) per flag step
     full = q_dim(q.pair.dim)
     for _ in range(1, depth):
         rank = steps[-1][0]
@@ -409,7 +408,7 @@ def flag_ranks(q: RollingState, depth=3, tol=RANK_TOL) -> FlagReport:
             continue
         current = kept_at(generator_brackets(gens) if current is gens
                           else bracket_field(current, gens), q)
-        layers.append(equilibrate(current.value(q), floor)[0])
+        layers.append(equilibrate(current.value(q)))
         steps.append(numerical_rank(np.concatenate(layers), tol))
     ranks, svs, gaps = zip(*steps)
     return FlagReport(q, ranks, list(svs), tol, gaps)

@@ -40,27 +40,23 @@ def within_roundoff(diff, *terms):
     return np.abs(diff).max() <= CURVATURE_ROUNDOFF * max(np.abs(t).max() for t in terms)
 
 
-# rows shorter than this share of the longest row of the first layer are
-# round-off, which equilibrate drops before it scales a layer.  Every
-# derivative of a depth-3 flag is a closed form, and in `growth` over seeds
-# 0-199 at n = 2, 3, 4 the rows that vanish analytically come out exactly 0
-# or below 9e-16 of the generators' length, the shortest genuine ones at 0.63
-# of it.
+# rows no longer than this share of their own layer's longest row are
+# round-off, which equilibrate drops before it scales the layer.  In `growth`
+# over seeds 0-199 at n = 2, 3, 4, the rows of a depth-3 flag (closed forms
+# all) that vanish analytically come out exactly 0 or below 5e-16 of their
+# layer's longest, and the genuine ones as long as it to round-off.
 ROW_FLOOR = 1e-10
 
 
-def equilibrate(rows, floor):
-    """One layer of the rank rule, and the floor of every later layer: rows
-    no longer than `floor` are round-off and become 0 (not noise of unit
-    length), and the rest are divided by the longest of them, since layers
-    of very different lengths would spread the singular values across the
-    cut.  The first layer passes floor None: ROW_FLOOR times its longest row."""
+def equilibrate(rows):
+    """One layer of the rank rule: rows no longer than ROW_FLOOR times the
+    layer's longest row are round-off and become 0 (not noise of unit
+    length), and the rest are divided by the longest, since layers of very
+    different lengths would spread the singular values across the cut."""
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's, without its checks
-    if floor is None:
-        floor = ROW_FLOOR * norms.max(initial=0.0)
-    kept = norms > floor
-    longest = norms.max(initial=0.0, where=kept)
-    return (kept / longest if longest else np.zeros(len(rows)))[:, None] * rows, floor
+    longest = norms.max(initial=0.0)
+    kept = norms > ROW_FLOOR * longest
+    return (kept / longest if longest else np.zeros(len(rows)))[:, None] * rows
 
 
 def numerical_rank(mat, tol):

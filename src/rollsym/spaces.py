@@ -375,7 +375,11 @@ class ConstantCurvature(SpaceForm):
         self.dim = dim
         self.amb_dim = dim + 1
         self.radius = float(radius)
-        self.curvature_constant = self.sign / radius**2
+        square = self.radius * self.radius  # inf or 0 where radius**2 raises
+        if not (0 < square < math.inf and 1 / square < math.inf):
+            raise GeometryError("radius too small or too large: r^2 or the curvature "
+                                "1/r^2 leaves the float range")
+        self.curvature_constant = self.sign / square
         self.signature = np.ones(self.amb_dim)
         self.signature[0] = self.sign
 

@@ -388,4 +388,4 @@ def sym0_dimension_probe(q: RollingState, cand: StructuredField, tol=RANK_TOL) -
     z, rows = np.split(values, [q.pair.dim], axis=-1)
     if np.any(z):
         raise GeometryError("dimension probe requires base-fixing candidates (Z = 0)")
-    return DimensionReport(*numerical_rank(equilibrate(rows, None)[0], tol), tol)
+    return DimensionReport(*numerical_rank(equilibrate(rows), tol), tol)

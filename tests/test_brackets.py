@@ -581,20 +581,63 @@ def test_a_depth_four_flag_that_reaches_eight_has_a_clear_gap(seed):
     assert all(cut_margin(sv, 1e-8) >= GAP_REQUIREMENT for sv in rep.singular_values)
 
 
+MATCHED_SPACE_FORMS = {"S3(1)^2": Sphere(3, 1.0), "H2(1)^2": Hyperbolic(2, 1.0),
+                       "S2(1e-3)^2": Sphere(2, 1e-3), "R3^2": Euclidean(3), "S4(1e6)^2": Sphere(4, 1e6)}
+
+
 @pytest.mark.parametrize("pair", [
     RollingPair(Sphere(2, 1.0), Sphere(2, 3.0)),
     RollingPair(Sphere(3, 1.0), Euclidean(3)),
     RollingPair(Sphere(4, 1.0), Hyperbolic(4, 1.0)),
-], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)"])
+    *(RollingPair(space, space) for space in MATCHED_SPACE_FORMS.values()),
+], ids=["S2(1)/S2(3)", "S3(1)/R3", "S4(1)/H4(1)", *MATCHED_SPACE_FORMS])
 def test_growth_flags_keep_a_wide_margin_to_the_rank_cut(pair):
     # growth's states at seeds 0-199; the anchored generators keep every
     # margin near 2e7 on these pairs (the Gram-Schmidt frame's lifts fell to
     # 378 over seeds 0-999), so a frame that loses margin fails here, and no
-    # seed is a rank cut that growth calls ambiguous (exit 4)
-    worst = min(cut_margin(sv, 1e-8)
-                for seed in range(200)
-                for sv in flag_ranks(pair.random_state(np.random.default_rng(seed))).singular_values)
-    assert worst >= 1e6
+    # seed is a rank cut that growth calls ambiguous (exit 4).  A matched
+    # pair's depth-2 table is round-off inside D, scaled like any layer: it
+    # must add no rank, and keep its round-off far below the cut
+    reps = [flag_ranks(pair.random_state(np.random.default_rng(seed))) for seed in range(200)]
+    if pair.space is pair.space_hat:
+        assert all(rep.ranks == (pair.dim,) * 3 for rep in reps)
+    assert min(cut_margin(sv, 1e-8) for rep in reps for sv in rep.singular_values) >= 1e6
+
+
+UNMATCHED_SPACE_FORMS = [
+    (Sphere(2, 1.0), Sphere(2, 3.0)), (Sphere(2, 1.0), Euclidean(2)),
+    (Hyperbolic(2, 1.0), Sphere(2, 1.0)), (Sphere(3, 1.0), Hyperbolic(3, 1.0)),
+    (Sphere(3, 1.0), Euclidean(3)), (Sphere(4, 1.0), Hyperbolic(4, 2.0)),
+    (Hyperbolic(3, 1.0), Hyperbolic(3, 2.0)),
+]
+
+
+def homothetic(space, lam):
+    """The space form whose metric is lam^2 times that of space."""
+    return space if isinstance(space, Euclidean) else type(space)(space.dim, lam * space.radius)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([*UNMATCHED_SPACE_FORMS, *((s, s) for s in MATCHED_SPACE_FORMS.values())]),
+       st.integers(0, 2**16), st.floats(-6.0, 6.0))
+def test_the_flag_is_the_same_at_every_scale(factors, seed, u):
+    # scaling both metrics by lam^2 maps rolling motions to rolling motions
+    # (points times lam, A the same), so D and its flag do not depend on lam:
+    # the same ranks, kappa = 0 alike, singular values of the scaled layers
+    # equal, and every cut as clear as growth asks (no exit 4).  A matched
+    # pair's depth-2 layer is round-off, so it keeps its ranks only
+    lam = 10.0**u
+    pair = RollingPair(*factors)
+    scaled = RollingPair(*(homothetic(space, lam) for space in factors))
+    q = pair.random_state(np.random.default_rng(seed))
+    rep = flag_ranks(q)
+    rep_scaled = flag_ranks(scaled.state(lam * q.x, lam * q.x_hat, q.isometry))
+    assert rep_scaled.ranks == rep.ranks
+    if factors[0] is not factors[1]:
+        assert curvature_mismatch(scaled) != 0.0 != curvature_mismatch(pair)
+        for sv, sv_scaled in zip(rep.singular_values, rep_scaled.singular_values):
+            assert np.abs(sv_scaled - sv).max() <= 1e-12 * sv[0]
+            assert min(cut_margin(sv, 1e-8), cut_margin(sv_scaled, 1e-8)) >= 1e6
 
 
 def test_a_flag_anchors_its_generators_at_its_own_state():

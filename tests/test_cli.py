@@ -1046,12 +1046,14 @@ def test_rol_report(tmp_path):
     assert data["singular_values"] == pytest.approx([8.0 / 9.0], abs=1e-9)
 
 
-@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3, 1e6, 1e7])
+@pytest.mark.parametrize("radius", [1e-15, 1e-3, 1.0, 1e3, 1e6, 1e7, 1e10, 1e15])
 def test_rol_and_growth_read_agreeing_curvatures_by_one_rule_at_every_scale(tmp_path, radius):
     # a relative round-off rule: at 1e6 and 1e7 the absolute floor called
     # kappa = 8.9e-13 a zero map, and at 1e-3 round-off of 1e6 invertible;
-    # a matched pair's flag is flat at every radius, so growth exits 0 (the
-    # unmatched pair exits 1 from 1e5 on: its depth-2 rows fall under ROW_FLOOR)
+    # growth exits 0 at every radius, a matched pair's flag flat and the
+    # other's (2, 3, 5): each flag layer is scaled by its own longest row,
+    # where a floor taken from the generators dropped the depth-2 rows
+    # (kappa ~ 1/r^2) from r = 1e5 on and read (2, 2, 2)
     sphere = {"kind": "sphere", "dim": 2}
     for ratio in (3.0, 1.0):
         cfg = write_config(tmp_path, {"manifold_pair": [{**sphere, "radius": radius},
@@ -1059,16 +1061,30 @@ def test_rol_and_growth_read_agreeing_curvatures_by_one_rule_at_every_scale(tmp_
         for seed in range(5):
             rol, growth = tmp_path / "rol.json", tmp_path / "growth.json"
             assert main(["--config", cfg, "--seed", str(seed), "rol", "--out", str(rol)]) == 0
-            code = main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)])
-            assert code == 0 or (ratio != 1.0 and radius >= 1e5)
-            data, kappa = json.loads(rol.read_text()), json.loads(growth.read_text())["kappa"]
+            assert main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)]) == 0
+            data, report = json.loads(rol.read_text()), json.loads(growth.read_text())
+            assert report["flag"]["ranks"] == ([2, 3, 5] if ratio != 1.0 else [2, 2, 2])
             nonzero = any(v != 0.0 for row in data["operator"] for v in row)
-            assert nonzero == (kappa != 0.0) == (ratio != 1.0)
+            assert nonzero == (report["kappa"] != 0.0) == (ratio != 1.0)
             assert data["invertible"] is nonzero
             if nonzero:
                 assert data["condition_number"] == pytest.approx(1.0, abs=1e-9)
             else:
                 assert data["condition_number"] is None
+
+
+# not below radius 1: the unscaled hyperbolic draw fails its own point check there
+@pytest.mark.parametrize("radius", [1.0, 1e6, 1e10, 1e15])
+def test_growth_reads_a_sphere_over_a_hyperbolic_space_alike_at_every_scale(tmp_path, radius):
+    # from 1e6 on, a floor taken from the generators dropped the depth-2 rows
+    # (curvature ~ 1/r^2) and growth read (3, 3, 3) and exited 1
+    cfg = write_config(tmp_path, {"manifold_pair": [
+        {"kind": "sphere", "dim": 3, "radius": radius},
+        {"kind": "hyperbolic", "dim": 3, "radius": radius}]})
+    growth = tmp_path / "growth.json"
+    for seed in range(5):
+        assert main(["--config", cfg, "--seed", str(seed), "growth", "--out", str(growth)]) == 0
+        assert json.loads(growth.read_text())["flag"]["ranks"] == [3, 6, 9]
 
 
 ONE_DIMENSIONAL_PAIRS = {
@@ -1099,6 +1115,30 @@ def test_rol_on_a_one_dimensional_pair_exits_2(tmp_path, capsys, command, pair):
     assert "n >= 2" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [1e-170, 1e-155, 1e155])
+@pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS_ON_A_PAIR))
+def test_a_radius_whose_curvature_leaves_the_float_range_exits_2(tmp_path, capsys, command,
+                                                                  kind, radius):
+    # r^2 or 1/r^2 beyond the floats: radius**2 raised ZeroDivisionError or
+    # OverflowError, or K = inf failed later; now one error line, no traceback
+    cfg = write_config(tmp_path, {"manifold_pair": [{"kind": kind, "dim": 2, "radius": radius},
+                                                    {"kind": "sphere", "dim": 2}]})
+    out = tmp_path / "report.out"
+    assert main(["--config", cfg, command, *SUBCOMMANDS_ON_A_PAIR[command],
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: radius too small or too large: r^2 or the "
+                                         "curvature 1/r^2 leaves the float range"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("radius", [1e-150, 1e150])
+def test_a_radius_whose_square_and_curvature_are_floats_constructs(radius):
+    for space in (Sphere(2, radius), Hyperbolic(2, radius)):
+        assert abs(space.curvature_constant) == 1.0 / (radius * radius)
 
 
 # finite inputs whose checks overflow: the residual is inf and fails its check

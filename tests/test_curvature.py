@@ -210,7 +210,8 @@ def test_matched_curvatures_give_the_zero_operator_and_a_flat_flag_at_every_scal
     # round-off of the two curvature terms is the zero map, +0.0 in every
     # entry (0.0 * op would write -0.0), whose verdict comes from the rank
     # rule alone: rank 0, condition number inf.  The flag's brackets take the
-    # same zero: at radius 1e-3 their round-off sat above ROW_FLOOR, and S3's
+    # same zero, so the depth-2 table is a rolling lift inside D and adds no
+    # rank: with the round-off of two curvatures of 1e6 left in it, S3(1e-3)'s
     # flag read (3, 6, 6) or (3, 4, 4) at most states
     for space in (*(Sphere(3, r) for r in (1e-3, 1.0, 1e7)), Hyperbolic(3, 1.0),
                   Hyperbolic(3, 1e7), Euclidean(3)):

@@ -67,28 +67,29 @@ def test_numerical_rank_and_gap():
     assert rank_rows == 2 and len(sv_rows) == 3 and gap_rows == math.inf
 
 
+def layered_rows(rows, layers):
+    """rows whose consecutive blocks of `layers` rows are equilibrated one
+    by one, as a flag adjoins its steps."""
+    blocks = np.split(np.asarray(rows, dtype=float), np.cumsum(layers)[:-1])
+    return np.concatenate([equilibrate(block) for block in blocks])
+
+
 def layered_rank(rows, tol, layers):
-    """numerical_rank of rows whose consecutive blocks of `layers` rows are
-    equilibrated one by one, as a flag adjoins its steps."""
-    scaled, floor = [], None
-    for block in np.split(np.asarray(rows, dtype=float), np.cumsum(layers)[:-1]):
-        layer, floor = equilibrate(block, floor)
-        scaled.append(layer)
-    return numerical_rank(np.concatenate(scaled), tol)
+    """numerical_rank of rows equilibrated layer by layer (layered_rows)."""
+    return numerical_rank(layered_rows(rows, layers), tol)
 
 
 def batch_rank(mat, tol, layers):
     """The rank rule as one batch over all layers at once, re-equilibrating
-    every earlier layer at each call: the reference that the per-layer rule
-    must match bit for bit."""
+    every earlier layer at each call, each block against its own longest
+    row: the reference that the per-layer rule must match bit for bit."""
     mat = np.asarray(mat, dtype=float)
     norms = np.linalg.norm(mat, axis=1)
-    kept = norms > ROW_FLOOR * norms[: layers[0]].max(initial=0.0)
     scale = np.zeros(len(mat))
     for block in np.split(np.arange(len(mat)), np.cumsum(layers)[:-1]):
-        longest = norms[block][kept[block]].max(initial=0.0)
+        longest = norms[block].max(initial=0.0)
         if longest > 0.0:
-            scale[block] = np.where(kept[block], 1.0 / longest, 0.0)
+            scale[block] = np.where(norms[block] > ROW_FLOOR * longest, 1.0 / longest, 0.0)
     return numerical_rank(scale[:, None] * mat, tol)
 
 
@@ -107,28 +108,32 @@ def test_layers_are_equilibrated_by_their_longest_row():
 
 
 def test_round_off_rows_are_dropped_before_the_layers_are_scaled():
-    # a layer that vanishes up to round-off must not become unit noise
-    noise = 1e-15 * np.random.default_rng(0).standard_normal((3, 3))
-    rows = np.vstack([np.eye(3)[:2], noise])
+    # round-off beside a genuine row of its layer must not become unit noise
+    noise = 1e-15 * np.random.default_rng(0).standard_normal((2, 3))
+    rows = np.vstack([np.eye(3)[:2], np.eye(3)[2:], noise])
     rank, sv, gap = layered_rank(rows, 1e-8, [2, 3])
-    assert rank == 2 and np.all(sv[2:] == 0.0) and gap == math.inf
-    # the same layer 1e4 times above the floor is a direction of its own
+    assert rank == 3 and np.all(sv[3:] == 0.0) and gap == math.inf
+    # a layer 1e-6 as long as the first is a direction of its own
     rank_kept, _, _ = layered_rank(np.vstack([np.eye(3)[:2], 1e-6 * np.eye(3)[2:]]), 1e-8,
                                    [2, 1])
     assert rank_kept == 3
 
 
 @pytest.mark.parametrize("longest", [1.0, 2.0**40])
-def test_a_row_no_longer_than_a_ten_billionth_of_the_first_layers_longest_is_dropped(longest):
+def test_a_row_no_longer_than_a_ten_billionth_of_its_own_layers_longest_is_dropped(longest):
     # the documented rule, written out rather than read from ROW_FLOOR: a row
-    # no longer than 1e-10 times the first layer's longest row becomes 0, in
-    # that layer and in every later one, and a row 3 times that is kept
+    # no longer than 1e-10 times its own layer's longest row becomes 0, and a
+    # row 3 times that is kept, in a first layer and in a later one alike
     at_floor, above = 1e-10 * longest, 3e-10 * longest
-    first = np.array([[longest, 0.0, 0.0], [0.0, at_floor, 0.0], [0.0, 0.0, above]])
-    layer, floor = equilibrate(first, None)
-    assert np.array_equal(layer, np.diag([1.0, 0.0, 3e-10]))
-    for length, kept in ((at_floor, 0.0), (above, 1.0)):
-        assert equilibrate(np.array([[0.0, length, 0.0]]), floor)[0][0, 1] == kept
+    layer = np.array([[longest, 0.0, 0.0], [0.0, at_floor, 0.0], [0.0, 0.0, above]])
+    rule = np.diag([1.0, 0.0, 3e-10])
+    assert np.array_equal(equilibrate(layer), rule)
+    # the scale case: a later layer 2^-40 (about 1e-12) as long as the first
+    # obeys the same rule, and one of 1e-12 of the first's longest is kept
+    # whole, where a floor taken from the first layer dropped them all
+    rows = layered_rows(np.vstack([layer, 2.0**-40 * layer, 1e-12 * longest * np.eye(3)]),
+                        [3, 3, 3])
+    assert np.array_equal(rows, np.vstack([rule, rule, np.eye(3)]))
 
 
 def test_numerical_rank_of_the_zero_matrix():

@@ -327,8 +327,9 @@ def test_coarse_roll_stays_on_the_constraints():
     assert curve.residuals.max() < 1e-12
 
 
-# a space form of each kind; hyperbolic radii stay >= 1 so that unit-speed
-# paths of length <= pi keep their points where POINT_TOL is absolute round-off
+# a space form of each kind; hyperbolic radii stay >= 1, since random_point's
+# spatial draw and the paths (length <= pi) are in absolute units: a smaller
+# radius puts both further out in units of r, against a relative POINT_TOL
 SPACE_FORMS = st.one_of(
     st.builds(Sphere, st.sampled_from([2, 3]), st.floats(0.5, 3.0)),
     st.builds(Hyperbolic, st.sampled_from([2, 3]), st.floats(1.0, 3.0)),
