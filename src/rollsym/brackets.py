@@ -30,7 +30,6 @@ connection form or sample state with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -353,16 +352,6 @@ class FlagReport:
     singular_values: list
     tol: float
     gaps: tuple
-
-    def to_json(self):
-        return {
-            "ranks": list(self.ranks),
-            "singular_values": [sv.tolist() for sv in self.singular_values],
-            "tol": self.tol,
-            "gaps": [g if g != math.inf else None for g in self.gaps],
-            "state": self.state.to_json(),
-            "dim_state_space": q_dim(self.state.pair.dim),
-        }
 
 
 def kept_at(field: StructuredField, q: RollingState) -> StructuredField:

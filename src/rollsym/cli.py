@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
                      SampledPath, from_spec, integral, keyed, real, reals, tagged)
-from .rolling import RollingPair, roll_along
+from .rolling import RollingPair, RollingState, q_dim, roll_along
 from .curvature import operator_invertible, rolling_curvature_operator, so_pairs
 from .brackets import curvature_mismatch, flag_ranks, kept_at
 from .numerics import RANK_TOL, cut_margin
@@ -59,6 +60,27 @@ MAX_AUDIT_SAMPLES = 10**4
 # a path direction whose tangent part is at most this share of it is normal: the empty path
 NORMAL_DIRECTION = 1e-12
 TOLERANCE_DEFAULTS = {"residual": 1e-6, "rank": RANK_TOL, "step": DEFAULT_STEP, "isometry": 1e-7}
+
+
+def _plain(value):
+    """A result as JSON data, the one rule of every report: a float inf is null,
+    an array, list or tuple a list, a state its {x, x_hat, A} (as initial_state
+    reads it), a Fraction its {num, den, value}, a dataclass a dict of its fields."""
+    if isinstance(value, float):  # the common cases first: no walk per array entry
+        return None if math.isinf(value) else value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, RollingState):
+        return {"x": value.x.tolist(), "x_hat": value.x_hat.tolist(), "A": value.isometry.tolist()}
+    if isinstance(value, Fraction):  # float() raises OverflowError past the float range
+        return {"num": value.numerator, "den": value.denominator, "value": float(value)}
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def _dump(obj, out_path):
@@ -130,8 +152,11 @@ class Run:
         if "initial_state" not in self.config:
             return self.pair.random_state(rng)
         with _reading("initial_state"):
-            return self.pair.state_from_json(
-                keyed(self.config["initial_state"], "initial_state", ("x", "x_hat", "A")))
+            data = keyed(self.config["initial_state"], "initial_state", ("x", "x_hat", "A"))
+            q = self.pair.state(*(reals(data[key], f"state {key}") for key in ("x", "x_hat", "A")))
+        if q.shape:
+            raise GeometryError(f"a state holds one contact map, got a stack of shape {q.shape}")
+        return q
 
     def report_header(self):
         return {"seed": self.seed, "tolerances": self.tolerances}
@@ -182,9 +207,8 @@ def cmd_simulate(args):
         report = run.report_header()
         report["trajectory"] = [
             {"t": t, "x": x, "x_hat": x_hat, "A": a, "isometry_residual": res}
-            for t, x, x_hat, a, res in zip(curve.times.tolist(), curve.x.tolist(),
-                                           curve.x_hat.tolist(), curve.A.tolist(),
-                                           curve.residuals.tolist())
+            for t, x, x_hat, a, res in zip(*_plain((curve.times, curve.x, curve.x_hat, curve.A,
+                                                    curve.residuals)))
         ]
         report["max_isometry_residual"] = residual
         status = _dump(report, run.out)
@@ -206,9 +230,8 @@ def cmd_growth(args):
     growth = (n, n, n) if kappa == 0.0 else growth_vector(n)
     predicted = (growth + growth[-1:] * args.depth)[: args.depth]
     out = run.report_header()
-    out["flag"] = report.to_json()
-    out["kappa"] = kappa
-    out["predicted_growth"] = list(predicted)
+    out.update(_plain({"flag": {**vars(report), "dim_state_space": q_dim(n)}, "kappa": kappa,
+                       "predicted_growth": predicted}))
     if kappa == 0.0:
         out["note"] = "kappa=0"
     ambiguous = any(cut_margin(sv, run.tolerances["rank"]) < GAP_REQUIREMENT
@@ -254,14 +277,13 @@ def cmd_audit(args):
         raise GeometryError(f"perturb must be finite, got {eps!r}")
     cands = perturb_candidate(pair, fields, eps, rng) if eps else killing_to_symmetry(pair, fields)
 
-    # one seeded draw: the samples come as stacks (all states, then all X,
-    # then all Y), checked as one stack; each checker takes the whole stack at
-    # once, and the candidates' rows on it are evaluated once, for the bracket
-    # and for the dimension probe, which ranks those of the first sample
-    x, x_hat, a = pair.draw(rng, (args.samples,))
-    Xs = pair.space.random_tangent(rng, x, unit=True)
-    Ys = pair.space.random_tangent(rng, x, unit=True)
-    qs = pair.state(x, x_hat, a)
+    # one seeded draw: all states as one stack, checked before all X, then
+    # all Y, are drawn at them; each checker takes the whole stack at once,
+    # and the candidates' rows on it are evaluated once, for the bracket and
+    # for the dimension probe, which ranks those of the first sample
+    qs = pair.state(*pair.draw(rng, (args.samples,)))
+    Xs = pair.space.random_tangent(rng, qs.x, unit=True)
+    Ys = pair.space.random_tangent(rng, qs.x, unit=True)
     with np.errstate(over="ignore", invalid="ignore"):  # the checkers refuse rows that overflow
         kept = kept_at(cands, qs)
     # one row of residuals per sample, one entry per candidate
@@ -275,7 +297,7 @@ def cmd_audit(args):
         for key, vals in stats.items()
     }
     probe = sym0_dimension_probe(qs, kept, tol=run.tolerances["rank"])
-    out["sym0_dimension"] = probe.to_json()
+    out["sym0_dimension"] = _plain(probe)
     status = _dump(out, run.out)
     failing = [k for k, v in out["residuals"].items() if not v["max"] < tol]
     if failing:
@@ -303,11 +325,8 @@ def cmd_rol(args):
     op = rolling_curvature_operator(q0)
     verdict, cond, sv = operator_invertible(op, tol=run.tolerances["rank"])
     out = run.report_header()
-    out["state"] = q0.to_json()
-    out["operator"] = op.tolist()
-    out["singular_values"] = sv.tolist()
-    out["invertible"] = verdict
-    out["condition_number"] = None if cond == float("inf") else cond
+    out.update(_plain({"state": q0, "operator": op, "singular_values": sv, "invertible": verdict,
+                       "condition_number": cond}))
     _dump(out, run.out)
     return EXIT_OK
 
@@ -341,7 +360,7 @@ def cmd_flatness(args):
                                   _rational(args.beta), n=args.n)
     out = run.report_header()
     with _reading("--K, --K-hat or --beta"):  # a value beyond the float range
-        out["obstruction"] = report.to_json()
+        out["obstruction"] = _plain(report)
     _dump(out, run.out)
     return EXIT_OK
 

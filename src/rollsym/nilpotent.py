@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import so_dim, vector_to_skew
+from .curvature import skew_to_vector, so_dim, vector_to_skew, wedge_matrix
 from .spaces import GeometryError
 
 
@@ -76,8 +76,7 @@ def nil_bracket(u: GradedVector, v: GradedVector) -> GradedVector:
     combine as 1+1 -> 2, 1+2 -> 3, all else 0."""
     if u.n != v.n:
         raise GeometryError("graded vectors have different dimensions")
-    i, j = np.triu_indices(u.n, 1)
-    b = u.a[..., i] * v.a[..., j] - u.a[..., j] * v.a[..., i]
+    b = skew_to_vector(wedge_matrix(u.a, v.a))
     # [a, B'] = -B'a and [B, a'] = +B a'
     skew_u, skew_v = vector_to_skew(u.b, u.n), vector_to_skew(v.b, u.n)
     c = (skew_u @ v.a[..., None] - skew_v @ u.a[..., None])[..., 0]
@@ -281,21 +280,6 @@ class ObstructionReport:
     obstruction_M: Fraction
     obstruction_M_hat: Fraction
     verdict: str
-
-    def to_json(self):
-        def num(x):
-            return {"num": x.numerator, "den": x.denominator, "value": float(x)}
-
-        return {
-            "K": num(self.K),
-            "K_hat": num(self.K_hat),
-            "beta": num(self.beta),
-            "n": self.n,
-            "kappa": num(self.kappa),
-            "obstruction_M": num(self.obstruction_M),
-            "obstruction_M_hat": num(self.obstruction_M_hat),
-            "verdict": self.verdict,
-        }
 
 
 def flatness_obstruction(K, K_hat, beta, n=3) -> ObstructionReport:

@@ -41,8 +41,7 @@ import numpy as np
 
 from .curvature import so_dim, vector_to_skew
 from .numerics import central_diff, stencil_offsets
-from .spaces import (DEFAULT_STEP, POINT_TOL, DomainError, GeodesicPath, GeometryError, SpaceForm,
-                     reals)
+from .spaces import DEFAULT_STEP, POINT_TOL, DomainError, GeodesicPath, GeometryError, SpaceForm
 
 ISOMETRY_TOL = 1e-9
 TANGENCY_TOL = 1e-8  # a lifted vector's tangency residual, relative to max(1, |X|)
@@ -76,12 +75,6 @@ class RollingPair:
 
     def random_state(self, rng) -> "RollingState":
         return self.state(*self.draw(rng))
-
-    def state_from_json(self, data: dict) -> "RollingState":
-        q = self.state(*(reals(data[key], f"state {key}") for key in ("x", "x_hat", "A")))
-        if q.shape:
-            raise GeometryError(f"a state holds one contact map, got a stack of shape {q.shape}")
-        return q
 
 
 def random_rotation(rng, n, shape=()):
@@ -218,10 +211,6 @@ class RollingState:
         c = self.coords(w)[..., None, :]
         a, frame_hat = (self.expand(v, c.ndim) for v in (self.isometry, self.frame_hat))
         return (c @ a.mT @ frame_hat)[..., 0, :]
-
-    def to_json(self) -> dict:
-        return {"x": self.x.tolist(), "x_hat": self.x_hat.tolist(),
-                "A": self.isometry.tolist()}
 
 
 def q_dim(n):

@@ -25,7 +25,6 @@ returns one residual per sample and candidate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,14 +360,6 @@ class DimensionReport:
     singular_values: np.ndarray
     gap: float
     tol: float
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "singular_values": self.singular_values.tolist(),
-            "gap": None if math.isinf(self.gap) else self.gap,
-            "tol": self.tol,
-        }
 
 
 def sym0_dimension_probe(q: RollingState, cand: StructuredField, tol=RANK_TOL) -> DimensionReport:

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rollsym import Hyperbolic, Sphere
-from rollsym.cli import main
+from rollsym.cli import _plain, main
 from rollsym.rolling import RollingPair
+from rollsym.spaces import GeodesicPath, from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -967,7 +969,21 @@ def test_an_audit_draws_once_and_probes_its_first_sample(tmp_path, monkeypatch, 
              else killing_to_symmetry(pair, catalog))
     qs = pair.state(*pair.draw(rng, (4,)))
     probe = sym0_dimension_probe(qs[0], cands, tol=1e-8)
-    assert json.loads(out.read_text())["sym0_dimension"] == json.loads(json.dumps(probe.to_json()))
+    assert json.loads(out.read_text())["sym0_dimension"] == json.loads(json.dumps(_plain(probe)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_audit_checks_its_states_before_it_draws_tangents_at_them(tmp_path, capsys, seed):
+    # on H2(1e-10) random_tangent drew at unchecked points, warned of an
+    # invalid sqrt, and only then did the state check refuse them
+    cfg = write_config(tmp_path, {"manifold_pair": [_hyperbolic(2, 1e-10), _sphere(2)]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", cfg, "--seed", str(seed), "symmetry-check", "--candidate",
+                     json.dumps({"kind": "catalog"}), "--samples", "5"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: point violates the hyperbolic constraint")
 
 
 AUDIT_FLOOR_PAIRS = {
@@ -1864,3 +1880,48 @@ def test_malformed_input_exits_with_an_error_code_and_writes_nothing(fuzz_dir, i
             code = exc.code
     assert code in (2, 3, 4, 5)
     assert not out.exists()
+
+
+STRICT_PAIRS = [
+    # a stationary flag and a zero operator: inf gaps and condition number
+    [_sphere(2), _sphere(2)],
+    [_sphere(2), _warped("cos", _sphere(1))],
+    [_warped("exp", _sphere(1)), _hyperbolic(2)],
+    [_sphere(3), _hyperbolic(3, 2.0)],
+]
+
+
+def test_every_report_is_strict_json(tmp_path):
+    # a float inf is written as null (cli._plain), never as Infinity, and no
+    # report holds a NaN, whatever its exit code
+    runs = [["nilpotent", "--n", "3"], ["flatness", "--K", "1", "--K-hat", "4", "--n", "2"],
+            ["flatness", "--K", "1", "--K-hat", "1/9", "--n", "3"]]
+    for k, pair in enumerate(STRICT_PAIRS):
+        cfg = write_config(tmp_path, {"manifold_pair": pair, "seed": 1}, f"{k}.json")
+        space, rng = from_spec(pair[0]), np.random.default_rng(1)
+        q0 = RollingPair(space, from_spec(pair[1])).random_state(rng)  # the config's state
+        geodesic = GeodesicPath(space, q0.x, space.random_tangent(rng, q0.x, unit=True), 0.3)
+        samples = tmp_path / f"{k}.csv"
+        np.savetxt(samples, [[t, *geodesic.point(t)] for t in (0.0, 0.15, 0.3)],
+                   delimiter=",", fmt="%.17g")
+        for path in ({"type": "geodesic", "direction": geodesic.velocity(0.0).tolist(),
+                      "length": 0.3}, {"type": "samples", "file": str(samples)}):
+            runs.append(["--config", cfg, "simulate", "--format", "json",
+                         "--path-spec", json.dumps(path)])
+        runs += [["--config", cfg, *argv] for argv in (
+            ["growth", "--depth", "3"], ["growth", "--depth", "4"], ["rol"], ["killing"],
+            ["symmetry-check", "--candidate", '{"kind": "catalog"}', "--samples", "3"],
+            ["symmetry-check", "--candidate", '{"kind": "catalog", "perturb": 1e-3}',
+             "--samples", "3"])]
+
+    def refuse(token):  # NaN, Infinity and -Infinity are no JSON
+        raise AssertionError(f"{token} in a report")
+
+    out = tmp_path / "report.json"
+    for argv in runs:
+        out.unlink(missing_ok=True)
+        code = main([*argv, "--out", str(out)])
+        # only a Killing catalog asked of the warped second factor writes no report
+        assert out.exists() or code == 5, (argv, code)
+        if out.exists():
+            json.loads(out.read_text(), parse_constant=refuse)

@@ -27,6 +27,7 @@ from rollsym.rolling import (
 )
 from rollsym import rolling as rolling_module
 from rollsym.brackets import chart_differential, curve_velocity
+from rollsym.cli import main
 from rollsym.numerics import central_diff, stencil_offsets
 from rollsym.spaces import POINT_TOL
 from test_brackets import ALL_CATALOG_PAIRS, catalog_factors
@@ -188,12 +189,30 @@ def test_stacked_draws_are_states_and_unit_tangents_in_stack_order(pair, seed, s
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_state_json_round_trip():
-    pair = sphere_on_plane()
-    q = pair.random_state(RNG)
-    again = pair.state_from_json(json.loads(json.dumps(q.to_json())))
-    assert np.allclose(again.x, q.x)
-    assert np.allclose(again.isometry, q.isometry)
+def test_state_json_round_trip(tmp_path, capsys):
+    # a config's initial_state is read (Run.initial_state) in the form that
+    # rol writes its state in (cli._plain), and comes back byte-identical
+    q = sphere_on_plane().random_state(RNG)
+    state = {"x": q.x.tolist(), "x_hat": q.x_hat.tolist(), "A": q.isometry.tolist()}
+    pair = [{"kind": "sphere", "dim": 2, "radius": 1.0}, {"kind": "euclidean", "dim": 2}]
+    cfg, out = tmp_path / "config.json", tmp_path / "rol.json"
+    cfg.write_text(json.dumps({"manifold_pair": pair, "initial_state": state}))
+    assert main(["--config", str(cfg), "rol", "--out", str(out)]) == 0
+    report = out.read_text()
+    again = json.loads(report)["state"]
+    assert again == state  # every float exactly
+    cfg.write_text(json.dumps({"manifold_pair": pair, "initial_state": again}))
+    assert main(["--config", str(cfg), "rol", "--out", str(out)]) == 0
+    assert out.read_text() == report
+    assert np.allclose(again["x"], q.x)
+    assert np.allclose(again["A"], q.isometry)
+    # a valid stack of one state is no state
+    stack = {key: [value] for key, value in state.items()}
+    cfg.write_text(json.dumps({"manifold_pair": pair, "initial_state": stack}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "rol"]) == 2
+    assert capsys.readouterr().err == ("error: a state holds one contact map, "
+                                       "got a stack of shape (1,)\n")
 
 
 def test_rolling_lift_zero_and_identity():
@@ -384,6 +403,23 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     assert np.abs(back.x - q0.x).max() < 1e-9 * _scale(end.x)
     assert np.abs(back.x_hat - q0.x_hat).max() < 1e-9 * _scale(end.x_hat)
     assert np.abs(back.isometry - q0.isometry).max() < 1e-9 * _scale(end.x_hat)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "far out on H2(1) (|x| from 68 to 86) the hyperboloid transport loses ulps of "
+    "|x|^2 ~ 5e3 in its isometry, 1.1e-11 to 1.9e-11 against the 1e-11 bound"))
+def test_far_out_hyperbolic_rolls_hold_their_isometry_bound():
+    # the inputs of test_rolling_on_space_forms_holds_its_constraints_and_reverses
+    # that fail its isometry bound: H2(1)^2, length 3.125, step 1/64
+    pair = RollingPair(Hyperbolic(2, 1.0), Hyperbolic(2, 1.0))
+    worst = {}
+    for seed in (3, 108, 125, 231):
+        rng = np.random.default_rng(seed)
+        q0 = pair.random_state(rng)
+        v = pair.space.random_tangent(rng, q0.x, unit=True)
+        curve = sampled_roll(q0, GeodesicPath(pair.space, q0.x, v, 3.125), step=1 / 64)
+        worst[seed] = curve.residuals.max()
+    assert max(worst.values()) < 1e-11, worst
 
 
 @settings(max_examples=40, deadline=None)
