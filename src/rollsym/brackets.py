@@ -39,7 +39,8 @@ import numpy as np
 from .curvature import (curvature_term, skew_part, skew_to_vector, vector_to_skew,
                         wedge_matrix)
 from .numerics import RANK_TOL, equilibrate, numerical_rank, within_roundoff
-from .spaces import GeometryError, Warped
+from .errors import GeometryError
+from .spaces import Warped
 from .rolling import RollingState, directional_derivative, q_dim, tangent_curve
 
 # The depth-3 flag takes no step (generator_brackets).  Depth 4 nests one

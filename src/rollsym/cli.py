@@ -8,7 +8,9 @@ output.  Exit codes partition the failure classes: 2 config or input
 parsing, 3 integration left the coordinate domain, 4 ambiguous rank gap,
 5 candidate/manifold mismatch, 1 residual or verdict failure.  Input is
 validated where it is read: a malformed config, flag or JSON argument exits
-2 with a message, never with a traceback.
+2 with a message, never with a traceback.  Each cmd_* imports the modules it
+runs when it runs, so that a process loads, and without a bytecode cache
+compiles, only those.
 """
 
 from __future__ import annotations
@@ -25,22 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import (DEFAULT_STEP, DomainError, GeodesicPath, GeometryError, MismatchError,
-                     SampledPath, from_spec, integral, keyed, real, reals, tagged)
-from .rolling import RollingPair, RollingState, q_dim, roll_along
-from .curvature import operator_invertible, rolling_curvature_operator, so_pairs
-from .brackets import curvature_mismatch, flag_ranks, kept_at
-from .numerics import RANK_TOL, cut_margin
-from .nilpotent import flatness_obstruction, growth_vector, structure_tensor, verify_structure
-from .symmetry import (
-    KillingField,
-    killing_catalog,
-    killing_to_symmetry,
-    perturb_candidate,
-    sym0_dimension_probe,
-    symmetry_residual,
-    vertical_compatibility_residual,
-)
+from .errors import DomainError, GeometryError, MismatchError, integral, keyed, real, reals, tagged
+from .numerics import DEFAULT_STEP, RANK_TOL, cut_margin
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,7 +60,9 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, RollingState):
+    # no state exists before its module is loaded, and a report without one need not load it
+    rolling = sys.modules.get(f"{__package__}.rolling")
+    if rolling is not None and isinstance(value, rolling.RollingState):
         return {"x": value.x.tolist(), "x_hat": value.x_hat.tolist(), "A": value.isometry.tolist()}
     if isinstance(value, Fraction):  # float() raises OverflowError past the float range
         return {"num": value.numerator, "den": value.denominator, "value": float(value)}
@@ -138,6 +128,9 @@ class Run:
             self.format = args.format or output.get("format")
             self.pair = None
             if need_pair:
+                from .rolling import RollingPair
+                from .spaces import from_spec
+
                 pair_spec = self.config.get("manifold_pair")
                 if not pair_spec or len(pair_spec) != 2:
                     raise GeometryError("config must hold a two-element manifold_pair")
@@ -163,6 +156,8 @@ class Run:
 
 
 def _parse_path(pair, q0, spec):
+    from .spaces import GeodesicPath, SampledPath
+
     if tagged(spec, "path spec", "type", {"geodesic": ("type", "direction", "length"),
                                           "samples": ("type", "file")}) == "geodesic":
         direction = reals(spec["direction"], "path direction")
@@ -188,6 +183,9 @@ def _parse_path(pair, q0, spec):
 
 
 def cmd_simulate(args):
+    from .rolling import roll_along
+    from .spaces import GeodesicPath
+
     run = Run(args)
     rng = run.rng()
     q0 = run.initial_state(rng)
@@ -217,6 +215,10 @@ def cmd_simulate(args):
 
 
 def cmd_growth(args):
+    from .brackets import curvature_mismatch, flag_ranks
+    from .nilpotent import growth_vector
+    from .rolling import q_dim
+
     run = Run(args)
     rng = run.rng()
     q0 = run.initial_state(rng)
@@ -243,7 +245,9 @@ def cmd_growth(args):
     return EXIT_OK if report.ranks == predicted else EXIT_FAIL
 
 
-def _field_from_spec(manifold, gen_spec) -> KillingField:
+def _field_from_spec(manifold, gen_spec):
+    from .symmetry import killing_catalog
+
     catalog = killing_catalog(manifold)
     kind = tagged(gen_spec, "generator", "type", {"rotation": ("type", "plane"),
                   **dict.fromkeys(("translation", "boost"), ("type", "axis"))})
@@ -258,6 +262,11 @@ def _field_from_spec(manifold, gen_spec) -> KillingField:
 
 
 def cmd_audit(args):
+    from .brackets import kept_at
+    from .symmetry import (killing_catalog, killing_to_symmetry, perturb_candidate,
+                           sym0_dimension_probe, symmetry_residual,
+                           vertical_compatibility_residual)
+
     run = Run(args)
     if not 1 <= args.samples <= MAX_AUDIT_SAMPLES:
         raise GeometryError(f"--samples must be at least 1 and at most {MAX_AUDIT_SAMPLES}, "
@@ -307,6 +316,8 @@ def cmd_audit(args):
 
 
 def cmd_killing(args):
+    from .symmetry import killing_catalog
+
     run = Run(args)
     mh = run.pair.space_hat
     fields = killing_catalog(mh)
@@ -319,6 +330,8 @@ def cmd_killing(args):
 
 
 def cmd_rol(args):
+    from .curvature import operator_invertible, rolling_curvature_operator
+
     run = Run(args)
     rng = run.rng()
     q0 = run.initial_state(rng)
@@ -332,6 +345,9 @@ def cmd_rol(args):
 
 
 def cmd_nilpotent(args):
+    from .curvature import so_pairs
+    from .nilpotent import structure_tensor, verify_structure
+
     run = Run(args, need_pair=False)
     n = args.n
     if not 2 <= n <= NILPOTENT_MAX_N:
@@ -355,6 +371,8 @@ def cmd_nilpotent(args):
 
 
 def cmd_flatness(args):
+    from .nilpotent import flatness_obstruction
+
     run = Run(args, need_pair=False)
     report = flatness_obstruction(_rational(args.K), _rational(args.K_hat),
                                   _rational(args.beta), n=args.n)

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .numerics import RANK_TOL, numerical_rank, within_roundoff
-from .spaces import GeometryError
+from .errors import GeometryError
 
 SKEW_TOL = 1e-9
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import skew_to_vector, so_dim, vector_to_skew, wedge_matrix
-from .spaces import GeometryError
+from .errors import GeometryError
 
 
 class GradedVector:

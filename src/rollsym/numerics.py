@@ -1,6 +1,7 @@
 """The numerical kernels shared by the geometry layers: one central
-difference, one numerical rank with its gap and cut margin, and one
-round-off rule for curvatures that agree.
+difference, one numerical rank with its gap and cut margin, one
+round-off rule for curvatures that agree, and the default grid step of a
+roll.
 
 The finite-difference bracket oracle (`brackets.bracket_fd` with its chart
 differential) deliberately keeps its own stencil, so that it never shares
@@ -13,7 +14,9 @@ import math
 
 import numpy as np
 
-from .spaces import GeometryError
+from .errors import GeometryError
+
+DEFAULT_STEP = 1e-3  # the default grid step of a roll, and of the run's `step` tolerance
 
 
 def stencil_offsets(h):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError, GeometryError, integral, real, tagged
+
 POINT_TOL = 1e-10
 FRAME_SKIP_TOL = 1e-8
-DEFAULT_STEP = 1e-3
 STEP_SLACK = 1e-9
 SAMPLE_POINT_TOL = 1e-8  # how far a path sample may lie off its manifold (point_error)
 DEGENERATE_PLANE = 1e-14  # a Gram determinant at most this share of |X|^2 |Y|^2: no plane
@@ -33,18 +34,6 @@ NORM_FLOOR = 1e-300  # keeps a zero norm out of a division or a relative test
 # fiber parts of frames scale by 1/f, and products of three of them overflow in `growth`
 # from f ~ 1e-103; the square root of the largest float keeps 1/f^3 below 1.6e231
 WARP_SCALE_MAX = math.sqrt(np.finfo(float).max)
-
-
-class GeometryError(ValueError):
-    """A geometric precondition failed (off-manifold point, base mismatch, ...)."""
-
-
-class DomainError(GeometryError):
-    """A curve or geodesic left the manifold's coordinate domain."""
-
-
-class MismatchError(GeometryError):
-    """A candidate or generator does not fit the manifold it is applied to."""
 
 
 def steps_for(span, step):
@@ -116,52 +105,6 @@ def _turning_points(k, a, b, t):
             first = d * np.mod(d * tau, half)
             tau = np.concatenate((first, first + d * half), axis=-1)
         return np.where((d * tau > 0) & (d * tau <= d * t), tau, 0.0)
-
-
-def integral(value, what):
-    """A count read from input: 2 and 2.0 give 2, a non-integral number is
-    an input error rather than being truncated, and so is a boolean (see
-    real)."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise GeometryError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def real(value, what):
-    """A number read from input, as a float: JSON true and false are input
-    errors, though Python reads them as 1 and 0."""
-    if isinstance(value, bool):
-        raise GeometryError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def keyed(spec, what, keys):
-    """A JSON object read from input, whose keys are all among `keys`: a
-    misspelled or unknown key is an input error, not ignored."""
-    if not (isinstance(spec, dict) and set(spec) <= set(keys)):
-        raise GeometryError(f"{what} must be an object with keys among {', '.join(keys[:-1])} "
-                            f"and {keys[-1]}, got {spec!r}")
-    return spec
-
-
-def tagged(spec, what, tag, keys):
-    """The kind that the `tag` key of a JSON object read from input names,
-    the object checked by keyed with the keys `keys` maps that kind to."""
-    if not isinstance(spec, dict):
-        raise GeometryError(f"{what} must be an object with a {tag}, got {spec!r}")
-    kind = spec.get(tag)
-    if not (isinstance(kind, str) and kind in keys):
-        raise GeometryError(f"unknown {what} {tag} {kind!r}")
-    keyed(spec, f"a {kind} {what}", keys[kind])
-    return kind
-
-
-def reals(value, what):
-    """An array of numbers read from input (nested lists), as floats, with
-    real's rule for every entry."""
-    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
-        raise GeometryError(f"{what} must hold numbers, got a boolean")
-    return np.asarray(value, dtype=float)
 
 
 class SpaceForm:
@@ -545,7 +488,8 @@ class Hyperbolic(ConstantCurvature):
         return x
 
     def random_point(self, rng, shape=()):
-        spatial = rng.standard_normal(shape + (self.dim,))
+        # in units of r: a unit normal at r << 1 would lie asinh(1/r) radii out
+        spatial = self.radius * rng.standard_normal(shape + (self.dim,))
         return np.concatenate((np.sqrt(self.radius**2 + np.vecdot(spatial, spatial))[..., None],
                                spatial), axis=-1)
 

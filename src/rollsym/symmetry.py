@@ -32,10 +32,10 @@ import numpy as np
 from .brackets import FieldData, StructuredField, bracket_structured, rolling_generators
 from .curvature import (rolling_curvature, skew_part, skew_to_vector, so_dim, so_pairs,
                         vector_to_skew, wedge_matrix)
+from .errors import GeometryError, MismatchError
 from .numerics import RANK_TOL, equilibrate, numerical_rank
 from .rolling import RollingPair, RollingState, expm, q_dim, rolling_lift, tangent_curve
-from .spaces import (NORM_FLOOR, ConstantCurvature, Euclidean, GeometryError, Hyperbolic,
-                     MismatchError, SpaceForm, Sphere)
+from .spaces import NORM_FLOOR, ConstantCurvature, Euclidean, Hyperbolic, SpaceForm, Sphere
 
 
 # -- Killing fields of the catalog manifolds -----------------------------------

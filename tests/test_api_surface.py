@@ -25,7 +25,7 @@ No module of the package imports a private (underscore) name from another:
 a helper that two modules share is public, or the rule it serves lives in
 one module.
 
-Only `spaces.tagged` reads the kind, type or name that says what an input
+Only `errors.tagged` reads the kind, type or name that says what an input
 object is: one reader, with one rule for a value that is no object.
 
 Every threshold of the package is a named module-level constant: a small

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rollsym import Euclidean, GeometryError, Hyperbolic, Sphere, WarpFunction, Warped
 from rollsym.curvature import skew_to_vector, wedge_matrix
@@ -609,6 +609,8 @@ UNMATCHED_SPACE_FORMS = [
     (Hyperbolic(2, 1.0), Sphere(2, 1.0)), (Sphere(3, 1.0), Hyperbolic(3, 1.0)),
     (Sphere(3, 1.0), Euclidean(3)), (Sphere(4, 1.0), Hyperbolic(4, 2.0)),
     (Hyperbolic(3, 1.0), Hyperbolic(3, 2.0)),
+    # hyperbolic draws in units of r < 1 (a unit draw at r = 1e-3 lay 7.6 radii out)
+    (Hyperbolic(2, 1e-3), Sphere(2, 1e-3)), (Sphere(3, 1e-2), Hyperbolic(3, 1e-2)),
 ]
 
 
@@ -620,6 +622,8 @@ def homothetic(space, lam):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([*UNMATCHED_SPACE_FORMS, *((s, s) for s in MATCHED_SPACE_FORMS.values())]),
        st.integers(0, 2**16), st.floats(-6.0, 6.0))
+@example((Hyperbolic(3, 1e-3),) * 2, 0, 6.0)  # one object twice: a matched pair
+@example((Hyperbolic(2, 1e-3), Sphere(2, 1e-3)), 1, -6.0)
 def test_the_flag_is_the_same_at_every_scale(factors, seed, u):
     # scaling both metrics by lam^2 maps rolling motions to rolling motions
     # (points times lam, A the same), so D and its flag do not depend on lam:

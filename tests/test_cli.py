@@ -1,6 +1,7 @@
 import ast
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rollsym
 from rollsym import Hyperbolic, Sphere
 from rollsym.cli import _plain, main
 from rollsym.rolling import RollingPair
@@ -973,9 +975,18 @@ def test_an_audit_draws_once_and_probes_its_first_sample(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_an_audit_checks_its_states_before_it_draws_tangents_at_them(tmp_path, capsys, seed):
-    # on H2(1e-10) random_tangent drew at unchecked points, warned of an
-    # invalid sqrt, and only then did the state check refuse them
+def test_an_audit_checks_its_states_before_it_draws_tangents_at_them(tmp_path, capsys, seed,
+                                                                    monkeypatch):
+    # on H2(1e-10) a draw of unit spatial coordinates, 1e10 radii out, misses
+    # its constraint; random_tangent drew at such unchecked points, warned of
+    # an invalid sqrt, and only then did the state check refuse them.  Draws
+    # in units of r stay on the hyperboloid, so the test makes the far draws
+    def far_points(self, rng, shape=()):
+        spatial = rng.standard_normal(shape + (self.dim,))
+        return np.concatenate((np.sqrt(self.radius**2 + np.vecdot(spatial, spatial))[..., None],
+                               spatial), axis=-1)
+
+    monkeypatch.setattr(Hyperbolic, "random_point", far_points)
     cfg = write_config(tmp_path, {"manifold_pair": [_hyperbolic(2, 1e-10), _sphere(2)]})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1412,6 +1423,60 @@ def test_nilpotent_leaves_numpy_ma_unimported(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "False"]
+
+
+ROLLSYM_MODULES = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rollsym'))"
+ROLLING_STACK = ["cli", "curvature", "errors", "numerics", "rolling", "spaces"]
+AUDIT_STACK = sorted(ROLLING_STACK + ["brackets", "symmetry"])
+NILPOTENT_STACK = ["cli", "curvature", "errors", "nilpotent", "numerics"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("simulate", ROLLING_STACK), ("rol", ROLLING_STACK),
+    ("growth", sorted(ROLLING_STACK + ["brackets", "nilpotent"])),
+    ("symmetry-check", AUDIT_STACK), ("killing", AUDIT_STACK),
+    ("nilpotent", NILPOTENT_STACK), ("flatness", NILPOTENT_STACK),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loaded):
+    # with no bytecode cache every module loaded is compiled at start-up
+    cfg = write_config(tmp_path, SPHERES_1_3)
+    argv = {"simulate": ["--path-spec", json.dumps({"type": "geodesic", "length": 0.1,
+                                                    "direction": [1.0, 0.0, 0.0]})],
+            "growth": ["--depth", "2"],
+            "symmetry-check": ["--candidate", json.dumps({"kind": "catalog"}), "--samples", "2"],
+            "nilpotent": ["--n", "3"],
+            "flatness": ["--K", "1", "--K-hat", "2"]}.get(command, [])
+    code = (f"import sys; from rollsym.cli import main; "
+            f"code = main({['--config', cfg, command, *argv, '--out', 'report.out']!r}); "
+            f"print(code); print({ROLLSYM_MODULES})")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *_, code, modules = done.stdout.splitlines()  # simulate prints its residual first
+    assert code == "0"
+    assert modules.split() == ["rollsym"] + [f"rollsym.{m}" for m in loaded]
+
+
+def test_importing_the_package_loads_no_submodule_and_resolves_each_name_at_home():
+    code = (f"import sys, rollsym; print({ROLLSYM_MODULES}); "
+            "print(' '.join(f'{n}:{getattr(rollsym, n).__module__}' for n in rollsym.__all__))")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bare, homes = done.stdout.splitlines()
+    assert bare == "rollsym"
+    for entry in homes.split():
+        name, home = entry.split(":")
+        assert getattr(rollsym, name) is getattr(importlib.import_module(home), name)
+    assert len(homes.split()) == len(rollsym.__all__) == 16
+
+
+def test_the_package_resolves_its_submodules_and_refuses_other_names():
+    assert rollsym.nilpotent is importlib.import_module("rollsym.nilpotent")
+    assert rollsym.errors.GeometryError is rollsym.GeometryError
+    with pytest.raises(AttributeError, match="no attribute 'no_such_module'"):
+        rollsym.no_such_module
+    assert not hasattr(rollsym, "no_such_module")
 
 
 def test_no_source_file_imports_scipy():
