@@ -357,8 +357,8 @@ def cmd_nilpotent(args):
     names = ([f"N{i}" for i in range(n)] + [f"B{i}{j}" for i, j in so_pairs(n)]
              + [f"Z{i}" for i in range(n)])
     # the nonzero constants of the pairs i < j, in (i, j, k) order
-    upper = np.triu(np.ones((len(names),) * 2, dtype=bool), 1)
-    i, j, k = np.nonzero(upper[..., None] & (c != 0))
+    i, j, k = np.nonzero(c)
+    i, j, k = i[i < j], j[i < j], k[i < j]
     brackets = {}
     for x, y, z, v in zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist()):
         brackets.setdefault((x, y), {})[names[z]] = float(v)

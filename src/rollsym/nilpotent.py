@@ -9,9 +9,9 @@ brackets
     [layer 3, anything] = 0,     [layer 2, layer 2] = 0 (step-3 grading)
 
 realized here on integer coordinate arrays: the structure constants are
-integers, so structure checks are certificates, not approximations.
-Rationals enter only the obstruction arithmetic, floating point only where
-actual manifolds do.
+integers, so structure checks, ranks included, are certificates, not
+approximations.  Rationals enter only the obstruction arithmetic, floating
+point only where actual manifolds do.
 
 The obstruction arithmetic encodes the terminal computation of the
 non-flatness argument for constant-curvature pairs: a hypothetical flat
@@ -111,8 +111,8 @@ def structure_tensor(n):
     constants) then stays far inside int64, so its checks are exact."""
     bas = basis(n)
     c = nil_bracket(bas[:, None], bas[None, :]).coords
-    ints = c.astype(np.int64)
-    if not np.array_equal(ints, c):
+    ints = c.astype(np.int64, copy=False)
+    if ints is not c and not np.array_equal(ints, c):
         raise GeometryError("structure constants must be integers")
     if len(c) ** 2 * int(np.abs(ints).max()) ** 3 >= 2**53:
         raise GeometryError("structure constants too large for exact contraction")
@@ -131,7 +131,9 @@ def verify_structure(n, c=None) -> dict:
     join of that list with itself on l, summed per (x, y, z, m); the four-fold
     brackets from one more join.  All arithmetic is on int64, exact while
     every sum stays below 2^63; structure_tensor's bound keeps them below
-    2^53."""
+    2^53.  The two layer ranks are exact too (_exact_rank): up to sign the
+    rows of both layer matrices are unit rows, which need no elimination
+    round."""
     if n < 2:
         raise GeometryError("structure verification needs n >= 2")
     if c is None:
@@ -239,24 +241,31 @@ def _distinct_rows(a):
 
 
 def _exact_rank(mat):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination on
-    Python integers: after each pivot every remaining entry is a minor of
-    the matrix, so each division by the previous pivot is exact.  Zero rows
-    and rows repeated up to sign leave the rank alone and are dropped first."""
+    """Rank of an integer matrix by rounds of fraction-free elimination over
+    all rows at once.  The rows are kept primitive and distinct: each is
+    divided by the gcd of its entries and signed so its leading entry is
+    positive, and zero and repeated rows are dropped.  A round sorts the rows
+    by leading column and replaces each row that shares its leading column
+    with the first row f of its run by p row - q f, p and q the leading
+    entries of f and of the row.  Once the leading columns are distinct the
+    rows are independent, and their count is the rank.  The rows stay int64
+    while every |entry| < 2^31, so a round's products stay inside it; before
+    a round with a larger entry they move to Python integers, exact at any
+    size."""
     a = np.asarray(mat, dtype=np.int64)
-    a = a[(a != 0).any(axis=1)]
-    a = a * np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
-    a = _distinct_rows(a).astype(object)
-    rank, prev = 0, 1
-    for col in range(a.shape[1]):
-        rows = np.flatnonzero(a[rank:, col] != 0)
-        if not len(rows):
-            continue
-        a[[rank, rank + rows[0]]] = a[[rank + rows[0], rank]]
-        pivot = a[rank, col]
-        a[rank + 1:] = (pivot * a[rank + 1:] - a[rank + 1:, col:col + 1] * a[rank]) // prev
-        rank, prev = rank + 1, pivot
-    return rank
+    while True:
+        a = a[(a != 0).any(axis=1)]
+        lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
+        a = _distinct_rows(a // (np.gcd.reduce(a, axis=1) * np.sign(lead))[:, None])
+        lead = (a != 0).argmax(axis=1)
+        first = _first_of_runs(lead)
+        if first.all():
+            return len(a)
+        if a.dtype != object and (a.max() >= 2**31 or a.min() <= -(2**31)):
+            a = a.astype(object)
+        f = np.flatnonzero(first)[np.cumsum(first) - 1]
+        p, q = a[f, lead][:, None], a[np.arange(len(a)), lead][:, None]
+        a = np.where(first[:, None], a, p * a - q * a[f])
 
 
 # -- non-flatness obstruction ---------------------------------------------------------
