@@ -132,8 +132,8 @@ def verify_structure(n, c=None) -> dict:
     brackets from one more join.  All arithmetic is on int64, exact while
     every sum stays below 2^63; structure_tensor's bound keeps them below
     2^53.  The two layer ranks are exact too (_exact_rank): up to sign the
-    rows of both layer matrices are unit rows, which need no elimination
-    round."""
+    rows of both layer matrices are distinct unit rows, already in echelon
+    form, so they take no elimination step."""
     if n < 2:
         raise GeometryError("structure verification needs n >= 2")
     if c is None:
@@ -241,31 +241,29 @@ def _distinct_rows(a):
 
 
 def _exact_rank(mat):
-    """Rank of an integer matrix by rounds of fraction-free elimination over
-    all rows at once.  The rows are kept primitive and distinct: each is
-    divided by the gcd of its entries and signed so its leading entry is
-    positive, and zero and repeated rows are dropped.  A round sorts the rows
-    by leading column and replaces each row that shares its leading column
-    with the first row f of its run by p row - q f, p and q the leading
-    entries of f and of the row.  Once the leading columns are distinct the
-    rows are independent, and their count is the rank.  The rows stay int64
-    while every |entry| < 2^31, so a round's products stay inside it; before
-    a round with a larger entry they move to Python integers, exact at any
-    size."""
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination on
+    Python integers: after each pivot every remaining entry is a minor of
+    the matrix, so each division by the previous pivot is exact.  Zero rows
+    and rows repeated up to sign leave the rank alone and are dropped first.
+    Rows whose leading columns are then distinct are in echelon form, and
+    their count is the rank without any elimination."""
     a = np.asarray(mat, dtype=np.int64)
-    while True:
-        a = a[(a != 0).any(axis=1)]
-        lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
-        a = _distinct_rows(a // (np.gcd.reduce(a, axis=1) * np.sign(lead))[:, None])
-        lead = (a != 0).argmax(axis=1)
-        first = _first_of_runs(lead)
-        if first.all():
-            return len(a)
-        if a.dtype != object and (a.max() >= 2**31 or a.min() <= -(2**31)):
-            a = a.astype(object)
-        f = np.flatnonzero(first)[np.cumsum(first) - 1]
-        p, q = a[f, lead][:, None], a[np.arange(len(a)), lead][:, None]
-        a = np.where(first[:, None], a, p * a - q * a[f])
+    a = a[(a != 0).any(axis=1)]
+    a = a * np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
+    a = _distinct_rows(a)  # in lexicographic order, so equal leading columns are adjacent
+    if _first_of_runs((a != 0).argmax(axis=1)).all():
+        return len(a)
+    a = a.astype(object)
+    rank, prev = 0, 1
+    for col in range(a.shape[1]):
+        rows = np.flatnonzero(a[rank:, col] != 0)
+        if not len(rows):
+            continue
+        a[[rank, rank + rows[0]]] = a[[rank + rows[0], rank]]
+        pivot = a[rank, col]
+        a[rank + 1:] = (pivot * a[rank + 1:] - a[rank + 1:, col:col + 1] * a[rank]) // prev
+        rank, prev = rank + 1, pivot
+    return rank
 
 
 # -- non-flatness obstruction ---------------------------------------------------------

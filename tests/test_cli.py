@@ -230,11 +230,11 @@ def test_simulate_sampled_path_file(tmp_path):
 
 @pytest.mark.parametrize("step, tolerance, code", [
     ("0.25", None, 0), ("0.125", None, 0), ("0.25", 1e-3, 0), ("0.1", 1e-12, 0), ("0.01", 1e-12, 0),
-    ("0.25", 1e-16, 1),
+    ("0.25", 1e-15, 1),
 ], ids=["coarse", "fine", "coarse-lenient", "fine-strict", "finest-strict", "below-round-off"])
 def test_a_sampled_roll_exits_by_its_isometry_tolerance(tmp_path, capsys, step, tolerance, code):
     # 9 samples of a latitude circle roll as the broken geodesic through
-    # them, whose isometry residual is round-off (4.8e-16) and whose report
+    # them, whose isometry residual is round-off (1.2e-15) and whose report
     # is the same at every step: the configured tolerance decides exit 0 or
     # 1, where a fixed 1e-9 check of the rows used to exit 3 whatever the
     # tolerance

@@ -398,9 +398,9 @@ def _scale(x):
 # the reverse roll starts at |x_hat| = 50; unless each sampled step moves the
 # second point back onto H2(1), its residual grows to 1.2e-10 and fails the check
 @example((RollingPair(Hyperbolic(2, 1.0), Hyperbolic(2, 1.0)), 69, 3.125, 1 / 64))
-# the reverse roll starts at |x_hat| = 50 too; unless A is the polar factor
-# of the transported frames, whose images there are J-orthonormal only to
-# |x_hat|^2 ulps, the reverse roll's isometry residual reads 4.3e-11
+# the reverse roll starts at |x_hat| = 50 too; unless the transported images
+# of the frame, J-orthonormal there only to |x_hat|^2 ulps, are made
+# J-orthonormal again after each step, its isometry residual reads 4.3e-11
 @example((RollingPair(Hyperbolic(2, 1.0), Hyperbolic(2, 1.0)), 156, 3.125, 1 / 64))
 def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
     pair, seed, length, step = roll
@@ -431,9 +431,9 @@ def test_rolling_on_space_forms_holds_its_constraints_and_reverses(roll):
 def test_far_out_hyperbolic_rolls_hold_their_isometry_bound(pair, seeds):
     # inputs of test_rolling_on_space_forms_holds_its_constraints_and_reverses
     # at length 3.125, step 1/64, whose |x| reaches 65-86: the frames there are
-    # J-orthonormal only to ulps of |x|^2 ~ 5e3, and unless A is the nearest
-    # rotation to the product of the steps' transports the isometry residual
-    # read 1.1e-11 to 1.9e-11 against the 1e-11 bound
+    # J-orthonormal only to ulps of |x|^2 ~ 5e3, and unless each step's
+    # transport is its nearest rotation the isometry residual read 1.1e-11 to
+    # 1.9e-11 against the 1e-11 bound
     worst = {}
     for seed in seeds:
         rng = np.random.default_rng(seed)
